@@ -10,22 +10,40 @@ type t = {
 
 let make ?(params = Rc.Wire.default) ?(rd = 100.) ?(bound = 0.) ?group_bounds
     ~source ~n_groups sinks =
+  (* Non-finite numbers are rejected up front: the spatial index cannot
+     place a non-finite point, and a NaN anywhere else would route to a
+     NaN tree. *)
+  let finite what v =
+    if not (Float.is_finite v) then
+      invalid_arg (Printf.sprintf "Instance.make: non-finite %s" what)
+  in
   if Array.length sinks = 0 then invalid_arg "Instance.make: no sinks";
   if n_groups <= 0 then invalid_arg "Instance.make: n_groups must be positive";
+  finite "skew bound" bound;
   if bound < 0. then invalid_arg "Instance.make: negative skew bound";
+  finite "source x" source.Geometry.Pt.x;
+  finite "source y" source.Geometry.Pt.y;
+  finite "driver resistance" rd;
+  finite "wire resistance" params.Rc.Wire.r;
+  finite "wire capacitance" params.Rc.Wire.c;
   (match group_bounds with
    | Some bs ->
      if Array.length bs <> n_groups then
        invalid_arg "Instance.make: group_bounds length mismatch";
      Array.iter
        (fun b ->
+         finite "group bound" b;
          if b < 0. then invalid_arg "Instance.make: negative group bound")
        bs
    | None -> ());
   Array.iteri
     (fun i (s : Sink.t) ->
       if s.id <> i then invalid_arg "Instance.make: sink ids must be dense";
-      if s.group >= n_groups then
+      finite "sink x" s.loc.x;
+      finite "sink y" s.loc.y;
+      finite "sink capacitance" s.cap;
+      if s.cap < 0. then invalid_arg "Instance.make: negative sink capacitance";
+      if s.group < 0 || s.group >= n_groups then
         invalid_arg "Instance.make: sink group out of range")
     sinks;
   { sinks; n_groups; bound; group_bounds; params; source; rd }

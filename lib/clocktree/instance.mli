@@ -12,8 +12,11 @@ type t = private {
   rd : float;  (** driver resistance at the source, ohm *)
 }
 
-(** Validates that sink ids are dense (equal to their index) and group
-    ids lie in [0, n_groups). *)
+(** Validates that sink ids are dense (equal to their index), group ids
+    lie in [0, n_groups), capacitances and bounds are non-negative, and
+    every number — sink coordinates and capacitances, [source],
+    [bound], [group_bounds], [rd] and the wire [r]/[c] — is finite.
+    Raises [Invalid_argument] otherwise. *)
 val make :
   ?params:Rc.Wire.params ->
   ?rd:float ->

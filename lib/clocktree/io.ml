@@ -57,7 +57,8 @@ let of_string text =
     in
     let float_of s =
       match float_of_string_opt s with
-      | Some f -> Ok f
+      | Some f when Float.is_finite f -> Ok f
+      | Some _ -> Error (Printf.sprintf "line %d: non-finite number %S" lineno s)
       | None -> Error (Printf.sprintf "line %d: bad number %S" lineno s)
     in
     let int_of s =
@@ -66,13 +67,19 @@ let of_string text =
       | None -> Error (Printf.sprintf "line %d: bad integer %S" lineno s)
     in
     let ( let* ) = Result.bind in
+    (* Record constructors ([Wire.make], [Sink.make]) validate their
+       arguments with [Invalid_argument]; report that against the line. *)
+    let build f =
+      match f () with
+      | () -> Ok ()
+      | exception Invalid_argument msg -> error lineno msg
+    in
     match tokens with
     | [] -> Ok ()
     | [ "params"; r; c ] ->
       let* r = float_of r in
       let* c = float_of c in
-      st.params <- Some (Rc.Wire.make ~r ~c);
-      Ok ()
+      build (fun () -> st.params <- Some (Rc.Wire.make ~r ~c))
     | [ "driver"; rd ] ->
       let* rd = float_of rd in
       st.rd <- Some rd;
@@ -101,8 +108,8 @@ let of_string text =
       let* y = float_of y in
       let* cap = float_of cap in
       let* group = int_of group in
-      st.sinks <- Sink.make ~id ~loc:(Geometry.Pt.make x y) ~cap ~group :: st.sinks;
-      Ok ()
+      build (fun () ->
+          st.sinks <- Sink.make ~id ~loc:(Geometry.Pt.make x y) ~cap ~group :: st.sinks)
     | keyword :: _ ->
       Error (Printf.sprintf "line %d: unrecognized record %S" lineno keyword)
   in

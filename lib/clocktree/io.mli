@@ -19,7 +19,9 @@
 val to_string : Instance.t -> string
 val write_file : string -> Instance.t -> unit
 
-(** Parse an instance; returns [Error message] on malformed input. *)
+(** Parse an instance; returns [Error message] on malformed input,
+    including non-finite numbers and records their constructors reject
+    (e.g. a negative capacitance), which report ["line N: ..."]. *)
 val of_string : string -> (Instance.t, string) result
 
 val read_file : string -> (Instance.t, string) result

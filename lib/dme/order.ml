@@ -516,12 +516,12 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
                        (* Same-cell tie guard: a candidate in the
                           partner's grid cell at exactly the partner's
                           distance ranks against it by bucket arrival
-                          order, which any later insertion into that cell
-                          may reshuffle (Hashtbl resize).  Cross-cell
-                          ties rank by ring-scan geometry and entries the
-                          scan excluded lie at distance >= dk > pdist, so
-                          only candidates in the partner's own cell can
-                          flip. *)
+                          order, which a later removal and re-insertion
+                          in that cell changes (buckets keep insertion
+                          order).  Cross-cell ties rank by ring-scan
+                          geometry and entries the scan excluded lie at
+                          distance >= dk > pdist, so only candidates in
+                          the partner's own cell can flip. *)
                        && (let pcell = Grid_index.cell_of grid c_t in
                            not
                              (List.exists

@@ -7,15 +7,10 @@ let c_rings = Obs.Counter.make "geometry.grid.rings_scanned"
 let c_cells = Obs.Counter.make "geometry.grid.cells_visited"
 let c_entries = Obs.Counter.make "geometry.grid.entries_scanned"
 
-(* Cells are keyed by two nested int tables (gx, then gy) rather than one
-   [(int * int)]-keyed table: ring scans probe hundreds of cells per
-   query, and an int key is hashed without boxing where a tuple key costs
-   an allocation per probe.  Each cell's bucket is a pair of parallel
-   growable arrays scanned with a plain for-loop: [Hashtbl.iter]
-   allocates its internal traversal closure on every call, which at one
-   call per visited occupied cell dominated the query-path allocation.
-   Entries iterate in insertion order (removal shifts, preserving it),
-   which fixes distance-tie arrival order in [k_nearest_probe]. *)
+(* Each cell's bucket is a pair of parallel growable arrays scanned with
+   a plain for-loop.  Entries iterate in insertion order (removal shifts,
+   preserving it), which fixes distance-tie arrival order in
+   [k_nearest_probe]. *)
 type 'a bucket = {
   mutable ids : int array;
   mutable ents : 'a entry array;
@@ -25,9 +20,8 @@ type 'a bucket = {
 let bucket_make id e =
   { ids = Array.make 4 id; ents = Array.make 4 e; blen = 1 }
 
-(* Replace semantics on an existing id, like the Hashtbl it replaced.
-   Buckets hold the handful of entries sharing one grid cell, so the
-   linear scans here are short. *)
+(* Replace semantics on an existing id.  Buckets hold the handful of
+   entries sharing one grid cell, so the linear scans here are short. *)
 let bucket_add b id e =
   let rec find i = if i >= b.blen then -1 else if b.ids.(i) = id then i else find (i + 1) in
   match find 0 with
@@ -61,69 +55,175 @@ let bucket_remove b id =
     if b.blen > 0 then b.ents.(b.blen) <- b.ents.(0);
     true
 
+(* Dense store: cell (gx, gy) — absolute keys [floor (x / cell)] — lives
+   at [cells.((gy - gy0) * w + (gx - gx0))], a row-major window that
+   grows by doubling to cover every point added.  Unoccupied cells all
+   share the index's [empty] sentinel (a bucket with [blen = 0] that is
+   never written), so a cell costs one word until its first insert and
+   drops back to the sentinel when its bucket empties.  [col_n]/[row_n]
+   count occupied buckets per column/row of the window, and
+   [min_gx .. max_gx] x [min_gy .. max_gy] is the exact occupied
+   bounding box ([max < min] when nothing is stored): ring scans clip to
+   it and skip empty rows and columns without touching a bucket. *)
 type 'a t = {
   cell : float;
-  cols : (int, (int, 'a bucket) Hashtbl.t) Hashtbl.t;
-  rows : (int, int) Hashtbl.t;
-      (* occupied-bucket count per gy: the ring scan's bounding box needs
-         the extreme occupied row, and folding the row table is one flat
-         pass where folding every column's cell table allocates a closure
-         per occupied column on every query *)
+  empty : 'a bucket;
+  mutable cells : 'a bucket array;
+  mutable gx0 : int;
+  mutable gy0 : int;
+  mutable w : int;
+  mutable h : int;
+  mutable col_n : int array;
+  mutable row_n : int array;
+  mutable min_gx : int;
+  mutable max_gx : int;
+  mutable min_gy : int;
+  mutable max_gy : int;
   mutable count : int;
 }
 
 let create ~cell =
-  if cell <= 0. then invalid_arg "Grid_index.create: cell must be positive";
-  { cell; cols = Hashtbl.create 257; rows = Hashtbl.create 257; count = 0 }
+  if not (Float.is_finite cell && cell > 0.) then
+    invalid_arg "Grid_index.create: cell must be positive and finite";
+  {
+    cell;
+    empty = { ids = [||]; ents = [||]; blen = 0 };
+    cells = [||];
+    gx0 = 0;
+    gy0 = 0;
+    w = 0;
+    h = 0;
+    col_n = [||];
+    row_n = [||];
+    min_gx = 0;
+    max_gx = -1;
+    min_gy = 0;
+    max_gy = -1;
+    count = 0;
+  }
 
-let incr_row t gy =
-  match Hashtbl.find t.rows gy with
-  | exception Not_found -> Hashtbl.replace t.rows gy 1
-  | c -> Hashtbl.replace t.rows gy (c + 1)
+(* Cell keys stay far inside the int range so that key differences
+   (ring radii, window spans) never overflow.  The negated test also
+   rejects NaN and infinities. *)
+let max_key = 0x1p52
 
-let decr_row t gy =
-  match Hashtbl.find t.rows gy with
-  | exception Not_found -> ()
-  | 1 -> Hashtbl.remove t.rows gy
-  | c -> Hashtbl.replace t.rows gy (c - 1)
+let[@inline] key t v =
+  let q = Float.floor (v /. t.cell) in
+  if not (Float.abs q < max_key) then
+    invalid_arg "Grid_index: point coordinates must be finite";
+  int_of_float q
 
-let[@inline] gx_of t (p : Pt.t) = int_of_float (Float.floor (p.x /. t.cell))
-let[@inline] gy_of t (p : Pt.t) = int_of_float (Float.floor (p.y /. t.cell))
-let cell_of t p = (gx_of t p, gy_of t p)
+let cell_of t (p : Pt.t) = (key t p.x, key t p.y)
 
-let add t ~id p v =
-  let gx = gx_of t p and gy = gy_of t p in
-  let col =
-    match Hashtbl.find_opt t.cols gx with
-    | Some c -> c
-    | None ->
-      let c = Hashtbl.create 17 in
-      Hashtbl.add t.cols gx c;
-      c
-  in
-  (match Hashtbl.find_opt col gy with
-   | Some b -> bucket_add b id { pt = p; value = v }
-   | None ->
-     Hashtbl.add col gy (bucket_make id { pt = p; value = v });
-     incr_row t gy);
+(* New [(origin, length)] of one window axis so that it covers key [g]:
+   unchanged when it already does, otherwise at least doubled, growing
+   toward [g]. *)
+let extend o len g =
+  if len = 0 then (g, 1)
+  else if g < o then
+    let len' = Int.max (2 * len) (o + len - g) in
+    (o + len - len', len')
+  else if g >= o + len then (o, Int.max (2 * len) (g - o + 1))
+  else (o, len)
+
+let grow t gx gy =
+  let x0, w = extend t.gx0 t.w gx and y0, h = extend t.gy0 t.h gy in
+  if w > Sys.max_array_length / h then
+    invalid_arg "Grid_index.add: points span too many cells";
+  let cells = Array.make (w * h) t.empty in
+  let dx = t.gx0 - x0 and dy = t.gy0 - y0 in
+  for row = 0 to t.h - 1 do
+    Array.blit t.cells (row * t.w) cells (((row + dy) * w) + dx) t.w
+  done;
+  let col_n = Array.make w 0 and row_n = Array.make h 0 in
+  (* The first insert grows from an empty window whose origin is
+     meaningless, so there is nothing to copy. *)
+  if t.w > 0 then begin
+    Array.blit t.col_n 0 col_n dx t.w;
+    Array.blit t.row_n 0 row_n dy t.h
+  end;
+  t.cells <- cells;
+  t.col_n <- col_n;
+  t.row_n <- row_n;
+  t.gx0 <- x0;
+  t.gy0 <- y0;
+  t.w <- w;
+  t.h <- h
+
+(* A bucket appeared at (gx, gy): bump its column and row counts and
+   widen the occupied box. *)
+let occupy t gx gy =
+  let c = gx - t.gx0 and r = gy - t.gy0 in
+  t.col_n.(c) <- t.col_n.(c) + 1;
+  t.row_n.(r) <- t.row_n.(r) + 1;
+  if t.max_gx < t.min_gx then begin
+    t.min_gx <- gx;
+    t.max_gx <- gx;
+    t.min_gy <- gy;
+    t.max_gy <- gy
+  end
+  else begin
+    t.min_gx <- Int.min t.min_gx gx;
+    t.max_gx <- Int.max t.max_gx gx;
+    t.min_gy <- Int.min t.min_gy gy;
+    t.max_gy <- Int.max t.max_gy gy
+  end
+
+(* One axis lost a bucket at key [g]: [counts] is its per-key occupancy
+   over a window starting at key [o], and [lo .. hi] its occupied range.
+   Returns the exact new range, [hi < lo] once the axis is empty. *)
+let shrink counts o g lo hi =
+  let i = g - o in
+  counts.(i) <- counts.(i) - 1;
+  if counts.(i) > 0 then (lo, hi)
+  else if g = lo then begin
+    let g = ref g in
+    while !g <= hi && counts.(!g - o) = 0 do incr g done;
+    (!g, hi)
+  end
+  else if g = hi then begin
+    (* [lo] is still occupied, so the walk stops there at the latest. *)
+    let g = ref g in
+    while counts.(!g - o) = 0 do decr g done;
+    (lo, !g)
+  end
+  else (lo, hi)
+
+let vacate t gx gy =
+  let lo, hi = shrink t.col_n t.gx0 gx t.min_gx t.max_gx in
+  t.min_gx <- lo;
+  t.max_gx <- hi;
+  let lo, hi = shrink t.row_n t.gy0 gy t.min_gy t.max_gy in
+  t.min_gy <- lo;
+  t.max_gy <- hi
+
+let add t ~id (p : Pt.t) v =
+  let gx = key t p.x and gy = key t p.y in
+  if gx < t.gx0 || gx >= t.gx0 + t.w || gy < t.gy0 || gy >= t.gy0 + t.h then
+    grow t gx gy;
+  let i = ((gy - t.gy0) * t.w) + (gx - t.gx0) in
+  let e = { pt = p; value = v } in
+  let b = t.cells.(i) in
+  if b.blen = 0 then begin
+    t.cells.(i) <- bucket_make id e;
+    occupy t gx gy
+  end
+  else bucket_add b id e;
   t.count <- t.count + 1
 
-let remove t ~id p =
-  let gx = gx_of t p and gy = gy_of t p in
-  match Hashtbl.find_opt t.cols gx with
-  | None -> ()
-  | Some col -> (
-    match Hashtbl.find_opt col gy with
-    | None -> ()
-    | Some b ->
-      if bucket_remove b id then begin
-        t.count <- t.count - 1;
-        if b.blen = 0 then begin
-          Hashtbl.remove col gy;
-          decr_row t gy;
-          if Hashtbl.length col = 0 then Hashtbl.remove t.cols gx
-        end
-      end)
+let remove t ~id (p : Pt.t) =
+  let gx = key t p.x and gy = key t p.y in
+  if gx >= t.gx0 && gx < t.gx0 + t.w && gy >= t.gy0 && gy < t.gy0 + t.h then begin
+    let i = ((gy - t.gy0) * t.w) + (gx - t.gx0) in
+    let b = t.cells.(i) in
+    if bucket_remove b id then begin
+      t.count <- t.count - 1;
+      if b.blen = 0 then begin
+        t.cells.(i) <- t.empty;
+        vacate t gx gy
+      end
+    end
+  end
 
 let size t = t.count
 
@@ -131,72 +231,74 @@ let size t = t.count
    ring [r] guarantees no closer hit exists beyond ring
    [ceil (best / cell) + 1], which bounds the scan; the bounding box of
    occupied cells bounds it even when the caller's stop condition never
-   fires (e.g. fewer entries than requested). *)
-(* Returns the first ring NOT visited, so callers can tell whether the
-   scan ended because [stop] fired (the ring-distance bound subsumed the
-   remaining cells) or because the occupied bounding box ran out — the
-   distinction drives the probe invalidation radius below. *)
+   fires (e.g. fewer entries than requested).  Returns the first ring NOT
+   visited.
+
+   Visit order is fixed: the query cell, then per ring the top and
+   bottom edges column by column (top before bottom in each column),
+   then the left and right edges row by row (left before right), and
+   each bucket in insertion order.  Clipping to the occupied box and
+   skipping empty rows and columns drops only cells without entries, so
+   the order in which entries reach [f] is that of the plain ring walk.
+   The visit counters are charged as if every cell of every ring were
+   probed — ring 0 is one cell and ring [r >= 1] is [8 r] — and added
+   once per query. *)
 let fold_rings t (p : Pt.t) ~stop f =
-  let cx = gx_of t p and cy = gy_of t p in
-  (* max over occupied cells of max (|dx|, |dy|) equals
-     max (max |dx| over occupied columns, max |dy| over occupied rows):
-     each axis maximum is attained by some occupied cell, and every
-     cell's Chebyshev distance is bounded by the pair.  Two flat folds
-     (one closure each) replace the nested per-column fold. *)
+  let cx = key t p.x and cy = key t p.y in
+  (* max over occupied cells of max (|dx|, |dy|): each axis maximum is
+     attained at an end of the occupied box. *)
   let max_ring =
-    let mx =
-      Hashtbl.fold
-        (fun gx _ acc -> Int.max acc (Int.abs (gx - cx)))
-        t.cols 0
-    in
-    Hashtbl.fold
-      (fun gy _ acc -> Int.max acc (Int.abs (gy - cy)))
-      t.rows mx
+    if t.max_gx < t.min_gx then 0
+    else
+      Int.max
+        (Int.max (cx - t.min_gx) (t.max_gx - cx))
+        (Int.max (cy - t.min_gy) (t.max_gy - cy))
   in
-  (* [Hashtbl.find] + [Not_found] rather than [find_opt]: misses dominate
-     on the outer rings and must not allocate a [Some] per probed cell.
-     Bucket entries are scanned with a for-loop — no traversal closure. *)
-  let visit_col col gy =
-    Obs.Counter.incr c_cells;
-    match Hashtbl.find col gy with
-    | exception Not_found -> ()
-    | b ->
-      for i = 0 to b.blen - 1 do
-        Obs.Counter.incr c_entries;
+  let cells = t.cells and w = t.w and gx0 = t.gx0 and gy0 = t.gy0 in
+  let col_n = t.col_n and row_n = t.row_n in
+  let min_gx = t.min_gx and max_gx = t.max_gx in
+  let min_gy = t.min_gy and max_gy = t.max_gy in
+  let entries = ref 0 in
+  (* Callers pass keys inside the occupied box, hence inside the window. *)
+  let visit gx gy =
+    let b = Array.unsafe_get cells (((gy - gy0) * w) + (gx - gx0)) in
+    let n = b.blen in
+    if n > 0 then begin
+      entries := !entries + n;
+      for i = 0 to n - 1 do
         f b.ids.(i) b.ents.(i)
       done
-  in
-  let visit gx gy =
-    match Hashtbl.find t.cols gx with
-    | exception Not_found -> Obs.Counter.incr c_cells
-    | col -> visit_col col gy
-  in
-  let rec ring r =
-    if r > max_ring || stop r then r
-    else begin
-      Obs.Counter.incr c_rings;
-      if r = 0 then visit cx cy
-      else begin
-        (* Walk the top and bottom edges column-major so each occupied
-           column is resolved once per edge pair. *)
-        for gx = cx - r to cx + r do
-          match Hashtbl.find t.cols gx with
-          | exception Not_found ->
-            Obs.Counter.incr c_cells;
-            Obs.Counter.incr c_cells
-          | col ->
-            visit_col col (cy - r);
-            visit_col col (cy + r)
-        done;
-        for gy = cy - r + 1 to cy + r - 1 do
-          visit (cx - r) gy;
-          visit (cx + r) gy
-        done
-      end;
-      ring (r + 1)
     end
   in
-  ring 0
+  let row_ok gy = gy >= min_gy && gy <= max_gy && row_n.(gy - gy0) > 0 in
+  let col_ok gx = gx >= min_gx && gx <= max_gx && col_n.(gx - gx0) > 0 in
+  let r = ref 0 in
+  while !r <= max_ring && not (stop !r) do
+    let r' = !r in
+    if r' = 0 then (if row_ok cy && col_ok cx then visit cx cy)
+    else begin
+      let top = cy - r' and bot = cy + r' in
+      let top_ok = row_ok top and bot_ok = row_ok bot in
+      if top_ok || bot_ok then
+        for gx = Int.max (cx - r') min_gx to Int.min (cx + r') max_gx do
+          if top_ok then visit gx top;
+          if bot_ok then visit gx bot
+        done;
+      let left = cx - r' and right = cx + r' in
+      let left_ok = col_ok left and right_ok = col_ok right in
+      if left_ok || right_ok then
+        for gy = Int.max (cy - r' + 1) min_gy to Int.min (cy + r' - 1) max_gy do
+          if left_ok then visit left gy;
+          if right_ok then visit right gy
+        done
+    end;
+    incr r
+  done;
+  let rings = !r in
+  Obs.Counter.add c_rings rings;
+  Obs.Counter.add c_cells (if rings = 0 then 0 else 1 + (4 * rings * (rings - 1)));
+  Obs.Counter.add c_entries !entries;
+  rings
 
 let nearest t ?(skip = fun _ -> false) p =
   Obs.Counter.incr c_queries;
@@ -412,15 +514,3 @@ let for_all_within t p r f =
      traced workload) do not depend on which entry fails first. *)
   iter_within t p r (fun id pt v -> if not (f id pt v) then ok := false);
   !ok
-
-let iter t f =
-  Hashtbl.iter
-    (fun _ col ->
-      Hashtbl.iter
-        (fun _ b ->
-          for i = 0 to b.blen - 1 do
-            let e = b.ents.(i) in
-            f b.ids.(i) e.pt e.value
-          done)
-        col)
-    t.cols

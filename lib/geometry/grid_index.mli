@@ -3,16 +3,24 @@
     Used by the merge-ordering stage to generate nearest-neighbour
     candidates in roughly O(1) per query.  Distances here are between the
     stored representative points (L1); callers refine candidates with
-    exact region distances. *)
+    exact region distances.
+
+    Storage is a dense window of cells over the bounding box of the
+    points added, one word per cell until the cell is first occupied, so
+    memory grows with the box's area in cells.  A non-finite point has
+    no cell: {!add}, {!remove}, {!cell_of} and any query that scans the
+    grid raise [Invalid_argument] on one. *)
 
 type 'a t
 
 (** [create ~cell] builds an empty index with square cells of side
-    [cell] (> 0). *)
+    [cell].  Raises [Invalid_argument] unless [cell] is positive and
+    finite. *)
 val create : cell:float -> 'a t
 
 (** [add t ~id p v] indexes value [v] under [id] at point [p].  An
-    existing entry with the same [id] must be removed first. *)
+    existing entry with the same [id] must be removed first.  Raises
+    [Invalid_argument] on a non-finite [p]. *)
 val add : 'a t -> id:int -> Pt.t -> 'a -> unit
 
 (** [remove t ~id p] removes the entry; [p] must be the point it was added
@@ -60,5 +68,3 @@ val iter_within : 'a t -> Pt.t -> float -> (int -> Pt.t -> 'a -> unit) -> unit
     the list.  The scan is {e not} cut short by a failing entry, so the
     grid visit counters do not depend on which entry fails. *)
 val for_all_within : 'a t -> Pt.t -> float -> (int -> Pt.t -> 'a -> bool) -> bool
-
-val iter : 'a t -> (int -> Pt.t -> 'a -> unit) -> unit

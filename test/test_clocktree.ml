@@ -29,6 +29,40 @@ let test_instance_validation () =
       ignore
         (Instance.make ~source:(pt 0. 0.) ~n_groups:2 [| sink 1 0. 0. 0 |]))
 
+(* Non-finite numbers anywhere in an instance are rejected by name: a NaN
+   sink would otherwise route to a NaN tree. *)
+let test_instance_rejects_non_finite () =
+  let ok = [| sink 0 0. 0. 0; sink 1 10. 0. 0 |] in
+  let raises what f =
+    Alcotest.check_raises what
+      (Invalid_argument ("Instance.make: non-finite " ^ what))
+      (fun () -> ignore (f ()))
+  in
+  let make ?params ?rd ?bound ?group_bounds ?(source = pt 0. 0.) sinks =
+    Instance.make ?params ?rd ?bound ?group_bounds ~source ~n_groups:1 sinks
+  in
+  List.iter
+    (fun v ->
+      raises "sink x" (fun () -> make [| sink 0 v 0. 0; sink 1 10. 0. 0 |]);
+      raises "sink y" (fun () -> make [| sink 0 0. 0. 0; sink 1 10. v 0 |]);
+      raises "sink capacitance" (fun () ->
+          make [| { (sink 0 0. 0. 0) with cap = v }; sink 1 10. 0. 0 |]);
+      raises "source x" (fun () -> make ~source:(pt v 0.) ok);
+      raises "source y" (fun () -> make ~source:(pt 0. v) ok);
+      raises "skew bound" (fun () -> make ~bound:v ok);
+      raises "group bound" (fun () -> make ~group_bounds:[| v |] ok);
+      raises "driver resistance" (fun () -> make ~rd:v ok);
+      raises "wire resistance" (fun () -> make ~params:{ params with r = v } ok);
+      raises "wire capacitance" (fun () -> make ~params:{ params with c = v } ok))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  (* Records built without [Sink.make] get the same checks. *)
+  Alcotest.check_raises "negative group"
+    (Invalid_argument "Instance.make: sink group out of range") (fun () ->
+      ignore (make [| { (sink 0 0. 0. 0) with group = -1 }; sink 1 10. 0. 0 |]));
+  Alcotest.check_raises "negative cap"
+    (Invalid_argument "Instance.make: negative sink capacitance") (fun () ->
+      ignore (make [| { (sink 0 0. 0. 0) with cap = -1. }; sink 1 10. 0. 0 |]))
+
 (* --- Tree ---------------------------------------------------------------- *)
 
 let two_sink_tree () =
@@ -401,7 +435,28 @@ let test_io_errors () =
    | Error msg ->
      Alcotest.(check bool) "missing source reported" true
        (String.length msg > 0)
-   | Ok _ -> Alcotest.fail "expected missing-source error")
+   | Ok _ -> Alcotest.fail "expected missing-source error");
+  (* Bad numbers and records their constructors reject are reported
+     against their line, never raised. *)
+  let base = "groups 2\nsource 0 0\n" in
+  List.iter
+    (fun (record, expect) ->
+      match Io.of_string (base ^ record) with
+      | Error msg -> Alcotest.(check string) record expect msg
+      | Ok _ -> Alcotest.fail ("expected an error for " ^ record))
+    [
+      ("sink 0 nan 5 1 0", "line 3: non-finite number \"nan\"");
+      ("sink 0 0 inf 1 0", "line 3: non-finite number \"inf\"");
+      ("sink 0 0 0 -inf 0", "line 3: non-finite number \"-inf\"");
+      ("source nan 0", "line 3: non-finite number \"nan\"");
+      ("bound inf", "line 3: non-finite number \"inf\"");
+      ("driver nan", "line 3: non-finite number \"nan\"");
+      ("params 0.003 inf", "line 3: non-finite number \"inf\"");
+      ("groupbound 1 nan", "line 3: non-finite number \"nan\"");
+      ("sink 0 0 0 -1 0", "line 3: Sink.make: negative capacitance");
+      ("sink 0 0 0 1 -1", "line 3: Sink.make: negative group");
+      ("params 0 0.02", "line 3: Wire.make: parameters must be positive");
+    ]
 
 let test_io_comments_and_order () =
   let text =
@@ -440,7 +495,11 @@ let () =
   Alcotest.run "clocktree"
     [
       ( "instance",
-        [ Alcotest.test_case "validation" `Quick test_instance_validation ] );
+        [
+          Alcotest.test_case "validation" `Quick test_instance_validation;
+          Alcotest.test_case "non-finite rejected" `Quick
+            test_instance_rejects_non_finite;
+        ] );
       ( "tree",
         [
           Alcotest.test_case "metrics" `Quick test_tree_metrics;

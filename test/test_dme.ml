@@ -476,6 +476,28 @@ let test_incremental_bit_identical () =
         0 off.engine.nn_probes_saved)
     [ "r1"; "r2" ]
 
+(* Golden pin: bit-exact AST-DME wirelengths on r1-r5, intermingled, 8
+   groups, serial ranking.  Any change to the merge order — a reordered
+   grid tie, a different cache decision — moves at least one of these. *)
+let test_golden_wirelengths () =
+  List.iter
+    (fun (name, expect) ->
+      let spec = Option.get (Workload.Circuits.find name) in
+      let inst =
+        Workload.Circuits.instance spec ~n_groups:8
+          ~scheme:Workload.Partition.Intermingled ~bound:10. ()
+      in
+      let r = Astskew.Router.ast_dme ~jobs:1 inst in
+      Alcotest.(check string) (name ^ " wirelength") expect
+        (Printf.sprintf "%h" r.evaluation.wirelength))
+    [
+      ("r1", "0x1.cd929d3d14732p+19");
+      ("r2", "0x1.ea747375c23e7p+20");
+      ("r3", "0x1.3180cdaf06bf4p+21");
+      ("r4", "0x1.2fd864ed8f4dep+22");
+      ("r5", "0x1.c8a977fe4209ap+22");
+    ]
+
 let test_dedupe_pairs () =
   let open Dme.Order in
   Alcotest.(check (list (triple (float 0.) int int)))
@@ -588,6 +610,7 @@ let () =
             test_incremental_bit_identical;
           Alcotest.test_case "parallel ranking bit-identical" `Slow
             test_parallel_bit_identical;
+          Alcotest.test_case "golden wirelengths r1-r5" `Slow test_golden_wirelengths;
         ]
         @ qsuite [ prop_engine_respects_bound ] );
     ]

@@ -513,6 +513,59 @@ let test_grid_probe_semantics () =
   Alcotest.(check bool) "different cell" false
     (Grid_index.cell_of g (pt 1. 1.) = Grid_index.cell_of g (pt 11. 1.))
 
+(* Distance ties rank by scan order — query cell, then per ring the
+   top/bottom edges column by column and the left/right edges row by row,
+   each bucket in insertion order — later arrivals first.  Twelve points
+   at L1 distance 20 from the query span rings 1 and 2 and share three
+   cells; the brute-force properties compare distances only, so this pins
+   the exact id order, before and after same-cell churn moves ids 2 and
+   3 to the back of their buckets. *)
+let test_grid_tie_order () =
+  let g = Grid_index.create ~cell:10. in
+  let pts =
+    [ (1, 25., 5.); (2, 15., -5.); (3, 5., 25.); (4, -5., -5.); (5, 10., -10.);
+      (6, -15., 5.); (7, 15., 15.); (8, 0., 20.); (9, 5., -15.); (10, -5., 15.);
+      (11, 12., -8.); (12, -10., 0.); (13, 6., 6.); (14, 40., 40.) ]
+  in
+  List.iter (fun (id, x, y) -> Grid_index.add g ~id (pt x y) ()) pts;
+  let q = pt 5. 5. in
+  let check tag k expect bound =
+    let got, b = Grid_index.k_nearest_probe g q k in
+    Alcotest.(check (list int)) (Printf.sprintf "%s k=%d order" tag k) expect
+      (List.map (fun (id, _, _) -> id) got);
+    Alcotest.(check (option (float 0.))) (Printf.sprintf "%s k=%d bound" tag k) bound b
+  in
+  check "initial" 10 [ 13; 1; 6; 8; 3; 9; 12; 7; 11; 5 ] (Some 20.);
+  check "initial" 13 [ 13; 1; 6; 8; 3; 9; 12; 7; 11; 5; 2; 10; 4 ] (Some 20.);
+  check "initial" 20 [ 13; 1; 6; 8; 3; 9; 12; 7; 11; 5; 2; 10; 4; 14 ] None;
+  Grid_index.remove g ~id:2 (pt 15. (-5.));
+  Grid_index.remove g ~id:3 (pt 5. 25.);
+  Grid_index.add g ~id:2 (pt 15. (-5.)) ();
+  Grid_index.add g ~id:3 (pt 5. 25.) ();
+  check "churned" 10 [ 13; 1; 6; 3; 8; 9; 12; 7; 2; 11 ] (Some 20.);
+  check "churned" 13 [ 13; 1; 6; 3; 8; 9; 12; 7; 2; 11; 5; 10; 4 ] (Some 20.);
+  check "churned" 20 [ 13; 1; 6; 3; 8; 9; 12; 7; 2; 11; 5; 10; 4; 14 ] None
+
+let test_grid_preconditions () =
+  List.iter
+    (fun cell ->
+      Alcotest.check_raises (Printf.sprintf "cell %g" cell)
+        (Invalid_argument "Grid_index.create: cell must be positive and finite")
+        (fun () -> ignore (Grid_index.create ~cell)))
+    [ Float.nan; Float.infinity; 0.; -1. ];
+  let g = Grid_index.create ~cell:10. in
+  Grid_index.add g ~id:0 (pt 1. 1.) ();
+  List.iter
+    (fun p ->
+      Alcotest.check_raises
+        (Format.asprintf "add %a" Pt.pp p)
+        (Invalid_argument "Grid_index: point coordinates must be finite")
+        (fun () -> Grid_index.add g ~id:1 p ()))
+    [ pt Float.nan 0.; pt 0. Float.infinity; pt Float.neg_infinity 0. ];
+  Alcotest.(check int) "rejected adds leave the index unchanged" 1 (Grid_index.size g);
+  Alcotest.(check (list int)) "still answers" [ 0 ]
+    (List.map (fun (id, _, _) -> id) (Grid_index.k_nearest g (pt 500. (-500.)) 3))
+
 (* Churn property: a random interleaving of adds, removes and queries
    must agree with a brute-force mirror at every step — the index may
    never decay under mutation (bucket resize, cell emptying, re-adds).
@@ -673,6 +726,8 @@ let () =
       ( "grid-index",
         Alcotest.test_case "basic operations" `Quick test_grid_basic
         :: Alcotest.test_case "probe semantics" `Quick test_grid_probe_semantics
+        :: Alcotest.test_case "tie order" `Quick test_grid_tie_order
+        :: Alcotest.test_case "preconditions" `Quick test_grid_preconditions
         :: qsuite
              [
                prop_grid_matches_linear_scan;
