@@ -36,7 +36,8 @@
    utilization / serial-fraction / Amdahl table, writes BENCH_eff.json
    and fails when any run lacks an efficiency report, reports a serial
    fraction outside [0,1], or the jobs=1 leg does not measure speedup
-   1.0 (--smoke keeps r3 only);
+   1.0 (--smoke keeps r4 only, the smallest circuit above the engine's
+   1000-sink parallel grain);
    "compare" diffs two BENCH_<circuit>.json files and exits
    non-zero when a watched metric regressed past the threshold (default
    10%); "fuzz" runs the lib/check property-based fuzzer, prints a JSON
@@ -1056,7 +1057,9 @@ let eff args =
   List.iter
     (function "--smoke" -> smoke_mode := true | _ -> usage ())
     args;
-  let circuits = if !smoke_mode then [ "r3" ] else [ "r3"; "r5" ] in
+  (* r4 (1903 sinks) is the smallest circuit whose engine opens a pool:
+     at 1000 sinks or fewer the ranking plans serially at any jobs. *)
+  let circuits = if !smoke_mode then [ "r4" ] else [ "r3"; "r5" ] in
   header
     (Printf.sprintf "Parallel efficiency (AST-DME, flight recorder%s)"
        (if !smoke_mode then ", smoke" else ""));

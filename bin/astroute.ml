@@ -33,7 +33,7 @@ let seed_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the engine's merge ranking (1 = fully serial).      Defaults to the ASTSKEW_JOBS environment variable, else 1.  Routed      trees are bit-identical for any value; only wall time changes."
+    "Upper bound on the worker domains for merge ranking, embedding,      repair and evaluation (1 = fully serial).  Each phase opens a pool      only above its grain: flat routes of 1000 sinks or fewer plan,      repair and evaluate serially whatever the value.  Defaults to the ASTSKEW_JOBS      environment variable, else 1.  Routed trees are bit-identical for      any value; only wall time changes."
   in
   Arg.(
     value

@@ -29,6 +29,62 @@ let guard oracle f =
       };
     ]
 
+(* Engine stats with the one run-dependent field zeroed: GC counters
+   legitimately differ between equivalent runs. *)
+let degc (s : Dme.Engine.stats) = { s with gc = Obs.Gcstat.zero }
+
+(* Plan and embed AST-DME on an explicit pool of [jobs] domains (no pool
+   at [jobs = 1]).  [Engine.run_arena] plans instances of 1000 sinks or
+   fewer serially whatever its jobs, so the identity oracles bring their
+   own pool: the parallel probe, commit and embed paths then run on
+   fuzz-sized cases too. *)
+let plan_embed ?(config = Router.ast_default_config) ?trace ?sched ~jobs inst =
+  Par.Pool.with_pool ~jobs (fun pool ->
+      let root, stats = Dme.Engine.plan ~config ?trace ?sched ?pool inst in
+      (Dme.Embed.run_arena ?pool ?trace ?sched inst root, stats))
+
+(* Every column of two arenas, bit for bit: one line per difference. *)
+let arena_diffs (a : Clocktree.Arena.t) (b : Clocktree.Arena.t) =
+  let module Arena = Clocktree.Arena in
+  let out = ref [] in
+  let add fmt = Printf.ksprintf (fun d -> out := d :: !out) fmt in
+  if a.Arena.n <> b.Arena.n then
+    add "arena has %d nodes, expected %d" a.Arena.n b.Arena.n
+  else begin
+    if a.Arena.source_len <> b.Arena.source_len then
+      add "source_len: %.17g, expected %.17g" a.Arena.source_len
+        b.Arena.source_len;
+    let icol name (c : int array) (e : int array) =
+      Array.iteri
+        (fun v x ->
+          if x <> e.(v) then add "node %d %s: %d, expected %d" v name x e.(v))
+        c
+    in
+    icol "left" a.Arena.left b.Arena.left;
+    icol "right" a.Arena.right b.Arena.right;
+    icol "parent" a.Arena.parent b.Arena.parent;
+    icol "size" a.Arena.size b.Arena.size;
+    icol "sink" a.Arena.sink b.Arena.sink;
+    icol "group" a.Arena.group b.Arena.group;
+    let fcol name (c : float array) (e : float array) =
+      Array.iteri
+        (fun v x ->
+          if x <> e.(v) then
+            add "node %d %s: %.17g, expected %.17g" v name x e.(v))
+        c
+    in
+    fcol "scap" a.Arena.scap b.Arena.scap;
+    fcol "len" a.Arena.len b.Arena.len;
+    Array.iteri
+      (fun v ({ x; y } : Geometry.Pt.t) ->
+        let ({ x = qx; y = qy } : Geometry.Pt.t) = b.Arena.pos.(v) in
+        if x <> qx || y <> qy then
+          add "node %d pos: (%.17g, %.17g), expected (%.17g, %.17g)" v x y qx
+            qy)
+      a.Arena.pos
+  end;
+  List.rev !out
+
 (* --- deliberate fault injection ------------------------------------------ *)
 
 (* Snake the leaf edge of one sink that shares a group with another sink:
@@ -135,11 +191,11 @@ let cache_identity inst =
 
 (* --- parallel ranking bit-identity ---------------------------------------- *)
 
-let par_identity ?(jobs = [ 2; 4 ]) inst =
+let par_identity ?(jobs = [ 2; 4 ]) ?sched inst =
   guard "par-identity" (fun () ->
-      let serial = Router.ast_dme ~jobs:1 inst in
+      let serial, serial_stats = plan_embed ~jobs:1 inst in
       let check j =
-        let par = Router.ast_dme ~jobs:j inst in
+        let par, par_stats = plan_embed ?sched ~jobs:j inst in
         let diff = ref [] in
         let add fmt =
           Printf.ksprintf
@@ -147,22 +203,13 @@ let par_identity ?(jobs = [ 2; 4 ]) inst =
               diff := { Audit.invariant = "par-identity"; detail } :: !diff)
             fmt
         in
-        if not (Audit.tree_equal serial.routed par.routed) then
-          add "jobs=%d tree differs structurally from jobs=1" j;
-        Array.iteri
-          (fun i d ->
-            if d <> par.evaluation.delays.(i) then
-              add "jobs=%d sink %d delay: serial %.17g, parallel %.17g" j i d
-                par.evaluation.delays.(i))
-          serial.evaluation.delays;
-        if serial.evaluation.wirelength <> par.evaluation.wirelength then
-          add "jobs=%d wirelength: serial %.17g, parallel %.17g" j
-            serial.evaluation.wirelength par.evaluation.wirelength;
+        List.iter (add "jobs=%d %s" j) (arena_diffs par serial);
         (* Stats equality is stricter than tree equality: it proves the
-           workers' trial merges and cache traffic were exactly the
-           serial ones, i.e. scheduling never leaked into the cache. *)
-        if serial.engine.trial <> par.engine.trial then
-          add "jobs=%d trial stats differ from jobs=1" j;
+           workers' probes, trial merges and cache traffic were exactly
+           the serial ones, i.e. scheduling never leaked into the
+           cache. *)
+        if degc serial_stats <> degc par_stats then
+          add "jobs=%d engine stats differ from jobs=1" j;
         List.rev !diff
       in
       List.concat_map check jobs)
@@ -171,9 +218,12 @@ let par_identity ?(jobs = [ 2; 4 ]) inst =
 
 let incremental_identity ?(jobs = [ 1; 2 ]) inst =
   guard "incremental-identity" (fun () ->
-      let off = Router.ast_dme ~jobs:1 ~incremental:false inst in
+      let config incremental =
+        { Router.ast_default_config with Dme.Engine.incremental }
+      in
+      let off, off_stats = plan_embed ~config:(config false) ~jobs:1 inst in
       let check j =
-        let on = Router.ast_dme ~jobs:j ~incremental:true inst in
+        let on, on_stats = plan_embed ~config:(config true) ~jobs:j inst in
         let diff = ref [] in
         let add fmt =
           Printf.ksprintf
@@ -182,34 +232,23 @@ let incremental_identity ?(jobs = [ 1; 2 ]) inst =
                 { Audit.invariant = "incremental-identity"; detail } :: !diff)
             fmt
         in
-        if not (Audit.tree_equal off.routed on.routed) then
-          add "jobs=%d incremental tree differs structurally from from-scratch"
-            j;
-        Array.iteri
-          (fun i d ->
-            if d <> on.evaluation.delays.(i) then
-              add "jobs=%d sink %d delay: from-scratch %.17g, incremental %.17g"
-                j i d on.evaluation.delays.(i))
-          off.evaluation.delays;
-        if off.evaluation.wirelength <> on.evaluation.wirelength then
-          add "jobs=%d wirelength: from-scratch %.17g, incremental %.17g" j
-            off.evaluation.wirelength on.evaluation.wirelength;
+        List.iter
+          (add "jobs=%d incremental vs from-scratch: %s" j)
+          (arena_diffs on off);
         (* Probe accounting: the cache must only ever skip work — never
            add probes — and every rank slot is either re-probed or served
            from the cache, summing to the from-scratch probe count.
            Trial-merge stats are deliberately NOT compared: skipped
            probes legitimately skip their candidates' trial merges (see
            DESIGN.md section 10). *)
-        if on.engine.nn_reprobes > off.engine.nn_reprobes then
+        if on_stats.nn_reprobes > off_stats.nn_reprobes then
           add "jobs=%d incremental ran MORE probes than from-scratch: %d > %d"
-            j on.engine.nn_reprobes off.engine.nn_reprobes;
-        if
-          on.engine.nn_reprobes + on.engine.nn_probes_saved
-          <> off.engine.nn_reprobes
+            j on_stats.nn_reprobes off_stats.nn_reprobes;
+        if on_stats.nn_reprobes + on_stats.nn_probes_saved
+           <> off_stats.nn_reprobes
         then
           add "jobs=%d probe accounting: %d reprobed + %d saved <> %d total" j
-            on.engine.nn_reprobes on.engine.nn_probes_saved
-            off.engine.nn_reprobes;
+            on_stats.nn_reprobes on_stats.nn_probes_saved off_stats.nn_reprobes;
         List.rev !diff
       in
       List.concat_map check jobs)
@@ -218,10 +257,10 @@ let incremental_identity ?(jobs = [ 1; 2 ]) inst =
 
 let trace_identity ?(jobs = [ 1; 2 ]) inst =
   guard "trace-identity" (fun () ->
-      let base = Router.ast_dme ~jobs:1 inst in
+      let base, base_stats = plan_embed ~jobs:1 inst in
       let check j =
         let trace = Obs.Trace.create () in
-        let traced = Router.ast_dme ~jobs:j ~trace inst in
+        let traced, stats = plan_embed ~trace ~jobs:j inst in
         let diff = ref [] in
         let add fmt =
           Printf.ksprintf
@@ -229,24 +268,15 @@ let trace_identity ?(jobs = [ 1; 2 ]) inst =
               diff := { Audit.invariant = "trace-identity"; detail } :: !diff)
             fmt
         in
-        if not (Audit.tree_equal base.routed traced.routed) then
-          add "jobs=%d traced tree differs structurally from untraced" j;
-        Array.iteri
-          (fun i d ->
-            if d <> traced.evaluation.delays.(i) then
-              add "jobs=%d sink %d delay: untraced %.17g, traced %.17g" j i d
-                traced.evaluation.delays.(i))
-          base.evaluation.delays;
-        if base.evaluation.wirelength <> traced.evaluation.wirelength then
-          add "jobs=%d wirelength: untraced %.17g, traced %.17g" j
-            base.evaluation.wirelength traced.evaluation.wirelength;
+        List.iter
+          (add "jobs=%d traced vs untraced: %s" j)
+          (arena_diffs traced base);
         (* Full stats equality: observation must not perturb the engine's
            work, and jobs must not either (par-identity, replayed here
            under tracing).  GC counters are the one legitimately
            run-dependent field (tracing itself allocates), so they are
            zeroed out of the comparison. *)
-        let degc (s : Dme.Engine.stats) = { s with gc = Obs.Gcstat.zero } in
-        if degc base.engine <> degc traced.engine then
+        if degc base_stats <> degc stats then
           add "jobs=%d traced engine stats differ from untraced jobs=1" j;
         (* The journal is the trace's accounting ledger: its per-round
            records must sum exactly to the engine's aggregate stats. *)
@@ -268,21 +298,21 @@ let trace_identity ?(jobs = [ 1; 2 ]) inst =
               | _ -> acc)
             0 rounds
         in
-        if List.length rounds <> traced.engine.rounds then
+        if List.length rounds <> stats.rounds then
           add "jobs=%d journal has %d round records, engine ran %d rounds" j
-            (List.length rounds) traced.engine.rounds;
-        if sum "probes" <> traced.engine.nn_reprobes then
+            (List.length rounds) stats.rounds;
+        if sum "probes" <> stats.nn_reprobes then
           add "jobs=%d journal probes %d <> engine nn_reprobes %d" j
-            (sum "probes") traced.engine.nn_reprobes;
-        if sum "nn_probes_saved" <> traced.engine.nn_probes_saved then
+            (sum "probes") stats.nn_reprobes;
+        if sum "nn_probes_saved" <> stats.nn_probes_saved then
           add "jobs=%d journal nn_probes_saved %d <> engine %d" j
-            (sum "nn_probes_saved") traced.engine.nn_probes_saved;
-        if sum "trial_merges" <> traced.engine.trial.trial_merges then
+            (sum "nn_probes_saved") stats.nn_probes_saved;
+        if sum "trial_merges" <> stats.trial.trial_merges then
           add "jobs=%d journal trial_merges %d <> engine %d" j
-            (sum "trial_merges") traced.engine.trial.trial_merges;
-        if sum "trial_cache_hits" <> traced.engine.trial.cache_hits then
+            (sum "trial_merges") stats.trial.trial_merges;
+        if sum "trial_cache_hits" <> stats.trial.cache_hits then
           add "jobs=%d journal trial_cache_hits %d <> engine %d" j
-            (sum "trial_cache_hits") traced.engine.trial.cache_hits;
+            (sum "trial_cache_hits") stats.trial.cache_hits;
         (* The Chrome export must round-trip through the JSON parser and
            actually contain events. *)
         (match Obs.Json.of_string (Obs.Json.to_string (Obs.Trace.to_chrome trace)) with
@@ -304,7 +334,6 @@ let trace_identity ?(jobs = [ 1; 2 ]) inst =
 let sched_identity ?(jobs = [ 1; 2; 4 ]) inst =
   guard "sched-identity" (fun () ->
       let base = Router.ast_dme ~jobs:1 inst in
-      let degc (s : Dme.Engine.stats) = { s with gc = Obs.Gcstat.zero } in
       let check j =
         let sched = Obs.Sched.create () in
         (* The heartbeat reporter rides along muted: it must be as inert
@@ -365,7 +394,6 @@ let sched_identity ?(jobs = [ 1; 2; 4 ]) inst =
 let cluster_identity ?(jobs = [ 1; 2 ]) inst =
   guard "cluster-identity" (fun () ->
       let flat = Router.ast_dme ~jobs:1 inst in
-      let degc (s : Dme.Engine.stats) = { s with gc = Obs.Gcstat.zero } in
       let check j =
         let clu =
           Router.ast_dme ~jobs:j ~clustered:true ~clusters:1 inst
@@ -567,57 +595,13 @@ let embed_identity ?(jobs = [ 1; 2; 4 ]) inst =
           Par.Pool.with_pool ~jobs:j (fun pool ->
               Dme.Embed.run_arena ?pool inst root)
         in
-        let diff = ref [] in
-        let add fmt =
-          Printf.ksprintf
-            (fun detail ->
-              diff := { Audit.invariant = "embed-identity"; detail } :: !diff)
-            fmt
-        in
-        if a.Arena.n <> spec.Arena.n then
-          add "jobs=%d arena has %d nodes, reference %d" j a.Arena.n
-            spec.Arena.n
-        else begin
-          if a.Arena.source_len <> spec.Arena.source_len then
-            add "jobs=%d source_len: direct %.17g, reference %.17g" j
-              a.Arena.source_len spec.Arena.source_len;
-          let icol name (c : int array) (s : int array) =
-            Array.iteri
-              (fun v x ->
-                if x <> s.(v) then
-                  add "jobs=%d node %d %s: direct %d, reference %d" j v name x
-                    s.(v))
-              c
-          in
-          icol "left" a.Arena.left spec.Arena.left;
-          icol "right" a.Arena.right spec.Arena.right;
-          icol "parent" a.Arena.parent spec.Arena.parent;
-          icol "size" a.Arena.size spec.Arena.size;
-          icol "sink" a.Arena.sink spec.Arena.sink;
-          icol "group" a.Arena.group spec.Arena.group;
-          let fcol name (c : float array) (s : float array) =
-            Array.iteri
-              (fun v x ->
-                if x <> s.(v) then
-                  add "jobs=%d node %d %s: direct %.17g, reference %.17g" j v
-                    name x s.(v))
-              c
-          in
-          fcol "scap" a.Arena.scap spec.Arena.scap;
-          fcol "len" a.Arena.len spec.Arena.len;
-          Array.iteri
-            (fun v (p : Geometry.Pt.t) ->
-              let q = spec.Arena.pos.(v) in
-              if p.Geometry.Pt.x <> q.Geometry.Pt.x
-                 || p.Geometry.Pt.y <> q.Geometry.Pt.y
-              then
-                add "jobs=%d node %d pos: direct (%.17g, %.17g), reference \
-                     (%.17g, %.17g)"
-                  j v p.Geometry.Pt.x p.Geometry.Pt.y q.Geometry.Pt.x
-                  q.Geometry.Pt.y)
-            a.Arena.pos
-        end;
-        List.rev !diff
+        List.map
+          (fun d ->
+            {
+              Audit.invariant = "embed-identity";
+              detail = Printf.sprintf "jobs=%d direct vs reference: %s" j d;
+            })
+          (arena_diffs a spec)
       in
       List.concat_map check jobs)
 
@@ -628,7 +612,6 @@ let cluster_depth_identity ?(jobs = [ 2; 4 ]) inst =
       (* k = 4 is the smallest cluster count whose depth-2 hierarchy is
          non-degenerate (fan-out 2 over two levels). *)
       let k = 4 in
-      let degc (s : Dme.Engine.stats) = { s with gc = Obs.Gcstat.zero } in
       let diff = ref [] in
       let add fmt =
         Printf.ksprintf

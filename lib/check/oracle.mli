@@ -11,17 +11,26 @@
     - {!cache_identity}: the trial-merge cache is semantically inert —
       AST-DME with [trial_cache] off and on produce identical trees.
     - {!par_identity}: parallel cost ranking is deterministic — AST-DME
-      with [jobs] > 1 produces the exact tree, sink delays, wirelength
-      {e and} trial-cache statistics of the serial [jobs = 1] run.
+      planned and embedded on an explicit multi-domain pool produces the
+      exact arena {e and} engine statistics of the serial run.
     - {!incremental_identity}: the cross-round proposal cache is
       semantically inert — AST-DME with [incremental] on produces the
-      exact tree, delays and wirelength of the from-scratch run while
-      never probing more, and its probe accounting balances.
+      exact arena of the from-scratch run while never probing more, and
+      its probe accounting balances.
     - {!trace_identity}: structured tracing is semantically inert —
-      AST-DME with a live {!Obs.Trace} produces the exact tree, delays,
-      wirelength and engine stats of the untraced run, the journal's
+      AST-DME planned and embedded with a live {!Obs.Trace} produces the
+      exact arena and engine stats of the untraced run, the journal's
       per-round sums match the engine's aggregate stats, and the Chrome
       export round-trips through {!Obs.Json}.
+
+    These three plan and embed through [Engine.plan] and
+    [Embed.run_arena] with a pool of their own rather than through the
+    router: [Engine.run_arena] plans instances of 1000 sinks or fewer
+    serially whatever the jobs count, so routing at [jobs > 1] would
+    compare the serial path with itself on fuzz-sized cases.  Arena
+    bit-identity before repair implies identical repaired trees, delays
+    and wirelength, since repair and evaluation are deterministic
+    functions of the arena.
     - {!sched_identity}: the parallel-efficiency flight recorder and
       the progress heartbeat are semantically inert — AST-DME with a
       live {!Obs.Sched} and a muted {!Obs.Progress} produces the exact
@@ -76,14 +85,17 @@ val pp_finding : Format.formatter -> finding -> unit
 val routers : ?inject:bool -> Clocktree.Instance.t -> finding list
 val cache_identity : Clocktree.Instance.t -> finding list
 
-(** Route with [jobs = 1] then with each entry of [jobs] (default
-    [[2; 4]]) and report any difference in tree structure, per-sink
-    delays, wirelength or trial-merge statistics. *)
-val par_identity : ?jobs:int list -> Clocktree.Instance.t -> finding list
+(** Plan and embed serially, then on a fresh pool of each entry of
+    [jobs] domains (default [[2; 4]]), and report any arena column that
+    is not bit-equal and any difference in engine stats (gc zeroed).
+    An enabled [sched] recorder ledgers the pooled runs' maps, which
+    lets a test confirm the oracle really ranked on several domains. *)
+val par_identity :
+  ?jobs:int list -> ?sched:Obs.Sched.t -> Clocktree.Instance.t -> finding list
 
-(** Route from scratch ([incremental = false], [jobs = 1]) then
-    incrementally with each entry of [jobs] (default [[1; 2]]) and report
-    any difference in tree structure, per-sink delays or wirelength, any
+(** Plan and embed from scratch ([incremental = false], serial), then
+    incrementally on a pool of each entry of [jobs] domains (default
+    [[1; 2]]), and report any arena column that is not bit-equal, any
     probe-count increase, and any violation of the accounting identity
     [nn_reprobes + nn_probes_saved = from-scratch probes].  Trial-merge
     stats are deliberately not compared: skipped probes skip their
@@ -91,10 +103,11 @@ val par_identity : ?jobs:int list -> Clocktree.Instance.t -> finding list
 val incremental_identity :
   ?jobs:int list -> Clocktree.Instance.t -> finding list
 
-(** Route untraced with [jobs = 1], then traced (fresh {!Obs.Trace})
-    with each entry of [jobs] (default [[1; 2]]) and report any
-    difference in tree structure, per-sink delays, wirelength or engine
-    stats (tracing must be semantically inert), any disagreement
+(** Plan and embed untraced and serially, then traced (fresh
+    {!Obs.Trace}) on a pool of each entry of [jobs] domains (default
+    [[1; 2]]), and report any arena column that is not bit-equal or any
+    difference in engine stats (gc zeroed; tracing must be semantically
+    inert), any disagreement
     between the journal's per-round sums (probes, probes saved, trial
     merges, trial-cache hits, round count) and the engine's aggregate
     stats, and any failure of the Chrome export to re-parse via

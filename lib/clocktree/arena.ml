@@ -220,13 +220,12 @@ let delays_by_sink_range ~delay ~into ~lo ~hi a =
    for any parallelism.  The root is never inside a window (its subtree
    is the whole arena), so the residual "spine" — every node outside all
    windows — always contains it.  [count < 2] yields no windows.  The
-   default [count] mirrors [Dme.Cluster]'s region density target: one
-   window per thousand sinks, capped at 64. *)
+   default [count] is the shared region density target, capped at 64. *)
 let windows ?count a =
   let k =
     match count with
     | Some k -> Int.max 1 k
-    | None -> Int.max 1 (Int.min 64 ((a.n_sinks + 999) / 1000))
+    | None -> Int.min 64 (Instance.auto_regions a.n_sinks)
   in
   if k < 2 then [||]
   else begin

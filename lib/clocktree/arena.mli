@@ -105,10 +105,11 @@ val delays_by_sink_range :
     contiguous [(lo, hi)] index ranges.  A pure function of the tree
     shape and [count] — never of a jobs count — so work split along
     these windows is bit-reproducible for any parallelism.  The root is
-    always outside every window.  [count] defaults to the
-    [Dme.Cluster]-style density target ([clamp 1 64 (ceil (n_sinks /
-    1000))]); below 2 the result is empty.  This is the same
-    decomposition the repair pass uses for its regional fixpoints. *)
+    always outside every window.  [count] defaults to
+    {!Instance.auto_regions} of the sink count, capped at 64
+    ([clamp 1 64 (ceil (n_sinks / 1000))]); below 2 the result is
+    empty.  This is the same decomposition the repair pass uses for its
+    regional fixpoints. *)
 val windows : ?count:int -> t -> (int * int) array
 
 (** Serial spine complement of {!downstream_rc} over a window

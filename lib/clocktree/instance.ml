@@ -58,6 +58,10 @@ let max_bound t =
 
 let n_sinks t = Array.length t.sinks
 
+(* One region per thousand sinks: the density target every
+   region-parallel phase sizes itself by. *)
+let auto_regions n = Int.max 1 ((n + 999) / 1000)
+
 let group_sinks t g =
   Array.to_list (Array.of_seq (Seq.filter (fun (s : Sink.t) -> s.group = g)
                                  (Array.to_seq t.sinks)))

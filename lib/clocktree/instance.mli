@@ -36,6 +36,15 @@ val max_bound : t -> float
 
 val n_sinks : t -> int
 
+(** [auto_regions n] is the default region count for [n] sinks: one
+    region per thousand sinks, [max 1 (ceil (n / 1000))].  This density
+    target is shared by every phase that splits work into regions — the
+    clustered planner's region count ([Dme.Cluster.auto_clusters]), the
+    repair and evaluation windows ({!Arena.windows}, capped at 64) and
+    the engine's parallel gate ([Dme.Engine.run_arena] opens a pool only
+    from two regions up, i.e. above 1000 sinks). *)
+val auto_regions : int -> int
+
 (** Sinks of one group. *)
 val group_sinks : t -> int -> Sink.t list
 

@@ -25,9 +25,10 @@
     walk (guarded by [Oracle.repair_identity]).
 
     On large instances the cycle is also {e regional}: maximal subtrees
-    of at most [ceil (nodes / k)] nodes (k the same auto target as
-    [Dme.Cluster.auto_clusters], so [--clustered] regions and repair
-    regions coincide at scale) first run their own local
+    of at most [ceil (nodes / k)] nodes (k the shared density target
+    {!Instance.auto_regions}, as for [Dme.Cluster.auto_clusters], so
+    [--clustered] regions and repair regions coincide at scale) first
+    run their own local
     balance/evaluate/lift fixpoints — in parallel across [Par.Pool] when
     [jobs > 1], which is safe because regions are disjoint index ranges
     and balancing node [v] reads only [v]'s subtree — and the global
@@ -52,8 +53,9 @@ type config = {
           knob exists for the identity oracle and for debugging) *)
   regions : int option;
       (** regional-fixpoint target count: [None] derives
-          [clamp 1 64 (ceil (n_sinks / 1000))] (below 2 the regional
-          phase is skipped and repair is the pure global cycle);
+          {!Arena.windows}' default [clamp 1 64 (ceil (n_sinks / 1000))]
+          (below 2 the regional phase is skipped and repair is the pure
+          global cycle);
           [Some k] forces a target, letting tests and oracles exercise
           the regional machinery on small instances *)
 }

@@ -54,7 +54,11 @@ val ast_default_config : Dme.Engine.config
     for any [jobs] and for [incremental] on or off, so the knobs only
     affect wall time.  The effective [jobs] also drives the repair
     pass's regional parallelism and evaluation's windowed kernels (both
-    equally jobs-invariant), and [repair_max_cycles] overrides the
+    equally jobs-invariant).  [jobs] is an upper bound: each phase opens
+    its pool only above its grain, so flat routes of 1000 sinks or fewer
+    (below two regions of {!Clocktree.Instance.auto_regions}) plan,
+    repair and evaluate serially at any [jobs].  [repair_max_cycles]
+    overrides the
     per-fixpoint cycle budget, whose default is scale-relative:
     [max Repair.default_config.max_cycles (n_sinks / 250)].
 

@@ -20,11 +20,11 @@ type stats = {
 let c_regions = Obs.Counter.make "dme.cluster.regions"
 let c_region_sinks = Obs.Counter.make "dme.cluster.region_sinks"
 
-(* Roughly one region per thousand sinks — no cap: beyond 64 regions the
+(* The shared density target, uncapped: beyond 64 regions the
    clustering goes multi-level ({!auto_depth}) instead of letting region
    size grow with the instance, so per-region planning cost stays flat
    on the 10^6-sink curve. *)
-let auto_clusters inst = Int.max 1 ((Instance.n_sinks inst + 999) / 1000)
+let auto_clusters inst = Instance.auto_regions (Instance.n_sinks inst)
 
 (* Stitch fan-in cap: no plan (leaf-region stitch or super-stitch) sees
    more than this many children, matching the historical two-level

@@ -52,8 +52,9 @@ type stats = {
   top : Engine.stats;
 }
 
-(** Default region count: about one region per thousand sinks — no
-    upper cap; past [fanout_cap] regions the stitch goes multi-level
+(** Default region count: {!Clocktree.Instance.auto_regions} of the
+    sink count, about one region per thousand sinks — no upper cap;
+    past [fanout_cap] regions the stitch goes multi-level
     ({!auto_depth}) rather than letting regions grow with the
     instance. *)
 val auto_clusters : Clocktree.Instance.t -> int

@@ -447,9 +447,19 @@ let plan ?(config = default) ?(trace = Obs.Trace.null)
 let run_arena ?(config = default) ?(trace = Obs.Trace.null)
     ?(sched = Obs.Sched.null) inst =
   let gc0 = Obs.Gcstat.sample () in
-  let jobs = Int.max 1 config.jobs in
-  (* The pool stays alive through embedding: the top-down phase reuses
-     the ranking loop's worker domains for its subtree fan-out. *)
+  (* [config.jobs] is an upper bound.  A pool costs a domain spawn plus
+     two batch hand-offs per merge round, which outweighs the probes of
+     an instance smaller than two regions of the shared density target
+     (1000 sinks or fewer), so those plan and embed serially — the same
+     grain below which repair and evaluation skip their pools.  Planning
+     is bit-identical for any pool size, so the gate never moves a tree.
+     Above it the pool stays alive through embedding: the top-down phase
+     reuses the ranking loop's worker domains for its subtree fan-out. *)
+  let jobs =
+    if Clocktree.Instance.(auto_regions (n_sinks inst)) >= 2 then
+      Int.max 1 config.jobs
+    else 1
+  in
   let arena, stats =
     Par.Pool.with_pool ~jobs (fun pool ->
         let root, stats = plan ~config ~trace ~sched ?pool inst in

@@ -51,9 +51,14 @@ type config = {
           merges, so trial {e counters} drop together with
           [nn_reprobes].  Off exists for ablation benchmarks *)
   jobs : int;
-      (** domains used for the per-round candidate ranking (nearest
-          neighbour probes and their trial merges); 1 = fully serial.
-          Routed trees and engine stats are bit-identical for any value:
+      (** upper bound on the domains used for the per-round candidate
+          ranking (nearest neighbour probes and their trial merges) and
+          the embedding; 1 = fully serial.  {!run_arena} opens a pool
+          only for instances of more than 1000 sinks (two regions of
+          {!Clocktree.Instance.auto_regions}); smaller ones plan
+          serially, since a pool's spawn and per-round hand-offs cost
+          more than their probes.  Routed trees and engine stats are
+          bit-identical for any value:
           probes run against frozen round-start state, side results are
           absorbed in a fixed order on the main domain, and merges
           commit serially (see {!Order}).  The default is the
@@ -151,8 +156,12 @@ val run :
 
 (** Plan and embed straight into a flat post-order arena — the
     arena-native pipeline's entry point ({!run} is this plus
-    [Arena.to_routed]).  Same determinism contract as {!run}: the arena
-    is bit-identical for any [config.jobs]. *)
+    [Arena.to_routed]).  Owns the pool: [config.jobs] domains for
+    instances of more than 1000 sinks, none at or below that grain (see
+    [config.jobs]).  Same determinism contract as {!run}: the arena is
+    bit-identical for any [config.jobs].  To run the parallel ranking
+    and embedding paths on a small instance, call {!plan} and
+    [Embed.run_arena] with an explicit pool. *)
 val run_arena :
   ?config:config -> ?trace:Obs.Trace.t -> ?sched:Obs.Sched.t ->
   Clocktree.Instance.t ->

@@ -24,9 +24,13 @@ type t
     clamped to [1 .. max_jobs ()]: the OCaml runtime hard-aborts the
     process once ~128 domains exist, so an oversized request (say
     [--jobs 100000]) is clamped with a one-time warning on stderr rather
-    than crashing.  Pools are cheap enough to create per engine run but
-    are designed for reuse across many [map_chunked] calls; call
-    {!shutdown} when done to join the workers. *)
+    than crashing.  Creating a pool is not free: a spawn plus join of
+    one worker domain costs 100–330 µs, a third or more of a whole
+    ~20-sink route (370–540 µs serially), and each [map_chunked] batch
+    adds a hand-off.  Pools are therefore opened only where the work
+    outweighs that cost — the engine, repair and evaluation each gate
+    theirs on instance size — and reused across many [map_chunked]
+    calls; call {!shutdown} when done to join the workers. *)
 val create : ?jobs:int -> unit -> t
 
 (** Largest pool size {!create} will grant:
@@ -66,8 +70,8 @@ val shutdown : t -> unit
 (** [with_pool ~jobs f] runs [f (Some pool)] with a fresh pool of
     [jobs] domains, shutting it down when [f] returns or raises; with
     [jobs <= 1] it is [f None] and no domain is spawned.  The standard
-    scoped-pool pattern used by the engine, the cluster planner and
-    repair. *)
+    scoped-pool pattern used by the engine, the cluster planner, repair
+    and evaluation. *)
 val with_pool : jobs:int -> (t option -> 'a) -> 'a
 
 (** [default_jobs ()] is the process-wide default parallelism: the value
