@@ -30,11 +30,12 @@ let () =
   Format.printf "top merge: %a (no skew constraint between the groups)@."
     Dme.Merge.pp_kind top.kind;
   Format.printf "  merging region (SDR): %a@." Octagon.pp top.subtree.region;
-  Dme.Subtree.IntMap.iter
-    (fun g iv ->
+  List.iter
+    (fun g ->
+      let iv = Option.get (Dme.Subtree.window top.subtree g) in
       Format.printf "  group %d nominal delay window: %a (width %.3f ps)@." g
         Geometry.Interval.pp iv (Geometry.Interval.width iv))
-    top.subtree.delay;
+    (Dme.Subtree.groups top.subtree);
   (* Embed, repair, evaluate. *)
   let routed = Dme.Embed.run inst top.subtree in
   let routed, repair = Repair.run inst routed in

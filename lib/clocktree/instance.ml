@@ -46,6 +46,27 @@ let make ?(params = Rc.Wire.default) ?(rd = 100.) ?(bound = 0.) ?group_bounds
       if s.group < 0 || s.group >= n_groups then
         invalid_arg "Instance.make: sink group out of range")
     sinks;
+  (* Finite coordinates can still be too far apart to route: the L1
+     extent of sinks plus source, or the delay of a wire spanning it,
+     overflows to infinity, and the router would then meet an infinite
+     grid cell or subtract infinities into a NaN tree.  A plain min/max
+     loop (every number is finite by now): this runs on every parsed
+     instance. *)
+  let x0 = ref source.x and x1 = ref source.x in
+  let y0 = ref source.y and y1 = ref source.y in
+  let load = ref 0. in
+  for i = 0 to Array.length sinks - 1 do
+    let p = sinks.(i).loc in
+    if p.x < !x0 then x0 := p.x;
+    if p.x > !x1 then x1 := p.x;
+    if p.y < !y0 then y0 := p.y;
+    if p.y > !y1 then y1 := p.y;
+    load := !load +. sinks.(i).cap
+  done;
+  let extent = !x1 -. !x0 +. (!y1 -. !y0) in
+  finite "extent" extent;
+  finite "wire delay across the extent"
+    (Rc.Elmore.wire_delay params ~len:extent ~load:!load);
   { sinks; n_groups; bound; group_bounds; params; source; rd }
 
 let bound_for t g =

@@ -16,7 +16,12 @@ type t = private {
     lie in [0, n_groups), capacitances and bounds are non-negative, and
     every number — sink coordinates and capacitances, [source],
     [bound], [group_bounds], [rd] and the wire [r]/[c] — is finite.
-    Raises [Invalid_argument] otherwise. *)
+    Finite coordinates must also stay routable: the L1 extent of the
+    sinks and source ("non-finite extent") and the Elmore delay of one
+    wire spanning that extent while driving every sink's capacitance
+    ("non-finite wire delay across the extent") must be finite.
+    Raises [Invalid_argument "Instance.make: ..."] naming the failed
+    check otherwise. *)
 val make :
   ?params:Rc.Wire.params ->
   ?rd:float ->

@@ -28,7 +28,8 @@ type parse_state = {
   mutable source : Geometry.Pt.t option;
   mutable bound : float option;
   mutable n_groups : int option;
-  mutable group_bounds : (int * float) list;
+  mutable group_bounds : (int * float * int) list;
+      (* (group, bound, line), most recent first *)
   mutable sinks : Sink.t list;
 }
 
@@ -100,7 +101,7 @@ let of_string text =
     | [ "groupbound"; g; b ] ->
       let* g = int_of g in
       let* b = float_of b in
-      st.group_bounds <- (g, b) :: st.group_bounds;
+      st.group_bounds <- (g, b, lineno) :: st.group_bounds;
       Ok ()
     | [ "sink"; id; x; y; cap; group ] ->
       let* id = int_of id in
@@ -121,38 +122,43 @@ let of_string text =
        | Ok () -> parse_all (lineno + 1) rest
        | Error _ as e -> e)
   in
-  match parse_all 1 lines with
-  | Error _ as e -> e
-  | Ok () ->
-    (match (st.source, st.n_groups) with
-     | None, _ -> error 0 "missing 'source' record"
-     | _, None -> error 0 "missing 'groups' record"
-     | Some source, Some n_groups ->
-       let sinks =
-         Array.of_list
-           (List.sort (fun (a : Sink.t) b -> compare a.id b.id) st.sinks)
-       in
-       let group_bounds =
-         match st.group_bounds with
-         | [] -> None
-         | entries ->
-           let bs =
-             Array.init n_groups (fun g ->
-                 match List.assoc_opt g entries with
-                 | Some b -> b
-                 | None -> Option.value st.bound ~default:0.)
-           in
-           Some bs
-       in
-       (try
-          Ok
-            (Instance.make
-               ?params:st.params
-               ?rd:st.rd
-               ?bound:st.bound
-               ?group_bounds
-               ~source ~n_groups sinks)
-        with Invalid_argument msg -> Error msg))
+  let ( let* ) = Result.bind in
+  let* () = parse_all 1 lines in
+  match (st.source, st.n_groups) with
+  | None, _ -> error 0 "missing 'source' record"
+  | _, None -> error 0 "missing 'groups' record"
+  | Some source, Some n_groups ->
+    (* [groups] may come after a [groupbound], so ranges are checked
+       here, against the first offending line. *)
+    let* () =
+      match
+        List.find_opt
+          (fun (g, _, _) -> g < 0 || g >= n_groups)
+          (List.rev st.group_bounds)
+      with
+      | Some (g, _, lineno) -> error lineno (Printf.sprintf "group %d out of range" g)
+      | None -> Ok ()
+    in
+    let sinks =
+      Array.of_list (List.sort (fun (a : Sink.t) b -> compare a.id b.id) st.sinks)
+    in
+    let group_bounds =
+      match st.group_bounds with
+      | [] -> None
+      | entries ->
+        let bs =
+          Array.init n_groups (fun g ->
+              match List.find_opt (fun (g', _, _) -> g' = g) entries with
+              | Some (_, b, _) -> b
+              | None -> Option.value st.bound ~default:0.)
+        in
+        Some bs
+    in
+    (try
+       Ok
+         (Instance.make ?params:st.params ?rd:st.rd ?bound:st.bound ?group_bounds
+            ~source ~n_groups sinks)
+     with Invalid_argument msg -> Error msg)
 
 let read_file path =
   let ic = open_in path in

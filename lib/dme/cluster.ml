@@ -107,7 +107,7 @@ let partition inst ~clusters =
    global id, so ids within a region rank the same way globally — for
    [clusters = 1] the sub-instance is structurally identical to the
    original) with every other instance parameter carried over.  Group
-   ids are global: a region's delay maps need no translation when its
+   ids are global: a region's delay windows need no translation when its
    root joins the top-level merge. *)
 let sub_instance (inst : Instance.t) ids =
   let sinks = Array.mapi (fun i gid -> { inst.sinks.(gid) with Sink.id = i }) ids in
@@ -116,7 +116,7 @@ let sub_instance (inst : Instance.t) ids =
     ~n_groups:inst.n_groups sinks
 
 (* Swap each leaf's re-indexed sink back for the global one it mirrors.
-   Regions, caps and delay maps are unaffected (a leaf's fields depend
+   Regions, caps and delay windows are unaffected (a leaf's fields depend
    on location, load and group only), so the rebuilt plan embeds to the
    same geometry while the final tree reports global sink ids. *)
 let rec reglobalize (inst : Instance.t) ids (s : Subtree.t) =

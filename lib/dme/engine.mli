@@ -117,7 +117,7 @@ val json_of_config : config -> Obs.Json.t
 
 (** Bottom-up merge planning only: reduce the instance's sinks — or an
     explicit [leaves] population (see {!Order.run_ranked}: dense ids,
-    delay maps against [inst]'s groups) — to a single root subtree,
+    delay windows against [inst]'s groups) — to a single root subtree,
     without embedding.  Unlike {!run}, [plan] does not own a pool:
     ranking parallelism comes from the caller's [pool] (absent = fully
     serial; [config.jobs] is ignored).  This is the re-entrant core the

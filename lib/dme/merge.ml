@@ -1,4 +1,3 @@
-module IntMap = Subtree.IntMap
 module Interval = Geometry.Interval
 module Octagon = Geometry.Octagon
 module Eps = Geometry.Eps
@@ -17,7 +16,7 @@ let classify (a : Subtree.t) (b : Subtree.t) shared =
   match shared with
   | [] -> Cross_group
   | [ _ ] ->
-    if IntMap.cardinal a.delay = 1 && IntMap.cardinal b.delay = 1 then
+    if Array.length a.delay.gid = 1 && Array.length b.delay.gid = 1 then
       Same_group
     else Shared_one
   | _ :: _ :: _ -> Shared_multi
@@ -50,7 +49,8 @@ let merge_committed (inst : Clocktree.Instance.t) ~slack_usage ~id kind shared
   let cons_with effective_bound =
     List.map
       (fun g ->
-        let ia = IntMap.find g a.delay and ib = IntMap.find g b.delay in
+        let ia = Option.get (Subtree.window a g) in
+        let ib = Option.get (Subtree.window b g) in
         let wmax = Float.max (Interval.width ia) (Interval.width ib) in
         Rc.Balance.
           {
@@ -81,11 +81,7 @@ let merge_committed (inst : Clocktree.Instance.t) ~slack_usage ~id kind shared
     else plan
   in
   let region = merge_region a.region plan.ea b.region plan.eb in
-  let shifted_a = IntMap.map (Interval.shift plan.wa) a.delay in
-  let shifted_b = IntMap.map (Interval.shift plan.wb) b.delay in
-  let delay =
-    IntMap.union (fun _ ia ib -> Some (Interval.hull ia ib)) shifted_a shifted_b
-  in
+  let delay = Subtree.union_shifted ~wa:plan.wa a.delay ~wb:plan.wb b.delay in
   let wire = plan.ea +. plan.eb in
   let subtree =
     Subtree.
@@ -113,9 +109,9 @@ let merge_cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap
      split-range uncertainty one merge may introduce. *)
   let min_bound =
     let fold (t : Subtree.t) acc =
-      IntMap.fold
-        (fun g _ acc -> Float.min acc (Clocktree.Instance.bound_for inst g))
-        t.delay acc
+      Array.fold_left
+        (fun acc g -> Float.min acc (Clocktree.Instance.bound_for inst g))
+        acc t.delay.gid
     in
     fold a (fold b Float.infinity)
   in
@@ -177,13 +173,7 @@ let merge_cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap
      realizes.  The deviation of an actual embedding is at most
      w(h) - w(l) <= split_slack·bound per split merge, and the repair
      pass removes whatever accumulates. *)
-  let shifted_a = IntMap.map (Interval.shift plan.wa) a.delay in
-  let shifted_b = IntMap.map (Interval.shift plan.wb) b.delay in
-  let delay =
-    IntMap.union
-      (fun _ ia ib -> Some (Interval.hull ia ib) (* unreachable: disjoint groups *))
-      shifted_a shifted_b
-  in
+  let delay = Subtree.union_shifted ~wa:plan.wa a.delay ~wb:plan.wb b.delay in
   let subtree =
     Subtree.
       {
@@ -204,7 +194,7 @@ let merge_cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap
   { subtree; kind = Cross_group; planned_wire = dist; snake = 0.; feasible = true }
 
 (* Would [run] report this pair feasible?  Answered without building the
-   merged subtree, region or delay map — the ranking loop asks this for
+   merged subtree, region or delay windows — the ranking loop asks this for
    every probed candidate pair, and under distance-cost ranking it is the
    trial merge's only cost-relevant output.
 
@@ -227,103 +217,66 @@ let merge_cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap
    - Otherwise the result is the full-bound plan's [feasible]: the
      full-window fold.
 
-   The group walk must mirror [shared_groups] (ascending ids) feeding
-   [cons_with]; [IntMap.find] + [Not_found] and manually inlined
-   [Interval.width] keep the walk allocation-free. *)
-(* Per-domain scratch for [committed_feasible]: the window bounds live in
-   a flat float scratch ([Float.Array] stores are unboxed where a
-   [float ref] boxes every update), and the group visitor is built once
-   per domain so [IntMap.iter] is handed a pre-existing closure instead
-   of allocating one per candidate pair.  [slack_usage] rides in the
-   float scratch (slot 4) because a mutable float field of a mixed
-   record would box on every write.  Safe because the visitor never
-   re-enters [committed_feasible]. *)
-type cf_scratch = {
-  cfw : floatarray;
-      (* 0 = strict lo, 1 = strict hi, 2 = full lo, 3 = full hi,
-         4 = slack_usage *)
-  mutable cf_other : Interval.t IntMap.t;
-  mutable cf_inst : Clocktree.Instance.t option;
-  mutable cf_any : bool;
-}
-
-let cf_key =
-  Domain.DLS.new_key (fun () ->
-      let cf =
-        {
-          cfw = Float.Array.create 5;
-          cf_other = IntMap.empty;
-          cf_inst = None;
-          cf_any = false;
-        }
-      in
-      let visit g (ia : Interval.t) =
-        match IntMap.find g cf.cf_other with
-        | exception Not_found -> ()
-        | ib ->
-          cf.cf_any <- true;
-          let inst =
-            match cf.cf_inst with Some i -> i | None -> assert false
-          in
-          let w = cf.cfw in
-          let bound = Clocktree.Instance.bound_for inst g in
-          let slack_usage = Float.Array.unsafe_get w 4 in
-          (* Interval.width, inlined: Float.max 0. (hi -. lo). *)
-          let wa = Float.max 0. (ia.Interval.hi -. ia.Interval.lo) in
-          let wb = Float.max 0. (ib.Interval.hi -. ib.Interval.lo) in
-          let wmax = Float.max wa wb in
-          let strict_bound = wmax +. (slack_usage *. (bound -. wmax)) in
-          (* cons_x_interval, inlined for each bound choice. *)
-          Float.Array.unsafe_set w 0
-            (Float.max (Float.Array.unsafe_get w 0)
-               (ib.Interval.hi -. ia.Interval.lo -. strict_bound));
-          Float.Array.unsafe_set w 1
-            (Float.min (Float.Array.unsafe_get w 1)
-               (strict_bound +. ib.Interval.lo -. ia.Interval.hi));
-          Float.Array.unsafe_set w 2
-            (Float.max (Float.Array.unsafe_get w 2)
-               (ib.Interval.hi -. ia.Interval.lo -. bound));
-          Float.Array.unsafe_set w 3
-            (Float.min (Float.Array.unsafe_get w 3)
-               (bound +. ib.Interval.lo -. ia.Interval.hi))
-      in
-      (cf, visit))
+   The group walk is the ascending two-pointer walk over both window
+   arrays — the order [shared_groups] feeds [cons_with] — and reads the
+   bounds straight from the flat windows; its four running window ends
+   are local float refs, which the compiler keeps unboxed.  [fmax] and
+   [fmin] stand in for [Float.max] and [Float.min], which are out-of-line
+   calls here and cost more than the rest of the walk.  They agree with
+   them on every input, NaN included, except that the sign of a zero
+   result may differ — and every value below only ever reaches a
+   comparison, which cannot see that sign. *)
+let[@inline] fmax (a : float) b = if a >= b || a <> a then a else b
+let[@inline] fmin (a : float) b = if a <= b || a <> a then a else b
 
 let committed_feasible (inst : Clocktree.Instance.t) ~slack_usage ~dist
     (a : Subtree.t) (b : Subtree.t) =
-  let cf, visit = Domain.DLS.get cf_key in
-  let w = cf.cfw in
-  Float.Array.unsafe_set w 0 Float.neg_infinity;
-  Float.Array.unsafe_set w 1 Float.infinity;
-  Float.Array.unsafe_set w 2 Float.neg_infinity;
-  Float.Array.unsafe_set w 3 Float.infinity;
-  Float.Array.unsafe_set w 4 slack_usage;
-  cf.cf_other <- b.delay;
-  (match cf.cf_inst with
-  | Some i when i == inst -> ()
-  | _ -> cf.cf_inst <- Some inst);
-  cf.cf_any <- false;
-  IntMap.iter visit a.delay;
-  cf.cf_other <- IntMap.empty;
-  if not cf.cf_any then true (* merge_cross: always feasible *)
-  else begin
-    let slo = Float.Array.unsafe_get w 0
-    and shi = Float.Array.unsafe_get w 1
-    and flo = Float.Array.unsafe_get w 2
-    and fhi = Float.Array.unsafe_get w 3 in
-    if
-      (* strict plan feasible... *)
-      not (slo > shi +. Eps.tol)
-      && begin
-           (* ...and snake-free: wanted ∩ [x_min, x_max] non-empty. *)
-           let params = inst.params in
-           let x_min = -.Rc.Elmore.wire_delay params ~len:dist ~load:b.cap in
-           let x_max = Rc.Elmore.wire_delay params ~len:dist ~load:a.cap in
-           not (Float.max slo x_min > Float.min shi x_max +. Eps.tol)
-         end
-    then true
-    else not (flo > fhi +. Eps.tol)
-  end
+  let da = a.delay and db = b.delay in
+  let na = Array.length da.gid and nb = Array.length db.gid in
+  (* [s*]: the strict-bound window, [f*]: the full-bound window. *)
+  let slo = ref Float.neg_infinity and shi = ref Float.infinity in
+  let flo = ref Float.neg_infinity and fhi = ref Float.infinity in
+  let any = ref false in
+  let i = ref 0 and j = ref 0 in
+  while !i < na && !j < nb do
+    let ga = Array.unsafe_get da.gid !i and gb = Array.unsafe_get db.gid !j in
+    if ga < gb then incr i
+    else if ga > gb then incr j
+    else begin
+      any := true;
+      (* Instance.bound_for, inlined. *)
+      let bound =
+        match inst.group_bounds with Some bs -> bs.(ga) | None -> inst.bound
+      in
+      let alo = Float.Array.unsafe_get da.lo !i and ahi = Float.Array.unsafe_get da.hi !i in
+      let blo = Float.Array.unsafe_get db.lo !j and bhi = Float.Array.unsafe_get db.hi !j in
+      (* Interval.width, inlined: max 0. (hi -. lo). *)
+      let wa = fmax 0. (ahi -. alo) in
+      let wb = fmax 0. (bhi -. blo) in
+      let wmax = fmax wa wb in
+      let strict_bound = wmax +. (slack_usage *. (bound -. wmax)) in
+      (* cons_x_interval, inlined for each bound choice. *)
+      slo := fmax !slo (bhi -. alo -. strict_bound);
+      shi := fmin !shi (strict_bound +. blo -. ahi);
+      flo := fmax !flo (bhi -. alo -. bound);
+      fhi := fmin !fhi (bound +. blo -. ahi);
+      incr i;
+      incr j
+    end
+  done;
+  if not !any then true (* merge_cross: always feasible *)
+  else if
+    (* strict plan feasible... *)
+    not (!slo > !shi +. Eps.tol)
+    && begin
+         (* ...and snake-free: wanted ∩ [x_min, x_max] non-empty. *)
+         let params = inst.params in
+         let x_min = -.Rc.Elmore.wire_delay params ~len:dist ~load:b.cap in
+         let x_max = Rc.Elmore.wire_delay params ~len:dist ~load:a.cap in
+         not (fmax !slo x_min > fmin !shi x_max +. Eps.tol)
+       end
+  then true
+  else not (!flo > !fhi +. Eps.tol)
 
 let run inst ?(slack_usage = 0.3) ~split_slack ~width_cap ~sdr_samples ~id a b =
   let shared = Subtree.shared_groups a b in

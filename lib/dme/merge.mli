@@ -45,7 +45,8 @@ val run :
 (** [committed_feasible inst ~slack_usage ~dist a b] is
     [(run inst ~slack_usage ... a b).feasible], bit for bit, computed
     without building the merged subtree — no region intersection, no
-    delay-map union, no allocation beyond a few boxed floats.  [dist]
+    window union: one two-pointer walk over the two subtrees' delay
+    windows.  [dist]
     must be [Octagon.dist a.region b.region].  This is the trial merge's
     only cost-relevant output when ranking by region distance with
     [avoid_infeasible], so the ranking loop can skip trial merges

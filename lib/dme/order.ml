@@ -2,8 +2,6 @@ module Octagon = Geometry.Octagon
 module Octslab = Geometry.Octslab
 module Grid_index = Geometry.Grid_index
 module Pt = Geometry.Pt
-module Interval = Geometry.Interval
-module IntMap = Subtree.IntMap
 
 type config = {
   multi_merge : bool;
@@ -91,21 +89,26 @@ let dedupe_pairs pairs =
 let reach_cap inst =
   1e8 *. Octagon.diameter (Clocktree.Instance.bbox inst)
 
-(* What the k-NN scan that produced a proposal promised about entries it
-   did not evaluate: [Exhaustive] — there were none (the scan returned
-   every eligible entry); [Kth d] — they all lie at center distance >= d
-   (the k-th candidate's distance, from {!Grid_index.k_nearest_probe});
-   [Opaque] — no bound (the endgame [Grid_index.nearest] fallback), so
-   the proposal is never cached. *)
-type scan = Exhaustive | Kth of float | Opaque
+(* What one probe found: its cheapest partner ([-1] when the k-NN scan
+   found no candidate) at [cost], and — when the proposal may be cached
+   — the certificate the cache keeps: the partner's center distance
+   [pdist] and 1-based candidate [rank], and the owner's region radius
+   bound [rad] (see [prop_*] below). *)
+type found = { partner : int; cost : float; cert : cert option }
+and cert = { pdist : float; rad : float; rank : int }
 
-(* Membership of [qid] in a candidate list, as a top-level function: the
-   undercut ball scan asks this for every entry it visits, and a
-   [List.exists] literal there would allocate a closure per visited
-   entry. *)
-let rec mem_cand qid = function
-  | (cid, _, _) :: rest -> cid = qid || mem_cand qid rest
-  | [] -> false
+let no_partner = { partner = -1; cost = Float.infinity; cert = None }
+
+(* Each domain's k-NN answer buffer.  A probe fills it and reads it back
+   before returning, and nothing a probe calls probes again, so one
+   buffer per domain is never shared. *)
+let knn_key = Domain.DLS.new_key Grid_index.knn_buffer
+
+(* Whether [qid] is among the buffer's first [klen] answers — the
+   candidates a probe evaluated.  Top-level so the undercut ball scan
+   allocates no closure per visited entry. *)
+let rec knn_mem (b : Grid_index.knn) qid i =
+  i < b.klen && (b.kids.(i) = qid || knn_mem b qid (i + 1))
 
 let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     ?on_round ?leaves (inst : Clocktree.Instance.t) config
@@ -183,7 +186,7 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
   let prop_pdist = Float.Array.make cap_ids Float.nan in
   let prop_rank = Array.make cap_ids 0 in
   let prop_closer = Array.make cap_ids 0 in
-  let grid : Subtree.t Grid_index.t = Grid_index.create ~cell in
+  let grid : unit Grid_index.t = Grid_index.create ~cell in
   (* Ids inserted by the current round's commits, swept against the
      surviving proposals at the start of the next round. *)
   let inserted : int list ref = ref [] in
@@ -195,11 +198,8 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     Float.Array.set cx s.id c.Pt.x;
     Float.Array.set cy s.id c.Pt.y;
     if config.delay_order_weight <> 0. then
-      Float.Array.set hull_hi s.id
-        (IntMap.fold
-           (fun _ (iv : Interval.t) acc -> Float.max acc iv.hi)
-           s.delay Float.neg_infinity);
-    Grid_index.add grid ~id:s.id c s
+      Float.Array.set hull_hi s.id (Subtree.delay_hull s).hi;
+    Grid_index.add grid ~id:s.id c ()
   in
   let center_of id = Pt.make (Float.Array.get cx id) (Float.Array.get cy id) in
   let delete id =
@@ -217,71 +217,135 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     incr next_id;
     id
   in
-  (* Cheapest merge partner of [s] among the grid candidates (grid
-     ranking is by representative point, so probe several candidates and
-     refine with the true merging cost).  Runs on worker domains during
-     a parallel round: the arena, [grid] and [slab] are only read, and
-     the (cost, lowest-id) argmin makes the winner independent of
-     candidate evaluation order.  Also returns the scan's exclusion
-     bound for the proposal cache. *)
-  let nearest_neighbor ~cost (s : Subtree.t) =
-    Obs.Counter.incr c_probes;
-    let c = center_of s.id in
-    let skip id = id = s.id in
-    let candidates, scan =
-      match Grid_index.k_nearest_probe grid ~skip c knn with
-      | [], _ ->
-        (* Endgame guard: with two or more active subtrees a probe must
-           yield a partner.  The k-NN query can only come back empty for
-           degenerate indices; fall back to the exhaustive nearest scan
-           so the 2-subtree endgame can never report "no partner". *)
-        (match Grid_index.nearest grid ~skip c with
-         | Some e -> ([ e ], Opaque)
-         | None -> ([], Opaque))
-      | cs, Some kth -> (cs, Kth kth)
-      | cs, None -> (cs, Exhaustive)
-    in
-    let best =
-      List.fold_left
-        (fun best (_, _, (t : Subtree.t)) ->
-          let d = cost ~dist:(Octslab.dist slab s.id t.id) s t in
-          match best with
-          | Some ((bt : Subtree.t), bd)
-            when bd < d || (bd = d && bt.id < t.id) ->
-            best
-          | _ -> Some (t, d))
-        None candidates
-    in
-    (best, scan, candidates)
+  let subtree id =
+    match node.(id) with Some t -> t | None -> assert false
   in
-  (* Deep subtrees have small delay targets; merging shallow pairs first
-     (Chaturvedi-Hu) keeps depths homogeneous and avoids late merges that
-     must snake to match a buried group's delay.  [hull_hi] is filled at
-     insertion by the same ascending max fold [Subtree.delay_hull] runs,
-     so the bias is bit-identical to recomputing the hulls here. *)
-  let biased (a : Subtree.t) (b : Subtree.t) d =
-    let depth_bias =
-      if config.delay_order_weight = 0. then 0.
-      else
-        config.delay_order_weight
-        *. ((Float.Array.get hull_hi a.id +. Float.Array.get hull_hi b.id)
-            /. 2.)
+  (* Largest region radius among the current round's population: bounds
+     the unknown region radius of any node a triangle-inequality ball
+     must cover, both in the invalidation sweep and in the cache-time
+     undercut scan.  Set before each probe phase. *)
+  let alive_max_rad = ref 0. in
+  (* May the proposal (partner = candidate [i] of [buf], cost [d]) of
+     owner [sid] be cached?  Reads only state frozen for the probe phase
+     — the grid, slab, centers and [alive_max_rad] — so it runs on the
+     probing domain.  Three tests, all against the scan the proposal came
+     from:
+
+     - Exclusion bound: the partner must lie strictly inside the k-NN
+       scan's exclusion bound ({!Grid_index.knn}), so a node the scan
+       left out can never outrank it; an exhaustive scan left none out.
+
+     - Same-cell tie guard: a candidate in the partner's grid cell at
+       exactly the partner's distance ranks against it by bucket arrival
+       order, which a later removal and re-insertion in that cell changes
+       (buckets keep insertion order).  Cross-cell ties rank by ring-scan
+       geometry and entries the scan excluded lie at distance >= kth >
+       pdist, so only candidates in the partner's own cell can flip.
+
+     - Undercut ball scan: every alive node the probe did not evaluate
+       must have region distance > [d] from the owner, so no later
+       promotion into the k-NN set can beat or tie the cached best (ties
+       are excluded because a pre-existing node may hold a lower id than
+       the partner and would win one).  Any such node's center lies
+       within [d + rad + alive_max_rad] of the owner's; regions are
+       immutable, so this holds for the proposal's whole life and only
+       insertions (swept each round) can break it.  The scan is never cut
+       short, so the grid's visit counters do not depend on which entry
+       fails. *)
+  let certify (buf : Grid_index.knn) sid (c_s : Pt.t) i d =
+    let tid = buf.kids.(i) in
+    let c_t = center_of tid in
+    let pdist = Pt.dist c_s c_t in
+    let rad = Octslab.diameter slab sid in
+    let cacheable =
+      (buf.exhaustive || pdist < buf.kth)
+      && begin
+           let pcell = Grid_index.cell_of grid c_t in
+           let tie = ref false in
+           for k = 0 to buf.klen - 1 do
+             if
+               buf.kids.(k) <> tid
+               && Float.Array.get buf.kdist k = pdist
+               && Grid_index.cell_of grid
+                    (Pt.make (Float.Array.get buf.kx k) (Float.Array.get buf.ky k))
+                  = pcell
+             then tie := true
+           done;
+           not !tie
+         end
+      &&
+      let ball = d +. rad +. !alive_max_rad +. cell in
+      let ok = ref true in
+      Grid_index.iter_within grid c_s ball (fun qid ->
+          if
+            !ok
+            && not (qid = sid || knn_mem buf qid 0 || Octslab.dist slab sid qid > d)
+          then ok := false);
+      !ok
     in
-    d +. depth_bias
+    if cacheable then Some { pdist; rad; rank = i + 1 } else None
   in
-  (* One probe = one coster session: the returned note carries whatever
-     side results (e.g. freshly run trial merges) the cost function
-     produced, to be absorbed on the main domain in snapshot order. *)
+  (* One probe: the cheapest merge partner of [s] among its [knn] grid
+     candidates (grid ranking is by representative point, so probe
+     several candidates and refine with the true merging cost), plus the
+     cache certificate when incremental ranking may keep the proposal.
+     Runs on worker domains during a parallel round: the arena, [grid]
+     and [slab] are only read, and the (cost, lowest-id) argmin makes the
+     winner independent of candidate evaluation order.  One probe = one
+     coster session: the returned note carries whatever side results
+     (e.g. freshly run trial merges) the cost function produced, to be
+     absorbed on the main domain in snapshot order.  A k-NN answer comes
+     back empty only when no other entry is eligible at all (the scan
+     covers the whole occupied box unless it has found [knn] entries),
+     so an empty answer needs no fallback scan. *)
   let probe (s : Subtree.t) =
-    (* Runs on worker domains during parallel rounds: the instant lands
-       in the emitting domain's own trace buffer. *)
+    (* The instant lands in the emitting domain's own trace buffer. *)
     if tracing then
       Obs.Trace.instant trace ~cat:"dme.order"
         ~args:[ ("subtree", Obs.Json.Int s.id) ]
         "probe";
+    Obs.Counter.incr c_probes;
     let cost, finish = coster.session () in
-    let best = nearest_neighbor ~cost s in
-    (best, finish ())
+    let buf = Domain.DLS.get knn_key in
+    let sid = s.id in
+    let c_s = center_of sid in
+    Grid_index.knn_into grid buf ~skip:(fun id -> id = sid) c_s knn;
+    let bi = ref (-1) and bd = ref Float.infinity in
+    for i = 0 to buf.klen - 1 do
+      let tid = buf.kids.(i) in
+      let d = cost ~dist:(Octslab.dist slab sid tid) s (subtree tid) in
+      if !bi < 0 || not (!bd < d || (!bd = d && buf.kids.(!bi) < tid)) then begin
+        bi := i;
+        bd := d
+      end
+    done;
+    let found =
+      if !bi < 0 then no_partner
+      else begin
+        let d = !bd in
+        {
+          partner = buf.kids.(!bi);
+          cost = d;
+          cert =
+            (if incremental && d < reach_cap then certify buf sid c_s !bi d
+             else None);
+        }
+      end
+    in
+    (found, finish ())
+  in
+  (* Deep subtrees have small delay targets; merging shallow pairs first
+     (Chaturvedi-Hu) keeps depths homogeneous and avoids late merges that
+     must snake to match a buried group's delay.  [hull_hi] caches each
+     node's [Subtree.delay_hull] high end from insertion. *)
+  let biased aid bid d =
+    let depth_bias =
+      if config.delay_order_weight = 0. then 0.
+      else
+        config.delay_order_weight
+        *. ((Float.Array.get hull_hi aid +. Float.Array.get hull_hi bid) /. 2.)
+    in
+    d +. depth_bias
   in
   (* Alive subtrees in ascending-id order: the id-indexed arena walk
      needs no sort. *)
@@ -330,7 +394,7 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
      - A pre-existing node the probe never evaluated, promoted into the
        k-NN set as deletions push the k-th boundary outward: it lies at
        center distance >= the probe's exclusion bound
-       ({!Grid_index.k_nearest_probe}), which caching requires to exceed
+       ({!Grid_index.knn}), which caching requires to exceed
        [pdist] strictly — so it ranks after [p] and can never evict it —
        and the cache-time undercut scan proved its region distance
        exceeds [B], so its cost loses even as a k-NN member.  Regions
@@ -356,7 +420,7 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
      and [inserted] sweeps touch disjoint mutable slots, so the grid's
      unspecified [iter_within] visit order cannot change the surviving
      set. *)
-  let invalidate_stale ~alive_max_rad =
+  let invalidate_stale () =
     for oid = 0 to !next_id - 1 do
       let pid = prop_partner.(oid) in
       if pid >= 0 && node.(pid) = None then begin
@@ -383,8 +447,8 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     List.iter
       (fun mid ->
         let cm = center_of mid in
-        let collect = !reach +. alive_max_rad +. cell in
-        Grid_index.iter_within grid cm collect (fun oid oc _owner ->
+        let collect = !reach +. !alive_max_rad +. cell in
+        Grid_index.iter_within grid cm collect (fun oid ->
             if prop_partner.(oid) >= 0 && oid <> mid then begin
               if Octslab.dist slab oid mid < Float.Array.get prop_cost oid
               then begin
@@ -392,7 +456,7 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
                 invalidate oid
               end
               else
-                let dm = Pt.dist oc cm in
+                let dm = Pt.dist (center_of oid) cm in
                 let pdist = Float.Array.get prop_pdist oid in
                 if dm = pdist then begin
                   (* [m] ties the partner's center distance; which of the
@@ -444,18 +508,13 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
          the from-scratch scan. *)
       let round_body () =
         let snap = snapshot () in
-        (* Largest region radius among this round's population: bounds the
-           unknown region radius of any node a triangle-inequality ball
-           must cover, both in the invalidation sweep and in the
-           cache-time undercut scan. *)
-        let alive_max_rad =
-          if not incremental then 0.
-          else
+        if incremental then begin
+          alive_max_rad :=
             Array.fold_left
               (fun m (s : Subtree.t) -> Float.max m (Octslab.diameter slab s.id))
-              0. snap
-        in
-        if incremental then invalidate_stale ~alive_max_rad;
+              0. snap;
+          invalidate_stale ()
+        end;
         let stale (s : Subtree.t) =
           (not incremental) || prop_partner.(s.id) < 0
         in
@@ -482,97 +541,39 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
         let ti = ref 0 in
         Array.iter
           (fun (s : Subtree.t) ->
-            let best =
+            let partner, d =
               if stale s then begin
-                let (best, scan, cands), note = probes.(!ti) in
+                let found, note = probes.(!ti) in
                 incr ti;
                 coster.absorb note;
-                (match (h_cost, best) with
-                 | Some h, Some (_, d) -> Obs.Histogram.observe h d
+                (match h_cost with
+                 | Some h when found.partner >= 0 -> Obs.Histogram.observe h found.cost
                  | _ -> ());
-                if incremental then
-                  (match best with
-                   | Some (t, d) when d < reach_cap ->
-                     let c_s = center_of s.id in
-                     let c_t = center_of t.id in
-                     let pdist = Pt.dist c_s c_t in
-                     let rad = Octslab.diameter slab s.id in
-                     (* Cache-time undercut scan: the proposal is cached
-                        only if every alive node the probe did not
-                        evaluate has region distance > B from the owner,
-                        so no later promotion into the k-NN set can beat
-                        or tie the cached best (ties are excluded because
-                        a pre-existing node may hold a lower id than the
-                        partner and would win one).  Any such node's
-                        center lies within [B + rad + alive_max_rad] of
-                        the owner's; regions are immutable, so this holds
-                        for the proposal's whole life and only insertions
-                        (swept each round) can break it. *)
-                     let cacheable =
-                       (match scan with
-                        | Exhaustive -> true
-                        | Kth dk -> pdist < dk
-                        | Opaque -> false)
-                       (* Same-cell tie guard: a candidate in the
-                          partner's grid cell at exactly the partner's
-                          distance ranks against it by bucket arrival
-                          order, which a later removal and re-insertion
-                          in that cell changes (buckets keep insertion
-                          order).  Cross-cell ties rank by ring-scan
-                          geometry and entries the scan excluded lie at
-                          distance >= dk > pdist, so only candidates in
-                          the partner's own cell can flip. *)
-                       && (let pcell = Grid_index.cell_of grid c_t in
-                           not
-                             (List.exists
-                                (fun (cid, cpt, _) ->
-                                  cid <> t.id
-                                  && Pt.dist c_s cpt = pdist
-                                  && Grid_index.cell_of grid cpt = pcell)
-                                cands))
-                       &&
-                       let ball = d +. rad +. alive_max_rad +. cell in
-                       Grid_index.for_all_within grid c_s ball
-                         (fun qid _ (_ : Subtree.t) ->
-                           qid = s.id || mem_cand qid cands
-                           || Octslab.dist slab s.id qid > d)
-                     in
-                     if cacheable then begin
-                       let rank =
-                         let rec go i = function
-                           | (cid, _, _) :: rest ->
-                             if cid = t.id then i else go (i + 1) rest
-                           | [] -> assert false
-                         in
-                         go 1 cands
-                       in
-                       prop_partner.(s.id) <- t.Subtree.id;
-                       Float.Array.set prop_cost s.id d;
-                       Float.Array.set prop_rad s.id rad;
-                       Float.Array.set prop_pdist s.id pdist;
-                       prop_rank.(s.id) <- rank;
-                       prop_closer.(s.id) <- 0
-                     end
-                     else Obs.Counter.incr c_uncached
-                   | _ -> Obs.Counter.incr c_uncached);
-                best
+                if incremental then begin
+                  match found.cert with
+                  | Some c ->
+                    prop_partner.(s.id) <- found.partner;
+                    Float.Array.set prop_cost s.id found.cost;
+                    Float.Array.set prop_rad s.id c.rad;
+                    Float.Array.set prop_pdist s.id c.pdist;
+                    prop_rank.(s.id) <- c.rank;
+                    prop_closer.(s.id) <- 0
+                  | None -> Obs.Counter.incr c_uncached
+                end;
+                (found.partner, found.cost)
               end
               else begin
-                let t =
-                  match node.(prop_partner.(s.id)) with
-                  | Some t -> t
-                  | None -> assert false (* dead partners were swept *)
-                in
+                let pid = prop_partner.(s.id) in
+                assert (node.(pid) <> None) (* dead partners were swept *);
                 incr saved;
                 Obs.Counter.incr c_saved;
-                Some (t, Float.Array.get prop_cost s.id)
+                (pid, Float.Array.get prop_cost s.id)
               end
             in
-            match best with
-            | None -> ()
-            | Some ((t : Subtree.t), d) ->
-              let i = Int.min s.Subtree.id t.id and j = Int.max s.Subtree.id t.id in
-              pairs := (biased s t d, i, j) :: !pairs)
+            if partner >= 0 then begin
+              let i = Int.min s.Subtree.id partner and j = Int.max s.Subtree.id partner in
+              pairs := (biased s.id partner d, i, j) :: !pairs
+            end)
           snap;
         let pairs =
           List.sort

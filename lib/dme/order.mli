@@ -142,7 +142,7 @@ val dedupe_pairs : (float * int * int) list -> (float * int * int) list
     instead of the instance's sink leaves, ranking starts from the given
     subtrees (the clustered router's region roots).  Explicit leaves
     must carry dense ids [0 .. n-1] — the arena is id-indexed — and
-    their delay maps must be expressed against [inst]'s groups; merge
+    their delay windows must be expressed against [inst]'s groups; merge
     node ids are allocated from [n] upward.  Returns the final subtree
     and the ranking statistics. *)
 val run_ranked :

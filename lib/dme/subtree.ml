@@ -1,5 +1,6 @@
-module IntMap = Map.Make (Int)
 module Interval = Geometry.Interval
+
+type windows = { gid : int array; lo : floatarray; hi : floatarray }
 
 type lengths =
   | Committed of { ea : float; eb : float }
@@ -9,7 +10,7 @@ type t = {
   id : int;
   region : Geometry.Octagon.t;
   cap : float;
-  delay : Interval.t IntMap.t;
+  delay : windows;
   n_sinks : int;
   build : build;
 }
@@ -21,37 +22,113 @@ let leaf (s : Clocktree.Sink.t) =
     id = s.id;
     region = Geometry.Octagon.of_point s.loc;
     cap = s.cap;
-    delay = IntMap.singleton s.group (Interval.point 0.);
+    delay =
+      { gid = [| s.group |]; lo = Float.Array.make 1 0.; hi = Float.Array.make 1 0. };
     n_sinks = 1;
     build = Leaf s;
   }
 
-let groups t = List.map fst (IntMap.bindings t.delay)
+let groups t = Array.to_list t.delay.gid
+
+let window t g =
+  let gid = t.delay.gid in
+  let rec find i =
+    if i >= Array.length gid || gid.(i) > g then None
+    else if gid.(i) = g then
+      Some (Interval.make (Float.Array.get t.delay.lo i) (Float.Array.get t.delay.hi i))
+    else find (i + 1)
+  in
+  find 0
 
 let shared_groups a b =
-  IntMap.fold
-    (fun g _ acc -> if IntMap.mem g b.delay then g :: acc else acc)
-    a.delay []
-  |> List.rev
+  let ga = a.delay.gid and gb = b.delay.gid in
+  let rec go i j acc =
+    if i >= Array.length ga || j >= Array.length gb then List.rev acc
+    else if ga.(i) < gb.(j) then go (i + 1) j acc
+    else if ga.(i) > gb.(j) then go i (j + 1) acc
+    else go (i + 1) (j + 1) (ga.(i) :: acc)
+  in
+  go 0 0 []
 
+let union_shifted ~wa (a : windows) ~wb (b : windows) =
+  let ga = a.gid and gb = b.gid in
+  let na = Array.length ga and nb = Array.length gb in
+  (* First pass sizes the result: the number of distinct groups. *)
+  let rec count i j n =
+    if i >= na then n + nb - j
+    else if j >= nb then n + na - i
+    else if ga.(i) < gb.(j) then count (i + 1) j (n + 1)
+    else if ga.(i) > gb.(j) then count i (j + 1) (n + 1)
+    else count (i + 1) (j + 1) (n + 1)
+  in
+  let n = count 0 0 0 in
+  let gid = Array.make n 0 and lo = Float.Array.create n and hi = Float.Array.create n in
+  (* Per group, [Interval.hull (Interval.shift wa ia) (Interval.shift wb
+     ib)] where both sides have it and the lone side's shifted window
+     otherwise, written out with those functions' float operations in
+     their operand order, so the windows are bit-identical to them. *)
+  let i = ref 0 and j = ref 0 in
+  for k = 0 to n - 1 do
+    let take_a = !j >= nb || (!i < na && ga.(!i) <= gb.(!j)) in
+    let take_b = !i >= na || (!j < nb && gb.(!j) <= ga.(!i)) in
+    if take_a && take_b then begin
+      gid.(k) <- ga.(!i);
+      Float.Array.set lo k
+        (Float.min (Float.Array.get a.lo !i +. wa) (Float.Array.get b.lo !j +. wb));
+      Float.Array.set hi k
+        (Float.max (Float.Array.get a.hi !i +. wa) (Float.Array.get b.hi !j +. wb));
+      incr i;
+      incr j
+    end
+    else if take_a then begin
+      gid.(k) <- ga.(!i);
+      Float.Array.set lo k (Float.Array.get a.lo !i +. wa);
+      Float.Array.set hi k (Float.Array.get a.hi !i +. wa);
+      incr i
+    end
+    else begin
+      gid.(k) <- gb.(!j);
+      Float.Array.set lo k (Float.Array.get b.lo !j +. wb);
+      Float.Array.set hi k (Float.Array.get b.hi !j +. wb);
+      incr j
+    end
+  done;
+  { gid; lo; hi }
+
+(* The folds below run in ascending group order with the float
+   operations of the [Interval] helpers written out: [width] is
+   [Float.max 0. (hi -. lo)], [hull] a [Float.min] of the lows and a
+   [Float.max] of the highs. *)
 let delay_hull t =
-  IntMap.fold
-    (fun _ iv acc -> Interval.hull acc iv)
-    t.delay
-    (Interval.make Float.infinity Float.neg_infinity)
+  let lo = ref Float.infinity and hi = ref Float.neg_infinity in
+  for i = 0 to Array.length t.delay.gid - 1 do
+    lo := Float.min !lo (Float.Array.get t.delay.lo i);
+    hi := Float.max !hi (Float.Array.get t.delay.hi i)
+  done;
+  Interval.make !lo !hi
+
+let width t i = Float.max 0. (Float.Array.get t.delay.hi i -. Float.Array.get t.delay.lo i)
 
 let max_group_width t =
-  IntMap.fold (fun _ iv acc -> Float.max acc (Interval.width iv)) t.delay 0.
+  let acc = ref 0. in
+  for i = 0 to Array.length t.delay.gid - 1 do
+    acc := Float.max !acc (width t i)
+  done;
+  !acc
 
 let min_slack ~bound t =
-  IntMap.fold
-    (fun _ iv acc -> Float.min acc (bound -. Interval.width iv))
-    t.delay bound
+  let acc = ref bound in
+  for i = 0 to Array.length t.delay.gid - 1 do
+    acc := Float.min !acc (bound -. width t i)
+  done;
+  !acc
 
 let min_slack_by ~bound_of t =
-  IntMap.fold
-    (fun g iv acc -> Float.min acc (bound_of g -. Interval.width iv))
-    t.delay Float.infinity
+  let acc = ref Float.infinity in
+  for i = 0 to Array.length t.delay.gid - 1 do
+    acc := Float.min !acc (bound_of t.delay.gid.(i) -. width t i)
+  done;
+  !acc
 
 let pp ppf t =
   Format.fprintf ppf "subtree %d: %d sinks, cap %.1f fF, groups {%a}, region %a"

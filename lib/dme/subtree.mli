@@ -10,7 +10,12 @@
     shortest-path points whose split range is accounted for in the
     intervals. *)
 
-module IntMap : Map.S with type key = int
+(** Per-group delay windows: group [gid.(i)]'s delays lie in
+    [[lo.(i), hi.(i)]] (ps), with [gid] strictly ascending.  Flat arrays
+    rather than a map, so a feasibility walk over two subtrees' shared
+    groups is a two-pointer merge over unboxed floats.  Never mutated
+    once built. *)
+type windows = { gid : int array; lo : floatarray; hi : floatarray }
 
 (** How the two child wires of a merge are realized at embedding time. *)
 type lengths =
@@ -26,7 +31,7 @@ type t = {
   id : int;
   region : Geometry.Octagon.t;
   cap : float;  (** downstream capacitance, fF, wires included *)
-  delay : Geometry.Interval.t IntMap.t;  (** per-group delay from the region, ps *)
+  delay : windows;  (** per-group delay from the region, ps *)
   n_sinks : int;
   build : build;
 }
@@ -38,8 +43,17 @@ val leaf : Clocktree.Sink.t -> t
 (** Group ids present in the subtree. *)
 val groups : t -> int list
 
-(** Groups present in both subtrees. *)
+(** Group [g]'s delay window, [None] when the subtree has no sink of
+    [g]. *)
+val window : t -> int -> Geometry.Interval.t option
+
+(** Groups present in both subtrees, ascending. *)
 val shared_groups : t -> t -> int list
+
+(** [union_shifted ~wa a ~wb b] is the windows of a merge whose wires
+    add delay [wa] above [a] and [wb] above [b]: each side's windows
+    shifted, and the hull of the two where a group is on both sides. *)
+val union_shifted : wa:float -> windows -> wb:float -> windows -> windows
 
 (** Hull of all per-group delay intervals. *)
 val delay_hull : t -> Geometry.Interval.t
@@ -48,7 +62,7 @@ val delay_hull : t -> Geometry.Interval.t
 val max_group_width : t -> float
 
 (** Smallest remaining slack [bound - width] over the subtree's groups;
-    [bound] when the map is empty (never is). *)
+    [bound] when there are none (never happens). *)
 val min_slack : bound:float -> t -> float
 
 (** Per-group variant: smallest [bound_of g - width g]. *)

@@ -136,7 +136,7 @@ let fig4 () =
   let tf = (merge 11 (leaf 2) (leaf 3)).subtree in
   let r = merge 12 tc tf in
   let width =
-    Geometry.Interval.width (Dme.Subtree.IntMap.find 0 r.subtree.delay)
+    Geometry.Interval.width (Option.get (Dme.Subtree.window r.subtree 0))
   in
   {
     kind = r.kind;

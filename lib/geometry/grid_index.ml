@@ -1,5 +1,3 @@
-type 'a entry = { pt : Pt.t; value : 'a }
-
 (* Query instrumentation: queries = nearest/k_nearest/within calls,
    rings/cells/entries = work done by the ring scans those queries run. *)
 let c_queries = Obs.Counter.make "geometry.grid.queries"
@@ -7,37 +5,59 @@ let c_rings = Obs.Counter.make "geometry.grid.rings_scanned"
 let c_cells = Obs.Counter.make "geometry.grid.cells_visited"
 let c_entries = Obs.Counter.make "geometry.grid.entries_scanned"
 
-(* Each cell's bucket is a pair of parallel growable arrays scanned with
-   a plain for-loop.  Entries iterate in insertion order (removal shifts,
-   preserving it), which fixes distance-tie arrival order in
-   [k_nearest_probe]. *)
+(* Each cell's bucket is structure-of-arrays: ids and unboxed
+   coordinates in parallel growable arrays, scanned with a plain
+   for-loop, so a query reads the entries' points without touching a
+   boxed record.  [vals] holds the values only for the list API.
+   Entries iterate in insertion order (removal shifts, preserving it),
+   which fixes distance-tie arrival order in {!knn_into}. *)
 type 'a bucket = {
   mutable ids : int array;
-  mutable ents : 'a entry array;
+  mutable xs : floatarray;
+  mutable ys : floatarray;
+  mutable vals : 'a array;
   mutable blen : int;
 }
 
-let bucket_make id e =
-  { ids = Array.make 4 id; ents = Array.make 4 e; blen = 1 }
+let bucket_make id (p : Pt.t) v =
+  {
+    ids = Array.make 4 id;
+    xs = Float.Array.make 4 p.x;
+    ys = Float.Array.make 4 p.y;
+    vals = Array.make 4 v;
+    blen = 1;
+  }
+
+let grow_floats a cap =
+  let a' = Float.Array.create (2 * cap) in
+  Float.Array.blit a 0 a' 0 cap;
+  a'
 
 (* Replace semantics on an existing id.  Buckets hold the handful of
    entries sharing one grid cell, so the linear scans here are short. *)
-let bucket_add b id e =
+let bucket_add b id (p : Pt.t) v =
   let rec find i = if i >= b.blen then -1 else if b.ids.(i) = id then i else find (i + 1) in
-  match find 0 with
-  | i when i >= 0 -> b.ents.(i) <- e
-  | _ ->
-    let cap = Array.length b.ids in
-    if b.blen = cap then begin
-      let ids = Array.make (2 * cap) id and ents = Array.make (2 * cap) e in
-      Array.blit b.ids 0 ids 0 cap;
-      Array.blit b.ents 0 ents 0 cap;
-      b.ids <- ids;
-      b.ents <- ents
-    end;
-    b.ids.(b.blen) <- id;
-    b.ents.(b.blen) <- e;
-    b.blen <- b.blen + 1
+  let i =
+    match find 0 with
+    | i when i >= 0 -> i
+    | _ ->
+      let cap = Array.length b.ids in
+      if b.blen = cap then begin
+        let ids = Array.make (2 * cap) id and vals = Array.make (2 * cap) v in
+        Array.blit b.ids 0 ids 0 cap;
+        Array.blit b.vals 0 vals 0 cap;
+        b.ids <- ids;
+        b.vals <- vals;
+        b.xs <- grow_floats b.xs cap;
+        b.ys <- grow_floats b.ys cap
+      end;
+      b.ids.(b.blen) <- id;
+      b.blen <- b.blen + 1;
+      b.blen - 1
+  in
+  Float.Array.set b.xs i p.x;
+  Float.Array.set b.ys i p.y;
+  b.vals.(i) <- v
 
 (* Returns whether [id] was present; keeps insertion order by shifting. *)
 let bucket_remove b id =
@@ -45,14 +65,15 @@ let bucket_remove b id =
   match find 0 with
   | -1 -> false
   | i ->
-    for j = i to b.blen - 2 do
-      b.ids.(j) <- b.ids.(j + 1);
-      b.ents.(j) <- b.ents.(j + 1)
-    done;
+    let tail = b.blen - 1 - i in
+    Array.blit b.ids (i + 1) b.ids i tail;
+    Float.Array.blit b.xs (i + 1) b.xs i tail;
+    Float.Array.blit b.ys (i + 1) b.ys i tail;
+    Array.blit b.vals (i + 1) b.vals i tail;
     b.blen <- b.blen - 1;
     (* Drop the stale tail reference so removed values can be collected
        while the bucket lives on. *)
-    if b.blen > 0 then b.ents.(b.blen) <- b.ents.(0);
+    if b.blen > 0 then b.vals.(b.blen) <- b.vals.(0);
     true
 
 (* Dense store: cell (gx, gy) — absolute keys [floor (x / cell)] — lives
@@ -87,7 +108,14 @@ let create ~cell =
     invalid_arg "Grid_index.create: cell must be positive and finite";
   {
     cell;
-    empty = { ids = [||]; ents = [||]; blen = 0 };
+    empty =
+      {
+        ids = [||];
+        xs = Float.Array.create 0;
+        ys = Float.Array.create 0;
+        vals = [||];
+        blen = 0;
+      };
     cells = [||];
     gx0 = 0;
     gy0 = 0;
@@ -202,13 +230,12 @@ let add t ~id (p : Pt.t) v =
   if gx < t.gx0 || gx >= t.gx0 + t.w || gy < t.gy0 || gy >= t.gy0 + t.h then
     grow t gx gy;
   let i = ((gy - t.gy0) * t.w) + (gx - t.gx0) in
-  let e = { pt = p; value = v } in
   let b = t.cells.(i) in
   if b.blen = 0 then begin
-    t.cells.(i) <- bucket_make id e;
+    t.cells.(i) <- bucket_make id p v;
     occupy t gx gy
   end
-  else bucket_add b id e;
+  else bucket_add b id p v;
   t.count <- t.count + 1
 
 let remove t ~id (p : Pt.t) =
@@ -227,24 +254,24 @@ let remove t ~id (p : Pt.t) =
 
 let size t = t.count
 
-(* Visit cells in expanding square rings around the query cell.  A hit at
-   ring [r] guarantees no closer hit exists beyond ring
-   [ceil (best / cell) + 1], which bounds the scan; the bounding box of
-   occupied cells bounds it even when the caller's stop condition never
-   fires (e.g. fewer entries than requested).  Returns the first ring NOT
-   visited.
+(* Visit cells in expanding square rings around the query cell, handing
+   every non-empty bucket to [visit].  A hit at ring [r] guarantees no
+   closer hit exists beyond ring [ceil (best / cell) + 1], which bounds
+   the scan; the bounding box of occupied cells bounds it even when the
+   caller's stop condition never fires (e.g. fewer entries than
+   requested).
 
    Visit order is fixed: the query cell, then per ring the top and
    bottom edges column by column (top before bottom in each column),
    then the left and right edges row by row (left before right), and
    each bucket in insertion order.  Clipping to the occupied box and
    skipping empty rows and columns drops only cells without entries, so
-   the order in which entries reach [f] is that of the plain ring walk.
-   The visit counters are charged as if every cell of every ring were
-   probed — ring 0 is one cell and ring [r >= 1] is [8 r] — and added
-   once per query. *)
-let fold_rings t (p : Pt.t) ~stop f =
-  let cx = key t p.x and cy = key t p.y in
+   the order in which entries are visited is that of the plain ring
+   walk.  The visit counters are charged as if every cell of every ring
+   were probed — ring 0 is one cell and ring [r >= 1] is [8 r] — and
+   added once per query. *)
+let fold_rings t (q : Pt.t) ~stop (visit : 'a bucket -> unit) =
+  let cx = key t q.x and cy = key t q.y in
   (* max over occupied cells of max (|dx|, |dy|): each axis maximum is
      attained at an end of the occupied box. *)
   let max_ring =
@@ -262,12 +289,9 @@ let fold_rings t (p : Pt.t) ~stop f =
   (* Callers pass keys inside the occupied box, hence inside the window. *)
   let visit gx gy =
     let b = Array.unsafe_get cells (((gy - gy0) * w) + (gx - gx0)) in
-    let n = b.blen in
-    if n > 0 then begin
-      entries := !entries + n;
-      for i = 0 to n - 1 do
-        f b.ids.(i) b.ents.(i)
-      done
+    if b.blen > 0 then begin
+      entries := !entries + b.blen;
+      visit b
     end
   in
   let row_ok gy = gy >= min_gy && gy <= max_gy && row_n.(gy - gy0) > 0 in
@@ -297,220 +321,154 @@ let fold_rings t (p : Pt.t) ~stop f =
   let rings = !r in
   Obs.Counter.add c_rings rings;
   Obs.Counter.add c_cells (if rings = 0 then 0 else 1 + (4 * rings * (rings - 1)));
-  Obs.Counter.add c_entries !entries;
-  rings
+  Obs.Counter.add c_entries !entries
 
-let nearest t ?(skip = fun _ -> false) p =
-  Obs.Counter.incr c_queries;
-  if t.count = 0 then None
-  else begin
-    let best_id = ref (-1) in
-    let best_pt = ref Pt.zero in
-    let best_dist = ref Float.infinity in
-    let best_value = ref None in
-    let stop r =
-      (* Cells at ring r are at least (r-1) * cell away in L-infinity,
-         hence at least that far in L1. *)
-      !best_id >= 0 && float_of_int (r - 1) *. t.cell > !best_dist
-    in
-    ignore
-      (fold_rings t p ~stop (fun id e ->
-           if not (skip id) then begin
-             (* L1 distance written out: see [k_nearest_probe]. *)
-             let q = e.pt in
-             let d =
-               Float.abs (p.Pt.x -. q.Pt.x) +. Float.abs (p.Pt.y -. q.Pt.y)
-             in
-             if d < !best_dist then begin
-               best_dist := d;
-               best_id := id;
-               best_pt := e.pt;
-               best_value := Some e.value
-             end
-           end));
-    match !best_value with
-    | None -> None
-    | Some v -> Some (!best_id, !best_pt, v)
-  end
-
-(* Per-domain heap scratch for [k_nearest_probe].  The entry array stays
-   per-call (it is polymorphic in the index's value type); the numeric
-   arrays are monomorphic and reused across queries.  Safe because the
-   scan's callbacks ([skip]) never re-enter the query path. *)
-type knn_scratch = {
-  mutable khd : float array;
-  mutable khs : int array;
-  mutable khid : int array;
+(* The k-NN kernel's caller-owned buffer: the best [klen] candidates seen
+   so far, kept sorted — ascending distance, later visit first on ties —
+   in four parallel arrays. *)
+type knn = {
+  mutable kids : int array;
+  mutable kdist : floatarray;
+  mutable kx : floatarray;
+  mutable ky : floatarray;
+  mutable klen : int;
+  mutable kth : float;
+  mutable exhaustive : bool;
 }
 
-let knn_scratch_key =
-  Domain.DLS.new_key (fun () -> { khd = [||]; khs = [||]; khid = [||] })
+let knn_buffer () =
+  {
+    kids = [||];
+    kdist = Float.Array.create 0;
+    kx = Float.Array.create 0;
+    ky = Float.Array.create 0;
+    klen = 0;
+    kth = Float.infinity;
+    exhaustive = true;
+  }
 
-let k_nearest_probe t ?(skip = fun _ -> false) p k =
-  Obs.Counter.incr c_queries;
-  if t.count = 0 || k <= 0 then ([], None)
-  else begin
-    (* Bounded selection: a binary max-heap keeps the k best candidates
-       seen so far, ordered by (distance, arrival) — O(log k) per
-       accepted entry instead of a full re-sort.  The heap root is the
-       running k-th distance, which drives the ring-scan stop condition.
-       Distance ties prefer the later-visited entry, reproducing the
-       (reverse accumulation + stable sort) order of the original
-       implementation bit for bit.  The heap lives in parallel scratch
-       arrays (distance / arrival / id / entry) so that scanning an entry
-       allocates nothing: thousands of entries are offered per query and
-       only k survive. *)
-    let cap = Int.min k t.count in
-    let sc = Domain.DLS.get knn_scratch_key in
-    if Array.length sc.khd < cap then begin
-      sc.khd <- Array.make cap 0.;
-      sc.khs <- Array.make cap 0;
-      sc.khid <- Array.make cap 0
-    end;
-    let hd = sc.khd in
-    let hs = sc.khs in
-    let hid = sc.khid in
-    (* Seeded with the first accepted entry; never read before. *)
-    let hent = ref [||] in
-    let size = ref 0 in
-    let arrival = ref 0 in
-    (* The heap order — "candidate 1 ranks strictly after candidate 2"
-       iff [d1 > d2 || (d1 = d2 && s1 < s2)] — is written out at every
-       comparison site: routing it through a shared helper would box two
-       floats per call, and the scan compares thousands of times per
-       query. *)
-    let swap i j =
-      let he = !hent in
-      let d = hd.(i) and s = hs.(i) and id = hid.(i) and e = he.(i) in
-      hd.(i) <- hd.(j);
-      hs.(i) <- hs.(j);
-      hid.(i) <- hid.(j);
-      he.(i) <- he.(j);
-      hd.(j) <- d;
-      hs.(j) <- s;
-      hid.(j) <- id;
-      he.(j) <- e
-    in
-    let rec sift_up i =
-      if i > 0 then begin
-        let parent = (i - 1) / 2 in
-        if
-          hd.(i) > hd.(parent)
-          || (hd.(i) = hd.(parent) && hs.(i) < hs.(parent))
-        then begin
-          swap i parent;
-          sift_up parent
-        end
-      end
-    in
-    let rec sift_down i =
-      let l = (2 * i) + 1 and r = (2 * i) + 2 in
-      let m =
-        if l < !size && (hd.(l) > hd.(i) || (hd.(l) = hd.(i) && hs.(l) < hs.(i)))
-        then l
-        else i
-      in
-      let m =
-        if r < !size && (hd.(r) > hd.(m) || (hd.(r) = hd.(m) && hs.(r) < hs.(m)))
-        then r
-        else m
-      in
-      if m <> i then begin
-        swap i m;
-        sift_down m
-      end
-    in
-    (* Distance is computed inside the offer so it never crosses a
-       closure boundary boxed; the L1 distance is written out because a
-       [Pt.dist] call is not inlined in -opaque (dev-profile) builds and
-       would box its result for every scanned entry. *)
-    let offer id e =
-      let s = !arrival in
-      incr arrival;
-      let q = e.pt in
-      let d = Float.abs (p.Pt.x -. q.Pt.x) +. Float.abs (p.Pt.y -. q.Pt.y) in
-      if !size < cap then begin
-        if Array.length !hent = 0 then hent := Array.make cap e;
-        let i = !size in
-        hd.(i) <- d;
-        hs.(i) <- s;
-        hid.(i) <- id;
-        (!hent).(i) <- e;
-        incr size;
-        sift_up i
-      end
-      else if hd.(0) > d || (hd.(0) = d && hs.(0) < s) then begin
-        hd.(0) <- d;
-        hs.(0) <- s;
-        hid.(0) <- id;
-        (!hent).(0) <- e;
-        sift_down 0
-      end
-    in
-    let stop r = !size = k && float_of_int (r - 1) *. t.cell > hd.(0) in
-    let ended =
-      fold_rings t p ~stop (fun id e -> if not (skip id) then offer id e)
-    in
-    (* Exclusion bound.  When the heap filled ([size = k]) every eligible
-       entry left out of the result was either rejected by the heap —
-       only possible at distance >= the running k-th distance, which
-       never grows — or never offered because the ring scan stopped, i.e.
-       its ring satisfied (r - 1) * cell > kth.  Either way it lies at L1
-       distance >= the final k-th distance from [p].  A heap that never
-       filled accepted every eligible offer, and [fold_rings] visits the
-       whole occupied bounding box unless [stop] fires, so the result is
-       exhaustive and no entry was excluded at all. *)
-    ignore ended;
-    let radius = if !size = k then Some hd.(0) else None in
-    (* Pop the heap worst-first, prepending: (distance, arrival) keys are
-       unique (arrival stamps are), so the pop order is the unique total
-       order by descending (d, earliest-arrival-on-ties) and prepending
-       yields exactly the ascending-distance, later-arrival-on-ties list
-       the previous sort produced — without materialising an intermediate
-       list or a sort. *)
-    let entries = ref [] in
-    while !size > 0 do
-      let he = !hent in
-      entries := (hid.(0), he.(0).pt, he.(0).value) :: !entries;
-      decr size;
-      let last = !size in
-      if last > 0 then begin
-        hd.(0) <- hd.(last);
-        hs.(0) <- hs.(last);
-        hid.(0) <- hid.(last);
-        he.(0) <- he.(last);
-        sift_down 0
-      end
-    done;
-    (!entries, radius)
+let knn_reserve b cap =
+  if Array.length b.kids < cap then begin
+    b.kids <- Array.make cap 0;
+    b.kdist <- Float.Array.create cap;
+    b.kx <- Float.Array.create cap;
+    b.ky <- Float.Array.create cap
   end
 
-let k_nearest t ?skip p k = fst (k_nearest_probe t ?skip p k)
+(* Offer entry [i] of bucket [bk] to a buffer holding at most [cap]
+   candidates.  Every offer arrives after all the buffered ones, so it
+   ranks before every buffered candidate at its distance: it goes in
+   front of the first one at distance >= [d], and when the buffer is
+   full it is kept iff [d <= kdist.(cap - 1)].  The scan visits cells
+   roughly outward, so the insertion point is usually at or near the
+   end.  The L1 distance is written out here, next to its use: a
+   [Pt.dist] call is not inlined in -opaque (dev-profile) builds and
+   would box its result for every scanned entry. *)
+let knn_offer b cap (q : Pt.t) (bk : _ bucket) i =
+  let x = Float.Array.unsafe_get bk.xs i and y = Float.Array.unsafe_get bk.ys i in
+  let d = Float.abs (q.x -. x) +. Float.abs (q.y -. y) in
+  let len = b.klen in
+  if len < cap || d <= Float.Array.get b.kdist (len - 1) then begin
+    let ids = b.kids and ds = b.kdist and xs = b.kx and ys = b.ky in
+    (* Shift every candidate at distance >= d one slot right (the last
+       one falls off a full buffer), then write the offer into the
+       gap. *)
+    let j = ref (if len < cap then len else len - 1) in
+    while !j > 0 && Float.Array.get ds (!j - 1) >= d do
+      let k = !j in
+      ids.(k) <- ids.(k - 1);
+      Float.Array.set ds k (Float.Array.get ds (k - 1));
+      Float.Array.set xs k (Float.Array.get xs (k - 1));
+      Float.Array.set ys k (Float.Array.get ys (k - 1));
+      j := k - 1
+    done;
+    ids.(!j) <- bk.ids.(i);
+    Float.Array.set ds !j d;
+    Float.Array.set xs !j x;
+    Float.Array.set ys !j y;
+    if len < cap then b.klen <- len + 1
+  end
 
-let iter_within t p r f =
+let knn_into t b ~skip (q : Pt.t) k =
+  Obs.Counter.incr c_queries;
+  b.klen <- 0;
+  b.kth <- Float.infinity;
+  b.exhaustive <- true;
+  if t.count > 0 && k > 0 then begin
+    (* Bounded selection: the buffer's last candidate is the running
+       k-th distance, which drives the ring-scan stop condition. *)
+    let cap = Int.min k t.count in
+    knn_reserve b cap;
+    let stop r =
+      b.klen = k && float_of_int (r - 1) *. t.cell > Float.Array.get b.kdist (k - 1)
+    in
+    fold_rings t q ~stop (fun bk ->
+        for i = 0 to bk.blen - 1 do
+          if not (skip (Array.unsafe_get bk.ids i)) then knn_offer b cap q bk i
+        done);
+    (* Exclusion bound.  When the buffer filled ([klen = k]) every
+       eligible entry left out of the result was either rejected or
+       pushed out — only possible at distance >= the running k-th
+       distance, which never grows — or never offered because the ring
+       scan stopped, i.e. its ring satisfied (r - 1) * cell > kth.
+       Either way it lies at L1 distance >= the final k-th distance from
+       [q].  A buffer that never filled kept every eligible offer, and
+       [fold_rings] visits the whole occupied bounding box unless [stop]
+       fires, so the result is exhaustive and no entry was excluded at
+       all. *)
+    if b.klen = k then begin
+      b.exhaustive <- false;
+      b.kth <- Float.Array.get b.kdist (k - 1)
+    end
+  end
+
+(* The list API over the kernel: each call allocates its own buffer and
+   reads values back from the buckets by id. *)
+let value_of t (p : Pt.t) id =
+  let gx = key t p.x and gy = key t p.y in
+  let b = t.cells.(((gy - t.gy0) * t.w) + (gx - t.gx0)) in
+  let rec find i = if b.ids.(i) = id then b.vals.(i) else find (i + 1) in
+  find 0
+
+let k_nearest_probe t ?(skip = fun _ -> false) q k =
+  let b = knn_buffer () in
+  knn_into t b ~skip q k;
+  let entries = ref [] in
+  for i = b.klen - 1 downto 0 do
+    let p = Pt.make (Float.Array.get b.kx i) (Float.Array.get b.ky i) in
+    entries := (b.kids.(i), p, value_of t p b.kids.(i)) :: !entries
+  done;
+  (!entries, if b.exhaustive then None else Some b.kth)
+
+let k_nearest t ?skip q k = fst (k_nearest_probe t ?skip q k)
+
+let nearest t ?skip q =
+  match k_nearest t ?skip q 1 with [ e ] -> Some e | _ -> None
+
+(* The ball scan: [hit bk i] for every entry [i] of bucket [bk] within
+   L1 distance [r] of [q]. *)
+let scan_within t (q : Pt.t) r hit =
   Obs.Counter.incr c_queries;
   (* A negative radius can match nothing and an empty index has nothing
      to scan; bail out before fold_rings walks rings for free. *)
-  if t.count = 0 || r < 0. then ()
-  else begin
+  if not (t.count = 0 || r < 0.) then begin
     let stop ring = float_of_int (ring - 1) *. t.cell > r in
-    ignore
-      (fold_rings t p ~stop (fun id e ->
-           (* L1 distance written out: see [k_nearest_probe]. *)
-           let q = e.pt in
-           if Float.abs (p.Pt.x -. q.Pt.x) +. Float.abs (p.Pt.y -. q.Pt.y) <= r
-           then f id q e.value))
+    fold_rings t q ~stop (fun bk ->
+        for i = 0 to bk.blen - 1 do
+          (* L1 distance written out: see [knn_offer]. *)
+          if
+            Float.abs (q.x -. Float.Array.unsafe_get bk.xs i)
+            +. Float.abs (q.y -. Float.Array.unsafe_get bk.ys i)
+            <= r
+          then hit bk i
+        done)
   end
 
-let within t p r =
-  let acc = ref [] in
-  iter_within t p r (fun id pt v -> acc := (id, pt, v) :: !acc);
-  !acc
+let iter_within t q r f = scan_within t q r (fun bk i -> f (Array.unsafe_get bk.ids i))
 
-let for_all_within t p r f =
-  let ok = ref true in
-  (* No early abort: the ball scan is already bounded by [r], and keeping
-     a single full-scan code path means the visit counters (and thus the
-     traced workload) do not depend on which entry fails first. *)
-  iter_within t p r (fun id pt v -> if not (f id pt v) then ok := false);
-  !ok
+let within t q r =
+  let acc = ref [] in
+  scan_within t q r (fun bk i ->
+      let p = Pt.make (Float.Array.get bk.xs i) (Float.Array.get bk.ys i) in
+      acc := (bk.ids.(i), p, bk.vals.(i)) :: !acc);
+  !acc

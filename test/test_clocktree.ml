@@ -55,6 +55,13 @@ let test_instance_rejects_non_finite () =
       raises "wire resistance" (fun () -> make ~params:{ params with r = v } ok);
       raises "wire capacitance" (fun () -> make ~params:{ params with c = v } ok))
     [ Float.nan; Float.infinity; Float.neg_infinity ];
+  (* Finite but too far apart: the extent overflows (the router's grid
+     cell would be infinite), or a wire across it has infinite delay (the
+     router would return a NaN wirelength). *)
+  raises "extent" (fun () ->
+      make [| sink 0 1e308 1e308 0; sink 1 (-1e308) (-1e308) 0 |]);
+  raises "wire delay across the extent" (fun () ->
+      make [| sink 0 1e200 1e200 0; sink 1 (-1e200) (-1e200) 0; sink 2 0. 0. 0 |]);
   (* Records built without [Sink.make] get the same checks. *)
   Alcotest.check_raises "negative group"
     (Invalid_argument "Instance.make: sink group out of range") (fun () ->
@@ -456,6 +463,12 @@ let test_io_errors () =
       ("sink 0 0 0 -1 0", "line 3: Sink.make: negative capacitance");
       ("sink 0 0 0 1 -1", "line 3: Sink.make: negative group");
       ("params 0 0.02", "line 3: Wire.make: parameters must be positive");
+      ("groupbound 5 1", "line 3: group 5 out of range");
+      ("groupbound 1 1\ngroupbound -1 1", "line 4: group -1 out of range");
+      ( "sink 0 1e308 1e308 1 0\nsink 1 -1e308 -1e308 1 1",
+        "Instance.make: non-finite extent" );
+      ( "sink 0 1e200 1e200 1 0\nsink 1 -1e200 -1e200 1 1\nsink 2 0 0 1 0",
+        "Instance.make: non-finite wire delay across the extent" );
     ]
 
 let test_io_comments_and_order () =

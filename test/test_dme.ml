@@ -43,6 +43,107 @@ let test_subtree_shared_groups () =
   Alcotest.(check (list int)) "a groups" [ 0; 1 ] (Dme.Subtree.groups a);
   Alcotest.(check (list int)) "shared" [ 1 ] (Dme.Subtree.shared_groups a b)
 
+(* The flat delay windows must reproduce, bit for bit, the map-based
+   bookkeeping they replaced: [Map.map (Interval.shift w)] on each side
+   and a [Map.union] taking the hull of shared groups, and the folds run
+   in ascending group order.  The [IntMap] reference lives here. *)
+module IntMap = Map.Make (Int)
+
+let windows_of_map m =
+  let b = IntMap.bindings m in
+  Dme.Subtree.
+    {
+      gid = Array.of_list (List.map fst b);
+      lo = Float.Array.of_list (List.map (fun (_, (iv : Interval.t)) -> iv.lo) b);
+      hi = Float.Array.of_list (List.map (fun (_, (iv : Interval.t)) -> iv.hi) b);
+    }
+
+let with_windows m =
+  { (Dme.Subtree.leaf (sink 0 0. 0. 0)) with delay = windows_of_map m }
+
+let bits = Int64.bits_of_float
+
+let same_windows (w : Dme.Subtree.windows) (v : Dme.Subtree.windows) =
+  w.gid = v.gid
+  && Float.Array.length w.lo = Float.Array.length v.lo
+  && List.for_all
+       (fun i ->
+         bits (Float.Array.get w.lo i) = bits (Float.Array.get v.lo i)
+         && bits (Float.Array.get w.hi i) = bits (Float.Array.get v.hi i))
+       (List.init (Float.Array.length w.lo) Fun.id)
+
+let prop_windows_match_map =
+  let gen_float =
+    QCheck.Gen.(
+      oneof
+        [ float_range (-500.) 500.; oneofl [ 0.; -0.; 1e-300; 3.25; -7.5 ] ])
+  in
+  let gen_map =
+    QCheck.Gen.(
+      let* entries =
+        list_size (int_range 1 6)
+          (let* g = int_range 0 9 in
+           let* lo = gen_float in
+           let* w = oneof [ return 0.; float_range 0. 50.; return (-1.) ] in
+           return (g, Interval.make lo (lo +. w)))
+      in
+      return (List.fold_left (fun m (g, iv) -> IntMap.add g iv m) IntMap.empty entries))
+  in
+  let gen =
+    QCheck.Gen.(
+      let* a = gen_map and* b = gen_map and* wa = gen_float and* wb = gen_float in
+      let* bound = gen_float in
+      return (a, b, wa, wb, bound))
+  in
+  let print (a, b, wa, wb, bound) =
+    let pm m =
+      String.concat "; "
+        (List.map
+           (fun (g, (iv : Interval.t)) -> Printf.sprintf "%d:[%h,%h]" g iv.lo iv.hi)
+           (IntMap.bindings m))
+    in
+    Printf.sprintf "a={%s} b={%s} wa=%h wb=%h bound=%h" (pm a) (pm b) wa wb bound
+  in
+  QCheck.Test.make ~name:"flat windows = IntMap reference, bit for bit" ~count:500
+    (QCheck.make ~print gen) (fun (a, b, wa, wb, bound) ->
+      let expect =
+        IntMap.union
+          (fun _ ia ib -> Some (Interval.hull ia ib))
+          (IntMap.map (Interval.shift wa) a)
+          (IntMap.map (Interval.shift wb) b)
+      in
+      let got =
+        Dme.Subtree.union_shifted ~wa (windows_of_map a) ~wb (windows_of_map b)
+      in
+      let t = with_windows a in
+      let hull =
+        IntMap.fold (fun _ iv acc -> Interval.hull acc iv) a
+          (Interval.make Float.infinity Float.neg_infinity)
+      in
+      let bound_of g = bound +. float_of_int g in
+      let got_hull = Dme.Subtree.delay_hull t in
+      same_windows got (windows_of_map expect)
+      && bits got_hull.lo = bits hull.lo
+      && bits got_hull.hi = bits hull.hi
+      && bits (Dme.Subtree.max_group_width t)
+         = bits (IntMap.fold (fun _ iv acc -> Float.max acc (Interval.width iv)) a 0.)
+      && bits (Dme.Subtree.min_slack ~bound t)
+         = bits
+             (IntMap.fold
+                (fun _ iv acc -> Float.min acc (bound -. Interval.width iv))
+                a bound)
+      && bits (Dme.Subtree.min_slack_by ~bound_of t)
+         = bits
+             (IntMap.fold
+                (fun g iv acc -> Float.min acc (bound_of g -. Interval.width iv))
+                a Float.infinity)
+      && Dme.Subtree.groups t = List.map fst (IntMap.bindings a)
+      && Dme.Subtree.shared_groups t (with_windows b)
+         = List.filter (fun g -> IntMap.mem g b) (List.map fst (IntMap.bindings a))
+      && List.for_all
+           (fun g -> Dme.Subtree.window t g = IntMap.find_opt g a)
+           (List.init 10 Fun.id))
+
 (* --- Merge cases --------------------------------------------------------- *)
 
 let test_merge_same_group_zero_skew () =
@@ -60,7 +161,7 @@ let test_merge_same_group_zero_skew () =
     (Octagon.contains r.subtree.region (pt 50. 0.));
   Alcotest.(check bool) "region excludes endpoints" false
     (Octagon.contains r.subtree.region (pt 0. 0.));
-  let iv = Dme.Subtree.IntMap.find 0 r.subtree.delay in
+  let iv = Option.get (Dme.Subtree.window r.subtree 0) in
   check_float "zero width delay" 0. (Interval.width iv);
   (* cap: 2 sinks + wire *)
   check_float "cap" (40. +. (0.02 *. 100.)) r.subtree.cap
@@ -129,7 +230,7 @@ let test_merge_cross_group_interval_soundness () =
     (* Nominal bookkeeping: the recorded delay is that of the balanced
        split, which lies inside the admissible split range; widths stay
        exact (0 for a single sink). *)
-    let iv0 = Dme.Subtree.IntMap.find 0 r.subtree.delay in
+    let iv0 = Option.get (Dme.Subtree.window r.subtree 0) in
     check_float "single sink keeps zero width" 0. (Interval.width iv0);
     let w len = Rc.Elmore.wire_delay inst.params ~len ~load:20. in
     Alcotest.(check bool) "nominal delay within split range" true
@@ -148,7 +249,7 @@ let test_merge_shared_one () =
   let r = merge inst ~id:12 a b in
   Alcotest.(check bool) "kind" true (r.kind = Dme.Merge.Shared_one);
   Alcotest.(check bool) "feasible" true r.feasible;
-  let iv1 = Dme.Subtree.IntMap.find 1 r.subtree.delay in
+  let iv1 = Option.get (Dme.Subtree.window r.subtree 1) in
   Alcotest.(check bool) "shared group within bound" true
     (Interval.width iv1 <= 10. +. 1e-6)
 
@@ -170,7 +271,7 @@ let test_merge_shared_multi () =
   Alcotest.(check bool) "kind" true (r.kind = Dme.Merge.Shared_multi);
   List.iter
     (fun g ->
-      let iv = Dme.Subtree.IntMap.find g r.subtree.delay in
+      let iv = Option.get (Dme.Subtree.window r.subtree g) in
       Alcotest.(check bool)
         (Printf.sprintf "group %d within bound" g)
         true
@@ -482,9 +583,12 @@ let test_incremental_bit_identical () =
 (* Golden pin: bit-exact AST-DME wirelengths on r1-r5, intermingled, 8
    groups, serial ranking.  Any change to the merge order — a reordered
    grid tie, a different cache decision — moves at least one of these. *)
+(* The ranking counters ride along with the wirelengths: a changed
+   cacheability decision that still ends in the same tree shows up in
+   [nn_reprobes]/[nn_probes_saved] even when every wirelength holds. *)
 let test_golden_wirelengths () =
   List.iter
-    (fun (name, expect) ->
+    (fun (name, expect, reprobes, saved, rounds) ->
       let spec = Option.get (Workload.Circuits.find name) in
       let inst =
         Workload.Circuits.instance spec ~n_groups:8
@@ -492,13 +596,16 @@ let test_golden_wirelengths () =
       in
       let r = Astskew.Router.ast_dme ~jobs:1 inst in
       Alcotest.(check string) (name ^ " wirelength") expect
-        (Printf.sprintf "%h" r.evaluation.wirelength))
+        (Printf.sprintf "%h" r.evaluation.wirelength);
+      Alcotest.(check int) (name ^ " nn_reprobes") reprobes r.engine.nn_reprobes;
+      Alcotest.(check int) (name ^ " nn_probes_saved") saved r.engine.nn_probes_saved;
+      Alcotest.(check int) (name ^ " rounds") rounds r.engine.rounds)
     [
-      ("r1", "0x1.cd929d3d14732p+19");
-      ("r2", "0x1.ea747375c23e7p+20");
-      ("r3", "0x1.3180cdaf06bf4p+21");
-      ("r4", "0x1.2fd864ed8f4dep+22");
-      ("r5", "0x1.c8a977fe4209ap+22");
+      ("r1", "0x1.cd929d3d14732p+19", 809, 274, 19);
+      ("r2", "0x1.ea747375c23e7p+20", 1862, 551, 22);
+      ("r3", "0x1.3180cdaf06bf4p+21", 2646, 827, 23);
+      ("r4", "0x1.2fd864ed8f4dep+22", 5838, 1798, 26);
+      ("r5", "0x1.c8a977fe4209ap+22", 9595, 2841, 28);
     ]
 
 let test_dedupe_pairs () =
@@ -562,6 +669,72 @@ let prop_engine_respects_bound =
       let report = Evaluate.run inst routed in
       rstats.unresolved_groups = 0 && Evaluate.within_bound inst report)
 
+(* [Merge.committed_feasible] is [(Merge.run ...).feasible] without
+   building the merge.  Pairs come from Check.Gen cases of every regime:
+   each case's sinks are shuffled into four chunks, each chunk is merged
+   left to right into one subtree, and every pair of chunk roots and
+   leaves is compared under three slack usages. *)
+let prop_committed_feasible_matches_run =
+  let regimes = Check.Gen.all_regimes in
+  let gen =
+    QCheck.Gen.(
+      let* seed = 1 -- 10_000 in
+      let* index = 0 -- (Array.length regimes - 1) in
+      return (seed, index))
+  in
+  QCheck.Test.make ~name:"committed_feasible = Merge.run feasibility" ~count:60
+    (QCheck.make
+       ~print:(fun (seed, index) ->
+         Printf.sprintf "seed=%d regime=%s" seed
+           (Check.Gen.regime_to_string regimes.(index)))
+       gen)
+    (fun (seed, index) ->
+      let inst =
+        (Check.Gen.case ~regime:regimes.(index) ~seed:(Int64.of_int seed) ~index ())
+          .Check.Gen.instance
+      in
+      let rng = Workload.Rng.create (Int64.of_int seed) in
+      let n = Instance.n_sinks inst in
+      let order = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Workload.Rng.int rng (i + 1) in
+        let t = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- t
+      done;
+      let leaf i = Dme.Subtree.leaf inst.sinks.(order.(i)) in
+      let next_id = ref n in
+      let run ~slack_usage a b =
+        Dme.Merge.run inst ~slack_usage ~split_slack:0.25 ~width_cap:0.7
+          ~sdr_samples:9 ~id:!next_id a b
+      in
+      let chunks = Int.min 4 n in
+      let roots =
+        List.init chunks (fun c ->
+            let lo = c * n / chunks and hi = ((c + 1) * n / chunks) - 1 in
+            let acc = ref (leaf lo) in
+            for i = lo + 1 to hi do
+              incr next_id;
+              acc := (run ~slack_usage:0.3 !acc (leaf i)).subtree
+            done;
+            !acc)
+      in
+      let subtrees = roots @ List.init (Int.min n 6) leaf in
+      List.for_all
+        (fun slack_usage ->
+          List.for_all
+            (fun (a : Dme.Subtree.t) ->
+              List.for_all
+                (fun (b : Dme.Subtree.t) ->
+                  a == b
+                  ||
+                  let dist = Octagon.dist a.region b.region in
+                  Dme.Merge.committed_feasible inst ~slack_usage ~dist a b
+                  = (run ~slack_usage a b).feasible)
+                subtrees)
+            subtrees)
+        [ 0.; 0.3; 1. ])
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -571,7 +744,8 @@ let () =
         [
           Alcotest.test_case "leaf" `Quick test_subtree_leaf;
           Alcotest.test_case "shared groups" `Quick test_subtree_shared_groups;
-        ] );
+        ]
+        @ qsuite [ prop_windows_match_map ] );
       ( "merge",
         [
           Alcotest.test_case "same group zero skew" `Quick
@@ -583,7 +757,8 @@ let () =
             test_merge_cross_group_interval_soundness;
           Alcotest.test_case "shared one" `Quick test_merge_shared_one;
           Alcotest.test_case "shared multi" `Quick test_merge_shared_multi;
-        ] );
+        ]
+        @ qsuite [ prop_committed_feasible_matches_run ] );
       ( "order",
         [
           Alcotest.test_case "reduces to one" `Quick test_order_reduces_to_one;

@@ -566,13 +566,30 @@ let test_grid_preconditions () =
   Alcotest.(check (list int)) "still answers" [ 0 ]
     (List.map (fun (id, _, _) -> id) (Grid_index.k_nearest g (pt 500. (-500.)) 3))
 
+(* Where the ring scan visits an entry at [p] for a query at [q]: its
+   ring, then the edge (top/bottom rows before left/right columns), the
+   position along it and the side, then its insertion [stamp] within
+   the cell (stamps grow with every add, and buckets keep insertion
+   order).  Larger keys are visited later. *)
+let scan_key g q p stamp =
+  let cx, cy = Grid_index.cell_of g q and gx, gy = Grid_index.cell_of g p in
+  let dx = gx - cx and dy = gy - cy in
+  let r = Int.max (Int.abs dx) (Int.abs dy) in
+  if r = 0 then (0, 0, 0, 0, stamp)
+  else if Int.abs dy = r then (r, 0, dx, (if dy < 0 then 0 else 1), stamp)
+  else (r, 1, dy, (if dx < 0 then 0 else 1), stamp)
+
 (* Churn property: a random interleaving of adds, removes and queries
    must agree with a brute-force mirror at every step — the index may
    never decay under mutation (bucket resize, cell emptying, re-adds).
    Also checks the k_nearest_probe exclusion-bound contract that the DME
    incremental ranking depends on: [Some d] means every eligible entry
    not returned lies at distance >= d; [None] means nothing was left
-   out. *)
+   out.  The k-NN kernel, through one buffer reused across queries,
+   must return exactly the brute-force k best by (distance, later scan
+   visit first) — ids and order, so distance ties resolve as the
+   incremental ranking assumes — with the same bound contract; and the
+   id-only [iter_within] must visit exactly the ids in the ball. *)
 let prop_grid_churn =
   let gen =
     QCheck.Gen.(
@@ -581,6 +598,13 @@ let prop_grid_churn =
         list_repeat n_ops
           (let* tag = int_range 0 9 in
            let* p = gen_pt in
+           (* Half the points snap to a 10-unit lattice, so exact
+              distance ties — same cell and across cells — are common. *)
+           let* snap = bool in
+           let p =
+             if snap then pt (Float.round (p.x /. 10.) *. 10.) (Float.round (p.y /. 10.) *. 10.)
+             else p
+           in
            let* x = int_range 0 30 in
            return (tag, p, x))
       in
@@ -597,6 +621,7 @@ let prop_grid_churn =
     (fun (ops, cell) ->
       let g = Grid_index.create ~cell in
       let mirror : (int, Pt.t) Hashtbl.t = Hashtbl.create 64 in
+      let buf = Grid_index.knn_buffer () in
       let next = ref 0 in
       let ok = ref true in
       let check b = if not b then ok := false in
@@ -658,14 +683,44 @@ let prop_grid_churn =
                  b
              | None ->
                (* exhaustive: nothing was left out *)
-               check (List.length got = List.length b))
+               check (List.length got = List.length b));
+            (* The array kernel against the exact brute-force order; ids
+               are allocated in add order, so an id is its stamp. *)
+            let skip id = x mod 2 = 1 && id mod 3 = 0 in
+            Grid_index.knn_into g buf ~skip p k;
+            let ranked =
+              Hashtbl.fold
+                (fun id q acc ->
+                  if skip id then acc else (Pt.dist p q, scan_key g p q id, id, q) :: acc)
+                mirror []
+              |> List.sort (fun (d1, k1, _, _) (d2, k2, _, _) ->
+                     match Float.compare d1 d2 with 0 -> compare k2 k1 | c -> c)
+            in
+            let expect = List.filteri (fun i _ -> i < k) ranked in
+            check (buf.klen = List.length expect);
+            List.iteri
+              (fun i (d, _, id, (q : Pt.t)) ->
+                check (buf.kids.(i) = id);
+                check (Float.Array.get buf.kdist i = d);
+                check (Float.Array.get buf.kx i = q.x && Float.Array.get buf.ky i = q.y))
+              expect;
+            if buf.exhaustive then check (List.length ranked = buf.klen)
+            else begin
+              check (buf.klen = k);
+              check (buf.kth = Float.Array.get buf.kdist (k - 1));
+              List.iteri (fun i (d, _, _, _) -> if i >= k then check (d >= buf.kth)) ranked
+            end
           | _ ->
             let r = Float.abs p.Pt.x in
-            let got = Grid_index.within g p r in
             let expect =
-              List.filter (fun (_, d) -> d <= r) (brute p) |> List.length
+              List.filter (fun (_, d) -> d <= r) (brute p)
+              |> List.map fst |> List.sort Int.compare
             in
-            check (List.length got = expect))
+            let got = Grid_index.within g p r in
+            check (List.sort Int.compare (List.map (fun (id, _, _) -> id) got) = expect);
+            let ids = ref [] in
+            Grid_index.iter_within g p r (fun id -> ids := id :: !ids);
+            check (List.sort Int.compare !ids = expect))
         ops;
       !ok)
 
