@@ -164,19 +164,22 @@ let total_edge_length a =
    Tree.to_rctree lumps it. *)
 let half (p : Rc.Wire.params) len = p.c *. len /. 2.
 
-let downstream_rc_range ~into ~lo ~hi a =
+let[@inline] downstream_rc_node ~into a v =
   let p = a.params in
+  let l = a.left.(v) in
+  if l < 0 then into.(v) <- a.scap.(v) +. half p a.len.(v)
+  else begin
+    let r = a.right.(v) in
+    (* Rctree.downstream_cap's reverse scan folds the right child in
+       before the left (higher indexes first); keep that order. *)
+    into.(v) <-
+      half p a.len.(v) +. half p a.len.(l) +. half p a.len.(r)
+      +. into.(r) +. into.(l)
+  end
+
+let downstream_rc_range ~into ~lo ~hi a =
   for v = lo to hi do
-    let l = a.left.(v) in
-    if l < 0 then into.(v) <- a.scap.(v) +. half p a.len.(v)
-    else begin
-      let r = a.right.(v) in
-      (* Rctree.downstream_cap's reverse scan folds the right child in
-         before the left (higher indexes first); keep that order. *)
-      into.(v) <-
-        half p a.len.(v) +. half p a.len.(l) +. half p a.len.(r)
-        +. into.(r) +. into.(l)
-    end
+    downstream_rc_node ~into a v
   done
 
 let downstream_rc ~into a =
@@ -191,14 +194,21 @@ let elmore_range ~down ~root_delay ~into ~lo ~hi a =
       into.(a.parent.(v)) +. (k *. (a.params.r *. a.len.(v)) *. down.(v))
   done
 
-let elmore ~down ~down0 ~into a =
+(* The root's delay: the driver term over the whole load [down0], then
+   the root edge. *)
+let driver_root_delay ~down ~down0 a =
   let k = Rc.Wire.ps_per_ohm_ff in
   let d0 = k *. a.rd *. down0 in
   let root = a.n - 1 in
-  let root_delay =
-    d0 +. (k *. (a.params.r *. a.len.(root)) *. down.(root))
-  in
-  elmore_range ~down ~root_delay ~into ~lo:0 ~hi:root a
+  d0 +. (k *. (a.params.r *. a.len.(root)) *. down.(root))
+
+let root_delay ~down a =
+  let down0 = half a.params a.source_len +. down.(a.n - 1) in
+  driver_root_delay ~down ~down0 a
+
+let elmore ~down ~down0 ~into a =
+  let root_delay = driver_root_delay ~down ~down0 a in
+  elmore_range ~down ~root_delay ~into ~lo:0 ~hi:(a.n - 1) a
 
 let delays_by_sink ~delay ~into a =
   for v = 0 to a.n - 1 do
@@ -263,9 +273,7 @@ let downstream_rc_gaps ~into ~windows a =
 let elmore_gaps ~down ~down0 ~into ~windows a =
   let k = Rc.Wire.ps_per_ohm_ff in
   let root = a.n - 1 in
-  let root_delay =
-    (k *. a.rd *. down0) +. (k *. (a.params.r *. a.len.(root)) *. down.(root))
-  in
+  let root_delay = driver_root_delay ~down ~down0 a in
   let fill lo hi =
     for v = hi downto lo do
       if v = root then into.(v) <- root_delay

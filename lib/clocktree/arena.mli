@@ -67,6 +67,12 @@ val total_edge_length : t -> float
     driver). *)
 val downstream_rc : into:float array -> t -> float
 
+(** The per-node step of {!downstream_rc}: recomputes [into.(v)] from
+    the lengths at and below [v] and the children's current [into]
+    values.  Recomputing exactly the nodes whose inputs changed, children
+    before parents, keeps [into] equal to a full {!downstream_rc}. *)
+val downstream_rc_node : into:float array -> t -> int -> unit
+
 (** {!downstream_rc} restricted to the contiguous subtree range
     [lo, hi] (a node and its descendants).  Fills only that window of
     [into]; no source term. *)
@@ -76,6 +82,10 @@ val downstream_rc_range : into:float array -> lo:int -> hi:int -> t -> unit
     at node [v] given the downstream caps of {!downstream_rc} —
     bit-identical to {!Rc.Rctree.elmore}. *)
 val elmore : down:float array -> down0:float -> into:float array -> t -> unit
+
+(** The root's Elmore delay given the downstream caps of
+    {!downstream_rc}: the value {!elmore} writes at [n - 1]. *)
+val root_delay : down:float array -> t -> float
 
 (** {!elmore} restricted to the subtree range [lo, hi]:
     [into.(hi) <- root_delay] and descendants accumulate from it.

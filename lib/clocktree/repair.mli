@@ -24,6 +24,23 @@
     repair returns the same tree and stats bitwise as the from-scratch
     walk (guarded by [Oracle.repair_identity]).
 
+    Cost of one incremental cycle on a range of [n] nodes, whose balance
+    frontier holds [F] nodes and whose lift changes the caps of [L]
+    nodes (the snaked edges' parents and their ancestors):
+    - balance: O(F log n) — an ascending heap seeded with the dirty
+      nodes, pushing the parent of every balanced node;
+    - evaluate: O(F) downstream caps (the balanced nodes and their
+      children), then one dense O(n) Elmore sweep and one scan of the
+      sinks for the per-group delay range and lift target;
+    - lift: one sweep over the group-pure subtrees (fixed by the
+      topology and found once per fixpoint; in an intermingled tree
+      nearly all of them are single sinks), then O(L log n) edge
+      adjustments.
+    The sweeps read flat arrays only.  The hot loops allocate nothing
+    but the boxed result of each [Rc.Elmore.wire_for_delay] call and of
+    each added-wire update.  With [incremental = false] every pass walks
+    the whole range instead: the from-scratch reference.
+
     On large instances the cycle is also {e regional}: maximal subtrees
     of at most [ceil (nodes / k)] nodes (k the shared density target
     {!Instance.auto_regions}, as for [Dme.Cluster.auto_clusters], so

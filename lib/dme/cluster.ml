@@ -103,12 +103,15 @@ let partition inst ~clusters =
          ~fanout:clusters)
   end
 
-(* A region's routing instance: its sinks re-indexed densely (sorted by
-   global id, so ids within a region rank the same way globally — for
-   [clusters = 1] the sub-instance is structurally identical to the
-   original) with every other instance parameter carried over.  Group
-   ids are global: a region's delay windows need no translation when its
-   root joins the top-level merge. *)
+(* A region's routing instance: its sinks re-indexed densely in the
+   order [ids] lists them — as [split_ids] hands a region over, that is
+   the (coordinate, id) order of the last median split above it, not
+   global id order; sorting them would change the trees.  With
+   [clusters = 1] nothing is split, [ids] is the identity and the
+   sub-instance is structurally identical to the original.  Every other
+   instance parameter is carried over.  Group ids are global: a region's
+   delay windows need no translation when its root joins the top-level
+   merge. *)
 let sub_instance (inst : Instance.t) ids =
   let sinks = Array.mapi (fun i gid -> { inst.sinks.(gid) with Sink.id = i }) ids in
   Instance.make ~params:inst.params ~rd:inst.rd ~bound:inst.bound

@@ -22,8 +22,11 @@ val extent : (int -> Pt.t) -> int array -> Pt.t * Pt.t
     median along [axis]: the lower half gets [ceil (n / 2)] ids, so both
     halves are non-empty whenever [n >= 2] (raises [Invalid_argument]
     for [n < 2]).  The split is a pure function of the id {e set}:
-    entries sort by [(coordinate, id)], so duplicate coordinates break
-    ties by id and the input array's order never matters. *)
+    entries sort by [(coordinate, id)] ([Float.compare], then
+    [Int.compare]), so duplicate coordinates break ties by id and the
+    input array's order never matters.  Each coordinate is read once
+    into a float key array; the sort compares keys inline, with no
+    [point_of] or C call per comparison. *)
 val median : axis:axis -> (int -> Pt.t) -> int array -> int array * int array
 
 (** [bipartition point_of ids] is {!median} along the {!longer_axis} of

@@ -561,6 +561,76 @@ let test_repair_idempotent_r1_r3 () =
       check_second_repair_is_noop name inst r.routed)
     [ "r1"; "r2"; "r3" ]
 
+(* --- sparse repair cycle at 10^4 sinks ------------------------------------ *)
+
+(* The flat 10^4-sink bench instance (8 intermingled groups, 10 ps bound,
+   2000·sqrt n die, default seed) drives the global repair cycle through
+   a few dozen lift sweeps.  The frontier-sparse cycle must reproduce the
+   dense from-scratch walk bit for bit at jobs 1 and 2: tree, per-sink
+   delays, stats, and every cycle's journal record (processed counts
+   aside — they are what differs). *)
+let test_sparse_repair_10k () =
+  let spec =
+    Workload.Circuits.
+      { name = "s10k"; n_sinks = 10_000; die = 2000. *. sqrt 10_000. }
+  in
+  let inst =
+    Workload.Circuits.instance spec ~n_groups:8
+      ~scheme:Workload.Partition.Intermingled ~bound:10. ()
+  in
+  let routed, _ =
+    Dme.Engine.run
+      ~config:{ Astskew.Router.ast_default_config with jobs = 1 }
+      inst
+  in
+  let repair incremental jobs =
+    let trace = Obs.Trace.create () in
+    let config = { Repair.default_config with incremental; jobs } in
+    let t, s = Repair.run ~config ~trace inst routed in
+    let cycles =
+      List.filter_map
+        (function
+          | Obs.Json.Obj fields
+            when List.assoc_opt "type" fields
+                 = Some (Obs.Json.String "repair_cycle") ->
+            let field k = List.assoc k fields in
+            Some
+              ( field "adjusted",
+                (match field "added_wire" with
+                 | Obs.Json.Float f -> Int64.bits_of_float f
+                 | _ -> Alcotest.fail "added_wire is not a float"),
+                field "within" )
+          | _ -> None)
+        (Obs.Trace.journal_records trace)
+    in
+    (t, Evaluate.delays inst t, s, cycles)
+  in
+  let dense_t, dense_d, dense_s, dense_c = repair false 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 20 global cycles (%d)" (List.length dense_c))
+    true
+    (List.length dense_c >= 20);
+  List.iter
+    (fun jobs ->
+      let t, d, s, c = repair true jobs in
+      let what = Printf.sprintf "sparse jobs=%d" jobs in
+      Alcotest.(check bool)
+        (what ^ ": tree") true
+        (Check.Audit.tree_equal dense_t t);
+      Alcotest.(check bool)
+        (what ^ ": per-sink delays")
+        true
+        (Array.for_all2
+           (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+           dense_d d);
+      Alcotest.(check bool) (what ^ ": stats") true (dense_s = s);
+      Alcotest.(check bool)
+        (what ^ ": added_wire bits") true
+        (Int64.bits_of_float dense_s.added_wire
+        = Int64.bits_of_float s.added_wire);
+      Alcotest.(check bool) (what ^ ": cycle records") true (dense_c = c))
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "check"
     [
@@ -606,5 +676,10 @@ let () =
         [
           Alcotest.test_case "fuzzed trees" `Slow test_repair_idempotent_fuzzed;
           Alcotest.test_case "r1-r3" `Slow test_repair_idempotent_r1_r3;
+        ] );
+      ( "repair-sparse",
+        [
+          Alcotest.test_case "10^4 sinks: sparse = dense" `Slow
+            test_sparse_repair_10k;
         ] );
     ]

@@ -58,6 +58,45 @@ let test_split_ties () =
   Alcotest.(check (list int)) "lower ids" [ 0; 1; 2 ] (Array.to_list lo);
   Alcotest.(check (list int)) "upper ids" [ 3; 4; 5 ] (Array.to_list hi)
 
+(* The median against a reference that sorts by the (coordinate, id)
+   comparator itself — Float.compare, then Int.compare — on point sets
+   whose coordinates are stacked on a coarse lattice (many exact
+   duplicates, both signed zeros, NaN) mixed with arbitrary floats, and whose
+   ids arrive as a shuffled sparse set. *)
+let median_prop =
+  let open QCheck.Gen in
+  let coord =
+    frequency
+      [
+        (6, map (fun i -> float_of_int i *. 10.) (-3 -- 3));
+        (1, oneofl [ 0.; -0.; Float.nan ]);
+        (2, float_range (-1e6) 1e6);
+      ]
+  in
+  let gen =
+    let* n = 2 -- 300 in
+    let* pts = array_repeat n (pair coord coord) in
+    let* ids = map Array.of_list (shuffle_l (List.init n (fun i -> 3 * i))) in
+    let* axis = oneofl Geometry.Split.[ X; Y ] in
+    return (pts, ids, axis)
+  in
+  QCheck.Test.make ~name:"median = (coordinate, id) reference sort" ~count:300
+    (QCheck.make
+       ~print:(fun (pts, _, _) -> Printf.sprintf "n=%d" (Array.length pts))
+       gen)
+    (fun (pts, ids, axis) ->
+      let point_of id = pt (fst pts.(id / 3)) (snd pts.(id / 3)) in
+      let key id = Geometry.Split.coord axis (point_of id) in
+      let sorted = Array.copy ids in
+      Array.sort
+        (fun a b ->
+          match Float.compare (key a) (key b) with 0 -> Int.compare a b | c -> c)
+        sorted;
+      let n = Array.length ids in
+      let half = (n + 1) / 2 in
+      Geometry.Split.median ~axis point_of ids
+      = (Array.sub sorted 0 half, Array.sub sorted half (n - half)))
+
 (* --- Partition ----------------------------------------------------------- *)
 
 let check_partition inst ~clusters =
@@ -275,7 +314,8 @@ let () =
         [
           Alcotest.test_case "bipartition" `Quick test_split_bipartition;
           Alcotest.test_case "coincident ties" `Quick test_split_ties;
-        ] );
+        ]
+        @ qsuite [ median_prop ] );
       ( "partition",
         [
           Alcotest.test_case "cover + clamp" `Quick test_partition_cover;
