@@ -103,10 +103,22 @@ let bench_instance (spec : Workload.Circuits.spec) =
   Workload.Circuits.instance spec ~n_groups:8
     ~scheme:Workload.Partition.Intermingled ~bound ()
 
+(* Every field in which two routes of [inst] differ (Check.Oracle.diffs:
+   arena, evaluation report, repair stats and, unless [engine] is false
+   for ablations whose counters legitimately differ, engine stats). *)
+let result_diffs ?(engine = true) inst a b =
+  let obs r =
+    let o = Check.Oracle.of_result inst r in
+    if engine then o else { o with engine = None }
+  in
+  Check.Oracle.diffs (obs a) (obs b)
+
+let same_result ?engine inst a b = result_diffs ?engine inst a b = []
+
 (* Routes the instance once per jobs value (AST-DME) and reports wall and
    engine time plus the speedup relative to jobs=1.  The engine freezes
    each round's state before probing, so every run must produce the same
-   tree; the sweep cross-checks evaluation metrics and trial stats. *)
+   tree and engine stats. *)
 let par_sweep inst =
   let cores = Domain.recommended_domain_count () in
   let sweep = List.sort_uniq Int.compare [ 1; 2; 4; cores ] in
@@ -120,18 +132,12 @@ let par_sweep inst =
         (jobs, wall, r))
       sweep
   in
-  let _, base_wall, (base : Astskew.Router.result) = List.hd runs in
-  let same (a : Astskew.Router.result) (b : Astskew.Router.result) =
-    a.evaluation.wirelength = b.evaluation.wirelength
-    && a.evaluation.global_skew = b.evaluation.global_skew
-    && a.evaluation.max_group_skew = b.evaluation.max_group_skew
-    && a.engine.trial = b.engine.trial
-  in
+  let _, base_wall, base = List.hd runs in
   let rows =
     List.map
       (fun (jobs, wall, (r : Astskew.Router.result)) ->
         (jobs, wall, r.timings.engine_s, base_wall /. Float.max 1e-9 wall,
-         same base r))
+         same_result inst r base))
       runs
   in
   (cores, rows)
@@ -186,15 +192,6 @@ let par_bench ?(circuits = default_circuits) () =
 
 (* --- Merge-trial cache comparison + BENCH_*.json ------------------------- *)
 
-(* Identical-tree check used by the cache/incremental benches and the
-   smoke gate: evaluation metrics are a complete fingerprint for this
-   purpose (the embedding is deterministic in the planned tree, and the
-   check oracles additionally compare trees node-for-node). *)
-let same_result (a : Astskew.Router.result) (b : Astskew.Router.result) =
-  a.evaluation.wirelength = b.evaluation.wirelength
-  && a.evaluation.global_skew = b.evaluation.global_skew
-  && a.evaluation.max_group_skew = b.evaluation.max_group_skew
-
 (* Routes each circuit with the trial cache off then on, then with
    incremental ranking ablated (cache on), checks the trees agree, prints
    the speedups, sweeps the engine jobs knob, and writes one
@@ -224,7 +221,7 @@ let cache_bench ?(circuits = default_circuits) () =
         in
         let r_off, t_off, snap_off = timed off_config in
         let r_on, t_on, snap_on = timed Astskew.Router.ast_default_config in
-        let identical = same_result r_off r_on in
+        let identical = same_result ~engine:false inst r_on r_off in
         let trials_off = r_off.engine.trial.trial_merges in
         let trials_on = r_on.engine.trial.trial_merges in
         let drop =
@@ -248,7 +245,7 @@ let cache_bench ?(circuits = default_circuits) () =
           100.
           *. (1. -. (float_of_int probes_inc /. float_of_int (Int.max 1 probes_full)))
         in
-        let inc_identical = same_result r_noinc r_on in
+        let inc_identical = same_result ~engine:false inst r_on r_noinc in
         let inc_speedup = t_noinc /. Float.max 1e-9 t_on in
         Format.printf
           "  incremental: probes %d -> %d (%.1f%% drop), %.2fx engine wall, trees %s@."
@@ -269,7 +266,7 @@ let cache_bench ?(circuits = default_circuits) () =
         in
         let r_clu, t_clu, snap_clu = timed_clustered None in
         let r_k1, _, _ = timed_clustered (Some 1) in
-        let clu_identical = same_result r_on r_k1 in
+        let clu_identical = same_result inst r_k1 r_on in
         let regions =
           match r_clu.clustering with
           | Some d -> d.Dme.Cluster.n_clusters
@@ -377,31 +374,26 @@ let smoke_clustered name =
       Format.printf "FAIL: %s@." msg;
       exit 1
     in
-    (match clu.clustering with
-     | None -> fail "clustered run reports no clustering detail"
-     | Some d ->
-       Format.printf "clustered regions: %d, top-level rounds: %d@."
-         d.Dme.Cluster.n_clusters d.top.rounds;
-       Array.iter
-         (fun (c : Dme.Cluster.cluster_stats) ->
-           if c.n_sinks = 0 then
-             fail (Printf.sprintf "region %d is empty" c.cluster))
-         d.per_cluster);
-    if not (same_result flat k1) then
-      fail "clusters=1 tree differs from the flat router's";
-    if flat.engine.nn_reprobes <> k1.engine.nn_reprobes then
-      fail "clusters=1 probe count differs from flat";
-    if flat.engine.trial <> k1.engine.trial then
-      fail "clusters=1 trial-merge stats differ from flat";
+    Option.iter
+      (fun (d : Dme.Cluster.stats) ->
+        Format.printf "clustered regions: %d, top-level rounds: %d@."
+          d.n_clusters d.top.rounds)
+      clu.clustering;
+    let differs = result_diffs inst k1 flat in
+    List.iter (Format.printf "  DIFF %s@.") differs;
+    if differs <> [] then fail "clusters=1 run differs from the flat router's";
     let audit =
-      Check.Audit.run Check.Audit.Grouped inst clu.routed clu.evaluation
+      Check.Audit.clustering inst
+        ~clusters:(Dme.Cluster.auto_clusters inst)
+        clu.clustering
+      @ Check.Audit.run Check.Audit.Grouped inst clu.routed clu.evaluation
     in
     if audit <> [] then begin
       List.iter
         (fun (v : Check.Audit.violation) ->
           Format.printf "  AUDIT %s: %s@." v.invariant v.detail)
         audit;
-      fail "clustered route failed the global grouped audit"
+      fail "clustered route failed its clustering or global grouped audit"
     end;
     Format.printf "OK@."
 
@@ -454,7 +446,7 @@ let smoke args =
       Format.printf "FAIL: %s@." msg;
       exit 1
     in
-    if not (same_result off on) then
+    if not (same_result ~engine:false inst on off) then
       fail "incremental tree differs from from-scratch tree";
     if on.engine.trial.trial_merges > off.engine.trial.trial_merges then
       fail "incremental run executed more trial merges than from-scratch";
@@ -506,56 +498,31 @@ let trace_bench ?(circuits = default_circuits) () =
         let journal_file = Printf.sprintf "TRACE_%s.jsonl" spec.name in
         Obs.Trace.write_chrome chrome_file trace;
         Obs.Trace.write_journal journal_file trace;
-        let round_records =
-          List.filter_map
-            (function
-              | Obs.Json.Obj fields
-                when List.assoc_opt "type" fields
-                     = Some (Obs.Json.String "round") ->
-                Some fields
-              | _ -> None)
-            (Obs.Trace.journal_records trace)
+        let count kind =
+          List.length
+            (List.filter
+               (function
+                 | Obs.Json.Obj fields ->
+                   List.assoc_opt "type" fields = Some (Obs.Json.String kind)
+                 | _ -> false)
+               (Obs.Trace.journal_records trace))
         in
-        let sum key =
-          List.fold_left
-            (fun acc fields ->
-              match List.assoc_opt key fields with
-              | Some (Obs.Json.Int i) -> acc + i
-              | _ -> acc)
-            0 round_records
+        let bad =
+          List.map
+            (fun (v : Check.Audit.violation) -> v.detail)
+            (Check.Audit.journal trace r.engine)
+          @
+          if count "efficiency" = 1 then []
+          else
+            [ Printf.sprintf "%d efficiency records, expected 1"
+                (count "efficiency") ]
         in
-        let bad = ref [] in
-        let check what got want =
-          if got <> want then
-            bad := Printf.sprintf "%s: journal %d <> engine %d" what got want
-                   :: !bad
-        in
-        check "rounds" (List.length round_records) r.engine.rounds;
-        check "probes" (sum "probes") r.engine.nn_reprobes;
-        check "nn_probes_saved" (sum "nn_probes_saved")
-          r.engine.nn_probes_saved;
-        check "trial_merges" (sum "trial_merges") r.engine.trial.trial_merges;
-        check "trial_cache_hits" (sum "trial_cache_hits")
-          r.engine.trial.cache_hits;
-        let efficiency_records =
-          List.filter
-            (function
-              | Obs.Json.Obj fields ->
-                List.assoc_opt "type" fields
-                = Some (Obs.Json.String "efficiency")
-              | _ -> false)
-            (Obs.Trace.journal_records trace)
-        in
-        check "efficiency records" (List.length efficiency_records) 1;
         let n_events = List.length (Obs.Trace.events trace) in
         Format.printf "%-8s %7d %8d %8d %9s@." spec.name r.engine.rounds
-          n_events
-          (List.length round_records)
-          (if !bad = [] then "ok" else "MISMATCH");
-        List.iter
-          (fun m -> Format.printf "  MISMATCH %s@." m)
-          (List.rev !bad);
-        if !bad <> [] then incr failures;
+          n_events (count "round")
+          (if bad = [] then "ok" else "MISMATCH");
+        List.iter (fun m -> Format.printf "  MISMATCH %s@." m) bad;
+        if bad <> [] then incr failures;
         Format.printf "  wrote %s, %s@." chrome_file journal_file)
     circuits;
   if !failures > 0 then begin
@@ -914,7 +881,8 @@ let scale args =
         (* ad-hoc specs (the smoke downsample) are not in the registry,
            so run the oracle on the instance directly *)
         let findings =
-          Check.Oracle.cluster_identity ~jobs:[ 1; 4 ] (bench_instance spec)
+          Check.Oracle.identity ~jobs:[ 1; 4 ] Check.Oracle.cluster
+            (bench_instance spec)
         in
         Format.printf "%-8s jobs 1,4: %s@." spec.name
           (if findings = [] then "identical" else "DIFFERS!");
@@ -941,33 +909,18 @@ let scale args =
         inst
     in
     let wall2 = Obs.Timer.now () -. t0 in
-    let bad = ref [] in
-    if
-      not
-        (Check.Audit.tree_equal base.routed d1.routed
-        && base.evaluation.delays = d1.evaluation.delays
-        && base.evaluation.wirelength = d1.evaluation.wirelength)
-    then bad := "depth=1 differs from default depth" :: !bad;
-    (match d2.clustering with
-     | Some d
-       when d.Dme.Cluster.depth = 2 && Array.length d.Dme.Cluster.super > 0
-       -> ()
-     | Some d ->
-       bad :=
-         Printf.sprintf "depth=2 realized depth %d with %d super stitches"
-           d.Dme.Cluster.depth
-           (Array.length d.Dme.Cluster.super)
-         :: !bad
-     | None -> bad := "depth=2 run reports no clustering detail" :: !bad);
-    List.iter
-      (fun (v : Check.Audit.violation) ->
-        bad := Printf.sprintf "audit %s: %s" v.invariant v.detail :: !bad)
-      (Check.Audit.run Check.Audit.Grouped inst d2.routed d2.evaluation);
+    let bad =
+      List.map (( ^ ) "depth=1 vs default: ") (result_diffs inst d1 base)
+      @ List.map
+          (fun (v : Check.Audit.violation) -> v.invariant ^ ": " ^ v.detail)
+          (Check.Audit.clustering inst ~clusters:16 ~depth:2 d2.clustering
+          @ Check.Audit.run Check.Audit.Grouped inst d2.routed d2.evaluation)
+    in
     Format.printf "@.forced depth-2 (%s, clusters=16): %.3fs %s@." spec.name
       wall2
-      (if !bad = [] then "clean" else "DIRTY!");
-    List.iter (Format.printf "  DEPTH2 %s@.") !bad;
-    (spec.name, List.rev !bad)
+      (if bad = [] then "clean" else "DIRTY!");
+    List.iter (Format.printf "  DEPTH2 %s@.") bad;
+    (spec.name, bad)
   in
   let json =
     let open Obs.Json in
@@ -1098,38 +1051,35 @@ let eff args =
           let rows =
             List.map
               (fun (jobs, wall, (r : Astskew.Router.result)) ->
-                let rep =
-                  match r.sched with
-                  | Some rep -> rep
-                  | None ->
-                    fail
-                      (Printf.sprintf "%s jobs=%d: no efficiency report"
-                         spec.name jobs)
-                in
+                (match Check.Audit.sched_report ~jobs r.sched with
+                 | [] -> ()
+                 | v :: _ ->
+                   fail
+                     (Printf.sprintf "%s jobs=%d: %s" spec.name jobs
+                        v.Check.Audit.detail));
+                let rep = Option.get r.sched in
                 let speedup = base_wall /. Float.max 1e-9 wall in
-                let s = rep.Obs.Sched.serial_fraction in
                 Format.printf
                   "%-8s %5d %9.3f %8.2fx %7.1f%% %7.2fx %7.2fx %7.2fx@."
-                  spec.name jobs wall speedup (100. *. s) (amdahl_at 4 rep)
-                  (amdahl_at 8 rep) (amdahl_at 16 rep);
-                if not (s >= 0. && s <= 1.) then
-                  fail
-                    (Printf.sprintf "%s jobs=%d: serial fraction %g outside [0,1]"
-                       spec.name jobs s);
+                  spec.name jobs wall speedup
+                  (100. *. rep.Obs.Sched.serial_fraction)
+                  (amdahl_at 4 rep) (amdahl_at 8 rep) (amdahl_at 16 rep);
                 if jobs = 1 && speedup <> 1.0 then
                   fail
                     (Printf.sprintf "%s: jobs=1 speedup %.17g <> 1.0" spec.name
                        speedup);
-                if not (same_result base r) then
-                  fail
-                    (Printf.sprintf "%s jobs=%d: tree differs from jobs=1"
-                       spec.name jobs);
+                (match result_diffs inst r base with
+                 | [] -> ()
+                 | d :: _ ->
+                   fail
+                     (Printf.sprintf "%s jobs=%d differs from jobs=1: %s"
+                        spec.name jobs d));
                 Obs.Json.Obj
                   [
                     ("jobs", Obs.Json.Int jobs);
                     ("wall_s", Obs.Json.Float wall);
                     ("speedup_vs_jobs1", Obs.Json.Float speedup);
-                    ("identical_to_jobs1", Obs.Json.Bool (same_result base r));
+                    ("identical_to_jobs1", Obs.Json.Bool true);
                     ("result", Astskew.Router.json_of_result r);
                   ])
               runs

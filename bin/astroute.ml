@@ -140,24 +140,27 @@ let make_trace ~trace_file ~journal_file ~circuit ~groups ~scheme ~bound ~seed
     trace
   end
 
+(* Write one output file; an unwritable path is reported, not raised.
+   Returns an exit code. *)
+let write what path writer =
+  match writer path with
+  | () ->
+    Format.printf "wrote %s@." path;
+    0
+  | exception Sys_error e ->
+    Format.eprintf "astroute: cannot write %s: %s@." what e;
+    1
+
 let write_trace_files ~trace_file ~journal_file trace =
-  let write what path writer =
-    match writer path trace with
-    | () ->
-      Format.printf "wrote %s@." path;
-      0
-    | exception Sys_error e ->
-      Format.eprintf "astroute: cannot write %s: %s@." what e;
-      1
-  in
   let c1 =
     match trace_file with
-    | Some path -> write "trace" path Obs.Trace.write_chrome
+    | Some path -> write "trace" path (fun p -> Obs.Trace.write_chrome p trace)
     | None -> 0
   in
   let c2 =
     match journal_file with
-    | Some path -> write "trace journal" path Obs.Trace.write_journal
+    | Some path ->
+      write "trace journal" path (fun p -> Obs.Trace.write_journal p trace)
     | None -> 0
   in
   Int.max c1 c2
@@ -177,13 +180,7 @@ let write_stats_json path results =
         ("obs", Obs.Report.snapshot ());
       ]
   in
-  try
-    Obs.Json.write_file path json;
-    Format.printf "wrote %s@." path;
-    0
-  with Sys_error e ->
-    Format.eprintf "astroute: cannot write stats: %s@." e;
-    1
+  write "stats" path (fun p -> Obs.Json.write_file p json)
 
 let load_instance ?file circuit groups scheme bound seed =
   match file with
@@ -265,18 +262,19 @@ let route_cmd =
                  (fun m (c : Dme.Cluster.cluster_stats) -> Int.max m c.n_sinks)
                  0 d.Dme.Cluster.per_cluster)
           | None -> ());
-         (match svg with
-          | Some path ->
-            Clocktree.Svg.write_file path inst r.routed;
-            Format.printf "wrote %s@." path
-          | None -> ());
+         let svg_code =
+           match svg with
+           | Some path ->
+             write "svg" path (fun p -> Clocktree.Svg.write_file p inst r.routed)
+           | None -> 0
+         in
          let trace_code = write_trace_files ~trace_file ~journal_file trace in
          let stats_code =
            match stats_json with
            | Some path -> write_stats_json path [ (name, r) ]
            | None -> 0
          in
-         Int.max trace_code stats_code
+         Int.max svg_code (Int.max trace_code stats_code)
       end
   in
   let term =
@@ -300,9 +298,9 @@ let gen_cmd =
       Format.eprintf "astroute: %s@." e;
       1
     | Ok inst ->
-      Clocktree.Io.write_file out inst;
-      Format.printf "wrote %s (%a)@." out Clocktree.Instance.pp inst;
-      0
+      let code = write "instance" out (fun p -> Clocktree.Io.write_file p inst) in
+      if code = 0 then Format.printf "%a@." Clocktree.Instance.pp inst;
+      code
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate a benchmark instance file.")

@@ -221,3 +221,87 @@ let tree_equal (a : Tree.routed) (b : Tree.routed) =
   Pt.equal a.source b.source
   && a.source_len = b.source_len
   && eq a.tree b.tree
+
+(* --- a run's own accounts -------------------------------------------------- *)
+
+let journal trace (s : Dme.Engine.stats) =
+  let open Obs.Json in
+  let rounds =
+    List.filter_map
+      (function
+        | Obj f when List.assoc_opt "type" f = Some (String "round") -> Some f
+        | _ -> None)
+      (Obs.Trace.journal_records trace)
+  in
+  let sum key =
+    List.fold_left
+      (fun n f -> match List.assoc_opt key f with Some (Int i) -> n + i | _ -> n)
+      0 rounds
+  in
+  let events =
+    match of_string (to_string (Obs.Trace.to_chrome trace)) with
+    | Obj f -> List.assoc_opt "traceEvents" f
+    | _ | (exception Parse_error _) -> None
+  in
+  List.filter_map
+    (fun (what, got, want) ->
+      if got = want then None
+      else Some (v "journal" "%s: journal %d <> engine %d" what got want))
+    [
+      ("rounds", List.length rounds, s.rounds);
+      ("probes", sum "probes", s.nn_reprobes);
+      ("nn_probes_saved", sum "nn_probes_saved", s.nn_probes_saved);
+      ("trial_merges", sum "trial_merges", s.trial.trial_merges);
+      ("trial_cache_hits", sum "trial_cache_hits", s.trial.cache_hits);
+    ]
+  @
+  match events with
+  | Some (List (_ :: _)) -> []
+  | _ -> [ v "journal" "chrome export does not re-parse with traceEvents" ]
+
+let sched_report ~jobs = function
+  | None -> [ v "sched-report" "recorded run yields no report" ]
+  | Some (r : Obs.Sched.report) ->
+    let s = r.serial_fraction in
+    List.concat
+      [
+        (if r.jobs < 1 || r.jobs > jobs then
+           [ v "sched-report" "report claims jobs=%d of %d" r.jobs jobs ]
+         else []);
+        (if s >= 0. && s <= 1. then []
+         else [ v "sched-report" "serial fraction %.17g outside [0,1]" s ]);
+        (if r.wall_s >= r.par_wall_s then []
+         else
+           [
+             v "sched-report" "phase walls %.17g < parallel walls %.17g"
+               r.wall_s r.par_wall_s;
+           ]);
+      ]
+
+let clustering (inst : Instance.t) ~clusters ?depth = function
+  | None -> [ v "clustering" "run reports no clustering detail" ]
+  | Some (d : Dme.Cluster.stats) ->
+    let out = ref [] in
+    let add x = out := x :: !out in
+    let n = Instance.n_sinks inst in
+    let k = Int.min clusters (Int.max 1 n) in
+    if d.n_clusters <> k then
+      add (v "clustering" "%d regions, expected %d" d.n_clusters k);
+    let covered = ref 0 in
+    Array.iter
+      (fun (c : Dme.Cluster.cluster_stats) ->
+        covered := !covered + c.n_sinks;
+        if c.n_sinks = 0 then
+          add (v "clustering" "region %d is empty" c.cluster))
+      d.per_cluster;
+    if !covered <> n then
+      add (v "clustering" "regions cover %d sinks of %d" !covered n);
+    (* A forced depth is realized only once the regions can fill it. *)
+    (match depth with
+     | Some depth when k >= 1 lsl depth ->
+       if d.depth <> depth then
+         add (v "clustering" "realized depth %d, expected %d" d.depth depth);
+       if depth >= 2 && d.super = [||] then
+         add (v "clustering" "depth %d reports no super-stitch plans" depth)
+     | _ -> ());
+    List.rev !out

@@ -13,7 +13,10 @@
       all skew aggregates match an independent recomputation.
     - {!bound}: the tree satisfies the skew contract it was routed
       under ({!Grouped} for AST-DME/MMM-DME, {!Global} for the fused
-      EXT-BST and zero-skew baselines). *)
+      EXT-BST and zero-skew baselines).
+
+    {!journal}, {!sched_report} and {!clustering} audit the accounts a
+    run keeps of itself against what the run did. *)
 
 type violation = { invariant : string; detail : string }
 
@@ -54,3 +57,26 @@ val run :
 (** Structural equality of routed trees, exact on floats — the
     "bit-identical" relation the trial-merge cache promises. *)
 val tree_equal : Clocktree.Tree.routed -> Clocktree.Tree.routed -> bool
+
+(** A trace's per-round journal records sum exactly to the engine's
+    aggregate stats (round count, probes, probes saved, trial merges,
+    trial-cache hits), and its Chrome export re-parses through
+    {!Obs.Json} with a non-empty [traceEvents] list. *)
+val journal : Obs.Trace.t -> Dme.Engine.stats -> violation list
+
+(** A recorded run at [jobs] carries an efficiency report whose pool
+    width is in [1, jobs] (one-sided: tiny instances clamp below the
+    request), whose serial fraction is in [0, 1] and whose phase walls
+    are at least its parallel walls. *)
+val sched_report : jobs:int -> Obs.Sched.report option -> violation list
+
+(** A clustered run's detail: [min clusters n_sinks] (at least 1)
+    non-empty regions whose sizes sum to the sink count, and — when
+    [depth] is forced and there are at least [2^depth] regions — that
+    realized depth, with super-stitch plans at depth 2 and above. *)
+val clustering :
+  Clocktree.Instance.t ->
+  clusters:int ->
+  ?depth:int ->
+  Dme.Cluster.stats option ->
+  violation list

@@ -2,6 +2,8 @@ module Instance = Clocktree.Instance
 module Sink = Clocktree.Sink
 module Tree = Clocktree.Tree
 module Evaluate = Clocktree.Evaluate
+module Arena = Clocktree.Arena
+module Repair = Clocktree.Repair
 module Router = Astskew.Router
 
 type finding = { oracle : string; violations : Audit.violation list }
@@ -28,62 +30,6 @@ let guard oracle f =
           ];
       };
     ]
-
-(* Engine stats with the one run-dependent field zeroed: GC counters
-   legitimately differ between equivalent runs. *)
-let degc (s : Dme.Engine.stats) = { s with gc = Obs.Gcstat.zero }
-
-(* Plan and embed AST-DME on an explicit pool of [jobs] domains (no pool
-   at [jobs = 1]).  [Engine.run_arena] plans instances of 1000 sinks or
-   fewer serially whatever its jobs, so the identity oracles bring their
-   own pool: the parallel probe, commit and embed paths then run on
-   fuzz-sized cases too. *)
-let plan_embed ?(config = Router.ast_default_config) ?trace ?sched ~jobs inst =
-  Par.Pool.with_pool ~jobs (fun pool ->
-      let root, stats = Dme.Engine.plan ~config ?trace ?sched ?pool inst in
-      (Dme.Embed.run_arena ?pool ?trace ?sched inst root, stats))
-
-(* Every column of two arenas, bit for bit: one line per difference. *)
-let arena_diffs (a : Clocktree.Arena.t) (b : Clocktree.Arena.t) =
-  let module Arena = Clocktree.Arena in
-  let out = ref [] in
-  let add fmt = Printf.ksprintf (fun d -> out := d :: !out) fmt in
-  if a.Arena.n <> b.Arena.n then
-    add "arena has %d nodes, expected %d" a.Arena.n b.Arena.n
-  else begin
-    if a.Arena.source_len <> b.Arena.source_len then
-      add "source_len: %.17g, expected %.17g" a.Arena.source_len
-        b.Arena.source_len;
-    let icol name (c : int array) (e : int array) =
-      Array.iteri
-        (fun v x ->
-          if x <> e.(v) then add "node %d %s: %d, expected %d" v name x e.(v))
-        c
-    in
-    icol "left" a.Arena.left b.Arena.left;
-    icol "right" a.Arena.right b.Arena.right;
-    icol "parent" a.Arena.parent b.Arena.parent;
-    icol "size" a.Arena.size b.Arena.size;
-    icol "sink" a.Arena.sink b.Arena.sink;
-    icol "group" a.Arena.group b.Arena.group;
-    let fcol name (c : float array) (e : float array) =
-      Array.iteri
-        (fun v x ->
-          if x <> e.(v) then
-            add "node %d %s: %.17g, expected %.17g" v name x e.(v))
-        c
-    in
-    fcol "scap" a.Arena.scap b.Arena.scap;
-    fcol "len" a.Arena.len b.Arena.len;
-    Array.iteri
-      (fun v ({ x; y } : Geometry.Pt.t) ->
-        let ({ x = qx; y = qy } : Geometry.Pt.t) = b.Arena.pos.(v) in
-        if x <> qx || y <> qy then
-          add "node %d pos: (%.17g, %.17g), expected (%.17g, %.17g)" v x y qx
-            qy)
-      a.Arena.pos
-  end;
-  List.rev !out
 
 (* --- deliberate fault injection ------------------------------------------ *)
 
@@ -149,287 +95,7 @@ let routers ?(inject = false) inst =
   @ audit "greedy-dme" (Audit.Global 0.) (Router.greedy_dme ?config:None)
   @ audit "mmm-dme" Audit.Grouped (Router.mmm_dme ?config:None)
 
-(* --- trial-merge cache bit-identity -------------------------------------- *)
-
-let cache_identity inst =
-  guard "cache-identity" (fun () ->
-      let off_config =
-        { Router.ast_default_config with Dme.Engine.trial_cache = false }
-      in
-      let off = Router.ast_dme ~config:off_config inst in
-      let on = Router.ast_dme inst in
-      let diff = ref [] in
-      if not (Audit.tree_equal off.routed on.routed) then
-        diff :=
-          {
-            Audit.invariant = "cache-identity";
-            detail = "cache-on tree differs structurally from cache-off";
-          }
-          :: !diff;
-      Array.iteri
-        (fun i d ->
-          if d <> on.evaluation.delays.(i) then
-            diff :=
-              {
-                Audit.invariant = "cache-identity";
-                detail =
-                  Printf.sprintf "sink %d delay: off %.17g, on %.17g" i d
-                    on.evaluation.delays.(i);
-              }
-              :: !diff)
-        off.evaluation.delays;
-      if off.evaluation.wirelength <> on.evaluation.wirelength then
-        diff :=
-          {
-            Audit.invariant = "cache-identity";
-            detail =
-              Printf.sprintf "wirelength: off %.17g, on %.17g"
-                off.evaluation.wirelength on.evaluation.wirelength;
-          }
-          :: !diff;
-      List.rev !diff)
-
-(* --- parallel ranking bit-identity ---------------------------------------- *)
-
-let par_identity ?(jobs = [ 2; 4 ]) ?sched inst =
-  guard "par-identity" (fun () ->
-      let serial, serial_stats = plan_embed ~jobs:1 inst in
-      let check j =
-        let par, par_stats = plan_embed ?sched ~jobs:j inst in
-        let diff = ref [] in
-        let add fmt =
-          Printf.ksprintf
-            (fun detail ->
-              diff := { Audit.invariant = "par-identity"; detail } :: !diff)
-            fmt
-        in
-        List.iter (add "jobs=%d %s" j) (arena_diffs par serial);
-        (* Stats equality is stricter than tree equality: it proves the
-           workers' probes, trial merges and cache traffic were exactly
-           the serial ones, i.e. scheduling never leaked into the
-           cache. *)
-        if degc serial_stats <> degc par_stats then
-          add "jobs=%d engine stats differ from jobs=1" j;
-        List.rev !diff
-      in
-      List.concat_map check jobs)
-
-(* --- incremental ranking bit-identity -------------------------------------- *)
-
-let incremental_identity ?(jobs = [ 1; 2 ]) inst =
-  guard "incremental-identity" (fun () ->
-      let config incremental =
-        { Router.ast_default_config with Dme.Engine.incremental }
-      in
-      let off, off_stats = plan_embed ~config:(config false) ~jobs:1 inst in
-      let check j =
-        let on, on_stats = plan_embed ~config:(config true) ~jobs:j inst in
-        let diff = ref [] in
-        let add fmt =
-          Printf.ksprintf
-            (fun detail ->
-              diff :=
-                { Audit.invariant = "incremental-identity"; detail } :: !diff)
-            fmt
-        in
-        List.iter
-          (add "jobs=%d incremental vs from-scratch: %s" j)
-          (arena_diffs on off);
-        (* Probe accounting: the cache must only ever skip work — never
-           add probes — and every rank slot is either re-probed or served
-           from the cache, summing to the from-scratch probe count.
-           Trial-merge stats are deliberately NOT compared: skipped
-           probes legitimately skip their candidates' trial merges (see
-           DESIGN.md section 10). *)
-        if on_stats.nn_reprobes > off_stats.nn_reprobes then
-          add "jobs=%d incremental ran MORE probes than from-scratch: %d > %d"
-            j on_stats.nn_reprobes off_stats.nn_reprobes;
-        if on_stats.nn_reprobes + on_stats.nn_probes_saved
-           <> off_stats.nn_reprobes
-        then
-          add "jobs=%d probe accounting: %d reprobed + %d saved <> %d total" j
-            on_stats.nn_reprobes on_stats.nn_probes_saved off_stats.nn_reprobes;
-        List.rev !diff
-      in
-      List.concat_map check jobs)
-
-(* --- tracing bit-identity -------------------------------------------------- *)
-
-let trace_identity ?(jobs = [ 1; 2 ]) inst =
-  guard "trace-identity" (fun () ->
-      let base, base_stats = plan_embed ~jobs:1 inst in
-      let check j =
-        let trace = Obs.Trace.create () in
-        let traced, stats = plan_embed ~trace ~jobs:j inst in
-        let diff = ref [] in
-        let add fmt =
-          Printf.ksprintf
-            (fun detail ->
-              diff := { Audit.invariant = "trace-identity"; detail } :: !diff)
-            fmt
-        in
-        List.iter
-          (add "jobs=%d traced vs untraced: %s" j)
-          (arena_diffs traced base);
-        (* Full stats equality: observation must not perturb the engine's
-           work, and jobs must not either (par-identity, replayed here
-           under tracing).  GC counters are the one legitimately
-           run-dependent field (tracing itself allocates), so they are
-           zeroed out of the comparison. *)
-        if degc base_stats <> degc stats then
-          add "jobs=%d traced engine stats differ from untraced jobs=1" j;
-        (* The journal is the trace's accounting ledger: its per-round
-           records must sum exactly to the engine's aggregate stats. *)
-        let rounds =
-          List.filter_map
-            (function
-              | Obs.Json.Obj fields
-                when List.assoc_opt "type" fields
-                     = Some (Obs.Json.String "round") ->
-                Some fields
-              | _ -> None)
-            (Obs.Trace.journal_records trace)
-        in
-        let sum key =
-          List.fold_left
-            (fun acc fields ->
-              match List.assoc_opt key fields with
-              | Some (Obs.Json.Int i) -> acc + i
-              | _ -> acc)
-            0 rounds
-        in
-        if List.length rounds <> stats.rounds then
-          add "jobs=%d journal has %d round records, engine ran %d rounds" j
-            (List.length rounds) stats.rounds;
-        if sum "probes" <> stats.nn_reprobes then
-          add "jobs=%d journal probes %d <> engine nn_reprobes %d" j
-            (sum "probes") stats.nn_reprobes;
-        if sum "nn_probes_saved" <> stats.nn_probes_saved then
-          add "jobs=%d journal nn_probes_saved %d <> engine %d" j
-            (sum "nn_probes_saved") stats.nn_probes_saved;
-        if sum "trial_merges" <> stats.trial.trial_merges then
-          add "jobs=%d journal trial_merges %d <> engine %d" j
-            (sum "trial_merges") stats.trial.trial_merges;
-        if sum "trial_cache_hits" <> stats.trial.cache_hits then
-          add "jobs=%d journal trial_cache_hits %d <> engine %d" j
-            (sum "trial_cache_hits") stats.trial.cache_hits;
-        (* The Chrome export must round-trip through the JSON parser and
-           actually contain events. *)
-        (match Obs.Json.of_string (Obs.Json.to_string (Obs.Trace.to_chrome trace)) with
-         | Obs.Json.Obj fields ->
-           (match List.assoc_opt "traceEvents" fields with
-            | Some (Obs.Json.List []) ->
-              add "jobs=%d chrome export has no events" j
-            | Some (Obs.Json.List _) -> ()
-            | _ -> add "jobs=%d chrome export lacks traceEvents" j)
-         | _ -> add "jobs=%d chrome export is not a JSON object" j
-         | exception Obs.Json.Parse_error _ ->
-           add "jobs=%d chrome export does not re-parse" j);
-        List.rev !diff
-      in
-      List.concat_map check jobs)
-
-(* --- flight-recorder bit-identity ------------------------------------------ *)
-
-let sched_identity ?(jobs = [ 1; 2; 4 ]) inst =
-  guard "sched-identity" (fun () ->
-      let base = Router.ast_dme ~jobs:1 inst in
-      let check j =
-        let sched = Obs.Sched.create () in
-        (* The heartbeat reporter rides along muted: it must be as inert
-           as the recorder, and this is the one place that proves it. *)
-        let devnull = open_out "/dev/null" in
-        let progress = Obs.Progress.create ~out:devnull () in
-        let recorded =
-          Fun.protect
-            ~finally:(fun () -> close_out devnull)
-            (fun () -> Router.ast_dme ~jobs:j ~sched ~progress inst)
-        in
-        let unrecorded = Router.ast_dme ~jobs:j inst in
-        let diff = ref [] in
-        let add fmt =
-          Printf.ksprintf
-            (fun detail ->
-              diff := { Audit.invariant = "sched-identity"; detail } :: !diff)
-            fmt
-        in
-        if not (Audit.tree_equal base.routed recorded.routed) then
-          add "jobs=%d recorded tree differs structurally from jobs=1" j;
-        Array.iteri
-          (fun i d ->
-            if d <> recorded.evaluation.delays.(i) then
-              add "jobs=%d sink %d delay: unrecorded %.17g, recorded %.17g" j i
-                d recorded.evaluation.delays.(i))
-          base.evaluation.delays;
-        if base.evaluation.wirelength <> recorded.evaluation.wirelength then
-          add "jobs=%d wirelength: unrecorded %.17g, recorded %.17g" j
-            base.evaluation.wirelength recorded.evaluation.wirelength;
-        (* Stats equality against a same-jobs unrecorded run (gc zeroed):
-           the recorder observed scheduling without steering it. *)
-        if degc unrecorded.engine <> degc recorded.engine then
-          add "jobs=%d recorded engine stats differ from unrecorded" j;
-        (* The report itself must be present and sane. *)
-        (match recorded.Router.sched with
-        | None -> add "jobs=%d recorded run yields no efficiency report" j
-        | Some rep ->
-            (* The report records the widest pool a map actually ran on;
-               tiny instances legitimately clamp below the request (a
-               single sink never fans out), so the bound is one-sided. *)
-            if rep.Obs.Sched.jobs < 1 || rep.Obs.Sched.jobs > j then
-              add "jobs=%d report claims jobs=%d" j rep.Obs.Sched.jobs;
-            let s = rep.Obs.Sched.serial_fraction in
-            if not (s >= 0. && s <= 1.) then
-              add "jobs=%d serial fraction %.17g outside [0,1]" j s;
-            if rep.Obs.Sched.wall_s < rep.Obs.Sched.par_wall_s then
-              add "jobs=%d phase walls %.17g < parallel walls %.17g" j
-                rep.Obs.Sched.wall_s rep.Obs.Sched.par_wall_s);
-        if unrecorded.Router.sched <> None then
-          add "jobs=%d unrecorded run yields an efficiency report" j;
-        List.rev !diff
-      in
-      List.concat_map check jobs)
-
 (* --- clustered routing ----------------------------------------------------- *)
-
-let cluster_identity ?(jobs = [ 1; 2 ]) inst =
-  guard "cluster-identity" (fun () ->
-      let flat = Router.ast_dme ~jobs:1 inst in
-      let check j =
-        let clu =
-          Router.ast_dme ~jobs:j ~clustered:true ~clusters:1 inst
-        in
-        let diff = ref [] in
-        let add fmt =
-          Printf.ksprintf
-            (fun detail ->
-              diff := { Audit.invariant = "cluster-identity"; detail } :: !diff)
-            fmt
-        in
-        if not (Audit.tree_equal flat.routed clu.routed) then
-          add "jobs=%d clusters=1 tree differs structurally from flat" j;
-        Array.iteri
-          (fun i d ->
-            if d <> clu.evaluation.delays.(i) then
-              add "jobs=%d sink %d delay: flat %.17g, clustered %.17g" j i d
-                clu.evaluation.delays.(i))
-          flat.evaluation.delays;
-        if flat.evaluation.wirelength <> clu.evaluation.wirelength then
-          add "jobs=%d wirelength: flat %.17g, clustered %.17g" j
-            flat.evaluation.wirelength clu.evaluation.wirelength;
-        (* Aggregate stats equality (gc zeroed, as ever): the single
-           region's plan must be exactly the flat plan and the top-level
-           stitch over one root must add zero work — scheduling,
-           sub-instance construction and reglobalization all invisible. *)
-        if degc flat.engine <> degc clu.engine then
-          add "jobs=%d clusters=1 engine stats differ from flat" j;
-        (match clu.clustering with
-         | Some d when d.Dme.Cluster.n_clusters = 1 -> ()
-         | Some d ->
-           add "jobs=%d clusters=1 reports %d clusters" j d.Dme.Cluster.n_clusters
-         | None -> add "jobs=%d clustered run reports no clustering detail" j);
-        List.rev !diff
-      in
-      List.concat_map check jobs)
 
 let clustered ?(inject = false) ?clusters inst =
   let k =
@@ -454,237 +120,6 @@ let clustered ?(inject = false) ?clusters inst =
         else (result.Router.routed, result.Router.evaluation)
       in
       part @ Audit.run Audit.Grouped inst routed report)
-
-(* --- repair bit-identity --------------------------------------------------- *)
-
-let repair_identity ?(jobs = [ 2; 4 ]) inst =
-  guard "repair-identity" (fun () ->
-      let module Repair = Clocktree.Repair in
-      (* One plan, many repairs: the oracle isolates the repair pass
-         from the (separately guarded) engine. *)
-      let routed, _ = Dme.Engine.run ~config:Router.ast_default_config inst in
-      let serial regions =
-        {
-          Repair.default_config with
-          jobs = 1;
-          incremental = false;
-          regions;
-        }
-      in
-      (* Two families: the default decomposition (no regional phase on
-         oracle-sized instances), and a forced 4-way decomposition that
-         exercises the regional fixpoints + parallel phase on every
-         case.  Within a family, incremental and parallel variants must
-         reproduce the serial from-scratch repair bit for bit — trees,
-         delays and stats. *)
-      let check (family, regions) =
-        let base = serial regions in
-        let base_t, base_s = Repair.run ~config:base inst routed in
-        let base_d = Evaluate.delays inst base_t in
-        let variants =
-          ("incremental jobs=1", { base with Repair.incremental = true })
-          :: List.map
-               (fun j ->
-                 ( Printf.sprintf "incremental jobs=%d" j,
-                   { base with Repair.incremental = true; jobs = j } ))
-               jobs
-        in
-        List.concat_map
-          (fun (label, cfg) ->
-            let t, s = Repair.run ~config:cfg inst routed in
-            let diff = ref [] in
-            let add fmt =
-              Printf.ksprintf
-                (fun detail ->
-                  diff :=
-                    { Audit.invariant = "repair-identity"; detail } :: !diff)
-                fmt
-            in
-            if not (Audit.tree_equal base_t t) then
-              add "%s %s: repaired tree differs from serial from-scratch"
-                family label;
-            let d = Evaluate.delays inst t in
-            Array.iteri
-              (fun i dv ->
-                if dv <> d.(i) then
-                  add "%s %s sink %d delay: serial %.17g, variant %.17g" family
-                    label i dv d.(i))
-              base_d;
-            if s <> base_s then
-              add
-                "%s %s: repair stats differ from serial from-scratch \
-                 (added_wire %.17g vs %.17g, adjusted %d vs %d, cycles %d vs \
-                 %d, lifts %d vs %d)"
-                family label base_s.Repair.added_wire s.Repair.added_wire
-                base_s.Repair.adjusted_edges s.Repair.adjusted_edges
-                base_s.Repair.cycles s.Repair.cycles
-                base_s.Repair.lift_iterations s.Repair.lift_iterations;
-            List.rev !diff)
-          variants
-      in
-      List.concat_map check
-        [ ("auto-regions", None); ("forced-regions", Some 4) ])
-
-(* --- windowed evaluation bit-identity -------------------------------------- *)
-
-let evaluate_identity ?(jobs = [ 2; 4 ]) inst =
-  guard "evaluate-identity" (fun () ->
-      (* One routed tree, many evaluations: the serial report is the
-         specification, the windowed kernels must reproduce it bit for
-         bit.  Oracle-sized instances derive fewer than 2 windows, so
-         the decomposition is forced ([regions = 4]) to make the
-         parallel path actually run. *)
-      let r = Router.ast_dme ~jobs:1 inst in
-      let base = r.Router.evaluation in
-      let arena =
-        Clocktree.Arena.of_routed inst.Instance.params ~rd:inst.Instance.rd
-          r.Router.routed
-      in
-      let check j =
-        let w = Evaluate.report_of_arena ~jobs:j ~regions:4 inst arena in
-        let diff = ref [] in
-        let add fmt =
-          Printf.ksprintf
-            (fun detail ->
-              diff := { Audit.invariant = "evaluate-identity"; detail } :: !diff)
-            fmt
-        in
-        let fcheck name a b =
-          if a <> b then
-            add "jobs=%d %s: serial %.17g, windowed %.17g" j name a b
-        in
-        fcheck "wirelength" base.Evaluate.wirelength w.Evaluate.wirelength;
-        fcheck "snaking" base.Evaluate.snaking w.Evaluate.snaking;
-        fcheck "min_delay" base.Evaluate.min_delay w.Evaluate.min_delay;
-        fcheck "max_delay" base.Evaluate.max_delay w.Evaluate.max_delay;
-        fcheck "global_skew" base.Evaluate.global_skew w.Evaluate.global_skew;
-        fcheck "max_group_skew" base.Evaluate.max_group_skew
-          w.Evaluate.max_group_skew;
-        Array.iteri
-          (fun i d ->
-            if d <> w.Evaluate.delays.(i) then
-              add "jobs=%d sink %d delay: serial %.17g, windowed %.17g" j i d
-                w.Evaluate.delays.(i))
-          base.Evaluate.delays;
-        Array.iteri
-          (fun g s ->
-            if s <> w.Evaluate.group_skew.(g) then
-              add "jobs=%d group %d skew: serial %.17g, windowed %.17g" j g s
-                w.Evaluate.group_skew.(g))
-          base.Evaluate.group_skew;
-        List.rev !diff
-      in
-      List.concat_map check jobs)
-
-(* --- arena-direct embedding bit-identity ------------------------------------ *)
-
-let embed_identity ?(jobs = [ 1; 2; 4 ]) inst =
-  guard "embed-identity" (fun () ->
-      let module Arena = Clocktree.Arena in
-      (* One merge plan, many embeddings: the recursive boxed-tree
-         reference flattened through [Arena.of_routed] is the
-         specification; the arena-direct embedding must populate every
-         column identically, serial or parallel. *)
-      let root, _ = Dme.Engine.plan ~config:Router.ast_default_config inst in
-      let spec =
-        Arena.of_routed inst.Instance.params ~rd:inst.Instance.rd
-          (Dme.Embed.run_reference inst root)
-      in
-      let check j =
-        let a =
-          Par.Pool.with_pool ~jobs:j (fun pool ->
-              Dme.Embed.run_arena ?pool inst root)
-        in
-        List.map
-          (fun d ->
-            {
-              Audit.invariant = "embed-identity";
-              detail = Printf.sprintf "jobs=%d direct vs reference: %s" j d;
-            })
-          (arena_diffs a spec)
-      in
-      List.concat_map check jobs)
-
-(* --- multi-level clustering ------------------------------------------------- *)
-
-let cluster_depth_identity ?(jobs = [ 2; 4 ]) inst =
-  guard "cluster-depth-identity" (fun () ->
-      (* k = 4 is the smallest cluster count whose depth-2 hierarchy is
-         non-degenerate (fan-out 2 over two levels). *)
-      let k = 4 in
-      let diff = ref [] in
-      let add fmt =
-        Printf.ksprintf
-          (fun detail ->
-            diff :=
-              { Audit.invariant = "cluster-depth-identity"; detail } :: !diff)
-          fmt
-      in
-      let compare_runs label (a : Router.result) (b : Router.result) =
-        if not (Audit.tree_equal a.Router.routed b.Router.routed) then
-          add "%s: trees differ structurally" label;
-        Array.iteri
-          (fun i d ->
-            if d <> b.Router.evaluation.Evaluate.delays.(i) then
-              add "%s sink %d delay: %.17g vs %.17g" label i d
-                b.Router.evaluation.Evaluate.delays.(i))
-          a.Router.evaluation.Evaluate.delays;
-        if
-          a.Router.evaluation.Evaluate.wirelength
-          <> b.Router.evaluation.Evaluate.wirelength
-        then
-          add "%s wirelength: %.17g vs %.17g" label
-            a.Router.evaluation.Evaluate.wirelength
-            b.Router.evaluation.Evaluate.wirelength;
-        if degc a.Router.engine <> degc b.Router.engine then
-          add "%s: aggregate engine stats differ" label
-      in
-      (* Depth 1 is the historical two-level construction; it must be
-         what the default depth resolves to at this cluster count. *)
-      let auto = Router.ast_dme ~jobs:1 ~clustered:true ~clusters:k inst in
-      let d1 =
-        Router.ast_dme ~jobs:1 ~clustered:true ~clusters:k ~cluster_depth:1
-          inst
-      in
-      compare_runs "depth=1 vs auto" d1 auto;
-      (* A forced depth-2 hierarchy: jobs-invariant, audit-clean, and
-         honestly reported in the clustering detail. *)
-      let d2 =
-        Router.ast_dme ~jobs:1 ~clustered:true ~clusters:k ~cluster_depth:2
-          inst
-      in
-      List.iter
-        (fun j ->
-          let d2j =
-            Router.ast_dme ~jobs:j ~clustered:true ~clusters:k ~cluster_depth:2
-              inst
-          in
-          compare_runs (Printf.sprintf "depth=2 jobs=%d vs jobs=1" j) d2j d2)
-        jobs;
-      (match d2.Router.clustering with
-       | None -> add "depth=2 run reports no clustering detail"
-       | Some d ->
-         let kr = Int.min k (Int.max 1 (Instance.n_sinks inst)) in
-         if d.Dme.Cluster.n_clusters <> kr then
-           add "depth=2 reports %d clusters, expected %d"
-             d.Dme.Cluster.n_clusters kr;
-         if kr = k && d.Dme.Cluster.depth <> 2 then
-           add "depth=2 realized depth %d" d.Dme.Cluster.depth;
-         if kr = k && Array.length d.Dme.Cluster.super = 0 then
-           add "depth=2 reports no super-stitch plans";
-         let covered =
-           Array.fold_left
-             (fun acc (c : Dme.Cluster.cluster_stats) ->
-               acc + c.Dme.Cluster.n_sinks)
-             0 d.Dme.Cluster.per_cluster
-         in
-         if covered <> Instance.n_sinks inst then
-           add "depth=2 regions cover %d sinks of %d" covered
-             (Instance.n_sinks inst));
-      let audit =
-        Audit.run Audit.Grouped inst d2.Router.routed d2.Router.evaluation
-      in
-      List.rev !diff @ audit)
 
 (* --- Elmore vs transient ------------------------------------------------- *)
 
@@ -770,11 +205,292 @@ let delay_models ?(resolution = 300) inst =
       end;
       List.rev !out)
 
+(* --- the invariance table ------------------------------------------------ *)
+
+type obs = {
+  arena : Arena.t;
+  report : Evaluate.report option;
+  engine : Dme.Engine.stats option;
+  repair : Repair.stats option;
+  extra : string list;
+}
+
+let observe ?report ?engine ?repair arena =
+  let degc (s : Dme.Engine.stats) = { s with gc = Obs.Gcstat.zero } in
+  { arena; report; engine = Option.map degc engine; repair; extra = [] }
+
+let of_result (inst : Instance.t) (r : Router.result) =
+  observe ~report:r.evaluation ~engine:r.engine ~repair:r.repair
+    (Arena.of_routed inst.params ~rd:inst.rd r.routed)
+
+(* Every compared field as a named column of floats (ints are exact
+   below 2^53); a scalar is a one-entry column. *)
+let columns (o : obs) =
+  let a = o.arena and f = float in
+  let ints = Array.map f and one p = List.map (fun (n, x) -> (p ^ n, [| x |])) in
+  [ ("arena.left", ints a.left); ("arena.right", ints a.right);
+    ("arena.parent", ints a.parent); ("arena.size", ints a.size);
+    ("arena.sink", ints a.sink); ("arena.group", ints a.group);
+    ("arena.scap", a.scap); ("arena.len", a.len);
+    ("arena.pos.x", Array.map (fun (p : Geometry.Pt.t) -> p.x) a.pos);
+    ("arena.pos.y", Array.map (fun (p : Geometry.Pt.t) -> p.y) a.pos);
+    ("arena.source", [| a.source.x; a.source.y |]);
+    ("arena.source_len", [| a.source_len |]) ]
+  @ (match o.report with
+     | None -> []
+     | Some r ->
+       ("report.delays", r.delays) :: ("report.group_skew", r.group_skew)
+       :: one "report."
+            [ ("wirelength", r.wirelength); ("snaking", r.snaking);
+              ("min_delay", r.min_delay); ("max_delay", r.max_delay);
+              ("global_skew", r.global_skew);
+              ("max_group_skew", r.max_group_skew) ])
+  @ (match o.engine with
+     | None -> []
+     | Some s ->
+       let t = s.trial in
+       one "engine."
+         [ ("rounds", f s.rounds); ("same_group", f s.same_group);
+           ("cross_group", f s.cross_group); ("shared_one", f s.shared_one);
+           ("shared_multi", f s.shared_multi);
+           ("planned_snake", s.planned_snake);
+           ("infeasible_merges", f s.infeasible_merges);
+           ("nn_reprobes", f s.nn_reprobes);
+           ("nn_probes_saved", f s.nn_probes_saved);
+           ("trial_merges", f t.trial_merges); ("cache_hits", f t.cache_hits);
+           ("cache_misses", f t.cache_misses);
+           ("elided_trials", f t.elided_trials);
+           ("reused_trials", f t.reused_trials) ])
+  @
+  match o.repair with
+  | None -> []
+  | Some s ->
+    one "repair."
+      [ ("added_wire", s.added_wire); ("adjusted_edges", f s.adjusted_edges);
+        ("conflict_nodes", f s.conflict_nodes);
+        ("lift_iterations", f s.lift_iterations);
+        ("unresolved_groups", f s.unresolved_groups); ("cycles", f s.cycles);
+        ("budget_exhausted", if s.budget_exhausted then 1. else 0.) ]
+
+let diffs v r =
+  let expected = columns r in
+  List.concat_map
+    (fun (name, x) ->
+      match List.assoc_opt name expected with
+      | None -> []
+      | Some y when Array.length x <> Array.length y ->
+        [ Printf.sprintf "%s has %d entries, expected %d" name
+            (Array.length x) (Array.length y) ]
+      | Some y ->
+        let out = ref [] in
+        for k = Array.length x - 1 downto 0 do
+          if x.(k) <> y.(k) then
+            let at =
+              if Array.length x > 1 then Printf.sprintf "%s[%d]" name k else name
+            in
+            out := Printf.sprintf "%s: %.17g, expected %.17g" at x.(k) y.(k) :: !out
+        done;
+        !out)
+    (columns v)
+
+(* One case's shared runs, memoised by jobs. *)
+type ctx = {
+  inst : Instance.t;
+  plans : (int, Dme.Subtree.t * obs) Hashtbl.t;
+  routes : (int, obs) Hashtbl.t;
+}
+
+let memo tbl jobs run =
+  match Hashtbl.find_opt tbl jobs with
+  | Some x -> x
+  | None -> let x = run () in Hashtbl.replace tbl jobs x; x
+
+(* On a pool of [jobs] domains (none at 1): the router plans 1000 sinks or
+   fewer serially whatever its jobs. *)
+let plan_embed ?(config = Router.ast_default_config) ?trace ?sched ~jobs inst =
+  Par.Pool.with_pool ~jobs (fun pool ->
+      let root, stats = Dme.Engine.plan ~config ?trace ?sched ?pool inst in
+      let arena = Dme.Embed.run_arena ?pool ?trace ?sched inst root in
+      (root, observe ~engine:stats arena))
+
+(* The default-config plan; a pooled one must have ranked on its pool. *)
+let plan c jobs =
+  memo c.plans jobs (fun () ->
+      let sched = if jobs > 1 then Obs.Sched.create () else Obs.Sched.null in
+      let root, o = plan_embed ~sched ~jobs c.inst in
+      let rank (p : Obs.Sched.phase_report) =
+        List.exists (fun (l : Obs.Sched.label_report) -> l.label = "engine.rank") p.labels
+      in
+      let ranked =
+        Option.fold ~none:false (Obs.Sched.report sched)
+          ~some:(fun (r : Obs.Sched.report) -> List.exists rank r.phases)
+      in
+      let idle = jobs > 1 && Instance.n_sinks c.inst > 1 && not ranked in
+      (root, if idle then { o with extra = [ "ranked on no pool" ] } else o))
+
+let route c jobs =
+  memo c.routes jobs (fun () ->
+      let r = Router.ast_dme ~jobs c.inst in
+      let extra = if r.sched = None then [] else [ "unrecorded sched report" ] in
+      { (of_result c.inst r) with extra })
+
+type row = {
+  name : string;
+  label : string;  (* the variant against the reference *)
+  jobs : int list;
+  reference : ctx -> obs;
+  variant : ctx -> obs -> int -> obs;
+}
+
+let name row = row.name
+let said = List.map (fun (v : Audit.violation) -> v.invariant ^ ": " ^ v.detail)
+
+let cache =
+  { name = "cache-identity"; label = "cache on vs off"; jobs = [ 1 ];
+    reference =
+      (fun c ->
+        let config = { Router.ast_default_config with trial_cache = false } in
+        let r = Router.ast_dme ~config ~jobs:1 c.inst in
+        { (of_result c.inst r) with engine = None });
+    variant = (fun c _ j -> route c j) }
+
+let par =
+  { name = "par-identity"; label = "pooled vs serial"; jobs = [ 2; 4 ];
+    reference = (fun c -> snd (plan c 1)); variant = (fun c _ j -> snd (plan c j)) }
+
+let incremental =
+  { name = "incremental-identity"; label = "incremental vs from-scratch";
+    jobs = [ 1; 2 ];
+    reference =
+      (fun c ->
+        let config = { Router.ast_default_config with incremental = false } in
+        snd (plan_embed ~config ~jobs:1 c.inst));
+    variant =
+      (fun c r j ->
+        let o = snd (plan c j) in
+        let s = Option.get o.engine and full = (Option.get r.engine).nn_reprobes in
+        let run, saved = (s.nn_reprobes, s.nn_probes_saved) in
+        let extra =
+          if run <= full && run + saved = full then []
+          else [ Printf.sprintf "probes: %d run + %d saved <> %d" run saved full ]
+        in
+        { o with engine = None; extra }) }
+
+let trace =
+  { name = "trace-identity"; label = "traced vs untraced"; jobs = [ 1; 2 ];
+    reference = (fun c -> snd (plan c 1));
+    variant =
+      (fun c _ j ->
+        let trace = Obs.Trace.create () in
+        let o = snd (plan_embed ~trace ~jobs:j c.inst) in
+        { o with extra = said (Audit.journal trace (Option.get o.engine)) }) }
+
+let devnull = lazy (open_out "/dev/null")
+
+let sched =
+  { name = "sched-identity"; label = "recorded vs unrecorded jobs=1";
+    jobs = [ 1; 2; 4 ]; reference = (fun c -> route c 1);
+    variant =
+      (fun c _ j ->
+        let sched = Obs.Sched.create () in
+        let progress = Obs.Progress.create ~out:(Lazy.force devnull) () in
+        let r = Router.ast_dme ~jobs:j ~sched ~progress c.inst in
+        let extra = said (Audit.sched_report ~jobs:j r.sched) in
+        { (of_result c.inst r) with extra }) }
+
+let cluster =
+  { name = "cluster-identity"; label = "clusters=1 vs flat"; jobs = [ 1; 2 ];
+    reference = (fun c -> route c 1);
+    variant =
+      (fun c _ j ->
+        let r = Router.ast_dme ~jobs:j ~clustered:true ~clusters:1 c.inst in
+        let extra = said (Audit.clustering c.inst ~clusters:1 r.clustering) in
+        { (of_result c.inst r) with extra }) }
+
+let clustered_route ?depth c jobs =
+  Router.ast_dme ~jobs ~clustered:true ~clusters:4 ?cluster_depth:depth c.inst
+
+let cluster_depth =
+  { name = "cluster-depth-identity"; label = "depth=2 vs depth=2 jobs=1";
+    jobs = [ 2; 4 ];
+    reference =
+      (fun c ->
+        let d2 = clustered_route ~depth:2 c 1 in
+        let depth1 =
+          diffs
+            (of_result c.inst (clustered_route ~depth:1 c 1))
+            (of_result c.inst (clustered_route c 1))
+        in
+        { (of_result c.inst d2) with
+          extra =
+            List.map (( ^ ) "depth=1 vs auto ") depth1
+            @ said (Audit.clustering c.inst ~clusters:4 ~depth:2 d2.clustering)
+            @ said (Audit.run Audit.Grouped c.inst d2.routed d2.evaluation) });
+    variant = (fun c _ j -> of_result c.inst (clustered_route ~depth:2 c j)) }
+
+(* Repair mutates only the [len] column, so each run gets a copy. *)
+let repaired c ~jobs ~incremental regions =
+  let planned = (snd (plan c 1)).arena in
+  let arena = { planned with len = Array.copy planned.len } in
+  let config = { Repair.default_config with jobs; incremental; regions } in
+  let repair = Repair.run_arena ~config c.inst arena in
+  observe ~report:(Evaluate.report_of_arena ~jobs:1 c.inst arena) ~repair arena
+
+let repair_row family regions =
+  { name = "repair-identity";
+    label = family ^ " incremental vs serial from-scratch"; jobs = [ 1; 2; 4 ];
+    reference = (fun c -> repaired c ~jobs:1 ~incremental:false regions);
+    variant = (fun c _ j -> repaired c ~jobs:j ~incremental:true regions) }
+
+let repair = repair_row "auto-regions" None
+let repair_regional = repair_row "forced-regions" (Some 4)
+
+let evaluate =
+  { name = "evaluate-identity"; label = "windowed vs serial"; jobs = [ 2; 4 ];
+    reference = (fun c -> route c 1);
+    variant =
+      (fun c r j ->
+        observe r.arena
+          ~report:(Evaluate.report_of_arena ~jobs:j ~regions:4 c.inst r.arena)) }
+
+let embed =
+  { name = "embed-identity"; label = "direct vs reference"; jobs = [ 1; 2; 4 ];
+    reference =
+      (fun c ->
+        let tree = Dme.Embed.run_reference c.inst (fst (plan c 1)) in
+        observe (Arena.of_routed c.inst.params ~rd:c.inst.rd tree));
+    variant =
+      (fun c _ j ->
+        Par.Pool.with_pool ~jobs:j (fun pool ->
+            observe (Dme.Embed.run_arena ?pool c.inst (fst (plan c 1))))) }
+
+let invariants =
+  [ cache; par; incremental; trace; sched; cluster; cluster_depth; repair;
+    repair_regional; evaluate; embed ]
+
+let identities rows inst =
+  let c = { inst; plans = Hashtbl.create 4; routes = Hashtbl.create 4 } in
+  List.concat_map
+    (fun (row, jobs) ->
+      guard row.name (fun () ->
+          let r = row.reference c in
+          let at j =
+            let v = row.variant c r j in
+            List.map
+              (Printf.sprintf "jobs=%d %s: %s" j row.label)
+              (v.extra @ diffs v r)
+          in
+          List.map
+            (fun detail -> { Audit.invariant = row.name; detail })
+            (r.extra @ List.concat_map at jobs)))
+    rows
+
+let identity ?jobs row inst =
+  identities [ (row, Option.value jobs ~default:row.jobs) ] inst
+
 let all ?(inject = false) inst =
-  routers ~inject inst @ cache_identity inst @ par_identity inst
-  @ incremental_identity inst @ trace_identity inst @ sched_identity inst
-  @ cluster_identity inst @ cluster_depth_identity inst
-  @ repair_identity inst @ evaluate_identity inst @ embed_identity inst
+  routers ~inject inst
+  @ identities (List.map (fun row -> (row, row.jobs)) invariants) inst
   @ clustered ~inject inst @ delay_models inst
 
 let reproduces ?inject ~of_run inst =

@@ -27,36 +27,32 @@ let check ?inject (case : Gen.case) =
     Some { case; findings; shrunk; shrunk_findings }
 
 (* Huge cases run (and shrink against) the ranking-path, repair and
-   evaluation identity oracles alone: the full battery would take
-   minutes per 1500-sink instance, and scale stresses exactly the
-   ranking, repair and windowed-evaluation paths — which is what these
-   audit.  The incremental oracle runs at jobs = 2 so cache reuse and
-   parallel probing are exercised together; repair-identity at this
-   size auto-derives multiple regions, so the regional-fixpoint
-   machinery is exercised against the serial from-scratch pass on every
-   huge case; sched-identity at jobs = 2 proves the flight recorder
-   stays inert exactly where its ledgers are busiest. *)
-let huge_oracles inst =
-  Oracle.par_identity inst
-  @ Oracle.incremental_identity ~jobs:[ 2 ] inst
-  @ Oracle.repair_identity ~jobs:[ 2 ] inst
-  @ Oracle.evaluate_identity ~jobs:[ 2 ] inst
-  @ Oracle.sched_identity ~jobs:[ 2 ] inst
+   evaluation rows alone: the full battery would take minutes per
+   1500-sink instance, and scale stresses exactly the ranking, repair and
+   windowed-evaluation paths — which is what these audit.  The
+   incremental row runs at jobs = 2 so cache reuse and parallel probing
+   are exercised together; at this size repair auto-derives multiple
+   regions, so the regional fixpoints are checked against the serial
+   from-scratch pass on every huge case; sched at jobs = 2 proves the
+   flight recorder stays inert exactly where its ledgers are busiest. *)
+let huge_rows =
+  Oracle.
+    [
+      (par, [ 2; 4 ]); (incremental, [ 2 ]); (repair, [ 1; 2 ]);
+      (repair_regional, [ 1; 2 ]); (evaluate, [ 2 ]); (sched, [ 2 ]);
+    ]
 
 (* Banked cases target the clustered path: the degenerate clusters=1 run
    must be bit-identical to flat (at jobs 2, so region scheduling rides
    along), a forced depth-2 hierarchy must be jobs-invariant and
    audit-clean, and a genuinely clustered run must pass the full audit
    under the global grouped contract. *)
-let banked_oracles inst =
-  Oracle.cluster_identity ~jobs:[ 2 ] inst
-  @ Oracle.cluster_depth_identity ~jobs:[ 2 ] inst
-  @ Oracle.clustered inst
+let banked_rows = Oracle.[ (cluster, [ 2 ]); (cluster_depth, [ 2 ]) ]
 
-let oracles_for (regime : Gen.regime) =
+let oracles_for (regime : Gen.regime) inst =
   match regime with
-  | Gen.Huge -> huge_oracles
-  | Gen.Banked -> banked_oracles
+  | Gen.Huge -> Oracle.identities huge_rows inst
+  | Gen.Banked -> Oracle.identities banked_rows inst @ Oracle.clustered inst
   | _ -> assert false
 
 let check_scaled (case : Gen.case) =

@@ -5,11 +5,11 @@
     instance, and greedily shrinks any failure to a minimal repro.  It
     then appends [cases / 25] benchmark-scale cases (indices
     [cases ..]): even slots are {!Gen.Huge} checked against the
-    ranking-path identity oracles ({!Oracle.par_identity} and
-    {!Oracle.incremental_identity}), odd slots are {!Gen.Banked}
-    checked against the clustered-routing oracles
-    ({!Oracle.cluster_identity} and {!Oracle.clustered}) — the full
-    battery is far too slow at thousands of sinks.  The summary is
+    ranking-path, repair, evaluation and sched rows of
+    {!Oracle.invariants}, odd slots are {!Gen.Banked} checked against
+    the clustered-routing oracles ({!Oracle.cluster},
+    {!Oracle.cluster_depth} and {!Oracle.clustered}) — the full battery
+    is far too slow at thousands of sinks.  The summary is
     printable as JSON ({!json_of_summary}); a failing case's shrunk
     instance is serialised with {!Clocktree.Io} so it can be frozen as
     a regression test ({!repro_text}).

@@ -28,7 +28,7 @@ let default_slack = 1e-4
    kernels, merely reordered across independent index ranges.  Every
    node's value is produced by exactly one domain from exactly the
    serial operands, so the result is bit-identical to [jobs = 1] for any
-   decomposition and any jobs count (Check.Oracle's [evaluate_identity]
+   decomposition and any jobs count (Check.Oracle's [evaluate] row
    enforces this).  [regions] forces the window count (tests/oracles);
    the default derives it from the sink count, which leaves small
    instances on the plain serial path. *)

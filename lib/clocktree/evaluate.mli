@@ -11,7 +11,7 @@
     fill in parallel and a serial spine pass stitches the gaps.  Every
     node's value is computed by the serial kernel's expression from the
     serial operands, so reports are bit-identical for any [jobs] /
-    [regions] (enforced by [Check.Oracle.evaluate_identity]).  [regions]
+    [regions] (enforced by [Check.Oracle.evaluate]).  [regions]
     forces the window count; by default it derives from the sink count
     (small instances stay on the plain serial path). *)
 
@@ -40,7 +40,7 @@ val run : ?jobs:int -> ?regions:int -> Instance.t -> Tree.routed -> report
     router pipeline's representation), without re-flattening.  An
     enabled [sched] recorder ledgers the windowed kernel maps under
     ["evaluate.windows"]; recording never changes the computed report
-    ([sched_identity] oracle). *)
+    ([Check.Oracle.sched] row). *)
 val report_of_arena :
   ?jobs:int -> ?regions:int -> ?sched:Obs.Sched.t ->
   Instance.t -> Arena.t -> report

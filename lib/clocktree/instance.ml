@@ -24,6 +24,7 @@ let make ?(params = Rc.Wire.default) ?(rd = 100.) ?(bound = 0.) ?group_bounds
   finite "source x" source.Geometry.Pt.x;
   finite "source y" source.Geometry.Pt.y;
   finite "driver resistance" rd;
+  if rd < 0. then invalid_arg "Instance.make: negative driver resistance";
   finite "wire resistance" params.Rc.Wire.r;
   finite "wire capacitance" params.Rc.Wire.c;
   (match group_bounds with
@@ -65,8 +66,14 @@ let make ?(params = Rc.Wire.default) ?(rd = 100.) ?(bound = 0.) ?group_bounds
   done;
   let extent = !x1 -. !x0 +. (!y1 -. !y0) in
   finite "extent" extent;
-  finite "wire delay across the extent"
-    (Rc.Elmore.wire_delay params ~len:extent ~load:!load);
+  let wire = Rc.Elmore.wire_delay params ~len:extent ~load:!load in
+  finite "wire delay across the extent" wire;
+  (* Finite is not enough: far beyond any clock's delays (the largest
+     generated instances stay under 1e10 ps), rounding dwarfs every skew
+     bound and repair snakes toward infinite wire. *)
+  let driver = Rc.Elmore.driver_delay ~rd ~load:(!load +. Rc.Wire.cap params extent) in
+  if not (driver +. wire <= 1e15) then
+    invalid_arg "Instance.make: delay across the extent above 1e15 ps";
   { sinks; n_groups; bound; group_bounds; params; source; rd }
 
 let bound_for t g =

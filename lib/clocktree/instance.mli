@@ -13,13 +13,15 @@ type t = private {
 }
 
 (** Validates that sink ids are dense (equal to their index), group ids
-    lie in [0, n_groups), capacitances and bounds are non-negative, and
+    lie in [0, n_groups), capacitances, bounds and [rd] are non-negative, and
     every number — sink coordinates and capacitances, [source],
     [bound], [group_bounds], [rd] and the wire [r]/[c] — is finite.
     Finite coordinates must also stay routable: the L1 extent of the
     sinks and source ("non-finite extent") and the Elmore delay of one
     wire spanning that extent while driving every sink's capacitance
-    ("non-finite wire delay across the extent") must be finite.
+    ("non-finite wire delay across the extent") must be finite, and
+    that wire plus the driver charging it and every sink must stay
+    within 1e15 ps ("delay across the extent above 1e15 ps").
     Raises [Invalid_argument "Instance.make: ..."] naming the failed
     check otherwise. *)
 val make :

@@ -139,6 +139,14 @@ let of_string text =
       | Some (g, _, lineno) -> error lineno (Printf.sprintf "group %d out of range" g)
       | None -> Ok ()
     in
+    (* Every group needs a sink: a count beyond the file's sinks can only
+       be hostile, and would size per-group arrays by it. *)
+    let* () =
+      let n = List.length st.sinks in
+      if n_groups > n then
+        error 0 (Printf.sprintf "%d groups for %d sinks" n_groups n)
+      else Ok ()
+    in
     let sinks =
       Array.of_list (List.sort (fun (a : Sink.t) b -> compare a.id b.id) st.sinks)
     in
@@ -161,7 +169,6 @@ let of_string text =
      with Invalid_argument msg -> Error msg)
 
 let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (In_channel.input_all ic))
+  match In_channel.with_open_text path In_channel.input_all with
+  | text -> of_string text
+  | exception Sys_error e -> Error e

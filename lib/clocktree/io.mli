@@ -13,8 +13,8 @@
     sink <id> <x> <y> <cap_ff> <group>
     v}
 
-    Records may appear in any order except that [groups] must precede
-    any [groupbound].  Sink ids must be dense. *)
+    Records may appear in any order.  Sink ids must be dense, and there
+    are at most as many groups as sinks. *)
 
 val to_string : Instance.t -> string
 val write_file : string -> Instance.t -> unit
@@ -24,4 +24,6 @@ val write_file : string -> Instance.t -> unit
     (e.g. a negative capacitance), which report ["line N: ..."]. *)
 val of_string : string -> (Instance.t, string) result
 
+(** {!of_string} on a file's contents; an unreadable file is an [Error]
+    too. *)
 val read_file : string -> (Instance.t, string) result

@@ -22,7 +22,7 @@
     above anything that changed.  A clean node's inputs are bit-identical
     to its memo, so skipping it is exact, not approximate: incremental
     repair returns the same tree and stats bitwise as the from-scratch
-    walk (guarded by [Oracle.repair_identity]).
+    walk (guarded by [Check.Oracle.repair]).
 
     Cost of one incremental cycle on a range of [n] nodes, whose balance
     frontier holds [F] nodes and whose lift changes the caps of [L]

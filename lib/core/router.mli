@@ -85,7 +85,7 @@ val ast_default_config : Dme.Engine.config
     watermark and an ETA.  Both default to their null values and neither
     influences routing — trees, delays and stats are bit-identical with
     recorder and reporter on or off at any jobs count (the
-    [sched_identity] oracle in [Check.Oracle] enforces this). *)
+    [Check.Oracle.sched] invariance row enforces this). *)
 
 (** [ast_dme ~clustered:true] routes through {!Dme.Cluster.run_arena}:
     a multi-level construction that partitions the sinks into

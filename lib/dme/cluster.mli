@@ -23,8 +23,8 @@
     bit-identical for any jobs count; with [clusters = 1] they are
     additionally bit-identical to the flat {!Engine.run}, and a forced
     [depth = 1] is bit-identical to the historical two-level
-    construction ({!Check.Oracle}'s [cluster_identity] and
-    [cluster_depth_identity] enforce this).  [gc] is, as ever, the one
+    construction ({!Check.Oracle}'s [cluster] and
+    [cluster_depth] rows enforce this).  [gc] is, as ever, the one
     run-dependent stats field. *)
 
 (** One plan of the hierarchy: its 0-based index in traversal

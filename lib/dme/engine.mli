@@ -148,7 +148,7 @@ val plan :
     {!Obs.Trace.null} emits nothing and the routed tree and stats are
     byte-identical with tracing on or off.  An enabled [sched] recorder
     ledgers the pooled ranking/commit/embed maps (phase ["engine"]);
-    the same bit-identity contract applies ([sched_identity] oracle). *)
+    the same bit-identity contract applies ([Check.Oracle.sched] row). *)
 val run :
   ?config:config -> ?trace:Obs.Trace.t -> ?sched:Obs.Sched.t ->
   Clocktree.Instance.t ->

@@ -17,7 +17,7 @@
     locking, no allocation and no clock reads to the hot path.  The
     recorder observes scheduling only — it never influences chunk
     assignment — so routed trees are bit-identical with the recorder on
-    or off (the [sched_identity] oracle in [Check.Oracle] enforces
+    or off (the [Check.Oracle.sched] invariance row enforces
     this). *)
 
 type t

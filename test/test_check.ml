@@ -304,7 +304,9 @@ let test_incremental_oracle_huge () =
      parallel: many merge rounds of cache reuse and invalidation on a
      generated (not hand-picked) instance. *)
   let c = Check.Gen.case ~regime:Check.Gen.Huge ~seed:5L ~index:0 () in
-  match Check.Oracle.incremental_identity ~jobs:[ 1; 2 ] c.instance with
+  match
+    Check.Oracle.identity ~jobs:[ 1; 2 ] Check.Oracle.incremental c.instance
+  with
   | [] -> ()
   | findings ->
     Alcotest.failf "incremental identity violated:@ %a"
@@ -315,7 +317,7 @@ let test_trace_oracle () =
   (* The trace-identity oracle on a generated instance: tracing is
      semantically inert and the journal agrees with the engine stats. *)
   let c = Check.Gen.case ~regime:Check.Gen.Intermingled ~seed:11L ~index:0 () in
-  match Check.Oracle.trace_identity ~jobs:[ 1; 2 ] c.instance with
+  match Check.Oracle.identity ~jobs:[ 1; 2 ] Check.Oracle.trace c.instance with
   | [] -> ()
   | findings ->
     Alcotest.failf "trace identity violated:@ %a"
@@ -327,7 +329,8 @@ let test_sched_oracle () =
      scheduler recorder and progress heartbeat are semantically inert
      and every produced report is internally consistent. *)
   let c = Check.Gen.case ~regime:Check.Gen.Intermingled ~seed:13L ~index:0 () in
-  match Check.Oracle.sched_identity ~jobs:[ 1; 2; 4 ] c.instance with
+  match Check.Oracle.identity ~jobs:[ 1; 2; 4 ] Check.Oracle.sched c.instance
+  with
   | [] -> ()
   | findings ->
     Alcotest.failf "sched identity violated:@ %a"
@@ -344,7 +347,7 @@ let test_sched_oracle_r1_r3 () =
         Workload.Circuits.instance spec ~n_groups:8
           ~scheme:Workload.Partition.Intermingled ~bound:10. ()
       in
-      match Check.Oracle.sched_identity ~jobs:[ 1; 2; 4 ] inst with
+      match Check.Oracle.identity ~jobs:[ 1; 2; 4 ] Check.Oracle.sched inst with
       | [] -> ()
       | findings ->
         Alcotest.failf "%s: sched identity violated:@ %a" name
@@ -631,6 +634,130 @@ let test_sparse_repair_10k () =
       Alcotest.(check bool) (what ^ ": cycle records") true (dense_c = c))
     [ 1; 2 ]
 
+(* --- the invariance table -------------------------------------------------- *)
+
+(* Perturbing one entry of any compared field of a routed r1
+   observation must make [Oracle.diffs] name exactly that field: every
+   arena column, every report field, every engine-stat field but [gc]
+   (which equivalent runs legitimately disagree on), every repair-stat
+   field. *)
+let test_diffs_name_every_field () =
+  let spec = Option.get (Workload.Circuits.find "r1") in
+  let inst =
+    Workload.Circuits.instance spec ~n_groups:8
+      ~scheme:Workload.Partition.Intermingled ~bound:10. ()
+  in
+  let o = Check.Oracle.of_result inst (Astskew.Router.ast_dme ~jobs:1 inst) in
+  Alcotest.(check (list string)) "an observation equals itself" []
+    (Check.Oracle.diffs o o);
+  let ibump a = Array.mapi (fun k x -> if k = 7 then x + 1 else x) a in
+  let fbump a = Array.mapi (fun k x -> if k = 7 then x +. 1. else x) a in
+  let arena f = { o with arena = f o.arena } in
+  let report f = { o with report = Option.map f o.report } in
+  let engine f = { o with engine = Option.map f o.engine } in
+  let trial f =
+    engine (fun (s : Dme.Engine.stats) -> { s with trial = f s.trial })
+  in
+  let repair f = { o with repair = Option.map f o.repair } in
+  let perturbed =
+    [
+      ("arena.left", arena (fun a -> { a with left = ibump a.left }));
+      ("arena.right", arena (fun a -> { a with right = ibump a.right }));
+      ("arena.parent", arena (fun a -> { a with parent = ibump a.parent }));
+      ("arena.size", arena (fun a -> { a with size = ibump a.size }));
+      ("arena.sink", arena (fun a -> { a with sink = ibump a.sink }));
+      ("arena.group", arena (fun a -> { a with group = ibump a.group }));
+      ("arena.scap", arena (fun a -> { a with scap = fbump a.scap }));
+      ("arena.len", arena (fun a -> { a with len = fbump a.len }));
+      ( "arena.pos.x",
+        arena (fun a ->
+            { a with
+              pos = Array.mapi (fun k (p : Geometry.Pt.t) ->
+                  if k = 7 then { p with x = p.x +. 1. } else p) a.pos }) );
+      ( "arena.pos.y",
+        arena (fun a ->
+            { a with
+              pos = Array.mapi (fun k (p : Geometry.Pt.t) ->
+                  if k = 7 then { p with y = p.y +. 1. } else p) a.pos }) );
+      ( "arena.source",
+        arena (fun a -> { a with source = { a.source with x = a.source.x +. 1. } })
+      );
+      ( "arena.source_len",
+        arena (fun a -> { a with source_len = a.source_len +. 1. }) );
+      ("report.wirelength", report (fun r -> { r with wirelength = r.wirelength +. 1. }));
+      ("report.snaking", report (fun r -> { r with snaking = r.snaking +. 1. }));
+      ("report.delays", report (fun r -> { r with delays = fbump r.delays }));
+      ("report.min_delay", report (fun r -> { r with min_delay = r.min_delay +. 1. }));
+      ("report.max_delay", report (fun r -> { r with max_delay = r.max_delay +. 1. }));
+      ( "report.global_skew",
+        report (fun r -> { r with global_skew = r.global_skew +. 1. }) );
+      ( "report.group_skew",
+        report (fun r -> { r with group_skew = Array.map (( +. ) 1.) r.group_skew }) );
+      ( "report.max_group_skew",
+        report (fun r -> { r with max_group_skew = r.max_group_skew +. 1. }) );
+      ("engine.rounds", engine (fun s -> { s with rounds = s.rounds + 1 }));
+      ("engine.same_group", engine (fun s -> { s with same_group = s.same_group + 1 }));
+      ("engine.cross_group", engine (fun s -> { s with cross_group = s.cross_group + 1 }));
+      ("engine.shared_one", engine (fun s -> { s with shared_one = s.shared_one + 1 }));
+      ( "engine.shared_multi",
+        engine (fun s -> { s with shared_multi = s.shared_multi + 1 }) );
+      ( "engine.planned_snake",
+        engine (fun s -> { s with planned_snake = s.planned_snake +. 1. }) );
+      ( "engine.infeasible_merges",
+        engine (fun s -> { s with infeasible_merges = s.infeasible_merges + 1 }) );
+      ("engine.nn_reprobes", engine (fun s -> { s with nn_reprobes = s.nn_reprobes + 1 }));
+      ( "engine.nn_probes_saved",
+        engine (fun s -> { s with nn_probes_saved = s.nn_probes_saved + 1 }) );
+      ("engine.trial_merges", trial (fun t -> { t with trial_merges = t.trial_merges + 1 }));
+      ("engine.cache_hits", trial (fun t -> { t with cache_hits = t.cache_hits + 1 }));
+      ("engine.cache_misses", trial (fun t -> { t with cache_misses = t.cache_misses + 1 }));
+      ("engine.elided_trials", trial (fun t -> { t with elided_trials = t.elided_trials + 1 }));
+      ("engine.reused_trials", trial (fun t -> { t with reused_trials = t.reused_trials + 1 }));
+      ("repair.added_wire", repair (fun s -> { s with added_wire = s.added_wire +. 1. }));
+      ( "repair.adjusted_edges",
+        repair (fun s -> { s with adjusted_edges = s.adjusted_edges + 1 }) );
+      ( "repair.conflict_nodes",
+        repair (fun s -> { s with conflict_nodes = s.conflict_nodes + 1 }) );
+      ( "repair.lift_iterations",
+        repair (fun s -> { s with lift_iterations = s.lift_iterations + 1 }) );
+      ( "repair.unresolved_groups",
+        repair (fun s -> { s with unresolved_groups = s.unresolved_groups + 1 }) );
+      ("repair.cycles", repair (fun s -> { s with cycles = s.cycles + 1 }));
+      ( "repair.budget_exhausted",
+        repair (fun s -> { s with budget_exhausted = not s.budget_exhausted }) );
+    ]
+  in
+  List.iter
+    (fun (field, v) ->
+      let d = Check.Oracle.diffs v o in
+      let names l =
+        String.starts_with ~prefix:(field ^ ":") l
+        || String.starts_with ~prefix:(field ^ "[") l
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s is named (%s)" field (String.concat "; " d))
+        true
+        (d <> [] && List.for_all names d))
+    perturbed;
+  let gc =
+    engine (fun s -> { s with gc = { s.gc with minor_words = 1e9 } })
+  in
+  Alcotest.(check (list string)) "gc is not compared" []
+    (Check.Oracle.diffs gc o)
+
+(* The table keeps the ten finding names of the oracles it replaced, so
+   [Oracle.reproduces], recorded FUZZ_REPRO files and the README stay
+   valid. *)
+let test_table_finding_names () =
+  Alcotest.(check (list string))
+    "finding names"
+    [
+      "cache-identity"; "cluster-depth-identity"; "cluster-identity";
+      "embed-identity"; "evaluate-identity"; "incremental-identity";
+      "par-identity"; "repair-identity"; "sched-identity"; "trace-identity";
+    ]
+    (List.sort_uniq compare (List.map Check.Oracle.name Check.Oracle.invariants))
+
 let () =
   Alcotest.run "check"
     [
@@ -669,6 +796,12 @@ let () =
             test_shrinker_minimises;
           Alcotest.test_case "with_sinks renumbers" `Quick
             test_with_sinks_renumbers;
+        ] );
+      ( "invariance-table",
+        [
+          Alcotest.test_case "diffs names every field" `Quick
+            test_diffs_name_every_field;
+          Alcotest.test_case "ten finding names" `Quick test_table_finding_names;
         ] );
       ( "io-roundtrip",
         [ Alcotest.test_case "fuzzed instances" `Quick test_io_roundtrip_fuzzed ] );

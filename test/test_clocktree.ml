@@ -469,6 +469,14 @@ let test_io_errors () =
         "Instance.make: non-finite extent" );
       ( "sink 0 1e200 1e200 1 0\nsink 1 -1e200 -1e200 1 1\nsink 2 0 0 1 0",
         "Instance.make: non-finite wire delay across the extent" );
+      ( "sink 0 0 0 1 0\nsink 1 5 5 1 1\ndriver -1e6",
+        "Instance.make: negative driver resistance" );
+      ( "groups 4611686018427387903\ngroupbound 0 5\nsink 0 0 0 1 0",
+        "line 0: 4611686018427387903 groups for 1 sinks" );
+      ( "groups 4611686018427387903\nsink 0 0 0 1 0",
+        "line 0: 4611686018427387903 groups for 1 sinks" );
+      ( "groups 1000000000\nsink 0 0 0 1 0\nsink 1 1 1 1 0",
+        "line 0: 1000000000 groups for 2 sinks" );
     ]
 
 let test_io_comments_and_order () =
@@ -484,6 +492,71 @@ let test_io_comments_and_order () =
   | Ok inst ->
     Alcotest.(check int) "one sink" 1 (Instance.n_sinks inst);
     check_float "bound" 3. inst.bound
+
+(* Hostile instance texts: a valid file mutated by hostile number tokens
+   (NaN, inf, 1e308, negative caps, r, c and rd), huge or out-of-range
+   group counts and ids, and truncated, duplicated or dropped lines.  Io
+   must answer every text with a value, never an exception, and every
+   instance it accepts must route to finite, non-negative delays. *)
+let hostile_base =
+  "params 0.003 0.02\ndriver 100\nsource 0 0\nbound 10\ngroups 2\n\
+   groupbound 1 20\nsink 0 10 20 15 0\nsink 1 300 40 30 1\n\
+   sink 2 150 250 5 0\nsink 3 40 400 25 1\nsink 4 500 500 10 0\n"
+
+let hostile_tokens =
+  [| "nan"; "inf"; "-inf"; "1e308"; "-1e308"; "-1"; "-1e6"; "0"; "1e-308";
+     "4611686018427387903"; "-4611686018427387904"; "1000000000"; "2"; "x" |]
+
+let hostile_records =
+  [| "groups 4611686018427387903"; "groups 0";
+     "groups -3"; "groups 5"; "groupbound 0 5"; "groupbound 7 5";
+     "groupbound -1 1"; "sink 5 1 1 1 7"; "sink 9 1 1 1 0"; "sink -1 0 0 1 0";
+     "sink 5 1e308 0 1 0"; "sink 5 0 0 1e308 1"; "driver -1e6"; "driver 1e308";
+     "params -1 1"; "params 1e308 1e308"; "source 1e308 1e308"; "bound -5";
+     "bound 1e308"; "sink 5 0 0 -20 0" |]
+
+(* One mutation: [op] picks the kind, [a] the line or cut, [b] the
+   token or record. *)
+let mutate text (op, a, b) =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let n = Array.length lines in
+  let l = a mod n in
+  let join ls = String.concat "\n" (Array.to_list ls) in
+  match op with
+  | 0 ->
+    let toks = Array.of_list (String.split_on_char ' ' lines.(l)) in
+    let k = Array.length toks in
+    if k > 1 then toks.(1 + (b mod (k - 1))) <-
+        hostile_tokens.(b mod Array.length hostile_tokens);
+    lines.(l) <- String.concat " " (Array.to_list toks);
+    join lines
+  | 1 -> String.sub text 0 (a mod (String.length text + 1))
+  | 2 -> join (Array.concat [ Array.sub lines 0 (l + 1); Array.sub lines l (n - l) ])
+  | 3 -> join (Array.append (Array.sub lines 0 l) (Array.sub lines (l + 1) (n - l - 1)))
+  | _ -> text ^ "\n" ^ hostile_records.(b mod Array.length hostile_records)
+
+let prop_io_hostile =
+  let gen =
+    QCheck.Gen.(list_size (1 -- 4) (triple (0 -- 4) (0 -- 10_000) (0 -- 10_000)))
+  in
+  QCheck.Test.make ~name:"hostile instance texts never raise" ~count:400
+    (QCheck.make ~print:(fun muts -> List.fold_left mutate hostile_base muts) gen)
+    (fun muts ->
+      let text = List.fold_left mutate hostile_base muts in
+      match Io.of_string text with
+      | exception e ->
+        QCheck.Test.fail_reportf "Io.of_string raised %s" (Printexc.to_string e)
+      | Error _ -> true
+      | Ok inst ->
+        (match Astskew.Router.ast_dme ~jobs:1 inst with
+         | exception e ->
+           QCheck.Test.fail_reportf "routing raised %s" (Printexc.to_string e)
+         | r ->
+           Array.for_all
+             (fun d -> Float.is_finite d && d >= 0.)
+             r.evaluation.delays
+           || QCheck.Test.fail_reportf "delays outside [0, inf): max %g, min %g"
+                r.evaluation.max_delay r.evaluation.min_delay))
 
 (* --- Svg ------------------------------------------------------------------ *)
 
@@ -554,6 +627,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
           Alcotest.test_case "errors" `Quick test_io_errors;
           Alcotest.test_case "comments and order" `Quick test_io_comments_and_order;
-        ] );
+        ]
+        @ qsuite [ prop_io_hostile ] );
       ("svg", [ Alcotest.test_case "renders" `Quick test_svg_renders ]);
     ]

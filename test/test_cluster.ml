@@ -182,7 +182,7 @@ let test_identity_small () =
     "clusters=1 is bit-identical to flat" []
     (List.map
        (fun (f : Check.Oracle.finding) -> f.oracle)
-       (Check.Oracle.cluster_identity ~jobs:[ 1; 4 ] inst))
+       (Check.Oracle.identity ~jobs:[ 1; 4 ] Check.Oracle.cluster inst))
 
 let test_identity_circuit name () =
   let inst = circuit name in
@@ -190,7 +190,7 @@ let test_identity_circuit name () =
     "clusters=1 is bit-identical to flat" []
     (List.map
        (fun (f : Check.Oracle.finding) -> f.oracle)
-       (Check.Oracle.cluster_identity ~jobs:[ 1; 4 ] inst))
+       (Check.Oracle.identity ~jobs:[ 1; 4 ] Check.Oracle.cluster inst))
 
 let test_jobs_deterministic () =
   (* A genuinely clustered run must not depend on the pool size. *)
@@ -249,7 +249,7 @@ let test_depth_identity_small () =
     "depth-2 hierarchy: depth-1 identity + jobs determinism" []
     (List.map
        (fun (f : Check.Oracle.finding) -> f.oracle)
-       (Check.Oracle.cluster_depth_identity ~jobs:[ 2 ] inst))
+       (Check.Oracle.identity ~jobs:[ 2 ] Check.Oracle.cluster_depth inst))
 
 let test_depth_identity_circuit () =
   let inst = circuit "r1" in
@@ -257,7 +257,8 @@ let test_depth_identity_circuit () =
     "depth-2 hierarchy: depth-1 identity + jobs determinism" []
     (List.map
        (fun (f : Check.Oracle.finding) -> f.oracle)
-       (Check.Oracle.cluster_depth_identity ~jobs:[ 1; 4 ] inst))
+       (Check.Oracle.identity ~jobs:[ 1; 4 ] Check.Oracle.cluster_depth
+          inst))
 
 let test_clustered_audit_clean () =
   let inst = circuit "r2" in
