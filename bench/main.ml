@@ -13,7 +13,7 @@
      | fuzz [--cases N] [--seed S] [--inject] [--replay CASE]
    (default: all).  "quick" restricts the tables to r1-r3 for fast runs;
    "cache" (also run by "micro") compares the merge-trial cache off vs on
-   and incremental ranking off vs on over r1-r5 (or the listed circuits),
+   over r1-r5 (or the listed circuits),
    sweeps the engine's jobs knob, routes the clustered two-level mode,
    and writes BENCH_<circuit>.json stats files; "par" prints just the
    jobs sweep (speedup vs jobs in
@@ -21,10 +21,11 @@
    live trace, writes TRACE_<circuit>.json (Chrome trace-event) and
    TRACE_<circuit>.jsonl (metrics journal) and fails when the journal's
    per-round sums disagree with the engine stats; "smoke" is the
-   deterministic CI perf gate: it routes
-   one circuit (default r3) with incremental ranking off then on and
-   fails unless the trees are identical and the probe counter strictly
-   dropped, then gates the clustered router on a second circuit (default
+   deterministic CI perf gate: it routes one circuit (default r3) and
+   fails unless every probe ran exactly one grid k-NN query, the
+   queries visited at most 45 cells each and the ranking stayed inside
+   its allocation budget, then gates the clustered router on a second
+   circuit (default
    r5: clusters=1 must equal flat bit-for-bit and the auto-clustered
    tree must pass the global grouped audit); "scale" routes synthetic
    10^4-10^6-sink instances through the (multi-level) clustered router,
@@ -192,11 +193,11 @@ let par_bench ?(circuits = default_circuits) () =
 
 (* --- Merge-trial cache comparison + BENCH_*.json ------------------------- *)
 
-(* Routes each circuit with the trial cache off then on, then with
-   incremental ranking ablated (cache on), checks the trees agree, prints
-   the speedups, sweeps the engine jobs knob, and writes one
-   BENCH_<circuit>.json per circuit with per-phase timings, cache and
-   probe counters, the jobs sweep and the full Obs snapshot of each run.
+(* Routes each circuit with the trial cache off then on, checks the
+   trees agree, prints the speedup, sweeps the engine jobs knob, and
+   writes one BENCH_<circuit>.json per circuit with per-phase timings,
+   cache and probe counters, the jobs sweep and the full Obs snapshot of
+   each run.
    These files are the machine-readable trajectory future performance PRs
    are judged against (see the `compare` subcommand). *)
 let cache_bench ?(circuits = default_circuits) () =
@@ -233,24 +234,6 @@ let cache_bench ?(circuits = default_circuits) () =
         if not identical then
           Format.printf "  WARNING: %s cache-on tree differs from cache-off!@."
             spec.name;
-        (* Incremental ranking ablation, both runs with the cache on so
-           the only delta is the cross-round proposal reuse. *)
-        let noinc_config =
-          { Astskew.Router.ast_default_config with Dme.Engine.incremental = false }
-        in
-        let r_noinc, t_noinc, snap_noinc = timed noinc_config in
-        let probes_full = r_noinc.engine.nn_reprobes in
-        let probes_inc = r_on.engine.nn_reprobes in
-        let probe_drop =
-          100.
-          *. (1. -. (float_of_int probes_inc /. float_of_int (Int.max 1 probes_full)))
-        in
-        let inc_identical = same_result ~engine:false inst r_on r_noinc in
-        let inc_speedup = t_noinc /. Float.max 1e-9 t_on in
-        Format.printf
-          "  incremental: probes %d -> %d (%.1f%% drop), %.2fx engine wall, trees %s@."
-          probes_full probes_inc probe_drop inc_speedup
-          (if inc_identical then "ok" else "DIFFER!");
         let par = par_sweep inst in
         (* Clustered leg: the two-level router at the auto cluster
            count, plus the degenerate clusters=1 identity against the
@@ -297,18 +280,6 @@ let cache_bench ?(circuits = default_circuits) () =
               ("trial_merges_off", Obs.Json.Int trials_off);
               ("trial_merges_on", Obs.Json.Int trials_on);
               ("trial_drop_pct", Obs.Json.Float drop);
-              ( "incremental",
-                Obs.Json.Obj
-                  [
-                    ("identical_trees", Obs.Json.Bool inc_identical);
-                    ("nn_probes_full", Obs.Json.Int probes_full);
-                    ("nn_probes_incremental", Obs.Json.Int probes_inc);
-                    ( "nn_probes_saved",
-                      Obs.Json.Int r_on.engine.nn_probes_saved );
-                    ("probe_drop_pct", Obs.Json.Float probe_drop);
-                    ("speedup", Obs.Json.Float inc_speedup);
-                    ("off", run_json r_noinc t_noinc snap_noinc);
-                  ] );
               ("par", par_json par);
               ( "clustered",
                 Obs.Json.Obj
@@ -326,14 +297,8 @@ let cache_bench ?(circuits = default_circuits) () =
         Format.printf "  wrote %s@." file)
     circuits
 
-(* --- CI perf smoke: incremental ranking must actually save probes ---------- *)
+(* --- CI perf smoke: ranking k-NN work and allocation ------------------------ *)
 
-(* Deterministic probe-counter gate, stable on shared runners where
-   wall-clock is not: routes one circuit with incremental ranking off
-   then on (trial cache on for both) and fails unless the routed trees
-   are identical, the executed probe count strictly dropped, the trial
-   workload did not grow, and the executed + saved probes of the
-   incremental run add up exactly to the from-scratch count. *)
 (* Clustered leg of the smoke gate: the two-level router must
    degenerate exactly at clusters=1 (same tree, same probe and trial
    counters as flat) and stay Audit-clean under the global grouped
@@ -412,47 +377,49 @@ let smoke args =
     Format.eprintf "smoke: unknown circuit %S@." name;
     exit 2
   | Some spec ->
-    header (Printf.sprintf "Perf smoke: incremental ranking on %s" spec.name);
+    header (Printf.sprintf "Perf smoke: ranking k-NN work on %s" spec.name);
     let inst = bench_instance spec in
-    let run incremental =
-      Obs.Report.reset ();
-      Astskew.Router.ast_dme ~incremental inst
-    in
-    let off = run false in
-    let on = run true in
-    let full = off.engine.nn_reprobes in
-    let inc = on.engine.nn_reprobes in
-    let saved = on.engine.nn_probes_saved in
-    let drop =
-      100. *. (1. -. (float_of_int inc /. float_of_int (Int.max 1 full)))
-    in
-    Format.printf "probes: full=%d incremental=%d saved=%d (%.1f%% drop)@."
-      full inc saved drop;
+    Obs.Report.reset ();
+    let r = Astskew.Router.ast_dme inst in
+    let probes = r.engine.nn_reprobes in
+    let count name = Obs.Counter.value (Option.get (Obs.Counter.find name)) in
+    let queries = count "geometry.grid.queries" in
+    let cells = count "geometry.grid.cells_visited" in
+    let cells_per_query = float_of_int cells /. float_of_int (Int.max 1 queries) in
+    Format.printf "probes %d, grid queries %d, cells visited %d (%.1f per query)@."
+      probes queries cells cells_per_query;
+    (* Work gate.  Every probe runs exactly one k-NN query and nothing
+       else queries the grid, so queries = probes.  Re-celling as the
+       population shrinks keeps a query near its neighbours: r3 visits
+       about 37 cells per query re-celled and about 80 on a grid sized
+       once for the leaves, so 45 catches a lost re-cell with headroom
+       for honest drift.  Counts are deterministic, so this cannot flake
+       on slow runners. *)
+    let cells_per_query_budget = 45. in
     (* Allocation gate: the arena/SoA merge loop allocates a bounded
-       number of minor words per executed ranking probe.  Before the
-       slab rewrite the figure sat around 7500 words/probe on r5;
-       after it, well under 2000 on every circuit.  The budget leaves
-       ~2x headroom for honest churn while still catching a boxed
-       octagon or closure sneaking back onto the hot path (a 5-6x
-       jump).  Allocation counts are deterministic per domain, so
-       like the probe counters this cannot flake on slow runners. *)
+       number of minor words per ranking probe.  Before the slab
+       rewrite the figure sat around 7500 words/probe on r5; after it,
+       well under 2000 on every circuit.  The budget leaves headroom
+       for honest churn while still catching a boxed octagon or closure
+       sneaking back onto the hot path (a 5-6x jump).  Allocation
+       counts are deterministic per domain, so like the counters above
+       this cannot flake on slow runners. *)
     let words_per_probe_budget = 3500. in
     let words_per_probe =
-      on.engine.gc.Obs.Gcstat.minor_words /. float_of_int (Int.max 1 inc)
+      r.engine.gc.Obs.Gcstat.minor_words /. float_of_int (Int.max 1 probes)
     in
-    Format.printf "alloc: minor words=%.3e (%.1f per executed probe)@."
-      on.engine.gc.Obs.Gcstat.minor_words words_per_probe;
+    Format.printf "alloc: minor words=%.3e (%.1f per probe)@."
+      r.engine.gc.Obs.Gcstat.minor_words words_per_probe;
     let fail msg =
       Format.printf "FAIL: %s@." msg;
       exit 1
     in
-    if not (same_result ~engine:false inst on off) then
-      fail "incremental tree differs from from-scratch tree";
-    if on.engine.trial.trial_merges > off.engine.trial.trial_merges then
-      fail "incremental run executed more trial merges than from-scratch";
-    if inc >= full then fail "incremental ranking saved no probes";
-    if inc + saved <> full then
-      fail "executed + saved probes do not add up to the full count";
+    if queries <> probes then
+      fail (Printf.sprintf "%d grid queries for %d probes" queries probes);
+    if cells_per_query > cells_per_query_budget then
+      fail
+        (Printf.sprintf "%.1f cells visited per k-NN query exceeds the %.0f budget"
+           cells_per_query cells_per_query_budget);
     if words_per_probe > words_per_probe_budget then
       fail
         (Printf.sprintf
@@ -558,8 +525,8 @@ let flatten json =
 let cost_metrics =
   [
     "wall_s"; "engine_s"; "repair_s"; "evaluate_s"; "total_s"; "cpu_seconds";
-    "trial_merges"; "trial_cache_misses"; "nn_reprobes"; "nn_probes_full";
-    "nn_probes_incremental"; "trial_merges_off"; "trial_merges_on";
+    "trial_merges"; "trial_cache_misses"; "nn_reprobes";
+    "trial_merges_off"; "trial_merges_on";
     "wirelength"; "global_skew_ps"; "max_group_skew_ps";
     (* repair-loop effort: balance cycles, lift sweeps and the per-sink
        repair wall time of the scale curve — the metrics the flat-arena

@@ -40,12 +40,6 @@ let jobs_arg =
     & opt int (Par.Pool.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let no_incremental_arg =
-  let doc =
-    "Disable the engine's cross-round nearest-neighbour proposal cache      and re-probe every active subtree each round (ablation / paranoia      switch).  Routed trees are bit-identical either way; only probe and      trial-merge counts, and hence wall time, change."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
 let clustered_arg =
   let doc =
     "Route AST-DME in clustered mode: partition the sinks into spatial      regions, plan each region in parallel, stitch the region roots back      through a bounded-fan-in hierarchy of merges.  With --clusters 1 the      output is bit-identical to the flat router; any fixed cluster count      and depth is bit-identical across --jobs."
@@ -118,7 +112,7 @@ let trace_journal_arg =
 (* One trace context serves both artifacts; Trace.null when neither was
    requested, so the untraced run skips every emission. *)
 let make_trace ~trace_file ~journal_file ~circuit ~groups ~scheme ~bound ~seed
-    ~file ~jobs ~incremental =
+    ~file ~jobs =
   if trace_file = None && journal_file = None then Obs.Trace.null
   else begin
     let trace = Obs.Trace.create () in
@@ -132,7 +126,6 @@ let make_trace ~trace_file ~journal_file ~circuit ~groups ~scheme ~bound ~seed
          ("scheme", Obs.Json.String scheme);
          ("bound_ps", Obs.Json.Float bound);
          ("jobs", Obs.Json.Int jobs);
-         ("incremental", Obs.Json.Bool incremental);
        ]
       @ match seed with
         | Some s -> [ ("seed", Obs.Json.Int s) ]
@@ -182,7 +175,17 @@ let write_stats_json path results =
   in
   write "stats" path (fun p -> Obs.Json.write_file p json)
 
+(* The generation options are checked before anything is built, so a
+   bad value is reported like any other input error instead of escaping
+   as an exception from instance construction. *)
 let load_instance ?file circuit groups scheme bound seed =
+  if groups < 1 then
+    Error (Printf.sprintf "--groups must be at least 1, got %d" groups)
+  else if not (Float.is_finite bound && bound >= 0.) then
+    Error
+      (Printf.sprintf "--bound must be a finite, non-negative skew in ps, got %g"
+         bound)
+  else
   match file with
   | Some path -> Clocktree.Io.read_file path
   | None ->
@@ -200,17 +203,16 @@ let print_result name (r : Astskew.Router.result) =
 
 let route_cmd =
   let run circuit groups scheme bound seed algo file svg stats_json jobs
-      no_incremental clustered clusters cluster_depth repair_max_cycles
+      clustered clusters cluster_depth repair_max_cycles
       show_progress trace_file journal_file =
     match load_instance ?file circuit groups scheme bound seed with
     | Error e ->
       Format.eprintf "astroute: %s@." e;
       1
     | Ok inst ->
-      let incremental = not no_incremental in
       let trace =
         make_trace ~trace_file ~journal_file ~circuit ~groups ~scheme ~bound
-          ~seed ~file ~jobs ~incremental
+          ~seed ~file ~jobs
       in
       let progress =
         if show_progress then Obs.Progress.create () else Obs.Progress.null
@@ -220,22 +222,22 @@ let route_cmd =
         | "ast" ->
           Some
             ( "AST-DME",
-              Astskew.Router.ast_dme ~jobs ~incremental ~clustered ?clusters
+              Astskew.Router.ast_dme ~jobs ~clustered ?clusters
                 ?cluster_depth ?repair_max_cycles ~trace ~progress inst )
         | "ext" ->
           Some
             ( "EXT-BST",
-              Astskew.Router.ext_bst ~jobs ~incremental ?repair_max_cycles
+              Astskew.Router.ext_bst ~jobs ?repair_max_cycles
                 ~trace ~progress inst )
         | "zst" ->
           Some
             ( "greedy-DME",
-              Astskew.Router.greedy_dme ~jobs ~incremental ?repair_max_cycles
+              Astskew.Router.greedy_dme ~jobs ?repair_max_cycles
                 ~trace ~progress inst )
         | "mmm" ->
           Some
             ( "MMM-DME",
-              Astskew.Router.mmm_dme ~jobs ~incremental ?repair_max_cycles
+              Astskew.Router.mmm_dme ~jobs ?repair_max_cycles
                 ~trace ~progress inst )
         | _ -> None
       in
@@ -281,7 +283,7 @@ let route_cmd =
     Term.(
       const run $ circuit_arg $ groups_arg $ scheme_arg $ bound_arg $ seed_arg
       $ algo_arg $ file_arg $ svg_arg $ stats_json_arg $ jobs_arg
-      $ no_incremental_arg $ clustered_arg $ clusters_arg
+      $ clustered_arg $ clusters_arg
       $ cluster_depth_arg $ repair_max_cycles_arg $ progress_arg $ trace_arg
       $ trace_journal_arg)
   in
@@ -309,28 +311,27 @@ let gen_cmd =
       $ out)
 
 let compare_cmd =
-  let run circuit groups scheme bound seed file stats_json jobs no_incremental
-      clustered clusters trace_file journal_file =
+  let run circuit groups scheme bound seed file stats_json jobs clustered
+      clusters trace_file journal_file =
     match load_instance ?file circuit groups scheme bound seed with
     | Error e ->
       Format.eprintf "astroute: %s@." e;
       1
     | Ok inst ->
       Format.printf "%a@." Clocktree.Instance.pp inst;
-      let incremental = not no_incremental in
       (* All four routers share one trace: their phases appear as
          consecutive span groups in the exported timeline. *)
       let trace =
         make_trace ~trace_file ~journal_file ~circuit ~groups ~scheme ~bound
-          ~seed ~file ~jobs ~incremental
+          ~seed ~file ~jobs
       in
-      let zst = Astskew.Router.greedy_dme ~jobs ~incremental ~trace inst in
-      let ext = Astskew.Router.ext_bst ~jobs ~incremental ~trace inst in
-      let mmm = Astskew.Router.mmm_dme ~jobs ~incremental ~trace inst in
+      let zst = Astskew.Router.greedy_dme ~jobs ~trace inst in
+      let ext = Astskew.Router.ext_bst ~jobs ~trace inst in
+      let mmm = Astskew.Router.mmm_dme ~jobs ~trace inst in
       (* --clustered applies to the AST-DME leg only; the baselines have
          no clustered mode. *)
       let ast =
-        Astskew.Router.ast_dme ~jobs ~incremental ~clustered ?clusters ~trace
+        Astskew.Router.ast_dme ~jobs ~clustered ?clusters ~trace
           inst
       in
       print_result "greedy-DME" zst;
@@ -357,8 +358,8 @@ let compare_cmd =
   let term =
     Term.(
       const run $ circuit_arg $ groups_arg $ scheme_arg $ bound_arg $ seed_arg
-      $ file_arg $ stats_json_arg $ jobs_arg $ no_incremental_arg
-      $ clustered_arg $ clusters_arg $ trace_arg $ trace_journal_arg)
+      $ file_arg $ stats_json_arg $ jobs_arg $ clustered_arg $ clusters_arg
+      $ trace_arg $ trace_journal_arg)
   in
   Cmd.v (Cmd.info "compare" ~doc:"Compare all routers on one instance.") term
 

@@ -358,24 +358,6 @@ let par =
   { name = "par-identity"; label = "pooled vs serial"; jobs = [ 2; 4 ];
     reference = (fun c -> snd (plan c 1)); variant = (fun c _ j -> snd (plan c j)) }
 
-let incremental =
-  { name = "incremental-identity"; label = "incremental vs from-scratch";
-    jobs = [ 1; 2 ];
-    reference =
-      (fun c ->
-        let config = { Router.ast_default_config with incremental = false } in
-        snd (plan_embed ~config ~jobs:1 c.inst));
-    variant =
-      (fun c r j ->
-        let o = snd (plan c j) in
-        let s = Option.get o.engine and full = (Option.get r.engine).nn_reprobes in
-        let run, saved = (s.nn_reprobes, s.nn_probes_saved) in
-        let extra =
-          if run <= full && run + saved = full then []
-          else [ Printf.sprintf "probes: %d run + %d saved <> %d" run saved full ]
-        in
-        { o with engine = None; extra }) }
-
 let trace =
   { name = "trace-identity"; label = "traced vs untraced"; jobs = [ 1; 2 ];
     reference = (fun c -> snd (plan c 1));
@@ -465,7 +447,7 @@ let embed =
             observe (Dme.Embed.run_arena ?pool c.inst (fst (plan c 1))))) }
 
 let invariants =
-  [ cache; par; incremental; trace; sched; cluster; cluster_depth; repair;
+  [ cache; par; trace; sched; cluster; cluster_depth; repair;
     repair_regional; evaluate; embed ]
 
 let identities rows inst =

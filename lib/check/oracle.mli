@@ -23,7 +23,6 @@
  row (finding name)      reference                     variant at j          default j
  cache-identity          route, trial_cache = false    route                 1
  par-identity            serial plan + embed           plan + embed          2, 4
- incremental-identity    plan, incremental = false     plan + embed          1, 2
  trace-identity          serial plan + embed           traced plan + embed   1, 2
  sched-identity          serial route                  recorded route        1, 2, 4
  cluster-identity        serial route                  clusters = 1 route    1, 2
@@ -35,11 +34,8 @@
 
     A plan at [j] runs on a pool of [j] domains of its own: the router
     plans instances of 1000 sinks or fewer serially at any jobs count.
-    Extra findings: a pooled plan booked a ranking ledger; incremental
-    probes never exceed the from-scratch count and reprobes + saved
-    equals it (trial counters legitimately differ, so engine stats are
-    not compared, as in the cache row); the trace journal and Chrome
-    export ({!Audit.journal}); the sched report
+    Extra findings: a pooled plan booked a ranking ledger; the trace
+    journal and Chrome export ({!Audit.journal}); the sched report
     ({!Audit.sched_report}), absent from every unrecorded route; the
     one-region detail ({!Audit.clustering}); and for depth 2 at 4
     clusters its detail, the grouped audit and forced depth 1 =
@@ -97,7 +93,6 @@ val name : row -> string
 
 val cache : row
 val par : row
-val incremental : row
 val trace : row
 val sched : row
 val cluster : row

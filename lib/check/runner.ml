@@ -29,17 +29,17 @@ let check ?inject (case : Gen.case) =
 (* Huge cases run (and shrink against) the ranking-path, repair and
    evaluation rows alone: the full battery would take minutes per
    1500-sink instance, and scale stresses exactly the ranking, repair and
-   windowed-evaluation paths — which is what these audit.  The
-   incremental row runs at jobs = 2 so cache reuse and parallel probing
-   are exercised together; at this size repair auto-derives multiple
+   windowed-evaluation paths — which is what these audit.  The par row
+   checks pooled probing against the serial plan over many merge rounds
+   (and grid re-cells); at this size repair auto-derives multiple
    regions, so the regional fixpoints are checked against the serial
    from-scratch pass on every huge case; sched at jobs = 2 proves the
    flight recorder stays inert exactly where its ledgers are busiest. *)
 let huge_rows =
   Oracle.
     [
-      (par, [ 2; 4 ]); (incremental, [ 2 ]); (repair, [ 1; 2 ]);
-      (repair_regional, [ 1; 2 ]); (evaluate, [ 2 ]); (sched, [ 2 ]);
+      (par, [ 2; 4 ]); (repair, [ 1; 2 ]); (repair_regional, [ 1; 2 ]);
+      (evaluate, [ 2 ]); (sched, [ 2 ]);
     ]
 
 (* Banked cases target the clustered path: the degenerate clusters=1 run

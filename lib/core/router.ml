@@ -150,19 +150,13 @@ let solve ?config ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     ~route_inst ~eval_inst ()
 
 (* [jobs] overrides the engine parallelism of [config] (or of [default]
-   when no config was given) and [incremental] the cross-round proposal
-   caching; routed trees are invariant under both, so these only affect
-   wall time. *)
-let with_jobs ?jobs ?incremental ~default config =
+   when no config was given); routed trees are invariant under it, so it
+   only affects wall time. *)
+let with_jobs ?jobs ~default config =
   let config = Option.value config ~default in
-  let config =
-    match jobs with
-    | None -> config
-    | Some j -> { config with Dme.Engine.jobs = j }
-  in
-  match incremental with
+  match jobs with
   | None -> config
-  | Some i -> { config with Dme.Engine.incremental = i }
+  | Some j -> { config with Dme.Engine.jobs = j }
 
 (* AST-DME ships with the §V.F delay-target merge order on (it prevents
    late deep-vs-shallow shared-group merges that would need heavy
@@ -180,13 +174,12 @@ let router_manifest trace name (config : Dme.Engine.config) =
       [
         ("router", Obs.Json.String name);
         ("jobs", Obs.Json.Int config.jobs);
-        ("incremental", Obs.Json.Bool config.incremental);
       ]
 
-let ast_dme ?config ?jobs ?incremental ?(clustered = false) ?clusters
+let ast_dme ?config ?jobs ?(clustered = false) ?clusters
     ?cluster_depth ?repair_max_cycles ?(trace = Obs.Trace.null)
     ?(sched = Obs.Sched.null) ?(progress = Obs.Progress.null) inst =
-  let config = with_jobs ?jobs ?incremental ~default:ast_default_config config in
+  let config = with_jobs ?jobs ~default:ast_default_config config in
   router_manifest trace "ast_dme" config;
   if not clustered then
     solve ~config ~trace ~sched ~progress ?repair_max_cycles ~route_inst:inst
@@ -228,26 +221,26 @@ let fused ?bound (inst : Instance.t) =
     ~bound:(Option.value bound ~default)
     ~source:inst.source ~n_groups:1 sinks
 
-let ext_bst ?config ?jobs ?incremental ?repair_max_cycles
+let ext_bst ?config ?jobs ?repair_max_cycles
     ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     ?(progress = Obs.Progress.null) inst =
-  let config = with_jobs ?jobs ?incremental ~default:Dme.Engine.default config in
+  let config = with_jobs ?jobs ~default:Dme.Engine.default config in
   router_manifest trace "ext_bst" config;
   solve ~config ~trace ~sched ~progress ?repair_max_cycles
     ~route_inst:(fused inst) ~eval_inst:inst ()
 
-let greedy_dme ?config ?jobs ?incremental ?repair_max_cycles
+let greedy_dme ?config ?jobs ?repair_max_cycles
     ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     ?(progress = Obs.Progress.null) inst =
-  let config = with_jobs ?jobs ?incremental ~default:Dme.Engine.default config in
+  let config = with_jobs ?jobs ~default:Dme.Engine.default config in
   router_manifest trace "greedy_dme" config;
   solve ~config ~trace ~sched ~progress ?repair_max_cycles
     ~route_inst:(fused ~bound:0. inst) ~eval_inst:inst ()
 
-let mmm_dme ?config ?jobs ?incremental ?repair_max_cycles
+let mmm_dme ?config ?jobs ?repair_max_cycles
     ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     ?(progress = Obs.Progress.null) inst =
-  let config = with_jobs ?jobs ?incremental ~default:ast_default_config config in
+  let config = with_jobs ?jobs ~default:ast_default_config config in
   router_manifest trace "mmm_dme" config;
   (* The MMM plan itself is serial (no recorded maps), but repair and
      evaluation still ledger under the recorder. *)

@@ -47,12 +47,10 @@ type result = {
 val ast_default_config : Dme.Engine.config
 
 (** Each router takes an optional [jobs] override for the engine's
-    ranking parallelism and an optional [incremental] override for its
-    cross-round proposal caching (see {!Dme.Engine.config}); both win
-    over the corresponding [config] field (and, for [jobs], over the
-    [ASTSKEW_JOBS] environment default).  Routed trees are bit-identical
-    for any [jobs] and for [incremental] on or off, so the knobs only
-    affect wall time.  The effective [jobs] also drives the repair
+    ranking parallelism (see {!Dme.Engine.config}); it wins over
+    [config.jobs] and over the [ASTSKEW_JOBS] environment default.
+    Routed trees are bit-identical for any [jobs], so the knob only
+    affects wall time.  The effective [jobs] also drives the repair
     pass's regional parallelism and evaluation's windowed kernels (both
     equally jobs-invariant).  [jobs] is an upper bound: each phase opens
     its pool only above its grain, so flat routes of 1000 sinks or fewer
@@ -63,7 +61,7 @@ val ast_default_config : Dme.Engine.config
     [max Repair.default_config.max_cycles (n_sinks / 250)].
 
     Each router also takes an optional [trace] (see {!Obs.Trace}): when
-    enabled, the run merges router name, jobs, incremental and the full
+    enabled, the run merges router name, jobs and the full
     engine config into the trace manifest, wraps the three phases in
     ["router.engine"] / ["router.repair"] / ["router.evaluate"] spans,
     threads the trace through the engine, repair and embedding (spans,
@@ -103,7 +101,6 @@ val ast_default_config : Dme.Engine.config
 val ast_dme :
   ?config:Dme.Engine.config ->
   ?jobs:int ->
-  ?incremental:bool ->
   ?clustered:bool ->
   ?clusters:int ->
   ?cluster_depth:int ->
@@ -117,7 +114,6 @@ val ast_dme :
 val ext_bst :
   ?config:Dme.Engine.config ->
   ?jobs:int ->
-  ?incremental:bool ->
   ?repair_max_cycles:int ->
   ?trace:Obs.Trace.t ->
   ?sched:Obs.Sched.t ->
@@ -128,7 +124,6 @@ val ext_bst :
 val greedy_dme :
   ?config:Dme.Engine.config ->
   ?jobs:int ->
-  ?incremental:bool ->
   ?repair_max_cycles:int ->
   ?trace:Obs.Trace.t ->
   ?sched:Obs.Sched.t ->
@@ -139,12 +134,11 @@ val greedy_dme :
 (** Associative-skew routing on a fixed Method-of-Means-and-Medians
     topology instead of the greedy merge order; a second baseline that
     isolates how much the merge order contributes.  The MMM engine never
-    trial-merges or probes, so [jobs] and [incremental] are accepted for
-    interface uniformity but have no effect. *)
+    trial-merges or probes, so [jobs] drives only repair and
+    evaluation. *)
 val mmm_dme :
   ?config:Dme.Engine.config ->
   ?jobs:int ->
-  ?incremental:bool ->
   ?repair_max_cycles:int ->
   ?trace:Obs.Trace.t ->
   ?sched:Obs.Sched.t ->

@@ -185,7 +185,7 @@ type part = {
    on its sub-instance.  A larger node splits its ids with the
    synchronized halving and stitches its children with an [Engine.plan
    ~leaves] over the {e global} instance, so every stitch level uses the
-   same bbox-derived penalty / reach-cap / grid scales as the top. *)
+   same bbox-derived penalty and grid-cell scales as the top. *)
 let rec plan_node ~config ~trace ~progress ~pdepth (inst : Instance.t) ids
     ~budget ~depth =
   if budget <= 1 then begin
@@ -272,7 +272,13 @@ let run_arena ?(config = Engine.default) ?(trace = Obs.Trace.null)
     | Some dd -> Obs.Progress.add_regions progress ~depth:dd kr
     | None -> ()
   end;
-  let jobs = Int.max 1 config.Engine.jobs in
+  (* A single top-level group plans serially whatever the pool, so a
+     pool would serve only the stitch and the embedding; like the flat
+     engine below its grain, the route then runs without one.  Trees are
+     bit-identical for any pool size, so the gate never moves one. *)
+  let jobs =
+    if Array.length groups >= 2 then Int.max 1 config.Engine.jobs else 1
+  in
   Par.Pool.with_pool ~jobs (fun pool ->
       (* Top-level groups map over the pool's domains (one chunk each);
          each group plans serially ([plan_node]).  Each plan builds its
@@ -350,8 +356,8 @@ let run_arena ?(config = Engine.default) ?(trace = Obs.Trace.null)
         Array.iter (journal "cluster_super") super
       end;
       (* Top level: stitch the group roots with one more AST-DME plan
-         over the global instance (global bbox drives the penalty /
-         reach-cap / grid scales), then embed the whole multi-level plan
+         over the global instance (global bbox drives the penalty and
+         grid-cell scales), then embed the whole multi-level plan
          in a single top-down pass straight into the arena — the skew
          bound is enforced across region boundaries exactly as it is
          within them. *)

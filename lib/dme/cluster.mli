@@ -12,8 +12,8 @@
     embarrassingly parallel (each region plan owns a private arena and
     {!Geometry.Grid_index} shard and is a pure function of its
     sub-instance), every stitch level plans over the {e global}
-    instance (global bbox drives the penalty / reach-cap / grid
-    scales), and each stitch sees exact per-group delay intervals, so
+    instance (global bbox drives the penalty and grid-cell scales),
+    and each stitch sees exact per-group delay intervals, so
     the associative skew bound is enforced across region boundaries
     exactly as within them — the stitched tree goes through the same
     {!Clocktree.Repair} as a flat one.
@@ -85,7 +85,8 @@ val partition : Clocktree.Instance.t -> clusters:int -> int array array
     [>= 1] (forcing it higher than needed degenerates gracefully — a
     budget-1 group plans directly regardless of remaining depth).
     [config.jobs] sizes the pool that maps top-level groups (one chunk
-    each) and serves the top-level stitch and the final embed; plans
+    each) and serves the top-level stitch and the final embed; a route
+    with a single top-level group opens no pool at all.  Plans
     below the top level run serially on their group's domain
     ({!Par.Pool} is not reentrant).  With [trace] enabled, plans emit
     the usual engine spans/journal records from their domains, a

@@ -10,7 +10,6 @@ type config = {
   cost_by_planned_wire : bool;
   avoid_infeasible : bool;
   trial_cache : bool;
-  incremental : bool;
   jobs : int;
 }
 
@@ -27,7 +26,6 @@ let default =
     cost_by_planned_wire = false;
     avoid_infeasible = true;
     trial_cache = true;
-    incremental = true;
     jobs = Par.Pool.default_jobs ();
   }
 
@@ -76,7 +74,6 @@ let json_of_config (c : config) =
       ("cost_by_planned_wire", Obs.Json.Bool c.cost_by_planned_wire);
       ("avoid_infeasible", Obs.Json.Bool c.avoid_infeasible);
       ("trial_cache", Obs.Json.Bool c.trial_cache);
-      ("incremental", Obs.Json.Bool c.incremental);
       ("jobs", Obs.Json.Int c.jobs);
     ]
 
@@ -151,10 +148,9 @@ let plan ?(config = default) ?(trace = Obs.Trace.null)
      dominate every honest cost, and proportional to the instance extent
      so a rescaled layout ranks bit-identically — adding an absolute
      constant would float-absorb small cost differences at one
-     coordinate scale and preserve them at another.  [Order]'s caching
-     threshold (reach_cap, 1e8 x extent) relies on penalised costs
-     exceeding it.  A zero-extent instance has every honest cost 0, so
-     any positive penalty separates. *)
+     coordinate scale and preserve them at another.  A zero-extent
+     instance has every honest cost 0, so any positive penalty
+     separates. *)
   let infeasible_penalty =
     let d = Geometry.Octagon.diameter (Clocktree.Instance.bbox inst) in
     if d > 0. then 1e9 *. d else 1.
@@ -368,7 +364,6 @@ let plan ?(config = default) ?(trace = Obs.Trace.null)
         merge_fraction = config.merge_fraction;
         knn = config.knn;
         delay_order_weight;
-        incremental = config.incremental;
       }
   in
   let jobs = match pool with Some p -> Par.Pool.jobs p | None -> 1 in
@@ -398,7 +393,7 @@ let plan ?(config = default) ?(trace = Obs.Trace.null)
                  ("round", Obs.Json.Int r.round);
                  ("active", Obs.Json.Int r.active);
                  ("probes", Obs.Json.Int r.probes);
-                 ("nn_probes_saved", Obs.Json.Int r.cache_served);
+                 ("nn_probes_saved", Obs.Json.Int 0);
                  ("merges", Obs.Json.Int r.merges);
                  ("trial_merges", Obs.Json.Int d_trials);
                  ("trial_cache_hits", Obs.Json.Int d_hits);
@@ -426,7 +421,7 @@ let plan ?(config = default) ?(trace = Obs.Trace.null)
     {
       rounds = ostats.rounds;
       nn_reprobes = ostats.nn_probes;
-      nn_probes_saved = ostats.nn_probes_saved;
+      nn_probes_saved = 0;
       same_group = !same_group;
       cross_group = !cross_group;
       shared_one = !shared_one;

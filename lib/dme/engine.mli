@@ -42,14 +42,6 @@ type config = {
           rounds, and the winning pair's committed merge reuses its own
           trial.  Routed trees are bit-identical with the cache on or
           off; off exists for benchmarking and as a paranoia switch *)
-  incremental : bool;
-      (** cache each subtree's nearest-neighbour proposal across merge
-          rounds and re-probe only the dirty set (subtrees whose
-          proposal a committed merge could have changed — see {!Order}).
-          Routed trees, per-sink delays and wirelength are bit-identical
-          on or off; skipped probes also skip their candidates' trial
-          merges, so trial {e counters} drop together with
-          [nn_reprobes].  Off exists for ablation benchmarks *)
   jobs : int;
       (** upper bound on the domains used for the per-round candidate
           ranking (nearest neighbour probes and their trial merges) and
@@ -95,13 +87,12 @@ type stats = {
       (** merges whose constraints were mutually inconsistent; their
           residual skew is fixed by {!Clocktree.Repair} *)
   nn_reprobes : int;
-      (** nearest-neighbour probes actually executed by the ranking
-          loop; with [incremental] off this is one per active subtree
-          per round *)
+      (** nearest-neighbour probes executed by the ranking loop: one
+          per active subtree per round *)
   nn_probes_saved : int;
-      (** rank slots served from the cross-round proposal cache instead
-          of probing; [nn_reprobes + nn_probes_saved] is the probe count
-          a from-scratch ([incremental = false]) run executes *)
+      (** always 0.  Counted probes a cross-round proposal cache served
+          until that cache was retired (DESIGN.md section 10); kept
+          until the benchmark harness stops reading it *)
   trial : trial_stats;
   gc : Obs.Gcstat.t;
       (** GC work of the whole run (plan + embed) as seen from the

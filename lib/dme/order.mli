@@ -12,31 +12,13 @@
     so the selected merges — and hence the routed tree — are bit-identical
     for any jobs count.
 
-    With [incremental] ranking (the default) each subtree's (partner,
-    cost) proposal is cached across rounds and invalidated by exact
-    per-proposal tests (the dirty set): the partner died in a committed
-    merge; a newly inserted node's region distance undercuts the cached
-    cost (so it could win the argmin); or insertions erode the partner's
-    candidate rank past the [knn] horizon (tracked with a per-proposal
-    counter; exact center-distance ties invalidate conservatively).  A
-    proposal is cached in the first place only when the probe's k-NN
-    exclusion bound and a one-time undercut scan prove that every node
-    the probe never evaluated both ranks after the partner and costs
-    more than the cached best — the full soundness argument lives next
-    to [invalidate_stale] in the implementation and in DESIGN.md
-    section 10.  Clean subtrees reuse their cached best pair, which is
-    provably the pair a from-scratch probe would select, so the routed
-    tree, per-sink delays and wirelength stay bit-identical with
-    [incremental] on or off, for every jobs count.  Trial-merge
-    {e counters} may drop below the from-scratch run's (skipped probes
-    never evaluate candidates that could not win); that saving is the
-    point.
-
-    Incremental ranking relies on the coster lower bound
-    [cost a b >= Octagon.dist a.region b.region] (every in-tree cost —
-    region distance, planned wire, distance + infeasibility penalty —
-    satisfies it).  Costers that violate the bound must route with
-    [incremental = false]. *)
+    Every round probes every active subtree from scratch.  Candidates
+    come from a {!Geometry.Grid_index} over subtree centers, whose k-NN
+    answer is ordered by (distance, id) and so depends only on the alive
+    population; the grid is rebuilt with a larger cell whenever the
+    population has shrunk to a quarter of the one its cell was sized
+    for, which changes how many cells a query scans but never its
+    answer (DESIGN.md section 22). *)
 
 type config = {
   multi_merge : bool;
@@ -47,9 +29,6 @@ type config = {
   delay_order_weight : float;
       (** layout units per ps: sorts deeper (slower) subtrees earlier;
           0 disables the delay-target enhancement *)
-  incremental : bool;
-      (** cache proposals across rounds with dirty-set invalidation;
-          default on.  Off = re-probe every active subtree each round. *)
 }
 
 val default : config
@@ -60,10 +39,8 @@ val default : config
     ['note] carries any side results the probe produced (for the DME
     engine: freshly executed trial merges and cache-counter deltas).
     The cost function must not mutate shared state; [absorb] is called
-    for every executed probe's note on the calling domain, in ascending
-    subtree-id order, before any merge of the round is committed.
-    Subtrees whose cached proposal is reused run no session and absorb
-    nothing. *)
+    for every probe's note on the calling domain, in ascending
+    subtree-id order, before any merge of the round is committed. *)
 type 'note coster = {
   session :
     unit -> (dist:float -> Subtree.t -> Subtree.t -> float) * (unit -> 'note);
@@ -93,25 +70,21 @@ val of_cost : (Subtree.t -> Subtree.t -> float) -> unit coster
 val of_merge :
   (id:int -> Subtree.t -> Subtree.t -> Subtree.t) -> (int * Subtree.t * Subtree.t) merger
 
-(** Ranking-loop statistics.  [nn_probes] counts executed
-    nearest-neighbour probes (each runs one coster session over up to
-    [knn] candidates); [nn_probes_saved] counts the rank slots served
-    from the cross-round proposal cache instead.  Their sum is the probe
-    count a from-scratch run would have executed. *)
-type stats = { rounds : int; nn_probes : int; nn_probes_saved : int }
+(** Ranking-loop statistics.  [nn_probes] counts nearest-neighbour
+    probes (each runs one coster session over up to [knn] candidates):
+    the active count summed over rounds. *)
+type stats = { rounds : int; nn_probes : int }
 
 (** One completed merge round, as reported to the [?on_round] observer
     of {!run_ranked}: 1-based [round] index, [active] subtree count at
-    the round's start, executed probe count ([probes]) and rank slots
-    served from the proposal cache ([cache_served]) this round, merges
-    committed, the cheapest committed pair's biased cost ([infinity]
-    when only the degenerate fallback merge ran) and the round's wall
-    time in seconds (clamped non-negative). *)
+    the round's start, probe count ([probes], equal to [active]),
+    merges committed, the cheapest committed pair's biased cost
+    ([infinity] when only the degenerate fallback merge ran) and the
+    round's wall time in seconds (clamped non-negative). *)
 type round_info = {
   round : int;
   active : int;
   probes : int;
-  cache_served : int;
   merges : int;
   best_cost : float;
   wall_s : float;

@@ -1,5 +1,6 @@
-(* Query instrumentation: queries = nearest/k_nearest/within calls,
-   rings/cells/entries = work done by the ring scans those queries run. *)
+(* Query instrumentation: queries = k-NN kernel calls (every list
+   wrapper is one), rings/cells/entries = work done by their ring
+   scans. *)
 let c_queries = Obs.Counter.make "geometry.grid.queries"
 let c_rings = Obs.Counter.make "geometry.grid.rings_scanned"
 let c_cells = Obs.Counter.make "geometry.grid.cells_visited"
@@ -9,8 +10,8 @@ let c_entries = Obs.Counter.make "geometry.grid.entries_scanned"
    coordinates in parallel growable arrays, scanned with a plain
    for-loop, so a query reads the entries' points without touching a
    boxed record.  [vals] holds the values only for the list API.
-   Entries iterate in insertion order (removal shifts, preserving it),
-   which fixes distance-tie arrival order in {!knn_into}. *)
+   Removal shifts the tail down; entry order inside a bucket is never
+   observable, since {!knn_into} ranks by (distance, id). *)
 type 'a bucket = {
   mutable ids : int array;
   mutable xs : floatarray;
@@ -141,8 +142,6 @@ let[@inline] key t v =
     invalid_arg "Grid_index: point coordinates must be finite";
   int_of_float q
 
-let cell_of t (p : Pt.t) = (key t p.x, key t p.y)
-
 (* New [(origin, length)] of one window axis so that it covers key [g]:
    unchanged when it already does, otherwise at least doubled, growing
    toward [g]. *)
@@ -261,15 +260,12 @@ let size t = t.count
    caller's stop condition never fires (e.g. fewer entries than
    requested).
 
-   Visit order is fixed: the query cell, then per ring the top and
-   bottom edges column by column (top before bottom in each column),
-   then the left and right edges row by row (left before right), and
-   each bucket in insertion order.  Clipping to the occupied box and
-   skipping empty rows and columns drops only cells without entries, so
-   the order in which entries are visited is that of the plain ring
-   walk.  The visit counters are charged as if every cell of every ring
-   were probed — ring 0 is one cell and ring [r >= 1] is [8 r] — and
-   added once per query. *)
+   Clipping to the occupied box and skipping empty rows and columns
+   drops only cells without entries.  Visit order does not reach the
+   answer (the k-NN kernel ranks by (distance, id)), so it is left
+   unspecified.  The visit counters are charged as if every cell of
+   every ring were probed — ring 0 is one cell and ring [r >= 1] is
+   [8 r] — and added once per query. *)
 let fold_rings t (q : Pt.t) ~stop (visit : 'a bucket -> unit) =
   let cx = key t q.x and cy = key t q.y in
   (* max over occupied cells of max (|dx|, |dy|): each axis maximum is
@@ -324,8 +320,8 @@ let fold_rings t (q : Pt.t) ~stop (visit : 'a bucket -> unit) =
   Obs.Counter.add c_entries !entries
 
 (* The k-NN kernel's caller-owned buffer: the best [klen] candidates seen
-   so far, kept sorted — ascending distance, later visit first on ties —
-   in four parallel arrays. *)
+   so far, kept sorted by ascending (distance, id) in four parallel
+   arrays. *)
 type knn = {
   mutable kids : int array;
   mutable kdist : floatarray;
@@ -356,25 +352,39 @@ let knn_reserve b cap =
   end
 
 (* Offer entry [i] of bucket [bk] to a buffer holding at most [cap]
-   candidates.  Every offer arrives after all the buffered ones, so it
-   ranks before every buffered candidate at its distance: it goes in
-   front of the first one at distance >= [d], and when the buffer is
-   full it is kept iff [d <= kdist.(cap - 1)].  The scan visits cells
-   roughly outward, so the insertion point is usually at or near the
-   end.  The L1 distance is written out here, next to its use: a
-   [Pt.dist] call is not inlined in -opaque (dev-profile) builds and
-   would box its result for every scanned entry. *)
+   candidates: it goes in front of the first buffered candidate ranking
+   after it by (distance, id), and when the buffer is full it is kept
+   iff it ranks before the last one.  Ids are unique, so no two
+   candidates compare equal and the buffer is the [cap] smallest
+   offers whatever order they arrive in.  The scan visits cells roughly
+   outward, so the insertion point is usually at or near the end.  The
+   L1 distance is written out here, next to its use: a [Pt.dist] call
+   is not inlined in -opaque (dev-profile) builds and would box its
+   result for every scanned entry. *)
 let knn_offer b cap (q : Pt.t) (bk : _ bucket) i =
   let x = Float.Array.unsafe_get bk.xs i and y = Float.Array.unsafe_get bk.ys i in
   let d = Float.abs (q.x -. x) +. Float.abs (q.y -. y) in
+  let id = Array.unsafe_get bk.ids i in
+  let ids = b.kids and ds = b.kdist in
   let len = b.klen in
-  if len < cap || d <= Float.Array.get b.kdist (len - 1) then begin
-    let ids = b.kids and ds = b.kdist and xs = b.kx and ys = b.ky in
-    (* Shift every candidate at distance >= d one slot right (the last
-       one falls off a full buffer), then write the offer into the
+  (* "Candidate [k] ranks after the offer" is written out twice below
+     rather than as a local function, which would allocate a closure
+     per offer. *)
+  if
+    len < cap
+    || (let dk = Float.Array.get ds (len - 1) in
+        dk > d || (dk = d && ids.(len - 1) > id))
+  then begin
+    let xs = b.kx and ys = b.ky in
+    (* Shift every candidate ranking after the offer one slot right (the
+       last one falls off a full buffer), then write the offer into the
        gap. *)
     let j = ref (if len < cap then len else len - 1) in
-    while !j > 0 && Float.Array.get ds (!j - 1) >= d do
+    while
+      !j > 0
+      && (let dk = Float.Array.get ds (!j - 1) in
+          dk > d || (dk = d && ids.(!j - 1) > id))
+    do
       let k = !j in
       ids.(k) <- ids.(k - 1);
       Float.Array.set ds k (Float.Array.get ds (k - 1));
@@ -382,7 +392,7 @@ let knn_offer b cap (q : Pt.t) (bk : _ bucket) i =
       Float.Array.set ys k (Float.Array.get ys (k - 1));
       j := k - 1
     done;
-    ids.(!j) <- bk.ids.(i);
+    ids.(!j) <- id;
     Float.Array.set ds !j d;
     Float.Array.set xs !j x;
     Float.Array.set ys !j y;
@@ -415,7 +425,15 @@ let knn_into t b ~skip (q : Pt.t) k =
        [q].  A buffer that never filled kept every eligible offer, and
        [fold_rings] visits the whole occupied bounding box unless [stop]
        fires, so the result is exhaustive and no entry was excluded at
-       all. *)
+       all.
+
+       Canonical answer.  An entry the scan never offered lies at
+       distance > (r - 1) * cell > kth — strictly beyond every answer,
+       so it ranks after all of them whatever its id — and every offered
+       entry competed in the (distance, id) buffer.  The answer is
+       therefore the [k] smallest eligible entries by (distance, id): a
+       function of the stored (id, point) set and the query alone, not
+       of the cell size, bucket order or ring visit order. *)
     if b.klen = k then begin
       b.exhaustive <- false;
       b.kth <- Float.Array.get b.kdist (k - 1)
@@ -444,31 +462,3 @@ let k_nearest t ?skip q k = fst (k_nearest_probe t ?skip q k)
 
 let nearest t ?skip q =
   match k_nearest t ?skip q 1 with [ e ] -> Some e | _ -> None
-
-(* The ball scan: [hit bk i] for every entry [i] of bucket [bk] within
-   L1 distance [r] of [q]. *)
-let scan_within t (q : Pt.t) r hit =
-  Obs.Counter.incr c_queries;
-  (* A negative radius can match nothing and an empty index has nothing
-     to scan; bail out before fold_rings walks rings for free. *)
-  if not (t.count = 0 || r < 0.) then begin
-    let stop ring = float_of_int (ring - 1) *. t.cell > r in
-    fold_rings t q ~stop (fun bk ->
-        for i = 0 to bk.blen - 1 do
-          (* L1 distance written out: see [knn_offer]. *)
-          if
-            Float.abs (q.x -. Float.Array.unsafe_get bk.xs i)
-            +. Float.abs (q.y -. Float.Array.unsafe_get bk.ys i)
-            <= r
-          then hit bk i
-        done)
-  end
-
-let iter_within t q r f = scan_within t q r (fun bk i -> f (Array.unsafe_get bk.ids i))
-
-let within t q r =
-  let acc = ref [] in
-  scan_within t q r (fun bk i ->
-      let p = Pt.make (Float.Array.get bk.xs i) (Float.Array.get bk.ys i) in
-      acc := (bk.ids.(i), p, bk.vals.(i)) :: !acc);
-  !acc

@@ -10,10 +10,13 @@
     memory grows with the box's area in cells.  Each occupied cell's
     bucket is structure-of-arrays — ids and unboxed x/y coordinates in
     parallel arrays, values beside them only for the list wrappers — so
-    the two query kernels, {!knn_into} and {!iter_within}, scan entries
-    without touching a boxed point.  A non-finite point has
-    no cell: {!add}, {!remove}, {!cell_of} and any query that scans the
-    grid raise [Invalid_argument] on one. *)
+    the k-NN kernel {!knn_into} scans entries without touching a boxed
+    point.  Every answer is ordered by ascending (L1 distance, id): it
+    is a function of the stored (id, point) set and the query alone, so
+    two indexes holding the same entries answer identically whatever
+    their cell sizes or mutation histories.  A non-finite point has no
+    cell: {!add}, {!remove} and any query that scans the grid raise
+    [Invalid_argument] on one. *)
 
 type 'a t
 
@@ -37,15 +40,12 @@ val size : 'a t -> int
 
 (** A caller-owned k-NN answer buffer, reused across queries: [kids],
     [kdist], [kx] and [ky] hold the answer's ids, L1 distances from the
-    query and points at indices [0 .. klen - 1], ascending by distance,
-    the later-added (later-visited) entry first on distance ties.
-    [exhaustive] reports that the answer holds every eligible entry;
-    otherwise [kth] is the query's {e exclusion bound}: every eligible
-    entry not in the answer lies at L1 distance >= [kth] (the k-th
-    answer's distance) from the query — the lower bound the DME
-    incremental ranking needs to prove that entries it never evaluated
-    cannot beat a cached proposal.  [kth] is [infinity] when
-    [exhaustive].  A buffer must not be shared between domains. *)
+    query and points at indices [0 .. klen - 1], ascending by
+    (distance, id).  [exhaustive] reports that the answer holds every
+    eligible entry; otherwise [kth] is the query's {e exclusion bound}:
+    every eligible entry not in the answer lies at L1 distance >= [kth]
+    (the k-th answer's distance) from the query.  [kth] is [infinity]
+    when [exhaustive].  A buffer must not be shared between domains. *)
 type knn = private {
   mutable kids : int array;
   mutable kdist : floatarray;
@@ -58,20 +58,15 @@ type knn = private {
 
 val knn_buffer : unit -> knn
 
-(** [knn_into t buf ~skip q k] overwrites [buf] with the up to [k]
-    entries L1-nearest to [q], ignoring entries whose id satisfies
-    [skip].  Scanning an entry allocates nothing. *)
+(** [knn_into t buf ~skip q k] overwrites [buf] with the [k] entries
+    that come first by (L1 distance to [q], id), ignoring entries whose
+    id satisfies [skip] (fewer when fewer are eligible).  Scanning an
+    entry allocates nothing. *)
 val knn_into : 'a t -> knn -> skip:(int -> bool) -> Pt.t -> int -> unit
-
-(** [iter_within t p r f] applies [f] to the id of every entry within
-    L1 distance [r] of [p], without materializing a list.  A negative
-    [r] or an empty index visits nothing without scanning.  Visit order
-    is unspecified; callers must be order-insensitive. *)
-val iter_within : 'a t -> Pt.t -> float -> (int -> unit) -> unit
 
 (** {1 List wrappers}
 
-    Convenience forms over the two kernels above, allocating a fresh
+    Convenience forms over the kernel above, allocating a fresh
     result (and, for the k-NN forms, a fresh buffer) per call.  Points
     come back rebuilt from the stored coordinates. *)
 
@@ -82,20 +77,11 @@ val k_nearest_probe :
   'a t -> ?skip:(int -> bool) -> Pt.t -> int -> (int * Pt.t * 'a) list * float option
 
 (** [k_nearest t ?skip p k] is up to [k] eligible entries ordered by
-    increasing L1 point distance. *)
+    increasing (L1 point distance, id). *)
 val k_nearest :
   'a t -> ?skip:(int -> bool) -> Pt.t -> int -> (int * Pt.t * 'a) list
 
 (** [nearest t ?skip p] is the eligible entry whose point is L1-nearest
-    to [p] (the later-added one on ties), [None] when no eligible entry
+    to [p] (the lowest id on ties), [None] when no eligible entry
     exists. *)
 val nearest : 'a t -> ?skip:(int -> bool) -> Pt.t -> (int * Pt.t * 'a) option
-
-(** All entries within L1 distance [r] of [p], in unspecified order. *)
-val within : 'a t -> Pt.t -> float -> (int * Pt.t * 'a) list
-
-(** [cell_of t p] is the grid-cell key of point [p] — exposed so callers
-    tracking cached query results can detect mutations landing in a
-    specific entry's cell (same-cell bucket churn may reorder distance
-    ties, see {!knn}). *)
-val cell_of : 'a t -> Pt.t -> int * int

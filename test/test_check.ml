@@ -299,17 +299,15 @@ let test_fuzz_smoke () =
   Alcotest.(check int) "all cases pass" 24 s.passed;
   Alcotest.(check bool) "ok" true (Check.Runner.ok s)
 
-let test_incremental_oracle_huge () =
-  (* The incremental-identity oracle at benchmark scale, serial and
-     parallel: many merge rounds of cache reuse and invalidation on a
+let test_par_oracle_huge () =
+  (* The par-identity oracle at benchmark scale, serial against pooled:
+     many merge rounds — and grid re-cells — of pooled probing on a
      generated (not hand-picked) instance. *)
   let c = Check.Gen.case ~regime:Check.Gen.Huge ~seed:5L ~index:0 () in
-  match
-    Check.Oracle.identity ~jobs:[ 1; 2 ] Check.Oracle.incremental c.instance
-  with
+  match Check.Oracle.identity ~jobs:[ 2 ] Check.Oracle.par c.instance with
   | [] -> ()
   | findings ->
-    Alcotest.failf "incremental identity violated:@ %a"
+    Alcotest.failf "par identity violated:@ %a"
       (Format.pp_print_list Check.Oracle.pp_finding)
       findings
 
@@ -745,7 +743,7 @@ let test_diffs_name_every_field () =
   Alcotest.(check (list string)) "gc is not compared" []
     (Check.Oracle.diffs gc o)
 
-(* The table keeps the ten finding names of the oracles it replaced, so
+(* The table keeps the finding names of the oracles it replaced, so
    [Oracle.reproduces], recorded FUZZ_REPRO files and the README stay
    valid. *)
 let test_table_finding_names () =
@@ -753,8 +751,7 @@ let test_table_finding_names () =
     "finding names"
     [
       "cache-identity"; "cluster-depth-identity"; "cluster-identity";
-      "embed-identity"; "evaluate-identity"; "incremental-identity";
-      "par-identity"; "repair-identity"; "sched-identity"; "trace-identity";
+      "embed-identity"; "evaluate-identity"; "par-identity"; "repair-identity"; "sched-identity"; "trace-identity";
     ]
     (List.sort_uniq compare (List.map Check.Oracle.name Check.Oracle.invariants))
 
@@ -777,8 +774,8 @@ let () =
       ( "runner",
         [
           Alcotest.test_case "fuzz smoke" `Slow test_fuzz_smoke;
-          Alcotest.test_case "incremental oracle at scale" `Slow
-            test_incremental_oracle_huge;
+          Alcotest.test_case "par oracle at scale" `Slow
+            test_par_oracle_huge;
           Alcotest.test_case "trace oracle" `Slow test_trace_oracle;
           Alcotest.test_case "sched oracle" `Slow test_sched_oracle;
           Alcotest.test_case "sched oracle r1/r3" `Slow test_sched_oracle_r1_r3;
@@ -801,7 +798,7 @@ let () =
         [
           Alcotest.test_case "diffs names every field" `Quick
             test_diffs_name_every_field;
-          Alcotest.test_case "ten finding names" `Quick test_table_finding_names;
+          Alcotest.test_case "nine finding names" `Quick test_table_finding_names;
         ] );
       ( "io-roundtrip",
         [ Alcotest.test_case "fuzzed instances" `Quick test_io_roundtrip_fuzzed ] );

@@ -553,38 +553,23 @@ let test_parallel_gate () =
   check_oracle "par-identity ranks on the pool"
     (Check.Oracle.identity ~jobs:[ 2 ] Check.Oracle.par case.instance)
 
-let test_incremental_bit_identical () =
-  (* The cross-round proposal cache must be a pure probe saver: planned
-     and embedded with it on — serially and on a 4-domain pool (r1 and
-     r2 are below the engine's parallel grain, so the oracle brings its
-     own pool) — every arena column must equal the from-scratch run's,
-     the probe accounting must balance (every rank slot either re-probed
-     or served from the cache), and the cache must actually skip
-     probes. *)
+let test_pooled_ranking_bit_identical () =
+  (* Pooled probing must not move a tree: planned and embedded serially
+     and on a 4-domain pool (r1 and r2 are below the engine's parallel
+     grain, so the oracle brings its own pool), every arena column and
+     every engine counter must equal the serial run's. *)
   List.iter
     (fun name ->
-      let inst = circuit name in
       check_oracle name
-        (Check.Oracle.identity ~jobs:[ 1; 4 ] Check.Oracle.incremental inst);
-      let plan incremental =
-        snd
-          (Dme.Engine.plan
-             ~config:{ Astskew.Router.ast_default_config with incremental }
-             inst)
-      in
-      Alcotest.(check bool) (name ^ ": cache active") true
-        ((plan true).nn_probes_saved > 0);
-      Alcotest.(check int)
-        (name ^ ": from-scratch run saves nothing")
-        0 (plan false).nn_probes_saved)
+        (Check.Oracle.identity ~jobs:[ 4 ] Check.Oracle.par (circuit name)))
     [ "r1"; "r2" ]
 
 (* Golden pin: bit-exact AST-DME wirelengths on r1-r5, intermingled, 8
    groups, serial ranking.  Any change to the merge order — a reordered
-   grid tie, a different cache decision — moves at least one of these. *)
-(* The ranking counters ride along with the wirelengths: a changed
-   cacheability decision that still ends in the same tree shows up in
-   [nn_reprobes]/[nn_probes_saved] even when every wirelength holds. *)
+   grid tie, a re-cell that changed a k-NN answer — moves at least one
+   of these.  The ranking counters ride along with the wirelengths:
+   every round probes every active subtree, so [nn_reprobes] is the
+   active count summed over [rounds], and [nn_probes_saved] stays 0. *)
 let test_golden_wirelengths () =
   List.iter
     (fun (name, expect, reprobes, saved, rounds) ->
@@ -600,11 +585,11 @@ let test_golden_wirelengths () =
       Alcotest.(check int) (name ^ " nn_probes_saved") saved r.engine.nn_probes_saved;
       Alcotest.(check int) (name ^ " rounds") rounds r.engine.rounds)
     [
-      ("r1", "0x1.cd929d3d14732p+19", 809, 274, 19);
-      ("r2", "0x1.ea747375c23e7p+20", 1862, 551, 22);
-      ("r3", "0x1.3180cdaf06bf4p+21", 2646, 827, 23);
-      ("r4", "0x1.2fd864ed8f4dep+22", 5838, 1798, 26);
-      ("r5", "0x1.c8a977fe4209ap+22", 9595, 2841, 28);
+      ("r1", "0x1.cd929d3d14732p+19", 1083, 0, 19);
+      ("r2", "0x1.ea747375c23e7p+20", 2413, 0, 22);
+      ("r3", "0x1.3180cdaf06bf4p+21", 3473, 0, 23);
+      ("r4", "0x1.2fd864ed8f4dep+22", 7636, 0, 26);
+      ("r5", "0x1.c8a977fe4209ap+22", 12436, 0, 28);
     ]
 
 let test_dedupe_pairs () =
@@ -783,8 +768,8 @@ let () =
           Alcotest.test_case "stats add up" `Quick test_engine_stats_add_up;
           Alcotest.test_case "trial cache bit-identical" `Slow
             test_trial_cache_bit_identical;
-          Alcotest.test_case "incremental ranking bit-identical" `Slow
-            test_incremental_bit_identical;
+          Alcotest.test_case "pooled ranking bit-identical" `Slow
+            test_pooled_ranking_bit_identical;
           Alcotest.test_case "parallel ranking bit-identical" `Slow
             test_parallel_bit_identical;
           Alcotest.test_case "parallel gate follows the region grain" `Slow

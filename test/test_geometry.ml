@@ -411,9 +411,7 @@ let test_grid_basic () =
   Alcotest.(check int) "size after remove" 2 (Grid_index.size g);
   let near2 = Grid_index.k_nearest g (pt 1. 1.) 2 in
   Alcotest.(check (list int)) "k_nearest order" [ 1; 2 ]
-    (List.map (fun (id, _, _) -> id) near2);
-  let w = Grid_index.within g (pt 0. 0.) 50. in
-  Alcotest.(check int) "within radius" 1 (List.length w)
+    (List.map (fun (id, _, _) -> id) near2)
 
 let prop_grid_matches_linear_scan =
   let gen =
@@ -503,23 +501,13 @@ let test_grid_probe_semantics () =
      does fill and a — vacuously sound — bound comes back.) *)
   (match Grid_index.k_nearest_probe g (pt 0. 0.) 4 with
    | entries, None -> Alcotest.(check int) "k=4 exhaustive" 3 (List.length entries)
-   | _, Some _ -> Alcotest.fail "exhaustive scan must not report a bound");
-  (* Negative radius matches nothing (and must not ring-scan forever). *)
-  Alcotest.(check int) "negative within" 0
-    (List.length (Grid_index.within g (pt 0. 0.) (-1.)));
-  (* cell_of: same cell iff floor-quantized coordinates agree. *)
-  Alcotest.(check bool) "same cell" true
-    (Grid_index.cell_of g (pt 1. 1.) = Grid_index.cell_of g (pt 9. 9.));
-  Alcotest.(check bool) "different cell" false
-    (Grid_index.cell_of g (pt 1. 1.) = Grid_index.cell_of g (pt 11. 1.))
+   | _, Some _ -> Alcotest.fail "exhaustive scan must not report a bound")
 
-(* Distance ties rank by scan order — query cell, then per ring the
-   top/bottom edges column by column and the left/right edges row by row,
-   each bucket in insertion order — later arrivals first.  Twelve points
-   at L1 distance 20 from the query span rings 1 and 2 and share three
-   cells; the brute-force properties compare distances only, so this pins
-   the exact id order, before and after same-cell churn moves ids 2 and
-   3 to the back of their buckets. *)
+(* Distance ties rank by id.  Twelve points at L1 distance 20 from the
+   query span rings 1 and 2 and share three cells; the answer must list
+   them in id order whatever the ring walk visits first, and must not
+   move when same-cell churn sends ids 2 and 3 to the back of their
+   buckets. *)
 let test_grid_tie_order () =
   let g = Grid_index.create ~cell:10. in
   let pts =
@@ -535,16 +523,17 @@ let test_grid_tie_order () =
       (List.map (fun (id, _, _) -> id) got);
     Alcotest.(check (option (float 0.))) (Printf.sprintf "%s k=%d bound" tag k) bound b
   in
-  check "initial" 10 [ 13; 1; 6; 8; 3; 9; 12; 7; 11; 5 ] (Some 20.);
-  check "initial" 13 [ 13; 1; 6; 8; 3; 9; 12; 7; 11; 5; 2; 10; 4 ] (Some 20.);
-  check "initial" 20 [ 13; 1; 6; 8; 3; 9; 12; 7; 11; 5; 2; 10; 4; 14 ] None;
+  let both tag =
+    check tag 10 [ 13; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (Some 20.);
+    check tag 13 [ 13; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ] (Some 20.);
+    check tag 20 [ 13; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 14 ] None
+  in
+  both "initial";
   Grid_index.remove g ~id:2 (pt 15. (-5.));
   Grid_index.remove g ~id:3 (pt 5. 25.);
   Grid_index.add g ~id:2 (pt 15. (-5.)) ();
   Grid_index.add g ~id:3 (pt 5. 25.) ();
-  check "churned" 10 [ 13; 1; 6; 3; 8; 9; 12; 7; 2; 11 ] (Some 20.);
-  check "churned" 13 [ 13; 1; 6; 3; 8; 9; 12; 7; 2; 11; 5; 10; 4 ] (Some 20.);
-  check "churned" 20 [ 13; 1; 6; 3; 8; 9; 12; 7; 2; 11; 5; 10; 4; 14 ] None
+  both "churned"
 
 let test_grid_preconditions () =
   List.iter
@@ -566,30 +555,14 @@ let test_grid_preconditions () =
   Alcotest.(check (list int)) "still answers" [ 0 ]
     (List.map (fun (id, _, _) -> id) (Grid_index.k_nearest g (pt 500. (-500.)) 3))
 
-(* Where the ring scan visits an entry at [p] for a query at [q]: its
-   ring, then the edge (top/bottom rows before left/right columns), the
-   position along it and the side, then its insertion [stamp] within
-   the cell (stamps grow with every add, and buckets keep insertion
-   order).  Larger keys are visited later. *)
-let scan_key g q p stamp =
-  let cx, cy = Grid_index.cell_of g q and gx, gy = Grid_index.cell_of g p in
-  let dx = gx - cx and dy = gy - cy in
-  let r = Int.max (Int.abs dx) (Int.abs dy) in
-  if r = 0 then (0, 0, 0, 0, stamp)
-  else if Int.abs dy = r then (r, 0, dx, (if dy < 0 then 0 else 1), stamp)
-  else (r, 1, dy, (if dx < 0 then 0 else 1), stamp)
-
 (* Churn property: a random interleaving of adds, removes and queries
    must agree with a brute-force mirror at every step — the index may
    never decay under mutation (bucket resize, cell emptying, re-adds).
-   Also checks the k_nearest_probe exclusion-bound contract that the DME
-   incremental ranking depends on: [Some d] means every eligible entry
+   Also checks the k_nearest_probe exclusion-bound contract: [Some d] means every eligible entry
    not returned lies at distance >= d; [None] means nothing was left
    out.  The k-NN kernel, through one buffer reused across queries,
-   must return exactly the brute-force k best by (distance, later scan
-   visit first) — ids and order, so distance ties resolve as the
-   incremental ranking assumes — with the same bound contract; and the
-   id-only [iter_within] must visit exactly the ids in the ball. *)
+   must return exactly the brute-force k best by (distance, id) — ids
+   and order — with the same bound contract. *)
 let prop_grid_churn =
   let gen =
     QCheck.Gen.(
@@ -661,7 +634,7 @@ let prop_grid_churn =
                check (Float.abs (Pt.dist p q -. d) <= 1e-9)
              | None, [] -> ()
              | _ -> check false)
-          | 7 | 8 ->
+          | _ ->
             let k = 1 + (x mod 8) in
             let got, bound = Grid_index.k_nearest_probe g p k in
             let b = brute p in
@@ -684,22 +657,20 @@ let prop_grid_churn =
              | None ->
                (* exhaustive: nothing was left out *)
                check (List.length got = List.length b));
-            (* The array kernel against the exact brute-force order; ids
-               are allocated in add order, so an id is its stamp. *)
+            (* The array kernel against the exact brute-force order. *)
             let skip id = x mod 2 = 1 && id mod 3 = 0 in
             Grid_index.knn_into g buf ~skip p k;
             let ranked =
               Hashtbl.fold
-                (fun id q acc ->
-                  if skip id then acc else (Pt.dist p q, scan_key g p q id, id, q) :: acc)
+                (fun id q acc -> if skip id then acc else (Pt.dist p q, id, q) :: acc)
                 mirror []
-              |> List.sort (fun (d1, k1, _, _) (d2, k2, _, _) ->
-                     match Float.compare d1 d2 with 0 -> compare k2 k1 | c -> c)
+              |> List.sort (fun (d1, i1, _) (d2, i2, _) ->
+                     match Float.compare d1 d2 with 0 -> Int.compare i1 i2 | c -> c)
             in
             let expect = List.filteri (fun i _ -> i < k) ranked in
             check (buf.klen = List.length expect);
             List.iteri
-              (fun i (d, _, id, (q : Pt.t)) ->
+              (fun i (d, id, (q : Pt.t)) ->
                 check (buf.kids.(i) = id);
                 check (Float.Array.get buf.kdist i = d);
                 check (Float.Array.get buf.kx i = q.x && Float.Array.get buf.ky i = q.y))
@@ -708,21 +679,69 @@ let prop_grid_churn =
             else begin
               check (buf.klen = k);
               check (buf.kth = Float.Array.get buf.kdist (k - 1));
-              List.iteri (fun i (d, _, _, _) -> if i >= k then check (d >= buf.kth)) ranked
-            end
-          | _ ->
-            let r = Float.abs p.Pt.x in
-            let expect =
-              List.filter (fun (_, d) -> d <= r) (brute p)
-              |> List.map fst |> List.sort Int.compare
-            in
-            let got = Grid_index.within g p r in
-            check (List.sort Int.compare (List.map (fun (id, _, _) -> id) got) = expect);
-            let ids = ref [] in
-            Grid_index.iter_within g p r (fun id -> ids := id :: !ids);
-            check (List.sort Int.compare !ids = expect))
+              List.iteri (fun i (d, _, _) -> if i >= k then check (d >= buf.kth)) ranked
+            end)
         ops;
       !ok)
+
+(* Re-celling is exact: the k-NN answer is a function of the stored
+   (id, point) set, so two indexes that went through the same random
+   churn — one with cell [c], one with [7 c] — must give identical
+   [k_nearest_probe] answers (ids, order and bound) at every query.
+   Integer coordinates on a small box make exact distance ties the
+   common case, inside one cell and across cells. *)
+let prop_grid_answer_independent_of_cell =
+  let gen =
+    QCheck.Gen.(
+      let* n_ops = int_range 5 150 in
+      let* ops =
+        list_repeat n_ops
+          (quad (int_range 0 5) (int_range (-12) 12) (int_range (-12) 12) (int_range 0 40))
+      in
+      let* cell = oneofl [ 1.; 2.5; 4. ] in
+      return (ops, cell))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (ops, cell) -> Printf.sprintf "%d ops, cell=%g" (List.length ops) cell)
+      gen
+  in
+  QCheck.Test.make ~name:"grid answer independent of cell size" ~count:200 arb
+    (fun (ops, cell) ->
+      let fine = Grid_index.create ~cell and coarse = Grid_index.create ~cell:(7. *. cell) in
+      let live : (int, Pt.t) Hashtbl.t = Hashtbl.create 64 in
+      let next = ref 0 in
+      let answer g q k skip =
+        let got, bound = Grid_index.k_nearest_probe g ~skip q k in
+        (List.map (fun (id, (p : Pt.t), ()) -> (id, p.x, p.y)) got, bound)
+      in
+      List.for_all
+        (fun (tag, x, y, z) ->
+          let p = pt (float_of_int x) (float_of_int y) in
+          match tag with
+          | 0 | 1 | 2 ->
+            let id = !next in
+            incr next;
+            Grid_index.add fine ~id p ();
+            Grid_index.add coarse ~id p ();
+            Hashtbl.replace live id p;
+            true
+          | 3 ->
+            let ids = List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) live []) in
+            (match ids with
+             | [] -> ()
+             | _ ->
+               let id = List.nth ids (z mod List.length ids) in
+               let at = Hashtbl.find live id in
+               Grid_index.remove fine ~id at;
+               Grid_index.remove coarse ~id at;
+               Hashtbl.remove live id);
+            true
+          | _ ->
+            let k = 1 + (z mod 12) in
+            let skip id = z mod 2 = 1 && id mod 3 = 0 in
+            answer fine p k skip = answer coarse p k skip)
+        ops)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -788,5 +807,6 @@ let () =
                prop_grid_matches_linear_scan;
                prop_grid_k_nearest_matches_brute_force;
                prop_grid_churn;
+               prop_grid_answer_independent_of_cell;
              ] );
     ]
