@@ -459,8 +459,10 @@ let trace_bench ?(circuits = default_circuits) () =
             ("scheme", Obs.Json.String "intermingled");
             ("bound_ps", Obs.Json.Float bound);
           ];
-        let sched = Obs.Sched.create () in
-        let r = Astskew.Router.ast_dme ~trace ~sched inst in
+        let run =
+          { Obs.Run.null with trace; sched = Obs.Sched.create () }
+        in
+        let r = Astskew.Router.ast_dme ~run inst in
         let chrome_file = Printf.sprintf "TRACE_%s.json" spec.name in
         let journal_file = Printf.sprintf "TRACE_%s.jsonl" spec.name in
         Obs.Trace.write_chrome chrome_file trace;
@@ -745,9 +747,9 @@ let scale_point n =
   let spec = scale_spec n in
   let inst = bench_instance spec in
   Obs.Report.reset ();
-  let progress = Obs.Progress.create () in
+  let run = { Obs.Run.null with progress = Obs.Progress.create () } in
   let t0 = Obs.Timer.now () in
-  let r = Astskew.Router.ast_dme ~clustered:true ~progress inst in
+  let r = Astskew.Router.ast_dme ~clustered:true ~run inst in
   let wall = Obs.Timer.now () -. t0 in
   let heap = r.Astskew.Router.top_heap_words in
   let audit = Check.Audit.run Check.Audit.Grouped inst r.routed r.evaluation in
@@ -1007,9 +1009,9 @@ let eff args =
             List.map
               (fun jobs ->
                 Obs.Report.reset ();
-                let sched = Obs.Sched.create () in
+                let run = { Obs.Run.null with sched = Obs.Sched.create () } in
                 let t0 = Obs.Timer.now () in
-                let r = Astskew.Router.ast_dme ~jobs ~sched inst in
+                let r = Astskew.Router.ast_dme ~jobs ~run inst in
                 let wall = Obs.Timer.now () -. t0 in
                 (jobs, wall, r))
               eff_jobs
@@ -1131,13 +1133,13 @@ let fuzz args =
     (* stdout carries only the JSON summary; progress goes to stderr. *)
     Format.eprintf "==== Fuzz: %d cases, seed %Ld%s ====@." !cases !seed
       (if !inject then ", injected skew violations" else "");
-    let progress (case : Check.Gen.case) =
+    let on_case (case : Check.Gen.case) =
       if case.index mod 25 = 0 then
         Format.eprintf "case %d (%s)...@." case.index
           (Check.Gen.regime_to_string case.regime)
     in
     let summary =
-      Check.fuzz ~inject:!inject ~progress ~cases:!cases ~seed:!seed ()
+      Check.fuzz ~inject:!inject ~on_case ~cases:!cases ~seed:!seed ()
     in
     Format.printf "%a@." Obs.Json.pp (Check.Runner.json_of_summary summary);
     if not (Check.Runner.ok summary) then begin

@@ -86,7 +86,7 @@ let svg_arg =
 
 let stats_json_arg =
   let doc =
-    "Write routing statistics as JSON to FILE: result metrics (wirelength,      skews, per-phase timings, engine and repair stats) plus every Obs      counter and timer of the process."
+    "Write routing statistics as JSON to FILE: result metrics (wirelength,      skews, per-phase timings, engine and repair stats) plus every Obs      counter of the process."
   in
   Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE" ~doc)
 
@@ -159,7 +159,7 @@ let write_trace_files ~trace_file ~journal_file trace =
   Int.max c1 c2
 
 (* The ["results"] field maps router names to Router.json_of_result
-   objects; ["obs"] is the global Obs.Report snapshot (counters/timers
+   objects; ["obs"] is the global Obs.Report snapshot (the counters
    accumulated over the whole process).  Returns an exit code. *)
 let write_stats_json path results =
   let json =
@@ -205,11 +205,32 @@ let route_cmd =
   let run circuit groups scheme bound seed algo file svg stats_json jobs
       clustered clusters cluster_depth repair_max_cycles
       show_progress trace_file journal_file =
-    match load_instance ?file circuit groups scheme bound seed with
+    (* The algorithm, then its --clustered combination, are checked
+       before anything is built: a bad choice must not cost a route. *)
+    let router =
+      match algo with
+      | "ast" ->
+        Ok
+          ( "AST-DME",
+            Astskew.Router.ast_dme ~clustered ?clusters ?cluster_depth )
+      | ("ext" | "zst" | "mmm") when clustered ->
+        Error "--clustered applies to --algo ast only"
+      | "ext" -> Ok ("EXT-BST", Astskew.Router.ext_bst)
+      | "zst" -> Ok ("greedy-DME", Astskew.Router.greedy_dme)
+      | "mmm" -> Ok ("MMM-DME", Astskew.Router.mmm_dme)
+      | _ -> Error (Printf.sprintf "unknown algorithm %S" algo)
+    in
+    let loaded =
+      Result.bind router (fun router ->
+          Result.map
+            (fun inst -> (router, inst))
+            (load_instance ?file circuit groups scheme bound seed))
+    in
+    match loaded with
     | Error e ->
       Format.eprintf "astroute: %s@." e;
       1
-    | Ok inst ->
+    | Ok ((name, route), inst) ->
       let trace =
         make_trace ~trace_file ~journal_file ~circuit ~groups ~scheme ~bound
           ~seed ~file ~jobs
@@ -217,67 +238,34 @@ let route_cmd =
       let progress =
         if show_progress then Obs.Progress.create () else Obs.Progress.null
       in
-      let result =
-        match algo with
-        | "ast" ->
-          Some
-            ( "AST-DME",
-              Astskew.Router.ast_dme ~jobs ~clustered ?clusters
-                ?cluster_depth ?repair_max_cycles ~trace ~progress inst )
-        | "ext" ->
-          Some
-            ( "EXT-BST",
-              Astskew.Router.ext_bst ~jobs ?repair_max_cycles
-                ~trace ~progress inst )
-        | "zst" ->
-          Some
-            ( "greedy-DME",
-              Astskew.Router.greedy_dme ~jobs ?repair_max_cycles
-                ~trace ~progress inst )
-        | "mmm" ->
-          Some
-            ( "MMM-DME",
-              Astskew.Router.mmm_dme ~jobs ?repair_max_cycles
-                ~trace ~progress inst )
-        | _ -> None
+      let run = { Obs.Run.null with trace; progress } in
+      let r = route ~jobs ?repair_max_cycles ~run inst in
+      Format.printf "%a@." Clocktree.Instance.pp inst;
+      print_result name r;
+      (match r.Astskew.Router.clustering with
+       | Some d ->
+         Format.printf
+           "clustered: %d regions at depth %d (%d super stitches), %d top-level rounds, largest region %d sinks@."
+           d.Dme.Cluster.n_clusters d.Dme.Cluster.depth
+           (Array.length d.Dme.Cluster.super)
+           d.Dme.Cluster.top.Dme.Engine.rounds
+           (Array.fold_left
+              (fun m (c : Dme.Cluster.cluster_stats) -> Int.max m c.n_sinks)
+              0 d.Dme.Cluster.per_cluster)
+       | None -> ());
+      let svg_code =
+        match svg with
+        | Some path ->
+          write "svg" path (fun p -> Clocktree.Svg.write_file p inst r.routed)
+        | None -> 0
       in
-      if clustered && algo <> "ast" then begin
-        Format.eprintf "astroute: --clustered applies to --algo ast only@.";
-        1
-      end
-      else begin
-      match result with
-       | None ->
-         Format.eprintf "astroute: unknown algorithm %S@." algo;
-         1
-       | Some (name, r) ->
-         Format.printf "%a@." Clocktree.Instance.pp inst;
-         print_result name r;
-         (match r.Astskew.Router.clustering with
-          | Some d ->
-            Format.printf
-              "clustered: %d regions at depth %d (%d super stitches), %d top-level rounds, largest region %d sinks@."
-              d.Dme.Cluster.n_clusters d.Dme.Cluster.depth
-              (Array.length d.Dme.Cluster.super)
-              d.Dme.Cluster.top.Dme.Engine.rounds
-              (Array.fold_left
-                 (fun m (c : Dme.Cluster.cluster_stats) -> Int.max m c.n_sinks)
-                 0 d.Dme.Cluster.per_cluster)
-          | None -> ());
-         let svg_code =
-           match svg with
-           | Some path ->
-             write "svg" path (fun p -> Clocktree.Svg.write_file p inst r.routed)
-           | None -> 0
-         in
-         let trace_code = write_trace_files ~trace_file ~journal_file trace in
-         let stats_code =
-           match stats_json with
-           | Some path -> write_stats_json path [ (name, r) ]
-           | None -> 0
-         in
-         Int.max svg_code (Int.max trace_code stats_code)
-      end
+      let trace_code = write_trace_files ~trace_file ~journal_file trace in
+      let stats_code =
+        match stats_json with
+        | Some path -> write_stats_json path [ (name, r) ]
+        | None -> 0
+      in
+      Int.max svg_code (Int.max trace_code stats_code)
   in
   let term =
     Term.(
@@ -325,15 +313,13 @@ let compare_cmd =
         make_trace ~trace_file ~journal_file ~circuit ~groups ~scheme ~bound
           ~seed ~file ~jobs
       in
-      let zst = Astskew.Router.greedy_dme ~jobs ~trace inst in
-      let ext = Astskew.Router.ext_bst ~jobs ~trace inst in
-      let mmm = Astskew.Router.mmm_dme ~jobs ~trace inst in
+      let run = { Obs.Run.null with trace } in
+      let zst = Astskew.Router.greedy_dme ~jobs ~run inst in
+      let ext = Astskew.Router.ext_bst ~jobs ~run inst in
+      let mmm = Astskew.Router.mmm_dme ~jobs ~run inst in
       (* --clustered applies to the AST-DME leg only; the baselines have
          no clustered mode. *)
-      let ast =
-        Astskew.Router.ast_dme ~jobs ~clustered ?clusters ~trace
-          inst
-      in
+      let ast = Astskew.Router.ast_dme ~jobs ~clustered ?clusters ~run inst in
       print_result "greedy-DME" zst;
       print_result "EXT-BST" ext;
       print_result "MMM-DME" mmm;

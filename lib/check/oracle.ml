@@ -307,17 +307,17 @@ let memo tbl jobs run =
 
 (* On a pool of [jobs] domains (none at 1): the router plans 1000 sinks or
    fewer serially whatever its jobs. *)
-let plan_embed ?(config = Router.ast_default_config) ?trace ?sched ~jobs inst =
+let plan_embed ?(config = Router.ast_default_config) ?run ~jobs inst =
   Par.Pool.with_pool ~jobs (fun pool ->
-      let root, stats = Dme.Engine.plan ~config ?trace ?sched ?pool inst in
-      let arena = Dme.Embed.run_arena ?pool ?trace ?sched inst root in
+      let root, stats = Dme.Engine.plan ~config ?run ?pool inst in
+      let arena = Dme.Embed.run_arena ?pool ?run inst root in
       (root, observe ~engine:stats arena))
 
 (* The default-config plan; a pooled one must have ranked on its pool. *)
 let plan c jobs =
   memo c.plans jobs (fun () ->
       let sched = if jobs > 1 then Obs.Sched.create () else Obs.Sched.null in
-      let root, o = plan_embed ~sched ~jobs c.inst in
+      let root, o = plan_embed ~run:{ Obs.Run.null with sched } ~jobs c.inst in
       let rank (p : Obs.Sched.phase_report) =
         List.exists (fun (l : Obs.Sched.label_report) -> l.label = "engine.rank") p.labels
       in
@@ -364,7 +364,8 @@ let trace =
     variant =
       (fun c _ j ->
         let trace = Obs.Trace.create () in
-        let o = snd (plan_embed ~trace ~jobs:j c.inst) in
+        let run = { Obs.Run.null with trace } in
+        let o = snd (plan_embed ~run ~jobs:j c.inst) in
         { o with extra = said (Audit.journal trace (Option.get o.engine)) }) }
 
 let devnull = lazy (open_out "/dev/null")
@@ -374,9 +375,12 @@ let sched =
     jobs = [ 1; 2; 4 ]; reference = (fun c -> route c 1);
     variant =
       (fun c _ j ->
-        let sched = Obs.Sched.create () in
-        let progress = Obs.Progress.create ~out:(Lazy.force devnull) () in
-        let r = Router.ast_dme ~jobs:j ~sched ~progress c.inst in
+        let run =
+          { Obs.Run.null with
+            sched = Obs.Sched.create ();
+            progress = Obs.Progress.create ~out:(Lazy.force devnull) () }
+        in
+        let r = Router.ast_dme ~jobs:j ~run c.inst in
         let extra = said (Audit.sched_report ~jobs:j r.sched) in
         { (of_result c.inst r) with extra }) }
 

@@ -65,12 +65,12 @@ let check_scaled (case : Gen.case) =
     let shrunk_findings = oracles shrunk in
     Some { case; findings; shrunk; shrunk_findings }
 
-let run ?inject ?(progress = fun _ -> ()) ~cases ~seed () =
+let run ?inject ?(on_case = fun _ -> ()) ~cases ~seed () =
   let t0 = Obs.Timer.now () in
   let failures = ref [] in
   for index = 0 to cases - 1 do
     let case = Gen.case ~seed ~index () in
-    progress case;
+    on_case case;
     match check ?inject case with
     | None -> ()
     | Some failure -> failures := failure :: !failures
@@ -84,7 +84,7 @@ let run ?inject ?(progress = fun _ -> ()) ~cases ~seed () =
   for k = 0 to scaled_cases - 1 do
     let regime = if k mod 2 = 0 then Gen.Huge else Gen.Banked in
     let case = Gen.case ~regime ~seed ~index:(cases + k) () in
-    progress case;
+    on_case case;
     match check_scaled case with
     | None -> ()
     | Some failure -> failures := failure :: !failures

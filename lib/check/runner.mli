@@ -38,7 +38,7 @@ type summary = {
 
 val run :
   ?inject:bool ->
-  ?progress:(Gen.case -> unit) ->
+  ?on_case:(Gen.case -> unit) ->
   cases:int ->
   seed:int64 ->
   unit ->

@@ -32,8 +32,9 @@ let default_slack = 1e-4
    enforces this).  [regions] forces the window count (tests/oracles);
    the default derives it from the sink count, which leaves small
    instances on the plain serial path. *)
-let sink_delays ?(jobs = 1) ?regions ?(sched = Obs.Sched.null)
-    (inst : Instance.t) (a : Arena.t) =
+let sink_delays ?(jobs = 1) ?regions ?(run = Obs.Run.null) (inst : Instance.t)
+    (a : Arena.t) =
+  let sched = run.Obs.Run.sched in
   let down = Array.make a.Arena.n 0. in
   let node_delay = Array.make a.Arena.n 0. in
   let delays = Array.make (Instance.n_sinks inst) 0. in
@@ -79,8 +80,8 @@ let sink_delays ?(jobs = 1) ?regions ?(sched = Obs.Sched.null)
 let delays ?jobs ?regions (inst : Instance.t) (r : Tree.routed) =
   sink_delays ?jobs ?regions inst (Arena.of_routed inst.params ~rd:inst.rd r)
 
-let report_of_arena ?jobs ?regions ?sched (inst : Instance.t) (a : Arena.t) =
-  let delays = sink_delays ?jobs ?regions ?sched inst a in
+let report_of_arena ?jobs ?regions ?run (inst : Instance.t) (a : Arena.t) =
+  let delays = sink_delays ?jobs ?regions ?run inst a in
   let min_delay = Array.fold_left Float.min Float.infinity delays in
   let max_delay = Array.fold_left Float.max Float.neg_infinity delays in
   let lo = Array.make inst.n_groups Float.infinity in

@@ -38,12 +38,12 @@ val run : ?jobs:int -> ?regions:int -> Instance.t -> Tree.routed -> report
 
 (** Evaluate a tree already flattened into an arena (the arena-native
     router pipeline's representation), without re-flattening.  An
-    enabled [sched] recorder ledgers the windowed kernel maps under
+    enabled [run.sched] recorder ledgers the windowed kernel maps under
     ["evaluate.windows"]; recording never changes the computed report
     ([Check.Oracle.sched] row). *)
 val report_of_arena :
-  ?jobs:int -> ?regions:int -> ?sched:Obs.Sched.t ->
-  Instance.t -> Arena.t -> report
+  ?jobs:int -> ?regions:int -> ?run:Obs.Run.t -> Instance.t -> Arena.t ->
+  report
 
 (** Does the tree satisfy the instance's intra-group bound (within
     [slack], default {!default_slack} ps of numerical slack)? *)

@@ -790,9 +790,9 @@ let make_state (inst : Instance.t) (a : Arena.t) regions =
    column is mutated; everything else is read-only.  This is the
    arena-native router pipeline's entry point — no pointer tree is built
    or consumed. *)
-let run_arena ?(config = default_config) ?(trace = Obs.Trace.null)
-    ?(sched = Obs.Sched.null) ?(progress = Obs.Progress.null)
+let run_arena ?(config = default_config) ?(run = Obs.Run.null)
     (inst : Instance.t) (a : Arena.t) =
+  let { Obs.Run.trace; sched; progress } = run in
   let tracing = Obs.Trace.enabled trace in
   let slack = Evaluate.default_slack in
   let go () =
@@ -926,8 +926,7 @@ let run_arena ?(config = default_config) ?(trace = Obs.Trace.null)
   if tracing then Obs.Trace.span trace ~cat:"clocktree.repair" "repair" go
   else go ()
 
-let run ?config ?trace ?sched ?progress (inst : Instance.t) (r : Tree.routed)
-    =
+let run ?config ?run (inst : Instance.t) (r : Tree.routed) =
   let a = Arena.of_routed inst.params ~rd:inst.rd r in
-  let stats = run_arena ?config ?trace ?sched ?progress inst a in
+  let stats = run_arena ?config ?run inst a in
   (Arena.to_routed a, stats)

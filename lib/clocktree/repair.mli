@@ -96,33 +96,30 @@ type stats = {
       (** some fixpoint hit [max_cycles] before converging *)
 }
 
-(** [run_arena ?config ?trace inst a] repairs the tree in place on its
+(** [run_arena ?config ?run inst a] repairs the tree in place on its
     flat arena: only the [len] column is mutated.  This is the
     arena-native pipeline's entry point — {!run} is the pointer-tree
-    wrapper (flatten, repair, rebuild).  With [trace] enabled the whole
+    wrapper (flatten, repair, rebuild).  With [run.trace] enabled the whole
     pass is wrapped in a ["repair"] span, each global cycle emits
     ["balance_pass"] / ["lift_sweep"] instants and a ["repair_cycle"]
     journal record, the regional phase emits one ["regional_repair"]
     instant plus a ["repair_region"] journal record per region, and
     exhausting a cycle budget emits a ["budget_exhausted"] instant.
 
-    An enabled [sched] recorder ledgers the parallel regional phase
-    under ["repair.regions"]; an enabled [progress] reporter is told
+    An enabled [run.sched] recorder ledgers the parallel regional phase
+    under ["repair.regions"]; an enabled [run.progress] reporter is told
     the region count, sees a completion per converged regional
     fixpoint, and gets a heartbeat tick per global cycle.  Neither
     perturbs the repair: trees and stats stay bit-identical with them
     on or off. *)
 val run_arena :
-  ?config:config -> ?trace:Obs.Trace.t -> ?sched:Obs.Sched.t ->
-  ?progress:Obs.Progress.t -> Instance.t -> Arena.t -> stats
+  ?config:config -> ?run:Obs.Run.t -> Instance.t -> Arena.t -> stats
 
 (** {!run_arena} on [Arena.of_routed routed], rebuilding the repaired
     pointer tree afterwards. *)
 val run :
   ?config:config ->
-  ?trace:Obs.Trace.t ->
-  ?sched:Obs.Sched.t ->
-  ?progress:Obs.Progress.t ->
+  ?run:Obs.Run.t ->
   Instance.t ->
   Tree.routed ->
   Tree.routed * stats

@@ -21,10 +21,6 @@ type result = {
   top_heap_words : int;
 }
 
-let t_engine = Obs.Timer.make "router.engine"
-let t_repair = Obs.Timer.make "router.repair"
-let t_evaluate = Obs.Timer.make "router.evaluate"
-
 (* Route [route_inst] (whose groups define the constraints the engine and
    repair enforce) and evaluate against [eval_inst] (the original problem,
    whose groups define the reported skews).  [plan] is the engine phase:
@@ -35,13 +31,7 @@ let t_evaluate = Obs.Timer.make "router.evaluate"
    flat arena, repair mutates its [len] column in place and evaluation
    reads it windowed across [jobs] domains — the boxed [Tree.routed] is
    rebuilt once at the end, purely as the external representation. *)
-let solve_with ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
-    ?(progress = Obs.Progress.null) ?repair_max_cycles ?(jobs = 1) ~plan
-    ~route_inst ~eval_inst () =
-  let tracing = Obs.Trace.enabled trace in
-  let phase name f =
-    if tracing then Obs.Trace.span trace ~cat:"router" name f else f ()
-  in
+let solve_with ~run ?repair_max_cycles ~jobs ~plan ~route_inst ~eval_inst () =
   let jobs = Int.max 1 jobs in
   (* Repair and evaluation inherit the engine's jobs so one --jobs flag
      drives every parallel phase; their results are jobs-invariant
@@ -63,38 +53,23 @@ let solve_with ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     }
   in
   let t0 = Sys.time () in
-  Obs.Progress.phase progress "engine";
-  let w0 = Obs.Timer.now () in
-  let arena, engine =
-    phase "router.engine" (fun () ->
-        Obs.Timer.time t_engine (fun () -> plan route_inst))
+  let (arena, engine), engine_s =
+    Obs.Run.phase run "engine" (fun () -> plan route_inst)
   in
-  let w1 = Obs.Timer.now () in
-  (* Phase walls feed the recorder: the serial fraction of a phase is
-     this wall minus the time its ledgers spent inside parallel maps. *)
-  Obs.Sched.note_phase sched ~phase:"engine" ~wall_s:(w1 -. w0);
-  Obs.Progress.phase progress "repair";
-  let repair =
-    phase "router.repair" (fun () ->
-        Obs.Timer.time t_repair (fun () ->
-            Repair.run_arena ~config:repair_config ~trace ~sched ~progress
-              route_inst arena))
+  let repair, repair_s =
+    Obs.Run.phase run "repair" (fun () ->
+        Repair.run_arena ~config:repair_config ~run route_inst arena)
   in
-  let w2 = Obs.Timer.now () in
-  Obs.Sched.note_phase sched ~phase:"repair" ~wall_s:(w2 -. w1);
   (* cpu_seconds spans planning + repair, as it always has; the wall
      timings additionally cover evaluation. *)
   let cpu_seconds = Sys.time () -. t0 in
-  Obs.Progress.phase progress "evaluate";
-  let evaluation =
-    phase "router.evaluate" (fun () ->
-        Obs.Timer.time t_evaluate (fun () ->
-            Evaluate.report_of_arena ~jobs ~sched eval_inst arena))
+  let evaluation, evaluate_s =
+    Obs.Run.phase run "evaluate" (fun () ->
+        Evaluate.report_of_arena ~jobs ~run eval_inst arena)
   in
-  let w3 = Obs.Timer.now () in
-  Obs.Sched.note_phase sched ~phase:"evaluate" ~wall_s:(w3 -. w2);
   let routed = Clocktree.Arena.to_routed arena in
-  if tracing then begin
+  let trace = run.Obs.Run.trace in
+  if Obs.Trace.enabled trace then begin
     (* Final-quality histograms: per-sink source-to-sink delay and
        per-group skew of the evaluated (post-repair) tree. *)
     let h_delay = Obs.Trace.histogram trace "router.sink_delay_ps" in
@@ -102,27 +77,9 @@ let solve_with ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     let h_skew = Obs.Trace.histogram trace "router.group_skew_ps" in
     Array.iter (Obs.Histogram.observe h_skew) evaluation.Evaluate.group_skew
   end;
-  let timings =
-    {
-      engine_s = w1 -. w0;
-      repair_s = w2 -. w1;
-      evaluate_s = w3 -. w2;
-      (* [total_s] also covers the final boxed-tree rebuild, which
-         belongs to no phase. *)
-      total_s = Obs.Timer.now () -. w0;
-    }
-  in
-  let sched_report = Obs.Sched.report sched in
-  (match sched_report with
-  | Some rep when tracing ->
-      Obs.Trace.journal trace
-        (Obs.Json.Obj
-           [
-             ("type", Obs.Json.String "efficiency");
-             ("report", Obs.Sched.json_of_report rep);
-           ])
-  | _ -> ());
-  Obs.Progress.finish progress;
+  let total_s = engine_s +. repair_s +. evaluate_s in
+  let timings = { engine_s; repair_s; evaluate_s; total_s } in
+  let sched = Obs.Run.finish run in
   {
     routed;
     evaluation;
@@ -131,22 +88,20 @@ let solve_with ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     cpu_seconds;
     timings;
     clustering = None;
-    sched = sched_report;
+    sched;
     (* The process high-water mark; with a single route per process
        (bench points, astroute) this is the route's peak heap. *)
     top_heap_words = Obs.Gcstat.top_heap_words ();
   }
 
-let solve ?config ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
-    ?(progress = Obs.Progress.null) ?repair_max_cycles ~route_inst ~eval_inst
-    () =
+let solve ?config ~run ?repair_max_cycles ~route_inst ~eval_inst () =
   let jobs =
     match config with
     | Some (c : Dme.Engine.config) -> c.jobs
     | None -> Dme.Engine.default.jobs
   in
-  solve_with ~trace ~sched ~progress ?repair_max_cycles ~jobs
-    ~plan:(Dme.Engine.run_arena ?config ~trace ~sched)
+  solve_with ~run ?repair_max_cycles ~jobs
+    ~plan:(Dme.Engine.run_arena ?config ~run)
     ~route_inst ~eval_inst ()
 
 (* [jobs] overrides the engine parallelism of [config] (or of [default]
@@ -168,22 +123,20 @@ let with_jobs ?jobs ~default config =
 let ast_default_config =
   { Dme.Engine.default with delay_order_weight = 1.2 }
 
-let router_manifest trace name (config : Dme.Engine.config) =
-  if Obs.Trace.enabled trace then
-    Obs.Trace.merge_manifest trace
+let router_manifest (run : Obs.Run.t) name (config : Dme.Engine.config) =
+  if Obs.Trace.enabled run.trace then
+    Obs.Trace.merge_manifest run.trace
       [
         ("router", Obs.Json.String name);
         ("jobs", Obs.Json.Int config.jobs);
       ]
 
 let ast_dme ?config ?jobs ?(clustered = false) ?clusters
-    ?cluster_depth ?repair_max_cycles ?(trace = Obs.Trace.null)
-    ?(sched = Obs.Sched.null) ?(progress = Obs.Progress.null) inst =
+    ?cluster_depth ?repair_max_cycles ?(run = Obs.Run.null) inst =
   let config = with_jobs ?jobs ~default:ast_default_config config in
-  router_manifest trace "ast_dme" config;
+  router_manifest run "ast_dme" config;
   if not clustered then
-    solve ~config ~trace ~sched ~progress ?repair_max_cycles ~route_inst:inst
-      ~eval_inst:inst ()
+    solve ~config ~run ?repair_max_cycles ~route_inst:inst ~eval_inst:inst ()
   else begin
     (* The clustered engine returns its per-region detail alongside the
        aggregate stats [solve_with] threads through; stash it and patch
@@ -193,15 +146,14 @@ let ast_dme ?config ?jobs ?(clustered = false) ?clusters
     let detail = ref None in
     let plan inst =
       let arena, stats, d =
-        Dme.Cluster.run_arena ~config ~trace ~sched ~progress ?clusters
-          ?depth:cluster_depth inst
+        Dme.Cluster.run_arena ~config ~run ?clusters ?depth:cluster_depth inst
       in
       detail := Some d;
       (arena, stats)
     in
     let r =
-      solve_with ~trace ~sched ~progress ?repair_max_cycles ~jobs:config.jobs
-        ~plan ~route_inst:inst ~eval_inst:inst ()
+      solve_with ~run ?repair_max_cycles ~jobs:config.jobs ~plan
+        ~route_inst:inst ~eval_inst:inst ()
     in
     { r with clustering = !detail }
   end
@@ -221,31 +173,25 @@ let fused ?bound (inst : Instance.t) =
     ~bound:(Option.value bound ~default)
     ~source:inst.source ~n_groups:1 sinks
 
-let ext_bst ?config ?jobs ?repair_max_cycles
-    ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
-    ?(progress = Obs.Progress.null) inst =
+let ext_bst ?config ?jobs ?repair_max_cycles ?(run = Obs.Run.null) inst =
   let config = with_jobs ?jobs ~default:Dme.Engine.default config in
-  router_manifest trace "ext_bst" config;
-  solve ~config ~trace ~sched ~progress ?repair_max_cycles
-    ~route_inst:(fused inst) ~eval_inst:inst ()
+  router_manifest run "ext_bst" config;
+  solve ~config ~run ?repair_max_cycles ~route_inst:(fused inst)
+    ~eval_inst:inst ()
 
-let greedy_dme ?config ?jobs ?repair_max_cycles
-    ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
-    ?(progress = Obs.Progress.null) inst =
+let greedy_dme ?config ?jobs ?repair_max_cycles ?(run = Obs.Run.null) inst =
   let config = with_jobs ?jobs ~default:Dme.Engine.default config in
-  router_manifest trace "greedy_dme" config;
-  solve ~config ~trace ~sched ~progress ?repair_max_cycles
-    ~route_inst:(fused ~bound:0. inst) ~eval_inst:inst ()
+  router_manifest run "greedy_dme" config;
+  solve ~config ~run ?repair_max_cycles ~route_inst:(fused ~bound:0. inst)
+    ~eval_inst:inst ()
 
-let mmm_dme ?config ?jobs ?repair_max_cycles
-    ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
-    ?(progress = Obs.Progress.null) inst =
+let mmm_dme ?config ?jobs ?repair_max_cycles ?(run = Obs.Run.null) inst =
   let config = with_jobs ?jobs ~default:ast_default_config config in
-  router_manifest trace "mmm_dme" config;
+  router_manifest run "mmm_dme" config;
   (* The MMM plan itself is serial (no recorded maps), but repair and
      evaluation still ledger under the recorder. *)
-  solve_with ~trace ~sched ~progress ?repair_max_cycles ~jobs:config.jobs
-    ~plan:(Dme.Mmm.run_arena ~config ~trace)
+  solve_with ~run ?repair_max_cycles ~jobs:config.jobs
+    ~plan:(Dme.Mmm.run_arena ~config ~run)
     ~route_inst:inst ~eval_inst:inst ()
 
 let reduction ~baseline result =

@@ -11,14 +11,14 @@
     trees always satisfy the constraints they were routed under;
     evaluation is against the original grouped instance. *)
 
-(** Per-phase wall-clock timings of one routing call; the same phases
-    are accumulated globally in the ["router.engine"], ["router.repair"]
-    and ["router.evaluate"] {!Obs.Timer}s. *)
+(** Per-phase wall-clock timings of one routing call, each the one
+    measurement {!Obs.Run.phase} also hands to the run's trace span and
+    recorder. *)
 type timings = {
   engine_s : float;  (** planning + embedding (DME or MMM engine) *)
   repair_s : float;
   evaluate_s : float;
-  total_s : float;
+  total_s : float;  (** the sum of the three phase walls *)
 }
 
 type result = {
@@ -26,7 +26,7 @@ type result = {
   evaluation : Clocktree.Evaluate.report;  (** w.r.t. the original instance *)
   engine : Dme.Engine.stats;
       (** clustered runs report the aggregate over region plans and the
-          top-level stitch (see {!Dme.Cluster.run}) *)
+          top-level stitch (see {!Dme.Cluster.run_arena}) *)
   repair : Clocktree.Repair.stats;
   cpu_seconds : float;  (** CPU time of planning + repair (no evaluation) *)
   timings : timings;
@@ -34,8 +34,8 @@ type result = {
       (** per-region detail when the run was clustered; [None] for the
           flat routers *)
   sched : Obs.Sched.report option;
-      (** parallel-efficiency report when the run was handed an enabled
-          {!Obs.Sched} recorder; [None] otherwise *)
+      (** parallel-efficiency report when the run context carried an
+          enabled {!Obs.Sched} recorder; [None] otherwise *)
   top_heap_words : int;
       (** [Gc.quick_stat]'s process heap high-water mark, sampled at the
           end of the run (words); with one route per process this is the
@@ -60,30 +60,25 @@ val ast_default_config : Dme.Engine.config
     per-fixpoint cycle budget, whose default is scale-relative:
     [max Repair.default_config.max_cycles (n_sinks / 250)].
 
-    Each router also takes an optional [trace] (see {!Obs.Trace}): when
-    enabled, the run merges router name, jobs and the full
-    engine config into the trace manifest, wraps the three phases in
-    ["router.engine"] / ["router.repair"] / ["router.evaluate"] spans,
-    threads the trace through the engine, repair and embedding (spans,
-    per-round journal records, histograms) and feeds the evaluated
-    per-sink delays and per-group skews into the
-    ["router.sink_delay_ps"] / ["router.group_skew_ps"] histograms.
-    The default {!Obs.Trace.null} emits nothing; the routed tree,
-    evaluation and stats are identical with tracing on or off.
-
-    Each router further takes an optional [sched] flight recorder and an
-    optional [progress] heartbeat (see {!Obs.Sched} / {!Obs.Progress}).
-    An enabled recorder collects per-domain busy/idle ledgers from every
-    parallel map of the run, receives the three phase walls, and yields
-    the per-phase utilization / serial-fraction / Amdahl report in
-    [result.sched] (also emitted as one [type = "efficiency"] journal
-    record when tracing).  An enabled [progress] prints throttled
-    heartbeat lines to stderr: phase entry/exit, region completions from
+    Each router also takes an optional [run] context ({!Obs.Run}, default
+    {!Obs.Run.null}) and hands it unchanged to every layer.  Each of the
+    three phases runs under {!Obs.Run.phase}, whose one wall
+    measurement is the phase's [timings] entry, the duration of its
+    ["router.engine"] / ["router.repair"] / ["router.evaluate"] span and
+    the phase wall of the recorder.  An enabled [run.trace] also gets
+    router name, jobs and the full engine config in its manifest, the
+    engine, repair and embedding spans, journal records and histograms,
+    and the evaluated per-sink delays and per-group skews in the
+    ["router.sink_delay_ps"] / ["router.group_skew_ps"] histograms.  An
+    enabled [run.sched] ledgers every parallel map of the route and
+    yields the per-phase utilization / serial-fraction / Amdahl report
+    in [result.sched] (also one [type = "efficiency"] journal record
+    when tracing).  An enabled [run.progress] prints throttled
+    heartbeat lines to stderr: phase entry, region completions from
     the clustered planner and the repair pass, wall clock, live heap
-    watermark and an ETA.  Both default to their null values and neither
-    influences routing — trees, delays and stats are bit-identical with
-    recorder and reporter on or off at any jobs count (the
-    [Check.Oracle.sched] invariance row enforces this). *)
+    watermark and an ETA.  None of them influences routing: trees,
+    delays and stats are bit-identical under any context at any jobs
+    count (the [Check.Oracle.trace] and [Check.Oracle.sched] rows). *)
 
 (** [ast_dme ~clustered:true] routes through {!Dme.Cluster.run_arena}:
     a multi-level construction that partitions the sinks into
@@ -105,9 +100,7 @@ val ast_dme :
   ?clusters:int ->
   ?cluster_depth:int ->
   ?repair_max_cycles:int ->
-  ?trace:Obs.Trace.t ->
-  ?sched:Obs.Sched.t ->
-  ?progress:Obs.Progress.t ->
+  ?run:Obs.Run.t ->
   Clocktree.Instance.t ->
   result
 
@@ -115,9 +108,7 @@ val ext_bst :
   ?config:Dme.Engine.config ->
   ?jobs:int ->
   ?repair_max_cycles:int ->
-  ?trace:Obs.Trace.t ->
-  ?sched:Obs.Sched.t ->
-  ?progress:Obs.Progress.t ->
+  ?run:Obs.Run.t ->
   Clocktree.Instance.t ->
   result
 
@@ -125,9 +116,7 @@ val greedy_dme :
   ?config:Dme.Engine.config ->
   ?jobs:int ->
   ?repair_max_cycles:int ->
-  ?trace:Obs.Trace.t ->
-  ?sched:Obs.Sched.t ->
-  ?progress:Obs.Progress.t ->
+  ?run:Obs.Run.t ->
   Clocktree.Instance.t ->
   result
 
@@ -140,9 +129,7 @@ val mmm_dme :
   ?config:Dme.Engine.config ->
   ?jobs:int ->
   ?repair_max_cycles:int ->
-  ?trace:Obs.Trace.t ->
-  ?sched:Obs.Sched.t ->
-  ?progress:Obs.Progress.t ->
+  ?run:Obs.Run.t ->
   Clocktree.Instance.t ->
   result
 

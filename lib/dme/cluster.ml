@@ -186,18 +186,18 @@ type part = {
    synchronized halving and stitches its children with an [Engine.plan
    ~leaves] over the {e global} instance, so every stitch level uses the
    same bbox-derived penalty and grid-cell scales as the top. *)
-let rec plan_node ~config ~trace ~progress ~pdepth (inst : Instance.t) ids
-    ~budget ~depth =
+let rec plan_node ~config ~run ~pdepth (inst : Instance.t) ids ~budget
+    ~depth =
   if budget <= 1 then begin
     let sub = sub_instance inst ids in
     let t0 = Obs.Timer.now () in
-    let root, stats = Engine.plan ~config ~trace sub in
+    let root, stats = Engine.plan ~config ~run sub in
     let wall_s = Float.max 0. (Obs.Timer.now () -. t0) in
     (* Leaf regions all report at one progress depth regardless of how
        deep the halving placed them: the heartbeat's ETA wants one
        homogeneous completion counter, not the hierarchy's shape. *)
     (match pdepth with
-     | Some dd -> Obs.Progress.region_done progress ~depth:dd
+     | Some dd -> Obs.Progress.region_done run.Obs.Run.progress ~depth:dd
      | None -> ());
     {
       pr_root = reglobalize inst ids root;
@@ -215,15 +215,15 @@ let rec plan_node ~config ~trace ~progress ~pdepth (inst : Instance.t) ids
     let parts =
       Array.map
         (fun (gids, gbudget) ->
-          plan_node ~config ~trace ~progress ~pdepth inst gids
-            ~budget:gbudget ~depth:(depth - 1))
+          plan_node ~config ~run ~pdepth inst gids ~budget:gbudget
+            ~depth:(depth - 1))
         groups
     in
     let leaves =
       Array.mapi (fun i p -> { p.pr_root with Subtree.id = i }) parts
     in
     let t0 = Obs.Timer.now () in
-    let root, stats = Engine.plan ~config ~trace ~leaves inst in
+    let root, stats = Engine.plan ~config ~run ~leaves inst in
     let wall_s = Float.max 0. (Obs.Timer.now () -. t0) in
     let stitch = { cluster = 0; n_sinks = Array.length ids; wall_s; stats } in
     {
@@ -239,10 +239,10 @@ let rec plan_node ~config ~trace ~progress ~pdepth (inst : Instance.t) ids
 
 let renumber cs = Array.mapi (fun i c -> { c with cluster = i }) cs
 
-let run_arena ?(config = Engine.default) ?(trace = Obs.Trace.null)
-    ?(sched = Obs.Sched.null) ?(progress = Obs.Progress.null) ?clusters
+let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
     ?depth inst =
   let gc0 = Obs.Gcstat.sample () in
+  let { Obs.Run.trace; sched; progress } = run in
   let tracing = Obs.Trace.enabled trace in
   let n = Instance.n_sinks inst in
   let k =
@@ -289,8 +289,8 @@ let run_arena ?(config = Engine.default) ?(trace = Obs.Trace.null)
          bit-identical for any jobs count. *)
       let plan_group (gids, gbudget) =
         let part =
-          plan_node ~config ~trace ~progress ~pdepth inst gids
-            ~budget:gbudget ~depth:(d - 1)
+          plan_node ~config ~run ~pdepth inst gids ~budget:gbudget
+            ~depth:(d - 1)
         in
         Obs.Progress.region_done progress ~depth:0;
         part
@@ -364,8 +364,8 @@ let run_arena ?(config = Engine.default) ?(trace = Obs.Trace.null)
       let leaves =
         Array.mapi (fun i p -> { p.pr_root with Subtree.id = i }) parts
       in
-      let root, top = Engine.plan ~config ~trace ~sched ?pool ~leaves inst in
-      let arena = Embed.run_arena ?pool ~trace ~sched inst root in
+      let root, top = Engine.plan ~config ~run ?pool ~leaves inst in
+      let arena = Embed.run_arena ?pool ~run inst root in
       let aggregate =
         let sum =
           Array.fold_left (fun acc c -> add_stats acc c.stats) top per_cluster
@@ -378,12 +378,3 @@ let run_arena ?(config = Engine.default) ?(trace = Obs.Trace.null)
       ( arena,
         aggregate,
         { n_clusters = kr; depth = realized_depth; per_cluster; super; top } ))
-
-let run ?config ?trace ?sched ?progress ?clusters ?depth inst =
-  let gc0 = Obs.Gcstat.sample () in
-  let arena, stats, detail =
-    run_arena ?config ?trace ?sched ?progress ?clusters ?depth inst
-  in
-  let routed = Clocktree.Arena.to_routed arena in
-  (routed, { stats with Engine.gc = Obs.Gcstat.diff (Obs.Gcstat.sample ()) gc0 },
-   detail)

@@ -75,51 +75,38 @@ val auto_depth : int -> int
     leaf regions of the multi-level hierarchy at any depth. *)
 val partition : Clocktree.Instance.t -> clusters:int -> int array array
 
-(** [run ?config ?trace ?clusters ?depth inst] routes the instance in
-    clustered mode and returns the routed tree, aggregate engine stats
-    (component-wise sum over region plans, super stitches and the
-    top-level stitch, with [gc] the caller-domain whole-run
-    differential) and the per-cluster detail.  [clusters] defaults to
-    {!auto_clusters}, clamped to [1 .. n_sinks]; [depth] defaults to
-    {!auto_depth} of the realized cluster count and is clamped to
-    [>= 1] (forcing it higher than needed degenerates gracefully — a
-    budget-1 group plans directly regardless of remaining depth).
+(** [run_arena ?config ?run ?clusters ?depth inst] routes the instance
+    in clustered mode straight into the flat post-order arena and
+    returns it with the aggregate engine stats (component-wise sum over
+    region plans, super stitches and the top-level stitch, with [gc]
+    the caller-domain whole-run differential) and the per-cluster
+    detail.  [clusters] defaults to {!auto_clusters}, clamped to
+    [1 .. n_sinks]; [depth] defaults to {!auto_depth} of the realized
+    cluster count and is clamped to [>= 1] (forcing it higher than
+    needed degenerates gracefully — a budget-1 group plans directly
+    regardless of remaining depth).
     [config.jobs] sizes the pool that maps top-level groups (one chunk
     each) and serves the top-level stitch and the final embed; a route
     with a single top-level group opens no pool at all.  Plans
     below the top level run serially on their group's domain
-    ({!Par.Pool} is not reentrant).  With [trace] enabled, plans emit
-    the usual engine spans/journal records from their domains, a
+    ({!Par.Pool} is not reentrant).  With [run.trace] enabled, plans
+    emit the usual engine spans/journal records from their domains, a
     ["cluster.plan"] span wraps the bottom level, one journal record of
     [type = "cluster"] (regions) or ["cluster_super"] (sub-level
     stitches) summarizes each plan, and the manifest gains the region
     count and realized depth.
 
-    An enabled [sched] recorder ledgers the top-level region map under
-    ["engine.regions"] (plus the stitch/embed ledgers from
-    {!Engine.plan} / {!Embed.run_arena}); an enabled [progress]
+    An enabled [run.sched] recorder ledgers the top-level region map
+    under ["engine.regions"] (plus the stitch/embed ledgers from
+    {!Engine.plan} / {!Embed.run_arena}); an enabled [run.progress]
     reporter is told the top-level group count (depth 0) and — for
     hierarchies deeper than one level — the leaf-region count
     (depth 1), and sees a completion per planned region.  Neither
     influences planning: results stay bit-identical with recorder and
     reporter on or off. *)
-val run :
-  ?config:Engine.config ->
-  ?trace:Obs.Trace.t ->
-  ?sched:Obs.Sched.t ->
-  ?progress:Obs.Progress.t ->
-  ?clusters:int ->
-  ?depth:int ->
-  Clocktree.Instance.t ->
-  Clocktree.Tree.routed * Engine.stats * stats
-
-(** {!run} minus the final [Arena.to_routed]: the arena-native router
-    pipeline's entry point. *)
 val run_arena :
   ?config:Engine.config ->
-  ?trace:Obs.Trace.t ->
-  ?sched:Obs.Sched.t ->
-  ?progress:Obs.Progress.t ->
+  ?run:Obs.Run.t ->
   ?clusters:int ->
   ?depth:int ->
   Clocktree.Instance.t ->

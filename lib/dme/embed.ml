@@ -165,8 +165,8 @@ let embed_parallel pool sched (a : Arena.t) (root : Subtree.t)
     in
     ()
 
-let run_arena ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
-    (inst : Clocktree.Instance.t) (root : Subtree.t) =
+let run_arena ?pool ?(run = Obs.Run.null) (inst : Clocktree.Instance.t)
+    (root : Subtree.t) =
   let n_sinks = root.Subtree.n_sinks in
   let n = (2 * n_sinks) - 1 in
   let root_pt = Octagon.nearest_point root.Subtree.region inst.source in
@@ -193,19 +193,18 @@ let run_arena ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
   let body () =
     (match pool with
      | Some pool when Par.Pool.jobs pool > 1 ->
-       embed_parallel pool sched a root root_pt
+       embed_parallel pool run.Obs.Run.sched a root root_pt
      | _ -> fill_window a root root_pt ~base:0);
     (* The root edge is the source wire, exactly as [Arena.of_routed]
        records it. *)
     a.Arena.len.(n - 1) <- source_len;
     a
   in
-  if Obs.Trace.enabled trace then
-    Obs.Trace.span trace ~cat:"dme.embed" "embed" body
+  if Obs.Trace.enabled run.trace then
+    Obs.Trace.span run.trace ~cat:"dme.embed" "embed" body
   else body ()
 
-let run ?pool ?trace ?sched inst root =
-  Arena.to_routed (run_arena ?pool ?trace ?sched inst root)
+let run ?pool ?run inst root = Arena.to_routed (run_arena ?pool ?run inst root)
 
 (* Executable specification: the original recursive boxed-tree walk,
    kept as the independent reference the arena-direct identity oracle

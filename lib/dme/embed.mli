@@ -25,15 +25,13 @@
     the same operands, so the arena is bit-identical to the serial walk
     for any jobs count ([Check.Oracle.embed] enforces this).
 
-    With [trace] enabled the whole embedding is wrapped in one
-    ["embed"] span; the default {!Obs.Trace.null} emits nothing.  An
-    enabled [sched] recorder ledgers the pooled window fill under
-    ["engine.embed"]; the default {!Obs.Sched.null} records nothing. *)
+    With [run.trace] enabled the whole embedding is wrapped in one
+    ["embed"] span; an enabled [run.sched] recorder ledgers the pooled
+    window fill under ["engine.embed"]. *)
 
 val run_arena :
   ?pool:Par.Pool.t ->
-  ?trace:Obs.Trace.t ->
-  ?sched:Obs.Sched.t ->
+  ?run:Obs.Run.t ->
   Clocktree.Instance.t ->
   Subtree.t ->
   Clocktree.Arena.t
@@ -43,8 +41,7 @@ val run_arena :
     Io, Svg). *)
 val run :
   ?pool:Par.Pool.t ->
-  ?trace:Obs.Trace.t ->
-  ?sched:Obs.Sched.t ->
+  ?run:Obs.Run.t ->
   Clocktree.Instance.t ->
   Subtree.t ->
   Clocktree.Tree.routed

@@ -115,9 +115,9 @@ type note = {
    one [plan] per region on worker domains (with [pool] absent: the pool
    is not reentrant) and a top-level [plan] over the region roots on the
    shared pool.  [stats.gc] covers the planning phase only. *)
-let plan ?(config = default) ?(trace = Obs.Trace.null)
-    ?(sched = Obs.Sched.null) ?pool ?leaves inst =
+let plan ?(config = default) ?(run = Obs.Run.null) ?pool ?leaves inst =
   let gc0 = Obs.Gcstat.sample () in
+  let trace = run.Obs.Run.trace in
   let tracing = Obs.Trace.enabled trace in
   if tracing then
     Obs.Trace.merge_manifest trace [ ("engine_config", json_of_config config) ];
@@ -407,7 +407,7 @@ let plan ?(config = default) ?(trace = Obs.Trace.null)
   in
   let root, (ostats : Order.stats) =
     let body () =
-      Order.run_ranked ?pool ~trace ~sched ?on_round ?leaves inst order_config
+      Order.run_ranked ?pool ~run ?on_round ?leaves inst order_config
         ~coster:{ Order.session; absorb }
         ~merger:{ Order.compute; install }
     in
@@ -439,8 +439,7 @@ let plan ?(config = default) ?(trace = Obs.Trace.null)
       gc = Obs.Gcstat.diff (Obs.Gcstat.sample ()) gc0;
     } )
 
-let run_arena ?(config = default) ?(trace = Obs.Trace.null)
-    ?(sched = Obs.Sched.null) inst =
+let run_arena ?(config = default) ?(run = Obs.Run.null) inst =
   let gc0 = Obs.Gcstat.sample () in
   (* [config.jobs] is an upper bound.  A pool costs a domain spawn plus
      two batch hand-offs per merge round, which outweighs the probes of
@@ -457,13 +456,13 @@ let run_arena ?(config = default) ?(trace = Obs.Trace.null)
   in
   let arena, stats =
     Par.Pool.with_pool ~jobs (fun pool ->
-        let root, stats = plan ~config ~trace ~sched ?pool inst in
-        (Embed.run_arena ?pool ~trace ~sched inst root, stats))
+        let root, stats = plan ~config ~run ?pool inst in
+        (Embed.run_arena ?pool ~run inst root, stats))
   in
   (arena, { stats with gc = Obs.Gcstat.diff (Obs.Gcstat.sample ()) gc0 })
 
-let run ?config ?trace ?sched inst =
+let run ?config ?run inst =
   let gc0 = Obs.Gcstat.sample () in
-  let arena, stats = run_arena ?config ?trace ?sched inst in
+  let arena, stats = run_arena ?config ?run inst in
   let routed = Clocktree.Arena.to_routed arena in
   (routed, { stats with gc = Obs.Gcstat.diff (Obs.Gcstat.sample ()) gc0 })

@@ -119,8 +119,7 @@ val json_of_config : config -> Obs.Json.t
     pool size. *)
 val plan :
   ?config:config ->
-  ?trace:Obs.Trace.t ->
-  ?sched:Obs.Sched.t ->
+  ?run:Obs.Run.t ->
   ?pool:Par.Pool.t ->
   ?leaves:Subtree.t array ->
   Clocktree.Instance.t ->
@@ -130,19 +129,18 @@ val plan :
     pre-repair tree: callers normally pass it through
     {!Clocktree.Repair.run}.
 
-    With [trace] enabled the run merges its config into the trace
+    With [run.trace] enabled the run merges its config into the trace
     manifest, wraps planning in an ["engine.plan"] span, emits one
     ["merge"] instant per committed merge, feeds committed region
     extents into the ["engine.region_extent"] histogram and appends one
     journal record per merge round (probe/cache/trial counts, cheapest
-    committed cost, cumulative planned wire, wall time).  The default
-    {!Obs.Trace.null} emits nothing and the routed tree and stats are
-    byte-identical with tracing on or off.  An enabled [sched] recorder
-    ledgers the pooled ranking/commit/embed maps (phase ["engine"]);
-    the same bit-identity contract applies ([Check.Oracle.sched] row). *)
+    committed cost, cumulative planned wire, wall time).  An enabled
+    [run.sched] recorder ledgers the pooled ranking/commit/embed maps
+    (phase ["engine"]).  The routed tree and stats are byte-identical
+    under any [run] ([Check.Oracle.trace] and [Check.Oracle.sched]
+    rows). *)
 val run :
-  ?config:config -> ?trace:Obs.Trace.t -> ?sched:Obs.Sched.t ->
-  Clocktree.Instance.t ->
+  ?config:config -> ?run:Obs.Run.t -> Clocktree.Instance.t ->
   Clocktree.Tree.routed * stats
 
 (** Plan and embed straight into a flat post-order arena — the
@@ -154,6 +152,5 @@ val run :
     and embedding paths on a small instance, call {!plan} and
     [Embed.run_arena] with an explicit pool. *)
 val run_arena :
-  ?config:config -> ?trace:Obs.Trace.t -> ?sched:Obs.Sched.t ->
-  Clocktree.Instance.t ->
+  ?config:config -> ?run:Obs.Run.t -> Clocktree.Instance.t ->
   Clocktree.Arena.t * stats

@@ -19,9 +19,10 @@ let bisect sinks =
   let mid = Array.length sorted / 2 in
   (Array.sub sorted 0 mid, Array.sub sorted mid (Array.length sorted - mid))
 
-let run_arena ?(config = Engine.default) ?(trace = Obs.Trace.null)
+let run_arena ?(config = Engine.default) ?(run = Obs.Run.null)
     (inst : Clocktree.Instance.t) =
   let gc0 = Obs.Gcstat.sample () in
+  let trace = run.Obs.Run.trace in
   let tracing = Obs.Trace.enabled trace in
   if tracing then
     Obs.Trace.merge_manifest trace
@@ -54,7 +55,7 @@ let run_arena ?(config = Engine.default) ?(trace = Obs.Trace.null)
   let rec build sinks level =
     depth := Int.max !depth level;
     match Array.length sinks with
-    | 0 -> invalid_arg "Mmm.run: empty sink set"
+    | 0 -> invalid_arg "Mmm.run_arena: empty sink set"
     | 1 -> Subtree.leaf sinks.(0)
     | _ ->
       let left, right = bisect sinks in
@@ -68,7 +69,7 @@ let run_arena ?(config = Engine.default) ?(trace = Obs.Trace.null)
         (fun () -> build inst.sinks 0)
     else build inst.sinks 0
   in
-  let arena = Embed.run_arena ~trace inst root in
+  let arena = Embed.run_arena ~run inst root in
   ( arena,
     Engine.
       {
@@ -84,7 +85,3 @@ let run_arena ?(config = Engine.default) ?(trace = Obs.Trace.null)
         trial = Engine.no_trials;
         gc = Obs.Gcstat.diff (Obs.Gcstat.sample ()) gc0;
       } )
-
-let run ?config ?trace inst =
-  let arena, stats = run_arena ?config ?trace inst in
-  (Clocktree.Arena.to_routed arena, stats)

@@ -8,17 +8,11 @@
     baseline and for studying how much the merge *order* contributes to
     AST-DME's wins. *)
 
-(** Plan and embed a clock tree on the MMM topology.  Accepts the same
-    configuration as {!Engine} (ordering fields are ignored).  With
-    [trace] enabled, merges the config into the manifest and wraps
-    topology construction in an ["mmm.build"] span. *)
-val run :
-  ?config:Engine.config -> ?trace:Obs.Trace.t -> Clocktree.Instance.t ->
-  Clocktree.Tree.routed * Engine.stats
-
-(** {!run} minus the final [Arena.to_routed]: plan and embed straight
-    into the flat post-order arena for the arena-native router
-    pipeline. *)
+(** Plan and embed a clock tree on the MMM topology, straight into the
+    flat post-order arena.  Accepts the same configuration as {!Engine}
+    (ordering fields are ignored).  With [run.trace] enabled, merges
+    the config into the manifest and wraps topology construction in an
+    ["mmm.build"] span. *)
 val run_arena :
-  ?config:Engine.config -> ?trace:Obs.Trace.t -> Clocktree.Instance.t ->
+  ?config:Engine.config -> ?run:Obs.Run.t -> Clocktree.Instance.t ->
   Clocktree.Arena.t * Engine.stats

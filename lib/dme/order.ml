@@ -75,9 +75,10 @@ let dedupe_pairs pairs =
    buffer per domain is never shared. *)
 let knn_key = Domain.DLS.new_key Grid_index.knn_buffer
 
-let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
-    ?on_round ?leaves (inst : Clocktree.Instance.t) config
-    ~(coster : 'note coster) ~(merger : 'merge merger) =
+let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
+    (inst : Clocktree.Instance.t) config ~(coster : 'note coster)
+    ~(merger : 'merge merger) =
+  let { Obs.Run.trace; sched; _ } = run in
   (* The initial population: the instance's sink leaves by default, or an
      explicit subtree array (the clustered router's region roots).  The
      arena is indexed by subtree id, so explicit leaves must carry dense

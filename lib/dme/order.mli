@@ -96,22 +96,20 @@ type round_info = {
     pairs.  Exposed for testing. *)
 val dedupe_pairs : (float * int * int) list -> (float * int * int) list
 
-(** [run_ranked ?pool ?trace ?sched ?on_round ?leaves inst config
-    ~coster ~merger]
-    reduces the sink set to one subtree, running [merger.compute] for
-    every selected pair and [merger.install] on the calling domain in
-    selection order.  With [pool], candidate probing and the selected
-    merges' computations run on the pool's domains; results are
-    deterministic and identical to the serial run.  With [trace]
-    enabled, each round emits a span (with probe/commit phase sub-spans
-    and per-probe instants) and probe costs feed the
-    ["order.probe_cost"] histogram; the default {!Obs.Trace.null} skips
-    every emission, keeping the untraced run allocation-free on that
-    path.  An enabled [sched] recorder ledgers the pooled probe and
-    commit maps under ["engine.rank"] / ["engine.commit"]; the default
-    {!Obs.Sched.null} records nothing.  [on_round] is invoked after
-    each round's commits with that
-    round's {!round_info}.  [leaves] overrides the initial population:
+(** [run_ranked ?pool ?run ?on_round ?leaves inst config ~coster
+    ~merger] reduces the sink set to one subtree, running
+    [merger.compute] for every selected pair and [merger.install] on the
+    calling domain in selection order.  With [pool], candidate probing
+    and the selected merges' computations run on the pool's domains;
+    results are deterministic and identical to the serial run.  With
+    [run.trace] enabled, each round emits a span (with probe/commit
+    phase sub-spans and per-probe instants) and probe costs feed the
+    ["order.probe_cost"] histogram; a disabled trace skips every
+    emission, keeping the untraced run allocation-free on that path.
+    An enabled [run.sched] recorder ledgers the pooled probe and commit
+    maps under ["engine.rank"] / ["engine.commit"].  [on_round] is
+    invoked after each round's commits with that round's
+    {!round_info}.  [leaves] overrides the initial population:
     instead of the instance's sink leaves, ranking starts from the given
     subtrees (the clustered router's region roots).  Explicit leaves
     must carry dense ids [0 .. n-1] — the arena is id-indexed — and
@@ -120,8 +118,7 @@ val dedupe_pairs : (float * int * int) list -> (float * int * int) list
     and the ranking statistics. *)
 val run_ranked :
   ?pool:Par.Pool.t ->
-  ?trace:Obs.Trace.t ->
-  ?sched:Obs.Sched.t ->
+  ?run:Obs.Run.t ->
   ?on_round:(round_info -> unit) ->
   ?leaves:Subtree.t array ->
   Clocktree.Instance.t ->

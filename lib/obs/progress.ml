@@ -143,8 +143,3 @@ let finish (t : t) =
     locked c (fun () ->
         c.phase <- "done";
         emit c (Timer.now ()))
-
-let heap_watermark_words (t : t) =
-  match t with
-  | None -> None
-  | Some c -> Some (locked c (fun () -> c.heap_watermark))

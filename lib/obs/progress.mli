@@ -45,6 +45,3 @@ val tick : t -> unit
 
 (** Print a final [phase=done] line. *)
 val finish : t -> unit
-
-(** Highest [top_heap_words] sampled so far; [None] when disabled. *)
-val heap_watermark_words : t -> int option

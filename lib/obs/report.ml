@@ -4,23 +4,9 @@ let snapshot () =
       (fun c -> (Counter.name c, Json.Int (Counter.value c)))
       (Counter.all ())
   in
-  let timers =
-    List.map
-      (fun t ->
-        ( Timer.name t,
-          Json.Obj
-            [
-              ("wall_s", Json.Float (Timer.wall_seconds t));
-              ("cpu_s", Json.Float (Timer.cpu_seconds t));
-              ("calls", Json.Int (Timer.calls t));
-            ] ))
-      (Timer.all ())
-  in
-  Json.Obj [ ("counters", Json.Obj counters); ("timers", Json.Obj timers) ]
+  Json.Obj [ ("counters", Json.Obj counters) ]
 
-let reset () =
-  List.iter Counter.reset (Counter.all ());
-  List.iter Timer.reset (Timer.all ())
+let reset () = List.iter Counter.reset (Counter.all ())
 
 let counter name =
   match Counter.find name with Some c -> Counter.value c | None -> 0

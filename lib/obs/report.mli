@@ -1,12 +1,9 @@
-(** Snapshot and reset of every registered {!Counter} and {!Timer}.
+(** Snapshot and reset of every registered {!Counter}.
 
     The snapshot is a JSON object
 
     {v
-    { "counters": { "<name>": <int>, ... },
-      "timers":   { "<name>": { "wall_s": <float>,
-                                "cpu_s": <float>,
-                                "calls": <int> }, ... } }
+    { "counters": { "<name>": <int>, ... } }
     v}
 
     with entries in registration order.  Benchmarks typically call
@@ -14,7 +11,7 @@
 
 val snapshot : unit -> Json.t
 
-(** Zero every registered counter and timer. *)
+(** Zero every registered counter. *)
 val reset : unit -> unit
 
 (** Current value of the named counter; 0 when no such counter exists. *)

@@ -22,7 +22,7 @@ type phase = {
   mutable p_items : int;
   mutable p_chunks : int;
   mutable p_par_wall_s : float;  (** wall spent inside map_chunked *)
-  mutable p_wall_s : float;  (** phase wall noted by the driver *)
+  mutable p_wall_s : float;  (** phase wall noted by Run.phase *)
   mutable p_busy : floatarray;  (** per-slot busy seconds *)
   mutable p_chunks_per_slot : int array;
   mutable labels : (string * label_stats) list;  (** insertion order *)

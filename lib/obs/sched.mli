@@ -6,11 +6,11 @@
     domain that ran it, and folds the finished per-call ledger into the
     recorder under a phase name derived from the ledger label
     ("engine.rank" and "engine.commit" both land in phase "engine").
-    Drivers note phase walls with {!note_phase}; {!report} then derives,
-    per phase, the wall spent inside parallel maps, the serial residue
-    outside them, per-slot busy time and chunk counts, chunk-latency
-    quantiles, and Amdahl-projected speedups at 4/8/16 domains from the
-    measured serial fraction.
+    {!Run.phase} credits each phase's wall with {!note_phase}; {!report}
+    then derives, per phase, the wall spent inside parallel maps, the
+    serial residue outside them, per-slot busy time and chunk counts,
+    chunk-latency quantiles, and Amdahl-projected speedups at 4/8/16
+    domains from the measured serial fraction.
 
     Discipline is identical to {!Trace}: {!null} is free, every entry
     point checks {!enabled} first, and a disabled recorder adds no
@@ -53,8 +53,8 @@ val chunk_end : recording -> slot:int -> t0:float -> unit
 (** Close the ledger and fold it into its phase. *)
 val map_end : recording -> unit
 
-(** Attribute [wall_s] seconds of driver-measured wall clock to
-    [phase]; accumulates across calls.  The phase wall is what the
+(** Attribute [wall_s] seconds of phase wall clock (measured by
+    {!Run.phase}) to [phase]; accumulates across calls.  The phase wall is what the
     serial fraction is measured against — time inside it but outside
     any recorded map is serial residue. *)
 val note_phase : t -> phase:string -> wall_s:float -> unit
@@ -71,7 +71,7 @@ type label_report = {
 
 type phase_report = {
   phase : string;
-  wall_s : float;  (** driver-noted wall (>= [par_wall_s]) *)
+  wall_s : float;  (** noted phase wall (>= [par_wall_s]) *)
   par_wall_s : float;  (** wall spent inside recorded maps *)
   serial_s : float;  (** [wall_s - par_wall_s] *)
   serial_fraction : float;

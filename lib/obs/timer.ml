@@ -1,57 +1,1 @@
-(* A timer's three fields are updated together under its mutex so a
-   sample recorded on one domain is never observed torn from another.
-   Timing a section is far coarser-grained than counter bumps, so an
-   uncontended lock per sample is noise. *)
-type t = {
-  name : string;
-  lock : Mutex.t;
-  mutable wall : float;
-  mutable cpu : float;
-  mutable count : int;
-}
-
-let registry : t list Atomic.t = Atomic.make []
-
-let make name =
-  let t = { name; lock = Mutex.create (); wall = 0.; cpu = 0.; count = 0 } in
-  let rec register () =
-    let old = Atomic.get registry in
-    if not (Atomic.compare_and_set registry old (t :: old)) then register ()
-  in
-  register ();
-  t
-
-let name t = t.name
 let now () = Unix.gettimeofday ()
-
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-(* Negative samples are clamped to zero: [Unix.gettimeofday] is not
-   monotonic, so a wall-clock step during a timed section would
-   otherwise subtract from the accumulated total. *)
-let record t ~wall ~cpu =
-  locked t (fun () ->
-      t.wall <- t.wall +. Float.max 0. wall;
-      t.cpu <- t.cpu +. Float.max 0. cpu;
-      t.count <- t.count + 1)
-
-let time t f =
-  let w0 = now () and c0 = Sys.time () in
-  Fun.protect
-    ~finally:(fun () -> record t ~wall:(now () -. w0) ~cpu:(Sys.time () -. c0))
-    f
-
-let wall_seconds t = locked t (fun () -> t.wall)
-let cpu_seconds t = locked t (fun () -> t.cpu)
-let calls t = locked t (fun () -> t.count)
-
-let reset t =
-  locked t (fun () ->
-      t.wall <- 0.;
-      t.cpu <- 0.;
-      t.count <- 0)
-
-let all () = List.rev (Atomic.get registry)
-let find name = List.find_opt (fun t -> t.name = name) (all ())

@@ -1,34 +1,4 @@
-(** Named accumulating wall/CPU timers.
+(** The wall clock the observability library reads. *)
 
-    Like {!Counter}, timers register themselves globally at creation and
-    are collected by {!Report.snapshot}.  Each {!time} call adds one
-    sample: elapsed wall-clock seconds, elapsed process CPU seconds and
-    a call count.  Samples are recorded under a per-timer mutex, so
-    timing sections on concurrent domains is safe (no lost or torn
-    samples). *)
-
-type t
-
-val make : string -> t
-val name : t -> string
-
-(** [time t f] runs [f ()], accumulating its wall and CPU time into [t]
-    (also on exception). *)
-val time : t -> (unit -> 'a) -> 'a
-
-(** Current wall clock in seconds (arbitrary epoch); for callers that
-    time phases manually. *)
+(** Current wall clock in seconds (arbitrary epoch, not monotonic). *)
 val now : unit -> float
-
-(** [record t ~wall ~cpu] adds one externally measured sample.  Negative
-    durations (a non-monotonic wall clock stepping backwards during a
-    timed section) are clamped to zero, so accumulated totals never
-    decrease. *)
-val record : t -> wall:float -> cpu:float -> unit
-
-val wall_seconds : t -> float
-val cpu_seconds : t -> float
-val calls : t -> int
-val reset : t -> unit
-val all : unit -> t list
-val find : string -> t option

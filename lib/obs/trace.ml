@@ -67,20 +67,37 @@ let instant t ?(cat = "") ?(args = []) name =
     emit t { seq; domain; ts = now t; name; cat; phase = Instant; args }
   end
 
-let span t ?(cat = "") ?(args = []) name f =
-  if not t.enabled then f ()
-  else begin
-    (* Sequence and timestamp are taken before [f]: a parent span orders
-       before everything emitted inside it. *)
-    let seq = Atomic.fetch_and_add t.seq 1 in
-    let domain = (Domain.self () :> int) in
-    let ts = now t in
-    Fun.protect
-      ~finally:(fun () ->
-        let dur = Float.max 0. (now t -. ts) in
-        emit t { seq; domain; ts; name; cat; phase = Complete dur; args })
-      f
-  end
+(* The clock is read even when disabled: [timed] is also how a caller
+   gets one phase wall that the span, if any, reports too. *)
+let timed t ?(cat = "") ?(args = []) name f =
+  (* Sequence and timestamp are taken before [f]: a parent span orders
+     before everything emitted inside it. *)
+  let seq = if t.enabled then Atomic.fetch_and_add t.seq 1 else 0 in
+  let t0 = Unix.gettimeofday () in
+  let finish () =
+    let wall = Float.max 0. (Unix.gettimeofday () -. t0) in
+    if t.enabled then
+      emit t
+        {
+          seq;
+          domain = (Domain.self () :> int);
+          ts = Float.max 0. (t0 -. t.epoch);
+          name;
+          cat;
+          phase = Complete wall;
+          args;
+        };
+    wall
+  in
+  match f () with
+  | x -> (x, finish ())
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    ignore (finish ());
+    Printexc.raise_with_backtrace e bt
+
+let span t ?cat ?args name f =
+  if not t.enabled then f () else fst (timed t ?cat ?args name f)
 
 let merge_manifest t fields =
   if t.enabled then

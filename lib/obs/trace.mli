@@ -66,6 +66,13 @@ val instant :
 val span :
   t -> ?cat:string -> ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
 
+(** [timed t name f] is {!span} returning also the elapsed wall seconds,
+    which it measures even on a disabled context.  The returned wall and
+    the emitted span's duration are one measurement. *)
+val timed :
+  t -> ?cat:string -> ?args:(string * Json.t) list -> string -> (unit -> 'a) ->
+  'a * float
+
 (** Merge fields into the run manifest, replacing earlier values of the
     same key (first-set key order is kept). *)
 val merge_manifest : t -> (string * Json.t) list -> unit

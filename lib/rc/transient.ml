@@ -4,10 +4,9 @@ type result = { crossing : float array; steps : int }
    units as 1/R (ohm). *)
 let siemens_per_ff_ps = 1e-3
 
-let step_response ?(trace = Obs.Trace.null) tree ~dt ~t_end ~threshold =
+let step_response tree ~dt ~t_end ~threshold =
   if dt <= 0. || t_end <= 0. then
     invalid_arg "Transient.step_response: dt and t_end must be positive";
-  let tracing = Obs.Trace.enabled trace in
   let n = Rctree.size tree in
   (* Zero-length edges (merge points placed on a child) would give
      infinite conductance and wreck the elimination numerically; floor
@@ -36,20 +35,9 @@ let step_response ?(trace = Obs.Trace.null) tree ~dt ~t_end ~threshold =
   let rhs = Array.make n 0. in
   let steps = int_of_float (Float.ceil (t_end /. dt)) in
   let step_count = ref 0 in
-  (* Solver-iteration events are strided so a long horizon does not
-     flood the trace: at most ~32 instants per simulation. *)
-  let stride = Int.max 1 (steps / 32) in
-  let body () =
   (try
      for s = 1 to steps do
        step_count := s;
-       if tracing && s mod stride = 0 then
-         Obs.Trace.instant trace ~cat:"rc.transient"
-           ~args:
-             [
-               ("step", Obs.Json.Int s); ("settled", Obs.Json.Int (n - !remaining));
-             ]
-           "solver_step";
        Array.blit diag_static 0 diag 0 n;
        for i = 0 to n - 1 do
          rhs.(i) <- cg.(i) *. v.(i)
@@ -84,20 +72,9 @@ let step_response ?(trace = Obs.Trace.null) tree ~dt ~t_end ~threshold =
      done
    with Exit -> ());
   { crossing; steps = !step_count }
-  in
-  if tracing then
-    Obs.Trace.span trace ~cat:"rc.transient"
-      ~args:
-        [
-          ("nodes", Obs.Json.Int n);
-          ("dt", Obs.Json.Float dt);
-          ("t_end", Obs.Json.Float t_end);
-        ]
-      "step_response" body
-  else body ()
 
-let step_response_auto ?trace ?(resolution = 2000) ?(threshold = 0.5) tree =
+let step_response_auto ?(resolution = 2000) ?(threshold = 0.5) tree =
   let elmore = Rctree.elmore tree in
   let max_delay = Array.fold_left Float.max 1e-9 elmore in
   let dt = max_delay /. float_of_int resolution in
-  step_response ?trace tree ~dt ~t_end:(20. *. max_delay) ~threshold
+  step_response tree ~dt ~t_end:(20. *. max_delay) ~threshold

@@ -15,16 +15,11 @@ type result = {
 (** [step_response tree ~dt ~t_end ~threshold] simulates a 0→1 V step at
     the source.  [dt] and [t_end] are in ps; [threshold] in volts
     (e.g. 0.5).  Each step solves the tree-structured linear system in
-    O(n).  With [trace] enabled the simulation is wrapped in a
-    ["step_response"] span and emits strided ["solver_step"] instants
-    (at most ~32 per run); the default {!Obs.Trace.null} emits
-    nothing. *)
+    O(n). *)
 val step_response :
-  ?trace:Obs.Trace.t ->
   Rctree.t -> dt:float -> t_end:float -> threshold:float -> result
 
 (** Convenience wrapper choosing [dt] and [t_end] from the tree's Elmore
     delays: [dt] = max Elmore / [resolution], horizon = 20× max Elmore. *)
 val step_response_auto :
-  ?trace:Obs.Trace.t -> ?resolution:int -> ?threshold:float -> Rctree.t ->
-  result
+  ?resolution:int -> ?threshold:float -> Rctree.t -> result

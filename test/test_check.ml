@@ -587,7 +587,8 @@ let test_sparse_repair_10k () =
   let repair incremental jobs =
     let trace = Obs.Trace.create () in
     let config = { Repair.default_config with incremental; jobs } in
-    let t, s = Repair.run ~config ~trace inst routed in
+    let run = { Obs.Run.null with trace } in
+    let t, s = Repair.run ~config ~run inst routed in
     let cycles =
       List.filter_map
         (function

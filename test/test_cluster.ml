@@ -197,8 +197,8 @@ let test_jobs_deterministic () =
   let inst = circuit "r1" in
   let route jobs =
     let config = { Astskew.Router.ast_default_config with Dme.Engine.jobs } in
-    let routed, _, detail = Dme.Cluster.run ~config ~clusters:5 inst in
-    (routed, detail)
+    let arena, _, detail = Dme.Cluster.run_arena ~config ~clusters:5 inst in
+    (Arena.to_routed arena, detail)
   in
   let t1, d1 = route 1 in
   let t4, d4 = route 4 in
@@ -225,7 +225,8 @@ let test_depth2_matches_flat_partition () =
      above them is reorganized into a tree of super-merges. *)
   let inst = diagonal ~n_groups:4 200 in
   let flat = Dme.Cluster.partition inst ~clusters:8 in
-  let routed, _, d = Dme.Cluster.run ~clusters:8 ~depth:2 inst in
+  let arena, _, d = Dme.Cluster.run_arena ~clusters:8 ~depth:2 inst in
+  let routed = Arena.to_routed arena in
   Alcotest.(check int) "leaf region count" 8 d.Dme.Cluster.n_clusters;
   Alcotest.(check int) "realized depth" 2 d.Dme.Cluster.depth;
   Alcotest.(check bool) "has intermediate super stitches" true

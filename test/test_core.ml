@@ -144,7 +144,9 @@ let test_trace_identity () =
   List.iter
     (fun jobs ->
       let trace = Obs.Trace.create () in
-      let traced = Astskew.Router.ast_dme ~jobs ~trace inst in
+      let traced =
+        Astskew.Router.ast_dme ~jobs ~run:{ Obs.Run.null with trace } inst
+      in
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "wirelength identical (jobs=%d)" jobs)
         base.evaluation.wirelength traced.evaluation.wirelength;
@@ -202,7 +204,9 @@ let test_trace_router_manifest () =
   List.iter
     (fun (name, route) ->
       let trace = Obs.Trace.create () in
-      let (_ : Astskew.Router.result) = route ~trace inst in
+      let (_ : Astskew.Router.result) =
+        route ~run:{ Obs.Run.null with trace } inst
+      in
       (match Obs.Trace.manifest trace with
        | Obs.Json.Obj fields ->
          Alcotest.(check bool) (name ^ " manifest names the router") true
@@ -219,10 +223,10 @@ let test_trace_router_manifest () =
          | _ -> Alcotest.fail (name ^ ": traceEvents empty or missing"))
       | _ -> Alcotest.fail (name ^ ": chrome export should be an object"))
     [
-      ("ast_dme", fun ~trace inst -> Astskew.Router.ast_dme ~trace inst);
-      ("ext_bst", fun ~trace inst -> Astskew.Router.ext_bst ~trace inst);
-      ("greedy_dme", fun ~trace inst -> Astskew.Router.greedy_dme ~trace inst);
-      ("mmm_dme", fun ~trace inst -> Astskew.Router.mmm_dme ~trace inst);
+      ("ast_dme", fun ~run inst -> Astskew.Router.ast_dme ~run inst);
+      ("ext_bst", fun ~run inst -> Astskew.Router.ext_bst ~run inst);
+      ("greedy_dme", fun ~run inst -> Astskew.Router.greedy_dme ~run inst);
+      ("mmm_dme", fun ~run inst -> Astskew.Router.mmm_dme ~run inst);
     ]
 
 let () =

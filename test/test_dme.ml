@@ -539,7 +539,8 @@ let test_parallel_gate () =
   in
   let routed inst =
     let sched = Obs.Sched.create () in
-    ignore (Astskew.Router.ast_dme ~jobs:2 ~sched inst);
+    let run = { Obs.Run.null with sched } in
+    ignore (Astskew.Router.ast_dme ~jobs:2 ~run inst);
     rank_ledgers sched
   in
   Alcotest.(check int) "r1 at jobs 2 plans serially" 0 (routed (circuit "r1"));

@@ -1,12 +1,12 @@
-(* Tests for the lib/obs instrumentation library: counters, timers,
-   histograms, the trace context, the JSON emitter and the report
+(* Tests for the lib/obs instrumentation library: counters, histograms,
+   the trace context, the run context, the JSON emitter and the report
    snapshot. *)
 
-(* Must run before anything registers a counter or timer: the
-   registries are global to the process, so this is the only moment the
-   empty-registry rendering is observable. *)
+(* Must run before anything registers a counter: the registry is global
+   to the process, so this is the only moment the empty-registry
+   rendering is observable. *)
 let test_report_empty () =
-  Alcotest.(check string) "empty registries" {|{"counters":{},"timers":{}}|}
+  Alcotest.(check string) "empty registries" {|{"counters":{}}|}
     (Obs.Json.to_string (Obs.Report.snapshot ()))
 
 let test_counter_basics () =
@@ -32,44 +32,6 @@ let test_counter_registry () =
        (Obs.Counter.all ()));
   Alcotest.(check bool) "unknown name" true
     (Obs.Counter.find "test.counter.no_such" = None)
-
-let test_timer_accumulates () =
-  let t = Obs.Timer.make "test.timer.accumulates" in
-  Alcotest.(check int) "no calls yet" 0 (Obs.Timer.calls t);
-  let r = Obs.Timer.time t (fun () -> 42) in
-  Alcotest.(check int) "result passed through" 42 r;
-  Alcotest.(check int) "one call" 1 (Obs.Timer.calls t);
-  Alcotest.(check bool) "wall non-negative" true (Obs.Timer.wall_seconds t >= 0.);
-  Obs.Timer.record t ~wall:0.5 ~cpu:0.25;
-  Alcotest.(check int) "manual sample counts" 2 (Obs.Timer.calls t);
-  Alcotest.(check bool) "wall includes sample" true (Obs.Timer.wall_seconds t >= 0.5);
-  Alcotest.(check bool) "cpu includes sample" true (Obs.Timer.cpu_seconds t >= 0.25);
-  Obs.Timer.reset t;
-  Alcotest.(check int) "reset calls" 0 (Obs.Timer.calls t);
-  Alcotest.(check (float 0.)) "reset wall" 0. (Obs.Timer.wall_seconds t)
-
-let test_timer_times_on_exception () =
-  let t = Obs.Timer.make "test.timer.exn" in
-  (try Obs.Timer.time t (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check int) "sample recorded despite exception" 1 (Obs.Timer.calls t)
-
-(* Unix.gettimeofday is not monotonic: a clock step during a timed
-   section can produce a negative sample.  record must clamp it to zero
-   so accumulated totals never decrease. *)
-let test_timer_negative_clamp () =
-  let t = Obs.Timer.make "test.timer.clamp" in
-  Obs.Timer.record t ~wall:(-1.) ~cpu:(-0.5);
-  Alcotest.(check int) "negative sample still counted" 1 (Obs.Timer.calls t);
-  Alcotest.(check (float 0.)) "wall clamped to zero" 0.
-    (Obs.Timer.wall_seconds t);
-  Alcotest.(check (float 0.)) "cpu clamped to zero" 0.
-    (Obs.Timer.cpu_seconds t);
-  Obs.Timer.record t ~wall:0.25 ~cpu:0.125;
-  Obs.Timer.record t ~wall:(-5.) ~cpu:(-5.);
-  Alcotest.(check (float 0.)) "wall total never decreases" 0.25
-    (Obs.Timer.wall_seconds t);
-  Alcotest.(check (float 0.)) "cpu total never decreases" 0.125
-    (Obs.Timer.cpu_seconds t)
 
 (* Every code point U+0000..U+001F must survive emit -> parse: the
    emitter escapes the ones without a short form as \uXXXX and the
@@ -204,9 +166,7 @@ let test_json_read_file () =
 
 let test_report_snapshot () =
   let c = Obs.Counter.make "test.report.counter" in
-  let t = Obs.Timer.make "test.report.timer" in
   Obs.Counter.add c 11;
-  Obs.Timer.record t ~wall:0.1 ~cpu:0.05;
   Alcotest.(check int) "Report.counter reads value" 11
     (Obs.Report.counter "test.report.counter");
   Alcotest.(check int) "Report.counter on unknown is 0" 0
@@ -221,11 +181,9 @@ let test_report_snapshot () =
   in
   Alcotest.(check bool) "snapshot has counter" true
     (contains {|"test.report.counter":11|});
-  Alcotest.(check bool) "snapshot has timer" true (contains {|"test.report.timer"|});
-  (* Report.reset zeroes registered counters and timers. *)
+  (* Report.reset zeroes registered counters. *)
   Obs.Report.reset ();
-  Alcotest.(check int) "counter zeroed" 0 (Obs.Report.counter "test.report.counter");
-  Alcotest.(check int) "timer zeroed" 0 (Obs.Timer.calls t)
+  Alcotest.(check int) "counter zeroed" 0 (Obs.Report.counter "test.report.counter")
 
 let test_report_ordering () =
   let _c1 = Obs.Counter.make "test.report.order_z" in
@@ -639,26 +597,153 @@ let test_trace_journal_write () =
       Alcotest.(check bool) "final line carries histograms" true
         (type_of (List.nth parsed 3) = Some (Obs.Json.String "histograms")))
 
+(* Runs [f] with the process's stderr redirected into [path]. *)
+let with_stderr_to path f =
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stderr;
+      Unix.dup2 saved Unix.stderr;
+      Unix.close saved)
+    f
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | line -> go (line :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let lines = go [] in
+  close_in ic;
+  lines
+
+let test_run_null () =
+  let run = Obs.Run.null in
+  Alcotest.(check bool) "trace disabled" false (Obs.Trace.enabled run.trace);
+  Alcotest.(check bool) "sched disabled" false (Obs.Sched.enabled run.sched);
+  Alcotest.(check bool) "progress disabled" false
+    (Obs.Progress.enabled run.progress);
+  let path = Filename.temp_file "obs_run_null" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let (x, wall), report =
+        with_stderr_to path (fun () ->
+            let phase = Obs.Run.phase run "engine" (fun () -> 7) in
+            (phase, Obs.Run.finish run))
+      in
+      Alcotest.(check int) "phase passes the result through" 7 x;
+      Alcotest.(check bool) "wall still measured" true (wall >= 0.);
+      Alcotest.(check bool) "no sched report" true (report = None);
+      Alcotest.(check bool) "recorder reports nothing" true
+        (Obs.Sched.report run.sched = None);
+      Alcotest.(check int) "no events" 0 (List.length (Obs.Trace.events run.trace));
+      Alcotest.(check int) "no journal records" 0
+        (List.length (Obs.Trace.journal_records run.trace));
+      Alcotest.(check (list string)) "nothing written" [] (read_lines path))
+
+(* One measurement, four consumers: the span's duration, the recorder's
+   phase wall and the returned wall are the same float, and the
+   heartbeat prints exactly one phase line. *)
+let test_run_phase () =
+  let path = Filename.temp_file "obs_run_phase" ".progress" in
+  let oc = open_out path in
+  let run =
+    {
+      Obs.Run.trace = Obs.Trace.create ();
+      sched = Obs.Sched.create ();
+      progress = Obs.Progress.create ~out:oc ();
+    }
+  in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc; Sys.remove path)
+    (fun () ->
+      let x, wall =
+        Obs.Run.phase run "engine" (fun () ->
+            (* One recorded parallel map inside the phase. *)
+            match
+              Obs.Sched.map_begin run.sched ~label:"engine.test" ~jobs:1
+                ~items:1 ~chunks:1
+            with
+            | None -> Alcotest.fail "enabled recorder opened no ledger"
+            | Some r ->
+              let t0 = Obs.Sched.chunk_begin r in
+              let acc = ref 0 in
+              for i = 1 to 100_000 do
+                acc := !acc + (i land 7)
+              done;
+              Obs.Sched.chunk_end r ~slot:0 ~t0;
+              Obs.Sched.map_end r;
+              !acc)
+      in
+      Alcotest.(check int) "phase passes the result through" 350_000 x;
+      Alcotest.(check bool) "wall non-negative" true (wall >= 0.);
+      (match Obs.Trace.events run.trace with
+       | [ { name = "router.engine"; phase = Obs.Trace.Complete dur; _ } ] ->
+         Alcotest.(check (float 0.)) "span duration is the wall" wall dur
+       | evs ->
+         Alcotest.fail
+           (Printf.sprintf "expected one router.engine span, got %d events"
+              (List.length evs)));
+      (match Obs.Sched.report run.sched with
+       | Some { phases = [ p ]; _ } ->
+         Alcotest.(check string) "recorder phase" "engine" p.phase;
+         Alcotest.(check (float 0.)) "recorder phase wall is the wall" wall
+           p.wall_s;
+         Alcotest.(check bool) "phase wall covers its parallel wall" true
+           (p.wall_s >= p.par_wall_s)
+       | _ -> Alcotest.fail "expected one recorded phase");
+      (match read_lines path with
+       | [ line ] -> (
+         match String.split_on_char ' ' line with
+         | [ "progress"; "phase=engine"; w; h; e ] ->
+           let value key tok =
+             let k = key ^ "=" in
+             let n = String.length k in
+             if String.length tok >= n && String.sub tok 0 n = k then
+               String.sub tok n (String.length tok - n)
+             else Alcotest.fail (Printf.sprintf "%S is not %s" tok k)
+           in
+           Alcotest.(check bool) "wall_s parses" true
+             (float_of_string_opt (value "wall_s" w) <> None);
+           Alcotest.(check bool) "heap_words parses" true
+             (int_of_string_opt (value "heap_words" h) <> None);
+           ignore (value "eta_s" e)
+         | _ -> Alcotest.fail (Printf.sprintf "malformed heartbeat %S" line))
+       | lines ->
+         Alcotest.fail
+           (Printf.sprintf "expected one heartbeat line, got %d"
+              (List.length lines)));
+      (* [finish] closes the route: the report, and one efficiency
+         record on the trace. *)
+      Alcotest.(check bool) "finish returns the report" true
+        (Obs.Run.finish run <> None);
+      Alcotest.(check int) "one efficiency record" 1
+        (List.length
+           (List.filter
+              (function
+                | Obs.Json.Obj f ->
+                  List.assoc_opt "type" f = Some (Obs.Json.String "efficiency")
+                | _ -> false)
+              (Obs.Trace.journal_records run.trace))))
+
 let () =
   Alcotest.run "obs"
     [
       (* Must stay first: Alcotest runs suites in declared order and the
          empty-registry rendering is only observable before any other
-         test registers a counter or timer. *)
+         test registers a counter. *)
       ( "report-empty",
         [ Alcotest.test_case "empty registries" `Quick test_report_empty ] );
       ( "counter",
         [
           Alcotest.test_case "basics" `Quick test_counter_basics;
           Alcotest.test_case "registry" `Quick test_counter_registry;
-        ] );
-      ( "timer",
-        [
-          Alcotest.test_case "accumulates" `Quick test_timer_accumulates;
-          Alcotest.test_case "times on exception" `Quick
-            test_timer_times_on_exception;
-          Alcotest.test_case "negative samples clamp" `Quick
-            test_timer_negative_clamp;
         ] );
       ( "json",
         [
@@ -694,6 +779,12 @@ let () =
             test_trace_multi_domain;
           Alcotest.test_case "chrome export" `Quick test_trace_chrome_export;
           Alcotest.test_case "journal write" `Quick test_trace_journal_write;
+        ] );
+      ( "run",
+        [
+          Alcotest.test_case "null run is inert" `Quick test_run_null;
+          Alcotest.test_case "phase feeds one measurement" `Quick
+            test_run_phase;
         ] );
       ( "report",
         [
