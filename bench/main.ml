@@ -405,6 +405,19 @@ let smoke args =
        counts are deterministic per domain, so like the counters above
        this cannot flake on slow runners. *)
     let words_per_probe_budget = 3500. in
+    (* Pricing gate.  A probe prices a candidate only while its region
+       distance can still beat the best cost (Order.cheapest), and under
+       distance ranking every priced candidate counts one elided trial.
+       r3 prices about 1.1 candidates per probe; pricing all 16 k-NN
+       candidates reads about 15.9, so 2 catches a lost prune.
+       Deterministic like the counts above. *)
+    let priced_per_probe_budget = 2. in
+    let priced_per_probe =
+      float_of_int r.engine.trial.elided_trials
+      /. float_of_int (Int.max 1 probes)
+    in
+    Format.printf "pricing: %d candidates priced (%.2f per probe)@."
+      r.engine.trial.elided_trials priced_per_probe;
     let words_per_probe =
       r.engine.gc.Obs.Gcstat.minor_words /. float_of_int (Int.max 1 probes)
     in
@@ -425,6 +438,10 @@ let smoke args =
         (Printf.sprintf
            "allocation per probe %.1f exceeds the %.0f minor-word budget"
            words_per_probe words_per_probe_budget);
+    if priced_per_probe > priced_per_probe_budget then
+      fail
+        (Printf.sprintf "%.2f candidates priced per probe exceeds the %.0f budget"
+           priced_per_probe priced_per_probe_budget);
     Format.printf "OK@.");
   smoke_clustered clustered_name
 

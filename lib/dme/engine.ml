@@ -109,6 +109,70 @@ type note = {
   n_elided : int;
 }
 
+(* Penalty added to an infeasible candidate's cost: big enough to
+   dominate every honest cost, and proportional to the instance extent
+   so a rescaled layout ranks bit-identically — adding an absolute
+   constant would float-absorb small cost differences at one coordinate
+   scale and preserve them at another.  A zero-extent instance has
+   every honest cost 0, so any positive penalty separates. *)
+let infeasible_penalty inst =
+  let d = Geometry.Octagon.diameter (Clocktree.Instance.bbox inst) in
+  if d > 0. then 1e9 *. d else 1.
+
+(* The ranking cost of candidate pair [(a, b)] at region distance [dist]
+   (Octslab.dist, bit-identical to Octagon.dist on these regions).
+   [trial a b] supplies a trial merge when the cost needs one; [elide ()]
+   records a cost answered without one.  Every branch returns at least
+   [dist] — [penalty] is positive — as the Order.coster contract
+   requires. *)
+let pair_cost config inst ~penalty ~trial ~elide ~dist (a : Subtree.t)
+    (b : Subtree.t) =
+  if config.cost_by_planned_wire then begin
+    if config.trial_cache && Subtree.shared_groups a b = [] then begin
+      (* Cross-group fast path: an unconstrained merge is always
+         feasible and its planned wire is exactly the region distance
+         (Merge.merge_cross), so the trial's only two cost-relevant
+         outputs are known without running it. *)
+      elide ();
+      dist
+    end
+    else begin
+      let t : Merge.result = trial a b in
+      (* Planned wire is at least the region distance in exact
+         arithmetic, but rounding in [ea +. (dist -. ea)] can land an ulp
+         below it; the clamp keeps the contract that lets probes skip
+         hopeless candidates. *)
+      let wire = Float.max dist t.planned_wire in
+      (* An infeasible pair (mutually inconsistent shared-group offsets,
+         the thesis' Instance 2) is merged only as a last resort. *)
+      if config.avoid_infeasible && not t.feasible then wire +. penalty
+      else wire
+    end
+  end
+  else if config.avoid_infeasible then begin
+    (* Distance-cost ranking needs only feasibility from a trial, and
+       Merge.committed_feasible answers that bit-identically without
+       building the merged subtree — so no probe ever runs a trial
+       merge.  Counted as elided trials under the same gate as the
+       cross-group elision above, so cache-off runs keep reporting zero
+       elisions. *)
+    if config.trial_cache then elide ();
+    if Merge.committed_feasible inst ~slack_usage:config.slack_usage ~dist a b
+    then dist
+    else dist +. penalty
+  end
+  else dist
+
+let run_merge config inst ~id a b =
+  Merge.run inst ~slack_usage:config.slack_usage
+    ~split_slack:config.split_slack ~width_cap:config.width_cap
+    ~sdr_samples:config.sdr_samples ~id a b
+
+let cost config inst ~dist a b =
+  pair_cost config inst ~penalty:(infeasible_penalty inst)
+    ~trial:(run_merge config inst ~id:(-1))
+    ~elide:ignore ~dist a b
+
 (* Bottom-up merge planning only: reduce [inst]'s sinks — or an explicit
    [leaves] population, see {!Order.run_ranked} — to one subtree.  Does
    not embed and does not own the pool, so the clustered router can run
@@ -139,22 +203,8 @@ let plan ?(config = default) ?(run = Obs.Run.null) ?pool ?leaves inst =
   let misses = ref 0 in
   let elided = ref 0 in
   let reused = ref 0 in
-  let run_merge ~id a b =
-    Merge.run inst ~slack_usage:config.slack_usage
-      ~split_slack:config.split_slack ~width_cap:config.width_cap
-      ~sdr_samples:config.sdr_samples ~id a b
-  in
-  (* Penalty added to an infeasible candidate's cost: big enough to
-     dominate every honest cost, and proportional to the instance extent
-     so a rescaled layout ranks bit-identically — adding an absolute
-     constant would float-absorb small cost differences at one
-     coordinate scale and preserve them at another.  A zero-extent
-     instance has every honest cost 0, so any positive penalty
-     separates. *)
-  let infeasible_penalty =
-    let d = Geometry.Octagon.diameter (Clocktree.Instance.bbox inst) in
-    if d > 0. then 1e9 *. d else 1.
-  in
+  let run_merge = run_merge config inst in
+  let penalty = infeasible_penalty inst in
   let cache : (int * int, trial_cell) Hashtbl.t = Hashtbl.create 1024 in
   (* Keys each live subtree participates in, for eviction.  Subtree ids
      are never reused, so a stale entry could never be *hit* — eviction
@@ -215,43 +265,8 @@ let plan ?(config = default) ?(run = Obs.Run.null) ?pool ?leaves inst =
         if config.trial_cache then fresh := (a, b, r) :: !fresh;
         r
     in
-    (* [dist] arrives from the ranking loop's region slab
-       (Octslab.dist, bit-identical to Octagon.dist on these regions). *)
-    let cost ~dist (a : Subtree.t) (b : Subtree.t) =
-      if config.cost_by_planned_wire then begin
-        if config.trial_cache && Subtree.shared_groups a b = [] then begin
-          (* Cross-group fast path: an unconstrained merge is always
-             feasible and its planned wire is exactly the region distance
-             (Merge.merge_cross), so the trial's only two cost-relevant
-             outputs are known without running it. *)
-          incr n_elided;
-          dist
-        end
-        else begin
-          let t = trial a b in
-          (* An infeasible pair (mutually inconsistent shared-group
-             offsets, the thesis' Instance 2) is merged only as a last
-             resort. *)
-          if config.avoid_infeasible && not t.feasible then
-            t.planned_wire +. infeasible_penalty
-          else t.planned_wire
-        end
-      end
-      else if config.avoid_infeasible then begin
-        (* Distance-cost ranking needs only feasibility from a trial, and
-           Merge.committed_feasible answers that bit-identically without
-           building the merged subtree — so no probe ever runs a trial
-           merge.  Counted as elided trials under the same gate as the
-           cross-group elision above, so cache-off runs keep reporting
-           zero elisions. *)
-        if config.trial_cache then incr n_elided;
-        if Merge.committed_feasible inst ~slack_usage:config.slack_usage
-             ~dist a b
-        then dist
-        else dist +. infeasible_penalty
-      end
-      else dist
-    in
+    let elide () = incr n_elided in
+    let cost ~dist a b = pair_cost config inst ~penalty ~trial ~elide ~dist a b in
     ( cost,
       fun () ->
         {

@@ -69,7 +69,11 @@ type trial_stats = {
   cache_hits : int;  (** cost probes answered from the cache *)
   cache_misses : int;  (** cost probes that ran a fresh trial *)
   elided_trials : int;
-      (** cross-group cost probes answered without any trial *)
+      (** priced candidates answered without a trial merge: under
+          distance ranking every priced candidate (its feasibility comes
+          from {!Merge.committed_feasible}), under planned-wire ranking
+          the cross-group ones.  Candidates a probe skips unpriced
+          ({!Order.cheapest}) are not counted; 0 with the cache off *)
   reused_trials : int;  (** committed merges promoted from their trial *)
 }
 
@@ -105,6 +109,22 @@ type stats = {
 (** [config] as a JSON object (one field per record field), for run
     manifests and stats dumps. *)
 val json_of_config : config -> Obs.Json.t
+
+(** [cost config inst ~dist a b] is the ranking cost a probe gives the
+    candidate pair [(a, b)] whose regions are [dist] apart: [dist],
+    plus a penalty when the pair's committed merge would be infeasible
+    ([config.avoid_infeasible]), or the trial merge's planned wire
+    under [config.cost_by_planned_wire].  The same function the ranking
+    loop prices candidates with, run without the trial cache's memo.
+    Never below [dist] and never NaN for finite [dist] — the
+    {!Order.coster} contract.  Exposed for testing. *)
+val cost :
+  config ->
+  Clocktree.Instance.t ->
+  dist:float ->
+  Subtree.t ->
+  Subtree.t ->
+  float
 
 (** Bottom-up merge planning only: reduce the instance's sinks — or an
     explicit [leaves] population (see {!Order.run_ranked}: dense ids,

@@ -70,6 +70,29 @@ let dedupe_pairs pairs =
   in
   go [] pairs
 
+(* The (cost, lowest id) argmin over candidates [ids.(0 .. len-1)],
+   pricing only those that can still win.  Every coster returns a cost
+   [>= dist] (the coster contract), so a candidate whose region distance
+   already exceeds the best cost — or ties it with a higher id — cannot
+   take the argmin whatever it costs, and its price is never asked for.
+   A NaN distance proves nothing, so that candidate is priced.  The
+   winner is the exhaustive argmin's, for any candidate order. *)
+let cheapest ids len ~dist ~price =
+  let bi = ref (-1) and bd = ref Float.infinity in
+  for i = 0 to len - 1 do
+    let tid = ids.(i) in
+    let d = dist tid in
+    if !bi < 0 || not (d > !bd || (d = !bd && tid > ids.(!bi))) then begin
+      let c = price tid d in
+      if Float.is_nan c then invalid_arg "Order: a merge cost is NaN";
+      if !bi < 0 || c < !bd || (c = !bd && tid < ids.(!bi)) then begin
+        bi := i;
+        bd := c
+      end
+    end
+  done;
+  (!bi, !bd)
+
 (* Each domain's k-NN answer buffer.  A probe fills it and reads it back
    before returning, and nothing a probe calls probes again, so one
    buffer per domain is never shared. *)
@@ -194,10 +217,11 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
      [infinity] when the k-NN scan found no candidate.  Runs on worker
      domains during a parallel round: the arena, [grid] and [slab] are
      only read, and the (cost, lowest-id) argmin makes the winner
-     independent of candidate evaluation order.  One probe = one coster
-     session: the returned note carries whatever side results (e.g.
-     freshly run trial merges) the cost function produced, to be
-     absorbed on the main domain in snapshot order.  A k-NN answer comes
+     independent of candidate evaluation order; [cheapest] prices only
+     the candidates whose region distance lets them still win.  One
+     probe = one coster session: the returned note carries whatever side
+     results (e.g. freshly run trial merges) the cost function produced,
+     to be absorbed on the main domain in snapshot order.  A k-NN answer comes
      back empty only when no other entry is eligible at all (the scan
      covers the whole occupied box unless it has found [knn] entries),
      so an empty answer needs no fallback scan. *)
@@ -212,17 +236,13 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
     let buf = Domain.DLS.get knn_key in
     let sid = s.id in
     Grid_index.knn_into !grid buf ~skip:(fun id -> id = sid) (center_of sid) knn;
-    let bi = ref (-1) and bd = ref Float.infinity in
-    for i = 0 to buf.klen - 1 do
-      let tid = buf.kids.(i) in
-      let d = cost ~dist:(Octslab.dist slab sid tid) s (subtree tid) in
-      if !bi < 0 || not (!bd < d || (!bd = d && buf.kids.(!bi) < tid)) then begin
-        bi := i;
-        bd := d
-      end
-    done;
-    let partner = if !bi < 0 then -1 else buf.kids.(!bi) in
-    (partner, !bd, finish ())
+    let bi, bd =
+      cheapest buf.kids buf.klen
+        ~dist:(fun tid -> Octslab.dist slab sid tid)
+        ~price:(fun tid dist -> cost ~dist s (subtree tid))
+    in
+    let partner = if bi < 0 then -1 else buf.kids.(bi) in
+    (partner, bd, finish ())
   in
   (* Deep subtrees have small delay targets; merging shallow pairs first
      (Chaturvedi-Hu) keeps depths homogeneous and avoids late merges that

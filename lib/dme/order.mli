@@ -40,7 +40,12 @@ val default : config
     engine: freshly executed trial merges and cache-counter deltas).
     The cost function must not mutate shared state; [absorb] is called
     for every probe's note on the calling domain, in ascending
-    subtree-id order, before any merge of the round is committed. *)
+    subtree-id order, before any merge of the round is committed.
+
+    Contract: the cost of a pair is never below its region distance
+    [dist] ([Octagon.dist] of the two regions) and never NaN.  A probe
+    relies on it to price only the candidates that can still win (see
+    {!cheapest}); a NaN cost raises [Invalid_argument]. *)
 type 'note coster = {
   session :
     unit -> (dist:float -> Subtree.t -> Subtree.t -> float) * (unit -> 'note);
@@ -61,7 +66,9 @@ type 'merge merger = {
 
 (** Wrap a pure, self-contained cost function (no side results).  The
     ranking loop's precomputed region distance is dropped on the
-    floor — [cost] sees only the subtree pair. *)
+    floor — [cost] sees only the subtree pair — but the {!coster}
+    contract still binds: [cost a b] must be at least
+    [Octagon.dist a.region b.region] and never NaN. *)
 val of_cost : (Subtree.t -> Subtree.t -> float) -> unit coster
 
 (** Wrap a plain merge callback: computation is deferred to [install],
@@ -95,6 +102,23 @@ type round_info = {
     Tail-recursive: safe for rounds ranking hundreds of thousands of
     pairs.  Exposed for testing. *)
 val dedupe_pairs : (float * int * int) list -> (float * int * int) list
+
+(** [cheapest ids len ~dist ~price] is the index [i] in [0 .. len-1]
+    of the (cost, lowest id) argmin over the distinct candidate ids
+    [ids.(0 .. len-1)], with its cost, or [(-1, infinity)] when [len =
+    0].  [dist id] is the candidate's region distance and [price id d]
+    its cost given that distance; [price] must return at least [d].
+    [price] is called only for candidates that can still win: one whose
+    distance exceeds the best cost so far, or equals it with a higher
+    id, is skipped, which cannot change the answer.  Raises
+    [Invalid_argument] when a priced cost is NaN.  The ranking probe's
+    argmin; exposed for testing. *)
+val cheapest :
+  int array ->
+  int ->
+  dist:(int -> float) ->
+  price:(int -> float -> float) ->
+  int * float
 
 (** [run_ranked ?pool ?run ?on_round ?leaves inst config ~coster
     ~merger] reduces the sink set to one subtree, running
@@ -132,7 +156,9 @@ val run_ranked :
     callers.  [cost a b] ranks candidate pairs — typically the planned
     wire of a trial merge, so partners that merge without snaking (e.g.
     cross-group neighbours) are preferred over equally close partners
-    that would require balancing wire. *)
+    that would require balancing wire.  [cost a b] must be at least
+    [Octagon.dist a.region b.region] and never NaN (the {!coster}
+    contract); a NaN cost raises [Invalid_argument]. *)
 val run :
   Clocktree.Instance.t ->
   config ->

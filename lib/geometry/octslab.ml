@@ -65,8 +65,18 @@ let get t slot =
       dh = Float.Array.get d (base + o_dh);
     }
 
+(* Float.max is an out-of-line call that boxes its arguments; this
+   inlined form is not, and the gap chain below runs on every ranking
+   candidate.  It differs from Float.max only in the sign of a zero
+   result ([fmax (-0.) 0.] is [-0.], Float.max gives [+0.]); NaN
+   propagates in both. *)
+let[@inline] fmax (a : float) b = if a >= b || a <> a then a else b
+
 (* Same max-of-support-gaps chain as Octagon.dist, in the same
-   operation order, so slab distances are bit-identical to boxed ones. *)
+   operation order, so slab distances are bit-identical to boxed ones.
+   The chain's maximum equals Float.max's up to the sign of a zero, and
+   that sign only reaches the final [fmax 0. g], which returns [+0.]
+   for either zero, as [Float.max 0. g] does. *)
 let[@inline] dist t i j =
   let d = t.data in
   let a = 8 * i and b = 8 * j in
@@ -74,34 +84,34 @@ let[@inline] dist t i j =
     Float.Array.unsafe_get d (b + o_xl) -. Float.Array.unsafe_get d (a + o_xh)
   in
   let g =
-    Float.max g
+    fmax g
       (Float.Array.unsafe_get d (a + o_xl) -. Float.Array.unsafe_get d (b + o_xh))
   in
   let g =
-    Float.max g
+    fmax g
       (Float.Array.unsafe_get d (b + o_yl) -. Float.Array.unsafe_get d (a + o_yh))
   in
   let g =
-    Float.max g
+    fmax g
       (Float.Array.unsafe_get d (a + o_yl) -. Float.Array.unsafe_get d (b + o_yh))
   in
   let g =
-    Float.max g
+    fmax g
       (Float.Array.unsafe_get d (b + o_sl) -. Float.Array.unsafe_get d (a + o_sh))
   in
   let g =
-    Float.max g
+    fmax g
       (Float.Array.unsafe_get d (a + o_sl) -. Float.Array.unsafe_get d (b + o_sh))
   in
   let g =
-    Float.max g
+    fmax g
       (Float.Array.unsafe_get d (b + o_dl) -. Float.Array.unsafe_get d (a + o_dh))
   in
   let g =
-    Float.max g
+    fmax g
       (Float.Array.unsafe_get d (a + o_dl) -. Float.Array.unsafe_get d (b + o_dh))
   in
-  Float.max 0. g
+  fmax 0. g
 
 (* Mirrors Octagon.diameter: larger of the two rotated extents. *)
 let[@inline] diameter t i =

@@ -343,6 +343,83 @@ let test_order_knn_zero_clamped () =
   let root, _ = Dme.Order.run inst config ~cost ~merge:merge_cb in
   Alcotest.(check int) "all sinks merged" 12 root.n_sinks
 
+(* A NaN cost used to win the probe's argmin and be replaced by every
+   later candidate, so the probe silently ended on its last one; it is
+   an error now. *)
+let test_order_nan_cost_raises () =
+  let inst =
+    instance ~bound:10. ~n_groups:2 [ sink 0 0. 0. 0; sink 1 700. 300. 1 ]
+  in
+  let merge_cb ~id a b = (merge inst ~id a b).subtree in
+  let cost (_ : Dme.Subtree.t) (_ : Dme.Subtree.t) = Float.nan in
+  match Dme.Order.run inst Dme.Order.default ~cost ~merge:merge_cb with
+  | _ -> Alcotest.fail "a NaN cost was ranked"
+  | exception Invalid_argument _ -> ()
+
+(* [Order.cheapest] prices only candidates whose distance can still win,
+   yet returns the exhaustive (cost, lowest id) argmin.  Distances sit on
+   a coarse lattice so distance and cost ties are common; a price is the
+   distance, the distance plus an infeasibility-sized penalty, or the
+   distance plus a non-negative (often lattice) extra. *)
+let prop_cheapest_matches_exhaustive =
+  let gen =
+    QCheck.Gen.(
+      let* len = 0 -- 16 in
+      let* ids = shuffle_l (List.init 40 Fun.id) in
+      let ids = List.filteri (fun i _ -> i < len) ids in
+      let* cands =
+        flatten_l
+          (List.map
+             (fun id ->
+               let* dist = map (fun k -> float_of_int k *. 0.5) (0 -- 6) in
+               let* extra =
+                 oneof
+                   [
+                     return 0.;
+                     return 1e9;
+                     map (fun k -> float_of_int k *. 0.5) (0 -- 4);
+                     float_range 0. 3.;
+                   ]
+               in
+               return (id, dist, dist +. extra))
+             ids)
+      in
+      return (Array.of_list cands))
+  in
+  let print cands =
+    String.concat "; "
+      (Array.to_list
+         (Array.map (fun (id, d, c) -> Printf.sprintf "%d:%g/%g" id d c) cands))
+  in
+  QCheck.Test.make ~name:"cheapest = exhaustive (cost, id) argmin" ~count:1000
+    (QCheck.make ~print gen) (fun cands ->
+      let ids = Array.map (fun (id, _, _) -> id) cands in
+      let lookup id =
+        Option.get (Array.find_opt (fun (i, _, _) -> i = id) cands)
+      in
+      let dist id =
+        let _, d, _ = lookup id in
+        d
+      in
+      let price id d =
+        let _, d', c = lookup id in
+        assert (d = d');
+        c
+      in
+      let best = ref (-1) in
+      Array.iteri
+        (fun i (id, _, c) ->
+          if !best < 0 then best := i
+          else begin
+            let bid, _, bc = cands.(!best) in
+            if c < bc || (c = bc && id < bid) then best := i
+          end)
+        cands;
+      let i, c = Dme.Order.cheapest ids (Array.length ids) ~dist ~price in
+      i = !best
+      && (i < 0 && c = Float.infinity
+         || i >= 0 && let _, _, bc = cands.(i) in c = bc))
+
 (* --- Embed --------------------------------------------------------------- *)
 
 let rec check_positions_consistent = function
@@ -654,57 +731,63 @@ let prop_engine_respects_bound =
       let report = Evaluate.run inst routed in
       rstats.unresolved_groups = 0 && Evaluate.within_bound inst report)
 
-(* [Merge.committed_feasible] is [(Merge.run ...).feasible] without
-   building the merge.  Pairs come from Check.Gen cases of every regime:
-   each case's sinks are shuffled into four chunks, each chunk is merged
-   left to right into one subtree, and every pair of chunk roots and
-   leaves is compared under three slack usages. *)
-let prop_committed_feasible_matches_run =
+(* Candidate pairs for the merge-cost properties, from Check.Gen cases
+   of every regime: a case's sinks are shuffled into four chunks, each
+   chunk is merged left to right into one subtree, and the chunk roots
+   plus up to six leaves are returned with the instance and the merge
+   function that built them. *)
+let gen_case =
   let regimes = Check.Gen.all_regimes in
-  let gen =
+  QCheck.make
+    ~print:(fun (seed, index) ->
+      Printf.sprintf "seed=%d regime=%s" seed
+        (Check.Gen.regime_to_string regimes.(index)))
     QCheck.Gen.(
       let* seed = 1 -- 10_000 in
       let* index = 0 -- (Array.length regimes - 1) in
       return (seed, index))
+
+let case_subtrees (seed, index) =
+  let inst =
+    (Check.Gen.case ~regime:Check.Gen.all_regimes.(index)
+       ~seed:(Int64.of_int seed) ~index ())
+      .Check.Gen.instance
   in
+  let rng = Workload.Rng.create (Int64.of_int seed) in
+  let n = Instance.n_sinks inst in
+  let order = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Workload.Rng.int rng (i + 1) in
+    let t = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- t
+  done;
+  let leaf i = Dme.Subtree.leaf inst.sinks.(order.(i)) in
+  let next_id = ref n in
+  let run ~slack_usage a b =
+    Dme.Merge.run inst ~slack_usage ~split_slack:0.25 ~width_cap:0.7
+      ~sdr_samples:9 ~id:!next_id a b
+  in
+  let chunks = Int.min 4 n in
+  let roots =
+    List.init chunks (fun c ->
+        let lo = c * n / chunks and hi = ((c + 1) * n / chunks) - 1 in
+        let acc = ref (leaf lo) in
+        for i = lo + 1 to hi do
+          incr next_id;
+          acc := (run ~slack_usage:0.3 !acc (leaf i)).subtree
+        done;
+        !acc)
+  in
+  (inst, run, roots @ List.init (Int.min n 6) leaf)
+
+(* [Merge.committed_feasible] is [(Merge.run ...).feasible] without
+   building the merge, on every pair of a case's subtrees under three
+   slack usages. *)
+let prop_committed_feasible_matches_run =
   QCheck.Test.make ~name:"committed_feasible = Merge.run feasibility" ~count:60
-    (QCheck.make
-       ~print:(fun (seed, index) ->
-         Printf.sprintf "seed=%d regime=%s" seed
-           (Check.Gen.regime_to_string regimes.(index)))
-       gen)
-    (fun (seed, index) ->
-      let inst =
-        (Check.Gen.case ~regime:regimes.(index) ~seed:(Int64.of_int seed) ~index ())
-          .Check.Gen.instance
-      in
-      let rng = Workload.Rng.create (Int64.of_int seed) in
-      let n = Instance.n_sinks inst in
-      let order = Array.init n Fun.id in
-      for i = n - 1 downto 1 do
-        let j = Workload.Rng.int rng (i + 1) in
-        let t = order.(i) in
-        order.(i) <- order.(j);
-        order.(j) <- t
-      done;
-      let leaf i = Dme.Subtree.leaf inst.sinks.(order.(i)) in
-      let next_id = ref n in
-      let run ~slack_usage a b =
-        Dme.Merge.run inst ~slack_usage ~split_slack:0.25 ~width_cap:0.7
-          ~sdr_samples:9 ~id:!next_id a b
-      in
-      let chunks = Int.min 4 n in
-      let roots =
-        List.init chunks (fun c ->
-            let lo = c * n / chunks and hi = ((c + 1) * n / chunks) - 1 in
-            let acc = ref (leaf lo) in
-            for i = lo + 1 to hi do
-              incr next_id;
-              acc := (run ~slack_usage:0.3 !acc (leaf i)).subtree
-            done;
-            !acc)
-      in
-      let subtrees = roots @ List.init (Int.min n 6) leaf in
+    gen_case (fun case ->
+      let inst, run, subtrees = case_subtrees case in
       List.for_all
         (fun slack_usage ->
           List.for_all
@@ -719,6 +802,39 @@ let prop_committed_feasible_matches_run =
                 subtrees)
             subtrees)
         [ 0.; 0.3; 1. ])
+
+(* The Order.coster contract the probe's prune rests on: the engine's
+   distance and planned-wire costs are never below the region distance
+   the ranking loop hands them ([Octslab.dist]), with and without the
+   trial cache's cross-group elision. *)
+let prop_engine_cost_at_least_dist =
+  let configs =
+    let open Dme.Engine in
+    [
+      default;
+      { default with avoid_infeasible = false };
+      { default with cost_by_planned_wire = true };
+      { default with cost_by_planned_wire = true; trial_cache = false };
+    ]
+  in
+  QCheck.Test.make ~name:"engine costs >= Octslab.dist" ~count:40 gen_case
+    (fun case ->
+      let inst, _, subtrees = case_subtrees case in
+      let slab = Geometry.Octslab.create 2 in
+      List.for_all
+        (fun (a : Dme.Subtree.t) ->
+          List.for_all
+            (fun (b : Dme.Subtree.t) ->
+              a == b
+              ||
+              (Geometry.Octslab.set slab 0 a.region;
+               Geometry.Octslab.set slab 1 b.region;
+               let dist = Geometry.Octslab.dist slab 0 1 in
+               List.for_all
+                 (fun config -> Dme.Engine.cost config inst ~dist a b >= dist)
+                 configs))
+            subtrees)
+        subtrees)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -751,10 +867,12 @@ let () =
           Alcotest.test_case "three-sink endgame" `Quick
             test_order_three_sink_endgame;
           Alcotest.test_case "knn=0 clamped" `Quick test_order_knn_zero_clamped;
+          Alcotest.test_case "NaN cost raises" `Quick test_order_nan_cost_raises;
           Alcotest.test_case "dedupe pairs" `Quick test_dedupe_pairs;
           Alcotest.test_case "dedupe pairs large (stack safety)" `Quick
             test_dedupe_pairs_large;
-        ] );
+        ]
+        @ qsuite [ prop_cheapest_matches_exhaustive ] );
       ( "embed",
         [
           Alcotest.test_case "valid tree" `Quick test_embed_valid_tree;
@@ -777,5 +895,5 @@ let () =
             test_parallel_gate;
           Alcotest.test_case "golden wirelengths r1-r5" `Slow test_golden_wirelengths;
         ]
-        @ qsuite [ prop_engine_respects_bound ] );
+        @ qsuite [ prop_engine_respects_bound; prop_engine_cost_at_least_dist ] );
     ]

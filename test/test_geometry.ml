@@ -391,6 +391,86 @@ let prop_translate_preserves_dist =
       let d' = Octagon.dist (Octagon.translate v a) (Octagon.translate v b) in
       Float.abs (d -. d') <= 1e-6)
 
+(* --- Octslab -------------------------------------------------------------- *)
+
+(* Canonical octagons on a half-unit lattice with [-0.] among the
+   coordinates, so equal bounds, zero gaps and signed zeros all occur:
+   points, octilinear segments, L1 balls and (non-empty) intersections of
+   two of those. *)
+let gen_lattice_oct =
+  let open QCheck.Gen in
+  let coord =
+    frequency
+      [ (3, map (fun k -> float_of_int k *. 0.5) (-3 -- 3)); (1, return (-0.)) ]
+  in
+  let point = map2 pt coord coord in
+  let base =
+    oneof
+      [
+        map Octagon.of_point point;
+        (let* p = point in
+         let* dx, dy =
+           oneofl [ (1., 0.); (0., 1.); (1., 1.); (1., -1.) ]
+         in
+         let* len = map (fun k -> float_of_int k *. 0.5) (0 -- 3) in
+         return (Octagon.of_segment p (pt (p.x +. (dx *. len)) (p.y +. (dy *. len)))));
+        map2 Octagon.ball point (map (fun k -> float_of_int k *. 0.5) (0 -- 2));
+      ]
+  in
+  frequency
+    [
+      (3, base);
+      ( 1,
+        map2
+          (fun a b ->
+            let o = Octagon.inter a b in
+            if Octagon.is_empty o then a else o)
+          base base );
+    ]
+
+let bits_of_bounds (b : Octagon.bounds) =
+  List.map Int64.bits_of_float [ b.xl; b.xh; b.yl; b.yh; b.sl; b.sh; b.dl; b.dh ]
+
+(* The slab kernels are the boxed ones bit for bit: distance (whose gap
+   chain uses its own inlined max) and diameter, plus the set/get
+   round-trip of the stored bounds. *)
+let octslab_matches_octagon a b =
+  let slab = Octslab.create 2 in
+  Octslab.set slab 0 a;
+  Octslab.set slab 1 b;
+  let bits = Int64.bits_of_float in
+  let same_bounds o slot =
+    bits_of_bounds (Option.get (Octagon.bounds o))
+    = bits_of_bounds (Option.get (Octagon.bounds (Octslab.get slab slot)))
+  in
+  bits (Octslab.dist slab 0 1) = bits (Octagon.dist a b)
+  && bits (Octslab.dist slab 1 0) = bits (Octagon.dist b a)
+  && bits (Octslab.diameter slab 0) = bits (Octagon.diameter a)
+  && bits (Octslab.diameter slab 1) = bits (Octagon.diameter b)
+  && same_bounds a 0 && same_bounds b 1
+
+let prop_octslab_matches_octagon =
+  QCheck.Test.make ~name:"Octslab = Octagon, bit for bit" ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) -> Format.asprintf "%a / %a" Octagon.pp a Octagon.pp b)
+       QCheck.Gen.(pair gen_lattice_oct gen_lattice_oct))
+    (fun (a, b) -> octslab_matches_octagon a b)
+
+(* Touching points at [+0.] and [-0.]: the largest gap is [-0.], and the
+   distance must still be [+0.] as Octagon.dist gives it. *)
+let test_octslab_signed_zero () =
+  let a = Octagon.of_point (pt 0. 0.) and b = Octagon.of_point (pt (-0.) (-0.)) in
+  Alcotest.(check bool) "bit-identical at signed zeros" true
+    (octslab_matches_octagon a b);
+  let slab = Octslab.create 2 in
+  Octslab.set slab 0 a;
+  Octslab.set slab 1 b;
+  List.iter
+    (fun (i, j) ->
+      Alcotest.(check int64) "distance is +0." (Int64.bits_of_float 0.)
+        (Int64.bits_of_float (Octslab.dist slab i j)))
+    [ (0, 1); (1, 0) ]
+
 (* --- Grid index ---------------------------------------------------------- *)
 
 let test_grid_basic () =
@@ -790,6 +870,9 @@ let () =
             prop_hull_monotone;
             prop_translate_preserves_dist;
           ] );
+      ( "octslab",
+        Alcotest.test_case "signed zeros" `Quick test_octslab_signed_zero
+        :: qsuite [ prop_octslab_matches_octagon ] );
       ( "interval-properties",
         qsuite
           [
