@@ -256,6 +256,7 @@ let columns (o : obs) =
            ("planned_snake", s.planned_snake);
            ("infeasible_merges", f s.infeasible_merges);
            ("nn_reprobes", f s.nn_reprobes);
+           ("nn_queries", f s.nn_queries);
            ("nn_probes_saved", f s.nn_probes_saved);
            ("trial_merges", f t.trial_merges); ("cache_hits", f t.cache_hits);
            ("cache_misses", f t.cache_misses);

@@ -213,6 +213,7 @@ let json_of_engine_stats (s : Dme.Engine.stats) : Obs.Json.t =
       ("planned_snake", Float s.planned_snake);
       ("infeasible_merges", Int s.infeasible_merges);
       ("nn_reprobes", Int s.nn_reprobes);
+      ("nn_queries", Int s.nn_queries);
       ("nn_probes_saved", Int s.nn_probes_saved);
       ("trial_merges", Int s.trial.trial_merges);
       ("trial_cache_hits", Int s.trial.cache_hits);

@@ -162,6 +162,7 @@ let add_stats (a : Engine.stats) (b : Engine.stats) =
       planned_snake = a.planned_snake +. b.planned_snake;
       infeasible_merges = a.infeasible_merges + b.infeasible_merges;
       nn_reprobes = a.nn_reprobes + b.nn_reprobes;
+      nn_queries = a.nn_queries + b.nn_queries;
       nn_probes_saved = a.nn_probes_saved + b.nn_probes_saved;
       trial = add_trials a.trial b.trial;
       gc = Obs.Gcstat.zero;
@@ -345,6 +346,7 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
                  ("n_sinks", Obs.Json.Int c.n_sinks);
                  ("rounds", Obs.Json.Int c.stats.Engine.rounds);
                  ("nn_reprobes", Obs.Json.Int c.stats.Engine.nn_reprobes);
+                 ("nn_queries", Obs.Json.Int c.stats.Engine.nn_queries);
                  ( "trial_merges",
                    Obs.Json.Int c.stats.Engine.trial.Engine.trial_merges );
                  ("planned_snake", Obs.Json.Float c.stats.Engine.planned_snake);

@@ -55,6 +55,7 @@ type stats = {
   planned_snake : float;
   infeasible_merges : int;
   nn_reprobes : int;
+  nn_queries : int;
   nn_probes_saved : int;
   trial : trial_stats;
   gc : Obs.Gcstat.t;
@@ -408,6 +409,7 @@ let plan ?(config = default) ?(run = Obs.Run.null) ?pool ?leaves inst =
                  ("round", Obs.Json.Int r.round);
                  ("active", Obs.Json.Int r.active);
                  ("probes", Obs.Json.Int r.probes);
+                 ("nn_queries", Obs.Json.Int r.queries);
                  ("nn_probes_saved", Obs.Json.Int 0);
                  ("merges", Obs.Json.Int r.merges);
                  ("trial_merges", Obs.Json.Int d_trials);
@@ -436,6 +438,7 @@ let plan ?(config = default) ?(run = Obs.Run.null) ?pool ?leaves inst =
     {
       rounds = ostats.rounds;
       nn_reprobes = ostats.nn_probes;
+      nn_queries = ostats.nn_queries;
       nn_probes_saved = 0;
       same_group = !same_group;
       cross_group = !cross_group;

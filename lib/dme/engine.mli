@@ -93,6 +93,10 @@ type stats = {
   nn_reprobes : int;
       (** nearest-neighbour probes executed by the ranking loop: one
           per active subtree per round *)
+  nn_queries : int;
+      (** grid k-NN queries those probes ran: one per probe plus one
+          per widening ({!Order.settle}), so never below
+          [nn_reprobes] *)
   nn_probes_saved : int;
       (** always 0.  Counted probes a cross-round proposal cache served
           until that cache was retired (DESIGN.md section 10); kept

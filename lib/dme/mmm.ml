@@ -81,6 +81,7 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null)
         planned_snake = !planned_snake;
         infeasible_merges = !infeasible;
         nn_reprobes = 0;
+        nn_queries = 0;
         nn_probes_saved = 0;
         trial = Engine.no_trials;
         gc = Obs.Gcstat.diff (Obs.Gcstat.sample ()) gc0;

@@ -40,12 +40,13 @@ let of_merge merge =
     install = (fun (id, a, b) -> merge ~id a b);
   }
 
-type stats = { rounds : int; nn_probes : int }
+type stats = { rounds : int; nn_probes : int; nn_queries : int }
 
 type round_info = {
   round : int;
   active : int;
   probes : int;
+  queries : int;
   merges : int;
   best_cost : float;
   wall_s : float;
@@ -70,16 +71,17 @@ let dedupe_pairs pairs =
   in
   go [] pairs
 
-(* The (cost, lowest id) argmin over candidates [ids.(0 .. len-1)],
+(* The (cost, lowest id) argmin over candidates [ids.(from .. len-1)],
+   resumed from the running best [(bi, bd)] over [ids.(0 .. from-1)] and
    pricing only those that can still win.  Every coster returns a cost
    [>= dist] (the coster contract), so a candidate whose region distance
    already exceeds the best cost — or ties it with a higher id — cannot
    take the argmin whatever it costs, and its price is never asked for.
    A NaN distance proves nothing, so that candidate is priced.  The
    winner is the exhaustive argmin's, for any candidate order. *)
-let cheapest ids len ~dist ~price =
-  let bi = ref (-1) and bd = ref Float.infinity in
-  for i = 0 to len - 1 do
+let scan ids ~from len ~bi ~bd ~dist ~price =
+  let bi = ref bi and bd = ref bd in
+  for i = from to len - 1 do
     let tid = ids.(i) in
     let d = dist tid in
     if !bi < 0 || not (d > !bd || (d = !bd && tid > ids.(!bi))) then begin
@@ -92,6 +94,52 @@ let cheapest ids len ~dist ~price =
     end
   done;
   (!bi, !bd)
+
+let cheapest ids len ~dist ~price =
+  scan ids ~from:0 len ~bi:(-1) ~bd:Float.infinity ~dist ~price
+
+(* Rounding allowance of the settle test, relative to the magnitudes
+   the bound is computed from (DESIGN.md section 25): 2^13 ulps of them,
+   hundreds of times what the dozen roundings behind the bound can
+   lose, and still far below any cost gap the bound is asked to prove. *)
+let settle_tol = 0x1p-40
+
+(* A probe's widening loop: price the [k] nearest candidates, then
+   double [k] (up to [knn]) until the k-NN exclusion bound proves that
+   no candidate left out can win.  Every eligible entry outside a
+   non-exhaustive answer has its center at L1 distance >= [kth] from
+   [q]; its region lies within [rmax] of its center and the probed
+   subtree's within [rad] of [q], so its region distance, and hence its
+   cost, is at least [kth - rad - rmax].  When that exceeds the best
+   cost, strictly, an unseen candidate can neither beat the best nor tie
+   it with a lower id.  The answer is canonical in (distance, id), so a
+   wider query's first [k] entries are the previous answer: pricing
+   resumes at index [k] from the running best, and the sequence of
+   [price] calls is a prefix of the full-[knn] probe's — the rest of
+   which [scan] would skip, by the same bound. *)
+let settle grid (buf : Grid_index.knn) ~skip (q : Pt.t) ~knn ~rad ~rmax ~dist
+    ~price =
+  let knn = Int.max 1 knn in
+  let reach = rad +. rmax in
+  let norm = Float.abs q.x +. Float.abs q.y +. reach in
+  let k = ref (Int.max 1 (knn / 4)) and from = ref 0 and queries = ref 0 in
+  let bi = ref (-1) and bd = ref Float.infinity and settled = ref false in
+  while not !settled do
+    Grid_index.knn_into grid buf ~skip q !k;
+    incr queries;
+    let i, d = scan buf.kids ~from:!from buf.klen ~bi:!bi ~bd:!bd ~dist ~price in
+    bi := i;
+    bd := d;
+    if
+      !k >= knn || buf.exhaustive
+      || buf.kth -. reach -. (settle_tol *. (buf.kth +. norm)) > d
+    then settled := true
+    else begin
+      from := buf.klen;
+      k := Int.min knn (2 * !k)
+    end
+  done;
+  ((if !bi < 0 then -1 else buf.kids.(!bi)), !bd, !queries)
 
 (* Each domain's k-NN answer buffer.  A probe fills it and reads it back
    before returning, and nothing a probe calls probes again, so one
@@ -128,12 +176,15 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
   (* A non-positive knn would make every k-NN query return [] and stall
      the pairing loop below; clamp rather than crash. *)
   let knn = Int.max 1 config.knn in
-  (* Grid cell for a population of [m] subtrees: about one per cell over
-     the instance's extent.  The floor must be relative to the extent,
-     not the absolute 1.0 layout unit it used to be: a unit-square (or
-     any sub-unit) instance would collapse into a single grid cell and
-     degrade every k-NN query to a full scan, making ranking cost — and
-     the visit counters — depend on coordinate scale.  [Eps.tol]
+  (* Grid cell for a population of [m] subtrees: the instance's L1
+     diameter over [sqrt m].  On a square die the L1 diameter is twice
+     the side, so a freshly sized cell holds about 4 entries of a uniform
+     population, and about 1 once the population has shrunk to the
+     quarter at which [recell] sizes it afresh.  The floor must be
+     relative to the extent, not the absolute 1.0 layout unit it used to
+     be: a unit-square (or any sub-unit) instance would collapse into a
+     single grid cell and degrade every k-NN query to a full scan, making
+     ranking cost — and the visit counters — depend on coordinate scale.  [Eps.tol]
      absolutely and [Eps.tol * d] relatively keep the cell positive for
      degenerate (single-point) instances without distorting real ones. *)
   let cell_for m =
@@ -147,8 +198,9 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
      at most [n - 1] merges — so [2 n] slots cover the whole run and
      nothing on the probe path chases a hashtable or boxes a float.
      [slab] mirrors each alive subtree's region bounds (Octslab.dist is
-     bit-identical to Octagon.dist); [cx]/[cy] its center; [hull_hi] the
-     upper end of its delay hull (the only part delay biasing reads).
+     bit-identical to Octagon.dist); [cx]/[cy] its center; [rad] the L1
+     radius of its region about that center; [hull_hi] the upper end of
+     its delay hull (the only part delay biasing reads).
      Slots of merged-away ids go stale rather than being cleared — the
      loop only ever indexes ids of currently alive subtrees. *)
   let cap_ids = Int.max 2 (2 * n) in
@@ -157,6 +209,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
   let slab = Octslab.create cap_ids in
   let cx = Float.Array.make cap_ids Float.nan in
   let cy = Float.Array.make cap_ids Float.nan in
+  let rad = Float.Array.make cap_ids Float.nan in
   let hull_hi = Float.Array.make cap_ids Float.nan in
   (* The grid over alive subtree centers and the population its cell was
      sized for; see [recell]. *)
@@ -170,6 +223,17 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
     Octslab.set slab s.id s.region;
     Float.Array.set cx s.id c.Pt.x;
     Float.Array.set cy s.id c.Pt.y;
+    (* The farthest any point of the region lies from the center in L1:
+       |dx| + |dy| = max |d(x+y)|, |d(x-y)|, bounded by the s/d extents.
+       An empty region has no bounds, but Octslab.set rejected it. *)
+    (match Octagon.bounds s.region with
+     | Some b ->
+       let cs = c.Pt.x +. c.Pt.y and cd = c.Pt.x -. c.Pt.y in
+       Float.Array.set rad s.id
+         (Float.max
+            (Float.max (b.sh -. cs) (cs -. b.sl))
+            (Float.max (b.dh -. cd) (cd -. b.dl)))
+     | None -> ());
     if config.delay_order_weight <> 0. then
       Float.Array.set hull_hi s.id (Subtree.delay_hull s).hi;
     Grid_index.add !grid ~id:s.id c ()
@@ -214,18 +278,21 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
   (* One probe: the cheapest merge partner of [s] among its [knn] grid
      candidates (grid ranking is by representative point, so probe
      several candidates and refine with the true merging cost), [-1] at
-     [infinity] when the k-NN scan found no candidate.  Runs on worker
-     domains during a parallel round: the arena, [grid] and [slab] are
-     only read, and the (cost, lowest-id) argmin makes the winner
-     independent of candidate evaluation order; [cheapest] prices only
-     the candidates whose region distance lets them still win.  One
-     probe = one coster session: the returned note carries whatever side
-     results (e.g. freshly run trial merges) the cost function produced,
-     to be absorbed on the main domain in snapshot order.  A k-NN answer comes
-     back empty only when no other entry is eligible at all (the scan
-     covers the whole occupied box unless it has found [knn] entries),
-     so an empty answer needs no fallback scan. *)
-  let probe (s : Subtree.t) =
+     [infinity] when the k-NN scan found no candidate.  [settle] asks the
+     grid for a quarter of them first and widens only while the region
+     bound [rmax] — the largest [rad] of the round's population — leaves
+     an unseen candidate able to win, so the answer, and every [price]
+     call, is the full-[knn] probe's.  Runs on worker domains during a
+     parallel round: the arena, [grid] and [slab] are only read, and the
+     (cost, lowest-id) argmin makes the winner independent of candidate
+     evaluation order.  One probe = one coster session: the returned note
+     carries whatever side results (e.g. freshly run trial merges) the
+     cost function produced, to be absorbed on the main domain in
+     snapshot order.  A k-NN answer comes back empty only when no other
+     entry is eligible at all (the scan covers the whole occupied box
+     unless it has found [k] entries), so an empty answer needs no
+     fallback scan. *)
+  let probe rmax (s : Subtree.t) =
     (* The instant lands in the emitting domain's own trace buffer. *)
     if tracing then
       Obs.Trace.instant trace ~cat:"dme.order"
@@ -233,16 +300,15 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
         "probe";
     Obs.Counter.incr c_probes;
     let cost, finish = coster.session () in
-    let buf = Domain.DLS.get knn_key in
     let sid = s.id in
-    Grid_index.knn_into !grid buf ~skip:(fun id -> id = sid) (center_of sid) knn;
-    let bi, bd =
-      cheapest buf.kids buf.klen
+    let partner, bd, queries =
+      settle !grid (Domain.DLS.get knn_key)
+        ~skip:(fun id -> id = sid)
+        (center_of sid) ~knn ~rad:(Float.Array.get rad sid) ~rmax
         ~dist:(fun tid -> Octslab.dist slab sid tid)
         ~price:(fun tid dist -> cost ~dist s (subtree tid))
     in
-    let partner = if bi < 0 then -1 else buf.kids.(bi) in
-    (partner, bd, finish ())
+    (partner, bd, queries, finish ())
   in
   (* Deep subtrees have small delay targets; merging shallow pairs first
      (Chaturvedi-Hu) keeps depths homogeneous and avoids late merges that
@@ -268,6 +334,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
   in
   let rounds = ref 0 in
   let probed = ref 0 in
+  let queried = ref 0 in
   let rec loop () =
     let count = !n_active in
     if count = 1 then begin
@@ -294,6 +361,12 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
       let round_body () =
         recell count;
         let snap = snapshot () in
+        let rmax =
+          Array.fold_left
+            (fun m (s : Subtree.t) -> Float.max m (Float.Array.get rad s.id))
+            0. snap
+        in
+        let probe = probe rmax in
         let probes =
           let run_probes () =
             match pool with
@@ -308,10 +381,12 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
           else run_probes ()
         in
         probed := !probed + Array.length snap;
+        let round_queries = ref 0 in
         let pairs = ref [] in
         Array.iteri
           (fun k (s : Subtree.t) ->
-            let partner, d, note = probes.(k) in
+            let partner, d, queries, note = probes.(k) in
+            round_queries := !round_queries + queries;
             coster.absorb note;
             if partner >= 0 then begin
               Option.iter (fun h -> Obs.Histogram.observe h d) h_cost;
@@ -417,9 +492,10 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
             ~args:[ ("candidates", Obs.Json.Int (List.length pairs)) ]
             "commit_phase" commit_phase
         else commit_phase ();
-        (Array.length snap, !merged, !best_cost)
+        queried := !queried + !round_queries;
+        (Array.length snap, !round_queries, !merged, !best_cost)
       in
-      let probes_run, merges_done, best_cost =
+      let probes_run, queries_run, merges_done, best_cost =
         if tracing then
           Obs.Trace.span trace ~cat:"dme.order"
             ~args:
@@ -435,6 +511,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
              round = !rounds;
              active = count;
              probes = probes_run;
+             queries = queries_run;
              merges = merges_done;
              best_cost;
              wall_s = Float.max 0. (Obs.Timer.now () -. t0);
@@ -443,7 +520,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
     end
   in
   let root = loop () in
-  (root, { rounds = !rounds; nn_probes = !probed })
+  (root, { rounds = !rounds; nn_probes = !probed; nn_queries = !queried })
 
 let run inst config ~cost ~merge =
   run_ranked inst config ~coster:(of_cost cost) ~merger:(of_merge merge)

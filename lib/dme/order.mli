@@ -18,7 +18,16 @@
     population; the grid is rebuilt with a larger cell whenever the
     population has shrunk to a quarter of the one its cell was sized
     for, which changes how many cells a query scans but never its
-    answer (DESIGN.md section 22). *)
+    answer (DESIGN.md section 22).
+
+    A probe asks the grid for [max 1 (knn / 4)] candidates first and
+    doubles the query, up to [knn], only while an exact bound leaves an
+    unseen candidate able to win: every subtree's region lies within its
+    L1 radius of its center, so a candidate beyond the k-NN exclusion
+    bound [kth] has region distance — and, by the {!coster} contract,
+    cost — at least [kth] minus the two radii.  The partner, every
+    priced candidate and hence the tree are the full-[knn] probe's
+    (DESIGN.md section 25). *)
 
 type config = {
   multi_merge : bool;
@@ -45,7 +54,9 @@ val default : config
     Contract: the cost of a pair is never below its region distance
     [dist] ([Octagon.dist] of the two regions) and never NaN.  A probe
     relies on it to price only the candidates that can still win (see
-    {!cheapest}); a NaN cost raises [Invalid_argument]. *)
+    {!cheapest}) and to stop widening its k-NN query once no unseen
+    candidate can win (see {!settle}); a NaN cost raises
+    [Invalid_argument]. *)
 type 'note coster = {
   session :
     unit -> (dist:float -> Subtree.t -> Subtree.t -> float) * (unit -> 'note);
@@ -79,19 +90,23 @@ val of_merge :
 
 (** Ranking-loop statistics.  [nn_probes] counts nearest-neighbour
     probes (each runs one coster session over up to [knn] candidates):
-    the active count summed over rounds. *)
-type stats = { rounds : int; nn_probes : int }
+    the active count summed over rounds.  [nn_queries] counts the k-NN
+    queries those probes ran — one, plus one per widening — so it is
+    never below [nn_probes]. *)
+type stats = { rounds : int; nn_probes : int; nn_queries : int }
 
 (** One completed merge round, as reported to the [?on_round] observer
     of {!run_ranked}: 1-based [round] index, [active] subtree count at
-    the round's start, probe count ([probes], equal to [active]),
-    merges committed, the cheapest committed pair's biased cost
-    ([infinity] when only the degenerate fallback merge ran) and the
-    round's wall time in seconds (clamped non-negative). *)
+    the round's start, probe count ([probes], equal to [active]), the
+    k-NN queries those probes ran ([queries]), merges committed, the
+    cheapest committed pair's biased cost ([infinity] when only the
+    degenerate fallback merge ran) and the round's wall time in seconds
+    (clamped non-negative). *)
 type round_info = {
   round : int;
   active : int;
   probes : int;
+  queries : int;
   merges : int;
   best_cost : float;
   wall_s : float;
@@ -119,6 +134,36 @@ val cheapest :
   dist:(int -> float) ->
   price:(int -> float -> float) ->
   int * float
+
+(** [settle grid buf ~skip q ~knn ~rad ~rmax ~dist ~price] is one
+    probe's widening search: the [(partner, cost, queries)] that
+    {!cheapest} finds over the [knn] entries of [grid] nearest to [q]
+    (ignoring ids satisfying [skip]) — [(-1, infinity, _)] when none is
+    eligible — and the number of {!Geometry.Grid_index.knn_into}
+    queries it ran into [buf].  It queries [max 1 (knn / 4)] entries
+    first, prices them, and doubles the query up to [knn] until the
+    answer is exhaustive or its exclusion bound [kth] satisfies
+    [kth - rad - rmax - margin > best], the margin absorbing
+    floating-point rounding.  Sound when [dist] is the support-gap
+    distance of the two regions ({!Geometry.Octslab.dist}), every
+    eligible entry's region lies within [rmax] of its point and the
+    probed subtree's within [rad] of [q] (L1), and [price] meets the
+    {!cheapest} contract: an unseen candidate then costs more than the
+    best.  A wider answer
+    starts with the previous one, so pricing resumes where it stopped
+    and no candidate is priced twice.  The ranking probe; exposed for
+    testing. *)
+val settle :
+  'a Geometry.Grid_index.t ->
+  Geometry.Grid_index.knn ->
+  skip:(int -> bool) ->
+  Geometry.Pt.t ->
+  knn:int ->
+  rad:float ->
+  rmax:float ->
+  dist:(int -> float) ->
+  price:(int -> float -> float) ->
+  int * float * int
 
 (** [run_ranked ?pool ?run ?on_round ?leaves inst config ~coster
     ~merger] reduces the sink set to one subtree, running

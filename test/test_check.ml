@@ -705,6 +705,7 @@ let test_diffs_name_every_field () =
       ( "engine.infeasible_merges",
         engine (fun s -> { s with infeasible_merges = s.infeasible_merges + 1 }) );
       ("engine.nn_reprobes", engine (fun s -> { s with nn_reprobes = s.nn_reprobes + 1 }));
+      ("engine.nn_queries", engine (fun s -> { s with nn_queries = s.nn_queries + 1 }));
       ( "engine.nn_probes_saved",
         engine (fun s -> { s with nn_probes_saved = s.nn_probes_saved + 1 }) );
       ("engine.trial_merges", trial (fun t -> { t with trial_merges = t.trial_merges + 1 }));

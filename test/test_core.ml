@@ -127,11 +127,17 @@ let test_json_of_result_probe_counters () =
   match field "engine" json with
   | None -> Alcotest.fail "missing engine object"
   | Some engine ->
-    (match (field "nn_reprobes" engine, field "nn_probes_saved" engine) with
-     | Some (Obs.Json.Int reprobes), Some (Obs.Json.Int saved) ->
+    (match
+       ( field "nn_reprobes" engine,
+         field "nn_queries" engine,
+         field "nn_probes_saved" engine )
+     with
+     | Some (Obs.Json.Int reprobes), Some (Obs.Json.Int queries), Some (Obs.Json.Int saved) ->
        Alcotest.(check int) "nn_reprobes" r.engine.nn_reprobes reprobes;
+       Alcotest.(check int) "nn_queries" r.engine.nn_queries queries;
        Alcotest.(check int) "nn_probes_saved" r.engine.nn_probes_saved saved;
-       Alcotest.(check bool) "probes were executed" true (reprobes > 0)
+       Alcotest.(check bool) "probes were executed" true (reprobes > 0);
+       Alcotest.(check bool) "a query per probe at least" true (queries >= reprobes)
      | _ -> Alcotest.fail "missing or non-int probe counters")
 
 (* Tracing must be semantically inert: routing with a live trace

@@ -420,6 +420,161 @@ let prop_cheapest_matches_exhaustive =
       && (i < 0 && c = Float.infinity
          || i >= 0 && let _, _, bc = cands.(i) in c = bc))
 
+(* [Order.settle] against the full probe it shortcuts.  A population of
+   regions is indexed at their centers; the full probe is [cheapest] over
+   the [knn] nearest, the widened one [settle] with each region's L1
+   radius about its center and the population's largest, [rmax].  They
+   must agree on the partner, its cost and the exact sequence of priced
+   candidates (so the engine's trial counters agree too). *)
+module Grid_index = Geometry.Grid_index
+
+(* The L1 radius bound [Order] keeps per subtree: |dx| + |dy| is the
+   larger of |d(x+y)| and |d(x-y)|, bounded by the s/d extents. *)
+let l1_radius region (c : Pt.t) =
+  match Octagon.bounds region with
+  | None -> Float.nan
+  | Some b ->
+    let cs = c.x +. c.y and cd = c.x -. c.y in
+    Float.max
+      (Float.max (b.sh -. cs) (cs -. b.sl))
+      (Float.max (b.dh -. cd) (cd -. b.dl))
+
+(* Both probes of subtree 0 over [regions] (id = index), priced at
+   region distance plus [extra.(id)]; each returns (partner, cost,
+   priced ids in order). *)
+let settle_vs_full ?(cell = 1.) regions extra ~knn =
+  let centers = Array.map Octagon.center regions in
+  let rads = Array.mapi (fun i r -> l1_radius r centers.(i)) regions in
+  let rmax = Array.fold_left Float.max 0. rads in
+  let grid = Grid_index.create ~cell in
+  Array.iteri (fun id c -> Grid_index.add grid ~id c ()) centers;
+  let skip id = id = 0 in
+  let dist id = Octagon.dist regions.(0) regions.(id) in
+  let probe f =
+    let priced = ref [] in
+    let price id d =
+      priced := id :: !priced;
+      d +. extra.(id)
+    in
+    let partner, c = f price in
+    (partner, c, List.rev !priced)
+  in
+  let full =
+    probe (fun price ->
+        let buf = Grid_index.knn_buffer () in
+        Grid_index.knn_into grid buf ~skip centers.(0) knn;
+        let i, c = Dme.Order.cheapest buf.kids buf.klen ~dist ~price in
+        ((if i < 0 then -1 else buf.kids.(i)), c))
+  in
+  let widened =
+    probe (fun price ->
+        let partner, c, _ =
+          Dme.Order.settle grid (Grid_index.knn_buffer ()) ~skip centers.(0)
+            ~knn ~rad:rads.(0) ~rmax ~dist ~price
+        in
+        (partner, c))
+  in
+  (full, widened)
+
+let prop_settle_matches_full_probe =
+  let gen =
+    QCheck.Gen.(
+      let* n = 2 -- 40 in
+      let* knn = oneofl [ 1; 2; 3; 5; 8; 16 ] in
+      (* Half the centers on a unit lattice, so center and region
+         distance ties are common. *)
+      let point =
+        let* snap = bool in
+        if snap then
+          map2 (fun x y -> Pt.make (float_of_int x) (float_of_int y)) (0 -- 6) (0 -- 6)
+        else map2 Pt.make (float_range 0. 6.) (float_range 0. 6.)
+      in
+      let region =
+        let* p = point in
+        let* shape = 0 -- 3 in
+        let* r = map (fun k -> float_of_int k *. 0.25) (0 -- 2) in
+        return
+          (match shape with
+           | 0 -> Octagon.of_point p
+           | 1 -> Octagon.ball p r
+           | 2 -> Octagon.of_segment p (Pt.make (p.x +. r) (p.y +. r))
+           | _ -> Octagon.inflate r (Octagon.box p (Pt.make (p.x +. r) p.y)))
+      in
+      let* regions = array_size (return n) region in
+      (* One region inflated far beyond the sink spacing, so [rmax]
+         keeps most probes from settling early. *)
+      let* big = 1 -- (n - 1) in
+      let* grow = float_range 2. 5. in
+      let regions =
+        if n > 2 then
+          Array.mapi (fun i o -> if i = big then Octagon.inflate grow o else o) regions
+        else regions
+      in
+      let* extra =
+        array_size (return n)
+          (oneof
+             [
+               return 0.;
+               return 1e9;
+               map (fun k -> float_of_int k *. 0.25) (0 -- 4);
+               float_range 0. 2.;
+             ])
+      in
+      return (regions, extra, knn))
+  in
+  let print (regions, extra, knn) =
+    Printf.sprintf "knn=%d %s" knn
+      (String.concat "; "
+         (Array.to_list
+            (Array.mapi
+               (fun i o -> Format.asprintf "%d:%a+%g" i Octagon.pp o extra.(i))
+               regions)))
+  in
+  QCheck.Test.make ~name:"settle = full-knn probe" ~count:500
+    (QCheck.make ~print gen) (fun (regions, extra, knn) ->
+      let full, widened = settle_vs_full regions extra ~knn in
+      full = widened)
+
+(* The 5th-nearest candidate (id 8) ties the best of the first four
+   (id 9, penalised to cost 2) at region distance 2 with a lower id, and
+   the 4th-nearest lies at distance 2 too: the bound after four
+   candidates equals the best cost, so only a strict comparison widens
+   and finds id 8.  At unit scale the rounding margin already keeps the
+   probe widening; scaled into the subnormals every addition is exact
+   and the margin underflows to 0, which leaves the strict comparison
+   alone in charge. *)
+let test_settle_widens_on_tie () =
+  let check scale =
+    let pt x y = Pt.make (x *. scale) (y *. scale) in
+    let far = Octagon.of_point (pt 9. 9.) in
+    let regions =
+      Array.init 16 (fun id ->
+          match id with
+          | 0 -> Octagon.of_point (pt 0. 0.)
+          | 9 -> Octagon.of_point (pt 1. 0.)
+          | 5 -> Octagon.of_point (pt 0. 2.)
+          | 6 -> Octagon.of_point (pt 2. 0.)
+          | 7 -> Octagon.of_point (pt 1. 1.)
+          | 8 -> Octagon.of_point (pt 0. (-2.))
+          | _ -> far)
+    in
+    let extra = Array.make 16 0. in
+    extra.(9) <- scale;
+    extra.(5) <- scale;
+    extra.(6) <- scale;
+    extra.(7) <- scale;
+    let (fp, fc, fpriced), widened =
+      settle_vs_full ~cell:(scale *. 2.) regions extra ~knn:16
+    in
+    Alcotest.(check int) "full probe picks the lower-id tie" 8 fp;
+    Alcotest.(check (float 0.)) "at cost 2" (2. *. scale) fc;
+    Alcotest.(check (triple int (float 0.) (list int)))
+      (Printf.sprintf "settle widens at scale %h" scale)
+      (fp, fc, fpriced) widened
+  in
+  check 1.;
+  check 0x1p-1074
+
 (* --- Embed --------------------------------------------------------------- *)
 
 let rec check_positions_consistent = function
@@ -647,10 +802,12 @@ let test_pooled_ranking_bit_identical () =
    grid tie, a re-cell that changed a k-NN answer — moves at least one
    of these.  The ranking counters ride along with the wirelengths:
    every round probes every active subtree, so [nn_reprobes] is the
-   active count summed over [rounds], and [nn_probes_saved] stays 0. *)
+   active count summed over [rounds], and [nn_probes_saved] stays 0.
+   [nn_queries] counts the probes' k-NN queries, widenings included: a
+   lost settle bound reads 3 per probe, a settle that never widens 1. *)
 let test_golden_wirelengths () =
   List.iter
-    (fun (name, expect, reprobes, saved, rounds) ->
+    (fun (name, expect, reprobes, queries, saved, rounds) ->
       let spec = Option.get (Workload.Circuits.find name) in
       let inst =
         Workload.Circuits.instance spec ~n_groups:8
@@ -660,14 +817,15 @@ let test_golden_wirelengths () =
       Alcotest.(check string) (name ^ " wirelength") expect
         (Printf.sprintf "%h" r.evaluation.wirelength);
       Alcotest.(check int) (name ^ " nn_reprobes") reprobes r.engine.nn_reprobes;
+      Alcotest.(check int) (name ^ " nn_queries") queries r.engine.nn_queries;
       Alcotest.(check int) (name ^ " nn_probes_saved") saved r.engine.nn_probes_saved;
       Alcotest.(check int) (name ^ " rounds") rounds r.engine.rounds)
     [
-      ("r1", "0x1.cd929d3d14732p+19", 1083, 0, 19);
-      ("r2", "0x1.ea747375c23e7p+20", 2413, 0, 22);
-      ("r3", "0x1.3180cdaf06bf4p+21", 3473, 0, 23);
-      ("r4", "0x1.2fd864ed8f4dep+22", 7636, 0, 26);
-      ("r5", "0x1.c8a977fe4209ap+22", 12436, 0, 28);
+      ("r1", "0x1.cd929d3d14732p+19", 1083, 1146, 0, 19);
+      ("r2", "0x1.ea747375c23e7p+20", 2413, 2636, 0, 22);
+      ("r3", "0x1.3180cdaf06bf4p+21", 3473, 3799, 0, 23);
+      ("r4", "0x1.2fd864ed8f4dep+22", 7636, 8515, 0, 26);
+      ("r5", "0x1.c8a977fe4209ap+22", 12436, 13932, 0, 28);
     ]
 
 let test_dedupe_pairs () =
@@ -871,8 +1029,10 @@ let () =
           Alcotest.test_case "dedupe pairs" `Quick test_dedupe_pairs;
           Alcotest.test_case "dedupe pairs large (stack safety)" `Quick
             test_dedupe_pairs_large;
+          Alcotest.test_case "settle widens on a tie at the bound" `Quick
+            test_settle_widens_on_tie;
         ]
-        @ qsuite [ prop_cheapest_matches_exhaustive ] );
+        @ qsuite [ prop_cheapest_matches_exhaustive; prop_settle_matches_full_probe ] );
       ( "embed",
         [
           Alcotest.test_case "valid tree" `Quick test_embed_valid_tree;
