@@ -37,9 +37,9 @@ let () =
         Geometry.Interval.pp iv (Geometry.Interval.width iv))
     (Dme.Subtree.groups top.subtree);
   (* Embed, repair, evaluate. *)
-  let routed = Dme.Embed.run inst top.subtree in
-  let routed, repair = Repair.run inst routed in
-  let report = Evaluate.run inst routed in
+  let a = Dme.Embed.run_arena inst top.subtree in
+  let repair = Repair.run_arena inst a in
+  let report = Evaluate.report_of_arena inst a in
   Format.printf "@.embedded: %a@." Evaluate.pp_report report;
   Format.printf "repair: %+.1f wire on %d edges@." repair.added_wire
     repair.adjusted_edges;

@@ -21,7 +21,7 @@
     Determinism contract: for a fixed cluster count and depth the
     partition, the routed tree, per-sink delays and wirelength are
     bit-identical for any jobs count; with [clusters = 1] they are
-    additionally bit-identical to the flat {!Engine.run}, and a forced
+    additionally bit-identical to the flat {!Engine.run_arena}, and a forced
     [depth = 1] is bit-identical to the historical two-level
     construction ({!Check.Oracle}'s [cluster] and
     [cluster_depth] rows enforce this).  [gc] is, as ever, the one

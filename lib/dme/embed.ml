@@ -204,14 +204,11 @@ let run_arena ?pool ?(run = Obs.Run.null) (inst : Clocktree.Instance.t)
     Obs.Trace.span run.trace ~cat:"dme.embed" "embed" body
   else body ()
 
-let run ?pool ?run inst root = Arena.to_routed (run_arena ?pool ?run inst root)
-
 (* Executable specification: the original recursive boxed-tree walk,
    kept as the independent reference the arena-direct identity oracle
    and tests compare against.  Goes through [Tree.node], so committed
    lengths are re-checked against child distances.  Recursive — only
-   for oracle/test-sized instances; production paths use {!run_arena} /
-   {!run}. *)
+   for oracle/test-sized instances; production paths use {!run_arena}. *)
 let run_reference (inst : Clocktree.Instance.t) (root : Subtree.t) =
   let rec go (sub : Subtree.t) (p : Pt.t) =
     match sub.Subtree.build with

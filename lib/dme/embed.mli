@@ -36,16 +36,6 @@ val run_arena :
   Subtree.t ->
   Clocktree.Arena.t
 
-(** {!run_arena} followed by [Arena.to_routed] — the boxed-tree entry
-    point for callers that want the external representation (figures,
-    Io, Svg). *)
-val run :
-  ?pool:Par.Pool.t ->
-  ?run:Obs.Run.t ->
-  Clocktree.Instance.t ->
-  Subtree.t ->
-  Clocktree.Tree.routed
-
 (** Executable specification: the original recursive boxed-tree
     embedder, kept as the independent reference that the arena-direct
     identity oracle and property tests compare against.  Recursive —

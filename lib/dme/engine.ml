@@ -478,9 +478,3 @@ let run_arena ?(config = default) ?(run = Obs.Run.null) inst =
         (Embed.run_arena ?pool ~run inst root, stats))
   in
   (arena, { stats with gc = Obs.Gcstat.diff (Obs.Gcstat.sample ()) gc0 })
-
-let run ?config ?run inst =
-  let gc0 = Obs.Gcstat.sample () in
-  let arena, stats = run_arena ?config ?run inst in
-  let routed = Clocktree.Arena.to_routed arena in
-  (routed, { stats with gc = Obs.Gcstat.diff (Obs.Gcstat.sample ()) gc0 })

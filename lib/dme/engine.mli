@@ -133,7 +133,7 @@ val cost :
 (** Bottom-up merge planning only: reduce the instance's sinks — or an
     explicit [leaves] population (see {!Order.run_ranked}: dense ids,
     delay windows against [inst]'s groups) — to a single root subtree,
-    without embedding.  Unlike {!run}, [plan] does not own a pool:
+    without embedding.  Unlike {!run_arena}, [plan] does not own a pool:
     ranking parallelism comes from the caller's [pool] (absent = fully
     serial; [config.jobs] is ignored).  This is the re-entrant core the
     clustered router calls once per region from worker domains
@@ -149,9 +149,15 @@ val plan :
   Clocktree.Instance.t ->
   Subtree.t * stats
 
-(** Plan and embed a clock tree for the instance.  The result is the
-    pre-repair tree: callers normally pass it through
-    {!Clocktree.Repair.run}.
+(** Plan and embed a clock tree for the instance straight into a flat
+    post-order arena.  The result is the pre-repair tree: callers
+    normally pass it through {!Clocktree.Repair.run_arena}, and
+    [Arena.to_routed] gives the boxed view.  Owns the pool:
+    [config.jobs] domains for instances of more than 1000 sinks, none
+    at or below that grain (see [config.jobs]).  The arena is
+    bit-identical for any [config.jobs].  To run the parallel ranking
+    and embedding paths on a small instance, call {!plan} and
+    [Embed.run_arena] with an explicit pool.
 
     With [run.trace] enabled the run merges its config into the trace
     manifest, wraps planning in an ["engine.plan"] span, emits one
@@ -160,21 +166,8 @@ val plan :
     journal record per merge round (probe/cache/trial counts, cheapest
     committed cost, cumulative planned wire, wall time).  An enabled
     [run.sched] recorder ledgers the pooled ranking/commit/embed maps
-    (phase ["engine"]).  The routed tree and stats are byte-identical
-    under any [run] ([Check.Oracle.trace] and [Check.Oracle.sched]
-    rows). *)
-val run :
-  ?config:config -> ?run:Obs.Run.t -> Clocktree.Instance.t ->
-  Clocktree.Tree.routed * stats
-
-(** Plan and embed straight into a flat post-order arena — the
-    arena-native pipeline's entry point ({!run} is this plus
-    [Arena.to_routed]).  Owns the pool: [config.jobs] domains for
-    instances of more than 1000 sinks, none at or below that grain (see
-    [config.jobs]).  Same determinism contract as {!run}: the arena is
-    bit-identical for any [config.jobs].  To run the parallel ranking
-    and embedding paths on a small instance, call {!plan} and
-    [Embed.run_arena] with an explicit pool. *)
+    (phase ["engine"]).  The arena and stats are byte-identical under
+    any [run] ([Check.Oracle.trace] and [Check.Oracle.sched] rows). *)
 val run_arena :
   ?config:config -> ?run:Obs.Run.t -> Clocktree.Instance.t ->
   Clocktree.Arena.t * stats

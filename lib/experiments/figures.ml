@@ -32,9 +32,9 @@ let fig1 () =
     let leaf i = Dme.Subtree.leaf inst.sinks.(i) in
     let pair = merge 10 (leaf 0) (leaf 1) in
     let root = merge 11 pair (leaf 2) in
-    let routed = Dme.Embed.run inst root in
-    let routed, _ = Repair.run inst routed in
-    Evaluate.run inst routed
+    let a = Dme.Embed.run_arena inst root in
+    ignore (Repair.run_arena inst a);
+    Evaluate.report_of_arena inst a
   in
   let zst = route 0. in
   let bst = route 2. in

@@ -73,8 +73,8 @@ let write_file path v =
 (* --- Parsing --------------------------------------------------------------
 
    Recursive-descent parser for the emitter's output (and standard JSON
-   generally): the bench `compare` subcommand reads BENCH_*.json files
-   back.  Numbers with a '.', exponent or non-finite spelling become
+   generally): perfbench reads BENCHMARK.json and the tests read emitted
+   output back.  Numbers with a '.', exponent or non-finite spelling become
    [Float], others [Int]; [null] parses to [Null] (the emitter writes
    non-finite floats as null, which is lossy by design).  Unicode escapes
    outside the Latin-1 range are replaced with '?' — stats files never

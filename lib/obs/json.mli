@@ -1,7 +1,7 @@
 (** A minimal JSON value type, emitter and parser — just enough for the
-    stats output of {!Report} and the benchmark harness (including
-    reading BENCH_*.json files back for [bench compare]), with no
-    external dependency. *)
+    stats output of {!Report} and the benchmark harnesses (including
+    reading JSON files back, such as perfbench's BENCHMARK.json), with
+    no external dependency. *)
 
 type t =
   | Null

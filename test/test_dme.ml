@@ -591,7 +591,7 @@ let rec check_positions_consistent = function
 
 let test_embed_valid_tree () =
   let inst = mk_instance 25 ~n_groups:2 ~bound:10. in
-  let routed, _ = Dme.Engine.run inst in
+  let routed = Arena.to_routed (fst (Dme.Engine.run_arena inst)) in
   Alcotest.(check int) "sinks preserved" 25 (Tree.n_sinks routed.tree);
   check_positions_consistent routed.tree;
   Alcotest.(check bool) "source wire covers distance" true
@@ -658,15 +658,15 @@ let test_embed_deep_comb_stack_safety () =
 
 let test_engine_zero_skew () =
   let inst = mk_instance 30 ~n_groups:1 ~bound:0. in
-  let routed, stats = Dme.Engine.run inst in
-  let routed, _ = Repair.run inst routed in
-  let report = Evaluate.run inst routed in
+  let a, stats = Dme.Engine.run_arena inst in
+  ignore (Repair.run_arena inst a);
+  let report = Evaluate.report_of_arena inst a in
   Alcotest.(check bool) "zero skew achieved" true (report.global_skew <= 1e-4);
   Alcotest.(check int) "all merges same-group" 29 stats.same_group
 
 let test_engine_stats_add_up () =
   let inst = mk_instance 40 ~n_groups:4 ~bound:10. in
-  let _, stats = Dme.Engine.run inst in
+  let _, stats = Dme.Engine.run_arena inst in
   Alcotest.(check int) "n-1 merges total" 39
     (stats.same_group + stats.cross_group + stats.shared_one + stats.shared_multi);
   Alcotest.(check bool) "cross merges happened" true (stats.cross_group > 0)
@@ -884,9 +884,9 @@ let prop_engine_respects_bound =
         Instance.make ~bound ?group_bounds ~source:(pt 0. 0.) ~n_groups
           (Array.of_list sinks)
       in
-      let routed, _ = Dme.Engine.run inst in
-      let routed, rstats = Repair.run inst routed in
-      let report = Evaluate.run inst routed in
+      let a, _ = Dme.Engine.run_arena inst in
+      let rstats = Repair.run_arena inst a in
+      let report = Evaluate.report_of_arena inst a in
       rstats.unresolved_groups = 0 && Evaluate.within_bound inst report)
 
 (* Candidate pairs for the merge-cost properties, from Check.Gen cases
