@@ -104,7 +104,7 @@ let trace_arg =
 
 let trace_journal_arg =
   let doc =
-    "Write a JSONL metrics journal to FILE: a manifest line (circuit,      seed, full engine config), one record per DME merge round (probe,      cache and trial-merge counts, merge cost, cumulative wire, wall      time) and a final histograms record."
+    "Write a JSONL metrics journal to FILE: a manifest line (circuit,      seed, full engine config), one record per DME merge round (probe,      trial-merge and elided-trial counts, merge cost, cumulative wire, wall      time) and a final histograms record."
   in
   Arg.(
     value & opt (some string) None & info [ "trace-journal" ] ~docv:"FILE" ~doc)

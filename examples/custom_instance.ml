@@ -17,7 +17,7 @@ let () =
   let inst = Instance.make ~bound:5. ~source:(Pt.make 2500. 1500.) ~n_groups:2 sinks in
   (* Merge by hand: first within groups, then across. *)
   let merge id a b =
-    Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~sdr_samples:9 ~id a b
+    Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id a b
   in
   let leaf i = Dme.Subtree.leaf inst.sinks.(i) in
   let g0 = merge 10 (leaf 0) (leaf 1) in

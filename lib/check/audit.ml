@@ -253,7 +253,7 @@ let journal trace (s : Dme.Engine.stats) =
       ("nn_queries", sum "nn_queries", s.nn_queries);
       ("nn_probes_saved", sum "nn_probes_saved", s.nn_probes_saved);
       ("trial_merges", sum "trial_merges", s.trial.trial_merges);
-      ("trial_cache_hits", sum "trial_cache_hits", s.trial.cache_hits);
+      ("trial_elided", sum "trial_elided", s.trial.elided_trials);
     ]
   @
   match events with

@@ -55,12 +55,12 @@ val run :
   violation list
 
 (** Structural equality of routed trees, exact on floats — the
-    "bit-identical" relation the trial-merge cache promises. *)
+    "bit-identical" relation the identity oracles promise. *)
 val tree_equal : Clocktree.Tree.routed -> Clocktree.Tree.routed -> bool
 
 (** A trace's per-round journal records sum exactly to the engine's
-    aggregate stats (round count, probes, probes saved, trial merges,
-    trial-cache hits), and its Chrome export re-parses through
+    aggregate stats (round count, probes, queries, probes saved, trial
+    merges, elided trials), and its Chrome export re-parses through
     {!Obs.Json} with a non-empty [traceEvents] list. *)
 val journal : Obs.Trace.t -> Dme.Engine.stats -> violation list
 

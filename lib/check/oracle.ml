@@ -258,10 +258,8 @@ let columns (o : obs) =
            ("nn_reprobes", f s.nn_reprobes);
            ("nn_queries", f s.nn_queries);
            ("nn_probes_saved", f s.nn_probes_saved);
-           ("trial_merges", f t.trial_merges); ("cache_hits", f t.cache_hits);
-           ("cache_misses", f t.cache_misses);
-           ("elided_trials", f t.elided_trials);
-           ("reused_trials", f t.reused_trials) ])
+           ("trial_merges", f t.trial_merges);
+           ("elided_trials", f t.elided_trials) ])
   @
   match o.repair with
   | None -> []
@@ -345,15 +343,6 @@ type row = {
 
 let name row = row.name
 let said = List.map (fun (v : Audit.violation) -> v.invariant ^ ": " ^ v.detail)
-
-let cache =
-  { name = "cache-identity"; label = "cache on vs off"; jobs = [ 1 ];
-    reference =
-      (fun c ->
-        let config = { Router.ast_default_config with trial_cache = false } in
-        let r = Router.ast_dme ~config ~jobs:1 c.inst in
-        { (of_result c.inst r) with engine = None });
-    variant = (fun c _ j -> route c j) }
 
 let par =
   { name = "par-identity"; label = "pooled vs serial"; jobs = [ 2; 4 ];
@@ -452,8 +441,8 @@ let embed =
             observe (Dme.Embed.run_arena ?pool c.inst (fst (plan c 1))))) }
 
 let invariants =
-  [ cache; par; trace; sched; cluster; cluster_depth; repair;
-    repair_regional; evaluate; embed ]
+  [ par; trace; sched; cluster; cluster_depth; repair; repair_regional;
+    evaluate; embed ]
 
 let identities rows inst =
   let c = { inst; plans = Hashtbl.create 4; routes = Hashtbl.create 4 } in

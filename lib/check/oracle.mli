@@ -21,7 +21,6 @@
 
     {v
  row (finding name)      reference                     variant at j          default j
- cache-identity          route, trial_cache = false    route                 1
  par-identity            serial plan + embed           plan + embed          2, 4
  trace-identity          serial plan + embed           traced plan + embed   1, 2
  sched-identity          serial route                  recorded route        1, 2, 4
@@ -48,7 +47,7 @@
     failures. *)
 
 type finding = {
-  oracle : string;  (** "ast-dme", "cache-identity", "delay-models", ... *)
+  oracle : string;  (** "ast-dme", "par-identity", "delay-models", ... *)
   violations : Audit.violation list;
 }
 
@@ -91,7 +90,6 @@ type row
 
 val name : row -> string
 
-val cache : row
 val par : row
 val trace : row
 val sched : row

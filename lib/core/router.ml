@@ -216,10 +216,7 @@ let json_of_engine_stats (s : Dme.Engine.stats) : Obs.Json.t =
       ("nn_queries", Int s.nn_queries);
       ("nn_probes_saved", Int s.nn_probes_saved);
       ("trial_merges", Int s.trial.trial_merges);
-      ("trial_cache_hits", Int s.trial.cache_hits);
-      ("trial_cache_misses", Int s.trial.cache_misses);
       ("trial_elided", Int s.trial.elided_trials);
-      ("trial_reused", Int s.trial.reused_trials);
       ("gc", Obs.Gcstat.json s.gc);
     ]
 

@@ -1,4 +1,6 @@
-(** The three clock routers of the thesis, sharing one engine:
+(** The four clock routers of the library.  The first three share the
+    greedy merge engine ({!Dme.Engine}); the fourth plans a fixed
+    topology with {!Dme.Mmm}:
 
     - {!ast_dme} — the contribution: associative skew routing, enforcing
       the skew bound only within each sink group (Fig. 6).
@@ -6,6 +8,8 @@
       the same bound, i.e. the "extended greedy-BST" of [4] that adds
       inter-group zero/bounded skew constraints.
     - {!greedy_dme} — classic zero-skew routing (single group, bound 0).
+    - {!mmm_dme} — associative skew routing on a Method-of-Means-and-
+      Medians topology, isolating what the merge order contributes.
 
     Every result is post-processed by {!Clocktree.Repair} so the reported
     trees always satisfy the constraints they were routed under;

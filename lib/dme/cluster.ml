@@ -142,10 +142,7 @@ let add_trials (a : Engine.trial_stats) (b : Engine.trial_stats) =
   Engine.
     {
       trial_merges = a.trial_merges + b.trial_merges;
-      cache_hits = a.cache_hits + b.cache_hits;
-      cache_misses = a.cache_misses + b.cache_misses;
       elided_trials = a.elided_trials + b.elided_trials;
-      reused_trials = a.reused_trials + b.reused_trials;
     }
 
 (* Component-wise sum, except [gc]: per-plan samples come from whichever

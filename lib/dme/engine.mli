@@ -1,11 +1,18 @@
 (** The complete deferred-merge engine: bottom-up merging (Fig. 6) plus
-    top-down embedding.  All three routers of the library — AST-DME,
+    top-down embedding.  Three of the library's four routers — AST-DME,
     EXT-BST and greedy-DME — are this engine run on differently grouped
-    instances. *)
+    instances; MMM-DME plans with {!Mmm.run_arena} instead.
+
+    A ranking probe prices a candidate pair in one of three ways: by
+    its region distance, plus a penalty when {!Merge.committed_feasible}
+    says the merge is infeasible (the default); under
+    [cost_by_planned_wire], by the region distance directly for a
+    cross-group pair, whose unconstrained merge is always feasible with
+    planned wire equal to that distance; otherwise by a fresh trial
+    {!Merge.run}.  A committed merge always runs {!Merge.run}. *)
 
 type config = {
   multi_merge : bool;  (** §V.F enhancement 1: batch merges per round *)
-  merge_fraction : float;  (** batch size as a fraction of active subtrees *)
   knn : int;  (** nearest-neighbour candidates per query *)
   delay_order_weight : float;
       (** §V.F enhancement 2: bias merge order toward slow subtrees
@@ -18,30 +25,14 @@ type config = {
   split_slack : float;
       (** fraction of the skew bound a cross-group merge may spend on
           split-range delay uncertainty *)
-  slack_usage : float;
-      (** fraction of a group's remaining slack one constrained merge may
-          consume before snaking is considered (gradual slack spending) *)
   width_cap : float;
       (** cumulative cap on any group's delay-window width as a fraction
           of the bound; reserves slack for end-game merges *)
-  sdr_samples : int;  (** slices used to build shortest-distance regions *)
   cost_by_planned_wire : bool;
       (** rank merge candidates by planned wire (including snaking)
           instead of region distance; an ablation knob — distance wins
           in practice because deferring balancing cost lets group
           offsets drift *)
-  avoid_infeasible : bool;
-      (** heavily penalize candidate pairs whose trial merge has
-          mutually inconsistent shared-group constraints (Instance 2
-          conflicts), merging them only as a last resort *)
-  trial_cache : bool;
-      (** avoid redundant trial {!Merge.run}s in the cost ranking:
-          cross-group probes are elided outright (an unconstrained merge
-          is always feasible with planned wire = region distance),
-          shared-group trials are memoized per candidate pair across
-          rounds, and the winning pair's committed merge reuses its own
-          trial.  Routed trees are bit-identical with the cache on or
-          off; off exists for benchmarking and as a paranoia switch *)
   jobs : int;
       (** upper bound on the domains used for the per-round candidate
           ranking (nearest neighbour probes and their trial merges) and
@@ -60,21 +51,18 @@ type config = {
 
 val default : config
 
-(** Trial-merge workload of one engine run.  With the cache off,
-    [trial_merges] counts every cost-probe [Merge.run]; with it on,
-    [trial_merges = cache_misses] and the saving is
-    [elided_trials + cache_hits + reused_trials]. *)
+(** Trial-merge workload of one engine run. *)
 type trial_stats = {
-  trial_merges : int;  (** trial [Merge.run] executions performed *)
-  cache_hits : int;  (** cost probes answered from the cache *)
-  cache_misses : int;  (** cost probes that ran a fresh trial *)
+  trial_merges : int;
+      (** trial [Merge.run]s the cost probes executed: 0 under distance
+          ranking, the shared-group candidates priced under
+          planned-wire ranking *)
   elided_trials : int;
       (** priced candidates answered without a trial merge: under
           distance ranking every priced candidate (its feasibility comes
           from {!Merge.committed_feasible}), under planned-wire ranking
           the cross-group ones.  Candidates a probe skips unpriced
-          ({!Order.cheapest}) are not counted; 0 with the cache off *)
-  reused_trials : int;  (** committed merges promoted from their trial *)
+          ({!Order.cheapest}) are not counted *)
 }
 
 (** All-zero [trial_stats], for engines that never trial-merge (MMM). *)
@@ -115,13 +103,12 @@ type stats = {
 val json_of_config : config -> Obs.Json.t
 
 (** [cost config inst ~dist a b] is the ranking cost a probe gives the
-    candidate pair [(a, b)] whose regions are [dist] apart: [dist],
-    plus a penalty when the pair's committed merge would be infeasible
-    ([config.avoid_infeasible]), or the trial merge's planned wire
-    under [config.cost_by_planned_wire].  The same function the ranking
-    loop prices candidates with, run without the trial cache's memo.
-    Never below [dist] and never NaN for finite [dist] — the
-    {!Order.coster} contract.  Exposed for testing. *)
+    candidate pair [(a, b)] whose regions are [dist] apart: [dist], or
+    the trial merge's planned wire under [config.cost_by_planned_wire],
+    plus a penalty when the pair's merge would be infeasible.  The
+    function the ranking loop prices candidates with.  Never below
+    [dist] and never NaN for finite [dist] — the {!Order.coster}
+    contract.  Exposed for testing. *)
 val cost :
   config ->
   Clocktree.Instance.t ->
@@ -163,7 +150,7 @@ val plan :
     manifest, wraps planning in an ["engine.plan"] span, emits one
     ["merge"] instant per committed merge, feeds committed region
     extents into the ["engine.region_extent"] histogram and appends one
-    journal record per merge round (probe/cache/trial counts, cheapest
+    journal record per merge round (probe, query and trial counts, cheapest
     committed cost, cumulative planned wire, wall time).  An enabled
     [run.sched] recorder ledgers the pooled ranking/commit/embed maps
     (phase ["engine"]).  The arena and stats are byte-identical under

@@ -12,6 +12,11 @@ type result = {
   feasible : bool;
 }
 
+let slack_usage = 0.3
+
+(* Slices used to build a cross-group merge's shortest-distance region. *)
+let sdr_samples = 9
+
 let classify (a : Subtree.t) (b : Subtree.t) shared =
   match shared with
   | [] -> Cross_group
@@ -101,8 +106,8 @@ let merge_committed (inst : Clocktree.Instance.t) ~slack_usage ~id kind shared
    split range [l, h] around the delay-balanced split is chosen so the
    delay uncertainty it adds stays within [split_slack]·bound and within
    each group's remaining slack. *)
-let merge_cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap
-    ~sdr_samples ~id (a : Subtree.t) (b : Subtree.t) =
+let merge_cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap ~id
+    (a : Subtree.t) (b : Subtree.t) =
   let params = inst.params in
   let dist = Octagon.dist a.region b.region in
   (* The tightest group bound present on either side limits how much
@@ -229,8 +234,8 @@ let merge_cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap
 let[@inline] fmax (a : float) b = if a >= b || a <> a then a else b
 let[@inline] fmin (a : float) b = if a <= b || a <> a then a else b
 
-let committed_feasible (inst : Clocktree.Instance.t) ~slack_usage ~dist
-    (a : Subtree.t) (b : Subtree.t) =
+let committed_feasible (inst : Clocktree.Instance.t)
+    ?(slack_usage = slack_usage) ~dist (a : Subtree.t) (b : Subtree.t) =
   let da = a.delay and db = b.delay in
   let na = Array.length da.gid and nb = Array.length db.gid in
   (* [s*]: the strict-bound window, [f*]: the full-bound window. *)
@@ -278,10 +283,10 @@ let committed_feasible (inst : Clocktree.Instance.t) ~slack_usage ~dist
   then true
   else not (!flo > !fhi +. Eps.tol)
 
-let run inst ?(slack_usage = 0.3) ~split_slack ~width_cap ~sdr_samples ~id a b =
+let run inst ?(slack_usage = slack_usage) ~split_slack ~width_cap ~id a b =
   let shared = Subtree.shared_groups a b in
   match classify a b shared with
-  | Cross_group -> merge_cross inst ~split_slack ~width_cap ~sdr_samples ~id a b
+  | Cross_group -> merge_cross inst ~split_slack ~width_cap ~id a b
   | kind -> merge_committed inst ~slack_usage ~id kind shared a b
 
 let pp_kind ppf = function

@@ -23,37 +23,38 @@ type result = {
   feasible : bool;  (** false when constraints were mutually inconsistent *)
 }
 
-(** [run inst ~split_slack ~width_cap ~sdr_samples ~id a b] merges two
-    subtrees.  [split_slack] is the fraction of [bound] a cross-group
-    merge may spend on split-range delay uncertainty per merge;
-    [width_cap] caps the cumulative width of any group's delay window at
-    that fraction of the bound, reserving slack for later constrained
-    merges; [slack_usage] (default 0.3) is the fraction of each group's
-    remaining slack one merge may consume before snaking is considered;
-    [id] names the new subtree. *)
+(** Fraction of a group's remaining slack one constrained merge may
+    consume before snaking is considered (gradual slack spending): 0.3. *)
+val slack_usage : float
+
+(** [run inst ~split_slack ~width_cap ~id a b] merges two subtrees.
+    [split_slack] is the fraction of [bound] a cross-group merge may
+    spend on split-range delay uncertainty per merge; [width_cap] caps
+    the cumulative width of any group's delay window at that fraction of
+    the bound, reserving slack for later constrained merges;
+    [slack_usage] (default {!slack_usage}) is the fraction of each
+    group's remaining slack one merge may consume before snaking is
+    considered; [id] names the new subtree. *)
 val run :
   Clocktree.Instance.t ->
   ?slack_usage:float ->
   split_slack:float ->
   width_cap:float ->
-  sdr_samples:int ->
   id:int ->
   Subtree.t ->
   Subtree.t ->
   result
 
-(** [committed_feasible inst ~slack_usage ~dist a b] is
-    [(run inst ~slack_usage ... a b).feasible], bit for bit, computed
-    without building the merged subtree — no region intersection, no
-    window union: one two-pointer walk over the two subtrees' delay
-    windows.  [dist]
-    must be [Octagon.dist a.region b.region].  This is the trial merge's
-    only cost-relevant output when ranking by region distance with
-    [avoid_infeasible], so the ranking loop can skip trial merges
-    entirely (see {!Engine}). *)
+(** [committed_feasible inst ~dist a b] is [(run inst ... a b).feasible]
+    under the same [slack_usage], bit for bit, computed without building
+    the merged subtree — no region intersection, no window union: one
+    two-pointer walk over the two subtrees' delay windows.  [dist] must
+    be [Octagon.dist a.region b.region].  This is the trial merge's only
+    cost-relevant output when ranking by region distance, so the ranking
+    loop never runs a trial merge there (see {!Engine}). *)
 val committed_feasible :
   Clocktree.Instance.t ->
-  slack_usage:float ->
+  ?slack_usage:float ->
   dist:float ->
   Subtree.t ->
   Subtree.t ->

@@ -39,9 +39,8 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null)
     let id = !next_id in
     incr next_id;
     let result =
-      Merge.run inst ~slack_usage:config.slack_usage
-        ~split_slack:config.split_slack ~width_cap:config.width_cap
-        ~sdr_samples:config.sdr_samples ~id a b
+      Merge.run inst ~split_slack:config.split_slack
+        ~width_cap:config.width_cap ~id a b
     in
     (match result.kind with
      | Merge.Same_group -> incr same_group

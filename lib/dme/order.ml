@@ -3,20 +3,12 @@ module Octslab = Geometry.Octslab
 module Grid_index = Geometry.Grid_index
 module Pt = Geometry.Pt
 
-type config = {
-  multi_merge : bool;
-  merge_fraction : float;
-  knn : int;
-  delay_order_weight : float;
-}
+type config = { multi_merge : bool; knn : int; delay_order_weight : float }
 
-let default =
-  {
-    multi_merge = true;
-    merge_fraction = 0.5;
-    knn = 16;
-    delay_order_weight = 0.;
-  }
+let default = { multi_merge = true; knn = 16; delay_order_weight = 0. }
+
+(* Fraction of the active subtrees a multi-merge round consumes. *)
+let merge_fraction = 0.5
 
 type 'note coster = {
   session : unit -> (dist:float -> Subtree.t -> Subtree.t -> float) * (unit -> 'note);
@@ -415,7 +407,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
         let limit =
           if config.multi_merge then
             Int.max 1
-              (int_of_float (config.merge_fraction *. float_of_int count /. 2.))
+              (int_of_float (merge_fraction *. float_of_int count /. 2.))
           else 1
         in
         let used = Hashtbl.create 64 in

@@ -31,9 +31,8 @@
 
 type config = {
   multi_merge : bool;
-      (** merge a batch of pairs per round instead of a single pair *)
-  merge_fraction : float;
-      (** fraction of active subtrees consumed per multi-merge round *)
+      (** merge a batch of up to [active / 4] disjoint pairs per round
+          (half the active subtrees) instead of a single pair *)
   knn : int;  (** grid candidates examined per nearest-neighbour query *)
   delay_order_weight : float;
       (** layout units per ps: sorts deeper (slower) subtrees earlier;
@@ -46,7 +45,7 @@ val default : config
     nearest-neighbour probe — on a worker domain during parallel rounds —
     and returns the cost function for that probe plus a finisher whose
     ['note] carries any side results the probe produced (for the DME
-    engine: freshly executed trial merges and cache-counter deltas).
+    engine: its trial-merge and elided-trial counts).
     The cost function must not mutate shared state; [absorb] is called
     for every probe's note on the calling domain, in ascending
     subtree-id order, before any merge of the round is committed.
@@ -68,8 +67,8 @@ type 'note coster = {
     so it must not mutate shared state (reading state that is frozen for
     the duration of the round's commit phase is fine).  [install] runs
     on the calling domain, in selection order, and returns the merged
-    subtree the ranking loop inserts; side effects (statistics, cache
-    eviction, tracing) belong here. *)
+    subtree the ranking loop inserts; side effects (statistics,
+    tracing) belong here. *)
 type 'merge merger = {
   compute : id:int -> Subtree.t -> Subtree.t -> 'merge;
   install : 'merge -> Subtree.t;

@@ -26,7 +26,7 @@ let fig1 () =
       Instance.make ~bound ~source:(pt 10000. 1000.) ~n_groups:1 sinks
     in
     let merge id a b =
-      (Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~sdr_samples:9 ~id a b)
+      (Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id a b)
         .subtree
     in
     let leaf i = Dme.Subtree.leaf inst.sinks.(i) in
@@ -96,7 +96,7 @@ let fig3 () =
   in
   let inst = Instance.make ~bound:10. ~source:(pt 0. 0.) ~n_groups:2 sinks in
   let merge id a b =
-    (Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~sdr_samples:9 ~id a b)
+    (Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id a b)
       .subtree
   in
   let leaf i = Dme.Subtree.leaf inst.sinks.(i) in
@@ -129,7 +129,7 @@ let fig4 () =
   in
   let inst = Instance.make ~bound:10. ~source:(pt 0. 0.) ~n_groups:3 sinks in
   let merge id a b =
-    Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~sdr_samples:9 ~id a b
+    Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id a b
   in
   let leaf i = Dme.Subtree.leaf inst.sinks.(i) in
   let tc = (merge 10 (leaf 0) (leaf 1)).subtree in

@@ -194,9 +194,13 @@ let test_trace_identity () =
       Alcotest.(check int)
         (Printf.sprintf "journal trial merges sum (jobs=%d)" jobs)
         traced.engine.trial.trial_merges (sum "trial_merges");
+      Alcotest.(check bool)
+        (Printf.sprintf "elided trials counted (jobs=%d)" jobs)
+        true
+        (traced.engine.trial.elided_trials > 0);
       Alcotest.(check int)
-        (Printf.sprintf "journal cache hits sum (jobs=%d)" jobs)
-        traced.engine.trial.cache_hits (sum "trial_cache_hits");
+        (Printf.sprintf "journal elided trials sum (jobs=%d)" jobs)
+        traced.engine.trial.elided_trials (sum "trial_elided");
       Alcotest.(check bool)
         (Printf.sprintf "trace captured spans (jobs=%d)" jobs)
         true

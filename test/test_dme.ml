@@ -14,7 +14,7 @@ let instance ?(bound = 0.) ?(n_groups = 1) sinks =
   Instance.make ~bound ~source:(pt 0. 0.) ~n_groups (Array.of_list sinks)
 
 let merge inst ?(id = 1000) a b =
-  Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~sdr_samples:9 ~id a b
+  Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id a b
 
 let check_float ?(tol = 1e-6) msg expected actual =
   Alcotest.(check (float tol)) msg expected actual
@@ -671,17 +671,7 @@ let test_engine_stats_add_up () =
     (stats.same_group + stats.cross_group + stats.shared_one + stats.shared_multi);
   Alcotest.(check bool) "cross merges happened" true (stats.cross_group > 0)
 
-(* --- Trial cache determinism --------------------------------------------- *)
-
-let rec tree_equal a b =
-  match (a, b) with
-  | Tree.Leaf s1, Tree.Leaf s2 -> s1.Sink.id = s2.Sink.id
-  | Tree.Node n1, Tree.Node n2 ->
-    Pt.equal n1.pos n2.pos
-    && n1.llen = n2.llen && n1.rlen = n2.rlen
-    && tree_equal n1.left n2.left
-    && tree_equal n1.right n2.right
-  | _ -> false
+(* --- Engine identities and pins ------------------------------------------ *)
 
 let circuit name =
   Workload.Circuits.instance
@@ -695,54 +685,12 @@ let check_oracle name = function
       (Format.pp_print_list Check.Oracle.pp_finding)
       findings
 
-let test_trial_cache_bit_identical () =
-  (* The trial cache (memoization + cross-group elision + winner reuse)
-     must be a pure speedup: routing with it on and off must produce
-     bit-identical trees — positions, exact edge lengths, sink delays. *)
-  let cache_off =
-    { Astskew.Router.ast_default_config with Dme.Engine.trial_cache = false }
-  in
-  List.iter
-    (fun name ->
-      let inst = circuit name in
-      let off = Astskew.Router.ast_dme ~config:cache_off inst in
-      let on = Astskew.Router.ast_dme inst in
-      Alcotest.(check bool)
-        (name ^ ": identical topology and embedding")
-        true
-        (tree_equal off.routed.tree on.routed.tree
-        && Pt.equal off.routed.source on.routed.source
-        && off.routed.source_len = on.routed.source_len);
-      Alcotest.(check bool)
-        (name ^ ": identical wirelength/skews")
-        true
-        (off.evaluation.wirelength = on.evaluation.wirelength
-        && off.evaluation.global_skew = on.evaluation.global_skew
-        && off.evaluation.max_group_skew = on.evaluation.max_group_skew);
-      Alcotest.(check bool)
-        (name ^ ": identical per-sink delays")
-        true
-        (off.evaluation.delays = on.evaluation.delays);
-      (* and the cache actually did something *)
-      Alcotest.(check bool)
-        (name ^ ": cache active")
-        true
-        (on.engine.trial.cache_hits + on.engine.trial.elided_trials > 0
-        && off.engine.trial.cache_hits = 0
-        && off.engine.trial.elided_trials = 0);
-      (* Distance-cost ranking answers feasibility from the constraint
-         windows (Merge.committed_feasible), so probes run no trial
-         merges at all — every probe evaluation is an elision. *)
-      Alcotest.(check bool) (name ^ ": every probe trial elided") true
-        (on.engine.trial.trial_merges = 0 && on.engine.trial.elided_trials > 0))
-    [ "r1"; "r2"; "r3" ]
-
 let test_parallel_bit_identical () =
   (* Parallel cost ranking must be a pure speedup.  r1 and r2 are below
      the engine's parallel grain, so the router would plan them serially
      at any jobs; the par-identity oracle plans and embeds them on 2- and
      4-domain pools of its own and requires every arena column and the
-     engine stats (gc zeroed, trial-cache traffic included) to equal the
+     engine stats (gc zeroed, trial counters included) to equal the
      serial plan's. *)
   List.iter
     (fun name ->
@@ -804,10 +752,18 @@ let test_pooled_ranking_bit_identical () =
    every round probes every active subtree, so [nn_reprobes] is the
    active count summed over [rounds], and [nn_probes_saved] stays 0.
    [nn_queries] counts the probes' k-NN queries, widenings included: a
-   lost settle bound reads 3 per probe, a settle that never widens 1. *)
+   lost settle bound reads 3 per probe, a settle that never widens 1.
+   Distance ranking prices every candidate without a trial merge, so
+   its [elided_trials] is the priced-candidate count.  The cost-ranked
+   column pins the §V.F planned-wire ablation: a trial merge for every
+   priced shared-group candidate, an elision for every cross-group
+   one. *)
 let test_golden_wirelengths () =
+  let cost_ranked =
+    { Astskew.Router.ast_default_config with Dme.Engine.cost_by_planned_wire = true }
+  in
   List.iter
-    (fun (name, expect, reprobes, queries, saved, rounds) ->
+    (fun (name, expect, reprobes, queries, saved, rounds, elided, cost_col) ->
       let spec = Option.get (Workload.Circuits.find name) in
       let inst =
         Workload.Circuits.instance spec ~n_groups:8
@@ -819,13 +775,29 @@ let test_golden_wirelengths () =
       Alcotest.(check int) (name ^ " nn_reprobes") reprobes r.engine.nn_reprobes;
       Alcotest.(check int) (name ^ " nn_queries") queries r.engine.nn_queries;
       Alcotest.(check int) (name ^ " nn_probes_saved") saved r.engine.nn_probes_saved;
-      Alcotest.(check int) (name ^ " rounds") rounds r.engine.rounds)
+      Alcotest.(check int) (name ^ " rounds") rounds r.engine.rounds;
+      Alcotest.(check int) (name ^ " trial_merges") 0 r.engine.trial.trial_merges;
+      Alcotest.(check int) (name ^ " elided_trials") elided
+        r.engine.trial.elided_trials;
+      let c_expect, c_trials, c_elided = cost_col in
+      let c = Astskew.Router.ast_dme ~config:cost_ranked ~jobs:1 inst in
+      Alcotest.(check string) (name ^ " cost-ranked wirelength") c_expect
+        (Printf.sprintf "%h" c.evaluation.wirelength);
+      Alcotest.(check int) (name ^ " cost-ranked trial_merges") c_trials
+        c.engine.trial.trial_merges;
+      Alcotest.(check int) (name ^ " cost-ranked elided_trials") c_elided
+        c.engine.trial.elided_trials)
     [
-      ("r1", "0x1.cd929d3d14732p+19", 1083, 1146, 0, 19);
-      ("r2", "0x1.ea747375c23e7p+20", 2413, 2636, 0, 22);
-      ("r3", "0x1.3180cdaf06bf4p+21", 3473, 3799, 0, 23);
-      ("r4", "0x1.2fd864ed8f4dep+22", 7636, 8515, 0, 26);
-      ("r5", "0x1.c8a977fe4209ap+22", 12436, 13932, 0, 28);
+      ( "r1", "0x1.cd929d3d14732p+19", 1083, 1146, 0, 19, 1230,
+        ("0x1.cd929d3d14732p+19", 520, 710) );
+      ( "r2", "0x1.ea747375c23e7p+20", 2413, 2636, 0, 22, 2770,
+        ("0x1.ea747375c23e7p+20", 1192, 1578) );
+      ( "r3", "0x1.3180cdaf06bf4p+21", 3473, 3799, 0, 23, 3941,
+        ("0x1.3180cdaf06bf4p+21", 1680, 2261) );
+      ( "r4", "0x1.2fd864ed8f4dep+22", 7636, 8515, 0, 26, 8700,
+        ("0x1.35a0844be5d58p+22", 3796, 4928) );
+      ( "r5", "0x1.c8a977fe4209ap+22", 12436, 13932, 0, 28, 14189,
+        ("0x1.c8a977fe4209ap+22", 6040, 8150) );
     ]
 
 let test_dedupe_pairs () =
@@ -924,7 +896,7 @@ let case_subtrees (seed, index) =
   let next_id = ref n in
   let run ~slack_usage a b =
     Dme.Merge.run inst ~slack_usage ~split_slack:0.25 ~width_cap:0.7
-      ~sdr_samples:9 ~id:!next_id a b
+      ~id:!next_id a b
   in
   let chunks = Int.min 4 n in
   let roots =
@@ -963,17 +935,11 @@ let prop_committed_feasible_matches_run =
 
 (* The Order.coster contract the probe's prune rests on: the engine's
    distance and planned-wire costs are never below the region distance
-   the ranking loop hands them ([Octslab.dist]), with and without the
-   trial cache's cross-group elision. *)
+   the ranking loop hands them ([Octslab.dist]). *)
 let prop_engine_cost_at_least_dist =
   let configs =
     let open Dme.Engine in
-    [
-      default;
-      { default with avoid_infeasible = false };
-      { default with cost_by_planned_wire = true };
-      { default with cost_by_planned_wire = true; trial_cache = false };
-    ]
+    [ default; { default with cost_by_planned_wire = true } ]
   in
   QCheck.Test.make ~name:"engine costs >= Octslab.dist" ~count:40 gen_case
     (fun case ->
@@ -991,6 +957,34 @@ let prop_engine_cost_at_least_dist =
                List.for_all
                  (fun config -> Dme.Engine.cost config inst ~dist a b >= dist)
                  configs))
+            subtrees)
+        subtrees)
+
+(* The planned-wire ranking prices a cross-group pair at its region
+   distance without a trial merge.  That shortcut must be exact: a real
+   [Merge.run] of the pair is feasible (so no penalty applies) and its
+   clamped planned wire equals the shortcut's cost exactly. *)
+let prop_cross_group_cost_exact =
+  let config = { Dme.Engine.default with cost_by_planned_wire = true } in
+  QCheck.Test.make ~name:"cross-group cost = trial merge cost" ~count:200
+    gen_case (fun case ->
+      let inst, run, subtrees = case_subtrees case in
+      let slab = Geometry.Octslab.create 2 in
+      List.for_all
+        (fun (a : Dme.Subtree.t) ->
+          List.for_all
+            (fun (b : Dme.Subtree.t) ->
+              a == b
+              || Dme.Subtree.shared_groups a b <> []
+              ||
+              (Geometry.Octslab.set slab 0 a.region;
+               Geometry.Octslab.set slab 1 b.region;
+               let dist = Geometry.Octslab.dist slab 0 1 in
+               let t = run ~slack_usage:Dme.Merge.slack_usage a b in
+               t.feasible
+               && Float.equal
+                    (Dme.Engine.cost config inst ~dist a b)
+                    (Float.max dist t.planned_wire)))
             subtrees)
         subtrees)
 
@@ -1045,8 +1039,6 @@ let () =
         [
           Alcotest.test_case "zero skew" `Quick test_engine_zero_skew;
           Alcotest.test_case "stats add up" `Quick test_engine_stats_add_up;
-          Alcotest.test_case "trial cache bit-identical" `Slow
-            test_trial_cache_bit_identical;
           Alcotest.test_case "pooled ranking bit-identical" `Slow
             test_pooled_ranking_bit_identical;
           Alcotest.test_case "parallel ranking bit-identical" `Slow
@@ -1055,5 +1047,10 @@ let () =
             test_parallel_gate;
           Alcotest.test_case "golden wirelengths r1-r5" `Slow test_golden_wirelengths;
         ]
-        @ qsuite [ prop_engine_respects_bound; prop_engine_cost_at_least_dist ] );
+        @ qsuite
+            [
+              prop_engine_respects_bound;
+              prop_engine_cost_at_least_dist;
+              prop_cross_group_cost_exact;
+            ] );
     ]
