@@ -15,8 +15,9 @@
    "smoke" is the deterministic ranking gate: it routes one circuit
    (default r3) and fails unless the probes ran between 1 and 1.25 grid
    k-NN queries each, visited at most 25 grid cells each, priced at
-   most 2 candidates each and allocated at most 3500 minor words each;
-   then it gates the clustered router on a second circuit (default r5:
+   most 2 candidates each and allocated at most 400 minor words each,
+   and that Octagon.sdr allocates at most 32 minor words a call; then
+   it gates the clustered router on a second circuit (default r5:
    clusters=1 must equal flat bit-for-bit and the auto-clustered tree
    must pass the global grouped audit).
 
@@ -209,15 +210,32 @@ let smoke args =
        deterministic, so this cannot flake on slow runners. *)
     let queries_per_probe_budget = 1.25 in
     let cells_per_probe_budget = 25. in
-    (* Allocation gate: the arena/SoA merge loop allocates a bounded
-       number of minor words per ranking probe.  Before the slab
-       rewrite the figure sat around 7500 words/probe on r5; after it,
-       well under 2000 on every circuit.  The budget leaves headroom
-       for honest churn while still catching a boxed octagon or closure
-       sneaking back onto the hot path (a 5-6x jump).  Allocation
-       counts are deterministic per domain, so like the counters above
-       this cannot flake on slow runners. *)
-    let words_per_probe_budget = 3500. in
+    (* Allocation gates.  A ranking probe allocates a bounded number of
+       minor words: r3 reads about 263 per probe with the unboxed
+       octagon closure and SDR, the closure-free k-NN ring scan and the
+       flat pair selection, against 630 before them (and 7500 before the
+       slab rewrite), so 400 catches any one of those kernels boxing
+       again.  [Octagon.sdr] allocates only its result (11 words), so 32
+       per call over r3's consecutive leaf-region pairs catches a boxed
+       slice or hull.  Allocation counts are deterministic per domain,
+       so like the counters above these cannot flake on slow runners. *)
+    let words_per_probe_budget = 400. in
+    let sdr_words_budget = 32. in
+    let sdr_words =
+      let regions =
+        Array.map
+          (fun s -> (Dme.Subtree.leaf s).Dme.Subtree.region)
+          inst.Clocktree.Instance.sinks
+      in
+      let calls = Array.length regions - 1 in
+      let w0 = Gc.minor_words () in
+      for i = 0 to calls - 1 do
+        ignore
+          (Sys.opaque_identity
+             (Geometry.Octagon.sdr regions.(i) regions.(i + 1)))
+      done;
+      (Gc.minor_words () -. w0) /. float_of_int (Int.max 1 calls)
+    in
     (* Pricing gate.  A probe prices a candidate only while its region
        distance can still beat the best cost (Order.cheapest), and under
        distance ranking every priced candidate counts one elided trial.
@@ -234,8 +252,8 @@ let smoke args =
     let words_per_probe =
       r.engine.gc.Obs.Gcstat.minor_words /. float_of_int (Int.max 1 probes)
     in
-    Format.printf "alloc: minor words=%.3e (%.1f per probe)@."
-      r.engine.gc.Obs.Gcstat.minor_words words_per_probe;
+    Format.printf "alloc: minor words=%.3e (%.1f per probe), %.1f per SDR@."
+      r.engine.gc.Obs.Gcstat.minor_words words_per_probe sdr_words;
     let fail msg =
       Format.printf "FAIL: %s@." msg;
       exit 1
@@ -255,6 +273,10 @@ let smoke args =
         (Printf.sprintf
            "allocation per probe %.1f exceeds the %.0f minor-word budget"
            words_per_probe words_per_probe_budget);
+    if sdr_words > sdr_words_budget then
+      fail
+        (Printf.sprintf "allocation per SDR %.1f exceeds the %.0f minor-word budget"
+           sdr_words sdr_words_budget);
     if priced_per_probe > priced_per_probe_budget then
       fail
         (Printf.sprintf "%.2f candidates priced per probe exceeds the %.0f budget"

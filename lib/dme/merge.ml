@@ -14,9 +14,6 @@ type result = {
 
 let slack_usage = 0.3
 
-(* Slices used to build a cross-group merge's shortest-distance region. *)
-let sdr_samples = 9
-
 let classify (a : Subtree.t) (b : Subtree.t) shared =
   match shared with
   | [] -> Cross_group
@@ -161,7 +158,7 @@ let merge_cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap ~id
       if Octagon.is_empty r then Octagon.of_point (fst (Octagon.closest_pair a.region b.region))
       else r
     else begin
-      let sdr = Octagon.sdr ~samples:sdr_samples a.region b.region in
+      let sdr = Octagon.sdr a.region b.region in
       let r =
         Octagon.inter sdr
           (Octagon.inter

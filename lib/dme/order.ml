@@ -48,21 +48,6 @@ let c_probes = Obs.Counter.make "dme.order.nn_probes"
 let c_pairs = Obs.Counter.make "dme.order.pairs_ranked"
 let c_rounds = Obs.Counter.make "dme.order.rounds"
 
-(* The same unordered pair can be proposed by both endpoints with
-   slightly different costs (trial orientation asymmetry); keep only
-   the cheapest proposal per pair.  Input: sorted by (i, j, cost).
-   Accumulator form: the ranked-pair count of a round equals the active
-   subtree count, so Gen.Huge-scale instances would blow the stack under
-   the former non-tail recursion. *)
-let dedupe_pairs pairs =
-  let rec go acc = function
-    | ((_, i1, j1) as p) :: (_, i2, j2) :: rest when i1 = i2 && j1 = j2 ->
-      go acc (p :: rest)
-    | p :: rest -> go (p :: acc) rest
-    | [] -> List.rev acc
-  in
-  go [] pairs
-
 (* The (cost, lowest id) argmin over candidates [ids.(from .. len-1)],
    resumed from the running best [(bi, bd)] over [ids.(0 .. from-1)] and
    pricing only those that can still win.  Every coster returns a cost
@@ -133,6 +118,63 @@ let settle grid (buf : Grid_index.knn) ~skip (q : Pt.t) ~knn ~rad ~rmax ~dist
   done;
   ((if !bi < 0 then -1 else buf.kids.(!bi)), !bd, !queries)
 
+(* One round's selection.  Probes propose at most one partner each, so
+   an unordered pair is proposed at most twice — once by each endpoint,
+   possibly at slightly different costs (trial orientation asymmetry) —
+   and is ranked once, from its lower id, at the smaller cost under
+   [Float.compare] (the higher id's on a tie).  Ranked pairs sort by
+   (cost, i, j), a total order on distinct pairs, and a greedy pass takes
+   the first [limit] that touch no id taken before them.  Flat arrays and
+   one index sort: no list, no hashtable, nothing deep enough to
+   recurse. *)
+let select_pairs ~ids ~partner ~cost ~used ~limit =
+  let m = Array.length ids in
+  let pi = Array.make m 0 and pj = Array.make m 0 in
+  let pc = Float.Array.create m in
+  let ranked = ref 0 in
+  Array.iter
+    (fun i ->
+      let j = partner.(i) in
+      let mutual = j >= 0 && partner.(j) = i in
+      if j >= 0 && (i < j || not mutual) then begin
+        let c = Float.Array.get cost i in
+        let c =
+          if not mutual then c
+          else
+            let cj = Float.Array.get cost j in
+            if Float.compare c cj < 0 then c else cj
+        in
+        let k = !ranked in
+        pi.(k) <- Int.min i j;
+        pj.(k) <- Int.max i j;
+        Float.Array.set pc k c;
+        ranked := k + 1
+      end)
+    ids;
+  let order = Array.init !ranked Fun.id in
+  Array.sort
+    (fun a b ->
+      match Float.compare (Float.Array.get pc a) (Float.Array.get pc b) with
+      | 0 ->
+        (match Int.compare pi.(a) pi.(b) with
+         | 0 -> Int.compare pj.(a) pj.(b)
+         | c -> c)
+      | c -> c)
+    order;
+  let selected = ref [] and taken = ref 0 and k = ref 0 in
+  while !taken < limit && !k < !ranked do
+    let o = order.(!k) in
+    let i = pi.(o) and j = pj.(o) in
+    if Bytes.get used i = '\000' && Bytes.get used j = '\000' then begin
+      Bytes.set used i '\001';
+      Bytes.set used j '\001';
+      selected := (Float.Array.get pc o, i, j) :: !selected;
+      incr taken
+    end;
+    incr k
+  done;
+  (!ranked, Array.of_list (List.rev !selected))
+
 (* Each domain's k-NN answer buffer.  A probe fills it and reads it back
    before returning, and nothing a probe calls probes again, so one
    buffer per domain is never shared. *)
@@ -149,6 +191,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
   let leaves =
     match leaves with
     | None -> Array.map Subtree.leaf inst.Clocktree.Instance.sinks
+    | Some [||] -> invalid_arg "Order.run_ranked: leaves must be non-empty"
     | Some ls ->
       Array.iteri
         (fun i (s : Subtree.t) ->
@@ -197,6 +240,12 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
      loop only ever indexes ids of currently alive subtrees. *)
   let cap_ids = Int.max 2 (2 * n) in
   let node : Subtree.t option array = Array.make cap_ids None in
+  (* Each round's proposals, by proposer id: partner ([-1] for none) and
+     biased cost.  [used] marks the ids a round's selection takes; they
+     are merged away and never reissued, so it is never reset. *)
+  let proposal_partner = Array.make cap_ids (-1) in
+  let proposal_cost = Float.Array.make cap_ids Float.nan in
+  let used = Bytes.make cap_ids '\000' in
   let n_active = ref 0 in
   let slab = Octslab.create cap_ids in
   let cx = Float.Array.make cap_ids Float.nan in
@@ -346,8 +395,8 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
          bit-identical for any jobs count: (1) probe every active subtree
          against the frozen grid state — in parallel chunks when a pool
          is given; (2) absorb the probes' side results on this domain in
-         snapshot (ascending-id) order; (3) sort, dedupe and select a
-         disjoint pair prefix, compute the selected merges — in parallel
+         snapshot (ascending-id) order; (3) rank the proposals and select
+         a disjoint pair prefix, compute the selected merges — in parallel
          when a pool is given; [merger.compute] must be pure — and
          install them serially in selection order. *)
       let round_body () =
@@ -374,72 +423,48 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
         in
         probed := !probed + Array.length snap;
         let round_queries = ref 0 in
-        let pairs = ref [] in
         Array.iteri
           (fun k (s : Subtree.t) ->
-            let partner, d, queries, note = probes.(k) in
+            let p, d, queries, note = probes.(k) in
             round_queries := !round_queries + queries;
             coster.absorb note;
-            if partner >= 0 then begin
+            proposal_partner.(s.id) <- p;
+            if p >= 0 then begin
               Option.iter (fun h -> Obs.Histogram.observe h d) h_cost;
-              let i = Int.min s.id partner and j = Int.max s.id partner in
-              pairs := (biased s.id partner d, i, j) :: !pairs
+              Float.Array.set proposal_cost s.id (biased s.id p d)
             end)
           snap;
-        let pairs =
-          List.sort
-            (fun (c1, i1, j1) (c2, i2, j2) ->
-              match Int.compare i1 i2 with
-              | 0 ->
-                (match Int.compare j1 j2 with
-                 | 0 -> Float.compare c1 c2
-                 | c -> c)
-              | c -> c)
-            !pairs
-          |> dedupe_pairs
-          |> List.sort (fun (c1, i1, j1) (c2, i2, j2) ->
-                 match Float.compare c1 c2 with
-                 | 0 ->
-                   (match Int.compare i1 i2 with 0 -> Int.compare j1 j2 | c -> c)
-                 | c -> c)
-        in
-        Obs.Counter.add c_pairs (List.length pairs);
         let limit =
           if config.multi_merge then
             Int.max 1
               (int_of_float (merge_fraction *. float_of_int count /. 2.))
           else 1
         in
-        let used = Hashtbl.create 64 in
+        let ranked, picks =
+          select_pairs
+            ~ids:(Array.map (fun (s : Subtree.t) -> s.id) snap)
+            ~partner:proposal_partner ~cost:proposal_cost ~used ~limit
+        in
+        Obs.Counter.add c_pairs ranked;
+        (* Which pairs merge this round depends only on the proposals and
+           the round-start population — never on any merge's result — so
+           the (potentially parallel) merge computations can all run
+           against the frozen round state, and installing them in
+           selection order is bit-identical to a compute-one-install-one
+           loop.  Ids are drawn in selection order to keep the id
+           sequence independent of compute scheduling. *)
         let merged = ref 0 in
         let best_cost = ref Float.infinity in
         let commit_phase () =
-          (* Selection first: which pairs merge this round depends only
-             on the sorted pair list and the round-start population —
-             never on any merge's result — so the (potentially parallel)
-             merge computations can all run against the frozen round
-             state, and installing them in selection order is
-             bit-identical to the former compute-one-install-one loop.
-             Ids are drawn at selection time to keep the id sequence
-             independent of compute scheduling. *)
-          let selected = ref [] in
-          List.iter
-            (fun (c, i, j) ->
-              if
-                !merged < limit
-                && (not (Hashtbl.mem used i))
-                && not (Hashtbl.mem used j)
-              then begin
-                match (node.(i), node.(j)) with
-                | Some a, Some b ->
-                  Hashtbl.replace used i ();
-                  Hashtbl.replace used j ();
-                  selected := (i, j, a, b, fresh_id ()) :: !selected;
-                  best_cost := Float.min !best_cost c;
-                  incr merged
-                | _ -> ()
-              end)
-            pairs;
+          let selected =
+            ref
+              (Array.fold_left
+                 (fun acc (c, i, j) ->
+                   best_cost := Float.min !best_cost c;
+                   incr merged;
+                   (i, j, subtree i, subtree j, fresh_id ()) :: acc)
+                 [] picks)
+          in
           (* Degenerate safeguard: grid candidates always yield at least one
              pair when two or more subtrees are active.  Should that ever
              fail, merge the two lowest-id survivors directly rather than
@@ -481,7 +506,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
         in
         if tracing then
           Obs.Trace.span trace ~cat:"dme.order"
-            ~args:[ ("candidates", Obs.Json.Int (List.length pairs)) ]
+            ~args:[ ("candidates", Obs.Json.Int ranked) ]
             "commit_phase" commit_phase
         else commit_phase ();
         queried := !queried + !round_queries;

@@ -4,10 +4,10 @@
 
     Each round snapshots the active subtrees sorted by id, computes every
     subtree's cheapest merge partner among its [knn] grid candidates —
-    in parallel chunks when a {!Par.Pool} is supplied — then sorts the
-    candidate pairs by cost (deduplicating the two proposals of an
-    unordered pair down to the cheaper one) and greedily merges a
-    disjoint prefix.  Probing is read-only with respect to every shared
+    in parallel chunks when a {!Par.Pool} is supplied — then ranks the
+    proposed pairs by cost (the two proposals of an unordered pair count
+    once, at the cheaper one) and greedily merges a disjoint prefix
+    ({!select_pairs}).  Probing is read-only with respect to every shared
     structure and the partner choice tie-breaks on the lowest subtree id,
     so the selected merges — and hence the routed tree — are bit-identical
     for any jobs count.
@@ -111,11 +111,24 @@ type round_info = {
   wall_s : float;
 }
 
-(** [dedupe_pairs pairs] collapses adjacent entries with equal subtree-id
-    pairs to the first (cheapest, given the (i, j, cost) pre-sort) one.
-    Tail-recursive: safe for rounds ranking hundreds of thousands of
-    pairs.  Exposed for testing. *)
-val dedupe_pairs : (float * int * int) list -> (float * int * int) list
+(** [select_pairs ~ids ~partner ~cost ~used ~limit] is one round's pair
+    selection: [(ranked, selected)].  The probed subtree ids are [ids];
+    [partner.(i)] is the partner [i] proposes ([-1] for none), itself one
+    of [ids], and [cost.(i)] the proposal's cost.  A pair proposed by both
+    endpoints is ranked once, at the smaller cost under [Float.compare]
+    (the higher id's on a tie), so [ranked] counts distinct proposed
+    pairs.  [selected] lists pairs [(cost, i, j)], [i < j], in (cost, i,
+    j) order: the greedy disjoint prefix of at most [limit] ranked pairs
+    that touch no id marked in [used].  Selected ids are marked in
+    [used], which covers every id.  Allocates no more than a few words per
+    id and never recurses; exposed for testing. *)
+val select_pairs :
+  ids:int array ->
+  partner:int array ->
+  cost:floatarray ->
+  used:Bytes.t ->
+  limit:int ->
+  int * (float * int * int) array
 
 (** [cheapest ids len ~dist ~price] is the index [i] in [0 .. len-1]
     of the (cost, lowest id) argmin over the distinct candidate ids
@@ -180,7 +193,8 @@ val settle :
     {!round_info}.  [leaves] overrides the initial population:
     instead of the instance's sink leaves, ranking starts from the given
     subtrees (the clustered router's region roots).  Explicit leaves
-    must carry dense ids [0 .. n-1] — the arena is id-indexed — and
+    must be non-empty and carry dense ids [0 .. n-1] — the arena is
+    id-indexed — and
     their delay windows must be expressed against [inst]'s groups; merge
     node ids are allocated from [n] upward.  Returns the final subtree
     and the ranking statistics. *)

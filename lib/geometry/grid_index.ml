@@ -253,72 +253,6 @@ let remove t ~id (p : Pt.t) =
 
 let size t = t.count
 
-(* Visit cells in expanding square rings around the query cell, handing
-   every non-empty bucket to [visit].  A hit at ring [r] guarantees no
-   closer hit exists beyond ring [ceil (best / cell) + 1], which bounds
-   the scan; the bounding box of occupied cells bounds it even when the
-   caller's stop condition never fires (e.g. fewer entries than
-   requested).
-
-   Clipping to the occupied box and skipping empty rows and columns
-   drops only cells without entries.  Visit order does not reach the
-   answer (the k-NN kernel ranks by (distance, id)), so it is left
-   unspecified.  The visit counters are charged as if every cell of
-   every ring were probed — ring 0 is one cell and ring [r >= 1] is
-   [8 r] — and added once per query. *)
-let fold_rings t (q : Pt.t) ~stop (visit : 'a bucket -> unit) =
-  let cx = key t q.x and cy = key t q.y in
-  (* max over occupied cells of max (|dx|, |dy|): each axis maximum is
-     attained at an end of the occupied box. *)
-  let max_ring =
-    if t.max_gx < t.min_gx then 0
-    else
-      Int.max
-        (Int.max (cx - t.min_gx) (t.max_gx - cx))
-        (Int.max (cy - t.min_gy) (t.max_gy - cy))
-  in
-  let cells = t.cells and w = t.w and gx0 = t.gx0 and gy0 = t.gy0 in
-  let col_n = t.col_n and row_n = t.row_n in
-  let min_gx = t.min_gx and max_gx = t.max_gx in
-  let min_gy = t.min_gy and max_gy = t.max_gy in
-  let entries = ref 0 in
-  (* Callers pass keys inside the occupied box, hence inside the window. *)
-  let visit gx gy =
-    let b = Array.unsafe_get cells (((gy - gy0) * w) + (gx - gx0)) in
-    if b.blen > 0 then begin
-      entries := !entries + b.blen;
-      visit b
-    end
-  in
-  let row_ok gy = gy >= min_gy && gy <= max_gy && row_n.(gy - gy0) > 0 in
-  let col_ok gx = gx >= min_gx && gx <= max_gx && col_n.(gx - gx0) > 0 in
-  let r = ref 0 in
-  while !r <= max_ring && not (stop !r) do
-    let r' = !r in
-    if r' = 0 then (if row_ok cy && col_ok cx then visit cx cy)
-    else begin
-      let top = cy - r' and bot = cy + r' in
-      let top_ok = row_ok top and bot_ok = row_ok bot in
-      if top_ok || bot_ok then
-        for gx = Int.max (cx - r') min_gx to Int.min (cx + r') max_gx do
-          if top_ok then visit gx top;
-          if bot_ok then visit gx bot
-        done;
-      let left = cx - r' and right = cx + r' in
-      let left_ok = col_ok left and right_ok = col_ok right in
-      if left_ok || right_ok then
-        for gy = Int.max (cy - r' + 1) min_gy to Int.min (cy + r' - 1) max_gy do
-          if left_ok then visit left gy;
-          if right_ok then visit right gy
-        done
-    end;
-    incr r
-  done;
-  let rings = !r in
-  Obs.Counter.add c_rings rings;
-  Obs.Counter.add c_cells (if rings = 0 then 0 else 1 + (4 * rings * (rings - 1)));
-  Obs.Counter.add c_entries !entries
-
 (* The k-NN kernel's caller-owned buffer: the best [klen] candidates seen
    so far, kept sorted by ascending (distance, id) in four parallel
    arrays. *)
@@ -399,6 +333,32 @@ let knn_offer b cap (q : Pt.t) (bk : _ bucket) i =
     if len < cap then b.klen <- len + 1
   end
 
+(* Is row [gy] (column [gx]) inside the occupied box and non-empty?
+   Keys in the box are inside the window. *)
+let row_ok t gy = gy >= t.min_gy && gy <= t.max_gy && t.row_n.(gy - t.gy0) > 0
+let col_ok t gx = gx >= t.min_gx && gx <= t.max_gx && t.col_n.(gx - t.gx0) > 0
+
+(* Offer every eligible entry of cell (gx, gy), a key inside the
+   occupied box, and return how many entries the cell holds. *)
+let scan_cell t b cap q ~skip gx gy =
+  let bk = Array.unsafe_get t.cells (((gy - t.gy0) * t.w) + (gx - t.gx0)) in
+  for i = 0 to bk.blen - 1 do
+    if not (skip (Array.unsafe_get bk.ids i)) then knn_offer b cap q bk i
+  done;
+  bk.blen
+
+(* The ring scan visits cells in expanding square rings around the query
+   cell.  A hit at ring [r] guarantees no closer hit exists beyond ring
+   [ceil (best / cell) + 1], which bounds the scan; the bounding box of
+   occupied cells bounds it even when the buffer never fills (fewer
+   entries than requested).  Clipping to the occupied box and skipping
+   empty rows and columns drops only cells without entries.  Visit order
+   does not reach the answer (the buffer ranks by (distance, id)), so it
+   is left unspecified.  The visit counters are charged as if every cell
+   of every ring were probed — ring 0 is one cell and ring [r >= 1] is
+   [8 r] — and added once per query.  The scan is written out here, with
+   top-level helpers and no local closure, so a query allocates
+   nothing. *)
 let knn_into t b ~skip (q : Pt.t) k =
   Obs.Counter.incr c_queries;
   b.klen <- 0;
@@ -409,13 +369,56 @@ let knn_into t b ~skip (q : Pt.t) k =
        k-th distance, which drives the ring-scan stop condition. *)
     let cap = Int.min k t.count in
     knn_reserve b cap;
-    let stop r =
-      b.klen = k && float_of_int (r - 1) *. t.cell > Float.Array.get b.kdist (k - 1)
+    let cx = key t q.x and cy = key t q.y in
+    (* max over occupied cells of max (|dx|, |dy|): each axis maximum is
+       attained at an end of the occupied box. *)
+    let max_ring =
+      if t.max_gx < t.min_gx then 0
+      else
+        Int.max
+          (Int.max (cx - t.min_gx) (t.max_gx - cx))
+          (Int.max (cy - t.min_gy) (t.max_gy - cy))
     in
-    fold_rings t q ~stop (fun bk ->
-        for i = 0 to bk.blen - 1 do
-          if not (skip (Array.unsafe_get bk.ids i)) then knn_offer b cap q bk i
-        done);
+    let entries = ref 0 and r = ref 0 in
+    while
+      !r <= max_ring
+      && not
+           (b.klen = k
+           && float_of_int (!r - 1) *. t.cell > Float.Array.get b.kdist (k - 1))
+    do
+      let r' = !r in
+      if r' = 0 then begin
+        if row_ok t cy && col_ok t cx then
+          entries := !entries + scan_cell t b cap q ~skip cx cy
+      end
+      else begin
+        let top = cy - r' and bot = cy + r' in
+        let top_ok = row_ok t top and bot_ok = row_ok t bot in
+        if top_ok || bot_ok then
+          for gx = Int.max (cx - r') t.min_gx to Int.min (cx + r') t.max_gx do
+            if top_ok then
+              entries := !entries + scan_cell t b cap q ~skip gx top;
+            if bot_ok then
+              entries := !entries + scan_cell t b cap q ~skip gx bot
+          done;
+        let left = cx - r' and right = cx + r' in
+        let left_ok = col_ok t left and right_ok = col_ok t right in
+        if left_ok || right_ok then
+          for gy = Int.max (cy - r' + 1) t.min_gy
+                   to Int.min (cy + r' - 1) t.max_gy do
+            if left_ok then
+              entries := !entries + scan_cell t b cap q ~skip left gy;
+            if right_ok then
+              entries := !entries + scan_cell t b cap q ~skip right gy
+          done
+      end;
+      incr r
+    done;
+    let rings = !r in
+    Obs.Counter.add c_rings rings;
+    Obs.Counter.add c_cells
+      (if rings = 0 then 0 else 1 + (4 * rings * (rings - 1)));
+    Obs.Counter.add c_entries !entries;
     (* Exclusion bound.  When the buffer filled ([klen = k]) every
        eligible entry left out of the result was either rejected or
        pushed out — only possible at distance >= the running k-th
@@ -423,8 +426,8 @@ let knn_into t b ~skip (q : Pt.t) k =
        scan stopped, i.e. its ring satisfied (r - 1) * cell > kth.
        Either way it lies at L1 distance >= the final k-th distance from
        [q].  A buffer that never filled kept every eligible offer, and
-       [fold_rings] visits the whole occupied bounding box unless [stop]
-       fires, so the result is exhaustive and no entry was excluded at
+       the scan covers the whole occupied bounding box unless the buffer
+       fills, so the result is exhaustive and no entry was excluded at
        all.
 
        Canonical answer.  An entry the scan never offered lies at

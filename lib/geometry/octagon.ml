@@ -15,78 +15,195 @@ let empty = Empty
 let is_empty = function Empty -> true | O _ -> false
 let bounds = function Empty -> None | O b -> Some b
 
+(* [Float.min] and [Float.max] written out.  The two comparisons settle
+   every ordered pair; what is left (ties and NaN) runs the stdlib's own
+   test, so the result is bit-identical to the stdlib on every input,
+   signed zeros and NaN payloads included.  Unlike the stdlib calls,
+   these inline in -opaque (dev-profile) builds, where an out-of-line
+   call that returns a float boxes it. *)
+let[@inline] fmin x y =
+  if x < y then x
+  else if y < x then y
+  else if (not (Float.sign_bit y)) && Float.sign_bit x then
+    if y <> y then y else x
+  else if x <> x then x
+  else y
+
+let[@inline] fmax x y =
+  if x < y then y
+  else if y < x then x
+  else if (not (Float.sign_bit y)) && Float.sign_bit x then
+    if x <> x then x else y
+  else if y <> y then y
+  else x
+
 (* Canonicalization uses the octagon-domain strong closure: encode the 8
-   bounds as a 4-node difference-bound matrix over +x, -x, +y, -y, run
-   Floyd-Warshall, apply the unary strengthening step, and read the tight
-   bounds back.  Entries are upper bounds, never negative infinity. *)
+   bounds as a 4-node difference-bound matrix over +x, -x, +y, -y
+   (entry [mij] bounds [vi - vj]), run Floyd-Warshall, apply the unary
+   strengthening step, and read the tight bounds back.
 
-let bar i = i lxor 1
+   [close s] closes the raw bounds [xl xh yl yh sl sh dl dh] held in
+   [s.(0 .. 7)] in place and returns [false] when they are
+   inconsistent (the octagon is empty).  The 16 entries are unboxed
+   locals and both loops are unrolled in their [k, i, j] order, so a
+   closure allocates nothing and calls nothing.  The order is part of
+   the result: relaxing in place, a path of equal length found later
+   never replaces one found earlier, which fixes the sign of a zero
+   bound, and a slightly negative cycle within the emptiness tolerance
+   feeds the entries relaxed after it.  test_geometry checks the
+   unrolled closure against the looped one bit for bit. *)
 
-(* The 4x4 DBM is per-domain scratch reused across calls: [closure] runs
-   inside every [inter] of every trial merge, so allocating the matrix
-   per call would dominate the minor heap.  Domain-local storage keeps
-   concurrent ranking probes from sharing the buffer; [closure] never
-   re-enters itself, so one matrix per domain suffices. *)
-let dbm_key = Domain.DLS.new_key (fun () -> Float.Array.create 16)
+(* One relaxation: the tighter of a candidate [v] and the current entry
+   [m], keeping [m] on ties and on a NaN candidate. *)
+let[@inline] tighter (v : float) m = if v < m then v else m
 
-let closure b =
+let close s =
+  let xl = Float.Array.unsafe_get s 0 and xh = Float.Array.unsafe_get s 1 in
+  let yl = Float.Array.unsafe_get s 2 and yh = Float.Array.unsafe_get s 3 in
+  let sl = Float.Array.unsafe_get s 4 and sh = Float.Array.unsafe_get s 5 in
+  let dl = Float.Array.unsafe_get s 6 and dh = Float.Array.unsafe_get s 7 in
   let inf = Float.infinity in
-  let m = Domain.DLS.get dbm_key in
-  Float.Array.fill m 0 16 inf;
-  let get i j = Float.Array.unsafe_get m ((i * 4) + j) in
-  let set i j v = Float.Array.unsafe_set m ((i * 4) + j) v in
-  for i = 0 to 3 do
-    set i i 0.
-  done;
-  let tighten i j v = if v < get i j then set i j v in
-  tighten 0 1 (2. *. b.xh);
-  tighten 1 0 (-2. *. b.xl);
-  tighten 2 3 (2. *. b.yh);
-  tighten 3 2 (-2. *. b.yl);
-  tighten 0 3 b.sh;
-  tighten 2 1 b.sh;
-  tighten 1 2 (-.b.sl);
-  tighten 3 0 (-.b.sl);
-  tighten 0 2 b.dh;
-  tighten 3 1 b.dh;
-  tighten 2 0 (-.b.dl);
-  tighten 1 3 (-.b.dl);
-  for k = 0 to 3 do
-    for i = 0 to 3 do
-      for j = 0 to 3 do
-        let via = get i k +. get k j in
-        if via < get i j then set i j via
-      done
-    done
-  done;
-  for i = 0 to 3 do
-    for j = 0 to 3 do
-      let v = (get i (bar i) +. get (bar j) j) /. 2. in
-      if v < get i j then set i j v
-    done
-  done;
-  let negative_cycle =
-    get 0 0 < -.Eps.tol
-    || get 1 1 < -.Eps.tol
-    || get 2 2 < -.Eps.tol
-    || get 3 3 < -.Eps.tol
-  in
-  if negative_cycle then Empty
-  else
+  let m00 = ref 0. and m11 = ref 0. and m22 = ref 0. and m33 = ref 0. in
+  let m01 = ref (tighter (2. *. xh) inf) and m10 = ref (tighter (-2. *. xl) inf) in
+  let m23 = ref (tighter (2. *. yh) inf) and m32 = ref (tighter (-2. *. yl) inf) in
+  let m03 = ref (tighter sh inf) and m21 = ref (tighter sh inf) in
+  let m12 = ref (tighter (-.sl) inf) and m30 = ref (tighter (-.sl) inf) in
+  let m02 = ref (tighter dh inf) and m31 = ref (tighter dh inf) in
+  let m20 = ref (tighter (-.dl) inf) and m13 = ref (tighter (-.dl) inf) in
+  (* via node 0 *)
+  m00 := tighter (!m00 +. !m00) !m00;
+  m01 := tighter (!m00 +. !m01) !m01;
+  m02 := tighter (!m00 +. !m02) !m02;
+  m03 := tighter (!m00 +. !m03) !m03;
+  m10 := tighter (!m10 +. !m00) !m10;
+  m11 := tighter (!m10 +. !m01) !m11;
+  m12 := tighter (!m10 +. !m02) !m12;
+  m13 := tighter (!m10 +. !m03) !m13;
+  m20 := tighter (!m20 +. !m00) !m20;
+  m21 := tighter (!m20 +. !m01) !m21;
+  m22 := tighter (!m20 +. !m02) !m22;
+  m23 := tighter (!m20 +. !m03) !m23;
+  m30 := tighter (!m30 +. !m00) !m30;
+  m31 := tighter (!m30 +. !m01) !m31;
+  m32 := tighter (!m30 +. !m02) !m32;
+  m33 := tighter (!m30 +. !m03) !m33;
+  (* via node 1 *)
+  m00 := tighter (!m01 +. !m10) !m00;
+  m01 := tighter (!m01 +. !m11) !m01;
+  m02 := tighter (!m01 +. !m12) !m02;
+  m03 := tighter (!m01 +. !m13) !m03;
+  m10 := tighter (!m11 +. !m10) !m10;
+  m11 := tighter (!m11 +. !m11) !m11;
+  m12 := tighter (!m11 +. !m12) !m12;
+  m13 := tighter (!m11 +. !m13) !m13;
+  m20 := tighter (!m21 +. !m10) !m20;
+  m21 := tighter (!m21 +. !m11) !m21;
+  m22 := tighter (!m21 +. !m12) !m22;
+  m23 := tighter (!m21 +. !m13) !m23;
+  m30 := tighter (!m31 +. !m10) !m30;
+  m31 := tighter (!m31 +. !m11) !m31;
+  m32 := tighter (!m31 +. !m12) !m32;
+  m33 := tighter (!m31 +. !m13) !m33;
+  (* via node 2 *)
+  m00 := tighter (!m02 +. !m20) !m00;
+  m01 := tighter (!m02 +. !m21) !m01;
+  m02 := tighter (!m02 +. !m22) !m02;
+  m03 := tighter (!m02 +. !m23) !m03;
+  m10 := tighter (!m12 +. !m20) !m10;
+  m11 := tighter (!m12 +. !m21) !m11;
+  m12 := tighter (!m12 +. !m22) !m12;
+  m13 := tighter (!m12 +. !m23) !m13;
+  m20 := tighter (!m22 +. !m20) !m20;
+  m21 := tighter (!m22 +. !m21) !m21;
+  m22 := tighter (!m22 +. !m22) !m22;
+  m23 := tighter (!m22 +. !m23) !m23;
+  m30 := tighter (!m32 +. !m20) !m30;
+  m31 := tighter (!m32 +. !m21) !m31;
+  m32 := tighter (!m32 +. !m22) !m32;
+  m33 := tighter (!m32 +. !m23) !m33;
+  (* via node 3 *)
+  m00 := tighter (!m03 +. !m30) !m00;
+  m01 := tighter (!m03 +. !m31) !m01;
+  m02 := tighter (!m03 +. !m32) !m02;
+  m03 := tighter (!m03 +. !m33) !m03;
+  m10 := tighter (!m13 +. !m30) !m10;
+  m11 := tighter (!m13 +. !m31) !m11;
+  m12 := tighter (!m13 +. !m32) !m12;
+  m13 := tighter (!m13 +. !m33) !m13;
+  m20 := tighter (!m23 +. !m30) !m20;
+  m21 := tighter (!m23 +. !m31) !m21;
+  m22 := tighter (!m23 +. !m32) !m22;
+  m23 := tighter (!m23 +. !m33) !m23;
+  m30 := tighter (!m33 +. !m30) !m30;
+  m31 := tighter (!m33 +. !m31) !m31;
+  m32 := tighter (!m33 +. !m32) !m32;
+  m33 := tighter (!m33 +. !m33) !m33;
+  (* strengthening: mij <= (m(i, bar i) + m(bar j, j)) / 2 *)
+  m00 := tighter ((!m01 +. !m10) /. 2.) !m00;
+  m01 := tighter ((!m01 +. !m01) /. 2.) !m01;
+  m02 := tighter ((!m01 +. !m32) /. 2.) !m02;
+  m03 := tighter ((!m01 +. !m23) /. 2.) !m03;
+  m10 := tighter ((!m10 +. !m10) /. 2.) !m10;
+  m11 := tighter ((!m10 +. !m01) /. 2.) !m11;
+  m12 := tighter ((!m10 +. !m32) /. 2.) !m12;
+  m13 := tighter ((!m10 +. !m23) /. 2.) !m13;
+  m20 := tighter ((!m23 +. !m10) /. 2.) !m20;
+  m21 := tighter ((!m23 +. !m01) /. 2.) !m21;
+  m22 := tighter ((!m23 +. !m32) /. 2.) !m22;
+  m23 := tighter ((!m23 +. !m23) /. 2.) !m23;
+  m30 := tighter ((!m32 +. !m10) /. 2.) !m30;
+  m31 := tighter ((!m32 +. !m01) /. 2.) !m31;
+  m32 := tighter ((!m32 +. !m32) /. 2.) !m32;
+  m33 := tighter ((!m32 +. !m23) /. 2.) !m33;
+  let tol = -.Eps.tol in
+  if !m00 < tol || !m11 < tol || !m22 < tol || !m33 < tol then false
+  else begin
+    Float.Array.unsafe_set s 0 (-. !m10 /. 2.);
+    Float.Array.unsafe_set s 1 (!m01 /. 2.);
+    Float.Array.unsafe_set s 2 (-. !m32 /. 2.);
+    Float.Array.unsafe_set s 3 (!m23 /. 2.);
+    Float.Array.unsafe_set s 4 (-. !m12);
+    Float.Array.unsafe_set s 5 !m03;
+    Float.Array.unsafe_set s 6 (-. !m20);
+    Float.Array.unsafe_set s 7 !m02;
+    true
+  end
+
+(* Per-domain scratch for {!close}: raw bounds in, tight bounds out.
+   Every caller fills it and reads it back without running another
+   closure in between, so one buffer per domain is never shared. *)
+let scratch_key = Domain.DLS.new_key (fun () -> Float.Array.create 8)
+
+let[@inline] fill s xl xh yl yh sl sh dl dh =
+  Float.Array.unsafe_set s 0 xl;
+  Float.Array.unsafe_set s 1 xh;
+  Float.Array.unsafe_set s 2 yl;
+  Float.Array.unsafe_set s 3 yh;
+  Float.Array.unsafe_set s 4 sl;
+  Float.Array.unsafe_set s 5 sh;
+  Float.Array.unsafe_set s 6 dl;
+  Float.Array.unsafe_set s 7 dh
+
+(* The closure of the raw bounds in [s]. *)
+let closed s =
+  if close s then
     O
       {
-        xl = -.(get 1 0) /. 2.;
-        xh = get 0 1 /. 2.;
-        yl = -.(get 3 2) /. 2.;
-        yh = get 2 3 /. 2.;
-        sl = -.(get 1 2);
-        sh = get 0 3;
-        dl = -.(get 2 0);
-        dh = get 0 2;
+        xl = Float.Array.unsafe_get s 0;
+        xh = Float.Array.unsafe_get s 1;
+        yl = Float.Array.unsafe_get s 2;
+        yh = Float.Array.unsafe_get s 3;
+        sl = Float.Array.unsafe_get s 4;
+        sh = Float.Array.unsafe_get s 5;
+        dl = Float.Array.unsafe_get s 6;
+        dh = Float.Array.unsafe_get s 7;
       }
+  else Empty
 
 let of_bounds ~xl ~xh ~yl ~yh ~sl ~sh ~dl ~dh =
-  closure { xl; xh; yl; yh; sl; sh; dl; dh }
+  let s = Domain.DLS.get scratch_key in
+  fill s xl xh yl yh sl sh dl dh;
+  closed s
 
 (* Trusted constructor for bounds that are already canonical (read back
    from an octagon slab): skipping the closure keeps the round-trip
@@ -99,10 +216,10 @@ let of_point (p : Pt.t) =
 
 let box (p : Pt.t) (q : Pt.t) =
   of_bounds
-    ~xl:(Float.min p.x q.x)
-    ~xh:(Float.max p.x q.x)
-    ~yl:(Float.min p.y q.y)
-    ~yh:(Float.max p.y q.y)
+    ~xl:(fmin p.x q.x)
+    ~xh:(fmax p.x q.x)
+    ~yl:(fmin p.y q.y)
+    ~yh:(fmax p.y q.y)
     ~sl:Float.neg_infinity ~sh:Float.infinity ~dl:Float.neg_infinity
     ~dh:Float.infinity
 
@@ -118,15 +235,15 @@ let of_segment (p : Pt.t) (q : Pt.t) =
          Pt.pp q);
   let sp = Pt.s p and sq = Pt.s q and dp = Pt.d p and dq = Pt.d q in
   of_bounds
-    ~xl:(Float.min p.x q.x)
-    ~xh:(Float.max p.x q.x)
-    ~yl:(Float.min p.y q.y)
-    ~yh:(Float.max p.y q.y)
-    ~sl:(Float.min sp sq) ~sh:(Float.max sp sq) ~dl:(Float.min dp dq)
-    ~dh:(Float.max dp dq)
+    ~xl:(fmin p.x q.x)
+    ~xh:(fmax p.x q.x)
+    ~yl:(fmin p.y q.y)
+    ~yh:(fmax p.y q.y)
+    ~sl:(fmin sp sq) ~sh:(fmax sp sq) ~dl:(fmin dp dq)
+    ~dh:(fmax dp dq)
 
 let ball (p : Pt.t) r =
-  let r = Float.max 0. r in
+  let r = fmax 0. r in
   let s = Pt.s p and d = Pt.d p in
   O
     {
@@ -153,17 +270,10 @@ let inter a b =
   match (a, b) with
   | Empty, _ | _, Empty -> Empty
   | O a, O b ->
-    closure
-      {
-        xl = Float.max a.xl b.xl;
-        xh = Float.min a.xh b.xh;
-        yl = Float.max a.yl b.yl;
-        yh = Float.min a.yh b.yh;
-        sl = Float.max a.sl b.sl;
-        sh = Float.min a.sh b.sh;
-        dl = Float.max a.dl b.dl;
-        dh = Float.min a.dh b.dh;
-      }
+    let s = Domain.DLS.get scratch_key in
+    fill s (fmax a.xl b.xl) (fmin a.xh b.xh) (fmax a.yl b.yl) (fmin a.yh b.yh)
+      (fmax a.sl b.sl) (fmin a.sh b.sh) (fmax a.dl b.dl) (fmin a.dh b.dh);
+    closed s
 
 (* Supports of a convex hull are the pointwise maxima of supports, so the
    componentwise envelope of two canonical octagons is already canonical. *)
@@ -173,20 +283,20 @@ let hull a b =
   | O a, O b ->
     O
       {
-        xl = Float.min a.xl b.xl;
-        xh = Float.max a.xh b.xh;
-        yl = Float.min a.yl b.yl;
-        yh = Float.max a.yh b.yh;
-        sl = Float.min a.sl b.sl;
-        sh = Float.max a.sh b.sh;
-        dl = Float.min a.dl b.dl;
-        dh = Float.max a.dh b.dh;
+        xl = fmin a.xl b.xl;
+        xh = fmax a.xh b.xh;
+        yl = fmin a.yl b.yl;
+        yh = fmax a.yh b.yh;
+        sl = fmin a.sl b.sl;
+        sh = fmax a.sh b.sh;
+        dl = fmin a.dl b.dl;
+        dh = fmax a.dh b.dh;
       }
 
 let hull_list os = List.fold_left hull Empty os
 
 let inflate r o =
-  let r = Float.max 0. r in
+  let r = fmax 0. r in
   match o with
   | Empty -> Empty
   | O b ->
@@ -228,14 +338,14 @@ let[@inline] dist a b =
   | Empty, _ | _, Empty -> invalid_arg "Octagon.dist: empty octagon"
   | O a, O b ->
     let g = b.xl -. a.xh in
-    let g = Float.max g (a.xl -. b.xh) in
-    let g = Float.max g (b.yl -. a.yh) in
-    let g = Float.max g (a.yl -. b.yh) in
-    let g = Float.max g (b.sl -. a.sh) in
-    let g = Float.max g (a.sl -. b.sh) in
-    let g = Float.max g (b.dl -. a.dh) in
-    let g = Float.max g (a.dl -. b.dh) in
-    Float.max 0. g
+    let g = fmax g (a.xl -. b.xh) in
+    let g = fmax g (b.yl -. a.yh) in
+    let g = fmax g (a.yl -. b.yh) in
+    let g = fmax g (b.sl -. a.sh) in
+    let g = fmax g (a.sl -. b.sh) in
+    let g = fmax g (b.dl -. a.dh) in
+    let g = fmax g (a.dl -. b.dh) in
+    fmax 0. g
 
 let dist_pt o p = dist o (of_point p)
 
@@ -244,8 +354,8 @@ let pick_point o =
   | Empty -> invalid_arg "Octagon.pick_point: empty octagon"
   | O b ->
     let x = (b.xl +. b.xh) /. 2. in
-    let ylo = Float.max b.yl (Float.max (b.sl -. x) (x -. b.dh)) in
-    let yhi = Float.min b.yh (Float.min (b.sh -. x) (x -. b.dl)) in
+    let ylo = fmax b.yl (fmax (b.sl -. x) (x -. b.dh)) in
+    let yhi = fmin b.yh (fmin (b.sh -. x) (x -. b.dl)) in
     Pt.make x ((ylo +. yhi) /. 2.)
 
 let center = pick_point
@@ -262,8 +372,8 @@ let nearest_point o (p : Pt.t) =
     if contains o p then p
     else
       let x = Eps.clamp b.xl b.xh p.x in
-      let ylo = Float.max b.yl (Float.max (b.sl -. x) (x -. b.dh)) in
-      let yhi = Float.min b.yh (Float.min (b.sh -. x) (x -. b.dl)) in
+      let ylo = fmax b.yl (fmax (b.sl -. x) (x -. b.dh)) in
+      let yhi = fmin b.yh (fmin (b.sh -. x) (x -. b.dl)) in
       let y =
         if ylo > yhi then (ylo +. yhi) /. 2. else Eps.clamp ylo yhi p.y
       in
@@ -287,38 +397,94 @@ let closest_pair a b =
    slicing at those 8 critical t values (plus a uniform fallback) makes
    the hull exact for generic inputs and an inner approximation otherwise,
    which is the safe direction: every returned point is on a true
-   shortest path. *)
-let sdr ?(samples = 9) a b =
+   shortest path.
+
+   The kernel builds each slice's raw bounds in the closure scratch,
+   closes them in place and folds the hull into unboxed locals, so one
+   call allocates only its result.  Slices are taken in a fixed order —
+   the critical t of xh, xl, yh, yl, sh, sl, dh, dl, then the uniform
+   ones from 0 to r — and every float operation keeps the operands and
+   order of inflating, intersecting and hulling octagon values. *)
+
+(* Uniform slices of {!sdr}, both ends included; with the 8 critical
+   ones, 17 slices per SDR. *)
+let sdr_uniform = 9
+
+let[@inline] critical r ha hb = (hb -. ha +. r) /. 2.
+
+let sdr a b =
   let r = dist a b in
   if r <= Eps.tol then inter a b
   else
     match (a, b) with
     | Empty, _ | _, Empty -> Empty
     | O ba, O bb ->
-      let slice t =
-        let t = Eps.clamp 0. r t in
-        inter (inflate t a) (inflate (r -. t) b)
-      in
-      let critical ha hb = (hb -. ha +. r) /. 2. in
-      let critical_ts =
-        [
-          critical ba.xh bb.xh;
-          critical (-.ba.xl) (-.bb.xl);
-          critical ba.yh bb.yh;
-          critical (-.ba.yl) (-.bb.yl);
-          critical ba.sh bb.sh;
-          critical (-.ba.sl) (-.bb.sl);
-          critical ba.dh bb.dh;
-          critical (-.ba.dl) (-.bb.dl);
-        ]
-      in
-      let n = Int.max 2 samples in
-      let uniform_ts =
-        List.init n (fun i -> r *. float_of_int i /. float_of_int (n - 1))
-      in
-      List.fold_left
-        (fun acc t -> hull acc (slice t))
-        Empty (critical_ts @ uniform_ts)
+      let s = Domain.DLS.get scratch_key in
+      let xl = ref 0. and xh = ref 0. and yl = ref 0. and yh = ref 0. in
+      let sl = ref 0. and sh = ref 0. and dl = ref 0. and dh = ref 0. in
+      let hulled = ref false in
+      for k = 0 to 8 + sdr_uniform - 1 do
+        let t =
+          match k with
+          | 0 -> critical r ba.xh bb.xh
+          | 1 -> critical r (-.ba.xl) (-.bb.xl)
+          | 2 -> critical r ba.yh bb.yh
+          | 3 -> critical r (-.ba.yl) (-.bb.yl)
+          | 4 -> critical r ba.sh bb.sh
+          | 5 -> critical r (-.ba.sl) (-.bb.sl)
+          | 6 -> critical r ba.dh bb.dh
+          | 7 -> critical r (-.ba.dl) (-.bb.dl)
+          | i ->
+            r *. float_of_int (i - 8) /. float_of_int (sdr_uniform - 1)
+        in
+        let t = if t < 0. then 0. else if t > r then r else t in
+        let ta = fmax 0. t and tb = fmax 0. (r -. t) in
+        fill s
+          (fmax (ba.xl -. ta) (bb.xl -. tb))
+          (fmin (ba.xh +. ta) (bb.xh +. tb))
+          (fmax (ba.yl -. ta) (bb.yl -. tb))
+          (fmin (ba.yh +. ta) (bb.yh +. tb))
+          (fmax (ba.sl -. ta) (bb.sl -. tb))
+          (fmin (ba.sh +. ta) (bb.sh +. tb))
+          (fmax (ba.dl -. ta) (bb.dl -. tb))
+          (fmin (ba.dh +. ta) (bb.dh +. tb));
+        if close s then begin
+          if !hulled then begin
+            xl := fmin !xl (Float.Array.unsafe_get s 0);
+            xh := fmax !xh (Float.Array.unsafe_get s 1);
+            yl := fmin !yl (Float.Array.unsafe_get s 2);
+            yh := fmax !yh (Float.Array.unsafe_get s 3);
+            sl := fmin !sl (Float.Array.unsafe_get s 4);
+            sh := fmax !sh (Float.Array.unsafe_get s 5);
+            dl := fmin !dl (Float.Array.unsafe_get s 6);
+            dh := fmax !dh (Float.Array.unsafe_get s 7)
+          end
+          else begin
+            hulled := true;
+            xl := Float.Array.unsafe_get s 0;
+            xh := Float.Array.unsafe_get s 1;
+            yl := Float.Array.unsafe_get s 2;
+            yh := Float.Array.unsafe_get s 3;
+            sl := Float.Array.unsafe_get s 4;
+            sh := Float.Array.unsafe_get s 5;
+            dl := Float.Array.unsafe_get s 6;
+            dh := Float.Array.unsafe_get s 7
+          end
+        end
+      done;
+      if !hulled then
+        O
+          {
+            xl = !xl;
+            xh = !xh;
+            yl = !yl;
+            yh = !yh;
+            sl = !sl;
+            sh = !sh;
+            dl = !dl;
+            dh = !dh;
+          }
+      else Empty
 
 let is_point = function
   | Empty -> false
@@ -336,7 +502,7 @@ let y_range = function
    diameter is the larger of the two rotated extents. *)
 let[@inline] diameter = function
   | Empty -> 0.
-  | O b -> Float.max (b.sh -. b.sl) (b.dh -. b.dl)
+  | O b -> fmax (b.sh -. b.sl) (b.dh -. b.dl)
 
 let vertices o =
   match o with

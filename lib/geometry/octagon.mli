@@ -100,9 +100,11 @@ val closest_pair : t -> t -> Pt.t * Pt.t
 (** Shortest-distance region between two octagons: the set of points lying
     on some L1-shortest path between them, i.e.
     [{ p : dist_pt a p + dist_pt b p = dist a b }].  Computed as the hull
-    of [samples] exact slices [(a ⊕ t) ∩ (b ⊕ (D-t))]; an inner
-    approximation that is exact for generic inputs. *)
-val sdr : ?samples:int -> t -> t -> t
+    of 17 exact slices [(a ⊕ t) ∩ (b ⊕ (D-t))] — the 8 critical [t] at
+    which a support of the slice peaks, and 9 uniform ones from 0 to
+    [D] — an inner approximation that is exact for generic inputs.
+    Allocates only its result. *)
+val sdr : t -> t -> t
 
 (** Is the region a single point (within tolerance)? *)
 val is_point : t -> bool

@@ -356,6 +356,14 @@ let test_order_nan_cost_raises () =
   | _ -> Alcotest.fail "a NaN cost was ranked"
   | exception Invalid_argument _ -> ()
 
+(* An empty population used to reach the ranking loop's degenerate
+   fallback and index [node.(-1)]. *)
+let test_engine_empty_leaves () =
+  let inst = mk_instance 4 ~n_groups:1 ~bound:10. in
+  Alcotest.check_raises "named rejection"
+    (Invalid_argument "Order.run_ranked: leaves must be non-empty") (fun () ->
+      ignore (Dme.Engine.plan ~leaves:[||] inst))
+
 (* [Order.cheapest] prices only candidates whose distance can still win,
    yet returns the exhaustive (cost, lowest id) argmin.  Distances sit on
    a coarse lattice so distance and cost ties are common; a price is the
@@ -800,25 +808,129 @@ let test_golden_wirelengths () =
         ("0x1.c8a977fe4209ap+22", 6040, 8150) );
     ]
 
-let test_dedupe_pairs () =
-  let open Dme.Order in
-  Alcotest.(check (list (triple (float 0.) int int)))
-    "empty" [] (dedupe_pairs []);
-  (* Pre-sorted by (i, j, cost): the first entry of each (i, j) run —
-     the cheapest — survives. *)
-  Alcotest.(check (list (triple (float 0.) int int)))
-    "collapses runs to the cheapest"
-    [ (1., 0, 1); (5., 0, 2); (2., 1, 3) ]
-    (dedupe_pairs
-       [ (1., 0, 1); (3., 0, 1); (5., 0, 2); (2., 1, 3); (2., 1, 3) ])
+(* [Order.select_pairs] replaced a list pipeline: sort the proposals by
+   (i, j, cost), keep the first of each (i, j) run, sort by (cost, i, j)
+   and take a disjoint prefix through a hashtable.  That pipeline lives
+   here as the reference; the arrays must pick the same pairs, costs
+   bit for bit. *)
+let reference_select ~ids ~partner ~cost ~limit =
+  let pairs = ref [] in
+  Array.iter
+    (fun i ->
+      let j = partner.(i) in
+      if j >= 0 then
+        pairs := (Float.Array.get cost i, Int.min i j, Int.max i j) :: !pairs)
+    ids;
+  let rec dedupe acc = function
+    | ((_, i1, j1) as p) :: (_, i2, j2) :: rest when i1 = i2 && j1 = j2 ->
+      dedupe acc (p :: rest)
+    | p :: rest -> dedupe (p :: acc) rest
+    | [] -> List.rev acc
+  in
+  let pairs =
+    List.sort
+      (fun (c1, i1, j1) (c2, i2, j2) ->
+        match Int.compare i1 i2 with
+        | 0 -> (match Int.compare j1 j2 with 0 -> Float.compare c1 c2 | c -> c)
+        | c -> c)
+      !pairs
+    |> dedupe []
+    |> List.sort (fun (c1, i1, j1) (c2, i2, j2) ->
+           match Float.compare c1 c2 with
+           | 0 -> (match Int.compare i1 i2 with 0 -> Int.compare j1 j2 | c -> c)
+           | c -> c)
+  in
+  let used = Hashtbl.create 64 and selected = ref [] and taken = ref 0 in
+  List.iter
+    (fun (c, i, j) ->
+      if !taken < limit && (not (Hashtbl.mem used i)) && not (Hashtbl.mem used j)
+      then begin
+        Hashtbl.replace used i ();
+        Hashtbl.replace used j ();
+        selected := (c, i, j) :: !selected;
+        incr taken
+      end)
+    pairs;
+  (List.length pairs, List.rev !selected)
 
-let test_dedupe_pairs_large () =
-  (* Regression: the former non-tail recursion overflowed the stack at
-     Gen.Huge-scale pair counts. *)
-  let n = 400_000 in
-  let pairs = List.init n (fun i -> (float_of_int i, i, i + 1)) in
-  Alcotest.(check int) "all distinct pairs survive" n
-    (List.length (Dme.Order.dedupe_pairs pairs))
+let same_selection (r1, s1) (r2, s2) =
+  r1 = r2
+  && List.equal
+       (fun (c1, i1, j1) (c2, i2, j2) ->
+         Int64.equal (Int64.bits_of_float c1) (Int64.bits_of_float c2)
+         && i1 = i2 && j1 = j2)
+       s1 s2
+
+let select ~ids ~partner ~cost ~limit =
+  let used = Bytes.make (Array.length partner) '\000' in
+  let ranked, picks = Dme.Order.select_pairs ~ids ~partner ~cost ~used ~limit in
+  (ranked, Array.to_list picks)
+
+(* Proposal sets over a sparse ascending id set, like a late round's
+   survivors.  Costs come from a small lattice with both zeros, so equal
+   costs, mutual proposals at unequal costs and exact ties all occur. *)
+let gen_proposals =
+  QCheck.Gen.(
+    let* n = int_range 0 40 in
+    let* gaps = list_repeat n (int_range 1 3) in
+    let ids =
+      List.fold_left (fun (id, acc) g -> (id + g, id :: acc)) (0, []) gaps
+      |> snd |> List.rev |> Array.of_list
+    in
+    let cap = if n = 0 then 1 else ids.(n - 1) + 1 in
+    let partner = Array.make cap (-1) and cost = Float.Array.make cap Float.nan in
+    let* picks =
+      list_repeat n
+        (pair (int_range (-1) (n - 1)) (oneofl [ -0.; 0.; 0.5; 1.; 1.5; 2. ]))
+    in
+    List.iteri
+      (fun k (p, c) ->
+        if p >= 0 && p <> k then begin
+          partner.(ids.(k)) <- ids.(p);
+          Float.Array.set cost ids.(k) c
+        end)
+      picks;
+    let* limit = oneof [ return 1; int_range 1 (Int.max 1 n) ] in
+    return (ids, partner, cost, limit))
+
+let prop_select_pairs_matches_lists =
+  QCheck.Test.make ~name:"select_pairs = list pipeline" ~count:1000
+    (QCheck.make gen_proposals) (fun (ids, partner, cost, limit) ->
+      same_selection
+        (select ~ids ~partner ~cost ~limit)
+        (reference_select ~ids ~partner ~cost ~limit))
+
+let test_select_pairs_cases () =
+  let ids = [| 0; 1; 2; 3; 5 |] in
+  let partner = [| 1; 0; 3; 2; -1; 2 |] in
+  let cost = Float.Array.of_list [ 3.; 2.; 1.; 1.; nan; 0.5 ] in
+  let check name limit expected =
+    let ranked, picks = select ~ids ~partner ~cost ~limit in
+    Alcotest.(check int) (name ^ ": ranked") 3 ranked;
+    Alcotest.(check (list (triple (float 0.) int int))) name expected picks
+  in
+  (* (0, 1) is mutual at 3 and 2: ranked once, at 2.  (2, 3) is mutual at
+     an exact tie.  5 proposes 2, which 2 does not reciprocate. *)
+  check "multi-merge" 10 [ (0.5, 2, 5); (2., 0, 1) ];
+  check "limit 1" 1 [ (0.5, 2, 5) ];
+  (* A mutual tie keeps the higher id's cost, which differs only in the
+     sign of a zero. *)
+  let cost = Float.Array.of_list [ 0.; -0. ] in
+  let _, picks = select ~ids:[| 0; 1 |] ~partner:[| 1; 0 |] ~cost ~limit:1 in
+  Alcotest.(check bool) "tie keeps the higher id's zero" true
+    (match picks with [ (c, 0, 1) ] -> Float.sign_bit c | _ -> false)
+
+let test_select_pairs_large () =
+  (* 10^5 proposals in mutual couples at unequal costs: no recursion
+     deep enough to overflow the stack, and the list reference agrees. *)
+  let n = 100_000 in
+  let ids = Array.init n Fun.id in
+  let partner = Array.init n (fun i -> if i mod 2 = 0 then i + 1 else i - 1) in
+  let cost = Float.Array.init n (fun i -> float_of_int (i mod 7)) in
+  let got = select ~ids ~partner ~cost ~limit:(n / 4) in
+  Alcotest.(check bool) "matches the list pipeline" true
+    (same_selection got (reference_select ~ids ~partner ~cost ~limit:(n / 4)));
+  Alcotest.(check int) "one ranked pair per reciprocated couple" (n / 2) (fst got)
 
 let prop_engine_respects_bound =
   let gen =
@@ -1020,13 +1132,20 @@ let () =
             test_order_three_sink_endgame;
           Alcotest.test_case "knn=0 clamped" `Quick test_order_knn_zero_clamped;
           Alcotest.test_case "NaN cost raises" `Quick test_order_nan_cost_raises;
-          Alcotest.test_case "dedupe pairs" `Quick test_dedupe_pairs;
-          Alcotest.test_case "dedupe pairs large (stack safety)" `Quick
-            test_dedupe_pairs_large;
+          Alcotest.test_case "select_pairs cases" `Quick test_select_pairs_cases;
+          Alcotest.test_case "select_pairs large (stack safety)" `Quick
+            test_select_pairs_large;
+          Alcotest.test_case "empty leaves rejected" `Quick
+            test_engine_empty_leaves;
           Alcotest.test_case "settle widens on a tie at the bound" `Quick
             test_settle_widens_on_tie;
         ]
-        @ qsuite [ prop_cheapest_matches_exhaustive; prop_settle_matches_full_probe ] );
+        @ qsuite
+            [
+              prop_cheapest_matches_exhaustive;
+              prop_settle_matches_full_probe;
+              prop_select_pairs_matches_lists;
+            ] );
       ( "embed",
         [
           Alcotest.test_case "valid tree" `Quick test_embed_valid_tree;

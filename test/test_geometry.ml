@@ -257,6 +257,287 @@ let prop_sdr_points_on_shortest_paths =
              <= 1e-4)
            (Octagon.center s :: Octagon.vertices s))
 
+(* --- octagon kernel bit-exactness ------------------------------------------ *)
+
+(* The octagon kernel as it stood before it was unboxed: the closure on a
+   looped 4x4 matrix, [inter]/[inflate]/[hull] on bounds records with the
+   stdlib [Float.min]/[Float.max], and [sdr] as a fold over a list of 17
+   slices.  [None] is the empty octagon.  The unboxed kernel must agree
+   with it bit for bit, signed zeros and infinities included. *)
+module Ref_octagon = struct
+  type b = Octagon.bounds = {
+    xl : float;
+    xh : float;
+    yl : float;
+    yh : float;
+    sl : float;
+    sh : float;
+    dl : float;
+    dh : float;
+  }
+
+  let bar i = i lxor 1
+
+  let closure b =
+    let inf = Float.infinity in
+    let m = Float.Array.make 16 inf in
+    let get i j = Float.Array.get m ((i * 4) + j) in
+    let set i j v = Float.Array.set m ((i * 4) + j) v in
+    for i = 0 to 3 do
+      set i i 0.
+    done;
+    let tighten i j v = if v < get i j then set i j v in
+    tighten 0 1 (2. *. b.xh);
+    tighten 1 0 (-2. *. b.xl);
+    tighten 2 3 (2. *. b.yh);
+    tighten 3 2 (-2. *. b.yl);
+    tighten 0 3 b.sh;
+    tighten 2 1 b.sh;
+    tighten 1 2 (-.b.sl);
+    tighten 3 0 (-.b.sl);
+    tighten 0 2 b.dh;
+    tighten 3 1 b.dh;
+    tighten 2 0 (-.b.dl);
+    tighten 1 3 (-.b.dl);
+    for k = 0 to 3 do
+      for i = 0 to 3 do
+        for j = 0 to 3 do
+          let via = get i k +. get k j in
+          if via < get i j then set i j via
+        done
+      done
+    done;
+    for i = 0 to 3 do
+      for j = 0 to 3 do
+        let v = (get i (bar i) +. get (bar j) j) /. 2. in
+        if v < get i j then set i j v
+      done
+    done;
+    let tol = Geometry.Eps.tol in
+    if get 0 0 < -.tol || get 1 1 < -.tol || get 2 2 < -.tol || get 3 3 < -.tol
+    then None
+    else
+      Some
+        {
+          xl = -.(get 1 0) /. 2.;
+          xh = get 0 1 /. 2.;
+          yl = -.(get 3 2) /. 2.;
+          yh = get 2 3 /. 2.;
+          sl = -.(get 1 2);
+          sh = get 0 3;
+          dl = -.(get 2 0);
+          dh = get 0 2;
+        }
+
+  let inter a b =
+    match (a, b) with
+    | None, _ | _, None -> None
+    | Some a, Some b ->
+      closure
+        {
+          xl = Float.max a.xl b.xl;
+          xh = Float.min a.xh b.xh;
+          yl = Float.max a.yl b.yl;
+          yh = Float.min a.yh b.yh;
+          sl = Float.max a.sl b.sl;
+          sh = Float.min a.sh b.sh;
+          dl = Float.max a.dl b.dl;
+          dh = Float.min a.dh b.dh;
+        }
+
+  let hull a b =
+    match (a, b) with
+    | None, o | o, None -> o
+    | Some a, Some b ->
+      Some
+        {
+          xl = Float.min a.xl b.xl;
+          xh = Float.max a.xh b.xh;
+          yl = Float.min a.yl b.yl;
+          yh = Float.max a.yh b.yh;
+          sl = Float.min a.sl b.sl;
+          sh = Float.max a.sh b.sh;
+          dl = Float.min a.dl b.dl;
+          dh = Float.max a.dh b.dh;
+        }
+
+  let inflate r o =
+    let r = Float.max 0. r in
+    Option.map
+      (fun b ->
+        {
+          xl = b.xl -. r;
+          xh = b.xh +. r;
+          yl = b.yl -. r;
+          yh = b.yh +. r;
+          sl = b.sl -. r;
+          sh = b.sh +. r;
+          dl = b.dl -. r;
+          dh = b.dh +. r;
+        })
+      o
+
+  let dist a b =
+    let g = b.xl -. a.xh in
+    let g = Float.max g (a.xl -. b.xh) in
+    let g = Float.max g (b.yl -. a.yh) in
+    let g = Float.max g (a.yl -. b.yh) in
+    let g = Float.max g (b.sl -. a.sh) in
+    let g = Float.max g (a.sl -. b.sh) in
+    let g = Float.max g (b.dl -. a.dh) in
+    let g = Float.max g (a.dl -. b.dh) in
+    Float.max 0. g
+
+  let sdr ba bb =
+    let a = Some ba and b = Some bb in
+    let r = dist ba bb in
+    if r <= Geometry.Eps.tol then inter a b
+    else
+      let slice t =
+        let t = Geometry.Eps.clamp 0. r t in
+        inter (inflate t a) (inflate (r -. t) b)
+      in
+      let critical ha hb = (hb -. ha +. r) /. 2. in
+      let critical_ts =
+        [
+          critical ba.xh bb.xh;
+          critical (-.ba.xl) (-.bb.xl);
+          critical ba.yh bb.yh;
+          critical (-.ba.yl) (-.bb.yl);
+          critical ba.sh bb.sh;
+          critical (-.ba.sl) (-.bb.sl);
+          critical ba.dh bb.dh;
+          critical (-.ba.dl) (-.bb.dl);
+        ]
+      in
+      let uniform_ts = List.init 9 (fun i -> r *. float_of_int i /. 8.) in
+      List.fold_left
+        (fun acc t -> hull acc (slice t))
+        None (critical_ts @ uniform_ts)
+end
+
+let same_bits (a : Octagon.bounds option) (b : Octagon.bounds option) =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+    List.for_all2
+      (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+      [ a.xl; a.xh; a.yl; a.yh; a.sl; a.sh; a.dl; a.dh ]
+      [ b.xl; b.xh; b.yl; b.yh; b.sl; b.sh; b.dl; b.dh ]
+  | _ -> false
+
+let pp_bounds_opt ppf = function
+  | None -> Format.fprintf ppf "<empty>"
+  | Some (b : Octagon.bounds) ->
+    Format.fprintf ppf "{%h %h %h %h %h %h %h %h}" b.xl b.xh b.yl b.yh b.sl b.sh
+      b.dl b.dh
+
+(* Half-unit lattice values, both zeros among them, so that equal sums,
+   ties between operands and signed-zero results are common. *)
+let lattice =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return (-0.));
+        (8, int_range (-12) 12 >|= fun k -> float_of_int k /. 2.);
+      ])
+
+(* A raw bound: mostly lattice, sometimes absent (infinite) or nudged
+   by about the closure tolerance, which puts the emptiness test right
+   at its threshold. *)
+let raw_bound =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, lattice);
+        (1, oneofl [ Float.infinity; Float.neg_infinity ]);
+        ( 2,
+          map2 ( +. ) lattice
+            (oneofl [ 4e-7; -4e-7; 5e-7; 1e-6; -1e-6; 3e-6 ]) );
+      ])
+
+let gen_raw_bounds =
+  QCheck.Gen.(
+    let* xl = raw_bound and* xh = raw_bound in
+    let* yl = raw_bound and* yh = raw_bound in
+    let* sl = raw_bound and* sh = raw_bound in
+    let* dl = raw_bound and* dh = raw_bound in
+    return Octagon.{ xl; xh; yl; yh; sl; sh; dl; dh })
+
+(* A near-degenerate box: the lower bounds just above the upper ones,
+   empty or not depending on the tolerance test. *)
+let gen_near_empty =
+  QCheck.Gen.(
+    let* x = lattice and* y = lattice in
+    let* dx = oneofl [ 0.; 2e-7; 5e-7; 6e-7; 2e-6 ] in
+    let* dy = oneofl [ 0.; 2e-7; 5e-7; 6e-7; 2e-6 ] in
+    return
+      Octagon.
+        {
+          xl = x +. dx;
+          xh = x;
+          yl = y +. dy;
+          yh = y;
+          sl = Float.neg_infinity;
+          sh = Float.infinity;
+          dl = Float.neg_infinity;
+          dh = Float.infinity;
+        })
+
+let of_raw (b : Octagon.bounds) =
+  Octagon.of_bounds ~xl:b.xl ~xh:b.xh ~yl:b.yl ~yh:b.yh ~sl:b.sl ~sh:b.sh ~dl:b.dl
+    ~dh:b.dh
+
+let lattice_pt = QCheck.Gen.map2 pt lattice lattice
+
+(* Octagons of every shape the router builds: lattice points, boxes
+   (infinite s/d bounds), octilinear segments, balls, closed raw bounds
+   (possibly empty or near-empty) and hulls of random points. *)
+let gen_kernel_oct =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, lattice_pt >|= Octagon.of_point);
+        (2, map2 Octagon.box lattice_pt lattice_pt);
+        ( 2,
+          let* p = lattice_pt and* d = lattice in
+          let* dir = oneofl [ (1., 0.); (0., 1.); (1., 1.); (1., -1.) ] in
+          let q = pt (p.x +. (d *. fst dir)) (p.y +. (d *. snd dir)) in
+          return (Octagon.of_segment p q)
+        );
+        (1, map2 Octagon.ball lattice_pt (lattice >|= Float.abs));
+        (2, gen_raw_bounds >|= of_raw);
+        (1, gen_near_empty >|= of_raw);
+        (1, gen_oct_with_pts >|= fst);
+      ])
+
+let arb_kernel_pair =
+  QCheck.make
+    ~print:(fun (a, b) -> Format.asprintf "%a / %a" Octagon.pp a Octagon.pp b)
+    QCheck.Gen.(pair gen_kernel_oct gen_kernel_oct)
+
+let prop_of_bounds_bit_exact =
+  QCheck.Test.make ~name:"of_bounds = looped closure, bit for bit" ~count:2000
+    (QCheck.make
+       ~print:(fun b -> Format.asprintf "%a" pp_bounds_opt (Some b))
+       QCheck.Gen.(frequency [ (3, gen_raw_bounds); (1, gen_near_empty) ]))
+    (fun b -> same_bits (Octagon.bounds (of_raw b)) (Ref_octagon.closure b))
+
+let prop_inter_bit_exact =
+  QCheck.Test.make ~name:"inter = looped closure, bit for bit" ~count:2000
+    arb_kernel_pair (fun (a, b) ->
+      same_bits
+        (Octagon.bounds (Octagon.inter a b))
+        (Ref_octagon.inter (Octagon.bounds a) (Octagon.bounds b)))
+
+let prop_sdr_bit_exact =
+  QCheck.Test.make ~name:"sdr = list of 17 slices, bit for bit" ~count:2000
+    arb_kernel_pair (fun (a, b) ->
+      match (Octagon.bounds a, Octagon.bounds b) with
+      | Some ba, Some bb ->
+        same_bits (Octagon.bounds (Octagon.sdr a b)) (Ref_octagon.sdr ba bb)
+      | _ -> QCheck.assume_fail ())
+
 let prop_diameter =
   QCheck.Test.make ~name:"diameter bounds generating point spread" ~count:300
     arb_oct_with_pts (fun (o, pts) ->
@@ -870,6 +1151,10 @@ let () =
             prop_hull_monotone;
             prop_translate_preserves_dist;
           ] );
+      ( "octagon-kernel",
+        qsuite
+          [ prop_of_bounds_bit_exact; prop_inter_bit_exact; prop_sdr_bit_exact ]
+      );
       ( "octslab",
         Alcotest.test_case "signed zeros" `Quick test_octslab_signed_zero
         :: qsuite [ prop_octslab_matches_octagon ] );
