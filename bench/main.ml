@@ -14,8 +14,9 @@
 
    "smoke" is the deterministic ranking gate: it routes one circuit
    (default r3) and fails unless the probes ran between 1 and 1.25 grid
-   k-NN queries each, visited at most 25 grid cells each, priced at
-   most 2 candidates each and allocated at most 400 minor words each,
+   k-NN queries each, visited at most 18 grid cells each (and at least
+   one per query), priced at most 2 candidates each and allocated at
+   most 160 minor words each,
    and that Octagon.sdr allocates at most 32 minor words a call; then
    it gates the clustered router on a second circuit (default r5:
    clusters=1 must equal flat bit-for-bit and the auto-clustered tree
@@ -203,23 +204,29 @@ let smoke args =
        unseen candidate able to win (Order.settle), so queries run
        between one and about 1.1 per probe on r3; a probe that always
        widened to the full k would read 3, so 1.25 catches a lost bound.
-       Re-celling keeps each query near its neighbours, and the narrow
-       first query scans fewer of them: r3 visits about 18 cells per
-       probe, the full-k probe about 37 and a grid sized once for the
-       leaves about 80, so 25 catches either regression.  Counts are
-       deterministic, so this cannot flake on slow runners. *)
+       Sizing each round's snapshot cell for its population keeps a
+       query near its neighbours, and the narrow first query scans fewer
+       of them: r3 visits about 12.1 cells per probe, the full-k probe
+       26.8 and a snapshot sized once for the leaves 28.2, so 18
+       catches either regression.  Every query charges at least its own
+       cell, so fewer cells than queries means the kernel stopped
+       charging the counter, which would pass the 18-cell budget by
+       reading 0.  Counts are deterministic, so this cannot flake on
+       slow runners. *)
     let queries_per_probe_budget = 1.25 in
-    let cells_per_probe_budget = 25. in
+    let cells_per_probe_budget = 18. in
     (* Allocation gates.  A ranking probe allocates a bounded number of
-       minor words: r3 reads about 263 per probe with the unboxed
-       octagon closure and SDR, the closure-free k-NN ring scan and the
-       flat pair selection, against 630 before them (and 7500 before the
-       slab rewrite), so 400 catches any one of those kernels boxing
-       again.  [Octagon.sdr] allocates only its result (11 words), so 32
-       per call over r3's consecutive leaf-region pairs catches a boxed
-       slice or hull.  Allocation counts are deterministic per domain,
+       minor words: r3 reads about 118 per probe with the round's packed
+       k-NN snapshot, per-chunk coster sessions and closures, proposals
+       written into id-indexed arrays and sorting in reused scratch,
+       against 263 before them, 630 before the unboxed octagon kernels
+       and 7500 before the slab rewrite.  160 is 1.35 times the reading;
+       opening a coster session and its closures per probe again reads
+       170 and fails it.  [Octagon.sdr] allocates only its result (11
+       words), so 32 per call over r3's consecutive leaf-region pairs
+       catches a boxed slice or hull.  Allocation counts are deterministic per domain,
        so like the counters above these cannot flake on slow runners. *)
-    let words_per_probe_budget = 400. in
+    let words_per_probe_budget = 160. in
     let sdr_words_budget = 32. in
     let sdr_words =
       let regions =
@@ -264,6 +271,9 @@ let smoke args =
       fail
         (Printf.sprintf "%d k-NN queries for %d probes exceeds %.2f per probe"
            queries probes queries_per_probe_budget);
+    if cells < queries then
+      fail
+        (Printf.sprintf "%d cells visited for %d k-NN queries" cells queries);
     if cells_per_probe > cells_per_probe_budget then
       fail
         (Printf.sprintf "%.1f cells visited per probe exceeds the %.0f budget"

@@ -104,6 +104,23 @@ let bbox t =
     (fun acc (s : Sink.t) -> Geometry.Octagon.hull acc (Geometry.Octagon.of_point s.loc))
     Geometry.Octagon.empty t.sinks
 
+(* [Octagon.diameter (bbox t)] without building a hull per sink: the
+   same min/max folds over the rotated coordinates, accumulator first,
+   and the same final subtraction. *)
+let diameter t =
+  let p0 = t.sinks.(0).loc in
+  let sl = ref (Geometry.Pt.s p0) and dl = ref (Geometry.Pt.d p0) in
+  let sh = ref !sl and dh = ref !dl in
+  for i = 1 to Array.length t.sinks - 1 do
+    let p = t.sinks.(i).loc in
+    let s = Geometry.Pt.s p and d = Geometry.Pt.d p in
+    sl := Float.min !sl s;
+    sh := Float.max !sh s;
+    dl := Float.min !dl d;
+    dh := Float.max !dh d
+  done;
+  Float.max (!sh -. !sl) (!dh -. !dl)
+
 let pp ppf t =
   Format.fprintf ppf "%d sinks, %d groups, bound %gps, %a" (n_sinks t)
     t.n_groups t.bound Rc.Wire.pp t.params

@@ -61,4 +61,8 @@ val group_sizes : t -> int array
 (** Axis-aligned bounding box of the sink locations. *)
 val bbox : t -> Geometry.Octagon.t
 
+(** L1 diameter of the sink locations: [Octagon.diameter (bbox t)], bit
+    for bit, in one allocation-free O(n) pass. *)
+val diameter : t -> float
+
 val pp : Format.formatter -> t -> unit

@@ -10,9 +10,10 @@
     so a 10^6-sink instance gets ~1000 regions stitched through two
     levels instead of one 1000-ary merge.  The per-region work is
     embarrassingly parallel (each region plan owns a private arena and
-    {!Geometry.Grid_index} shard and is a pure function of its
-    sub-instance), every stitch level plans over the {e global}
-    instance (global bbox drives the penalty and grid-cell scales),
+    packs its own per-round {!Geometry.Grid_index.snapshot}, and is a
+    pure function of its sub-instance), every stitch level plans over
+    the {e global} instance (the global diameter drives the penalty and
+    grid-cell scales),
     and each stitch sees exact per-group delay intervals, so
     the associative skew bound is enforced across region boundaries
     exactly as within them — the stitched tree goes through the same

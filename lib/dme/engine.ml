@@ -54,20 +54,22 @@ let c_trials = Obs.Counter.make "dme.engine.trial_merges"
 let c_elided = Obs.Counter.make "dme.engine.trial_elided"
 let c_committed = Obs.Counter.make "dme.engine.committed_merges"
 
-(* Side results of one ranking probe, carried back to the main domain:
-   how many trial merges it ran and how many priced candidates it
-   answered without one.  A pure function of the probe's subtree and the
-   round-start state, so identical for any jobs count. *)
+(* Side results of one coster session — a chunk of a round's ranking
+   probes — carried back to the main domain: how many trial merges its
+   probes ran and how many priced candidates they answered without one.
+   Each probe's share is a pure function of its subtree and the
+   round-start state, and the counts only ever get summed, so the totals
+   are identical for any jobs count and chunking. *)
 type note = { n_trials : int; n_elided : int }
 
 (* Penalty added to an infeasible candidate's cost: big enough to
    dominate every honest cost, and proportional to the instance extent
    so a rescaled layout ranks bit-identically — adding an absolute
    constant would float-absorb small cost differences at one coordinate
-   scale and preserve them at another.  A zero-extent instance has
-   every honest cost 0, so any positive penalty separates. *)
-let infeasible_penalty inst =
-  let d = Geometry.Octagon.diameter (Clocktree.Instance.bbox inst) in
+   scale and preserve them at another.  [d] is the instance's L1
+   diameter.  A zero-extent instance has every honest cost 0, so any
+   positive penalty separates. *)
+let infeasible_penalty d =
   if d > 0. then 1e9 *. d else 1.
 
 (* The ranking cost of candidate pair [(a, b)] at region distance [dist]
@@ -108,7 +110,8 @@ let run_merge config inst ~id a b =
     ~id a b
 
 let cost config inst ~dist a b =
-  pair_cost config inst ~penalty:(infeasible_penalty inst)
+  pair_cost config inst
+    ~penalty:(infeasible_penalty (Clocktree.Instance.diameter inst))
     ~trial:(run_merge config inst ~id:(-1))
     ~elide:ignore ~dist a b
 
@@ -140,9 +143,14 @@ let plan ?(config = default) ?(run = Obs.Run.null) ?pool ?leaves inst =
   let trial_merges = ref 0 in
   let elided = ref 0 in
   let run_merge = run_merge config inst in
-  let penalty = infeasible_penalty inst in
-  (* One ranking probe's cost evaluator.  It only reads shared state, so
-     it is safe on worker domains; its counts ride back in the note. *)
+  (* The instance's L1 diameter scales the penalty and the delay bias.
+     [Instance.diameter] is an O(n) fold, and a stitch plan's instance
+     holds every sink, so it is computed once per plan. *)
+  let diameter = Clocktree.Instance.diameter inst in
+  let penalty = infeasible_penalty diameter in
+  (* One session's cost evaluator, shared by a chunk of ranking probes.
+     It only reads shared state, so it is safe on worker domains; its
+     counts ride back in the note. *)
   let session () =
     let n_trials = ref 0 and n_elided = ref 0 in
     let trial a b =
@@ -213,11 +221,11 @@ let plan ?(config = default) ?(run = Obs.Run.null) ?pool ?leaves inst =
   let delay_order_weight =
     if config.delay_order_weight = 0. then 0.
     else begin
-      let d = Geometry.Octagon.diameter (Clocktree.Instance.bbox inst) in
       let die_delay =
-        Rc.Elmore.wire_delay inst.Clocktree.Instance.params ~len:d ~load:0.
+        Rc.Elmore.wire_delay inst.Clocktree.Instance.params ~len:diameter ~load:0.
       in
-      if die_delay > 0. then config.delay_order_weight *. d /. die_delay else 0.
+      if die_delay > 0. then config.delay_order_weight *. diameter /. die_delay
+      else 0.
     end
   in
   let order_config =

@@ -2,32 +2,33 @@
     multi-merge rounds (§V.F enhancement 1) and optional delay-target
     biasing (§V.F enhancement 2).
 
-    Each round snapshots the active subtrees sorted by id, computes every
-    subtree's cheapest merge partner among its [knn] grid candidates —
-    in parallel chunks when a {!Par.Pool} is supplied — then ranks the
-    proposed pairs by cost (the two proposals of an unordered pair count
-    once, at the cheaper one) and greedily merges a disjoint prefix
-    ({!select_pairs}).  Probing is read-only with respect to every shared
-    structure and the partner choice tie-breaks on the lowest subtree id,
-    so the selected merges — and hence the routed tree — are bit-identical
-    for any jobs count.
+    Each round takes the active subtrees in ascending id order, packs
+    their centers into one read-only {!Geometry.Grid_index.snapshot}
+    with the cell sized for that population, computes every subtree's
+    cheapest merge partner among its [knn] grid candidates — in parallel
+    chunks when a {!Par.Pool} is supplied — then ranks the proposed
+    pairs by cost (the two proposals of an unordered pair count once, at
+    the cheaper one) and greedily merges a disjoint prefix
+    ({!select_pairs}).  Probing is read-only with respect to every
+    shared structure and the partner choice tie-breaks on the lowest
+    subtree id, so the selected merges — and hence the routed tree — are
+    bit-identical for any jobs count.
 
-    Every round probes every active subtree from scratch.  Candidates
-    come from a {!Geometry.Grid_index} over subtree centers, whose k-NN
-    answer is ordered by (distance, id) and so depends only on the alive
-    population; the grid is rebuilt with a larger cell whenever the
-    population has shrunk to a quarter of the one its cell was sized
-    for, which changes how many cells a query scans but never its
-    answer (DESIGN.md section 22).
+    Every round probes every active subtree from scratch.  The
+    snapshot's k-NN answer is ordered by (distance, id) and so depends
+    only on the alive population, never on the cell the round sized
+    (DESIGN.md sections 22 and 28).
 
-    A probe asks the grid for [max 1 (knn / 4)] candidates first and
-    doubles the query, up to [knn], only while an exact bound leaves an
-    unseen candidate able to win: every subtree's region lies within its
-    L1 radius of its center, so a candidate beyond the k-NN exclusion
-    bound [kth] has region distance — and, by the {!coster} contract,
-    cost — at least [kth] minus the two radii.  The partner, every
-    priced candidate and hence the tree are the full-[knn] probe's
-    (DESIGN.md section 25). *)
+    A probe ({!settle}) asks the snapshot for [max 1 (knn / 4)]
+    candidates first and doubles the query, up to [knn], only while an
+    exact bound leaves an unseen candidate able to win: every subtree's
+    region lies within its L1 radius of its center, so a candidate
+    beyond the k-NN exclusion bound [kth] has region distance — and, by
+    the {!coster} contract, cost — at least [kth] minus the two radii.
+    The partner, every priced candidate and hence the tree are the
+    full-[knn] probe's (DESIGN.md section 25).  A probe writes its
+    proposal into id-indexed arrays and allocates no closure, session or
+    result of its own. *)
 
 type config = {
   multi_merge : bool;
@@ -42,13 +43,16 @@ type config = {
 val default : config
 
 (** How ranking evaluates merge costs.  [session] is called once per
-    nearest-neighbour probe — on a worker domain during parallel rounds —
-    and returns the cost function for that probe plus a finisher whose
-    ['note] carries any side results the probe produced (for the DME
-    engine: its trial-merge and elided-trial counts).
-    The cost function must not mutate shared state; [absorb] is called
-    for every probe's note on the calling domain, in ascending
-    subtree-id order, before any merge of the round is committed.
+    chunk of a round's probes — a contiguous run of them in ascending
+    subtree-id order, on a worker domain during parallel rounds — and
+    returns the cost function for those probes plus a finisher whose
+    ['note] carries any side results they produced (for the DME engine:
+    its trial-merge and elided-trial counts).  The cost function must not
+    mutate shared state; [absorb] is called for every session's note on
+    the calling domain, in chunk order, before any merge of the round is
+    committed.  How a round is cut into chunks depends on the pool, so a
+    coster's absorbed totals must not depend on it: sums of per-probe
+    counts, as the engine's are, qualify.
 
     Contract: the cost of a pair is never below its region distance
     [dist] ([Octagon.dist] of the two regions) and never NaN.  A probe
@@ -111,6 +115,11 @@ type round_info = {
   wall_s : float;
 }
 
+(** One round's proposals, indexed by proposer id: the proposed
+    [partner] ([-1] for none), its [cost] and the k-NN [queries] the
+    probe ran.  {!settle} writes a probe's three slots. *)
+type proposals = { partner : int array; cost : floatarray; queries : int array }
+
 (** [select_pairs ~ids ~partner ~cost ~used ~limit] is one round's pair
     selection: [(ranked, selected)].  The probed subtree ids are [ids];
     [partner.(i)] is the partner [i] proposes ([-1] for none), itself one
@@ -120,8 +129,9 @@ type round_info = {
     pairs.  [selected] lists pairs [(cost, i, j)], [i < j], in (cost, i,
     j) order: the greedy disjoint prefix of at most [limit] ranked pairs
     that touch no id marked in [used].  Selected ids are marked in
-    [used], which covers every id.  Allocates no more than a few words per
-    id and never recurses; exposed for testing. *)
+    [used], which covers every id.  Sorts in per-domain scratch, so it
+    allocates only its result, and never recurses; exposed for
+    testing. *)
 val select_pairs :
   ids:int array ->
   partner:int array ->
@@ -147,26 +157,27 @@ val cheapest :
   price:(int -> float -> float) ->
   int * float
 
-(** [settle grid buf ~skip q ~knn ~rad ~rmax ~dist ~price] is one
-    probe's widening search: the [(partner, cost, queries)] that
-    {!cheapest} finds over the [knn] entries of [grid] nearest to [q]
-    (ignoring ids satisfying [skip]) — [(-1, infinity, _)] when none is
-    eligible — and the number of {!Geometry.Grid_index.knn_into}
-    queries it ran into [buf].  It queries [max 1 (knn / 4)] entries
-    first, prices them, and doubles the query up to [knn] until the
-    answer is exhaustive or its exclusion bound [kth] satisfies
-    [kth - rad - rmax - margin > best], the margin absorbing
-    floating-point rounding.  Sound when [dist] is the support-gap
-    distance of the two regions ({!Geometry.Octslab.dist}), every
-    eligible entry's region lies within [rmax] of its point and the
-    probed subtree's within [rad] of [q] (L1), and [price] meets the
-    {!cheapest} contract: an unseen candidate then costs more than the
-    best.  A wider answer
-    starts with the previous one, so pricing resumes where it stopped
-    and no candidate is priced twice.  The ranking probe; exposed for
-    testing. *)
+(** [settle snap buf ~skip q ~knn ~rad ~rmax ~dist ~price props id] is
+    one probe's widening search: it writes to [props]' slots [id] the
+    partner and cost that {!cheapest} finds over the [knn] entries of
+    [snap] nearest to [q] (ignoring ids satisfying [skip]) — [-1] at
+    [infinity] when none is eligible — and the number of
+    {!Geometry.Grid_index.query} calls it ran into [buf].  It queries
+    [max 1 (knn / 4)] entries first, prices them, and doubles the query
+    up to [knn] until the answer is exhaustive or its exclusion bound
+    [kth] satisfies [kth - rad - rmax - margin > best], the margin
+    absorbing floating-point rounding.  Sound when [dist] is the
+    support-gap distance of the two regions
+    ({!Geometry.Octslab.dist}), every eligible entry's region lies
+    within [rmax] of its point and the probed subtree's within [rad] of
+    [q] (L1), and [price] meets the {!cheapest} contract: an unseen
+    candidate then costs more than the best.  A wider answer starts
+    with the previous one, so pricing resumes where it stopped and no
+    candidate is priced twice.  The running best lives in
+    [props.cost.(id)], so the search allocates nothing of its own.  The
+    ranking probe; exposed for testing. *)
 val settle :
-  'a Geometry.Grid_index.t ->
+  Geometry.Grid_index.snapshot ->
   Geometry.Grid_index.knn ->
   skip:(int -> bool) ->
   Geometry.Pt.t ->
@@ -175,12 +186,15 @@ val settle :
   rmax:float ->
   dist:(int -> float) ->
   price:(int -> float -> float) ->
-  int * float * int
+  proposals ->
+  int ->
+  unit
 
 (** [run_ranked ?pool ?run ?on_round ?leaves inst config ~coster
     ~merger] reduces the sink set to one subtree, running
     [merger.compute] for every selected pair and [merger.install] on the
-    calling domain in selection order.  With [pool], candidate probing
+    calling domain in selection order; [install] must return the
+    subtree built under the id [compute] was given.  With [pool], candidate probing
     and the selected merges' computations run on the pool's domains;
     results are deterministic and identical to the serial run.  With
     [run.trace] enabled, each round emits a span (with probe/commit

@@ -5,36 +5,41 @@
     stored representative points (L1); callers refine candidates with
     exact region distances.
 
-    Storage is a dense window of cells over the bounding box of the
-    points added, one word per cell until the cell is first occupied, so
-    memory grows with the box's area in cells.  Each occupied cell's
-    bucket is structure-of-arrays — ids and unboxed x/y coordinates in
-    parallel arrays, values beside them only for the list wrappers — so
-    the k-NN kernel {!knn_into} scans entries without touching a boxed
-    point.  Every answer is ordered by ascending (L1 distance, id): it
-    is a function of the stored (id, point) set and the query alone, so
-    two indexes holding the same entries answer identically whatever
-    their cell sizes or mutation histories.  A non-finite point has no
-    cell: {!add}, {!remove} and any query that scans the grid raise
+    The index is a read-only {e snapshot}: {!pack} sorts a set of
+    (id, point) entries by cell into one compressed layout — one start
+    offset per cell of the window the entries span, then ids and
+    unboxed x/y coordinates contiguous in cell order — so a row of cells
+    is one contiguous range and the k-NN kernel {!query} scans entries
+    without touching a boxed point.  A merge round packs its active
+    subtree centers once, with the cell sized for that population, and
+    every probe of the round reads the same snapshot.  The list API
+    ({!create}, {!add}, {!remove}, {!k_nearest_probe}, ...) is a thin
+    builder over it that re-packs on the first query after a mutation.
+
+    Every answer is ordered by ascending (L1 distance, id): it is a
+    function of the packed (id, point) set and the query alone, so two
+    snapshots holding the same entries answer identically whatever their
+    cell sizes or packing order.  A non-finite point has no cell:
+    {!pack}, {!add} and any query that scans a non-empty snapshot raise
     [Invalid_argument] on one. *)
 
-type 'a t
+(** {1 Packed snapshots} *)
 
-(** [create ~cell] builds an empty index with square cells of side
-    [cell].  Raises [Invalid_argument] unless [cell] is positive and
-    finite. *)
-val create : cell:float -> 'a t
+(** Packed storage, reused by every {!pack} into it.  A snapshot may be
+    read by several domains at once while nothing packs into it. *)
+type snapshot
 
-(** [add t ~id p v] indexes value [v] under [id] at point [p].  An
-    existing entry with the same [id] must be removed first.  Raises
-    [Invalid_argument] on a non-finite [p]. *)
-val add : 'a t -> id:int -> Pt.t -> 'a -> unit
+(** An empty snapshot. *)
+val snapshot : unit -> snapshot
 
-(** [remove t ~id p] removes the entry; [p] must be the point it was added
-    at.  Unknown ids are ignored. *)
-val remove : 'a t -> id:int -> Pt.t -> unit
-
-val size : 'a t -> int
+(** [pack s ~cell ids xs ys n] replaces the contents of [s] with the
+    [n] entries [ids.(i)] at [(xs.(i), ys.(i))], [i < n], in square
+    cells of side [cell].  Ids must be distinct.  When the entries span
+    more than [64 + 4 n] cells the side is doubled until they do not,
+    which bounds the directory and, like any cell size, never changes an
+    answer.  Raises [Invalid_argument] unless [cell] is positive and
+    finite and every point is finite. *)
+val pack : snapshot -> cell:float -> int array -> floatarray -> floatarray -> int -> unit
 
 (** {1 The k-NN kernel} *)
 
@@ -45,7 +50,10 @@ val size : 'a t -> int
     eligible entry; otherwise [kth] is the query's {e exclusion bound}:
     every eligible entry not in the answer lies at L1 distance >= [kth]
     (the k-th answer's distance) from the query.  [kth] is [infinity]
-    when [exhaustive].  A buffer must not be shared between domains. *)
+    when [exhaustive].  [queries], [rings], [cells_visited] and
+    [entries] tally the queries run into the buffer and their ring-scan
+    work since the last {!charge}.  A buffer must not be shared between
+    domains. *)
 type knn = private {
   mutable kids : int array;
   mutable kdist : floatarray;
@@ -54,21 +62,57 @@ type knn = private {
   mutable klen : int;
   mutable kth : float;
   mutable exhaustive : bool;
+  mutable queries : int;
+  mutable rings : int;
+  mutable cells_visited : int;
+  mutable entries : int;
 }
 
 val knn_buffer : unit -> knn
 
-(** [knn_into t buf ~skip q k] overwrites [buf] with the [k] entries
-    that come first by (L1 distance to [q], id), ignoring entries whose
-    id satisfies [skip] (fewer when fewer are eligible).  Scanning an
+(** [query s buf ~skip q k] overwrites [buf]'s answer with the [k]
+    entries of [s] that come first by (L1 distance to [q], id), ignoring
+    entries whose id satisfies [skip] (fewer when fewer are eligible),
+    and adds the query's work to [buf]'s tallies.  The scan charges
+    [1 + 4 R (R - 1)] cells for the [R] rings it walks.  Scanning an
     entry allocates nothing. *)
+val query : snapshot -> knn -> skip:(int -> bool) -> Pt.t -> int -> unit
+
+(** [charge buf] adds [buf]'s tallies to the
+    [geometry.grid.{queries,rings_scanned,cells_visited,entries_scanned}]
+    counters and zeroes them: one atomic add per counter for a whole
+    batch of queries. *)
+val charge : knn -> unit
+
+(** {1 Builder and list wrappers}
+
+    A mutable (id, point, value) set over a private snapshot, packed on
+    the first query after a mutation.  Queries therefore mutate the
+    builder: query one from a single domain at a time.  The list forms
+    allocate a fresh result (and, for the k-NN forms, a fresh buffer)
+    per call; points come back rebuilt from the packed coordinates. *)
+
+type 'a t
+
+(** [create ~cell] builds an empty index with square cells of side
+    [cell].  Raises [Invalid_argument] unless [cell] is positive and
+    finite. *)
+val create : cell:float -> 'a t
+
+(** [add t ~id p v] indexes value [v] under [id] at point [p],
+    replacing any entry with the same [id].  Raises [Invalid_argument]
+    on a non-finite [p], leaving [t] unchanged. *)
+val add : 'a t -> id:int -> Pt.t -> 'a -> unit
+
+(** [remove t ~id p] removes the entry [id], added at [p].  Unknown ids
+    are ignored. *)
+val remove : 'a t -> id:int -> Pt.t -> unit
+
+val size : 'a t -> int
+
+(** [knn_into t buf ~skip q k] is {!query} over [t]'s entries, charged
+    at once. *)
 val knn_into : 'a t -> knn -> skip:(int -> bool) -> Pt.t -> int -> unit
-
-(** {1 List wrappers}
-
-    Convenience forms over the kernel above, allocating a fresh
-    result (and, for the k-NN forms, a fresh buffer) per call.  Points
-    come back rebuilt from the stored coordinates. *)
 
 (** [k_nearest_probe t ?skip p k] is {!knn_into} as a list plus the
     exclusion bound: [Some kth], or [None] when the answer is

@@ -13,10 +13,11 @@
     Thread-safety contract for the mapped function: it runs concurrently
     on several domains, so it must not mutate shared state.  Reading
     shared immutable data (or data the caller guarantees is not mutated
-    for the duration of the call, e.g. a frozen {!Geometry.Grid_index})
-    is safe; {!Obs.Counter} increments are atomic and therefore also
-    safe.  [map_chunked] is not reentrant: the mapped function must not
-    itself call into the same pool. *)
+    for the duration of the call, e.g. a packed
+    {!Geometry.Grid_index.snapshot}) is safe; {!Obs.Counter} increments
+    are atomic and therefore also safe.  [map_chunked] is not
+    reentrant: the mapped function must not itself call into the same
+    pool. *)
 
 type t
 

@@ -301,8 +301,8 @@ let test_fuzz_smoke () =
 
 let test_par_oracle_huge () =
   (* The par-identity oracle at benchmark scale, serial against pooled:
-     many merge rounds — and grid re-cells — of pooled probing on a
-     generated (not hand-picked) instance. *)
+     many merge rounds — each packing its own k-NN snapshot — of pooled
+     probing on a generated (not hand-picked) instance. *)
   let c = Check.Gen.case ~regime:Check.Gen.Huge ~seed:5L ~index:0 () in
   match Check.Oracle.identity ~jobs:[ 2 ] Check.Oracle.par c.instance with
   | [] -> ()

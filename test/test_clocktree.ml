@@ -70,6 +70,26 @@ let test_instance_rejects_non_finite () =
     (Invalid_argument "Instance.make: negative sink capacitance") (fun () ->
       ignore (make [| { (sink 0 0. 0. 0) with cap = -1. }; sink 1 10. 0. 0 |]))
 
+(* [Instance.diameter] is the bbox octagon's diameter bit for bit: on a
+   single sink, on signed zeros (where the min/max folds must keep the
+   stdlib's zero ordering) and on random scatters. *)
+let test_instance_diameter () =
+  let check tag sinks =
+    let inst = Instance.make ~source:(pt 0. 0.) ~n_groups:1 sinks in
+    Alcotest.(check int64) tag
+      (Int64.bits_of_float (Geometry.Octagon.diameter (Instance.bbox inst)))
+      (Int64.bits_of_float (Instance.diameter inst))
+  in
+  check "one sink" [| sink 0 3. 4. 0 |];
+  check "signed zeros" [| sink 0 0. (-0.) 0; sink 1 (-0.) 0. 0; sink 2 (-0.) (-0.) 0 |];
+  let rng = Random.State.make [| 7 |] in
+  for n = 1 to 60 do
+    check (Printf.sprintf "scatter %d" n)
+      (Array.init n (fun i ->
+           let c () = Random.State.float rng 2000. -. 1000. in
+           sink i (c ()) (c ()) 0))
+  done
+
 (* --- Tree ---------------------------------------------------------------- *)
 
 let two_sink_tree () =
@@ -585,6 +605,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_instance_validation;
           Alcotest.test_case "non-finite rejected" `Quick
             test_instance_rejects_non_finite;
+          Alcotest.test_case "diameter = bbox diameter" `Quick test_instance_diameter;
         ] );
       ( "tree",
         [

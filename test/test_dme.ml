@@ -429,7 +429,8 @@ let prop_cheapest_matches_exhaustive =
          || i >= 0 && let _, _, bc = cands.(i) in c = bc))
 
 (* [Order.settle] against the full probe it shortcuts.  A population of
-   regions is indexed at their centers; the full probe is [cheapest] over
+   regions is packed at their centers into one snapshot, as a merge round
+   packs its population; the full probe is [cheapest] over
    the [knn] nearest, the widened one [settle] with each region's L1
    radius about its center and the population's largest, [rmax].  They
    must agree on the partner, its cost and the exact sequence of priced
@@ -451,11 +452,15 @@ let l1_radius region (c : Pt.t) =
    region distance plus [extra.(id)]; each returns (partner, cost,
    priced ids in order). *)
 let settle_vs_full ?(cell = 1.) regions extra ~knn =
+  let n = Array.length regions in
   let centers = Array.map Octagon.center regions in
   let rads = Array.mapi (fun i r -> l1_radius r centers.(i)) regions in
   let rmax = Array.fold_left Float.max 0. rads in
-  let grid = Grid_index.create ~cell in
-  Array.iteri (fun id c -> Grid_index.add grid ~id c ()) centers;
+  let snap = Grid_index.snapshot () in
+  Grid_index.pack snap ~cell (Array.init n Fun.id)
+    (Float.Array.map_from_array (fun (c : Pt.t) -> c.x) centers)
+    (Float.Array.map_from_array (fun (c : Pt.t) -> c.y) centers)
+    n;
   let skip id = id = 0 in
   let dist id = Octagon.dist regions.(0) regions.(id) in
   let probe f =
@@ -470,17 +475,23 @@ let settle_vs_full ?(cell = 1.) regions extra ~knn =
   let full =
     probe (fun price ->
         let buf = Grid_index.knn_buffer () in
-        Grid_index.knn_into grid buf ~skip centers.(0) knn;
+        Grid_index.query snap buf ~skip centers.(0) knn;
         let i, c = Dme.Order.cheapest buf.kids buf.klen ~dist ~price in
         ((if i < 0 then -1 else buf.kids.(i)), c))
   in
   let widened =
     probe (fun price ->
-        let partner, c, _ =
-          Dme.Order.settle grid (Grid_index.knn_buffer ()) ~skip centers.(0)
-            ~knn ~rad:rads.(0) ~rmax ~dist ~price
+        let props =
+          Dme.Order.
+            {
+              partner = Array.make n (-2);
+              cost = Float.Array.make n Float.nan;
+              queries = Array.make n 0;
+            }
         in
-        (partner, c))
+        Dme.Order.settle snap (Grid_index.knn_buffer ()) ~skip centers.(0) ~knn
+          ~rad:rads.(0) ~rmax ~dist ~price props 0;
+        (props.partner.(0), Float.Array.get props.cost 0))
   in
   (full, widened)
 
@@ -755,8 +766,8 @@ let test_pooled_ranking_bit_identical () =
 
 (* Golden pin: bit-exact AST-DME wirelengths on r1-r5, intermingled, 8
    groups, serial ranking.  Any change to the merge order — a reordered
-   grid tie, a re-cell that changed a k-NN answer — moves at least one
-   of these.  The ranking counters ride along with the wirelengths:
+   grid tie, a snapshot cell that changed a k-NN answer — moves at least
+   one of these.  The ranking counters ride along with the wirelengths:
    every round probes every active subtree, so [nn_reprobes] is the
    active count summed over [rounds], and [nn_probes_saved] stays 0.
    [nn_queries] counts the probes' k-NN queries, widenings included: a

@@ -1104,6 +1104,114 @@ let prop_grid_answer_independent_of_cell =
             answer fine p k skip = answer coarse p k skip)
         ops)
 
+(* The packed kernel against brute force.  A multiset of points — half
+   on a unit lattice, so distance ties are common, some repeated
+   outright, coordinates of both signs — is packed under sparse,
+   shuffled ids into one snapshot reused across every case (so storage
+   left over from a larger pack must not leak into a smaller one) and
+   queried for every k from 1 to n + 1 at two cell sizes, from a query
+   inside or outside the points' box.  Ids, their order, distances,
+   points, [kth] and [exhaustive] must be exactly the brute-force k
+   smallest by (L1 distance, id). *)
+let shared_snapshot = Grid_index.snapshot ()
+
+let prop_packed_knn_matches_brute_force =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 40 in
+      let lattice =
+        map2
+          (fun x y -> pt (float_of_int x) (float_of_int y))
+          (int_range (-6) 6) (int_range (-6) 6)
+      in
+      let loose = map2 pt (float_range (-6.) 6.) (float_range (-6.) 6.) in
+      let* pts = list_repeat n (oneof [ lattice; loose ]) in
+      (* Duplicate some points: the i-th may copy an earlier one. *)
+      let* dups = list_repeat n (int_range 0 3) in
+      let pts = Array.of_list pts in
+      List.iteri (fun i d -> if i > 0 && d = 0 then pts.(i) <- pts.(i / 2)) dups;
+      let* ids = shuffle_l (List.init n (fun i -> (7 * i) + 3)) in
+      let far = map2 pt (float_range (-60.) 60.) (float_range (-60.) 60.) in
+      let* q = oneof [ lattice; loose; far ] in
+      let* cell = oneofl [ 0.5; 1.; 2.5 ] in
+      let* with_skip = bool in
+      return (pts, Array.of_list ids, q, cell, with_skip))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (pts, _, q, cell, skip) ->
+        Format.asprintf "%d pts, query %a, cell=%g skip=%b" (Array.length pts)
+          Pt.pp q cell skip)
+      gen
+  in
+  QCheck.Test.make ~name:"packed k-NN matches brute force" ~count:300 arb
+    (fun (pts, ids, q, cell, with_skip) ->
+      let n = Array.length pts in
+      let skip id = with_skip && id mod 3 = 0 in
+      let ranked =
+        List.init n (fun i -> (Pt.dist q pts.(i), ids.(i), pts.(i)))
+        |> List.filter (fun (_, id, _) -> not (skip id))
+        |> List.sort (fun (d1, i1, _) (d2, i2, _) ->
+               match Float.compare d1 d2 with 0 -> Int.compare i1 i2 | c -> c)
+        |> Array.of_list
+      in
+      let xs = Float.Array.map_from_array (fun (p : Pt.t) -> p.x) pts in
+      let ys = Float.Array.map_from_array (fun (p : Pt.t) -> p.y) pts in
+      let buf = Grid_index.knn_buffer () in
+      List.for_all
+        (fun c ->
+          Grid_index.pack shared_snapshot ~cell:c ids xs ys n;
+          List.for_all
+            (fun k ->
+              Grid_index.query shared_snapshot buf ~skip q k;
+              let m = Int.min k (Array.length ranked) in
+              buf.klen = m
+              && List.for_all
+                   (fun i ->
+                     let d, id, (p : Pt.t) = ranked.(i) in
+                     buf.kids.(i) = id
+                     && Float.Array.get buf.kdist i = d
+                     && Float.Array.get buf.kx i = p.x
+                     && Float.Array.get buf.ky i = p.y)
+                   (List.init m Fun.id)
+              &&
+              if Array.length ranked < k then buf.exhaustive && buf.kth = Float.infinity
+              else
+                (not buf.exhaustive)
+                && buf.kth = (let d, _, _ = ranked.(k - 1) in d))
+            (List.init (n + 1) (fun k -> k + 1)))
+        [ cell; 8. *. cell ])
+
+let test_pack_preconditions () =
+  let s = Grid_index.snapshot () in
+  let ids = [| 0; 1 |] in
+  List.iter
+    (fun (x, y) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pack (%g, %g)" x y)
+        (Invalid_argument "Grid_index: point coordinates must be finite")
+        (fun () ->
+          Grid_index.pack s ~cell:1. ids (Float.Array.of_list [ 0.; x ])
+            (Float.Array.of_list [ 0.; y ]) 2))
+    [ (Float.nan, 0.); (0., Float.infinity); (Float.neg_infinity, 0.) ];
+  List.iter
+    (fun cell ->
+      Alcotest.check_raises (Printf.sprintf "pack cell %g" cell)
+        (Invalid_argument "Grid_index.pack: cell must be positive and finite")
+        (fun () ->
+          Grid_index.pack s ~cell ids (Float.Array.make 2 0.) (Float.Array.make 2 0.) 2))
+    [ Float.nan; Float.infinity; 0.; -1. ];
+  (* An empty pack answers nothing; a query of a non-finite point
+     against a non-empty one raises. *)
+  let buf = Grid_index.knn_buffer () in
+  Grid_index.pack s ~cell:1. [||] (Float.Array.create 0) (Float.Array.create 0) 0;
+  Grid_index.query s buf ~skip:(fun _ -> false) (pt 0. 0.) 3;
+  Alcotest.(check (pair int bool)) "empty pack" (0, true) (buf.klen, buf.exhaustive);
+  Grid_index.pack s ~cell:1. ids (Float.Array.make 2 0.) (Float.Array.make 2 0.) 2;
+  Alcotest.check_raises "query at nan"
+    (Invalid_argument "Grid_index: point coordinates must be finite")
+    (fun () -> Grid_index.query s buf ~skip:(fun _ -> false) (pt Float.nan 0.) 1)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1170,11 +1278,13 @@ let () =
         :: Alcotest.test_case "probe semantics" `Quick test_grid_probe_semantics
         :: Alcotest.test_case "tie order" `Quick test_grid_tie_order
         :: Alcotest.test_case "preconditions" `Quick test_grid_preconditions
+        :: Alcotest.test_case "pack preconditions" `Quick test_pack_preconditions
         :: qsuite
              [
                prop_grid_matches_linear_scan;
                prop_grid_k_nearest_matches_brute_force;
                prop_grid_churn;
                prop_grid_answer_independent_of_cell;
+               prop_packed_knn_matches_brute_force;
              ] );
     ]
