@@ -380,9 +380,10 @@ let print_scale_point (spec : Workload.Circuits.spec)
    stitch: ~1000 regions at depth 2) and checks the clusters=1 identity
    on every named circuit at jobs {1,4}; --smoke keeps CI-sized pieces
    only (one 10^4-sink route plus the identity on a downsampled
-   2000-sink instance).  Both modes run the forced depth-2 leg on the
-   10^4 instance.  Exits 1 when any route fails the global audit, any
-   identity or depth check differs, or repair misbehaves — a fixpoint
+   2000-sink instance, and with jobs > 1 the 10^4-sink route again at
+   jobs 1).  Both modes run the forced depth-2 leg on the 10^4
+   instance.  Exits 1 when any route fails the global audit, any
+   identity, jobs or depth check differs, or repair misbehaves — a fixpoint
    exhausting its cycle budget or leaving a group unresolved.  All of
    these are deterministic, so this cannot flake on slow runners. *)
 let scale args =
@@ -464,6 +465,31 @@ let scale args =
     List.iter (Format.printf "  DEPTH2 %s@.") bad;
     (spec.name, bad)
   in
+  (* Jobs-invariance leg: under --smoke with jobs > 1, the 10^4-sink
+     route is re-routed at jobs 1 and must match it in every compared
+     field, repair.added_wire by its bits — the windowed global repair
+     cycle runs on the pool only at jobs > 1. *)
+  let jobs = Par.Pool.default_jobs () in
+  let jobs_bad =
+    if (not !smoke_mode) || jobs <= 1 then []
+    else
+      List.concat_map
+        (fun ((spec : Workload.Circuits.spec), (r : Astskew.Router.result), _, _, _) ->
+          let inst = bench_instance spec in
+          let r1 = Astskew.Router.ast_dme ~jobs:1 ~clustered:true inst in
+          let bits (r : Astskew.Router.result) =
+            Int64.bits_of_float r.repair.added_wire
+          in
+          let bad =
+            result_diffs inst r r1
+            @ if bits r = bits r1 then [] else [ "repair.added_wire bits" ]
+          in
+          Format.printf "@.%s jobs %d vs 1: %s@." spec.name jobs
+            (if bad = [] then "identical" else "DIFFERS!");
+          List.map (Printf.sprintf "%s jobs %d vs 1: %s" spec.name jobs) bad)
+        points
+  in
+  List.iter (Format.printf "  JOBS %s@.") jobs_bad;
   let json =
     let open Obs.Json in
     Obj
@@ -497,6 +523,13 @@ let scale args =
               ("clusters", Int 16);
               ("clean", Bool (depth2_bad = []));
             ] );
+        ( "jobs_vs_1",
+          Obj
+            [
+              ("jobs", Int jobs);
+              ("checked", Bool (!smoke_mode && jobs > 1));
+              ("identical", Bool (jobs_bad = []));
+            ] );
       ]
   in
   Obs.Json.write_file scale_file json;
@@ -522,7 +555,7 @@ let scale args =
   let dirty =
     List.exists (fun (_, _, _, _, audit) -> audit <> []) points
     || List.exists (fun (_, findings) -> findings <> []) identities
-    || repair_bad <> [] || depth2_bad <> []
+    || repair_bad <> [] || depth2_bad <> [] || jobs_bad <> []
   in
   if dirty then begin
     Format.printf "FAIL@.";

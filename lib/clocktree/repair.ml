@@ -58,55 +58,21 @@ let[@inline] fmax (x : float) y =
 let[@inline] wire_delay (p : Rc.Wire.params) len load =
   Rc.Wire.ps_per_ohm_ff *. p.r *. len *. ((p.c *. len /. 2.) +. load)
 
-(* --- group-interval slab store ----------------------------------------
-
-   Balancing needs, per node, the per-group interval of sink delays
-   measured from that node.  The arena keeps slabs — short (gid, lo, hi)
-   runs sorted by gid — in growable parallel arrays, one store per
-   regional fixpoint plus one residual store, so the parallel phase
-   never appends to a shared cursor.  A node's slab is the
-   [goff, goff+glen) window of its store; re-balancing appends a fresh
-   slab and rolls the cursor back when it is bit-identical to the memo,
-   so clean passes cost no store growth.  Each entry records its owning
-   node, so the store compacts itself in place, in one scan of its own
-   entries, when dead slabs dominate. *)
-
-type store = {
-  mutable sg : int array;
-  mutable sown : int array;  (** node owning the entry *)
-  mutable slo : float array;
-  mutable shi : float array;
-  mutable used : int;
-  mutable live : int;
-}
-
-let store_create cap =
-  let cap = Int.max cap 8 in
-  {
-    sg = Array.make cap (-1);
-    sown = Array.make cap (-1);
-    slo = Array.make cap 0.;
-    shi = Array.make cap 0.;
-    used = 0;
-    live = 0;
-  }
-
-let store_ensure s extra =
-  let need = s.used + extra in
-  if need > Array.length s.sg then begin
-    let cap = Int.max need (2 * Array.length s.sg) in
-    let grow a fill =
-      let b = Array.make cap fill in
-      Array.blit a 0 b 0 s.used;
-      b
-    in
-    s.sg <- grow s.sg (-1);
-    s.sown <- grow s.sown (-1);
-    s.slo <- grow s.slo 0.;
-    s.shi <- grow s.shi 0.
+(* Rc.Elmore.wire_for_delay, operation for operation, for the same
+   reason. *)
+let[@inline] wire_for_delay (p : Rc.Wire.params) ~load ~delay =
+  if delay < 0. then invalid_arg "Elmore.wire_for_delay: negative delay";
+  if delay = 0. then 0.
+  else begin
+    let k = Rc.Wire.ps_per_ohm_ff in
+    let a = k *. p.r *. p.c /. 2. in
+    let b = k *. p.r *. load in
+    let disc = (b *. b) +. (4. *. a *. delay) in
+    (-.b +. Float.sqrt disc) /. (2. *. a)
   end
 
-(* A growable int stack: worklist heaps, dirty seeds, processed lists. *)
+(* A growable int stack: worklist heaps, dirty seeds, processed lists,
+   adjustment logs. *)
 type ivec = { mutable data : int array; mutable len : int }
 
 let ivec () = { data = Array.make 64 0; len = 0 }
@@ -123,15 +89,25 @@ let ivec_push q x =
   q.data.(q.len) <- x;
   q.len <- q.len + 1
 
+(* Balancing needs, per node, the per-group interval of sink delays
+   measured from that node: a slab, one (gid, lo, hi) entry per group
+   below the node, sorted by gid.  A node's group set is fixed by the
+   topology, so [make_state] lays every slab out once, in ascending node
+   order, at a fixed offset of three flat columns holding exactly the
+   live slabs: [sg] is written there once and every balance visit
+   rewrites the node's [slo]/[shi] entries in place.  Windows are
+   disjoint index ranges, so workers balancing different windows write
+   disjoint entries. *)
 type state = {
   a : Arena.t;
   slack : float;
   bound : float array;  (** per-group skew bound *)
   bcap : float array;  (** memoized downstream capacitance *)
-  goff : int array;
-  glen : int array;
-  gstore : int array;
-  stores : store array;
+  goff : int array;  (** node [v]'s slab: entries [goff.(v), goff.(v + 1)) *)
+  sg : int array;  (** slab entry group *)
+  slo : float array;  (** slab entry min / max sink delay *)
+  shi : float array;
+  dw : float array;  (** wire added to edge [v] by its latest adjustment *)
   dirty : Bytes.t;  (** must be re-balanced next pass *)
   changed : Bytes.t;  (** lift scratch: cap changed this sweep *)
   visited : Bytes.t;  (** balanced at least once (conflict accounting) *)
@@ -183,48 +159,70 @@ let heap_pop st h =
   Bytes.unsafe_set st.queued top '\000';
   top
 
-(* One fixpoint's index range and worklists.  The maximal group-pure
-   subtrees strictly below [hi] are fixed by the topology, so they are
-   found once: every pure node of the range lies in one of them, and
-   every mixed node carries 0 in the lift.  In an intermingled tree
-   nearly all of them are lone sinks, kept apart so their loop has no
-   leaf test. *)
+(* One fixpoint's index range and worklists.  A work owns the nodes of
+   [lo, hi] outside its [subs] — windows nested in the range that keep
+   their own worklists, so that they can run on worker domains; a
+   regional fixpoint has none, and the global cycle's spine work holds
+   the windows.  The maximal group-pure subtrees below [top] are fixed
+   by the topology, so they are found once: every pure node lies in one
+   of them, and every mixed node carries 0 in the lift.  A work lists
+   those rooted at its own nodes; in an intermingled tree nearly all are
+   lone sinks, kept apart so their loop has no leaf test. *)
 type work = {
   lo : int;
   hi : int;
+  subs : work array;  (** nested windows, ascending *)
   heap : ivec;
   seeds : ivec;  (** dirty merge nodes: the next sparse balance's seeds *)
   proc : ivec;  (** nodes balanced this pass, ascending *)
-  sinks : int array;  (** the range's leaves, ascending *)
+  log : ivec;  (** child edges adjusted this pass, in processing order *)
+  mutable conflicts : int;
+  sinks : int array;  (** the work's leaves, ascending *)
   lone : int array;  (** leaves that are maximal pure subtrees *)
   pure : int array;  (** roots of the other maximal pure subtrees *)
   glo : float array;  (** per group: min / max sink delay, lift target *)
   ghi : float array;
   target : float array;
-  mutable fresh : bool;  (** [down] not yet computed on this range *)
+  mutable fresh : bool;  (** [down] not yet computed on the work's nodes *)
 }
 
-let make_work st ~lo ~hi =
+(* [f lo' hi'] on each maximal index range of [lo, hi] outside [subs]. *)
+let gaps subs ~lo ~hi f =
+  let next =
+    Array.fold_left
+      (fun i s ->
+        if i < s.lo then f i (s.lo - 1);
+        s.hi + 1)
+      lo subs
+  in
+  if next <= hi then f next hi
+
+let make_work st ~lo ~hi ~top subs =
   let a = st.a in
   let seeds = ivec () and sinks = ivec () in
   let lone = ivec () and pure = ivec () in
-  for v = lo to hi do
-    let leaf = a.Arena.left.(v) < 0 in
-    if leaf then ivec_push sinks v
-    else if Bytes.get st.dirty v = '\001' then ivec_push seeds v;
-    if v < hi && st.pg.(v) >= 0 then begin
-      let p = a.Arena.parent.(v) in
-      if p = hi || st.pg.(p) < 0 then ivec_push (if leaf then lone else pure) v
-    end
-  done;
+  gaps subs ~lo ~hi (fun lo hi ->
+      for v = lo to hi do
+        let leaf = a.Arena.left.(v) < 0 in
+        if leaf then ivec_push sinks v
+        else if Bytes.get st.dirty v = '\001' then ivec_push seeds v;
+        if v < top && st.pg.(v) >= 0 then begin
+          let p = a.Arena.parent.(v) in
+          if p = top || st.pg.(p) < 0 then
+            ivec_push (if leaf then lone else pure) v
+        end
+      done);
   let g = Array.length st.bound in
   let frozen q = Array.sub q.data 0 q.len in
   {
     lo;
     hi;
+    subs;
     heap = ivec ();
     seeds;
     proc = ivec ();
+    log = ivec ();
+    conflicts = 0;
     sinks = frozen sinks;
     lone = frozen lone;
     pure = frozen pure;
@@ -234,43 +232,38 @@ let make_work st ~lo ~hi =
     fresh = true;
   }
 
-(* Compact a store in place once dead slabs dominate: one scan of its
-   entries keeps each node's live slab (the one its [goff] points at). *)
-let maybe_compact st s =
-  if s.used > (2 * s.live) + 64 then begin
-    let cur = ref 0 and i = ref 0 in
-    while !i < s.used do
-      let v = s.sown.(!i) in
-      let m = st.glen.(v) in
-      if st.goff.(v) = !i && m > 0 then begin
-        Array.blit s.sg !i s.sg !cur m;
-        Array.blit s.sown !i s.sown !cur m;
-        Array.blit s.slo !i s.slo !cur m;
-        Array.blit s.shi !i s.shi !cur m;
-        st.goff.(v) <- !cur;
-        cur := !cur + m;
-        i := !i + m
-      end
-      else incr i
-    done;
-    s.used <- !cur
-  end
+(* The work whose worklists hold node [v]: the sub containing it, else
+   [w] itself. *)
+let owner w v =
+  let subs = w.subs in
+  let i = ref 0 and j = ref (Array.length subs) in
+  while !i < !j do
+    let m = (!i + !j) / 2 in
+    if subs.(m).hi < v then i := m + 1 else j := m
+  done;
+  if !i < Array.length subs && subs.(!i).lo <= v then subs.(!i) else w
+
+(* Record an adjustment of edge [c] that added [d] wire; [replay] sums
+   the log. *)
+let[@inline] adjusted st w c d =
+  st.dw.(c) <- d;
+  ivec_push w.log c
 
 (* Balance one merge node: replicate the pointer-walk expressions
    operation for operation (see the old balance_pass) so the arena pass
    is bit-identical to it.  Returns whether one of the node's child
    edges was adjusted. *)
-let process_internal st v ~count_conflicts ~conflicts ~adjusted ~added =
+let process_internal st w v ~count_conflicts =
   let a = st.a in
   let params = a.Arena.params in
+  let sg = st.sg and slo = st.slo and shi = st.shi in
   let l = a.Arena.left.(v) and r = a.Arena.right.(v) in
   let cap_l = st.bcap.(l) and cap_r = st.bcap.(r) in
   let llen0 = a.Arena.len.(l) and rlen0 = a.Arena.len.(r) in
   let wl0 = wire_delay params llen0 cap_l in
   let wr0 = wire_delay params rlen0 cap_r in
-  let ls = st.stores.(st.gstore.(l)) and rs = st.stores.(st.gstore.(r)) in
-  let l_off = st.goff.(l) and l_len = st.glen.(l) in
-  let r_off = st.goff.(r) and r_len = st.glen.(r) in
+  let l_off = st.goff.(l) and l_len = st.goff.(l + 1) - st.goff.(l) in
+  let r_off = st.goff.(r) and r_len = st.goff.(r + 1) - st.goff.(r) in
   (* Admissible x = delta_left - delta_right: intersect, in ascending
      group order, one interval per group spanning both children.  Exact
      max/min make the intersection order-independent; ascending order
@@ -278,14 +271,14 @@ let process_internal st v ~count_conflicts ~conflicts ~adjusted ~added =
   let acc_lo = ref Float.neg_infinity and acc_hi = ref Float.infinity in
   let j = ref 0 in
   for i = 0 to l_len - 1 do
-    let g = ls.sg.(l_off + i) in
-    while !j < r_len && rs.sg.(r_off + !j) < g do
+    let g = sg.(l_off + i) in
+    while !j < r_len && sg.(r_off + !j) < g do
       incr j
     done;
-    if !j < r_len && rs.sg.(r_off + !j) = g then begin
+    if !j < r_len && sg.(r_off + !j) = g then begin
       let bound = st.bound.(g) in
-      let llo = ls.slo.(l_off + i) and lhi = ls.shi.(l_off + i) in
-      let rlo = rs.slo.(r_off + !j) and rhi = rs.shi.(r_off + !j) in
+      let llo = slo.(l_off + i) and lhi = shi.(l_off + i) in
+      let rlo = slo.(r_off + !j) and rhi = shi.(r_off + !j) in
       let lo = rhi +. wr0 -. bound -. (llo +. wl0) in
       let hi = bound +. rlo +. wr0 -. (lhi +. wl0) in
       acc_lo := fmax !acc_lo lo;
@@ -295,7 +288,7 @@ let process_internal st v ~count_conflicts ~conflicts ~adjusted ~added =
   (* The conflict midpoint, else Eps.clamp !acc_lo !acc_hi 0. inlined. *)
   let x =
     if !acc_lo > !acc_hi +. Eps.tol then begin
-      if count_conflicts then incr conflicts;
+      if count_conflicts then w.conflicts <- w.conflicts + 1;
       (!acc_lo +. !acc_hi) /. 2.
     end
     else if 0. < !acc_lo then !acc_lo
@@ -314,12 +307,9 @@ let process_internal st v ~count_conflicts ~conflicts ~adjusted ~added =
   let llen = ref llen0 and wl = ref wl0 in
   if not (delta_l <= fmax 1e-9 (64. *. epsilon_float *. Float.abs wl0))
   then begin
-    let len' =
-      Rc.Elmore.wire_for_delay params ~load:cap_l ~delay:(wl0 +. delta_l)
-    in
+    let len' = wire_for_delay params ~load:cap_l ~delay:(wl0 +. delta_l) in
     if len' <> llen0 then begin
-      added := !added +. (len' -. llen0);
-      incr adjusted;
+      adjusted st w l (len' -. llen0);
       llen := len';
       wl := wl0 +. delta_l
     end
@@ -327,12 +317,9 @@ let process_internal st v ~count_conflicts ~conflicts ~adjusted ~added =
   let rlen = ref rlen0 and wr = ref wr0 in
   if not (delta_r <= fmax 1e-9 (64. *. epsilon_float *. Float.abs wr0))
   then begin
-    let len' =
-      Rc.Elmore.wire_for_delay params ~load:cap_r ~delay:(wr0 +. delta_r)
-    in
+    let len' = wire_for_delay params ~load:cap_r ~delay:(wr0 +. delta_r) in
     if len' <> rlen0 then begin
-      added := !added +. (len' -. rlen0);
-      incr adjusted;
+      adjusted st w r (len' -. rlen0);
       rlen := len';
       wr := wr0 +. delta_r
     end
@@ -341,68 +328,29 @@ let process_internal st v ~count_conflicts ~conflicts ~adjusted ~added =
   a.Arena.len.(l) <- llen;
   a.Arena.len.(r) <- rlen;
   st.bcap.(v) <- cap_l +. cap_r +. (params.Rc.Wire.c *. (llen +. rlen));
-  (* Merged slab: shift children by their (possibly extended) edge
-     delays and hull the common groups.  Append to this node's store,
-     then roll back if the result matches the memo bit for bit. *)
-  let vs = st.stores.(st.gstore.(v)) in
-  store_ensure vs (l_len + r_len);
-  (* store_ensure may have swapped the arrays; always read through the
-     record fields below. *)
-  let base = vs.used in
-  let i = ref 0 and jj = ref 0 and out = ref base in
-  while !i < l_len || !jj < r_len do
-    let gl = if !i < l_len then ls.sg.(l_off + !i) else max_int in
-    let gr = if !jj < r_len then rs.sg.(r_off + !jj) else max_int in
-    vs.sown.(!out) <- v;
+  (* Merged slab, in place: shift the children by their (possibly
+     extended) edge delays and hull the common groups. *)
+  let i = ref 0 and jj = ref 0 in
+  for out = st.goff.(v) to st.goff.(v + 1) - 1 do
+    let gl = if !i < l_len then sg.(l_off + !i) else max_int in
+    let gr = if !jj < r_len then sg.(r_off + !jj) else max_int in
     if gl < gr then begin
-      vs.sg.(!out) <- gl;
-      vs.slo.(!out) <- ls.slo.(l_off + !i) +. wl;
-      vs.shi.(!out) <- ls.shi.(l_off + !i) +. wl;
-      incr i;
-      incr out
+      slo.(out) <- slo.(l_off + !i) +. wl;
+      shi.(out) <- shi.(l_off + !i) +. wl;
+      incr i
     end
     else if gr < gl then begin
-      vs.sg.(!out) <- gr;
-      vs.slo.(!out) <- rs.slo.(r_off + !jj) +. wr;
-      vs.shi.(!out) <- rs.shi.(r_off + !jj) +. wr;
-      incr jj;
-      incr out
+      slo.(out) <- slo.(r_off + !jj) +. wr;
+      shi.(out) <- shi.(r_off + !jj) +. wr;
+      incr jj
     end
     else begin
-      vs.sg.(!out) <- gl;
-      vs.slo.(!out) <-
-        fmin (ls.slo.(l_off + !i) +. wl) (rs.slo.(r_off + !jj) +. wr);
-      vs.shi.(!out) <-
-        fmax (ls.shi.(l_off + !i) +. wl) (rs.shi.(r_off + !jj) +. wr);
+      slo.(out) <- fmin (slo.(l_off + !i) +. wl) (slo.(r_off + !jj) +. wr);
+      shi.(out) <- fmax (shi.(l_off + !i) +. wl) (shi.(r_off + !jj) +. wr);
       incr i;
-      incr jj;
-      incr out
+      incr jj
     end
   done;
-  let m = !out - base in
-  let old_off = st.goff.(v) and old_len = st.glen.(v) in
-  let same =
-    old_len = m
-    &&
-    let ok = ref true in
-    let k = ref 0 in
-    while !ok && !k < m do
-      if
-        vs.sg.(old_off + !k) <> vs.sg.(base + !k)
-        || vs.slo.(old_off + !k) <> vs.slo.(base + !k)
-        || vs.shi.(old_off + !k) <> vs.shi.(base + !k)
-      then ok := false;
-      incr k
-    done;
-    !ok
-  in
-  if same then vs.used <- base
-  else begin
-    vs.used <- base + m;
-    vs.live <- vs.live + m - old_len;
-    st.goff.(v) <- base;
-    st.glen.(v) <- m
-  end;
   llen <> llen0 || rlen <> rlen0
 
 let mark_dirty st w v =
@@ -411,45 +359,116 @@ let mark_dirty st w v =
     ivec_push w.seeds v
   end
 
-let balance_node st w v ~conflicts ~adjusted ~added =
+let balance_node st w v =
   let count_conflicts = Bytes.unsafe_get st.visited v = '\000' in
   if count_conflicts then Bytes.unsafe_set st.visited v '\001';
-  let self =
-    process_internal st v ~count_conflicts ~conflicts ~adjusted ~added
-  in
+  let self = process_internal st w v ~count_conflicts in
   ivec_push w.proc v;
   Bytes.unsafe_set st.dirty v '\000';
   if self then mark_dirty st w v
+
+(* Sparse balance of [w]'s own nodes: an ascending heap seeded with its
+   dirty nodes, pushing the parent of every balanced node below
+   [w.hi]. *)
+let balance_heap st w =
+  for i = 0 to w.seeds.len - 1 do
+    heap_push st w.heap w.seeds.data.(i)
+  done;
+  w.seeds.len <- 0;
+  while w.heap.len > 0 do
+    let v = heap_pop st w.heap in
+    balance_node st w v;
+    if v < w.hi then heap_push st w.heap st.a.Arena.parent.(v)
+  done
+
+(* Downstream caps of [w]'s own nodes: all of them on the first call
+   (and of the sub roots, whose edges [w] balances), afterwards only at
+   the nodes balanced this pass and their children (every length that
+   changed since the last evaluation hangs below one of them). *)
+let caps st w =
+  let a = st.a in
+  if w.fresh then begin
+    Array.iter (fun s -> Arena.downstream_rc_node ~into:st.down a s.hi) w.subs;
+    gaps w.subs ~lo:w.lo ~hi:w.hi (fun lo hi ->
+        Arena.downstream_rc_range ~into:st.down ~lo ~hi a)
+  end
+  else
+    for i = 0 to w.proc.len - 1 do
+      let v = w.proc.data.(i) in
+      Arena.downstream_rc_node ~into:st.down a a.Arena.left.(v);
+      Arena.downstream_rc_node ~into:st.down a a.Arena.right.(v);
+      Arena.downstream_rc_node ~into:st.down a v
+    done;
+  w.fresh <- false
 
 (* One balance pass; returns the number of nodes balanced.  Dense (the
    from-scratch reference): every merge node of the range, ascending.
    Sparse: an ascending heap seeded with the dirty nodes, pushing the
    parent of every balanced node.  A node's inputs change only when its
    own edges changed (dirty) or a child was rebalanced, so the sparse
-   pass balances exactly the nodes whose memo may be stale, in the same
-   ascending order, and skipping the rest is exact. *)
-let balance st w ~dense ~conflicts ~adjusted ~added =
-  let a = st.a in
-  w.proc.len <- 0;
+   pass balances exactly the nodes whose memo may be stale, and skipping
+   the rest is exact.  Balancing a node reads only its subtree, so the
+   subs balance first — through [par], each followed by its own caps
+   (only a window root's own edge can change later, and [w]'s caps
+   refresh that node) — and a sub root
+   balanced this pass hands its parent to [w]'s heap: every node sees
+   the inputs the ascending walk of the whole range would give it. *)
+let balance st w ~dense ~par =
+  let start s =
+    s.proc.len <- 0;
+    s.log.len <- 0
+  in
+  start w;
   if dense then begin
     w.seeds.len <- 0;
     for v = w.lo to w.hi do
-      if a.Arena.left.(v) >= 0 then
-        balance_node st w v ~conflicts ~adjusted ~added
+      if st.a.Arena.left.(v) >= 0 then balance_node st w v
     done
   end
   else begin
-    for i = 0 to w.seeds.len - 1 do
-      heap_push st w.heap w.seeds.data.(i)
-    done;
-    w.seeds.len <- 0;
-    while w.heap.len > 0 do
-      let v = heap_pop st w.heap in
-      balance_node st w v ~conflicts ~adjusted ~added;
-      if v < w.hi then heap_push st w.heap a.Arena.parent.(v)
-    done
+    par
+      (fun s ->
+        start s;
+        balance_heap st s;
+        caps st s)
+      w.subs;
+    Array.iter
+      (fun s ->
+        let p = s.proc in
+        if p.len > 0 && p.data.(p.len - 1) = s.hi then
+          heap_push st w.heap st.a.Arena.parent.(s.hi))
+      w.subs;
+    balance_heap st w
   end;
-  w.proc.len
+  Array.fold_left (fun k s -> k + s.proc.len) w.proc.len w.subs
+
+(* The wire of this pass's adjustments summed onto [init] in the order
+   of the ascending walk of [w]'s whole range: by the adjusted edge's
+   parent, left edge first.  Each log is in that order, a sub's nodes
+   form one contiguous range, and each of [w]'s own nodes falls before
+   or after that range as a whole, so merging the logs by parent index
+   keeps every float sum bit-identical for any schedule. *)
+let replay st w init =
+  let dw = st.dw and parent = st.a.Arena.parent in
+  let own = w.log in
+  let s = ref init and k = ref 0 in
+  for i = 0 to Array.length w.subs - 1 do
+    let sub = w.subs.(i) in
+    while !k < own.len && parent.(own.data.(!k)) < sub.lo do
+      s := !s +. dw.(own.data.(!k));
+      incr k
+    done;
+    for j = 0 to sub.log.len - 1 do
+      s := !s +. dw.(sub.log.data.(j))
+    done
+  done;
+  for j = !k to own.len - 1 do
+    s := !s +. dw.(own.data.(j))
+  done;
+  !s
+
+(* Edges adjusted this pass. *)
+let logged w = Array.fold_left (fun k s -> k + s.log.len) w.log.len w.subs
 
 (* Delay of the range root: from the source driver for the whole tree,
    0 for a region (intra-region skews are offset-free; no region holds
@@ -457,42 +476,35 @@ let balance st w ~dense ~conflicts ~adjusted ~added =
 let root_delay st w =
   if w.hi = st.a.Arena.n - 1 then Arena.root_delay ~down:st.down st.a else 0.
 
-let[@inline] note_sink st w v d =
-  let g = st.a.Arena.group.(v) in
-  w.glo.(g) <- fmin w.glo.(g) d;
-  w.ghi.(g) <- fmax w.ghi.(g) d;
-  w.target.(g) <- fmax w.target.(g) (d -. st.bound.(g))
+(* Fold the sink delays of [sinks] into [w]'s per-group lo / hi. *)
+let note_sinks st w sinks =
+  let group = st.a.Arena.group and delay = st.delay in
+  let glo = w.glo and ghi = w.ghi in
+  for i = 0 to Array.length sinks - 1 do
+    let v = sinks.(i) in
+    let g = group.(v) and d = delay.(v) in
+    glo.(g) <- fmin glo.(g) d;
+    ghi.(g) <- fmax ghi.(g) d
+  done
 
 (* Downstream caps, node delays and the per-group sink-delay lo / hi /
-   lift target over the range.  Dense: the Arena kernels, then a scan of
-   the range for its leaves.  Sparse: caps only at the nodes balanced
-   this pass and their children (every length that changed since the
-   last evaluation hangs below one of them), one descending Elmore
-   sweep, then the range's sink list. *)
+   lift target over the range.  Dense: the Arena kernels over the whole
+   range.  Sparse: [w]'s own caps (the subs refreshed theirs in the
+   balance pass), then one descending Elmore sweep of the whole range.
+   Then the sink lists. *)
 let evaluate st w ~dense =
   let a = st.a in
   let lo = w.lo and hi = w.hi in
   Array.fill w.glo 0 (Array.length w.glo) Float.infinity;
   Array.fill w.ghi 0 (Array.length w.ghi) Float.neg_infinity;
-  Array.fill w.target 0 (Array.length w.target) Float.neg_infinity;
   if dense then begin
     Arena.downstream_rc_range ~into:st.down ~lo ~hi a;
     Arena.elmore_range ~down:st.down ~root_delay:(root_delay st w)
       ~into:st.delay ~lo ~hi a;
-    for v = lo to hi do
-      if a.Arena.left.(v) < 0 then note_sink st w v st.delay.(v)
-    done
+    note_sinks st w w.sinks
   end
   else begin
-    if w.fresh then Arena.downstream_rc_range ~into:st.down ~lo ~hi a
-    else
-      for i = 0 to w.proc.len - 1 do
-        let v = w.proc.data.(i) in
-        Arena.downstream_rc_node ~into:st.down a a.Arena.left.(v);
-        Arena.downstream_rc_node ~into:st.down a a.Arena.right.(v);
-        Arena.downstream_rc_node ~into:st.down a v
-      done;
-    w.fresh <- false;
+    caps st w;
     (* Arena.elmore_range's step, then the group statistics over the
        leaves.  Fusing the two loops measured slower: the leaf test
        mispredicts on every intermingled node. *)
@@ -503,12 +515,15 @@ let evaluate st w ~dense =
     for v = hi - 1 downto lo do
       delay.(v) <- delay.(parent.(v)) +. (k *. (r *. len.(v)) *. down.(v))
     done;
-    let sinks = w.sinks in
-    for i = 0 to Array.length sinks - 1 do
-      let v = sinks.(i) in
-      note_sink st w v delay.(v)
-    done
-  end
+    Array.iter (fun s -> note_sinks st w s.sinks) w.subs;
+    note_sinks st w w.sinks
+  end;
+  (* A group's lift target, the max over its sinks of [d - bound], is
+     [hi - bound]: subtracting a constant rounds monotonically, so the
+     max commutes with it bit for bit. *)
+  for g = 0 to Array.length w.target - 1 do
+    w.target.(g) <- w.ghi.(g) -. st.bound.(g)
+  done
 
 (* Groups whose sink-delay spread exceeds bound + [slack]. *)
 let violations st w ~slack =
@@ -521,31 +536,28 @@ let violations st w ~slack =
 
 (* Lift deficits over [lo, hi]: a sink's distance below its group's
    target, the minimum of the children's above it. *)
-let deficits st w lo hi =
+let deficits st target lo hi =
   let a = st.a in
   for v = lo to hi do
     let l = a.Arena.left.(v) in
-    if l < 0 then st.md.(v) <- w.target.(a.Arena.group.(v)) -. st.delay.(v)
+    if l < 0 then st.md.(v) <- target.(a.Arena.group.(v)) -. st.delay.(v)
     else st.md.(v) <- fmin st.md.(l) st.md.(a.Arena.right.(v))
   done
 
 (* Snake child edge [c] by its lift amount when that exceeds half the
    acceptance slack.  A mixed node's amount is always 0: the dense sweep
    writes 0 there and the sparse one never writes it. *)
-let lift_edge st c ~adjusted ~added =
+let lift_edge st w c =
   let amt = st.amount.(c) in
   amt > st.slack /. 2.
   &&
   let a = st.a in
   let len = a.Arena.len.(c) and cap = st.bcap.(c) in
-  let w = wire_delay a.Arena.params len cap in
-  let len' =
-    Rc.Elmore.wire_for_delay a.Arena.params ~load:cap ~delay:(w +. amt)
-  in
+  let d = wire_delay a.Arena.params len cap in
+  let len' = wire_for_delay a.Arena.params ~load:cap ~delay:(d +. amt) in
   len' <> len
   && begin
-    added := !added +. (len' -. len);
-    incr adjusted;
+    adjusted st w c (len' -. len);
     a.Arena.len.(c) <- len';
     true
   end
@@ -553,11 +565,11 @@ let lift_edge st c ~adjusted ~added =
 (* Lift node [v]'s child edges and refresh its cap when they or a
    child's cap changed; true when [v] changed.  [changed] marks are
    consumed by the parent. *)
-let lift_node st w v ~adjusted ~added =
+let lift_node st w v =
   let a = st.a in
   let l = a.Arena.left.(v) and r = a.Arena.right.(v) in
-  let al = lift_edge st l ~adjusted ~added in
-  let ar = lift_edge st r ~adjusted ~added in
+  let al = lift_edge st w l in
+  let ar = lift_edge st w r in
   let hit =
     al || ar
     || Bytes.unsafe_get st.changed l = '\001'
@@ -574,20 +586,73 @@ let lift_node st w v ~adjusted ~added =
   end;
   hit
 
+(* Snaking amounts of the maximal pure subtrees [w] lists, pushing the
+   nodes with an edge to snake onto their owner's heap; a parent outside
+   [w] (above its root) is left to the caller.  The carry of a maximal
+   pure root's mixed parent (or of the tree root) is 0.  A lone sink's
+   amount is its deficit; nothing reads its deficit or carry. *)
+let amounts st w ~target =
+  let a = st.a in
+  let half_slack = st.slack /. 2. in
+  let cv = 0. in
+  for i = 0 to Array.length w.lone - 1 do
+    let u = w.lone.(i) in
+    let au = fmax 0. (target.(a.Arena.group.(u)) -. st.delay.(u) -. cv) in
+    st.amount.(u) <- au;
+    if au > half_slack && u < w.hi then heap_push st w.heap a.Arena.parent.(u)
+  done;
+  for i = 0 to Array.length w.pure - 1 do
+    let u = w.pure.(i) in
+    let u_lo = u - a.Arena.size.(u) + 1 in
+    deficits st target u_lo u;
+    let au = fmax 0. (st.md.(u) -. cv) in
+    st.amount.(u) <- au;
+    st.carry.(u) <- cv +. au;
+    if au > half_slack && u < w.hi then heap_push st w.heap a.Arena.parent.(u);
+    for v = u downto u_lo do
+      let l = a.Arena.left.(v) in
+      if l >= 0 then begin
+        let r = a.Arena.right.(v) in
+        let cv = st.carry.(v) in
+        let al = fmax 0. (st.md.(l) -. cv) in
+        st.amount.(l) <- al;
+        st.carry.(l) <- cv +. al;
+        let ar = fmax 0. (st.md.(r) -. cv) in
+        st.amount.(r) <- ar;
+        st.carry.(r) <- cv +. ar;
+        if al > half_slack || ar > half_slack then
+          heap_push st (owner w v).heap v
+      end
+    done
+  done
+
+(* Edge adjustments from [w]'s heap, ascending, pushing the parent of
+   every node below [w.hi] that changed. *)
+let lift_heap st w =
+  while w.heap.len > 0 do
+    let v = heap_pop st w.heap in
+    if lift_node st w v && v < w.hi then
+      heap_push st w.heap st.a.Arena.parent.(v)
+  done
+
 (* One lift sweep (stage 2): min deficits ascending, snaking amounts with
    carry descending, then the edge adjustments ascending with
    incremental cap maintenance.  Nodes whose edges or downstream caps
    change are marked dirty for the next balance pass.  Dense (the
    reference) walks the whole range; sparse walks only the pure
    subtrees for the deficits and amounts (a mixed node carries 0), and
-   adjusts from an ascending heap seeded with the parents of the edges
-   to snake, pushing the parent of every node that changed. *)
-let lift st w ~dense ~adjusted ~added =
+   adjusts from ascending heaps seeded with the parents of the edges to
+   snake, pushing the parent of every node that changed.  Amounts are
+   per-node writes of disjoint subtrees, so [w]'s own come first (they
+   may reach into a sub); then the subs run through [par]; a sub root
+   whose edge must be snaked or whose cap changed hands its parent to
+   [w]'s heap, which consumes the root's [changed] mark. *)
+let lift st w ~dense ~par =
   let a = st.a in
   let lo = w.lo and hi = w.hi in
-  let half_slack = st.slack /. 2. in
+  w.log.len <- 0;
   if dense then begin
-    deficits st w lo hi;
+    deficits st w.target lo hi;
     st.carry.(hi) <- 0.;
     st.amount.(hi) <- 0.;
     for v = hi downto lo do
@@ -605,56 +670,30 @@ let lift st w ~dense ~adjusted ~added =
     done;
     Bytes.fill st.changed lo (hi - lo + 1) '\000';
     for v = lo to hi do
-      if a.Arena.left.(v) >= 0 then
-        ignore (lift_node st w v ~adjusted ~added : bool)
-    done;
-    Bytes.unsafe_set st.changed hi '\000'
+      if a.Arena.left.(v) >= 0 then ignore (lift_node st w v : bool)
+    done
   end
   else begin
-    (* The carry of a maximal pure root's mixed parent (or of the range
-       root) is 0.  A lone sink's amount is its deficit; nothing reads
-       its deficit or carry. *)
-    let cv = 0. in
-    for i = 0 to Array.length w.lone - 1 do
-      let u = w.lone.(i) in
-      let au = fmax 0. (w.target.(a.Arena.group.(u)) -. st.delay.(u) -. cv) in
-      st.amount.(u) <- au;
-      if au > half_slack then heap_push st w.heap a.Arena.parent.(u)
-    done;
-    for i = 0 to Array.length w.pure - 1 do
-      let u = w.pure.(i) in
-      let u_lo = u - a.Arena.size.(u) + 1 in
-      deficits st w u_lo u;
-      let au = fmax 0. (st.md.(u) -. cv) in
-      st.amount.(u) <- au;
-      st.carry.(u) <- cv +. au;
-      if au > half_slack then heap_push st w.heap a.Arena.parent.(u);
-      for v = u downto u_lo do
-        let l = a.Arena.left.(v) in
-        if l >= 0 then begin
-          let r = a.Arena.right.(v) in
-          let cv = st.carry.(v) in
-          let al = fmax 0. (st.md.(l) -. cv) in
-          st.amount.(l) <- al;
-          st.carry.(l) <- cv +. al;
-          let ar = fmax 0. (st.md.(r) -. cv) in
-          st.amount.(r) <- ar;
-          st.carry.(r) <- cv +. ar;
-          if al > half_slack || ar > half_slack then heap_push st w.heap v
-        end
-      done
-    done;
-    while w.heap.len > 0 do
-      let v = heap_pop st w.heap in
-      if lift_node st w v ~adjusted ~added && v < hi then
-        heap_push st w.heap a.Arena.parent.(v)
-    done;
-    Bytes.unsafe_set st.changed hi '\000'
-  end
+    let target = w.target and half_slack = st.slack /. 2. in
+    amounts st w ~target;
+    par
+      (fun s ->
+        s.log.len <- 0;
+        amounts st s ~target;
+        lift_heap st s)
+      w.subs;
+    Array.iter
+      (fun s ->
+        if
+          Bytes.unsafe_get st.changed s.hi = '\001'
+          || st.amount.(s.hi) > half_slack
+        then heap_push st w.heap a.Arena.parent.(s.hi))
+      w.subs;
+    lift_heap st w
+  end;
+  Bytes.unsafe_set st.changed hi '\000'
 
 (* --- regional fixpoints ----------------------------------------------- *)
-
-type region = { rlo : int; rhi : int; rstore : int }
 
 type region_summary = {
   r_root : int;
@@ -667,40 +706,31 @@ type region_summary = {
   r_exhausted : bool;
 }
 
-(* Fixpoint regions: {!Arena.windows} — the maximal subtrees of at most
-   [ceil (n / k)] nodes (and at least one merge node), k the auto-cluster
-   density target — a pure function of the tree shape and
-   [config.regions], never of the jobs count, so the decomposition (and
-   with it every float) is identical for any parallelism.  Sharing the
-   decomposition with the parallel evaluation kernels keeps the two
-   policies provably in sync. *)
-let select_regions (a : Arena.t) cfg =
-  Array.mapi
-    (fun i (lo, hi) -> { rlo = lo; rhi = hi; rstore = i + 1 })
-    (Arena.windows ?count:cfg.regions a)
-
-(* Local balance/evaluate/lift fixpoint on one region.  Delays are
-   measured from the region root (delay 0 there): intra-region skews are
-   offset-free, so balancing and lifting inside the region are exactly
-   the global operations restricted to the subtree.  Acceptance uses
-   twice the global slack — the local optimum can sit an ulp away from
-   the global one, and the global cycle enforces the true slack
-   afterwards; the looser local gate keeps re-repair a no-op.  Runs on
-   worker domains: touches only this region's index range and store,
-   and never the trace context. *)
-let region_fixpoint st cfg (rg : region) =
+(* Local balance/evaluate/lift fixpoint on one window of {!Arena.windows}
+   — the maximal subtrees of at most [ceil (n / k)] nodes, k the
+   auto-cluster density target, a pure function of the tree shape and
+   [config.regions], never of the jobs count.  Delays are measured from
+   the window root (delay 0 there): intra-region skews are offset-free,
+   so balancing and lifting inside the region are exactly the global
+   operations restricted to the subtree.  Acceptance uses twice the
+   global slack — the local optimum can sit an ulp away from the global
+   one, and the global cycle enforces the true slack afterwards; the
+   looser local gate keeps re-repair a no-op.  Runs on worker domains:
+   touches only this window's index range and slabs, and never the
+   trace context. *)
+let region_fixpoint st cfg (lo, hi) =
   let dense = not cfg.incremental in
-  let w = make_work st ~lo:rg.rlo ~hi:rg.rhi in
-  let added = ref 0. and adjusted = ref 0 and conflicts = ref 0 in
-  let store = st.stores.(rg.rstore) in
+  let w = make_work st ~lo ~hi ~top:hi [||] in
+  let added = ref 0. and adjusted = ref 0 in
   let accept_slack = 2. *. st.slack in
   let cycles = ref 0 and lifts = ref 0 in
   let exhausted = ref false in
   let continue = ref true in
   while !continue do
-    maybe_compact st store;
     Obs.Counter.incr c_balance;
-    let _ : int = balance st w ~dense ~conflicts ~adjusted ~added in
+    let _ : int = balance st w ~dense ~par:Array.iter in
+    added := replay st w !added;
+    adjusted := !adjusted + logged w;
     incr cycles;
     evaluate st w ~dense;
     if violations st w ~slack:accept_slack = 0 then continue := false
@@ -711,80 +741,78 @@ let region_fixpoint st cfg (rg : region) =
     else begin
       Obs.Counter.incr c_lift;
       incr lifts;
-      lift st w ~dense ~adjusted ~added
+      lift st w ~dense ~par:Array.iter;
+      added := replay st w !added;
+      adjusted := !adjusted + logged w
     end
   done;
   {
-    r_root = rg.rhi;
-    r_sinks = (st.a.Arena.size.(rg.rhi) + 1) / 2;
+    r_root = hi;
+    r_sinks = (st.a.Arena.size.(hi) + 1) / 2;
     r_cycles = !cycles;
     r_lifts = !lifts;
     r_adjusted = !adjusted;
-    r_conflicts = !conflicts;
+    r_conflicts = w.conflicts;
     r_added = !added;
     r_exhausted = !exhausted;
   }
 
 (* --- driver ----------------------------------------------------------- *)
 
-let make_state (inst : Instance.t) (a : Arena.t) regions =
+let make_state (inst : Instance.t) (a : Arena.t) =
   let n = a.Arena.n in
-  let gstore = Array.make n 0 in
-  Array.iter
-    (fun rg ->
-      Array.fill gstore rg.rlo (rg.rhi - rg.rlo + 1) rg.rstore)
-    regions;
-  let stores = Array.make (Array.length regions + 1) (store_create (n / 2)) in
-  Array.iter
-    (fun rg -> stores.(rg.rstore) <- store_create (2 * (rg.rhi - rg.rlo + 1)))
-    regions;
-  let st =
-    {
-      a;
-      slack = Evaluate.default_slack;
-      bound = Array.init inst.Instance.n_groups (Instance.bound_for inst);
-      bcap = Array.make n 0.;
-      goff = Array.make n 0;
-      glen = Array.make n 0;
-      gstore;
-      stores;
-      dirty = Bytes.make n '\001';
-      changed = Bytes.make n '\000';
-      visited = Bytes.make n '\000';
-      queued = Bytes.make n '\000';
-      down = Array.make n 0.;
-      delay = Array.make n 0.;
-      pg = Array.make n (-1);
-      md = Array.make n 0.;
-      amount = Array.make n 0.;
-      carry = Array.make n 0.;
-    }
-  in
-  (* Leaf slabs are the constant point interval at delay 0; written once,
-     never replaced.  Pure groups depend only on the topology. *)
+  let pg = Array.make n (-1) and bcap = Array.make n 0. in
+  let goff = Array.make (n + 1) 0 in
+  (* Leaf caps, pure groups and slab group runs depend only on the
+     topology: a leaf's run is its group, a merge node's the union of
+     its children's. *)
+  let buf = ivec () in
   for v = 0 to n - 1 do
+    goff.(v) <- buf.len;
     let l = a.Arena.left.(v) in
     if l < 0 then begin
-      st.bcap.(v) <- a.Arena.scap.(v);
-      st.pg.(v) <- a.Arena.group.(v);
-      let s = stores.(gstore.(v)) in
-      store_ensure s 1;
-      s.sg.(s.used) <- a.Arena.group.(v);
-      s.sown.(s.used) <- v;
-      s.slo.(s.used) <- 0.;
-      s.shi.(s.used) <- 0.;
-      st.goff.(v) <- s.used;
-      st.glen.(v) <- 1;
-      s.used <- s.used + 1;
-      s.live <- s.live + 1
+      bcap.(v) <- a.Arena.scap.(v);
+      pg.(v) <- a.Arena.group.(v);
+      ivec_push buf a.Arena.group.(v)
     end
     else begin
       let r = a.Arena.right.(v) in
-      st.pg.(v) <-
-        (if st.pg.(l) >= 0 && st.pg.(l) = st.pg.(r) then st.pg.(l) else -1)
+      pg.(v) <- (if pg.(l) >= 0 && pg.(l) = pg.(r) then pg.(l) else -1);
+      let i = ref goff.(l) and j = ref goff.(r) in
+      let ie = goff.(l + 1) and je = goff.(r + 1) in
+      while !i < ie || !j < je do
+        let gl = if !i < ie then buf.data.(!i) else max_int in
+        let gr = if !j < je then buf.data.(!j) else max_int in
+        ivec_push buf (Int.min gl gr);
+        if gl <= gr then incr i;
+        if gr <= gl then incr j
+      done
     end
   done;
-  st
+  goff.(n) <- buf.len;
+  (* A leaf's slab is the point interval at delay 0 and is never
+     rewritten; a merge node's is filled by its first balance. *)
+  {
+    a;
+    slack = Evaluate.default_slack;
+    bound = Array.init inst.Instance.n_groups (Instance.bound_for inst);
+    bcap;
+    goff;
+    sg = Array.sub buf.data 0 buf.len;
+    slo = Array.make buf.len 0.;
+    shi = Array.make buf.len 0.;
+    dw = Array.make n 0.;
+    dirty = Bytes.make n '\001';
+    changed = Bytes.make n '\000';
+    visited = Bytes.make n '\000';
+    queued = Bytes.make n '\000';
+    down = Array.make n 0.;
+    delay = Array.make n 0.;
+    pg;
+    md = Array.make n 0.;
+    amount = Array.make n 0.;
+    carry = Array.make n 0.;
+  }
 
 (* In-place repair of an already-flattened tree: the arena's [len]
    column is mutated; everything else is read-only.  This is the
@@ -795,32 +823,32 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
   let { Obs.Run.trace; sched; progress } = run in
   let tracing = Obs.Trace.enabled trace in
   let slack = Evaluate.default_slack in
-  let go () =
-    let regions = select_regions a config in
-    let st = make_state inst a regions in
-    let n = a.Arena.n in
-    (* Phase 1: regional fixpoints, in parallel when jobs > 1.  Regions
-       are disjoint index ranges with disjoint stores, so workers never
-       write the same word; summaries are folded in region index order,
-       keeping every accumulated float deterministic for any jobs. *)
-    if Array.length regions > 0 then
-      Obs.Progress.add_regions progress ~depth:0 (Array.length regions);
-    let fixpoint r =
-      let s = region_fixpoint st config r in
-      Obs.Progress.region_done progress ~depth:0;
-      s
+  let windows = Arena.windows ?count:config.regions a in
+  let go pool =
+    (* Windows on the pool when there are two or more; the same code
+       serially otherwise.  Windows are disjoint index ranges with
+       disjoint slabs, so workers never write the same word. *)
+    let map label f xs =
+      match pool with
+      | Some p when Array.length xs >= 2 ->
+        Par.Pool.map_chunked p ~sched ~label ~chunk:1 f xs
+      | _ -> Array.map f xs
     in
+    let par f subs = ignore (map "repair.cycle" f subs : unit array) in
+    let st = make_state inst a in
+    let n = a.Arena.n in
+    (* Phase 1: regional fixpoints on the windows.  Summaries are folded
+       in window order, keeping every accumulated float deterministic for
+       any jobs. *)
+    if Array.length windows > 0 then
+      Obs.Progress.add_regions progress ~depth:0 (Array.length windows);
     let summaries =
-      if Array.length regions = 0 then [||]
-      else if config.jobs <= 1 || Array.length regions < 2 then
-        Array.map fixpoint regions
-      else
-        Par.Pool.with_pool ~jobs:config.jobs (fun pool ->
-            match pool with
-            | None -> Array.map fixpoint regions
-            | Some p ->
-              Par.Pool.map_chunked p ~sched ~label:"repair.regions" ~chunk:1
-                fixpoint regions)
+      map "repair.regions"
+        (fun r ->
+          let s = region_fixpoint st config r in
+          Obs.Progress.region_done progress ~depth:0;
+          s)
+        windows
     in
     Obs.Counter.add c_regions (Array.length summaries);
     let added = ref 0. and adjusted = ref 0 and conflicts = ref 0 in
@@ -857,21 +885,30 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
     if !exhausted then Obs.Counter.incr c_exhausted;
     (* Phase 2: the global cycle over the residual dirty set (all of
        the tree on the first pass when no regional phase ran — every
-       node starts dirty). *)
+       node starts dirty).  Sparse, it runs each window first, then the
+       spine above them; the dense reference walks the whole tree. *)
     let dense = not config.incremental in
-    let w = make_work st ~lo:0 ~hi:(n - 1) in
+    let subs =
+      if dense then [||]
+      else
+        Array.map
+          (fun (lo, hi) -> make_work st ~lo ~hi ~top:(n - 1) [||])
+          windows
+    in
+    let w = make_work st ~lo:0 ~hi:(n - 1) ~top:(n - 1) subs in
     let iter = ref 0 in
     let finished = ref false in
     let g_lifts = ref 0 and unresolved = ref 0 in
     while not !finished do
       Obs.Progress.tick progress;
-      Array.iter (maybe_compact st) st.stores;
       Obs.Counter.incr c_balance;
       if tracing then
         Obs.Trace.instant trace ~cat:"clocktree.repair"
           ~args:[ ("cycle", Obs.Json.Int !iter) ]
           "balance_pass";
-      let processed = balance st w ~dense ~conflicts ~adjusted ~added in
+      let processed = balance st w ~dense ~par in
+      added := replay st w !added;
+      adjusted := !adjusted + logged w;
       incr cycles;
       evaluate st w ~dense;
       let bad = violations st w ~slack in
@@ -907,11 +944,14 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
                 ("added_wire", Obs.Json.Float !added);
               ]
             "lift_sweep";
-        lift st w ~dense ~adjusted ~added;
+        lift st w ~dense ~par;
+        added := replay st w !added;
+        adjusted := !adjusted + logged w;
         incr g_lifts;
         incr iter
       end
     done;
+    conflicts := Array.fold_left (fun k s -> k + s.conflicts) (!conflicts + w.conflicts) subs;
     Obs.Counter.add c_adjusted !adjusted;
     {
       added_wire = !added;
@@ -922,6 +962,10 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
       cycles = !cycles;
       budget_exhausted = !exhausted;
     }
+  in
+  let go () =
+    if config.jobs <= 1 || Array.length windows < 2 then go None
+    else Par.Pool.with_pool ~jobs:config.jobs go
   in
   if tracing then Obs.Trace.span trace ~cat:"clocktree.repair" "repair" go
   else go ()

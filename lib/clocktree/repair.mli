@@ -22,37 +22,53 @@
     above anything that changed.  A clean node's inputs are bit-identical
     to its memo, so skipping it is exact, not approximate: incremental
     repair returns the same tree and stats bitwise as the from-scratch
-    walk (guarded by [Check.Oracle.repair]).
+    walk (guarded by [Check.Oracle.repair]).  A node's group set is fixed
+    by the topology, so its slab sits at a fixed offset of one flat
+    store laid out before the first pass and is rewritten in place: the
+    store holds exactly the live slabs and never grows or compacts.
 
-    Cost of one incremental cycle on a range of [n] nodes, whose balance
+    The cycle is also {e windowed}.  {!Arena.windows} splits the tree
+    into maximal subtrees of at most [ceil (nodes / k)] nodes (k the
+    shared density target {!Instance.auto_regions}, as for
+    [Dme.Cluster.auto_clusters], so [--clustered] regions and repair
+    windows coincide at scale) under a thin spine of the nodes above
+    them.  Each window first runs its own regional
+    balance/evaluate/lift fixpoint, with delays measured from its root
+    and acceptance at twice the final slack.  The global cycle then runs
+    on the residual dirty set, window by window and then the spine:
+    - balance: each window pops its own ascending heap, and a window
+      root balanced this pass hands its parent to the spine's heap;
+    - evaluate: the spine's downstream caps (the windows refresh theirs
+      in their balance task), then one dense O(n) Elmore sweep and one
+      scan of the sinks for the per-group delay range and lift target;
+    - lift: the spine's maximal group-pure subtrees (fixed by the
+      topology and found once; in an intermingled tree nearly all of
+      them are single sinks) set their snaking amounts first, then each
+      window sets its own and makes its edge adjustments up to its root,
+      then the spine makes its own, consuming the window roots' marks.
+    Balancing or lifting a node reads only its subtree, so every node
+    sees the inputs of the ascending walk of the whole tree.  Windows
+    are disjoint index ranges, so their steps run on a [Par.Pool] of
+    [jobs] domains, which also runs the regional fixpoints; at
+    [jobs = 1] or below two windows the same code runs serially.
+    Windows depend only on the tree shape and [config.regions], never on
+    the jobs count, and each pass's added wire is replayed on the
+    calling domain from per-window adjustment logs merged by node index,
+    in the order of the serial walk.  So trees, stats and every float
+    sum are bit-identical for any [jobs].
+
+    Cost of one incremental global cycle on [n] nodes, whose balance
     frontier holds [F] nodes and whose lift changes the caps of [L]
-    nodes (the snaked edges' parents and their ancestors):
-    - balance: O(F log n) — an ascending heap seeded with the dirty
-      nodes, pushing the parent of every balanced node;
-    - evaluate: O(F) downstream caps (the balanced nodes and their
-      children), then one dense O(n) Elmore sweep and one scan of the
-      sinks for the per-group delay range and lift target;
-    - lift: one sweep over the group-pure subtrees (fixed by the
-      topology and found once per fixpoint; in an intermingled tree
-      nearly all of them are single sinks), then O(L log n) edge
-      adjustments.
-    The sweeps read flat arrays only.  The hot loops allocate nothing
-    but the boxed result of each [Rc.Elmore.wire_for_delay] call and of
-    each added-wire update.  With [incremental = false] every pass walks
-    the whole range instead: the from-scratch reference.
-
-    On large instances the cycle is also {e regional}: maximal subtrees
-    of at most [ceil (nodes / k)] nodes (k the shared density target
-    {!Instance.auto_regions}, as for [Dme.Cluster.auto_clusters], so
-    [--clustered] regions and repair regions coincide at scale) first
-    run their own local
-    balance/evaluate/lift fixpoints — in parallel across [Par.Pool] when
-    [jobs > 1], which is safe because regions are disjoint index ranges
-    and balancing node [v] reads only [v]'s subtree — and the global
-    cycle then runs on the residual dirty set.  Regions depend only on
-    the tree shape and [config.regions], never on the jobs count, and
-    regional fixpoints accept at twice the final slack (the global cycle
-    enforces the real bound), so results are independent of [jobs].
+    nodes (the snaked edges' parents and their ancestors): O(F log n)
+    balance, O(F) caps plus the O(n) delay sweep and sink scan, one
+    sweep over the pure subtrees and O(L log n) edge adjustments.  The
+    balance and lift work is split across the windows; the evaluation
+    sweep stays serial (windowing it measured as much extra CPU time as
+    it saved wall time).  The sweeps read flat arrays only, and the hot
+    loops allocate nothing per node or edge: a global cycle allocates a
+    small constant number of minor-heap words.  With
+    [incremental = false] every pass walks the whole tree serially
+    instead: the from-scratch reference.
 
     A well-planned tree needs ~0 added wire; this pass is the hard
     guarantee, not the optimizer. *)
@@ -62,17 +78,17 @@ type config = {
       (** balance/lift cycle budget, per fixpoint (each regional fixpoint
           and the global cycle get this many balance passes); default
           300 *)
-  jobs : int;  (** worker domains for the regional phase; default
-          [Par.Pool.default_jobs ()] *)
+  jobs : int;  (** domains for the windows (regional fixpoints and the
+          global cycle); default [Par.Pool.default_jobs ()] *)
   incremental : bool;
       (** revisit only the dirty frontier between cycles; [false] forces
           the from-scratch walk every pass (same result bitwise — this
           knob exists for the identity oracle and for debugging) *)
   regions : int option;
-      (** regional-fixpoint target count: [None] derives
+      (** window target count: [None] derives
           {!Arena.windows}' default [clamp 1 64 (ceil (n_sinks / 1000))]
-          (below 2 the regional phase is skipped and repair is the pure
-          global cycle);
+          (below 2 there are no windows: no regional phase, and the
+          global cycle walks the whole tree as one range);
           [Some k] forces a target, letting tests and oracles exercise
           the regional machinery on small instances *)
 }
@@ -107,7 +123,8 @@ type stats = {
     exhausting a cycle budget emits a ["budget_exhausted"] instant.
 
     An enabled [run.sched] recorder ledgers the parallel regional phase
-    under ["repair.regions"]; an enabled [run.progress] reporter is told
+    under ["repair.regions"] and the global cycle's window batches under
+    ["repair.cycle"]; an enabled [run.progress] reporter is told
     the region count, sees a completion per converged regional
     fixpoint, and gets a heartbeat tick per global cycle.  Neither
     perturbs the repair: trees and stats stay bit-identical with them

@@ -74,16 +74,21 @@ let fanout_for ~budget ~depth =
    on the fan-out at which groups are cut off and later resumed — the
    leaf regions of the recursive (multi-level) scheme are identical, in
    contents and order, to the flat [partition] at the same total budget.
-   The whole walk is a pure serial function of the sink set. *)
+   The whole walk is a pure serial function of the sink set.  Only an
+   emitted half needs the (coordinate, id) order — [sub_instance] keeps
+   it — so every other half is found by selection alone: the next split
+   depends only on its set. *)
 let split_ids point_of ids ~budget ~fanout =
   let n = Array.length ids in
   let out = ref [] in
   let rec split ids k f =
     if f <= 1 then out := (ids, k) :: !out
     else begin
-      let lo, hi = Split.bipartition point_of ids in
       let kl = (k + 1) / 2 in
       let fl = (f + 1) / 2 in
+      let lo, hi =
+        Split.bipartition ~sorted:(fl <= 1, f - fl <= 1) point_of ids
+      in
       split lo kl fl;
       split hi (k - kl) (f - fl)
     end

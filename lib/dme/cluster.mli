@@ -67,6 +67,19 @@ val fanout_cap : int
     {!fanout_cap}: 1 for [k <= 64], 2 up to 4096, and so on. *)
 val auto_depth : int -> int
 
+(** [split_ids point_of ids ~budget ~fanout] is one level of the
+    budgeted halving: [ids] split by recursive {!Geometry.Split.bipartition}
+    into [min fanout budget] groups (at least 1, at most
+    [Array.length ids]), each with its share of the region [budget], in
+    bipartition order.  Each group lists its ids in the (coordinate, id)
+    order of the median split that emitted it. *)
+val split_ids :
+  (int -> Geometry.Pt.t) ->
+  int array ->
+  budget:int ->
+  fanout:int ->
+  (int array * int) array
+
 (** [partition inst ~clusters] splits the sink ids into
     [min clusters (n_sinks)] non-empty regions (at least 1) by
     recursive median bipartition along the longer bounding-box axis

@@ -18,18 +18,27 @@ val longer_axis : lo:Pt.t -> hi:Pt.t -> axis
     [(+inf, +inf), (-inf, -inf)] for an empty set. *)
 val extent : (int -> Pt.t) -> int array -> Pt.t * Pt.t
 
-(** [median ~axis point_of ids] splits [ids] into two halves at the
-    median along [axis]: the lower half gets [ceil (n / 2)] ids, so both
-    halves are non-empty whenever [n >= 2] (raises [Invalid_argument]
-    for [n < 2]).  The split is a pure function of the id {e set}:
-    entries sort by [(coordinate, id)] ([Float.compare], then
-    [Int.compare]), so duplicate coordinates break ties by id and the
-    input array's order never matters.  Each coordinate is read once
-    into a float key array; the sort compares keys inline, with no
+(** [median ~sorted ~axis point_of ids] splits [ids] into two halves at
+    the median along [axis]: the lower half gets [ceil (n / 2)] ids, so
+    both halves are non-empty whenever [n >= 2] (raises
+    [Invalid_argument] for [n < 2]).  The split is a pure function of
+    the id {e set}: entries order by [(coordinate, id)] ([Float.compare],
+    then [Int.compare]), so duplicate coordinates break ties by id and
+    the input array's order never matters.  The halves are found by an
+    O(n) expected selection; [sorted = (lower, upper)] names the halves
+    that must also come back in that order, at O(k log k) each — the
+    others come in an unspecified order.  Each coordinate is read
+    once into a float key array; comparisons read keys inline, with no
     [point_of] or C call per comparison. *)
-val median : axis:axis -> (int -> Pt.t) -> int array -> int array * int array
+val median :
+  sorted:bool * bool ->
+  axis:axis ->
+  (int -> Pt.t) ->
+  int array ->
+  int array * int array
 
-(** [bipartition point_of ids] is {!median} along the {!longer_axis} of
-    the set's {!extent} — one step of the top-down MMM-style
-    partition. *)
-val bipartition : (int -> Pt.t) -> int array -> int array * int array
+(** [bipartition ~sorted point_of ids] is {!median} along the
+    {!longer_axis} of the set's {!extent} — one step of the top-down
+    MMM-style partition. *)
+val bipartition :
+  sorted:bool * bool -> (int -> Pt.t) -> int array -> int array * int array

@@ -572,27 +572,33 @@ let test_repair_idempotent_r1_r3 () =
 (* --- sparse repair cycle at 10^4 sinks ------------------------------------ *)
 
 (* The flat 10^4-sink bench instance (8 intermingled groups, 10 ps bound,
-   2000·sqrt n die, default seed) drives the global repair cycle through
-   a few dozen lift sweeps.  The frontier-sparse cycle must reproduce the
-   dense from-scratch walk bit for bit at jobs 1 and 2: tree, per-sink
+   2000·sqrt n die, default seed), routed once at jobs 1.  Its global
+   repair cycle runs a few dozen lift sweeps over ten windows. *)
+let s10k =
+  lazy
+    (let spec =
+       Workload.Circuits.
+         { name = "s10k"; n_sinks = 10_000; die = 2000. *. sqrt 10_000. }
+     in
+     let inst =
+       Workload.Circuits.instance spec ~n_groups:8
+         ~scheme:Workload.Partition.Intermingled ~bound:10. ()
+     in
+     let routed =
+       Arena.to_routed
+         (fst
+            (Dme.Engine.run_arena
+               ~config:{ Astskew.Router.ast_default_config with jobs = 1 }
+               inst))
+     in
+     (inst, routed))
+
+(* The frontier-sparse, windowed cycle must reproduce the dense
+   from-scratch walk bit for bit at jobs 1, 2 and 4: tree, per-sink
    delays, stats, and every cycle's journal record (processed counts
    aside — they are what differs). *)
 let test_sparse_repair_10k () =
-  let spec =
-    Workload.Circuits.
-      { name = "s10k"; n_sinks = 10_000; die = 2000. *. sqrt 10_000. }
-  in
-  let inst =
-    Workload.Circuits.instance spec ~n_groups:8
-      ~scheme:Workload.Partition.Intermingled ~bound:10. ()
-  in
-  let routed =
-    Arena.to_routed
-      (fst
-         (Dme.Engine.run_arena
-            ~config:{ Astskew.Router.ast_default_config with jobs = 1 }
-            inst))
-  in
+  let inst, routed = Lazy.force s10k in
   let repair incremental jobs =
     let trace = Obs.Trace.create () in
     let config = { Repair.default_config with incremental; jobs } in
@@ -640,7 +646,69 @@ let test_sparse_repair_10k () =
         (Int64.bits_of_float dense_s.added_wire
         = Int64.bits_of_float s.added_wire);
       Alcotest.(check bool) (what ^ ": cycle records") true (dense_c = c))
-    [ 1; 2 ]
+    [ 1; 2; 4 ]
+
+(* Windows of the global cycle run as ["repair.cycle"] batches on the
+   repair's pool: on s10k at jobs 2 each batch spans its ten windows,
+   while a route of 1000 sinks or fewer has no windows and books none. *)
+let test_repair_cycle_ledger () =
+  let cycle_batches (report : Obs.Sched.report option) =
+    match report with
+    | None -> Alcotest.fail "no sched report"
+    | Some r ->
+      List.concat_map
+        (fun (p : Obs.Sched.phase_report) ->
+          List.filter
+            (fun (l : Obs.Sched.label_report) -> l.label = "repair.cycle")
+            p.labels)
+        r.phases
+  in
+  let inst, routed = Lazy.force s10k in
+  let run = { Obs.Run.null with sched = Obs.Sched.create () } in
+  let config = { Repair.default_config with jobs = 2 } in
+  let _ : Tree.routed * Repair.stats = Repair.run ~config ~run inst routed in
+  (match cycle_batches (Obs.Sched.report run.sched) with
+   | [ l ] ->
+     Alcotest.(check bool)
+       (Printf.sprintf "batches span >= 2 windows (%d items / %d batches)"
+          l.items l.ledgers)
+       true
+       (l.ledgers > 0 && l.items >= 2 * l.ledgers)
+   | _ -> Alcotest.fail "no repair.cycle ledger at jobs 2");
+  let r3 = circuit_instance "r3" in
+  Alcotest.(check bool) "r3 has at most 1000 sinks" true
+    (Instance.n_sinks r3 <= 1000);
+  let run = { Obs.Run.null with sched = Obs.Sched.create () } in
+  let r = Astskew.Router.ast_dme ~jobs:2 ~run r3 in
+  Alcotest.(check int) "no repair.cycle batch below 1000 sinks" 0
+    (List.length (cycle_batches r.sched))
+
+(* The global cycle's hot loops allocate nothing per adjusted edge: two
+   jobs-1 runs whose budgets stop the global cycle after 6 and 36 passes
+   (every regional fixpoint converges within 3) differ by 30 global
+   cycles, and their minor-heap allocation by a small constant per
+   cycle.  Boxing each [wire_for_delay] result or added-wire update
+   costs several words per edge, hundreds of edges per cycle. *)
+let test_repair_minor_words_10k () =
+  let inst, routed = Lazy.force s10k in
+  let measure max_cycles =
+    let a = Arena.of_routed inst.params ~rd:inst.rd routed in
+    let config = { Repair.default_config with jobs = 1; max_cycles } in
+    let m0 = Gc.minor_words () in
+    let s = Repair.run_arena ~config inst a in
+    (Gc.minor_words () -. m0, s)
+  in
+  let w6, s6 = measure 5 and w36, s36 = measure 35 in
+  Alcotest.(check int) "30 more global cycles" 30 (s36.cycles - s6.cycles);
+  Alcotest.(check bool)
+    (Printf.sprintf "edges adjusted in between (%d)"
+       (s36.adjusted_edges - s6.adjusted_edges))
+    true
+    (s36.adjusted_edges - s6.adjusted_edges >= 3000);
+  let per_cycle = (w36 -. w6) /. 30. in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per global cycle %.0f <= 256" per_cycle)
+    true (per_cycle <= 256.)
 
 (* --- the invariance table -------------------------------------------------- *)
 
@@ -817,5 +885,9 @@ let () =
         [
           Alcotest.test_case "10^4 sinks: sparse = dense" `Slow
             test_sparse_repair_10k;
+          Alcotest.test_case "10^4 sinks: repair.cycle ledger" `Slow
+            test_repair_cycle_ledger;
+          Alcotest.test_case "10^4 sinks: minor words per cycle" `Slow
+            test_repair_minor_words_10k;
         ] );
     ]

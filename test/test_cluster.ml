@@ -36,7 +36,9 @@ let test_split_bipartition () =
   (* Wide cloud: split must be along X, halves of sizes ceil/floor. *)
   let pts = [| pt 0. 0.; pt 10. 5.; pt 20. 0.; pt 30. 5.; pt 40. 0. |] in
   let ids = Array.init 5 Fun.id in
-  let lo, hi = Geometry.Split.bipartition (Array.get pts) ids in
+  let lo, hi =
+    Geometry.Split.bipartition ~sorted:(true, true) (Array.get pts) ids
+  in
   Alcotest.(check int) "lower size" 3 (Array.length lo);
   Alcotest.(check int) "upper size" 2 (Array.length hi);
   Array.iter
@@ -52,7 +54,9 @@ let test_split_ties () =
   (* All coincident: ties broken by id, halves still non-empty. *)
   let pts = Array.make 6 (pt 1. 1.) in
   let ids = Array.init 6 Fun.id in
-  let lo, hi = Geometry.Split.bipartition (Array.get pts) ids in
+  let lo, hi =
+    Geometry.Split.bipartition ~sorted:(true, true) (Array.get pts) ids
+  in
   Alcotest.(check int) "lower size" 3 (Array.length lo);
   Alcotest.(check int) "upper size" 3 (Array.length hi);
   Alcotest.(check (list int)) "lower ids" [ 0; 1; 2 ] (Array.to_list lo);
@@ -62,7 +66,8 @@ let test_split_ties () =
    comparator itself — Float.compare, then Int.compare — on point sets
    whose coordinates are stacked on a coarse lattice (many exact
    duplicates, both signed zeros, NaN) mixed with arbitrary floats, and whose
-   ids arrive as a shuffled sparse set. *)
+   ids arrive as a shuffled sparse set.  A half left unsorted must hold
+   the same ids as the reference half. *)
 let median_prop =
   let open QCheck.Gen in
   let coord =
@@ -78,24 +83,92 @@ let median_prop =
     let* pts = array_repeat n (pair coord coord) in
     let* ids = map Array.of_list (shuffle_l (List.init n (fun i -> 3 * i))) in
     let* axis = oneofl Geometry.Split.[ X; Y ] in
-    return (pts, ids, axis)
+    let* sorted = pair bool bool in
+    return (pts, ids, axis, sorted)
   in
   QCheck.Test.make ~name:"median = (coordinate, id) reference sort" ~count:300
     (QCheck.make
-       ~print:(fun (pts, _, _) -> Printf.sprintf "n=%d" (Array.length pts))
+       ~print:(fun (pts, _, _, (l, h)) ->
+         Printf.sprintf "n=%d sorted=(%b, %b)" (Array.length pts) l h)
        gen)
-    (fun (pts, ids, axis) ->
+    (fun (pts, ids, axis, sorted) ->
       let point_of id = pt (fst pts.(id / 3)) (snd pts.(id / 3)) in
       let key id = Geometry.Split.coord axis (point_of id) in
-      let sorted = Array.copy ids in
-      Array.sort
-        (fun a b ->
-          match Float.compare (key a) (key b) with 0 -> Int.compare a b | c -> c)
-        sorted;
+      let order a b =
+        match Float.compare (key a) (key b) with 0 -> Int.compare a b | c -> c
+      in
+      let reference = Array.copy ids in
+      Array.sort order reference;
       let n = Array.length ids in
       let half = (n + 1) / 2 in
-      Geometry.Split.median ~axis point_of ids
-      = (Array.sub sorted 0 half, Array.sub sorted half (n - half)))
+      let settle keep h =
+        if keep then h
+        else begin
+          let h = Array.copy h in
+          Array.sort order h;
+          h
+        end
+      in
+      let lo, hi = Geometry.Split.median ~sorted ~axis point_of ids in
+      (settle (fst sorted) lo, settle (snd sorted) hi)
+      = (Array.sub reference 0 half, Array.sub reference half (n - half)))
+
+(* [Cluster.split_ids], which sorts only the halves it emits and
+   selects the rest, against the walk that sorts every half with the
+   reference comparator: same groups, in the same order, with the same
+   ids in the same order and the same budgets.  Point sets stack many
+   sinks on a coarse lattice (exact duplicates, key ties on the split
+   axis, equal extents); budgets and fan-outs range over 1 to n. *)
+let split_ids_prop =
+  let open QCheck.Gen in
+  let coord =
+    frequency
+      [ (6, map (fun i -> float_of_int i *. 10.) (-3 -- 3));
+        (2, float_range (-1e6) 1e6) ]
+  in
+  let gen =
+    let* n = 1 -- 200 in
+    let* pts = array_repeat n (pair coord coord) in
+    let* ids = map Array.of_list (shuffle_l (List.init n (fun i -> 3 * i))) in
+    let* budget = 1 -- n in
+    let* fanout = 1 -- budget in
+    return (pts, ids, budget, fanout)
+  in
+  QCheck.Test.make ~name:"split_ids = all-sorting reference" ~count:300
+    (QCheck.make
+       ~print:(fun (pts, _, b, f) ->
+         Printf.sprintf "n=%d budget=%d fanout=%d" (Array.length pts) b f)
+       gen)
+    (fun (pts, ids, budget, fanout) ->
+      let point_of id = pt (fst pts.(id / 3)) (snd pts.(id / 3)) in
+      let reference ids =
+        let lo, hi = Geometry.Split.extent point_of ids in
+        let axis = Geometry.Split.longer_axis ~lo ~hi in
+        let key id = Geometry.Split.coord axis (point_of id) in
+        let sorted = Array.copy ids in
+        Array.sort
+          (fun a b ->
+            match Float.compare (key a) (key b) with
+            | 0 -> Int.compare a b
+            | c -> c)
+          sorted;
+        let half = (Array.length ids + 1) / 2 in
+        (Array.sub sorted 0 half, Array.sub sorted half (Array.length ids - half))
+      in
+      let out = ref [] in
+      let rec split ids k f =
+        if f <= 1 then out := (ids, k) :: !out
+        else begin
+          let lo, hi = reference ids in
+          let kl = (k + 1) / 2 and fl = (f + 1) / 2 in
+          split lo kl fl;
+          split hi (k - kl) (f - fl)
+        end
+      in
+      let k = Int.max 1 (Int.min budget (Array.length ids)) in
+      split ids k (Int.max 1 (Int.min fanout k));
+      Dme.Cluster.split_ids point_of ids ~budget ~fanout
+      = Array.of_list (List.rev !out))
 
 (* --- Partition ----------------------------------------------------------- *)
 
@@ -317,7 +390,7 @@ let () =
           Alcotest.test_case "bipartition" `Quick test_split_bipartition;
           Alcotest.test_case "coincident ties" `Quick test_split_ties;
         ]
-        @ qsuite [ median_prop ] );
+        @ qsuite [ median_prop; split_ids_prop ] );
       ( "partition",
         [
           Alcotest.test_case "cover + clamp" `Quick test_partition_cover;
