@@ -185,13 +185,10 @@ let smoke args =
   | Some spec ->
     header (Printf.sprintf "Perf smoke: ranking k-NN work on %s" spec.name);
     let inst = bench_instance spec in
-    Obs.Report.reset ();
     let r = Astskew.Router.ast_dme inst in
     let probes = r.engine.nn_reprobes in
     let queries = r.engine.nn_queries in
-    let cells =
-      Obs.Counter.value (Option.get (Obs.Counter.find "geometry.grid.cells_visited"))
-    in
+    let cells = r.engine.nn_cells in
     let cells_per_probe = float_of_int cells /. float_of_int (Int.max 1 probes) in
     Format.printf
       "probes %d, k-NN queries %d (%.2f per probe), cells visited %d (%.1f \
@@ -208,9 +205,9 @@ let smoke args =
        query near its neighbours, and the narrow first query scans fewer
        of them: r3 visits about 12.1 cells per probe, the full-k probe
        26.8 and a snapshot sized once for the leaves 28.2, so 18
-       catches either regression.  Every query charges at least its own
-       cell, so fewer cells than queries means the kernel stopped
-       charging the counter, which would pass the 18-cell budget by
+       catches either regression.  Every query walks at least its own
+       cell, so fewer cells than queries means the kernel's tally stopped
+       reaching [engine.nn_cells], which would pass the 18-cell budget by
        reading 0.  Counts are deterministic, so this cannot flake on
        slow runners. *)
     let queries_per_probe_budget = 1.25 in
@@ -225,7 +222,7 @@ let smoke args =
        170 and fails it.  [Octagon.sdr] allocates only its result (11
        words), so 32 per call over r3's consecutive leaf-region pairs
        catches a boxed slice or hull.  Allocation counts are deterministic per domain,
-       so like the counters above these cannot flake on slow runners. *)
+       so like the counts above these cannot flake on slow runners. *)
     let words_per_probe_budget = 160. in
     let sdr_words_budget = 32. in
     let sdr_words =

@@ -86,7 +86,9 @@ let svg_arg =
 
 let stats_json_arg =
   let doc =
-    "Write routing statistics as JSON to FILE: result metrics (wirelength,      skews, per-phase timings, engine and repair stats) plus every Obs      counter of the process."
+    "Write routing statistics as JSON to FILE: each router's result metrics \
+     (wirelength, skews, per-phase timings, engine and repair stats); the \
+     file's top-level $(b,schema) field is 2."
   in
   Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE" ~doc)
 
@@ -158,22 +160,11 @@ let write_trace_files ~trace_file ~journal_file trace =
   in
   Int.max c1 c2
 
-(* The ["results"] field maps router names to Router.json_of_result
-   objects; ["obs"] is the global Obs.Report snapshot (the counters
-   accumulated over the whole process).  Returns an exit code. *)
+(* The schema-2 document of Router.json_of_results: each router's
+   counts live in its own result object.  Returns an exit code. *)
 let write_stats_json path results =
-  let json =
-    Obs.Json.Obj
-      [
-        ( "results",
-          Obs.Json.Obj
-            (List.map
-               (fun (name, r) -> (name, Astskew.Router.json_of_result r))
-               results) );
-        ("obs", Obs.Report.snapshot ());
-      ]
-  in
-  write "stats" path (fun p -> Obs.Json.write_file p json)
+  write "stats" path (fun p ->
+      Obs.Json.write_file p (Astskew.Router.json_of_results results))
 
 (* The generation options are checked before anything is built, so a
    bad value is reported like any other input error instead of escaping

@@ -59,8 +59,8 @@ val run :
 val tree_equal : Clocktree.Tree.routed -> Clocktree.Tree.routed -> bool
 
 (** A trace's per-round journal records sum exactly to the engine's
-    aggregate stats (round count, probes, queries, probes saved, trial
-    merges, elided trials), and its Chrome export re-parses through
+    aggregate stats (round count, probes, queries, trial merges, elided
+    trials), and its Chrome export re-parses through
     {!Obs.Json} with a non-empty [traceEvents] list. *)
 val journal : Obs.Trace.t -> Dme.Engine.stats -> violation list
 

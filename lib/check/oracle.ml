@@ -256,8 +256,8 @@ let columns (o : obs) =
            ("planned_snake", s.planned_snake);
            ("infeasible_merges", f s.infeasible_merges);
            ("nn_reprobes", f s.nn_reprobes);
-           ("nn_queries", f s.nn_queries);
-           ("nn_probes_saved", f s.nn_probes_saved);
+           ("nn_queries", f s.nn_queries); ("nn_cells", f s.nn_cells);
+           ("nn_entries", f s.nn_entries);
            ("trial_merges", f t.trial_merges);
            ("elided_trials", f t.elided_trials) ])
   @

@@ -25,12 +25,6 @@ type stats = {
   budget_exhausted : bool;
 }
 
-let c_balance = Obs.Counter.make "clocktree.repair.balance_passes"
-let c_lift = Obs.Counter.make "clocktree.repair.lift_sweeps"
-let c_adjusted = Obs.Counter.make "clocktree.repair.adjusted_edges"
-let c_regions = Obs.Counter.make "clocktree.repair.regions"
-let c_exhausted = Obs.Counter.make "clocktree.repair.budget_exhausted"
-
 (* Float.min / Float.max with the same result bits — signed zeros
    included (min -0 +0 = -0, max -0 +0 = +0) and NaN propagating — but
    inlined, so the hot loops keep their floats unboxed.  The zero test
@@ -727,7 +721,6 @@ let region_fixpoint st cfg (lo, hi) =
   let exhausted = ref false in
   let continue = ref true in
   while !continue do
-    Obs.Counter.incr c_balance;
     let _ : int = balance st w ~dense ~par:Array.iter in
     added := replay st w !added;
     adjusted := !adjusted + logged w;
@@ -739,7 +732,6 @@ let region_fixpoint st cfg (lo, hi) =
       continue := false
     end
     else begin
-      Obs.Counter.incr c_lift;
       incr lifts;
       lift st w ~dense ~par:Array.iter;
       added := replay st w !added;
@@ -850,7 +842,6 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
           s)
         windows
     in
-    Obs.Counter.add c_regions (Array.length summaries);
     let added = ref 0. and adjusted = ref 0 and conflicts = ref 0 in
     let cycles = ref 0 and lifts = ref 0 in
     let exhausted = ref false in
@@ -882,7 +873,6 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
                ]))
         summaries
     end;
-    if !exhausted then Obs.Counter.incr c_exhausted;
     (* Phase 2: the global cycle over the residual dirty set (all of
        the tree on the first pass when no regional phase ran — every
        node starts dirty).  Sparse, it runs each window first, then the
@@ -901,7 +891,6 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
     let g_lifts = ref 0 and unresolved = ref 0 in
     while not !finished do
       Obs.Progress.tick progress;
-      Obs.Counter.incr c_balance;
       if tracing then
         Obs.Trace.instant trace ~cat:"clocktree.repair"
           ~args:[ ("cycle", Obs.Json.Int !iter) ]
@@ -927,7 +916,6 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
       else if !iter >= config.max_cycles then begin
         unresolved := bad;
         exhausted := true;
-        Obs.Counter.incr c_exhausted;
         if tracing then
           Obs.Trace.instant trace ~cat:"clocktree.repair"
             ~args:[ ("cycle", Obs.Json.Int !iter) ]
@@ -935,7 +923,6 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
         finished := true
       end
       else begin
-        Obs.Counter.incr c_lift;
         if tracing then
           Obs.Trace.instant trace ~cat:"clocktree.repair"
             ~args:
@@ -952,7 +939,6 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
       end
     done;
     conflicts := Array.fold_left (fun k s -> k + s.conflicts) (!conflicts + w.conflicts) subs;
-    Obs.Counter.add c_adjusted !adjusted;
     {
       added_wire = !added;
       adjusted_edges = !adjusted;

@@ -214,7 +214,8 @@ let json_of_engine_stats (s : Dme.Engine.stats) : Obs.Json.t =
       ("infeasible_merges", Int s.infeasible_merges);
       ("nn_reprobes", Int s.nn_reprobes);
       ("nn_queries", Int s.nn_queries);
-      ("nn_probes_saved", Int s.nn_probes_saved);
+      ("nn_cells", Int s.nn_cells);
+      ("nn_entries", Int s.nn_entries);
       ("trial_merges", Int s.trial.trial_merges);
       ("trial_elided", Int s.trial.elided_trials);
       ("gc", Obs.Gcstat.json s.gc);
@@ -290,6 +291,14 @@ let json_of_result (r : result) : Obs.Json.t =
     match r.sched with
     | None -> []
     | Some rep -> [ ("efficiency", Obs.Sched.json_of_report rep) ])
+
+let json_of_results results =
+  Obs.Json.Obj
+    [
+      ("schema", Obs.Json.Int 2);
+      ( "results",
+        Obs.Json.Obj (List.map (fun (name, r) -> (name, json_of_result r)) results) );
+    ]
 
 let pp_result ppf r =
   Format.fprintf ppf "%a, %.2fs cpu, %d infeasible merges, repair +%.0f wire"

@@ -151,4 +151,12 @@ val reduction : baseline:result -> result -> float
     [astroute --stats-json]. *)
 val json_of_result : result -> Obs.Json.t
 
+(** The [astroute --stats-json] document, schema 2:
+    [{"schema": 2, "results": {<name>: json_of_result, ...}}], names in
+    the order given.  Every count lives in its route's own result, so
+    routes made in one process never share a tally.  The unversioned
+    format, which appended a process-wide ["obs"] counter block, counts
+    as schema 1. *)
+val json_of_results : (string * result) list -> Obs.Json.t
+
 val pp_result : Format.formatter -> result -> unit

@@ -17,9 +17,6 @@ type stats = {
   top : Engine.stats;
 }
 
-let c_regions = Obs.Counter.make "dme.cluster.regions"
-let c_region_sinks = Obs.Counter.make "dme.cluster.region_sinks"
-
 (* The shared density target, uncapped: beyond 64 regions the
    clustering goes multi-level ({!auto_depth}) instead of letting region
    size grow with the instance, so per-region planning cost stays flat
@@ -165,6 +162,8 @@ let add_stats (a : Engine.stats) (b : Engine.stats) =
       infeasible_merges = a.infeasible_merges + b.infeasible_merges;
       nn_reprobes = a.nn_reprobes + b.nn_reprobes;
       nn_queries = a.nn_queries + b.nn_queries;
+      nn_cells = a.nn_cells + b.nn_cells;
+      nn_entries = a.nn_entries + b.nn_entries;
       nn_probes_saved = a.nn_probes_saved + b.nn_probes_saved;
       trial = add_trials a.trial b.trial;
       gc = Obs.Gcstat.zero;
@@ -262,7 +261,6 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
         ~fanout:(fanout_for ~budget:k ~depth:d)
   in
   let kr = Array.fold_left (fun acc (_, b) -> acc + b) 0 groups in
-  Obs.Counter.add c_regions kr;
   (* Announce the hierarchy to the heartbeat: top-level groups at
      progress depth 0 and — when the hierarchy actually has a second
      level — the leaf regions at depth 1 (a depth-1 hierarchy's top
@@ -286,10 +284,10 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
       (* Top-level groups map over the pool's domains (one chunk each);
          each group plans serially ([plan_node]).  Each plan builds its
          own private arena and grid shard, mutates nothing shared
-         (counters are atomic, trace/histogram sinks are mutex-guarded),
-         and its result is a pure function of its sub-instance and
-         budget — so the gathered array, and everything downstream, is
-         bit-identical for any jobs count. *)
+         (trace/histogram sinks are mutex-guarded, and its counts come
+         back in its stats), and its result is a pure function of its
+         sub-instance and budget — so the gathered array, and everything
+         downstream, is bit-identical for any jobs count. *)
       let plan_group (gids, gbudget) =
         let part =
           plan_node ~config ~run ~pdepth inst gids ~budget:gbudget
@@ -330,9 +328,6 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
       let realized_depth =
         1 + Array.fold_left (fun acc p -> Int.max acc p.pr_levels) 0 parts
       in
-      Array.iter
-        (fun (c : cluster_stats) -> Obs.Counter.add c_region_sinks c.n_sinks)
-        per_cluster;
       if tracing then begin
         Obs.Trace.merge_manifest trace
           [

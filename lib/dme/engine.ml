@@ -33,6 +33,8 @@ type stats = {
   infeasible_merges : int;
   nn_reprobes : int;
   nn_queries : int;
+  nn_cells : int;
+  nn_entries : int;
   nn_probes_saved : int;
   trial : trial_stats;
   gc : Obs.Gcstat.t;
@@ -49,10 +51,6 @@ let json_of_config (c : config) =
       ("cost_by_planned_wire", Obs.Json.Bool c.cost_by_planned_wire);
       ("jobs", Obs.Json.Int c.jobs);
     ]
-
-let c_trials = Obs.Counter.make "dme.engine.trial_merges"
-let c_elided = Obs.Counter.make "dme.engine.trial_elided"
-let c_committed = Obs.Counter.make "dme.engine.committed_merges"
 
 (* Side results of one coster session — a chunk of a round's ranking
    probes — carried back to the main domain: how many trial merges its
@@ -163,9 +161,7 @@ let plan ?(config = default) ?(run = Obs.Run.null) ?pool ?leaves inst =
   in
   let absorb note =
     trial_merges := !trial_merges + note.n_trials;
-    Obs.Counter.add c_trials note.n_trials;
-    elided := !elided + note.n_elided;
-    Obs.Counter.add c_elided note.n_elided
+    elided := !elided + note.n_elided
   in
   (* Committed-merge execution, split so the ranking loop can run the
      selected merges of a round on worker domains: [compute] is pure,
@@ -174,7 +170,6 @@ let plan ?(config = default) ?(run = Obs.Run.null) ?pool ?leaves inst =
   let compute ~id a b = run_merge ~id a b in
   let install (result : Merge.result) =
     let id = result.subtree.Subtree.id in
-    Obs.Counter.incr c_committed;
     (match result.kind with
      | Merge.Same_group -> incr same_group
      | Merge.Cross_group -> incr cross_group
@@ -257,7 +252,6 @@ let plan ?(config = default) ?(run = Obs.Run.null) ?pool ?leaves inst =
                  ("active", Obs.Json.Int r.active);
                  ("probes", Obs.Json.Int r.probes);
                  ("nn_queries", Obs.Json.Int r.queries);
-                 ("nn_probes_saved", Obs.Json.Int 0);
                  ("merges", Obs.Json.Int r.merges);
                  ("trial_merges", Obs.Json.Int d_trials);
                  ("trial_elided", Obs.Json.Int d_elided);
@@ -285,6 +279,8 @@ let plan ?(config = default) ?(run = Obs.Run.null) ?pool ?leaves inst =
       rounds = ostats.rounds;
       nn_reprobes = ostats.nn_probes;
       nn_queries = ostats.nn_queries;
+      nn_cells = ostats.nn_cells;
+      nn_entries = ostats.nn_entries;
       nn_probes_saved = 0;
       same_group = !same_group;
       cross_group = !cross_group;

@@ -85,10 +85,14 @@ type stats = {
       (** grid k-NN queries those probes ran: one per probe plus one
           per widening ({!Order.settle}), so never below
           [nn_reprobes] *)
+  nn_cells : int;
+      (** grid cells those queries' ring scans walked, never below
+          [nn_queries] ({!Geometry.Grid_index.query}) *)
+  nn_entries : int;  (** grid entries those cells held *)
   nn_probes_saved : int;
-      (** always 0.  Counted probes a cross-round proposal cache served
-          until that cache was retired (DESIGN.md section 10); kept
-          until the benchmark harness stops reading it *)
+      (** always 0, kept for perfbench until ROADMAP item 5.  It counted
+          probes a cross-round proposal cache served until that cache
+          was retired (DESIGN.md section 10); no JSON output carries it *)
   trial : trial_stats;
   gc : Obs.Gcstat.t;
       (** GC work of the whole run (plan + embed) as seen from the

@@ -81,6 +81,8 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null)
         infeasible_merges = !infeasible;
         nn_reprobes = 0;
         nn_queries = 0;
+        nn_cells = 0;
+        nn_entries = 0;
         nn_probes_saved = 0;
         trial = Engine.no_trials;
         gc = Obs.Gcstat.diff (Obs.Gcstat.sample ()) gc0;

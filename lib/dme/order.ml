@@ -32,7 +32,13 @@ let of_merge merge =
     install = (fun (id, a, b) -> merge ~id a b);
   }
 
-type stats = { rounds : int; nn_probes : int; nn_queries : int }
+type stats = {
+  rounds : int;
+  nn_probes : int;
+  nn_queries : int;
+  nn_cells : int;
+  nn_entries : int;
+}
 
 type round_info = {
   round : int;
@@ -44,11 +50,13 @@ type round_info = {
   wall_s : float;
 }
 
-let c_probes = Obs.Counter.make "dme.order.nn_probes"
-let c_pairs = Obs.Counter.make "dme.order.pairs_ranked"
-let c_rounds = Obs.Counter.make "dme.order.rounds"
-
-type proposals = { partner : int array; cost : floatarray; queries : int array }
+type proposals = {
+  partner : int array;
+  cost : floatarray;
+  queries : int array;
+  cells : int array;
+  entries : int array;
+}
 
 (* The (cost, lowest id) argmin over candidates [ids.(from .. len-1)],
    resumed from the running best — index [bi] into [ids], cost
@@ -102,10 +110,12 @@ let settle_tol = 0x1p-40
    resumes at index [k] from the running best, and the sequence of
    [price] calls is a prefix of the full-[knn] probe's — the rest of
    which [scan] would skip, by the same bound.  The running best cost
-   lives in [props.cost.(id)] from the start. *)
+   lives in [props.cost.(id)] from the start; the probe's grid work is
+   the difference of the buffer's running totals across it. *)
 let settle snap (buf : Grid_index.knn) ~skip (q : Pt.t) ~knn ~rad ~rmax ~dist
     ~price props id =
   let knn = Int.max 1 knn in
+  let cells0 = buf.cells_visited and entries0 = buf.entries in
   let reach = rad +. rmax in
   let norm = Float.abs q.x +. Float.abs q.y +. reach in
   let cost = props.cost in
@@ -127,7 +137,9 @@ let settle snap (buf : Grid_index.knn) ~skip (q : Pt.t) ~knn ~rad ~rmax ~dist
     end
   done;
   props.partner.(id) <- (if !bi < 0 then -1 else buf.kids.(!bi));
-  props.queries.(id) <- !queries
+  props.queries.(id) <- !queries;
+  props.cells.(id) <- buf.cells_visited - cells0;
+  props.entries.(id) <- buf.entries - entries0
 
 (* [select_pairs]' scratch: ranked pairs [(pc, pi, pj)] and the index
    permutation [order] that [tmp] helps merge-sort.  One per domain,
@@ -288,8 +300,8 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
      floor must be relative to the extent, not the absolute 1.0 layout
      unit it used to be: a unit-square (or any sub-unit) instance would
      collapse into a single grid cell and degrade every k-NN query to a
-     full scan, making ranking cost — and the visit counters — depend on
-     coordinate scale.  [Eps.tol] absolutely and [Eps.tol * d] relatively
+     full scan, making ranking cost — and the grid work in [stats] —
+     depend on coordinate scale.  [Eps.tol] absolutely and [Eps.tol * d] relatively
      keep the cell positive for degenerate (single-point) instances
      without distorting real ones.  The diameter is an O(n) fold over the
      instance's sinks, so it is read once per run, not per round. *)
@@ -311,7 +323,8 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
   let cap_ids = Int.max 2 (2 * n) in
   let node : Subtree.t option array = Array.make cap_ids None in
   (* Each round's proposals, by proposer id: partner ([-1] for none),
-     cost (biased once the probe phase is over) and k-NN query count.
+     cost (biased once the probe phase is over) and the probe's k-NN
+     queries, cells visited and entries scanned.
      [used] marks the ids a round's selection takes; they are merged
      away and never reissued, so it is never reset. *)
   let props =
@@ -319,6 +332,8 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
       partner = Array.make cap_ids (-1);
       cost = Float.Array.make cap_ids Float.nan;
       queries = Array.make cap_ids 0;
+      cells = Array.make cap_ids 0;
+      entries = Array.make cap_ids 0;
     }
   in
   let used = Bytes.make cap_ids '\000' in
@@ -396,7 +411,6 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
       settle snap buf ~skip center.(sid) ~knn ~rad:(Float.Array.get rad sid)
         ~rmax ~dist ~price props sid
     done;
-    Grid_index.charge buf;
     finish ()
   in
   (* Deep subtrees have small delay targets; merging shallow pairs first
@@ -407,6 +421,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
   let rounds = ref 0 in
   let probed = ref 0 in
   let queried = ref 0 in
+  let cells = ref 0 and entries = ref 0 in
   (* [ids] is the round's active population in ascending-id order: the
      leaves' dense ids to start, then each round's survivors followed by
      its merges, whose fresh ids exceed every earlier one. *)
@@ -415,7 +430,6 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
     if count = 1 then subtree ids.(0)
     else begin
       incr rounds;
-      Obs.Counter.incr c_rounds;
       (* Wall time is read only when a round observer is installed, so
          the untraced run does not even touch the clock per round. *)
       let t0 = if on_round <> None then Obs.Timer.now () else 0. in
@@ -463,11 +477,12 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
             "probe_phase" run_probes
         else run_probes ();
         probed := !probed + count;
-        Obs.Counter.add c_probes count;
         let round_queries = ref 0 in
         for k = 0 to count - 1 do
           let id = ids.(k) in
           round_queries := !round_queries + props.queries.(id);
+          cells := !cells + props.cells.(id);
+          entries := !entries + props.entries.(id);
           let p = props.partner.(id) in
           if p >= 0 then begin
             let d = Float.Array.get props.cost id in
@@ -490,7 +505,6 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
         let ranked, picks =
           select_pairs ~ids ~partner:props.partner ~cost:props.cost ~used ~limit
         in
-        Obs.Counter.add c_pairs ranked;
         (* Which pairs merge this round depends only on the proposals and
            the round-start population — never on any merge's result — so
            the (potentially parallel) merge computations can all run
@@ -580,7 +594,14 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
     end
   in
   let root = loop (Array.init n Fun.id) in
-  (root, { rounds = !rounds; nn_probes = !probed; nn_queries = !queried })
+  ( root,
+    {
+      rounds = !rounds;
+      nn_probes = !probed;
+      nn_queries = !queried;
+      nn_cells = !cells;
+      nn_entries = !entries;
+    } )
 
 let run inst config ~cost ~merge =
   run_ranked inst config ~coster:(of_cost cost) ~merger:(of_merge merge)

@@ -95,8 +95,18 @@ val of_merge :
     probes (each runs one coster session over up to [knn] candidates):
     the active count summed over rounds.  [nn_queries] counts the k-NN
     queries those probes ran — one, plus one per widening — so it is
-    never below [nn_probes]. *)
-type stats = { rounds : int; nn_probes : int; nn_queries : int }
+    never below [nn_probes].  [nn_cells] and [nn_entries] are those
+    queries' grid work: cells their ring scans walked and entries those
+    cells held ({!Geometry.Grid_index.query}), so [nn_cells] is never
+    below [nn_queries].  All five are sums of per-probe counts, so they
+    are identical for any pool. *)
+type stats = {
+  rounds : int;
+  nn_probes : int;
+  nn_queries : int;
+  nn_cells : int;
+  nn_entries : int;
+}
 
 (** One completed merge round, as reported to the [?on_round] observer
     of {!run_ranked}: 1-based [round] index, [active] subtree count at
@@ -116,9 +126,16 @@ type round_info = {
 }
 
 (** One round's proposals, indexed by proposer id: the proposed
-    [partner] ([-1] for none), its [cost] and the k-NN [queries] the
-    probe ran.  {!settle} writes a probe's three slots. *)
-type proposals = { partner : int array; cost : floatarray; queries : int array }
+    [partner] ([-1] for none), its [cost], the k-NN [queries] the probe
+    ran and the grid [cells] and [entries] those queries scanned.
+    {!settle} writes a probe's five slots. *)
+type proposals = {
+  partner : int array;
+  cost : floatarray;
+  queries : int array;
+  cells : int array;
+  entries : int array;
+}
 
 (** [select_pairs ~ids ~partner ~cost ~used ~limit] is one round's pair
     selection: [(ranked, selected)].  The probed subtree ids are [ids];
@@ -161,8 +178,9 @@ val cheapest :
     one probe's widening search: it writes to [props]' slots [id] the
     partner and cost that {!cheapest} finds over the [knn] entries of
     [snap] nearest to [q] (ignoring ids satisfying [skip]) — [-1] at
-    [infinity] when none is eligible — and the number of
-    {!Geometry.Grid_index.query} calls it ran into [buf].  It queries
+    [infinity] when none is eligible — the number of
+    {!Geometry.Grid_index.query} calls it ran into [buf] and the cells
+    and entries those calls added to [buf]'s running totals.  It queries
     [max 1 (knn / 4)] entries first, prices them, and doubles the query
     up to [knn] until the answer is exhaustive or its exclusion bound
     [kth] satisfies [kth - rad - rmax - margin > best], the margin

@@ -1,13 +1,3 @@
-(* Query instrumentation: queries = k-NN kernel calls (every list
-   wrapper is one), rings/cells/entries = work done by their ring
-   scans.  The kernel tallies into its answer buffer and {!charge}
-   moves the tallies to these counters, so a batch of queries costs one
-   atomic add per counter instead of four per query. *)
-let c_queries = Obs.Counter.make "geometry.grid.queries"
-let c_rings = Obs.Counter.make "geometry.grid.rings_scanned"
-let c_cells = Obs.Counter.make "geometry.grid.cells_visited"
-let c_entries = Obs.Counter.make "geometry.grid.entries_scanned"
-
 (* The packed snapshot: entries sorted by cell into one compressed
    layout.  Cell keys are absolute, [floor (x / cell)]; the directory
    covers the window [gx0, gx0 + w) x [gy0, gy0 + h) of keys spanned by
@@ -135,7 +125,7 @@ let pack s ~cell ids xs ys n =
 
 (* The k-NN kernel's caller-owned buffer: the best [klen] candidates seen
    so far, kept sorted by ascending (distance, id) in four parallel
-   arrays, and the visit tallies not yet charged to the counters. *)
+   arrays, and the running totals of the ring scans' work. *)
 type knn = {
   mutable kids : int array;
   mutable kdist : floatarray;
@@ -144,8 +134,6 @@ type knn = {
   mutable klen : int;
   mutable kth : float;
   mutable exhaustive : bool;
-  mutable queries : int;
-  mutable rings : int;
   mutable cells_visited : int;
   mutable entries : int;
 }
@@ -159,23 +147,9 @@ let knn_buffer () =
     klen = 0;
     kth = Float.infinity;
     exhaustive = true;
-    queries = 0;
-    rings = 0;
     cells_visited = 0;
     entries = 0;
   }
-
-let charge b =
-  if b.queries > 0 then begin
-    Obs.Counter.add c_queries b.queries;
-    Obs.Counter.add c_rings b.rings;
-    Obs.Counter.add c_cells b.cells_visited;
-    Obs.Counter.add c_entries b.entries;
-    b.queries <- 0;
-    b.rings <- 0;
-    b.cells_visited <- 0;
-    b.entries <- 0
-  end
 
 let knn_reserve b cap =
   if Array.length b.kids < cap then begin
@@ -259,12 +233,11 @@ let query_key cell g0 len v =
    Ring [r]'s top and bottom edges are one packed range each; its left
    and right edges are a range per row.  Visit order does not reach the
    answer (the buffer ranks by (distance, id)), so it is left
-   unspecified.  The visit tallies are charged as if every cell of every
-   ring were probed — ring 0 is one cell and ring [r >= 1] is [8 r].
+   unspecified.  The visited-cell total counts every cell of every
+   ring as probed — ring 0 is one cell and ring [r >= 1] is [8 r].
    Written out with top-level helpers and no local closure, so a query
    allocates nothing beyond boxing [kth]. *)
 let query s b ~skip (q : Pt.t) k =
-  b.queries <- b.queries + 1;
   b.klen <- 0;
   b.kth <- Float.infinity;
   b.exhaustive <- true;
@@ -323,7 +296,6 @@ let query s b ~skip (q : Pt.t) k =
       incr r
     done;
     let rings = !r in
-    b.rings <- b.rings + rings;
     b.cells_visited <-
       (b.cells_visited + if rings = 0 then 0 else 1 + (4 * rings * (rings - 1)));
     b.entries <- b.entries + !entries;
@@ -370,14 +342,6 @@ let add t ~id (p : Pt.t) v =
   Hashtbl.replace t.entries id (p, v);
   t.fresh <- false
 
-let remove t ~id (_ : Pt.t) =
-  if Hashtbl.mem t.entries id then begin
-    Hashtbl.remove t.entries id;
-    t.fresh <- false
-  end
-
-let size t = Hashtbl.length t.entries
-
 let packed t =
   if not t.fresh then begin
     let n = Hashtbl.length t.entries in
@@ -396,15 +360,11 @@ let packed t =
   end;
   t.packed
 
-let knn_into t b ~skip q k =
-  query (packed t) b ~skip q k;
-  charge b
-
 (* The list API over the kernel: each call allocates its own buffer and
    reads values back by id. *)
 let k_nearest_probe t ?(skip = fun _ -> false) q k =
   let b = knn_buffer () in
-  knn_into t b ~skip q k;
+  query (packed t) b ~skip q k;
   let entries = ref [] in
   for i = b.klen - 1 downto 0 do
     let id = b.kids.(i) in
@@ -412,8 +372,3 @@ let k_nearest_probe t ?(skip = fun _ -> false) q k =
     entries := (id, p, snd (Hashtbl.find t.entries id)) :: !entries
   done;
   (!entries, if b.exhaustive then None else Some b.kth)
-
-let k_nearest t ?skip q k = fst (k_nearest_probe t ?skip q k)
-
-let nearest t ?skip q =
-  match k_nearest t ?skip q 1 with [ e ] -> Some e | _ -> None

@@ -12,9 +12,9 @@
     is one contiguous range and the k-NN kernel {!query} scans entries
     without touching a boxed point.  A merge round packs its active
     subtree centers once, with the cell sized for that population, and
-    every probe of the round reads the same snapshot.  The list API
-    ({!create}, {!add}, {!remove}, {!k_nearest_probe}, ...) is a thin
-    builder over it that re-packs on the first query after a mutation.
+    every probe of the round reads the same snapshot.  The builder
+    ({!create}, {!add}, {!k_nearest_probe}) is a thin list API over it
+    that re-packs on the first query after a mutation.
 
     Every answer is ordered by ascending (L1 distance, id): it is a
     function of the packed (id, point) set and the query alone, so two
@@ -50,9 +50,10 @@ val pack : snapshot -> cell:float -> int array -> floatarray -> floatarray -> in
     eligible entry; otherwise [kth] is the query's {e exclusion bound}:
     every eligible entry not in the answer lies at L1 distance >= [kth]
     (the k-th answer's distance) from the query.  [kth] is [infinity]
-    when [exhaustive].  [queries], [rings], [cells_visited] and
-    [entries] tally the queries run into the buffer and their ring-scan
-    work since the last {!charge}.  A buffer must not be shared between
+    when [exhaustive].  [cells_visited] and [entries] are running totals
+    of the ring-scan work of every query run into the buffer (cells
+    walked, entries offered or skipped); a caller reads a batch's work
+    as their difference across it.  A buffer must not be shared between
     domains. *)
 type knn = private {
   mutable kids : int array;
@@ -62,8 +63,6 @@ type knn = private {
   mutable klen : int;
   mutable kth : float;
   mutable exhaustive : bool;
-  mutable queries : int;
-  mutable rings : int;
   mutable cells_visited : int;
   mutable entries : int;
 }
@@ -73,24 +72,18 @@ val knn_buffer : unit -> knn
 (** [query s buf ~skip q k] overwrites [buf]'s answer with the [k]
     entries of [s] that come first by (L1 distance to [q], id), ignoring
     entries whose id satisfies [skip] (fewer when fewer are eligible),
-    and adds the query's work to [buf]'s tallies.  The scan charges
-    [1 + 4 R (R - 1)] cells for the [R] rings it walks.  Scanning an
-    entry allocates nothing. *)
+    and adds the query's work to [buf]'s running totals: the scan counts
+    [1 + 4 R (R - 1)] cells for the [R] rings it walks, and every entry
+    those cells hold.  Scanning an entry allocates nothing. *)
 val query : snapshot -> knn -> skip:(int -> bool) -> Pt.t -> int -> unit
 
-(** [charge buf] adds [buf]'s tallies to the
-    [geometry.grid.{queries,rings_scanned,cells_visited,entries_scanned}]
-    counters and zeroes them: one atomic add per counter for a whole
-    batch of queries. *)
-val charge : knn -> unit
-
-(** {1 Builder and list wrappers}
+(** {1 Builder}
 
     A mutable (id, point, value) set over a private snapshot, packed on
     the first query after a mutation.  Queries therefore mutate the
-    builder: query one from a single domain at a time.  The list forms
-    allocate a fresh result (and, for the k-NN forms, a fresh buffer)
-    per call; points come back rebuilt from the packed coordinates. *)
+    builder: query one from a single domain at a time.  A query
+    allocates a fresh buffer and result; points come back rebuilt from
+    the packed coordinates. *)
 
 type 'a t
 
@@ -104,28 +97,9 @@ val create : cell:float -> 'a t
     on a non-finite [p], leaving [t] unchanged. *)
 val add : 'a t -> id:int -> Pt.t -> 'a -> unit
 
-(** [remove t ~id p] removes the entry [id], added at [p].  Unknown ids
-    are ignored. *)
-val remove : 'a t -> id:int -> Pt.t -> unit
-
-val size : 'a t -> int
-
-(** [knn_into t buf ~skip q k] is {!query} over [t]'s entries, charged
-    at once. *)
-val knn_into : 'a t -> knn -> skip:(int -> bool) -> Pt.t -> int -> unit
-
-(** [k_nearest_probe t ?skip p k] is {!knn_into} as a list plus the
-    exclusion bound: [Some kth], or [None] when the answer is
-    exhaustive. *)
+(** [k_nearest_probe t ?skip p k] is {!query} over [t]'s entries as a
+    list of up to [k] eligible (id, point, value) entries, ordered by
+    increasing (L1 point distance, id), plus the exclusion bound:
+    [Some kth], or [None] when the answer is exhaustive. *)
 val k_nearest_probe :
   'a t -> ?skip:(int -> bool) -> Pt.t -> int -> (int * Pt.t * 'a) list * float option
-
-(** [k_nearest t ?skip p k] is up to [k] eligible entries ordered by
-    increasing (L1 point distance, id). *)
-val k_nearest :
-  'a t -> ?skip:(int -> bool) -> Pt.t -> int -> (int * Pt.t * 'a) list
-
-(** [nearest t ?skip p] is the eligible entry whose point is L1-nearest
-    to [p] (the lowest id on ties), [None] when no eligible entry
-    exists. *)
-val nearest : 'a t -> ?skip:(int -> bool) -> Pt.t -> (int * Pt.t * 'a) option

@@ -9,9 +9,9 @@
     underflow cell (log buckets cannot hold them), positive infinities
     in an overflow cell, and NaNs are ignored entirely.
 
-    Unlike {!Counter} and {!Timer}, histograms do not register in a
-    global registry: they belong to the {!Trace} context that created
-    them (or to the caller, when built directly).  Observation is
+    Histograms do not register in a global registry: they belong to the
+    {!Trace} context that created them (or to the caller, when built
+    directly).  Observation is
     mutex-guarded, so recording from concurrent domains is safe.
 
     Buckets are stored as a dense count array over the touched index

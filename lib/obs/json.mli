@@ -1,5 +1,5 @@
 (** A minimal JSON value type, emitter and parser — just enough for the
-    stats output of {!Report} and the benchmark harnesses (including
+    stats output of the router and the benchmark harnesses (including
     reading JSON files back, such as perfbench's BENCHMARK.json), with
     no external dependency. *)
 

@@ -14,8 +14,9 @@
     on several domains, so it must not mutate shared state.  Reading
     shared immutable data (or data the caller guarantees is not mutated
     for the duration of the call, e.g. a packed
-    {!Geometry.Grid_index.snapshot}) is safe; {!Obs.Counter} increments
-    are atomic and therefore also safe.  [map_chunked] is not
+    {!Geometry.Grid_index.snapshot}) is safe.  Counts the mapped
+    function produces travel back in its results, to be summed by the
+    caller.  [map_chunked] is not
     reentrant: the mapped function must not itself call into the same
     pool. *)
 

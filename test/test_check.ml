@@ -204,11 +204,6 @@ let test_generator_huge () =
 
 (* --- scale invariance ------------------------------------------------------ *)
 
-let counter name =
-  match Obs.Counter.find name with
-  | Some c -> c
-  | None -> Alcotest.failf "counter %s not registered" name
-
 (* Routing commutes with rescaling the layout by a power of two: scale
    every coordinate by k and the unit RC parameters by 1/k and each
    wire-delay product cancels exactly (power-of-two scalings are exact
@@ -238,37 +233,22 @@ let test_scale_invariance () =
            Sink.make ~id:s.id ~loc:(scale_pt s.loc) ~cap:s.cap ~group:s.group)
          inst.sinks)
   in
-  let c_q = counter "geometry.grid.queries" in
-  let c_cells = counter "geometry.grid.cells_visited" in
-  let c_entries = counter "geometry.grid.entries_scanned" in
-  let route i =
-    let q0 = Obs.Counter.value c_q in
-    let cells0 = Obs.Counter.value c_cells in
-    let e0 = Obs.Counter.value c_entries in
-    let r = Astskew.Router.ast_dme ~jobs:1 i in
-    ( r,
-      Obs.Counter.value c_q - q0,
-      Obs.Counter.value c_cells - cells0,
-      Obs.Counter.value c_entries - e0 )
-  in
-  let r0, q0, cells0, entries0 = route inst in
-  let r1, q1, cells1, entries1 = route scaled in
+  let r0 = Astskew.Router.ast_dme ~jobs:1 inst in
+  let r1 = Astskew.Router.ast_dme ~jobs:1 scaled in
+  let e0 = r0.engine and e1 = r1.engine in
   (* Multi-cell occupancy on the unit square: ring scans must visit many
      more cells than there are queries, which a collapsed one-cell grid
      cannot do. *)
-  Alcotest.(check bool) "normalized queries ran" true (q0 > 0);
+  Alcotest.(check bool) "normalized queries ran" true (e0.nn_queries > 0);
   Alcotest.(check bool)
     "normalized grid spans multiple cells" true
-    (cells0 > 2 * q0);
+    (e0.nn_cells > 2 * e0.nn_queries);
   (* Identical access pattern at both scales: no O(n^2) blow-up on the
      sub-unit instance. *)
-  Alcotest.(check int) "grid queries match" q0 q1;
-  Alcotest.(check int) "cells visited match" cells0 cells1;
-  Alcotest.(check int) "entries scanned match" entries0 entries1;
-  Alcotest.(check int) "probe count matches" r0.engine.nn_reprobes
-    r1.engine.nn_reprobes;
-  Alcotest.(check int) "probes saved match" r0.engine.nn_probes_saved
-    r1.engine.nn_probes_saved;
+  Alcotest.(check int) "grid queries match" e0.nn_queries e1.nn_queries;
+  Alcotest.(check int) "cells visited match" e0.nn_cells e1.nn_cells;
+  Alcotest.(check int) "entries scanned match" e0.nn_entries e1.nn_entries;
+  Alcotest.(check int) "probe count matches" e0.nn_reprobes e1.nn_reprobes;
   (* Bit-identical electrical results, exactly scaled geometry. *)
   Alcotest.(check bool)
     "per-sink delays bit-identical" true
@@ -779,8 +759,8 @@ let test_diffs_name_every_field () =
         engine (fun s -> { s with infeasible_merges = s.infeasible_merges + 1 }) );
       ("engine.nn_reprobes", engine (fun s -> { s with nn_reprobes = s.nn_reprobes + 1 }));
       ("engine.nn_queries", engine (fun s -> { s with nn_queries = s.nn_queries + 1 }));
-      ( "engine.nn_probes_saved",
-        engine (fun s -> { s with nn_probes_saved = s.nn_probes_saved + 1 }) );
+      ("engine.nn_cells", engine (fun s -> { s with nn_cells = s.nn_cells + 1 }));
+      ("engine.nn_entries", engine (fun s -> { s with nn_entries = s.nn_entries + 1 }));
       ("engine.trial_merges", trial (fun t -> { t with trial_merges = t.trial_merges + 1 }));
       ("engine.elided_trials", trial (fun t -> { t with elided_trials = t.elided_trials + 1 }));
       ("repair.added_wire", repair (fun s -> { s with added_wire = s.added_wire +. 1. }));

@@ -115,30 +115,73 @@ let test_pp_result_smoke () =
 let test_json_of_result_probe_counters () =
   (* The probe counters the bench harness and astroute --stats-json key
      on must be present in the engine object and consistent with the
-     stats record — parse the emitted JSON back rather than substring
-     matching. *)
+     stats record — parse the emitted schema-2 document back rather than
+     substring matching.  The retired, always-zero [nn_probes_saved] is
+     no longer written. *)
   let inst = mk_instance 60 ~n_groups:2 ~bound:10. in
   let r = Astskew.Router.ast_dme inst in
-  let json = Obs.Json.of_string (Obs.Json.to_string (Astskew.Router.json_of_result r)) in
+  let json =
+    Obs.Json.of_string
+      (Obs.Json.to_string (Astskew.Router.json_of_results [ ("AST-DME", r) ]))
+  in
   let field name = function
     | Obs.Json.Obj fields -> List.assoc_opt name fields
     | _ -> None
   in
-  match field "engine" json with
-  | None -> Alcotest.fail "missing engine object"
+  Alcotest.(check bool) "schema 2" true (field "schema" json = Some (Obs.Json.Int 2));
+  Alcotest.(check bool) "no process-wide obs block" true (field "obs" json = None);
+  match Option.bind (Option.bind (field "results" json) (field "AST-DME")) (field "engine") with
+  | None -> Alcotest.fail "missing results.AST-DME.engine object"
   | Some engine ->
-    (match
-       ( field "nn_reprobes" engine,
-         field "nn_queries" engine,
-         field "nn_probes_saved" engine )
-     with
-     | Some (Obs.Json.Int reprobes), Some (Obs.Json.Int queries), Some (Obs.Json.Int saved) ->
-       Alcotest.(check int) "nn_reprobes" r.engine.nn_reprobes reprobes;
-       Alcotest.(check int) "nn_queries" r.engine.nn_queries queries;
-       Alcotest.(check int) "nn_probes_saved" r.engine.nn_probes_saved saved;
-       Alcotest.(check bool) "probes were executed" true (reprobes > 0);
-       Alcotest.(check bool) "a query per probe at least" true (queries >= reprobes)
-     | _ -> Alcotest.fail "missing or non-int probe counters")
+    Alcotest.(check bool) "nn_probes_saved is gone" true
+      (field "nn_probes_saved" engine = None);
+    let int name =
+      match field name engine with
+      | Some (Obs.Json.Int i) -> i
+      | _ -> Alcotest.failf "missing or non-int engine.%s" name
+    in
+    let reprobes = int "nn_reprobes" and queries = int "nn_queries" in
+    let cells = int "nn_cells" and entries = int "nn_entries" in
+    Alcotest.(check int) "nn_reprobes" r.engine.nn_reprobes reprobes;
+    Alcotest.(check int) "nn_queries" r.engine.nn_queries queries;
+    Alcotest.(check int) "nn_cells" r.engine.nn_cells cells;
+    Alcotest.(check int) "nn_entries" r.engine.nn_entries entries;
+    Alcotest.(check bool) "probes were executed" true (reprobes > 0);
+    Alcotest.(check bool) "a query per probe at least" true (queries >= reprobes);
+    Alcotest.(check bool) "a cell per query at least" true (cells >= queries);
+    Alcotest.(check bool) "entries were scanned" true (entries > 0)
+
+(* Stats are route-scoped: two pooled routes running at once, each on
+   its own spawned domain with its own 2-domain pool (five domains in
+   all), must each report exactly what the same route reports alone —
+   every engine count, k-NN grid work included, and the tree.  r4's
+   1,903 sinks are above the pool's 1000-sink grain, so both routes
+   really probe in parallel chunks.  A tally shared across routes, as a
+   process-global counter is, would show up in both. *)
+let test_stats_route_scoped () =
+  let spec = Option.get (Workload.Circuits.find "r4") in
+  let inst =
+    Workload.Circuits.instance spec ~n_groups:8
+      ~scheme:Workload.Partition.Intermingled ~bound:10. ()
+  in
+  let routes =
+    [
+      ("AST-DME", fun () -> Astskew.Router.ast_dme ~jobs:2 inst);
+      ("EXT-BST", fun () -> Astskew.Router.ext_bst ~jobs:2 inst);
+    ]
+  in
+  let solo = List.map (fun (_, route) -> route ()) routes in
+  let together =
+    List.map (fun (_, route) -> Domain.spawn route) routes |> List.map Domain.join
+  in
+  List.iter2
+    (fun ((name, _), alone) concurrent ->
+      Alcotest.(check bool) (name ^ " probed the grid") true
+        (alone.Astskew.Router.engine.nn_cells > 0);
+      Alcotest.(check (list string)) (name ^ " matches its solo run") []
+        (Check.Oracle.diffs (Check.Oracle.of_result inst concurrent)
+           (Check.Oracle.of_result inst alone)))
+    (List.combine routes solo) together
 
 (* Tracing must be semantically inert: routing with a live trace
    produces the exact tree, delays, wirelength and engine stats of the
@@ -262,6 +305,8 @@ let () =
           Alcotest.test_case "pp_result" `Quick test_pp_result_smoke;
           Alcotest.test_case "json probe counters" `Quick
             test_json_of_result_probe_counters;
+          Alcotest.test_case "stats are route-scoped" `Quick
+            test_stats_route_scoped;
         ] );
       ( "tracing",
         [

@@ -487,6 +487,8 @@ let settle_vs_full ?(cell = 1.) regions extra ~knn =
               partner = Array.make n (-2);
               cost = Float.Array.make n Float.nan;
               queries = Array.make n 0;
+              cells = Array.make n 0;
+              entries = Array.make n 0;
             }
         in
         Dme.Order.settle snap (Grid_index.knn_buffer ()) ~skip centers.(0) ~knn

@@ -754,96 +754,27 @@ let test_octslab_signed_zero () =
 
 (* --- Grid index ---------------------------------------------------------- *)
 
+(* The builder's own surface: values read back by id, [skip], and an
+   [add] that replaces an id's entry (a move) re-packs before the next
+   query. *)
 let test_grid_basic () =
   let g = Grid_index.create ~cell:10. in
   Grid_index.add g ~id:1 (pt 0. 0.) "a";
   Grid_index.add g ~id:2 (pt 100. 0.) "b";
   Grid_index.add g ~id:3 (pt 3. 4.) "c";
-  Alcotest.(check int) "size" 3 (Grid_index.size g);
-  (match Grid_index.nearest g (pt 1. 1.) with
-   | Some (id, _, v) ->
-     Alcotest.(check int) "nearest id" 1 id;
-     Alcotest.(check string) "nearest value" "a" v
-   | None -> Alcotest.fail "expected a hit");
-  (match Grid_index.nearest g ~skip:(fun id -> id = 1) (pt 1. 1.) with
-   | Some (id, _, _) -> Alcotest.(check int) "skip works" 3 id
-   | None -> Alcotest.fail "expected a hit");
-  Grid_index.remove g ~id:3 (pt 3. 4.);
-  Alcotest.(check int) "size after remove" 2 (Grid_index.size g);
-  let near2 = Grid_index.k_nearest g (pt 1. 1.) 2 in
-  Alcotest.(check (list int)) "k_nearest order" [ 1; 2 ]
-    (List.map (fun (id, _, _) -> id) near2)
-
-let prop_grid_matches_linear_scan =
-  let gen =
-    QCheck.Gen.(list_size (int_range 1 40) gen_pt >>= fun pts ->
-      gen_pt >|= fun q -> (pts, q))
+  let answer ?skip k q =
+    List.map
+      (fun (id, (p : Pt.t), v) -> (id, (p.x, p.y), v))
+      (fst (Grid_index.k_nearest_probe g ?skip q k))
   in
-  let arb =
-    QCheck.make
-      ~print:(fun (pts, q) ->
-        Format.asprintf "%d pts, query %a" (List.length pts) Pt.pp q)
-      gen
-  in
-  QCheck.Test.make ~name:"grid nearest matches linear scan" ~count:200 arb
-    (fun (pts, q) ->
-      let g = Grid_index.create ~cell:50. in
-      List.iteri (fun i p -> Grid_index.add g ~id:i p i) pts;
-      let best_scan =
-        List.fold_left
-          (fun acc p ->
-            match acc with
-            | None -> Some (Pt.dist q p)
-            | Some d -> Some (Float.min d (Pt.dist q p)))
-          None pts
-      in
-      match (Grid_index.nearest g q, best_scan) with
-      | Some (_, p, _), Some d -> Float.abs (Pt.dist q p -. d) <= 1e-9
-      | None, None -> true
-      | _ -> false)
-
-(* The bounded-heap k_nearest must agree with a brute-force k-NN on
-   random point sets, for every k and with skip predicates (regression
-   for the former O(m·k log k) accumulator re-sort). *)
-let prop_grid_k_nearest_matches_brute_force =
-  let gen =
-    QCheck.Gen.(
-      let* n = int_range 1 120 in
-      let* pts = list_repeat n gen_pt in
-      let* q = gen_pt in
-      let* k = int_range 1 40 in
-      let* cell = oneofl [ 3.; 25.; 120. ] in
-      let* with_skip = bool in
-      return (pts, q, k, cell, with_skip))
-  in
-  let arb =
-    QCheck.make
-      ~print:(fun (pts, _, k, cell, skip) ->
-        Printf.sprintf "%d pts, k=%d cell=%g skip=%b" (List.length pts) k cell
-          skip)
-      gen
-  in
-  QCheck.Test.make ~name:"grid k_nearest matches brute force" ~count:300 arb
-    (fun (pts, q, k, cell, with_skip) ->
-      let skip = if with_skip then fun id -> id mod 3 = 0 else fun _ -> false in
-      let g = Grid_index.create ~cell in
-      List.iteri (fun i p -> Grid_index.add g ~id:i p i) pts;
-      let got = Grid_index.k_nearest g ~skip q k in
-      let brute =
-        List.filteri (fun i _ -> not (skip i)) pts
-        |> List.map (Pt.dist q)
-        |> List.sort Float.compare
-      in
-      let expect_n = Int.min k (List.length brute) in
-      List.length got = expect_n
-      && List.for_all2
-           (fun (_, p, _) d -> Float.abs (Pt.dist q p -. d) <= 1e-9)
-           got
-           (List.filteri (fun i _ -> i < expect_n) brute)
-      (* returned entries are distinct and not skipped *)
-      && List.length (List.sort_uniq compare (List.map (fun (id, _, _) -> id) got))
-         = expect_n
-      && List.for_all (fun (id, _, _) -> not (skip id)) got)
+  let entries = Alcotest.(list (triple int (pair (float 0.) (float 0.)) string)) in
+  Alcotest.check entries "nearest" [ (1, (0., 0.), "a") ] (answer 1 (pt 1. 1.));
+  Alcotest.check entries "skip works" [ (3, (3., 4.), "c") ]
+    (answer ~skip:(fun id -> id = 1) 1 (pt 1. 1.));
+  Grid_index.add g ~id:3 (pt 300. 0.) "moved";
+  Alcotest.check entries "a move replaces the entry"
+    [ (1, (0., 0.), "a"); (2, (100., 0.), "b"); (3, (300., 0.), "moved") ]
+    (answer 4 (pt 1. 1.))
 
 let test_grid_probe_semantics () =
   let g = Grid_index.create ~cell:10. in
@@ -866,9 +797,9 @@ let test_grid_probe_semantics () =
 
 (* Distance ties rank by id.  Twelve points at L1 distance 20 from the
    query span rings 1 and 2 and share three cells; the answer must list
-   them in id order whatever the ring walk visits first, and must not
-   move when same-cell churn sends ids 2 and 3 to the back of their
-   buckets. *)
+   them in id order whatever the ring walk visits first, and must come
+   back unchanged after ids 2 and 3 move away and back (two re-packs of
+   the builder). *)
 let test_grid_tie_order () =
   let g = Grid_index.create ~cell:10. in
   let pts =
@@ -890,11 +821,12 @@ let test_grid_tie_order () =
     check tag 20 [ 13; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 14 ] None
   in
   both "initial";
-  Grid_index.remove g ~id:2 (pt 15. (-5.));
-  Grid_index.remove g ~id:3 (pt 5. 25.);
+  Grid_index.add g ~id:2 (pt 90. 90.) ();
+  Grid_index.add g ~id:3 (pt (-90.) 90.) ();
+  check "moved away" 10 [ 13; 1; 4; 5; 6; 7; 8; 9; 10; 11 ] (Some 20.);
   Grid_index.add g ~id:2 (pt 15. (-5.)) ();
   Grid_index.add g ~id:3 (pt 5. 25.) ();
-  both "churned"
+  both "moved back"
 
 let test_grid_preconditions () =
   List.iter
@@ -912,142 +844,15 @@ let test_grid_preconditions () =
         (Invalid_argument "Grid_index: point coordinates must be finite")
         (fun () -> Grid_index.add g ~id:1 p ()))
     [ pt Float.nan 0.; pt 0. Float.infinity; pt Float.neg_infinity 0. ];
-  Alcotest.(check int) "rejected adds leave the index unchanged" 1 (Grid_index.size g);
-  Alcotest.(check (list int)) "still answers" [ 0 ]
-    (List.map (fun (id, _, _) -> id) (Grid_index.k_nearest g (pt 500. (-500.)) 3))
-
-(* Churn property: a random interleaving of adds, removes and queries
-   must agree with a brute-force mirror at every step — the index may
-   never decay under mutation (bucket resize, cell emptying, re-adds).
-   Also checks the k_nearest_probe exclusion-bound contract: [Some d] means every eligible entry
-   not returned lies at distance >= d; [None] means nothing was left
-   out.  The k-NN kernel, through one buffer reused across queries,
-   must return exactly the brute-force k best by (distance, id) — ids
-   and order — with the same bound contract. *)
-let prop_grid_churn =
-  let gen =
-    QCheck.Gen.(
-      let* n_ops = int_range 5 120 in
-      let* ops =
-        list_repeat n_ops
-          (let* tag = int_range 0 9 in
-           let* p = gen_pt in
-           (* Half the points snap to a 10-unit lattice, so exact
-              distance ties — same cell and across cells — are common. *)
-           let* snap = bool in
-           let p =
-             if snap then pt (Float.round (p.x /. 10.) *. 10.) (Float.round (p.y /. 10.) *. 10.)
-             else p
-           in
-           let* x = int_range 0 30 in
-           return (tag, p, x))
-      in
-      let* cell = oneofl [ 4.; 30.; 200. ] in
-      return (ops, cell))
-  in
-  let arb =
-    QCheck.make
-      ~print:(fun (ops, cell) ->
-        Printf.sprintf "%d ops, cell=%g" (List.length ops) cell)
-      gen
-  in
-  QCheck.Test.make ~name:"grid survives add/remove churn" ~count:200 arb
-    (fun (ops, cell) ->
-      let g = Grid_index.create ~cell in
-      let mirror : (int, Pt.t) Hashtbl.t = Hashtbl.create 64 in
-      let buf = Grid_index.knn_buffer () in
-      let next = ref 0 in
-      let ok = ref true in
-      let check b = if not b then ok := false in
-      let brute q =
-        Hashtbl.fold (fun id p acc -> (id, Pt.dist q p) :: acc) mirror []
-        |> List.sort (fun (i1, d1) (i2, d2) ->
-               match Float.compare d1 d2 with
-               | 0 -> Int.compare i1 i2
-               | c -> c)
-      in
-      List.iter
-        (fun (tag, p, x) ->
-          match tag with
-          | 0 | 1 | 2 | 3 ->
-            let id = !next in
-            incr next;
-            Grid_index.add g ~id p p;
-            Hashtbl.replace mirror id p
-          | 4 | 5 ->
-            (* remove the x-th live id (mod population), if any *)
-            let ids =
-              Hashtbl.fold (fun id _ acc -> id :: acc) mirror []
-              |> List.sort Int.compare
-            in
-            (match ids with
-             | [] -> ()
-             | _ ->
-               let id = List.nth ids (x mod List.length ids) in
-               let pt_id = Hashtbl.find mirror id in
-               Grid_index.remove g ~id pt_id;
-               Hashtbl.remove mirror id)
-          | 6 ->
-            check (Grid_index.size g = Hashtbl.length mirror);
-            let b = brute p in
-            (match (Grid_index.nearest g p, b) with
-             | Some (_, q, _), (_, d) :: _ ->
-               check (Float.abs (Pt.dist p q -. d) <= 1e-9)
-             | None, [] -> ()
-             | _ -> check false)
-          | _ ->
-            let k = 1 + (x mod 8) in
-            let got, bound = Grid_index.k_nearest_probe g p k in
-            let b = brute p in
-            let expect_n = Int.min k (List.length b) in
-            check (List.length got = expect_n);
-            List.iteri
-              (fun i (_, q, _) ->
-                match List.nth_opt b i with
-                | Some (_, d) -> check (Float.abs (Pt.dist p q -. d) <= 1e-9)
-                | None -> check false)
-              got;
-            let returned = List.map (fun (id, _, _) -> id) got in
-            (match bound with
-             | Some d ->
-               (* every eligible entry left out lies at distance >= d *)
-               List.iter
-                 (fun (id, dist) ->
-                   if not (List.mem id returned) then check (dist >= d -. 1e-9))
-                 b
-             | None ->
-               (* exhaustive: nothing was left out *)
-               check (List.length got = List.length b));
-            (* The array kernel against the exact brute-force order. *)
-            let skip id = x mod 2 = 1 && id mod 3 = 0 in
-            Grid_index.knn_into g buf ~skip p k;
-            let ranked =
-              Hashtbl.fold
-                (fun id q acc -> if skip id then acc else (Pt.dist p q, id, q) :: acc)
-                mirror []
-              |> List.sort (fun (d1, i1, _) (d2, i2, _) ->
-                     match Float.compare d1 d2 with 0 -> Int.compare i1 i2 | c -> c)
-            in
-            let expect = List.filteri (fun i _ -> i < k) ranked in
-            check (buf.klen = List.length expect);
-            List.iteri
-              (fun i (d, id, (q : Pt.t)) ->
-                check (buf.kids.(i) = id);
-                check (Float.Array.get buf.kdist i = d);
-                check (Float.Array.get buf.kx i = q.x && Float.Array.get buf.ky i = q.y))
-              expect;
-            if buf.exhaustive then check (List.length ranked = buf.klen)
-            else begin
-              check (buf.klen = k);
-              check (buf.kth = Float.Array.get buf.kdist (k - 1));
-              List.iteri (fun i (d, _, _) -> if i >= k then check (d >= buf.kth)) ranked
-            end)
-        ops;
-      !ok)
+  Alcotest.(check (list int)) "rejected adds leave the index unchanged" [ 0 ]
+    (List.map
+       (fun (id, _, _) -> id)
+       (fst (Grid_index.k_nearest_probe g (pt 500. (-500.)) 3)))
 
 (* Re-celling is exact: the k-NN answer is a function of the stored
    (id, point) set, so two indexes that went through the same random
-   churn — one with cell [c], one with [7 c] — must give identical
+   churn of adds and moves (an [add] over a live id) interleaved with
+   queries — one with cell [c], one with [7 c] — must give identical
    [k_nearest_probe] answers (ids, order and bound) at every query.
    Integer coordinates on a small box make exact distance ties the
    common case, inside one cell and across cells. *)
@@ -1088,15 +893,15 @@ let prop_grid_answer_independent_of_cell =
             Hashtbl.replace live id p;
             true
           | 3 ->
+            (* Move the z-th live id (mod population) to [p], if any. *)
             let ids = List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) live []) in
             (match ids with
              | [] -> ()
              | _ ->
                let id = List.nth ids (z mod List.length ids) in
-               let at = Hashtbl.find live id in
-               Grid_index.remove fine ~id at;
-               Grid_index.remove coarse ~id at;
-               Hashtbl.remove live id);
+               Grid_index.add fine ~id p ();
+               Grid_index.add coarse ~id p ();
+               Hashtbl.replace live id p);
             true
           | _ ->
             let k = 1 + (z mod 12) in
@@ -1281,9 +1086,6 @@ let () =
         :: Alcotest.test_case "pack preconditions" `Quick test_pack_preconditions
         :: qsuite
              [
-               prop_grid_matches_linear_scan;
-               prop_grid_k_nearest_matches_brute_force;
-               prop_grid_churn;
                prop_grid_answer_independent_of_cell;
                prop_packed_knn_matches_brute_force;
              ] );

@@ -1,37 +1,5 @@
-(* Tests for the lib/obs instrumentation library: counters, histograms,
-   the trace context, the run context, the JSON emitter and the report
-   snapshot. *)
-
-(* Must run before anything registers a counter: the registry is global
-   to the process, so this is the only moment the empty-registry
-   rendering is observable. *)
-let test_report_empty () =
-  Alcotest.(check string) "empty registries" {|{"counters":{}}|}
-    (Obs.Json.to_string (Obs.Report.snapshot ()))
-
-let test_counter_basics () =
-  let c = Obs.Counter.make "test.counter.basics" in
-  Alcotest.(check string) "name" "test.counter.basics" (Obs.Counter.name c);
-  Alcotest.(check int) "starts at 0" 0 (Obs.Counter.value c);
-  Obs.Counter.incr c;
-  Obs.Counter.incr c;
-  Obs.Counter.add c 5;
-  Alcotest.(check int) "incr + add" 7 (Obs.Counter.value c);
-  Obs.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Obs.Counter.value c)
-
-let test_counter_registry () =
-  let c = Obs.Counter.make "test.counter.registry" in
-  Obs.Counter.add c 3;
-  (match Obs.Counter.find "test.counter.registry" with
-   | None -> Alcotest.fail "counter not registered"
-   | Some c' -> Alcotest.(check int) "find sees same cell" 3 (Obs.Counter.value c'));
-  Alcotest.(check bool) "registry lists it" true
-    (List.exists
-       (fun c' -> Obs.Counter.name c' = "test.counter.registry")
-       (Obs.Counter.all ()));
-  Alcotest.(check bool) "unknown name" true
-    (Obs.Counter.find "test.counter.no_such" = None)
+(* Tests for the lib/obs instrumentation library: histograms, the trace
+   context, the run context and the JSON emitter. *)
 
 (* Every code point U+0000..U+001F must survive emit -> parse: the
    emitter escapes the ones without a short form as \uXXXX and the
@@ -163,48 +131,6 @@ let test_json_read_file () =
       Obs.Json.write_file path v;
       Alcotest.(check bool) "write/read roundtrip" true
         (Obs.Json.read_file path = v))
-
-let test_report_snapshot () =
-  let c = Obs.Counter.make "test.report.counter" in
-  Obs.Counter.add c 11;
-  Alcotest.(check int) "Report.counter reads value" 11
-    (Obs.Report.counter "test.report.counter");
-  Alcotest.(check int) "Report.counter on unknown is 0" 0
-    (Obs.Report.counter "test.report.no_such");
-  let s = Obs.Json.to_string (Obs.Report.snapshot ()) in
-  let contains sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-    in
-    go 0
-  in
-  Alcotest.(check bool) "snapshot has counter" true
-    (contains {|"test.report.counter":11|});
-  (* Report.reset zeroes registered counters. *)
-  Obs.Report.reset ();
-  Alcotest.(check int) "counter zeroed" 0 (Obs.Report.counter "test.report.counter")
-
-let test_report_ordering () =
-  let _c1 = Obs.Counter.make "test.report.order_z" in
-  let _c2 = Obs.Counter.make "test.report.order_a" in
-  let s = Obs.Json.to_string (Obs.Report.snapshot ()) in
-  let index_of sub =
-    let n = String.length sub in
-    let rec go i =
-      if i + n > String.length s then None
-      else if String.sub s i n = sub then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  (match (index_of {|"test.report.order_z"|}, index_of {|"test.report.order_a"|}) with
-   | Some iz, Some ia ->
-     Alcotest.(check bool) "registration order, not name order" true (iz < ia)
-   | _ -> Alcotest.fail "snapshot missing a registered counter");
-  (* Two consecutive snapshots render identically: ordering is stable. *)
-  Alcotest.(check string) "stable across snapshots" s
-    (Obs.Json.to_string (Obs.Report.snapshot ()))
 
 let test_histogram_buckets () =
   let h = Obs.Histogram.create ~per_decade:1 "test.hist.buckets" in
@@ -735,16 +661,6 @@ let test_run_phase () =
 let () =
   Alcotest.run "obs"
     [
-      (* Must stay first: Alcotest runs suites in declared order and the
-         empty-registry rendering is only observable before any other
-         test registers a counter. *)
-      ( "report-empty",
-        [ Alcotest.test_case "empty registries" `Quick test_report_empty ] );
-      ( "counter",
-        [
-          Alcotest.test_case "basics" `Quick test_counter_basics;
-          Alcotest.test_case "registry" `Quick test_counter_registry;
-        ] );
       ( "json",
         [
           Alcotest.test_case "to_string" `Quick test_json_to_string;
@@ -785,10 +701,5 @@ let () =
           Alcotest.test_case "null run is inert" `Quick test_run_null;
           Alcotest.test_case "phase feeds one measurement" `Quick
             test_run_phase;
-        ] );
-      ( "report",
-        [
-          Alcotest.test_case "snapshot" `Quick test_report_snapshot;
-          Alcotest.test_case "stable ordering" `Quick test_report_ordering;
         ] );
     ]

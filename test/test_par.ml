@@ -331,24 +331,6 @@ let test_null_recorder_inert () =
       Alcotest.(check (array int)) "recording never changes results" plain
         recorded)
 
-(* --- Obs.Counter atomicity under domains ----------------------------------- *)
-
-let test_counter_atomic_across_domains () =
-  let c = Obs.Counter.make "test.par.atomic" in
-  Obs.Counter.reset c;
-  let per_domain = 25_000 in
-  let domains =
-    List.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to per_domain do
-              Obs.Counter.incr c
-            done))
-  in
-  List.iter Domain.join domains;
-  Alcotest.(check int)
-    "4 domains x 25k increments, none lost"
-    (4 * per_domain) (Obs.Counter.value c)
-
 (* --- default_jobs / jobs_of_string ----------------------------------------- *)
 
 let test_jobs_of_string () =
@@ -412,11 +394,6 @@ let () =
             test_ledger_structure_deterministic;
           Alcotest.test_case "null recorder is inert" `Quick
             test_null_recorder_inert;
-        ] );
-      ( "obs",
-        [
-          Alcotest.test_case "counter increments atomic across 4 domains"
-            `Quick test_counter_atomic_across_domains;
         ] );
       ( "config",
         [
