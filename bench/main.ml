@@ -100,9 +100,8 @@ let bench_instance (spec : Workload.Circuits.spec) =
 
 (* Every field in which two routes of [inst] differ (Check.Oracle.diffs:
    arena, evaluation report, repair stats and engine stats). *)
-let result_diffs inst a b =
-  Check.Oracle.diffs (Check.Oracle.of_result inst a)
-    (Check.Oracle.of_result inst b)
+let result_diffs a b =
+  Check.Oracle.diffs (Check.Oracle.of_result a) (Check.Oracle.of_result b)
 
 (* --- CI perf smoke: ranking k-NN work and allocation ------------------------ *)
 
@@ -150,7 +149,7 @@ let smoke_clustered name =
         Format.printf "clustered regions: %d, top-level rounds: %d@."
           d.n_clusters d.top.rounds)
       clu.clustering;
-    let differs = result_diffs inst k1 flat in
+    let differs = result_diffs k1 flat in
     List.iter (Format.printf "  DIFF %s@.") differs;
     if differs <> [] then fail "clusters=1 run differs from the flat router's";
     let audit =
@@ -450,7 +449,7 @@ let scale args =
     in
     let wall2 = Obs.Timer.now () -. t0 in
     let bad =
-      List.map (( ^ ) "depth=1 vs default: ") (result_diffs inst d1 base)
+      List.map (( ^ ) "depth=1 vs default: ") (result_diffs d1 base)
       @ List.map
           (fun (v : Check.Audit.violation) -> v.invariant ^ ": " ^ v.detail)
           (Check.Audit.clustering inst ~clusters:16 ~depth:2 d2.clustering
@@ -478,7 +477,7 @@ let scale args =
             Int64.bits_of_float r.repair.added_wire
           in
           let bad =
-            result_diffs inst r r1
+            result_diffs r r1
             @ if bits r = bits r1 then [] else [ "repair.added_wire bits" ]
           in
           Format.printf "@.%s jobs %d vs 1: %s@." spec.name jobs
@@ -639,7 +638,7 @@ let eff args =
                   fail
                     (Printf.sprintf "%s: jobs=1 speedup %.17g <> 1.0" spec.name
                        speedup);
-                (match result_diffs inst r base with
+                (match result_diffs r base with
                  | [] -> ()
                  | d :: _ ->
                    fail

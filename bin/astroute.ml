@@ -61,15 +61,6 @@ let cluster_depth_arg =
     & opt (some int) None
     & info [ "cluster-depth" ] ~docv:"D" ~doc)
 
-let repair_max_cycles_arg =
-  let doc =
-    "Cycle budget per repair fixpoint (balance/lift rounds before giving      up; the repair stats then report budget_exhausted).  The default      converges in all supported configurations."
-  in
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "repair-max-cycles" ] ~docv:"N" ~doc)
-
 let algo_arg =
   let doc =
     "Algorithm: ast (AST-DME), ext (EXT-BST), zst (greedy-DME) or mmm      (fixed MMM topology)."
@@ -194,7 +185,7 @@ let print_result name (r : Astskew.Router.result) =
 
 let route_cmd =
   let run circuit groups scheme bound seed algo file svg stats_json jobs
-      clustered clusters cluster_depth repair_max_cycles
+      clustered clusters cluster_depth
       show_progress trace_file journal_file =
     (* The algorithm, then its --clustered combination, are checked
        before anything is built: a bad choice must not cost a route. *)
@@ -230,7 +221,7 @@ let route_cmd =
         if show_progress then Obs.Progress.create () else Obs.Progress.null
       in
       let run = { Obs.Run.null with trace; progress } in
-      let r = route ~jobs ?repair_max_cycles ~run inst in
+      let r = route ~jobs ~run inst in
       Format.printf "%a@." Clocktree.Instance.pp inst;
       print_result name r;
       (match r.Astskew.Router.clustering with
@@ -247,7 +238,9 @@ let route_cmd =
       let svg_code =
         match svg with
         | Some path ->
-          write "svg" path (fun p -> Clocktree.Svg.write_file p inst r.routed)
+          write "svg" path (fun p ->
+              Clocktree.Svg.write_file p inst
+                (Clocktree.Arena.to_routed r.routed))
         | None -> 0
       in
       let trace_code = write_trace_files ~trace_file ~journal_file trace in
@@ -263,7 +256,7 @@ let route_cmd =
       const run $ circuit_arg $ groups_arg $ scheme_arg $ bound_arg $ seed_arg
       $ algo_arg $ file_arg $ svg_arg $ stats_json_arg $ jobs_arg
       $ clustered_arg $ clusters_arg
-      $ cluster_depth_arg $ repair_max_cycles_arg $ progress_arg $ trace_arg
+      $ cluster_depth_arg $ progress_arg $ trace_arg
       $ trace_journal_arg)
   in
   Cmd.v (Cmd.info "route" ~doc:"Route one circuit with one algorithm.") term

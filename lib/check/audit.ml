@@ -3,6 +3,7 @@ module Instance = Clocktree.Instance
 module Sink = Clocktree.Sink
 module Tree = Clocktree.Tree
 module Evaluate = Clocktree.Evaluate
+module Arena = Clocktree.Arena
 
 type violation = { invariant : string; detail : string }
 
@@ -21,11 +22,16 @@ let finite_pt p = Float.is_finite p.Pt.x && Float.is_finite p.Pt.y
 
 (* --- structure ----------------------------------------------------------- *)
 
-let structure (inst : Instance.t) (r : Tree.routed) =
+(* The arena's own invariants, read straight off its columns.  Post order
+   puts node [u]'s right child at [u - 1] and its left child just below
+   the right subtree, at [u - 1 - size (u - 1)]; with both children
+   naming [u] as parent, [size u] counting the subtree and the root's
+   size [n], the columns hold exactly one binary tree. *)
+let columns (inst : Instance.t) (a : Arena.t) =
   let out = ref [] in
   let add x = out := x :: !out in
-  let n = Instance.n_sinks inst in
-  let seen = Array.make n 0 in
+  let n = a.n and ns = Instance.n_sinks inst in
+  let seen = Array.make ns 0 in
   let check_edge ~what parent child len =
     if not (Float.is_finite len) then
       add (v "finite-edges" "%s edge length is %g" what len)
@@ -41,45 +47,85 @@ let structure (inst : Instance.t) (r : Tree.routed) =
       end
     end
   in
-  let rec walk = function
-    | Tree.Leaf (s : Sink.t) ->
-      if s.id < 0 || s.id >= n then
-        add (v "sink-coverage" "leaf sink id %d outside [0, %d)" s.id n)
+  for u = 0 to n - 1 do
+    let l = a.left.(u) and r = a.right.(u) in
+    if not (finite_pt a.pos.(u)) then
+      add
+        (v "finite-edges" "node %d position %s is not finite" u
+           (Pt.to_string a.pos.(u)));
+    if l < 0 then begin
+      if r >= 0 || a.size.(u) <> 1 then
+        add (v "topology" "leaf %d has right child %d and size %d" u r a.size.(u));
+      let id = a.sink.(u) in
+      if id < 0 || id >= ns then
+        add (v "sink-coverage" "leaf sink id %d outside [0, %d)" id ns)
       else begin
-        seen.(s.id) <- seen.(s.id) + 1;
-        let orig = inst.sinks.(s.id) in
+        seen.(id) <- seen.(id) + 1;
+        let orig = inst.sinks.(id) in
         (* Group is deliberately not compared: the fused baselines route a
            copy of the instance with all groups collapsed to 0, and
            evaluation looks groups up by sink id in the instance anyway. *)
-        if not (Pt.equal s.loc orig.loc && s.cap = orig.cap) then
-          add
-            (v "sink-coverage" "leaf sink %d differs from the instance's" s.id)
+        if not (Pt.equal a.pos.(u) orig.loc && a.scap.(u) = orig.cap) then
+          add (v "sink-coverage" "leaf sink %d differs from the instance's" id)
       end
-    | Tree.Node nd ->
-      if not (finite_pt nd.pos) then
-        add (v "finite-edges" "node position %s is not finite" (Pt.to_string nd.pos));
-      check_edge ~what:"left" nd.pos (Tree.pos nd.left) nd.llen;
-      check_edge ~what:"right" nd.pos (Tree.pos nd.right) nd.rlen;
-      walk nd.left;
-      walk nd.right
-  in
-  walk r.tree;
+    end
+    else if r <> u - 1 then
+      add (v "topology" "node %d has right child %d, not %d" u r (u - 1))
+    else if l >= r || l <> r - a.size.(r) then
+      add (v "topology" "node %d has left child %d, not %d" u l (r - a.size.(r)))
+    else begin
+      if a.size.(u) <> a.size.(l) + a.size.(r) + 1 then
+        add
+          (v "topology" "node %d has size %d, its children %d and %d" u
+             a.size.(u) a.size.(l) a.size.(r));
+      if a.parent.(l) <> u || a.parent.(r) <> u then
+        add
+          (v "topology" "children of node %d name parents %d and %d" u
+             a.parent.(l) a.parent.(r));
+      check_edge ~what:(Printf.sprintf "node %d" l) a.pos.(u) a.pos.(l) a.len.(l);
+      check_edge ~what:(Printf.sprintf "node %d" r) a.pos.(u) a.pos.(r) a.len.(r)
+    end
+  done;
+  if a.parent.(n - 1) <> -1 || a.size.(n - 1) <> n then
+    add
+      (v "topology" "root has parent %d and size %d of %d" a.parent.(n - 1)
+         a.size.(n - 1) n);
   Array.iteri
     (fun id k ->
       if k = 0 then add (v "sink-coverage" "sink %d is unreachable" id)
       else if k > 1 then
         add (v "sink-coverage" "sink %d appears %d times" id k))
     seen;
-  if not (finite_pt r.source) then
+  if not (finite_pt a.source) then
     add (v "finite-edges" "source position is not finite");
-  check_edge ~what:"source" r.source (Tree.pos r.tree) r.source_len;
-  (* The electrical view must be sane too: one pass through the same
-     conversion Evaluate and the transient simulator use. *)
-  if !out = [] then begin
-    let rct, _ = Tree.to_rctree inst.params ~rd:inst.rd ~n_sinks:n r in
-    List.iter (fun msg -> add (v "rc-tree" "%s" msg)) (Rc.Rctree.audit rct)
-  end;
+  check_edge ~what:"source" a.source a.pos.(n - 1) a.source_len;
   List.rev !out
+
+(* The boxed tree and its RC tree: built once per audit, only from an
+   arena whose [columns] passed, for the checks that must not share code
+   with the arena kernels that produced the report. *)
+type view = { routed : Tree.routed; rct : Rc.Rctree.t; sink_index : int array }
+
+let checked (inst : Instance.t) a =
+  match columns inst a with
+  | [] ->
+    let routed = Arena.to_routed a in
+    let rct, sink_index =
+      Tree.to_rctree inst.params ~rd:inst.rd ~n_sinks:(Instance.n_sinks inst)
+        routed
+    in
+    ([], Some { routed; rct; sink_index })
+  | out -> (out, None)
+
+(* The electrical view must be sane too: the conversion the transient
+   simulator uses. *)
+let rc_tree = function
+  | None -> []
+  | Some w -> List.map (fun msg -> v "rc-tree" "%s" msg) (Rc.Rctree.audit w.rct)
+
+let structure inst a =
+  let out, w = checked inst a in
+  out @ rc_tree w
 
 (* --- semantics ----------------------------------------------------------- *)
 
@@ -91,7 +137,7 @@ let close a b =
   a = b
   || Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.max (Float.abs a) (Float.abs b))
 
-let semantics (inst : Instance.t) (r : Tree.routed) (rep : Evaluate.report) =
+let semantics_of view (inst : Instance.t) (rep : Evaluate.report) =
   let out = ref [] in
   let add x = out := x :: !out in
   let n = Instance.n_sinks inst in
@@ -105,14 +151,18 @@ let semantics (inst : Instance.t) (r : Tree.routed) (rep : Evaluate.report) =
         if not (Float.is_finite d) then
           add (v "delays-match" "sink %d delay is %g" i d))
       rep.delays;
-    let fresh = Evaluate.delays inst r in
-    Array.iteri
-      (fun i d ->
-        if not (close d rep.delays.(i)) then
-          add
-            (v "delays-match" "sink %d: reported %.17g, recomputed %.17g" i
-               rep.delays.(i) d))
-      fresh;
+    Option.iter
+      (fun w ->
+        let fresh = Rc.Rctree.elmore w.rct in
+        Array.iteri
+          (fun i idx ->
+            let d = fresh.(idx) in
+            if not (close d rep.delays.(i)) then
+              add
+                (v "delays-match" "sink %d: reported %.17g, recomputed %.17g"
+                   i rep.delays.(i) d))
+          w.sink_index)
+      view;
     (* Aggregates recomputed from the reported delays themselves. *)
     let min_d = Array.fold_left Float.min Float.infinity rep.delays in
     let max_d = Array.fold_left Float.max Float.neg_infinity rep.delays in
@@ -145,15 +195,21 @@ let semantics (inst : Instance.t) (r : Tree.routed) (rep : Evaluate.report) =
         add (v "skew-aggregates" "max_group_skew does not match group_skew")
     end
   end;
-  if not (close (Tree.wirelength r) rep.wirelength) then
-    add
-      (v "wirelength-match" "reported %.17g, tree has %.17g" rep.wirelength
-         (Tree.wirelength r));
-  if not (close (Tree.total_snaking r) rep.snaking) then
-    add
-      (v "wirelength-match" "reported snaking %.17g, tree has %.17g"
-         rep.snaking (Tree.total_snaking r));
+  (match view with
+   | None ->
+     add (v "delays-match" "the tree is malformed; nothing was recomputed")
+   | Some w ->
+     if not (close (Tree.wirelength w.routed) rep.wirelength) then
+       add
+         (v "wirelength-match" "reported %.17g, tree has %.17g" rep.wirelength
+            (Tree.wirelength w.routed));
+     if not (close (Tree.total_snaking w.routed) rep.snaking) then
+       add
+         (v "wirelength-match" "reported snaking %.17g, tree has %.17g"
+            rep.snaking (Tree.total_snaking w.routed)));
   List.rev !out
+
+let semantics inst a rep = semantics_of (snd (checked inst a)) inst rep
 
 (* --- bound --------------------------------------------------------------- *)
 
@@ -176,8 +232,9 @@ let bound contract (inst : Instance.t) (rep : Evaluate.report) =
           rep.global_skew b ]
     else []
 
-let run contract inst r rep =
-  structure inst r @ semantics inst r rep @ bound contract inst rep
+let run contract inst a rep =
+  let out, w = checked inst a in
+  out @ rc_tree w @ semantics_of w inst rep @ bound contract inst rep
 
 (* --- partition cover ------------------------------------------------------ *)
 
@@ -206,21 +263,6 @@ let partition_cover (inst : Instance.t) (regions : int array array) =
         add (v "partition-cover" "sink %d is in %d regions" id k))
     seen;
   List.rev !out
-
-(* --- tree equality ------------------------------------------------------- *)
-
-let tree_equal (a : Tree.routed) (b : Tree.routed) =
-  let rec eq a b =
-    match (a, b) with
-    | Tree.Leaf sa, Tree.Leaf sb -> sa.Sink.id = sb.Sink.id
-    | Tree.Node na, Tree.Node nb ->
-      Pt.equal na.pos nb.pos && na.llen = nb.llen && na.rlen = nb.rlen
-      && eq na.left nb.left && eq na.right nb.right
-    | _ -> false
-  in
-  Pt.equal a.source b.source
-  && a.source_len = b.source_len
-  && eq a.tree b.tree
 
 (* --- a run's own accounts -------------------------------------------------- *)
 

@@ -1,19 +1,29 @@
-(** Invariant auditor for routed clock trees.
+(** Invariant auditor for routed clock trees, read from the route's
+    flat post-order {!Clocktree.Arena}.
 
     Three layers, each returning the (possibly empty) list of violated
     invariants:
 
-    - {!structure}: the tree is well-formed — every instance sink appears
-      as exactly one leaf and is byte-identical to the instance's record;
-      positions and edge lengths are finite; every edge is at least as
-      long as the L1 distance between its endpoints (the excess being
-      snaking wire); the derived RC tree is electrically sane.
+    - {!structure}: the tree is well-formed, checked on the arena's
+      columns — post-order topology ([left]/[right]/[parent]/[size]
+      agree), every instance sink appears as exactly one leaf at the
+      instance's location and cap; positions and edge lengths are
+      finite; every edge is at least as long as the L1 distance between
+      its endpoints (the excess being snaking wire).  The derived RC
+      tree must be electrically sane.
     - {!semantics}: an {!Clocktree.Evaluate.report} is consistent with
       the tree it claims to describe — delays, wirelength, snaking and
       all skew aggregates match an independent recomputation.
     - {!bound}: the tree satisfies the skew contract it was routed
       under ({!Grouped} for AST-DME/MMM-DME, {!Global} for the fused
       EXT-BST and zero-skew baselines).
+
+    The RC-tree audit and the recomputation of delays, wirelength and
+    snaking read the boxed view ({!Clocktree.Arena.to_routed} through
+    {!Clocktree.Tree.to_rctree}, {!Rc.Rctree.elmore},
+    {!Clocktree.Tree.wirelength} and {!Clocktree.Tree.total_snaking}),
+    never the arena kernels that produced the report.  The view is built
+    once per audit, and only from an arena whose columns passed.
 
     {!journal}, {!sched_report} and {!clustering} audit the accounts a
     run keeps of itself against what the run did. *)
@@ -27,12 +37,13 @@ type contract =
   | Grouped  (** per-group skew within each group's own bound *)
   | Global of float  (** global skew within the given bound *)
 
-val structure :
-  Clocktree.Instance.t -> Clocktree.Tree.routed -> violation list
+val structure : Clocktree.Instance.t -> Clocktree.Arena.t -> violation list
 
+(** On an arena that fails {!structure}'s column checks nothing is
+    recomputed, and a ["delays-match"] violation says so. *)
 val semantics :
   Clocktree.Instance.t ->
-  Clocktree.Tree.routed ->
+  Clocktree.Arena.t ->
   Clocktree.Evaluate.report ->
   violation list
 
@@ -46,17 +57,13 @@ val bound :
 val partition_cover :
   Clocktree.Instance.t -> int array array -> violation list
 
-(** All three layers in order. *)
+(** All three layers in order, sharing one boxed view. *)
 val run :
   contract ->
   Clocktree.Instance.t ->
-  Clocktree.Tree.routed ->
+  Clocktree.Arena.t ->
   Clocktree.Evaluate.report ->
   violation list
-
-(** Structural equality of routed trees, exact on floats — the
-    "bit-identical" relation the identity oracles promise. *)
-val tree_equal : Clocktree.Tree.routed -> Clocktree.Tree.routed -> bool
 
 (** A trace's per-round journal records sum exactly to the engine's
     aggregate stats (round count, probes, queries, trial merges, elided

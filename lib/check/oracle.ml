@@ -33,43 +33,29 @@ let guard oracle f =
 
 (* --- deliberate fault injection ------------------------------------------ *)
 
-(* Snake the leaf edge of one sink that shares a group with another sink:
-   the extra wire delays that sink past its group's bound, so a correct
-   auditor must flag [within-bound].  Singleton groups cannot violate an
-   intra-group bound, so if every group is a singleton the tree is
-   returned unchanged. *)
-let inject_skew_violation (inst : Instance.t) (r : Tree.routed) =
+(* Snake the leaf edge of one sink that shares a group with another sink,
+   on a copy of the arena: the extra wire delays that sink past its
+   group's bound, so a correct auditor must flag [within-bound].
+   Singleton groups cannot violate an intra-group bound, so if every
+   group is a singleton the copy is unchanged.  Returns the copy and its
+   evaluation. *)
+let inject_skew_violation (inst : Instance.t) (a : Arena.t) =
   let sizes = Instance.group_sizes inst in
-  let victim =
-    Array.to_seq inst.sinks
-    |> Seq.filter (fun (s : Sink.t) -> sizes.(s.group) >= 2)
-    |> Seq.uncons
-    |> Option.map fst
-  in
-  match victim with
-  | None -> r
-  | Some victim ->
-    let delta = Instance.bound_for inst victim.group +. 25. in
-    let snake len load =
-      let w = Rc.Elmore.wire_delay inst.params ~len ~load in
-      Rc.Elmore.wire_for_delay inst.params ~load ~delay:(w +. delta)
-    in
-    let rec go = function
-      | Tree.Leaf _ as t -> t
-      | Tree.Node n ->
-        let llen =
-          match n.left with
-          | Tree.Leaf s when s.id = victim.id -> snake n.llen s.cap
-          | _ -> n.llen
-        in
-        let rlen =
-          match n.right with
-          | Tree.Leaf s when s.id = victim.id -> snake n.rlen s.cap
-          | _ -> n.rlen
-        in
-        Tree.Node { n with left = go n.left; right = go n.right; llen; rlen }
-    in
-    { r with tree = go r.tree }
+  let len = Array.copy a.len in
+  (match Array.find_opt (fun (s : Sink.t) -> sizes.(s.group) >= 2) inst.sinks with
+   | None -> ()
+   | Some victim ->
+     let delta = Instance.bound_for inst victim.group +. 25. in
+     Array.iteri
+       (fun u id ->
+         if id = victim.id then begin
+           let load = a.scap.(u) in
+           let w = Rc.Elmore.wire_delay inst.params ~len:len.(u) ~load in
+           len.(u) <- Rc.Elmore.wire_for_delay inst.params ~load ~delay:(w +. delta)
+         end)
+       a.sink);
+  let a = { a with len } in
+  (a, Evaluate.report_of_arena inst a)
 
 (* --- router contracts ---------------------------------------------------- *)
 
@@ -82,10 +68,8 @@ let routers ?(inject = false) inst =
     guard oracle (fun () ->
         let result = route inst in
         let routed, report =
-          if inject && contract = Audit.Grouped then begin
-            let routed = inject_skew_violation inst result.Router.routed in
-            (routed, Evaluate.run inst routed)
-          end
+          if inject && contract = Audit.Grouped then
+            inject_skew_violation inst result.Router.routed
           else (result.Router.routed, result.Router.evaluation)
         in
         Audit.run contract inst routed report)
@@ -109,14 +93,11 @@ let clustered ?(inject = false) ?clusters inst =
       in
       let result = Router.ast_dme ~clustered:true ~clusters:k inst in
       let routed, report =
-        if inject then begin
-          (* The victim's group is spread over regions by the spatial
-             partition, so the snaked leaf violates the bound across a
-             cluster boundary — the auditor must still see it: the skew
-             contract is global to the stitched tree, not per region. *)
-          let routed = inject_skew_violation inst result.Router.routed in
-          (routed, Evaluate.run inst routed)
-        end
+        (* The victim's group is spread over regions by the spatial
+           partition, so the snaked leaf violates the bound across a
+           cluster boundary — the auditor must still see it: the skew
+           contract is global to the stitched tree, not per region. *)
+        if inject then inject_skew_violation inst result.Router.routed
         else (result.Router.routed, result.Router.evaluation)
       in
       part @ Audit.run Audit.Grouped inst routed report)
@@ -128,7 +109,7 @@ let delay_models ?(resolution = 300) inst =
       let r = Router.ast_dme inst in
       let rct, sink_index =
         Tree.to_rctree inst.params ~rd:inst.rd ~n_sinks:(Instance.n_sinks inst)
-          r.routed
+          (Arena.to_routed r.routed)
       in
       let elmore = Rc.Rctree.elmore rct in
       let sim = Rc.Transient.step_response_auto ~resolution rct in
@@ -219,9 +200,8 @@ let observe ?report ?engine ?repair arena =
   let degc (s : Dme.Engine.stats) = { s with gc = Obs.Gcstat.zero } in
   { arena; report; engine = Option.map degc engine; repair; extra = [] }
 
-let of_result (inst : Instance.t) (r : Router.result) =
-  observe ~report:r.evaluation ~engine:r.engine ~repair:r.repair
-    (Arena.of_routed inst.params ~rd:inst.rd r.routed)
+let of_result (r : Router.result) =
+  observe ~report:r.evaluation ~engine:r.engine ~repair:r.repair r.routed
 
 (* Every compared field as a named column of floats (ints are exact
    below 2^53); a scalar is a one-entry column. *)
@@ -331,7 +311,7 @@ let route c jobs =
   memo c.routes jobs (fun () ->
       let r = Router.ast_dme ~jobs c.inst in
       let extra = if r.sched = None then [] else [ "unrecorded sched report" ] in
-      { (of_result c.inst r) with extra })
+      { (of_result r) with extra })
 
 type row = {
   name : string;
@@ -372,7 +352,7 @@ let sched =
         in
         let r = Router.ast_dme ~jobs:j ~run c.inst in
         let extra = said (Audit.sched_report ~jobs:j r.sched) in
-        { (of_result c.inst r) with extra }) }
+        { (of_result r) with extra }) }
 
 let cluster =
   { name = "cluster-identity"; label = "clusters=1 vs flat"; jobs = [ 1; 2 ];
@@ -381,7 +361,7 @@ let cluster =
       (fun c _ j ->
         let r = Router.ast_dme ~jobs:j ~clustered:true ~clusters:1 c.inst in
         let extra = said (Audit.clustering c.inst ~clusters:1 r.clustering) in
-        { (of_result c.inst r) with extra }) }
+        { (of_result r) with extra }) }
 
 let clustered_route ?depth c jobs =
   Router.ast_dme ~jobs ~clustered:true ~clusters:4 ?cluster_depth:depth c.inst
@@ -394,15 +374,15 @@ let cluster_depth =
         let d2 = clustered_route ~depth:2 c 1 in
         let depth1 =
           diffs
-            (of_result c.inst (clustered_route ~depth:1 c 1))
-            (of_result c.inst (clustered_route c 1))
+            (of_result (clustered_route ~depth:1 c 1))
+            (of_result (clustered_route c 1))
         in
-        { (of_result c.inst d2) with
+        { (of_result d2) with
           extra =
             List.map (( ^ ) "depth=1 vs auto ") depth1
             @ said (Audit.clustering c.inst ~clusters:4 ~depth:2 d2.clustering)
             @ said (Audit.run Audit.Grouped c.inst d2.routed d2.evaluation) });
-    variant = (fun c _ j -> of_result c.inst (clustered_route ~depth:2 c j)) }
+    variant = (fun c _ j -> of_result (clustered_route ~depth:2 c j)) }
 
 (* Repair mutates only the [len] column, so each run gets a copy. *)
 let repaired c ~jobs ~incremental regions =

@@ -77,8 +77,17 @@ type obs = {
   extra : string list;
 }
 
+(** The parts of one run that are present, as {!diffs} compares them
+    (engine [gc] zeroed, no extras); the arena is observed, not copied. *)
+val observe :
+  ?report:Clocktree.Evaluate.report ->
+  ?engine:Dme.Engine.stats ->
+  ?repair:Clocktree.Repair.stats ->
+  Clocktree.Arena.t ->
+  obs
+
 (** A routed result, all four parts present. *)
-val of_result : Clocktree.Instance.t -> Astskew.Router.result -> obs
+val of_result : Astskew.Router.result -> obs
 
 (** [diffs v r]: one line per value of [v] that is not bit-equal to [r]'s,
     named by field ([arena.left[3]], [report.max_delay],

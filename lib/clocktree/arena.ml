@@ -18,8 +18,6 @@ type t = {
   len : float array;
 }
 
-let is_leaf a v = a.left.(v) < 0
-
 (* Iterative post-order flatten: an explicit frame stack replaces the
    recursion (degenerate combs reach depths the OCaml stack cannot).
    Each internal node is visited three times: descend left, descend
@@ -152,13 +150,6 @@ let to_routed a =
     end
   done;
   { Tree.tree = stack.(0); source = a.source; source_len = a.source_len }
-
-let total_edge_length a =
-  let s = ref 0. in
-  for v = 0 to a.n - 1 do
-    s := !s +. a.len.(v)
-  done;
-  !s
 
 (* The pi-segment half-capacitance of an edge, exactly as
    Tree.to_rctree lumps it. *)

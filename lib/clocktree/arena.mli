@@ -42,8 +42,6 @@ type t = {
   len : float array;  (** edge length above the node; mutated by repair *)
 }
 
-val is_leaf : t -> int -> bool
-
 (** Iterative (explicit-stack) post-order flatten.  [params]/[rd] are
     stored for the Elmore kernels. *)
 val of_routed : Rc.Wire.params -> rd:float -> Tree.routed -> t
@@ -52,11 +50,6 @@ val of_routed : Rc.Wire.params -> rd:float -> Tree.routed -> t
     sink records and [source]/[source_len] round-trip exactly; edge
     lengths come from the (possibly mutated) [len] column. *)
 val to_routed : t -> Tree.routed
-
-(** Sum of [len] in ascending index order (root edge — the source wire —
-    included).  Two snapshots of this sum bracket a repair phase's added
-    wire deterministically. *)
-val total_edge_length : t -> float
 
 (** [downstream_rc ~into a] fills [into.(v)] with the RC downstream
     capacitance of node [v] — bit-identical to

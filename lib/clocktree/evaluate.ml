@@ -9,7 +9,7 @@ type report = {
   max_group_skew : float;
 }
 
-(* Acceptance slack shared with Repair.run: a group skew within [slack]
+(* Acceptance slack shared with Repair.run_arena: a group skew within [slack]
    of its bound counts as satisfied.  Exported so the two modules cannot
    silently drift apart. *)
 let default_slack = 1e-4
@@ -77,9 +77,6 @@ let sink_delays ?(jobs = 1) ?regions ?(run = Obs.Run.null) (inst : Instance.t)
           Arena.delays_by_sink_gaps ~delay:node_delay ~into:delays ~windows a);
   delays
 
-let delays ?jobs ?regions (inst : Instance.t) (r : Tree.routed) =
-  sink_delays ?jobs ?regions inst (Arena.of_routed inst.params ~rd:inst.rd r)
-
 let report_of_arena ?jobs ?regions ?run (inst : Instance.t) (a : Arena.t) =
   let delays = sink_delays ?jobs ?regions ?run inst a in
   let min_delay = Array.fold_left Float.min Float.infinity delays in
@@ -105,9 +102,6 @@ let report_of_arena ?jobs ?regions ?run (inst : Instance.t) (a : Arena.t) =
     group_skew;
     max_group_skew = Array.fold_left Float.max 0. group_skew;
   }
-
-let run ?jobs ?regions (inst : Instance.t) (r : Tree.routed) =
-  report_of_arena ?jobs ?regions inst (Arena.of_routed inst.params ~rd:inst.rd r)
 
 let within_bound ?(slack = default_slack) (inst : Instance.t) report =
   let ok = ref true in

@@ -26,18 +26,13 @@ type report = {
   max_group_skew : float;
 }
 
-(** The default acceptance slack of {!within_bound} (ps).  {!Repair.run}
-    uses the same constant, so repair's convergence test and the final
+(** The default acceptance slack of {!within_bound} (ps).
+    {!Repair.run_arena} uses the same constant, so repair's convergence test and the final
     acceptance check cannot drift apart. *)
 val default_slack : float
 
-(** Per-sink Elmore delays (ps) of a routed tree, indexed by sink id. *)
-val delays : ?jobs:int -> ?regions:int -> Instance.t -> Tree.routed -> float array
-
-val run : ?jobs:int -> ?regions:int -> Instance.t -> Tree.routed -> report
-
-(** Evaluate a tree already flattened into an arena (the arena-native
-    router pipeline's representation), without re-flattening.  An
+(** Evaluate a tree on its arena (the router's representation; a boxed
+    tree is flattened first with {!Arena.of_routed}).  An
     enabled [run.sched] recorder ledgers the windowed kernel maps under
     ["evaluate.windows"]; recording never changes the computed report
     ([Check.Oracle.sched] row). *)

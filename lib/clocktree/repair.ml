@@ -955,8 +955,3 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
   in
   if tracing then Obs.Trace.span trace ~cat:"clocktree.repair" "repair" go
   else go ()
-
-let run ?config ?run (inst : Instance.t) (r : Tree.routed) =
-  let a = Arena.of_routed inst.params ~rd:inst.rd r in
-  let stats = run_arena ?config ?run inst a in
-  (Arena.to_routed a, stats)

@@ -113,9 +113,9 @@ type stats = {
 }
 
 (** [run_arena ?config ?run inst a] repairs the tree in place on its
-    flat arena: only the [len] column is mutated.  This is the
-    arena-native pipeline's entry point — {!run} is the pointer-tree
-    wrapper (flatten, repair, rebuild).  With [run.trace] enabled the whole
+    flat arena: only the [len] column is mutated.  A boxed tree is
+    repaired by flattening it first ({!Arena.of_routed}).  With
+    [run.trace] enabled the whole
     pass is wrapped in a ["repair"] span, each global cycle emits
     ["balance_pass"] / ["lift_sweep"] instants and a ["repair_cycle"]
     journal record, the regional phase emits one ["regional_repair"]
@@ -131,12 +131,3 @@ type stats = {
     on or off. *)
 val run_arena :
   ?config:config -> ?run:Obs.Run.t -> Instance.t -> Arena.t -> stats
-
-(** {!run_arena} on [Arena.of_routed routed], rebuilding the repaired
-    pointer tree afterwards. *)
-val run :
-  ?config:config ->
-  ?run:Obs.Run.t ->
-  Instance.t ->
-  Tree.routed ->
-  Tree.routed * stats

@@ -52,14 +52,6 @@ let total_snaking r =
   in
   Float.max 0. (r.source_len -. Pt.dist r.source (pos r.tree)) +. go r.tree
 
-let rec iter_nodes t f =
-  match t with
-  | Leaf _ -> ()
-  | Node n ->
-    f n.pos n.left n.right n.llen n.rlen;
-    iter_nodes n.left f;
-    iter_nodes n.right f
-
 let to_rctree (params : Rc.Wire.params) ~rd ~n_sinks:nsinks r =
   (* RC node 0 models the source end of the source wire; every tree node
      becomes an RC node; each edge is one pi segment: R = r·len with

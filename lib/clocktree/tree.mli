@@ -40,9 +40,6 @@ val wirelength : routed -> float
 (** Total snaking wire: sum over edges of (length - L1 endpoint distance). *)
 val total_snaking : routed -> float
 
-(** Fold over internal nodes, top-down. *)
-val iter_nodes : t -> (Geometry.Pt.t -> t -> t -> float -> float -> unit) -> unit
-
 (** Convert to an electrical RC tree.  Returns the RC tree together with
     the RC node index of each sink (indexed by sink id, which must be
     dense).  Wire segments are modelled as single pi-segments per edge. *)

@@ -10,7 +10,7 @@ type timings = {
 }
 
 type result = {
-  routed : Clocktree.Tree.routed;
+  routed : Clocktree.Arena.t;
   evaluation : Evaluate.report;
   engine : Dme.Engine.stats;
   repair : Repair.stats;
@@ -27,11 +27,11 @@ type result = {
    Dme.Engine.run_arena for the greedy merge order, Dme.Mmm.run_arena for
    the fixed topology.
 
-   The whole hot path is arena-native: the plan embeds straight into a
-   flat arena, repair mutates its [len] column in place and evaluation
-   reads it windowed across [jobs] domains — the boxed [Tree.routed] is
-   rebuilt once at the end, purely as the external representation. *)
-let solve_with ~run ?repair_max_cycles ~jobs ~plan ~route_inst ~eval_inst () =
+   The whole path is arena-native: the plan embeds straight into a flat
+   arena, repair mutates its [len] column in place, evaluation reads it
+   windowed across [jobs] domains, and the repaired arena is the
+   result's tree. *)
+let solve_with ~run ~jobs ~plan ~route_inst ~eval_inst () =
   let jobs = Int.max 1 jobs in
   (* Repair and evaluation inherit the engine's jobs so one --jobs flag
      drives every parallel phase; their results are jobs-invariant
@@ -39,17 +39,14 @@ let solve_with ~run ?repair_max_cycles ~jobs ~plan ~route_inst ~eval_inst () =
   (* The cycle budget is per fixpoint, and the global fixpoint's
      convergence tail grows with the stitched spine, so the default
      scales with the instance (the fixed 300 was exhausted by the
-     3·10^5-sink bench point's last ~0.1 ps of group skew); an explicit
-     [repair_max_cycles] always wins. *)
-  let default_cycles =
-    Int.max Repair.default_config.Repair.max_cycles
-      (Instance.n_sinks route_inst / 250)
-  in
+     3·10^5-sink bench point's last ~0.1 ps of group skew). *)
   let repair_config =
     {
       Repair.default_config with
       jobs;
-      max_cycles = Option.value repair_max_cycles ~default:default_cycles;
+      max_cycles =
+        Int.max Repair.default_config.Repair.max_cycles
+          (Instance.n_sinks route_inst / 250);
     }
   in
   let t0 = Sys.time () in
@@ -67,7 +64,6 @@ let solve_with ~run ?repair_max_cycles ~jobs ~plan ~route_inst ~eval_inst () =
     Obs.Run.phase run "evaluate" (fun () ->
         Evaluate.report_of_arena ~jobs ~run eval_inst arena)
   in
-  let routed = Clocktree.Arena.to_routed arena in
   let trace = run.Obs.Run.trace in
   if Obs.Trace.enabled trace then begin
     (* Final-quality histograms: per-sink source-to-sink delay and
@@ -81,7 +77,7 @@ let solve_with ~run ?repair_max_cycles ~jobs ~plan ~route_inst ~eval_inst () =
   let timings = { engine_s; repair_s; evaluate_s; total_s } in
   let sched = Obs.Run.finish run in
   {
-    routed;
+    routed = arena;
     evaluation;
     engine;
     repair;
@@ -94,15 +90,14 @@ let solve_with ~run ?repair_max_cycles ~jobs ~plan ~route_inst ~eval_inst () =
     top_heap_words = Obs.Gcstat.top_heap_words ();
   }
 
-let solve ?config ~run ?repair_max_cycles ~route_inst ~eval_inst () =
+let solve ?config ~run ~route_inst ~eval_inst () =
   let jobs =
     match config with
     | Some (c : Dme.Engine.config) -> c.jobs
     | None -> Dme.Engine.default.jobs
   in
-  solve_with ~run ?repair_max_cycles ~jobs
-    ~plan:(Dme.Engine.run_arena ?config ~run)
-    ~route_inst ~eval_inst ()
+  solve_with ~run ~jobs ~plan:(Dme.Engine.run_arena ?config ~run) ~route_inst
+    ~eval_inst ()
 
 (* [jobs] overrides the engine parallelism of [config] (or of [default]
    when no config was given); routed trees are invariant under it, so it
@@ -132,11 +127,11 @@ let router_manifest (run : Obs.Run.t) name (config : Dme.Engine.config) =
       ]
 
 let ast_dme ?config ?jobs ?(clustered = false) ?clusters
-    ?cluster_depth ?repair_max_cycles ?(run = Obs.Run.null) inst =
+    ?cluster_depth ?(run = Obs.Run.null) inst =
   let config = with_jobs ?jobs ~default:ast_default_config config in
   router_manifest run "ast_dme" config;
   if not clustered then
-    solve ~config ~run ?repair_max_cycles ~route_inst:inst ~eval_inst:inst ()
+    solve ~config ~run ~route_inst:inst ~eval_inst:inst ()
   else begin
     (* The clustered engine returns its per-region detail alongside the
        aggregate stats [solve_with] threads through; stash it and patch
@@ -152,7 +147,7 @@ let ast_dme ?config ?jobs ?(clustered = false) ?clusters
       (arena, stats)
     in
     let r =
-      solve_with ~run ?repair_max_cycles ~jobs:config.jobs ~plan
+      solve_with ~run ~jobs:config.jobs ~plan
         ~route_inst:inst ~eval_inst:inst ()
     in
     { r with clustering = !detail }
@@ -173,24 +168,22 @@ let fused ?bound (inst : Instance.t) =
     ~bound:(Option.value bound ~default)
     ~source:inst.source ~n_groups:1 sinks
 
-let ext_bst ?config ?jobs ?repair_max_cycles ?(run = Obs.Run.null) inst =
+let ext_bst ?config ?jobs ?(run = Obs.Run.null) inst =
   let config = with_jobs ?jobs ~default:Dme.Engine.default config in
   router_manifest run "ext_bst" config;
-  solve ~config ~run ?repair_max_cycles ~route_inst:(fused inst)
-    ~eval_inst:inst ()
+  solve ~config ~run ~route_inst:(fused inst) ~eval_inst:inst ()
 
-let greedy_dme ?config ?jobs ?repair_max_cycles ?(run = Obs.Run.null) inst =
+let greedy_dme ?config ?jobs ?(run = Obs.Run.null) inst =
   let config = with_jobs ?jobs ~default:Dme.Engine.default config in
   router_manifest run "greedy_dme" config;
-  solve ~config ~run ?repair_max_cycles ~route_inst:(fused ~bound:0. inst)
-    ~eval_inst:inst ()
+  solve ~config ~run ~route_inst:(fused ~bound:0. inst) ~eval_inst:inst ()
 
-let mmm_dme ?config ?jobs ?repair_max_cycles ?(run = Obs.Run.null) inst =
+let mmm_dme ?config ?jobs ?(run = Obs.Run.null) inst =
   let config = with_jobs ?jobs ~default:ast_default_config config in
   router_manifest run "mmm_dme" config;
   (* The MMM plan itself is serial (no recorded maps), but repair and
      evaluation still ledger under the recorder. *)
-  solve_with ~run ?repair_max_cycles ~jobs:config.jobs
+  solve_with ~run ~jobs:config.jobs
     ~plan:(Dme.Mmm.run_arena ~config ~run)
     ~route_inst:inst ~eval_inst:inst ()
 

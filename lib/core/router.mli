@@ -13,7 +13,9 @@
 
     Every result is post-processed by {!Clocktree.Repair} so the reported
     trees always satisfy the constraints they were routed under;
-    evaluation is against the original grouped instance. *)
+    evaluation is against the original grouped instance.  The result's
+    tree is the arena that was planned, repaired and evaluated; no boxed
+    {!Clocktree.Tree.routed} is built on the way. *)
 
 (** Per-phase wall-clock timings of one routing call, each the one
     measurement {!Obs.Run.phase} also hands to the run's trace span and
@@ -26,7 +28,10 @@ type timings = {
 }
 
 type result = {
-  routed : Clocktree.Tree.routed;
+  routed : Clocktree.Arena.t;
+      (** the repaired tree, the flat post-order arena that was planned,
+          repaired and evaluated; a boxed {!Clocktree.Tree.routed} is a
+          view its consumers build from it (DESIGN.md §31) *)
   evaluation : Clocktree.Evaluate.report;  (** w.r.t. the original instance *)
   engine : Dme.Engine.stats;
       (** clustered runs report the aggregate over region plans and the
@@ -59,9 +64,8 @@ val ast_default_config : Dme.Engine.config
     equally jobs-invariant).  [jobs] is an upper bound: each phase opens
     its pool only above its grain, so flat routes of 1000 sinks or fewer
     (below two regions of {!Clocktree.Instance.auto_regions}) plan,
-    repair and evaluate serially at any [jobs].  [repair_max_cycles]
-    overrides the
-    per-fixpoint cycle budget, whose default is scale-relative:
+    repair and evaluate serially at any [jobs].  The per-fixpoint
+    repair cycle budget is scale-relative:
     [max Repair.default_config.max_cycles (n_sinks / 250)].
 
     Each router also takes an optional [run] context ({!Obs.Run}, default
@@ -103,7 +107,6 @@ val ast_dme :
   ?clustered:bool ->
   ?clusters:int ->
   ?cluster_depth:int ->
-  ?repair_max_cycles:int ->
   ?run:Obs.Run.t ->
   Clocktree.Instance.t ->
   result
@@ -111,7 +114,6 @@ val ast_dme :
 val ext_bst :
   ?config:Dme.Engine.config ->
   ?jobs:int ->
-  ?repair_max_cycles:int ->
   ?run:Obs.Run.t ->
   Clocktree.Instance.t ->
   result
@@ -119,7 +121,6 @@ val ext_bst :
 val greedy_dme :
   ?config:Dme.Engine.config ->
   ?jobs:int ->
-  ?repair_max_cycles:int ->
   ?run:Obs.Run.t ->
   Clocktree.Instance.t ->
   result
@@ -132,7 +133,6 @@ val greedy_dme :
 val mmm_dme :
   ?config:Dme.Engine.config ->
   ?jobs:int ->
-  ?repair_max_cycles:int ->
   ?run:Obs.Run.t ->
   Clocktree.Instance.t ->
   result

@@ -66,22 +66,18 @@ let fig2 () =
     let sub = Instance.make ~bound:0. ~source:inst.source ~n_groups:1
         (Array.map (fun (s : Sink.t) -> { s with group = 0 }) members)
     in
-    Astskew.Router.greedy_dme sub
+    (Arena.to_routed (Astskew.Router.greedy_dme sub).routed).tree
   in
   let a = route_group 0 and b = route_group 1 in
   let stitch =
-    Pt.dist inst.source (Tree.pos a.routed.tree)
-    +. Pt.dist inst.source (Tree.pos b.routed.tree)
+    Pt.dist inst.source (Tree.pos a) +. Pt.dist inst.source (Tree.pos b)
   in
-  let stitched =
-    Tree.tree_wirelength a.routed.tree +. Tree.tree_wirelength b.routed.tree
-    +. stitch
-  in
+  let stitched = Tree.tree_wirelength a +. Tree.tree_wirelength b +. stitch in
   (* (b) associative merging on the full instance. *)
   let ast = Astskew.Router.ast_dme inst in
   {
     stitched_wirelength = stitched;
-    associative_wirelength = Tree.wirelength ast.routed;
+    associative_wirelength = Tree.wirelength (Arena.to_routed ast.routed);
   }
 
 type fig3 = {

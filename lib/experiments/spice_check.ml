@@ -36,7 +36,7 @@ let run ?spec ?(n_groups = 8) ?(bound = 10.) () =
   let ast = Astskew.Router.ast_dme inst in
   let rct, sink_index =
     Tree.to_rctree inst.params ~rd:inst.rd ~n_sinks:(Instance.n_sinks inst)
-      ast.routed
+      (Arena.to_routed ast.routed)
   in
   let elmore_nodes = Rc.Rctree.elmore rct in
   let sim = Rc.Transient.step_response_auto ~resolution:3000 rct in

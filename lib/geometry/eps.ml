@@ -8,8 +8,6 @@ let tol = 1e-6
 
 let equal a b = Float.abs (a -. b) <= tol
 let leq a b = a <= b +. tol
-let geq a b = a >= b -. tol
-let is_zero a = Float.abs a <= tol
 
 (** [clamp lo hi x] restricts [x] to the closed interval [lo, hi]. *)
 let clamp lo hi x = if x < lo then lo else if x > hi then hi else x

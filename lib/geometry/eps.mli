@@ -5,6 +5,4 @@ val tol : float
 
 val equal : float -> float -> bool
 val leq : float -> float -> bool
-val geq : float -> float -> bool
-val is_zero : float -> bool
 val clamp : float -> float -> float -> float

@@ -84,8 +84,3 @@ let instance2 params ~l_cf ~l_ac ~l_bc ~l_df ~l_ef ~cap_a ~cap_b ~cap_c ~cap_d
     else Elmore.wire_for_delay params ~load:cap_e ~delay:delay_e -. l_ef
   in
   (alpha, beta, gamma)
-
-let pp_plan ppf p =
-  Format.fprintf ppf "ea=%g eb=%g wa=%gps wb=%gps snake=%g%s" p.ea p.eb p.wa
-    p.wb p.snake
-    (if p.feasible then "" else " (infeasible)")

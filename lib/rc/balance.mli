@@ -69,4 +69,3 @@ val instance2 :
   cap_f:float ->
   float * float * float
 
-val pp_plan : Format.formatter -> plan -> unit

@@ -256,21 +256,16 @@ let test_scale_invariance () =
   Alcotest.(check bool)
     "wirelength scales exactly" true
     (r1.evaluation.wirelength = k *. r0.evaluation.wirelength);
-  let rec same (a : Tree.t) (b : Tree.t) =
-    match (a, b) with
-    | Tree.Leaf sa, Tree.Leaf sb -> sa.id = sb.id
-    | Tree.Node na, Tree.Node nb ->
-      nb.pos.Geometry.Pt.x = k *. na.pos.Geometry.Pt.x
-      && nb.pos.Geometry.Pt.y = k *. na.pos.Geometry.Pt.y
-      && nb.llen = k *. na.llen
-      && nb.rlen = k *. na.rlen
-      && same na.left nb.left
-      && same na.right nb.right
-    | _ -> false
-  in
+  let a0 = r0.routed and a1 = r1.routed in
+  let scaled x y = y = k *. x in
   Alcotest.(check bool)
     "identical topology, exactly scaled embedding" true
-    (same r0.routed.tree r1.routed.tree)
+    (a0.left = a1.left && a0.right = a1.right && a0.sink = a1.sink
+    && Array.for_all2
+         (fun (p : Geometry.Pt.t) (q : Geometry.Pt.t) ->
+           scaled p.x q.x && scaled p.y q.y)
+         a0.pos a1.pos
+    && Array.for_all2 scaled a0.len a1.len)
 
 (* --- fuzz smoke + determinism --------------------------------------------- *)
 
@@ -402,41 +397,44 @@ let test_audit_flags_broken_trees () =
   in
   let s0 = sink 0 0. 0. 0 and s1 = sink 1 100. 0. 0 in
   let inst = Instance.make ~source:(pt 0. 0.) ~n_groups:1 [| s0; s1 |] in
-  let node left right ~llen ~rlen =
-    Tree.Node { pos = pt 50. 0.; left; right; llen; rlen }
+  (* Hand-built trees bypass the Tree.node constructor's checks. *)
+  let arena left right ~llen ~rlen =
+    Arena.of_routed inst.params ~rd:inst.rd
+      (Tree.route (pt 0. 0.)
+         (Tree.Node { pos = pt 50. 0.; left; right; llen; rlen }))
   in
-  (* A short edge bypassing the Tree.node constructor. *)
-  let short =
-    Tree.route (pt 0. 0.) (node (Tree.Leaf s0) (Tree.Leaf s1) ~llen:10. ~rlen:50.)
+  let flags invariant vs =
+    List.length
+      (List.filter (fun (v : Check.Audit.violation) -> v.invariant = invariant) vs)
   in
-  let vs = Check.Audit.structure inst short in
+  let good = arena (Tree.Leaf s0) (Tree.Leaf s1) ~llen:50. ~rlen:50. in
+  let rep = Evaluate.report_of_arena inst good in
+  Alcotest.(check (list string)) "a sound tree passes" []
+    (List.map
+       (fun (v : Check.Audit.violation) -> v.invariant)
+       (Check.Audit.run Check.Audit.Grouped inst good rep));
+  let short = arena (Tree.Leaf s0) (Tree.Leaf s1) ~llen:10. ~rlen:50. in
   Alcotest.(check bool) "short edge flagged" true
-    (List.exists
-       (fun (v : Check.Audit.violation) ->
-         v.invariant = "edge-covers-distance")
-       vs);
+    (flags "edge-covers-distance" (Check.Audit.structure inst short) > 0);
   (* A duplicate leaf (sink 0 twice, sink 1 missing). *)
-  let dup =
-    Tree.route (pt 0. 0.) (node (Tree.Leaf s0) (Tree.Leaf s0) ~llen:50. ~rlen:50.)
-  in
-  let vs = Check.Audit.structure inst dup in
+  let dup = arena (Tree.Leaf s0) (Tree.Leaf s0) ~llen:50. ~rlen:50. in
   Alcotest.(check bool) "duplicate and missing sinks flagged" true
-    (List.length
-       (List.filter
-          (fun (v : Check.Audit.violation) -> v.invariant = "sink-coverage")
-          vs)
-     >= 2);
+    (flags "sink-coverage" (Check.Audit.structure inst dup) >= 2);
+  (* Arena-only faults: a [parent] entry that disagrees with
+     [left]/[right], and a [size] entry off by one.  Neither tree can be
+     read back as a boxed tree, so nothing is recomputed from it. *)
+  let misparented = { good with parent = [| 2; 0; -1 |] } in
+  Alcotest.(check bool) "parent disagreeing with left/right flagged" true
+    (flags "topology" (Check.Audit.structure inst misparented) > 0);
+  let missized = { good with size = [| 1; 1; 4 |] } in
+  Alcotest.(check bool) "size off by one flagged" true
+    (flags "topology" (Check.Audit.structure inst missized) > 0);
+  Alcotest.(check bool) "no recomputation on a malformed tree" true
+    (flags "delays-match" (Check.Audit.semantics inst missized rep) = 1);
   (* A report that lies about its wirelength. *)
-  let good =
-    Tree.route (pt 0. 0.) (node (Tree.Leaf s0) (Tree.Leaf s1) ~llen:50. ~rlen:50.)
-  in
-  let rep = Evaluate.run inst good in
   let lying = { rep with Evaluate.wirelength = rep.Evaluate.wirelength +. 1. } in
   Alcotest.(check bool) "wirelength lie flagged" true
-    (List.exists
-       (fun (v : Check.Audit.violation) ->
-         v.invariant = "wirelength-match")
-       (Check.Audit.semantics inst good lying))
+    (flags "wirelength-match" (Check.Audit.semantics inst good lying) > 0)
 
 (* --- shrinker -------------------------------------------------------------- *)
 
@@ -514,8 +512,12 @@ let test_io_roundtrip_fuzzed () =
 
 (* --- repair idempotence (satellite) ---------------------------------------- *)
 
-let check_second_repair_is_noop name inst (routed : Tree.routed) =
-  let repaired, stats = Repair.run inst routed in
+(* Repair mutates only the [len] column, so a copy of it is enough. *)
+let copy (a : Arena.t) = { a with len = Array.copy a.len }
+
+let check_second_repair_is_noop name inst (routed : Arena.t) =
+  let repaired = copy routed in
+  let stats = Repair.run_arena inst repaired in
   Alcotest.(check bool)
     (Printf.sprintf "%s: no second-pass wire (+%g)" name stats.added_wire)
     true
@@ -526,10 +528,11 @@ let check_second_repair_is_noop name inst (routed : Tree.routed) =
   Alcotest.(check int)
     (Printf.sprintf "%s: no second-pass lift sweeps" name)
     0 stats.lift_iterations;
-  Alcotest.(check bool)
+  Alcotest.(check (list string))
     (Printf.sprintf "%s: tree unchanged" name)
-    true
-    (Check.Audit.tree_equal routed repaired)
+    []
+    (Check.Oracle.diffs (Check.Oracle.observe repaired)
+       (Check.Oracle.observe routed))
 
 let test_repair_idempotent_fuzzed () =
   for index = 0 to 31 do
@@ -564,26 +567,26 @@ let s10k =
        Workload.Circuits.instance spec ~n_groups:8
          ~scheme:Workload.Partition.Intermingled ~bound:10. ()
      in
-     let routed =
-       Arena.to_routed
-         (fst
-            (Dme.Engine.run_arena
-               ~config:{ Astskew.Router.ast_default_config with jobs = 1 }
-               inst))
+     let planned =
+       fst
+         (Dme.Engine.run_arena
+            ~config:{ Astskew.Router.ast_default_config with jobs = 1 }
+            inst)
      in
-     (inst, routed))
+     (inst, planned))
 
 (* The frontier-sparse, windowed cycle must reproduce the dense
    from-scratch walk bit for bit at jobs 1, 2 and 4: tree, per-sink
    delays, stats, and every cycle's journal record (processed counts
    aside — they are what differs). *)
 let test_sparse_repair_10k () =
-  let inst, routed = Lazy.force s10k in
+  let inst, planned = Lazy.force s10k in
   let repair incremental jobs =
     let trace = Obs.Trace.create () in
     let config = { Repair.default_config with incremental; jobs } in
     let run = { Obs.Run.null with trace } in
-    let t, s = Repair.run ~config ~run inst routed in
+    let t = copy planned in
+    let s = Repair.run_arena ~config ~run inst t in
     let cycles =
       List.filter_map
         (function
@@ -600,7 +603,8 @@ let test_sparse_repair_10k () =
           | _ -> None)
         (Obs.Trace.journal_records trace)
     in
-    (t, Evaluate.delays inst t, s, cycles)
+    let report = Evaluate.report_of_arena inst t in
+    (Check.Oracle.observe ~report t, report.delays, s, cycles)
   in
   let dense_t, dense_d, dense_s, dense_c = repair false 1 in
   Alcotest.(check bool)
@@ -611,9 +615,9 @@ let test_sparse_repair_10k () =
     (fun jobs ->
       let t, d, s, c = repair true jobs in
       let what = Printf.sprintf "sparse jobs=%d" jobs in
-      Alcotest.(check bool)
-        (what ^ ": tree") true
-        (Check.Audit.tree_equal dense_t t);
+      Alcotest.(check (list string))
+        (what ^ ": tree and report") []
+        (Check.Oracle.diffs t dense_t);
       Alcotest.(check bool)
         (what ^ ": per-sink delays")
         true
@@ -643,10 +647,10 @@ let test_repair_cycle_ledger () =
             p.labels)
         r.phases
   in
-  let inst, routed = Lazy.force s10k in
+  let inst, planned = Lazy.force s10k in
   let run = { Obs.Run.null with sched = Obs.Sched.create () } in
   let config = { Repair.default_config with jobs = 2 } in
-  let _ : Tree.routed * Repair.stats = Repair.run ~config ~run inst routed in
+  let _ : Repair.stats = Repair.run_arena ~config ~run inst (copy planned) in
   (match cycle_batches (Obs.Sched.report run.sched) with
    | [ l ] ->
      Alcotest.(check bool)
@@ -670,9 +674,9 @@ let test_repair_cycle_ledger () =
    cycle.  Boxing each [wire_for_delay] result or added-wire update
    costs several words per edge, hundreds of edges per cycle. *)
 let test_repair_minor_words_10k () =
-  let inst, routed = Lazy.force s10k in
+  let inst, planned = Lazy.force s10k in
   let measure max_cycles =
-    let a = Arena.of_routed inst.params ~rd:inst.rd routed in
+    let a = copy planned in
     let config = { Repair.default_config with jobs = 1; max_cycles } in
     let m0 = Gc.minor_words () in
     let s = Repair.run_arena ~config inst a in
@@ -699,7 +703,7 @@ let test_repair_minor_words_10k () =
    field. *)
 let test_diffs_name_every_field () =
   let inst = circuit_instance "r1" in
-  let o = Check.Oracle.of_result inst (Astskew.Router.ast_dme ~jobs:1 inst) in
+  let o = Check.Oracle.of_result (Astskew.Router.ast_dme ~jobs:1 inst) in
   Alcotest.(check (list string)) "an observation equals itself" []
     (Check.Oracle.diffs o o);
   let ibump a = Array.mapi (fun k x -> if k = 7 then x + 1 else x) a in

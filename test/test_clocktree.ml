@@ -12,6 +12,18 @@ let sink id x y ?(cap = 20.) group = Sink.make ~id ~loc:(pt x y) ~cap ~group
 let check_float ?(tol = 1e-9) msg expected actual =
   Alcotest.(check (float tol)) msg expected actual
 
+(* Hand-built trees enter the arena pipeline flattened; repair works on
+   the flattened copy in place. *)
+let flat (inst : Instance.t) routed = Arena.of_routed inst.params ~rd:inst.rd routed
+
+let evaluate ?jobs ?regions inst routed =
+  Evaluate.report_of_arena ?jobs ?regions inst (flat inst routed)
+
+let repair ?config inst routed =
+  let a = flat inst routed in
+  let stats = Repair.run_arena ?config inst a in
+  (a, stats)
+
 (* --- Instance ------------------------------------------------------------ *)
 
 let test_instance_validation () =
@@ -130,13 +142,13 @@ let test_evaluate_hand_check () =
     Instance.make ~rd:100. ~source:(pt 0. 0.) ~n_groups:1
       [| sink 0 10. 0. 0; sink 1 (-10.) 0. 0 |]
   in
-  let d = Evaluate.delays inst routed in
+  let report = evaluate inst routed in
+  let d = report.delays in
   (* Total cap = 2*20 fF + 20 units * 0.02 fF = 40.4 fF.
      Driver: 100 ohm * 40.4 fF = 4.04 ps.
      Edge: 0.003*10*(0.02*10/2 + 20) = 0.603 ohm·fF = 0.000603 ps. *)
   check_float ~tol:1e-9 "sink 0 delay" 4.040603 d.(0);
   check_float ~tol:1e-9 "symmetric" d.(0) d.(1);
-  let report = Evaluate.run inst routed in
   check_float "zero skew" 0. report.global_skew;
   check_float "group skew" 0. report.max_group_skew;
   check_float "wirelength" 20. report.wirelength;
@@ -156,7 +168,7 @@ let test_evaluate_matches_direct_recursion () =
   let inst =
     Instance.make ~rd:50. ~source:(pt 0. 10.) ~n_groups:2 [| s0; s1; s2 |]
   in
-  let d = Evaluate.delays inst routed in
+  let d = (evaluate inst routed).delays in
   let w len load = Rc.Elmore.wire_delay params ~len ~load in
   let cap_inner = 35. +. 15. +. (params.Rc.Wire.c *. 40.) in
   let cap_top = cap_inner +. 25. +. (params.Rc.Wire.c *. 30.) in
@@ -179,10 +191,10 @@ let test_repair_balances_pair () =
   let inst =
     Instance.make ~bound:0. ~source:(pt 0. 0.) ~n_groups:1 [| s0; s1 |]
   in
-  let before = Evaluate.run inst routed in
+  let before = evaluate inst routed in
   Alcotest.(check bool) "skewed before" true (before.max_group_skew > 1e-6);
-  let repaired, stats = Repair.run inst routed in
-  let after = Evaluate.run inst repaired in
+  let repaired, stats = repair inst routed in
+  let after = Evaluate.report_of_arena inst repaired in
   Alcotest.(check bool) "balanced after" true (after.max_group_skew <= 1e-6);
   Alcotest.(check bool) "wire added" true (stats.added_wire > 0.);
   Alcotest.(check int) "one edge adjusted" 1 stats.adjusted_edges;
@@ -198,7 +210,7 @@ let test_repair_respects_bound_slack () =
   let inst =
     Instance.make ~bound:1000. ~source:(pt 0. 0.) ~n_groups:1 [| s0; s1 |]
   in
-  let _, stats = Repair.run inst routed in
+  let _, stats = repair inst routed in
   check_float "no wire added" 0. stats.added_wire;
   Alcotest.(check int) "no adjustment" 0 stats.adjusted_edges
 
@@ -212,7 +224,7 @@ let test_repair_ignores_cross_group () =
   let inst =
     Instance.make ~bound:0. ~source:(pt 0. 0.) ~n_groups:2 [| s0; s1 |]
   in
-  let _, stats = Repair.run inst routed in
+  let _, stats = repair inst routed in
   check_float "no wire added" 0. stats.added_wire
 
 (* Random trees: greedily pair sinks (midpoint nodes, exact distances) and
@@ -250,8 +262,8 @@ let prop_repair_enforces_bound =
       let arr = Array.of_list sinks in
       let inst = Instance.make ~bound ~source:(pt 0. 0.) ~n_groups arr in
       let routed = Tree.route (pt 0. 0.) (random_topology sinks) in
-      let repaired, stats = Repair.run inst routed in
-      let report = Evaluate.run inst repaired in
+      let repaired, stats = repair inst routed in
+      let report = Evaluate.report_of_arena inst repaired in
       stats.unresolved_groups = 0 && Evaluate.within_bound inst report)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -290,15 +302,15 @@ let test_deep_comb_stack_safety () =
   let root = pt (float_of_int (n - 1)) 0. in
   let routed = Tree.route root !t in
   let inst = Instance.make ~bound:1e9 ~source:root ~n_groups:1 sinks in
-  let a = Arena.of_routed inst.params ~rd:inst.rd routed in
+  let a = flat inst routed in
   Alcotest.(check int) "node count" (2 * n - 1) a.Arena.n;
   check_float "wirelength" (float_of_int (n - 1))
     (Arena.wirelength a);
-  let repaired, stats = Repair.run inst routed in
+  let stats = Repair.run_arena inst a in
   check_float "repair is a no-op" 0. stats.added_wire;
   Alcotest.(check int) "no edges adjusted" 0 stats.adjusted_edges;
   Alcotest.(check int) "no unresolved" 0 stats.unresolved_groups;
-  let report = Evaluate.run inst repaired in
+  let report = Evaluate.report_of_arena inst a in
   Alcotest.(check bool) "within bound" true (Evaluate.within_bound inst report)
 
 (* Windowed (parallel-shaped) evaluation must be bit-identical to the
@@ -320,10 +332,10 @@ let test_evaluate_windowed_identity () =
       (Array.of_list sinks)
   in
   let routed = Tree.route (pt 0. 0.) (random_topology sinks) in
-  let serial = Evaluate.run ~jobs:1 inst routed in
+  let serial = evaluate ~jobs:1 inst routed in
   List.iter
     (fun (jobs, regions) ->
-      let w = Evaluate.run ~jobs ?regions inst routed in
+      let w = evaluate ~jobs ?regions inst routed in
       Alcotest.(check bool)
         (Printf.sprintf "jobs=%d regions=%s identical report" jobs
            (match regions with None -> "auto" | Some r -> string_of_int r))
@@ -349,9 +361,9 @@ let test_repair_noop_preserves_tree () =
   let inst =
     Instance.make ~bound:1000. ~source:(pt 0. 0.) ~n_groups:1 [| s0; s1 |]
   in
-  let repaired, stats = Repair.run inst routed in
+  let repaired, stats = repair inst routed in
   Alcotest.(check int) "no adjustment" 0 stats.adjusted_edges;
-  Alcotest.(check bool) "tree bit-equal" true (routed = repaired)
+  Alcotest.(check bool) "tree bit-equal" true (routed = Arena.to_routed repaired)
 
 (* Conflicting groups under a zero bound: one balance pass cannot
    converge, so [max_cycles = 0] must exhaust the budget, report the
@@ -378,7 +390,7 @@ let exhaustion_case () =
 let test_repair_budget_exhaustion () =
   let inst, routed = exhaustion_case () in
   let config = { Repair.default_config with max_cycles = 0 } in
-  let _, stats = Repair.run ~config inst routed in
+  let _, stats = repair ~config inst routed in
   Alcotest.(check bool) "budget exhausted" true stats.budget_exhausted;
   Alcotest.(check int) "one balance pass" 1 stats.cycles;
   Alcotest.(check bool) "unresolved reported" true
@@ -386,10 +398,10 @@ let test_repair_budget_exhaustion () =
 
 let test_repair_default_budget_converges () =
   let inst, routed = exhaustion_case () in
-  let repaired, stats = Repair.run inst routed in
+  let repaired, stats = repair inst routed in
   Alcotest.(check bool) "not exhausted" false stats.budget_exhausted;
   Alcotest.(check int) "no unresolved" 0 stats.unresolved_groups;
-  let report = Evaluate.run inst repaired in
+  let report = Evaluate.report_of_arena inst repaired in
   Alcotest.(check bool) "within bound" true (Evaluate.within_bound inst report)
 
 (* --- Per-group bounds ----------------------------------------------------- *)
@@ -421,8 +433,8 @@ let test_repair_per_group_bounds () =
   let routed =
     Tree.route (pt 0. 0.) (random_topology (Array.to_list sinks))
   in
-  let repaired, stats = Repair.run inst routed in
-  let report = Evaluate.run inst repaired in
+  let repaired, stats = repair inst routed in
+  let report = Evaluate.report_of_arena inst repaired in
   Alcotest.(check int) "no unresolved" 0 stats.unresolved_groups;
   Alcotest.(check bool) "group 0 exact" true (report.group_skew.(0) <= 1e-4);
   Alcotest.(check bool) "group 1 within 50" true (report.group_skew.(1) <= 50. +. 1e-4)

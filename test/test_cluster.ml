@@ -271,11 +271,11 @@ let test_jobs_deterministic () =
   let route jobs =
     let config = { Astskew.Router.ast_default_config with Dme.Engine.jobs } in
     let arena, _, detail = Dme.Cluster.run_arena ~config ~clusters:5 inst in
-    (Arena.to_routed arena, detail)
+    (Check.Oracle.observe arena, detail)
   in
   let t1, d1 = route 1 in
   let t4, d4 = route 4 in
-  Alcotest.(check bool) "trees identical" true (Check.Audit.tree_equal t1 t4);
+  Alcotest.(check (list string)) "trees identical" [] (Check.Oracle.diffs t4 t1);
   Alcotest.(check int) "region count" 5 d1.Dme.Cluster.n_clusters;
   Alcotest.(check int) "region count independent of jobs"
     d1.Dme.Cluster.n_clusters d4.Dme.Cluster.n_clusters;
@@ -299,7 +299,6 @@ let test_depth2_matches_flat_partition () =
   let inst = diagonal ~n_groups:4 200 in
   let flat = Dme.Cluster.partition inst ~clusters:8 in
   let arena, _, d = Dme.Cluster.run_arena ~clusters:8 ~depth:2 inst in
-  let routed = Arena.to_routed arena in
   Alcotest.(check int) "leaf region count" 8 d.Dme.Cluster.n_clusters;
   Alcotest.(check int) "realized depth" 2 d.Dme.Cluster.depth;
   Alcotest.(check bool) "has intermediate super stitches" true
@@ -310,12 +309,12 @@ let test_depth2_matches_flat_partition () =
        (Array.map
           (fun (c : Dme.Cluster.cluster_stats) -> c.n_sinks)
           d.Dme.Cluster.per_cluster));
-  let report = Evaluate.run inst routed in
+  let report = Evaluate.report_of_arena inst arena in
   Alcotest.(check (list string))
     "depth-2 stitch passes the global grouped audit" []
     (List.map
        (fun (v : Check.Audit.violation) -> v.invariant ^ ": " ^ v.detail)
-       (Check.Audit.run Check.Audit.Grouped inst routed report))
+       (Check.Audit.run Check.Audit.Grouped inst arena report))
 
 let test_depth_identity_small () =
   let inst = diagonal ~n_groups:4 60 in

@@ -179,8 +179,8 @@ let test_stats_route_scoped () =
       Alcotest.(check bool) (name ^ " probed the grid") true
         (alone.Astskew.Router.engine.nn_cells > 0);
       Alcotest.(check (list string)) (name ^ " matches its solo run") []
-        (Check.Oracle.diffs (Check.Oracle.of_result inst concurrent)
-           (Check.Oracle.of_result inst alone)))
+        (Check.Oracle.diffs (Check.Oracle.of_result concurrent)
+           (Check.Oracle.of_result alone)))
     (List.combine routes solo) together
 
 (* Tracing must be semantically inert: routing with a live trace

@@ -50,7 +50,7 @@ let test_elmore_vs_transient_skew () =
   let r = Astskew.Router.greedy_dme inst in
   let rct, sink_index =
     Tree.to_rctree inst.params ~rd:inst.rd ~n_sinks:(Instance.n_sinks inst)
-      r.routed
+      (Arena.to_routed r.routed)
   in
   let elmore = Rc.Rctree.elmore rct in
   let sim = Rc.Transient.step_response_auto ~resolution:4000 rct in
