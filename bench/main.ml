@@ -103,6 +103,9 @@ let bench_instance (spec : Workload.Circuits.spec) =
 let result_diffs a b =
   Check.Oracle.diffs (Check.Oracle.of_result a) (Check.Oracle.of_result b)
 
+let ast = Check.Oracle.ast
+let clustered ?clusters ?depth () = { Astskew.Router.Spec.clusters; depth }
+
 (* --- CI perf smoke: ranking k-NN work and allocation ------------------------ *)
 
 (* Clustered leg of the smoke gate: the two-level router must
@@ -124,13 +127,11 @@ let smoke_clustered name =
       let r = f () in
       (r, Obs.Timer.now () -. t0)
     in
-    let flat, t_flat = timed (fun () -> Astskew.Router.ast_dme inst) in
+    let flat, t_flat = timed (fun () -> ast inst) in
     let k1, t_k1 =
-      timed (fun () -> Astskew.Router.ast_dme ~clustered:true ~clusters:1 inst)
+      timed (fun () -> ast ~clustering:(clustered ~clusters:1 ()) inst)
     in
-    let clu, t_clu =
-      timed (fun () -> Astskew.Router.ast_dme ~clustered:true inst)
-    in
+    let clu, t_clu = timed (fun () -> ast ~clustering:(clustered ()) inst) in
     let line what (r : Astskew.Router.result) wall =
       Format.printf
         "%-12s wall %6.3f s, probes %6d, trial merges %6d, minor words %.3e@."
@@ -184,7 +185,7 @@ let smoke args =
   | Some spec ->
     header (Printf.sprintf "Perf smoke: ranking k-NN work on %s" spec.name);
     let inst = bench_instance spec in
-    let r = Astskew.Router.ast_dme inst in
+    let r = ast inst in
     let probes = r.engine.nn_reprobes in
     let queries = r.engine.nn_queries in
     let cells = r.engine.nn_cells in
@@ -318,7 +319,7 @@ let scale_point n =
   let inst = bench_instance spec in
   let run = { Obs.Run.null with progress = Obs.Progress.create () } in
   let t0 = Obs.Timer.now () in
-  let r = Astskew.Router.ast_dme ~clustered:true ~run inst in
+  let r = ast ~clustering:(clustered ()) ~run inst in
   let wall = Obs.Timer.now () -. t0 in
   let heap = r.Astskew.Router.top_heap_words in
   let audit = Check.Audit.run Check.Audit.Grouped inst r.routed r.evaluation in
@@ -437,16 +438,10 @@ let scale args =
   let depth2_name, depth2_bad =
     let spec = scale_spec 10_000 in
     let inst = bench_instance spec in
-    let base = Astskew.Router.ast_dme ~clustered:true ~clusters:16 inst in
-    let d1 =
-      Astskew.Router.ast_dme ~clustered:true ~clusters:16 ~cluster_depth:1
-        inst
-    in
+    let base = ast ~clustering:(clustered ~clusters:16 ()) inst in
+    let d1 = ast ~clustering:(clustered ~clusters:16 ~depth:1 ()) inst in
     let t0 = Obs.Timer.now () in
-    let d2 =
-      Astskew.Router.ast_dme ~clustered:true ~clusters:16 ~cluster_depth:2
-        inst
-    in
+    let d2 = ast ~clustering:(clustered ~clusters:16 ~depth:2 ()) inst in
     let wall2 = Obs.Timer.now () -. t0 in
     let bad =
       List.map (( ^ ) "depth=1 vs default: ") (result_diffs d1 base)
@@ -472,7 +467,7 @@ let scale args =
       List.concat_map
         (fun ((spec : Workload.Circuits.spec), (r : Astskew.Router.result), _, _, _) ->
           let inst = bench_instance spec in
-          let r1 = Astskew.Router.ast_dme ~jobs:1 ~clustered:true inst in
+          let r1 = ast ~jobs:1 ~clustering:(clustered ()) inst in
           let bits (r : Astskew.Router.result) =
             Int64.bits_of_float r.repair.added_wire
           in
@@ -612,7 +607,7 @@ let eff args =
               (fun jobs ->
                 let run = { Obs.Run.null with sched = Obs.Sched.create () } in
                 let t0 = Obs.Timer.now () in
-                let r = Astskew.Router.ast_dme ~jobs ~run inst in
+                let r = ast ~jobs ~run inst in
                 let wall = Obs.Timer.now () -. t0 in
                 (jobs, wall, r))
               eff_jobs

@@ -33,7 +33,7 @@ let seed_arg =
 
 let jobs_arg =
   let doc =
-    "Upper bound on the worker domains for merge ranking, embedding,      repair and evaluation (1 = fully serial).  Each phase opens a pool      only above its grain: flat routes of 1000 sinks or fewer plan,      repair and evaluate serially whatever the value.  Defaults to the ASTSKEW_JOBS      environment variable, else 1.  Routed trees are bit-identical for      any value; only wall time changes."
+    "Upper bound on the worker domains for merge ranking, embedding,      repair and evaluation (at least 1; 1 = fully serial).  Each phase      opens a pool only above its grain: flat routes of 1000 sinks or fewer plan,      repair and evaluate serially whatever the value.  Defaults to the ASTSKEW_JOBS      environment variable, else 1.  Routed trees are bit-identical for      any value; only wall time changes."
   in
   Arg.(
     value
@@ -42,19 +42,19 @@ let jobs_arg =
 
 let clustered_arg =
   let doc =
-    "Route AST-DME in clustered mode: partition the sinks into spatial      regions, plan each region in parallel, stitch the region roots back      through a bounded-fan-in hierarchy of merges.  With --clusters 1 the      output is bit-identical to the flat router; any fixed cluster count      and depth is bit-identical across --jobs."
+    "Route in clustered mode (any algorithm but mmm; in compare, the      AST-DME leg): partition the sinks into spatial regions, plan each      region in parallel, stitch the region roots back      through a bounded-fan-in hierarchy of merges.  With --clusters 1 the      output is bit-identical to the flat router; any fixed cluster count      and depth is bit-identical across --jobs."
   in
   Arg.(value & flag & info [ "clustered" ] ~doc)
 
 let clusters_arg =
   let doc =
-    "Region count for --clustered (clamped to the sink count).  Default:      about one region per thousand sinks."
+    "Region count for --clustered (at least 1; clamped to the sink      count).  Default: about one region per thousand sinks."
   in
   Arg.(value & opt (some int) None & info [ "clusters" ] ~docv:"N" ~doc)
 
 let cluster_depth_arg =
   let doc =
-    "Stitch depth for --clustered: 1 is the classic two-level      construction (every region joins one top-level merge), higher depths      stitch regions through intermediate plans of at most 64 children      each.  Default: the smallest depth that accommodates the region      count."
+    "Stitch depth for --clustered (at least 1): 1 is the classic two-level      construction (every region joins one top-level merge), higher depths      stitch regions through intermediate plans of at most 64 children      each.  Default: the smallest depth that accommodates the region      count."
   in
   Arg.(
     value
@@ -151,12 +151,6 @@ let write_trace_files ~trace_file ~journal_file trace =
   in
   Int.max c1 c2
 
-(* The schema-2 document of Router.json_of_results: each router's
-   counts live in its own result object.  Returns an exit code. *)
-let write_stats_json path results =
-  write "stats" path (fun p ->
-      Obs.Json.write_file p (Astskew.Router.json_of_results results))
-
 (* The generation options are checked before anything is built, so a
    bad value is reported like any other input error instead of escaping
    as an exception from instance construction. *)
@@ -180,50 +174,80 @@ let load_instance ?file circuit groups scheme bound seed =
        let seed = Option.map Int64.of_int seed in
        Ok (Workload.Circuits.instance ?seed spec ~n_groups:groups ~scheme ~bound ()))
 
-let print_result name (r : Astskew.Router.result) =
-  Format.printf "%-11s %a@." name Astskew.Router.pp_result r
+(* The algorithms in compare's order: CLI name, result label, algorithm. *)
+let algorithms =
+  Astskew.Router.Spec.
+    [ ("zst", "greedy-DME", Greedy_dme); ("ext", "EXT-BST", Ext_bst);
+      ("mmm", "MMM-DME", Mmm_dme); ("ast", "AST-DME", Ast_dme) ]
+
+(* One algorithm's routing options as a labelled, validated Spec, checked
+   before anything is built: a bad value must not cost a route. *)
+let spec_of_options (_, label, algorithm) ~jobs ~clustered ~clusters ~depth =
+  let open Astskew.Router.Spec in
+  match (clustered, clusters, depth) with
+  | false, Some _, _ -> Error "--clusters applies only with --clustered"
+  | false, _, Some _ -> Error "--cluster-depth applies only with --clustered"
+  | _ ->
+    let clustering = if clustered then Some { clusters; depth } else None in
+    make ~config:{ (default algorithm).config with jobs } ?clustering algorithm
+    |> Result.map (fun spec -> (label, spec))
+
+(* The body of route and compare: once every leg's spec is valid, load
+   the instance and route the legs in order under one run context (one
+   trace: their phases appear as consecutive span groups), print each
+   result, then run [extra] (the command's own output, given the
+   instance and the results) and write the trace files and the schema-2
+   stats document (Router.json_of_results).  Returns an exit code. *)
+let route_legs legs ~progress ~extra ~jobs ~trace_file ~journal_file
+    ~stats_json ?file circuit groups scheme bound seed =
+  let loaded =
+    Result.bind legs (fun legs ->
+        Result.map
+          (fun inst -> (legs, inst))
+          (load_instance ?file circuit groups scheme bound seed))
+  in
+  match loaded with
+  | Error e ->
+    Format.eprintf "astroute: %s@." e;
+    1
+  | Ok (legs, inst) ->
+    Format.printf "%a@." Clocktree.Instance.pp inst;
+    let trace =
+      make_trace ~trace_file ~journal_file ~circuit ~groups ~scheme ~bound
+        ~seed ~file ~jobs
+    in
+    let run = { Obs.Run.null with trace; progress } in
+    let results =
+      List.map
+        (fun (name, spec) ->
+          let r = Astskew.Router.route ~run spec inst in
+          Format.printf "%-11s %a@." name Astskew.Router.pp_result r;
+          (name, r))
+        legs
+    in
+    let extra_code = extra inst results in
+    let trace_code = write_trace_files ~trace_file ~journal_file trace in
+    let stats_code =
+      match stats_json with
+      | Some path ->
+        write "stats" path (fun p ->
+            Obs.Json.write_file p (Astskew.Router.json_of_results results))
+      | None -> 0
+    in
+    Int.max extra_code (Int.max trace_code stats_code)
 
 let route_cmd =
   let run circuit groups scheme bound seed algo file svg stats_json jobs
       clustered clusters cluster_depth
       show_progress trace_file journal_file =
-    (* The algorithm, then its --clustered combination, are checked
-       before anything is built: a bad choice must not cost a route. *)
-    let router =
-      match algo with
-      | "ast" ->
-        Ok
-          ( "AST-DME",
-            Astskew.Router.ast_dme ~clustered ?clusters ?cluster_depth )
-      | ("ext" | "zst" | "mmm") when clustered ->
-        Error "--clustered applies to --algo ast only"
-      | "ext" -> Ok ("EXT-BST", Astskew.Router.ext_bst)
-      | "zst" -> Ok ("greedy-DME", Astskew.Router.greedy_dme)
-      | "mmm" -> Ok ("MMM-DME", Astskew.Router.mmm_dme)
-      | _ -> Error (Printf.sprintf "unknown algorithm %S" algo)
+    let leg =
+      match List.find_opt (fun (key, _, _) -> key = algo) algorithms with
+      | None -> Error (Printf.sprintf "unknown algorithm %S" algo)
+      | Some a ->
+        spec_of_options a ~jobs ~clustered ~clusters ~depth:cluster_depth
     in
-    let loaded =
-      Result.bind router (fun router ->
-          Result.map
-            (fun inst -> (router, inst))
-            (load_instance ?file circuit groups scheme bound seed))
-    in
-    match loaded with
-    | Error e ->
-      Format.eprintf "astroute: %s@." e;
-      1
-    | Ok ((name, route), inst) ->
-      let trace =
-        make_trace ~trace_file ~journal_file ~circuit ~groups ~scheme ~bound
-          ~seed ~file ~jobs
-      in
-      let progress =
-        if show_progress then Obs.Progress.create () else Obs.Progress.null
-      in
-      let run = { Obs.Run.null with trace; progress } in
-      let r = route ~jobs ~run inst in
-      Format.printf "%a@." Clocktree.Instance.pp inst;
-      print_result name r;
+    let extra inst results =
+      let r = snd (List.hd results) in
       (match r.Astskew.Router.clustering with
        | Some d ->
          Format.printf
@@ -235,21 +259,18 @@ let route_cmd =
               (fun m (c : Dme.Cluster.cluster_stats) -> Int.max m c.n_sinks)
               0 d.Dme.Cluster.per_cluster)
        | None -> ());
-      let svg_code =
-        match svg with
-        | Some path ->
-          write "svg" path (fun p ->
-              Clocktree.Svg.write_file p inst
-                (Clocktree.Arena.to_routed r.routed))
-        | None -> 0
-      in
-      let trace_code = write_trace_files ~trace_file ~journal_file trace in
-      let stats_code =
-        match stats_json with
-        | Some path -> write_stats_json path [ (name, r) ]
-        | None -> 0
-      in
-      Int.max svg_code (Int.max trace_code stats_code)
+      match svg with
+      | Some path ->
+        write "svg" path (fun p ->
+            Clocktree.Svg.write_file p inst (Clocktree.Arena.to_routed r.routed))
+      | None -> 0
+    in
+    let progress =
+      if show_progress then Obs.Progress.create () else Obs.Progress.null
+    in
+    route_legs (Result.map (fun l -> [ l ]) leg) ~progress ~extra ~jobs
+      ~trace_file ~journal_file ~stats_json ?file circuit groups scheme bound
+      seed
   in
   let term =
     Term.(
@@ -285,45 +306,25 @@ let gen_cmd =
 let compare_cmd =
   let run circuit groups scheme bound seed file stats_json jobs clustered
       clusters trace_file journal_file =
-    match load_instance ?file circuit groups scheme bound seed with
-    | Error e ->
-      Format.eprintf "astroute: %s@." e;
-      1
-    | Ok inst ->
-      Format.printf "%a@." Clocktree.Instance.pp inst;
-      (* All four routers share one trace: their phases appear as
-         consecutive span groups in the exported timeline. *)
-      let trace =
-        make_trace ~trace_file ~journal_file ~circuit ~groups ~scheme ~bound
-          ~seed ~file ~jobs
-      in
-      let run = { Obs.Run.null with trace } in
-      let zst = Astskew.Router.greedy_dme ~jobs ~run inst in
-      let ext = Astskew.Router.ext_bst ~jobs ~run inst in
-      let mmm = Astskew.Router.mmm_dme ~jobs ~run inst in
-      (* --clustered applies to the AST-DME leg only; the baselines have
-         no clustered mode. *)
-      let ast = Astskew.Router.ast_dme ~jobs ~clustered ?clusters ~run inst in
-      print_result "greedy-DME" zst;
-      print_result "EXT-BST" ext;
-      print_result "MMM-DME" mmm;
-      print_result "AST-DME" ast;
+    (* --clustered and --clusters apply to the AST-DME leg only. *)
+    let legs =
+      List.fold_right
+        (fun ((_, _, algorithm) as a) rest ->
+          let ast = algorithm = Astskew.Router.Spec.Ast_dme in
+          Result.bind
+            (spec_of_options a ~jobs ~clustered:(clustered && ast)
+               ~clusters:(if ast then clusters else None) ~depth:None)
+            (fun s -> Result.map (List.cons s) rest))
+        algorithms (Ok [])
+    in
+    let extra _ results =
+      let ext = List.assoc "EXT-BST" results and ast = List.assoc "AST-DME" results in
       Format.printf "AST-DME reduction vs EXT-BST: %.2f%%@."
         (100. *. Astskew.Router.reduction ~baseline:ext ast);
-      let trace_code = write_trace_files ~trace_file ~journal_file trace in
-      let stats_code =
-        match stats_json with
-        | Some path ->
-          write_stats_json path
-            [
-              ("greedy-DME", zst);
-              ("EXT-BST", ext);
-              ("MMM-DME", mmm);
-              ("AST-DME", ast);
-            ]
-        | None -> 0
-      in
-      Int.max trace_code stats_code
+      0
+    in
+    route_legs legs ~progress:Obs.Progress.null ~extra ~jobs ~trace_file
+      ~journal_file ~stats_json ?file circuit groups scheme bound seed
   in
   let term =
     Term.(

@@ -15,8 +15,8 @@ let () =
   in
   Format.printf "Clustered banks: %d sinks in %d rectangular bank regions@.@."
     spec.n_sinks n_groups;
-  let ext = Astskew.Router.ext_bst inst in
-  let ast = Astskew.Router.ast_dme inst in
+  let ext = Astskew.Router.(route (Spec.default Ext_bst) inst) in
+  let ast = Astskew.Router.(route (Spec.default Ast_dme) inst) in
   Format.printf "EXT-BST: wirelength %.0f, global skew %.2f ps@."
     ext.evaluation.wirelength ext.evaluation.global_skew;
   Format.printf "AST-DME: wirelength %.0f (%.2f%% less), global skew %.2f ps@.@."

@@ -45,6 +45,7 @@ let () =
     repair.adjusted_edges;
   (* And the engine end-to-end with a custom configuration. *)
   let config = { Dme.Engine.default with multi_merge = false; knn = 4 } in
-  let auto = Astskew.Router.ast_dme ~config inst in
+  let spec = Result.get_ok (Astskew.Router.Spec.make ~config Ast_dme) in
+  let auto = Astskew.Router.route spec inst in
   Format.printf "engine (single-merge mode): %a@." Evaluate.pp_report
     auto.evaluation

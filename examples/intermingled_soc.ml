@@ -16,7 +16,7 @@ let () =
     Workload.Circuits.instance spec ~n_groups:1
       ~scheme:Workload.Partition.Intermingled ~bound:10. ()
   in
-  let ext = Astskew.Router.ext_bst base_inst in
+  let ext = Astskew.Router.(route (Spec.default Ext_bst) base_inst) in
   Format.printf "EXT-BST baseline (all groups tied together): wirelength %.0f@.@."
     ext.evaluation.wirelength;
   Format.printf "%-8s %-12s %-11s %-13s %-14s@." "#groups" "wirelength"
@@ -27,7 +27,7 @@ let () =
         Workload.Circuits.instance spec ~n_groups:g
           ~scheme:Workload.Partition.Intermingled ~bound:10. ()
       in
-      let ast = Astskew.Router.ast_dme inst in
+      let ast = Astskew.Router.(route (Spec.default Ast_dme) inst) in
       Format.printf "%-8d %-12.0f %-10.2f%% %-13.1f %-14.2f@." g
         ast.evaluation.wirelength
         (100. *. Astskew.Router.reduction ~baseline:ext ast)

@@ -34,9 +34,10 @@ let () =
       name r.evaluation.wirelength r.evaluation.global_skew
       r.evaluation.max_group_skew
   in
-  let zst = Astskew.Router.greedy_dme inst in
-  let ext = Astskew.Router.ext_bst inst in
-  let ast = Astskew.Router.ast_dme inst in
+  let route algorithm = Astskew.Router.(route (Spec.default algorithm) inst) in
+  let zst = route Greedy_dme in
+  let ext = route Ext_bst in
+  let ast = route Ast_dme in
   show "greedy-DME" zst;
   show "EXT-BST" ext;
   show "AST-DME" ast;

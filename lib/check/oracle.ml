@@ -63,35 +63,44 @@ let min_bound (inst : Instance.t) =
   List.init inst.n_groups (Instance.bound_for inst)
   |> List.fold_left Float.min Float.infinity
 
+(* Each algorithm's default route, audited under the contract it was
+   routed under; the finding is named after the router ("ast-dme"). *)
 let routers ?(inject = false) inst =
-  let audit oracle contract route =
-    guard oracle (fun () ->
-        let result = route inst in
-        let routed, report =
-          if inject && contract = Audit.Grouped then
-            inject_skew_violation inst result.Router.routed
-          else (result.Router.routed, result.Router.evaluation)
-        in
-        Audit.run contract inst routed report)
-  in
-  audit "ast-dme" Audit.Grouped (Router.ast_dme ?config:None)
-  @ audit "ext-bst" (Audit.Global (min_bound inst)) (Router.ext_bst ?config:None)
-  @ audit "greedy-dme" (Audit.Global 0.) (Router.greedy_dme ?config:None)
-  @ audit "mmm-dme" Audit.Grouped (Router.mmm_dme ?config:None)
+  List.concat_map
+    (fun (algorithm : Router.Spec.algorithm) ->
+      let contract =
+        match algorithm with
+        | Ast_dme | Mmm_dme -> Audit.Grouped
+        | Ext_bst -> Audit.Global (min_bound inst)
+        | Greedy_dme -> Audit.Global 0.
+      in
+      let oracle =
+        String.map (function '_' -> '-' | c -> c) (Router.Spec.name algorithm)
+      in
+      guard oracle (fun () ->
+          let result = Router.route (Router.Spec.default algorithm) inst in
+          let routed, report =
+            if inject && contract = Audit.Grouped then
+              inject_skew_violation inst result.routed
+            else (result.routed, result.evaluation)
+          in
+          Audit.run contract inst routed report))
+    Router.Spec.algorithms
+
+let ast ?(jobs = Router.ast_default_config.jobs) ?clustering ?run inst =
+  let config = { Router.ast_default_config with jobs } in
+  let spec = Router.Spec.make ~config ?clustering Ast_dme in
+  Router.route ?run (Result.get_ok spec) inst
 
 (* --- clustered routing ----------------------------------------------------- *)
 
-let clustered ?(inject = false) ?clusters inst =
-  let k =
-    match clusters with
-    | Some k -> k
-    | None -> Int.max 2 (Int.min 4 (Instance.n_sinks inst))
-  in
+let clustered ?(inject = false) inst =
+  let k = Int.max 2 (Int.min 4 (Instance.n_sinks inst)) in
   guard "clustered" (fun () ->
       let part =
         Audit.partition_cover inst (Dme.Cluster.partition inst ~clusters:k)
       in
-      let result = Router.ast_dme ~clustered:true ~clusters:k inst in
+      let result = ast ~clustering:{ clusters = Some k; depth = None } inst in
       let routed, report =
         (* The victim's group is spread over regions by the spatial
            partition, so the snaked leaf violates the bound across a
@@ -106,7 +115,7 @@ let clustered ?(inject = false) ?clusters inst =
 
 let delay_models ?(resolution = 300) inst =
   guard "delay-models" (fun () ->
-      let r = Router.ast_dme inst in
+      let r = ast inst in
       let rct, sink_index =
         Tree.to_rctree inst.params ~rd:inst.rd ~n_sinks:(Instance.n_sinks inst)
           (Arena.to_routed r.routed)
@@ -309,7 +318,7 @@ let plan c jobs =
 
 let route c jobs =
   memo c.routes jobs (fun () ->
-      let r = Router.ast_dme ~jobs c.inst in
+      let r = ast ~jobs c.inst in
       let extra = if r.sched = None then [] else [ "unrecorded sched report" ] in
       { (of_result r) with extra })
 
@@ -350,7 +359,7 @@ let sched =
             sched = Obs.Sched.create ();
             progress = Obs.Progress.create ~out:(Lazy.force devnull) () }
         in
-        let r = Router.ast_dme ~jobs:j ~run c.inst in
+        let r = ast ~jobs:j ~run c.inst in
         let extra = said (Audit.sched_report ~jobs:j r.sched) in
         { (of_result r) with extra }) }
 
@@ -359,12 +368,13 @@ let cluster =
     reference = (fun c -> route c 1);
     variant =
       (fun c _ j ->
-        let r = Router.ast_dme ~jobs:j ~clustered:true ~clusters:1 c.inst in
+        let clustering = { Router.Spec.clusters = Some 1; depth = None } in
+        let r = ast ~jobs:j ~clustering c.inst in
         let extra = said (Audit.clustering c.inst ~clusters:1 r.clustering) in
         { (of_result r) with extra }) }
 
 let clustered_route ?depth c jobs =
-  Router.ast_dme ~jobs ~clustered:true ~clusters:4 ?cluster_depth:depth c.inst
+  ast ~jobs ~clustering:{ clusters = Some 4; depth } c.inst
 
 let cluster_depth =
   { name = "cluster-depth-identity"; label = "depth=2 vs depth=2 jobs=1";

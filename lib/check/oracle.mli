@@ -57,13 +57,18 @@ val routers : ?inject:bool -> Clocktree.Instance.t -> finding list
 
 (** Audit the clustered router's output: the spatial partition covers
     every sink exactly once with non-empty regions, and the stitched tree
-    passes the full {!Audit.run} under the {e global} [Grouped] contract.
-    [clusters] defaults to [min 4 n_sinks] (at least 2, pre-clamp);
-    [inject] snakes one leaf before auditing, as in {!routers}. *)
-val clustered :
-  ?inject:bool -> ?clusters:int -> Clocktree.Instance.t -> finding list
+    passes the full {!Audit.run} under the {e global} [Grouped] contract,
+    at [min 4 n_sinks] clusters (at least 2, pre-clamp); [inject] snakes
+    one leaf before auditing, as in {!routers}. *)
+val clustered : ?inject:bool -> Clocktree.Instance.t -> finding list
 
 val delay_models : ?resolution:int -> Clocktree.Instance.t -> finding list
+
+(** The AST-DME route every oracle runs: {!Astskew.Router.ast_default_config}
+    at [jobs] (default: its own), clustered when [clustering] is given. *)
+val ast :
+  ?jobs:int -> ?clustering:Astskew.Router.Spec.clustering -> ?run:Obs.Run.t ->
+  Clocktree.Instance.t -> Astskew.Router.result
 
 (** One run as the table compares it: the arena columns, the evaluation
     report, engine stats with [gc] zeroed (the one field equivalent runs

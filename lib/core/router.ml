@@ -21,21 +21,111 @@ type result = {
   top_heap_words : int;
 }
 
-(* Route [route_inst] (whose groups define the constraints the engine and
-   repair enforce) and evaluate against [eval_inst] (the original problem,
-   whose groups define the reported skews).  [plan] is the engine phase:
-   Dme.Engine.run_arena for the greedy merge order, Dme.Mmm.run_arena for
-   the fixed topology.
+(* AST-DME ships with the §V.F delay-target merge order on (it prevents
+   late deep-vs-shallow shared-group merges that would need heavy
+   snaking); the baselines use the plain nearest-neighbour order of
+   greedy-DME / greedy-BST, as in the thesis' comparison.  The weight
+   is dimensionless (see {!Dme.Engine.config}); 1.2 reproduces the old
+   absolute 400 layout-units-per-ps tuning at r1–r5 benchmark scale
+   while staying invariant under a change of layout unit. *)
+let ast_default_config =
+  { Dme.Engine.default with delay_order_weight = 1.2 }
+
+module Spec = struct
+  type algorithm = Ast_dme | Ext_bst | Greedy_dme | Mmm_dme
+
+  let algorithms = [ Ast_dme; Ext_bst; Greedy_dme; Mmm_dme ]
+
+  let name = function
+    | Ast_dme -> "ast_dme"
+    | Ext_bst -> "ext_bst"
+    | Greedy_dme -> "greedy_dme"
+    | Mmm_dme -> "mmm_dme"
+
+  type clustering = { clusters : int option; depth : int option }
+
+  type t = {
+    algorithm : algorithm;
+    config : Dme.Engine.config;
+    clustering : clustering option;
+  }
+
+  let default algorithm =
+    let config =
+      match algorithm with
+      | Ast_dme | Mmm_dme -> ast_default_config
+      | Ext_bst | Greedy_dme -> Dme.Engine.default
+    in
+    { algorithm; config; clustering = None }
+
+  let make ?config ?clustering algorithm =
+    let config = Option.value config ~default:(default algorithm).config in
+    let c = Option.value clustering ~default:{ clusters = None; depth = None } in
+    let fields =
+      [ ("jobs", Some config.jobs); ("clusters", c.clusters); ("depth", c.depth) ]
+    in
+    match List.find_opt (fun (_, v) -> Option.value v ~default:1 < 1) fields with
+    | Some (what, v) ->
+      Error (Printf.sprintf "%s must be at least 1, got %d" what (Option.get v))
+    | None when algorithm = Mmm_dme && clustering <> None ->
+      Error "clustering does not apply to MMM-DME's fixed topology"
+    | None -> Ok { algorithm; config; clustering }
+end
+
+(* Fuse all groups into one: intra-group bound becomes a global bound;
+   with per-group bounds the tightest one applies, so the fused router
+   still satisfies every original constraint. *)
+let fused ?bound (inst : Instance.t) =
+  let sinks =
+    Array.map (fun (s : Clocktree.Sink.t) -> { s with group = 0 }) inst.sinks
+  in
+  let default =
+    List.init inst.n_groups (fun g -> Instance.bound_for inst g)
+    |> List.fold_left Float.min Float.infinity
+  in
+  Instance.make ~params:inst.params ~rd:inst.rd
+    ~bound:(Option.value bound ~default)
+    ~source:inst.source ~n_groups:1 sinks
+
+(* The algorithm picks the instance the route enforces (its groups
+   define the constraints the engine and repair see); the clustering
+   picks the plan.  Evaluation is always against the original [inst],
+   whose groups define the reported skews.
 
    The whole path is arena-native: the plan embeds straight into a flat
    arena, repair mutates its [len] column in place, evaluation reads it
    windowed across [jobs] domains, and the repaired arena is the
    result's tree. *)
-let solve_with ~run ~jobs ~plan ~route_inst ~eval_inst () =
-  let jobs = Int.max 1 jobs in
-  (* Repair and evaluation inherit the engine's jobs so one --jobs flag
-     drives every parallel phase; their results are jobs-invariant
-     either way. *)
+let route ?(run = Obs.Run.null) (spec : Spec.t) inst =
+  let config = spec.config in
+  let jobs = config.jobs in
+  if Obs.Trace.enabled run.trace then
+    Obs.Trace.merge_manifest run.trace
+      [
+        ("router", Obs.Json.String (Spec.name spec.algorithm));
+        ("jobs", Obs.Json.Int jobs);
+      ];
+  let route_inst =
+    match spec.algorithm with
+    | Ast_dme | Mmm_dme -> inst
+    | Ext_bst -> fused inst
+    | Greedy_dme -> fused ~bound:0. inst
+  in
+  (* Repair and the clustered stitch are global: the stitched tree is
+     repaired and evaluated exactly like a flat one.  The MMM plan itself
+     is serial (no recorded maps), but repair and evaluation still
+     ledger under the recorder. *)
+  let plan () =
+    let flat (arena, stats) = (arena, stats, None) in
+    match (spec.algorithm, spec.clustering) with
+    | Mmm_dme, _ -> flat (Dme.Mmm.run_arena ~config ~run route_inst)
+    | _, None -> flat (Dme.Engine.run_arena ~config ~run route_inst)
+    | _, Some { clusters; depth } ->
+      let arena, stats, detail =
+        Dme.Cluster.run_arena ~config ~run ?clusters ?depth route_inst
+      in
+      (arena, stats, Some detail)
+  in
   (* The cycle budget is per fixpoint, and the global fixpoint's
      convergence tail grows with the stitched spine, so the default
      scales with the instance (the fixed 300 was exhausted by the
@@ -50,9 +140,7 @@ let solve_with ~run ~jobs ~plan ~route_inst ~eval_inst () =
     }
   in
   let t0 = Sys.time () in
-  let (arena, engine), engine_s =
-    Obs.Run.phase run "engine" (fun () -> plan route_inst)
-  in
+  let (arena, engine, clustering), engine_s = Obs.Run.phase run "engine" plan in
   let repair, repair_s =
     Obs.Run.phase run "repair" (fun () ->
         Repair.run_arena ~config:repair_config ~run route_inst arena)
@@ -62,7 +150,7 @@ let solve_with ~run ~jobs ~plan ~route_inst ~eval_inst () =
   let cpu_seconds = Sys.time () -. t0 in
   let evaluation, evaluate_s =
     Obs.Run.phase run "evaluate" (fun () ->
-        Evaluate.report_of_arena ~jobs ~run eval_inst arena)
+        Evaluate.report_of_arena ~jobs ~run inst arena)
   in
   let trace = run.Obs.Run.trace in
   if Obs.Trace.enabled trace then begin
@@ -83,109 +171,25 @@ let solve_with ~run ~jobs ~plan ~route_inst ~eval_inst () =
     repair;
     cpu_seconds;
     timings;
-    clustering = None;
+    clustering;
     sched;
     (* The process high-water mark; with a single route per process
        (bench points, astroute) this is the route's peak heap. *)
     top_heap_words = Obs.Gcstat.top_heap_words ();
   }
 
-let solve ?config ~run ~route_inst ~eval_inst () =
-  let jobs =
-    match config with
-    | Some (c : Dme.Engine.config) -> c.jobs
-    | None -> Dme.Engine.default.jobs
-  in
-  solve_with ~run ~jobs ~plan:(Dme.Engine.run_arena ?config ~run) ~route_inst
-    ~eval_inst ()
+(* Perfbench's frozen surface: each shim routes the one Spec its
+   arguments name. *)
+let ast_dme ?(config = ast_default_config) ?(jobs = config.jobs)
+    ?(clustered = false) inst =
+  let clustering = { Spec.clusters = None; depth = None } in
+  let clustering = if clustered then Some clustering else None in
+  let spec = Spec.make ~config:{ config with jobs } ?clustering Ast_dme in
+  route (Result.get_ok spec) inst
 
-(* [jobs] overrides the engine parallelism of [config] (or of [default]
-   when no config was given); routed trees are invariant under it, so it
-   only affects wall time. *)
-let with_jobs ?jobs ~default config =
-  let config = Option.value config ~default in
-  match jobs with
-  | None -> config
-  | Some j -> { config with Dme.Engine.jobs = j }
-
-(* AST-DME ships with the §V.F delay-target merge order on (it prevents
-   late deep-vs-shallow shared-group merges that would need heavy
-   snaking); the baselines use the plain nearest-neighbour order of
-   greedy-DME / greedy-BST, as in the thesis' comparison.  The weight
-   is dimensionless (see {!Dme.Engine.config}); 1.2 reproduces the old
-   absolute 400 layout-units-per-ps tuning at r1–r5 benchmark scale
-   while staying invariant under a change of layout unit. *)
-let ast_default_config =
-  { Dme.Engine.default with delay_order_weight = 1.2 }
-
-let router_manifest (run : Obs.Run.t) name (config : Dme.Engine.config) =
-  if Obs.Trace.enabled run.trace then
-    Obs.Trace.merge_manifest run.trace
-      [
-        ("router", Obs.Json.String name);
-        ("jobs", Obs.Json.Int config.jobs);
-      ]
-
-let ast_dme ?config ?jobs ?(clustered = false) ?clusters
-    ?cluster_depth ?(run = Obs.Run.null) inst =
-  let config = with_jobs ?jobs ~default:ast_default_config config in
-  router_manifest run "ast_dme" config;
-  if not clustered then
-    solve ~config ~run ~route_inst:inst ~eval_inst:inst ()
-  else begin
-    (* The clustered engine returns its per-region detail alongside the
-       aggregate stats [solve_with] threads through; stash it and patch
-       the result.  Repair and evaluation treat the stitched tree
-       exactly like a flat one — the global skew bound is theirs to
-       enforce and report. *)
-    let detail = ref None in
-    let plan inst =
-      let arena, stats, d =
-        Dme.Cluster.run_arena ~config ~run ?clusters ?depth:cluster_depth inst
-      in
-      detail := Some d;
-      (arena, stats)
-    in
-    let r =
-      solve_with ~run ~jobs:config.jobs ~plan
-        ~route_inst:inst ~eval_inst:inst ()
-    in
-    { r with clustering = !detail }
-  end
-
-(* Fuse all groups into one: intra-group bound becomes a global bound;
-   with per-group bounds the tightest one applies, so the fused router
-   still satisfies every original constraint. *)
-let fused ?bound (inst : Instance.t) =
-  let sinks =
-    Array.map (fun (s : Clocktree.Sink.t) -> { s with group = 0 }) inst.sinks
-  in
-  let default =
-    List.init inst.n_groups (fun g -> Instance.bound_for inst g)
-    |> List.fold_left Float.min Float.infinity
-  in
-  Instance.make ~params:inst.params ~rd:inst.rd
-    ~bound:(Option.value bound ~default)
-    ~source:inst.source ~n_groups:1 sinks
-
-let ext_bst ?config ?jobs ?(run = Obs.Run.null) inst =
-  let config = with_jobs ?jobs ~default:Dme.Engine.default config in
-  router_manifest run "ext_bst" config;
-  solve ~config ~run ~route_inst:(fused inst) ~eval_inst:inst ()
-
-let greedy_dme ?config ?jobs ?(run = Obs.Run.null) inst =
-  let config = with_jobs ?jobs ~default:Dme.Engine.default config in
-  router_manifest run "greedy_dme" config;
-  solve ~config ~run ~route_inst:(fused ~bound:0. inst) ~eval_inst:inst ()
-
-let mmm_dme ?config ?jobs ?(run = Obs.Run.null) inst =
-  let config = with_jobs ?jobs ~default:ast_default_config config in
-  router_manifest run "mmm_dme" config;
-  (* The MMM plan itself is serial (no recorded maps), but repair and
-     evaluation still ledger under the recorder. *)
-  solve_with ~run ~jobs:config.jobs
-    ~plan:(Dme.Mmm.run_arena ~config ~run)
-    ~route_inst:inst ~eval_inst:inst ()
+let ext_bst ?(jobs = Dme.Engine.default.jobs) inst =
+  let spec = Spec.make ~config:{ Dme.Engine.default with jobs } Ext_bst in
+  route (Result.get_ok spec) inst
 
 let reduction ~baseline result =
   let base = baseline.evaluation.wirelength in

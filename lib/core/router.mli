@@ -1,15 +1,21 @@
-(** The four clock routers of the library.  The first three share the
-    greedy merge engine ({!Dme.Engine}); the fourth plans a fixed
-    topology with {!Dme.Mmm}:
+(** One clock router: {!route} runs a {!Spec.t} on an instance.  The
+    spec names one of four algorithms, its engine configuration and an
+    optional clustered construction.  Three algorithms run the greedy
+    merge engine ({!Dme.Engine}) on differently grouped copies of the
+    instance; the fourth plans a fixed topology with {!Dme.Mmm}:
 
-    - {!ast_dme} — the contribution: associative skew routing, enforcing
+    - [Ast_dme] — the contribution: associative skew routing, enforcing
       the skew bound only within each sink group (Fig. 6).
-    - {!ext_bst} — the baseline: all sinks fused into a single group at
+    - [Ext_bst] — the baseline: all sinks fused into a single group at
       the same bound, i.e. the "extended greedy-BST" of [4] that adds
       inter-group zero/bounded skew constraints.
-    - {!greedy_dme} — classic zero-skew routing (single group, bound 0).
-    - {!mmm_dme} — associative skew routing on a Method-of-Means-and-
+    - [Greedy_dme] — classic zero-skew routing (single group, bound 0).
+    - [Mmm_dme] — associative skew routing on a Method-of-Means-and-
       Medians topology, isolating what the merge order contributes.
+
+    Clustering is a construction step of its own ({!Dme.Cluster}): any
+    greedy-engine algorithm can plan its (grouped or fused) instance in
+    regions and stitch them.
 
     Every result is post-processed by {!Clocktree.Repair} so the reported
     trees always satisfy the constraints they were routed under;
@@ -51,91 +57,85 @@ type result = {
           route's peak major-heap footprint *)
 }
 
-(** The configuration [ast_dme] uses by default: the engine defaults
-    plus the §V.F delay-target merge order. *)
+(** The configuration AST-DME and MMM-DME use by default: the engine
+    defaults plus the §V.F delay-target merge order. *)
 val ast_default_config : Dme.Engine.config
 
-(** Each router takes an optional [jobs] override for the engine's
-    ranking parallelism (see {!Dme.Engine.config}); it wins over
-    [config.jobs] and over the [ASTSKEW_JOBS] environment default.
-    Routed trees are bit-identical for any [jobs], so the knob only
-    affects wall time.  The effective [jobs] also drives the repair
-    pass's regional parallelism and evaluation's windowed kernels (both
-    equally jobs-invariant).  [jobs] is an upper bound: each phase opens
-    its pool only above its grain, so flat routes of 1000 sinks or fewer
-    (below two regions of {!Clocktree.Instance.auto_regions}) plan,
-    repair and evaluate serially at any [jobs].  The per-fixpoint
-    repair cycle budget is scale-relative:
+(** What to route, validated once, up front. *)
+module Spec : sig
+  type algorithm = Ast_dme | Ext_bst | Greedy_dme | Mmm_dme
+
+  val algorithms : algorithm list  (** in the order above *)
+
+  (** ["ast_dme"], ["ext_bst"], ["greedy_dme"] or ["mmm_dme"]: the
+      router name of a traced run's manifest. *)
+  val name : algorithm -> string
+
+  (** Plan through {!Dme.Cluster.run_arena}: [clusters] spatial regions
+      (default {!Dme.Cluster.auto_clusters}, clamped to the sink count),
+      planned in parallel and stitched through [depth] levels of
+      bounded-fan-in merges (default {!Dme.Cluster.auto_depth}).
+      Repair and evaluation are those of a flat route.  One cluster is
+      bit-identical to the flat route, any fixed count and depth is
+      bit-identical across jobs, and depth 1 is the historical
+      two-level construction. *)
+  type clustering = { clusters : int option; depth : int option }
+
+  type t = private {
+    algorithm : algorithm;
+    config : Dme.Engine.config;
+        (** [config.jobs] is a route's only jobs setting *)
+    clustering : clustering option;  (** [None]: a flat plan *)
+  }
+
+  (** [Error msg], [msg] naming the field, when [config.jobs],
+      [clusters] or [depth] is below 1 or when [Mmm_dme] (a fixed
+      topology) is clustered.  [config] defaults to the algorithm's. *)
+  val make :
+    ?config:Dme.Engine.config -> ?clustering:clustering -> algorithm ->
+    (t, string) Stdlib.result
+
+  (** The flat route under the algorithm's default configuration:
+      {!ast_default_config} for [Ast_dme] and [Mmm_dme],
+      {!Dme.Engine.default} (the plain nearest-neighbour order of the
+      thesis' baselines) for [Ext_bst] and [Greedy_dme]. *)
+  val default : algorithm -> t
+end
+
+(** [route ?run spec inst] routes [inst] as [spec] says.
+
+    [spec.config.jobs] (default: the [ASTSKEW_JOBS] environment
+    variable, else 1) bounds the domains of the engine's ranking, the
+    repair pass's regions and evaluation's windowed kernels.  Trees are
+    bit-identical for any [jobs]; each phase opens its pool only above
+    its grain, so flat routes of 1000 sinks or fewer (below two regions
+    of {!Clocktree.Instance.auto_regions}) run serially at any [jobs].
+    The per-fixpoint repair cycle budget is scale-relative:
     [max Repair.default_config.max_cycles (n_sinks / 250)].
 
-    Each router also takes an optional [run] context ({!Obs.Run}, default
-    {!Obs.Run.null}) and hands it unchanged to every layer.  Each of the
-    three phases runs under {!Obs.Run.phase}, whose one wall
-    measurement is the phase's [timings] entry, the duration of its
-    ["router.engine"] / ["router.repair"] / ["router.evaluate"] span and
-    the phase wall of the recorder.  An enabled [run.trace] also gets
-    router name, jobs and the full engine config in its manifest, the
-    engine, repair and embedding spans, journal records and histograms,
-    and the evaluated per-sink delays and per-group skews in the
-    ["router.sink_delay_ps"] / ["router.group_skew_ps"] histograms.  An
-    enabled [run.sched] ledgers every parallel map of the route and
-    yields the per-phase utilization / serial-fraction / Amdahl report
-    in [result.sched] (also one [type = "efficiency"] journal record
-    when tracing).  An enabled [run.progress] prints throttled
-    heartbeat lines to stderr: phase entry, region completions from
-    the clustered planner and the repair pass, wall clock, live heap
-    watermark and an ETA.  None of them influences routing: trees,
-    delays and stats are bit-identical under any context at any jobs
-    count (the [Check.Oracle.trace] and [Check.Oracle.sched] rows). *)
+    [run] ({!Obs.Run}, default {!Obs.Run.null}) is handed unchanged to
+    every layer, and each phase (["engine"], ["repair"], ["evaluate"])
+    runs under {!Obs.Run.phase}, whose one measurement is the phase's
+    [timings] entry.  An enabled trace also gets the router's
+    {!Spec.name}, jobs and engine config in its manifest and the
+    evaluated per-sink delays and per-group skews in the
+    ["router.sink_delay_ps"] / ["router.group_skew_ps"] histograms; an
+    enabled recorder's report is [result.sched].  Observation never
+    changes a tree, a delay or a stat (the [Check.Oracle.trace] and
+    [Check.Oracle.sched] rows). *)
+val route : ?run:Obs.Run.t -> Spec.t -> Clocktree.Instance.t -> result
 
-(** [ast_dme ~clustered:true] routes through {!Dme.Cluster.run_arena}:
-    a multi-level construction that partitions the sinks into
-    [clusters] spatial regions (default {!Dme.Cluster.auto_clusters}),
-    plans each region in parallel across the pool's domains and
-    stitches the region roots back through a bounded-fan-in hierarchy
-    of [cluster_depth] levels (default {!Dme.Cluster.auto_depth} of the
-    region count).  Repair and evaluation are unchanged, so the
-    reported tree satisfies the same global constraints as a flat run.
-    [clusters = 1] is bit-identical to the flat router; any fixed
-    cluster count and depth is bit-identical across [jobs], and a
-    forced depth 1 is bit-identical to the historical two-level
-    construction.  [clusters] and [cluster_depth] are ignored without
-    [clustered]. *)
+(** Perfbench's frozen surface, deleted with ROADMAP item 5; a CI lint
+    keeps every other caller on {!route}.  [ast_dme] routes [Ast_dme]
+    under [config] (default {!ast_default_config}) at [jobs] (default
+    [config.jobs]), clustered at the automatic count and depth when
+    [clustered]; [ext_bst] routes the default [Ext_bst] at [jobs].  Both
+    raise [Invalid_argument] where {!Spec.make} is [Error]. *)
 val ast_dme :
-  ?config:Dme.Engine.config ->
-  ?jobs:int ->
-  ?clustered:bool ->
-  ?clusters:int ->
-  ?cluster_depth:int ->
-  ?run:Obs.Run.t ->
-  Clocktree.Instance.t ->
-  result
+  ?config:Dme.Engine.config -> ?jobs:int -> ?clustered:bool ->
+  Clocktree.Instance.t -> result
 
-val ext_bst :
-  ?config:Dme.Engine.config ->
-  ?jobs:int ->
-  ?run:Obs.Run.t ->
-  Clocktree.Instance.t ->
-  result
-
-val greedy_dme :
-  ?config:Dme.Engine.config ->
-  ?jobs:int ->
-  ?run:Obs.Run.t ->
-  Clocktree.Instance.t ->
-  result
-
-(** Associative-skew routing on a fixed Method-of-Means-and-Medians
-    topology instead of the greedy merge order; a second baseline that
-    isolates how much the merge order contributes.  The MMM engine never
-    trial-merges or probes, so [jobs] drives only repair and
-    evaluation. *)
-val mmm_dme :
-  ?config:Dme.Engine.config ->
-  ?jobs:int ->
-  ?run:Obs.Run.t ->
-  Clocktree.Instance.t ->
-  result
+val ext_bst : ?jobs:int -> Clocktree.Instance.t -> result
 
 (** Wirelength reduction of [vs] relative to [baseline], as a fraction
     (the "Reduction" column of Tables I and II).  [0.] when the baseline

@@ -30,7 +30,9 @@ let run ?spec ?(n_groups = 8) ?(bound = 10.) () =
   in
   let results =
     List.map
-      (fun (name, config) -> (name, Astskew.Router.ast_dme ~config inst))
+      (fun (name, config) ->
+        let spec = Result.get_ok (Astskew.Router.Spec.make ~config Ast_dme) in
+        (name, Astskew.Router.route spec inst))
       variants
   in
   let default_wl =

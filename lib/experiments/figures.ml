@@ -66,7 +66,8 @@ let fig2 () =
     let sub = Instance.make ~bound:0. ~source:inst.source ~n_groups:1
         (Array.map (fun (s : Sink.t) -> { s with group = 0 }) members)
     in
-    (Arena.to_routed (Astskew.Router.greedy_dme sub).routed).tree
+    let zst = Astskew.Router.(route (Spec.default Greedy_dme) sub) in
+    (Arena.to_routed zst.routed).tree
   in
   let a = route_group 0 and b = route_group 1 in
   let stitch =
@@ -74,7 +75,7 @@ let fig2 () =
   in
   let stitched = Tree.tree_wirelength a +. Tree.tree_wirelength b +. stitch in
   (* (b) associative merging on the full instance. *)
-  let ast = Astskew.Router.ast_dme inst in
+  let ast = Astskew.Router.(route (Spec.default Ast_dme) inst) in
   {
     stitched_wirelength = stitched;
     associative_wirelength = Tree.wirelength (Arena.to_routed ast.routed);

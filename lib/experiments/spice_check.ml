@@ -33,7 +33,7 @@ let run ?spec ?(n_groups = 8) ?(bound = 10.) () =
     Workload.Circuits.instance spec ~n_groups
       ~scheme:Workload.Partition.Intermingled ~bound ()
   in
-  let ast = Astskew.Router.ast_dme inst in
+  let ast = Astskew.Router.(route (Spec.default Ast_dme) inst) in
   let rct, sink_index =
     Tree.to_rctree inst.params ~rd:inst.rd ~n_sinks:(Instance.n_sinks inst)
       (Arena.to_routed ast.routed)

@@ -12,47 +12,29 @@ type row = {
 let default_groups = [ 4; 6; 8; 10 ]
 
 let run ?(circuits = Workload.Circuits.specs) ?(groups = default_groups)
-    ?(bound = 10.) ?config ~scheme () =
+    ?(bound = 10.) ~scheme () =
   List.concat_map
     (fun (spec : Workload.Circuits.spec) ->
+      let route n_groups algorithm =
+        let inst = Workload.Circuits.instance spec ~n_groups ~scheme ~bound () in
+        Astskew.Router.(route (Spec.default algorithm) inst)
+      in
+      let row algorithm n_groups reduction_pct (r : Astskew.Router.result) =
+        { circuit = spec.name; n_sinks = spec.n_sinks; n_groups; algorithm;
+          wirelength = r.evaluation.wirelength; reduction_pct;
+          max_skew_ps = r.evaluation.global_skew; cpu_s = r.cpu_seconds }
+      in
       (* The baseline does not depend on the grouping, so route it on the
          1-group instance, exactly as "#groups = 1 / EXT-BST" in the
          paper's tables. *)
-      let base_inst =
-        Workload.Circuits.instance spec ~n_groups:1 ~scheme ~bound ()
-      in
-      let base = Astskew.Router.ext_bst ?config base_inst in
-      let base_row =
-        {
-          circuit = spec.name;
-          n_sinks = spec.n_sinks;
-          n_groups = 1;
-          algorithm = "EXT-BST";
-          wirelength = base.evaluation.wirelength;
-          reduction_pct = None;
-          max_skew_ps = base.evaluation.global_skew;
-          cpu_s = base.cpu_seconds;
-        }
-      in
-      let ast_rows =
-        List.map
-          (fun g ->
-            let inst = Workload.Circuits.instance spec ~n_groups:g ~scheme ~bound () in
-            let ast = Astskew.Router.ast_dme ?config inst in
-            {
-              circuit = spec.name;
-              n_sinks = spec.n_sinks;
-              n_groups = g;
-              algorithm = "AST-DME";
-              wirelength = ast.evaluation.wirelength;
-              reduction_pct =
-                Some (100. *. Astskew.Router.reduction ~baseline:base ast);
-              max_skew_ps = ast.evaluation.global_skew;
-              cpu_s = ast.cpu_seconds;
-            })
-          groups
-      in
-      base_row :: ast_rows)
+      let base = route 1 Ext_bst in
+      row "EXT-BST" 1 None base
+      :: List.map
+           (fun g ->
+             let ast = route g Ast_dme in
+             let reduction = 100. *. Astskew.Router.reduction ~baseline:base ast in
+             row "AST-DME" g (Some reduction) ast)
+           groups)
     circuits
 
 let print ~title rows =

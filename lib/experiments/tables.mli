@@ -20,7 +20,6 @@ val run :
   ?circuits:Workload.Circuits.spec list ->
   ?groups:int list ->
   ?bound:float ->
-  ?config:Dme.Engine.config ->
   scheme:Workload.Partition.scheme ->
   unit ->
   row list

@@ -233,8 +233,8 @@ let test_scale_invariance () =
            Sink.make ~id:s.id ~loc:(scale_pt s.loc) ~cap:s.cap ~group:s.group)
          inst.sinks)
   in
-  let r0 = Astskew.Router.ast_dme ~jobs:1 inst in
-  let r1 = Astskew.Router.ast_dme ~jobs:1 scaled in
+  let r0 = Check.Oracle.ast ~jobs:1 inst in
+  let r1 = Check.Oracle.ast ~jobs:1 scaled in
   let e0 = r0.engine and e1 = r1.engine in
   (* Multi-cell occupancy on the unit square: ring scans must visit many
      more cells than there are queries, which a collapsed one-cell grid
@@ -537,7 +537,7 @@ let check_second_repair_is_noop name inst (routed : Arena.t) =
 let test_repair_idempotent_fuzzed () =
   for index = 0 to 31 do
     let case = Check.Gen.case ~seed:5L ~index () in
-    let r = Astskew.Router.ast_dme case.instance in
+    let r = Astskew.Router.(route (Spec.default Ast_dme) case.instance) in
     check_second_repair_is_noop
       (Printf.sprintf "case %d (%s)" index
          (Check.Gen.regime_to_string case.regime))
@@ -548,7 +548,7 @@ let test_repair_idempotent_r1_r3 () =
   List.iter
     (fun name ->
       let inst = circuit_instance name in
-      let r = Astskew.Router.ast_dme inst in
+      let r = Astskew.Router.(route (Spec.default Ast_dme) inst) in
       check_second_repair_is_noop name inst r.routed)
     [ "r1"; "r2"; "r3" ]
 
@@ -663,7 +663,7 @@ let test_repair_cycle_ledger () =
   Alcotest.(check bool) "r3 has at most 1000 sinks" true
     (Instance.n_sinks r3 <= 1000);
   let run = { Obs.Run.null with sched = Obs.Sched.create () } in
-  let r = Astskew.Router.ast_dme ~jobs:2 ~run r3 in
+  let r = Check.Oracle.ast ~jobs:2 ~run r3 in
   Alcotest.(check int) "no repair.cycle batch below 1000 sinks" 0
     (List.length (cycle_batches r.sched))
 
@@ -703,7 +703,7 @@ let test_repair_minor_words_10k () =
    field. *)
 let test_diffs_name_every_field () =
   let inst = circuit_instance "r1" in
-  let o = Check.Oracle.of_result (Astskew.Router.ast_dme ~jobs:1 inst) in
+  let o = Check.Oracle.of_result (Check.Oracle.ast ~jobs:1 inst) in
   Alcotest.(check (list string)) "an observation equals itself" []
     (Check.Oracle.diffs o o);
   let ibump a = Array.mapi (fun k x -> if k = 7 then x + 1 else x) a in

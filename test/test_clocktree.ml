@@ -580,7 +580,7 @@ let prop_io_hostile =
         QCheck.Test.fail_reportf "Io.of_string raised %s" (Printexc.to_string e)
       | Error _ -> true
       | Ok inst ->
-        (match Astskew.Router.ast_dme ~jobs:1 inst with
+        (match Check.Oracle.ast ~jobs:1 inst with
          | exception e ->
            QCheck.Test.fail_reportf "routing raised %s" (Printexc.to_string e)
          | r ->

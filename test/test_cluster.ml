@@ -341,6 +341,50 @@ let test_clustered_audit_clean () =
        (fun (f : Check.Oracle.finding) -> f.oracle)
        (Check.Oracle.clustered inst))
 
+(* --- clustering is independent of the algorithm ----------------------------- *)
+
+(* A clustered EXT-BST route is the benchmark's hand-built reference
+   for it: AST-DME under the baseline's engine defaults, clustered, on
+   the instance with every group fused into one at the tightest group
+   bound.  Same arena, same engine (gc aside) and repair stats, same
+   regions; the reference's tree evaluated against the original groups
+   gives the route's report. *)
+let test_clustered_ext_bst () =
+  let inst = circuit "r2" in
+  let open Astskew.Router in
+  let config = (Spec.default Ext_bst).config in
+  let clustering = { Spec.clusters = Some 4; depth = None } in
+  let spec algorithm = Result.get_ok (Spec.make ~config ~clustering algorithm) in
+  let ext = route (spec Ext_bst) inst in
+  let fused =
+    let sinks =
+      Array.map (fun (s : Sink.t) -> { s with group = 0 }) inst.sinks
+    in
+    let bound =
+      List.init inst.n_groups (Instance.bound_for inst)
+      |> List.fold_left Float.min Float.infinity
+    in
+    Instance.make ~params:inst.params ~rd:inst.rd ~bound ~source:inst.source
+      ~n_groups:1 sinks
+  in
+  let reference = route (spec Ast_dme) fused in
+  Alcotest.(check (list string)) "same arena, report and stats" []
+    (Check.Oracle.diffs (Check.Oracle.of_result ext)
+       (Check.Oracle.observe
+          ~report:(Evaluate.report_of_arena inst reference.routed)
+          ~engine:reference.engine ~repair:reference.repair reference.routed));
+  let regions (r : result) =
+    match r.clustering with
+    | None -> Alcotest.fail "route was not clustered"
+    | Some d ->
+      Array.to_list
+        (Array.map
+           (fun (c : Dme.Cluster.cluster_stats) -> c.n_sinks)
+           d.per_cluster)
+  in
+  Alcotest.(check int) "four regions" 4 (List.length (regions ext));
+  Alcotest.(check (list int)) "same regions" (regions reference) (regions ext)
+
 (* --- cross-cluster violation detection ------------------------------------ *)
 
 let test_cross_cluster_injection_detected () =
@@ -418,6 +462,8 @@ let () =
           Alcotest.test_case "jobs-deterministic" `Slow
             test_jobs_deterministic;
           Alcotest.test_case "audit clean" `Slow test_clustered_audit_clean;
+          Alcotest.test_case "EXT-BST = fused reference" `Quick
+            test_clustered_ext_bst;
           Alcotest.test_case "cross-cluster injection detected" `Slow
             test_cross_cluster_injection_detected;
         ] );

@@ -1,7 +1,14 @@
 (* Tests for the public router API. *)
 
 module Pt = Geometry.Pt
+module Spec = Astskew.Router.Spec
 open Clocktree
+
+(* [algorithm]'s default route, at [jobs] when given. *)
+let route ?run ?jobs algorithm inst =
+  let config = (Spec.default algorithm).config in
+  let config = { config with jobs = Option.value jobs ~default:config.jobs } in
+  Astskew.Router.route ?run (Result.get_ok (Spec.make ~config algorithm)) inst
 
 let pt = Pt.make
 
@@ -19,14 +26,14 @@ let mk_instance ?(seed = 7L) n ~n_groups ~bound =
 
 let test_greedy_dme_zero_skew () =
   let inst = mk_instance 60 ~n_groups:3 ~bound:10. in
-  let r = Astskew.Router.greedy_dme inst in
+  let r = route Greedy_dme inst in
   (* Zero-skew routing ignores groups: global skew ~0. *)
   Alcotest.(check bool) "global skew ~ 0" true (r.evaluation.global_skew <= 1e-4);
   Alcotest.(check bool) "positive wirelength" true (r.evaluation.wirelength > 0.)
 
 let test_ext_bst_within_bound () =
   let inst = mk_instance 60 ~n_groups:3 ~bound:10. in
-  let r = Astskew.Router.ext_bst inst in
+  let r = route Ext_bst inst in
   (* Global skew bounded by 10 ps, hence every group too. *)
   Alcotest.(check bool) "global skew <= bound" true
     (r.evaluation.global_skew <= 10. +. 1e-4);
@@ -35,7 +42,7 @@ let test_ext_bst_within_bound () =
 
 let test_ast_dme_within_bound_only_per_group () =
   let inst = mk_instance 120 ~n_groups:6 ~bound:10. in
-  let r = Astskew.Router.ast_dme inst in
+  let r = route Ast_dme inst in
   Alcotest.(check bool) "group skews <= bound" true
     (r.evaluation.max_group_skew <= 10. +. 1e-4);
   (* The whole point: global skew may exceed the bound. *)
@@ -50,8 +57,8 @@ let test_ast_beats_ext_on_intermingled () =
     Workload.Circuits.instance spec ~n_groups:8
       ~scheme:Workload.Partition.Intermingled ~bound:10. ()
   in
-  let ext = Astskew.Router.ext_bst inst in
-  let ast = Astskew.Router.ast_dme inst in
+  let ext = route Ext_bst inst in
+  let ast = route Ast_dme inst in
   let red = Astskew.Router.reduction ~baseline:ext ast in
   Alcotest.(check bool)
     (Printf.sprintf "AST reduces wirelength (got %.2f%%)" (100. *. red))
@@ -59,12 +66,12 @@ let test_ast_beats_ext_on_intermingled () =
 
 let test_mmm_dme () =
   let inst = mk_instance 80 ~n_groups:4 ~bound:10. in
-  let r = Astskew.Router.mmm_dme inst in
+  let r = route Mmm_dme inst in
   Alcotest.(check bool) "constraints hold" true
     (r.evaluation.max_group_skew <= 10. +. 1e-4);
   Alcotest.(check bool) "positive wirelength" true (r.evaluation.wirelength > 0.);
   (* MMM is a reasonable topology: within 2x of the greedy engine. *)
-  let ast = Astskew.Router.ast_dme inst in
+  let ast = route Ast_dme inst in
   Alcotest.(check bool)
     (Printf.sprintf "mmm %.0f within 2x of greedy %.0f"
        r.evaluation.wirelength ast.evaluation.wirelength)
@@ -73,7 +80,7 @@ let test_mmm_dme () =
 
 let test_reduction_sign () =
   let inst = mk_instance 40 ~n_groups:2 ~bound:10. in
-  let a = Astskew.Router.ext_bst inst in
+  let a = route Ext_bst inst in
   Alcotest.(check (float 1e-9)) "self reduction is zero" 0.
     (Astskew.Router.reduction ~baseline:a a)
 
@@ -85,7 +92,7 @@ let test_reduction_degenerate_baseline () =
   let inst =
     Instance.make ~bound:10. ~source:(pt 10000. 10000.) ~n_groups:1 sinks
   in
-  let base = Astskew.Router.greedy_dme inst in
+  let base = route Greedy_dme inst in
   Alcotest.(check (float 1e-12)) "baseline wirelength is zero" 0.
     base.evaluation.wirelength;
   let red = Astskew.Router.reduction ~baseline:base base in
@@ -94,7 +101,7 @@ let test_reduction_degenerate_baseline () =
 
 let test_timings_recorded () =
   let inst = mk_instance 40 ~n_groups:2 ~bound:10. in
-  let r = Astskew.Router.ast_dme inst in
+  let r = route Ast_dme inst in
   let t = r.timings in
   Alcotest.(check bool) "phase timings non-negative" true
     (t.engine_s >= 0. && t.repair_s >= 0. && t.evaluate_s >= 0.);
@@ -103,12 +110,12 @@ let test_timings_recorded () =
 
 let test_cpu_time_recorded () =
   let inst = mk_instance 40 ~n_groups:2 ~bound:10. in
-  let r = Astskew.Router.ast_dme inst in
+  let r = route Ast_dme inst in
   Alcotest.(check bool) "cpu time non-negative" true (r.cpu_seconds >= 0.)
 
 let test_pp_result_smoke () =
   let inst = mk_instance 30 ~n_groups:2 ~bound:10. in
-  let r = Astskew.Router.ast_dme inst in
+  let r = route Ast_dme inst in
   let s = Format.asprintf "%a" Astskew.Router.pp_result r in
   Alcotest.(check bool) "non-empty" true (String.length s > 10)
 
@@ -119,7 +126,7 @@ let test_json_of_result_probe_counters () =
      substring matching.  The retired, always-zero [nn_probes_saved] is
      no longer written. *)
   let inst = mk_instance 60 ~n_groups:2 ~bound:10. in
-  let r = Astskew.Router.ast_dme inst in
+  let r = route Ast_dme inst in
   let json =
     Obs.Json.of_string
       (Obs.Json.to_string (Astskew.Router.json_of_results [ ("AST-DME", r) ]))
@@ -166,8 +173,8 @@ let test_stats_route_scoped () =
   in
   let routes =
     [
-      ("AST-DME", fun () -> Astskew.Router.ast_dme ~jobs:2 inst);
-      ("EXT-BST", fun () -> Astskew.Router.ext_bst ~jobs:2 inst);
+      ("AST-DME", fun () -> route ~jobs:2 Ast_dme inst);
+      ("EXT-BST", fun () -> route ~jobs:2 Ext_bst inst);
     ]
   in
   let solo = List.map (fun (_, route) -> route ()) routes in
@@ -189,12 +196,12 @@ let test_stats_route_scoped () =
    engine's aggregate counters. *)
 let test_trace_identity () =
   let inst = mk_instance 80 ~n_groups:4 ~bound:10. in
-  let base = Astskew.Router.ast_dme inst in
+  let base = route Ast_dme inst in
   List.iter
     (fun jobs ->
       let trace = Obs.Trace.create () in
       let traced =
-        Astskew.Router.ast_dme ~jobs ~run:{ Obs.Run.null with trace } inst
+        route ~jobs ~run:{ Obs.Run.null with trace } Ast_dme inst
       in
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "wirelength identical (jobs=%d)" jobs)
@@ -250,15 +257,16 @@ let test_trace_identity () =
         (Obs.Trace.events trace <> []))
     [ 1; 2 ]
 
-(* Every router entry point stamps the run manifest and produces a
+(* Every algorithm's route stamps the run manifest and produces a
    Chrome export that re-parses with a non-empty traceEvents list. *)
 let test_trace_router_manifest () =
   let inst = mk_instance 40 ~n_groups:2 ~bound:10. in
   List.iter
-    (fun (name, route) ->
+    (fun algorithm ->
+      let name = Spec.name algorithm in
       let trace = Obs.Trace.create () in
       let (_ : Astskew.Router.result) =
-        route ~run:{ Obs.Run.null with trace } inst
+        route ~run:{ Obs.Run.null with trace } algorithm inst
       in
       (match Obs.Trace.manifest trace with
        | Obs.Json.Obj fields ->
@@ -275,12 +283,41 @@ let test_trace_router_manifest () =
          | Some (Obs.Json.List (_ :: _)) -> ()
          | _ -> Alcotest.fail (name ^ ": traceEvents empty or missing"))
       | _ -> Alcotest.fail (name ^ ": chrome export should be an object"))
-    [
-      ("ast_dme", fun ~run inst -> Astskew.Router.ast_dme ~run inst);
-      ("ext_bst", fun ~run inst -> Astskew.Router.ext_bst ~run inst);
-      ("greedy_dme", fun ~run inst -> Astskew.Router.greedy_dme ~run inst);
-      ("mmm_dme", fun ~run inst -> Astskew.Router.mmm_dme ~run inst);
-    ]
+    Spec.algorithms
+
+(* A spec is validated once, up front: every default is accepted, and
+   each invalid field is rejected with a message naming it. *)
+let test_spec_validation () =
+  List.iter
+    (fun algorithm ->
+      let d = Spec.default algorithm in
+      Alcotest.(check bool)
+        (Spec.name algorithm ^ " default is accepted") true
+        (Spec.make ~config:d.config ?clustering:d.clustering algorithm
+         = Ok d))
+    Spec.algorithms;
+  let rejects what ?config ?clustering algorithm =
+    match Spec.make ?config ?clustering algorithm with
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error msg ->
+      let named =
+        String.length msg >= String.length what
+        && String.sub msg 0 (String.length what) = what
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names %s" msg what) true named
+  in
+  let clustering ?clusters ?depth () = { Spec.clusters; depth } in
+  List.iter
+    (fun jobs ->
+      rejects "jobs" ~config:{ Dme.Engine.default with jobs } Ext_bst)
+    [ 0; -1 ];
+  rejects "clusters" ~clustering:(clustering ~clusters:0 ()) Ast_dme;
+  rejects "depth" ~clustering:(clustering ~depth:0 ()) Greedy_dme;
+  rejects "clustering" ~clustering:(clustering ()) Mmm_dme;
+  Alcotest.(check bool) "clustered EXT-BST is accepted" true
+    (Result.is_ok
+       (Spec.make ~clustering:(clustering ~clusters:4 ~depth:2 ()) Ext_bst))
 
 let () =
   Alcotest.run "core"
@@ -294,6 +331,7 @@ let () =
           Alcotest.test_case "AST beats EXT on intermingled" `Slow
             test_ast_beats_ext_on_intermingled;
           Alcotest.test_case "MMM-DME baseline" `Quick test_mmm_dme;
+          Alcotest.test_case "spec validation" `Quick test_spec_validation;
         ] );
       ( "reporting",
         [

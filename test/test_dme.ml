@@ -741,7 +741,7 @@ let test_parallel_gate () =
   let routed inst =
     let sched = Obs.Sched.create () in
     let run = { Obs.Run.null with sched } in
-    ignore (Astskew.Router.ast_dme ~jobs:2 ~run inst);
+    ignore (Check.Oracle.ast ~jobs:2 ~run inst);
     rank_ledgers sched
   in
   Alcotest.(check int) "r1 at jobs 2 plans serially" 0 (routed (circuit "r1"));
@@ -781,7 +781,11 @@ let test_pooled_ranking_bit_identical () =
    one. *)
 let test_golden_wirelengths () =
   let cost_ranked =
-    { Astskew.Router.ast_default_config with Dme.Engine.cost_by_planned_wire = true }
+    let config =
+      { Astskew.Router.ast_default_config with
+        Dme.Engine.cost_by_planned_wire = true; jobs = 1 }
+    in
+    Result.get_ok (Astskew.Router.Spec.make ~config Ast_dme)
   in
   List.iter
     (fun (name, expect, reprobes, queries, saved, rounds, elided, cost_col) ->
@@ -790,7 +794,7 @@ let test_golden_wirelengths () =
         Workload.Circuits.instance spec ~n_groups:8
           ~scheme:Workload.Partition.Intermingled ~bound:10. ()
       in
-      let r = Astskew.Router.ast_dme ~jobs:1 inst in
+      let r = Check.Oracle.ast ~jobs:1 inst in
       Alcotest.(check string) (name ^ " wirelength") expect
         (Printf.sprintf "%h" r.evaluation.wirelength);
       Alcotest.(check int) (name ^ " nn_reprobes") reprobes r.engine.nn_reprobes;
@@ -801,7 +805,7 @@ let test_golden_wirelengths () =
       Alcotest.(check int) (name ^ " elided_trials") elided
         r.engine.trial.elided_trials;
       let c_expect, c_trials, c_elided = cost_col in
-      let c = Astskew.Router.ast_dme ~config:cost_ranked ~jobs:1 inst in
+      let c = Astskew.Router.route cost_ranked inst in
       Alcotest.(check string) (name ^ " cost-ranked wirelength") c_expect
         (Printf.sprintf "%h" c.evaluation.wirelength);
       Alcotest.(check int) (name ^ " cost-ranked trial_merges") c_trials

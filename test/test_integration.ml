@@ -11,8 +11,8 @@ let test_full_flow_clustered () =
     Workload.Circuits.instance small_r1 ~n_groups:4
       ~scheme:Workload.Partition.Clustered ~bound:10. ()
   in
-  let ext = Astskew.Router.ext_bst inst in
-  let ast = Astskew.Router.ast_dme inst in
+  let ext = Astskew.Router.(route (Spec.default Ext_bst) inst) in
+  let ast = Astskew.Router.(route (Spec.default Ast_dme) inst) in
   Alcotest.(check bool) "ext within bound" true
     (ext.evaluation.max_group_skew <= 10. +. 1e-4);
   Alcotest.(check bool) "ast within bound" true
@@ -29,8 +29,8 @@ let test_full_flow_intermingled () =
     Workload.Circuits.instance small_r1 ~n_groups:6
       ~scheme:Workload.Partition.Intermingled ~bound:10. ()
   in
-  let ext = Astskew.Router.ext_bst inst in
-  let ast = Astskew.Router.ast_dme inst in
+  let ext = Astskew.Router.(route (Spec.default Ext_bst) inst) in
+  let ast = Astskew.Router.(route (Spec.default Ast_dme) inst) in
   let red = Astskew.Router.reduction ~baseline:ext ast in
   Alcotest.(check bool)
     (Printf.sprintf "reduction %.2f%% positive" (100. *. red))
@@ -47,7 +47,7 @@ let test_elmore_vs_transient_skew () =
     Workload.Circuits.instance spec ~n_groups:1
       ~scheme:Workload.Partition.Clustered ~bound:0. ()
   in
-  let r = Astskew.Router.greedy_dme inst in
+  let r = Astskew.Router.(route (Spec.default Greedy_dme) inst) in
   let rct, sink_index =
     Tree.to_rctree inst.params ~rd:inst.rd ~n_sinks:(Instance.n_sinks inst)
       (Arena.to_routed r.routed)
@@ -86,7 +86,7 @@ let test_repair_is_noop_on_planned_trees () =
     Workload.Circuits.instance small_r1 ~n_groups:4
       ~scheme:Workload.Partition.Intermingled ~bound:10. ()
   in
-  let ast = Astskew.Router.ast_dme inst in
+  let ast = Astskew.Router.(route (Spec.default Ast_dme) inst) in
   Alcotest.(check bool)
     (Printf.sprintf "repair added %.1f wire" ast.repair.added_wire)
     true
@@ -100,7 +100,7 @@ let test_more_groups_more_freedom () =
       Workload.Circuits.instance small_r1 ~n_groups:g
         ~scheme:Workload.Partition.Intermingled ~bound:10. ()
     in
-    (Astskew.Router.ast_dme inst).evaluation.wirelength
+    (Astskew.Router.(route (Spec.default Ast_dme) inst)).evaluation.wirelength
   in
   let wl1 = run 1 and wl10 = run 10 in
   Alcotest.(check bool)
