@@ -29,12 +29,14 @@
    progress heartbeat on stderr (--smoke keeps the CI-sized pieces).
 
    "eff" sweeps jobs in {1,2,4} with the Obs.Sched flight recorder
-   live, prints the per-phase serial-fraction / Amdahl table, writes
-   BENCH_eff.json and fails when any run lacks an efficiency report,
-   reports a serial fraction outside [0,1], differs from the jobs=1
-   tree, or the jobs=1 leg does not measure speedup 1.0 (--smoke keeps
-   r4 only, the smallest circuit above the engine's 1000-sink parallel
-   grain).
+   live, prints the serial-fraction / Amdahl table and, at jobs > 1,
+   each run's per-phase and per-label table, writes BENCH_eff.json and
+   fails when any run lacks an efficiency report, reports a serial
+   fraction outside [0,1], differs from the jobs=1 tree, or the jobs=1
+   leg does not measure speedup 1.0.  It sweeps flat r3 and r5 and the
+   clustered 10^4- and 10^5-sink scale instances; --smoke keeps flat
+   r4, the smallest circuit above the engine's 1000-sink parallel
+   grain, and the clustered 10^4-sink instance.
 
    "fuzz" runs the lib/check property-based fuzzer, prints a JSON
    summary, and writes the shrunk repro of any failure to
@@ -213,13 +215,15 @@ let smoke args =
     let queries_per_probe_budget = 1.25 in
     let cells_per_probe_budget = 18. in
     (* Allocation gates.  A ranking probe allocates a bounded number of
-       minor words: r3 reads about 118 per probe with the round's packed
+       minor words: r3 reads about 131 per probe with the round's packed
        k-NN snapshot, per-chunk coster sessions and closures, proposals
-       written into id-indexed arrays and sorting in reused scratch,
+       written into id-indexed arrays and sorting in reused scratch.
+       That is the exact [Gc.minor_words] count; [Gc.quick_stat]'s
+       lagging count, which the older readings used, read 118 here,
        against 263 before them, 630 before the unboxed octagon kernels
-       and 7500 before the slab rewrite.  160 is 1.35 times the reading;
+       and 7500 before the slab rewrite.  160 is 1.22 times the reading;
        opening a coster session and its closures per probe again reads
-       170 and fails it.  [Octagon.sdr] allocates only its result (11
+       174 (170 on the lagging count) and fails it.  [Octagon.sdr] allocates only its result (11
        words), so 32 per call over r3's consecutive leaf-region pairs
        catches a boxed slice or hull.  Allocation counts are deterministic per domain,
        so like the counts above these cannot flake on slow runners. *)
@@ -562,11 +566,12 @@ let eff_jobs = [ 1; 2; 4 ]
 (* Sweeps the jobs knob with the Obs.Sched flight recorder live and
    prints the Amdahl ledger: measured wall speedup vs jobs=1 next to
    the speedup the measured serial fraction projects at 4/8/16 domains
-   — when the two diverge, the recorder's per-phase table says which
-   phase sat idle.  Deterministic gates only (report presence, serial
-   fraction in [0,1], jobs=1 speedup exactly 1.0, identical trees);
-   wall times and fractions are recorded for the log, never
-   thresholded (perfbench's router.speedup_j2 is the timed figure). *)
+   — when the two diverge, the recorder's per-phase table (printed for
+   every run at jobs > 1) says which phase sat idle.  Deterministic
+   gates only (report presence, serial fraction in [0,1], jobs=1
+   speedup exactly 1.0, identical trees); wall times and fractions are
+   recorded for the log, never thresholded (perfbench's
+   router.speedup_j2 is the timed figure). *)
 let eff args =
   let smoke_mode = ref false in
   let usage () =
@@ -577,16 +582,49 @@ let eff args =
     (function "--smoke" -> smoke_mode := true | _ -> usage ())
     args;
   (* r4 (1903 sinks) is the smallest circuit whose engine opens a pool:
-     at 1000 sinks or fewer the ranking plans serially at any jobs. *)
-  let circuits = if !smoke_mode then [ "r4" ] else [ "r3"; "r5" ] in
+     at 1000 sinks or fewer the ranking plans serially at any jobs.  The
+     clustered legs route bench scale's instances: the partition,
+     region, stitch and windowed-repair batches only run there. *)
+  let find name =
+    match Workload.Circuits.find name with
+    | Some spec -> spec
+    | None ->
+      Format.eprintf "eff: unknown circuit %S@." name;
+      exit 2
+  in
+  let legs =
+    List.map (fun name -> (find name, None)) (if !smoke_mode then [ "r4" ] else [ "r3"; "r5" ])
+    @ List.map
+        (fun n -> (scale_spec n, Some (clustered ())))
+        (if !smoke_mode then [ 10_000 ] else [ 10_000; 100_000 ])
+  in
   header
     (Printf.sprintf "Parallel efficiency (AST-DME, flight recorder%s)"
        (if !smoke_mode then ", smoke" else ""));
-  Format.printf "%-8s %5s %9s %9s %8s %8s %8s %8s@." "circuit" "jobs"
-    "wall (s)" "speedup" "serial%" "amdahl4" "amdahl8" "amdahl16";
   let fail msg =
     Format.printf "FAIL: %s@." msg;
     exit 1
+  in
+  let busy fractions =
+    String.concat " "
+      (Array.to_list (Array.map (Printf.sprintf "%.2f") fractions))
+  in
+  let print_phases (rep : Obs.Sched.report) =
+    Format.printf "  %-18s %8s %8s %8s %8s  %s@." "phase / label" "wall(s)"
+      "par(s)" "serial(s)" "serial%" "busy per slot";
+    List.iter
+      (fun (p : Obs.Sched.phase_report) ->
+        Format.printf "  %-18s %8.3f %8.3f %8.3f %7.1f%%  %s@." p.phase p.wall_s
+          p.par_wall_s p.serial_s
+          (100. *. p.serial_fraction)
+          (busy p.busy_fraction);
+        List.iter
+          (fun (l : Obs.Sched.label_report) ->
+            Format.printf "    %-16s %8s %8.3f %8s %8s  %s  (%d batches, %d items)@."
+              l.label "" l.par_wall_s "" "" (busy l.busy_fraction) l.ledgers
+              l.items)
+          p.labels)
+      rep.phases
   in
   let amdahl_at n (rep : Obs.Sched.report) =
     match Array.find_opt (fun (k, _) -> k = n) rep.Obs.Sched.amdahl with
@@ -595,19 +633,16 @@ let eff args =
   in
   let circuit_json =
     List.map
-      (fun name ->
-        match Workload.Circuits.find name with
-        | None ->
-          Format.eprintf "eff: unknown circuit %S@." name;
-          exit 2
-        | Some spec ->
+      (fun ((spec : Workload.Circuits.spec), clustering) ->
           let inst = bench_instance spec in
+          Format.printf "@.%-8s %5s %9s %9s %8s %8s %8s %8s@." "circuit" "jobs"
+            "wall (s)" "speedup" "serial%" "amdahl4" "amdahl8" "amdahl16";
           let runs =
             List.map
               (fun jobs ->
                 let run = { Obs.Run.null with sched = Obs.Sched.create () } in
                 let t0 = Obs.Timer.now () in
-                let r = ast ~jobs ~run inst in
+                let r = ast ~jobs ?clustering ~run inst in
                 let wall = Obs.Timer.now () -. t0 in
                 (jobs, wall, r))
               eff_jobs
@@ -629,6 +664,7 @@ let eff args =
                   spec.name jobs wall speedup
                   (100. *. rep.Obs.Sched.serial_fraction)
                   (amdahl_at 4 rep) (amdahl_at 8 rep) (amdahl_at 16 rep);
+                if jobs > 1 then print_phases rep;
                 if jobs = 1 && speedup <> 1.0 then
                   fail
                     (Printf.sprintf "%s: jobs=1 speedup %.17g <> 1.0" spec.name
@@ -652,13 +688,14 @@ let eff args =
           Obs.Json.Obj
             [
               ("circuit", Obs.Json.String spec.name);
+              ("clustered", Obs.Json.Bool (clustering <> None));
               ("n_sinks", Obs.Json.Int spec.n_sinks);
               ("n_groups", Obs.Json.Int 8);
               ("scheme", Obs.Json.String "intermingled");
               ("bound_ps", Obs.Json.Float bound);
               ("runs", Obs.Json.List rows);
             ])
-      circuits
+      legs
   in
   let json =
     Obs.Json.Obj

@@ -481,16 +481,35 @@ let note_sinks st w sinks =
     ghi.(g) <- fmax ghi.(g) d
   done
 
+let reset_groups w =
+  Array.fill w.glo 0 (Array.length w.glo) Float.infinity;
+  Array.fill w.ghi 0 (Array.length w.ghi) Float.neg_infinity
+
+(* Arena.elmore_range's step over [lo, hi], descending: each node's
+   delay from its parent's, which is above the range or already
+   filled. *)
+let elmore_fill st lo hi =
+  let a = st.a in
+  let k = Rc.Wire.ps_per_ohm_ff and r = a.Arena.params.r in
+  let delay = st.delay and down = st.down and len = a.Arena.len in
+  let parent = a.Arena.parent in
+  for v = hi downto lo do
+    delay.(v) <- delay.(parent.(v)) +. (k *. (r *. len.(v)) *. down.(v))
+  done
+
 (* Downstream caps, node delays and the per-group sink-delay lo / hi /
    lift target over the range.  Dense: the Arena kernels over the whole
    range.  Sparse: [w]'s own caps (the subs refreshed theirs in the
-   balance pass), then one descending Elmore sweep of the whole range.
-   Then the sink lists. *)
-let evaluate st w ~dense =
+   balance pass) and the Elmore sweep of [w]'s own nodes, descending
+   gap by gap (a spine node's parent is a spine node); then, through
+   [par], each sub fills its nodes from its root's spine parent and
+   scans its own sinks; last, [w]'s sinks and the subs' group ranges
+   fold into [w]'s.  Exact min / max make the fold order-free, so the
+   ranges keep their bits for any schedule. *)
+let evaluate st w ~dense ~par =
   let a = st.a in
   let lo = w.lo and hi = w.hi in
-  Array.fill w.glo 0 (Array.length w.glo) Float.infinity;
-  Array.fill w.ghi 0 (Array.length w.ghi) Float.neg_infinity;
+  reset_groups w;
   if dense then begin
     Arena.downstream_rc_range ~into:st.down ~lo ~hi a;
     Arena.elmore_range ~down:st.down ~root_delay:(root_delay st w)
@@ -499,18 +518,30 @@ let evaluate st w ~dense =
   end
   else begin
     caps st w;
-    (* Arena.elmore_range's step, then the group statistics over the
-       leaves.  Fusing the two loops measured slower: the leaf test
-       mispredicts on every intermingled node. *)
-    let k = Rc.Wire.ps_per_ohm_ff and r = a.Arena.params.r in
-    let delay = st.delay and down = st.down and len = a.Arena.len in
-    let parent = a.Arena.parent in
-    delay.(hi) <- root_delay st w;
-    for v = hi - 1 downto lo do
-      delay.(v) <- delay.(parent.(v)) +. (k *. (r *. len.(v)) *. down.(v))
+    st.delay.(hi) <- root_delay st w;
+    let top = ref (hi - 1) in
+    for i = Array.length w.subs - 1 downto 0 do
+      let s = w.subs.(i) in
+      elmore_fill st (s.hi + 1) !top;
+      top := s.lo - 1
     done;
-    Array.iter (fun s -> note_sinks st w s.sinks) w.subs;
-    note_sinks st w w.sinks
+    elmore_fill st lo !top;
+    (* The leaf scan stays apart from the sweep: fused, its leaf test
+       mispredicts on every intermingled node. *)
+    par
+      (fun s ->
+        elmore_fill st s.lo s.hi;
+        reset_groups s;
+        note_sinks st s s.sinks)
+      w.subs;
+    note_sinks st w w.sinks;
+    Array.iter
+      (fun s ->
+        for g = 0 to Array.length w.glo - 1 do
+          w.glo.(g) <- fmin w.glo.(g) s.glo.(g);
+          w.ghi.(g) <- fmax w.ghi.(g) s.ghi.(g)
+        done)
+      w.subs
   end;
   (* A group's lift target, the max over its sinks of [d - bound], is
      [hi - bound]: subtracting a constant rounds monotonically, so the
@@ -725,7 +756,7 @@ let region_fixpoint st cfg (lo, hi) =
     added := replay st w !added;
     adjusted := !adjusted + logged w;
     incr cycles;
-    evaluate st w ~dense;
+    evaluate st w ~dense ~par:Array.iter;
     if violations st w ~slack:accept_slack = 0 then continue := false
     else if !cycles > cfg.max_cycles then begin
       exhausted := true;
@@ -751,59 +782,169 @@ let region_fixpoint st cfg (lo, hi) =
 
 (* --- driver ----------------------------------------------------------- *)
 
-let make_state (inst : Instance.t) (a : Arena.t) =
+(* Slab layout.  A node's group run depends only on the topology: a
+   leaf's is its group, a merge node's the sorted union of its
+   children's.  The runs are laid out in ascending node order, and a
+   window is a contiguous whole subtree, so its runs form one block of
+   that layout.  [make_state] builds it in three steps.  Runs: through
+   [map], each window merges its own runs into a private buffer, with
+   offsets relative to it; then the calling domain merges the spine's,
+   ascending, into one more buffer, reading a window-root child's run
+   from that window's buffer.  Offsets: one ascending walk over the
+   windows and the spine's gaps gives each block its place.  Fill:
+   through [map], each window rebases its offsets and copies its block
+   into the store, and the calling domain copies the spine's. *)
+
+(* Append node [v]'s run to [buf]: a leaf's group, or the union of its
+   children's runs [lb.(i0 .. ie - 1)] and [rb.(j0 .. je - 1)]; also
+   sets [v]'s pure group and, for a leaf, its cap. *)
+let push_run (a : Arena.t) ~pg ~bcap buf v lb i0 ie rb j0 je =
+  let l = a.Arena.left.(v) in
+  if l < 0 then begin
+    bcap.(v) <- a.Arena.scap.(v);
+    pg.(v) <- a.Arena.group.(v);
+    ivec_push buf a.Arena.group.(v)
+  end
+  else begin
+    let r = a.Arena.right.(v) in
+    pg.(v) <- (if pg.(l) >= 0 && pg.(l) = pg.(r) then pg.(l) else -1);
+    let i = ref i0 and j = ref j0 in
+    while !i < ie || !j < je do
+      let gl = if !i < ie then lb.(!i) else max_int in
+      let gr = if !j < je then rb.(!j) else max_int in
+      ivec_push buf (Int.min gl gr);
+      if gl <= gr then incr i;
+      if gr <= gl then incr j
+    done
+  end
+
+let make_state ~pool ~sched (inst : Instance.t) (a : Arena.t) windows =
   let n = a.Arena.n in
+  let left = a.Arena.left and right = a.Arena.right in
+  let map f xs = Par.Pool.map_each pool ~sched ~label:"repair.setup" f xs in
   let pg = Array.make n (-1) and bcap = Array.make n 0. in
   let goff = Array.make (n + 1) 0 in
-  (* Leaf caps, pure groups and slab group runs depend only on the
-     topology: a leaf's run is its group, a merge node's the union of
-     its children's. *)
-  let buf = ivec () in
-  for v = 0 to n - 1 do
-    goff.(v) <- buf.len;
-    let l = a.Arena.left.(v) in
-    if l < 0 then begin
-      bcap.(v) <- a.Arena.scap.(v);
-      pg.(v) <- a.Arena.group.(v);
-      ivec_push buf a.Arena.group.(v)
-    end
-    else begin
-      let r = a.Arena.right.(v) in
-      pg.(v) <- (if pg.(l) >= 0 && pg.(l) = pg.(r) then pg.(l) else -1);
-      let i = ref goff.(l) and j = ref goff.(r) in
-      let ie = goff.(l + 1) and je = goff.(r + 1) in
-      while !i < ie || !j < je do
-        let gl = if !i < ie then buf.data.(!i) else max_int in
-        let gr = if !j < je then buf.data.(!j) else max_int in
-        ivec_push buf (Int.min gl gr);
-        if gl <= gr then incr i;
-        if gr <= gl then incr j
-      done
-    end
-  done;
-  goff.(n) <- buf.len;
-  (* A leaf's slab is the point interval at delay 0 and is never
-     rewritten; a merge node's is filled by its first balance. *)
+  let blocks =
+    map
+      (fun (lo, hi) ->
+        let buf = ivec () in
+        for v = lo to hi do
+          (* Both children's runs are in [buf]; each ends where the next
+             node's begins. *)
+          goff.(v) <- buf.len;
+          let l = left.(v) and r = right.(v) in
+          if l < 0 then push_run a ~pg ~bcap buf v [||] 0 0 [||] 0 0
+          else
+            push_run a ~pg ~bcap buf v buf.data goff.(l) goff.(l + 1) buf.data
+              goff.(r) goff.(r + 1)
+        done;
+        buf)
+      windows
+  in
+  (* [f lo hi] on each maximal range of spine nodes, ascending. *)
+  let spine_gaps f =
+    let next =
+      Array.fold_left
+        (fun i (lo, hi) ->
+          if i < lo then f i (lo - 1);
+          hi + 1)
+        0 windows
+    in
+    if next <= n - 1 then f next (n - 1)
+  in
+  (* The window holding node [c], if any. *)
+  let window_of c =
+    let i = ref 0 and j = ref (Array.length windows) in
+    while !i < !j do
+      let m = (!i + !j) / 2 in
+      if snd windows.(m) < c then i := m + 1 else j := m
+    done;
+    if !i < Array.length windows && fst windows.(!i) <= c then !i else -1
+  in
+  let rec next_spine u =
+    let k = window_of u in
+    if k < 0 then u else next_spine (snd windows.(k) + 1)
+  in
+  (* Spine offsets are relative to [spine] until the walk below; a spine
+     child's run ends where the next spine node's begins. *)
+  let spine = ivec () in
+  let run c =
+    let k = window_of c in
+    if k < 0 then (spine.data, goff.(c), goff.(next_spine (c + 1)))
+    else (blocks.(k).data, goff.(c), blocks.(k).len)
+  in
+  spine_gaps (fun lo hi ->
+      for v = lo to hi do
+        goff.(v) <- spine.len;
+        if left.(v) < 0 then push_run a ~pg ~bcap spine v [||] 0 0 [||] 0 0
+        else begin
+          let lb, i0, ie = run left.(v) and rb, j0, je = run right.(v) in
+          push_run a ~pg ~bcap spine v lb i0 ie rb j0 je
+        end
+      done);
+  (* Offsets: the blocks in ascending node order.  A spine gap's runs
+     are contiguous in [spine] too, so the gap moves by one shift. *)
+  let base = Array.make (Array.length windows) 0 in
+  let gap_blits = ref [] in
+  let off = ref 0 and k = ref 0 in
+  let place_windows upto =
+    while !k < Array.length windows && fst windows.(!k) < upto do
+      base.(!k) <- !off;
+      off := !off + blocks.(!k).len;
+      incr k
+    done
+  in
+  spine_gaps (fun lo hi ->
+      place_windows lo;
+      let rel = goff.(lo) in
+      let stop = if hi = n - 1 then spine.len else goff.(next_spine (hi + 1)) in
+      gap_blits := (rel, stop - rel, !off) :: !gap_blits;
+      for v = lo to hi do
+        goff.(v) <- goff.(v) - rel + !off
+      done;
+      off := !off + stop - rel);
+  place_windows n;
+  goff.(n) <- !off;
+  let sg = Array.make !off 0 in
+  List.iter
+    (fun (rel, len, dst) -> Array.blit spine.data rel sg dst len)
+    !gap_blits;
+  let _ : unit array =
+    map
+      (fun k ->
+        let lo, hi = windows.(k) in
+        let b = base.(k) in
+        for v = lo to hi do
+          goff.(v) <- goff.(v) + b
+        done;
+        Array.blit blocks.(k).data 0 sg b blocks.(k).len)
+      (Array.init (Array.length windows) Fun.id)
+  in
+  (* The float columns are allocated through [map] too: at this size
+     their cost is the allocation itself.  A leaf's slab is the point
+     interval at delay 0 and is never rewritten; a merge node's is
+     filled by its first balance. *)
+  let cols = map (fun len -> Array.make len 0.) [| !off; !off; n; n; n; n; n; n |] in
   {
     a;
     slack = Evaluate.default_slack;
     bound = Array.init inst.Instance.n_groups (Instance.bound_for inst);
     bcap;
     goff;
-    sg = Array.sub buf.data 0 buf.len;
-    slo = Array.make buf.len 0.;
-    shi = Array.make buf.len 0.;
-    dw = Array.make n 0.;
+    sg;
+    slo = cols.(0);
+    shi = cols.(1);
+    dw = cols.(2);
     dirty = Bytes.make n '\001';
     changed = Bytes.make n '\000';
     visited = Bytes.make n '\000';
     queued = Bytes.make n '\000';
-    down = Array.make n 0.;
-    delay = Array.make n 0.;
+    down = cols.(3);
+    delay = cols.(4);
     pg;
-    md = Array.make n 0.;
-    amount = Array.make n 0.;
-    carry = Array.make n 0.;
+    md = cols.(5);
+    amount = cols.(6);
+    carry = cols.(7);
   }
 
 (* In-place repair of an already-flattened tree: the arena's [len]
@@ -820,14 +961,13 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
     (* Windows on the pool when there are two or more; the same code
        serially otherwise.  Windows are disjoint index ranges with
        disjoint slabs, so workers never write the same word. *)
-    let map label f xs =
-      match pool with
-      | Some p when Array.length xs >= 2 ->
-        Par.Pool.map_chunked p ~sched ~label ~chunk:1 f xs
-      | _ -> Array.map f xs
+    let map label f xs = Par.Pool.map_each pool ~sched ~label f xs in
+    (* [Array.iter] serially: no unit array per pass. *)
+    let par label f subs =
+      if Option.is_none pool || Array.length subs < 2 then Array.iter f subs
+      else ignore (map label f subs : unit array)
     in
-    let par f subs = ignore (map "repair.cycle" f subs : unit array) in
-    let st = make_state inst a in
+    let st = make_state ~pool ~sched inst a windows in
     let n = a.Arena.n in
     (* Phase 1: regional fixpoints on the windows.  Summaries are folded
        in window order, keeping every accumulated float deterministic for
@@ -881,7 +1021,7 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
     let subs =
       if dense then [||]
       else
-        Array.map
+        map "repair.setup"
           (fun (lo, hi) -> make_work st ~lo ~hi ~top:(n - 1) [||])
           windows
     in
@@ -895,11 +1035,11 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
         Obs.Trace.instant trace ~cat:"clocktree.repair"
           ~args:[ ("cycle", Obs.Json.Int !iter) ]
           "balance_pass";
-      let processed = balance st w ~dense ~par in
+      let processed = balance st w ~dense ~par:(par "repair.cycle") in
       added := replay st w !added;
       adjusted := !adjusted + logged w;
       incr cycles;
-      evaluate st w ~dense;
+      evaluate st w ~dense ~par:(par "repair.evaluate");
       let bad = violations st w ~slack in
       if tracing then
         Obs.Trace.journal trace
@@ -931,7 +1071,7 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
                 ("added_wire", Obs.Json.Float !added);
               ]
             "lift_sweep";
-        lift st w ~dense ~par;
+        lift st w ~dense ~par:(par "repair.cycle");
         added := replay st w !added;
         adjusted := !adjusted + logged w;
         incr g_lifts;

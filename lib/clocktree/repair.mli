@@ -39,8 +39,10 @@
     - balance: each window pops its own ascending heap, and a window
       root balanced this pass hands its parent to the spine's heap;
     - evaluate: the spine's downstream caps (the windows refresh theirs
-      in their balance task), then one dense O(n) Elmore sweep and one
-      scan of the sinks for the per-group delay range and lift target;
+      in their balance task) and Elmore sweep, then each window fills
+      its delays from its root's spine parent and scans its own sinks
+      for its per-group delay range, and the spine folds those ranges
+      with its own sinks' into the lift target;
     - lift: the spine's maximal group-pure subtrees (fixed by the
       topology and found once; in an intermingled tree nearly all of
       them are single sinks) set their snaking amounts first, then each
@@ -62,9 +64,9 @@
     nodes (the snaked edges' parents and their ancestors): O(F log n)
     balance, O(F) caps plus the O(n) delay sweep and sink scan, one
     sweep over the pure subtrees and O(L log n) edge adjustments.  The
-    balance and lift work is split across the windows; the evaluation
-    sweep stays serial (windowing it measured as much extra CPU time as
-    it saved wall time).  The sweeps read flat arrays only, and the hot
+    balance, evaluation and lift work is split across the windows, and
+    so is laying out the slabs and the windows' worklists before the
+    first pass.  The sweeps read flat arrays only, and the hot
     loops allocate nothing per node or edge: a global cycle allocates a
     small constant number of minor-heap words.  With
     [incremental = false] every pass walks the whole tree serially
@@ -122,9 +124,11 @@ type stats = {
     instant plus a ["repair_region"] journal record per region, and
     exhausting a cycle budget emits a ["budget_exhausted"] instant.
 
-    An enabled [run.sched] recorder ledgers the parallel regional phase
-    under ["repair.regions"] and the global cycle's window batches under
-    ["repair.cycle"]; an enabled [run.progress] reporter is told
+    An enabled [run.sched] recorder ledgers the set-up batches under
+    ["repair.setup"], the parallel regional phase under
+    ["repair.regions"], and the global cycle's window batches under
+    ["repair.cycle"] (balance, lift) and ["repair.evaluate"] (one per
+    cycle); an enabled [run.progress] reporter is told
     the region count, sees a completion per converged regional
     fixpoint, and gets a heartbeat tick per global cycle.  Neither
     perturbs the repair: trees and stats stay bit-identical with them

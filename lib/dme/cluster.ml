@@ -60,6 +60,13 @@ let fanout_for ~budget ~depth =
   if depth <= 1 then budget
   else Int.max 2 (Int.min fanout_cap (iroot budget depth))
 
+(* The synchronized halving of a region budget [k] at fan-out [f]:
+   [kl = ceil (k/2)] regions and [fl = ceil (f/2)] fan-out go to the
+   lower half, and a part stops at fan-out 1. *)
+let halve_budget k f =
+  let kl = (k + 1) / 2 and fl = (f + 1) / 2 in
+  ((kl, fl), (k - kl, f - fl))
+
 (* Budgeted top-down MMM-style halving: split along the longer
    bounding-box axis at the median, handing the larger (lower) half the
    larger share of both the region budget and the fan-out.  The lower
@@ -71,37 +78,42 @@ let fanout_for ~budget ~depth =
    on the fan-out at which groups are cut off and later resumed — the
    leaf regions of the recursive (multi-level) scheme are identical, in
    contents and order, to the flat [partition] at the same total budget.
-   The whole walk is a pure serial function of the sink set.  Only an
-   emitted half needs the (coordinate, id) order — [sub_instance] keeps
-   it — so every other half is found by selection alone: the next split
-   depends only on its set. *)
-let split_ids point_of ids ~budget ~fanout =
-  let n = Array.length ids in
-  let out = ref [] in
-  let rec split ids k f =
-    if f <= 1 then out := (ids, k) :: !out
+   Only an emitted half needs the (coordinate, id) order —
+   [sub_instance] keeps it — so every other half is found by selection
+   alone: the next split depends only on its set.  The halving runs
+   level by level over a frontier kept in bipartition order, so each
+   level's halves are independent and map over [pool]; the groups are a
+   pure function of the sink set, budget and fan-out. *)
+let split_ids ?pool ?(sched = Obs.Sched.null) point_of ids ~budget ~fanout =
+  let halve ((ids, k, f) as part) =
+    if f <= 1 then [| part |]
     else begin
-      let kl = (k + 1) / 2 in
-      let fl = (f + 1) / 2 in
-      let lo, hi =
-        Split.bipartition ~sorted:(fl <= 1, f - fl <= 1) point_of ids
-      in
-      split lo kl fl;
-      split hi (k - kl) (f - fl)
+      let (kl, fl), (kh, fh) = halve_budget k f in
+      let lo, hi = Split.bipartition ~sorted:(fl <= 1, fh <= 1) point_of ids in
+      [| (lo, kl, fl); (hi, kh, fh) |]
     end
   in
-  let k = Int.max 1 (Int.min budget n) in
-  split ids k (Int.max 1 (Int.min fanout k));
-  Array.of_list (List.rev !out)
+  let rec level parts =
+    if Array.for_all (fun (_, _, f) -> f <= 1) parts then
+      Array.map (fun (ids, k, _) -> (ids, k)) parts
+    else
+      level
+        (Array.concat
+           (Array.to_list
+              (Par.Pool.map_each pool ~sched ~label:"engine.partition" halve
+                 parts)))
+  in
+  let k = Int.max 1 (Int.min budget (Array.length ids)) in
+  level [| (ids, k, Int.max 1 (Int.min fanout k)) |]
 
-let partition inst ~clusters =
+let partition ?pool ?sched inst ~clusters =
   let sinks = inst.Instance.sinks in
   let n = Array.length sinks in
   if n = 0 then [||]
   else begin
     let point_of id = sinks.(id).Sink.loc in
     Array.map fst
-      (split_ids point_of (Array.init n Fun.id) ~budget:clusters
+      (split_ids ?pool ?sched point_of (Array.init n Fun.id) ~budget:clusters
          ~fanout:clusters)
   end
 
@@ -119,26 +131,6 @@ let sub_instance (inst : Instance.t) ids =
   Instance.make ~params:inst.params ~rd:inst.rd ~bound:inst.bound
     ?group_bounds:inst.group_bounds ~source:inst.source
     ~n_groups:inst.n_groups sinks
-
-(* Swap each leaf's re-indexed sink back for the global one it mirrors.
-   Regions, caps and delay windows are unaffected (a leaf's fields depend
-   on location, load and group only), so the rebuilt plan embeds to the
-   same geometry while the final tree reports global sink ids. *)
-let rec reglobalize (inst : Instance.t) ids (s : Subtree.t) =
-  match s.Subtree.build with
-  | Subtree.Leaf l ->
-    { s with Subtree.build = Subtree.Leaf inst.sinks.(ids.(l.Sink.id)) }
-  | Subtree.Merge { left; right; lengths } ->
-    {
-      s with
-      Subtree.build =
-        Subtree.Merge
-          {
-            left = reglobalize inst ids left;
-            right = reglobalize inst ids right;
-            lengths;
-          };
-    }
 
 let add_trials (a : Engine.trial_stats) (b : Engine.trial_stats) =
   Engine.
@@ -169,81 +161,60 @@ let add_stats (a : Engine.stats) (b : Engine.stats) =
       gc = Obs.Gcstat.zero;
     }
 
-(* One planned subtree of the stitch hierarchy: its root (already on
-   global sink ids), the leaf-region stats and super-stitch stats it
-   contains (in traversal order; [cluster] indices are assigned after
-   the top-level gather) and how many stitch levels it holds. *)
-type part = {
-  pr_root : Subtree.t;
-  pr_leaves : cluster_stats list;
-  pr_supers : cluster_stats list;
-  pr_levels : int;
-}
+(* A planned child, as its parent's stitch reads it: a leaf region by
+   its index in the partition, a stitch by its index in post order. *)
+type slot = Leaf_of of int | Super_of of int
 
-(* Plan one node of the stitch hierarchy, serially — recursion below
-   the top level never sees the pool ([Par.Pool] is not reentrant);
-   parallelism comes from mapping the top-level groups over the pool's
-   domains.  A budget-1 node is a leaf region: one private [Engine.plan]
-   on its sub-instance.  A larger node splits its ids with the
-   synchronized halving and stitches its children with an [Engine.plan
-   ~leaves] over the {e global} instance, so every stitch level uses the
-   same bbox-derived penalty and grid-cell scales as the top. *)
-let rec plan_node ~config ~run ~pdepth (inst : Instance.t) ids ~budget
-    ~depth =
-  if budget <= 1 then begin
-    let sub = sub_instance inst ids in
-    let t0 = Obs.Timer.now () in
-    let root, stats = Engine.plan ~config ~run sub in
-    let wall_s = Float.max 0. (Obs.Timer.now () -. t0) in
-    (* Leaf regions all report at one progress depth regardless of how
-       deep the halving placed them: the heartbeat's ETA wants one
-       homogeneous completion counter, not the hierarchy's shape. *)
-    (match pdepth with
-     | Some dd -> Obs.Progress.region_done run.Obs.Run.progress ~depth:dd
-     | None -> ());
-    {
-      pr_root = reglobalize inst ids root;
-      pr_leaves =
-        [ { cluster = 0; n_sinks = Array.length ids; wall_s; stats } ];
-      pr_supers = [];
-      pr_levels = 0;
-    }
-  end
-  else begin
-    let point_of id = inst.Instance.sinks.(id).Sink.loc in
-    let groups =
-      split_ids point_of ids ~budget ~fanout:(fanout_for ~budget ~depth)
-    in
-    let parts =
-      Array.map
-        (fun (gids, gbudget) ->
-          plan_node ~config ~run ~pdepth inst gids ~budget:gbudget
-            ~depth:(depth - 1))
-        groups
-    in
-    let leaves =
-      Array.mapi (fun i p -> { p.pr_root with Subtree.id = i }) parts
-    in
-    let t0 = Obs.Timer.now () in
-    let root, stats = Engine.plan ~config ~run ~leaves inst in
-    let wall_s = Float.max 0. (Obs.Timer.now () -. t0) in
-    let stitch = { cluster = 0; n_sinks = Array.length ids; wall_s; stats } in
-    {
-      pr_root = root;
-      pr_leaves = List.concat_map (fun p -> p.pr_leaves) (Array.to_list parts);
-      pr_supers =
-        List.concat_map (fun p -> p.pr_supers) (Array.to_list parts)
-        @ [ stitch ];
-      pr_levels =
-        1 + Array.fold_left (fun acc p -> Int.max acc p.pr_levels) 0 parts;
-    }
-  end
+(* One stitch of the hierarchy: the sinks it covers, its children, its
+   height (1 + its tallest child's, a leaf region's being 0) and whether
+   it is a top-level group. *)
+type stitch = { s_sinks : int; s_kids : slot array; s_height : int; s_top : bool }
 
-let renumber cs = Array.mapi (fun i c -> { c with cluster = i }) cs
+(* The hierarchy above the leaf regions [regions] of a [budget]-region
+   route at [depth]: the top stitch's children, each with its height and
+   sink count, and every stitch below the top, in post order.  A node's
+   groups are the ones [split_ids] cuts it into at fan-out [fanout_for]
+   its depth; their budgets do not depend on the sinks, and a group's
+   leaf regions are consecutive in the flat partition, so the shape is
+   this arithmetic alone. *)
+let hierarchy regions ~budget ~depth =
+  let next = ref 0 and stitches = ref [] and n_stitches = ref 0 in
+  let rec cut k f =
+    if f <= 1 then [ k ]
+    else
+      let (kl, fl), (kh, fh) = halve_budget k f in
+      cut kl fl @ cut kh fh
+  in
+  let rec groups ~top ~budget ~depth =
+    let f = Int.max 1 (Int.min (fanout_for ~budget ~depth) budget) in
+    List.map
+      (fun b ->
+        if b <= 1 then begin
+          incr next;
+          (Leaf_of (!next - 1), 0, Array.length regions.(!next - 1))
+        end
+        else begin
+          let kids = groups ~top:false ~budget:b ~depth:(depth - 1) in
+          let height, sinks =
+            Array.fold_left
+              (fun (h, s) (_, kh, ks) -> (Int.max h (kh + 1), s + ks))
+              (1, 0) kids
+          in
+          let s_kids = Array.map (fun (c, _, _) -> c) kids in
+          stitches := { s_sinks = sinks; s_kids; s_height = height; s_top = top } :: !stitches;
+          incr n_stitches;
+          (Super_of (!n_stitches - 1), height, sinks)
+        end)
+      (cut budget f)
+    |> Array.of_list
+  in
+  let top =
+    if Array.length regions = 0 then [||] else groups ~top:true ~budget ~depth
+  in
+  (top, Array.of_list (List.rev !stitches))
 
 let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
     ?depth inst =
-  let gc0 = Obs.Gcstat.sample () in
   let { Obs.Run.trace; sched; progress } = run in
   let tracing = Obs.Trace.enabled trace in
   let n = Instance.n_sinks inst in
@@ -253,81 +224,127 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
     | None -> auto_clusters inst
   in
   let d = match depth with Some d -> Int.max 1 d | None -> auto_depth k in
-  let point_of id = inst.Instance.sinks.(id).Sink.loc in
-  let groups =
-    if n = 0 then [||]
-    else
-      split_ids point_of (Array.init n Fun.id) ~budget:k
-        ~fanout:(fanout_for ~budget:k ~depth:d)
-  in
-  let kr = Array.fold_left (fun acc (_, b) -> acc + b) 0 groups in
-  (* Announce the hierarchy to the heartbeat: top-level groups at
-     progress depth 0 and — when the hierarchy actually has a second
-     level — the leaf regions at depth 1 (a depth-1 hierarchy's top
-     groups ARE its leaf regions, so announcing both would double
-     count). *)
-  let pdepth = if d > 1 then Some 1 else None in
-  if Array.length groups > 0 then begin
-    Obs.Progress.add_regions progress ~depth:0 (Array.length groups);
-    match pdepth with
-    | Some dd -> Obs.Progress.add_regions progress ~depth:dd kr
-    | None -> ()
-  end;
-  (* A single top-level group plans serially whatever the pool, so a
-     pool would serve only the stitch and the embedding; like the flat
-     engine below its grain, the route then runs without one.  Trees are
+  (* A single region plans serially whatever the pool, so a pool would
+     serve only the stitch and the embedding; like the flat engine below
+     its grain, the route then runs without one.  Trees are
      bit-identical for any pool size, so the gate never moves one. *)
-  let jobs =
-    if Array.length groups >= 2 then Int.max 1 config.Engine.jobs else 1
-  in
+  let jobs = if k >= 2 then Int.max 1 config.Engine.jobs else 1 in
   Par.Pool.with_pool ~jobs (fun pool ->
-      (* Top-level groups map over the pool's domains (one chunk each);
-         each group plans serially ([plan_node]).  Each plan builds its
-         own private arena and grid shard, mutates nothing shared
-         (trace/histogram sinks are mutex-guarded, and its counts come
-         back in its stats), and its result is a pure function of its
-         sub-instance and budget — so the gathered array, and everything
-         downstream, is bit-identical for any jobs count. *)
-      let plan_group (gids, gbudget) =
-        let part =
-          plan_node ~config ~run ~pdepth inst gids ~budget:gbudget
-            ~depth:(d - 1)
-        in
-        Obs.Progress.region_done progress ~depth:0;
-        part
-      in
-      let parts =
-        let body () =
-          match pool with
-          | Some pool when Array.length groups > 1 ->
-            Par.Pool.map_chunked pool ~sched ~label:"engine.regions" ~chunk:1
-              plan_group groups
-          | _ -> Array.map plan_group groups
-        in
-        if tracing then
-          Obs.Trace.span trace ~cat:"dme.cluster"
-            ~args:
-              [
-                ("regions", Obs.Json.Int kr);
-                ("depth", Obs.Json.Int d);
-                ("jobs", Obs.Json.Int jobs);
-              ]
-            "cluster.plan" body
-        else body ()
-      in
-      let per_cluster =
-        renumber
-          (Array.of_list
-             (List.concat_map (fun p -> p.pr_leaves) (Array.to_list parts)))
-      in
-      let super =
-        renumber
-          (Array.of_list
-             (List.concat_map (fun p -> p.pr_supers) (Array.to_list parts)))
-      in
+      let gc = Par.Pool.gc_window pool in
+      let map label f xs = Par.Pool.map_each pool ~sched ~label f xs in
+      (* The leaf regions, halved on the pool, and the hierarchy above
+         them. *)
+      let regions = partition ?pool ~sched inst ~clusters:k in
+      let top_kids, stitches = hierarchy regions ~budget:k ~depth:d in
+      let regions_top = Array.make (Array.length regions) false in
+      Array.iter
+        (fun (c, _, _) ->
+          match c with Leaf_of i -> regions_top.(i) <- true | Super_of _ -> ())
+        top_kids;
+      let kr = Array.length regions in
       let realized_depth =
-        1 + Array.fold_left (fun acc p -> Int.max acc p.pr_levels) 0 parts
+        1 + Array.fold_left (fun h (_, kh, _) -> Int.max h kh) 0 top_kids
       in
+      (* Announce the hierarchy to the heartbeat: top-level groups at
+         progress depth 0 and — when the hierarchy actually has a second
+         level — the leaf regions at depth 1 (a depth-1 hierarchy's top
+         groups ARE its leaf regions, so announcing both would double
+         count).  Leaf regions all report at one progress depth
+         regardless of how deep the halving placed them: the heartbeat's
+         ETA wants one homogeneous completion counter, not the
+         hierarchy's shape. *)
+      let pdepth = if d > 1 then Some 1 else None in
+      if Array.length top_kids > 0 then begin
+        Obs.Progress.add_regions progress ~depth:0 (Array.length top_kids);
+        match pdepth with
+        | Some dd -> Obs.Progress.add_regions progress ~depth:dd kr
+        | None -> ()
+      end;
+      let timed f =
+        let t0 = Obs.Timer.now () in
+        let root, stats = f () in
+        (root, Float.max 0. (Obs.Timer.now () -. t0), stats)
+      in
+      (* Level by level, each level one batch on the pool: every leaf
+         region (one chunk each), then the stitches of each height.  A
+         plan builds its own private arena and grid shard, mutates
+         nothing shared (trace/histogram sinks are mutex-guarded, and its
+         counts come back in its stats), and its result is a pure
+         function of its instance and leaves — so the gathered arrays,
+         and everything downstream, are bit-identical for any jobs count.
+         A leaf region plans over its sub-instance from leaves that carry
+         the global sinks, so its plan already reports global sink ids;
+         every stitch plans over the {e global} instance, so each level
+         uses the same bbox-derived penalty and grid-cell scales as the
+         top. *)
+      let region_plans = Array.make kr None in
+      let stitch_plans = Array.make (Array.length stitches) None in
+      let root_of = function
+        | Leaf_of i -> fst (Option.get region_plans.(i))
+        | Super_of j -> fst (Option.get stitch_plans.(j))
+      in
+      let stitch_leaves kids =
+        Array.mapi (fun i c -> { (root_of c) with Subtree.id = i }) kids
+      in
+      let body () =
+        let planned =
+          map "engine.regions"
+            (fun i ->
+              let ids = regions.(i) in
+              let leaves =
+                Array.mapi
+                  (fun j gid -> { (Subtree.leaf inst.Instance.sinks.(gid)) with id = j })
+                  ids
+              in
+              let root, wall_s, stats =
+                timed (fun () ->
+                    Engine.plan ~config ~run ~leaves (sub_instance inst ids))
+              in
+              Option.iter
+                (fun dd -> Obs.Progress.region_done progress ~depth:dd)
+                pdepth;
+              if regions_top.(i) then
+                Obs.Progress.region_done progress ~depth:0;
+              ( root,
+                { cluster = i; n_sinks = Array.length ids; wall_s; stats } ))
+            (Array.init kr Fun.id)
+        in
+        Array.iteri (fun i p -> region_plans.(i) <- Some p) planned;
+        let height = Array.fold_left (fun h s -> Int.max h s.s_height) 0 stitches in
+        for h = 1 to height do
+          let level =
+            List.filter
+              (fun j -> stitches.(j).s_height = h)
+              (List.init (Array.length stitches) Fun.id)
+            |> Array.of_list
+          in
+          let planned =
+            map "engine.stitch"
+              (fun j ->
+                let s = stitches.(j) in
+                let leaves = stitch_leaves s.s_kids in
+                let root, wall_s, stats =
+                  timed (fun () -> Engine.plan ~config ~run ~leaves inst)
+                in
+                if s.s_top then Obs.Progress.region_done progress ~depth:0;
+                (root, { cluster = j; n_sinks = s.s_sinks; wall_s; stats }))
+              level
+          in
+          Array.iteri (fun i p -> stitch_plans.(level.(i)) <- Some p) planned
+        done
+      in
+      if tracing then
+        Obs.Trace.span trace ~cat:"dme.cluster"
+          ~args:
+            [
+              ("regions", Obs.Json.Int kr);
+              ("depth", Obs.Json.Int d);
+              ("jobs", Obs.Json.Int jobs);
+            ]
+          "cluster.plan" body
+      else body ();
+      let per_cluster = Array.map (fun p -> snd (Option.get p)) region_plans in
+      let super = Array.map (fun p -> snd (Option.get p)) stitch_plans in
       if tracing then begin
         Obs.Trace.merge_manifest trace
           [
@@ -360,9 +377,7 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
          in a single top-down pass straight into the arena — the skew
          bound is enforced across region boundaries exactly as it is
          within them. *)
-      let leaves =
-        Array.mapi (fun i p -> { p.pr_root with Subtree.id = i }) parts
-      in
+      let leaves = stitch_leaves (Array.map (fun (c, _, _) -> c) top_kids) in
       let root, top = Engine.plan ~config ~run ?pool ~leaves inst in
       let arena = Embed.run_arena ?pool ~run inst root in
       let aggregate =
@@ -372,7 +387,7 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
         let sum =
           Array.fold_left (fun acc c -> add_stats acc c.stats) sum super
         in
-        { sum with Engine.gc = Obs.Gcstat.diff (Obs.Gcstat.sample ()) gc0 }
+        { sum with Engine.gc = gc () }
       in
       ( arena,
         aggregate,

@@ -67,27 +67,39 @@ val fanout_cap : int
     {!fanout_cap}: 1 for [k <= 64], 2 up to 4096, and so on. *)
 val auto_depth : int -> int
 
-(** [split_ids point_of ids ~budget ~fanout] is one level of the
-    budgeted halving: [ids] split by recursive {!Geometry.Split.bipartition}
-    into [min fanout budget] groups (at least 1, at most
-    [Array.length ids]), each with its share of the region [budget], in
-    bipartition order.  Each group lists its ids in the (coordinate, id)
-    order of the median split that emitted it. *)
+(** [split_ids ?pool ?sched point_of ids ~budget ~fanout] is one level
+    of the budgeted halving: [ids] split by recursive
+    {!Geometry.Split.bipartition} into [min fanout budget] groups (at
+    least 1, at most [Array.length ids]), each with its share of the
+    region [budget], in bipartition order.  Each group lists its ids in
+    the (coordinate, id) order of the median split that emitted it.
+    The halving runs level by level; with [pool], each level of two or
+    more parts is one batch on it (ledgered under ["engine.partition"]),
+    and the groups, their ids' order and their budgets equal the serial
+    ones. *)
 val split_ids :
+  ?pool:Par.Pool.t ->
+  ?sched:Obs.Sched.t ->
   (int -> Geometry.Pt.t) ->
   int array ->
   budget:int ->
   fanout:int ->
   (int array * int) array
 
-(** [partition inst ~clusters] splits the sink ids into
+(** [partition ?pool ?sched inst ~clusters] splits the sink ids into
     [min clusters (n_sinks)] non-empty regions (at least 1) by
     recursive median bipartition along the longer bounding-box axis
-    ({!Geometry.Split.bipartition}).  Every sink id appears in exactly
-    one region; the result is a pure function of the instance —
-    deterministic across jobs counts and runs, and identical to the
-    leaf regions of the multi-level hierarchy at any depth. *)
-val partition : Clocktree.Instance.t -> clusters:int -> int array array
+    ({!Geometry.Split.bipartition}), level by level on [pool] as
+    {!split_ids} does.  Every sink id appears in exactly one region; the
+    result is a pure function of the instance — deterministic across
+    pools, jobs counts and runs, and identical to the leaf regions of
+    the multi-level hierarchy at any depth. *)
+val partition :
+  ?pool:Par.Pool.t ->
+  ?sched:Obs.Sched.t ->
+  Clocktree.Instance.t ->
+  clusters:int ->
+  int array array
 
 (** [run_arena ?config ?run ?clusters ?depth inst] routes the instance
     in clustered mode straight into the flat post-order arena and
@@ -99,19 +111,24 @@ val partition : Clocktree.Instance.t -> clusters:int -> int array array
     cluster count and is clamped to [>= 1] (forcing it higher than
     needed degenerates gracefully — a budget-1 group plans directly
     regardless of remaining depth).
-    [config.jobs] sizes the pool that maps top-level groups (one chunk
-    each) and serves the top-level stitch and the final embed; a route
-    with a single top-level group opens no pool at all.  Plans
-    below the top level run serially on their group's domain
-    ({!Par.Pool} is not reentrant).  With [run.trace] enabled, plans
+    [config.jobs] sizes the pool the whole route runs on, opened before
+    the partition: the leaf regions' halving (the hierarchy above them
+    follows from the region budgets alone), then every leaf region (one
+    chunk each), then the stitches level by level (one batch per
+    height), then the top-level stitch and the final embed.  Each plan below the top runs
+    serially on the domain that claimed it ({!Par.Pool} is not
+    reentrant).  A route of a single region opens no pool at all.  With
+    [run.trace] enabled, plans
     emit the usual engine spans/journal records from their domains, a
-    ["cluster.plan"] span wraps the bottom level, one journal record of
+    ["cluster.plan"] span wraps the levels below the top, one journal record of
     [type = "cluster"] (regions) or ["cluster_super"] (sub-level
     stitches) summarizes each plan, and the manifest gains the region
     count and realized depth.
 
-    An enabled [run.sched] recorder ledgers the top-level region map
-    under ["engine.regions"] (plus the stitch/embed ledgers from
+    An enabled [run.sched] recorder ledgers the partition's batches
+    under ["engine.partition"], the leaf regions under
+    ["engine.regions"] (one item per region), the stitch levels under
+    ["engine.stitch"] (plus the top stitch/embed ledgers from
     {!Engine.plan} / {!Embed.run_arena}); an enabled [run.progress]
     reporter is told the top-level group count (depth 0) and — for
     hierarchies deeper than one level — the leaf-region count

@@ -118,9 +118,10 @@ let cost config inst ~dist a b =
    not embed and does not own the pool, so the clustered router can run
    one [plan] per region on worker domains (with [pool] absent: the pool
    is not reentrant) and a top-level [plan] over the region roots on the
-   shared pool.  [stats.gc] covers the planning phase only. *)
+   shared pool.  [stats.gc] covers the planning phase only, its minor
+   words on every domain of the pool. *)
 let plan ?(config = default) ?(run = Obs.Run.null) ?pool ?leaves inst =
-  let gc0 = Obs.Gcstat.sample () in
+  let gc = Par.Pool.gc_window pool in
   let trace = run.Obs.Run.trace in
   let tracing = Obs.Trace.enabled trace in
   if tracing then
@@ -289,11 +290,10 @@ let plan ?(config = default) ?(run = Obs.Run.null) ?pool ?leaves inst =
       planned_snake = !planned_snake;
       infeasible_merges = !infeasible;
       trial = { trial_merges = !trial_merges; elided_trials = !elided };
-      gc = Obs.Gcstat.diff (Obs.Gcstat.sample ()) gc0;
+      gc = gc ();
     } )
 
 let run_arena ?(config = default) ?(run = Obs.Run.null) inst =
-  let gc0 = Obs.Gcstat.sample () in
   (* [config.jobs] is an upper bound.  A pool costs a domain spawn plus
      two batch hand-offs per merge round, which outweighs the probes of
      an instance smaller than two regions of the shared density target
@@ -301,15 +301,17 @@ let run_arena ?(config = default) ?(run = Obs.Run.null) inst =
      grain below which repair and evaluation skip their pools.  Planning
      is bit-identical for any pool size, so the gate never moves a tree.
      Above it the pool stays alive through embedding: the top-down phase
-     reuses the ranking loop's worker domains for its subtree fan-out. *)
+     reuses the ranking loop's worker domains for its subtree fan-out.
+     [stats.gc] spans planning and embedding inside the pool's lifetime
+     (a domain's spawn and join are not the route's allocation), workers'
+     minor words included. *)
   let jobs =
     if Clocktree.Instance.(auto_regions (n_sinks inst)) >= 2 then
       Int.max 1 config.jobs
     else 1
   in
-  let arena, stats =
-    Par.Pool.with_pool ~jobs (fun pool ->
-        let root, stats = plan ~config ~run ?pool inst in
-        (Embed.run_arena ?pool ~run inst root, stats))
-  in
-  (arena, { stats with gc = Obs.Gcstat.diff (Obs.Gcstat.sample ()) gc0 })
+  Par.Pool.with_pool ~jobs (fun pool ->
+      let gc = Par.Pool.gc_window pool in
+      let root, stats = plan ~config ~run ?pool inst in
+      let arena = Embed.run_arena ?pool ~run inst root in
+      (arena, { stats with gc = gc () }))

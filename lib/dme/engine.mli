@@ -95,9 +95,12 @@ type stats = {
           was retired (DESIGN.md section 10); no JSON output carries it *)
   trial : trial_stats;
   gc : Obs.Gcstat.t;
-      (** GC work of the whole run (plan + embed) as seen from the
-          calling domain: {!Obs.Gcstat.sample} at entry diffed against
-          exit.  The allocation budget the bench gate enforces; the only
+      (** GC work of the whole run (plan + embed): {!Obs.Gcstat.sample}
+          diffed across the run inside the pool's lifetime, with the
+          pool workers' minor words ({!Par.Pool.worker_minor_words})
+          added, so [minor_words] counts the run's allocation on every
+          domain and reads the same at any jobs count.  The allocation
+          budget the bench gate enforces; the only
           stats field that is {e not} bit-identical across equivalent
           runs — identity oracles compare with [gc] zeroed *)
 }
@@ -130,8 +133,8 @@ val cost :
     clustered router calls once per region from worker domains
     ({!Par.Pool} is not reentrant, so region plans pass no pool) and
     once at top level over the region roots with the shared pool.
-    [stats.gc] covers planning only.  Planning is bit-identical for any
-    pool size. *)
+    [stats.gc] covers planning only, [pool]'s workers' minor words
+    included.  Planning is bit-identical for any pool size. *)
 val plan :
   ?config:config ->
   ?run:Obs.Run.t ->

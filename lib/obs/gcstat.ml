@@ -18,7 +18,7 @@ let zero =
 let sample () =
   let s = Gc.quick_stat () in
   {
-    minor_words = s.Gc.minor_words;
+    minor_words = Gc.minor_words ();
     promoted_words = s.Gc.promoted_words;
     major_words = s.Gc.major_words;
     minor_collections = s.Gc.minor_collections;

@@ -2,11 +2,13 @@
     garbage-collector work to a phase of the program.
 
     The intended pattern is differential: [sample] before and after the
-    region of interest, then [diff after before].  Counters are those of
-    the calling domain (plus any domains that terminated before the
-    sample), so a pool-parallel phase under-reports worker allocation —
-    the numbers still gate the calling domain's hot path, which is what
-    the engine's allocation budget is about. *)
+    region of interest, then [diff after before].  [minor_words] is the
+    calling domain's own count ([Gc.minor_words]), exact at any time, so
+    a differential means the same thing on any domain and at any jobs
+    count; a pooled phase adds its workers' words from
+    {!Par.Pool.worker_minor_words}.  The other counters are
+    [Gc.quick_stat]'s: the calling domain's plus the other domains' as
+    of their last minor collection. *)
 
 type t = {
   minor_words : float;  (** words allocated in the minor heap *)

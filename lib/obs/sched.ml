@@ -12,6 +12,7 @@ type label_stats = {
   mutable l_items : int;
   mutable l_chunks : int;
   mutable l_par_wall_s : float;
+  mutable l_busy : floatarray;  (** per-slot busy seconds *)
 }
 
 type phase = {
@@ -95,7 +96,15 @@ let find_label p label =
   match List.assoc_opt label p.labels with
   | Some l -> l
   | None ->
-    let l = { l_ledgers = 0; l_items = 0; l_chunks = 0; l_par_wall_s = 0. } in
+    let l =
+      {
+        l_ledgers = 0;
+        l_items = 0;
+        l_chunks = 0;
+        l_par_wall_s = 0.;
+        l_busy = Float.Array.make 0 0.;
+      }
+    in
     p.labels <- p.labels @ [ (label, l) ];
     l
 
@@ -172,6 +181,15 @@ let map_end r =
           p.p_chunks_per_slot.(slot) + r.r_runs.(slot)
       done;
       let l = r.r_label in
+      if Float.Array.length l.l_busy < r.r_jobs then begin
+        let busy = Float.Array.make r.r_jobs 0. in
+        Float.Array.blit l.l_busy 0 busy 0 (Float.Array.length l.l_busy);
+        l.l_busy <- busy
+      end;
+      for slot = 0 to r.r_jobs - 1 do
+        Float.Array.set l.l_busy slot
+          (Float.Array.get l.l_busy slot +. Float.Array.get r.r_busy slot)
+      done;
       l.l_ledgers <- l.l_ledgers + 1;
       l.l_items <- l.l_items + r.r_items;
       l.l_chunks <- l.l_chunks + r.r_chunks;
@@ -193,6 +211,7 @@ type label_report = {
   items : int;
   chunks : int;
   par_wall_s : float;
+  busy_fraction : float array;  (** per slot: busy_s / par_wall_s *)
 }
 
 type phase_report = {
@@ -285,6 +304,11 @@ let report (t : t) =
                         items = l.l_items;
                         chunks = l.l_chunks;
                         par_wall_s = l.l_par_wall_s;
+                        busy_fraction =
+                          Array.init (Float.Array.length l.l_busy) (fun i ->
+                              if l.l_par_wall_s > 0. then
+                                Float.Array.get l.l_busy i /. l.l_par_wall_s
+                              else 0.);
                       })
                     p.labels;
               })
@@ -365,6 +389,11 @@ let json_of_phase (p : phase_report) =
                    ("items", Json.Int l.items);
                    ("chunks", Json.Int l.chunks);
                    ("par_wall_s", Json.Float l.par_wall_s);
+                   ( "busy_fraction",
+                     Json.List
+                       (Array.to_list
+                          (Array.map (fun b -> Json.Float b) l.busy_fraction))
+                   );
                  ])
              p.labels) );
     ]

@@ -67,6 +67,10 @@ type label_report = {
   items : int;
   chunks : int;
   par_wall_s : float;
+  busy_fraction : float array;
+      (** per slot (0 = caller): busy seconds inside this label's chunks
+          over its [par_wall_s] — how evenly its batches kept the pool
+          busy *)
 }
 
 type phase_report = {

@@ -16,9 +16,21 @@ type t = {
   mutable running : int;  (** workers still inside the current batch *)
   mutable stop : bool;
   mutable workers : unit Domain.t list;
+  minor : floatarray;
+      (** per worker slot: minor words allocated inside chunks; slot 0
+          (the caller) is counted by the caller's own samples *)
 }
 
 let jobs t = t.jobs
+
+(* Read between batches only: [run_batch]'s mutex orders every worker's
+   writes before the caller's read. *)
+let worker_minor_words t =
+  let s = ref 0. in
+  for slot = 1 to Float.Array.length t.minor - 1 do
+    s := !s +. Float.Array.get t.minor slot
+  done;
+  !s
 
 let rec worker_loop t slot seen =
   Mutex.lock t.mutex;
@@ -67,6 +79,7 @@ let create ?(jobs = 1) () =
       running = 0;
       stop = false;
       workers = [];
+      minor = Float.Array.make jobs 0.;
     }
   in
   t.workers <-
@@ -149,6 +162,7 @@ let map_chunked t ?(sched = Obs.Sched.null) ?(label = "par.map") ?chunk f arr =
         if c < n_chunks then begin
           let lo = c * chunk in
           let hi = Int.min n (lo + chunk) - 1 in
+          let m0 = if slot > 0 then Gc.minor_words () else 0. in
           (match ledger with
            | None -> (
              try
@@ -164,6 +178,9 @@ let map_chunked t ?(sched = Obs.Sched.null) ?(label = "par.map") ?chunk f arr =
                 done
               with exn -> errors.(c) <- Some exn);
              Obs.Sched.chunk_end r ~slot ~t0);
+          if slot > 0 then
+            Float.Array.set t.minor slot
+              (Float.Array.get t.minor slot +. (Gc.minor_words () -. m0));
           go ()
         end
       in
@@ -176,6 +193,21 @@ let map_chunked t ?(sched = Obs.Sched.null) ?(label = "par.map") ?chunk f arr =
     assert (r != no_results);
     r
   end
+
+let map_each pool ?sched ~label f xs =
+  match pool with
+  | Some t when Array.length xs >= 2 -> map_chunked t ?sched ~label ~chunk:1 f xs
+  | _ -> Array.map f xs
+
+let gc_window pool =
+  let g0 = Obs.Gcstat.sample () in
+  let w0 = Option.fold ~none:0. ~some:worker_minor_words pool in
+  fun () ->
+    let g = Obs.Gcstat.diff (Obs.Gcstat.sample ()) g0 in
+    match pool with
+    | None -> g
+    | Some p ->
+      { g with minor_words = g.minor_words +. (worker_minor_words p -. w0) }
 
 let with_pool ~jobs f =
   if jobs <= 1 then f None

@@ -44,6 +44,21 @@ val max_jobs : unit -> int
 (** Number of domains (including the caller) a batch runs on. *)
 val jobs : t -> int
 
+(** Minor-heap words the worker domains have allocated inside
+    {!map_chunked} chunks since the pool was created, each taken with the
+    worker's own [Gc.minor_words] around every chunk it runs.  The
+    caller's slot is not included: the caller counts its own words.  A
+    pooled phase's allocation is its caller's own differential plus the
+    change of this sum across the phase.  Read it between batches. *)
+val worker_minor_words : t -> float
+
+(** [gc_window pool] opens a GC window on the calling domain: calling
+    the result gives the {!Obs.Gcstat} differential since, with the
+    minor words [pool]'s workers allocated in between added.  Open and
+    close it between batches, inside the pool's lifetime: a domain's
+    spawn and join are not the phase's allocation. *)
+val gc_window : t option -> unit -> Obs.Gcstat.t
+
 (** [map_chunked t ?sched ?label ?chunk f arr] is [Array.map f arr]
     computed by all domains of the pool.  The input is split into
     contiguous chunks of [chunk] elements (clamped to
@@ -63,6 +78,14 @@ val jobs : t -> int
     entered. *)
 val map_chunked :
   t -> ?sched:Obs.Sched.t -> ?label:string -> ?chunk:int ->
+  ('a -> 'b) -> 'a array -> 'b array
+
+(** [map_each pool ?sched ~label f xs] maps [f] over [xs] one item per
+    chunk on [pool] when there are two or more items, and is
+    [Array.map f xs] otherwise (no pool, or nothing to share).  The
+    shape of every coarse-grained phase: regions, windows, stitches. *)
+val map_each :
+  t option -> ?sched:Obs.Sched.t -> label:string ->
   ('a -> 'b) -> 'a array -> 'b array
 
 (** Join the worker domains.  Idempotent; after shutdown the pool still

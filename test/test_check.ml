@@ -632,40 +632,55 @@ let test_sparse_repair_10k () =
       Alcotest.(check bool) (what ^ ": cycle records") true (dense_c = c))
     [ 1; 2; 4 ]
 
-(* Windows of the global cycle run as ["repair.cycle"] batches on the
+(* Windows of the global cycle run as ["repair.cycle"] (balance, lift)
+   and ["repair.evaluate"] (Elmore fill and sink scan) batches on the
    repair's pool: on s10k at jobs 2 each batch spans its ten windows,
-   while a route of 1000 sinks or fewer has no windows and books none. *)
+   while a route of 1000 sinks or fewer has no windows and books
+   none. *)
 let test_repair_cycle_ledger () =
-  let cycle_batches (report : Obs.Sched.report option) =
+  let batches label (report : Obs.Sched.report option) =
     match report with
     | None -> Alcotest.fail "no sched report"
     | Some r ->
       List.concat_map
         (fun (p : Obs.Sched.phase_report) ->
-          List.filter
-            (fun (l : Obs.Sched.label_report) -> l.label = "repair.cycle")
-            p.labels)
+          List.filter (fun (l : Obs.Sched.label_report) -> l.label = label) p.labels)
         r.phases
   in
   let inst, planned = Lazy.force s10k in
   let run = { Obs.Run.null with sched = Obs.Sched.create () } in
   let config = { Repair.default_config with jobs = 2 } in
   let _ : Repair.stats = Repair.run_arena ~config ~run inst (copy planned) in
-  (match cycle_batches (Obs.Sched.report run.sched) with
-   | [ l ] ->
-     Alcotest.(check bool)
-       (Printf.sprintf "batches span >= 2 windows (%d items / %d batches)"
-          l.items l.ledgers)
-       true
-       (l.ledgers > 0 && l.items >= 2 * l.ledgers)
-   | _ -> Alcotest.fail "no repair.cycle ledger at jobs 2");
+  let report = Obs.Sched.report run.sched in
+  List.iter
+    (fun label ->
+      match batches label report with
+      | [ l ] ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s batches span >= 2 windows (%d items / %d batches)"
+             label l.items l.ledgers)
+          true
+          (l.ledgers > 0 && l.items >= 2 * l.ledgers)
+      | _ -> Alcotest.failf "no %s ledger at jobs 2" label)
+    [ "repair.cycle"; "repair.evaluate" ];
+  (* A global cycle balances, evaluates and (all but the last) lifts. *)
+  (match (batches "repair.cycle" report, batches "repair.evaluate" report) with
+   | [ c ], [ e ] ->
+     Alcotest.(check int) "one evaluate batch per global cycle"
+       ((c.ledgers + 1) / 2) e.ledgers
+   | _ -> ());
   let r3 = circuit_instance "r3" in
   Alcotest.(check bool) "r3 has at most 1000 sinks" true
     (Instance.n_sinks r3 <= 1000);
   let run = { Obs.Run.null with sched = Obs.Sched.create () } in
   let r = Check.Oracle.ast ~jobs:2 ~run r3 in
-  Alcotest.(check int) "no repair.cycle batch below 1000 sinks" 0
-    (List.length (cycle_batches r.sched))
+  List.iter
+    (fun label ->
+      Alcotest.(check int)
+        (Printf.sprintf "no %s batch below 1000 sinks" label)
+        0
+        (List.length (batches label r.sched)))
+    [ "repair.cycle"; "repair.evaluate" ]
 
 (* The global cycle's hot loops allocate nothing per adjusted edge: two
    jobs-1 runs whose budgets stop the global cycle after 6 and 36 passes

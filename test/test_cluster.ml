@@ -170,6 +170,35 @@ let split_ids_prop =
       Dme.Cluster.split_ids point_of ids ~budget ~fanout
       = Array.of_list (List.rev !out))
 
+(* [split_ids] on a pool halves each level's parts as one batch; its
+   groups, their order, their ids' order and their budgets must equal
+   the serial walk's, whatever domain ran which half. *)
+let split_ids_pool_prop =
+  let open QCheck.Gen in
+  let gen =
+    let* n = 1 -- 300 in
+    let* pts =
+      array_repeat n
+        (pair (map float_of_int (0 -- 20)) (map float_of_int (0 -- 20)))
+    in
+    let* budget = 1 -- n in
+    let* fanout = 1 -- budget in
+    let* jobs = 2 -- 4 in
+    return (pts, budget, fanout, jobs)
+  in
+  QCheck.Test.make ~name:"pooled split_ids = serial split_ids" ~count:200
+    (QCheck.make
+       ~print:(fun (pts, b, f, j) ->
+         Printf.sprintf "n=%d budget=%d fanout=%d jobs=%d" (Array.length pts) b
+           f j)
+       gen)
+    (fun (pts, budget, fanout, jobs) ->
+      let point_of id = pt (fst pts.(id)) (snd pts.(id)) in
+      let ids = Array.init (Array.length pts) Fun.id in
+      let serial = Dme.Cluster.split_ids point_of ids ~budget ~fanout in
+      Par.Pool.with_pool ~jobs (fun pool ->
+          Dme.Cluster.split_ids ?pool point_of ids ~budget ~fanout = serial))
+
 (* --- Partition ----------------------------------------------------------- *)
 
 let check_partition inst ~clusters =
@@ -289,6 +318,45 @@ let test_jobs_deterministic () =
         (Printf.sprintf "region %d rounds" i)
         c.stats.rounds c4.stats.rounds)
     d1.Dme.Cluster.per_cluster
+
+(* At jobs 2 the leaf regions are one batch of one chunk per region
+   (["engine.regions"]), and each stitch level below the top is one
+   batch (["engine.stitch"]) holding its stitches. *)
+let test_regions_ledger () =
+  let labels (report : Obs.Sched.report option) =
+    match report with
+    | None -> Alcotest.fail "no sched report"
+    | Some r -> List.concat_map (fun (p : Obs.Sched.phase_report) -> p.labels) r.phases
+  in
+  let ledger ls name =
+    List.find_opt (fun (l : Obs.Sched.label_report) -> l.label = name) ls
+  in
+  List.iter
+    (fun (what, inst, clusters, depth) ->
+      let run = { Obs.Run.null with sched = Obs.Sched.create () } in
+      let config = { Astskew.Router.ast_default_config with Dme.Engine.jobs = 2 } in
+      let _, _, d = Dme.Cluster.run_arena ~config ~run ~clusters ?depth inst in
+      let ls = labels (Obs.Sched.report run.sched) in
+      (match ledger ls "engine.regions" with
+       | Some l ->
+         Alcotest.(check int) (what ^ ": one regions batch") 1 l.ledgers;
+         Alcotest.(check int)
+           (what ^ ": one item per leaf region")
+           d.Dme.Cluster.n_clusters l.items;
+         Alcotest.(check int) (what ^ ": one chunk per leaf region")
+           d.Dme.Cluster.n_clusters l.chunks
+       | None -> Alcotest.fail (what ^ ": no engine.regions ledger"));
+      let stitched =
+        Option.fold ~none:0 ~some:(fun (l : Obs.Sched.label_report) -> l.items)
+          (ledger ls "engine.stitch")
+      in
+      Alcotest.(check int)
+        (what ^ ": one stitch item per super-stitch")
+        (Array.length d.Dme.Cluster.super) stitched)
+    [
+      ("r1, 5 regions", circuit "r1", 5, None);
+      ("diagonal, 8 regions at depth 2", diagonal ~n_groups:4 200, 8, Some 2);
+    ]
 
 (* --- multi-level (depth >= 2) hierarchy ----------------------------------- *)
 
@@ -433,7 +501,7 @@ let () =
           Alcotest.test_case "bipartition" `Quick test_split_bipartition;
           Alcotest.test_case "coincident ties" `Quick test_split_ties;
         ]
-        @ qsuite [ median_prop; split_ids_prop ] );
+        @ qsuite [ median_prop; split_ids_prop; split_ids_pool_prop ] );
       ( "partition",
         [
           Alcotest.test_case "cover + clamp" `Quick test_partition_cover;
@@ -459,6 +527,7 @@ let () =
         ] );
       ( "clustered",
         [
+          Alcotest.test_case "regions ledger" `Quick test_regions_ledger;
           Alcotest.test_case "jobs-deterministic" `Slow
             test_jobs_deterministic;
           Alcotest.test_case "audit clean" `Slow test_clustered_audit_clean;
