@@ -277,17 +277,8 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
          every stitch plans over the {e global} instance, so each level
          uses the same bbox-derived penalty and grid-cell scales as the
          top. *)
-      let region_plans = Array.make kr None in
-      let stitch_plans = Array.make (Array.length stitches) None in
-      let root_of = function
-        | Leaf_of i -> fst (Option.get region_plans.(i))
-        | Super_of j -> fst (Option.get stitch_plans.(j))
-      in
-      let stitch_leaves kids =
-        Array.mapi (fun i c -> { (root_of c) with Subtree.id = i }) kids
-      in
       let body () =
-        let planned =
+        let region_plans =
           map "engine.regions"
             (fun i ->
               let ids = regions.(i) in
@@ -309,7 +300,18 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
                 { cluster = i; n_sinks = Array.length ids; wall_s; stats } ))
             (Array.init kr Fun.id)
         in
-        Array.iteri (fun i p -> region_plans.(i) <- Some p) planned;
+        let stitch_plans = Array.make (Array.length stitches) None in
+        let stitch_leaves kids =
+          Array.mapi
+            (fun i c ->
+              let root =
+                match c with
+                | Leaf_of r -> fst region_plans.(r)
+                | Super_of j -> fst (Option.get stitch_plans.(j))
+              in
+              { root with Subtree.id = i })
+            kids
+        in
         let height = Array.fold_left (fun h s -> Int.max h s.s_height) 0 stitches in
         for h = 1 to height do
           let level =
@@ -331,20 +333,23 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
               level
           in
           Array.iteri (fun i p -> stitch_plans.(level.(i)) <- Some p) planned
-        done
+        done;
+        (region_plans, Array.map Option.get stitch_plans, stitch_leaves)
       in
-      if tracing then
-        Obs.Trace.span trace ~cat:"dme.cluster"
-          ~args:
-            [
-              ("regions", Obs.Json.Int kr);
-              ("depth", Obs.Json.Int d);
-              ("jobs", Obs.Json.Int jobs);
-            ]
-          "cluster.plan" body
-      else body ();
-      let per_cluster = Array.map (fun p -> snd (Option.get p)) region_plans in
-      let super = Array.map (fun p -> snd (Option.get p)) stitch_plans in
+      let region_plans, stitch_plans, stitch_leaves =
+        if tracing then
+          Obs.Trace.span trace ~cat:"dme.cluster"
+            ~args:
+              [
+                ("regions", Obs.Json.Int kr);
+                ("depth", Obs.Json.Int d);
+                ("jobs", Obs.Json.Int jobs);
+              ]
+            "cluster.plan" body
+        else body ()
+      in
+      let per_cluster = Array.map snd region_plans in
+      let super = Array.map snd stitch_plans in
       if tracing then begin
         Obs.Trace.merge_manifest trace
           [
