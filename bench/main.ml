@@ -17,7 +17,8 @@
    k-NN queries each, visited at most 18 grid cells each (and at least
    one per query), priced at most 2 candidates each and allocated at
    most 160 minor words each,
-   and that Octagon.sdr allocates at most 32 minor words a call; then
+   and that Octagon.sdr allocates at most 32 minor words a call, a
+   Grid_index.query at most 2.5 and a committed Merge.run at most 84; then
    it gates the clustered router on a second circuit (default r5:
    clusters=1 must equal flat bit-for-bit and the auto-clustered tree
    must pass the global grouped audit).
@@ -170,6 +171,65 @@ let smoke_clustered name =
     end;
     Format.printf "OK@."
 
+(* The allocation of the two hot kernels on [inst]'s own work, counted
+   exactly with [Gc.minor_words] on this domain: minor words per
+   [Grid_index.query] when every sink of the instance probes a snapshot
+   of all sinks for its [knn] nearest others, as a leaf round does;
+   minor words per [Merge.run] replaying every merge of the instance's
+   plan; the words a merge must allocate — its result and the merged
+   subtree's own blocks, children excluded — per merge; and the number
+   of merges. *)
+let kernel_allocation (inst : Clocktree.Instance.t) =
+  let config = Dme.Engine.default in
+  let sinks = inst.sinks in
+  let n = Array.length sinks in
+  let snap = Geometry.Grid_index.snapshot () and buf = Geometry.Grid_index.knn_buffer () in
+  Geometry.Grid_index.pack snap
+    ~cell:(Clocktree.Instance.diameter inst /. Float.sqrt (float_of_int n))
+    (Array.init n Fun.id)
+    (Float.Array.map_from_array (fun (s : Clocktree.Sink.t) -> s.loc.x) sinks)
+    (Float.Array.map_from_array (fun (s : Clocktree.Sink.t) -> s.loc.y) sinks)
+    n;
+  let query i =
+    Geometry.Grid_index.query snap buf ~skip:i sinks.(i).Clocktree.Sink.loc config.knn
+  in
+  (* The first query sizes the buffer. *)
+  query 0;
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    query i
+  done;
+  let knn_words = (Gc.minor_words () -. w0) /. float_of_int n in
+  let root, _ = Dme.Engine.plan ~config:{ config with jobs = 1 } inst in
+  let pairs = ref [] and stack = ref [ root ] in
+  while !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | (t : Dme.Subtree.t) :: rest ->
+      stack := rest;
+      (match t.build with
+       | Leaf _ -> ()
+       | Merge { left; right; _ } ->
+         pairs := (left, right) :: !pairs;
+         stack := left :: right :: !stack)
+  done;
+  let pairs = Array.of_list !pairs in
+  let merge (a, b) =
+    Dme.Merge.run inst ~split_slack:config.split_slack ~width_cap:config.width_cap
+      ~id:(-1) a b
+  in
+  let w0 = Gc.minor_words () in
+  Array.iter (fun p -> ignore (Sys.opaque_identity (merge p))) pairs;
+  let merges = float_of_int (Int.max 1 (Array.length pairs)) in
+  let merge_words = (Gc.minor_words () -. w0) /. merges in
+  let reachable x = float_of_int (Obj.reachable_words (Obj.repr x)) in
+  let own_words =
+    Array.fold_left
+      (fun acc ((a, b) as p) -> acc +. reachable (merge p) -. reachable a -. reachable b)
+      0. pairs
+  in
+  (knn_words, merge_words, own_words /. merges, Array.length pairs)
+
 let smoke args =
   let name, clustered_name =
     match args with
@@ -215,20 +275,34 @@ let smoke args =
     let queries_per_probe_budget = 1.25 in
     let cells_per_probe_budget = 18. in
     (* Allocation gates.  A ranking probe allocates a bounded number of
-       minor words: r3 reads about 131 per probe with the round's packed
+       minor words: r3 reads about 73 per probe with the round's packed
        k-NN snapshot, per-chunk coster sessions and closures, proposals
-       written into id-indexed arrays and sorting in reused scratch.
-       That is the exact [Gc.minor_words] count; [Gc.quick_stat]'s
-       lagging count, which the older readings used, read 118 here,
-       against 263 before them, 630 before the unboxed octagon kernels
-       and 7500 before the slab rewrite.  160 is 1.22 times the reading;
-       opening a coster session and its closures per probe again reads
-       174 (170 on the lagging count) and fails it.  [Octagon.sdr] allocates only its result (11
+       written into id-indexed arrays, sorting in reused scratch and
+       merges that build only their result (131 while a merge built its
+       plan from octagon, interval and plan values).  That is the exact
+       [Gc.minor_words] count; [Gc.quick_stat]'s lagging count, which
+       the older readings used, read 118 for the 131, against 263
+       before them, 630 before the unboxed octagon kernels and 7500
+       before the slab rewrite.  The gate stays at 160, 1.22 times the
+       131 reading; opening a coster session and its closures per probe
+       again read 174 (170 on the lagging count) and failed it.  [Octagon.sdr] allocates only its result (11
        words), so 32 per call over r3's consecutive leaf-region pairs
-       catches a boxed slice or hull.  Allocation counts are deterministic per domain,
+       catches a boxed slice or hull.  A [Grid_index.query] allocates
+       only its boxed exclusion bound (2 words) when every sink of r3
+       probes the snapshot of all of them, so 2.5 catches a boxed
+       distance, argument or closure per query (the predicate-skip
+       kernel read 6).  A committed [Merge.run] replaying r3's 861 plan
+       merges reads 67.3 words, against 59.7 words of the merged
+       subtree and result it must build; 84 is 1.25 times the reading,
+       while the merge built from octagon, interval and plan values
+       ([Merge.run_reference]) read 232 to 471 words per merge kind over
+       r1-r5's plans.
+       Allocation counts are deterministic per domain,
        so like the counts above these cannot flake on slow runners. *)
     let words_per_probe_budget = 160. in
     let sdr_words_budget = 32. in
+    let knn_words_budget = 2.5 in
+    let merge_words_budget = 84. in
     let sdr_words =
       let regions =
         Array.map
@@ -243,6 +317,9 @@ let smoke args =
              (Geometry.Octagon.sdr regions.(i) regions.(i + 1)))
       done;
       (Gc.minor_words () -. w0) /. float_of_int (Int.max 1 calls)
+    in
+    let knn_words, merge_words, merge_own_words, merges =
+      kernel_allocation inst
     in
     (* Pricing gate.  A probe prices a candidate only while its region
        distance can still beat the best cost (Order.cheapest), and under
@@ -262,6 +339,11 @@ let smoke args =
     in
     Format.printf "alloc: minor words=%.3e (%.1f per probe), %.1f per SDR@."
       r.engine.gc.Obs.Gcstat.minor_words words_per_probe sdr_words;
+    Format.printf "alloc: %.2f minor words per k-NN query@." knn_words;
+    Format.printf
+      "alloc: %.1f minor words per committed merge over %d merges (%.1f words \
+       of merged subtree and result, %.2fx)@."
+      merge_words merges merge_own_words (merge_words /. merge_own_words);
     let fail msg =
       Format.printf "FAIL: %s@." msg;
       exit 1
@@ -288,6 +370,16 @@ let smoke args =
       fail
         (Printf.sprintf "allocation per SDR %.1f exceeds the %.0f minor-word budget"
            sdr_words sdr_words_budget);
+    if knn_words > knn_words_budget then
+      fail
+        (Printf.sprintf
+           "allocation per k-NN query %.2f exceeds the %.1f minor-word budget"
+           knn_words knn_words_budget);
+    if merge_words > merge_words_budget then
+      fail
+        (Printf.sprintf
+           "allocation per committed merge %.1f exceeds the %.0f minor-word budget"
+           merge_words merge_words_budget);
     if priced_per_probe > priced_per_probe_budget then
       fail
         (Printf.sprintf "%.2f candidates priced per probe exceeds the %.0f budget"

@@ -173,8 +173,9 @@ let route ?(run = Obs.Run.null) (spec : Spec.t) inst =
     timings;
     clustering;
     sched;
-    (* The process high-water mark; with a single route per process
-       (bench points, astroute) this is the route's peak heap. *)
+    (* Gc.quick_stat's top_heap_words at the end of the route: under
+       OCaml 5 the domains' heap statistics at the sample, not a process
+       high-water mark, so not the route's peak heap. *)
     top_heap_words = Obs.Gcstat.top_heap_words ();
   }
 

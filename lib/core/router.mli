@@ -52,9 +52,11 @@ type result = {
       (** parallel-efficiency report when the run context carried an
           enabled {!Obs.Sched} recorder; [None] otherwise *)
   top_heap_words : int;
-      (** [Gc.quick_stat]'s process heap high-water mark, sampled at the
-          end of the run (words); with one route per process this is the
-          route's peak major-heap footprint *)
+      (** [Gc.quick_stat]'s [top_heap_words], sampled at the end of the
+          run (words).  Under OCaml 5 this is not a process high-water
+          mark: successive routes in one process were seen to read lower
+          than earlier ones, so it reports the domains' heap statistics
+          at the sample, not the route's peak major-heap footprint *)
 }
 
 (** The configuration AST-DME and MMM-DME use by default: the engine
@@ -143,8 +145,8 @@ val ext_bst : ?jobs:int -> Clocktree.Instance.t -> result
 val reduction : baseline:result -> result -> float
 
 (** Machine-readable summary of a result: evaluation metrics, engine and
-    repair stats, per-phase timings, the ["top_heap_words"] high-water
-    mark, a ["clustered"] flag, for clustered runs a ["clustering"]
+    repair stats, per-phase timings, the ["top_heap_words"] heap
+    sample, a ["clustered"] flag, for clustered runs a ["clustering"]
     object with per-region stats, and — when the run carried an enabled
     recorder — an ["efficiency"] object ({!Obs.Sched.json_of_report}).
     This is the ["result"] object of the [BENCH_*.json] files and of

@@ -25,6 +25,43 @@ let emit_leaf (a : Arena.t) v (s : Clocktree.Sink.t) =
   a.Arena.scap.(v) <- s.Clocktree.Sink.cap;
   a.Arena.pos.(v) <- s.Clocktree.Sink.loc
 
+(* The explicit stack of {!fill_window}: one frame per node on the path
+   from the window's root to the node being visited, so at most the
+   plan's height + 1 of them, in parallel arrays doubled on demand. *)
+type frames = {
+  mutable sub : Subtree.t array;
+  mutable p : Pt.t array;
+  mutable pr : Pt.t array;
+  mutable stage : int array;
+  mutable left : int array;
+  mutable llen : floatarray;
+  mutable rlen : floatarray;
+}
+
+let frames sub p =
+  let cap = 64 in
+  {
+    sub = Array.make cap sub;
+    p = Array.make cap p;
+    pr = Array.make cap p;
+    stage = Array.make cap 0;
+    left = Array.make cap (-1);
+    llen = Float.Array.make cap 0.;
+    rlen = Float.Array.make cap 0.;
+  }
+
+let grow fr =
+  let n = Array.length fr.sub in
+  let ext a = Array.append a (Array.make n a.(0)) in
+  let extf a = Float.Array.append a (Float.Array.make n 0.) in
+  fr.sub <- ext fr.sub;
+  fr.p <- ext fr.p;
+  fr.pr <- ext fr.pr;
+  fr.stage <- ext fr.stage;
+  fr.left <- ext fr.left;
+  fr.llen <- extf fr.llen;
+  fr.rlen <- extf fr.rlen
+
 (* Embed [sub] placed at [p] straight into the arena window ending at
    [base + 2 * n_sinks sub - 2], in post order — index for index what
    [Arena.of_routed] would assign flattening the boxed embedding.
@@ -34,50 +71,44 @@ let emit_leaf (a : Arena.t) v (s : Clocktree.Sink.t) =
    stack.  Child placements and edge lengths are computed at first
    visit (the children's frames need them) and carried in the frame. *)
 let fill_window (a : Arena.t) (sub : Subtree.t) (p : Pt.t) ~base =
-  let cap = (2 * sub.Subtree.n_sinks) - 1 + 1 in
-  let st_sub = Array.make cap sub in
-  let st_p = Array.make cap p in
-  let st_pr = Array.make cap p in
-  let st_stage = Array.make cap 0 in
-  let st_left = Array.make cap (-1) in
-  let st_llen = Array.make cap 0. in
-  let st_rlen = Array.make cap 0. in
+  let fr = frames sub p in
   let sp = ref 0 in
   let push sub p =
-    st_sub.(!sp) <- sub;
-    st_p.(!sp) <- p;
-    st_stage.(!sp) <- 0;
+    if !sp = Array.length fr.sub then grow fr;
+    fr.sub.(!sp) <- sub;
+    fr.p.(!sp) <- p;
+    fr.stage.(!sp) <- 0;
     incr sp
   in
   let next = ref base in
   push sub p;
   while !sp > 0 do
     let f = !sp - 1 in
-    match st_sub.(f).Subtree.build with
+    match fr.sub.(f).Subtree.build with
     | Subtree.Leaf s ->
       let v = !next in
       incr next;
       decr sp;
       emit_leaf a v s
     | Subtree.Merge { left; right; lengths } ->
-      if st_stage.(f) = 0 then begin
-        let p = st_p.(f) in
+      if fr.stage.(f) = 0 then begin
+        let p = fr.p.(f) in
         let pl = Octagon.nearest_point left.Subtree.region p in
         let pr = Octagon.nearest_point right.Subtree.region p in
         let llen, rlen = edge_lengths lengths p pl pr in
-        st_pr.(f) <- pr;
-        st_llen.(f) <- llen;
-        st_rlen.(f) <- rlen;
-        st_stage.(f) <- 1;
+        fr.pr.(f) <- pr;
+        Float.Array.set fr.llen f llen;
+        Float.Array.set fr.rlen f rlen;
+        fr.stage.(f) <- 1;
         push left pl
       end
-      else if st_stage.(f) = 1 then begin
-        st_left.(f) <- !next - 1;
-        st_stage.(f) <- 2;
-        push right st_pr.(f)
+      else if fr.stage.(f) = 1 then begin
+        fr.left.(f) <- !next - 1;
+        fr.stage.(f) <- 2;
+        push right fr.pr.(f)
       end
       else begin
-        let l = st_left.(f) and rc = !next - 1 in
+        let l = fr.left.(f) and rc = !next - 1 in
         let v = !next in
         incr next;
         decr sp;
@@ -86,9 +117,9 @@ let fill_window (a : Arena.t) (sub : Subtree.t) (p : Pt.t) ~base =
         a.Arena.parent.(l) <- v;
         a.Arena.parent.(rc) <- v;
         a.Arena.size.(v) <- a.Arena.size.(l) + a.Arena.size.(rc) + 1;
-        a.Arena.pos.(v) <- st_p.(f);
-        a.Arena.len.(l) <- st_llen.(f);
-        a.Arena.len.(rc) <- st_rlen.(f)
+        a.Arena.pos.(v) <- fr.p.(f);
+        a.Arena.len.(l) <- Float.Array.get fr.llen f;
+        a.Arena.len.(rc) <- Float.Array.get fr.rlen f
       end
   done
 

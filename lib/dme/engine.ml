@@ -118,10 +118,9 @@ let cost config inst ~dist a b =
    not embed and does not own the pool, so the clustered router can run
    one [plan] per region on worker domains (with [pool] absent: the pool
    is not reentrant) and a top-level [plan] over the region roots on the
-   shared pool.  [stats.gc] covers the planning phase only, its minor
-   words on every domain of the pool. *)
-let plan ?(config = default) ?(run = Obs.Run.null) ?pool ?leaves inst =
-  let gc = Par.Pool.gc_window pool in
+   shared pool.  [stats.gc] is left zero: the caller samples the GC
+   around the span it reports. *)
+let plan_unsampled ~config ~run ?pool ?leaves inst =
   let trace = run.Obs.Run.trace in
   let tracing = Obs.Trace.enabled trace in
   if tracing then
@@ -290,8 +289,15 @@ let plan ?(config = default) ?(run = Obs.Run.null) ?pool ?leaves inst =
       planned_snake = !planned_snake;
       infeasible_merges = !infeasible;
       trial = { trial_merges = !trial_merges; elided_trials = !elided };
-      gc = gc ();
+      gc = Obs.Gcstat.zero;
     } )
+
+(* [stats.gc] covers the planning phase only, its minor words on every
+   domain of the pool. *)
+let plan ?(config = default) ?(run = Obs.Run.null) ?pool ?leaves inst =
+  let gc = Par.Pool.gc_window pool in
+  let root, stats = plan_unsampled ~config ~run ?pool ?leaves inst in
+  (root, { stats with gc = gc () })
 
 let run_arena ?(config = default) ?(run = Obs.Run.null) inst =
   (* [config.jobs] is an upper bound.  A pool costs a domain spawn plus
@@ -304,7 +310,7 @@ let run_arena ?(config = default) ?(run = Obs.Run.null) inst =
      reuses the ranking loop's worker domains for its subtree fan-out.
      [stats.gc] spans planning and embedding inside the pool's lifetime
      (a domain's spawn and join are not the route's allocation), workers'
-     minor words included. *)
+     minor words included: one GC window, around both phases. *)
   let jobs =
     if Clocktree.Instance.(auto_regions (n_sinks inst)) >= 2 then
       Int.max 1 config.jobs
@@ -312,6 +318,6 @@ let run_arena ?(config = default) ?(run = Obs.Run.null) inst =
   in
   Par.Pool.with_pool ~jobs (fun pool ->
       let gc = Par.Pool.gc_window pool in
-      let root, stats = plan ~config ~run ?pool inst in
+      let root, stats = plan_unsampled ~config ~run ?pool inst in
       let arena = Embed.run_arena ?pool ~run inst root in
       (arena, { stats with gc = gc () }))

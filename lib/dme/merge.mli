@@ -34,8 +34,26 @@ val slack_usage : float
     the bound, reserving slack for later constrained merges;
     [slack_usage] (default {!slack_usage}) is the fraction of each
     group's remaining slack one merge may consume before snaking is
-    considered; [id] names the new subtree. *)
+    considered; [id] names the new subtree.  Allocates the merged
+    subtree and the result, and little else: the plan, the windows and
+    the merging region are computed in unboxed locals and per-domain
+    scratch. *)
 val run :
+  Clocktree.Instance.t ->
+  ?slack_usage:float ->
+  split_slack:float ->
+  width_cap:float ->
+  id:int ->
+  Subtree.t ->
+  Subtree.t ->
+  result
+
+(** [run_reference] is {!run}'s executable specification: the same
+    merge with every step as the octagon, interval and
+    {!Rc.Balance.plan} values it describes.  {!run} equals it bit for
+    bit in every field of the result; kept as the reference the tests
+    compare against. *)
+val run_reference :
   Clocktree.Instance.t ->
   ?slack_usage:float ->
   split_slack:float ->

@@ -388,8 +388,9 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
      argmin makes the winner independent of candidate evaluation order.
      The range shares one coster session, whose note carries whatever
      side results (e.g. trial merges) its cost function produced, and
-     one set of [skip]/[dist]/[price] closures over the probed id in
-     [self]: a probe allocates no closure and no result.  A k-NN answer
+     one pair of [dist]/[price] closures over the probed id in [self]; the
+     k-NN scan skips the probed id itself: a probe allocates no closure
+     and no result.  A k-NN answer
      comes back empty only when no other entry is eligible at all (the
      scan covers the whole window unless it has found [k] entries), so
      an empty answer needs no fallback scan. *)
@@ -397,7 +398,6 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
     let cost, finish = coster.session () in
     let buf = Domain.DLS.get knn_key in
     let self = ref (-1) in
-    let skip id = id = !self in
     let dist tid = Octslab.dist slab !self tid in
     let price tid d = cost ~dist:d (subtree !self) (subtree tid) in
     for k = lo to hi do
@@ -408,7 +408,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
         Obs.Trace.instant trace ~cat:"dme.order"
           ~args:[ ("subtree", Obs.Json.Int sid) ]
           "probe";
-      settle snap buf ~skip center.(sid) ~knn ~rad:(Float.Array.get rad sid)
+      settle snap buf ~skip:sid center.(sid) ~knn ~rad:(Float.Array.get rad sid)
         ~rmax ~dist ~price props sid
     done;
     finish ()

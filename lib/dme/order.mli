@@ -177,7 +177,8 @@ val cheapest :
 (** [settle snap buf ~skip q ~knn ~rad ~rmax ~dist ~price props id] is
     one probe's widening search: it writes to [props]' slots [id] the
     partner and cost that {!cheapest} finds over the [knn] entries of
-    [snap] nearest to [q] (ignoring ids satisfying [skip]) — [-1] at
+    [snap] nearest to [q] (ignoring the entry with id [skip], see
+    {!Geometry.Grid_index.query}) — [-1] at
     [infinity] when none is eligible — the number of
     {!Geometry.Grid_index.query} calls it ran into [buf] and the cells
     and entries those calls added to [buf]'s running totals.  It queries
@@ -197,7 +198,7 @@ val cheapest :
 val settle :
   Geometry.Grid_index.snapshot ->
   Geometry.Grid_index.knn ->
-  skip:(int -> bool) ->
+  skip:int ->
   Geometry.Pt.t ->
   knn:int ->
   rad:float ->

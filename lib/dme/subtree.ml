@@ -53,21 +53,24 @@ let shared_groups a b =
 let union_shifted ~wa (a : windows) ~wb (b : windows) =
   let ga = a.gid and gb = b.gid in
   let na = Array.length ga and nb = Array.length gb in
-  (* First pass sizes the result: the number of distinct groups. *)
-  let rec count i j n =
-    if i >= na then n + nb - j
-    else if j >= nb then n + na - i
-    else if ga.(i) < gb.(j) then count (i + 1) j (n + 1)
-    else if ga.(i) > gb.(j) then count i (j + 1) (n + 1)
-    else count (i + 1) (j + 1) (n + 1)
-  in
-  let n = count 0 0 0 in
+  (* First pass sizes the result: the number of distinct groups, the
+     total less the shared ones.  A loop, not a local recursive
+     function, which would allocate its closure. *)
+  let shared = ref 0 and i = ref 0 and j = ref 0 in
+  while !i < na && !j < nb do
+    let x = ga.(!i) and y = gb.(!j) in
+    if x <= y then incr i;
+    if y <= x then incr j;
+    if x = y then incr shared
+  done;
+  let n = na + nb - !shared in
   let gid = Array.make n 0 and lo = Float.Array.create n and hi = Float.Array.create n in
+  i := 0;
+  j := 0;
   (* Per group, [Interval.hull (Interval.shift wa ia) (Interval.shift wb
      ib)] where both sides have it and the lone side's shifted window
      otherwise, written out with those functions' float operations in
      their operand order, so the windows are bit-identical to them. *)
-  let i = ref 0 and j = ref 0 in
   for k = 0 to n - 1 do
     let take_a = !j >= nb || (!i < na && ga.(!i) <= gb.(!j)) in
     let take_b = !i >= na || (!j < nb && gb.(!j) <= ga.(!i)) in

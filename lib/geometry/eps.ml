@@ -9,5 +9,7 @@ let tol = 1e-6
 let equal a b = Float.abs (a -. b) <= tol
 let leq a b = a <= b +. tol
 
-(** [clamp lo hi x] restricts [x] to the closed interval [lo, hi]. *)
-let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
+(** [clamp lo hi x] restricts [x] to the closed interval [lo, hi].  The
+    [float] annotation makes the comparisons float compares: unannotated,
+    the body is polymorphic and every call runs [compare_val]. *)
+let clamp (lo : float) hi x = if x < lo then lo else if x > hi then hi else x

@@ -124,13 +124,11 @@ let pack s ~cell ids xs ys n =
   s.len <- n
 
 (* The k-NN kernel's caller-owned buffer: the best [klen] candidates seen
-   so far, kept sorted by ascending (distance, id) in four parallel
+   so far, kept sorted by ascending (distance, id) in two parallel
    arrays, and the running totals of the ring scans' work. *)
 type knn = {
   mutable kids : int array;
   mutable kdist : floatarray;
-  mutable kx : floatarray;
-  mutable ky : floatarray;
   mutable klen : int;
   mutable kth : float;
   mutable exhaustive : bool;
@@ -142,8 +140,6 @@ let knn_buffer () =
   {
     kids = [||];
     kdist = Float.Array.create 0;
-    kx = Float.Array.create 0;
-    ky = Float.Array.create 0;
     klen = 0;
     kth = Float.infinity;
     exhaustive = true;
@@ -154,64 +150,56 @@ let knn_buffer () =
 let knn_reserve b cap =
   if Array.length b.kids < cap then begin
     b.kids <- Array.make cap 0;
-    b.kdist <- Float.Array.create cap;
-    b.kx <- Float.Array.create cap;
-    b.ky <- Float.Array.create cap
+    b.kdist <- Float.Array.create cap
   end
 
-(* Offer packed entry [i] to a buffer holding at most [cap] candidates:
-   it goes in front of the first buffered candidate ranking after it by
-   (distance, id), and when the buffer is full it is kept iff it ranks
-   before the last one.  Ids are unique, so no two candidates compare
-   equal and the buffer is the [cap] smallest offers whatever order they
-   arrive in.  The scan visits cells roughly outward, so the insertion
-   point is usually at or near the end.  The L1 distance is written out
-   here, next to its use: a [Pt.dist] call is not inlined in -opaque
-   (dev-profile) builds and would box its result for every scanned
-   entry. *)
-let knn_offer b cap (q : Pt.t) s i =
-  let x = Float.Array.unsafe_get s.xs i and y = Float.Array.unsafe_get s.ys i in
-  let d = Float.abs (q.x -. x) +. Float.abs (q.y -. y) in
-  let id = Array.unsafe_get s.ids i in
+(* Offer every entry of the packed range [lo, hi) but [skip] to a buffer
+   holding at most [cap] candidates, and return how many entries the
+   range holds.  An offer goes in front of the first buffered candidate
+   ranking after it by (distance, id), and when the buffer is full it is
+   kept iff it ranks before the last one.  Ids are unique, so no two
+   candidates compare equal and the buffer is the [cap] smallest offers
+   whatever order they arrive in.  The scan visits cells roughly outward,
+   so most entries fail the first test — they rank after a full
+   buffer's last candidate — and that test runs before the [skip] one;
+   a kept entry's insertion point is usually at or near the end.  The
+   offer is written out in the loop, with no local function (a closure
+   per range) and no [Pt.dist] call (not inlined in -opaque dev-profile
+   builds, where it would box its result for every scanned entry). *)
+let scan_range s b cap (q : Pt.t) skip lo hi =
+  let sids = s.ids and xs = s.xs and ys = s.ys in
   let ids = b.kids and ds = b.kdist in
-  let len = b.klen in
-  (* "Candidate [k] ranks after the offer" is written out twice below
-     rather than as a local function, which would allocate a closure
-     per offer. *)
-  if
-    len < cap
-    || (let dk = Float.Array.get ds (len - 1) in
-        dk > d || (dk = d && ids.(len - 1) > id))
-  then begin
-    let xs = b.kx and ys = b.ky in
-    (* Shift every candidate ranking after the offer one slot right (the
-       last one falls off a full buffer), then write the offer into the
-       gap. *)
-    let j = ref (if len < cap then len else len - 1) in
-    while
-      !j > 0
-      && (let dk = Float.Array.get ds (!j - 1) in
-          dk > d || (dk = d && ids.(!j - 1) > id))
-    do
-      let k = !j in
-      ids.(k) <- ids.(k - 1);
-      Float.Array.set ds k (Float.Array.get ds (k - 1));
-      Float.Array.set xs k (Float.Array.get xs (k - 1));
-      Float.Array.set ys k (Float.Array.get ys (k - 1));
-      j := k - 1
-    done;
-    ids.(!j) <- id;
-    Float.Array.set ds !j d;
-    Float.Array.set xs !j x;
-    Float.Array.set ys !j y;
-    if len < cap then b.klen <- len + 1
-  end
-
-(* Offer every eligible entry of the packed range [lo, hi) and return
-   how many entries it holds. *)
-let scan_range s b cap q ~skip lo hi =
   for i = lo to hi - 1 do
-    if not (skip (Array.unsafe_get s.ids i)) then knn_offer b cap q s i
+    let d =
+      Float.abs (q.x -. Float.Array.unsafe_get xs i)
+      +. Float.abs (q.y -. Float.Array.unsafe_get ys i)
+    in
+    let id = Array.unsafe_get sids i in
+    let len = b.klen in
+    if
+      (len < cap
+      || (let dk = Float.Array.unsafe_get ds (len - 1) in
+          dk > d || (dk = d && Array.unsafe_get ids (len - 1) > id)))
+      && id <> skip
+    then begin
+      (* Shift every candidate ranking after the offer one slot right
+         (the last one falls off a full buffer), then write the offer
+         into the gap. *)
+      let j = ref (if len < cap then len else len - 1) in
+      while
+        !j > 0
+        && (let dk = Float.Array.unsafe_get ds (!j - 1) in
+            dk > d || (dk = d && Array.unsafe_get ids (!j - 1) > id))
+      do
+        let k = !j in
+        Array.unsafe_set ids k (Array.unsafe_get ids (k - 1));
+        Float.Array.unsafe_set ds k (Float.Array.unsafe_get ds (k - 1));
+        j := k - 1
+      done;
+      Array.unsafe_set ids !j id;
+      Float.Array.unsafe_set ds !j d;
+      if len < cap then b.klen <- len + 1
+    end
   done;
   hi - lo
 
@@ -219,8 +207,9 @@ let scan_range s b cap q ~skip lo hi =
    length [len], clamped to [-1, len]: a query outside the window is
    scanned from the cell just outside it, whose rings bound every
    entry's distance from below at least as well as the query's own
-   (every entry lies on the window's side of both). *)
-let query_key cell g0 len v =
+   (every entry lies on the window's side of both).  Inlined, so
+   neither float argument is boxed. *)
+let[@inline] query_key cell g0 len v =
   if not (Float.is_finite v) then
     invalid_arg "Grid_index: point coordinates must be finite";
   let f = Float.floor (v /. cell) -. float_of_int g0 in
@@ -260,7 +249,7 @@ let query s b ~skip (q : Pt.t) k =
       if r' = 0 then begin
         if cx >= 0 && cx < w && cy >= 0 && cy < h then begin
           let c = (cy * w) + cx in
-          entries := !entries + scan_range s b cap q ~skip start.(c) start.(c + 1)
+          entries := !entries + scan_range s b cap q skip start.(c) start.(c + 1)
         end
       end
       else begin
@@ -272,12 +261,12 @@ let query s b ~skip (q : Pt.t) k =
           if top >= 0 then
             entries :=
               !entries
-              + scan_range s b cap q ~skip start.((top * w) + lo)
+              + scan_range s b cap q skip start.((top * w) + lo)
                   start.((top * w) + hi + 1);
           if bot < h then
             entries :=
               !entries
-              + scan_range s b cap q ~skip start.((bot * w) + lo)
+              + scan_range s b cap q skip start.((bot * w) + lo)
                   start.((bot * w) + hi + 1)
         end;
         let ylo = Int.max (cy - r' + 1) 0 and yhi = Int.min (cy + r' - 1) (h - 1) in
@@ -285,12 +274,12 @@ let query s b ~skip (q : Pt.t) k =
         if left >= 0 then
           for gy = ylo to yhi do
             let c = (gy * w) + left in
-            entries := !entries + scan_range s b cap q ~skip start.(c) start.(c + 1)
+            entries := !entries + scan_range s b cap q skip start.(c) start.(c + 1)
           done;
         if right < w then
           for gy = ylo to yhi do
             let c = (gy * w) + right in
-            entries := !entries + scan_range s b cap q ~skip start.(c) start.(c + 1)
+            entries := !entries + scan_range s b cap q skip start.(c) start.(c + 1)
           done
       end;
       incr r
@@ -360,15 +349,39 @@ let packed t =
   end;
   t.packed
 
-(* The list API over the kernel: each call allocates its own buffer and
-   reads values back by id. *)
-let k_nearest_probe t ?(skip = fun _ -> false) q k =
-  let b = knn_buffer () in
-  query (packed t) b ~skip q k;
-  let entries = ref [] in
-  for i = b.klen - 1 downto 0 do
-    let id = b.kids.(i) in
-    let p = Pt.make (Float.Array.get b.kx i) (Float.Array.get b.ky i) in
-    entries := (id, p, snd (Hashtbl.find t.entries id)) :: !entries
-  done;
-  (!entries, if b.exhaustive then None else Some b.kth)
+(* The list API over the kernel.  The kernel skips at most one id, so a
+   predicate filters the canonical answer instead: query with no skip,
+   for one entry more than asked (the probing entry itself, the common
+   predicate, then costs no second query), and double the query until
+   it holds [k] eligible entries or is exhaustive.  A canonical answer's
+   prefix is the canonical answer for fewer entries, so its first [k]
+   eligible entries are the [k] first eligible ones of the whole set,
+   and every eligible entry left out lies at or beyond the [k]-th of
+   them: that entry's distance is the exclusion bound.  Each call
+   allocates its own buffer and reads points and values back by id. *)
+let k_nearest_probe t ?skip q k =
+  let eligible id = match skip with None -> true | Some f -> not (f id) in
+  let s = packed t and b = knn_buffer () in
+  let rec widen want =
+    query s b ~skip:(-1) q want;
+    let found = ref 0 in
+    for i = 0 to b.klen - 1 do
+      if eligible b.kids.(i) then incr found
+    done;
+    if !found < k && not b.exhaustive then widen (2 * want)
+  in
+  if k <= 0 then ([], None)
+  else begin
+    widen (if skip = None then k else k + 1);
+    let entries = ref [] and taken = ref 0 and bound = ref None in
+    for i = 0 to b.klen - 1 do
+      let id = b.kids.(i) in
+      if !taken < k && eligible id then begin
+        incr taken;
+        let p, v = Hashtbl.find t.entries id in
+        entries := (id, p, v) :: !entries;
+        if !taken = k then bound := Some (Float.Array.get b.kdist i)
+      end
+    done;
+    (List.rev !entries, !bound)
+  end

@@ -43,23 +43,21 @@ val pack : snapshot -> cell:float -> int array -> floatarray -> floatarray -> in
 
 (** {1 The k-NN kernel} *)
 
-(** A caller-owned k-NN answer buffer, reused across queries: [kids],
-    [kdist], [kx] and [ky] hold the answer's ids, L1 distances from the
-    query and points at indices [0 .. klen - 1], ascending by
-    (distance, id).  [exhaustive] reports that the answer holds every
-    eligible entry; otherwise [kth] is the query's {e exclusion bound}:
-    every eligible entry not in the answer lies at L1 distance >= [kth]
-    (the k-th answer's distance) from the query.  [kth] is [infinity]
-    when [exhaustive].  [cells_visited] and [entries] are running totals
-    of the ring-scan work of every query run into the buffer (cells
-    walked, entries offered or skipped); a caller reads a batch's work
-    as their difference across it.  A buffer must not be shared between
+(** A caller-owned k-NN answer buffer, reused across queries: [kids]
+    and [kdist] hold the answer's ids and L1 distances from the query at
+    indices [0 .. klen - 1], ascending by (distance, id).  [exhaustive]
+    reports that the answer holds every eligible entry; otherwise [kth]
+    is the query's {e exclusion bound}: every eligible entry not in the
+    answer lies at L1 distance >= [kth] (the k-th answer's distance)
+    from the query.  [kth] is [infinity] when [exhaustive].
+    [cells_visited] and [entries] are running totals of the ring-scan
+    work of every query run into the buffer (cells walked, entries
+    scanned, skipped or not); a caller reads a batch's work as their
+    difference across it.  A buffer must not be shared between
     domains. *)
 type knn = private {
   mutable kids : int array;
   mutable kdist : floatarray;
-  mutable kx : floatarray;
-  mutable ky : floatarray;
   mutable klen : int;
   mutable kth : float;
   mutable exhaustive : bool;
@@ -71,19 +69,20 @@ val knn_buffer : unit -> knn
 
 (** [query s buf ~skip q k] overwrites [buf]'s answer with the [k]
     entries of [s] that come first by (L1 distance to [q], id), ignoring
-    entries whose id satisfies [skip] (fewer when fewer are eligible),
-    and adds the query's work to [buf]'s running totals: the scan counts
-    [1 + 4 R (R - 1)] cells for the [R] rings it walks, and every entry
-    those cells hold.  Scanning an entry allocates nothing. *)
-val query : snapshot -> knn -> skip:(int -> bool) -> Pt.t -> int -> unit
+    the entry whose id is [skip] — the probing entry itself; pass [-1],
+    which no entry carries, to skip nothing — (fewer when fewer are
+    eligible), and adds the query's work to [buf]'s running totals: the
+    scan counts [1 + 4 R (R - 1)] cells for the [R] rings it walks, and
+    every entry those cells hold.  Scanning an entry allocates and calls
+    nothing. *)
+val query : snapshot -> knn -> skip:int -> Pt.t -> int -> unit
 
 (** {1 Builder}
 
     A mutable (id, point, value) set over a private snapshot, packed on
     the first query after a mutation.  Queries therefore mutate the
     builder: query one from a single domain at a time.  A query
-    allocates a fresh buffer and result; points come back rebuilt from
-    the packed coordinates. *)
+    allocates a fresh buffer and result. *)
 
 type 'a t
 
@@ -97,9 +96,12 @@ val create : cell:float -> 'a t
     on a non-finite [p], leaving [t] unchanged. *)
 val add : 'a t -> id:int -> Pt.t -> 'a -> unit
 
-(** [k_nearest_probe t ?skip p k] is {!query} over [t]'s entries as a
-    list of up to [k] eligible (id, point, value) entries, ordered by
-    increasing (L1 point distance, id), plus the exclusion bound:
-    [Some kth], or [None] when the answer is exhaustive. *)
+(** [k_nearest_probe t ?skip p k] is the list of up to [k] entries
+    (id, point, value) of [t] whose ids do not satisfy [skip], ordered
+    by increasing (L1 point distance, id), plus the exclusion bound:
+    [Some kth], the [k]-th entry's distance, when [k] entries are
+    eligible, or [None] when the answer holds every eligible entry.  It
+    filters {!query}'s canonical answer, widening the query until [k]
+    entries are eligible or none is left out. *)
 val k_nearest_probe :
   'a t -> ?skip:(int -> bool) -> Pt.t -> int -> (int * Pt.t * 'a) list * float option

@@ -404,13 +404,99 @@ let closest_pair a b =
    call allocates only its result.  Slices are taken in a fixed order —
    the critical t of xh, xl, yh, yl, sh, sl, dh, dl, then the uniform
    ones from 0 to r — and every float operation keeps the operands and
-   order of inflating, intersecting and hulling octagon values. *)
+   order of inflating, intersecting and hulling octagon values.  A
+   slice is a function of its clamped t alone, and hulling a slice in
+   again cannot move the hull ([fmin]/[fmax] are idempotent, bit for
+   bit), so a slice whose t equals an earlier one's is skipped: the
+   critical t of opposite sides often coincide, and for two points all
+   eight do. *)
 
 (* Uniform slices of {!sdr}, both ends included; with the 8 critical
    ones, 17 slices per SDR. *)
 let sdr_uniform = 9
 
+(* Per-domain scratch for {!sdr}: the clamped t of the slices taken so
+   far at [0 .. 16], and the hull's bounds at [hull_at ..]. *)
+let hull_at = 8 + sdr_uniform
+let sdr_key = Domain.DLS.new_key (fun () -> Float.Array.create (hull_at + 8))
+
 let[@inline] critical r ha hb = (hb -. ha +. r) /. 2.
+
+(* The hull of the slices of [ba] and [bb] at distance [r > 0], written
+   to [h.(hull_at ..)]; [false] when every slice is empty.  [s] is the
+   closure scratch.  Inlined, so [r] is not boxed; the running hull is
+   kept in unboxed locals, which measured faster than folding it into
+   [h] in a loop. *)
+let[@inline] sdr_slices s h ba bb r =
+  let xl = ref 0. and xh = ref 0. and yl = ref 0. and yh = ref 0. in
+  let sl = ref 0. and sh = ref 0. and dl = ref 0. and dh = ref 0. in
+  let hulled = ref false in
+  for k = 0 to 8 + sdr_uniform - 1 do
+    let t =
+      match k with
+      | 0 -> critical r ba.xh bb.xh
+      | 1 -> critical r (-.ba.xl) (-.bb.xl)
+      | 2 -> critical r ba.yh bb.yh
+      | 3 -> critical r (-.ba.yl) (-.bb.yl)
+      | 4 -> critical r ba.sh bb.sh
+      | 5 -> critical r (-.ba.sl) (-.bb.sl)
+      | 6 -> critical r ba.dh bb.dh
+      | 7 -> critical r (-.ba.dl) (-.bb.dl)
+      | i -> r *. float_of_int (i - 8) /. float_of_int (sdr_uniform - 1)
+    in
+    let t = if t < 0. then 0. else if t > r then r else t in
+    Float.Array.unsafe_set h k t;
+    let j = ref 0 in
+    while !j < k && Float.Array.unsafe_get h !j <> t do
+      incr j
+    done;
+    if !j = k then begin
+      let ta = fmax 0. t and tb = fmax 0. (r -. t) in
+      fill s
+        (fmax (ba.xl -. ta) (bb.xl -. tb))
+        (fmin (ba.xh +. ta) (bb.xh +. tb))
+        (fmax (ba.yl -. ta) (bb.yl -. tb))
+        (fmin (ba.yh +. ta) (bb.yh +. tb))
+        (fmax (ba.sl -. ta) (bb.sl -. tb))
+        (fmin (ba.sh +. ta) (bb.sh +. tb))
+        (fmax (ba.dl -. ta) (bb.dl -. tb))
+        (fmin (ba.dh +. ta) (bb.dh +. tb));
+      if close s then begin
+        if !hulled then begin
+          xl := fmin !xl (Float.Array.unsafe_get s 0);
+          xh := fmax !xh (Float.Array.unsafe_get s 1);
+          yl := fmin !yl (Float.Array.unsafe_get s 2);
+          yh := fmax !yh (Float.Array.unsafe_get s 3);
+          sl := fmin !sl (Float.Array.unsafe_get s 4);
+          sh := fmax !sh (Float.Array.unsafe_get s 5);
+          dl := fmin !dl (Float.Array.unsafe_get s 6);
+          dh := fmax !dh (Float.Array.unsafe_get s 7)
+        end
+        else begin
+          hulled := true;
+          xl := Float.Array.unsafe_get s 0;
+          xh := Float.Array.unsafe_get s 1;
+          yl := Float.Array.unsafe_get s 2;
+          yh := Float.Array.unsafe_get s 3;
+          sl := Float.Array.unsafe_get s 4;
+          sh := Float.Array.unsafe_get s 5;
+          dl := Float.Array.unsafe_get s 6;
+          dh := Float.Array.unsafe_get s 7
+        end
+      end
+    end
+  done;
+  if !hulled then begin
+    Float.Array.unsafe_set h hull_at !xl;
+    Float.Array.unsafe_set h (hull_at + 1) !xh;
+    Float.Array.unsafe_set h (hull_at + 2) !yl;
+    Float.Array.unsafe_set h (hull_at + 3) !yh;
+    Float.Array.unsafe_set h (hull_at + 4) !sl;
+    Float.Array.unsafe_set h (hull_at + 5) !sh;
+    Float.Array.unsafe_set h (hull_at + 6) !dl;
+    Float.Array.unsafe_set h (hull_at + 7) !dh
+  end;
+  !hulled
 
 let sdr a b =
   let r = dist a b in
@@ -419,72 +505,71 @@ let sdr a b =
     match (a, b) with
     | Empty, _ | _, Empty -> Empty
     | O ba, O bb ->
-      let s = Domain.DLS.get scratch_key in
-      let xl = ref 0. and xh = ref 0. and yl = ref 0. and yh = ref 0. in
-      let sl = ref 0. and sh = ref 0. and dl = ref 0. and dh = ref 0. in
-      let hulled = ref false in
-      for k = 0 to 8 + sdr_uniform - 1 do
-        let t =
-          match k with
-          | 0 -> critical r ba.xh bb.xh
-          | 1 -> critical r (-.ba.xl) (-.bb.xl)
-          | 2 -> critical r ba.yh bb.yh
-          | 3 -> critical r (-.ba.yl) (-.bb.yl)
-          | 4 -> critical r ba.sh bb.sh
-          | 5 -> critical r (-.ba.sl) (-.bb.sl)
-          | 6 -> critical r ba.dh bb.dh
-          | 7 -> critical r (-.ba.dl) (-.bb.dl)
-          | i ->
-            r *. float_of_int (i - 8) /. float_of_int (sdr_uniform - 1)
-        in
-        let t = if t < 0. then 0. else if t > r then r else t in
-        let ta = fmax 0. t and tb = fmax 0. (r -. t) in
-        fill s
-          (fmax (ba.xl -. ta) (bb.xl -. tb))
-          (fmin (ba.xh +. ta) (bb.xh +. tb))
-          (fmax (ba.yl -. ta) (bb.yl -. tb))
-          (fmin (ba.yh +. ta) (bb.yh +. tb))
-          (fmax (ba.sl -. ta) (bb.sl -. tb))
-          (fmin (ba.sh +. ta) (bb.sh +. tb))
-          (fmax (ba.dl -. ta) (bb.dl -. tb))
-          (fmin (ba.dh +. ta) (bb.dh +. tb));
-        if close s then begin
-          if !hulled then begin
-            xl := fmin !xl (Float.Array.unsafe_get s 0);
-            xh := fmax !xh (Float.Array.unsafe_get s 1);
-            yl := fmin !yl (Float.Array.unsafe_get s 2);
-            yh := fmax !yh (Float.Array.unsafe_get s 3);
-            sl := fmin !sl (Float.Array.unsafe_get s 4);
-            sh := fmax !sh (Float.Array.unsafe_get s 5);
-            dl := fmin !dl (Float.Array.unsafe_get s 6);
-            dh := fmax !dh (Float.Array.unsafe_get s 7)
-          end
-          else begin
-            hulled := true;
-            xl := Float.Array.unsafe_get s 0;
-            xh := Float.Array.unsafe_get s 1;
-            yl := Float.Array.unsafe_get s 2;
-            yh := Float.Array.unsafe_get s 3;
-            sl := Float.Array.unsafe_get s 4;
-            sh := Float.Array.unsafe_get s 5;
-            dl := Float.Array.unsafe_get s 6;
-            dh := Float.Array.unsafe_get s 7
-          end
-        end
-      done;
-      if !hulled then
+      let h = Domain.DLS.get sdr_key in
+      if sdr_slices (Domain.DLS.get scratch_key) h ba bb r then
         O
           {
-            xl = !xl;
-            xh = !xh;
-            yl = !yl;
-            yh = !yh;
-            sl = !sl;
-            sh = !sh;
-            dl = !dl;
-            dh = !dh;
+            xl = Float.Array.unsafe_get h hull_at;
+            xh = Float.Array.unsafe_get h (hull_at + 1);
+            yl = Float.Array.unsafe_get h (hull_at + 2);
+            yh = Float.Array.unsafe_get h (hull_at + 3);
+            sl = Float.Array.unsafe_get h (hull_at + 4);
+            sh = Float.Array.unsafe_get h (hull_at + 5);
+            dl = Float.Array.unsafe_get h (hull_at + 6);
+            dh = Float.Array.unsafe_get h (hull_at + 7);
           }
       else Empty
+
+(* [inter (inflate ra a) (inflate rb b)]'s raw bounds, with the same
+   float operations. *)
+let[@inline] fill_within s ra a rb b =
+  let ra = fmax 0. ra and rb = fmax 0. rb in
+  fill s
+    (fmax (a.xl -. ra) (b.xl -. rb))
+    (fmin (a.xh +. ra) (b.xh +. rb))
+    (fmax (a.yl -. ra) (b.yl -. rb))
+    (fmin (a.yh +. ra) (b.yh +. rb))
+    (fmax (a.sl -. ra) (b.sl -. rb))
+    (fmin (a.sh +. ra) (b.sh +. rb))
+    (fmax (a.dl -. ra) (b.dl -. rb))
+    (fmin (a.dh +. ra) (b.dh +. rb))
+
+(* Bound [i] of [inter] of the hull in [h] and the closed bounds in
+   [s], in that operand order. *)
+let[@inline] meet_lo h s i =
+  fmax (Float.Array.unsafe_get h (hull_at + i)) (Float.Array.unsafe_get s i)
+
+let[@inline] meet_hi h s i =
+  fmin (Float.Array.unsafe_get h (hull_at + i)) (Float.Array.unsafe_get s i)
+
+let within ~ra a ~rb b =
+  match (a, b) with
+  | Empty, _ | _, Empty -> Empty
+  | O ba, O bb ->
+    let s = Domain.DLS.get scratch_key in
+    fill_within s ra ba rb bb;
+    closed s
+
+let sdr_within a b ~ra ~rb =
+  let r = dist a b in
+  if r <= Eps.tol then inter (inter a b) (within ~ra a ~rb b)
+  else
+    match (a, b) with
+    | Empty, _ | _, Empty -> Empty
+    | O ba, O bb ->
+      let s = Domain.DLS.get scratch_key and h = Domain.DLS.get sdr_key in
+      if not (sdr_slices s h ba bb r) then Empty
+      else begin
+        fill_within s ra ba rb bb;
+        if not (close s) then Empty
+        else begin
+          (* [inter] of the hull and the closed inflations, in that
+             operand order. *)
+          fill s (meet_lo h s 0) (meet_hi h s 1) (meet_lo h s 2) (meet_hi h s 3)
+            (meet_lo h s 4) (meet_hi h s 5) (meet_lo h s 6) (meet_hi h s 7);
+          closed s
+        end
+      end
 
 let is_point = function
   | Empty -> false

@@ -102,9 +102,21 @@ val closest_pair : t -> t -> Pt.t * Pt.t
     [{ p : dist_pt a p + dist_pt b p = dist a b }].  Computed as the hull
     of 17 exact slices [(a ⊕ t) ∩ (b ⊕ (D-t))] — the 8 critical [t] at
     which a support of the slice peaks, and 9 uniform ones from 0 to
-    [D] — an inner approximation that is exact for generic inputs.
-    Allocates only its result. *)
+    [D] — an inner approximation that is exact for generic inputs.  A
+    slice at the same [t] as an earlier one is taken once.  Allocates
+    only its result. *)
 val sdr : t -> t -> t
+
+(** [within ~ra a ~rb b] is [inter (inflate ra a) (inflate rb b)], bit
+    for bit — the points within L1 distance [ra] of [a] and [rb] of [b]
+    — allocating only its result. *)
+val within : ra:float -> t -> rb:float -> t -> t
+
+(** [sdr_within a b ~ra ~rb] is [inter (sdr a b) (within ~ra a ~rb b)],
+    bit for bit: the shortest-distance region's points within [ra] of
+    [a] and [rb] of [b].  When [a] and [b] lie more than the tolerance
+    apart it allocates only its result. *)
+val sdr_within : t -> t -> ra:float -> rb:float -> t
 
 (** Is the region a single point (within tolerance)? *)
 val is_point : t -> bool

@@ -34,9 +34,8 @@ let diff a b =
     major_collections = a.major_collections - b.major_collections;
   }
 
-(* The process-lifetime major-heap high-water mark.  Not part of [t]:
-   a running maximum has no meaningful differential, so callers record
-   the absolute value per phase instead of diffing it. *)
+(* Not part of [t]: callers record the absolute value per phase
+   instead of diffing it (see the interface on what it measures). *)
 let top_heap_words () = (Gc.quick_stat ()).Gc.top_heap_words
 
 let json t =

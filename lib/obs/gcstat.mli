@@ -27,10 +27,11 @@ val sample : unit -> t
     sample [b] (earlier) and sample [a] (later). *)
 val diff : t -> t -> t
 
-(** [Gc.quick_stat]'s [top_heap_words]: the largest major-heap size the
-    process has reached, in words.  A high-water mark, not a counter —
-    it never decreases, so it is reported absolutely (per benchmark
-    point) rather than differentially. *)
+(** [Gc.quick_stat]'s [top_heap_words], in words, reported absolutely
+    (per benchmark point) rather than differentially.  Under OCaml 5 it
+    is not a process high-water mark: it can read lower after a later
+    route than after an earlier one, so it is the domains' heap
+    statistics at the sample, not a peak. *)
 val top_heap_words : unit -> int
 
 val json : t -> Json.t

@@ -461,7 +461,7 @@ let settle_vs_full ?(cell = 1.) regions extra ~knn =
     (Float.Array.map_from_array (fun (c : Pt.t) -> c.x) centers)
     (Float.Array.map_from_array (fun (c : Pt.t) -> c.y) centers)
     n;
-  let skip id = id = 0 in
+  let skip = 0 in
   let dist id = Octagon.dist regions.(0) regions.(id) in
   let probe f =
     let priced = ref [] in
@@ -1062,6 +1062,116 @@ let prop_committed_feasible_matches_run =
             subtrees)
         [ 0.; 0.3; 1. ])
 
+(* [Merge.run] against [Merge.run_reference], bit for bit in every field
+   of the result: kind, feasibility, planned wire, snake, and the merged
+   subtree's id, sink count, capacitance, region bounds, delay windows,
+   children and wire lengths. *)
+let bits = Int64.bits_of_float
+
+let same_merge (r : Dme.Merge.result) (q : Dme.Merge.result) =
+  let same_floats a b =
+    Float.Array.length a = Float.Array.length b
+    && List.for_all
+         (fun i -> bits (Float.Array.get a i) = bits (Float.Array.get b i))
+         (List.init (Float.Array.length a) Fun.id)
+  in
+  let same_region a b =
+    match (Octagon.bounds a, Octagon.bounds b) with
+    | None, None -> true
+    | Some a, Some b ->
+      List.for_all2
+        (fun x y -> bits x = bits y)
+        [ a.xl; a.xh; a.yl; a.yh; a.sl; a.sh; a.dl; a.dh ]
+        [ b.xl; b.xh; b.yl; b.yh; b.sl; b.sh; b.dl; b.dh ]
+    | _ -> false
+  in
+  let t = r.subtree and u = q.subtree in
+  r.kind = q.kind && r.feasible = q.feasible
+  && bits r.planned_wire = bits q.planned_wire
+  && bits r.snake = bits q.snake && t.id = u.id && t.n_sinks = u.n_sinks
+  && bits t.cap = bits u.cap && same_region t.region u.region
+  && t.delay.gid = u.delay.gid
+  && same_floats t.delay.lo u.delay.lo
+  && same_floats t.delay.hi u.delay.hi
+  &&
+  match (t.build, u.build) with
+  | Merge m, Merge n ->
+    m.left == n.left && m.right == n.right
+    && (match (m.lengths, n.lengths) with
+        | Committed c, Committed d -> bits c.ea = bits d.ea && bits c.eb = bits d.eb
+        | Split c, Split d ->
+          bits c.total = bits d.total
+          && bits c.split_lo = bits d.split_lo
+          && bits c.split_hi = bits d.split_hi
+        | _ -> false)
+  | _ -> false
+
+let merge_matches_reference inst a b =
+  List.for_all
+    (fun slack_usage ->
+      same_merge
+        (Dme.Merge.run inst ~slack_usage ~split_slack:0.25 ~width_cap:0.7 ~id:77 a b)
+        (Dme.Merge.run_reference inst ~slack_usage ~split_slack:0.25 ~width_cap:0.7
+           ~id:77 a b))
+    [ 0.; 0.3; 1. ]
+
+(* Every ordered pair of a case's subtrees, every regime, a subtree
+   paired with itself (zero distance, every group shared) included. *)
+let prop_merge_matches_reference =
+  QCheck.Test.make ~name:"Merge.run = run_reference, bit for bit" ~count:60 gen_case
+    (fun case ->
+      let inst, _, subtrees = case_subtrees case in
+      List.for_all
+        (fun a -> List.for_all (fun b -> merge_matches_reference inst a b) subtrees)
+        subtrees)
+
+(* Pairs no routed case is sure to hold: subtrees sharing two to four
+   groups whose windows sit at random offsets under a zero or small
+   bound — so plans are often infeasible or snake — placed on a small
+   lattice, so coincident (zero-distance) pairs are common. *)
+let prop_merge_matches_reference_shared_multi =
+  let window =
+    QCheck.Gen.(
+      let* lo = oneofl [ 0.; 5.; 40.; 200. ] and* w = oneofl [ 0.; 1.; 10. ] in
+      return (lo, lo +. w))
+  in
+  let subtree =
+    QCheck.Gen.(
+      let* x = 0 -- 2 and* y = 0 -- 2 and* cap = oneofl [ 0.; 20.; 300. ] in
+      let* groups = 2 -- 4 in
+      let* ws = list_repeat groups window in
+      return (float_of_int (x * 50), float_of_int (y * 50), cap, ws))
+  in
+  QCheck.Test.make ~name:"Merge.run = run_reference on shared-multi pairs" ~count:500
+    (QCheck.make
+       ~print:(fun ((bound, _), _, _) -> Printf.sprintf "bound %g" bound)
+       QCheck.Gen.(
+         triple (pair (oneofl [ 0.; 1.; 30. ]) bool) subtree subtree))
+    (fun ((bound, per_group), sa, sb) ->
+      let group_bounds = if per_group then Some [| bound; 0.; 2. *. bound; 5. |] else None in
+      let inst =
+        Instance.make ~bound ?group_bounds ~source:(pt 0. 0.) ~n_groups:4
+          [| sink 0 0. 0. 0; sink 1 50. 50. 1; sink 2 100. 0. 2; sink 3 0. 100. 3 |]
+      in
+      let make id (x, y, cap, ws) =
+        let ws = Array.of_list ws in
+        Dme.Subtree.
+          {
+            id;
+            region = Octagon.of_point (pt x y);
+            cap;
+            delay =
+              {
+                gid = Array.init (Array.length ws) Fun.id;
+                lo = Float.Array.map_from_array fst ws;
+                hi = Float.Array.map_from_array snd ws;
+              };
+            n_sinks = 1;
+            build = Leaf inst.sinks.(id);
+          }
+      in
+      merge_matches_reference inst (make 0 sa) (make 1 sb))
+
 (* The Order.coster contract the probe's prune rests on: the engine's
    distance and planned-wire costs are never below the region distance
    the ranking loop hands them ([Octslab.dist]). *)
@@ -1140,7 +1250,12 @@ let () =
           Alcotest.test_case "shared one" `Quick test_merge_shared_one;
           Alcotest.test_case "shared multi" `Quick test_merge_shared_multi;
         ]
-        @ qsuite [ prop_committed_feasible_matches_run ] );
+        @ qsuite
+            [
+              prop_committed_feasible_matches_run;
+              prop_merge_matches_reference;
+              prop_merge_matches_reference_shared_multi;
+            ] );
       ( "order",
         [
           Alcotest.test_case "reduces to one" `Quick test_order_reduces_to_one;

@@ -538,6 +538,70 @@ let prop_sdr_bit_exact =
         same_bits (Octagon.bounds (Octagon.sdr a b)) (Ref_octagon.sdr ba bb)
       | _ -> QCheck.assume_fail ())
 
+(* Pairs whose slices repeat a t: identical octagons, translated copies
+   (every critical t equal), touching ones (b shifted along an axis or
+   a diagonal by exactly a's extent, distance 0 through a shared
+   boundary) and two points.  [sdr] takes each distinct t once; the
+   17-slice fold must still agree bit for bit. *)
+let prop_sdr_dedup_bit_exact =
+  let gen =
+    QCheck.Gen.(
+      let* a = gen_kernel_oct in
+      let* p = lattice_pt and* q = lattice_pt in
+      let* shape = int_range 0 3 in
+      let b =
+        match (shape, Octagon.bounds a) with
+        | 0, _ -> a
+        | 1, _ -> Octagon.translate p a
+        | 2, Some ba ->
+          let w = ba.xh -. ba.xl and h = ba.yh -. ba.yl in
+          let v = if Float.is_finite (w +. h) then pt w (if q.x > 0. then h else 0.) else p in
+          Octagon.translate v a
+        | _ -> Octagon.of_point q
+      in
+      let a = if shape = 3 then Octagon.of_point p else a in
+      return (a, b))
+  in
+  QCheck.Test.make ~name:"deduplicated sdr = 17-slice hull, bit for bit" ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) -> Format.asprintf "%a / %a" Octagon.pp a Octagon.pp b)
+       gen)
+    (fun (a, b) ->
+      match (Octagon.bounds a, Octagon.bounds b) with
+      | Some ba, Some bb ->
+        same_bits (Octagon.bounds (Octagon.sdr a b)) (Ref_octagon.sdr ba bb)
+      | _ -> QCheck.assume_fail ())
+
+(* The merge kernels' fused region operations against the octagon
+   values they replace: [within] is inflate/inflate/inter and
+   [sdr_within] the SDR intersected with that, bit for bit, with
+   radii that are zero, negative (clamped to zero) or either side's
+   distance. *)
+let prop_within_bit_exact =
+  let radius = QCheck.Gen.(oneof [ oneofl [ 0.; -0.; -1. ]; lattice >|= Float.abs ]) in
+  QCheck.Test.make ~name:"within/sdr_within = inflate, inter and sdr, bit for bit"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun ((a, b), (ra, rb)) ->
+         Format.asprintf "%a / %a, ra=%g rb=%g" Octagon.pp a Octagon.pp b ra rb)
+       QCheck.Gen.(pair (pair gen_kernel_oct gen_kernel_oct) (pair radius radius)))
+    (fun ((a, b), (ra, rb)) ->
+      let inflated = Octagon.inter (Octagon.inflate ra a) (Octagon.inflate rb b) in
+      same_bits (Octagon.bounds (Octagon.within ~ra a ~rb b)) (Octagon.bounds inflated)
+      &&
+      match (Octagon.is_empty a, Octagon.is_empty b) with
+      | false, false ->
+        let d = Octagon.dist a b in
+        List.for_all
+          (fun (ra, rb) ->
+            same_bits
+              (Octagon.bounds (Octagon.sdr_within a b ~ra ~rb))
+              (Octagon.bounds
+                 (Octagon.inter (Octagon.sdr a b)
+                    (Octagon.inter (Octagon.inflate ra a) (Octagon.inflate rb b)))))
+          [ (ra, rb); (d, 0.); (d /. 2., d /. 2.); (ra, d -. ra) ]
+      | _ -> true)
+
 let prop_diameter =
   QCheck.Test.make ~name:"diameter bounds generating point spread" ~count:300
     arb_oct_with_pts (fun (o, pts) ->
@@ -915,51 +979,55 @@ let prop_grid_answer_independent_of_cell =
    shuffled ids into one snapshot reused across every case (so storage
    left over from a larger pack must not leak into a smaller one) and
    queried for every k from 1 to n + 1 at two cell sizes, from a query
-   inside or outside the points' box.  Ids, their order, distances,
-   points, [kth] and [exhaustive] must be exactly the brute-force k
-   smallest by (L1 distance, id). *)
+   inside or outside the points' box, skipping one packed id or none.
+   Ids, their order, distances, [kth] and [exhaustive] must be exactly
+   the brute-force k smallest by (L1 distance, id). *)
 let shared_snapshot = Grid_index.snapshot ()
 
+(* Points of the k-NN properties: half on a unit lattice, some repeated
+   outright, under sparse shuffled ids, and a query point inside or far
+   outside their box. *)
+let knn_case_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 40 in
+    let lattice =
+      map2
+        (fun x y -> pt (float_of_int x) (float_of_int y))
+        (int_range (-6) 6) (int_range (-6) 6)
+    in
+    let loose = map2 pt (float_range (-6.) 6.) (float_range (-6.) 6.) in
+    let* pts = list_repeat n (oneof [ lattice; loose ]) in
+    (* Duplicate some points: the i-th may copy an earlier one. *)
+    let* dups = list_repeat n (int_range 0 3) in
+    let pts = Array.of_list pts in
+    List.iteri (fun i d -> if i > 0 && d = 0 then pts.(i) <- pts.(i / 2)) dups;
+    let* ids = shuffle_l (List.init n (fun i -> (7 * i) + 3)) in
+    let far = map2 pt (float_range (-60.) 60.) (float_range (-60.) 60.) in
+    let* q = oneof [ lattice; loose; far ] in
+    let* cell = oneofl [ 0.5; 1.; 2.5 ] in
+    let* salt = int_range 0 1000 in
+    return (pts, Array.of_list ids, q, cell, salt))
+
+let knn_case_print (pts, _, q, cell, salt) =
+  Format.asprintf "%d pts, query %a, cell=%g salt=%d" (Array.length pts) Pt.pp q
+    cell salt
+
+(* The eligible entries ranked by (L1 distance, id). *)
+let brute_knn pts ids q eligible =
+  List.init (Array.length pts) (fun i -> (Pt.dist q pts.(i), ids.(i), pts.(i)))
+  |> List.filter (fun (_, id, _) -> eligible id)
+  |> List.sort (fun (d1, i1, _) (d2, i2, _) ->
+         match Float.compare d1 d2 with 0 -> Int.compare i1 i2 | c -> c)
+  |> Array.of_list
+
 let prop_packed_knn_matches_brute_force =
-  let gen =
-    QCheck.Gen.(
-      let* n = int_range 1 40 in
-      let lattice =
-        map2
-          (fun x y -> pt (float_of_int x) (float_of_int y))
-          (int_range (-6) 6) (int_range (-6) 6)
-      in
-      let loose = map2 pt (float_range (-6.) 6.) (float_range (-6.) 6.) in
-      let* pts = list_repeat n (oneof [ lattice; loose ]) in
-      (* Duplicate some points: the i-th may copy an earlier one. *)
-      let* dups = list_repeat n (int_range 0 3) in
-      let pts = Array.of_list pts in
-      List.iteri (fun i d -> if i > 0 && d = 0 then pts.(i) <- pts.(i / 2)) dups;
-      let* ids = shuffle_l (List.init n (fun i -> (7 * i) + 3)) in
-      let far = map2 pt (float_range (-60.) 60.) (float_range (-60.) 60.) in
-      let* q = oneof [ lattice; loose; far ] in
-      let* cell = oneofl [ 0.5; 1.; 2.5 ] in
-      let* with_skip = bool in
-      return (pts, Array.of_list ids, q, cell, with_skip))
-  in
-  let arb =
-    QCheck.make
-      ~print:(fun (pts, _, q, cell, skip) ->
-        Format.asprintf "%d pts, query %a, cell=%g skip=%b" (Array.length pts)
-          Pt.pp q cell skip)
-      gen
-  in
-  QCheck.Test.make ~name:"packed k-NN matches brute force" ~count:300 arb
-    (fun (pts, ids, q, cell, with_skip) ->
+  QCheck.Test.make ~name:"packed k-NN matches brute force" ~count:300
+    (QCheck.make ~print:knn_case_print knn_case_gen)
+    (fun (pts, ids, q, cell, salt) ->
       let n = Array.length pts in
-      let skip id = with_skip && id mod 3 = 0 in
-      let ranked =
-        List.init n (fun i -> (Pt.dist q pts.(i), ids.(i), pts.(i)))
-        |> List.filter (fun (_, id, _) -> not (skip id))
-        |> List.sort (fun (d1, i1, _) (d2, i2, _) ->
-               match Float.compare d1 d2 with 0 -> Int.compare i1 i2 | c -> c)
-        |> Array.of_list
-      in
+      (* Skip one packed id on odd salts, nothing on even ones. *)
+      let skip = if salt mod 2 = 1 then ids.(salt / 2 mod n) else -1 in
+      let ranked = brute_knn pts ids q (fun id -> id <> skip) in
       let xs = Float.Array.map_from_array (fun (p : Pt.t) -> p.x) pts in
       let ys = Float.Array.map_from_array (fun (p : Pt.t) -> p.y) pts in
       let buf = Grid_index.knn_buffer () in
@@ -973,11 +1041,8 @@ let prop_packed_knn_matches_brute_force =
               buf.klen = m
               && List.for_all
                    (fun i ->
-                     let d, id, (p : Pt.t) = ranked.(i) in
-                     buf.kids.(i) = id
-                     && Float.Array.get buf.kdist i = d
-                     && Float.Array.get buf.kx i = p.x
-                     && Float.Array.get buf.ky i = p.y)
+                     let d, id, _ = ranked.(i) in
+                     buf.kids.(i) = id && Float.Array.get buf.kdist i = d)
                    (List.init m Fun.id)
               &&
               if Array.length ranked < k then buf.exhaustive && buf.kth = Float.infinity
@@ -986,6 +1051,36 @@ let prop_packed_knn_matches_brute_force =
                 && buf.kth = (let d, _, _ = ranked.(k - 1) in d))
             (List.init (n + 1) (fun k -> k + 1)))
         [ cell; 8. *. cell ])
+
+(* The list API against brute force under a predicate that skips many
+   ids at once (every id in a salted residue class, the query's own
+   nearest entries included), which the kernel's single skip id cannot
+   express: entries, points and values, their order, and the exclusion
+   bound — the k-th eligible distance, or [None] when fewer than [k]
+   entries are eligible — for every k from 1 to n + 1. *)
+let prop_list_knn_matches_brute_force =
+  QCheck.Test.make ~name:"k_nearest_probe with a multi-id skip matches brute force"
+    ~count:300
+    (QCheck.make ~print:knn_case_print knn_case_gen)
+    (fun (pts, ids, q, cell, salt) ->
+      let n = Array.length pts in
+      let modulus = 2 + (salt mod 3) and residue = salt mod 2 in
+      let skip id = id mod modulus = residue in
+      let ranked = brute_knn pts ids q (fun id -> not (skip id)) in
+      let g = Grid_index.create ~cell in
+      Array.iteri (fun i p -> Grid_index.add g ~id:ids.(i) p (-ids.(i))) pts;
+      List.for_all
+        (fun k ->
+          let got, bound = Grid_index.k_nearest_probe g ~skip q k in
+          let m = Int.min k (Array.length ranked) in
+          got
+          = List.init m (fun i ->
+                let _, id, p = ranked.(i) in
+                (id, p, -id))
+          &&
+          if Array.length ranked < k then bound = None
+          else bound = Some (let d, _, _ = ranked.(k - 1) in d))
+        (List.init (n + 1) (fun k -> k + 1)))
 
 let test_pack_preconditions () =
   let s = Grid_index.snapshot () in
@@ -1010,12 +1105,12 @@ let test_pack_preconditions () =
      against a non-empty one raises. *)
   let buf = Grid_index.knn_buffer () in
   Grid_index.pack s ~cell:1. [||] (Float.Array.create 0) (Float.Array.create 0) 0;
-  Grid_index.query s buf ~skip:(fun _ -> false) (pt 0. 0.) 3;
+  Grid_index.query s buf ~skip:(-1) (pt 0. 0.) 3;
   Alcotest.(check (pair int bool)) "empty pack" (0, true) (buf.klen, buf.exhaustive);
   Grid_index.pack s ~cell:1. ids (Float.Array.make 2 0.) (Float.Array.make 2 0.) 2;
   Alcotest.check_raises "query at nan"
     (Invalid_argument "Grid_index: point coordinates must be finite")
-    (fun () -> Grid_index.query s buf ~skip:(fun _ -> false) (pt Float.nan 0.) 1)
+    (fun () -> Grid_index.query s buf ~skip:(-1) (pt Float.nan 0.) 1)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -1066,7 +1161,13 @@ let () =
           ] );
       ( "octagon-kernel",
         qsuite
-          [ prop_of_bounds_bit_exact; prop_inter_bit_exact; prop_sdr_bit_exact ]
+          [
+            prop_of_bounds_bit_exact;
+            prop_inter_bit_exact;
+            prop_sdr_bit_exact;
+            prop_sdr_dedup_bit_exact;
+            prop_within_bit_exact;
+          ]
       );
       ( "octslab",
         Alcotest.test_case "signed zeros" `Quick test_octslab_signed_zero
@@ -1088,5 +1189,6 @@ let () =
              [
                prop_grid_answer_independent_of_cell;
                prop_packed_knn_matches_brute_force;
+               prop_list_knn_matches_brute_force;
              ] );
     ]
