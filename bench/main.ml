@@ -16,7 +16,7 @@
    (default r3) and fails unless the probes ran between 1 and 1.25 grid
    k-NN queries each, visited at most 18 grid cells each (and at least
    one per query), priced at most 2 candidates each and allocated at
-   most 160 minor words each,
+   most 100 minor words each,
    and that Octagon.sdr allocates at most 32 minor words a call, a
    Grid_index.query at most 2.5 and a committed Merge.run at most 84; then
    it gates the clustered router on a second circuit (default r5:
@@ -26,8 +26,9 @@
    "scale" routes synthetic 10^4-10^6-sink instances through the
    (multi-level) clustered router, checks the clusters=1-vs-flat
    identity and a forced depth-2 leg, and writes the BENCH_scale.json
-   curve with per-point peak heap; each point routes with the live
-   progress heartbeat on stderr (--smoke keeps the CI-sized pieces).
+   curve with per-point heap sample and peak resident set; each point
+   routes with the live progress heartbeat on stderr (--smoke keeps the
+   CI-sized pieces).
 
    "eff" sweeps jobs in {1,2,4} with the Obs.Sched flight recorder
    live, prints the serial-fraction / Amdahl table and, at jobs > 1,
@@ -177,8 +178,8 @@ let smoke_clustered name =
    of all sinks for its [knn] nearest others, as a leaf round does;
    minor words per [Merge.run] replaying every merge of the instance's
    plan; the words a merge must allocate — its result and the merged
-   subtree's own blocks, children excluded — per merge; and the number
-   of merges. *)
+   subtree's own blocks, the children's plans excluded — per merge; the
+   number of merges; and whether the replayed plan is the engine's. *)
 let kernel_allocation (inst : Clocktree.Instance.t) =
   let config = Dme.Engine.default in
   let sinks = inst.sinks in
@@ -200,24 +201,42 @@ let kernel_allocation (inst : Clocktree.Instance.t) =
     query i
   done;
   let knn_words = (Gc.minor_words () -. w0) /. float_of_int n in
-  let root, _ = Dme.Engine.plan ~config:{ config with jobs = 1 } inst in
-  let pairs = ref [] and stack = ref [ root ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | (t : Dme.Subtree.t) :: rest ->
-      stack := rest;
-      (match t.build with
-       | Leaf _ -> ()
-       | Merge { left; right; _ } ->
-         pairs := (left, right) :: !pairs;
-         stack := left :: right :: !stack)
-  done;
-  let pairs = Array.of_list !pairs in
-  let merge (a, b) =
+  (* A plan node keeps only its children's plans, so the merged pairs
+     are captured while planning: the ranking loop with the engine's
+     cost and a merger that records each committed (left, right) pair.
+     The recorded plan must be the engine's; [Engine.default] ranks
+     without the delay bias. *)
+  let pairs = ref [] in
+  let merge ~id a b =
     Dme.Merge.run inst ~split_slack:config.split_slack ~width_cap:config.width_cap
-      ~id:(-1) a b
+      ~id a b
   in
+  let root, _ =
+    Dme.Order.run_ranked inst
+      {
+        multi_merge = config.multi_merge;
+        knn = config.knn;
+        delay_order_weight = 0.;
+      }
+      ~coster:
+        {
+          session =
+            (fun () -> ((fun ~dist a b -> Dme.Engine.cost config inst ~dist a b), ignore));
+          absorb = ignore;
+        }
+      ~merger:
+        {
+          compute = (fun ~id a b -> (a, b, merge ~id a b));
+          install =
+            (fun (a, b, (r : Dme.Merge.result)) ->
+              pairs := (a, b) :: !pairs;
+              r.subtree);
+        }
+  in
+  let engine_root, _ = Dme.Engine.plan ~config:{ config with jobs = 1 } inst in
+  let same_plan = root.plan = engine_root.plan in
+  let pairs = Array.of_list !pairs in
+  let merge (a, b) = merge ~id:(-1) a b in
   let w0 = Gc.minor_words () in
   Array.iter (fun p -> ignore (Sys.opaque_identity (merge p))) pairs;
   let merges = float_of_int (Int.max 1 (Array.length pairs)) in
@@ -225,10 +244,11 @@ let kernel_allocation (inst : Clocktree.Instance.t) =
   let reachable x = float_of_int (Obj.reachable_words (Obj.repr x)) in
   let own_words =
     Array.fold_left
-      (fun acc ((a, b) as p) -> acc +. reachable (merge p) -. reachable a -. reachable b)
+      (fun acc ((a, b) as p) ->
+        acc +. reachable (merge p) -. reachable a.Dme.Subtree.plan -. reachable b.plan)
       0. pairs
   in
-  (knn_words, merge_words, own_words /. merges, Array.length pairs)
+  (knn_words, merge_words, own_words /. merges, Array.length pairs, same_plan)
 
 let smoke args =
   let name, clustered_name =
@@ -275,31 +295,36 @@ let smoke args =
     let queries_per_probe_budget = 1.25 in
     let cells_per_probe_budget = 18. in
     (* Allocation gates.  A ranking probe allocates a bounded number of
-       minor words: r3 reads about 73 per probe with the round's packed
+       minor words: r3 reads 77.3 per probe with the round's packed
        k-NN snapshot, per-chunk coster sessions and closures, proposals
-       written into id-indexed arrays, sorting in reused scratch and
-       merges that build only their result (131 while a merge built its
-       plan from octagon, interval and plan values).  That is the exact
+       written into id-indexed arrays, sorting in reused scratch,
+       merges that build only their result and a compact plan whose
+       embedding rebuilds each sink's point region (73.1 while the plan
+       kept whole subtrees, 131 while a merge built its plan from
+       octagon, interval and plan values).  That is the exact
        [Gc.minor_words] count; [Gc.quick_stat]'s lagging count, which
        the older readings used, read 118 for the 131, against 263
        before them, 630 before the unboxed octagon kernels and 7500
-       before the slab rewrite.  The gate stays at 160, 1.22 times the
-       131 reading; opening a coster session and its closures per probe
-       again read 174 (170 on the lagging count) and failed it.  [Octagon.sdr] allocates only its result (11
-       words), so 32 per call over r3's consecutive leaf-region pairs
+       before the slab rewrite.  The gate is 100, 1.29 times the
+       reading: opening a coster session and its closures per probe
+       again added about 43 words (131 to 174), which fails it.
+       [Octagon.sdr] allocates only its result (11 words), so 32 per
+       call over r3's consecutive leaf-region pairs
        catches a boxed slice or hull.  A [Grid_index.query] allocates
        only its boxed exclusion bound (2 words) when every sink of r3
        probes the snapshot of all of them, so 2.5 catches a boxed
        distance, argument or closure per query (the predicate-skip
        kernel read 6).  A committed [Merge.run] replaying r3's 861 plan
-       merges reads 67.3 words, against 59.7 words of the merged
-       subtree and result it must build; 84 is 1.25 times the reading,
+       merges, their pairs recorded while planning, reads 69.3 words,
+       against 61.7 words of the merged subtree (its plan node
+       included) and result it must build; 84 is 1.21 times the
+       reading,
        while the merge built from octagon, interval and plan values
        ([Merge.run_reference]) read 232 to 471 words per merge kind over
        r1-r5's plans.
        Allocation counts are deterministic per domain,
        so like the counts above these cannot flake on slow runners. *)
-    let words_per_probe_budget = 160. in
+    let words_per_probe_budget = 100. in
     let sdr_words_budget = 32. in
     let knn_words_budget = 2.5 in
     let merge_words_budget = 84. in
@@ -318,7 +343,7 @@ let smoke args =
       done;
       (Gc.minor_words () -. w0) /. float_of_int (Int.max 1 calls)
     in
-    let knn_words, merge_words, merge_own_words, merges =
+    let knn_words, merge_words, merge_own_words, merges, same_plan =
       kernel_allocation inst
     in
     (* Pricing gate.  A probe prices a candidate only while its region
@@ -375,6 +400,8 @@ let smoke args =
         (Printf.sprintf
            "allocation per k-NN query %.2f exceeds the %.1f minor-word budget"
            knn_words knn_words_budget);
+    if not same_plan then
+      fail "the merge replay's recorded plan is not the engine's";
     if merge_words > merge_words_budget then
       fail
         (Printf.sprintf
@@ -403,13 +430,25 @@ let scale_spec n =
       die = 2000. *. sqrt (float_of_int n);
     }
 
+(* The process's peak resident set in kB, [VmHWM] of /proc/self/status;
+   [None] where /proc is absent. *)
+let vmhwm_kb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+    List.find_map
+      (fun line -> Scanf.sscanf_opt line "VmHWM: %d kB" Fun.id)
+      (String.split_on_char '\n' status)
+
 (* One curve point: route clustered (auto region count and depth) with
    the live progress heartbeat on stderr, audit the stitched tree under
-   the global grouped contract.  The major-heap high-water mark is the
-   router's own end-of-run sample (result.top_heap_words): it is a
-   process-lifetime maximum, so points must run in ascending sink order
-   for per-point values to be attributable (scale's ns list is
-   ascending). *)
+   the global grouped contract.  [heap] is the router's end-of-run heap
+   sample (result.top_heap_words): under OCaml 5 the domains' heap
+   statistics at that sample, not a high-water mark, so it can read
+   below the route's peak.  [vmhwm] is the process's peak resident set,
+   a true high-water mark but over the process's lifetime, so points
+   must run in ascending sink order for per-point values to be
+   attributable (scale's ns list is ascending). *)
 let scale_point n =
   let spec = scale_spec n in
   let inst = bench_instance spec in
@@ -418,11 +457,12 @@ let scale_point n =
   let r = ast ~clustering:(clustered ()) ~run inst in
   let wall = Obs.Timer.now () -. t0 in
   let heap = r.Astskew.Router.top_heap_words in
+  let vmhwm = vmhwm_kb () in
   let audit = Check.Audit.run Check.Audit.Grouped inst r.routed r.evaluation in
-  (spec, r, wall, heap, audit)
+  (spec, r, wall, heap, vmhwm, audit)
 
 let scale_point_json (spec : Workload.Circuits.spec)
-    (r : Astskew.Router.result) wall heap audit =
+    (r : Astskew.Router.result) wall heap vmhwm audit =
   let open Obs.Json in
   Obj
     [
@@ -443,14 +483,15 @@ let scale_point_json (spec : Workload.Circuits.spec)
       ( "repair_s_per_sink",
         Float (r.timings.repair_s /. float_of_int spec.n_sinks) );
       ("top_heap_words", Int heap);
+      ("vmhwm_kb", match vmhwm with Some kb -> Int kb | None -> Null);
       ("audit_clean", Bool (audit = []));
       ("result", Astskew.Router.json_of_result r);
     ]
 
 let print_scale_point (spec : Workload.Circuits.spec)
-    (r : Astskew.Router.result) wall heap audit =
+    (r : Astskew.Router.result) wall heap vmhwm audit =
   Format.printf
-    "%-8s %8d %8d %5d %9.3f %9.3f %6d %14.0f %8.3f %8.3f %8.1f %7s@."
+    "%-8s %8d %8d %5d %9.3f %9.3f %6d %14.0f %8.3f %8.3f %8.1f %9s %7s@."
     spec.name spec.n_sinks
     (match r.clustering with
      | Some d -> d.Dme.Cluster.n_clusters
@@ -461,6 +502,7 @@ let print_scale_point (spec : Workload.Circuits.spec)
     wall r.timings.repair_s r.repair.cycles r.evaluation.wirelength
     r.evaluation.global_skew r.evaluation.max_group_skew
     (float_of_int heap /. 1e6)
+    (match vmhwm with Some kb -> string_of_int kb | None -> "-")
     (if audit = [] then "clean" else "DIRTY!");
   List.iter
     (fun (v : Check.Audit.violation) ->
@@ -495,15 +537,15 @@ let scale args =
   header
     (Printf.sprintf "Scale: clustered AST-DME%s"
        (if !smoke_mode then " (smoke)" else ""));
-  Format.printf "%-8s %8s %8s %5s %9s %9s %6s %14s %8s %8s %8s %7s@."
+  Format.printf "%-8s %8s %8s %5s %9s %9s %6s %14s %8s %8s %8s %9s %7s@."
     "circuit" "sinks" "clusters" "depth" "wall (s)" "repair(s)" "cycles"
-    "wirelength" "skew" "grp-skew" "heap(MW)" "audit";
+    "wirelength" "skew" "grp-skew" "heap(MW)" "vmhwm_kb" "audit";
   let points =
     List.map
       (fun n ->
-        let spec, r, wall, heap, audit = scale_point n in
-        print_scale_point spec r wall heap audit;
-        (spec, r, wall, heap, audit))
+        let ((spec, r, wall, heap, vmhwm, audit) as point) = scale_point n in
+        print_scale_point spec r wall heap vmhwm audit;
+        point)
       ns
   in
   let identity_legs =
@@ -561,7 +603,7 @@ let scale args =
     if (not !smoke_mode) || jobs <= 1 then []
     else
       List.concat_map
-        (fun ((spec : Workload.Circuits.spec), (r : Astskew.Router.result), _, _, _) ->
+        (fun ((spec : Workload.Circuits.spec), (r : Astskew.Router.result), _, _, _, _) ->
           let inst = bench_instance spec in
           let r1 = ast ~jobs:1 ~clustering:(clustered ()) inst in
           let bits (r : Astskew.Router.result) =
@@ -589,8 +631,8 @@ let scale args =
         ( "curve",
           List
             (List.map
-               (fun (spec, r, wall, heap, audit) ->
-                 scale_point_json spec r wall heap audit)
+               (fun (spec, r, wall, heap, vmhwm, audit) ->
+                 scale_point_json spec r wall heap vmhwm audit)
                points) );
         ( "cluster_identity",
           List
@@ -630,6 +672,7 @@ let scale args =
              (r : Astskew.Router.result),
              _,
              _,
+             _,
              _ ) ->
         if r.repair.budget_exhausted || r.repair.unresolved_groups > 0 then
           Some
@@ -640,7 +683,7 @@ let scale args =
   in
   List.iter (Format.printf "REPAIR %s@.") repair_bad;
   let dirty =
-    List.exists (fun (_, _, _, _, audit) -> audit <> []) points
+    List.exists (fun (_, _, _, _, _, audit) -> audit <> []) points
     || List.exists (fun (_, findings) -> findings <> []) identities
     || repair_bad <> [] || depth2_bad <> [] || jobs_bad <> []
   in

@@ -29,7 +29,7 @@ let emit_leaf (a : Arena.t) v (s : Clocktree.Sink.t) =
    from the window's root to the node being visited, so at most the
    plan's height + 1 of them, in parallel arrays doubled on demand. *)
 type frames = {
-  mutable sub : Subtree.t array;
+  mutable sub : Subtree.plan array;
   mutable p : Pt.t array;
   mutable pr : Pt.t array;
   mutable stage : int array;
@@ -62,15 +62,15 @@ let grow fr =
   fr.llen <- extf fr.llen;
   fr.rlen <- extf fr.rlen
 
-(* Embed [sub] placed at [p] straight into the arena window ending at
-   [base + 2 * n_sinks sub - 2], in post order — index for index what
+(* Embed plan [sub] placed at [p] straight into the arena window ending
+   at [base + 2 * n_sinks sub - 2], in post order — index for index what
    [Arena.of_routed] would assign flattening the boxed embedding.
    Iterative like [Arena.of_routed]: an explicit frame stack with the
    same three-visit protocol (descend left, descend right, emit), so
    degenerate 10^5-deep merge plans embed without touching the OCaml
    stack.  Child placements and edge lengths are computed at first
    visit (the children's frames need them) and carried in the frame. *)
-let fill_window (a : Arena.t) (sub : Subtree.t) (p : Pt.t) ~base =
+let fill_window (a : Arena.t) (sub : Subtree.plan) (p : Pt.t) ~base =
   let fr = frames sub p in
   let sp = ref 0 in
   let push sub p =
@@ -84,17 +84,17 @@ let fill_window (a : Arena.t) (sub : Subtree.t) (p : Pt.t) ~base =
   push sub p;
   while !sp > 0 do
     let f = !sp - 1 in
-    match fr.sub.(f).Subtree.build with
-    | Subtree.Leaf s ->
+    match fr.sub.(f) with
+    | Subtree.Sink s ->
       let v = !next in
       incr next;
       decr sp;
       emit_leaf a v s
-    | Subtree.Merge { left; right; lengths } ->
+    | Subtree.Join { left; right; lengths; _ } ->
       if fr.stage.(f) = 0 then begin
         let p = fr.p.(f) in
-        let pl = Octagon.nearest_point left.Subtree.region p in
-        let pr = Octagon.nearest_point right.Subtree.region p in
+        let pl = Octagon.nearest_point (Subtree.plan_region left) p in
+        let pr = Octagon.nearest_point (Subtree.plan_region right) p in
         let llen, rlen = edge_lengths lengths p pl pr in
         fr.pr.(f) <- pr;
         Float.Array.set fr.llen f llen;
@@ -123,9 +123,10 @@ let fill_window (a : Arena.t) (sub : Subtree.t) (p : Pt.t) ~base =
       end
   done
 
-(* One worker task of the parallel embedding: a pending subtree, its
-   placement point and the start of its (precomputed) arena window. *)
-type task = { t_sub : Subtree.t; t_p : Pt.t; t_base : int }
+(* One worker task of the parallel embedding: a pending subtree's plan,
+   its placement point and the start of its (precomputed) arena
+   window. *)
+type task = { t_sub : Subtree.plan; t_p : Pt.t; t_base : int }
 
 (* Parallel arena fill: walk the top of the plan on the calling domain
    with the exact expressions of [fill_window], but — since a subtree
@@ -139,7 +140,7 @@ type task = { t_sub : Subtree.t; t_p : Pt.t; t_base : int }
    every element is computed by the serial expressions from the same
    operands: the arena is bit-identical to the serial fill for any jobs
    count.  The expansion itself is an iterative explicit-stack walk. *)
-let embed_parallel pool sched (a : Arena.t) (root : Subtree.t)
+let embed_parallel pool sched (a : Arena.t) (root : Subtree.plan)
     (root_pt : Pt.t) =
   let depth_limit =
     let target = 4 * Par.Pool.jobs pool in
@@ -157,16 +158,16 @@ let embed_parallel pool sched (a : Arena.t) (root : Subtree.t)
     | [] -> continue := false
     | (sub, p, base, depth) :: rest ->
       stack := rest;
-      (match sub.Subtree.build with
-       | Subtree.Leaf s -> emit_leaf a base s
-       | Subtree.Merge _ when depth = 0 ->
+      (match sub with
+       | Subtree.Sink s -> emit_leaf a base s
+       | Subtree.Join _ when depth = 0 ->
          tasks := { t_sub = sub; t_p = p; t_base = base } :: !tasks
-       | Subtree.Merge { left; right; lengths } ->
-         let pl = Octagon.nearest_point left.Subtree.region p in
-         let pr = Octagon.nearest_point right.Subtree.region p in
+       | Subtree.Join { left; right; lengths; _ } ->
+         let pl = Octagon.nearest_point (Subtree.plan_region left) p in
+         let pr = Octagon.nearest_point (Subtree.plan_region right) p in
          let llen, rlen = edge_lengths lengths p pl pr in
-         let lsize = (2 * left.Subtree.n_sinks) - 1 in
-         let rsize = (2 * right.Subtree.n_sinks) - 1 in
+         let lsize = (2 * Subtree.plan_n_sinks left) - 1 in
+         let rsize = (2 * Subtree.plan_n_sinks right) - 1 in
          let l = base + lsize - 1 in
          let rc = base + lsize + rsize - 1 in
          let v = rc + 1 in
@@ -224,8 +225,8 @@ let run_arena ?pool ?(run = Obs.Run.null) (inst : Clocktree.Instance.t)
   let body () =
     (match pool with
      | Some pool when Par.Pool.jobs pool > 1 ->
-       embed_parallel pool run.Obs.Run.sched a root root_pt
-     | _ -> fill_window a root root_pt ~base:0);
+       embed_parallel pool run.Obs.Run.sched a root.Subtree.plan root_pt
+     | _ -> fill_window a root.Subtree.plan root_pt ~base:0);
     (* The root edge is the source wire, exactly as [Arena.of_routed]
        records it. *)
     a.Arena.len.(n - 1) <- source_len;
@@ -241,14 +242,14 @@ let run_arena ?pool ?(run = Obs.Run.null) (inst : Clocktree.Instance.t)
    lengths are re-checked against child distances.  Recursive — only
    for oracle/test-sized instances; production paths use {!run_arena}. *)
 let run_reference (inst : Clocktree.Instance.t) (root : Subtree.t) =
-  let rec go (sub : Subtree.t) (p : Pt.t) =
-    match sub.Subtree.build with
-    | Subtree.Leaf s -> Tree.Leaf s
-    | Subtree.Merge { left; right; lengths } ->
-      let pl = Octagon.nearest_point left.Subtree.region p in
-      let pr = Octagon.nearest_point right.Subtree.region p in
+  let rec go (sub : Subtree.plan) (p : Pt.t) =
+    match sub with
+    | Subtree.Sink s -> Tree.Leaf s
+    | Subtree.Join { left; right; lengths; _ } ->
+      let pl = Octagon.nearest_point (Subtree.plan_region left) p in
+      let pr = Octagon.nearest_point (Subtree.plan_region right) p in
       let llen, rlen = edge_lengths lengths p pl pr in
       Tree.node p (go left pl) (go right pr) ~llen ~rlen
   in
   let root_pt = Octagon.nearest_point root.Subtree.region inst.source in
-  Tree.route inst.source (go root root_pt)
+  Tree.route inst.source (go root.Subtree.plan root_pt)

@@ -1,5 +1,7 @@
 (** Top-down embedding: turn the bottom-up merge plan into a concrete
-    embedded tree (the second phase of DME/BST).
+    embedded tree (the second phase of DME/BST).  Every walk reads only
+    the root subtree's {!Subtree.plan}: each node's region, sink count,
+    children and edge-length rule.
 
     The root lands on the point of the final merging region nearest to
     the clock source; every child lands on the point of its region

@@ -94,15 +94,8 @@ let merge_committed (inst : Clocktree.Instance.t) ~slack_usage ~id kind shared
   let delay = Subtree.union_shifted ~wa:plan.wa a.delay ~wb:plan.wb b.delay in
   let wire = plan.ea +. plan.eb in
   let subtree =
-    Subtree.
-      {
-        id;
-        region;
-        cap = a.cap +. b.cap +. (params.c *. wire);
-        delay;
-        n_sinks = a.n_sinks + b.n_sinks;
-        build = Merge { left = a; right = b; lengths = Committed { ea = plan.ea; eb = plan.eb } };
-      }
+    Subtree.join ~id ~region ~cap:(a.cap +. b.cap +. (params.c *. wire)) ~delay a b
+      (Committed { ea = plan.ea; eb = plan.eb })
   in
   { subtree; kind; planned_wire = wire; snake = plan.snake; feasible = plan.feasible }
 
@@ -185,21 +178,8 @@ let merge_cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap ~id
      pass removes whatever accumulates. *)
   let delay = Subtree.union_shifted ~wa:plan.wa a.delay ~wb:plan.wb b.delay in
   let subtree =
-    Subtree.
-      {
-        id;
-        region;
-        cap = a.cap +. b.cap +. (params.c *. dist);
-        delay;
-        n_sinks = a.n_sinks + b.n_sinks;
-        build =
-          Merge
-            {
-              left = a;
-              right = b;
-              lengths = Split { total = dist; split_lo = l; split_hi = h };
-            };
-      }
+    Subtree.join ~id ~region ~cap:(a.cap +. b.cap +. (params.c *. dist)) ~delay a b
+      (Split { total = dist; split_lo = l; split_hi = h })
   in
   { subtree; kind = Cross_group; planned_wire = dist; snake = 0.; feasible = true }
 
@@ -390,15 +370,8 @@ let committed (inst : Clocktree.Instance.t) ~id kind (a : Subtree.t)
   let delay = Subtree.union_shifted ~wa:(get w 6) a.delay ~wb:(get w 7) b.delay in
   let wire = ea +. eb in
   let subtree =
-    Subtree.
-      {
-        id;
-        region;
-        cap = a.cap +. b.cap +. (params.c *. wire);
-        delay;
-        n_sinks = a.n_sinks + b.n_sinks;
-        build = Merge { left = a; right = b; lengths = Committed { ea; eb } };
-      }
+    Subtree.join ~id ~region ~cap:(a.cap +. b.cap +. (params.c *. wire)) ~delay a b
+      (Committed { ea; eb })
   in
   { subtree; kind; planned_wire = wire; snake = get w 8; feasible }
 
@@ -473,21 +446,10 @@ let cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap ~id (a : Subtree
       else r
   in
   let subtree =
-    Subtree.
-      {
-        id;
-        region;
-        cap = a.cap +. b.cap +. (params.c *. dist);
-        delay = Subtree.union_shifted ~wa a.delay ~wb b.delay;
-        n_sinks = a.n_sinks + b.n_sinks;
-        build =
-          Merge
-            {
-              left = a;
-              right = b;
-              lengths = Split { total = dist; split_lo = !l; split_hi = !h };
-            };
-      }
+    Subtree.join ~id ~region ~cap:(a.cap +. b.cap +. (params.c *. dist))
+      ~delay:(Subtree.union_shifted ~wa a.delay ~wb b.delay)
+      a b
+      (Split { total = dist; split_lo = !l; split_hi = !h })
   in
   { subtree; kind = Cross_group; planned_wire = dist; snake = 0.; feasible = true }
 

@@ -35,9 +35,9 @@ val slack_usage : float
     [slack_usage] (default {!slack_usage}) is the fraction of each
     group's remaining slack one merge may consume before snaking is
     considered; [id] names the new subtree.  Allocates the merged
-    subtree and the result, and little else: the plan, the windows and
-    the merging region are computed in unboxed locals and per-domain
-    scratch. *)
+    subtree (its record, windows, region and plan node) and the result,
+    and little else: the balance plan, the windows and the merging
+    region are computed in unboxed locals and per-domain scratch. *)
 val run :
   Clocktree.Instance.t ->
   ?slack_usage:float ->

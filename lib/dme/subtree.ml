@@ -6,16 +6,24 @@ type lengths =
   | Committed of { ea : float; eb : float }
   | Split of { total : float; split_lo : float; split_hi : float }
 
+type plan =
+  | Sink of Clocktree.Sink.t
+  | Join of {
+      region : Geometry.Octagon.t;
+      n_sinks : int;
+      left : plan;
+      right : plan;
+      lengths : lengths;
+    }
+
 type t = {
   id : int;
   region : Geometry.Octagon.t;
   cap : float;
   delay : windows;
   n_sinks : int;
-  build : build;
+  plan : plan;
 }
-
-and build = Leaf of Clocktree.Sink.t | Merge of { left : t; right : t; lengths : lengths }
 
 let leaf (s : Clocktree.Sink.t) =
   {
@@ -25,8 +33,25 @@ let leaf (s : Clocktree.Sink.t) =
     delay =
       { gid = [| s.group |]; lo = Float.Array.make 1 0.; hi = Float.Array.make 1 0. };
     n_sinks = 1;
-    build = Leaf s;
+    plan = Sink s;
   }
+
+let join ~id ~region ~cap ~delay a b lengths =
+  let n_sinks = a.n_sinks + b.n_sinks in
+  {
+    id;
+    region;
+    cap;
+    delay;
+    n_sinks;
+    plan = Join { region; n_sinks; left = a.plan; right = b.plan; lengths };
+  }
+
+let plan_region = function
+  | Sink s -> Geometry.Octagon.of_point s.loc
+  | Join j -> j.region
+
+let plan_n_sinks = function Sink _ -> 1 | Join j -> j.n_sinks
 
 let groups t = Array.to_list t.delay.gid
 

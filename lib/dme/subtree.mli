@@ -27,18 +27,47 @@ type lengths =
           [dist(p, left.region)] ∈ [split_lo, split_hi] and the right
           wire takes the rest of [total] *)
 
+(** The merge plan: what the top-down embedding reads of a subtree —
+    its region, its sink count, its children's plans and its edge-length
+    rule — and nothing of the bottom-up state (delay windows, cap, id).
+    A merged subtree's record and windows become garbage once the
+    ranking loop drops it, while its plan node lives on inside its
+    parent's.  A sink's region is [Octagon.of_point s.loc], rebuilt by
+    {!plan_region} where the embedding needs it.  Never mutated. *)
+type plan =
+  | Sink of Clocktree.Sink.t
+  | Join of {
+      region : Geometry.Octagon.t;
+      n_sinks : int;
+      left : plan;
+      right : plan;
+      lengths : lengths;
+    }
+
 type t = {
   id : int;
   region : Geometry.Octagon.t;
   cap : float;  (** downstream capacitance, fF, wires included *)
   delay : windows;  (** per-group delay from the region, ps *)
   n_sinks : int;
-  build : build;
+  plan : plan;  (** [region] and [n_sinks] are the plan's own *)
 }
 
-and build = Leaf of Clocktree.Sink.t | Merge of { left : t; right : t; lengths : lengths }
-
 val leaf : Clocktree.Sink.t -> t
+
+(** [join ~id ~region ~cap ~delay a b lengths] is the subtree merging
+    [a] (left) and [b] (right) at [region]: its plan node points at the
+    children's plans, not at [a] and [b]. *)
+val join :
+  id:int -> region:Geometry.Octagon.t -> cap:float -> delay:windows -> t -> t ->
+  lengths -> t
+
+(** A plan's region of admissible root locations: a join's own, a
+    sink's [Octagon.of_point s.loc], exactly as {!leaf} builds it. *)
+val plan_region : plan -> Geometry.Octagon.t
+
+(** Sinks under a plan. *)
+val plan_n_sinks : plan -> int
 
 (** Group ids present in the subtree. *)
 val groups : t -> int list

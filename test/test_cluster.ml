@@ -401,6 +401,53 @@ let test_depth_identity_circuit () =
        (Check.Oracle.identity ~jobs:[ 1; 4 ] Check.Oracle.cluster_depth
           inst))
 
+(* A stitched plan, as the clustered router builds one: two region plans
+   over r1's left and right halves (ids re-densified per region), then a
+   stitch over the two region roots, so the stitch's plan node points at
+   the region plans themselves.  Embedding walks that plan of plans: the
+   arena-direct embed, serial and on a 2-domain pool (whose expansion
+   crosses the stitch into the regions), must equal the recursive
+   reference embed bit for bit.  The embed-identity oracle row embeds
+   flat plans only. *)
+let test_stitched_plan_embed_identity () =
+  let inst = circuit "r1" in
+  let n = Instance.n_sinks inst in
+  let by_x = Array.init n Fun.id in
+  Array.stable_sort
+    (fun i j -> Float.compare inst.sinks.(i).loc.x inst.sinks.(j).loc.x)
+    by_x;
+  let plan leaves = fst (Dme.Engine.plan ~leaves inst) in
+  let region ids =
+    plan
+      (Array.mapi
+         (fun j gid -> { (Dme.Subtree.leaf inst.sinks.(gid)) with id = j })
+         ids)
+  in
+  let a = region (Array.sub by_x 0 (n / 2)) in
+  let b = region (Array.sub by_x (n / 2) (n - (n / 2))) in
+  let root = plan [| { a with id = 0 }; { b with id = 1 } |] in
+  (match root.plan with
+   | Dme.Subtree.Join { left; right; n_sinks; _ } ->
+     Alcotest.(check int) "stitch covers every sink" n n_sinks;
+     Alcotest.(check bool) "stitch joins the region plans" true
+       (left == a.plan && right == b.plan)
+   | Dme.Subtree.Sink _ -> Alcotest.fail "the stitch did not merge");
+  let reference =
+    Check.Oracle.observe
+      (Arena.of_routed inst.params ~rd:inst.rd
+         (Dme.Embed.run_reference inst root))
+  in
+  List.iter
+    (fun jobs ->
+      let variant =
+        Par.Pool.with_pool ~jobs (fun pool ->
+            Check.Oracle.observe (Dme.Embed.run_arena ?pool inst root))
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs %d embed = reference embed" jobs)
+        [] (Check.Oracle.diffs variant reference))
+    [ 1; 2 ]
+
 let test_clustered_audit_clean () =
   let inst = circuit "r2" in
   Alcotest.(check (list string))
@@ -524,6 +571,8 @@ let () =
           Alcotest.test_case "identity small diagonal" `Quick
             test_depth_identity_small;
           Alcotest.test_case "identity r1" `Slow test_depth_identity_circuit;
+          Alcotest.test_case "stitched plan embeds identically" `Quick
+            test_stitched_plan_embed_identity;
         ] );
       ( "clustered",
         [

@@ -223,8 +223,8 @@ let test_merge_cross_group_interval_soundness () =
   let r =
     merge inst (Dme.Subtree.leaf inst.sinks.(0)) (Dme.Subtree.leaf inst.sinks.(1))
   in
-  match r.subtree.build with
-  | Dme.Subtree.Merge { lengths = Dme.Subtree.Split { total; split_lo; split_hi }; _ } ->
+  match r.subtree.plan with
+  | Dme.Subtree.Join { lengths = Dme.Subtree.Split { total; split_lo; split_hi }; _ } ->
     check_float "total" 2000. total;
     Alcotest.(check bool) "split range ordered" true (split_lo <= split_hi);
     (* Nominal bookkeeping: the recorded delay is that of the balanced
@@ -825,6 +825,28 @@ let test_golden_wirelengths () =
         ("0x1.c8a977fe4209ap+22", 6040, 8150) );
     ]
 
+(* Plan retention: what stays reachable from a planned root until it is
+   embedded.  A merged subtree's plan node keeps its region, sink count,
+   edge-length rule and children's plans, never its delay windows, cap
+   or record, so the plan of r5 (intermingled, 8 groups) holds about 28
+   words per sink beyond the instance's own sink records; a plan that
+   pointed at its children's whole subtrees held 80.7. *)
+let test_plan_retention () =
+  let spec = Option.get (Workload.Circuits.find "r5") in
+  let inst =
+    Workload.Circuits.instance spec ~n_groups:8
+      ~scheme:Workload.Partition.Intermingled ~bound:10. ()
+  in
+  let root, _ =
+    Dme.Engine.plan ~config:{ Astskew.Router.ast_default_config with jobs = 1 } inst
+  in
+  let reachable x = Obj.reachable_words (Obj.repr x) in
+  (* The pair's own block is 3 words. *)
+  let words = reachable (root, inst.sinks) - reachable inst.sinks - 3 in
+  let per_sink = float_of_int words /. float_of_int (Instance.n_sinks inst) in
+  if per_sink > 32. then
+    Alcotest.failf "the r5 plan retains %.1f words per sink, over 32" per_sink
+
 (* [Order.select_pairs] replaced a list pipeline: sort the proposals by
    (i, j, cost), keep the first of each (i, j) run, sort by (cost, i, j)
    and take a disjoint prefix through a hashtable.  That pipeline lives
@@ -1065,7 +1087,8 @@ let prop_committed_feasible_matches_run =
 (* [Merge.run] against [Merge.run_reference], bit for bit in every field
    of the result: kind, feasibility, planned wire, snake, and the merged
    subtree's id, sink count, capacitance, region bounds, delay windows,
-   children and wire lengths. *)
+   and its plan node: the same region and sink count, the children's
+   plans and the wire lengths. *)
 let bits = Int64.bits_of_float
 
 let same_merge (r : Dme.Merge.result) (q : Dme.Merge.result) =
@@ -1094,9 +1117,11 @@ let same_merge (r : Dme.Merge.result) (q : Dme.Merge.result) =
   && same_floats t.delay.lo u.delay.lo
   && same_floats t.delay.hi u.delay.hi
   &&
-  match (t.build, u.build) with
-  | Merge m, Merge n ->
-    m.left == n.left && m.right == n.right
+  match (t.plan, u.plan) with
+  | Join m, Join n ->
+    m.region == t.region && n.region == u.region
+    && m.n_sinks = t.n_sinks && n.n_sinks = u.n_sinks
+    && m.left == n.left && m.right == n.right
     && (match (m.lengths, n.lengths) with
         | Committed c, Committed d -> bits c.ea = bits d.ea && bits c.eb = bits d.eb
         | Split c, Split d ->
@@ -1167,7 +1192,7 @@ let prop_merge_matches_reference_shared_multi =
                 hi = Float.Array.map_from_array snd ws;
               };
             n_sinks = 1;
-            build = Leaf inst.sinks.(id);
+            plan = Sink inst.sinks.(id);
           }
       in
       merge_matches_reference inst (make 0 sa) (make 1 sb))
@@ -1297,6 +1322,8 @@ let () =
           Alcotest.test_case "parallel gate follows the region grain" `Slow
             test_parallel_gate;
           Alcotest.test_case "golden wirelengths r1-r5" `Slow test_golden_wirelengths;
+          Alcotest.test_case "plan retains at most 32 words per sink" `Slow
+            test_plan_retention;
         ]
         @ qsuite
             [
