@@ -25,15 +25,22 @@ type t = {
   plan : plan;
 }
 
+let plan_region = function
+  | Sink s -> Geometry.Octagon.of_point s.loc
+  | Join j -> j.region
+
+let plan_n_sinks = function Sink _ -> 1 | Join j -> j.n_sinks
+
 let leaf (s : Clocktree.Sink.t) =
+  let plan = Sink s in
   {
     id = s.id;
-    region = Geometry.Octagon.of_point s.loc;
+    region = plan_region plan;
     cap = s.cap;
     delay =
       { gid = [| s.group |]; lo = Float.Array.make 1 0.; hi = Float.Array.make 1 0. };
     n_sinks = 1;
-    plan = Sink s;
+    plan;
   }
 
 let join ~id ~region ~cap ~delay a b lengths =
@@ -46,12 +53,6 @@ let join ~id ~region ~cap ~delay a b lengths =
     n_sinks;
     plan = Join { region; n_sinks; left = a.plan; right = b.plan; lengths };
   }
-
-let plan_region = function
-  | Sink s -> Geometry.Octagon.of_point s.loc
-  | Join j -> j.region
-
-let plan_n_sinks = function Sink _ -> 1 | Join j -> j.n_sinks
 
 let groups t = Array.to_list t.delay.gid
 

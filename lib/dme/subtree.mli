@@ -63,7 +63,7 @@ val join :
   lengths -> t
 
 (** A plan's region of admissible root locations: a join's own, a
-    sink's [Octagon.of_point s.loc], exactly as {!leaf} builds it. *)
+    sink's [Octagon.of_point s.loc], the region {!leaf} gives it. *)
 val plan_region : plan -> Geometry.Octagon.t
 
 (** Sinks under a plan. *)
