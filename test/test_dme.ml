@@ -1087,8 +1087,8 @@ let prop_committed_feasible_matches_run =
 (* [Merge.run] against [Merge.run_reference], bit for bit in every field
    of the result: kind, feasibility, planned wire, snake, and the merged
    subtree's id, sink count, capacitance, region bounds, delay windows,
-   and its plan node: the same region and sink count, the children's
-   plans and the wire lengths. *)
+   and its plan node: the same region and sink count, the inputs' plans
+   as children and the wire lengths. *)
 let bits = Int64.bits_of_float
 
 let same_merge (r : Dme.Merge.result) (q : Dme.Merge.result) =
@@ -1134,10 +1134,16 @@ let same_merge (r : Dme.Merge.result) (q : Dme.Merge.result) =
 let merge_matches_reference inst a b =
   List.for_all
     (fun slack_usage ->
-      same_merge
-        (Dme.Merge.run inst ~slack_usage ~split_slack:0.25 ~width_cap:0.7 ~id:77 a b)
+      let r =
+        Dme.Merge.run inst ~slack_usage ~split_slack:0.25 ~width_cap:0.7 ~id:77 a b
+      in
+      same_merge r
         (Dme.Merge.run_reference inst ~slack_usage ~split_slack:0.25 ~width_cap:0.7
-           ~id:77 a b))
+           ~id:77 a b)
+      &&
+      match r.subtree.plan with
+      | Join j -> j.left == a.plan && j.right == b.plan
+      | Sink _ -> false)
     [ 0.; 0.3; 1. ]
 
 (* Every ordered pair of a case's subtrees, every regime, a subtree
