@@ -172,14 +172,37 @@ let smoke_clustered name =
     end;
     Format.printf "OK@."
 
-(* The allocation of the two hot kernels on [inst]'s own work, counted
+(* Two plan stores are the same plan when every column is, floats bit
+   for bit and leaves physically. *)
+let rec same_store (a : Dme.Subtree.store) (b : Dme.Subtree.store) =
+  let bits x =
+    Array.init (Float.Array.length x) (fun i -> Int64.bits_of_float (Float.Array.get x i))
+  in
+  let bounds (st : Dme.Subtree.store) =
+    Array.init st.merges (fun m ->
+        match Geometry.Octagon.bounds (Geometry.Octslab.get st.bounds m) with
+        | Some o ->
+          bits (Float.Array.of_list [ o.xl; o.xh; o.yl; o.yh; o.sl; o.sh; o.dl; o.dh ])
+        | None -> [||])
+  in
+  a.merges = b.merges && a.kids = b.kids && a.n_sinks = b.n_sinks
+  && Bytes.equal a.rule b.rule
+  && bits a.lengths = bits b.lengths
+  && bounds a = bounds b
+  && Array.length a.sinks = Array.length b.sinks
+  && Array.for_all2 ( == ) a.sinks b.sinks
+  && Array.length a.subs = Array.length b.subs
+  && Array.for_all2 same_store a.subs b.subs
+
+(* The allocation of the hot kernels on [inst]'s own work, counted
    exactly with [Gc.minor_words] on this domain: minor words per
    [Grid_index.query] when every sink of the instance probes a snapshot
    of all sinks for its [knn] nearest others, as a leaf round does;
    minor words per [Merge.run] replaying every merge of the instance's
    plan; the words a merge must allocate — its result and the merged
-   subtree's own blocks, the children's plans excluded — per merge; the
-   number of merges; and whether the replayed plan is the engine's. *)
+   subtree's own blocks — per merge; the number of merges; whether the
+   replayed plan is the engine's, store column for store column; and
+   minor words per arena node embedding the engine's plan. *)
 let kernel_allocation (inst : Clocktree.Instance.t) =
   let config = Dme.Engine.default in
   let sinks = inst.sinks in
@@ -207,6 +230,7 @@ let kernel_allocation (inst : Clocktree.Instance.t) =
      The recorded plan must be the engine's; [Engine.default] ranks
      without the delay bias. *)
   let pairs = ref [] in
+  let cost = Dme.Engine.cost config inst in
   let merge ~id a b =
     Dme.Merge.run inst ~split_slack:config.split_slack ~width_cap:config.width_cap
       ~id a b
@@ -220,8 +244,7 @@ let kernel_allocation (inst : Clocktree.Instance.t) =
       }
       ~coster:
         {
-          session =
-            (fun () -> ((fun ~dist a b -> Dme.Engine.cost config inst ~dist a b), ignore));
+          session = (fun () -> (cost, ignore));
           absorb = ignore;
         }
       ~merger:
@@ -234,7 +257,9 @@ let kernel_allocation (inst : Clocktree.Instance.t) =
         }
   in
   let engine_root, _ = Dme.Engine.plan ~config:{ config with jobs = 1 } inst in
-  let same_plan = root.plan = engine_root.plan in
+  let same_plan =
+    same_store (Dme.Subtree.store_of root) (Dme.Subtree.store_of engine_root)
+  in
   let pairs = Array.of_list !pairs in
   let merge (a, b) = merge ~id:(-1) a b in
   let w0 = Gc.minor_words () in
@@ -242,13 +267,11 @@ let kernel_allocation (inst : Clocktree.Instance.t) =
   let merges = float_of_int (Int.max 1 (Array.length pairs)) in
   let merge_words = (Gc.minor_words () -. w0) /. merges in
   let reachable x = float_of_int (Obj.reachable_words (Obj.repr x)) in
-  let own_words =
-    Array.fold_left
-      (fun acc ((a, b) as p) ->
-        acc +. reachable (merge p) -. reachable a.Dme.Subtree.plan -. reachable b.plan)
-      0. pairs
-  in
-  (knn_words, merge_words, own_words /. merges, Array.length pairs, same_plan)
+  let own_words = Array.fold_left (fun acc p -> acc +. reachable (merge p)) 0. pairs in
+  let w0 = Gc.minor_words () in
+  let arena = Dme.Embed.run_arena inst engine_root in
+  let embed_words = (Gc.minor_words () -. w0) /. float_of_int arena.n in
+  (knn_words, merge_words, own_words /. merges, Array.length pairs, same_plan, embed_words)
 
 let smoke args =
   let name, clustered_name =
@@ -295,18 +318,20 @@ let smoke args =
     let queries_per_probe_budget = 1.25 in
     let cells_per_probe_budget = 18. in
     (* Allocation gates.  A ranking probe allocates a bounded number of
-       minor words: r3 reads 77.3 per probe with the round's packed
-       k-NN snapshot, per-chunk coster sessions and closures, proposals
-       written into id-indexed arrays, sorting in reused scratch,
-       merges that build only their result and a compact plan whose
-       embedding rebuilds each sink's point region (73.1 while the plan
-       kept whole subtrees, 131 while a merge built its plan from
-       octagon, interval and plan values).  That is the exact
-       [Gc.minor_words] count; [Gc.quick_stat]'s lagging count, which
-       the older readings used, read 118 for the 131, against 263
-       before them, 630 before the unboxed octagon kernels and 7500
-       before the slab rewrite.  The gate is 100, 1.29 times the
-       reading: opening a coster session and its closures per probe
+       minor words: r3 reads 57.2 per probe (planning and embedding)
+       with the round's packed k-NN snapshot, per-chunk coster sessions
+       and closures, proposals written into id-indexed arrays, sorting
+       in reused scratch, merges that build only their result and
+       record it in a preallocated plan store, and an embedding that
+       allocates only the merges' placed points (77.3 while the plan
+       was a tree of nodes whose embedding built each sink's point
+       region, 73.1 while it kept whole subtrees, 131 while a merge
+       built its plan from octagon, interval and plan values).  That is
+       the exact [Gc.minor_words] count; [Gc.quick_stat]'s lagging
+       count, which the older readings used, read 118 for the 131,
+       against 263 before them, 630 before the unboxed octagon kernels
+       and 7500 before the slab rewrite.  The gate is 75, 1.31 times
+       the reading: opening a coster session and its closures per probe
        again added about 43 words (131 to 174), which fails it.
        [Octagon.sdr] allocates only its result (11 words), so 32 per
        call over r3's consecutive leaf-region pairs
@@ -315,19 +340,23 @@ let smoke args =
        probes the snapshot of all of them, so 2.5 catches a boxed
        distance, argument or closure per query (the predicate-skip
        kernel read 6).  A committed [Merge.run] replaying r3's 861 plan
-       merges, their pairs recorded while planning, reads 69.3 words,
-       against 61.7 words of the merged subtree (its plan node
-       included) and result it must build; 84 is 1.21 times the
-       reading,
-       while the merge built from octagon, interval and plan values
-       ([Merge.run_reference]) read 232 to 471 words per merge kind over
-       r1-r5's plans.
+       merges, their pairs recorded while planning, reads 63.3 words,
+       against 55.7 words of the merged subtree (its edge-length rule
+       included) and result it must build; 84 is 1.33 times the
+       reading, while the merge built from octagon, interval and plan
+       values ([Merge.run_reference]) read 232 to 471 words per merge
+       kind over r1-r5's plans.  Embedding r3's plan store allocates
+       1.41 minor words per arena node, a placed point per merge child
+       that moves off its parent's point; 1.8 is 1.28 times that, and
+       the tree of plan nodes walked with a frame stack, which built a
+       point region per sink, read 40.
        Allocation counts are deterministic per domain,
        so like the counts above these cannot flake on slow runners. *)
-    let words_per_probe_budget = 100. in
+    let words_per_probe_budget = 75. in
     let sdr_words_budget = 32. in
     let knn_words_budget = 2.5 in
     let merge_words_budget = 84. in
+    let embed_words_budget = 1.8 in
     let sdr_words =
       let regions =
         Array.map
@@ -343,7 +372,7 @@ let smoke args =
       done;
       (Gc.minor_words () -. w0) /. float_of_int (Int.max 1 calls)
     in
-    let knn_words, merge_words, merge_own_words, merges, same_plan =
+    let knn_words, merge_words, merge_own_words, merges, same_plan, embed_words =
       kernel_allocation inst
     in
     (* Pricing gate.  A probe prices a candidate only while its region
@@ -369,6 +398,7 @@ let smoke args =
       "alloc: %.1f minor words per committed merge over %d merges (%.1f words \
        of merged subtree and result, %.2fx)@."
       merge_words merges merge_own_words (merge_words /. merge_own_words);
+    Format.printf "alloc: %.2f minor words per embedded node@." embed_words;
     let fail msg =
       Format.printf "FAIL: %s@." msg;
       exit 1
@@ -407,6 +437,11 @@ let smoke args =
         (Printf.sprintf
            "allocation per committed merge %.1f exceeds the %.0f minor-word budget"
            merge_words merge_words_budget);
+    if embed_words > embed_words_budget then
+      fail
+        (Printf.sprintf
+           "allocation per embedded node %.2f exceeds the %.1f minor-word budget"
+           embed_words embed_words_budget);
     if priced_per_probe > priced_per_probe_budget then
       fail
         (Printf.sprintf "%.2f candidates priced per probe exceeds the %.0f budget"

@@ -15,18 +15,24 @@ let () =
     [| sink 0 0. 0. 0; sink 1 4000. 0. 0; sink 2 1000. 3000. 1; sink 3 5000. 3000. 1 |]
   in
   let inst = Instance.make ~bound:5. ~source:(Pt.make 2500. 1500.) ~n_groups:2 sinks in
-  (* Merge by hand: first within groups, then across. *)
-  let merge id a b =
-    Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id a b
+  (* Merge by hand: first within groups, then across.  Each merge is
+     recorded in the plan store the embedding reads, under the next id
+     (merge ids follow the leaves' and exceed their children's). *)
+  let leaves = Array.map Dme.Subtree.leaf inst.sinks in
+  let store = Dme.Subtree.store leaves in
+  let merge (a : Dme.Subtree.t) (b : Dme.Subtree.t) =
+    let id = Dme.Subtree.leaves store + store.merges in
+    let r = Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id a b in
+    Dme.Subtree.record store r.subtree ~left:a.id ~right:b.id;
+    r
   in
-  let leaf i = Dme.Subtree.leaf inst.sinks.(i) in
-  let g0 = merge 10 (leaf 0) (leaf 1) in
-  let g1 = merge 11 (leaf 2) (leaf 3) in
+  let g0 = merge leaves.(0) leaves.(1) in
+  let g1 = merge leaves.(2) leaves.(3) in
   Format.printf "group-0 merge: %a@.  region %a@." Dme.Merge.pp_kind g0.kind
     Octagon.pp g0.subtree.region;
   Format.printf "group-1 merge: %a@.  region %a@." Dme.Merge.pp_kind g1.kind
     Octagon.pp g1.subtree.region;
-  let top = merge 12 g0.subtree g1.subtree in
+  let top = merge g0.subtree g1.subtree in
   Format.printf "top merge: %a (no skew constraint between the groups)@."
     Dme.Merge.pp_kind top.kind;
   Format.printf "  merging region (SDR): %a@." Octagon.pp top.subtree.region;
@@ -37,7 +43,7 @@ let () =
         Geometry.Interval.pp iv (Geometry.Interval.width iv))
     (Dme.Subtree.groups top.subtree);
   (* Embed, repair, evaluate. *)
-  let a = Dme.Embed.run_arena inst top.subtree in
+  let a = Dme.Embed.run_arena inst (Dme.Subtree.stored store top.subtree) in
   let repair = Repair.run_arena inst a in
   let report = Evaluate.report_of_arena inst a in
   Format.printf "@.embedded: %a@." Evaluate.pp_report report;

@@ -379,9 +379,9 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
       (* Top level: stitch the group roots with one more AST-DME plan
          over the global instance (global bbox drives the penalty and
          grid-cell scales), then embed the whole multi-level plan
-         in a single top-down pass straight into the arena — the skew
-         bound is enforced across region boundaries exactly as it is
-         within them. *)
+         straight into the arena, every stitch and region store in its
+         own window on the pool — the skew bound is enforced across
+         region boundaries exactly as it is within them. *)
       let leaves = stitch_leaves (Array.map (fun (c, _, _) -> c) top_kids) in
       let root, top = Engine.plan ~config ~run ?pool ~leaves inst in
       let arena = Embed.run_arena ?pool ~run inst root in

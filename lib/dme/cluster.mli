@@ -2,7 +2,8 @@
     regions, plan each region bottom-up with its own {!Engine} instance
     — in parallel across a {!Par.Pool}'s domains — then stitch the
     region roots back together through a bounded-fan-in hierarchy of
-    further plans and embed the whole tree in a single pass.
+    further plans and embed the whole tree, each region's and stitch's
+    plan store into its own arena window.
 
     The shape follows Held–Kämmerling's two-level rectilinear Steiner
     construction and the 3D-MMM "Cluster DME" decomposition, extended
@@ -128,7 +129,8 @@ val partition :
     An enabled [run.sched] recorder ledgers the partition's batches
     under ["engine.partition"], the leaf regions under
     ["engine.regions"] (one item per region), the stitch levels under
-    ["engine.stitch"] (plus the top stitch/embed ledgers from
+    ["engine.stitch"], each embedding level of stitch and region plans
+    under ["engine.embed"] (plus the top stitch's ledgers from
     {!Engine.plan} / {!Embed.run_arena}); an enabled [run.progress]
     reporter is told the top-level group count (depth 0) and — for
     hierarchies deeper than one level — the leaf-region count

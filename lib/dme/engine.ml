@@ -107,11 +107,10 @@ let run_merge config inst ~id a b =
   Merge.run inst ~split_slack:config.split_slack ~width_cap:config.width_cap
     ~id a b
 
-let cost config inst ~dist a b =
-  pair_cost config inst
-    ~penalty:(infeasible_penalty (Clocktree.Instance.diameter inst))
-    ~trial:(run_merge config inst ~id:(-1))
-    ~elide:ignore ~dist a b
+let cost config inst =
+  let penalty = infeasible_penalty (Clocktree.Instance.diameter inst) in
+  let trial = run_merge config inst ~id:(-1) in
+  fun ~dist a b -> pair_cost config inst ~penalty ~trial ~elide:ignore ~dist a b
 
 (* Bottom-up merge planning only: reduce [inst]'s sinks — or an explicit
    [leaves] population, see {!Order.run_ranked} — to one subtree.  Does
@@ -306,8 +305,7 @@ let run_arena ?(config = default) ?(run = Obs.Run.null) inst =
      (1000 sinks or fewer), so those plan and embed serially — the same
      grain below which repair and evaluation skip their pools.  Planning
      is bit-identical for any pool size, so the gate never moves a tree.
-     Above it the pool stays alive through embedding: the top-down phase
-     reuses the ranking loop's worker domains for its subtree fan-out.
+     A flat plan has no sub-plans, so it embeds on this domain.
      [stats.gc] spans planning and embedding inside the pool's lifetime
      (a domain's spawn and join are not the route's allocation), workers'
      minor words included: one GC window, around both phases. *)
@@ -319,5 +317,5 @@ let run_arena ?(config = default) ?(run = Obs.Run.null) inst =
   Par.Pool.with_pool ~jobs (fun pool ->
       let gc = Par.Pool.gc_window pool in
       let root, stats = plan_unsampled ~config ~run ?pool inst in
-      let arena = Embed.run_arena ?pool ~run inst root in
+      let arena = Embed.run_arena ~run inst root in
       (arena, { stats with gc = gc () }))

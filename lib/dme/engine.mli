@@ -35,8 +35,8 @@ type config = {
           offsets drift *)
   jobs : int;
       (** upper bound on the domains used for the per-round candidate
-          ranking (nearest neighbour probes and their trial merges) and
-          the embedding; 1 = fully serial.  {!run_arena} opens a pool
+          ranking (nearest neighbour probes and their trial merges);
+          1 = fully serial.  {!run_arena} opens a pool
           only for instances of more than 1000 sinks (two regions of
           {!Clocktree.Instance.auto_regions}); smaller ones plan
           serially, since a pool's spawn and per-round hand-offs cost
@@ -109,20 +109,19 @@ type stats = {
     manifests and stats dumps. *)
 val json_of_config : config -> Obs.Json.t
 
-(** [cost config inst ~dist a b] is the ranking cost a probe gives the
-    candidate pair [(a, b)] whose regions are [dist] apart: [dist], or
-    the trial merge's planned wire under [config.cost_by_planned_wire],
-    plus a penalty when the pair's merge would be infeasible.  The
-    function the ranking loop prices candidates with.  Never below
+(** [cost config inst] is the function a probe prices candidate pairs
+    of [inst] with: [~dist a b] is the ranking cost of the pair [(a, b)]
+    whose regions are [dist] apart — [dist], or the trial merge's
+    planned wire under [config.cost_by_planned_wire], plus a penalty
+    when the pair's merge would be infeasible.  The penalty scales with
+    the instance's diameter, an O(n) fold computed once, when [cost] is
+    applied to [inst]; apply it once and price many pairs.  Never below
     [dist] and never NaN for finite [dist] — the {!Order.coster}
     contract.  Exposed for testing. *)
 val cost :
   config ->
   Clocktree.Instance.t ->
-  dist:float ->
-  Subtree.t ->
-  Subtree.t ->
-  float
+  (dist:float -> Subtree.t -> Subtree.t -> float)
 
 (** Bottom-up merge planning only: reduce the instance's sinks — or an
     explicit [leaves] population (see {!Order.run_ranked}: dense ids,
@@ -149,9 +148,9 @@ val plan :
     [Arena.to_routed] gives the boxed view.  Owns the pool:
     [config.jobs] domains for instances of more than 1000 sinks, none
     at or below that grain (see [config.jobs]).  The arena is
-    bit-identical for any [config.jobs].  To run the parallel ranking
-    and embedding paths on a small instance, call {!plan} and
-    [Embed.run_arena] with an explicit pool.
+    bit-identical for any [config.jobs].  A flat plan embeds on the
+    calling domain.  To run the parallel ranking path on a small
+    instance, call {!plan} with an explicit pool.
 
     With [run.trace] enabled the run merges its config into the trace
     manifest, wraps planning in an ["engine.plan"] span, emits one
@@ -159,7 +158,7 @@ val plan :
     extents into the ["engine.region_extent"] histogram and appends one
     journal record per merge round (probe, query and trial counts, cheapest
     committed cost, cumulative planned wire, wall time).  An enabled
-    [run.sched] recorder ledgers the pooled ranking/commit/embed maps
+    [run.sched] recorder ledgers the pooled ranking/commit maps
     (phase ["engine"]).  The arena and stats are byte-identical under
     any [run] ([Check.Oracle.trace] and [Check.Oracle.sched] rows). *)
 val run_arena :

@@ -35,7 +35,7 @@ val slack_usage : float
     [slack_usage] (default {!slack_usage}) is the fraction of each
     group's remaining slack one merge may consume before snaking is
     considered; [id] names the new subtree.  Allocates the merged
-    subtree (its record, windows, region and plan node) and the result,
+    subtree (its record, windows, region and edge-length rule) and the result,
     and little else: the balance plan, the windows and the merging
     region are computed in unboxed locals and per-domain scratch. *)
 val run :

@@ -19,9 +19,8 @@ let bisect sinks =
   let mid = Array.length sorted / 2 in
   (Array.sub sorted 0 mid, Array.sub sorted mid (Array.length sorted - mid))
 
-let run_arena ?(config = Engine.default) ?(run = Obs.Run.null)
+let plan ?(config = Engine.default) ?(run = Obs.Run.null)
     (inst : Clocktree.Instance.t) =
-  let gc0 = Obs.Gcstat.sample () in
   let trace = run.Obs.Run.trace in
   let tracing = Obs.Trace.enabled trace in
   if tracing then
@@ -33,11 +32,13 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null)
   let shared_multi = ref 0 in
   let planned_snake = ref 0. in
   let infeasible = ref 0 in
-  let next_id = ref (Clocktree.Instance.n_sinks inst) in
+  let leaves = Array.map Subtree.leaf inst.sinks in
+  let store = Subtree.store leaves in
   let depth = ref 0 in
-  let merge a b =
-    let id = !next_id in
-    incr next_id;
+  (* Both children are built before the merge takes the next id, so ids
+     are recorded in order and exceed the children's. *)
+  let merge (a : Subtree.t) (b : Subtree.t) =
+    let id = Subtree.leaves store + store.merges in
     let result =
       Merge.run inst ~split_slack:config.split_slack
         ~width_cap:config.width_cap ~id a b
@@ -49,13 +50,14 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null)
      | Merge.Shared_multi -> incr shared_multi);
     planned_snake := !planned_snake +. result.snake;
     if not result.feasible then incr infeasible;
+    Subtree.record store result.subtree ~left:a.id ~right:b.id;
     result.subtree
   in
-  let rec build sinks level =
+  let rec build (sinks : Clocktree.Sink.t array) level =
     depth := Int.max !depth level;
     match Array.length sinks with
-    | 0 -> invalid_arg "Mmm.run_arena: empty sink set"
-    | 1 -> Subtree.leaf sinks.(0)
+    | 0 -> invalid_arg "Mmm.plan: empty sink set"
+    | 1 -> leaves.(sinks.(0).id)
     | _ ->
       let left, right = bisect sinks in
       merge (build left (level + 1)) (build right (level + 1))
@@ -68,8 +70,7 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null)
         (fun () -> build inst.sinks 0)
     else build inst.sinks 0
   in
-  let arena = Embed.run_arena ~run inst root in
-  ( arena,
+  ( Subtree.stored store root,
     Engine.
       {
         rounds = !depth;
@@ -85,5 +86,11 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null)
         nn_entries = 0;
         nn_probes_saved = 0;
         trial = Engine.no_trials;
-        gc = Obs.Gcstat.diff (Obs.Gcstat.sample ()) gc0;
+        gc = Obs.Gcstat.zero;
       } )
+
+let run_arena ?config ?(run = Obs.Run.null) inst =
+  let gc0 = Obs.Gcstat.sample () in
+  let root, stats = plan ?config ~run inst in
+  let arena = Embed.run_arena ~run inst root in
+  (arena, { stats with gc = Obs.Gcstat.diff (Obs.Gcstat.sample ()) gc0 })

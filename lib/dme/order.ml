@@ -20,18 +20,6 @@ type 'merge merger = {
   install : 'merge -> Subtree.t;
 }
 
-let of_cost cost =
-  {
-    session = (fun () -> ((fun ~dist:_ a b -> cost a b), fun () -> ()));
-    absorb = ignore;
-  }
-
-let of_merge merge =
-  {
-    compute = (fun ~id a b -> (id, a, b));
-    install = (fun (id, a, b) -> merge ~id a b);
-  }
-
 type stats = {
   rounds : int;
   nn_probes : int;
@@ -284,6 +272,9 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
       ls
   in
   let n = Array.length leaves in
+  (* The plan: each committed merge is recorded at install, in selection
+     order, which is id order. *)
+  let store = Subtree.store leaves in
   let tracing = Obs.Trace.enabled trace in
   (* Probe costs observed after each probe phase (main domain): the
      chosen best cost of every executed probe. *)
@@ -544,6 +535,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
           Array.iteri
             (fun k (i, j, _) ->
               let s = merger.install computed.(k) in
+              Subtree.record store s ~left:i ~right:j;
               node.(i) <- None;
               node.(j) <- None;
               insert s;
@@ -594,7 +586,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
     end
   in
   let root = loop (Array.init n Fun.id) in
-  ( root,
+  ( Subtree.stored store root,
     {
       rounds = !rounds;
       nn_probes = !probed;
@@ -603,5 +595,9 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
       nn_entries = !entries;
     } )
 
+(* The whole merge runs in [install], on the calling domain in selection
+   order. *)
 let run inst config ~cost ~merge =
-  run_ranked inst config ~coster:(of_cost cost) ~merger:(of_merge merge)
+  let session () = ((fun ~dist:_ a b -> cost a b), ignore) in
+  let compute ~id a b = (id, a, b) and install (id, a, b) = merge ~id a b in
+  run_ranked inst config ~coster:{ session; absorb = ignore } ~merger:{ compute; install }

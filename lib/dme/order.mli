@@ -12,7 +12,9 @@
     ({!select_pairs}).  Probing is read-only with respect to every
     shared structure and the partner choice tie-breaks on the lowest
     subtree id, so the selected merges — and hence the routed tree — are
-    bit-identical for any jobs count.
+    bit-identical for any jobs count.  Each merge is recorded at install,
+    in selection (= id) order, in the run's plan store, which the
+    returned root carries ({!Subtree.store}).
 
     Every round probes every active subtree from scratch.  The
     snapshot's k-NN answer is ordered by (distance, id) and so depends
@@ -77,19 +79,6 @@ type 'merge merger = {
   compute : id:int -> Subtree.t -> Subtree.t -> 'merge;
   install : 'merge -> Subtree.t;
 }
-
-(** Wrap a pure, self-contained cost function (no side results).  The
-    ranking loop's precomputed region distance is dropped on the
-    floor — [cost] sees only the subtree pair — but the {!coster}
-    contract still binds: [cost a b] must be at least
-    [Octagon.dist a.region b.region] and never NaN. *)
-val of_cost : (Subtree.t -> Subtree.t -> float) -> unit coster
-
-(** Wrap a plain merge callback: computation is deferred to [install],
-    so the whole merge runs on the calling domain in selection order —
-    the safe default for costers with effectful merges. *)
-val of_merge :
-  (id:int -> Subtree.t -> Subtree.t -> Subtree.t) -> (int * Subtree.t * Subtree.t) merger
 
 (** Ranking-loop statistics.  [nn_probes] counts nearest-neighbour
     probes (each runs one coster session over up to [knn] candidates):
@@ -229,8 +218,9 @@ val settle :
     must be non-empty and carry dense ids [0 .. n-1] — the arena is
     id-indexed — and
     their delay windows must be expressed against [inst]'s groups; merge
-    node ids are allocated from [n] upward.  Returns the final subtree
-    and the ranking statistics. *)
+    node ids are allocated from [n] upward.  Leaves are sinks or, for a
+    stitch, finished plans ([Stored]).  Returns the root, with [plan =
+    Stored] of the run's store, and the ranking statistics. *)
 val run_ranked :
   ?pool:Par.Pool.t ->
   ?run:Obs.Run.t ->
@@ -242,9 +232,9 @@ val run_ranked :
   merger:'merge merger ->
   Subtree.t * stats
 
-(** [run inst config ~cost ~merge] is {!run_ranked} without a pool over
-    {!of_cost}[ cost]: the serial interface used by tests and simple
-    callers.  [cost a b] ranks candidate pairs — typically the planned
+(** [run inst config ~cost ~merge] is {!run_ranked} without a pool, a
+    session or a split merge: the serial interface used by tests and
+    simple callers.  [cost a b] ranks candidate pairs — typically the planned
     wire of a trial merge, so partners that merge without snaking (e.g.
     cross-group neighbours) are preferred over equally close partners
     that would require balancing wire.  [cost a b] must be at least

@@ -2,19 +2,22 @@ module Interval = Geometry.Interval
 
 type windows = { gid : int array; lo : floatarray; hi : floatarray }
 
-type lengths =
-  | Committed of { ea : float; eb : float }
-  | Split of { total : float; split_lo : float; split_hi : float }
-
 type plan =
   | Sink of Clocktree.Sink.t
-  | Join of {
-      region : Geometry.Octagon.t;
-      n_sinks : int;
-      left : plan;
-      right : plan;
-      lengths : lengths;
-    }
+  | Committed of { ea : float; eb : float }
+  | Split of { total : float; split_lo : float; split_hi : float }
+  | Stored of store
+
+and store = {
+  sinks : Clocktree.Sink.t array;
+  subs : store array;
+  mutable merges : int;
+  kids : int array;
+  n_sinks : int array;
+  rule : Bytes.t;
+  lengths : floatarray;
+  bounds : Geometry.Octslab.t;
+}
 
 type t = {
   id : int;
@@ -25,34 +28,78 @@ type t = {
   plan : plan;
 }
 
-let plan_region = function
-  | Sink s -> Geometry.Octagon.of_point s.loc
-  | Join j -> j.region
-
-let plan_n_sinks = function Sink _ -> 1 | Join j -> j.n_sinks
-
 let leaf (s : Clocktree.Sink.t) =
-  let plan = Sink s in
   {
     id = s.id;
-    region = plan_region plan;
+    region = Geometry.Octagon.of_point s.loc;
     cap = s.cap;
     delay =
       { gid = [| s.group |]; lo = Float.Array.make 1 0.; hi = Float.Array.make 1 0. };
     n_sinks = 1;
-    plan;
+    plan = Sink s;
   }
 
-let join ~id ~region ~cap ~delay a b lengths =
-  let n_sinks = a.n_sinks + b.n_sinks in
+let join ~id ~region ~cap ~delay a b plan =
+  { id; region; cap; delay; n_sinks = a.n_sinks + b.n_sinks; plan }
+
+let store leaves =
+  let m = Array.length leaves - 1 in
+  let bad () = invalid_arg "Subtree.store: leaves mix sinks and plans, or merges" in
+  let stitch = match leaves.(0).plan with Stored _ -> true | _ -> false in
+  let sink l = match l.plan with Sink s when not stitch -> s | _ -> bad () in
+  let sub l = match l.plan with Stored st when stitch -> st | _ -> bad () in
   {
-    id;
-    region;
-    cap;
-    delay;
-    n_sinks;
-    plan = Join { region; n_sinks; left = a.plan; right = b.plan; lengths };
+    sinks = (if stitch then [||] else Array.map sink leaves);
+    subs = (if stitch then Array.map sub leaves else [||]);
+    merges = 0;
+    kids = Array.make (2 * m) 0;
+    n_sinks = Array.make m 0;
+    rule = Bytes.make m 'c';
+    lengths = Float.Array.make (3 * m) 0.;
+    bounds = Geometry.Octslab.create m;
   }
+
+let leaves st = Array.length st.sinks + Array.length st.subs
+let root st = if st.merges = 0 then 0 else leaves st + st.merges - 1
+
+(* Written out field by field: a helper taking a float would box it. *)
+let record st t ~left ~right =
+  let m = st.merges in
+  if t.id <> leaves st + m || m >= Array.length st.n_sinks then
+    invalid_arg "Subtree.record: merges must be recorded in id order";
+  st.kids.(2 * m) <- left;
+  st.kids.((2 * m) + 1) <- right;
+  st.n_sinks.(m) <- t.n_sinks;
+  let f = st.lengths and o = 3 * m in
+  (match t.plan with
+   | Committed { ea; eb } ->
+     Float.Array.set f o ea;
+     Float.Array.set f (o + 1) eb
+   | Split { total; split_lo; split_hi } ->
+     Bytes.set st.rule m 's';
+     Float.Array.set f o total;
+     Float.Array.set f (o + 1) split_lo;
+     Float.Array.set f (o + 2) split_hi
+   | Sink _ | Stored _ -> invalid_arg "Subtree.record: not a merge");
+  Geometry.Octslab.set st.bounds m t.region;
+  st.merges <- m + 1
+
+let stored st t = { t with plan = Stored st }
+
+let store_of t =
+  match t.plan with Stored st -> st | _ -> invalid_arg "Subtree.store_of: not stored"
+
+let rec sinks_at st id =
+  let nl = leaves st in
+  if id >= nl then st.n_sinks.(id - nl)
+  else if Array.length st.sinks > 0 then 1
+  else sinks_at st.subs.(id) (root st.subs.(id))
+
+let rec region st id =
+  let nl = leaves st in
+  if id >= nl then Geometry.Octslab.get st.bounds (id - nl)
+  else if Array.length st.sinks > 0 then Geometry.Octagon.of_point st.sinks.(id).loc
+  else region st.subs.(id) (root st.subs.(id))
 
 let groups t = Array.to_list t.delay.gid
 
@@ -158,11 +205,3 @@ let min_slack_by ~bound_of t =
     acc := Float.min !acc (bound_of t.delay.gid.(i) -. width t i)
   done;
   !acc
-
-let pp ppf t =
-  Format.fprintf ppf "subtree %d: %d sinks, cap %.1f fF, groups {%a}, region %a"
-    t.id t.n_sinks t.cap
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Format.pp_print_int)
-    (groups t) Geometry.Octagon.pp t.region

@@ -8,7 +8,9 @@
     Exactness holds because merges either commit their wire lengths
     (delays are then position-independent) or restrict the region to
     shortest-path points whose split range is accounted for in the
-    intervals. *)
+    intervals.  The top-down embedding reads none of that: it reads a
+    ranking run's {!store}, the merge plan, which the run's root
+    carries. *)
 
 (** Per-group delay windows: group [gid.(i)]'s delays lie in
     [[lo.(i), hi.(i)]] (ps), with [gid] strictly ascending.  Flat arrays
@@ -17,8 +19,12 @@
     once built. *)
 type windows = { gid : int array; lo : floatarray; hi : floatarray }
 
-(** How the two child wires of a merge are realized at embedding time. *)
-type lengths =
+(** What the top-down embedding needs of a subtree, and nothing of its
+    bottom-up state.  A merged subtree keeps its own edge-length rule,
+    never its children: the ranking run that merged it records them in
+    its plan {!store}. *)
+type plan =
+  | Sink of Clocktree.Sink.t  (** a sink leaf *)
   | Committed of { ea : float; eb : float }
       (** fixed wire lengths; shortfall against the placed distance is
           snaked *)
@@ -26,23 +32,27 @@ type lengths =
       (** shortest-path merge: the wire to the left child has length
           [dist(p, left.region)] ∈ [split_lo, split_hi] and the right
           wire takes the rest of [total] *)
+  | Stored of store  (** a finished plan, the root of its store *)
 
-(** The merge plan: what the top-down embedding reads of a subtree —
-    its region, its sink count, its children's plans and its edge-length
-    rule — and nothing of the bottom-up state (delay windows, cap, id).
-    A merged subtree's record and windows become garbage once the
-    ranking loop drops it, while its plan node lives on inside its
-    parent's.  A sink's region is [Octagon.of_point s.loc], rebuilt by
-    {!plan_region} where the embedding needs it.  Never mutated. *)
-type plan =
-  | Sink of Clocktree.Sink.t
-  | Join of {
-      region : Geometry.Octagon.t;
-      n_sinks : int;
-      left : plan;
-      right : plan;
-      lengths : lengths;
-    }
+(** One ranking run's merge plan, append-only and indexed by subtree id
+    (DESIGN.md section 36).  Ids below {!leaves} are the run's leaves,
+    each standing for a sink ([sinks]) or, in a stitch, a finished
+    sub-plan ([subs]); one of the two is empty.  Merge [m] has id
+    [leaves + m] and slot [m] of the columns: child ids [kids.(2m)]
+    (left) and [kids.(2m+1)], its sink count, its rule ([rule.[m]] is
+    ['c'] for [Committed] with [ea], [eb] at [lengths.(3m)],
+    [lengths.(3m+1)], or ['s'] for [Split] with [total], [split_lo],
+    [split_hi] from [lengths.(3m)]) and its region's bounds. *)
+and store = {
+  sinks : Clocktree.Sink.t array;
+  subs : store array;
+  mutable merges : int;  (** merges recorded, at most [leaves - 1] *)
+  kids : int array;
+  n_sinks : int array;
+  rule : Bytes.t;
+  lengths : floatarray;
+  bounds : Geometry.Octslab.t;
+}
 
 type t = {
   id : int;
@@ -50,24 +60,41 @@ type t = {
   cap : float;  (** downstream capacitance, fF, wires included *)
   delay : windows;  (** per-group delay from the region, ps *)
   n_sinks : int;
-  plan : plan;  (** [region] and [n_sinks] are the plan's own *)
+  plan : plan;
 }
 
 val leaf : Clocktree.Sink.t -> t
 
-(** [join ~id ~region ~cap ~delay a b lengths] is the subtree merging
-    [a] (left) and [b] (right) at [region]: its plan node points at the
-    children's plans, not at [a] and [b]. *)
+(** [join ~id ~region ~cap ~delay a b plan] merges [a] (left) and [b]
+    (right) at [region] by the rule [plan]; it keeps neither. *)
 val join :
   id:int -> region:Geometry.Octagon.t -> cap:float -> delay:windows -> t -> t ->
-  lengths -> t
+  plan -> t
 
-(** A plan's region of admissible root locations: a join's own, a
-    sink's [Octagon.of_point s.loc], the region {!leaf} gives it. *)
-val plan_region : plan -> Geometry.Octagon.t
+(** An empty store over non-empty leaves with ids [0 .. n-1], all sinks
+    or all [Stored]; raises [Invalid_argument] otherwise. *)
+val store : t array -> store
 
-(** Sinks under a plan. *)
-val plan_n_sinks : plan -> int
+val leaves : store -> int
+
+(** The root's id: the last merge's, or the one leaf's. *)
+val root : store -> int
+
+(** [record st t ~left ~right] appends merge [t] of ids [left] and
+    [right]; [t.id] must be [leaves st + st.merges]. *)
+val record : store -> t -> left:int -> right:int -> unit
+
+(** [stored st t] is the finished root [t] with [plan = Stored st]. *)
+val stored : store -> t -> t
+
+(** A [Stored] root's store; raises [Invalid_argument] otherwise. *)
+val store_of : t -> store
+
+(** Sinks under an id. *)
+val sinks_at : store -> int -> int
+
+(** An id's region: a merge's, a sink's point, a sub-plan root's. *)
+val region : store -> int -> Geometry.Octagon.t
 
 (** Group ids present in the subtree. *)
 val groups : t -> int list
@@ -96,5 +123,3 @@ val min_slack : bound:float -> t -> float
 
 (** Per-group variant: smallest [bound_of g - width g]. *)
 val min_slack_by : bound_of:(int -> float) -> t -> float
-
-val pp : Format.formatter -> t -> unit

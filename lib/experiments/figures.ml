@@ -25,14 +25,18 @@ let fig1 () =
     let inst =
       Instance.make ~bound ~source:(pt 10000. 1000.) ~n_groups:1 sinks
     in
-    let merge id a b =
-      (Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id a b)
-        .subtree
+    (* Merge by hand, recording each merge in the plan the embedding
+       reads. *)
+    let leaves = Array.map Dme.Subtree.leaf inst.sinks in
+    let store = Dme.Subtree.store leaves in
+    let merge (a : Dme.Subtree.t) (b : Dme.Subtree.t) =
+      let id = Dme.Subtree.leaves store + store.merges in
+      let t = (Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id a b).subtree in
+      Dme.Subtree.record store t ~left:a.id ~right:b.id;
+      t
     in
-    let leaf i = Dme.Subtree.leaf inst.sinks.(i) in
-    let pair = merge 10 (leaf 0) (leaf 1) in
-    let root = merge 11 pair (leaf 2) in
-    let a = Dme.Embed.run_arena inst root in
+    let root = merge (merge leaves.(0) leaves.(1)) leaves.(2) in
+    let a = Dme.Embed.run_arena inst (Dme.Subtree.stored store root) in
     ignore (Repair.run_arena inst a);
     Evaluate.report_of_arena inst a
   in

@@ -120,3 +120,67 @@ let[@inline] diameter t i =
   Float.max
     (Float.Array.unsafe_get d (base + o_sh) -. Float.Array.unsafe_get d (base + o_sl))
     (Float.Array.unsafe_get d (base + o_dh) -. Float.Array.unsafe_get d (base + o_dl))
+
+(* [Octagon.of_point]'s bounds. *)
+let set_point t slot (p : Pt.t) =
+  ensure t slot;
+  let d = t.data and base = 8 * slot in
+  let s = p.x +. p.y and dd = p.x -. p.y in
+  Float.Array.unsafe_set d (base + o_xl) p.x;
+  Float.Array.unsafe_set d (base + o_xh) p.x;
+  Float.Array.unsafe_set d (base + o_yl) p.y;
+  Float.Array.unsafe_set d (base + o_yh) p.y;
+  Float.Array.unsafe_set d (base + o_sl) s;
+  Float.Array.unsafe_set d (base + o_sh) s;
+  Float.Array.unsafe_set d (base + o_dl) dd;
+  Float.Array.unsafe_set d (base + o_dh) dd
+
+(* [Float.min]/[Float.max] bit for bit, signed zeros included (as
+   Octagon's), and [Eps.clamp]/[Eps.leq], written out so no float
+   boxes. *)
+let[@inline] fmin_exact x y =
+  if x < y then x
+  else if y < x then y
+  else if (not (Float.sign_bit y)) && Float.sign_bit x then if y <> y then y else x
+  else if x <> x then x
+  else y
+
+let[@inline] fmax_exact x y =
+  if x < y then y
+  else if y < x then x
+  else if (not (Float.sign_bit y)) && Float.sign_bit x then if x <> x then x else y
+  else if y <> y then y
+  else x
+
+let[@inline] clamp (lo : float) hi x = if x < lo then lo else if x > hi then hi else x
+let[@inline] leq a b = a <= b +. Eps.tol
+
+(* Octagon.nearest_point: its containment test, then x clamped and y
+   clamped within the slice at x, in its operation order. *)
+let nearest t slot (p : Pt.t) xy =
+  let d = t.data and base = 8 * slot in
+  let xl = Float.Array.unsafe_get d (base + o_xl) in
+  let xh = Float.Array.unsafe_get d (base + o_xh) in
+  let yl = Float.Array.unsafe_get d (base + o_yl) in
+  let yh = Float.Array.unsafe_get d (base + o_yh) in
+  let sl = Float.Array.unsafe_get d (base + o_sl) in
+  let sh = Float.Array.unsafe_get d (base + o_sh) in
+  let dl = Float.Array.unsafe_get d (base + o_dl) in
+  let dh = Float.Array.unsafe_get d (base + o_dh) in
+  let s = p.x +. p.y and dd = p.x -. p.y in
+  let inside =
+    leq xl p.x && leq p.x xh && leq yl p.y && leq p.y yh && leq sl s && leq s sh
+    && leq dl dd && leq dd dh
+  in
+  if inside then begin
+    Float.Array.set xy 0 p.x;
+    Float.Array.set xy 1 p.y
+  end
+  else begin
+    let x = clamp xl xh p.x in
+    let ylo = fmax_exact yl (fmax_exact (sl -. x) (x -. dh)) in
+    let yhi = fmin_exact yh (fmin_exact (sh -. x) (x -. dl)) in
+    Float.Array.set xy 0 x;
+    Float.Array.set xy 1 (if ylo > yhi then (ylo +. yhi) /. 2. else clamp ylo yhi p.y)
+  end;
+  inside

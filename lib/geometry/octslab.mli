@@ -40,3 +40,13 @@ val dist : t -> int -> int -> float
 (** [diameter t i] is [Octagon.diameter (get t i)], bit for bit, without
     allocating. *)
 val diameter : t -> int -> float
+
+(** [set_point t slot p] stores the bounds of [Octagon.of_point p] at
+    [slot], growing the slab as needed, without building the octagon. *)
+val set_point : t -> int -> Pt.t -> unit
+
+(** [nearest t slot p xy] writes [Octagon.nearest_point (get t slot) p]
+    to [xy.(0)] (x) and [xy.(1)] (y), bit for bit, without allocating,
+    and returns whether that point is [p] itself ([p] lies in the
+    region, within the containment tolerance). *)
+val nearest : t -> int -> Pt.t -> floatarray -> bool

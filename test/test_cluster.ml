@@ -403,10 +403,10 @@ let test_depth_identity_circuit () =
 
 (* A stitched plan, as the clustered router builds one: two region plans
    over r1's left and right halves (ids re-densified per region), then a
-   stitch over the two region roots, so the stitch's plan node points at
-   the region plans themselves.  Embedding walks that plan of plans: the
-   arena-direct embed, serial and on a 2-domain pool (whose expansion
-   crosses the stitch into the regions), must equal the recursive
+   stitch over the two region roots, so the stitch's store has the
+   region plans' stores themselves as its leaves.  Embedding walks that
+   plan of plans: the arena-direct embed, serial and on a 2-domain pool
+   (which embeds each region as its own task), must equal the recursive
    reference embed bit for bit.  The embed-identity oracle row embeds
    flat plans only. *)
 let test_stitched_plan_embed_identity () =
@@ -426,12 +426,13 @@ let test_stitched_plan_embed_identity () =
   let a = region (Array.sub by_x 0 (n / 2)) in
   let b = region (Array.sub by_x (n / 2) (n - (n / 2))) in
   let root = plan [| { a with id = 0 }; { b with id = 1 } |] in
-  (match root.plan with
-   | Dme.Subtree.Join { left; right; n_sinks; _ } ->
-     Alcotest.(check int) "stitch covers every sink" n n_sinks;
-     Alcotest.(check bool) "stitch joins the region plans" true
-       (left == a.plan && right == b.plan)
-   | Dme.Subtree.Sink _ -> Alcotest.fail "the stitch did not merge");
+  (match (root.plan, a.plan, b.plan) with
+   | Dme.Subtree.Stored st, Stored sa, Stored sb ->
+     Alcotest.(check int) "stitch covers every sink" n root.n_sinks;
+     Alcotest.(check int) "stitch merges once" 1 st.merges;
+     Alcotest.(check bool) "stitch's leaves are the region plans" true
+       (st.subs.(0) == sa && st.subs.(1) == sb)
+   | _ -> Alcotest.fail "a plan is not stored");
   let reference =
     Check.Oracle.observe
       (Arena.of_routed inst.params ~rd:inst.rd

@@ -801,6 +801,38 @@ let prop_octslab_matches_octagon =
        QCheck.Gen.(pair gen_lattice_oct gen_lattice_oct))
     (fun (a, b) -> octslab_matches_octagon a b)
 
+(* [Octslab.nearest] is [Octagon.nearest_point] bit for bit, signed
+   zeros included, whether the point is inside (tolerance included) or
+   not, on stored regions and on [set_point]'s point regions. *)
+let prop_octslab_nearest_matches_octagon =
+  let coord =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun k -> float_of_int k *. 0.25) (-20 -- 20));
+          (1, return (-0.));
+          (1, map (fun k -> float_of_int k *. 1e-7) (-20 -- 20));
+        ])
+  in
+  QCheck.Test.make ~name:"Octslab.nearest = Octagon.nearest_point, bit for bit"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (o, (x, y), _) -> Format.asprintf "%a from (%h, %h)" Octagon.pp o x y)
+       QCheck.Gen.(triple gen_lattice_oct (pair coord coord) (pair coord coord)))
+    (fun (o, (x, y), (sx, sy)) ->
+      let p = pt x y and s = pt sx sy in
+      let slab = Octslab.create 2 and xy = Float.Array.create 2 in
+      Octslab.set slab 0 o;
+      Octslab.set_point slab 1 s;
+      List.for_all
+        (fun (slot, region) ->
+          let q = Octagon.nearest_point region p in
+          let inside = Octslab.nearest slab slot p xy in
+          inside = (q == p)
+          && Int64.bits_of_float (Float.Array.get xy 0) = Int64.bits_of_float q.x
+          && Int64.bits_of_float (Float.Array.get xy 1) = Int64.bits_of_float q.y)
+        [ (0, o); (1, Octagon.of_point s) ])
+
 (* Touching points at [+0.] and [-0.]: the largest gap is [-0.], and the
    distance must still be [+0.] as Octagon.dist gives it. *)
 let test_octslab_signed_zero () =
@@ -1171,7 +1203,8 @@ let () =
       );
       ( "octslab",
         Alcotest.test_case "signed zeros" `Quick test_octslab_signed_zero
-        :: qsuite [ prop_octslab_matches_octagon ] );
+        :: qsuite
+             [ prop_octslab_matches_octagon; prop_octslab_nearest_matches_octagon ] );
       ( "interval-properties",
         qsuite
           [
