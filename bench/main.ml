@@ -172,6 +172,51 @@ let smoke_clustered name =
     end;
     Format.printf "OK@."
 
+(* The instance file path on r5 (8 intermingled groups, as every smoke
+   leg routes it): words allocated per sink by [Io.to_string] and by
+   [Io.of_string] on its text, counted exactly on this domain as
+   [Gc.minor_words] plus the words allocated straight in the major heap
+   (major minus promoted words of [Gc.counters]).  The one-pass parser
+   reads 20.1 words per sink: 18.1 minor words (the sink, its point,
+   its boxed capacity and the floats [float_of_string] returns) and 2.1
+   of sink arrays; the line-and-token-list parser read 222.  The writer reads 22.6: the buffer, the final string (68 bytes
+   a sink) and a boxed float per coordinate it hands to the printer;
+   the [Printf.bprintf] writer read 184.  The gates are 1.25 times the
+   readings.  Deterministic like every count here. *)
+let smoke_io () =
+  header "Perf smoke: instance file path on r5";
+  let inst = bench_instance (Option.get (Workload.Circuits.find "r5")) in
+  let n = float_of_int (Clocktree.Instance.n_sinks inst) in
+  let words_per_sink f =
+    let _, promoted0, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () in
+    let r = Sys.opaque_identity (f ()) in
+    let minor1 = Gc.minor_words () in
+    let _, promoted1, major1 = Gc.counters () in
+    (r, (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)) /. n)
+  in
+  let text, write_words = words_per_sink (fun () -> Clocktree.Io.to_string inst) in
+  let parsed, parse_words = words_per_sink (fun () -> Clocktree.Io.of_string text) in
+  Format.printf "alloc: Io.to_string %.1f words per sink, Io.of_string %.1f@." write_words
+    parse_words;
+  let fail msg =
+    Format.printf "FAIL: %s@." msg;
+    exit 1
+  in
+  (match parsed with
+   | Ok i when Clocktree.Io.to_string i = text -> ()
+   | _ -> fail "r5 does not read back to the same text");
+  let write_words_budget = 28.3 and parse_words_budget = 25.1 in
+  if write_words > write_words_budget then
+    fail
+      (Printf.sprintf "Io.to_string allocates %.1f words per sink, over the %.1f budget"
+         write_words write_words_budget);
+  if parse_words > parse_words_budget then
+    fail
+      (Printf.sprintf "Io.of_string allocates %.1f words per sink, over the %.1f budget"
+         parse_words parse_words_budget);
+  Format.printf "OK@."
+
 (* Two plan stores are the same plan when every column is, floats bit
    for bit and leaves physically. *)
 let rec same_store (a : Dme.Subtree.store) (b : Dme.Subtree.store) =
@@ -447,7 +492,8 @@ let smoke args =
         (Printf.sprintf "%.2f candidates priced per probe exceeds the %.0f budget"
            priced_per_probe priced_per_probe_budget);
     Format.printf "OK@.");
-  smoke_clustered clustered_name
+  smoke_clustered clustered_name;
+  smoke_io ()
 
 (* --- bench scale: clustered routing at 10^4-10^5 sinks --------------------- *)
 

@@ -14,14 +14,28 @@
     v}
 
     Records may appear in any order.  Sink ids must be dense, and there
-    are at most as many groups as sinks. *)
+    are at most as many groups as sinks.  For a group with several
+    [groupbound] records the last one counts.
+
+    Both directions are one pass over the records.  The writer prints
+    every number exactly as [Printf.sprintf "%.17g"] does (so the text
+    reads back bit for bit) without going through [Printf]; the parser
+    scans the text by index.  Their speed and the printer's exactness
+    argument are in DESIGN.md §37. *)
 
 val to_string : Instance.t -> string
+
+(** Writes the records to the file as they are formatted, without
+    building the whole text first. *)
 val write_file : string -> Instance.t -> unit
+
+(** [Printf.sprintf "%.17g" x], the writer's number format. *)
+val float_to_string : float -> string
 
 (** Parse an instance; returns [Error message] on malformed input,
     including non-finite numbers and records their constructors reject
-    (e.g. a negative capacitance), which report ["line N: ..."]. *)
+    (e.g. a negative capacitance), which report ["line N: ..."].  Runs in
+    time linear in the text, whatever the number of groups. *)
 val of_string : string -> (Instance.t, string) result
 
 (** {!of_string} on a file's contents; an unreadable file is an [Error]

@@ -51,7 +51,16 @@ let[@inline] fmax x y =
    never replaces one found earlier, which fixes the sign of a zero
    bound, and a slightly negative cycle within the emptiness tolerance
    feeds the entries relaxed after it.  test_geometry checks the
-   unrolled closure against the looped one bit for bit. *)
+   unrolled closure against the looped one bit for bit.
+
+   Pass [k] runs only the nine relaxations with [i <> k <> j] when
+   [mkk >= 0] (false for NaN) at its start: the other seven add [mkk]
+   to an entry and compare the sum with that entry, and adding a
+   non-negative number never lowers a float (rounding is monotone;
+   [-0. +. 0.] ties, and [tighter] keeps the entry on ties and NaN).
+   [m00] starts at 0, so pass 0 is always the short one.  Writes that
+   nothing reads afterwards are not made: pass 3's and the
+   strengthening's [m13], [m21], [m30] and [m31]. *)
 
 (* One relaxation: the tighter of a candidate [v] and the current entry
    [m], keeping [m] on ties and on a NaN candidate. *)
@@ -70,75 +79,103 @@ let close s =
   let m12 = ref (tighter (-.sl) inf) and m30 = ref (tighter (-.sl) inf) in
   let m02 = ref (tighter dh inf) and m31 = ref (tighter dh inf) in
   let m20 = ref (tighter (-.dl) inf) and m13 = ref (tighter (-.dl) inf) in
-  (* via node 0 *)
-  m00 := tighter (!m00 +. !m00) !m00;
-  m01 := tighter (!m00 +. !m01) !m01;
-  m02 := tighter (!m00 +. !m02) !m02;
-  m03 := tighter (!m00 +. !m03) !m03;
-  m10 := tighter (!m10 +. !m00) !m10;
+  (* via node 0: [m00] is 0 *)
   m11 := tighter (!m10 +. !m01) !m11;
   m12 := tighter (!m10 +. !m02) !m12;
   m13 := tighter (!m10 +. !m03) !m13;
-  m20 := tighter (!m20 +. !m00) !m20;
   m21 := tighter (!m20 +. !m01) !m21;
   m22 := tighter (!m20 +. !m02) !m22;
   m23 := tighter (!m20 +. !m03) !m23;
-  m30 := tighter (!m30 +. !m00) !m30;
   m31 := tighter (!m30 +. !m01) !m31;
   m32 := tighter (!m30 +. !m02) !m32;
   m33 := tighter (!m30 +. !m03) !m33;
   (* via node 1 *)
-  m00 := tighter (!m01 +. !m10) !m00;
-  m01 := tighter (!m01 +. !m11) !m01;
-  m02 := tighter (!m01 +. !m12) !m02;
-  m03 := tighter (!m01 +. !m13) !m03;
-  m10 := tighter (!m11 +. !m10) !m10;
-  m11 := tighter (!m11 +. !m11) !m11;
-  m12 := tighter (!m11 +. !m12) !m12;
-  m13 := tighter (!m11 +. !m13) !m13;
-  m20 := tighter (!m21 +. !m10) !m20;
-  m21 := tighter (!m21 +. !m11) !m21;
-  m22 := tighter (!m21 +. !m12) !m22;
-  m23 := tighter (!m21 +. !m13) !m23;
-  m30 := tighter (!m31 +. !m10) !m30;
-  m31 := tighter (!m31 +. !m11) !m31;
-  m32 := tighter (!m31 +. !m12) !m32;
-  m33 := tighter (!m31 +. !m13) !m33;
+  if !m11 >= 0. then begin
+    m00 := tighter (!m01 +. !m10) !m00;
+    m02 := tighter (!m01 +. !m12) !m02;
+    m03 := tighter (!m01 +. !m13) !m03;
+    m20 := tighter (!m21 +. !m10) !m20;
+    m22 := tighter (!m21 +. !m12) !m22;
+    m23 := tighter (!m21 +. !m13) !m23;
+    m30 := tighter (!m31 +. !m10) !m30;
+    m32 := tighter (!m31 +. !m12) !m32;
+    m33 := tighter (!m31 +. !m13) !m33
+  end
+  else begin
+    m00 := tighter (!m01 +. !m10) !m00;
+    m01 := tighter (!m01 +. !m11) !m01;
+    m02 := tighter (!m01 +. !m12) !m02;
+    m03 := tighter (!m01 +. !m13) !m03;
+    m10 := tighter (!m11 +. !m10) !m10;
+    m11 := tighter (!m11 +. !m11) !m11;
+    m12 := tighter (!m11 +. !m12) !m12;
+    m13 := tighter (!m11 +. !m13) !m13;
+    m20 := tighter (!m21 +. !m10) !m20;
+    m21 := tighter (!m21 +. !m11) !m21;
+    m22 := tighter (!m21 +. !m12) !m22;
+    m23 := tighter (!m21 +. !m13) !m23;
+    m30 := tighter (!m31 +. !m10) !m30;
+    m31 := tighter (!m31 +. !m11) !m31;
+    m32 := tighter (!m31 +. !m12) !m32;
+    m33 := tighter (!m31 +. !m13) !m33;
+  end;
   (* via node 2 *)
-  m00 := tighter (!m02 +. !m20) !m00;
-  m01 := tighter (!m02 +. !m21) !m01;
-  m02 := tighter (!m02 +. !m22) !m02;
-  m03 := tighter (!m02 +. !m23) !m03;
-  m10 := tighter (!m12 +. !m20) !m10;
-  m11 := tighter (!m12 +. !m21) !m11;
-  m12 := tighter (!m12 +. !m22) !m12;
-  m13 := tighter (!m12 +. !m23) !m13;
-  m20 := tighter (!m22 +. !m20) !m20;
-  m21 := tighter (!m22 +. !m21) !m21;
-  m22 := tighter (!m22 +. !m22) !m22;
-  m23 := tighter (!m22 +. !m23) !m23;
-  m30 := tighter (!m32 +. !m20) !m30;
-  m31 := tighter (!m32 +. !m21) !m31;
-  m32 := tighter (!m32 +. !m22) !m32;
-  m33 := tighter (!m32 +. !m23) !m33;
+  if !m22 >= 0. then begin
+    m00 := tighter (!m02 +. !m20) !m00;
+    m01 := tighter (!m02 +. !m21) !m01;
+    m03 := tighter (!m02 +. !m23) !m03;
+    m10 := tighter (!m12 +. !m20) !m10;
+    m11 := tighter (!m12 +. !m21) !m11;
+    m13 := tighter (!m12 +. !m23) !m13;
+    m30 := tighter (!m32 +. !m20) !m30;
+    m31 := tighter (!m32 +. !m21) !m31;
+    m33 := tighter (!m32 +. !m23) !m33
+  end
+  else begin
+    m00 := tighter (!m02 +. !m20) !m00;
+    m01 := tighter (!m02 +. !m21) !m01;
+    m02 := tighter (!m02 +. !m22) !m02;
+    m03 := tighter (!m02 +. !m23) !m03;
+    m10 := tighter (!m12 +. !m20) !m10;
+    m11 := tighter (!m12 +. !m21) !m11;
+    m12 := tighter (!m12 +. !m22) !m12;
+    m13 := tighter (!m12 +. !m23) !m13;
+    m20 := tighter (!m22 +. !m20) !m20;
+    m21 := tighter (!m22 +. !m21) !m21;
+    m22 := tighter (!m22 +. !m22) !m22;
+    m23 := tighter (!m22 +. !m23) !m23;
+    m30 := tighter (!m32 +. !m20) !m30;
+    m31 := tighter (!m32 +. !m21) !m31;
+    m32 := tighter (!m32 +. !m22) !m32;
+    m33 := tighter (!m32 +. !m23) !m33;
+  end;
   (* via node 3 *)
-  m00 := tighter (!m03 +. !m30) !m00;
-  m01 := tighter (!m03 +. !m31) !m01;
-  m02 := tighter (!m03 +. !m32) !m02;
-  m03 := tighter (!m03 +. !m33) !m03;
-  m10 := tighter (!m13 +. !m30) !m10;
-  m11 := tighter (!m13 +. !m31) !m11;
-  m12 := tighter (!m13 +. !m32) !m12;
-  m13 := tighter (!m13 +. !m33) !m13;
-  m20 := tighter (!m23 +. !m30) !m20;
-  m21 := tighter (!m23 +. !m31) !m21;
-  m22 := tighter (!m23 +. !m32) !m22;
-  m23 := tighter (!m23 +. !m33) !m23;
-  m30 := tighter (!m33 +. !m30) !m30;
-  m31 := tighter (!m33 +. !m31) !m31;
-  m32 := tighter (!m33 +. !m32) !m32;
-  m33 := tighter (!m33 +. !m33) !m33;
-  (* strengthening: mij <= (m(i, bar i) + m(bar j, j)) / 2 *)
+  if !m33 >= 0. then begin
+    m00 := tighter (!m03 +. !m30) !m00;
+    m01 := tighter (!m03 +. !m31) !m01;
+    m02 := tighter (!m03 +. !m32) !m02;
+    m10 := tighter (!m13 +. !m30) !m10;
+    m11 := tighter (!m13 +. !m31) !m11;
+    m12 := tighter (!m13 +. !m32) !m12;
+    m20 := tighter (!m23 +. !m30) !m20;
+    m22 := tighter (!m23 +. !m32) !m22
+  end
+  else begin
+    m00 := tighter (!m03 +. !m30) !m00;
+    m01 := tighter (!m03 +. !m31) !m01;
+    m02 := tighter (!m03 +. !m32) !m02;
+    m03 := tighter (!m03 +. !m33) !m03;
+    m10 := tighter (!m13 +. !m30) !m10;
+    m11 := tighter (!m13 +. !m31) !m11;
+    m12 := tighter (!m13 +. !m32) !m12;
+    m20 := tighter (!m23 +. !m30) !m20;
+    m22 := tighter (!m23 +. !m32) !m22;
+    m23 := tighter (!m23 +. !m33) !m23;
+    m32 := tighter (!m33 +. !m32) !m32;
+    m33 := tighter (!m33 +. !m33) !m33;
+  end;
+  (* strengthening: mij <= (m(i, bar i) + m(bar j, j)) / 2; the
+     entries no output reads are left alone *)
   m00 := tighter ((!m01 +. !m10) /. 2.) !m00;
   m01 := tighter ((!m01 +. !m01) /. 2.) !m01;
   m02 := tighter ((!m01 +. !m32) /. 2.) !m02;
@@ -146,13 +183,9 @@ let close s =
   m10 := tighter ((!m10 +. !m10) /. 2.) !m10;
   m11 := tighter ((!m10 +. !m01) /. 2.) !m11;
   m12 := tighter ((!m10 +. !m32) /. 2.) !m12;
-  m13 := tighter ((!m10 +. !m23) /. 2.) !m13;
   m20 := tighter ((!m23 +. !m10) /. 2.) !m20;
-  m21 := tighter ((!m23 +. !m01) /. 2.) !m21;
   m22 := tighter ((!m23 +. !m32) /. 2.) !m22;
   m23 := tighter ((!m23 +. !m23) /. 2.) !m23;
-  m30 := tighter ((!m32 +. !m10) /. 2.) !m30;
-  m31 := tighter ((!m32 +. !m01) /. 2.) !m31;
   m32 := tighter ((!m32 +. !m32) /. 2.) !m32;
   m33 := tighter ((!m32 +. !m23) /. 2.) !m33;
   let tol = -.Eps.tol in

@@ -590,6 +590,216 @@ let prop_io_hostile =
            || QCheck.Test.fail_reportf "delays outside [0, inf): max %g, min %g"
                 r.evaluation.max_delay r.evaluation.min_delay))
 
+(* --- Io: the one-pass parser and the %.17g printer against the spec ------ *)
+
+(* [Io.float_to_string] is [Printf.sprintf "%.17g"] byte for byte, and
+   reads back to the same bits. *)
+let g17_agrees x =
+  let got = Io.float_to_string x and want = Printf.sprintf "%.17g" x in
+  if got <> want then QCheck.Test.fail_reportf "%h: printed %S, Printf %S" x got want;
+  Float.is_nan x
+  || Int64.equal (Int64.bits_of_float (float_of_string got)) (Int64.bits_of_float x)
+  || QCheck.Test.fail_reportf "%h: %S does not read back" x got
+
+(* Doubles of every kind: any finite 64-bit pattern (mostly far outside
+   the integer printer's range), doubles with a random mantissa across
+   and around that range, powers of ten and their neighbours,
+   quarter-integers, subnormals and the extremes. *)
+let gen_g17 =
+  let open QCheck.Gen in
+  let finite_bits =
+    map
+      (fun (hi, lo) ->
+        let x = Int64.float_of_bits (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)) in
+        if Float.is_finite x then x else 1.)
+      (pair (int_bound 0xFFFFFFFF) (int_bound 0xFFFFFFFF))
+  in
+  let in_range =
+    map3
+      (fun neg e m ->
+        let x = Float.ldexp (1. +. (Float.of_int m /. 4503599627370496.)) e in
+        if neg then -.x else x)
+      bool (int_range (-45) 62) (int_bound ((1 lsl 52) - 1))
+  in
+  let near_pow10 =
+    map2
+      (fun k step ->
+        let p = float_of_string ("1e" ^ string_of_int k) in
+        match step with 0 -> p | 1 -> Float.succ p | _ -> Float.pred p)
+      (int_range (-30) 30) (int_bound 2)
+  in
+  let halves = map (fun k -> Float.of_int k /. 4.) (int_range (-100_000) 100_000) in
+  let special =
+    oneofl
+      [ 0.; -0.; Float.min_float; -.Float.min_float; 4.9e-324; -4.9e-324;
+        Float.max_float; -.Float.max_float; 1234567890123456.25; 1234567890123456.75;
+        0.1; 0.2; 0.3; 1e-5; 9.9999999999999995e-05; 1e-4; 0.0001; 99999999999999984.;
+        1e17; 5e-324; 2.2250738585072009e-308; 1e16; 9007199254740993.; 0.5; 1.5; 2.5 ]
+  in
+  frequency [ (3, finite_bits); (5, in_range); (2, near_pow10); (1, halves); (1, special) ]
+
+let prop_g17_printf =
+  QCheck.Test.make ~name:"float_to_string = Printf %.17g, reads back" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_g17)
+    g17_agrees
+
+let test_g17_exact_ties () =
+  List.iter
+    (fun x -> ignore (g17_agrees x))
+    [ 1234567890123456.25; 1234567890123456.75; 12345678901234567.; 0.5; 2.5e-5;
+      1e-10; 1.0000000000000001e-10; 9.999999999999999e-11; 1e22; 1e23; nan; infinity;
+      neg_infinity ]
+
+(* Instance texts for the differential property: [prop_io_hostile]'s
+   mutations, plus white space, number spellings, comments and records
+   that only the token rules, the duplicate rules or the id order tell
+   apart. *)
+let odd_numbers = [| "+1"; "0x1"; "1_0"; "1."; "-0"; "007"; "0b1"; "1e2"; "0x1p3"; "-";
+                     "+"; "1e400"; "_1"; "0u5"; "9223372036854775807"; "-0.0"; ".5" |]
+
+let mutate_more text (op, a, b) =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let n = Array.length lines in
+  let l = a mod n in
+  let join ls = String.concat "\n" (Array.to_list ls) in
+  let replace_char c by s =
+    let idx = List.filter (fun i -> s.[i] = c) (List.init (String.length s) Fun.id) in
+    match idx with
+    | [] -> s
+    | _ ->
+      let i = List.nth idx (b mod List.length idx) in
+      String.sub s 0 i ^ by ^ String.sub s (i + 1) (String.length s - i - 1)
+  in
+  match op with
+  | 0 | 1 | 2 | 3 | 4 -> mutate text (op, a, b)
+  | 5 -> replace_char ' ' (if b mod 2 = 0 then "\t" else "  ") text
+  | 6 -> if b mod 2 = 0 then replace_char '\n' "\r\n" text
+         else String.concat "\r\n" (String.split_on_char '\n' text)
+  | 7 ->
+    let toks = Array.of_list (String.split_on_char ' ' lines.(l)) in
+    let k = Array.length toks in
+    if k > 1 then toks.(1 + (b mod (k - 1))) <- odd_numbers.(b mod Array.length odd_numbers);
+    lines.(l) <- String.concat " " (Array.to_list toks);
+    join lines
+  | 8 ->
+    lines.(l) <- lines.(l) ^ (match b mod 3 with 0 -> "#" | 1 -> " # note" | _ -> "\t#x y");
+    join lines
+  | 9 ->
+    let m = b mod n in
+    let t = lines.(l) in
+    lines.(l) <- lines.(m);
+    lines.(m) <- t;
+    join lines
+  | 10 -> text ^ Printf.sprintf "\ngroupbound %d %d" (b mod 3) (a mod 50)
+  | 11 -> Printf.sprintf "sink %d %d %d 1 %d\n" (a mod 7) (b mod 90) a (b mod 2) ^ text
+  | _ -> String.map (fun c -> if c = ' ' && b mod 5 = 0 then '\t' else c) lines.(l) ^ "\n" ^ text
+
+let same_parse text =
+  let sink_bits (s : Sink.t) =
+    (s.id, Int64.bits_of_float s.loc.x, Int64.bits_of_float s.loc.y,
+     Int64.bits_of_float s.cap, s.group)
+  in
+  match (Io.of_string text, Io_reference.of_string text) with
+  | exception e -> QCheck.Test.fail_reportf "Io.of_string raised %s" (Printexc.to_string e)
+  | Error a, Error b -> a = b || QCheck.Test.fail_reportf "error %S, reference %S" a b
+  | Ok a, Ok b ->
+    (Io.to_string a = Io_reference.to_string b
+     && Array.map sink_bits a.sinks = Array.map sink_bits b.sinks
+     && Array.init a.n_groups (Instance.bound_for a)
+        = Array.init b.n_groups (Instance.bound_for b))
+    || QCheck.Test.fail_reportf "parsed instances differ"
+  | Ok _, Error b -> QCheck.Test.fail_reportf "accepted; the reference says %S" b
+  | Error a, Ok _ -> QCheck.Test.fail_reportf "rejected with %S; the reference accepts" a
+
+let prop_io_differential =
+  let gen =
+    QCheck.Gen.(list_size (1 -- 5) (triple (0 -- 12) (0 -- 10_000) (0 -- 10_000)))
+  in
+  QCheck.Test.make ~name:"of_string = reference parser (value or error)" ~count:3000
+    (QCheck.make ~print:(fun muts -> String.escaped (List.fold_left mutate_more hostile_base muts)) gen)
+    (fun muts -> same_parse (List.fold_left mutate_more hostile_base muts))
+
+let test_io_differential_cases () =
+  List.iter
+    (fun text -> ignore (same_parse text))
+    [ ""; "\n"; "#"; "groups 1"; "source 0 0"; "source 0 0\ngroups 0";
+      "source 0 0\ngroups 1\nsink 0 1 2 3 0";
+      "source 0 0\ngroups 1\nsink 1 1 2 3 0\nsink 0 4 5 6 0";
+      "source 0 0\ngroups 2\nsink 1 1 2 3 0\nsink 1 4 5 6 1";
+      "source 0 0\ngroups 2\nsink 1 1 2 3 0\nsink 1 4 5 6 5\nsink 0 1 1 1 0";
+      "source 0 0\ngroups 1\nsink -1 1 2 3 0\nsink 0 4 5 6 0";
+      "source 0 0\ngroups 1\nsink 0 1 2 3 0\nsink 5 4 5 6 0";
+      "source 0 0\ngroups 2\nsink 0 1 2 3 1\nsink 0 4 5 6 0\nsink 2 1 1 1 0";
+      "source 0 0\ngroups 2\ngroupbound 1 4\ngroupbound 1 6\nsink 0 1 2 3 1\nsink 1 1 1 1 0";
+      "source 0 0\r\ngroups 1\r\nsink 0 1 2 3 0\r\n";
+      "source\t0 0\ngroups 1\nsink 0 1 2 3 0";
+      " \t source 0 0 \t\ngroups  1#\nsink 0 +1 0x1 1_0 0 # x";
+      "source 0 0\ngroups 1\nsink 0 1 2 3 0 extra";
+      "source 0 0\ngroups 1\nsink 00 1 2 3 -0";
+      "source 0 0\ngroups 1\nsink 1234567890123456789 1 2 3 0";
+      "source 0 0\ngroups 1\nsink 0 1 2 3 0\nparams 1";
+      "source 0 0\ngroups 1\nsink 0 1 2 3 0\n#params 1\n\n\n" ]
+
+(* The writer against the Printf writer it replaces, on every instance
+   the benchmark writes: Tables I-II's fifty r1-r5 instances, the fixed
+   s100k and the 2700 difficult_mix fuzz cases (fuzz seed 1, which
+   include the first 900 of [bench fuzz --seed 1]). *)
+let test_io_writer_identical () =
+  let check what (inst : Instance.t) =
+    let text = Io.to_string inst in
+    if text <> Io_reference.to_string inst then Alcotest.failf "%s: text differs" what;
+    match Io.of_string text with
+    | Ok i when Io.to_string i = text -> ()
+    | _ -> Alcotest.failf "%s: does not re-serialize identically" what
+  in
+  List.iter
+    (fun scheme ->
+      List.iter
+        (fun (spec : Workload.Circuits.spec) ->
+          List.iter
+            (fun n_groups ->
+              check spec.name
+                (Workload.Circuits.instance spec ~n_groups ~scheme ~bound:10. ()))
+            [ 1; 4; 6; 8; 10 ])
+        Workload.Circuits.specs)
+    Workload.Partition.[ Clustered; Intermingled ];
+  let n = 100_000 in
+  check "s100k"
+    (Workload.Circuits.instance
+       { name = "s100k"; n_sinks = n; die = 2000. *. sqrt (float_of_int n) }
+       ~n_groups:8 ~scheme:Workload.Partition.Intermingled ~bound:10. ());
+  for index = 0 to 2699 do
+    check (Printf.sprintf "fuzz case %d" index)
+      (Check.Gen.case ~seed:1L ~index ()).instance
+  done
+
+(* 10^5 sinks in 10^5 groups, a groupbound record for every group and a
+   second one for every seventh: the last record wins, and resolving them
+   is one pass (a list search per group took about 25 s here). *)
+let test_io_many_group_bounds () =
+  let n = 100_000 in
+  let b = Buffer.create (n * 48) in
+  Buffer.add_string b (Printf.sprintf "source 0 0\nbound 3\ngroups %d\n" n);
+  for g = 0 to n - 1 do
+    Printf.bprintf b "sink %d %d %d 1 %d\ngroupbound %d %d\n" g (g mod 300) (g / 300) g g
+      (g mod 100)
+  done;
+  for g = 0 to n - 1 do
+    if g mod 7 = 0 then Printf.bprintf b "groupbound %d %d.5\n" g (g mod 11)
+  done;
+  let t0 = Sys.time () in
+  match Io.of_string (Buffer.contents b) with
+  | Error e -> Alcotest.fail e
+  | Ok inst ->
+    let dt = Sys.time () -. t0 in
+    Alcotest.(check int) "groups" n inst.n_groups;
+    for g = 0 to n - 1 do
+      let want = if g mod 7 = 0 then float_of_int (g mod 11) +. 0.5 else float_of_int (g mod 100) in
+      if Instance.bound_for inst g <> want then
+        Alcotest.failf "group %d: bound %g, want %g" g (Instance.bound_for inst g) want
+    done;
+    if dt > 5. then Alcotest.failf "parsing took %.1f s" dt
+
 (* --- Svg ------------------------------------------------------------------ *)
 
 let test_svg_renders () =
@@ -660,7 +870,13 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
           Alcotest.test_case "errors" `Quick test_io_errors;
           Alcotest.test_case "comments and order" `Quick test_io_comments_and_order;
+          Alcotest.test_case "%.17g exact ties and specials" `Quick test_g17_exact_ties;
+          Alcotest.test_case "differential cases" `Quick test_io_differential_cases;
+          Alcotest.test_case "writer = Printf writer on benchmark instances" `Quick
+            test_io_writer_identical;
+          Alcotest.test_case "10^5 group bounds, last wins" `Quick
+            test_io_many_group_bounds;
         ]
-        @ qsuite [ prop_io_hostile ] );
+        @ qsuite [ prop_io_hostile; prop_g17_printf; prop_io_differential ] );
       ("svg", [ Alcotest.test_case "renders" `Quick test_svg_renders ]);
     ]

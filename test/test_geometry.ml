@@ -523,6 +523,53 @@ let prop_of_bounds_bit_exact =
        QCheck.Gen.(frequency [ (3, gen_raw_bounds); (1, gen_near_empty) ]))
     (fun b -> same_bits (Octagon.bounds (of_raw b)) (Ref_octagon.closure b))
 
+(* Lattice octagons with one or more bound pairs crossed by less or
+   more than the emptiness tolerance: crossing x drives [m11] negative
+   before pass 1, s or d drive [m22] and [m33] negative before passes 2
+   and 3, y drives [m33] negative before pass 3.  A pass whose diagonal
+   entry is negative runs all sixteen relaxations, which the random
+   bounds reach only rarely; the closure must still equal the looped
+   one bit for bit, and the crossings within the tolerance must leave
+   non-empty octagons for it to compare. *)
+let test_close_negative_diagonal () =
+  let open Octagon in
+  let bases =
+    [ { xl = -1.; xh = 2.; yl = -0.5; yh = 1.5; sl = -1.; sh = 3.; dl = -2.; dh = 2.5 };
+      { xl = 1.5; xh = 1.5; yl = -2.; yh = -2.; sl = -0.5; sh = -0.5; dl = 3.5; dh = 3.5 };
+      { xl = 0.; xh = 0.5; yl = -0.; yh = 0.; sl = Float.neg_infinity; sh = Float.infinity;
+        dl = -0.; dh = 0.5 } ]
+  in
+  let cross d b = function
+    | 0 -> { b with xl = b.xh +. d }
+    | 1 -> { b with yl = b.yh +. d }
+    | 2 -> { b with sl = b.sh +. d }
+    | _ -> { b with dl = b.dh +. d }
+  in
+  let non_empty = ref 0 and cases = ref 0 in
+  List.iter
+    (fun base ->
+      for pairs = 1 to 15 do
+        List.iter
+          (fun d ->
+            let b =
+              List.fold_left
+                (fun b k -> if pairs land (1 lsl k) <> 0 then cross d b k else b)
+                base [ 0; 1; 2; 3 ]
+            in
+            let got = Octagon.bounds (of_raw b) in
+            incr cases;
+            if got <> None then incr non_empty;
+            if not (same_bits got (Ref_octagon.closure b)) then
+              Alcotest.failf "%a: unrolled and looped closures differ" pp_bounds_opt
+                (Some b))
+          [ 1e-8; 1e-7; 2e-7; 3e-7; 4.9e-7; 5e-7; 6e-7; 1e-6; 2e-6 ]
+      done)
+    bases;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d crossed octagons non-empty" !non_empty !cases)
+    true
+    (!non_empty >= 20 && !non_empty < !cases)
+
 let prop_inter_bit_exact =
   QCheck.Test.make ~name:"inter = looped closure, bit for bit" ~count:2000
     arb_kernel_pair (fun (a, b) ->
@@ -1159,6 +1206,8 @@ let () =
           Alcotest.test_case "canonical closure" `Quick test_octagon_canonical;
           Alcotest.test_case "emptiness" `Quick test_octagon_empty;
           Alcotest.test_case "point octagon" `Quick test_octagon_point;
+          Alcotest.test_case "closure with a negative diagonal" `Quick
+            test_close_negative_diagonal;
           Alcotest.test_case "box" `Quick test_octagon_box;
           Alcotest.test_case "manhattan arc" `Quick test_octagon_segment;
           Alcotest.test_case "ball" `Quick test_octagon_ball;
