@@ -267,31 +267,21 @@ let int_token text tok k lineno =
 
 let no_sink = { Sink.id = -1; loc = Geometry.Pt.zero; cap = 0.; group = 0 }
 
-(* Sinks in the order the reference parser hands them to
-   [Instance.make]: its list of sinks, most recent first, sorted stably
-   by id.  Only ids that are not a permutation of [0, n) get here, and
-   [Instance.make] rejects them, so the order only picks which of its
-   messages is returned. *)
-let reference_order file_order n =
-  let a = Array.init n (fun i -> file_order.(n - 1 - i)) in
-  Array.stable_sort (fun (a : Sink.t) b -> compare a.id b.id) a;
-  a
-
 (* The parsed sinks by id.  A file that lists them in id order already
-   has them there. *)
+   has them there; any other file gets the order the reference parser
+   hands to [Instance.make]: its list of sinks, most recent first,
+   sorted stably by id.  For a permutation of [0, n) that is the id
+   order; otherwise [Instance.make] rejects the ids, and the order only
+   picks which of its messages is returned. *)
 let by_id file_order n =
   let a = if Array.length file_order = n then file_order else Array.sub file_order 0 n in
   let in_order = ref true in
   Array.iteri (fun i (s : Sink.t) -> if s.id <> i then in_order := false) a;
   if !in_order then a
   else begin
-    let placed = Array.make n no_sink and ok = ref true in
-    Array.iter
-      (fun (s : Sink.t) ->
-        if s.id >= 0 && s.id < n && placed.(s.id) == no_sink then placed.(s.id) <- s
-        else ok := false)
-      a;
-    if !ok then placed else reference_order file_order n
+    let r = Array.init n (fun i -> file_order.(n - 1 - i)) in
+    Array.stable_sort (fun (a : Sink.t) b -> compare a.id b.id) r;
+    r
   end
 
 let parse text =

@@ -53,12 +53,14 @@ let[@inline] fmax x y =
    feeds the entries relaxed after it.  test_geometry checks the
    unrolled closure against the looped one bit for bit.
 
-   Pass [k] runs only the nine relaxations with [i <> k <> j] when
-   [mkk >= 0] (false for NaN) at its start: the other seven add [mkk]
-   to an entry and compare the sum with that entry, and adding a
-   non-negative number never lowers a float (rounding is monotone;
-   [-0. +. 0.] ties, and [tighter] keeps the entry on ties and NaN).
-   [m00] starts at 0, so pass 0 is always the short one.  Writes that
+   Pass [k] runs the seven relaxations with [i = k] or [j = k] only
+   when [mkk >= 0] (false for NaN) fails at its start, in their places
+   in the loop order.  Otherwise each adds [mkk] to an entry and
+   compares the sum with that entry, and adding a non-negative number
+   never lowers a float (rounding is monotone; [-0. +. 0.] ties, and
+   [tighter] keeps the entry on ties and NaN); [mkk] itself changes
+   only through its own relaxation.  [m00] starts at 0, so pass 0 runs
+   only the nine others.  Writes that
    nothing reads afterwards are not made: pass 3's and the
    strengthening's [m13], [m21], [m30] and [m31]. *)
 
@@ -89,90 +91,61 @@ let close s =
   m31 := tighter (!m30 +. !m01) !m31;
   m32 := tighter (!m30 +. !m02) !m32;
   m33 := tighter (!m30 +. !m03) !m33;
-  (* via node 1 *)
-  if !m11 >= 0. then begin
-    m00 := tighter (!m01 +. !m10) !m00;
-    m02 := tighter (!m01 +. !m12) !m02;
-    m03 := tighter (!m01 +. !m13) !m03;
-    m20 := tighter (!m21 +. !m10) !m20;
-    m22 := tighter (!m21 +. !m12) !m22;
-    m23 := tighter (!m21 +. !m13) !m23;
-    m30 := tighter (!m31 +. !m10) !m30;
-    m32 := tighter (!m31 +. !m12) !m32;
-    m33 := tighter (!m31 +. !m13) !m33
-  end
-  else begin
-    m00 := tighter (!m01 +. !m10) !m00;
-    m01 := tighter (!m01 +. !m11) !m01;
-    m02 := tighter (!m01 +. !m12) !m02;
-    m03 := tighter (!m01 +. !m13) !m03;
+  (* via node 1; [neg] runs the seven relaxations through [m11] *)
+  let neg = not (!m11 >= 0.) in
+  m00 := tighter (!m01 +. !m10) !m00;
+  if neg then m01 := tighter (!m01 +. !m11) !m01;
+  m02 := tighter (!m01 +. !m12) !m02;
+  m03 := tighter (!m01 +. !m13) !m03;
+  if neg then begin
     m10 := tighter (!m11 +. !m10) !m10;
     m11 := tighter (!m11 +. !m11) !m11;
     m12 := tighter (!m11 +. !m12) !m12;
-    m13 := tighter (!m11 +. !m13) !m13;
-    m20 := tighter (!m21 +. !m10) !m20;
-    m21 := tighter (!m21 +. !m11) !m21;
-    m22 := tighter (!m21 +. !m12) !m22;
-    m23 := tighter (!m21 +. !m13) !m23;
-    m30 := tighter (!m31 +. !m10) !m30;
-    m31 := tighter (!m31 +. !m11) !m31;
-    m32 := tighter (!m31 +. !m12) !m32;
-    m33 := tighter (!m31 +. !m13) !m33;
+    m13 := tighter (!m11 +. !m13) !m13
   end;
+  m20 := tighter (!m21 +. !m10) !m20;
+  if neg then m21 := tighter (!m21 +. !m11) !m21;
+  m22 := tighter (!m21 +. !m12) !m22;
+  m23 := tighter (!m21 +. !m13) !m23;
+  m30 := tighter (!m31 +. !m10) !m30;
+  if neg then m31 := tighter (!m31 +. !m11) !m31;
+  m32 := tighter (!m31 +. !m12) !m32;
+  m33 := tighter (!m31 +. !m13) !m33;
   (* via node 2 *)
-  if !m22 >= 0. then begin
-    m00 := tighter (!m02 +. !m20) !m00;
-    m01 := tighter (!m02 +. !m21) !m01;
-    m03 := tighter (!m02 +. !m23) !m03;
-    m10 := tighter (!m12 +. !m20) !m10;
-    m11 := tighter (!m12 +. !m21) !m11;
-    m13 := tighter (!m12 +. !m23) !m13;
-    m30 := tighter (!m32 +. !m20) !m30;
-    m31 := tighter (!m32 +. !m21) !m31;
-    m33 := tighter (!m32 +. !m23) !m33
-  end
-  else begin
-    m00 := tighter (!m02 +. !m20) !m00;
-    m01 := tighter (!m02 +. !m21) !m01;
-    m02 := tighter (!m02 +. !m22) !m02;
-    m03 := tighter (!m02 +. !m23) !m03;
-    m10 := tighter (!m12 +. !m20) !m10;
-    m11 := tighter (!m12 +. !m21) !m11;
-    m12 := tighter (!m12 +. !m22) !m12;
-    m13 := tighter (!m12 +. !m23) !m13;
+  let neg = not (!m22 >= 0.) in
+  m00 := tighter (!m02 +. !m20) !m00;
+  m01 := tighter (!m02 +. !m21) !m01;
+  if neg then m02 := tighter (!m02 +. !m22) !m02;
+  m03 := tighter (!m02 +. !m23) !m03;
+  m10 := tighter (!m12 +. !m20) !m10;
+  m11 := tighter (!m12 +. !m21) !m11;
+  if neg then m12 := tighter (!m12 +. !m22) !m12;
+  m13 := tighter (!m12 +. !m23) !m13;
+  if neg then begin
     m20 := tighter (!m22 +. !m20) !m20;
     m21 := tighter (!m22 +. !m21) !m21;
     m22 := tighter (!m22 +. !m22) !m22;
-    m23 := tighter (!m22 +. !m23) !m23;
-    m30 := tighter (!m32 +. !m20) !m30;
-    m31 := tighter (!m32 +. !m21) !m31;
-    m32 := tighter (!m32 +. !m22) !m32;
-    m33 := tighter (!m32 +. !m23) !m33;
+    m23 := tighter (!m22 +. !m23) !m23
   end;
-  (* via node 3 *)
-  if !m33 >= 0. then begin
-    m00 := tighter (!m03 +. !m30) !m00;
-    m01 := tighter (!m03 +. !m31) !m01;
-    m02 := tighter (!m03 +. !m32) !m02;
-    m10 := tighter (!m13 +. !m30) !m10;
-    m11 := tighter (!m13 +. !m31) !m11;
-    m12 := tighter (!m13 +. !m32) !m12;
-    m20 := tighter (!m23 +. !m30) !m20;
-    m22 := tighter (!m23 +. !m32) !m22
-  end
-  else begin
-    m00 := tighter (!m03 +. !m30) !m00;
-    m01 := tighter (!m03 +. !m31) !m01;
-    m02 := tighter (!m03 +. !m32) !m02;
-    m03 := tighter (!m03 +. !m33) !m03;
-    m10 := tighter (!m13 +. !m30) !m10;
-    m11 := tighter (!m13 +. !m31) !m11;
-    m12 := tighter (!m13 +. !m32) !m12;
-    m20 := tighter (!m23 +. !m30) !m20;
-    m22 := tighter (!m23 +. !m32) !m22;
+  m30 := tighter (!m32 +. !m20) !m30;
+  m31 := tighter (!m32 +. !m21) !m31;
+  if neg then m32 := tighter (!m32 +. !m22) !m32;
+  m33 := tighter (!m32 +. !m23) !m33;
+  (* via node 3; [m13], [m21], [m30] and [m31] are read no more *)
+  let neg = not (!m33 >= 0.) in
+  m00 := tighter (!m03 +. !m30) !m00;
+  m01 := tighter (!m03 +. !m31) !m01;
+  m02 := tighter (!m03 +. !m32) !m02;
+  if neg then m03 := tighter (!m03 +. !m33) !m03;
+  m10 := tighter (!m13 +. !m30) !m10;
+  m11 := tighter (!m13 +. !m31) !m11;
+  m12 := tighter (!m13 +. !m32) !m12;
+  m20 := tighter (!m23 +. !m30) !m20;
+  m22 := tighter (!m23 +. !m32) !m22;
+  if neg then begin
     m23 := tighter (!m23 +. !m33) !m23;
     m32 := tighter (!m33 +. !m32) !m32;
-    m33 := tighter (!m33 +. !m33) !m33;
+    m33 := tighter (!m33 +. !m33) !m33
   end;
   (* strengthening: mij <= (m(i, bar i) + m(bar j, j)) / 2; the
      entries no output reads are left alone *)

@@ -527,8 +527,8 @@ let prop_of_bounds_bit_exact =
    more than the emptiness tolerance: crossing x drives [m11] negative
    before pass 1, s or d drive [m22] and [m33] negative before passes 2
    and 3, y drives [m33] negative before pass 3.  A pass whose diagonal
-   entry is negative runs all sixteen relaxations, which the random
-   bounds reach only rarely; the closure must still equal the looped
+   entry is negative also runs the seven relaxations through its node,
+   which the random bounds reach only rarely; the closure must still equal the looped
    one bit for bit, and the crossings within the tolerance must leave
    non-empty octagons for it to compare. *)
 let test_close_negative_diagonal () =
