@@ -259,6 +259,7 @@ let columns (o : obs) =
         ("lift_iterations", f s.lift_iterations);
         ("unresolved_groups", f s.unresolved_groups); ("cycles", f s.cycles);
         ("budget_exhausted", if s.budget_exhausted then 1. else 0.) ]
+    @ [ ("repair.delays", s.delays) ]
 
 let diffs v r =
   let expected = columns r in
@@ -272,7 +273,7 @@ let diffs v r =
       | Some y ->
         let out = ref [] in
         for k = Array.length x - 1 downto 0 do
-          if x.(k) <> y.(k) then
+          if Int64.bits_of_float x.(k) <> Int64.bits_of_float y.(k) then
             let at =
               if Array.length x > 1 then Printf.sprintf "%s[%d]" name k else name
             in
@@ -394,13 +395,14 @@ let cluster_depth =
             @ said (Audit.run Audit.Grouped c.inst d2.routed d2.evaluation) });
     variant = (fun c _ j -> of_result (clustered_route ~depth:2 c j)) }
 
-(* Repair mutates only the [len] column, so each run gets a copy. *)
+(* Repair mutates only the [len] column, so each run gets a copy; the
+   report is repair's last evaluation, as a route's is. *)
 let repaired c ~jobs ~incremental regions =
   let planned = (snd (plan c 1)).arena in
   let arena = { planned with len = Array.copy planned.len } in
   let config = { Repair.default_config with jobs; incremental; regions } in
   let repair = Repair.run_arena ~config c.inst arena in
-  observe ~report:(Evaluate.report_of_arena ~jobs:1 c.inst arena) ~repair arena
+  observe ~report:(Evaluate.of_delays c.inst arena repair.delays) ~repair arena
 
 let repair_row family regions =
   { name = "repair-identity";
@@ -411,13 +413,24 @@ let repair_row family regions =
 let repair = repair_row "auto-regions" None
 let repair_regional = repair_row "forced-regions" (Some 4)
 
+let swept c o = { o with report = Some (Evaluate.report_of_arena c.inst o.arena) }
+
+(* The route's report against the serial sweep of the jobs-1 route's
+   tree; extras: repair at [j] with 4 forced windows, incremental and
+   from scratch, each against the sweep of the tree it left. *)
 let evaluate =
-  { name = "evaluate-identity"; label = "windowed vs serial"; jobs = [ 2; 4 ];
-    reference = (fun c -> route c 1);
+  { name = "evaluate-identity"; label = "route report vs serial sweep";
+    jobs = [ 1; 2; 4 ]; reference = (fun c -> swept c (route c 1));
     variant =
-      (fun c r j ->
-        observe r.arena
-          ~report:(Evaluate.report_of_arena ~jobs:j ~regions:4 c.inst r.arena)) }
+      (fun c _ j ->
+        let forced incremental =
+          let o = repaired c ~jobs:j ~incremental (Some 4) in
+          List.map
+            (Printf.sprintf "regions=4 incremental=%b %s" incremental)
+            (diffs o (swept c o))
+        in
+        let o = route c j in
+        { o with extra = o.extra @ forced true @ forced false }) }
 
 let embed =
   { name = "embed-identity"; label = "direct vs reference"; jobs = [ 1; 2; 4 ];

@@ -27,7 +27,7 @@
  cluster-identity        serial route                  clusters = 1 route    1, 2
  cluster-depth-identity  depth-2 route, jobs 1         depth-2 route         2, 4
  repair-identity (x2)    Repair, incremental = false   incremental Repair    1, 2, 4
- evaluate-identity       the route's serial report     windowed, regions 4   2, 4
+ evaluate-identity       serial sweep, jobs-1 route    the route's report    1, 2, 4
  embed-identity          Embed.run_reference           Embed.run_arena       1, 2, 4
     v}
 
@@ -40,7 +40,10 @@
     clusters its detail, the grouped audit and forced depth 1 =
     default depth.  Repair runs on the serial plan in two families,
     auto regions and forced 4 regions, so the regional fixpoints run
-    on every case.
+    on every case.  The route's report is repair's last evaluation
+    folded by {!Clocktree.Evaluate.of_delays}; [evaluate-identity] also
+    checks, as extras, repair at [j] with 4 forced windows, incremental
+    and from scratch, against the serial sweep of the tree each left.
 
     A raised exception anywhere is converted into a finding with oracle
     name ["exception"], so fuzzing surfaces crashes as ordinary
@@ -94,7 +97,9 @@ val observe :
 (** A routed result, all four parts present. *)
 val of_result : Astskew.Router.result -> obs
 
-(** [diffs v r]: one line per value of [v] that is not bit-equal to [r]'s,
+(** [diffs v r]: one line per value of [v] that is not bit-equal to [r]'s
+    ([Int64.bits_of_float] differs: [-0.] and [+0.] differ, two NaNs of
+    the same bits do not),
     named by field ([arena.left[3]], [report.max_delay],
     [engine.nn_reprobes], [repair.cycles], ...); parts absent from either
     side are not compared, and neither are [extra]s. *)

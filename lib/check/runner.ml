@@ -28,8 +28,8 @@ let check ?inject (case : Gen.case) =
 
 (* Huge cases run (and shrink against) the ranking-path, repair and
    evaluation rows alone: the full battery would take minutes per
-   1500-sink instance, and scale stresses exactly the ranking, repair and
-   windowed-evaluation paths — which is what these audit.  The par row
+   1500-sink instance, and scale stresses exactly the ranking and
+   windowed-repair paths — which is what these audit.  The par row
    checks pooled probing against the serial plan over many merge rounds
    (and grid re-cells); at this size repair auto-derives multiple
    regions, so the regional fixpoints are checked against the serial

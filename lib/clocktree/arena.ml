@@ -177,13 +177,18 @@ let downstream_rc ~into a =
   downstream_rc_range ~into ~lo:0 ~hi:(a.n - 1) a;
   half a.params a.source_len +. into.(a.n - 1)
 
-let elmore_range ~down ~root_delay ~into ~lo ~hi a =
-  let k = Rc.Wire.ps_per_ohm_ff in
-  into.(hi) <- root_delay;
-  for v = hi - 1 downto lo do
-    into.(v) <-
-      into.(a.parent.(v)) +. (k *. (a.params.r *. a.len.(v)) *. down.(v))
+(* The one descending Elmore fill: each node of [lo, hi] from its
+   parent's delay, which lies above the range or is already filled. *)
+let elmore_fill ~down ~into ~lo ~hi a =
+  let k = Rc.Wire.ps_per_ohm_ff and r = a.params.r in
+  let parent = a.parent and len = a.len in
+  for v = hi downto lo do
+    into.(v) <- into.(parent.(v)) +. (k *. (r *. len.(v)) *. down.(v))
   done
+
+let elmore_range ~down ~root_delay ~into ~lo ~hi a =
+  into.(hi) <- root_delay;
+  elmore_fill ~down ~into ~lo ~hi:(hi - 1) a
 
 (* The root's delay: the driver term over the whole load [down0], then
    the root edge. *)
@@ -206,20 +211,15 @@ let delays_by_sink ~delay ~into a =
     if a.left.(v) < 0 then into.(a.sink.(v)) <- delay.(v)
   done
 
-let delays_by_sink_range ~delay ~into ~lo ~hi a =
-  for v = lo to hi do
-    if a.left.(v) < 0 then into.(a.sink.(v)) <- delay.(v)
-  done
-
-(* --- evaluation windows ------------------------------------------------ *)
+(* --- repair windows ---------------------------------------------------- *)
 
 (* Disjoint maximal subtrees of at most [ceil (n / count)] nodes (with at
-   least one merge node), returned as ascending contiguous index ranges.
-   The same decomposition policy as the repair pass's regional fixpoints
-   — a pure function of the tree shape and [count], never of the jobs
-   count, so any computation split along these windows is reproducible
-   for any parallelism.  The root is never inside a window (its subtree
-   is the whole arena), so the residual "spine" — every node outside all
+   least one merge node), returned as ascending contiguous index ranges:
+   the repair pass's regional fixpoints and the windows of its global
+   cycle.  A pure function of the tree shape and [count], never of the
+   jobs count, so work split along these windows is reproducible for any
+   parallelism.  The root is never inside a window (its subtree is the
+   whole arena), so the residual "spine" — every node outside all
    windows — always contains it.  [count < 2] yields no windows.  The
    default [count] is the shared region density target, capped at 64. *)
 let windows ?count a =
@@ -243,63 +243,6 @@ let windows ?count a =
     Array.of_list
       (List.map (fun root -> (root - a.size.(root) + 1, root)) !out)
   end
-
-(* Spine passes: the serial complement of a window decomposition.  Each
-   computes exactly the per-node expression of its full-array kernel,
-   only over the index gaps between windows — children of a spine node
-   are spine nodes or window roots, and a spine node's parent is again a
-   spine node (windows are whole subtrees), so evaluation order along
-   gaps is well-founded in both directions. *)
-
-let downstream_rc_gaps ~into ~windows a =
-  let idx = ref 0 in
-  Array.iter
-    (fun (lo, hi) ->
-      if !idx < lo then downstream_rc_range ~into ~lo:!idx ~hi:(lo - 1) a;
-      idx := hi + 1)
-    windows;
-  if !idx <= a.n - 1 then downstream_rc_range ~into ~lo:!idx ~hi:(a.n - 1) a;
-  half a.params a.source_len +. into.(a.n - 1)
-
-let elmore_gaps ~down ~down0 ~into ~windows a =
-  let k = Rc.Wire.ps_per_ohm_ff in
-  let root = a.n - 1 in
-  let root_delay = driver_root_delay ~down ~down0 a in
-  let fill lo hi =
-    for v = hi downto lo do
-      if v = root then into.(v) <- root_delay
-      else
-        into.(v) <-
-          into.(a.parent.(v)) +. (k *. (a.params.r *. a.len.(v)) *. down.(v))
-    done
-  in
-  let idx = ref (a.n - 1) in
-  for w = Array.length windows - 1 downto 0 do
-    let lo, hi = windows.(w) in
-    if hi < !idx then fill (hi + 1) !idx;
-    idx := lo - 1
-  done;
-  if !idx >= 0 then fill 0 !idx
-
-(* Top-down fill of one window, deriving the window root's delay from
-   its (already computed) parent — the identical expression the full
-   descending loop of [elmore] uses for that node. *)
-let elmore_window ~down ~into ~lo ~hi a =
-  let k = Rc.Wire.ps_per_ohm_ff in
-  let root_delay =
-    into.(a.parent.(hi)) +. (k *. (a.params.r *. a.len.(hi)) *. down.(hi))
-  in
-  elmore_range ~down ~root_delay ~into ~lo ~hi a
-
-let delays_by_sink_gaps ~delay ~into ~windows a =
-  let idx = ref 0 in
-  Array.iter
-    (fun (lo, hi) ->
-      if !idx < lo then delays_by_sink_range ~delay ~into ~lo:!idx ~hi:(lo - 1) a;
-      idx := hi + 1)
-    windows;
-  if !idx <= a.n - 1 then
-    delays_by_sink_range ~delay ~into ~lo:!idx ~hi:(a.n - 1) a
 
 let wirelength a =
   let w = Array.make a.n 0. in

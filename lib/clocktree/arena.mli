@@ -80,6 +80,13 @@ val elmore : down:float array -> down0:float -> into:float array -> t -> unit
     {!downstream_rc}: the value {!elmore} writes at [n - 1]. *)
 val root_delay : down:float array -> t -> float
 
+(** The one descending Elmore fill: [into.(v)] for [v] from [hi] down
+    to [lo], each from its parent's delay, which lies above the range or
+    is already filled — {!elmore}'s per-node expression.  {!elmore_range}
+    and repair's windowed sweep both run it. *)
+val elmore_fill :
+  down:float array -> into:float array -> lo:int -> hi:int -> t -> unit
+
 (** {!elmore} restricted to the subtree range [lo, hi]:
     [into.(hi) <- root_delay] and descendants accumulate from it.
     With [root_delay = 0.] the window holds delays measured from the
@@ -99,11 +106,7 @@ val elmore_range :
     length [n_sinks]. *)
 val delays_by_sink : delay:float array -> into:float array -> t -> unit
 
-(** {!delays_by_sink} restricted to the index range [lo, hi]. *)
-val delays_by_sink_range :
-  delay:float array -> into:float array -> lo:int -> hi:int -> t -> unit
-
-(** Evaluation windows: the disjoint maximal subtrees of at most
+(** Repair windows: the disjoint maximal subtrees of at most
     [ceil (n / count)] nodes (at least 3 nodes each), as ascending
     contiguous [(lo, hi)] index ranges.  A pure function of the tree
     shape and [count] — never of a jobs count — so work split along
@@ -111,38 +114,9 @@ val delays_by_sink_range :
     always outside every window.  [count] defaults to
     {!Instance.auto_regions} of the sink count, capped at 64
     ([clamp 1 64 (ceil (n_sinks / 1000))]); below 2 the result is
-    empty.  This is the same decomposition the repair pass uses for its
-    regional fixpoints. *)
+    empty.  Only {!Repair} splits work along them: its regional
+    fixpoints and the window steps of its global cycle. *)
 val windows : ?count:int -> t -> (int * int) array
-
-(** Serial spine complement of {!downstream_rc} over a window
-    decomposition: fills every node {e outside} the windows (ascending
-    along the gaps; window values must already be present) with the
-    exact expression of the full kernel and returns [down0]. *)
-val downstream_rc_gaps :
-  into:float array -> windows:(int * int) array -> t -> float
-
-(** Serial spine complement of {!elmore}: fills every node outside the
-    windows top-down (descending along the gaps), computing the root
-    delay from [down0] exactly as {!elmore} does.  Must run {e before}
-    the per-window passes — window roots read their parent's delay. *)
-val elmore_gaps :
-  down:float array ->
-  down0:float ->
-  into:float array ->
-  windows:(int * int) array ->
-  t ->
-  unit
-
-(** {!elmore_range} over one window, deriving the window root's delay
-    from its parent's already-computed delay — bit-identical to the full
-    descending loop restricted to [lo, hi]. *)
-val elmore_window :
-  down:float array -> into:float array -> lo:int -> hi:int -> t -> unit
-
-(** {!delays_by_sink} over the gaps of a window decomposition. *)
-val delays_by_sink_gaps :
-  delay:float array -> into:float array -> windows:(int * int) array -> t -> unit
 
 (** Total wirelength including the source wire; bit-identical to
     {!Tree.wirelength} of {!to_routed}. *)

@@ -2,18 +2,14 @@
     delays, global skew and per-group skew — the quantities reported in
     the thesis' Tables I and II.
 
-    Evaluation runs on the flat post-order {!Arena}, whose RC kernels
-    are bit-identical to the {!Tree.to_rctree} + {!Rc.Rctree.elmore}
-    pipeline but iterative, so arbitrarily deep (comb-shaped) trees
-    evaluate without stack overflow.
-
-    With [jobs > 1] the kernels run windowed: {!Arena.windows} subtrees
-    fill in parallel and a serial spine pass stitches the gaps.  Every
-    node's value is computed by the serial kernel's expression from the
-    serial operands, so reports are bit-identical for any [jobs] /
-    [regions] (enforced by [Check.Oracle.evaluate]).  [regions]
-    forces the window count; by default it derives from the sink count
-    (small instances stay on the plain serial path). *)
+    A route evaluates once: {!Repair.run_arena} returns the per-sink
+    Elmore delays of its last evaluation, which is always of the final
+    tree, and {!of_delays} folds them into the grouped report.
+    {!report_of_arena} is the serial reference sweep over the flat
+    post-order {!Arena}, whose RC kernels are bit-identical to the
+    {!Tree.to_rctree} + {!Rc.Rctree.elmore} pipeline but iterative, so
+    arbitrarily deep (comb-shaped) trees evaluate without stack
+    overflow.  The two agree bit for bit ([Check.Oracle.evaluate]). *)
 
 type report = {
   wirelength : float;
@@ -31,14 +27,22 @@ type report = {
     acceptance check cannot drift apart. *)
 val default_slack : float
 
-(** Evaluate a tree on its arena (the router's representation; a boxed
-    tree is flattened first with {!Arena.of_routed}).  An
-    enabled [run.sched] recorder ledgers the windowed kernel maps under
-    ["evaluate.windows"]; recording never changes the computed report
-    ([Check.Oracle.sched] row). *)
-val report_of_arena :
-  ?jobs:int -> ?regions:int -> ?run:Obs.Run.t -> Instance.t -> Arena.t ->
-  report
+(** [of_delays inst a delays]: the report of arena [a] whose per-sink
+    delays (indexed by sink id, ps, driver included) are [delays] —
+    wirelength and snaking from [a], the global and per-group extremes
+    folded over [inst]'s sinks.  [delays] becomes the report's own
+    array.  The router's evaluate phase is this call on
+    {!Repair.stats}' [delays]. *)
+val of_delays : Instance.t -> Arena.t -> float array -> report
+
+(** Evaluate a tree on its arena (a boxed tree is flattened first with
+    {!Arena.of_routed}) by the serial reference sweep: downstream caps,
+    node delays and the per-sink scatter, then {!of_delays}.  The
+    oracles, the auditor's callers and the tests compare against it.
+    [jobs] is ignored: it is kept only because the benchmark's frozen
+    replay passes [~jobs], until that replay routes through
+    [Router.route] (ROADMAP item 7). *)
+val report_of_arena : ?jobs:int -> Instance.t -> Arena.t -> report
 
 (** Does the tree satisfy the instance's intra-group bound (within
     [slack], default {!default_slack} ps of numerical slack)? *)

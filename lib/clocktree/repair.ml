@@ -23,6 +23,7 @@ type stats = {
   unresolved_groups : int;
   cycles : int;
   budget_exhausted : bool;
+  delays : float array;
 }
 
 (* Float.min / Float.max with the same result bits — signed zeros
@@ -485,18 +486,6 @@ let reset_groups w =
   Array.fill w.glo 0 (Array.length w.glo) Float.infinity;
   Array.fill w.ghi 0 (Array.length w.ghi) Float.neg_infinity
 
-(* Arena.elmore_range's step over [lo, hi], descending: each node's
-   delay from its parent's, which is above the range or already
-   filled. *)
-let elmore_fill st lo hi =
-  let a = st.a in
-  let k = Rc.Wire.ps_per_ohm_ff and r = a.Arena.params.r in
-  let delay = st.delay and down = st.down and len = a.Arena.len in
-  let parent = a.Arena.parent in
-  for v = hi downto lo do
-    delay.(v) <- delay.(parent.(v)) +. (k *. (r *. len.(v)) *. down.(v))
-  done
-
 (* Downstream caps, node delays and the per-group sink-delay lo / hi /
    lift target over the range.  Dense: the Arena kernels over the whole
    range.  Sparse: [w]'s own caps (the subs refreshed theirs in the
@@ -522,15 +511,15 @@ let evaluate st w ~dense ~par =
     let top = ref (hi - 1) in
     for i = Array.length w.subs - 1 downto 0 do
       let s = w.subs.(i) in
-      elmore_fill st (s.hi + 1) !top;
+      Arena.elmore_fill ~down:st.down ~into:st.delay ~lo:(s.hi + 1) ~hi:!top a;
       top := s.lo - 1
     done;
-    elmore_fill st lo !top;
+    Arena.elmore_fill ~down:st.down ~into:st.delay ~lo ~hi:!top a;
     (* The leaf scan stays apart from the sweep: fused, its leaf test
        mispredicts on every intermingled node. *)
     par
       (fun s ->
-        elmore_fill st s.lo s.hi;
+        Arena.elmore_fill ~down:st.down ~into:st.delay ~lo:s.lo ~hi:s.hi a;
         reset_groups s;
         note_sinks st s s.sinks)
       w.subs;
@@ -1079,6 +1068,9 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
       end
     done;
     conflicts := Array.fold_left (fun k s -> k + s.conflicts) (!conflicts + w.conflicts) subs;
+    (* The loop's last step was an evaluate of the final tree. *)
+    let delays = Array.make a.Arena.n_sinks 0. in
+    Arena.delays_by_sink ~delay:st.delay ~into:delays a;
     {
       added_wire = !added;
       adjusted_edges = !adjusted;
@@ -1087,6 +1079,7 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
       unresolved_groups = !unresolved;
       cycles = !cycles;
       budget_exhausted = !exhausted;
+      delays;
     }
   in
   let go () =

@@ -112,11 +112,21 @@ type stats = {
   cycles : int;  (** balance passes executed (regional + global) *)
   budget_exhausted : bool;
       (** some fixpoint hit [max_cycles] before converging *)
+  delays : float array;
+      (** per sink id: the Elmore delays (ps, driver included) of the
+          global cycle's last evaluation, which is of the returned tree —
+          bit-identical to {!Evaluate.report_of_arena}'s serial sweep *)
 }
 
 (** [run_arena ?config ?run inst a] repairs the tree in place on its
     flat arena: only the [len] column is mutated.  A boxed tree is
-    repaired by flattening it first ({!Arena.of_routed}).  With
+    repaired by flattening it first ({!Arena.of_routed}).
+
+    The global cycle is balance, evaluate, then either stop or lift, so
+    whether it converges or exhausts its budget its last step is an
+    evaluate, and no edit follows it: the returned [delays] are those of
+    the final tree, and a route's report is {!Evaluate.of_delays} of
+    them — one Elmore pass per route.  With
     [run.trace] enabled the whole
     pass is wrapped in a ["repair"] span, each global cycle emits
     ["balance_pass"] / ["lift_sweep"] instants and a ["repair_cycle"]

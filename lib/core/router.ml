@@ -93,9 +93,11 @@ let fused ?bound (inst : Instance.t) =
    whose groups define the reported skews.
 
    The whole path is arena-native: the plan embeds straight into a flat
-   arena, repair mutates its [len] column in place, evaluation reads it
-   windowed across [jobs] domains, and the repaired arena is the
-   result's tree. *)
+   arena, repair mutates its [len] column in place and returns the sink
+   delays of its last evaluation, evaluation folds those into the
+   grouped report, and the repaired arena is the result's tree.  EXT-BST
+   and greedy-DME fuse groups but keep sink ids, so repair's delays index
+   [inst]'s sinks too. *)
 let route ?(run = Obs.Run.null) (spec : Spec.t) inst =
   let config = spec.config in
   let jobs = config.jobs in
@@ -150,7 +152,7 @@ let route ?(run = Obs.Run.null) (spec : Spec.t) inst =
   let cpu_seconds = Sys.time () -. t0 in
   let evaluation, evaluate_s =
     Obs.Run.phase run "evaluate" (fun () ->
-        Evaluate.report_of_arena ~jobs ~run inst arena)
+        Evaluate.of_delays inst arena repair.delays)
   in
   let trace = run.Obs.Run.trace in
   if Obs.Trace.enabled trace then begin

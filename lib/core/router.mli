@@ -107,11 +107,14 @@ end
 (** [route ?run spec inst] routes [inst] as [spec] says.
 
     [spec.config.jobs] (default: the [ASTSKEW_JOBS] environment
-    variable, else 1) bounds the domains of the engine's ranking, the
-    repair pass's regions and evaluation's windowed kernels.  Trees are
-    bit-identical for any [jobs]; each phase opens its pool only above
-    its grain, so flat routes of 1000 sinks or fewer (below two regions
-    of {!Clocktree.Instance.auto_regions}) run serially at any [jobs].
+    variable, else 1) bounds the domains of the engine's ranking and the
+    repair pass's windows.  Trees are bit-identical for any [jobs]; the
+    engine and repair each open their pool only above their grain, so
+    flat routes of 1000 sinks or fewer (below two regions of
+    {!Clocktree.Instance.auto_regions}) run serially at any [jobs].  The
+    evaluate phase opens no pool and runs no Elmore kernel: it folds the
+    sink delays of repair's last evaluation into the grouped report
+    ({!Clocktree.Evaluate.of_delays}).
     The per-fixpoint repair cycle budget is scale-relative:
     [max Repair.default_config.max_cycles (n_sinks / 250)].
 

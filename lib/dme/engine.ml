@@ -303,7 +303,7 @@ let run_arena ?(config = default) ?(run = Obs.Run.null) inst =
      two batch hand-offs per merge round, which outweighs the probes of
      an instance smaller than two regions of the shared density target
      (1000 sinks or fewer), so those plan and embed serially — the same
-     grain below which repair and evaluation skip their pools.  Planning
+     grain below which repair skips its pool (evaluation opens none).  Planning
      is bit-identical for any pool size, so the gate never moves a tree.
      A flat plan has no sub-plans, so it embeds on this domain.
      [stats.gc] spans planning and embedding inside the pool's lifetime

@@ -30,8 +30,8 @@ type t
     one worker domain costs 100–330 µs, a third or more of a whole
     ~20-sink route (370–540 µs serially), and each [map_chunked] batch
     adds a hand-off.  Pools are therefore opened only where the work
-    outweighs that cost — the engine, repair and evaluation each gate
-    theirs on instance size — and reused across many [map_chunked]
+    outweighs that cost — the engine and repair each gate theirs on
+    instance size — and reused across many [map_chunked]
     calls; call {!shutdown} when done to join the workers. *)
 val create : ?jobs:int -> unit -> t
 
@@ -95,8 +95,8 @@ val shutdown : t -> unit
 (** [with_pool ~jobs f] runs [f (Some pool)] with a fresh pool of
     [jobs] domains, shutting it down when [f] returns or raises; with
     [jobs <= 1] it is [f None] and no domain is spawned.  The standard
-    scoped-pool pattern used by the engine, the cluster planner, repair
-    and evaluation. *)
+    scoped-pool pattern used by the engine, the cluster planner and
+    repair. *)
 val with_pool : jobs:int -> (t option -> 'a) -> 'a
 
 (** [default_jobs ()] is the process-wide default parallelism: the value

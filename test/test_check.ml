@@ -715,7 +715,7 @@ let test_repair_minor_words_10k () =
    observation must make [Oracle.diffs] name exactly that field: every
    arena column, every report field, every engine-stat field but [gc]
    (which equivalent runs legitimately disagree on), every repair-stat
-   field. *)
+   field; values compare by bits. *)
 let test_diffs_name_every_field () =
   let inst = circuit_instance "r1" in
   let o = Check.Oracle.of_result (Check.Oracle.ast ~jobs:1 inst) in
@@ -794,6 +794,7 @@ let test_diffs_name_every_field () =
       ("repair.cycles", repair (fun s -> { s with cycles = s.cycles + 1 }));
       ( "repair.budget_exhausted",
         repair (fun s -> { s with budget_exhausted = not s.budget_exhausted }) );
+      ("repair.delays", repair (fun s -> { s with delays = fbump s.delays }));
     ]
   in
   List.iter
@@ -812,7 +813,13 @@ let test_diffs_name_every_field () =
     engine (fun s -> { s with gc = { s.gc with minor_words = 1e9 } })
   in
   Alcotest.(check (list string)) "gc is not compared" []
-    (Check.Oracle.diffs gc o)
+    (Check.Oracle.diffs gc o);
+  (* Values compare by bits: a signed-zero flip differs, a NaN does not. *)
+  let delay x = report (fun r -> { r with delays = Array.make 1 x }) in
+  Alcotest.(check int) "-0 differs from +0" 1
+    (List.length (Check.Oracle.diffs (delay (-0.)) (delay 0.)));
+  Alcotest.(check (list string)) "NaN equals itself" []
+    (Check.Oracle.diffs (delay Float.nan) (delay Float.nan))
 
 (* The table keeps the finding names of the oracles it replaced, so
    [Oracle.reproduces], recorded FUZZ_REPRO files and the README stay

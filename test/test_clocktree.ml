@@ -16,8 +16,7 @@ let check_float ?(tol = 1e-9) msg expected actual =
    the flattened copy in place. *)
 let flat (inst : Instance.t) routed = Arena.of_routed inst.params ~rd:inst.rd routed
 
-let evaluate ?jobs ?regions inst routed =
-  Evaluate.report_of_arena ?jobs ?regions inst (flat inst routed)
+let evaluate inst routed = Evaluate.report_of_arena inst (flat inst routed)
 
 let repair ?config inst routed =
   let a = flat inst routed in
@@ -313,11 +312,11 @@ let test_deep_comb_stack_safety () =
   let report = Evaluate.report_of_arena inst a in
   Alcotest.(check bool) "within bound" true (Evaluate.within_bound inst report)
 
-(* Windowed (parallel-shaped) evaluation must be bit-identical to the
-   serial kernels: the window fills and the serial spine stitch compute
-   every node's value with the serial expression from the serial
-   operands, so no jobs/regions decomposition may move a single ulp. *)
-let test_evaluate_windowed_identity () =
+(* A route's report is repair's last evaluation: the delays repair
+   returns must be the serial sweep of the tree it leaves, bit for bit
+   (signed zeros included), whether its cycle converged or ran out of
+   budget, and whatever its windows. *)
+let test_repair_delays_are_serial_sweep () =
   let rng = Workload.Rng.create 9L in
   let n = 500 in
   let sinks =
@@ -332,23 +331,31 @@ let test_evaluate_windowed_identity () =
       (Array.of_list sinks)
   in
   let routed = Tree.route (pt 0. 0.) (random_topology sinks) in
-  let serial = evaluate ~jobs:1 inst routed in
+  let bits = Array.map Int64.bits_of_float in
+  let d = Repair.default_config in
   List.iter
-    (fun (jobs, regions) ->
-      let w = evaluate ~jobs ?regions inst routed in
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d regions=%s identical report" jobs
-           (match regions with None -> "auto" | Some r -> string_of_int r))
-        true
-        (w.delays = serial.delays
-        && w.wirelength = serial.wirelength
-        && w.snaking = serial.snaking
-        && w.min_delay = serial.min_delay
-        && w.max_delay = serial.max_delay
-        && w.global_skew = serial.global_skew
-        && w.group_skew = serial.group_skew
-        && w.max_group_skew = serial.max_group_skew))
-    [ (2, None); (4, Some 3); (8, Some 17) ]
+    (fun (name, config, exhausted) ->
+      let a, stats = repair ~config inst routed in
+      let serial = Evaluate.report_of_arena inst a in
+      Alcotest.(check bool) (name ^ ": budget exhausted") exhausted
+        stats.budget_exhausted;
+      Alcotest.(check (array int64)) (name ^ ": delays") (bits serial.delays)
+        (bits stats.delays);
+      let r = Evaluate.of_delays inst a stats.delays in
+      Alcotest.(check (array int64)) (name ^ ": report")
+        (bits
+           [| serial.wirelength; serial.snaking; serial.min_delay;
+              serial.max_delay; serial.global_skew; serial.max_group_skew |])
+        (bits
+           [| r.wirelength; r.snaking; r.min_delay; r.max_delay;
+              r.global_skew; r.max_group_skew |]);
+      Alcotest.(check (array int64)) (name ^ ": group skew")
+        (bits serial.group_skew) (bits r.group_skew))
+    [
+      ("auto windows", d, false);
+      ("4 windows", { d with jobs = 2; regions = Some 4 }, false);
+      ("max_cycles = 0", { d with max_cycles = 0 }, true);
+    ]
 
 (* Feasible tree: repair must hand back the identical arena content —
    not merely "no stats", the rebuilt tree itself is bit-equal. *)
@@ -853,8 +860,8 @@ let () =
         [
           Alcotest.test_case "deep comb stack safety" `Quick
             test_deep_comb_stack_safety;
-          Alcotest.test_case "windowed evaluation identity" `Quick
-            test_evaluate_windowed_identity;
+          Alcotest.test_case "repair's delays = serial sweep" `Quick
+            test_repair_delays_are_serial_sweep;
           Alcotest.test_case "no-op preserves tree" `Quick
             test_repair_noop_preserves_tree;
           Alcotest.test_case "budget exhaustion" `Quick
