@@ -378,7 +378,8 @@ let smoke args =
        and 7500 before the slab rewrite.  The gate is 75, 1.31 times
        the reading: opening a coster session and its closures per probe
        again added about 43 words (131 to 174), which fails it.
-       [Octagon.sdr] allocates only its result (11 words), so 32 per
+       [Octagon.sdr] allocates only its result (9 words, an 8-float
+       array; 11 while the bounds record sat behind a constructor), so 32 per
        call over r3's consecutive leaf-region pairs
        catches a boxed slice or hull.  A [Grid_index.query] allocates
        only its boxed exclusion bound (2 words) when every sink of r3

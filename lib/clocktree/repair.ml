@@ -28,8 +28,8 @@ type stats = {
 
 (* Float.min / Float.max with the same result bits — signed zeros
    included (min -0 +0 = -0, max -0 +0 = +0) and NaN propagating — but
-   inlined, so the hot loops keep their floats unboxed.  The zero test
-   runs only on ties. *)
+   inlined, so the hot loops keep their floats unboxed (-opaque;
+   DESIGN.md section 39).  The zero test runs only on ties. *)
 let[@inline] fmin (x : float) y =
   if x < y then x
   else if y < x then y

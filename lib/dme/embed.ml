@@ -19,7 +19,7 @@ let edge_lengths (st : Subtree.store) m (p : Pt.t) (pl : Pt.t) (pr : Pt.t) =
 
 (* [Float.max] (bit for bit, as [Octagon]'s) and [Eps.clamp], written
    out for the loop below: an out-of-line call that takes or returns a
-   float boxes it. *)
+   float boxes it (-opaque; DESIGN.md section 39). *)
 let[@inline] fmax x y =
   if x < y then y
   else if y < x then x
@@ -29,7 +29,7 @@ let[@inline] fmax x y =
 
 let[@inline] clamp (lo : float) hi x = if x < lo then lo else if x > hi then hi else x
 
-(* The placed point, [p] itself when [Octslab.nearest] kept it. *)
+(* The placed point, [p] itself when the nearest-point kernel kept it. *)
 let placed inside (p : Pt.t) xy =
   if inside then p
   else { Pt.x = Float.Array.unsafe_get xy 0; y = Float.Array.unsafe_get xy 1 }
@@ -41,11 +41,10 @@ type task = { st : Subtree.store; p : Pt.t; top : int }
 (* Place child [c] of [st] at slot [sc] below the point [q], its point
    written to [xy]: a merge gets its slot and its point in the arena, a
    sink its slot's fields ([size], [left], [right] and [len] keep their
-   initial or parent-assigned values), a sub-plan becomes a task.  A
-   sink's region is its point's bounds, written to the one-slot scratch
-   slab [pb] as [Octagon.of_point] would build them, so the placement is
-   [Octagon.nearest_point]'s to the bit. *)
-let place (a : Arena.t) (st : Subtree.store) slot c sc q xy pb tasks =
+   initial or parent-assigned values), a sub-plan becomes a task.  Each
+   placement is [Octagon.nearest_point]'s kernel on the child's region:
+   the merge's slab slot, the sink's point, the sub-plan's root. *)
+let place (a : Arena.t) (st : Subtree.store) slot c sc q xy tasks =
   let nl = Subtree.leaves st in
   if c >= nl then begin
     let inside = Octslab.nearest st.bounds (c - nl) q xy in
@@ -54,8 +53,7 @@ let place (a : Arena.t) (st : Subtree.store) slot c sc q xy pb tasks =
   end
   else if Array.length st.sinks > 0 then begin
     let s = st.sinks.(c) in
-    Octslab.set_point pb 0 s.loc;
-    ignore (Octslab.nearest pb 0 q xy : bool);
+    ignore (Octagon.point_nearest s.loc q xy : bool);
     a.sink.(sc) <- s.id;
     a.group.(sc) <- s.group;
     a.scap.(sc) <- s.cap;
@@ -63,8 +61,7 @@ let place (a : Arena.t) (st : Subtree.store) slot c sc q xy pb tasks =
   end
   else begin
     let sub = st.subs.(c) in
-    Octslab.set pb 0 (Subtree.region sub (Subtree.root sub));
-    let inside = Octslab.nearest pb 0 q xy in
+    let inside = Octagon.nearest_into (Subtree.region sub (Subtree.root sub)) q xy in
     tasks := { st = sub; p = placed inside q xy; top = sc } :: !tasks
   end
 
@@ -82,20 +79,20 @@ let[@inline] dist (q : Pt.t) xy =
    No stack, no recursion. *)
 let fill (a : Arena.t) { st; p; top } =
   let nm = st.merges in
-  let xy = Float.Array.create 2 and pb = Octslab.create 1 in
+  let xy = Float.Array.create 2 in
   let tasks = ref [] in
   let slot = Array.make nm top in
   (* A one-leaf store is its leaf, already placed at [p]. *)
   if nm > 0 then a.pos.(top) <- p
   else if Array.length st.subs > 0 then tasks := [ { st = st.subs.(0); p; top } ]
-  else place a st slot 0 top p xy pb tasks;
+  else place a st slot 0 top p xy tasks;
   for m = nm - 1 downto 0 do
     let v = slot.(m) and l = st.kids.(2 * m) and r = st.kids.((2 * m) + 1) in
     let q = a.pos.(v) and sr = v - 1 in
     let sl = sr - ((2 * Subtree.sinks_at st r) - 1) in
-    place a st slot l sl q xy pb tasks;
+    place a st slot l sl q xy tasks;
     let dl = dist q xy in
-    place a st slot r sr q xy pb tasks;
+    place a st slot r sr q xy tasks;
     let dr = dist q xy in
     let o = 3 * m in
     let f0 = Float.Array.unsafe_get st.lengths o in

@@ -71,7 +71,7 @@ let infeasible_penalty d =
   if d > 0. then 1e9 *. d else 1.
 
 (* The ranking cost of candidate pair [(a, b)] at region distance [dist]
-   (Octslab.dist, bit-identical to Octagon.dist on these regions).
+   (Octslab.dist, the same kernel as Octagon.dist).
    [trial a b] runs a trial merge; [elide ()] records a cost answered
    without one.  An infeasible pair (mutually inconsistent shared-group
    offsets, the thesis' Instance 2) is merged only as a last resort.

@@ -204,7 +204,8 @@ let run_reference inst ?(slack_usage = slack_usage) ~split_slack ~width_cap ~id 
    out-of-line call that takes or returns a float boxes it. *)
 
 (* [Float.min] and [Float.max], bit for bit on every input, signed zeros
-   and NaN included (as Octagon's). *)
+   and NaN included (as Octagon's); a private copy because Octagon's
+   would not inline here (-opaque; DESIGN.md section 39). *)
 let[@inline] fmin x y =
   if x < y then x
   else if y < x then y

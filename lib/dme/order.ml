@@ -306,7 +306,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
      at most [n - 1] merges — so [2 n] slots cover the whole run and
      nothing on the probe path chases a hashtable or boxes a float.
      [slab] mirrors each alive subtree's region bounds (Octslab.dist is
-     bit-identical to Octagon.dist); [center] its center; [rad] the L1
+     Octagon.dist's kernel); [center] its center; [rad] the L1
      radius of its region about that center; [hull_hi] the upper end of
      its delay hull (the only part delay biasing reads).
      Slots of merged-away ids go stale rather than being cleared — the
@@ -337,17 +337,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
     node.(s.id) <- Some s;
     Octslab.set slab s.id s.region;
     center.(s.id) <- c;
-    (* The farthest any point of the region lies from the center in L1:
-       |dx| + |dy| = max |d(x+y)|, |d(x-y)|, bounded by the s/d extents.
-       An empty region has no bounds, but Octslab.set rejected it. *)
-    (match Octagon.bounds s.region with
-     | Some b ->
-       let cs = c.Pt.x +. c.Pt.y and cd = c.Pt.x -. c.Pt.y in
-       Float.Array.set rad s.id
-         (Float.max
-            (Float.max (b.sh -. cs) (cs -. b.sl))
-            (Float.max (b.dh -. cd) (cd -. b.dl)))
-     | None -> ());
+    Float.Array.set rad s.id (Octagon.radius s.region c);
     if config.delay_order_weight <> 0. then
       Float.Array.set hull_hi s.id (Subtree.delay_hull s).hi
   in

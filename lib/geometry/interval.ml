@@ -5,10 +5,8 @@ let point v = { lo = v; hi = v }
 let is_empty i = i.lo > i.hi +. Eps.tol
 let width i = Float.max 0. (i.hi -. i.lo)
 let mid i = (i.lo +. i.hi) /. 2.
-let contains i v = Eps.leq i.lo v && Eps.leq v i.hi
 let inter a b = { lo = Float.max a.lo b.lo; hi = Float.min a.hi b.hi }
 let hull a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
-let inflate r i = { lo = i.lo -. r; hi = i.hi +. r }
 
 let gap a b =
   if a.hi < b.lo then b.lo -. a.hi

@@ -11,12 +11,8 @@ val point : float -> t
 val is_empty : t -> bool
 val width : t -> float
 val mid : t -> float
-val contains : t -> float -> bool
 val inter : t -> t -> t
 val hull : t -> t -> t
-
-(** Minkowski sum: widen both ends by [r]. *)
-val inflate : float -> t -> t
 
 (** Signed gap between two intervals: 0 when they overlap, otherwise the
     distance between the nearest endpoints. *)

@@ -9,18 +9,61 @@ type bounds = {
   dh : float;
 }
 
-type t = Empty | O of bounds
+(* One layout serves every octagon: the 8 canonical bounds
+   [xl xh yl yh sl sh dl dh], in that order, at an offset in a flat
+   [float array] (OCaml stores float arrays unboxed, as a [floatarray]).
+   A region is an 8-float array at offset 0, the empty octagon the empty
+   array; a {!Slab} holds slot [i] at offset [8 i].  Each formula below
+   is one [@inline] kernel over (array, offset), and both forms call it.
+   The kernels stay in this one module because dev-profile builds pass
+   [-opaque]: a call into another module is never inlined, and one that
+   takes or returns a float boxes it.  A region is built with an array
+   literal, which allocates inline; [Float.Array.create] is a C call. *)
+type t = float array
 
-let empty = Empty
-let is_empty = function Empty -> true | O _ -> false
-let bounds = function Empty -> None | O b -> Some b
+let empty : t = [||]
+let[@inline] is_empty (o : t) = Array.length o = 0
+
+(* Bound accessors: the bounds of the octagon at offset [i] of [a]. *)
+let[@inline] xl (a : float array) i = Array.unsafe_get a i
+let[@inline] xh (a : float array) i = Array.unsafe_get a (i + 1)
+let[@inline] yl (a : float array) i = Array.unsafe_get a (i + 2)
+let[@inline] yh (a : float array) i = Array.unsafe_get a (i + 3)
+let[@inline] sl (a : float array) i = Array.unsafe_get a (i + 4)
+let[@inline] sh (a : float array) i = Array.unsafe_get a (i + 5)
+let[@inline] dl (a : float array) i = Array.unsafe_get a (i + 6)
+let[@inline] dh (a : float array) i = Array.unsafe_get a (i + 7)
+
+(* The octagon at offset [i] of [a] as a region: the read-back of a
+   closure and of a slab slot. *)
+let[@inline] load (a : float array) i : t =
+  [| xl a i; xh a i; yl a i; yh a i; sl a i; sh a i; dl a i; dh a i |]
+
+(* Write bounds at offset [i] of [a]. *)
+let[@inline] fill (a : float array) i xl xh yl yh sl sh dl dh =
+  Array.unsafe_set a i xl;
+  Array.unsafe_set a (i + 1) xh;
+  Array.unsafe_set a (i + 2) yl;
+  Array.unsafe_set a (i + 3) yh;
+  Array.unsafe_set a (i + 4) sl;
+  Array.unsafe_set a (i + 5) sh;
+  Array.unsafe_set a (i + 6) dl;
+  Array.unsafe_set a (i + 7) dh
+
+let bounds o =
+  if is_empty o then None
+  else
+    Some
+      { xl = xl o 0; xh = xh o 0; yl = yl o 0; yh = yh o 0; sl = sl o 0; sh = sh o 0;
+        dl = dl o 0; dh = dh o 0 }
 
 (* [Float.min] and [Float.max] written out.  The two comparisons settle
    every ordered pair; what is left (ties and NaN) runs the stdlib's own
    test, so the result is bit-identical to the stdlib on every input,
    signed zeros and NaN payloads included.  Unlike the stdlib calls,
    these inline in -opaque (dev-profile) builds, where an out-of-line
-   call that returns a float boxes it. *)
+   call that returns a float boxes it.  [clamp] and [leq] are
+   [Eps.clamp] and [Eps.leq] inlined for the same reason. *)
 let[@inline] fmin x y =
   if x < y then x
   else if y < x then y
@@ -36,6 +79,9 @@ let[@inline] fmax x y =
     if x <> x then x else y
   else if y <> y then y
   else x
+
+let[@inline] clamp (lo : float) hi x = if x < lo then lo else if x > hi then hi else x
+let[@inline] leq (a : float) b = a <= b +. Eps.tol
 
 (* Canonicalization uses the octagon-domain strong closure: encode the 8
    bounds as a 4-node difference-bound matrix over +x, -x, +y, -y
@@ -68,11 +114,11 @@ let[@inline] fmax x y =
    [m], keeping [m] on ties and on a NaN candidate. *)
 let[@inline] tighter (v : float) m = if v < m then v else m
 
-let close s =
-  let xl = Float.Array.unsafe_get s 0 and xh = Float.Array.unsafe_get s 1 in
-  let yl = Float.Array.unsafe_get s 2 and yh = Float.Array.unsafe_get s 3 in
-  let sl = Float.Array.unsafe_get s 4 and sh = Float.Array.unsafe_get s 5 in
-  let dl = Float.Array.unsafe_get s 6 and dh = Float.Array.unsafe_get s 7 in
+let close (s : float array) =
+  let xl = Array.unsafe_get s 0 and xh = Array.unsafe_get s 1 in
+  let yl = Array.unsafe_get s 2 and yh = Array.unsafe_get s 3 in
+  let sl = Array.unsafe_get s 4 and sh = Array.unsafe_get s 5 in
+  let dl = Array.unsafe_get s 6 and dh = Array.unsafe_get s 7 in
   let inf = Float.infinity in
   let m00 = ref 0. and m11 = ref 0. and m22 = ref 0. and m33 = ref 0. in
   let m01 = ref (tighter (2. *. xh) inf) and m10 = ref (tighter (-2. *. xl) inf) in
@@ -164,61 +210,33 @@ let close s =
   let tol = -.Eps.tol in
   if !m00 < tol || !m11 < tol || !m22 < tol || !m33 < tol then false
   else begin
-    Float.Array.unsafe_set s 0 (-. !m10 /. 2.);
-    Float.Array.unsafe_set s 1 (!m01 /. 2.);
-    Float.Array.unsafe_set s 2 (-. !m32 /. 2.);
-    Float.Array.unsafe_set s 3 (!m23 /. 2.);
-    Float.Array.unsafe_set s 4 (-. !m12);
-    Float.Array.unsafe_set s 5 !m03;
-    Float.Array.unsafe_set s 6 (-. !m20);
-    Float.Array.unsafe_set s 7 !m02;
+    Array.unsafe_set s 0 (-. !m10 /. 2.);
+    Array.unsafe_set s 1 (!m01 /. 2.);
+    Array.unsafe_set s 2 (-. !m32 /. 2.);
+    Array.unsafe_set s 3 (!m23 /. 2.);
+    Array.unsafe_set s 4 (-. !m12);
+    Array.unsafe_set s 5 !m03;
+    Array.unsafe_set s 6 (-. !m20);
+    Array.unsafe_set s 7 !m02;
     true
   end
 
 (* Per-domain scratch for {!close}: raw bounds in, tight bounds out.
    Every caller fills it and reads it back without running another
    closure in between, so one buffer per domain is never shared. *)
-let scratch_key = Domain.DLS.new_key (fun () -> Float.Array.create 8)
-
-let[@inline] fill s xl xh yl yh sl sh dl dh =
-  Float.Array.unsafe_set s 0 xl;
-  Float.Array.unsafe_set s 1 xh;
-  Float.Array.unsafe_set s 2 yl;
-  Float.Array.unsafe_set s 3 yh;
-  Float.Array.unsafe_set s 4 sl;
-  Float.Array.unsafe_set s 5 sh;
-  Float.Array.unsafe_set s 6 dl;
-  Float.Array.unsafe_set s 7 dh
+let scratch_key = Domain.DLS.new_key (fun () -> Array.make 8 0.)
 
 (* The closure of the raw bounds in [s]. *)
-let closed s =
-  if close s then
-    O
-      {
-        xl = Float.Array.unsafe_get s 0;
-        xh = Float.Array.unsafe_get s 1;
-        yl = Float.Array.unsafe_get s 2;
-        yh = Float.Array.unsafe_get s 3;
-        sl = Float.Array.unsafe_get s 4;
-        sh = Float.Array.unsafe_get s 5;
-        dl = Float.Array.unsafe_get s 6;
-        dh = Float.Array.unsafe_get s 7;
-      }
-  else Empty
+let closed s = if close s then load s 0 else empty
 
 let of_bounds ~xl ~xh ~yl ~yh ~sl ~sh ~dl ~dh =
   let s = Domain.DLS.get scratch_key in
-  fill s xl xh yl yh sl sh dl dh;
+  fill s 0 xl xh yl yh sl sh dl dh;
   closed s
 
-(* Trusted constructor for bounds that are already canonical (read back
-   from an octagon slab): skipping the closure keeps the round-trip
-   bit-exact. *)
-let of_canonical_bounds b = O b
-
-let of_point (p : Pt.t) =
+let of_point (p : Pt.t) : t =
   let s = Pt.s p and d = Pt.d p in
-  O { xl = p.x; xh = p.x; yl = p.y; yh = p.y; sl = s; sh = s; dl = d; dh = d }
+  [| p.x; p.x; p.y; p.y; s; s; d; d |]
 
 let box (p : Pt.t) (q : Pt.t) =
   of_bounds
@@ -248,142 +266,150 @@ let of_segment (p : Pt.t) (q : Pt.t) =
     ~sl:(fmin sp sq) ~sh:(fmax sp sq) ~dl:(fmin dp dq)
     ~dh:(fmax dp dq)
 
-let ball (p : Pt.t) r =
+let ball (p : Pt.t) r : t =
   let r = fmax 0. r in
   let s = Pt.s p and d = Pt.d p in
-  O
-    {
-      xl = p.x -. r;
-      xh = p.x +. r;
-      yl = p.y -. r;
-      yh = p.y +. r;
-      sl = s -. r;
-      sh = s +. r;
-      dl = d -. r;
-      dh = d +. r;
-    }
+  [| p.x -. r; p.x +. r; p.y -. r; p.y +. r; s -. r; s +. r; d -. r; d +. r |]
 
-let contains o (p : Pt.t) =
-  match o with
-  | Empty -> false
-  | O b ->
-    let s = Pt.s p and d = Pt.d p in
-    Eps.leq b.xl p.x && Eps.leq p.x b.xh && Eps.leq b.yl p.y
-    && Eps.leq p.y b.yh && Eps.leq b.sl s && Eps.leq s b.sh && Eps.leq b.dl d
-    && Eps.leq d b.dh
+(* Containment of [(x, y)] in the bounds, within the tolerance. *)
+let[@inline] inside xl xh yl yh sl sh dl dh x y =
+  let s = x +. y and d = x -. y in
+  leq xl x && leq x xh && leq yl y && leq y yh && leq sl s && leq s sh && leq dl d
+  && leq d dh
+
+let[@inline] contains_at a i x y =
+  inside (xl a i) (xh a i) (yl a i) (yh a i) (sl a i) (sh a i) (dl a i) (dh a i) x y
+
+let contains o (p : Pt.t) = (not (is_empty o)) && contains_at o 0 p.x p.y
 
 let inter a b =
-  match (a, b) with
-  | Empty, _ | _, Empty -> Empty
-  | O a, O b ->
+  if is_empty a || is_empty b then empty
+  else begin
     let s = Domain.DLS.get scratch_key in
-    fill s (fmax a.xl b.xl) (fmin a.xh b.xh) (fmax a.yl b.yl) (fmin a.yh b.yh)
-      (fmax a.sl b.sl) (fmin a.sh b.sh) (fmax a.dl b.dl) (fmin a.dh b.dh);
+    fill s 0
+      (fmax (xl a 0) (xl b 0)) (fmin (xh a 0) (xh b 0))
+      (fmax (yl a 0) (yl b 0)) (fmin (yh a 0) (yh b 0))
+      (fmax (sl a 0) (sl b 0)) (fmin (sh a 0) (sh b 0))
+      (fmax (dl a 0) (dl b 0)) (fmin (dh a 0) (dh b 0));
     closed s
+  end
 
 (* Supports of a convex hull are the pointwise maxima of supports, so the
    componentwise envelope of two canonical octagons is already canonical. *)
-let hull a b =
-  match (a, b) with
-  | Empty, o | o, Empty -> o
-  | O a, O b ->
-    O
-      {
-        xl = fmin a.xl b.xl;
-        xh = fmax a.xh b.xh;
-        yl = fmin a.yl b.yl;
-        yh = fmax a.yh b.yh;
-        sl = fmin a.sl b.sl;
-        sh = fmax a.sh b.sh;
-        dl = fmin a.dl b.dl;
-        dh = fmax a.dh b.dh;
-      }
+let hull a b : t =
+  if is_empty a then b
+  else if is_empty b then a
+  else
+    [| fmin (xl a 0) (xl b 0); fmax (xh a 0) (xh b 0);
+       fmin (yl a 0) (yl b 0); fmax (yh a 0) (yh b 0);
+       fmin (sl a 0) (sl b 0); fmax (sh a 0) (sh b 0);
+       fmin (dl a 0) (dl b 0); fmax (dh a 0) (dh b 0) |]
 
-let hull_list os = List.fold_left hull Empty os
+let hull_list os = List.fold_left hull empty os
 
-let inflate r o =
+let inflate r o : t =
   let r = fmax 0. r in
-  match o with
-  | Empty -> Empty
-  | O b ->
-    O
-      {
-        xl = b.xl -. r;
-        xh = b.xh +. r;
-        yl = b.yl -. r;
-        yh = b.yh +. r;
-        sl = b.sl -. r;
-        sh = b.sh +. r;
-        dl = b.dl -. r;
-        dh = b.dh +. r;
-      }
+  if is_empty o then empty
+  else
+    [| xl o 0 -. r; xh o 0 +. r; yl o 0 -. r; yh o 0 +. r;
+       sl o 0 -. r; sh o 0 +. r; dl o 0 -. r; dh o 0 +. r |]
 
-let translate (v : Pt.t) o =
-  match o with
-  | Empty -> Empty
-  | O b ->
+let translate (v : Pt.t) o : t =
+  if is_empty o then empty
+  else
     let s = Pt.s v and d = Pt.d v in
-    O
-      {
-        xl = b.xl +. v.x;
-        xh = b.xh +. v.x;
-        yl = b.yl +. v.y;
-        yh = b.yh +. v.y;
-        sl = b.sl +. s;
-        sh = b.sh +. s;
-        dl = b.dl +. d;
-        dh = b.dh +. d;
-      }
+    [| xl o 0 +. v.x; xh o 0 +. v.x; yl o 0 +. v.y; yh o 0 +. v.y;
+       sl o 0 +. s; sh o 0 +. s; dl o 0 +. d; dh o 0 +. d |]
 
 (* L1 distance between canonical octagons: the largest support gap over the
    8 constraint directions.  Each violated half-plane costs exactly its gap
    in L1 motion (all 8 normals have unit dual norm), and canonical
-   tightness guarantees the maximum gap is simultaneously achievable. *)
+   tightness guarantees the maximum gap is simultaneously achievable.
+
+   The chain takes its maxima with [gap_max], which is [fmax] except in
+   the sign of a zero result ([gap_max (-0.) 0.] is [-0.]) and, when
+   both operands are NaN, in which one it returns.  That sign only
+   reaches the final [gap_max 0. g], which returns [+0.] for either
+   zero, as [fmax 0. g] does, so the distance is [fmax]'s bit for bit
+   and NaN when a bound is NaN.  [fmax]'s tie branch calls
+   [Float.sign_bit], and its register spills made the slab distance, run
+   on every ranking candidate, about a third slower. *)
+let[@inline] gap_max (a : float) b = if a >= b || a <> a then a else b
+
+let[@inline] dist_at a i b j =
+  let g = xl b j -. xh a i in
+  let g = gap_max g (xl a i -. xh b j) in
+  let g = gap_max g (yl b j -. yh a i) in
+  let g = gap_max g (yl a i -. yh b j) in
+  let g = gap_max g (sl b j -. sh a i) in
+  let g = gap_max g (sl a i -. sh b j) in
+  let g = gap_max g (dl b j -. dh a i) in
+  let g = gap_max g (dl a i -. dh b j) in
+  gap_max 0. g
+
 let[@inline] dist a b =
-  match (a, b) with
-  | Empty, _ | _, Empty -> invalid_arg "Octagon.dist: empty octagon"
-  | O a, O b ->
-    let g = b.xl -. a.xh in
-    let g = fmax g (a.xl -. b.xh) in
-    let g = fmax g (b.yl -. a.yh) in
-    let g = fmax g (a.yl -. b.yh) in
-    let g = fmax g (b.sl -. a.sh) in
-    let g = fmax g (a.sl -. b.sh) in
-    let g = fmax g (b.dl -. a.dh) in
-    let g = fmax g (a.dl -. b.dh) in
-    fmax 0. g
+  if is_empty a || is_empty b then invalid_arg "Octagon.dist: empty octagon";
+  dist_at a 0 b 0
 
 let dist_pt o p = dist o (of_point p)
 
+(* The bounds of the slice at [x]: the y range the y, s and d bounds
+   leave there. *)
+let[@inline] slice_lo yl sl dh x = fmax yl (fmax (sl -. x) (x -. dh))
+let[@inline] slice_hi yh sh dl x = fmin yh (fmin (sh -. x) (x -. dl))
+
 let pick_point o =
-  match o with
-  | Empty -> invalid_arg "Octagon.pick_point: empty octagon"
-  | O b ->
-    let x = (b.xl +. b.xh) /. 2. in
-    let ylo = fmax b.yl (fmax (b.sl -. x) (x -. b.dh)) in
-    let yhi = fmin b.yh (fmin (b.sh -. x) (x -. b.dl)) in
-    Pt.make x ((ylo +. yhi) /. 2.)
+  if is_empty o then invalid_arg "Octagon.pick_point: empty octagon";
+  let x = (xl o 0 +. xh o 0) /. 2. in
+  let ylo = slice_lo (yl o 0) (sl o 0) (dh o 0) x in
+  let yhi = slice_hi (yh o 0) (sh o 0) (dl o 0) x in
+  Pt.make x ((ylo +. yhi) /. 2.)
 
 let center = pick_point
 
-(* L1 projection by clamping x first, then y within the slice at that x.
-   For canonical octagons this realizes the max-violation distance: every
-   violated constraint has unit dual norm, and the x/y clamps discharge
-   the x/y violations while the slice bounds discharge the s/d ones.
-   Exactness is property-tested against dist_pt. *)
-let nearest_point o (p : Pt.t) =
-  match o with
-  | Empty -> invalid_arg "Octagon.nearest_point: empty octagon"
-  | O b ->
-    if contains o p then p
-    else
-      let x = Eps.clamp b.xl b.xh p.x in
-      let ylo = fmax b.yl (fmax (b.sl -. x) (x -. b.dh)) in
-      let yhi = fmin b.yh (fmin (b.sh -. x) (x -. b.dl)) in
-      let y =
-        if ylo > yhi then (ylo +. yhi) /. 2. else Eps.clamp ylo yhi p.y
-      in
-      Pt.make x y
+(* |dx| + |dy| = max (|ds|, |dd|) for s = x + y and d = x - y, so the
+   farthest point lies at the larger reach of the s and d extents. *)
+let radius o (c : Pt.t) =
+  if is_empty o then invalid_arg "Octagon.radius: empty octagon";
+  let cs = c.x +. c.y and cd = c.x -. c.y in
+  fmax (fmax (sh o 0 -. cs) (cs -. sl o 0)) (fmax (dh o 0 -. cd) (cd -. dl o 0))
+
+(* L1 projection by clamping x first, then y within the slice at that x,
+   written to [xy]; [true] when that point is [p] itself, inside the
+   bounds within the tolerance.  For canonical octagons this realizes
+   the max-violation distance: every violated constraint has unit dual
+   norm, and the x/y clamps discharge the x/y violations while the
+   slice bounds discharge the s/d ones.  Exactness is property-tested
+   against dist_pt. *)
+let[@inline] nearest xl xh yl yh sl sh dl dh (p : Pt.t) xy =
+  let kept = inside xl xh yl yh sl sh dl dh p.x p.y in
+  if kept then begin
+    Float.Array.set xy 0 p.x;
+    Float.Array.set xy 1 p.y
+  end
+  else begin
+    let x = clamp xl xh p.x in
+    let ylo = slice_lo yl sl dh x and yhi = slice_hi yh sh dl x in
+    Float.Array.set xy 0 x;
+    Float.Array.set xy 1 (if ylo > yhi then (ylo +. yhi) /. 2. else clamp ylo yhi p.y)
+  end;
+  kept
+
+let[@inline] nearest_at a i p xy =
+  nearest (xl a i) (xh a i) (yl a i) (yh a i) (sl a i) (sh a i) (dl a i) (dh a i) p xy
+
+let nearest_into o p xy =
+  if is_empty o then invalid_arg "Octagon.nearest_point: empty octagon";
+  nearest_at o 0 p xy
+
+let point_nearest (c : Pt.t) p xy =
+  let s = c.x +. c.y and d = c.x -. c.y in
+  nearest c.x c.x c.y c.y s s d d p xy
+
+let nearest_point o p =
+  let xy = Float.Array.create 2 in
+  if nearest_into o p xy then p
+  else Pt.make (Float.Array.get xy 0) (Float.Array.get xy 1)
 
 let closest_pair a b =
   let r = dist a b in
@@ -424,191 +450,158 @@ let sdr_uniform = 9
 (* Per-domain scratch for {!sdr}: the clamped t of the slices taken so
    far at [0 .. 16], and the hull's bounds at [hull_at ..]. *)
 let hull_at = 8 + sdr_uniform
-let sdr_key = Domain.DLS.new_key (fun () -> Float.Array.create (hull_at + 8))
+let sdr_key = Domain.DLS.new_key (fun () -> Array.make (hull_at + 8) 0.)
 
 let[@inline] critical r ha hb = (hb -. ha +. r) /. 2.
 
-(* The hull of the slices of [ba] and [bb] at distance [r > 0], written
+(* The hull of the slices of [a] and [b] at distance [r > 0], written
    to [h.(hull_at ..)]; [false] when every slice is empty.  [s] is the
    closure scratch.  Inlined, so [r] is not boxed; the running hull is
    kept in unboxed locals, which measured faster than folding it into
    [h] in a loop. *)
-let[@inline] sdr_slices s h ba bb r =
-  let xl = ref 0. and xh = ref 0. and yl = ref 0. and yh = ref 0. in
-  let sl = ref 0. and sh = ref 0. and dl = ref 0. and dh = ref 0. in
+let[@inline] sdr_slices s (h : float array) a b r =
+  let hxl = ref 0. and hxh = ref 0. and hyl = ref 0. and hyh = ref 0. in
+  let hsl = ref 0. and hsh = ref 0. and hdl = ref 0. and hdh = ref 0. in
   let hulled = ref false in
   for k = 0 to 8 + sdr_uniform - 1 do
     let t =
       match k with
-      | 0 -> critical r ba.xh bb.xh
-      | 1 -> critical r (-.ba.xl) (-.bb.xl)
-      | 2 -> critical r ba.yh bb.yh
-      | 3 -> critical r (-.ba.yl) (-.bb.yl)
-      | 4 -> critical r ba.sh bb.sh
-      | 5 -> critical r (-.ba.sl) (-.bb.sl)
-      | 6 -> critical r ba.dh bb.dh
-      | 7 -> critical r (-.ba.dl) (-.bb.dl)
+      | 0 -> critical r (xh a 0) (xh b 0)
+      | 1 -> critical r (-.xl a 0) (-.xl b 0)
+      | 2 -> critical r (yh a 0) (yh b 0)
+      | 3 -> critical r (-.yl a 0) (-.yl b 0)
+      | 4 -> critical r (sh a 0) (sh b 0)
+      | 5 -> critical r (-.sl a 0) (-.sl b 0)
+      | 6 -> critical r (dh a 0) (dh b 0)
+      | 7 -> critical r (-.dl a 0) (-.dl b 0)
       | i -> r *. float_of_int (i - 8) /. float_of_int (sdr_uniform - 1)
     in
     let t = if t < 0. then 0. else if t > r then r else t in
-    Float.Array.unsafe_set h k t;
+    Array.unsafe_set h k t;
     let j = ref 0 in
-    while !j < k && Float.Array.unsafe_get h !j <> t do
+    while !j < k && Array.unsafe_get h !j <> t do
       incr j
     done;
     if !j = k then begin
       let ta = fmax 0. t and tb = fmax 0. (r -. t) in
-      fill s
-        (fmax (ba.xl -. ta) (bb.xl -. tb))
-        (fmin (ba.xh +. ta) (bb.xh +. tb))
-        (fmax (ba.yl -. ta) (bb.yl -. tb))
-        (fmin (ba.yh +. ta) (bb.yh +. tb))
-        (fmax (ba.sl -. ta) (bb.sl -. tb))
-        (fmin (ba.sh +. ta) (bb.sh +. tb))
-        (fmax (ba.dl -. ta) (bb.dl -. tb))
-        (fmin (ba.dh +. ta) (bb.dh +. tb));
+      fill s 0
+        (fmax (xl a 0 -. ta) (xl b 0 -. tb))
+        (fmin (xh a 0 +. ta) (xh b 0 +. tb))
+        (fmax (yl a 0 -. ta) (yl b 0 -. tb))
+        (fmin (yh a 0 +. ta) (yh b 0 +. tb))
+        (fmax (sl a 0 -. ta) (sl b 0 -. tb))
+        (fmin (sh a 0 +. ta) (sh b 0 +. tb))
+        (fmax (dl a 0 -. ta) (dl b 0 -. tb))
+        (fmin (dh a 0 +. ta) (dh b 0 +. tb));
       if close s then begin
         if !hulled then begin
-          xl := fmin !xl (Float.Array.unsafe_get s 0);
-          xh := fmax !xh (Float.Array.unsafe_get s 1);
-          yl := fmin !yl (Float.Array.unsafe_get s 2);
-          yh := fmax !yh (Float.Array.unsafe_get s 3);
-          sl := fmin !sl (Float.Array.unsafe_get s 4);
-          sh := fmax !sh (Float.Array.unsafe_get s 5);
-          dl := fmin !dl (Float.Array.unsafe_get s 6);
-          dh := fmax !dh (Float.Array.unsafe_get s 7)
+          hxl := fmin !hxl (xl s 0);
+          hxh := fmax !hxh (xh s 0);
+          hyl := fmin !hyl (yl s 0);
+          hyh := fmax !hyh (yh s 0);
+          hsl := fmin !hsl (sl s 0);
+          hsh := fmax !hsh (sh s 0);
+          hdl := fmin !hdl (dl s 0);
+          hdh := fmax !hdh (dh s 0)
         end
         else begin
           hulled := true;
-          xl := Float.Array.unsafe_get s 0;
-          xh := Float.Array.unsafe_get s 1;
-          yl := Float.Array.unsafe_get s 2;
-          yh := Float.Array.unsafe_get s 3;
-          sl := Float.Array.unsafe_get s 4;
-          sh := Float.Array.unsafe_get s 5;
-          dl := Float.Array.unsafe_get s 6;
-          dh := Float.Array.unsafe_get s 7
+          hxl := xl s 0;
+          hxh := xh s 0;
+          hyl := yl s 0;
+          hyh := yh s 0;
+          hsl := sl s 0;
+          hsh := sh s 0;
+          hdl := dl s 0;
+          hdh := dh s 0
         end
       end
     end
   done;
-  if !hulled then begin
-    Float.Array.unsafe_set h hull_at !xl;
-    Float.Array.unsafe_set h (hull_at + 1) !xh;
-    Float.Array.unsafe_set h (hull_at + 2) !yl;
-    Float.Array.unsafe_set h (hull_at + 3) !yh;
-    Float.Array.unsafe_set h (hull_at + 4) !sl;
-    Float.Array.unsafe_set h (hull_at + 5) !sh;
-    Float.Array.unsafe_set h (hull_at + 6) !dl;
-    Float.Array.unsafe_set h (hull_at + 7) !dh
-  end;
+  if !hulled then fill h hull_at !hxl !hxh !hyl !hyh !hsl !hsh !hdl !hdh;
   !hulled
 
 let sdr a b =
   let r = dist a b in
   if r <= Eps.tol then inter a b
   else
-    match (a, b) with
-    | Empty, _ | _, Empty -> Empty
-    | O ba, O bb ->
-      let h = Domain.DLS.get sdr_key in
-      if sdr_slices (Domain.DLS.get scratch_key) h ba bb r then
-        O
-          {
-            xl = Float.Array.unsafe_get h hull_at;
-            xh = Float.Array.unsafe_get h (hull_at + 1);
-            yl = Float.Array.unsafe_get h (hull_at + 2);
-            yh = Float.Array.unsafe_get h (hull_at + 3);
-            sl = Float.Array.unsafe_get h (hull_at + 4);
-            sh = Float.Array.unsafe_get h (hull_at + 5);
-            dl = Float.Array.unsafe_get h (hull_at + 6);
-            dh = Float.Array.unsafe_get h (hull_at + 7);
-          }
-      else Empty
+    let h = Domain.DLS.get sdr_key in
+    if sdr_slices (Domain.DLS.get scratch_key) h a b r then load h hull_at else empty
 
 (* [inter (inflate ra a) (inflate rb b)]'s raw bounds, with the same
    float operations. *)
 let[@inline] fill_within s ra a rb b =
   let ra = fmax 0. ra and rb = fmax 0. rb in
-  fill s
-    (fmax (a.xl -. ra) (b.xl -. rb))
-    (fmin (a.xh +. ra) (b.xh +. rb))
-    (fmax (a.yl -. ra) (b.yl -. rb))
-    (fmin (a.yh +. ra) (b.yh +. rb))
-    (fmax (a.sl -. ra) (b.sl -. rb))
-    (fmin (a.sh +. ra) (b.sh +. rb))
-    (fmax (a.dl -. ra) (b.dl -. rb))
-    (fmin (a.dh +. ra) (b.dh +. rb))
-
-(* Bound [i] of [inter] of the hull in [h] and the closed bounds in
-   [s], in that operand order. *)
-let[@inline] meet_lo h s i =
-  fmax (Float.Array.unsafe_get h (hull_at + i)) (Float.Array.unsafe_get s i)
-
-let[@inline] meet_hi h s i =
-  fmin (Float.Array.unsafe_get h (hull_at + i)) (Float.Array.unsafe_get s i)
+  fill s 0
+    (fmax (xl a 0 -. ra) (xl b 0 -. rb))
+    (fmin (xh a 0 +. ra) (xh b 0 +. rb))
+    (fmax (yl a 0 -. ra) (yl b 0 -. rb))
+    (fmin (yh a 0 +. ra) (yh b 0 +. rb))
+    (fmax (sl a 0 -. ra) (sl b 0 -. rb))
+    (fmin (sh a 0 +. ra) (sh b 0 +. rb))
+    (fmax (dl a 0 -. ra) (dl b 0 -. rb))
+    (fmin (dh a 0 +. ra) (dh b 0 +. rb))
 
 let within ~ra a ~rb b =
-  match (a, b) with
-  | Empty, _ | _, Empty -> Empty
-  | O ba, O bb ->
+  if is_empty a || is_empty b then empty
+  else begin
     let s = Domain.DLS.get scratch_key in
-    fill_within s ra ba rb bb;
+    fill_within s ra a rb b;
     closed s
+  end
 
 let sdr_within a b ~ra ~rb =
   let r = dist a b in
   if r <= Eps.tol then inter (inter a b) (within ~ra a ~rb b)
   else
-    match (a, b) with
-    | Empty, _ | _, Empty -> Empty
-    | O ba, O bb ->
-      let s = Domain.DLS.get scratch_key and h = Domain.DLS.get sdr_key in
-      if not (sdr_slices s h ba bb r) then Empty
+    let s = Domain.DLS.get scratch_key and h = Domain.DLS.get sdr_key in
+    if not (sdr_slices s h a b r) then empty
+    else begin
+      fill_within s ra a rb b;
+      if not (close s) then empty
       else begin
-        fill_within s ra ba rb bb;
-        if not (close s) then Empty
-        else begin
-          (* [inter] of the hull and the closed inflations, in that
-             operand order. *)
-          fill s (meet_lo h s 0) (meet_hi h s 1) (meet_lo h s 2) (meet_hi h s 3)
-            (meet_lo h s 4) (meet_hi h s 5) (meet_lo h s 6) (meet_hi h s 7);
-          closed s
-        end
+        (* [inter] of the hull and the closed inflations, in that
+           operand order. *)
+        fill s 0
+          (fmax (xl h hull_at) (xl s 0)) (fmin (xh h hull_at) (xh s 0))
+          (fmax (yl h hull_at) (yl s 0)) (fmin (yh h hull_at) (yh s 0))
+          (fmax (sl h hull_at) (sl s 0)) (fmin (sh h hull_at) (sh s 0))
+          (fmax (dl h hull_at) (dl s 0)) (fmin (dh h hull_at) (dh s 0));
+        closed s
       end
+    end
 
-let is_point = function
-  | Empty -> false
-  | O b -> b.xh -. b.xl <= Eps.tol && b.yh -. b.yl <= Eps.tol
+let is_point o =
+  (not (is_empty o)) && xh o 0 -. xl o 0 <= Eps.tol && yh o 0 -. yl o 0 <= Eps.tol
 
-let x_range = function
-  | Empty -> invalid_arg "Octagon.x_range: empty octagon"
-  | O b -> Interval.make b.xl b.xh
+let x_range o =
+  if is_empty o then invalid_arg "Octagon.x_range: empty octagon";
+  Interval.make (xl o 0) (xh o 0)
 
-let y_range = function
-  | Empty -> invalid_arg "Octagon.y_range: empty octagon"
-  | O b -> Interval.make b.yl b.yh
+let y_range o =
+  if is_empty o then invalid_arg "Octagon.y_range: empty octagon";
+  Interval.make (yl o 0) (yh o 0)
 
 (* In rotated coordinates (s, d) the L1 metric is Chebyshev, so the L1
    diameter is the larger of the two rotated extents. *)
-let[@inline] diameter = function
-  | Empty -> 0.
-  | O b -> fmax (b.sh -. b.sl) (b.dh -. b.dl)
+let[@inline] diameter_at a i = fmax (sh a i -. sl a i) (dh a i -. dl a i)
+let diameter o = if is_empty o then 0. else diameter_at o 0
 
 let vertices o =
-  match o with
-  | Empty -> []
-  | O b ->
+  if is_empty o then []
+  else begin
+    let xl = xl o 0 and xh = xh o 0 and yl = yl o 0 and yh = yh o 0 in
+    let sl = sl o 0 and sh = sh o 0 and dl = dl o 0 and dh = dh o 0 in
     let candidates =
       [
-        Pt.make b.xh (b.sh -. b.xh);
-        Pt.make (b.sh -. b.yh) b.yh;
-        Pt.make (b.dl +. b.yh) b.yh;
-        Pt.make b.xl (b.xl -. b.dl);
-        Pt.make b.xl (b.sl -. b.xl);
-        Pt.make (b.sl -. b.yl) b.yl;
-        Pt.make (b.dh +. b.yl) b.yl;
-        Pt.make b.xh (b.xh -. b.dh);
+        Pt.make xh (sh -. xh);
+        Pt.make (sh -. yh) yh;
+        Pt.make (dl +. yh) yh;
+        Pt.make xl (xl -. dl);
+        Pt.make xl (sl -. xl);
+        Pt.make (sl -. yl) yl;
+        Pt.make (dh +. yl) yl;
+        Pt.make xh (xh -. dh);
       ]
     in
     let inside = List.filter (contains o) candidates in
@@ -623,6 +616,7 @@ let vertices o =
        if Pt.equal first last then first :: List.filteri (fun i _ -> i < List.length rest - 1) rest
        else vs
      | vs -> vs)
+  end
 
 let area o =
   match vertices o with
@@ -637,17 +631,51 @@ let area o =
     done;
     Float.abs !acc /. 2.
 
-let equal a b =
-  match (a, b) with
-  | Empty, Empty -> true
-  | Empty, O _ | O _, Empty -> false
-  | O a, O b ->
-    Eps.equal a.xl b.xl && Eps.equal a.xh b.xh && Eps.equal a.yl b.yl
-    && Eps.equal a.yh b.yh && Eps.equal a.sl b.sl && Eps.equal a.sh b.sh
-    && Eps.equal a.dl b.dl && Eps.equal a.dh b.dh
+let equal (a : t) (b : t) =
+  Array.length a = Array.length b
+  && (is_empty a
+     || Eps.equal (xl a 0) (xl b 0) && Eps.equal (xh a 0) (xh b 0)
+        && Eps.equal (yl a 0) (yl b 0) && Eps.equal (yh a 0) (yh b 0)
+        && Eps.equal (sl a 0) (sl b 0) && Eps.equal (sh a 0) (sh b 0)
+        && Eps.equal (dl a 0) (dl b 0) && Eps.equal (dh a 0) (dh b 0))
 
-let pp ppf = function
-  | Empty -> Format.fprintf ppf "<empty>"
-  | O b ->
-    Format.fprintf ppf "{x:[%g,%g] y:[%g,%g] s:[%g,%g] d:[%g,%g]}" b.xl b.xh
-      b.yl b.yh b.sl b.sh b.dl b.dh
+let pp ppf o =
+  if is_empty o then Format.fprintf ppf "<empty>"
+  else
+    Format.fprintf ppf "{x:[%g,%g] y:[%g,%g] s:[%g,%g] d:[%g,%g]}" (xl o 0) (xh o 0)
+      (yl o 0) (yh o 0) (sl o 0) (sh o 0) (dl o 0) (dh o 0)
+
+(* The slab form (re-exported as {!Octslab}): growable storage of many
+   octagons at offsets [8 i] of one array, read by the kernels above. *)
+module Slab = struct
+  type nonrec t = { mutable data : float array; mutable slots : int }
+
+  let create slots =
+    let slots = Int.max 1 slots in
+    { data = Array.make (8 * slots) Float.nan; slots }
+
+  let slots t = t.slots
+
+  let ensure t slot =
+    if slot >= t.slots then begin
+      let slots = Int.max (slot + 1) (2 * t.slots) in
+      let data = Array.make (8 * slots) Float.nan in
+      Array.blit t.data 0 data 0 (8 * t.slots);
+      t.data <- data;
+      t.slots <- slots
+    end
+
+  let set t slot (o : float array) =
+    if is_empty o then invalid_arg "Octslab.set: empty octagon";
+    ensure t slot;
+    fill t.data (8 * slot) (xl o 0) (xh o 0) (yl o 0) (yh o 0) (sl o 0) (sh o 0) (dl o 0)
+      (dh o 0)
+
+  let get t slot =
+    if slot < 0 || slot >= t.slots then invalid_arg "Octslab.get: slot out of range";
+    load t.data (8 * slot)
+
+  let dist t i j = dist_at t.data (8 * i) t.data (8 * j)
+  let diameter t i = diameter_at t.data (8 * i)
+  let nearest t slot p xy = nearest_at t.data (8 * slot) p xy
+end

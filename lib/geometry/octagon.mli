@@ -9,7 +9,12 @@
     needs.  Canonical form is computed exactly with the octagon-domain
     closure (Floyd–Warshall on the 4-node potential graph followed by the
     unary strengthening step), which makes L1 set distance a closed-form
-    maximum of support gaps. *)
+    maximum of support gaps.
+
+    An octagon is stored as its 8 canonical bounds in a flat float
+    array, the layout {!Octslab} keeps many of to one array; each
+    formula (distance, diameter, containment, nearest point, closure) is
+    one kernel that both forms run. *)
 
 type t
 
@@ -30,13 +35,6 @@ val is_empty : t -> bool
 
 (** [bounds o] is [None] on the empty octagon. *)
 val bounds : t -> bounds option
-
-(** Rebuild an octagon from bounds that are {e already canonical} (e.g.
-    read back from an {!Octslab} slot).  No closure is run, so the
-    round-trip [bounds] → [of_canonical_bounds] is bit-exact; feeding
-    loose bounds breaks every canonical-form invariant — use
-    {!of_bounds} for those. *)
-val of_canonical_bounds : bounds -> t
 
 (** Build from raw (possibly loose or inconsistent) bounds; the result is
     canonicalized and may be empty.  Use [Float.infinity] /
@@ -90,6 +88,16 @@ val dist_pt : t -> Pt.t -> float
     empty octagon raises [Invalid_argument]. *)
 val nearest_point : t -> Pt.t -> Pt.t
 
+(** [nearest_into o p xy] writes [nearest_point o p] to [xy.(0)] (x)
+    and [xy.(1)] (y) without allocating, and returns whether that point
+    is [p] itself ([p] lies in the region, within the containment
+    tolerance).  On the empty octagon raises [Invalid_argument]. *)
+val nearest_into : t -> Pt.t -> floatarray -> bool
+
+(** [point_nearest c p xy] is [nearest_into (of_point c) p xy] without
+    building the octagon. *)
+val point_nearest : Pt.t -> Pt.t -> floatarray -> bool
+
 (** A representative interior point (midpoint-based). *)
 val pick_point : t -> Pt.t
 
@@ -131,6 +139,11 @@ val diameter : t -> float
     regions. *)
 val center : t -> Pt.t
 
+(** [radius o c] is the largest L1 distance from [c] to a point of [o]:
+    the larger of the rotated extents' reaches from [c].  Raises
+    [Invalid_argument] on the empty octagon. *)
+val radius : t -> Pt.t -> float
+
 (** Boundary vertices in counter-clockwise order (at most 8); for display
     and area computations.  Empty list on the empty octagon. *)
 val vertices : t -> Pt.t list
@@ -138,3 +151,19 @@ val vertices : t -> Pt.t list
 val area : t -> float
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+
+(** The slab form, re-exported and documented as {!Octslab}: kept here so
+    that its kernels are this module's own. *)
+module Slab : sig
+  type octagon := t
+  type t
+
+  val create : int -> t
+  val slots : t -> int
+  val ensure : t -> int -> unit
+  val set : t -> int -> octagon -> unit
+  val get : t -> int -> octagon
+  val dist : t -> int -> int -> float
+  val diameter : t -> int -> float
+  val nearest : t -> int -> Pt.t -> floatarray -> bool
+end

@@ -1,11 +1,12 @@
 (** Flat structure-of-arrays storage for canonical octagons.
 
     A slab holds 8 float bounds per slot (the {!Octagon.bounds} fields,
-    in declaration order) in one contiguous [floatarray], indexed by an
-    integer id.  It backs the DME merge-ranking arena: the hot kernels
-    ({!dist}, {!diameter}) read the bounds unboxed and allocate nothing,
-    and are bit-identical to their {!Octagon} counterparts — the slab is
-    a storage change, never a semantic one.
+    in declaration order) in one flat float array, slot [i] at offset
+    [8 i]: the layout of an {!Octagon.t}, many to an array.  It backs the
+    DME merge-ranking arena: the hot kernels ({!dist}, {!diameter},
+    {!nearest}) read the bounds unboxed, allocate nothing but a returned
+    float, and are the same kernels as their {!Octagon} counterparts —
+    the slab is a storage change, never a semantic one.
 
     Writers are single-domain; concurrent {e reads} (parallel ranking
     probes against a frozen slab) are safe. *)
@@ -28,25 +29,19 @@ val ensure : t -> int -> unit
     octagon. *)
 val set : t -> int -> Octagon.t -> unit
 
-(** Rebuild the boxed octagon stored at [slot] — bit-exact round-trip
-    via {!Octagon.of_canonical_bounds}.  Slots never written hold NaN
-    bounds.  Raises [Invalid_argument] when [slot] is out of range. *)
+(** A copy of the octagon stored at [slot], bit for bit.  Slots never
+    written hold NaN bounds.  Raises [Invalid_argument] when [slot] is
+    out of range. *)
 val get : t -> int -> Octagon.t
 
-(** [dist t i j] is [Octagon.dist (get t i) (get t j)], bit for bit,
-    without allocating. *)
+(** [dist t i j] is [Octagon.dist (get t i) (get t j)]: the same
+    kernel, without building the octagons. *)
 val dist : t -> int -> int -> float
 
-(** [diameter t i] is [Octagon.diameter (get t i)], bit for bit, without
-    allocating. *)
+(** [diameter t i] is [Octagon.diameter (get t i)]: the same kernel,
+    without building the octagon. *)
 val diameter : t -> int -> float
 
-(** [set_point t slot p] stores the bounds of [Octagon.of_point p] at
-    [slot], growing the slab as needed, without building the octagon. *)
-val set_point : t -> int -> Pt.t -> unit
-
-(** [nearest t slot p xy] writes [Octagon.nearest_point (get t slot) p]
-    to [xy.(0)] (x) and [xy.(1)] (y), bit for bit, without allocating,
-    and returns whether that point is [p] itself ([p] lies in the
-    region, within the containment tolerance). *)
+(** [nearest t slot p xy] is [Octagon.nearest_into (get t slot) p xy]:
+    the same kernel, without building the octagon. *)
 val nearest : t -> int -> Pt.t -> floatarray -> bool

@@ -657,6 +657,18 @@ let prop_diameter =
         (fun p -> List.for_all (fun q -> Pt.dist p q <= dia +. 1e-6) pts)
         pts)
 
+(* The farthest point of a convex region from any point is one of its
+   vertices, so [radius] about the center (the ranking bound Order
+   keeps per subtree) is the largest vertex distance. *)
+let prop_radius_farthest_vertex =
+  QCheck.Test.make ~name:"radius is the farthest vertex" ~count:300 arb_oct_with_pts
+    (fun (o, _) ->
+      let c = Octagon.center o in
+      let far =
+        List.fold_left (fun m v -> Float.max m (Pt.dist c v)) 0. (Octagon.vertices o)
+      in
+      Float.abs (Octagon.radius o c -. far) <= 1e-6)
+
 let prop_vertices_inside =
   QCheck.Test.make ~name:"vertices lie inside" ~count:300 arb_oct_with_pts
     (fun (o, _) -> List.for_all (Octagon.contains o) (Octagon.vertices o))
@@ -823,22 +835,28 @@ let gen_lattice_oct =
 let bits_of_bounds (b : Octagon.bounds) =
   List.map Int64.bits_of_float [ b.xl; b.xh; b.yl; b.yh; b.sl; b.sh; b.dl; b.dh ]
 
-(* The slab kernels are the boxed ones bit for bit: distance (whose gap
-   chain uses its own inlined max) and diameter, plus the set/get
-   round-trip of the stored bounds. *)
+(* Slab and boxed octagons share their kernels, so each is checked
+   against the independent reference instead of the other: distance
+   against [Ref_octagon.dist]'s [Float.max] chain, diameter against the
+   larger rotated extent, and the set/get round-trip of the stored
+   bounds, bit for bit. *)
 let octslab_matches_octagon a b =
   let slab = Octslab.create 2 in
   Octslab.set slab 0 a;
   Octslab.set slab 1 b;
   let bits = Int64.bits_of_float in
+  let ba = Option.get (Octagon.bounds a) and bb = Option.get (Octagon.bounds b) in
+  let diameter (o : Octagon.bounds) = Float.max (o.sh -. o.sl) (o.dh -. o.dl) in
   let same_bounds o slot =
     bits_of_bounds (Option.get (Octagon.bounds o))
     = bits_of_bounds (Option.get (Octagon.bounds (Octslab.get slab slot)))
   in
-  bits (Octslab.dist slab 0 1) = bits (Octagon.dist a b)
-  && bits (Octslab.dist slab 1 0) = bits (Octagon.dist b a)
-  && bits (Octslab.diameter slab 0) = bits (Octagon.diameter a)
-  && bits (Octslab.diameter slab 1) = bits (Octagon.diameter b)
+  bits (Octslab.dist slab 0 1) = bits (Ref_octagon.dist ba bb)
+  && bits (Octslab.dist slab 1 0) = bits (Ref_octagon.dist bb ba)
+  && bits (Octagon.dist a b) = bits (Ref_octagon.dist ba bb)
+  && bits (Octslab.diameter slab 0) = bits (diameter ba)
+  && bits (Octslab.diameter slab 1) = bits (diameter bb)
+  && bits (Octagon.diameter a) = bits (diameter ba)
   && same_bounds a 0 && same_bounds b 1
 
 let prop_octslab_matches_octagon =
@@ -848,9 +866,27 @@ let prop_octslab_matches_octagon =
        QCheck.Gen.(pair gen_lattice_oct gen_lattice_oct))
     (fun (a, b) -> octslab_matches_octagon a b)
 
-(* [Octslab.nearest] is [Octagon.nearest_point] bit for bit, signed
-   zeros included, whether the point is inside (tolerance included) or
-   not, on stored regions and on [set_point]'s point regions. *)
+(* The nearest-point formula restated on bounds with the stdlib's
+   [Float.min]/[Float.max] and [Eps]: [p] itself when it lies in the
+   region within the tolerance, else x clamped and y clamped within the
+   slice at x. *)
+let ref_nearest (b : Octagon.bounds) (p : Pt.t) =
+  let leq = Geometry.Eps.leq and clamp = Geometry.Eps.clamp in
+  let s = p.x +. p.y and d = p.x -. p.y in
+  if
+    leq b.xl p.x && leq p.x b.xh && leq b.yl p.y && leq p.y b.yh && leq b.sl s
+    && leq s b.sh && leq b.dl d && leq d b.dh
+  then (true, p)
+  else
+    let x = clamp b.xl b.xh p.x in
+    let ylo = Float.max b.yl (Float.max (b.sl -. x) (x -. b.dh)) in
+    let yhi = Float.min b.yh (Float.min (b.sh -. x) (x -. b.dl)) in
+    (false, pt x (if ylo > yhi then (ylo +. yhi) /. 2. else clamp ylo yhi p.y))
+
+(* [Octslab.nearest], [Octagon.point_nearest] and [Octagon.nearest_point]
+   are the reference bit for bit, signed zeros included, whether the
+   point is inside (tolerance included) or not, on stored regions and on
+   point regions. *)
 let prop_octslab_nearest_matches_octagon =
   let coord =
     QCheck.Gen.(
@@ -868,17 +904,21 @@ let prop_octslab_nearest_matches_octagon =
        QCheck.Gen.(triple gen_lattice_oct (pair coord coord) (pair coord coord)))
     (fun (o, (x, y), (sx, sy)) ->
       let p = pt x y and s = pt sx sy in
-      let slab = Octslab.create 2 and xy = Float.Array.create 2 in
+      let slab = Octslab.create 1 and xy = Float.Array.create 2 in
       Octslab.set slab 0 o;
-      Octslab.set_point slab 1 s;
-      List.for_all
-        (fun (slot, region) ->
-          let q = Octagon.nearest_point region p in
-          let inside = Octslab.nearest slab slot p xy in
-          inside = (q == p)
-          && Int64.bits_of_float (Float.Array.get xy 0) = Int64.bits_of_float q.x
-          && Int64.bits_of_float (Float.Array.get xy 1) = Int64.bits_of_float q.y)
-        [ (0, o); (1, Octagon.of_point s) ])
+      let bits = Int64.bits_of_float in
+      (* [inside] is the kernel's answer; it wrote its point to [xy]. *)
+      let agrees region inside =
+        let expected, r = ref_nearest (Option.get (Octagon.bounds region)) p in
+        let boxed = Octagon.nearest_point region p in
+        inside = expected
+        && bits (Float.Array.get xy 0) = bits r.x
+        && bits (Float.Array.get xy 1) = bits r.y
+        && bits boxed.x = bits r.x && bits boxed.y = bits r.y
+        && (boxed == p) = expected
+      in
+      agrees o (Octslab.nearest slab 0 p xy)
+      && agrees (Octagon.of_point s) (Octagon.point_nearest s p xy))
 
 (* Touching points at [+0.] and [-0.]: the largest gap is [-0.], and the
    distance must still be [+0.] as Octagon.dist gives it. *)
@@ -1231,6 +1271,7 @@ let () =
             prop_inter_empty_iff_positive_dist;
             prop_sdr_points_on_shortest_paths;
             prop_diameter;
+            prop_radius_farthest_vertex;
             prop_vertices_inside;
             prop_dist_pt_brute_force;
             prop_dist_brute_force;
