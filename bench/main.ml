@@ -176,13 +176,17 @@ let smoke_clustered name =
    leg routes it): words allocated per sink by [Io.to_string] and by
    [Io.of_string] on its text, counted exactly on this domain as
    [Gc.minor_words] plus the words allocated straight in the major heap
-   (major minus promoted words of [Gc.counters]).  The one-pass parser
-   reads 20.1 words per sink: 18.1 minor words (the sink, its point,
-   its boxed capacity and the floats [float_of_string] returns) and 2.1
-   of sink arrays; the line-and-token-list parser read 222.  The writer reads 22.6: the buffer, the final string (68 bytes
-   a sink) and a boxed float per coordinate it hands to the printer;
-   the [Printf.bprintf] writer read 184.  The gates are 1.25 times the
-   readings.  Deterministic like every count here. *)
+   (major minus promoted words of [Gc.counters]).  The parser reads 16.1
+   words per sink: 14.0 minor words (the sink, its point, its boxed
+   capacity, and the two coordinates [Instance.make] boxes to check)
+   and 2.1 of sink arrays.  It read 20.1 while [float_of_string]
+   returned a boxed float per number, and the line-and-token-list
+   parser read 222.  The writer reads 22.6: the buffer, the final
+   string (68 bytes a sink) and a boxed float per coordinate it hands
+   to the printer; the [Printf.bprintf] writer read 184.  The gates are
+   1.25 times the readings.  The decimal reader must decide every
+   number of r5's text; the count for s100k's is printed.
+   Deterministic like every count here. *)
 let smoke_io () =
   header "Perf smoke: instance file path on r5";
   let inst = bench_instance (Option.get (Workload.Circuits.find "r5")) in
@@ -206,7 +210,15 @@ let smoke_io () =
   (match parsed with
    | Ok i when Clocktree.Io.to_string i = text -> ()
    | _ -> fail "r5 does not read back to the same text");
-  let write_words_budget = 28.3 and parse_words_budget = 25.1 in
+  let s100k =
+    bench_instance { name = "s100k"; n_sinks = 100_000; die = 2000. *. sqrt 1e5 }
+  in
+  let declined = Clocktree.Io.declined text in
+  Format.printf "decimal reader: %d of r5's number tokens declined, %d of s100k's@." declined
+    (Clocktree.Io.declined (Clocktree.Io.to_string s100k));
+  if declined > 0 then
+    fail (Printf.sprintf "the decimal reader declines %d of r5's number tokens" declined);
+  let write_words_budget = 28.3 and parse_words_budget = 20.1 in
   if write_words > write_words_budget then
     fail
       (Printf.sprintf "Io.to_string allocates %.1f words per sink, over the %.1f budget"

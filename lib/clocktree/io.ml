@@ -205,9 +205,11 @@ let write_file path inst =
 
 (* One pass over the text by index.  A line is cut at its first [#],
    trimmed of [String.trim]'s white space and split on [' '], as
-   [String.split_on_char] splits it; numbers are read by
-   [float_of_string] and [int_of_string_opt] on the token (plain decimal
-   integers by hand).  The first error ends the pass. *)
+   [String.split_on_char] splits it.  Floats are read in place by the
+   exact decimal reader below, integers of up to 18 digits by hand;
+   every other token goes to [float_of_string] or [int_of_string_opt]
+   on a copy of it, so values and messages are theirs.  The first error
+   ends the pass. *)
 
 exception Parse_error of string
 
@@ -229,23 +231,252 @@ let[@inline] token_is text tok k kw =
 
 let token text tok k = String.sub text tok.(2 * k) (tok.((2 * k) + 1) - tok.(2 * k))
 
-(* [float_of_string] reads a whole string, so a short token is copied
-   into a reused string of its own length instead of a fresh one. *)
-let float_token text tok k scratch lineno =
-  let s = tok.(2 * k) and e = tok.((2 * k) + 1) in
-  let n = e - s in
-  let str =
-    if n < Array.length scratch then begin
-      if Bytes.length scratch.(n) <> n then scratch.(n) <- Bytes.create n;
-      Bytes.blit_string text s scratch.(n) 0 n;
-      Bytes.unsafe_to_string scratch.(n)
-    end
-    else String.sub text s n
+(* --- The decimal reader (Eisel–Lemire, DESIGN §40) ---
+
+   A token of an optional [-], decimal digits, optionally a point and
+   more digits (maybe none), and optionally [e] or [E], a sign and
+   digits, with at most 18 significant digits is [w·10^q] for an int
+   [w < 10^18 < 2^60].  With [P_q] the leading 120 bits of [10^q] and
+   [W = w·2^sh] in [[2^59, 2^60)], the product [Z = W·P_q] (below
+   2^180, in 30-bit limbs) falls short of the scaled value by less than
+   [W], so its leading bits round it whenever that error cannot carry
+   into the round bit.  Everything else is declined, to go to
+   [float_of_string]. *)
+
+let q_min = -325 and q_max = 308
+
+(* [5^q < 2^120] exactly for [q <= 51]: only those [P_q] are exact. *)
+let exact_q_max = 51
+
+(* [pow10_limbs.(4 (q - q_min) + i)] is limb [i] (least significant
+   first) of [P_q], and [10^q = (P_q + d)·2^(pow10_exp.(q - q_min))] with
+   [2^119 <= P_q < 2^120] and [0 <= d < 1], [d = 0] just for [0 <= q <=
+   exact_q_max].  They are cut from exact naturals in 30-bit limbs:
+   [5^q] for [q >= 0], and [floor (2^900 / 5^-q)] for [q < 0], whose top
+   120 bits are [floor (2^s / 5^-q)] for the [s] that puts them in range
+   (a floor of a floor by integers is one floor). *)
+let pow10_limbs, pow10_exp =
+  let limbs = Array.make (4 * (q_max - q_min + 1)) 0 in
+  let exps = Array.make (q_max - q_min + 1) 0 in
+  let a = Array.make 31 0 in
+  let bit i = i >= 0 && (a.(i / 30) lsr (i mod 30)) land 1 = 1 in
+  let bit_length () =
+    let top = ref 30 in
+    while a.(!top) = 0 do
+      decr top
+    done;
+    let l = ref (30 * !top) in
+    while a.(!top) lsr (!l - (30 * !top)) <> 0 do
+      incr l
+    done;
+    !l
   in
-  match float_of_string str with
-  | v when Float.is_finite v -> v
-  | _ -> fail lineno "non-finite number %S" (token text tok k)
-  | exception Failure _ -> fail lineno "bad number %S" (token text tok k)
+  (* the top 120 bits of [a], of [l] bits, as [P_q], and [e] plus the
+     [l - 120] bits dropped as its exponent *)
+  let store q l e =
+    for i = 0 to 3 do
+      let v = ref 0 in
+      for b = 29 downto 0 do
+        v := (2 * !v) + Bool.to_int (bit (l - 120 + (30 * i) + b))
+      done;
+      limbs.((4 * (q - q_min)) + i) <- !v
+    done;
+    exps.(q - q_min) <- l - 120 + e
+  in
+  a.(0) <- 1;
+  for q = 0 to q_max do
+    let l = bit_length () in
+    (* [5^q] is odd, so its truncation is exact just when nothing is cut *)
+    assert (l <= 120 = (q <= exact_q_max));
+    store q l q;
+    let c = ref 0 in
+    for i = 0 to 30 do
+      let v = (5 * a.(i)) + !c in
+      a.(i) <- v land mask30;
+      c := v lsr 30
+    done
+  done;
+  Array.fill a 0 31 0;
+  a.(30) <- 1;
+  for q = -1 downto q_min do
+    let r = ref 0 in
+    for i = 30 downto 0 do
+      let v = (!r lsl 30) lor a.(i) in
+      a.(i) <- v / 5;
+      r := v mod 5
+    done;
+    store q (bit_length ()) (q - 900)
+  done;
+  (limbs, exps)
+
+(* [pow2.(i) = 2^(i - 1074)], from the least subnormal up to 2^971. *)
+let pow2 = Float.Array.init 2046 (fun i -> Float.ldexp 1. (i - 1074))
+
+(* [w·10^q] for [0 < w < 2^60] and [q_min <= q <= q_max], negated if
+   [neg], stored at [out.(j)] when it is a normal double the product
+   decides; [false] otherwise.  [Z = W·P_q] lies in [[2^178, 2^180)];
+   [top = Z / 2^120] and [k = 5] or [6] make [a = Z / 2^(120+k)] the
+   54 bits of the mantissa and the round bit.  Below them lie [below]
+   ([k] bits), [z3] and [z2] (30 each), down to bit 60.  The exact
+   scaled value is [Z + W·d], [0 <= W·d < W < 2^60]:
+   - round bit 1: above the half unless [d = 0] and nothing below it is
+     set, a tie, rounded to even;
+   - round bit 0: below the half unless [d > 0] and all of [below], [z3]
+     and [z2] are ones, when [W·d] may carry into the round bit: the
+     reader declines. *)
+let set_product out j neg w q =
+  (* [W = w·2^sh] in [[2^59, 2^60)]: [w]'s binary exponent read off its
+     nearest double, one less when that rounded up to a power of two *)
+  let e = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float (Float.of_int w)) 52) - 1023 in
+  let sh = 59 - e + (1 - (w lsr e)) in
+  let v = w lsl sh in
+  let w0 = v land mask30 and w1 = v lsr 30 in
+  let t = 4 * (q - q_min) in
+  let p0 = Array.unsafe_get pow10_limbs t and p1 = Array.unsafe_get pow10_limbs (t + 1) in
+  let p2 = Array.unsafe_get pow10_limbs (t + 2) and p3 = Array.unsafe_get pow10_limbs (t + 3) in
+  let c0 = w0 * p0 in
+  let c1 = (w0 * p1) + (w1 * p0) + (c0 lsr 30) in
+  let c2 = (w0 * p2) + (w1 * p1) + (c1 lsr 30) in
+  let c3 = (w0 * p3) + (w1 * p2) + (c2 lsr 30) in
+  let top = (w1 * p3) + (c3 lsr 30) in
+  let k = 5 + (top lsr 59) in
+  let a = top lsr k and below = top land ((1 lsl k) - 1) in
+  let z2 = c2 land mask30 and z3 = c3 land mask30 in
+  let exact = q >= 0 && q <= exact_q_max in
+  if below = (1 lsl k) - 1 && z3 = mask30 && z2 = mask30 && a land 1 = 0 && not exact then false
+  else begin
+    (* round up on the round bit, unless an exact tie meets an even [m] *)
+    let m = a lsr 1 in
+    let above =
+      if exact then
+        m land 1 lor Bool.to_int (below lor z3 lor z2 lor (c1 land mask30) lor (c0 land mask30) <> 0)
+      else 1
+    in
+    let m = m + (a land above) in
+    (* [m·2^x], [2^52 <= m <= 2^53]; its biased exponent is [x + 1075] *)
+    let x = 121 + k + Array.unsafe_get pow10_exp (q - q_min) - sh in
+    let carry = m lsr 53 in
+    let xr = x + carry in
+    if x + 1075 < 1 || xr + 1075 > 2046 then false
+    else begin
+      let f = Float.of_int (m lsr carry) *. Float.Array.unsafe_get pow2 (xr + 1074) in
+      Float.Array.unsafe_set out j (if neg then -.f else f);
+      true
+    end
+  end
+
+let[@inline] is_digit c = c >= '0' && c <= '9'
+
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* The value of the 8 bytes at [i] if all are decimal digits, else -1:
+   the SWAR digit test and fold of Lemire's paper, on the bytes in text
+   order. *)
+let[@inline] eight_digits text i =
+  let v = get64u text i in
+  let v = if Sys.big_endian then bswap64 v else v in
+  let open Int64 in
+  if logand (logor (add v 0x4646464646464646L) (sub v 0x3030303030303030L)) 0x8080808080808080L
+     <> 0L
+  then -1
+  else begin
+    let v = sub v 0x3030303030303030L in
+    let v = add (mul v 10L) (shift_right_logical v 8) in
+    let lo = mul (logand v 0x000000FF000000FFL) 0x000F424000000064L in
+    let hi = mul (logand (shift_right_logical v 16) 0x000000FF000000FFL) 0x0000271000000001L in
+    to_int (shift_right_logical (add lo hi) 32)
+  end
+
+(* The zeros before the first non-zero digit of [text.[s .. e-1]]. *)
+let leading_zeros text s e =
+  let n = ref 0 and i = ref s in
+  while !i < e && (String.unsafe_get text !i = '0' || String.unsafe_get text !i = '.') do
+    if String.unsafe_get text !i = '0' then incr n;
+    incr i
+  done;
+  !n
+
+(* Reads [text.[s .. e-1]] into [out.(j)] if it is in the grammar and
+   the product decides it; [false] (declined) otherwise.  The digits
+   are folded into [w] whatever their number: past 18 significant ones
+   it wraps, and the token is declined.  An exponent of a million or
+   more is declined as out of the table. *)
+let read_decimal text s e out j =
+  let neg = s < e && String.unsafe_get text s = '-' in
+  let start = if neg then s + 1 else s in
+  let w = ref 0 and i = ref start in
+  while !i < e && is_digit (String.unsafe_get text !i) do
+    w := (!w * 10) + Char.code (String.unsafe_get text !i) - 48;
+    incr i
+  done;
+  let int_end = !i and frac = ref 0 in
+  if int_end < e && String.unsafe_get text int_end = '.' then begin
+    incr i;
+    let d8 = ref (if !i + 8 <= e then eight_digits text !i else -1) in
+    while !d8 >= 0 do
+      w := (!w * 100_000_000) + !d8;
+      i := !i + 8;
+      d8 := if !i + 8 <= e then eight_digits text !i else -1
+    done;
+    while !i < e && is_digit (String.unsafe_get text !i) do
+      w := (!w * 10) + Char.code (String.unsafe_get text !i) - 48;
+      incr i
+    done;
+    frac := !i - int_end - 1
+  end;
+  let digits_end = !i and x = ref 0 and eneg = ref false and ok = ref (int_end > start) in
+  if !ok && !i < e && (String.unsafe_get text !i = 'e' || String.unsafe_get text !i = 'E')
+  then begin
+    incr i;
+    eneg := !i < e && String.unsafe_get text !i = '-';
+    if !i < e && (!eneg || String.unsafe_get text !i = '+') then incr i;
+    let digits = !i in
+    while !i < e && is_digit (String.unsafe_get text !i) do
+      x := Int.min 1_000_000 ((!x * 10) + Char.code (String.unsafe_get text !i) - 48);
+      incr i
+    done;
+    ok := !i > digits && !x < 1_000_000
+  end;
+  let q = (if !eneg then - !x else !x) - !frac in
+  let nd = int_end - start + !frac in
+  if not (!ok && !i = e && q >= q_min && q <= q_max) then false
+  else if nd > 18 && nd - leading_zeros text start digits_end > 18 then false
+  else if !w = 0 then begin
+    Float.Array.unsafe_set out j (if neg then -0. else 0.);
+    true
+  end
+  else set_product out j neg !w q
+
+let decimal token =
+  let out = Float.Array.create 1 in
+  if read_decimal token 0 (String.length token) out 0 then Some (Float.Array.get out 0)
+  else None
+
+let declined text =
+  List.fold_left
+    (fun n line ->
+      match String.split_on_char ' ' line with
+      | kw :: nums when kw <> "" && kw.[0] <> '#' ->
+        List.fold_left (fun n t -> if decimal t = None then n + 1 else n) n nums
+      | _ -> n)
+    0 (String.split_on_char '\n' text)
+
+(* Token [k]'s number, stored at [out.(j)]: the reader's when it decides
+   the token, [float_of_string]'s on a copy of it otherwise. *)
+let float_token text tok k out j lineno =
+  let s = tok.(2 * k) and e = tok.((2 * k) + 1) in
+  if not (read_decimal text s e out j) then
+    let str = String.sub text s (e - s) in
+    match float_of_string str with
+    | v when Float.is_finite v -> Float.Array.unsafe_set out j v
+    | _ -> fail lineno "non-finite number %S" str
+    | exception Failure _ -> fail lineno "bad number %S" str
+
+(* A record's lone number. *)
+let number text tok k num lineno =
+  float_token text tok k num 0 lineno;
+  Float.Array.get num 0
 
 (* An optional [-] and 1-18 decimal digits cannot overflow and mean what
    [int_of_string] makes of them; anything else goes to it. *)
@@ -266,6 +497,20 @@ let int_token text tok k lineno =
     | None -> fail lineno "bad integer %S" (token text tok k)
 
 let no_sink = { Sink.id = -1; loc = Geometry.Pt.zero; cap = 0.; group = 0 }
+
+(* Whether one of the 8 bytes at [i] is a newline or a [#]: the
+   zero-byte test of [(x - 0x01..01) land (lnot x) land 0x80..80] on the
+   bytes xor-ed with each, exact for whether there is one. *)
+let[@inline] ends_line text i =
+  let v = get64u text i in
+  let n = Int64.logxor v 0x0A0A0A0A0A0A0A0AL and h = Int64.logxor v 0x2323232323232323L in
+  let open Int64 in
+  logand
+    (logor
+       (logand (sub n 0x0101010101010101L) (lognot n))
+       (logand (sub h 0x0101010101010101L) (lognot h)))
+    0x8080808080808080L
+  <> 0L
 
 (* The parsed sinks by id.  A file that lists them in id order already
    has them there; any other file gets the order the reference parser
@@ -292,12 +537,15 @@ let parse text =
   let gb_group = ref (Array.make 16 0) and gb_line = ref (Array.make 16 0) in
   let gb_bound = ref (Float.Array.make 16 0.) and n_gb = ref 0 in
   let sinks = ref (Array.make ((len / 64) + 16) no_sink) and n_sinks = ref 0 in
-  let tok = Array.make 14 0 and scratch = Array.make 32 Bytes.empty in
+  let tok = Array.make 14 0 and num = Float.Array.create 3 in
   let pos = ref 0 and lineno = ref 1 in
   while !pos <= len do
     let l = !lineno in
     (* the line is [!pos, eol); its content stops at the first '#' *)
     let eol = ref !pos in
+    while !eol + 8 <= len && not (ends_line text !eol) do
+      eol := !eol + 8
+    done;
     while !eol < len && String.unsafe_get text !eol <> '\n' && String.unsafe_get text !eol <> '#' do
       incr eol
     done;
@@ -331,14 +579,17 @@ let parse text =
     (if ntok = 0 then ()
      else if ntok = 6 && token_is text tok 0 "sink" then begin
        let id = int_token text tok 1 l in
-       let x = float_token text tok 2 scratch l in
-       let y = float_token text tok 3 scratch l in
-       let cap = float_token text tok 4 scratch l in
+       float_token text tok 2 num 0 l;
+       float_token text tok 3 num 1 l;
+       float_token text tok 4 num 2 l;
        let group = int_token text tok 5 l in
+       (* built in place: [Pt.make], a call into another module, would
+          box both coordinates *)
+       let loc = { Geometry.Pt.x = Float.Array.get num 0; y = Float.Array.get num 1 } in
        (* the record constructors reject bad values with
           [Invalid_argument], which is reported against the line *)
        let s =
-         match Sink.make ~id ~loc:(Geometry.Pt.make x y) ~cap ~group with
+         match Sink.make ~id ~loc ~cap:(Float.Array.get num 2) ~group with
          | s -> s
          | exception Invalid_argument msg -> fail l "%s" msg
        in
@@ -352,7 +603,7 @@ let parse text =
      end
      else if ntok = 3 && token_is text tok 0 "groupbound" then begin
        let g = int_token text tok 1 l in
-       let bv = float_token text tok 2 scratch l in
+       let bv = number text tok 2 num l in
        if !n_gb = Array.length !gb_group then begin
          let grow a = Array.append a a in
          gb_group := grow !gb_group;
@@ -365,21 +616,21 @@ let parse text =
        incr n_gb
      end
      else if ntok = 3 && token_is text tok 0 "params" then begin
-       let r = float_token text tok 1 scratch l in
-       let c = float_token text tok 2 scratch l in
+       let r = number text tok 1 num l in
+       let c = number text tok 2 num l in
        match Rc.Wire.make ~r ~c with
        | p -> params := Some p
        | exception Invalid_argument msg -> fail l "%s" msg
      end
      else if ntok = 2 && token_is text tok 0 "driver" then
-       rd := Some (float_token text tok 1 scratch l)
+       rd := Some (number text tok 1 num l)
      else if ntok = 3 && token_is text tok 0 "source" then begin
-       let x = float_token text tok 1 scratch l in
-       let y = float_token text tok 2 scratch l in
+       let x = number text tok 1 num l in
+       let y = number text tok 2 num l in
        source := Some (Geometry.Pt.make x y)
      end
      else if ntok = 2 && token_is text tok 0 "bound" then
-       bound := Some (float_token text tok 1 scratch l)
+       bound := Some (number text tok 1 num l)
      else if ntok = 2 && token_is text tok 0 "groups" then
        n_groups := Some (int_token text tok 1 l)
      else fail l "unrecognized record %S" (token text tok 0));

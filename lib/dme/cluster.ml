@@ -84,7 +84,7 @@ let halve_budget k f =
    level by level over a frontier kept in bipartition order, so each
    level's halves are independent and map over [pool]; the groups are a
    pure function of the sink set, budget and fan-out. *)
-let split_ids ?pool ?(sched = Obs.Sched.null) point_of ids ~budget ~fanout =
+let split_ids ?pool ?(run = Obs.Run.null) point_of ids ~budget ~fanout =
   let halve ((ids, k, f) as part) =
     if f <= 1 then [| part |]
     else begin
@@ -100,20 +100,20 @@ let split_ids ?pool ?(sched = Obs.Sched.null) point_of ids ~budget ~fanout =
       level
         (Array.concat
            (Array.to_list
-              (Par.Pool.map_each pool ~sched ~label:"engine.partition" halve
-                 parts)))
+              (Par.Pool.map_each pool ~sched:run.Obs.Run.sched
+                 ~label:"engine.partition" halve parts)))
   in
   let k = Int.max 1 (Int.min budget (Array.length ids)) in
   level [| (ids, k, Int.max 1 (Int.min fanout k)) |]
 
-let partition ?pool ?sched inst ~clusters =
+let partition ?pool ?run inst ~clusters =
   let sinks = inst.Instance.sinks in
   let n = Array.length sinks in
   if n = 0 then [||]
   else begin
     let point_of id = sinks.(id).Sink.loc in
     Array.map fst
-      (split_ids ?pool ?sched point_of (Array.init n Fun.id) ~budget:clusters
+      (split_ids ?pool ?run point_of (Array.init n Fun.id) ~budget:clusters
          ~fanout:clusters)
   end
 
@@ -234,7 +234,7 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
       let map label f xs = Par.Pool.map_each pool ~sched ~label f xs in
       (* The leaf regions, halved on the pool, and the hierarchy above
          them. *)
-      let regions = partition ?pool ~sched inst ~clusters:k in
+      let regions = partition ?pool ~run inst ~clusters:k in
       let top_kids, stitches = hierarchy regions ~budget:k ~depth:d in
       let regions_top = Array.make (Array.length regions) false in
       Array.iter

@@ -68,26 +68,27 @@ val fanout_cap : int
     {!fanout_cap}: 1 for [k <= 64], 2 up to 4096, and so on. *)
 val auto_depth : int -> int
 
-(** [split_ids ?pool ?sched point_of ids ~budget ~fanout] is one level
+(** [split_ids ?pool ?run point_of ids ~budget ~fanout] is one level
     of the budgeted halving: [ids] split by recursive
     {!Geometry.Split.bipartition} into [min fanout budget] groups (at
     least 1, at most [Array.length ids]), each with its share of the
     region [budget], in bipartition order.  Each group lists its ids in
     the (coordinate, id) order of the median split that emitted it.
     The halving runs level by level; with [pool], each level of two or
-    more parts is one batch on it (ledgered under ["engine.partition"]),
+    more parts is one batch on it (ledgered under ["engine.partition"]
+    by an enabled [run.sched] recorder),
     and the groups, their ids' order and their budgets equal the serial
     ones. *)
 val split_ids :
   ?pool:Par.Pool.t ->
-  ?sched:Obs.Sched.t ->
+  ?run:Obs.Run.t ->
   (int -> Geometry.Pt.t) ->
   int array ->
   budget:int ->
   fanout:int ->
   (int array * int) array
 
-(** [partition ?pool ?sched inst ~clusters] splits the sink ids into
+(** [partition ?pool ?run inst ~clusters] splits the sink ids into
     [min clusters (n_sinks)] non-empty regions (at least 1) by
     recursive median bipartition along the longer bounding-box axis
     ({!Geometry.Split.bipartition}), level by level on [pool] as
@@ -97,7 +98,7 @@ val split_ids :
     the multi-level hierarchy at any depth. *)
 val partition :
   ?pool:Par.Pool.t ->
-  ?sched:Obs.Sched.t ->
+  ?run:Obs.Run.t ->
   Clocktree.Instance.t ->
   clusters:int ->
   int array array

@@ -657,12 +657,163 @@ let test_g17_exact_ties () =
       1e-10; 1.0000000000000001e-10; 9.999999999999999e-11; 1e22; 1e23; nan; infinity;
       neg_infinity ]
 
+(* --- Io: the exact decimal reader against float_of_string ---------------- *)
+
+(* Number spellings at the reader's edges: signs and bare points, the
+   largest double and the first past it, the smallest normal and
+   subnormal, and exponents beyond the table; then spellings outside its
+   grammar, which [float_of_string] reads or rejects on its own. *)
+let decimal_edges =
+  [| "-0"; "5."; "1E+2"; "1.7976931348623157e308"; "1.8e308"; "2.2250738585072014e-308";
+     "4.9406564584124654e-324"; "1e-400"; "1e400"; "+1"; "1_0.5"; "\t1.5"; ".5"; "0x1p3";
+     "nan"; "inf"; "-inf"; "infinity"; "1e"; "1e+"; "-."; "1.2.3"; "1e5.5"; "1.5 " |]
+
+(* Which answers the reader may give: [`Decide] tokens must be read
+   (in the grammar, at most 18 significant digits, a normal value),
+   [`Decline] tokens must go to [float_of_string], and [`Either] may
+   do either, like an exact midpoint between two doubles. *)
+let decimal_agrees (token, expect) =
+  let bits = Int64.bits_of_float in
+  match (Io.decimal token, float_of_string_opt token) with
+  | Some v, _ when expect = `Decline -> QCheck.Test.fail_reportf "%S read as %h, not declined" token v
+  | Some v, Some r when Int64.equal (bits v) (bits r) -> true
+  | Some v, r ->
+    QCheck.Test.fail_reportf "%S read as %h; float_of_string gives %s" token v
+      (match r with Some r -> Printf.sprintf "%h" r | None -> "an error")
+  | None, _ when expect = `Decide -> QCheck.Test.fail_reportf "%S declined" token
+  | None, _ -> true
+
+let pow5_int k = int_of_float (5. ** float_of_int k)
+
+(* The decimal digits of [n >= 0] with a point [f] digits from the right. *)
+let with_point n f =
+  let d = Printf.sprintf "%0*d" (f + 1) n in
+  if f = 0 then d
+  else String.sub d 0 (String.length d - f) ^ "." ^ String.sub d (String.length d - f) f
+
+let gen_decimal =
+  let open QCheck.Gen in
+  let any_double =
+    map2
+      (fun hi lo ->
+        Int64.float_of_bits (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)))
+      (int_bound 0xFFFFFFFF) (int_bound 0xFFFFFFFF)
+  in
+  let printed =
+    map2
+      (fun x digits ->
+        let t = Printf.sprintf "%.*g" digits x in
+        let a = Float.abs x in
+        let writer_like = digits <= 17 && (a = 0. || (a >= 1e-300 && a <= 1e300)) in
+        (t, if writer_like then `Decide else `Either))
+      any_double (oneofl [ 15; 17; 20; 25 ])
+  in
+  (* [(2m+1)·2^(e-1)], the midpoint between [m·2^e] and its successor,
+     exactly, for 2^52 <= m < 2^53 and -2 <= e <= 6, or one unit either
+     side in its last digit (up to 19 digits) *)
+  let midpoint =
+    map3
+      (fun m e side ->
+        let odd = (2 * m) + 1 in
+        let n, f = if e >= 1 then (odd lsl (e - 1), 0) else (odd * pow5_int (1 - e), 1 - e) in
+        ( with_point (n + side) f,
+          if side <> 0 && n + side < 1_000_000_000_000_000_000 then `Decide else `Either ))
+      (int_range (1 lsl 52) ((1 lsl 53) - 1)) (int_range (-2) 6) (int_range (-1) 1)
+  in
+  (* [u·10^q] for odd [u] with [5^q·u] in [2^53, 2^54): the midpoint
+     between [(5^q·u - 1)·2^q] and [(5^q·u + 1)·2^q], a tie at q > 0 *)
+  let tie =
+    int_range 1 22 >>= fun q ->
+    let p = pow5_int q in
+    map
+      (fun k -> (Printf.sprintf "%de%d" ((2 * k) + 1) q, `Either))
+      (int_range (((1 lsl 53) / p) / 2) ((((1 lsl 54) / p) - 1) / 2))
+  in
+  (* 18 or 19 significant digits behind up to three leading zeros, a
+     point anywhere after the first digit or none, any exponent *)
+  let long =
+    map4
+      (fun digits lead point exp ->
+        let body = String.make lead '0' ^ digits in
+        let n = String.length body and p = 1 + point in
+        let t = if p >= n then body else String.sub body 0 p ^ "." ^ String.sub body p (n - p) in
+        ((if exp = 0 then t else Printf.sprintf "%se%d" t exp), `Either))
+      (map2 (fun d rest -> String.make 1 d ^ rest) (char_range '1' '9')
+         (string_size ~gen:numeral (int_range 17 18)))
+      (int_bound 3) (int_bound 25) (int_range (-330) 310)
+  in
+  let edge =
+    map
+      (fun t ->
+        ( t,
+          match t with
+          | "-0" | "5." | "1E+2" | "1.7976931348623157e308" | "2.2250738585072014e-308" -> `Decide
+          | _ -> `Decline ))
+      (oneofa decimal_edges)
+  in
+  frequency [ (6, printed); (3, midpoint); (1, tie); (2, long); (1, edge) ]
+
+let prop_decimal =
+  QCheck.Test.make ~name:"decimal reader = float_of_string, bit for bit" ~count:100_000
+    (QCheck.make ~print:(fun (t, _) -> Printf.sprintf "%S" t) gen_decimal)
+    decimal_agrees
+
+let test_decimal_cases () =
+  (* significands just below a power of two, whose nearest double is
+     that power, at 81 decimal exponents; some negative ones are exact
+     ties, which the reader declines *)
+  for k = 54 to 59 do
+    for q = -40 to 40 do
+      let token = Printf.sprintf "%de%d" ((1 lsl k) - 1) q in
+      ignore (decimal_agrees (token, if q >= 0 then `Decide else `Either))
+    done
+  done;
+  List.iter
+    (fun case -> ignore (decimal_agrees case))
+    [ ("0", `Decide); ("-0", `Decide); ("00.000e-99999999", `Decline); ("0e400", `Decline);
+      ("1", `Decide); ("-1", `Decide); ("5.", `Decide); ("1E+2", `Decide); ("1e-0", `Decide);
+      ("0.1", `Decide); ("0.30000000000000004", `Decide); ("9007199254740993", `Decide);
+      ("9007199254740995", `Decide); ("4503599627370496.5", `Either);
+      ("4503599627370497.5", `Either); ("123456789012345678", `Decide);
+      ("1234567890123456789", `Decline); ("000000000000000000000123", `Decide);
+      ("0.000000000000000000000000000000000000001", `Decide);
+      ("1.7976931348623157e308", `Decide); ("1.7976931348623158e308", `Decide);
+      ("1.7976931348623159e308", `Decline); ("2.2250738585072014e-308", `Decide);
+      ("2.2250738585072011e-308", `Decline); ("1e-325", `Decline); ("1e22", `Decide);
+      ("9007199254740991", `Decide);
+      ("1e23", `Decide); ("8.98846567431158e307", `Decide); ("1e0000000000000000001", `Decide) ]
+
+(* The reader settles every number of the benchmark's instance texts:
+   Tables I-II's fifty r1-r5 instances and the fixed s100k. *)
+let test_decimal_declines_no_benchmark_token () =
+  let check what inst =
+    let n = Io.declined (Io.to_string inst) in
+    if n <> 0 then Alcotest.failf "%s: %d tokens declined" what n
+  in
+  List.iter
+    (fun scheme ->
+      List.iter
+        (fun (spec : Workload.Circuits.spec) ->
+          List.iter
+            (fun n_groups ->
+              check spec.name (Workload.Circuits.instance spec ~n_groups ~scheme ~bound:10. ()))
+            [ 1; 4; 6; 8; 10 ])
+        Workload.Circuits.specs)
+    Workload.Partition.[ Clustered; Intermingled ];
+  let n = 100_000 in
+  check "s100k"
+    (Workload.Circuits.instance
+       { name = "s100k"; n_sinks = n; die = 2000. *. sqrt (float_of_int n) }
+       ~n_groups:8 ~scheme:Workload.Partition.Intermingled ~bound:10. ())
+
 (* Instance texts for the differential property: [prop_io_hostile]'s
    mutations, plus white space, number spellings, comments and records
    that only the token rules, the duplicate rules or the id order tell
    apart. *)
-let odd_numbers = [| "+1"; "0x1"; "1_0"; "1."; "-0"; "007"; "0b1"; "1e2"; "0x1p3"; "-";
-                     "+"; "1e400"; "_1"; "0u5"; "9223372036854775807"; "-0.0"; ".5" |]
+let odd_numbers = Array.append
+    [| "+1"; "0x1"; "1_0"; "1."; "-0"; "007"; "0b1"; "1e2"; "0x1p3"; "-";
+       "+"; "1e400"; "_1"; "0u5"; "9223372036854775807"; "-0.0"; ".5" |]
+    decimal_edges
 
 let mutate_more text (op, a, b) =
   let lines = Array.of_list (String.split_on_char '\n' text) in
@@ -727,6 +878,13 @@ let prop_io_differential =
     (fun muts -> same_parse (List.fold_left mutate_more hostile_base muts))
 
 let test_io_differential_cases () =
+  (* a [#] and the line ends after it at every offset of an 8-byte block *)
+  for k = 0 to 15 do
+    ignore
+      (same_parse
+         (Printf.sprintf "source 0 0\ngroups 1\nsink 0 %s 2 3 0#x\n#%s\nbound 1"
+            (String.make (k + 1) '1') (String.make k 'y')))
+  done;
   List.iter
     (fun text -> ignore (same_parse text))
     [ ""; "\n"; "#"; "groups 1"; "source 0 0"; "source 0 0\ngroups 0";
@@ -745,7 +903,8 @@ let test_io_differential_cases () =
       "source 0 0\ngroups 1\nsink 00 1 2 3 -0";
       "source 0 0\ngroups 1\nsink 1234567890123456789 1 2 3 0";
       "source 0 0\ngroups 1\nsink 0 1 2 3 0\nparams 1";
-      "source 0 0\ngroups 1\nsink 0 1 2 3 0\n#params 1\n\n\n" ]
+      "source 0 0\ngroups 1\nsink 0 1 2 3 0\n#params 1\n\n\n";
+      "groups 1\nsource 0.000000001 7#\nsink 0 1 2 3 0 #\t\r\ndriver 12.5\r\n#1234567\n" ]
 
 (* The writer against the Printf writer it replaces, on every instance
    the benchmark writes: Tables I-II's fifty r1-r5 instances, the fixed
@@ -883,7 +1042,10 @@ let () =
             test_io_writer_identical;
           Alcotest.test_case "10^5 group bounds, last wins" `Quick
             test_io_many_group_bounds;
+          Alcotest.test_case "decimal reader cases" `Quick test_decimal_cases;
+          Alcotest.test_case "decimal reader declines no benchmark token" `Quick
+            test_decimal_declines_no_benchmark_token;
         ]
-        @ qsuite [ prop_io_hostile; prop_g17_printf; prop_io_differential ] );
+        @ qsuite [ prop_io_hostile; prop_g17_printf; prop_io_differential; prop_decimal ] );
       ("svg", [ Alcotest.test_case "renders" `Quick test_svg_renders ]);
     ]
