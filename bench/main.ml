@@ -176,16 +176,17 @@ let smoke_clustered name =
    leg routes it): words allocated per sink by [Io.to_string] and by
    [Io.of_string] on its text, counted exactly on this domain as
    [Gc.minor_words] plus the words allocated straight in the major heap
-   (major minus promoted words of [Gc.counters]).  The parser reads 16.1
-   words per sink: 14.0 minor words (the sink, its point, its boxed
-   capacity, and the two coordinates [Instance.make] boxes to check)
-   and 2.1 of sink arrays.  It read 20.1 while [float_of_string]
-   returned a boxed float per number, and the line-and-token-list
-   parser read 222.  The writer reads 22.6: the buffer, the final
-   string (68 bytes a sink) and a boxed float per coordinate it hands
-   to the printer; the [Printf.bprintf] writer read 184.  The gates are
-   1.25 times the readings.  The decimal reader must decide every
-   number of r5's text; the count for s100k's is printed.
+   (major minus promoted words of [Gc.counters]).  The parser reads 12.1
+   words per sink: 10.0 minor words (the sink, its point and its boxed
+   capacity) and 2.1 of sink arrays.  It read 16.1 while
+   [Instance.make] boxed the two coordinates it checks, 20.1 while
+   [float_of_string] returned a boxed float per number, and the
+   line-and-token-list parser read 222.  The writer reads 18.6: the
+   buffer and the final string (68 bytes a sink); it read 22.6 while it
+   handed the printer a boxed float per coordinate, and the
+   [Printf.bprintf] writer read 184.  The gates, 28.3 and 20.1, are
+   1.25 times the 22.6 and 16.1 readings.  The decimal reader must
+   decide every number of r5's text; the count for s100k's is printed.
    Deterministic like every count here. *)
 let smoke_io () =
   header "Perf smoke: instance file path on r5";
@@ -375,21 +376,24 @@ let smoke args =
     let queries_per_probe_budget = 1.25 in
     let cells_per_probe_budget = 18. in
     (* Allocation gates.  A ranking probe allocates a bounded number of
-       minor words: r3 reads 57.2 per probe (planning and embedding)
+       minor words: r3 reads 47.9 per probe (planning and embedding)
        with the round's packed k-NN snapshot, per-chunk coster sessions
        and closures, proposals written into id-indexed arrays, sorting
        in reused scratch, merges that build only their result and
        record it in a preallocated plan store, and an embedding that
-       allocates only the merges' placed points (77.3 while the plan
-       was a tree of nodes whose embedding built each sink's point
-       region, 73.1 while it kept whole subtrees, 131 while a merge
-       built its plan from octagon, interval and plan values).  That is
+       allocates only the merges' placed points (54.8 while the build
+       passed -opaque and every float crossing a call into another
+       module was boxed, 57.2 before the flat octagon layout, 77.3
+       while the plan was a tree of nodes whose embedding built each
+       sink's point region, 73.1 while it kept whole subtrees, 131
+       while a merge built its plan from octagon, interval and plan
+       values).  That is
        the exact [Gc.minor_words] count; [Gc.quick_stat]'s lagging
        count, which the older readings used, read 118 for the 131,
        against 263 before them, 630 before the unboxed octagon kernels
-       and 7500 before the slab rewrite.  The gate is 75, 1.31 times
-       the reading: opening a coster session and its closures per probe
-       again added about 43 words (131 to 174), which fails it.
+       and 7500 before the slab rewrite.  The gate is 75: opening a
+       coster session and its closures per probe again added about 43
+       words (131 to 174), which fails it.
        [Octagon.sdr] allocates only its result (9 words, an 8-float
        array; 11 while the bounds record sat behind a constructor), so 32 per
        call over r3's consecutive leaf-region pairs
@@ -398,14 +402,14 @@ let smoke args =
        probes the snapshot of all of them, so 2.5 catches a boxed
        distance, argument or closure per query (the predicate-skip
        kernel read 6).  A committed [Merge.run] replaying r3's 861 plan
-       merges, their pairs recorded while planning, reads 63.3 words,
-       against 55.7 words of the merged subtree (its edge-length rule
-       included) and result it must build; 84 is 1.33 times the
+       merges, their pairs recorded while planning, reads 61.7 words,
+       against 54.9 words of the merged subtree (its edge-length rule
+       included) and result it must build; 84 is 1.36 times the
        reading, while the merge built from octagon, interval and plan
        values ([Merge.run_reference]) read 232 to 471 words per merge
        kind over r1-r5's plans.  Embedding r3's plan store allocates
-       1.41 minor words per arena node, a placed point per merge child
-       that moves off its parent's point; 1.8 is 1.28 times that, and
+       1.39 minor words per arena node, a placed point per merge child
+       that moves off its parent's point; 1.8 is 1.29 times that, and
        the tree of plan nodes walked with a frame stack, which built a
        point region per sink, read 40.
        Allocation counts are deterministic per domain,

@@ -8,15 +8,15 @@ type t = {
   rd : float;
 }
 
+(* Non-finite numbers are rejected up front: the spatial index cannot
+   place a non-finite point, and a NaN anywhere else would route to a
+   NaN tree.  Inlined, so the per-sink checks box no float. *)
+let[@inline] finite what v =
+  if not (Float.is_finite v) then
+    invalid_arg (Printf.sprintf "Instance.make: non-finite %s" what)
+
 let make ?(params = Rc.Wire.default) ?(rd = 100.) ?(bound = 0.) ?group_bounds
     ~source ~n_groups sinks =
-  (* Non-finite numbers are rejected up front: the spatial index cannot
-     place a non-finite point, and a NaN anywhere else would route to a
-     NaN tree. *)
-  let finite what v =
-    if not (Float.is_finite v) then
-      invalid_arg (Printf.sprintf "Instance.make: non-finite %s" what)
-  in
   if Array.length sinks = 0 then invalid_arg "Instance.make: no sinks";
   if n_groups <= 0 then invalid_arg "Instance.make: n_groups must be positive";
   finite "skew bound" bound;
@@ -76,7 +76,7 @@ let make ?(params = Rc.Wire.default) ?(rd = 100.) ?(bound = 0.) ?group_bounds
     invalid_arg "Instance.make: delay across the extent above 1e15 ps";
   { sinks; n_groups; bound; group_bounds; params; source; rd }
 
-let bound_for t g =
+let[@inline] bound_for t g =
   match t.group_bounds with Some bs -> bs.(g) | None -> t.bound
 
 let max_bound t =

@@ -114,40 +114,51 @@ let put_decimal b pos h x =
     put_digits b pos h nd
   end
 
-let put_fallback b pos x = put_string b pos (format_float "%.17g" x)
+(* The float whose bits are [top] (sign and exponent, bits 63..52) and
+   [frac] (fraction, bits 51..0). *)
+let put_fallback b pos top frac =
+  let bits = Int64.logor (Int64.shift_left (Int64.of_int top) 52) (Int64.of_int frac) in
+  put_string b pos (format_float "%.17g" (Int64.float_of_bits bits))
 
-(* [Printf.sprintf "%.17g" x] written at [pos].  [xlo = floor (b·log10 2)]
-   for [b = floor (log2 |x|)] is the decimal exponent or one below it, so
-   [F = floor (|x|·10^(16 - xlo))] lies in [10^16, 2·10^17); at or above
-   10^17 the exponent is [xlo + 1] and [F] is taken one power lower.
-   Rounding [F] half to even on the exact dropped bits can carry it to
-   10^17, which raises the exponent once more. *)
-let put_g17 b pos x =
-  let bits = Int64.bits_of_float x in
-  if Int64.equal bits 0L then put_string b pos "0"
-  else if Int64.equal bits Int64.min_int then put_string b pos "-0"
+(* [Printf.sprintf "%.17g" x] written at [pos], for [x] given by the
+   fields [top] and [frac] of its bits, so that no float crosses the
+   call.  [xlo = floor (b·log10 2)] for [b = floor (log2 |x|)] is the
+   decimal exponent or one below it, so [F = floor (|x|·10^(16 - xlo))]
+   lies in [10^16, 2·10^17); at or above 10^17 the exponent is
+   [xlo + 1] and [F] is taken one power lower.  Rounding [F] half to
+   even on the exact dropped bits can carry it to 10^17, which raises
+   the exponent once more. *)
+let put_fields b pos top frac =
+  let bexp = top land 0x7ff in
+  if bexp = 0 && frac = 0 then put_string b pos (if top = 0 then "0" else "-0")
   else begin
-    let bexp = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
     let xlo = ((bexp - 1023) * 78913) asr 18 in
     let q = 16 - xlo in
-    if bexp = 0 || bexp = 0x7ff || q < 0 || q > 26 then put_fallback b pos x
+    if bexp = 0 || bexp = 0x7ff || q < 0 || q > 26 then put_fallback b pos top frac
     else begin
-      let m = Int64.to_int bits land ((1 lsl 52) - 1) lor (1 lsl 52) in
+      let m = frac lor (1 lsl 52) in
       let e = bexp - 1075 in
       let r = scaled m e q in
       let over = r lsr 2 >= pow10.(17) in
-      if (over && q = 0) || r lsr 2 < pow10.(16) then put_fallback b pos x
+      if (over && q = 0) || r lsr 2 < pow10.(16) then put_fallback b pos top frac
       else begin
         let r = if over then scaled m e (q - 1) else r in
         let x10 = if over then 17 - q else 16 - q in
         let f = r lsr 2 in
         let h = if r land 2 <> 0 && r land 1 lor (f land 1) <> 0 then f + 1 else f in
-        let pos = if Int64.compare bits 0L < 0 then put_string b pos "-" else pos in
+        let pos = if top > 0x7ff then put_string b pos "-" else pos in
         if h = pow10.(17) then put_decimal b pos pow10.(16) (x10 + 1)
         else put_decimal b pos h x10
       end
     end
   end
+
+(* [Printf.sprintf "%.17g" x] written at [pos]. *)
+let[@inline] put_g17 b pos x =
+  let bits = Int64.bits_of_float x in
+  put_fields b pos
+    (Int64.to_int (Int64.shift_right_logical bits 52))
+    (Int64.to_int bits land ((1 lsl 52) - 1))
 
 let float_to_string x =
   let b = Bytes.create 32 in
@@ -164,27 +175,37 @@ let put_int b pos n =
     put_digits b pos n !nd
   end
 
+(* A field after a space at [pos] of [line].  Top-level and closed, so
+   they inline: a float field reaches [put_fields] as the two ints of
+   its bits, never boxed. *)
+let[@inline] num line pos v = put_g17 line (put_string line pos " ") v
+let[@inline] int line pos n = put_int line (put_string line pos " ") n
+
 (* One record at a time: each is laid out in [line] (the longest, a sink
-   line, is under 128 bytes) and handed to [emit line len]. *)
+   line, is under 128 bytes) and handed to [emit line len].  A record
+   allocates nothing. *)
 let write_records inst emit =
   let line = Bytes.create 256 in
   let ( +> ) pos s = put_string line pos s in
-  let num pos v = put_g17 line (pos +> " ") v in
-  let int pos n = put_int line (pos +> " ") n in
   let eol pos = emit line (pos +> "\n") in
   let open Instance in
   eol (0 +> "# astskew clock routing instance");
-  eol (num (num (0 +> "params") inst.params.r) inst.params.c);
-  eol (num (0 +> "driver") inst.rd);
-  eol (num (num (0 +> "source") inst.source.x) inst.source.y);
-  eol (num (0 +> "bound") inst.bound);
-  eol (int (0 +> "groups") inst.n_groups);
+  eol (num line (num line (0 +> "params") inst.params.r) inst.params.c);
+  eol (num line (0 +> "driver") inst.rd);
+  eol (num line (num line (0 +> "source") inst.source.x) inst.source.y);
+  eol (num line (0 +> "bound") inst.bound);
+  eol (int line (0 +> "groups") inst.n_groups);
   Option.iter
-    (Array.iteri (fun g bound -> eol (num (int (0 +> "groupbound") g) bound)))
+    (fun bs ->
+      for g = 0 to Array.length bs - 1 do
+        eol (num line (int line (0 +> "groupbound") g) bs.(g))
+      done)
     inst.group_bounds;
   Array.iter
     (fun (s : Sink.t) ->
-      eol (int (num (num (num (int (0 +> "sink") s.id) s.loc.x) s.loc.y) s.cap) s.group))
+      let pos = int line (0 +> "sink") s.id in
+      let pos = num line (num line pos s.loc.x) s.loc.y in
+      eol (int line (num line pos s.cap) s.group))
     inst.sinks
 
 (* A generated sink line is about 70 bytes: sized for the sinks, the

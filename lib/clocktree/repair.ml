@@ -26,46 +26,6 @@ type stats = {
   delays : float array;
 }
 
-(* Float.min / Float.max with the same result bits — signed zeros
-   included (min -0 +0 = -0, max -0 +0 = +0) and NaN propagating — but
-   inlined, so the hot loops keep their floats unboxed (-opaque;
-   DESIGN.md section 39).  The zero test runs only on ties. *)
-let[@inline] fmin (x : float) y =
-  if x < y then x
-  else if y < x then y
-  else if x <> x then x
-  else if y <> y then y
-  else if x = 0. && 1. /. x < 0. then x
-  else y
-
-let[@inline] fmax (x : float) y =
-  if x > y then x
-  else if y > x then y
-  else if x <> x then x
-  else if y <> y then y
-  else if x = 0. && 1. /. x > 0. then x
-  else y
-
-(* Rc.Elmore.wire_delay, operation for operation.  The dev-profile build
-   compiles with -opaque, so a call into another module is never
-   inlined and boxes its float arguments and result; the hot loops keep
-   local copies of such one-liners. *)
-let[@inline] wire_delay (p : Rc.Wire.params) len load =
-  Rc.Wire.ps_per_ohm_ff *. p.r *. len *. ((p.c *. len /. 2.) +. load)
-
-(* Rc.Elmore.wire_for_delay, operation for operation, for the same
-   reason. *)
-let[@inline] wire_for_delay (p : Rc.Wire.params) ~load ~delay =
-  if delay < 0. then invalid_arg "Elmore.wire_for_delay: negative delay";
-  if delay = 0. then 0.
-  else begin
-    let k = Rc.Wire.ps_per_ohm_ff in
-    let a = k *. p.r *. p.c /. 2. in
-    let b = k *. p.r *. load in
-    let disc = (b *. b) +. (4. *. a *. delay) in
-    (-.b +. Float.sqrt disc) /. (2. *. a)
-  end
-
 (* A growable int stack: worklist heaps, dirty seeds, processed lists,
    adjustment logs. *)
 type ivec = { mutable data : int array; mutable len : int }
@@ -255,8 +215,8 @@ let process_internal st w v ~count_conflicts =
   let l = a.Arena.left.(v) and r = a.Arena.right.(v) in
   let cap_l = st.bcap.(l) and cap_r = st.bcap.(r) in
   let llen0 = a.Arena.len.(l) and rlen0 = a.Arena.len.(r) in
-  let wl0 = wire_delay params llen0 cap_l in
-  let wr0 = wire_delay params rlen0 cap_r in
+  let wl0 = Rc.Elmore.wire_delay params ~len:llen0 ~load:cap_l in
+  let wr0 = Rc.Elmore.wire_delay params ~len:rlen0 ~load:cap_r in
   let l_off = st.goff.(l) and l_len = st.goff.(l + 1) - st.goff.(l) in
   let r_off = st.goff.(r) and r_len = st.goff.(r + 1) - st.goff.(r) in
   (* Admissible x = delta_left - delta_right: intersect, in ascending
@@ -276,21 +236,19 @@ let process_internal st w v ~count_conflicts =
       let rlo = slo.(r_off + !j) and rhi = shi.(r_off + !j) in
       let lo = rhi +. wr0 -. bound -. (llo +. wl0) in
       let hi = bound +. rlo +. wr0 -. (lhi +. wl0) in
-      acc_lo := fmax !acc_lo lo;
-      acc_hi := fmin !acc_hi hi
+      acc_lo := Eps.fmax !acc_lo lo;
+      acc_hi := Eps.fmin !acc_hi hi
     end
   done;
-  (* The conflict midpoint, else Eps.clamp !acc_lo !acc_hi 0. inlined. *)
+  (* The conflict midpoint, else the feasible shift nearest 0. *)
   let x =
     if !acc_lo > !acc_hi +. Eps.tol then begin
       if count_conflicts then w.conflicts <- w.conflicts + 1;
       (!acc_lo +. !acc_hi) /. 2.
     end
-    else if 0. < !acc_lo then !acc_lo
-    else if 0. > !acc_hi then !acc_hi
-    else 0.
+    else Eps.clamp !acc_lo !acc_hi 0.
   in
-  let delta_l = fmax 0. x and delta_r = fmax 0. (-.x) in
+  let delta_l = Eps.fmax 0. x and delta_r = Eps.fmax 0. (-.x) in
   (* Lengthen each child edge by its delta.  The skip floor is relative
      to the edge delay: at extreme RC corners delays reach ~1e9 ps,
      where an absolute 1e-9 ps floor sits far below one ulp and a
@@ -300,9 +258,9 @@ let process_internal st w v ~count_conflicts =
      resolve.  An adjustment whose resulting length is bit-identical is
      dropped as the no-op it is. *)
   let llen = ref llen0 and wl = ref wl0 in
-  if not (delta_l <= fmax 1e-9 (64. *. epsilon_float *. Float.abs wl0))
+  if not (delta_l <= Eps.fmax 1e-9 (64. *. epsilon_float *. Float.abs wl0))
   then begin
-    let len' = wire_for_delay params ~load:cap_l ~delay:(wl0 +. delta_l) in
+    let len' = Rc.Elmore.wire_for_delay params ~load:cap_l ~delay:(wl0 +. delta_l) in
     if len' <> llen0 then begin
       adjusted st w l (len' -. llen0);
       llen := len';
@@ -310,9 +268,9 @@ let process_internal st w v ~count_conflicts =
     end
   end;
   let rlen = ref rlen0 and wr = ref wr0 in
-  if not (delta_r <= fmax 1e-9 (64. *. epsilon_float *. Float.abs wr0))
+  if not (delta_r <= Eps.fmax 1e-9 (64. *. epsilon_float *. Float.abs wr0))
   then begin
-    let len' = wire_for_delay params ~load:cap_r ~delay:(wr0 +. delta_r) in
+    let len' = Rc.Elmore.wire_for_delay params ~load:cap_r ~delay:(wr0 +. delta_r) in
     if len' <> rlen0 then begin
       adjusted st w r (len' -. rlen0);
       rlen := len';
@@ -340,8 +298,8 @@ let process_internal st w v ~count_conflicts =
       incr jj
     end
     else begin
-      slo.(out) <- fmin (slo.(l_off + !i) +. wl) (slo.(r_off + !jj) +. wr);
-      shi.(out) <- fmax (shi.(l_off + !i) +. wl) (shi.(r_off + !jj) +. wr);
+      slo.(out) <- Eps.fmin (slo.(l_off + !i) +. wl) (slo.(r_off + !jj) +. wr);
+      shi.(out) <- Eps.fmax (shi.(l_off + !i) +. wl) (shi.(r_off + !jj) +. wr);
       incr i;
       incr jj
     end
@@ -478,8 +436,8 @@ let note_sinks st w sinks =
   for i = 0 to Array.length sinks - 1 do
     let v = sinks.(i) in
     let g = group.(v) and d = delay.(v) in
-    glo.(g) <- fmin glo.(g) d;
-    ghi.(g) <- fmax ghi.(g) d
+    glo.(g) <- Eps.fmin glo.(g) d;
+    ghi.(g) <- Eps.fmax ghi.(g) d
   done
 
 let reset_groups w =
@@ -527,8 +485,8 @@ let evaluate st w ~dense ~par =
     Array.iter
       (fun s ->
         for g = 0 to Array.length w.glo - 1 do
-          w.glo.(g) <- fmin w.glo.(g) s.glo.(g);
-          w.ghi.(g) <- fmax w.ghi.(g) s.ghi.(g)
+          w.glo.(g) <- Eps.fmin w.glo.(g) s.glo.(g);
+          w.ghi.(g) <- Eps.fmax w.ghi.(g) s.ghi.(g)
         done)
       w.subs
   end;
@@ -555,7 +513,7 @@ let deficits st target lo hi =
   for v = lo to hi do
     let l = a.Arena.left.(v) in
     if l < 0 then st.md.(v) <- target.(a.Arena.group.(v)) -. st.delay.(v)
-    else st.md.(v) <- fmin st.md.(l) st.md.(a.Arena.right.(v))
+    else st.md.(v) <- Eps.fmin st.md.(l) st.md.(a.Arena.right.(v))
   done
 
 (* Snake child edge [c] by its lift amount when that exceeds half the
@@ -567,8 +525,8 @@ let lift_edge st w c =
   &&
   let a = st.a in
   let len = a.Arena.len.(c) and cap = st.bcap.(c) in
-  let d = wire_delay a.Arena.params len cap in
-  let len' = wire_for_delay a.Arena.params ~load:cap ~delay:(d +. amt) in
+  let d = Rc.Elmore.wire_delay a.Arena.params ~len ~load:cap in
+  let len' = Rc.Elmore.wire_for_delay a.Arena.params ~load:cap ~delay:(d +. amt) in
   len' <> len
   && begin
     adjusted st w c (len' -. len);
@@ -611,7 +569,7 @@ let amounts st w ~target =
   let cv = 0. in
   for i = 0 to Array.length w.lone - 1 do
     let u = w.lone.(i) in
-    let au = fmax 0. (target.(a.Arena.group.(u)) -. st.delay.(u) -. cv) in
+    let au = Eps.fmax 0. (target.(a.Arena.group.(u)) -. st.delay.(u) -. cv) in
     st.amount.(u) <- au;
     if au > half_slack && u < w.hi then heap_push st w.heap a.Arena.parent.(u)
   done;
@@ -619,7 +577,7 @@ let amounts st w ~target =
     let u = w.pure.(i) in
     let u_lo = u - a.Arena.size.(u) + 1 in
     deficits st target u_lo u;
-    let au = fmax 0. (st.md.(u) -. cv) in
+    let au = Eps.fmax 0. (st.md.(u) -. cv) in
     st.amount.(u) <- au;
     st.carry.(u) <- cv +. au;
     if au > half_slack && u < w.hi then heap_push st w.heap a.Arena.parent.(u);
@@ -628,10 +586,10 @@ let amounts st w ~target =
       if l >= 0 then begin
         let r = a.Arena.right.(v) in
         let cv = st.carry.(v) in
-        let al = fmax 0. (st.md.(l) -. cv) in
+        let al = Eps.fmax 0. (st.md.(l) -. cv) in
         st.amount.(l) <- al;
         st.carry.(l) <- cv +. al;
-        let ar = fmax 0. (st.md.(r) -. cv) in
+        let ar = Eps.fmax 0. (st.md.(r) -. cv) in
         st.amount.(r) <- ar;
         st.carry.(r) <- cv +. ar;
         if al > half_slack || ar > half_slack then
@@ -674,10 +632,10 @@ let lift st w ~dense ~par =
       if l >= 0 then begin
         let r = a.Arena.right.(v) in
         let cv = st.carry.(v) in
-        let al = if st.pg.(l) >= 0 then fmax 0. (st.md.(l) -. cv) else 0. in
+        let al = if st.pg.(l) >= 0 then Eps.fmax 0. (st.md.(l) -. cv) else 0. in
         st.amount.(l) <- al;
         st.carry.(l) <- cv +. al;
-        let ar = if st.pg.(r) >= 0 then fmax 0. (st.md.(r) -. cv) else 0. in
+        let ar = if st.pg.(r) >= 0 then Eps.fmax 0. (st.md.(r) -. cv) else 0. in
         st.amount.(r) <- ar;
         st.carry.(r) <- cv +. ar
       end

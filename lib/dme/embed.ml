@@ -17,18 +17,6 @@ let edge_lengths (st : Subtree.store) m (p : Pt.t) (pl : Pt.t) (pr : Pt.t) =
     let la = Eps.clamp (f 1) (f 2) (Pt.dist p pl) in
     (Float.max la (Pt.dist p pl), Float.max (f 0 -. la) (Pt.dist p pr))
 
-(* [Float.max] (bit for bit, as [Octagon]'s) and [Eps.clamp], written
-   out for the loop below: an out-of-line call that takes or returns a
-   float boxes it (-opaque; DESIGN.md section 39). *)
-let[@inline] fmax x y =
-  if x < y then y
-  else if y < x then x
-  else if (not (Float.sign_bit y)) && Float.sign_bit x then if x <> x then x else y
-  else if y <> y then y
-  else x
-
-let[@inline] clamp (lo : float) hi x = if x < lo then lo else if x > hi then hi else x
-
 (* The placed point, [p] itself when the nearest-point kernel kept it. *)
 let placed inside (p : Pt.t) xy =
   if inside then p
@@ -98,13 +86,13 @@ let fill (a : Arena.t) { st; p; top } =
     let f0 = Float.Array.unsafe_get st.lengths o in
     let f1 = Float.Array.unsafe_get st.lengths (o + 1) in
     if Bytes.unsafe_get st.rule m = 'c' then begin
-      a.len.(sl) <- fmax f0 dl;
-      a.len.(sr) <- fmax f1 dr
+      a.len.(sl) <- Eps.fmax f0 dl;
+      a.len.(sr) <- Eps.fmax f1 dr
     end
     else begin
-      let la = clamp f1 (Float.Array.unsafe_get st.lengths (o + 2)) dl in
-      a.len.(sl) <- fmax la dl;
-      a.len.(sr) <- fmax (f0 -. la) dr
+      let la = Eps.clamp f1 (Float.Array.unsafe_get st.lengths (o + 2)) dl in
+      a.len.(sl) <- Eps.fmax la dl;
+      a.len.(sr) <- Eps.fmax (f0 -. la) dr
     end;
     a.left.(v) <- sl;
     a.right.(v) <- sr;

@@ -195,57 +195,10 @@ let run_reference inst ?(slack_usage = slack_usage) ~split_slack ~width_cap ~id 
    on the same operands in the same order, but keeps every intermediate
    in unboxed locals or in a per-domain scratch: no group list, no
    constraint or interval records, no plan records, no closures and no
-   intermediate octagons.  What it allocates beyond the merged subtree
-   and the result record is a few boxed floats at calls into other
-   modules, which dev-profile (-opaque) builds never inline.  The
-   helpers are [@inline] and copy the expressions of their
-   counterparts ([Float.min]/[Float.max], [Eps.clamp],
-   [Instance.bound_for], [Rc.Elmore]) for the same reason: an
-   out-of-line call that takes or returns a float boxes it. *)
-
-(* [Float.min] and [Float.max], bit for bit on every input, signed zeros
-   and NaN included (as Octagon's); a private copy because Octagon's
-   would not inline here (-opaque; DESIGN.md section 39). *)
-let[@inline] fmin x y =
-  if x < y then x
-  else if y < x then y
-  else if (not (Float.sign_bit y)) && Float.sign_bit x then
-    if y <> y then y else x
-  else if x <> x then x
-  else y
-
-let[@inline] fmax x y =
-  if x < y then y
-  else if y < x then x
-  else if (not (Float.sign_bit y)) && Float.sign_bit x then
-    if x <> x then x else y
-  else if y <> y then y
-  else x
-
-let[@inline] clamp (lo : float) hi x = if x < lo then lo else if x > hi then hi else x
-
-let[@inline] bound_for (inst : Clocktree.Instance.t) g =
-  match inst.group_bounds with Some bs -> bs.(g) | None -> inst.bound
-
-let[@inline] wire_delay (p : Rc.Wire.params) len load =
-  Rc.Wire.ps_per_ohm_ff *. p.r *. len *. ((p.c *. len /. 2.) +. load)
-
-let[@inline] wire_for_delay (p : Rc.Wire.params) load delay =
-  if delay < 0. then invalid_arg "Elmore.wire_for_delay: negative delay";
-  if delay = 0. then 0.
-  else begin
-    let k = Rc.Wire.ps_per_ohm_ff in
-    let a = k *. p.r *. p.c /. 2. in
-    let b = k *. p.r *. load in
-    let disc = (b *. b) +. (4. *. a *. delay) in
-    ((-.b) +. Float.sqrt disc) /. (2. *. a)
-  end
-
-let[@inline] balance_split (p : Rc.Wire.params) dist cap_a cap_b diff =
-  let k = Rc.Wire.ps_per_ohm_ff in
-  let denom = k *. p.r *. ((p.c *. dist) +. cap_a +. cap_b) in
-  let num = diff +. (k *. p.r *. dist *. ((p.c *. dist /. 2.) +. cap_b)) in
-  num /. denom
+   intermediate octagons.  It calls the inlined homes of the
+   reference's helpers ([Eps], [Instance.bound_for], [Rc.Elmore]);
+   [Eps.fmin] and [Eps.fmax] are [Float.min] and [Float.max] bit for
+   bit. *)
 
 (* Per-domain scratch of a merge: the strict-bound window [0, 1] and the
    full-bound window [2, 3] folded over the shared groups, then the
@@ -275,15 +228,15 @@ let[@inline] fold_windows inst slack_usage (da : Subtree.windows)
     else if ga > gb then incr j
     else begin
       incr shared;
-      let bound = bound_for inst ga in
+      let bound = Clocktree.Instance.bound_for inst ga in
       let alo = Float.Array.unsafe_get da.lo !i and ahi = Float.Array.unsafe_get da.hi !i in
       let blo = Float.Array.unsafe_get db.lo !j and bhi = Float.Array.unsafe_get db.hi !j in
-      let wmax = fmax (fmax 0. (ahi -. alo)) (fmax 0. (bhi -. blo)) in
+      let wmax = Eps.fmax (Eps.fmax 0. (ahi -. alo)) (Eps.fmax 0. (bhi -. blo)) in
       let strict_bound = wmax +. (slack_usage *. (bound -. wmax)) in
-      slo := fmax !slo (bhi -. alo -. strict_bound);
-      shi := fmin !shi (strict_bound +. blo -. ahi);
-      flo := fmax !flo (bhi -. alo -. bound);
-      fhi := fmin !fhi (bound +. blo -. ahi);
+      slo := Eps.fmax !slo (bhi -. alo -. strict_bound);
+      shi := Eps.fmin !shi (strict_bound +. blo -. ahi);
+      flo := Eps.fmax !flo (bhi -. alo -. bound);
+      fhi := Eps.fmin !fhi (bound +. blo -. ahi);
       incr i;
       incr j
     end
@@ -303,38 +256,38 @@ let[@inline] plan_into w (p : Rc.Wire.params) ~allow_snake ~dist ~cap_a ~cap_b
   let feasible = not (lo > hi +. Eps.tol) in
   let wlo = if feasible then lo else (lo +. hi) /. 2. in
   let whi = if feasible then hi else (lo +. hi) /. 2. in
-  let x_min = -.wire_delay p dist cap_b in
-  let x_max = wire_delay p dist cap_a in
-  let clo = fmax wlo x_min and chi = fmin whi x_max in
+  let x_min = -.Rc.Elmore.wire_delay p ~len:dist ~load:cap_b in
+  let x_max = Rc.Elmore.wire_delay p ~len:dist ~load:cap_a in
+  let clo = Eps.fmax wlo x_min and chi = Eps.fmin whi x_max in
   let x =
-    if not (clo > chi +. Eps.tol) then clamp clo chi pref
+    if not (clo > chi +. Eps.tol) then Eps.clamp clo chi pref
     else if allow_snake then if wlo > x_max then wlo else whi
-    else clamp x_min x_max (clamp wlo whi pref)
+    else Eps.clamp x_min x_max (Eps.clamp wlo whi pref)
   in
   let ea =
-    if x > x_max then wire_for_delay p cap_a x
+    if x > x_max then Rc.Elmore.wire_for_delay p ~load:cap_a ~delay:x
     else if x < x_min || dist = 0. then 0.
-    else clamp 0. dist (balance_split p dist cap_a cap_b x)
+    else Eps.clamp 0. dist (Rc.Elmore.balance_split p ~dist ~cap_a ~cap_b ~diff:x)
   in
   let eb =
     if x > x_max then 0.
-    else if x < x_min then wire_for_delay p cap_b (-.x)
+    else if x < x_min then Rc.Elmore.wire_for_delay p ~load:cap_b ~delay:(-.x)
     else if dist = 0. then 0.
     else dist -. ea
   in
   Float.Array.unsafe_set w 4 ea;
   Float.Array.unsafe_set w 5 eb;
-  Float.Array.unsafe_set w 6 (wire_delay p ea cap_a);
-  Float.Array.unsafe_set w 7 (wire_delay p eb cap_b);
-  Float.Array.unsafe_set w 8 (fmax 0. (ea +. eb -. dist));
+  Float.Array.unsafe_set w 6 (Rc.Elmore.wire_delay p ~len:ea ~load:cap_a);
+  Float.Array.unsafe_set w 7 (Rc.Elmore.wire_delay p ~len:eb ~load:cap_b);
+  Float.Array.unsafe_set w 8 (Eps.fmax 0. (ea +. eb -. dist));
   feasible
 
 (* [Interval.mid (Subtree.delay_hull t)]. *)
 let[@inline] hull_mid (d : Subtree.windows) =
   let lo = ref Float.infinity and hi = ref Float.neg_infinity in
   for i = 0 to Array.length d.gid - 1 do
-    lo := fmin !lo (Float.Array.unsafe_get d.lo i);
-    hi := fmax !hi (Float.Array.unsafe_get d.hi i)
+    lo := Eps.fmin !lo (Float.Array.unsafe_get d.lo i);
+    hi := Eps.fmax !hi (Float.Array.unsafe_get d.hi i)
   done;
   (!lo +. !hi) /. 2.
 
@@ -382,11 +335,12 @@ let[@inline] budget inst ~split_slack ~width_cap ~min_bound (d : Subtree.windows
   let slack = ref Float.infinity in
   for i = 0 to Array.length d.gid - 1 do
     let width =
-      fmax 0. (Float.Array.unsafe_get d.hi i -. Float.Array.unsafe_get d.lo i)
+      Eps.fmax 0. (Float.Array.unsafe_get d.hi i -. Float.Array.unsafe_get d.lo i)
     in
-    slack := fmin !slack ((width_cap *. bound_for inst d.gid.(i)) -. width)
+    let bound = Clocktree.Instance.bound_for inst d.gid.(i) in
+    slack := Eps.fmin !slack ((width_cap *. bound) -. width)
   done;
-  fmax 0. (fmin (split_slack *. min_bound) !slack)
+  Eps.fmax 0. (Eps.fmin (split_slack *. min_bound) !slack)
 
 (* The reference's [merge_cross]; [w] is the scratch. *)
 let cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap ~id (a : Subtree.t)
@@ -396,10 +350,10 @@ let cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap ~id (a : Subtree
   (* The reference folds [b]'s groups, then [a]'s. *)
   let min_bound = ref Float.infinity in
   for i = 0 to Array.length b.delay.gid - 1 do
-    min_bound := fmin !min_bound (bound_for inst b.delay.gid.(i))
+    min_bound := Eps.fmin !min_bound (Clocktree.Instance.bound_for inst b.delay.gid.(i))
   done;
   for i = 0 to Array.length a.delay.gid - 1 do
-    min_bound := fmin !min_bound (bound_for inst a.delay.gid.(i))
+    min_bound := Eps.fmin !min_bound (Clocktree.Instance.bound_for inst a.delay.gid.(i))
   done;
   let min_bound = !min_bound in
   let pref = hull_mid b.delay -. hull_mid a.delay in
@@ -416,16 +370,16 @@ let cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap ~id (a : Subtree
     (* [stretch]: the wire lengths whose delay is w ± omega/2. *)
     let la =
       if wa -. (omega_a /. 2.) <= 0. then 0.
-      else wire_for_delay params a.cap (wa -. (omega_a /. 2.))
+      else Rc.Elmore.wire_for_delay params ~load:a.cap ~delay:(wa -. (omega_a /. 2.))
     in
-    let ha = wire_for_delay params a.cap (wa +. (omega_a /. 2.)) in
+    let ha = Rc.Elmore.wire_for_delay params ~load:a.cap ~delay:(wa +. (omega_a /. 2.)) in
     let lb =
       if wb -. (omega_b /. 2.) <= 0. then 0.
-      else wire_for_delay params b.cap (wb -. (omega_b /. 2.))
+      else Rc.Elmore.wire_for_delay params ~load:b.cap ~delay:(wb -. (omega_b /. 2.))
     in
-    let hb = wire_for_delay params b.cap (wb +. (omega_b /. 2.)) in
-    let lo = fmax 0. (fmax la (dist -. hb)) in
-    let hi = fmin dist (fmin ha (dist -. lb)) in
+    let hb = Rc.Elmore.wire_for_delay params ~load:b.cap ~delay:(wb +. (omega_b /. 2.)) in
+    let lo = Eps.fmax 0. (Eps.fmax la (dist -. hb)) in
+    let hi = Eps.fmin dist (Eps.fmin ha (dist -. lb)) in
     if lo > hi then begin
       l := ea;
       h := ea
@@ -499,9 +453,9 @@ let committed_feasible (inst : Clocktree.Instance.t)
     && begin
          (* ...and snake-free: wanted ∩ [x_min, x_max] non-empty. *)
          let params = inst.params in
-         let x_min = -.wire_delay params dist b.cap in
-         let x_max = wire_delay params dist a.cap in
-         not (fmax (get w 0) x_min > fmin (get w 1) x_max +. Eps.tol)
+         let x_min = -.Rc.Elmore.wire_delay params ~len:dist ~load:b.cap in
+         let x_max = Rc.Elmore.wire_delay params ~len:dist ~load:a.cap in
+         not (Eps.fmax (get w 0) x_min > Eps.fmin (get w 1) x_max +. Eps.tol)
        end
   then true
   else not (get w 2 > get w 3 +. Eps.tol)

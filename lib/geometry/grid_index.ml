@@ -164,8 +164,7 @@ let knn_reserve b cap =
    buffer's last candidate — and that test runs before the [skip] one;
    a kept entry's insertion point is usually at or near the end.  The
    offer is written out in the loop, with no local function (a closure
-   per range) and no [Pt.dist] call (not inlined in -opaque dev-profile
-   builds, where it would box its result for every scanned entry). *)
+   per range). *)
 let scan_range s b cap (q : Pt.t) skip lo hi =
   let sids = s.ids and xs = s.xs and ys = s.ys in
   let ids = b.kids and ds = b.kdist in

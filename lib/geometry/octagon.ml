@@ -15,10 +15,8 @@ type bounds = {
    A region is an 8-float array at offset 0, the empty octagon the empty
    array; a {!Slab} holds slot [i] at offset [8 i].  Each formula below
    is one [@inline] kernel over (array, offset), and both forms call it.
-   The kernels stay in this one module because dev-profile builds pass
-   [-opaque]: a call into another module is never inlined, and one that
-   takes or returns a float boxes it.  A region is built with an array
-   literal, which allocates inline; [Float.Array.create] is a C call. *)
+   A region is built with an array literal, which allocates inline;
+   [Float.Array.create] is a C call. *)
 type t = float array
 
 let empty : t = [||]
@@ -56,32 +54,6 @@ let bounds o =
     Some
       { xl = xl o 0; xh = xh o 0; yl = yl o 0; yh = yh o 0; sl = sl o 0; sh = sh o 0;
         dl = dl o 0; dh = dh o 0 }
-
-(* [Float.min] and [Float.max] written out.  The two comparisons settle
-   every ordered pair; what is left (ties and NaN) runs the stdlib's own
-   test, so the result is bit-identical to the stdlib on every input,
-   signed zeros and NaN payloads included.  Unlike the stdlib calls,
-   these inline in -opaque (dev-profile) builds, where an out-of-line
-   call that returns a float boxes it.  [clamp] and [leq] are
-   [Eps.clamp] and [Eps.leq] inlined for the same reason. *)
-let[@inline] fmin x y =
-  if x < y then x
-  else if y < x then y
-  else if (not (Float.sign_bit y)) && Float.sign_bit x then
-    if y <> y then y else x
-  else if x <> x then x
-  else y
-
-let[@inline] fmax x y =
-  if x < y then y
-  else if y < x then x
-  else if (not (Float.sign_bit y)) && Float.sign_bit x then
-    if x <> x then x else y
-  else if y <> y then y
-  else x
-
-let[@inline] clamp (lo : float) hi x = if x < lo then lo else if x > hi then hi else x
-let[@inline] leq (a : float) b = a <= b +. Eps.tol
 
 (* Canonicalization uses the octagon-domain strong closure: encode the 8
    bounds as a 4-node difference-bound matrix over +x, -x, +y, -y
@@ -240,10 +212,10 @@ let of_point (p : Pt.t) : t =
 
 let box (p : Pt.t) (q : Pt.t) =
   of_bounds
-    ~xl:(fmin p.x q.x)
-    ~xh:(fmax p.x q.x)
-    ~yl:(fmin p.y q.y)
-    ~yh:(fmax p.y q.y)
+    ~xl:(Eps.fmin p.x q.x)
+    ~xh:(Eps.fmax p.x q.x)
+    ~yl:(Eps.fmin p.y q.y)
+    ~yh:(Eps.fmax p.y q.y)
     ~sl:Float.neg_infinity ~sh:Float.infinity ~dl:Float.neg_infinity
     ~dh:Float.infinity
 
@@ -259,23 +231,23 @@ let of_segment (p : Pt.t) (q : Pt.t) =
          Pt.pp q);
   let sp = Pt.s p and sq = Pt.s q and dp = Pt.d p and dq = Pt.d q in
   of_bounds
-    ~xl:(fmin p.x q.x)
-    ~xh:(fmax p.x q.x)
-    ~yl:(fmin p.y q.y)
-    ~yh:(fmax p.y q.y)
-    ~sl:(fmin sp sq) ~sh:(fmax sp sq) ~dl:(fmin dp dq)
-    ~dh:(fmax dp dq)
+    ~xl:(Eps.fmin p.x q.x)
+    ~xh:(Eps.fmax p.x q.x)
+    ~yl:(Eps.fmin p.y q.y)
+    ~yh:(Eps.fmax p.y q.y)
+    ~sl:(Eps.fmin sp sq) ~sh:(Eps.fmax sp sq) ~dl:(Eps.fmin dp dq)
+    ~dh:(Eps.fmax dp dq)
 
 let ball (p : Pt.t) r : t =
-  let r = fmax 0. r in
+  let r = Eps.fmax 0. r in
   let s = Pt.s p and d = Pt.d p in
   [| p.x -. r; p.x +. r; p.y -. r; p.y +. r; s -. r; s +. r; d -. r; d +. r |]
 
 (* Containment of [(x, y)] in the bounds, within the tolerance. *)
 let[@inline] inside xl xh yl yh sl sh dl dh x y =
   let s = x +. y and d = x -. y in
-  leq xl x && leq x xh && leq yl y && leq y yh && leq sl s && leq s sh && leq dl d
-  && leq d dh
+  Eps.leq xl x && Eps.leq x xh && Eps.leq yl y && Eps.leq y yh
+  && Eps.leq sl s && Eps.leq s sh && Eps.leq dl d && Eps.leq d dh
 
 let[@inline] contains_at a i x y =
   inside (xl a i) (xh a i) (yl a i) (yh a i) (sl a i) (sh a i) (dl a i) (dh a i) x y
@@ -287,10 +259,10 @@ let inter a b =
   else begin
     let s = Domain.DLS.get scratch_key in
     fill s 0
-      (fmax (xl a 0) (xl b 0)) (fmin (xh a 0) (xh b 0))
-      (fmax (yl a 0) (yl b 0)) (fmin (yh a 0) (yh b 0))
-      (fmax (sl a 0) (sl b 0)) (fmin (sh a 0) (sh b 0))
-      (fmax (dl a 0) (dl b 0)) (fmin (dh a 0) (dh b 0));
+      (Eps.fmax (xl a 0) (xl b 0)) (Eps.fmin (xh a 0) (xh b 0))
+      (Eps.fmax (yl a 0) (yl b 0)) (Eps.fmin (yh a 0) (yh b 0))
+      (Eps.fmax (sl a 0) (sl b 0)) (Eps.fmin (sh a 0) (sh b 0))
+      (Eps.fmax (dl a 0) (dl b 0)) (Eps.fmin (dh a 0) (dh b 0));
     closed s
   end
 
@@ -300,15 +272,15 @@ let hull a b : t =
   if is_empty a then b
   else if is_empty b then a
   else
-    [| fmin (xl a 0) (xl b 0); fmax (xh a 0) (xh b 0);
-       fmin (yl a 0) (yl b 0); fmax (yh a 0) (yh b 0);
-       fmin (sl a 0) (sl b 0); fmax (sh a 0) (sh b 0);
-       fmin (dl a 0) (dl b 0); fmax (dh a 0) (dh b 0) |]
+    [| Eps.fmin (xl a 0) (xl b 0); Eps.fmax (xh a 0) (xh b 0);
+       Eps.fmin (yl a 0) (yl b 0); Eps.fmax (yh a 0) (yh b 0);
+       Eps.fmin (sl a 0) (sl b 0); Eps.fmax (sh a 0) (sh b 0);
+       Eps.fmin (dl a 0) (dl b 0); Eps.fmax (dh a 0) (dh b 0) |]
 
 let hull_list os = List.fold_left hull empty os
 
 let inflate r o : t =
-  let r = fmax 0. r in
+  let r = Eps.fmax 0. r in
   if is_empty o then empty
   else
     [| xl o 0 -. r; xh o 0 +. r; yl o 0 -. r; yh o 0 +. r;
@@ -326,14 +298,14 @@ let translate (v : Pt.t) o : t =
    in L1 motion (all 8 normals have unit dual norm), and canonical
    tightness guarantees the maximum gap is simultaneously achievable.
 
-   The chain takes its maxima with [gap_max], which is [fmax] except in
-   the sign of a zero result ([gap_max (-0.) 0.] is [-0.]) and, when
+   The chain takes its maxima with [gap_max], which is [Eps.fmax] except
+   in the sign of a zero result ([gap_max (-0.) 0.] is [-0.]) and, when
    both operands are NaN, in which one it returns.  That sign only
    reaches the final [gap_max 0. g], which returns [+0.] for either
-   zero, as [fmax 0. g] does, so the distance is [fmax]'s bit for bit
-   and NaN when a bound is NaN.  [fmax]'s tie branch calls
-   [Float.sign_bit], and its register spills made the slab distance, run
-   on every ranking candidate, about a third slower. *)
+   zero, as [Eps.fmax 0. g] does, so the distance is [Eps.fmax]'s bit
+   for bit and NaN when a bound is NaN.  [gap_max] spends one
+   comparison per step and has no tie branch; the slab distance runs on
+   every ranking candidate. *)
 let[@inline] gap_max (a : float) b = if a >= b || a <> a then a else b
 
 let[@inline] dist_at a i b j =
@@ -355,8 +327,8 @@ let dist_pt o p = dist o (of_point p)
 
 (* The bounds of the slice at [x]: the y range the y, s and d bounds
    leave there. *)
-let[@inline] slice_lo yl sl dh x = fmax yl (fmax (sl -. x) (x -. dh))
-let[@inline] slice_hi yh sh dl x = fmin yh (fmin (sh -. x) (x -. dl))
+let[@inline] slice_lo yl sl dh x = Eps.fmax yl (Eps.fmax (sl -. x) (x -. dh))
+let[@inline] slice_hi yh sh dl x = Eps.fmin yh (Eps.fmin (sh -. x) (x -. dl))
 
 let pick_point o =
   if is_empty o then invalid_arg "Octagon.pick_point: empty octagon";
@@ -372,7 +344,9 @@ let center = pick_point
 let radius o (c : Pt.t) =
   if is_empty o then invalid_arg "Octagon.radius: empty octagon";
   let cs = c.x +. c.y and cd = c.x -. c.y in
-  fmax (fmax (sh o 0 -. cs) (cs -. sl o 0)) (fmax (dh o 0 -. cd) (cd -. dl o 0))
+  Eps.fmax
+    (Eps.fmax (sh o 0 -. cs) (cs -. sl o 0))
+    (Eps.fmax (dh o 0 -. cd) (cd -. dl o 0))
 
 (* L1 projection by clamping x first, then y within the slice at that x,
    written to [xy]; [true] when that point is [p] itself, inside the
@@ -388,10 +362,10 @@ let[@inline] nearest xl xh yl yh sl sh dl dh (p : Pt.t) xy =
     Float.Array.set xy 1 p.y
   end
   else begin
-    let x = clamp xl xh p.x in
+    let x = Eps.clamp xl xh p.x in
     let ylo = slice_lo yl sl dh x and yhi = slice_hi yh sh dl x in
     Float.Array.set xy 0 x;
-    Float.Array.set xy 1 (if ylo > yhi then (ylo +. yhi) /. 2. else clamp ylo yhi p.y)
+    Float.Array.set xy 1 (if ylo > yhi then (ylo +. yhi) /. 2. else Eps.clamp ylo yhi p.y)
   end;
   kept
 
@@ -438,7 +412,7 @@ let closest_pair a b =
    ones from 0 to r — and every float operation keeps the operands and
    order of inflating, intersecting and hulling octagon values.  A
    slice is a function of its clamped t alone, and hulling a slice in
-   again cannot move the hull ([fmin]/[fmax] are idempotent, bit for
+   again cannot move the hull ([Eps.fmin]/[Eps.fmax] are idempotent, bit for
    bit), so a slice whose t equals an earlier one's is skipped: the
    critical t of opposite sides often coincide, and for two points all
    eight do. *)
@@ -483,26 +457,26 @@ let[@inline] sdr_slices s (h : float array) a b r =
       incr j
     done;
     if !j = k then begin
-      let ta = fmax 0. t and tb = fmax 0. (r -. t) in
+      let ta = Eps.fmax 0. t and tb = Eps.fmax 0. (r -. t) in
       fill s 0
-        (fmax (xl a 0 -. ta) (xl b 0 -. tb))
-        (fmin (xh a 0 +. ta) (xh b 0 +. tb))
-        (fmax (yl a 0 -. ta) (yl b 0 -. tb))
-        (fmin (yh a 0 +. ta) (yh b 0 +. tb))
-        (fmax (sl a 0 -. ta) (sl b 0 -. tb))
-        (fmin (sh a 0 +. ta) (sh b 0 +. tb))
-        (fmax (dl a 0 -. ta) (dl b 0 -. tb))
-        (fmin (dh a 0 +. ta) (dh b 0 +. tb));
+        (Eps.fmax (xl a 0 -. ta) (xl b 0 -. tb))
+        (Eps.fmin (xh a 0 +. ta) (xh b 0 +. tb))
+        (Eps.fmax (yl a 0 -. ta) (yl b 0 -. tb))
+        (Eps.fmin (yh a 0 +. ta) (yh b 0 +. tb))
+        (Eps.fmax (sl a 0 -. ta) (sl b 0 -. tb))
+        (Eps.fmin (sh a 0 +. ta) (sh b 0 +. tb))
+        (Eps.fmax (dl a 0 -. ta) (dl b 0 -. tb))
+        (Eps.fmin (dh a 0 +. ta) (dh b 0 +. tb));
       if close s then begin
         if !hulled then begin
-          hxl := fmin !hxl (xl s 0);
-          hxh := fmax !hxh (xh s 0);
-          hyl := fmin !hyl (yl s 0);
-          hyh := fmax !hyh (yh s 0);
-          hsl := fmin !hsl (sl s 0);
-          hsh := fmax !hsh (sh s 0);
-          hdl := fmin !hdl (dl s 0);
-          hdh := fmax !hdh (dh s 0)
+          hxl := Eps.fmin !hxl (xl s 0);
+          hxh := Eps.fmax !hxh (xh s 0);
+          hyl := Eps.fmin !hyl (yl s 0);
+          hyh := Eps.fmax !hyh (yh s 0);
+          hsl := Eps.fmin !hsl (sl s 0);
+          hsh := Eps.fmax !hsh (sh s 0);
+          hdl := Eps.fmin !hdl (dl s 0);
+          hdh := Eps.fmax !hdh (dh s 0)
         end
         else begin
           hulled := true;
@@ -531,16 +505,16 @@ let sdr a b =
 (* [inter (inflate ra a) (inflate rb b)]'s raw bounds, with the same
    float operations. *)
 let[@inline] fill_within s ra a rb b =
-  let ra = fmax 0. ra and rb = fmax 0. rb in
+  let ra = Eps.fmax 0. ra and rb = Eps.fmax 0. rb in
   fill s 0
-    (fmax (xl a 0 -. ra) (xl b 0 -. rb))
-    (fmin (xh a 0 +. ra) (xh b 0 +. rb))
-    (fmax (yl a 0 -. ra) (yl b 0 -. rb))
-    (fmin (yh a 0 +. ra) (yh b 0 +. rb))
-    (fmax (sl a 0 -. ra) (sl b 0 -. rb))
-    (fmin (sh a 0 +. ra) (sh b 0 +. rb))
-    (fmax (dl a 0 -. ra) (dl b 0 -. rb))
-    (fmin (dh a 0 +. ra) (dh b 0 +. rb))
+    (Eps.fmax (xl a 0 -. ra) (xl b 0 -. rb))
+    (Eps.fmin (xh a 0 +. ra) (xh b 0 +. rb))
+    (Eps.fmax (yl a 0 -. ra) (yl b 0 -. rb))
+    (Eps.fmin (yh a 0 +. ra) (yh b 0 +. rb))
+    (Eps.fmax (sl a 0 -. ra) (sl b 0 -. rb))
+    (Eps.fmin (sh a 0 +. ra) (sh b 0 +. rb))
+    (Eps.fmax (dl a 0 -. ra) (dl b 0 -. rb))
+    (Eps.fmin (dh a 0 +. ra) (dh b 0 +. rb))
 
 let within ~ra a ~rb b =
   if is_empty a || is_empty b then empty
@@ -563,10 +537,10 @@ let sdr_within a b ~ra ~rb =
         (* [inter] of the hull and the closed inflations, in that
            operand order. *)
         fill s 0
-          (fmax (xl h hull_at) (xl s 0)) (fmin (xh h hull_at) (xh s 0))
-          (fmax (yl h hull_at) (yl s 0)) (fmin (yh h hull_at) (yh s 0))
-          (fmax (sl h hull_at) (sl s 0)) (fmin (sh h hull_at) (sh s 0))
-          (fmax (dl h hull_at) (dl s 0)) (fmin (dh h hull_at) (dh s 0));
+          (Eps.fmax (xl h hull_at) (xl s 0)) (Eps.fmin (xh h hull_at) (xh s 0))
+          (Eps.fmax (yl h hull_at) (yl s 0)) (Eps.fmin (yh h hull_at) (yh s 0))
+          (Eps.fmax (sl h hull_at) (sl s 0)) (Eps.fmin (sh h hull_at) (sh s 0))
+          (Eps.fmax (dl h hull_at) (dl s 0)) (Eps.fmin (dh h hull_at) (dh s 0));
         closed s
       end
     end
@@ -584,7 +558,7 @@ let y_range o =
 
 (* In rotated coordinates (s, d) the L1 metric is Chebyshev, so the L1
    diameter is the larger of the two rotated extents. *)
-let[@inline] diameter_at a i = fmax (sh a i -. sl a i) (dh a i -. dl a i)
+let[@inline] diameter_at a i = Eps.fmax (sh a i -. sl a i) (dh a i -. dl a i)
 let diameter o = if is_empty o then 0. else diameter_at o 0
 
 let vertices o =

@@ -25,6 +25,25 @@ let repair ?config inst routed =
 
 (* --- Instance ------------------------------------------------------------ *)
 
+(* r5 as the benchmark routes it, and the words [f ()] allocates per
+   sink of it: minor words plus words allocated straight in the major
+   heap. *)
+let r5 =
+  lazy
+    (Workload.Circuits.instance (Option.get (Workload.Circuits.find "r5")) ~n_groups:8
+       ~scheme:Workload.Partition.Intermingled ~bound:10. ())
+
+let words_per_sink (inst : Instance.t) f =
+  ignore (Sys.opaque_identity (f ()));
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  /. float_of_int (Instance.n_sinks inst)
+
+
 let test_instance_validation () =
   let sinks = [| sink 0 0. 0. 0; sink 1 10. 0. 1 |] in
   let inst = Instance.make ~source:(pt 0. 0.) ~n_groups:2 sinks in
@@ -80,6 +99,18 @@ let test_instance_rejects_non_finite () =
   Alcotest.check_raises "negative cap"
     (Invalid_argument "Instance.make: negative sink capacitance") (fun () ->
       ignore (make [| { (sink 0 0. 0. 0) with cap = -1. }; sink 1 10. 0. 0 |]))
+
+(* Validation runs on every parsed instance, and its per-sink checks
+   box no float. *)
+let test_instance_make_allocation () =
+  let inst = Lazy.force r5 in
+  let words =
+    words_per_sink inst (fun () ->
+        Instance.make ~params:inst.params ~rd:inst.rd ~bound:inst.bound
+          ?group_bounds:inst.group_bounds ~source:inst.source ~n_groups:inst.n_groups
+          inst.sinks)
+  in
+  if words >= 1. then Alcotest.failf "Instance.make: %.2f words per sink on r5" words
 
 (* [Instance.diameter] is the bbox octagon's diameter bit for bit: on a
    single sink, on signed zeros (where the min/max folds must keep the
@@ -939,6 +970,18 @@ let test_io_writer_identical () =
       (Check.Gen.case ~seed:1L ~index ()).instance
   done
 
+(* The writer's records allocate nothing: streamed to a file, r5 costs
+   less than a word per sink. *)
+let test_io_records_allocate_nothing () =
+  let inst = Lazy.force r5 in
+  let path = Filename.temp_file "astskew_io" ".txt" in
+  let words =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () -> words_per_sink inst (fun () -> Io.write_file path inst))
+  in
+  if words >= 1. then Alcotest.failf "Io.write_file: %.2f words per sink on r5" words
+
 (* 10^5 sinks in 10^5 groups, a groupbound record for every group and a
    second one for every seventh: the last record wins, and resolving them
    is one pass (a list search per group took about 25 s here). *)
@@ -994,6 +1037,8 @@ let () =
           Alcotest.test_case "non-finite rejected" `Quick
             test_instance_rejects_non_finite;
           Alcotest.test_case "diameter = bbox diameter" `Quick test_instance_diameter;
+          Alcotest.test_case "make allocates nothing per sink" `Quick
+            test_instance_make_allocation;
         ] );
       ( "tree",
         [
@@ -1040,6 +1085,8 @@ let () =
           Alcotest.test_case "differential cases" `Quick test_io_differential_cases;
           Alcotest.test_case "writer = Printf writer on benchmark instances" `Quick
             test_io_writer_identical;
+          Alcotest.test_case "records allocate nothing" `Quick
+            test_io_records_allocate_nothing;
           Alcotest.test_case "10^5 group bounds, last wins" `Quick
             test_io_many_group_bounds;
           Alcotest.test_case "decimal reader cases" `Quick test_decimal_cases;

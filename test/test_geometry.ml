@@ -19,6 +19,58 @@ let test_pt_dist () =
   let p = pt 3. 4. in
   Alcotest.(check bool) "of_sd inverse" true (Pt.equal p (Pt.of_sd (Pt.s p) (Pt.d p)))
 
+(* --- Eps ----------------------------------------------------------------- *)
+
+(* [Eps.fmin]/[Eps.fmax] return [Float.min]/[Float.max]'s bits on every
+   input: equal floats differ only as -0 and +0, and NaNs in sign and
+   payload. *)
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let min_max_agree x y =
+  same_bits (Eps.fmin x y) (Float.min x y) && same_bits (Eps.fmax x y) (Float.max x y)
+
+(* Signed zeros and infinities, NaNs of both signs with a quiet and a
+   signalling payload, the smallest and largest subnormals and the
+   largest finite floats. *)
+let special_floats =
+  List.map Int64.float_of_bits
+    [ 0x7ff8000000000000L; 0xfff8000000000000L; 0x7ff0000000000001L;
+      0xfff0000000000001L ]
+  @ [ 0.; -0.; Float.infinity; Float.neg_infinity; 4.9e-324; -4.9e-324;
+      2.2250738585072009e-308; -2.2250738585072009e-308; Float.max_float;
+      -.Float.max_float; 1.; -1. ]
+
+let test_eps_min_max_specials () =
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          if not (min_max_agree x y) then
+            Alcotest.failf "fmin/fmax differ from the stdlib on (%Lx, %Lx)"
+              (Int64.bits_of_float x) (Int64.bits_of_float y))
+        special_floats)
+    special_floats
+
+(* Random bit patterns, with ties (the same float twice, or its
+   negation) and NaNs drawn often enough to matter. *)
+let prop_eps_min_max_bits =
+  let any =
+    QCheck.Gen.(
+      frequency
+        [ (6, map Int64.float_of_bits int64);
+          (1, oneofl special_floats);
+          (1, map (fun b -> Int64.float_of_bits (Int64.logor b 0x7ff0000000000001L)) int64) ])
+  in
+  QCheck.Test.make ~name:"Eps.fmin/fmax = Float.min/max, bit for bit" ~count:20_000
+    (QCheck.make
+       ~print:(fun (x, y) ->
+         Printf.sprintf "(%Lx, %Lx)" (Int64.bits_of_float x) (Int64.bits_of_float y))
+       QCheck.Gen.(
+         frequency
+           [ (4, pair any any); (1, map (fun x -> (x, x)) any);
+             (1, map (fun x -> (x, Float.neg x)) any) ]))
+    (fun (x, y) -> min_max_agree x y)
+
 (* --- Interval ----------------------------------------------------------- *)
 
 let test_interval () =
@@ -1241,6 +1293,9 @@ let () =
           Alcotest.test_case "pt distances" `Quick test_pt_dist;
           Alcotest.test_case "intervals" `Quick test_interval;
         ] );
+      ( "eps",
+        Alcotest.test_case "fmin/fmax on special values" `Quick test_eps_min_max_specials
+        :: qsuite [ prop_eps_min_max_bits ] );
       ( "octagon",
         [
           Alcotest.test_case "canonical closure" `Quick test_octagon_canonical;
