@@ -604,9 +604,7 @@ let parse text =
        float_token text tok 3 num 1 l;
        float_token text tok 4 num 2 l;
        let group = int_token text tok 5 l in
-       (* built in place: [Pt.make], a call into another module, would
-          box both coordinates *)
-       let loc = { Geometry.Pt.x = Float.Array.get num 0; y = Float.Array.get num 1 } in
+       let loc = Geometry.Pt.make (Float.Array.get num 0) (Float.Array.get num 1) in
        (* the record constructors reject bad values with
           [Invalid_argument], which is reported against the line *)
        let s =

@@ -296,28 +296,17 @@ let translate (v : Pt.t) o : t =
 (* L1 distance between canonical octagons: the largest support gap over the
    8 constraint directions.  Each violated half-plane costs exactly its gap
    in L1 motion (all 8 normals have unit dual norm), and canonical
-   tightness guarantees the maximum gap is simultaneously achievable.
-
-   The chain takes its maxima with [gap_max], which is [Eps.fmax] except
-   in the sign of a zero result ([gap_max (-0.) 0.] is [-0.]) and, when
-   both operands are NaN, in which one it returns.  That sign only
-   reaches the final [gap_max 0. g], which returns [+0.] for either
-   zero, as [Eps.fmax 0. g] does, so the distance is [Eps.fmax]'s bit
-   for bit and NaN when a bound is NaN.  [gap_max] spends one
-   comparison per step and has no tie branch; the slab distance runs on
-   every ranking candidate. *)
-let[@inline] gap_max (a : float) b = if a >= b || a <> a then a else b
-
+   tightness guarantees the maximum gap is simultaneously achievable. *)
 let[@inline] dist_at a i b j =
   let g = xl b j -. xh a i in
-  let g = gap_max g (xl a i -. xh b j) in
-  let g = gap_max g (yl b j -. yh a i) in
-  let g = gap_max g (yl a i -. yh b j) in
-  let g = gap_max g (sl b j -. sh a i) in
-  let g = gap_max g (sl a i -. sh b j) in
-  let g = gap_max g (dl b j -. dh a i) in
-  let g = gap_max g (dl a i -. dh b j) in
-  gap_max 0. g
+  let g = Eps.fmax g (xl a i -. xh b j) in
+  let g = Eps.fmax g (yl b j -. yh a i) in
+  let g = Eps.fmax g (yl a i -. yh b j) in
+  let g = Eps.fmax g (sl b j -. sh a i) in
+  let g = Eps.fmax g (sl a i -. sh b j) in
+  let g = Eps.fmax g (dl b j -. dh a i) in
+  let g = Eps.fmax g (dl a i -. dh b j) in
+  Eps.fmax 0. g
 
 let[@inline] dist a b =
   if is_empty a || is_empty b then invalid_arg "Octagon.dist: empty octagon";
