@@ -138,8 +138,8 @@ let smoke_clustered name =
     let clu, t_clu = timed (fun () -> ast ~clustering:(clustered ()) inst) in
     let line what (r : Astskew.Router.result) wall =
       Format.printf
-        "%-12s wall %6.3f s, probes %6d, trial merges %6d, minor words %.3e@."
-        what wall r.engine.nn_reprobes r.engine.trial.trial_merges
+        "%-12s wall %6.3f s, probes %6d, priced %6d, minor words %.3e@."
+        what wall r.engine.nn_reprobes r.engine.trial.elided_trials
         r.engine.gc.Obs.Gcstat.minor_words
     in
     line "flat:" flat t_flat;
@@ -288,7 +288,7 @@ let kernel_allocation (inst : Clocktree.Instance.t) =
      The recorded plan must be the engine's; [Engine.default] ranks
      without the delay bias. *)
   let pairs = ref [] in
-  let cost = Dme.Engine.cost config inst in
+  let cost = Dme.Engine.cost inst in
   let merge ~id a b =
     Dme.Merge.run inst ~split_slack:config.split_slack ~width_cap:config.width_cap
       ~id a b
@@ -300,11 +300,7 @@ let kernel_allocation (inst : Clocktree.Instance.t) =
         knn = config.knn;
         delay_order_weight = 0.;
       }
-      ~coster:
-        {
-          session = (fun () -> (cost, ignore));
-          absorb = ignore;
-        }
+      ~cost
       ~merger:
         {
           compute = (fun ~id a b -> (a, b, merge ~id a b));
@@ -376,9 +372,9 @@ let smoke args =
     let queries_per_probe_budget = 1.25 in
     let cells_per_probe_budget = 18. in
     (* Allocation gates.  A ranking probe allocates a bounded number of
-       minor words: r3 reads 47.9 per probe (planning and embedding)
-       with the round's packed k-NN snapshot, per-chunk coster sessions
-       and closures, proposals written into id-indexed arrays, sorting
+       minor words: r3 reads 47.7 per probe (planning and embedding)
+       with the round's packed k-NN snapshot, per-chunk pricing closures,
+       proposals written into id-indexed arrays, sorting
        in reused scratch, merges that build only their result and
        record it in a preallocated plan store, and an embedding that
        allocates only the merges' placed points (54.8 while the build
@@ -391,8 +387,8 @@ let smoke args =
        the exact [Gc.minor_words] count; [Gc.quick_stat]'s lagging
        count, which the older readings used, read 118 for the 131,
        against 263 before them, 630 before the unboxed octagon kernels
-       and 7500 before the slab rewrite.  The gate is 75: opening a
-       coster session and its closures per probe again added about 43
+       and 7500 before the slab rewrite.  The gate is 75: opening the
+       pricing closures per probe instead of per chunk added about 43
        words (131 to 174), which fails it.
        [Octagon.sdr] allocates only its result (9 words, an 8-float
        array; 11 while the bounds record sat behind a constructor), so 32 per
@@ -438,8 +434,8 @@ let smoke args =
       kernel_allocation inst
     in
     (* Pricing gate.  A probe prices a candidate only while its region
-       distance can still beat the best cost (Order.cheapest), and under
-       distance ranking every priced candidate counts one elided trial.
+       distance can still beat the best cost (Order.cheapest), and every
+       priced candidate counts one elided trial (Order.stats nn_priced).
        r3 prices about 1.1 candidates per probe; pricing all 16 k-NN
        candidates reads about 15.9, so 2 catches a lost prune.
        Deterministic like the counts above. *)

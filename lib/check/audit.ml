@@ -293,7 +293,6 @@ let journal trace (s : Dme.Engine.stats) =
       ("rounds", List.length rounds, s.rounds);
       ("probes", sum "probes", s.nn_reprobes);
       ("nn_queries", sum "nn_queries", s.nn_queries);
-      ("trial_merges", sum "trial_merges", s.trial.trial_merges);
       ("trial_elided", sum "trial_elided", s.trial.elided_trials);
     ]
   @

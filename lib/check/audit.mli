@@ -66,8 +66,8 @@ val run :
   violation list
 
 (** A trace's per-round journal records sum exactly to the engine's
-    aggregate stats (round count, probes, queries, trial merges, elided
-    trials), and its Chrome export re-parses through
+    aggregate stats (round count, probes, queries, elided trials), and
+    its Chrome export re-parses through
     {!Obs.Json} with a non-empty [traceEvents] list. *)
 val journal : Obs.Trace.t -> Dme.Engine.stats -> violation list
 

@@ -41,7 +41,8 @@ val of_delays : Instance.t -> Arena.t -> float array -> report
     oracles, the auditor's callers and the tests compare against it.
     [jobs] is ignored: it is kept only because the benchmark's frozen
     replay passes [~jobs], until that replay routes through
-    [Router.route] (ROADMAP item 7). *)
+    [Router.route] (ROADMAP item 8, "The perfbench half of one
+    benchmark harness"). *)
 val report_of_arena : ?jobs:int -> Instance.t -> Arena.t -> report
 
 (** Does the tree satisfy the instance's intra-group bound (within

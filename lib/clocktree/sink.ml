@@ -4,7 +4,3 @@ let make ~id ~loc ~cap ~group =
   if cap < 0. then invalid_arg "Sink.make: negative capacitance";
   if group < 0 then invalid_arg "Sink.make: negative group";
   { id; loc; cap; group }
-
-let pp ppf s =
-  Format.fprintf ppf "sink %d @ %a cap=%gfF group=%d" s.id Geometry.Pt.pp
-    s.loc s.cap s.group

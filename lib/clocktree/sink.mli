@@ -9,4 +9,3 @@ type t = {
 }
 
 val make : id:int -> loc:Geometry.Pt.t -> cap:float -> group:int -> t
-val pp : Format.formatter -> t -> unit

@@ -22,10 +22,6 @@ let node p left right ~llen ~rlen =
 let route source tree =
   { tree; source; source_len = Pt.dist source (pos tree) }
 
-let rec sinks = function
-  | Leaf s -> [ s ]
-  | Node n -> sinks n.left @ sinks n.right
-
 let rec n_sinks = function Leaf _ -> 1 | Node n -> n_sinks n.left + n_sinks n.right
 
 let rec n_nodes = function

@@ -26,7 +26,6 @@ val node : Geometry.Pt.t -> t -> t -> llen:float -> rlen:float -> t
 (** [route source tree] connects [tree] to [source] with a direct wire. *)
 val route : Geometry.Pt.t -> t -> routed
 
-val sinks : t -> Sink.t list
 val n_sinks : t -> int
 val n_nodes : t -> int
 val depth : t -> int

@@ -130,7 +130,8 @@ end
     [Check.Oracle.sched] rows). *)
 val route : ?run:Obs.Run.t -> Spec.t -> Clocktree.Instance.t -> result
 
-(** Perfbench's frozen surface, deleted with ROADMAP item 5; a CI lint
+(** Perfbench's frozen surface, deleted with ROADMAP item 8 ("The
+    perfbench half of one benchmark harness"); a CI lint
     keeps every other caller on {!route}.  [ast_dme] routes [Ast_dme]
     under [config] (default {!ast_default_config}) at [jobs] (default
     [config.jobs]), clustered at the automatic count and depth when

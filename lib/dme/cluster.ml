@@ -366,8 +366,6 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
                  ("rounds", Obs.Json.Int c.stats.Engine.rounds);
                  ("nn_reprobes", Obs.Json.Int c.stats.Engine.nn_reprobes);
                  ("nn_queries", Obs.Json.Int c.stats.Engine.nn_queries);
-                 ( "trial_merges",
-                   Obs.Json.Int c.stats.Engine.trial.Engine.trial_merges );
                  ("planned_snake", Obs.Json.Float c.stats.Engine.planned_snake);
                  ("wall_s", Obs.Json.Float c.wall_s);
                  ("gc", Obs.Gcstat.json c.stats.Engine.gc);

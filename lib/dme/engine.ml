@@ -4,7 +4,6 @@ type config = {
   delay_order_weight : float;
   split_slack : float;
   width_cap : float;
-  cost_by_planned_wire : bool;
   jobs : int;
 }
 
@@ -15,7 +14,6 @@ let default =
     delay_order_weight = 0.;
     split_slack = 0.25;
     width_cap = 0.7;
-    cost_by_planned_wire = false;
     jobs = Par.Pool.default_jobs ();
   }
 
@@ -48,17 +46,8 @@ let json_of_config (c : config) =
       ("delay_order_weight", Obs.Json.Float c.delay_order_weight);
       ("split_slack", Obs.Json.Float c.split_slack);
       ("width_cap", Obs.Json.Float c.width_cap);
-      ("cost_by_planned_wire", Obs.Json.Bool c.cost_by_planned_wire);
       ("jobs", Obs.Json.Int c.jobs);
     ]
-
-(* Side results of one coster session — a chunk of a round's ranking
-   probes — carried back to the main domain: how many trial merges its
-   probes ran and how many priced candidates they answered without one.
-   Each probe's share is a pure function of its subtree and the
-   round-start state, and the counts only ever get summed, so the totals
-   are identical for any jobs count and chunking. *)
-type note = { n_trials : int; n_elided : int }
 
 (* Penalty added to an infeasible candidate's cost: big enough to
    dominate every honest cost, and proportional to the instance extent
@@ -71,46 +60,20 @@ let infeasible_penalty d =
   if d > 0. then 1e9 *. d else 1.
 
 (* The ranking cost of candidate pair [(a, b)] at region distance [dist]
-   (Octslab.dist, the same kernel as Octagon.dist).
-   [trial a b] runs a trial merge; [elide ()] records a cost answered
-   without one.  An infeasible pair (mutually inconsistent shared-group
-   offsets, the thesis' Instance 2) is merged only as a last resort.
-   Every branch returns at least [dist] — [penalty] is positive — as
-   the Order.coster contract requires. *)
-let pair_cost config inst ~penalty ~trial ~elide ~dist (a : Subtree.t)
-    (b : Subtree.t) =
-  if not config.cost_by_planned_wire then begin
-    (* Distance ranking needs only feasibility from a trial, and
-       Merge.committed_feasible answers that bit-identically without
-       building the merged subtree. *)
-    elide ();
+   (Octslab.dist, the same kernel as Octagon.dist) in [inst] of L1
+   diameter [diameter]: [dist] itself, plus the penalty when the merge
+   would be infeasible (mutually inconsistent shared-group offsets, the
+   thesis' Instance 2), so such a pair merges only as a last resort.
+   Merge.committed_feasible answers feasibility bit-identically to a
+   trial Merge.run without building the merged subtree.  The penalty is
+   positive, so the cost is never below [dist], as Order.run_ranked's
+   contract requires. *)
+let pricing inst ~diameter =
+  let penalty = infeasible_penalty diameter in
+  fun ~dist a b ->
     if Merge.committed_feasible inst ~dist a b then dist else dist +. penalty
-  end
-  else if Subtree.shared_groups a b = [] then begin
-    (* An unconstrained merge is always feasible and its planned wire is
-       exactly the region distance (Merge.merge_cross), so the trial's
-       only two cost-relevant outputs are known without running it. *)
-    elide ();
-    dist
-  end
-  else begin
-    let t : Merge.result = trial a b in
-    (* Planned wire is at least the region distance in exact arithmetic,
-       but rounding in [ea +. (dist -. ea)] can land an ulp below it; the
-       clamp keeps the contract that lets probes skip hopeless
-       candidates. *)
-    let wire = Float.max dist t.planned_wire in
-    if t.feasible then wire else wire +. penalty
-  end
 
-let run_merge config inst ~id a b =
-  Merge.run inst ~split_slack:config.split_slack ~width_cap:config.width_cap
-    ~id a b
-
-let cost config inst =
-  let penalty = infeasible_penalty (Clocktree.Instance.diameter inst) in
-  let trial = run_merge config inst ~id:(-1) in
-  fun ~dist a b -> pair_cost config inst ~penalty ~trial ~elide:ignore ~dist a b
+let cost inst = pricing inst ~diameter:(Clocktree.Instance.diameter inst)
 
 (* Bottom-up merge planning only: reduce [inst]'s sinks — or an explicit
    [leaves] population, see {!Order.run_ranked} — to one subtree.  Does
@@ -137,36 +100,18 @@ let plan_unsampled ~config ~run ?pool ?leaves inst =
   let shared_multi = ref 0 in
   let planned_snake = ref 0. in
   let infeasible = ref 0 in
-  let trial_merges = ref 0 in
-  let elided = ref 0 in
-  let run_merge = run_merge config inst in
   (* The instance's L1 diameter scales the penalty and the delay bias.
      [Instance.diameter] is an O(n) fold, and a stitch plan's instance
      holds every sink, so it is computed once per plan. *)
   let diameter = Clocktree.Instance.diameter inst in
-  let penalty = infeasible_penalty diameter in
-  (* One session's cost evaluator, shared by a chunk of ranking probes.
-     It only reads shared state, so it is safe on worker domains; its
-     counts ride back in the note. *)
-  let session () =
-    let n_trials = ref 0 and n_elided = ref 0 in
-    let trial a b =
-      incr n_trials;
-      run_merge ~id:(-1) a b
-    in
-    let elide () = incr n_elided in
-    let cost ~dist a b = pair_cost config inst ~penalty ~trial ~elide ~dist a b in
-    (cost, fun () -> { n_trials = !n_trials; n_elided = !n_elided })
-  in
-  let absorb note =
-    trial_merges := !trial_merges + note.n_trials;
-    elided := !elided + note.n_elided
-  in
   (* Committed-merge execution, split so the ranking loop can run the
      selected merges of a round on worker domains: [compute] is pure,
      while [install] applies the stats and tracing on the main domain in
      selection order. *)
-  let compute ~id a b = run_merge ~id a b in
+  let compute ~id a b =
+    Merge.run inst ~split_slack:config.split_slack ~width_cap:config.width_cap
+      ~id a b
+  in
   let install (result : Merge.result) =
     let id = result.subtree.Subtree.id in
     (match result.kind with
@@ -226,20 +171,14 @@ let plan_unsampled ~config ~run ?pool ?leaves inst =
     Order.{ multi_merge = config.multi_merge; knn = config.knn; delay_order_weight }
   in
   let jobs = match pool with Some p -> Par.Pool.jobs p | None -> 1 in
-  (* One journal record per merge round.  Trial counters are engine-side
-     state, so their per-round deltas are computed here and joined with
-     the ranking loop's own round report. *)
+  (* One journal record per merge round: the ranking loop's round report
+     joined with the engine's cumulative planned wire and GC delta. *)
   let on_round =
     if not tracing then None
     else begin
-      let last_trials = ref 0 and last_elided = ref 0 in
       let last_gc = ref (Obs.Gcstat.sample ()) in
       Some
         (fun (r : Order.round_info) ->
-          let d_trials = !trial_merges - !last_trials in
-          let d_elided = !elided - !last_elided in
-          last_trials := !trial_merges;
-          last_elided := !elided;
           let gc_now = Obs.Gcstat.sample () in
           let d_gc = Obs.Gcstat.diff gc_now !last_gc in
           last_gc := gc_now;
@@ -252,8 +191,7 @@ let plan_unsampled ~config ~run ?pool ?leaves inst =
                  ("probes", Obs.Json.Int r.probes);
                  ("nn_queries", Obs.Json.Int r.queries);
                  ("merges", Obs.Json.Int r.merges);
-                 ("trial_merges", Obs.Json.Int d_trials);
-                 ("trial_elided", Obs.Json.Int d_elided);
+                 ("trial_elided", Obs.Json.Int r.priced);
                  ("merge_cost", Obs.Json.Float r.best_cost);
                  ("cum_planned_wire", Obs.Json.Float !cum_wire);
                  ("wall_s", Obs.Json.Float r.wall_s);
@@ -264,7 +202,7 @@ let plan_unsampled ~config ~run ?pool ?leaves inst =
   let root, (ostats : Order.stats) =
     let body () =
       Order.run_ranked ?pool ~run ?on_round ?leaves inst order_config
-        ~coster:{ Order.session; absorb }
+        ~cost:(pricing inst ~diameter)
         ~merger:{ Order.compute; install }
     in
     if tracing then
@@ -287,7 +225,7 @@ let plan_unsampled ~config ~run ?pool ?leaves inst =
       shared_multi = !shared_multi;
       planned_snake = !planned_snake;
       infeasible_merges = !infeasible;
-      trial = { trial_merges = !trial_merges; elided_trials = !elided };
+      trial = { trial_merges = 0; elided_trials = ostats.nn_priced };
       gc = Obs.Gcstat.zero;
     } )
 

@@ -3,13 +3,10 @@
     EXT-BST and greedy-DME — are this engine run on differently grouped
     instances; MMM-DME plans with {!Mmm.run_arena} instead.
 
-    A ranking probe prices a candidate pair in one of three ways: by
-    its region distance, plus a penalty when {!Merge.committed_feasible}
-    says the merge is infeasible (the default); under
-    [cost_by_planned_wire], by the region distance directly for a
-    cross-group pair, whose unconstrained merge is always feasible with
-    planned wire equal to that distance; otherwise by a fresh trial
-    {!Merge.run}.  A committed merge always runs {!Merge.run}. *)
+    A ranking probe prices a candidate pair one way ({!cost}): by its
+    region distance, plus a penalty when {!Merge.committed_feasible}
+    says the merge is infeasible.  No probe runs a trial merge; a
+    committed merge runs {!Merge.run}. *)
 
 type config = {
   multi_merge : bool;  (** §V.F enhancement 1: batch merges per round *)
@@ -28,22 +25,17 @@ type config = {
   width_cap : float;
       (** cumulative cap on any group's delay-window width as a fraction
           of the bound; reserves slack for end-game merges *)
-  cost_by_planned_wire : bool;
-      (** rank merge candidates by planned wire (including snaking)
-          instead of region distance; an ablation knob — distance wins
-          in practice because deferring balancing cost lets group
-          offsets drift *)
   jobs : int;
       (** upper bound on the domains used for the per-round candidate
-          ranking (nearest neighbour probes and their trial merges);
+          ranking (nearest neighbour probes) and the round's merges;
           1 = fully serial.  {!run_arena} opens a pool
           only for instances of more than 1000 sinks (two regions of
           {!Clocktree.Instance.auto_regions}); smaller ones plan
           serially, since a pool's spawn and per-round hand-offs cost
           more than their probes.  Routed trees and engine stats are
           bit-identical for any value:
-          probes run against frozen round-start state, side results are
-          absorbed in a fixed order on the main domain, and merges
+          probes run against frozen round-start state, their counts
+          are summed in a fixed order on the main domain, and merges
           commit serially (see {!Order}).  The default is the
           [ASTSKEW_JOBS] environment variable, else 1
           ({!Par.Pool.default_jobs}) *)
@@ -51,21 +43,22 @@ type config = {
 
 val default : config
 
-(** Trial-merge workload of one engine run. *)
+(** Candidate-pricing workload of one engine run. *)
 type trial_stats = {
   trial_merges : int;
-      (** trial [Merge.run]s the cost probes executed: 0 under distance
-          ranking, the shared-group candidates priced under
-          planned-wire ranking *)
+      (** always 0, kept for perfbench until ROADMAP item 8 ("The
+          perfbench half of one benchmark harness").  It counted the
+          trial {!Merge.run}s of a planned-wire ranking that was
+          deleted (DESIGN.md section 42); the result JSON still carries
+          it, as 0 *)
   elided_trials : int;
-      (** priced candidates answered without a trial merge: under
-          distance ranking every priced candidate (its feasibility comes
-          from {!Merge.committed_feasible}), under planned-wire ranking
-          the cross-group ones.  Candidates a probe skips unpriced
-          ({!Order.cheapest}) are not counted *)
+      (** candidates the probes priced ({!Order.stats} [nn_priced]),
+          each answered without a trial merge: its feasibility comes
+          from {!Merge.committed_feasible}.  Candidates a probe skips
+          unpriced ({!Order.cheapest}) are not counted *)
 }
 
-(** All-zero [trial_stats], for engines that never trial-merge (MMM). *)
+(** All-zero [trial_stats], for engines that price no candidate (MMM). *)
 val no_trials : trial_stats
 
 type stats = {
@@ -90,7 +83,8 @@ type stats = {
           [nn_queries] ({!Geometry.Grid_index.query}) *)
   nn_entries : int;  (** grid entries those cells held *)
   nn_probes_saved : int;
-      (** always 0, kept for perfbench until ROADMAP item 5.  It counted
+      (** always 0, kept for perfbench until ROADMAP item 8 ("The
+          perfbench half of one benchmark harness").  It counted
           probes a cross-round proposal cache served until that cache
           was retired (DESIGN.md section 10); no JSON output carries it *)
   trial : trial_stats;
@@ -109,17 +103,15 @@ type stats = {
     manifests and stats dumps. *)
 val json_of_config : config -> Obs.Json.t
 
-(** [cost config inst] is the function a probe prices candidate pairs
-    of [inst] with: [~dist a b] is the ranking cost of the pair [(a, b)]
-    whose regions are [dist] apart — [dist], or the trial merge's
-    planned wire under [config.cost_by_planned_wire], plus a penalty
-    when the pair's merge would be infeasible.  The penalty scales with
-    the instance's diameter, an O(n) fold computed once, when [cost] is
+(** [cost inst] is the function a probe prices candidate pairs of
+    [inst] with: [~dist a b] is the ranking cost of the pair [(a, b)]
+    whose regions are [dist] apart — [dist], plus a penalty when the
+    pair's merge would be infeasible.  The penalty scales with the
+    instance's diameter, an O(n) fold computed once, when [cost] is
     applied to [inst]; apply it once and price many pairs.  Never below
-    [dist] and never NaN for finite [dist] — the {!Order.coster}
-    contract.  Exposed for testing. *)
+    [dist] and never NaN for finite [dist] — the cost contract of
+    {!Order.run_ranked}.  Exposed for testing. *)
 val cost :
-  config ->
   Clocktree.Instance.t ->
   (dist:float -> Subtree.t -> Subtree.t -> float)
 
@@ -156,7 +148,7 @@ val plan :
     manifest, wraps planning in an ["engine.plan"] span, emits one
     ["merge"] instant per committed merge, feeds committed region
     extents into the ["engine.region_extent"] histogram and appends one
-    journal record per merge round (probe, query and trial counts, cheapest
+    journal record per merge round (probe, query and priced counts, cheapest
     committed cost, cumulative planned wire, wall time).  An enabled
     [run.sched] recorder ledgers the pooled ranking/commit maps
     (phase ["engine"]).  The arena and stats are byte-identical under

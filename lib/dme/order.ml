@@ -10,11 +10,6 @@ let default = { multi_merge = true; knn = 16; delay_order_weight = 0. }
 (* Fraction of the active subtrees a multi-merge round consumes. *)
 let merge_fraction = 0.5
 
-type 'note coster = {
-  session : unit -> (dist:float -> Subtree.t -> Subtree.t -> float) * (unit -> 'note);
-  absorb : 'note -> unit;
-}
-
 type 'merge merger = {
   compute : id:int -> Subtree.t -> Subtree.t -> 'merge;
   install : 'merge -> Subtree.t;
@@ -26,6 +21,7 @@ type stats = {
   nn_queries : int;
   nn_cells : int;
   nn_entries : int;
+  nn_priced : int;
 }
 
 type round_info = {
@@ -33,6 +29,7 @@ type round_info = {
   active : int;
   probes : int;
   queries : int;
+  priced : int;
   merges : int;
   best_cost : float;
   wall_s : float;
@@ -44,20 +41,21 @@ type proposals = {
   queries : int array;
   cells : int array;
   entries : int array;
+  priced : int array;
 }
 
 (* The (cost, lowest id) argmin over candidates [ids.(from .. len-1)],
    resumed from the running best — index [bi] into [ids], cost
    [best.(slot)] — over [ids.(0 .. from-1)], and pricing only those that
-   can still win.  Returns the new best index and leaves its cost in
-   [best.(slot)], so the running argmin never boxes.  Every coster
-   returns a cost [>= dist] (the coster contract), so a candidate whose
-   region distance already exceeds the best cost — or ties it with a
-   higher id — cannot take the argmin whatever it costs, and its price is
-   never asked for.  A NaN distance proves nothing, so that candidate is
-   priced.  The winner is the exhaustive argmin's, for any candidate
-   order. *)
-let scan ids ~from len bi best slot ~dist ~price =
+   can still win, each counted in [priced.(slot)].  Returns the new best
+   index and leaves its cost in [best.(slot)], so the running argmin
+   never boxes.  Every cost is [>= dist] (the [cost] contract of
+   [run_ranked]), so a candidate whose region distance already exceeds
+   the best cost — or ties it with a higher id — cannot take the argmin
+   whatever it costs, and its price is never asked for.  A NaN distance
+   proves nothing, so that candidate is priced.  The winner is the
+   exhaustive argmin's, for any candidate order. *)
+let scan ids ~from len bi best priced slot ~dist ~price =
   let bi = ref bi in
   for i = from to len - 1 do
     let tid = ids.(i) in
@@ -65,6 +63,7 @@ let scan ids ~from len bi best slot ~dist ~price =
     let bd = Float.Array.get best slot in
     if !bi < 0 || not (d > bd || (d = bd && tid > ids.(!bi))) then begin
       let c = price tid d in
+      priced.(slot) <- priced.(slot) + 1;
       if Float.is_nan c then invalid_arg "Order: a merge cost is NaN";
       if !bi < 0 || c < bd || (c = bd && tid < ids.(!bi)) then begin
         bi := i;
@@ -76,7 +75,7 @@ let scan ids ~from len bi best slot ~dist ~price =
 
 let cheapest ids len ~dist ~price =
   let best = Float.Array.make 1 Float.infinity in
-  let i = scan ids ~from:0 len (-1) best 0 ~dist ~price in
+  let i = scan ids ~from:0 len (-1) best [| 0 |] 0 ~dist ~price in
   (i, Float.Array.get best 0)
 
 (* Rounding allowance of the settle test, relative to the magnitudes
@@ -98,8 +97,9 @@ let settle_tol = 0x1p-40
    resumes at index [k] from the running best, and the sequence of
    [price] calls is a prefix of the full-[knn] probe's — the rest of
    which [scan] would skip, by the same bound.  The running best cost
-   lives in [props.cost.(id)] from the start; the probe's grid work is
-   the difference of the buffer's running totals across it. *)
+   lives in [props.cost.(id)] and the priced count in
+   [props.priced.(id)] from the start; the probe's grid work is the
+   difference of the buffer's running totals across it. *)
 let settle snap (buf : Grid_index.knn) ~skip (q : Pt.t) ~knn ~rad ~rmax ~dist
     ~price props id =
   let knn = Int.max 1 knn in
@@ -108,12 +108,13 @@ let settle snap (buf : Grid_index.knn) ~skip (q : Pt.t) ~knn ~rad ~rmax ~dist
   let norm = Float.abs q.x +. Float.abs q.y +. reach in
   let cost = props.cost in
   Float.Array.set cost id Float.infinity;
+  props.priced.(id) <- 0;
   let k = ref (Int.max 1 (knn / 4)) and from = ref 0 and queries = ref 0 in
   let bi = ref (-1) and settled = ref false in
   while not !settled do
     Grid_index.query snap buf ~skip q !k;
     incr queries;
-    bi := scan buf.kids ~from:!from buf.klen !bi cost id ~dist ~price;
+    bi := scan buf.kids ~from:!from buf.klen !bi cost props.priced id ~dist ~price;
     if
       !k >= knn || buf.exhaustive
       || buf.kth -. reach -. (settle_tol *. (buf.kth +. norm))
@@ -187,7 +188,7 @@ let sort_pairs sc n =
 
 (* One round's selection.  Probes propose at most one partner each, so
    an unordered pair is proposed at most twice — once by each endpoint,
-   possibly at slightly different costs (trial orientation asymmetry) —
+   possibly at different costs, since a cost need not be symmetric —
    and is ranked once, from its lower id, at the smaller cost under
    [Float.compare] (the higher id's on a tie).  Ranked pairs sort by
    (cost, i, j), a total order on distinct pairs, and a greedy pass takes
@@ -252,8 +253,7 @@ let select_pairs ~ids ~partner ~cost ~used ~limit =
 let knn_key = Domain.DLS.new_key Grid_index.knn_buffer
 
 let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
-    (inst : Clocktree.Instance.t) config ~(coster : 'note coster)
-    ~(merger : 'merge merger) =
+    (inst : Clocktree.Instance.t) config ~cost ~(merger : 'merge merger) =
   let { Obs.Run.trace; sched; _ } = run in
   (* The initial population: the instance's sink leaves by default, or an
      explicit subtree array (the clustered router's region roots).  The
@@ -314,8 +314,9 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
   let cap_ids = Int.max 2 (2 * n) in
   let node : Subtree.t option array = Array.make cap_ids None in
   (* Each round's proposals, by proposer id: partner ([-1] for none),
-     cost (biased once the probe phase is over) and the probe's k-NN
-     queries, cells visited and entries scanned.
+     cost (biased once the probe phase is over), the probe's k-NN
+     queries, cells visited and entries scanned, and the candidates it
+     priced.
      [used] marks the ids a round's selection takes; they are merged
      away and never reissued, so it is never reset. *)
   let props =
@@ -325,6 +326,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
       queries = Array.make cap_ids 0;
       cells = Array.make cap_ids 0;
       entries = Array.make cap_ids 0;
+      priced = Array.make cap_ids 0;
     }
   in
   let used = Bytes.make cap_ids '\000' in
@@ -367,16 +369,13 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
      parallel round: the arena, [snap] and [slab] are only read, each
      probe writes only its own [props] slots, and the (cost, lowest-id)
      argmin makes the winner independent of candidate evaluation order.
-     The range shares one coster session, whose note carries whatever
-     side results (e.g. trial merges) its cost function produced, and
-     one pair of [dist]/[price] closures over the probed id in [self]; the
-     k-NN scan skips the probed id itself: a probe allocates no closure
-     and no result.  A k-NN answer
+     The range shares one pair of [dist]/[price] closures over the probed
+     id in [self]; the k-NN scan skips the probed id itself: a probe
+     allocates no closure and no result.  A k-NN answer
      comes back empty only when no other entry is eligible at all (the
      scan covers the whole window unless it has found [k] entries), so
      an empty answer needs no fallback scan. *)
   let probe_range ids rmax lo hi =
-    let cost, finish = coster.session () in
     let buf = Domain.DLS.get knn_key in
     let self = ref (-1) in
     let dist tid = Octslab.dist slab !self tid in
@@ -391,8 +390,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
           "probe";
       settle snap buf ~skip:sid center.(sid) ~knn ~rad:(Float.Array.get rad sid)
         ~rmax ~dist ~price props sid
-    done;
-    finish ()
+    done
   in
   (* Deep subtrees have small delay targets; merging shallow pairs first
      (Chaturvedi-Hu) keeps depths homogeneous and avoids late merges that
@@ -402,7 +400,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
   let rounds = ref 0 in
   let probed = ref 0 in
   let queried = ref 0 in
-  let cells = ref 0 and entries = ref 0 in
+  let cells = ref 0 and entries = ref 0 and priced = ref 0 in
   (* [ids] is the round's active population in ascending-id order: the
      leaves' dense ids to start, then each round's survivors followed by
      its merges, whose fresh ids exceed every earlier one. *)
@@ -414,15 +412,14 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
       (* Wall time is read only when a round observer is installed, so
          the untraced run does not even touch the clock per round. *)
       let t0 = if on_round <> None then Obs.Timer.now () else 0. in
-      (* Rank in three strictly separated phases so the routed tree is
+      (* Rank in two strictly separated phases so the routed tree is
          bit-identical for any jobs count: (1) pack the round's centers
          and probe every active subtree against that frozen snapshot — in
-         parallel chunks when a pool is given; (2) absorb the sessions'
-         side results on this domain in chunk (ascending-id) order; (3)
-         rank the proposals and select a disjoint pair prefix, compute
-         the selected merges — in parallel when a pool is given;
-         [merger.compute] must be pure — and install them serially in
-         selection order. *)
+         parallel chunks when a pool is given; (2) sum the probes'
+         counts on this domain, rank the proposals and select a disjoint
+         pair prefix, compute the selected merges — in parallel when a
+         pool is given; [merger.compute] must be pure — and install them
+         serially in selection order. *)
       let round_body () =
         let rmax = ref 0. in
         for k = 0 to count - 1 do
@@ -442,15 +439,13 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
             let ways = 4 * Par.Pool.jobs pool in
             let size = (count + ways - 1) / ways in
             let chunks = Array.init ((count + size - 1) / size) Fun.id in
-            let notes =
-              Par.Pool.map_chunked pool ~sched ~label:"engine.rank" ~chunk:1
-                (fun c ->
-                  probe_range ids rmax (c * size)
-                    (Int.min count ((c + 1) * size) - 1))
-                chunks
-            in
-            Array.iter coster.absorb notes
-          | None -> coster.absorb (probe_range ids rmax 0 (count - 1))
+            ignore
+              (Par.Pool.map_chunked pool ~sched ~label:"engine.rank" ~chunk:1
+                 (fun c ->
+                   probe_range ids rmax (c * size)
+                     (Int.min count ((c + 1) * size) - 1))
+                 chunks)
+          | None -> probe_range ids rmax 0 (count - 1)
         in
         if tracing then
           Obs.Trace.span trace ~cat:"dme.order"
@@ -458,12 +453,13 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
             "probe_phase" run_probes
         else run_probes ();
         probed := !probed + count;
-        let round_queries = ref 0 in
+        let round_queries = ref 0 and round_priced = ref 0 in
         for k = 0 to count - 1 do
           let id = ids.(k) in
           round_queries := !round_queries + props.queries.(id);
           cells := !cells + props.cells.(id);
           entries := !entries + props.entries.(id);
+          round_priced := !round_priced + props.priced.(id);
           let p = props.partner.(id) in
           if p >= 0 then begin
             let d = Float.Array.get props.cost id in
@@ -549,9 +545,10 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
           else commit_phase ()
         in
         queried := !queried + !round_queries;
-        (next, !round_queries, !best_cost)
+        priced := !priced + !round_priced;
+        (next, !round_queries, !round_priced, !best_cost)
       in
-      let next, queries_run, best_cost =
+      let next, queries_run, priced_run, best_cost =
         if tracing then
           Obs.Trace.span trace ~cat:"dme.order"
             ~args:
@@ -568,6 +565,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
              active = count;
              probes = count;
              queries = queries_run;
+             priced = priced_run;
              merges = count - Array.length next;
              best_cost;
              wall_s = Float.max 0. (Obs.Timer.now () -. t0);
@@ -583,11 +581,5 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
       nn_queries = !queried;
       nn_cells = !cells;
       nn_entries = !entries;
+      nn_priced = !priced;
     } )
-
-(* The whole merge runs in [install], on the calling domain in selection
-   order. *)
-let run inst config ~cost ~merge =
-  let session () = ((fun ~dist:_ a b -> cost a b), ignore) in
-  let compute ~id a b = (id, a, b) and install (id, a, b) = merge ~id a b in
-  run_ranked inst config ~coster:{ session; absorb = ignore } ~merger:{ compute; install }

@@ -26,11 +26,11 @@
     exact bound leaves an unseen candidate able to win: every subtree's
     region lies within its L1 radius of its center, so a candidate
     beyond the k-NN exclusion bound [kth] has region distance — and, by
-    the {!coster} contract, cost — at least [kth] minus the two radii.
-    The partner, every priced candidate and hence the tree are the
-    full-[knn] probe's (DESIGN.md section 25).  A probe writes its
-    proposal into id-indexed arrays and allocates no closure, session or
-    result of its own. *)
+    the [cost] contract of {!run_ranked}, cost — at least [kth] minus
+    the two radii.  The partner, every priced candidate and hence the
+    tree are the full-[knn] probe's (DESIGN.md section 25).  A probe
+    writes its proposal into id-indexed arrays and allocates no closure
+    or result of its own. *)
 
 type config = {
   multi_merge : bool;
@@ -43,30 +43,6 @@ type config = {
 }
 
 val default : config
-
-(** How ranking evaluates merge costs.  [session] is called once per
-    chunk of a round's probes — a contiguous run of them in ascending
-    subtree-id order, on a worker domain during parallel rounds — and
-    returns the cost function for those probes plus a finisher whose
-    ['note] carries any side results they produced (for the DME engine:
-    its trial-merge and elided-trial counts).  The cost function must not
-    mutate shared state; [absorb] is called for every session's note on
-    the calling domain, in chunk order, before any merge of the round is
-    committed.  How a round is cut into chunks depends on the pool, so a
-    coster's absorbed totals must not depend on it: sums of per-probe
-    counts, as the engine's are, qualify.
-
-    Contract: the cost of a pair is never below its region distance
-    [dist] ([Octagon.dist] of the two regions) and never NaN.  A probe
-    relies on it to price only the candidates that can still win (see
-    {!cheapest}) and to stop widening its k-NN query once no unseen
-    candidate can win (see {!settle}); a NaN cost raises
-    [Invalid_argument]. *)
-type 'note coster = {
-  session :
-    unit -> (dist:float -> Subtree.t -> Subtree.t -> float) * (unit -> 'note);
-  absorb : 'note -> unit;
-}
 
 (** How selected merges are executed.  [compute ~id a b] builds the
     merge result; it may run on a worker domain during parallel rounds,
@@ -81,26 +57,30 @@ type 'merge merger = {
 }
 
 (** Ranking-loop statistics.  [nn_probes] counts nearest-neighbour
-    probes (each runs one coster session over up to [knn] candidates):
-    the active count summed over rounds.  [nn_queries] counts the k-NN
-    queries those probes ran — one, plus one per widening — so it is
-    never below [nn_probes].  [nn_cells] and [nn_entries] are those
-    queries' grid work: cells their ring scans walked and entries those
-    cells held ({!Geometry.Grid_index.query}), so [nn_cells] is never
-    below [nn_queries].  All five are sums of per-probe counts, so they
-    are identical for any pool. *)
+    probes (each prices up to [knn] candidates): the active count summed
+    over rounds.  [nn_queries] counts the k-NN queries those probes ran
+    — one, plus one per widening — so it is never below [nn_probes].
+    [nn_cells] and [nn_entries] are those queries' grid work: cells
+    their ring scans walked and entries those cells held
+    ({!Geometry.Grid_index.query}), so [nn_cells] is never below
+    [nn_queries].  [nn_priced] counts the candidates the probes priced:
+    the [cost] calls, which {!cheapest}'s prune keeps well below [knn]
+    per probe.  All six are sums of per-probe counts, so they are
+    identical for any pool. *)
 type stats = {
   rounds : int;
   nn_probes : int;
   nn_queries : int;
   nn_cells : int;
   nn_entries : int;
+  nn_priced : int;
 }
 
 (** One completed merge round, as reported to the [?on_round] observer
     of {!run_ranked}: 1-based [round] index, [active] subtree count at
     the round's start, probe count ([probes], equal to [active]), the
-    k-NN queries those probes ran ([queries]), merges committed, the
+    k-NN queries those probes ran ([queries]) and the candidates they
+    [priced], merges committed, the
     cheapest committed pair's biased cost ([infinity] when only the
     degenerate fallback merge ran) and the round's wall time in seconds
     (clamped non-negative). *)
@@ -109,6 +89,7 @@ type round_info = {
   active : int;
   probes : int;
   queries : int;
+  priced : int;
   merges : int;
   best_cost : float;
   wall_s : float;
@@ -116,14 +97,15 @@ type round_info = {
 
 (** One round's proposals, indexed by proposer id: the proposed
     [partner] ([-1] for none), its [cost], the k-NN [queries] the probe
-    ran and the grid [cells] and [entries] those queries scanned.
-    {!settle} writes a probe's five slots. *)
+    ran, the grid [cells] and [entries] those queries scanned and the
+    candidates it [priced].  {!settle} writes a probe's six slots. *)
 type proposals = {
   partner : int array;
   cost : floatarray;
   queries : int array;
   cells : int array;
   entries : int array;
+  priced : int array;
 }
 
 (** [select_pairs ~ids ~partner ~cost ~used ~limit] is one round's pair
@@ -169,8 +151,9 @@ val cheapest :
     [snap] nearest to [q] (ignoring the entry with id [skip], see
     {!Geometry.Grid_index.query}) — [-1] at
     [infinity] when none is eligible — the number of
-    {!Geometry.Grid_index.query} calls it ran into [buf] and the cells
-    and entries those calls added to [buf]'s running totals.  It queries
+    {!Geometry.Grid_index.query} calls it ran into [buf], the cells
+    and entries those calls added to [buf]'s running totals and the
+    number of [price] calls.  It queries
     [max 1 (knn / 4)] entries first, prices them, and doubles the query
     up to [knn] until the answer is exhaustive or its exclusion bound
     [kth] satisfies [kth - rad - rmax - margin > best], the margin
@@ -198,11 +181,22 @@ val settle :
   int ->
   unit
 
-(** [run_ranked ?pool ?run ?on_round ?leaves inst config ~coster
-    ~merger] reduces the sink set to one subtree, running
+(** [run_ranked ?pool ?run ?on_round ?leaves inst config ~cost
+    ~merger] reduces the sink set to one subtree, pricing candidate
+    pairs with [cost], running
     [merger.compute] for every selected pair and [merger.install] on the
     calling domain in selection order; [install] must return the
-    subtree built under the id [compute] was given.  With [pool], candidate probing
+    subtree built under the id [compute] was given.
+
+    [cost ~dist a b] ranks the pair [(a, b)] whose regions are [dist]
+    apart ([Octslab.dist], the kernel of [Octagon.dist]).  It may run on
+    a worker domain, so it must not mutate shared state.  Contract: it
+    is never below [dist] and never NaN.  A probe relies on it to price
+    only the candidates that can still win (see {!cheapest}) and to stop
+    widening its k-NN query once no unseen candidate can win (see
+    {!settle}); a NaN cost raises [Invalid_argument].
+
+    With [pool], candidate probing
     and the selected merges' computations run on the pool's domains;
     results are deterministic and identical to the serial run.  With
     [run.trace] enabled, each round emits a span (with probe/commit
@@ -228,21 +222,6 @@ val run_ranked :
   ?leaves:Subtree.t array ->
   Clocktree.Instance.t ->
   config ->
-  coster:'note coster ->
+  cost:(dist:float -> Subtree.t -> Subtree.t -> float) ->
   merger:'merge merger ->
-  Subtree.t * stats
-
-(** [run inst config ~cost ~merge] is {!run_ranked} without a pool, a
-    session or a split merge: the serial interface used by tests and
-    simple callers.  [cost a b] ranks candidate pairs — typically the planned
-    wire of a trial merge, so partners that merge without snaking (e.g.
-    cross-group neighbours) are preferred over equally close partners
-    that would require balancing wire.  [cost a b] must be at least
-    [Octagon.dist a.region b.region] and never NaN (the {!coster}
-    contract); a NaN cost raises [Invalid_argument]. *)
-val run :
-  Clocktree.Instance.t ->
-  config ->
-  cost:(Subtree.t -> Subtree.t -> float) ->
-  merge:(id:int -> Subtree.t -> Subtree.t -> Subtree.t) ->
   Subtree.t * stats

@@ -13,7 +13,6 @@ let variants =
     ("default", d);
     ("single-merge (no §V.F-1)", { d with multi_merge = false });
     ("no delay-target order (§V.F-2 off)", { d with delay_order_weight = 0. });
-    ("cost-ranked candidates", { d with cost_by_planned_wire = true });
     ("no split slack", { d with split_slack = 0. });
     ("full split slack", { d with split_slack = 1.; width_cap = 1. });
   ]

@@ -1,6 +1,6 @@
 (** Ablations of the design choices called out in DESIGN.md and §V.F of
-    the thesis: the multi-merge speed-up, the delay-target merge order,
-    cost-based candidate ranking, and the SDR split-slack. *)
+    the thesis: the multi-merge speed-up, the delay-target merge order
+    and the SDR split-slack. *)
 
 type row = {
   name : string;

@@ -19,8 +19,5 @@ let[@inline] d p = p.x -. p.y
 let of_sd s d = { x = (s +. d) /. 2.; y = (s -. d) /. 2. }
 let equal p q = Eps.equal p.x q.x && Eps.equal p.y q.y
 
-let compare p q =
-  match Float.compare p.x q.x with 0 -> Float.compare p.y q.y | c -> c
-
 let pp ppf p = Format.fprintf ppf "(%g, %g)" p.x p.y
 let to_string p = Format.asprintf "%a" pp p

@@ -28,6 +28,5 @@ val d : t -> float
 val of_sd : float -> float -> t
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

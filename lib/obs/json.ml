@@ -251,9 +251,6 @@ let of_string s =
   if !pos <> n then parse_error !pos "trailing garbage";
   v
 
-let of_string_opt s =
-  match of_string s with v -> Some v | exception Parse_error _ -> None
-
 let read_file path =
   let ic = open_in_bin path in
   let contents =

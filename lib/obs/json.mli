@@ -30,8 +30,6 @@ exception Parse_error of { pos : int; msg : string }
     Latin-1 degrade to ['?'].  Raises {!Parse_error}. *)
 val of_string : string -> t
 
-val of_string_opt : string -> t option
-
 (** [read_file path] parses the file's entire contents as one JSON
     value.  Raises {!Parse_error} on malformed JSON and [Sys_error] on
     I/O failure. *)

@@ -241,9 +241,6 @@ let test_trace_identity () =
       Alcotest.(check int)
         (Printf.sprintf "journal probes sum (jobs=%d)" jobs)
         traced.engine.nn_reprobes (sum "probes");
-      Alcotest.(check int)
-        (Printf.sprintf "journal trial merges sum (jobs=%d)" jobs)
-        traced.engine.trial.trial_merges (sum "trial_merges");
       Alcotest.(check bool)
         (Printf.sprintf "elided trials counted (jobs=%d)" jobs)
         true

@@ -291,18 +291,22 @@ let mk_instance n ~n_groups ~bound =
   in
   instance ~bound ~n_groups sinks
 
+(* The ranking loop run serially, pricing each candidate with [cost]
+   (default: its region distance) and committing each selected pair with
+   [Merge.run]. *)
+let rank ?(cost = fun ~dist _ _ -> dist) inst config =
+  Dme.Order.run_ranked inst config ~cost
+    ~merger:
+      { compute = (fun ~id a b -> merge inst ~id a b); install = (fun r -> r.subtree) }
+
 let test_order_reduces_to_one () =
   let inst = mk_instance 33 ~n_groups:3 ~bound:10. in
-  let merge_cb ~id a b = (merge inst ~id a b).subtree in
-  let cost (a : Dme.Subtree.t) (b : Dme.Subtree.t) =
-    Octagon.dist a.region b.region
-  in
-  let root, stats = Dme.Order.run inst Dme.Order.default ~cost ~merge:merge_cb in
+  let root, stats = rank inst Dme.Order.default in
   Alcotest.(check int) "all sinks" 33 root.n_sinks;
   Alcotest.(check bool) "several rounds" true (stats.rounds >= 2);
   (* single-pair mode produces one merge per round *)
   let config = { Dme.Order.default with multi_merge = false } in
-  let root1, stats1 = Dme.Order.run inst config ~cost ~merge:merge_cb in
+  let root1, stats1 = rank inst config in
   Alcotest.(check int) "all sinks single" 33 root1.n_sinks;
   Alcotest.(check int) "n-1 rounds" 32 stats1.rounds
 
@@ -311,11 +315,7 @@ let test_order_reduces_to_one () =
    returning [] (or a knn misconfiguration) used to stall the order. *)
 let test_order_two_sink_endgame () =
   let inst = instance ~bound:10. ~n_groups:2 [ sink 0 0. 0. 0; sink 1 700. 300. 1 ] in
-  let merge_cb ~id a b = (merge inst ~id a b).subtree in
-  let cost (a : Dme.Subtree.t) (b : Dme.Subtree.t) =
-    Octagon.dist a.region b.region
-  in
-  let root, stats = Dme.Order.run inst Dme.Order.default ~cost ~merge:merge_cb in
+  let root, stats = rank inst Dme.Order.default in
   Alcotest.(check int) "both sinks merged" 2 root.n_sinks;
   Alcotest.(check int) "one round" 1 stats.Dme.Order.rounds
 
@@ -324,23 +324,14 @@ let test_order_three_sink_endgame () =
     instance ~bound:10. ~n_groups:3
       [ sink 0 0. 0. 0; sink 1 900. 0. 1; sink 2 0. 900. 2 ]
   in
-  let merge_cb ~id a b = (merge inst ~id a b).subtree in
-  let cost (a : Dme.Subtree.t) (b : Dme.Subtree.t) =
-    Octagon.dist a.region b.region
-  in
-  let root, _ = Dme.Order.run inst Dme.Order.default ~cost ~merge:merge_cb in
+  let root, _ = rank inst Dme.Order.default in
   Alcotest.(check int) "all three sinks merged" 3 root.n_sinks
 
 let test_order_knn_zero_clamped () =
   (* knn = 0 used to make every query return [] and loop forever; it is
      now clamped to 1. *)
   let inst = mk_instance 12 ~n_groups:2 ~bound:10. in
-  let merge_cb ~id a b = (merge inst ~id a b).subtree in
-  let cost (a : Dme.Subtree.t) (b : Dme.Subtree.t) =
-    Octagon.dist a.region b.region
-  in
-  let config = { Dme.Order.default with knn = 0 } in
-  let root, _ = Dme.Order.run inst config ~cost ~merge:merge_cb in
+  let root, _ = rank inst { Dme.Order.default with knn = 0 } in
   Alcotest.(check int) "all sinks merged" 12 root.n_sinks
 
 (* A NaN cost used to win the probe's argmin and be replaced by every
@@ -350,9 +341,7 @@ let test_order_nan_cost_raises () =
   let inst =
     instance ~bound:10. ~n_groups:2 [ sink 0 0. 0. 0; sink 1 700. 300. 1 ]
   in
-  let merge_cb ~id a b = (merge inst ~id a b).subtree in
-  let cost (_ : Dme.Subtree.t) (_ : Dme.Subtree.t) = Float.nan in
-  match Dme.Order.run inst Dme.Order.default ~cost ~merge:merge_cb with
+  match rank ~cost:(fun ~dist:_ _ _ -> Float.nan) inst Dme.Order.default with
   | _ -> Alcotest.fail "a NaN cost was ranked"
   | exception Invalid_argument _ -> ()
 
@@ -434,7 +423,8 @@ let prop_cheapest_matches_exhaustive =
    the [knn] nearest, the widened one [settle] with each region's L1
    radius about its center and the population's largest, [rmax].  They
    must agree on the partner, its cost and the exact sequence of priced
-   candidates (so the engine's trial counters agree too). *)
+   candidates (so the engine's priced counter agrees too), and [settle]'s
+   [priced] slot must count its own price calls. *)
 module Grid_index = Geometry.Grid_index
 
 (* The L1 radius bound [Order] keeps per subtree: |dx| + |dy| is the
@@ -479,6 +469,7 @@ let settle_vs_full ?(cell = 1.) regions extra ~knn =
         let i, c = Dme.Order.cheapest buf.kids buf.klen ~dist ~price in
         ((if i < 0 then -1 else buf.kids.(i)), c))
   in
+  let slot = ref (-1) in
   let widened =
     probe (fun price ->
         let props =
@@ -489,12 +480,17 @@ let settle_vs_full ?(cell = 1.) regions extra ~knn =
               queries = Array.make n 0;
               cells = Array.make n 0;
               entries = Array.make n 0;
+              priced = Array.make n (-1);
             }
         in
         Dme.Order.settle snap (Grid_index.knn_buffer ()) ~skip centers.(0) ~knn
           ~rad:rads.(0) ~rmax ~dist ~price props 0;
+        slot := props.priced.(0);
         (props.partner.(0), Float.Array.get props.cost 0))
   in
+  let _, _, priced = widened in
+  if !slot <> List.length priced then
+    failwith "settle: the priced slot disagrees with the price calls";
   (full, widened)
 
 let prop_settle_matches_full_probe =
@@ -833,21 +829,11 @@ let test_pooled_ranking_bit_identical () =
    active count summed over [rounds], and [nn_probes_saved] stays 0.
    [nn_queries] counts the probes' k-NN queries, widenings included: a
    lost settle bound reads 3 per probe, a settle that never widens 1.
-   Distance ranking prices every candidate without a trial merge, so
-   its [elided_trials] is the priced-candidate count.  The cost-ranked
-   column pins the §V.F planned-wire ablation: a trial merge for every
-   priced shared-group candidate, an elision for every cross-group
-   one. *)
+   Ranking prices every candidate without a trial merge, so
+   [elided_trials] is the priced-candidate count. *)
 let test_golden_wirelengths () =
-  let cost_ranked =
-    let config =
-      { Astskew.Router.ast_default_config with
-        Dme.Engine.cost_by_planned_wire = true; jobs = 1 }
-    in
-    Result.get_ok (Astskew.Router.Spec.make ~config Ast_dme)
-  in
   List.iter
-    (fun (name, expect, reprobes, queries, saved, rounds, elided, cost_col) ->
+    (fun (name, expect, reprobes, queries, saved, rounds, elided) ->
       let spec = Option.get (Workload.Circuits.find name) in
       let inst =
         Workload.Circuits.instance spec ~n_groups:8
@@ -862,26 +848,13 @@ let test_golden_wirelengths () =
       Alcotest.(check int) (name ^ " rounds") rounds r.engine.rounds;
       Alcotest.(check int) (name ^ " trial_merges") 0 r.engine.trial.trial_merges;
       Alcotest.(check int) (name ^ " elided_trials") elided
-        r.engine.trial.elided_trials;
-      let c_expect, c_trials, c_elided = cost_col in
-      let c = Astskew.Router.route cost_ranked inst in
-      Alcotest.(check string) (name ^ " cost-ranked wirelength") c_expect
-        (Printf.sprintf "%h" c.evaluation.wirelength);
-      Alcotest.(check int) (name ^ " cost-ranked trial_merges") c_trials
-        c.engine.trial.trial_merges;
-      Alcotest.(check int) (name ^ " cost-ranked elided_trials") c_elided
-        c.engine.trial.elided_trials)
+        r.engine.trial.elided_trials)
     [
-      ( "r1", "0x1.cd929d3d14732p+19", 1083, 1146, 0, 19, 1230,
-        ("0x1.cd929d3d14732p+19", 520, 710) );
-      ( "r2", "0x1.ea747375c23e7p+20", 2413, 2636, 0, 22, 2770,
-        ("0x1.ea747375c23e7p+20", 1192, 1578) );
-      ( "r3", "0x1.3180cdaf06bf4p+21", 3473, 3799, 0, 23, 3941,
-        ("0x1.3180cdaf06bf4p+21", 1680, 2261) );
-      ( "r4", "0x1.2fd864ed8f4dep+22", 7636, 8515, 0, 26, 8700,
-        ("0x1.35a0844be5d58p+22", 3796, 4928) );
-      ( "r5", "0x1.c8a977fe4209ap+22", 12436, 13932, 0, 28, 14189,
-        ("0x1.c8a977fe4209ap+22", 6040, 8150) );
+      ("r1", "0x1.cd929d3d14732p+19", 1083, 1146, 0, 19, 1230);
+      ("r2", "0x1.ea747375c23e7p+20", 2413, 2636, 0, 22, 2770);
+      ("r3", "0x1.3180cdaf06bf4p+21", 3473, 3799, 0, 23, 3941);
+      ("r4", "0x1.2fd864ed8f4dep+22", 7636, 8515, 0, 26, 8700);
+      ("r5", "0x1.c8a977fe4209ap+22", 12436, 13932, 0, 28, 14189);
     ]
 
 (* Plan retention: what stays reachable from a planned root until it is
@@ -1253,18 +1226,14 @@ let prop_merge_matches_reference_shared_multi =
       in
       merge_matches_reference inst (make 0 sa) (make 1 sb))
 
-(* The Order.coster contract the probe's prune rests on: the engine's
-   distance and planned-wire costs are never below the region distance
-   the ranking loop hands them ([Octslab.dist]). *)
+(* The cost contract of Order.run_ranked that the probe's prune rests
+   on: the engine's cost is never below the region distance the ranking
+   loop hands it ([Octslab.dist]). *)
 let prop_engine_cost_at_least_dist =
-  let configs =
-    let open Dme.Engine in
-    [ default; { default with cost_by_planned_wire = true } ]
-  in
   QCheck.Test.make ~name:"engine costs >= Octslab.dist" ~count:40 gen_case
     (fun case ->
       let inst, _, subtrees = case_subtrees case in
-      let costs = List.map (fun config -> Dme.Engine.cost config inst) configs in
+      let cost = Dme.Engine.cost inst in
       let slab = Geometry.Octslab.create 2 in
       List.for_all
         (fun (a : Dme.Subtree.t) ->
@@ -1275,36 +1244,7 @@ let prop_engine_cost_at_least_dist =
               (Geometry.Octslab.set slab 0 a.region;
                Geometry.Octslab.set slab 1 b.region;
                let dist = Geometry.Octslab.dist slab 0 1 in
-               List.for_all (fun cost -> cost ~dist a b >= dist) costs))
-            subtrees)
-        subtrees)
-
-(* The planned-wire ranking prices a cross-group pair at its region
-   distance without a trial merge.  That shortcut must be exact: a real
-   [Merge.run] of the pair is feasible (so no penalty applies) and its
-   clamped planned wire equals the shortcut's cost exactly. *)
-let prop_cross_group_cost_exact =
-  let config = { Dme.Engine.default with cost_by_planned_wire = true } in
-  QCheck.Test.make ~name:"cross-group cost = trial merge cost" ~count:200
-    gen_case (fun case ->
-      let inst, run, subtrees = case_subtrees case in
-      let cost = Dme.Engine.cost config inst in
-      let slab = Geometry.Octslab.create 2 in
-      List.for_all
-        (fun (a : Dme.Subtree.t) ->
-          List.for_all
-            (fun (b : Dme.Subtree.t) ->
-              a == b
-              || Dme.Subtree.shared_groups a b <> []
-              ||
-              (Geometry.Octslab.set slab 0 a.region;
-               Geometry.Octslab.set slab 1 b.region;
-               let dist = Geometry.Octslab.dist slab 0 1 in
-               let t = run ~slack_usage:Dme.Merge.slack_usage a b in
-               t.feasible
-               && Float.equal
-                    (cost ~dist a b)
-                    (Float.max dist t.planned_wire)))
+               cost ~dist a b >= dist))
             subtrees)
         subtrees)
 
@@ -1385,6 +1325,5 @@ let () =
             [
               prop_engine_respects_bound;
               prop_engine_cost_at_least_dist;
-              prop_cross_group_cost_exact;
             ] );
     ]

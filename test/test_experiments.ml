@@ -87,7 +87,7 @@ let test_spice_check () =
 let test_ablation_rows () =
   let spec = Workload.Circuits.{ name = "ab"; n_sinks = 80; die = 30000. } in
   let rows = Experiments.Ablation.run ~spec ~n_groups:4 () in
-  Alcotest.(check int) "six variants" 6 (List.length rows);
+  Alcotest.(check int) "five variants" 5 (List.length rows);
   (match rows with
    | default :: _ ->
      Alcotest.(check string) "first is default" "default" default.name;
