@@ -17,7 +17,8 @@
    k-NN queries each, visited at most 18 grid cells each (and at least
    one per query), priced at most 2 candidates each and allocated at
    most 100 minor words each,
-   and that Octagon.sdr allocates at most 32 minor words a call, a
+   and that Octagon.sdr_within, the SDR kernel of Merge.run, allocates
+   at most 32 minor words a call, a
    Grid_index.query at most 2.5 and a committed Merge.run at most 84; then
    it gates the clustered router on a second circuit (default r5:
    clusters=1 must equal flat bit-for-bit and the auto-clustered tree
@@ -390,10 +391,12 @@ let smoke args =
        and 7500 before the slab rewrite.  The gate is 75: opening the
        pricing closures per probe instead of per chunk added about 43
        words (131 to 174), which fails it.
-       [Octagon.sdr] allocates only its result (9 words, an 8-float
-       array; 11 while the bounds record sat behind a constructor), so 32 per
-       call over r3's consecutive leaf-region pairs
-       catches a boxed slice or hull.  A [Grid_index.query] allocates
+       [Octagon.sdr_within], the SDR kernel a committed [Merge.run]
+       calls, allocates its result (9 words, an 8-float array) and its
+       two boxed radii (4 words): 13 per call over r3's consecutive
+       leaf-region pairs at [ra = rb] = half their distance, so 32
+       catches a boxed slice or hull.  The reference [Octagon.sdr],
+       which only [Merge.run_reference] calls, reads 9.  A [Grid_index.query] allocates
        only its boxed exclusion bound (2 words) when every sink of r3
        probes the snapshot of all of them, so 2.5 catches a boxed
        distance, argument or closure per query (the predicate-skip
@@ -422,11 +425,16 @@ let smoke args =
           inst.Clocktree.Instance.sinks
       in
       let calls = Array.length regions - 1 in
+      let half =
+        Array.init calls (fun i ->
+            Geometry.Octagon.dist regions.(i) regions.(i + 1) /. 2.)
+      in
       let w0 = Gc.minor_words () in
       for i = 0 to calls - 1 do
         ignore
           (Sys.opaque_identity
-             (Geometry.Octagon.sdr regions.(i) regions.(i + 1)))
+             (Geometry.Octagon.sdr_within regions.(i) regions.(i + 1)
+                ~ra:half.(i) ~rb:half.(i)))
       done;
       (Gc.minor_words () -. w0) /. float_of_int (Int.max 1 calls)
     in

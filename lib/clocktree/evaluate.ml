@@ -54,10 +54,11 @@ let report_of_arena ?jobs:(_ : int option) (inst : Instance.t) (a : Arena.t) =
   Arena.delays_by_sink ~delay:node_delay ~into:delays a;
   of_delays inst a delays
 
-let within_bound ?(slack = default_slack) (inst : Instance.t) report =
+let within_bound (inst : Instance.t) report =
   let ok = ref true in
   Array.iteri
-    (fun g w -> if w > Instance.bound_for inst g +. slack then ok := false)
+    (fun g w ->
+      if w > Instance.bound_for inst g +. default_slack then ok := false)
     report.group_skew;
   !ok
 

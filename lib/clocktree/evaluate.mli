@@ -46,7 +46,7 @@ val of_delays : Instance.t -> Arena.t -> float array -> report
 val report_of_arena : ?jobs:int -> Instance.t -> Arena.t -> report
 
 (** Does the tree satisfy the instance's intra-group bound (within
-    [slack], default {!default_slack} ps of numerical slack)? *)
-val within_bound : ?slack:float -> Instance.t -> report -> bool
+    {!default_slack} ps of numerical slack)? *)
+val within_bound : Instance.t -> report -> bool
 
 val pp_report : Format.formatter -> report -> unit

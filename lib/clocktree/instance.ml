@@ -79,11 +79,6 @@ let make ?(params = Rc.Wire.default) ?(rd = 100.) ?(bound = 0.) ?group_bounds
 let[@inline] bound_for t g =
   match t.group_bounds with Some bs -> bs.(g) | None -> t.bound
 
-let max_bound t =
-  match t.group_bounds with
-  | Some bs -> Array.fold_left Float.max 0. bs
-  | None -> t.bound
-
 let n_sinks t = Array.length t.sinks
 
 (* One region per thousand sinks: the density target every

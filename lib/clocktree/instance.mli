@@ -38,9 +38,6 @@ val make :
     the default [bound]. *)
 val bound_for : t -> int -> float
 
-(** The loosest group bound (used to size slack budgets). *)
-val max_bound : t -> float
-
 val n_sinks : t -> int
 
 (** [auto_regions n] is the default region count for [n] sinks: one

@@ -665,67 +665,88 @@ let lift st w ~dense ~par =
   end;
   Bytes.unsafe_set st.changed hi '\000'
 
-(* --- regional fixpoints ----------------------------------------------- *)
+(* --- the fixpoint ------------------------------------------------------ *)
 
-type region_summary = {
-  r_root : int;
-  r_sinks : int;
-  r_cycles : int;
-  r_lifts : int;
-  r_adjusted : int;
-  r_conflicts : int;
-  r_added : float;
-  r_exhausted : bool;
+(* What fixpoints add to the repair's stats; every regional window keeps
+   its own, folded in window order into the global cycle's. *)
+type tally = {
+  mutable added : float;
+  mutable adjusted : int;
+  mutable cycles : int;
+  mutable lifts : int;
 }
 
-(* Local balance/evaluate/lift fixpoint on one window of {!Arena.windows}
-   — the maximal subtrees of at most [ceil (n / k)] nodes, k the
-   auto-cluster density target, a pure function of the tree shape and
-   [config.regions], never of the jobs count.  Delays are measured from
-   the window root (delay 0 there): intra-region skews are offset-free,
-   so balancing and lifting inside the region are exactly the global
-   operations restricted to the subtree.  Acceptance uses twice the
-   global slack — the local optimum can sit an ulp away from the global
-   one, and the global cycle enforces the true slack afterwards; the
-   looser local gate keeps re-repair a no-op.  Runs on worker domains:
-   touches only this window's index range and slabs, and never the
-   trace context. *)
-let region_fixpoint st cfg (lo, hi) =
-  let dense = not cfg.incremental in
-  let w = make_work st ~lo ~hi ~top:hi [||] in
-  let added = ref 0. and adjusted = ref 0 in
-  let accept_slack = 2. *. st.slack in
-  let cycles = ref 0 and lifts = ref 0 in
-  let exhausted = ref false in
-  let continue = ref true in
-  while !continue do
-    let _ : int = balance st w ~dense ~par:Array.iter in
-    added := replay st w !added;
-    adjusted := !adjusted + logged w;
-    incr cycles;
-    evaluate st w ~dense ~par:Array.iter;
-    if violations st w ~slack:accept_slack = 0 then continue := false
-    else if !cycles > cfg.max_cycles then begin
-      exhausted := true;
-      continue := false
+let tally () = { added = 0.; adjusted = 0; cycles = 0; lifts = 0 }
+
+(* The balance/evaluate/lift fixpoint over [w]: balance, replay the
+   pass's wire onto [tally], evaluate, and count the groups whose spread
+   exceeds bound + [accept]; then stop when none does or the budget is
+   spent, else lift, replay, and go round again.  The budget is
+   [max_cycles] lifts, so at most [max_cycles + 1] balance passes.
+   Returns the groups still violating: 0 when it converged.  [par label]
+   runs the windows of [w]'s subs (["repair.cycle"] for balance and
+   lift, ["repair.evaluate"] for the evaluation); [run] gets a heartbeat
+   tick per cycle and, when tracing, the ["balance_pass"] /
+   ["lift_sweep"] / ["budget_exhausted"] instants and a ["repair_cycle"]
+   journal record per cycle.  It stops only right after an evaluate,
+   so the delays left in [st.delay] are the final tree's.
+
+   Two callers.  A regional window of {!Arena.windows} runs it alone,
+   serially on a worker domain, touching only the window's index range
+   and slabs, with [Obs.Run.null] — it never touches the trace context
+   — and [accept] at twice the final slack: its delays are measured from
+   the window root (delay 0 there), so intra-region skews are
+   offset-free and balancing and lifting inside it are the global
+   operations restricted to the subtree, but its optimum can sit an ulp
+   away from the global one; the looser local gate keeps re-repair a
+   no-op.  The global cycle then enforces the true slack over the whole
+   tree, its windows on the pool. *)
+let fixpoint st w ~dense ~accept ~max_cycles ~par ~(run : Obs.Run.t) tally =
+  let trace = run.trace in
+  let tracing = Obs.Trace.enabled trace in
+  let instant iter args name =
+    Obs.Trace.instant trace ~cat:"clocktree.repair"
+      ~args:(("cycle", Obs.Json.Int iter) :: args)
+      name
+  in
+  let record () =
+    tally.added <- replay st w tally.added;
+    tally.adjusted <- tally.adjusted + logged w
+  in
+  let rec cycle iter =
+    Obs.Progress.tick run.progress;
+    if tracing then instant iter [] "balance_pass";
+    let processed = balance st w ~dense ~par:(par "repair.cycle") in
+    record ();
+    tally.cycles <- tally.cycles + 1;
+    evaluate st w ~dense ~par:(par "repair.evaluate");
+    let bad = violations st w ~slack:accept in
+    if tracing then
+      Obs.Trace.journal trace
+        (Obs.Json.Obj
+           [
+             ("type", Obs.Json.String "repair_cycle");
+             ("cycle", Obs.Json.Int iter);
+             ("processed", Obs.Json.Int processed);
+             ("adjusted", Obs.Json.Int tally.adjusted);
+             ("added_wire", Obs.Json.Float tally.added);
+             ("within", Obs.Json.Bool (bad = 0));
+           ]);
+    if bad = 0 then 0
+    else if iter >= max_cycles then begin
+      if tracing then instant iter [] "budget_exhausted";
+      bad
     end
     else begin
-      incr lifts;
-      lift st w ~dense ~par:Array.iter;
-      added := replay st w !added;
-      adjusted := !adjusted + logged w
+      if tracing then
+        instant iter [ ("added_wire", Obs.Json.Float tally.added) ] "lift_sweep";
+      lift st w ~dense ~par:(par "repair.cycle");
+      record ();
+      tally.lifts <- tally.lifts + 1;
+      cycle (iter + 1)
     end
-  done;
-  {
-    r_root = hi;
-    r_sinks = (st.a.Arena.size.(hi) + 1) / 2;
-    r_cycles = !cycles;
-    r_lifts = !lifts;
-    r_adjusted = !adjusted;
-    r_conflicts = w.conflicts;
-    r_added = !added;
-    r_exhausted = !exhausted;
-  }
+  in
+  cycle 0
 
 (* --- driver ----------------------------------------------------------- *)
 
@@ -902,7 +923,6 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
     (inst : Instance.t) (a : Arena.t) =
   let { Obs.Run.trace; sched; progress } = run in
   let tracing = Obs.Trace.enabled trace in
-  let slack = Evaluate.default_slack in
   let windows = Arena.windows ?count:config.regions a in
   let go pool =
     (* Windows on the pool when there are two or more; the same code
@@ -916,55 +936,61 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
     in
     let st = make_state ~pool ~sched inst a windows in
     let n = a.Arena.n in
-    (* Phase 1: regional fixpoints on the windows.  Summaries are folded
-       in window order, keeping every accumulated float deterministic for
-       any jobs. *)
+    let dense = not config.incremental and max_cycles = config.max_cycles in
+    (* Phase 1: the regional fixpoints, one per window.  Their tallies
+       fold in window order, keeping every accumulated float
+       deterministic for any jobs. *)
     if Array.length windows > 0 then
       Obs.Progress.add_regions progress ~depth:0 (Array.length windows);
-    let summaries =
+    let regions =
       map "repair.regions"
-        (fun r ->
-          let s = region_fixpoint st config r in
+        (fun (lo, hi) ->
+          let w = make_work st ~lo ~hi ~top:hi [||] in
+          let t = tally () in
+          let bad =
+            fixpoint st w ~dense ~accept:(2. *. st.slack) ~max_cycles
+              ~par:(fun _ -> Array.iter)
+              ~run:Obs.Run.null t
+          in
           Obs.Progress.region_done progress ~depth:0;
-          s)
+          (t, bad > 0, w.conflicts))
         windows
     in
-    let added = ref 0. and adjusted = ref 0 and conflicts = ref 0 in
-    let cycles = ref 0 and lifts = ref 0 in
-    let exhausted = ref false in
+    let total = tally () in
+    let conflicts = ref 0 and exhausted = ref false in
     Array.iter
-      (fun s ->
-        added := !added +. s.r_added;
-        adjusted := !adjusted + s.r_adjusted;
-        conflicts := !conflicts + s.r_conflicts;
-        cycles := !cycles + s.r_cycles;
-        lifts := !lifts + s.r_lifts;
-        if s.r_exhausted then exhausted := true)
-      summaries;
-    if tracing && Array.length summaries > 0 then begin
+      (fun (t, ex, c) ->
+        total.added <- total.added +. t.added;
+        total.adjusted <- total.adjusted + t.adjusted;
+        total.cycles <- total.cycles + t.cycles;
+        total.lifts <- total.lifts + t.lifts;
+        conflicts := !conflicts + c;
+        if ex then exhausted := true)
+      regions;
+    if tracing && Array.length regions > 0 then begin
       Obs.Trace.instant trace ~cat:"clocktree.repair"
-        ~args:[ ("regions", Obs.Json.Int (Array.length summaries)) ]
+        ~args:[ ("regions", Obs.Json.Int (Array.length regions)) ]
         "regional_repair";
-      Array.iter
-        (fun s ->
+      Array.iteri
+        (fun k (t, ex, _) ->
+          let root = snd windows.(k) in
           Obs.Trace.journal trace
             (Obs.Json.Obj
                [
                  ("type", Obs.Json.String "repair_region");
-                 ("root", Obs.Json.Int s.r_root);
-                 ("sinks", Obs.Json.Int s.r_sinks);
-                 ("cycles", Obs.Json.Int s.r_cycles);
-                 ("lifts", Obs.Json.Int s.r_lifts);
-                 ("adjusted", Obs.Json.Int s.r_adjusted);
-                 ("exhausted", Obs.Json.Bool s.r_exhausted);
+                 ("root", Obs.Json.Int root);
+                 ("sinks", Obs.Json.Int ((a.Arena.size.(root) + 1) / 2));
+                 ("cycles", Obs.Json.Int t.cycles);
+                 ("lifts", Obs.Json.Int t.lifts);
+                 ("adjusted", Obs.Json.Int t.adjusted);
+                 ("exhausted", Obs.Json.Bool ex);
                ]))
-        summaries
+        regions
     end;
     (* Phase 2: the global cycle over the residual dirty set (all of
        the tree on the first pass when no regional phase ran — every
        node starts dirty).  Sparse, it runs each window first, then the
        spine above them; the dense reference walks the whole tree. *)
-    let dense = not config.incremental in
     let subs =
       if dense then [||]
       else
@@ -973,70 +999,22 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
           windows
     in
     let w = make_work st ~lo:0 ~hi:(n - 1) ~top:(n - 1) subs in
-    let iter = ref 0 in
-    let finished = ref false in
-    let g_lifts = ref 0 and unresolved = ref 0 in
-    while not !finished do
-      Obs.Progress.tick progress;
-      if tracing then
-        Obs.Trace.instant trace ~cat:"clocktree.repair"
-          ~args:[ ("cycle", Obs.Json.Int !iter) ]
-          "balance_pass";
-      let processed = balance st w ~dense ~par:(par "repair.cycle") in
-      added := replay st w !added;
-      adjusted := !adjusted + logged w;
-      incr cycles;
-      evaluate st w ~dense ~par:(par "repair.evaluate");
-      let bad = violations st w ~slack in
-      if tracing then
-        Obs.Trace.journal trace
-          (Obs.Json.Obj
-             [
-               ("type", Obs.Json.String "repair_cycle");
-               ("cycle", Obs.Json.Int !iter);
-               ("processed", Obs.Json.Int processed);
-               ("adjusted", Obs.Json.Int !adjusted);
-               ("added_wire", Obs.Json.Float !added);
-               ("within", Obs.Json.Bool (bad = 0));
-             ]);
-      if bad = 0 then finished := true
-      else if !iter >= config.max_cycles then begin
-        unresolved := bad;
-        exhausted := true;
-        if tracing then
-          Obs.Trace.instant trace ~cat:"clocktree.repair"
-            ~args:[ ("cycle", Obs.Json.Int !iter) ]
-            "budget_exhausted";
-        finished := true
-      end
-      else begin
-        if tracing then
-          Obs.Trace.instant trace ~cat:"clocktree.repair"
-            ~args:
-              [
-                ("cycle", Obs.Json.Int !iter);
-                ("added_wire", Obs.Json.Float !added);
-              ]
-            "lift_sweep";
-        lift st w ~dense ~par:(par "repair.cycle");
-        added := replay st w !added;
-        adjusted := !adjusted + logged w;
-        incr g_lifts;
-        incr iter
-      end
-    done;
-    conflicts := Array.fold_left (fun k s -> k + s.conflicts) (!conflicts + w.conflicts) subs;
-    (* The loop's last step was an evaluate of the final tree. *)
+    let unresolved =
+      fixpoint st w ~dense ~accept:st.slack ~max_cycles ~par ~run total
+    in
+    let conflicts =
+      Array.fold_left (fun k s -> k + s.conflicts) (!conflicts + w.conflicts) subs
+    in
     let delays = Array.make a.Arena.n_sinks 0. in
     Arena.delays_by_sink ~delay:st.delay ~into:delays a;
     {
-      added_wire = !added;
-      adjusted_edges = !adjusted;
-      conflict_nodes = !conflicts;
-      lift_iterations = !lifts + !g_lifts;
-      unresolved_groups = !unresolved;
-      cycles = !cycles;
-      budget_exhausted = !exhausted;
+      added_wire = total.added;
+      adjusted_edges = total.adjusted;
+      conflict_nodes = conflicts;
+      lift_iterations = total.lifts;
+      unresolved_groups = unresolved;
+      cycles = total.cycles;
+      budget_exhausted = !exhausted || unresolved > 0;
       delays;
     }
   in

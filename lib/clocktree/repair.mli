@@ -27,14 +27,18 @@
     store laid out before the first pass and is rewritten in place: the
     store holds exactly the live slabs and never grows or compacts.
 
-    The cycle is also {e windowed}.  {!Arena.windows} splits the tree
-    into maximal subtrees of at most [ceil (nodes / k)] nodes (k the
-    shared density target {!Instance.auto_regions}, as for
-    [Dme.Cluster.auto_clusters], so [--clustered] regions and repair
-    windows coincide at scale) under a thin spine of the nodes above
-    them.  Each window first runs its own regional
-    balance/evaluate/lift fixpoint, with delays measured from its root
-    and acceptance at twice the final slack.  The global cycle then runs
+    One fixpoint loop does all of it: balance, evaluate, count the groups
+    over their bound plus an acceptance slack, then stop or lift and go
+    round again, within a budget of [max_cycles] lifts ([max_cycles + 1]
+    balance passes).  It has two callers, because the cycle is also
+    {e windowed}.  {!Arena.windows} splits the tree into maximal
+    subtrees of at most [ceil (nodes / k)] nodes (k the shared density
+    target {!Instance.auto_regions}, as for [Dme.Cluster.auto_clusters],
+    so [--clustered] regions and repair windows coincide at scale) under
+    a thin spine of the nodes above them.  First, each window runs the
+    fixpoint alone ({e regional}), serially on one domain, with delays
+    measured from its root and acceptance at twice the final slack.
+    Then the {e global} cycle runs the same fixpoint at the final slack
     on the residual dirty set, window by window and then the spine:
     - balance: each window pops its own ascending heap, and a window
       root balanced this pass hands its parent to the spine's heap;
@@ -51,7 +55,8 @@
     Balancing or lifting a node reads only its subtree, so every node
     sees the inputs of the ascending walk of the whole tree.  Windows
     are disjoint index ranges, so their steps run on a [Par.Pool] of
-    [jobs] domains, which also runs the regional fixpoints; at
+    [jobs] domains, which also runs the regional fixpoints, one window
+    per task; at
     [jobs = 1] or below two windows the same code runs serially.
     Windows depend only on the tree shape and [config.regions], never on
     the jobs count, and each pass's added wire is replayed on the
@@ -77,9 +82,9 @@
 
 type config = {
   max_cycles : int;
-      (** balance/lift cycle budget, per fixpoint (each regional fixpoint
-          and the global cycle get this many balance passes); default
-          300 *)
+      (** cycle budget, per fixpoint: each regional fixpoint and the
+          global cycle lift at most this many times, so balance at most
+          [max_cycles + 1] times; default 300 *)
   jobs : int;  (** domains for the windows (regional fixpoints and the
           global cycle); default [Par.Pool.default_jobs ()] *)
   incremental : bool;
@@ -132,14 +137,16 @@ type stats = {
     ["balance_pass"] / ["lift_sweep"] instants and a ["repair_cycle"]
     journal record, the regional phase emits one ["regional_repair"]
     instant plus a ["repair_region"] journal record per region, and
-    exhausting a cycle budget emits a ["budget_exhausted"] instant.
+    the global cycle exhausting its budget emits a ["budget_exhausted"]
+    instant (a regional fixpoint never touches the trace: its record's
+    ["exhausted"] field says it ran out).
 
     An enabled [run.sched] recorder ledgers the set-up batches under
     ["repair.setup"], the parallel regional phase under
     ["repair.regions"], and the global cycle's window batches under
     ["repair.cycle"] (balance, lift) and ["repair.evaluate"] (one per
     cycle); an enabled [run.progress] reporter is told
-    the region count, sees a completion per converged regional
+    the region count, sees a completion per finished regional
     fixpoint, and gets a heartbeat tick per global cycle.  Neither
     perturbs the repair: trees and stats stay bit-identical with them
     on or off. *)

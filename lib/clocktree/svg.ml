@@ -3,7 +3,11 @@ module Pt = Geometry.Pt
 (* Distinct hues per group, fixed saturation/lightness. *)
 let group_color g = Printf.sprintf "hsl(%d, 70%%, 45%%)" (g * 61 mod 360)
 
-let render ?(width_px = 800) (inst : Instance.t) (r : Tree.routed) =
+(* Width of the rendered image in pixels; the height follows the
+   aspect ratio of the padded die. *)
+let width_px = 800
+
+let render (inst : Instance.t) (r : Tree.routed) =
   let bbox = Instance.bbox inst in
   let xr = Geometry.Octagon.x_range bbox and yr = Geometry.Octagon.y_range bbox in
   let pad = 0.05 *. Float.max (Geometry.Interval.width xr) (Geometry.Interval.width yr) in
@@ -69,8 +73,8 @@ let render ?(width_px = 800) (inst : Instance.t) (r : Tree.routed) =
   p "</svg>\n";
   Buffer.contents buf
 
-let write_file ?width_px path inst r =
+let write_file path inst r =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render ?width_px inst r))
+    (fun () -> output_string oc (render inst r))

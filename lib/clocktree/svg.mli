@@ -2,7 +2,8 @@
     nodes, rectilinear elbow wires (snaked edges dashed), and the source
     marked.  For inspecting routing quality visually. *)
 
-(** [render inst routed] is a complete standalone SVG document. *)
-val render : ?width_px:int -> Instance.t -> Tree.routed -> string
+(** [render inst routed] is a complete standalone SVG document, 800
+    pixels wide. *)
+val render : Instance.t -> Tree.routed -> string
 
-val write_file : ?width_px:int -> string -> Instance.t -> Tree.routed -> unit
+val write_file : string -> Instance.t -> Tree.routed -> unit

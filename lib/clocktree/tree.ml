@@ -24,14 +24,6 @@ let route source tree =
 
 let rec n_sinks = function Leaf _ -> 1 | Node n -> n_sinks n.left + n_sinks n.right
 
-let rec n_nodes = function
-  | Leaf _ -> 1
-  | Node n -> 1 + n_nodes n.left + n_nodes n.right
-
-let rec depth = function
-  | Leaf _ -> 1
-  | Node n -> 1 + Int.max (depth n.left) (depth n.right)
-
 let rec tree_wirelength = function
   | Leaf _ -> 0.
   | Node n -> n.llen +. n.rlen +. tree_wirelength n.left +. tree_wirelength n.right

@@ -27,8 +27,6 @@ val node : Geometry.Pt.t -> t -> t -> llen:float -> rlen:float -> t
 val route : Geometry.Pt.t -> t -> routed
 
 val n_sinks : t -> int
-val n_nodes : t -> int
-val depth : t -> int
 
 (** Total wirelength of the merge tree (without the source wire). *)
 val tree_wirelength : t -> float

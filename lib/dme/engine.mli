@@ -91,8 +91,7 @@ type stats = {
   gc : Obs.Gcstat.t;
       (** GC work of the whole run (plan + embed): {!Obs.Gcstat.sample}
           diffed across the run inside the pool's lifetime, with the
-          pool workers' minor words ({!Par.Pool.worker_minor_words})
-          added, so [minor_words] counts the run's allocation on every
+          pool workers' minor words added ({!Par.Pool.gc_window}), so [minor_words] counts the run's allocation on every
           domain and reads the same at any jobs count.  The allocation
           budget the bench gate enforces; the only
           stats field that is {e not} bit-identical across equivalent

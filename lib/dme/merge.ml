@@ -12,6 +12,8 @@ type result = {
   feasible : bool;
 }
 
+(* Fraction of a group's remaining slack one constrained merge may
+   consume before snaking is considered (gradual slack spending). *)
 let slack_usage = 0.3
 
 (* --- Reference: the merge over octagon values and Rc.Balance plans ------ *)
@@ -52,7 +54,7 @@ let merge_region (a : Octagon.t) ea (b : Octagon.t) eb =
 (* Shared-group merge (steps 4, 6 and 7 of Fig. 6): commit wire lengths
    satisfying every shared group's skew constraint; snaking covers
    imbalance beyond the slack. *)
-let merge_committed (inst : Clocktree.Instance.t) ~slack_usage ~id kind shared
+let merge_committed (inst : Clocktree.Instance.t) ~id kind shared
     (a : Subtree.t) (b : Subtree.t) =
   let params = inst.params in
   let dist = Octagon.dist a.region b.region in
@@ -183,11 +185,11 @@ let merge_cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap ~id
   in
   { subtree; kind = Cross_group; planned_wire = dist; snake = 0.; feasible = true }
 
-let run_reference inst ?(slack_usage = slack_usage) ~split_slack ~width_cap ~id a b =
+let run_reference inst ~split_slack ~width_cap ~id a b =
   let shared = Subtree.shared_groups a b in
   match classify a b shared with
   | Cross_group -> merge_cross inst ~split_slack ~width_cap ~id a b
-  | kind -> merge_committed inst ~slack_usage ~id kind shared a b
+  | kind -> merge_committed inst ~id kind shared a b
 
 (* --- The merge kernel --------------------------------------------------- *)
 
@@ -215,7 +217,7 @@ let[@inline] get w i = Float.Array.unsafe_get w i
    strict and the full window as [Rc.Balance.plan]'s [Interval.inter]
    fold does.  Writes the windows to [w.(0 .. 3)] and returns the
    number of shared groups. *)
-let[@inline] fold_windows inst slack_usage (da : Subtree.windows)
+let[@inline] fold_windows inst (da : Subtree.windows)
     (db : Subtree.windows) w =
   let na = Array.length da.gid and nb = Array.length db.gid in
   let slo = ref Float.neg_infinity and shi = ref Float.infinity in
@@ -408,10 +410,9 @@ let cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap ~id (a : Subtree
   in
   { subtree; kind = Cross_group; planned_wire = dist; snake = 0.; feasible = true }
 
-let run inst ?(slack_usage = slack_usage) ~split_slack ~width_cap ~id
-    (a : Subtree.t) (b : Subtree.t) =
+let run inst ~split_slack ~width_cap ~id (a : Subtree.t) (b : Subtree.t) =
   let w = Domain.DLS.get scratch_key in
-  match fold_windows inst slack_usage a.delay b.delay w with
+  match fold_windows inst a.delay b.delay w with
   | 0 -> cross inst ~split_slack ~width_cap ~id a b w
   | 1 ->
     let kind =
@@ -442,10 +443,10 @@ let run inst ?(slack_usage = slack_usage) ~split_slack ~width_cap ~id
      the preference point never matters.
    - Otherwise the result is the full-bound plan's [feasible]: the
      full-window fold. *)
-let committed_feasible (inst : Clocktree.Instance.t)
-    ?(slack_usage = slack_usage) ~dist (a : Subtree.t) (b : Subtree.t) =
+let committed_feasible (inst : Clocktree.Instance.t) ~dist (a : Subtree.t)
+    (b : Subtree.t) =
   let w = Domain.DLS.get scratch_key in
-  if fold_windows inst slack_usage a.delay b.delay w = 0 then
+  if fold_windows inst a.delay b.delay w = 0 then
     true (* a cross merge: always feasible *)
   else if
     (* strict plan feasible... *)

@@ -23,24 +23,18 @@ type result = {
   feasible : bool;  (** false when constraints were mutually inconsistent *)
 }
 
-(** Fraction of a group's remaining slack one constrained merge may
-    consume before snaking is considered (gradual slack spending): 0.3. *)
-val slack_usage : float
-
 (** [run inst ~split_slack ~width_cap ~id a b] merges two subtrees.
     [split_slack] is the fraction of [bound] a cross-group merge may
     spend on split-range delay uncertainty per merge; [width_cap] caps
     the cumulative width of any group's delay window at that fraction of
-    the bound, reserving slack for later constrained merges;
-    [slack_usage] (default {!slack_usage}) is the fraction of each
-    group's remaining slack one merge may consume before snaking is
-    considered; [id] names the new subtree.  Allocates the merged
+    the bound, reserving slack for later constrained merges; [id] names
+    the new subtree.  A constrained merge may consume 0.3 of each shared
+    group's remaining slack before snaking is considered.  Allocates the merged
     subtree (its record, windows, region and edge-length rule) and the result,
     and little else: the balance plan, the windows and the merging
     region are computed in unboxed locals and per-domain scratch. *)
 val run :
   Clocktree.Instance.t ->
-  ?slack_usage:float ->
   split_slack:float ->
   width_cap:float ->
   id:int ->
@@ -55,7 +49,6 @@ val run :
     compare against. *)
 val run_reference :
   Clocktree.Instance.t ->
-  ?slack_usage:float ->
   split_slack:float ->
   width_cap:float ->
   id:int ->
@@ -64,7 +57,7 @@ val run_reference :
   result
 
 (** [committed_feasible inst ~dist a b] is [(run inst ... a b).feasible]
-    under the same [slack_usage], bit for bit, computed without building
+    bit for bit, computed without building
     the merged subtree — no region intersection, no window union: one
     two-pointer walk over the two subtrees' delay windows.  [dist] must
     be [Octagon.dist a.region b.region].  This is the trial merge's only
@@ -72,7 +65,6 @@ val run_reference :
     loop never runs a trial merge there (see {!Engine}). *)
 val committed_feasible :
   Clocktree.Instance.t ->
-  ?slack_usage:float ->
   dist:float ->
   Subtree.t ->
   Subtree.t ->

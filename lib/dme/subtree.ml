@@ -185,20 +185,6 @@ let delay_hull t =
 
 let width t i = Float.max 0. (Float.Array.get t.delay.hi i -. Float.Array.get t.delay.lo i)
 
-let max_group_width t =
-  let acc = ref 0. in
-  for i = 0 to Array.length t.delay.gid - 1 do
-    acc := Float.max !acc (width t i)
-  done;
-  !acc
-
-let min_slack ~bound t =
-  let acc = ref bound in
-  for i = 0 to Array.length t.delay.gid - 1 do
-    acc := Float.min !acc (bound -. width t i)
-  done;
-  !acc
-
 let min_slack_by ~bound_of t =
   let acc = ref Float.infinity in
   for i = 0 to Array.length t.delay.gid - 1 do

@@ -114,12 +114,6 @@ val union_shifted : wa:float -> windows -> wb:float -> windows -> windows
 (** Hull of all per-group delay intervals. *)
 val delay_hull : t -> Geometry.Interval.t
 
-(** Largest per-group delay interval width (ps). *)
-val max_group_width : t -> float
-
-(** Smallest remaining slack [bound - width] over the subtree's groups;
-    [bound] when there are none (never happens). *)
-val min_slack : bound:float -> t -> float
-
-(** Per-group variant: smallest [bound_of g - width g]. *)
+(** Smallest remaining slack [bound_of g - width g] over the subtree's
+    groups [g]; [infinity] when there are none (never happens). *)
 val min_slack_by : bound_of:(int -> float) -> t -> float

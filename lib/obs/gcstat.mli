@@ -5,8 +5,8 @@
     region of interest, then [diff after before].  [minor_words] is the
     calling domain's own count ([Gc.minor_words]), exact at any time, so
     a differential means the same thing on any domain and at any jobs
-    count; a pooled phase adds its workers' words from
-    {!Par.Pool.worker_minor_words}.  The other counters are
+    count; a pooled phase adds its workers' words through
+    {!Par.Pool.gc_window}.  The other counters are
     [Gc.quick_stat]'s: the calling domain's plus the other domains' as
     of their last minor collection. *)
 

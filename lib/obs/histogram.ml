@@ -1,21 +1,17 @@
 (* Buckets live in a dense [counts] array: [counts.(k)] is the tally of
    bucket index [base + k].  The array grows (with slack) whenever an
    observation lands outside the covered index range, so in steady state
-   — once the value range has been seen — [observe], [merge_into] and
-   [reset] run straight-line with zero allocation.  That property is
-   load-bearing: the progress heartbeat merges scratch histograms every
-   tick, and the scheduler ledger observes a chunk latency per chunk on
-   the parallel hot path.  Float aggregates (sum/min/max) live in a
-   [floatarray] so updating them never boxes. *)
+   — once the value range has been seen — [observe] runs straight-line
+   with zero allocation.  That property is load-bearing: the scheduler
+   ledger observes a chunk latency per chunk on the parallel hot path.
+   Float aggregates (sum/min/max) live in a [floatarray] so updating
+   them never boxes. *)
 
-(* Distinct ids give [merge_into] a total order to take the two locks
-   in, making concurrent cross-merges deadlock-free. *)
-let next_id = Atomic.make 0
+(* Buckets per power of ten: a resolution of 10^(1/8), about 33%. *)
+let per_decade = 8
 
 type t = {
   name : string;
-  per_decade : int;
-  id : int;
   lock : Mutex.t;
   mutable base : int;  (** bucket index of [counts.(0)] *)
   mutable counts : int array;  (** dense tallies; [[||]] until first hit *)
@@ -25,15 +21,13 @@ type t = {
   fl : floatarray;  (** 0: sum, 1: min, 2: max — unboxed stores *)
 }
 
-let create ?(per_decade = 8) name =
+let create name =
   let fl = Float.Array.create 3 in
   Float.Array.set fl 0 0.;
   Float.Array.set fl 1 Float.infinity;
   Float.Array.set fl 2 Float.neg_infinity;
   {
     name;
-    per_decade = Int.max 1 per_decade;
-    id = Atomic.fetch_and_add next_id 1;
     lock = Mutex.create ();
     base = 0;
     counts = [||];
@@ -53,8 +47,8 @@ let locked t f =
    observability bucketing; values landing within one ulp of a bucket
    boundary may fall either side, which only moves them between two
    adjacent buckets of a report. *)
-let index t v =
-  int_of_float (Float.floor (float_of_int t.per_decade *. Float.log10 v))
+let index v =
+  int_of_float (Float.floor (float_of_int per_decade *. Float.log10 v))
 
 (* Grow [counts] to cover bucket index [i].  Called with the lock held;
    allocates only on a range miss (a few times early in a histogram's
@@ -87,7 +81,7 @@ let observe t v =
     if v <= 0. then t.underflow <- t.underflow + 1
     else if v = Float.infinity then t.overflow <- t.overflow + 1
     else begin
-      let i = index t v in
+      let i = index v in
       ensure t i;
       let k = i - t.base in
       Array.unsafe_set t.counts k (1 + Array.unsafe_get t.counts k)
@@ -100,7 +94,7 @@ let sum t = locked t (fun () -> Float.Array.get t.fl 0)
 let underflow t = locked t (fun () -> t.underflow)
 let overflow t = locked t (fun () -> t.overflow)
 
-let bound t i = Float.pow 10. (float_of_int i /. float_of_int t.per_decade)
+let bound i = Float.pow 10. (float_of_int i /. float_of_int per_decade)
 
 let buckets t =
   locked t (fun () ->
@@ -109,61 +103,10 @@ let buckets t =
         let n = t.counts.(k) in
         if n > 0 then begin
           let i = t.base + k in
-          acc := (bound t i, bound t (i + 1), n) :: !acc
+          acc := (bound i, bound (i + 1), n) :: !acc
         end
       done;
       !acc)
-
-(* Keeps the (grown) bucket array, so a scratch histogram that is reset
-   and refilled every heartbeat tick stays allocation-free. *)
-let reset t =
-  Mutex.lock t.lock;
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.count <- 0;
-  t.underflow <- 0;
-  t.overflow <- 0;
-  Float.Array.unsafe_set t.fl 0 0.;
-  Float.Array.unsafe_set t.fl 1 Float.infinity;
-  Float.Array.unsafe_set t.fl 2 Float.neg_infinity;
-  Mutex.unlock t.lock
-
-let merge_into src ~into:dst =
-  if src == dst then invalid_arg "Histogram.merge_into: src is dst";
-  if src.per_decade <> dst.per_decade then
-    invalid_arg "Histogram.merge_into: per_decade mismatch";
-  if src.id < dst.id then begin
-    Mutex.lock src.lock;
-    Mutex.lock dst.lock
-  end
-  else begin
-    Mutex.lock dst.lock;
-    Mutex.lock src.lock
-  end;
-  if src.count > 0 then begin
-    dst.count <- dst.count + src.count;
-    dst.underflow <- dst.underflow + src.underflow;
-    dst.overflow <- dst.overflow + src.overflow;
-    Float.Array.unsafe_set dst.fl 0
-      (Float.Array.unsafe_get dst.fl 0 +. Float.Array.unsafe_get src.fl 0);
-    if Float.Array.unsafe_get src.fl 1 < Float.Array.unsafe_get dst.fl 1 then
-      Float.Array.unsafe_set dst.fl 1 (Float.Array.unsafe_get src.fl 1);
-    if Float.Array.unsafe_get src.fl 2 > Float.Array.unsafe_get dst.fl 2 then
-      Float.Array.unsafe_set dst.fl 2 (Float.Array.unsafe_get src.fl 2);
-    let len = Array.length src.counts in
-    if len > 0 then begin
-      ensure dst src.base;
-      ensure dst (src.base + len - 1);
-      for k = 0 to len - 1 do
-        let c = Array.unsafe_get src.counts k in
-        if c <> 0 then begin
-          let j = src.base + k - dst.base in
-          Array.unsafe_set dst.counts j (c + Array.unsafe_get dst.counts j)
-        end
-      done
-    end
-  end;
-  Mutex.unlock src.lock;
-  Mutex.unlock dst.lock
 
 let quantile t q =
   locked t (fun () ->
@@ -191,7 +134,7 @@ let quantile t q =
                 res :=
                   Some
                     (Float.max vmin
-                       (Float.min (bound t (t.base + !k + 1)) vmax))
+                       (Float.min (bound (t.base + !k + 1)) vmax))
             end;
             incr k
           done;

@@ -2,13 +2,15 @@
    point is a no-op through it, so the pipeline can call [region_done]
    unconditionally.  Region completions arrive from worker domains (the
    cluster planner maps one region per chunk), so all state lives under
-   one mutex; emission is throttled to [interval] seconds except on
-   phase changes and [finish], which always print. *)
+   one mutex; emission is throttled to one line per [interval] except
+   on phase changes and [finish], which always print. *)
+
+(* Seconds between heartbeat lines. *)
+let interval = 1.0
 
 type ctx = {
   lock : Mutex.t;
   out : out_channel;
-  interval : float;
   t0 : float;
   mutable last_emit : float;
   mutable phase : string;
@@ -22,13 +24,12 @@ type t = ctx option
 
 let null : t = None
 
-let create ?(interval = 1.0) ?(out = stderr) () : t =
+let create ?(out = stderr) () : t =
   let now = Timer.now () in
   Some
     {
       lock = Mutex.create ();
       out;
-      interval = Float.max 0. interval;
       t0 = now;
       last_emit = Float.neg_infinity;
       phase = "start";
@@ -101,7 +102,7 @@ let emit c now =
 
 let maybe_emit c =
   let now = Timer.now () in
-  if now -. c.last_emit >= c.interval then emit c now
+  if now -. c.last_emit >= interval then emit c now
 
 let phase (t : t) name =
   match t with

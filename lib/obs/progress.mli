@@ -23,10 +23,10 @@ type t
 
 val null : t
 
-(** [create ?interval ?out ()] makes a live reporter printing to [out]
-    (default [stderr]) at most once per [interval] seconds (default 1;
-    phase changes and {!finish} always print). *)
-val create : ?interval:float -> ?out:out_channel -> unit -> t
+(** [create ?out ()] makes a live reporter printing to [out] (default
+    [stderr]) at most once a second (phase changes and {!finish} always
+    print). *)
+val create : ?out:out_channel -> unit -> t
 
 val enabled : t -> bool
 
@@ -37,7 +37,8 @@ val phase : t -> string -> unit
 (** Announce [n] more regions at hierarchy [depth] (0 = top). *)
 val add_regions : t -> depth:int -> int -> unit
 
-(** One region at [depth] completed; prints if the interval elapsed. *)
+(** One region at [depth] completed; prints if a second has passed
+    since the last line. *)
 val region_done : t -> depth:int -> unit
 
 (** Opportunistic heartbeat from any long-running loop. *)

@@ -14,7 +14,6 @@ type t = {
   enabled : bool;
   seq : int Atomic.t;
   epoch : float;  (** gettimeofday at creation; event [ts] are relative *)
-  custom : (event -> unit) option;
   lock : Mutex.t;
   (* One reversed event list per emitting domain; merged and seq-sorted
      by [events].  The table itself is only touched under [lock]. *)
@@ -26,12 +25,11 @@ type t = {
   dummy_hist : Histogram.t;  (** returned by [histogram] when disabled *)
 }
 
-let make ~enabled ~custom =
+let make ~enabled =
   {
     enabled;
     seq = Atomic.make 0;
     epoch = Unix.gettimeofday ();
-    custom;
     lock = Mutex.create ();
     buffers = Hashtbl.create 8;
     manifest_fields = [];
@@ -41,8 +39,8 @@ let make ~enabled ~custom =
     dummy_hist = Histogram.create "disabled";
   }
 
-let null = make ~enabled:false ~custom:None
-let create ?sink () = make ~enabled:true ~custom:sink
+let null = make ~enabled:false
+let create () = make ~enabled:true
 let enabled t = t.enabled
 
 let locked t f =
@@ -50,13 +48,10 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let emit t ev =
-  match t.custom with
-  | Some f -> f ev
-  | None ->
-    locked t (fun () ->
-        match Hashtbl.find_opt t.buffers ev.domain with
-        | Some l -> l := ev :: !l
-        | None -> Hashtbl.add t.buffers ev.domain (ref [ ev ]))
+  locked t (fun () ->
+      match Hashtbl.find_opt t.buffers ev.domain with
+      | Some l -> l := ev :: !l
+      | None -> Hashtbl.add t.buffers ev.domain (ref [ ev ]))
 
 let now t = Float.max 0. (Unix.gettimeofday () -. t.epoch)
 
@@ -118,14 +113,14 @@ let journal t record =
   if t.enabled then
     locked t (fun () -> t.journal_rev <- record :: t.journal_rev)
 
-let histogram t ?per_decade name =
+let histogram t name =
   if not t.enabled then t.dummy_hist
   else
     locked t (fun () ->
         match Hashtbl.find_opt t.hist_tbl name with
         | Some h -> h
         | None ->
-          let h = Histogram.create ?per_decade name in
+          let h = Histogram.create name in
           Hashtbl.add t.hist_tbl name h;
           t.hist_names_rev <- name :: t.hist_names_rev;
           h)

@@ -46,12 +46,8 @@ type t
     without allocating, every reader reports an empty trace. *)
 val null : t
 
-(** A fresh enabled context.  With [sink], every event is handed to the
-    callback instead of being buffered (the callback must be safe to
-    call from worker domains); {!events} is then empty.  Journal
-    records, the manifest and histograms are always kept in the
-    context. *)
-val create : ?sink:(event -> unit) -> unit -> t
+(** A fresh enabled context. *)
+val create : unit -> t
 
 val enabled : t -> bool
 
@@ -88,7 +84,7 @@ val journal : t -> Json.t -> unit
     first use (creation-order is kept for {!histograms}).  On a disabled
     context this returns a shared throwaway histogram, but hot paths
     should not rely on that — guard with {!enabled}. *)
-val histogram : t -> ?per_decade:int -> string -> Histogram.t
+val histogram : t -> string -> Histogram.t
 
 (** All buffered events merged across domains, ascending by [seq]. *)
 val events : t -> event list

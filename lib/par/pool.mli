@@ -44,17 +44,10 @@ val max_jobs : unit -> int
 (** Number of domains (including the caller) a batch runs on. *)
 val jobs : t -> int
 
-(** Minor-heap words the worker domains have allocated inside
-    {!map_chunked} chunks since the pool was created, each taken with the
-    worker's own [Gc.minor_words] around every chunk it runs.  The
-    caller's slot is not included: the caller counts its own words.  A
-    pooled phase's allocation is its caller's own differential plus the
-    change of this sum across the phase.  Read it between batches. *)
-val worker_minor_words : t -> float
-
 (** [gc_window pool] opens a GC window on the calling domain: calling
     the result gives the {!Obs.Gcstat} differential since, with the
-    minor words [pool]'s workers allocated in between added.  Open and
+    minor words [pool]'s workers allocated in between added (each worker
+    takes its own [Gc.minor_words] around every chunk it runs).  Open and
     close it between batches, inside the pool's lifetime: a domain's
     spawn and join are not the phase's allocation. *)
 val gc_window : t option -> unit -> Obs.Gcstat.t

@@ -73,8 +73,8 @@ let step_response tree ~dt ~t_end ~threshold =
    with Exit -> ());
   { crossing; steps = !step_count }
 
-let step_response_auto ?(resolution = 2000) ?(threshold = 0.5) tree =
+let step_response_auto ?(resolution = 2000) tree =
   let elmore = Rctree.elmore tree in
   let max_delay = Array.fold_left Float.max 1e-9 elmore in
   let dt = max_delay /. float_of_int resolution in
-  step_response tree ~dt ~t_end:(20. *. max_delay) ~threshold
+  step_response tree ~dt ~t_end:(20. *. max_delay) ~threshold:0.5

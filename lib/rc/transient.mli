@@ -12,14 +12,9 @@ type result = {
   steps : int;
 }
 
-(** [step_response tree ~dt ~t_end ~threshold] simulates a 0→1 V step at
-    the source.  [dt] and [t_end] are in ps; [threshold] in volts
-    (e.g. 0.5).  Each step solves the tree-structured linear system in
+(** [step_response_auto ?resolution tree] simulates a 0→1 V step at the
+    source and reports the 50% (0.5 V) crossing times.  The time step is
+    max Elmore / [resolution] (default 2000) and the horizon 20× max
+    Elmore; each step solves the tree-structured linear system in
     O(n). *)
-val step_response :
-  Rctree.t -> dt:float -> t_end:float -> threshold:float -> result
-
-(** Convenience wrapper choosing [dt] and [t_end] from the tree's Elmore
-    delays: [dt] = max Elmore / [resolution], horizon = 20× max Elmore. *)
-val step_response_auto :
-  ?resolution:int -> ?threshold:float -> Rctree.t -> result
+val step_response_auto : ?resolution:int -> Rctree.t -> result

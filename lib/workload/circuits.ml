@@ -20,8 +20,7 @@ let default_seed spec =
   let h = Hashtbl.hash spec.name land 0xFFFF in
   Int64.of_int ((h * 2654435761) + spec.n_sinks)
 
-let instance ?seed ?(rd = 100.) ?(params = Rc.Wire.default) spec ~n_groups
-    ~scheme ~bound () =
+let instance ?seed spec ~n_groups ~scheme ~bound () =
   let seed = Option.value seed ~default:(default_seed spec) in
   let rng = Rng.create seed in
   let locs =
@@ -37,4 +36,4 @@ let instance ?seed ?(rd = 100.) ?(params = Rc.Wire.default) spec ~n_groups
         Clocktree.Sink.make ~id:i ~loc:locs.(i) ~cap:caps.(i) ~group:groups.(i))
   in
   let source = Pt.make (spec.die /. 2.) (spec.die /. 2.) in
-  Clocktree.Instance.make ~params ~rd ~bound ~source ~n_groups sinks
+  Clocktree.Instance.make ~bound ~source ~n_groups sinks

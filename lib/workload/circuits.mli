@@ -22,11 +22,10 @@ val find : string -> spec option
 (** [instance spec ~n_groups ~scheme ~bound ?seed ()] builds a routing
     instance: sinks placed uniformly at random (fixed [seed], default
     derived from the circuit name), groups assigned by [scheme], clock
-    source at the die centre. *)
+    source at the die centre, and {!Clocktree.Instance.make}'s default
+    wire and driver. *)
 val instance :
   ?seed:int64 ->
-  ?rd:float ->
-  ?params:Rc.Wire.params ->
   spec ->
   n_groups:int ->
   scheme:Partition.scheme ->

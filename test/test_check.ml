@@ -154,9 +154,9 @@ let test_generator_regimes_shapes () =
     let s0 = collinear.sinks.(0).loc in
     Array.for_all
       (fun (s : Sink.t) ->
-        let d = Geometry.Pt.sub s.loc s0 in
-        Float.abs d.x < 1e-6 || Float.abs d.y < 1e-6
-        || Float.abs (Float.abs d.x -. Float.abs d.y) < 1e-6)
+        let dx = s.loc.x -. s0.x and dy = s.loc.y -. s0.y in
+        Float.abs dx < 1e-6 || Float.abs dy < 1e-6
+        || Float.abs (Float.abs dx -. Float.abs dy) < 1e-6)
       collinear.sinks
   in
   Alcotest.(check bool) "collinear sinks on one line" true on_line;

@@ -29,8 +29,8 @@ let test_subtree_leaf () =
   check_float "cap" 20. t.cap;
   Alcotest.(check bool) "region is the sink" true
     (Octagon.contains t.region (pt 10. 20.));
-  check_float "no width" 0. (Dme.Subtree.max_group_width t);
-  check_float "full slack" 10. (Dme.Subtree.min_slack ~bound:10. t)
+  check_float "full slack" 10.
+    (Dme.Subtree.min_slack_by ~bound_of:(fun _ -> 10.) t)
 
 let test_subtree_shared_groups () =
   let inst =
@@ -125,13 +125,6 @@ let prop_windows_match_map =
       same_windows got (windows_of_map expect)
       && bits got_hull.lo = bits hull.lo
       && bits got_hull.hi = bits hull.hi
-      && bits (Dme.Subtree.max_group_width t)
-         = bits (IntMap.fold (fun _ iv acc -> Float.max acc (Interval.width iv)) a 0.)
-      && bits (Dme.Subtree.min_slack ~bound t)
-         = bits
-             (IntMap.fold
-                (fun _ iv acc -> Float.min acc (bound -. Interval.width iv))
-                a bound)
       && bits (Dme.Subtree.min_slack_by ~bound_of t)
          = bits
              (IntMap.fold
@@ -1079,9 +1072,8 @@ let case_subtrees (seed, index) =
   done;
   let leaf i = Dme.Subtree.leaf inst.sinks.(order.(i)) in
   let next_id = ref n in
-  let run ~slack_usage a b =
-    Dme.Merge.run inst ~slack_usage ~split_slack:0.25 ~width_cap:0.7
-      ~id:!next_id a b
+  let run a b =
+    Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id:!next_id a b
   in
   let chunks = Int.min 4 n in
   let roots =
@@ -1090,33 +1082,53 @@ let case_subtrees (seed, index) =
         let acc = ref (leaf lo) in
         for i = lo + 1 to hi do
           incr next_id;
-          acc := (run ~slack_usage:0.3 !acc (leaf i)).subtree
+          acc := (run !acc (leaf i)).subtree
         done;
         !acc)
   in
   (inst, run, roots @ List.init (Int.min n 6) leaf)
 
+(* Feasible and infeasible merges the running property has compared;
+   [both_branches] asserts after a property's run that it saw both, so
+   each identity below is checked on each branch of the merge. *)
+let feasible_merges = ref 0
+let infeasible_merges = ref 0
+
+let tally_feasible feasible =
+  incr (if feasible then feasible_merges else infeasible_merges);
+  feasible
+
+let both_branches prop =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop in
+  ( name,
+    speed,
+    fun () ->
+      feasible_merges := 0;
+      infeasible_merges := 0;
+      run ();
+      Alcotest.(check bool)
+        (Printf.sprintf "both branches: %d feasible, %d infeasible merges"
+           !feasible_merges !infeasible_merges)
+        true
+        (!feasible_merges > 0 && !infeasible_merges > 0) )
+
 (* [Merge.committed_feasible] is [(Merge.run ...).feasible] without
-   building the merge, on every pair of a case's subtrees under three
-   slack usages. *)
+   building the merge, on every pair of a case's subtrees. *)
 let prop_committed_feasible_matches_run =
   QCheck.Test.make ~name:"committed_feasible = Merge.run feasibility" ~count:60
     gen_case (fun case ->
       let inst, run, subtrees = case_subtrees case in
       List.for_all
-        (fun slack_usage ->
+        (fun (a : Dme.Subtree.t) ->
           List.for_all
-            (fun (a : Dme.Subtree.t) ->
-              List.for_all
-                (fun (b : Dme.Subtree.t) ->
-                  a == b
-                  ||
-                  let dist = Octagon.dist a.region b.region in
-                  Dme.Merge.committed_feasible inst ~slack_usage ~dist a b
-                  = (run ~slack_usage a b).feasible)
-                subtrees)
+            (fun (b : Dme.Subtree.t) ->
+              a == b
+              ||
+              let dist = Octagon.dist a.region b.region in
+              Dme.Merge.committed_feasible inst ~dist a b
+              = tally_feasible (run a b).feasible)
             subtrees)
-        [ 0.; 0.3; 1. ])
+        subtrees)
 
 (* [Merge.run] against [Merge.run_reference], bit for bit in every field
    of the result: kind, feasibility, planned wire, snake, and the merged
@@ -1159,15 +1171,10 @@ let same_merge (r : Dme.Merge.result) (q : Dme.Merge.result) =
   | _ -> false
 
 let merge_matches_reference inst a b =
-  List.for_all
-    (fun slack_usage ->
-      let r =
-        Dme.Merge.run inst ~slack_usage ~split_slack:0.25 ~width_cap:0.7 ~id:77 a b
-      in
-      same_merge r
-        (Dme.Merge.run_reference inst ~slack_usage ~split_slack:0.25 ~width_cap:0.7
-           ~id:77 a b))
-    [ 0.; 0.3; 1. ]
+  let r = Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id:77 a b in
+  ignore (tally_feasible r.feasible : bool);
+  same_merge r
+    (Dme.Merge.run_reference inst ~split_slack:0.25 ~width_cap:0.7 ~id:77 a b)
 
 (* Every ordered pair of a case's subtrees, every regime, a subtree
    paired with itself (zero distance, every group shared) included. *)
@@ -1271,7 +1278,7 @@ let () =
           Alcotest.test_case "shared one" `Quick test_merge_shared_one;
           Alcotest.test_case "shared multi" `Quick test_merge_shared_multi;
         ]
-        @ qsuite
+        @ List.map both_branches
             [
               prop_committed_feasible_matches_run;
               prop_merge_matches_reference;

@@ -129,23 +129,29 @@ let test_json_read_file () =
       Alcotest.(check bool) "write/read roundtrip" true
         (Obs.Json.read_file path = v))
 
+(* Bound [k] of the fixed 8-per-decade bucketing: 10^(k/8). *)
+let eighth k = Float.pow 10. (float_of_int k /. 8.)
+
 let test_histogram_buckets () =
-  let h = Obs.Histogram.create ~per_decade:1 "test.hist.buckets" in
+  let h = Obs.Histogram.create "test.hist.buckets" in
   Alcotest.(check string) "name" "test.hist.buckets" (Obs.Histogram.name h);
   Alcotest.(check int) "starts empty" 0 (Obs.Histogram.count h);
   List.iter (Obs.Histogram.observe h) [ 0.5; 5.; 50.; 55. ];
   Alcotest.(check int) "four samples" 4 (Obs.Histogram.count h);
   Alcotest.(check (float 1e-9)) "sum" 110.5 (Obs.Histogram.sum h);
+  (* 0.5 lies in [10^(-3/8), 10^(-2/8)) = [0.42, 0.56), 5 in
+     [10^(5/8), 10^(6/8)) = [4.2, 5.6), and 50 and 55 share
+     [10^(13/8), 10^(14/8)) = [42, 56). *)
   (match Obs.Histogram.buckets h with
    | [ (lo0, hi0, n0); (lo1, hi1, n1); (lo2, hi2, n2) ] ->
-     Alcotest.(check (float 1e-9)) "bucket 0 lo" 0.1 lo0;
-     Alcotest.(check (float 1e-9)) "bucket 0 hi" 1. hi0;
+     Alcotest.(check (float 1e-9)) "bucket 0 lo" (eighth (-3)) lo0;
+     Alcotest.(check (float 1e-9)) "bucket 0 hi" (eighth (-2)) hi0;
      Alcotest.(check int) "bucket 0 count" 1 n0;
-     Alcotest.(check (float 1e-9)) "bucket 1 lo" 1. lo1;
-     Alcotest.(check (float 1e-9)) "bucket 1 hi" 10. hi1;
+     Alcotest.(check (float 1e-9)) "bucket 1 lo" (eighth 5) lo1;
+     Alcotest.(check (float 1e-9)) "bucket 1 hi" (eighth 6) hi1;
      Alcotest.(check int) "bucket 1 count" 1 n1;
-     Alcotest.(check (float 1e-9)) "bucket 2 lo" 10. lo2;
-     Alcotest.(check (float 1e-9)) "bucket 2 hi" 100. hi2;
+     Alcotest.(check (float 1e-9)) "bucket 2 lo" (eighth 13) lo2;
+     Alcotest.(check (float 1e-9)) "bucket 2 hi" (eighth 14) hi2;
      Alcotest.(check int) "bucket 2 count" 2 n2
    | bs ->
      Alcotest.fail
@@ -190,80 +196,33 @@ let test_histogram_json () =
      Alcotest.(check (float 1e-9)) "max survives" 30.
        (number (List.assoc "max" fields))
    | _ -> Alcotest.fail "export should re-parse as an object");
-  Obs.Histogram.reset h;
-  Alcotest.(check int) "reset clears count" 0 (Obs.Histogram.count h);
-  Alcotest.(check int) "reset clears buckets" 0
-    (List.length (Obs.Histogram.buckets h));
-  (* per_decade is clamped to at least 1. *)
-  let h1 = Obs.Histogram.create ~per_decade:0 "test.hist.clamp" in
-  Obs.Histogram.observe h1 5.;
-  (match Obs.Histogram.buckets h1 with
-   | [ (lo, hi, 1) ] ->
-     Alcotest.(check (float 1e-9)) "clamped lo" 1. lo;
-     Alcotest.(check (float 1e-9)) "clamped hi" 10. hi
-   | _ -> Alcotest.fail "per_decade:0 should behave as 1")
+  (* A power of ten opens its bucket: 1 lies in [1, 10^(1/8)). *)
+  let h1 = Obs.Histogram.create "test.hist.decade" in
+  Obs.Histogram.observe h1 1.;
+  match Obs.Histogram.buckets h1 with
+  | [ (lo, hi, 1) ] ->
+    Alcotest.(check (float 0.)) "decade lo" 1. lo;
+    Alcotest.(check (float 1e-9)) "decade hi" (eighth 1) hi
+  | _ -> Alcotest.fail "one sample should fill one bucket"
 
-let test_histogram_merge_into () =
-  let a = Obs.Histogram.create ~per_decade:1 "test.hist.merge_a" in
-  let b = Obs.Histogram.create ~per_decade:1 "test.hist.merge_b" in
-  List.iter (Obs.Histogram.observe a) [ 0.5; 5. ];
-  List.iter (Obs.Histogram.observe b) [ 50.; 0.; 700. ];
-  Obs.Histogram.merge_into b ~into:a;
-  Alcotest.(check int) "count folds" 5 (Obs.Histogram.count a);
-  Alcotest.(check int) "underflow folds" 1 (Obs.Histogram.underflow a);
-  Alcotest.(check (float 1e-9)) "sum folds" 755.5 (Obs.Histogram.sum a);
-  (match Obs.Histogram.buckets a with
-   | [ (_, _, 1); (_, _, 1); (_, _, 1); (_, _, 1) ] -> ()
-   | bs ->
-     Alcotest.fail
-       (Printf.sprintf "expected 4 buckets of one, got %d" (List.length bs)));
-  Alcotest.(check int) "src untouched" 3 (Obs.Histogram.count b);
-  (* Merging an empty histogram is a no-op. *)
-  let empty = Obs.Histogram.create ~per_decade:1 "test.hist.merge_empty" in
-  Obs.Histogram.merge_into empty ~into:a;
-  Alcotest.(check int) "empty merge is a no-op" 5 (Obs.Histogram.count a);
-  (* Self-merge and resolution mismatch are programmer errors. *)
-  (match Obs.Histogram.merge_into a ~into:a with
-   | exception Invalid_argument _ -> ()
-   | () -> Alcotest.fail "self-merge must raise");
-  let c = Obs.Histogram.create ~per_decade:2 "test.hist.merge_c" in
-  (match Obs.Histogram.merge_into c ~into:a with
-   | exception Invalid_argument _ -> ()
-   | () -> Alcotest.fail "per_decade mismatch must raise")
-
-(* Steady-state [observe] and [merge_into] must not allocate: the
-   progress heartbeat merges scratch histograms every tick and the
-   scheduler ledger observes one chunk latency per chunk on the
-   parallel hot path.  Growth allocates a few times early (range
-   misses); after that the per-call budget is zero minor words. *)
-let test_histogram_merge_no_alloc () =
-  let src = Obs.Histogram.create ~per_decade:4 "test.hist.alloc_src" in
-  let dst = Obs.Histogram.create ~per_decade:4 "test.hist.alloc_dst" in
-  List.iter (Obs.Histogram.observe src) [ 0.001; 1.; 1000. ];
-  List.iter (Obs.Histogram.observe dst) [ 0.01; 10. ];
-  Obs.Histogram.merge_into src ~into:dst;
+(* Steady-state [observe] must not allocate: the scheduler ledger
+   observes one chunk latency per chunk on the parallel hot path.
+   Growth allocates a few times early (range misses); after that the
+   per-call budget is zero minor words. *)
+let test_histogram_observe_no_alloc () =
+  let h = Obs.Histogram.create "test.hist.alloc" in
+  List.iter (Obs.Histogram.observe h) [ 0.001; 1.; 5.; 1000. ];
   let rounds = 10_000 in
-  let per_round_of f =
-    let before = Gc.minor_words () in
-    for _ = 1 to rounds do
-      f ()
-    done;
-    (Gc.minor_words () -. before) /. float_of_int rounds
-  in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    Obs.Histogram.observe h 5.
+  done;
   (* Gc.minor_words itself boxes its float result — amortize the two
      samples over the loop and allow that as the only slack. *)
-  let merge = per_round_of (fun () -> Obs.Histogram.merge_into src ~into:dst) in
-  Alcotest.(check bool)
-    (Printf.sprintf "merge_into allocates %.4f words/call" merge)
-    true (merge < 0.01);
-  let obs = per_round_of (fun () -> Obs.Histogram.observe dst 5.) in
+  let obs = (Gc.minor_words () -. before) /. float_of_int rounds in
   Alcotest.(check bool)
     (Printf.sprintf "observe allocates %.4f words/call" obs)
-    true (obs < 0.01);
-  let rst = per_round_of (fun () -> Obs.Histogram.reset src) in
-  Alcotest.(check bool)
-    (Printf.sprintf "reset allocates %.4f words/call" rst)
-    true (rst < 0.01)
+    true (obs < 0.01)
 
 let test_histogram_quantile () =
   let h = Obs.Histogram.create "test.hist.quantile" in
@@ -383,20 +342,6 @@ let test_trace_manifest_journal () =
   Alcotest.(check int) "same histogram cell" 1 (Obs.Histogram.count h2);
   Alcotest.(check int) "one histogram registered" 1
     (List.length (Obs.Trace.histograms t))
-
-let test_trace_custom_sink () =
-  let seen = ref [] in
-  let t =
-    Obs.Trace.create
-      ~sink:(fun (e : Obs.Trace.event) -> seen := e.name :: !seen)
-      ()
-  in
-  Obs.Trace.instant t "a";
-  Obs.Trace.span t "b" (fun () -> ());
-  Alcotest.(check (list string)) "sink saw every event" [ "a"; "b" ]
-    (List.rev !seen);
-  Alcotest.(check int) "sinked events are not buffered" 0
-    (List.length (Obs.Trace.events t))
 
 let test_trace_multi_domain () =
   let t = Obs.Trace.create () in
@@ -673,10 +618,8 @@ let () =
         [
           Alcotest.test_case "log buckets" `Quick test_histogram_buckets;
           Alcotest.test_case "json export" `Quick test_histogram_json;
-          Alcotest.test_case "merge_into folds in place" `Quick
-            test_histogram_merge_into;
           Alcotest.test_case "steady state allocates nothing" `Quick
-            test_histogram_merge_no_alloc;
+            test_histogram_observe_no_alloc;
           Alcotest.test_case "quantiles" `Quick test_histogram_quantile;
         ] );
       ( "trace",
@@ -687,7 +630,6 @@ let () =
             test_trace_span_exception;
           Alcotest.test_case "manifest and journal" `Quick
             test_trace_manifest_journal;
-          Alcotest.test_case "custom sink" `Quick test_trace_custom_sink;
           Alcotest.test_case "multi-domain merge" `Quick
             test_trace_multi_domain;
           Alcotest.test_case "chrome export" `Quick test_trace_chrome_export;
