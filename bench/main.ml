@@ -1060,11 +1060,11 @@ let () =
   in
   let spice () =
     header "Elmore vs transient (Chapter III)";
-    Experiments.Spice_check.print (Experiments.Spice_check.run ())
+    Experiments.Spice_check.print (Experiments.Spice_check.run (Option.get (Workload.Circuits.find "r1")))
   in
   let ablation () =
     header "Ablation (Section V.F)";
-    Experiments.Ablation.print (Experiments.Ablation.run ())
+    Experiments.Ablation.print (Experiments.Ablation.run (Option.get (Workload.Circuits.find "r3")))
   in
   match what with
   | "table1" -> table1 false

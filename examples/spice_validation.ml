@@ -7,7 +7,7 @@
 
 let () =
   Format.printf "Routing r1 and simulating its RC tree (this takes a few seconds)...@.";
-  let result = Experiments.Spice_check.run () in
+  let result = Experiments.Spice_check.run (Option.get (Workload.Circuits.find "r1")) in
   Experiments.Spice_check.print result;
   Format.printf
     "@.This is why DME-style routers can rely on the Elmore model: the@.balancing decisions depend on skew, and skew error cancels.@."

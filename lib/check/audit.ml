@@ -11,11 +11,6 @@ let pp_violation ppf v = Format.fprintf ppf "%s: %s" v.invariant v.detail
 
 type contract = Grouped | Global of float
 
-(* Geometric slack matching Tree.node's constructor check; skew slack
-   matching Evaluate.within_bound's default. *)
-let geom_tol = 1e-4
-let skew_slack = 1e-4
-
 let v invariant fmt = Printf.ksprintf (fun detail -> { invariant; detail }) fmt
 
 let finite_pt p = Float.is_finite p.Pt.x && Float.is_finite p.Pt.y
@@ -39,7 +34,7 @@ let columns (inst : Instance.t) (a : Arena.t) =
       if len < 0. then add (v "finite-edges" "%s edge length %g < 0" what len);
       if finite_pt parent && finite_pt child then begin
         let d = Pt.dist parent child in
-        if len < d -. geom_tol then
+        if len < d -. Tree.edge_tol then
           add
             (v "edge-covers-distance"
                "%s edge length %g < L1 distance %g of its endpoints" what len
@@ -220,14 +215,14 @@ let bound contract (inst : Instance.t) (rep : Evaluate.report) =
     Array.iteri
       (fun g w ->
         let b = Instance.bound_for inst g in
-        if w > b +. skew_slack then
+        if w > b +. Evaluate.default_slack then
           out :=
             v "within-bound" "group %d skew %.6g ps exceeds bound %g ps" g w b
             :: !out)
       rep.group_skew;
     List.rev !out
   | Global b ->
-    if rep.global_skew > b +. skew_slack then
+    if rep.global_skew > b +. Evaluate.default_slack then
       [ v "within-bound" "global skew %.6g ps exceeds bound %g ps"
           rep.global_skew b ]
     else []

@@ -37,7 +37,7 @@ type contract =
   | Grouped  (** per-group skew within each group's own bound *)
   | Global of float  (** global skew within the given bound *)
 
-val structure : Clocktree.Instance.t -> Clocktree.Arena.t -> violation list
+val structure : Clocktree.Instance.t -> Clocktree.Arena.t -> violation list [@@reference]
 
 (** On an arena that fails {!structure}'s column checks nothing is
     recomputed, and a ["delays-match"] violation says so. *)
@@ -46,9 +46,11 @@ val semantics :
   Clocktree.Arena.t ->
   Clocktree.Evaluate.report ->
   violation list
+[@@reference]
 
 val bound :
   contract -> Clocktree.Instance.t -> Clocktree.Evaluate.report -> violation list
+[@@reference]
 
 (** [partition_cover inst regions] audits a spatial partition of the
     instance's sink ids (see {!Dme.Cluster.partition}): every sink id

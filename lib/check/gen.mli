@@ -37,7 +37,7 @@ type regime =
 
 (** The regimes cycled by index in {!case} — everything except [Huge]
     and [Banked]. *)
-val all_regimes : regime array
+val all_regimes : regime array [@@reference]
 val regime_to_string : regime -> string
 val regime_of_string : string -> regime option
 
@@ -54,6 +54,3 @@ type case = {
     forces one (the generator stream depends only on [(seed, index)], so
     a forced regime is exactly as reproducible). *)
 val case : ?regime:regime -> seed:int64 -> index:int -> unit -> case
-
-(** Sample one instance of the given regime from the generator state. *)
-val instance : Workload.Rng.t -> regime -> Clocktree.Instance.t

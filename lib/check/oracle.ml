@@ -113,7 +113,8 @@ let clustered ?(inject = false) inst =
 
 (* --- Elmore vs transient ------------------------------------------------- *)
 
-let delay_models ?(resolution = 300) inst =
+let delay_models inst =
+  let resolution = 300 in
   guard "delay-models" (fun () ->
       let r = ast inst in
       let rct, sink_index =

@@ -2,14 +2,14 @@
     against each other on one instance and audit every output against its
     own contract.
 
-    - {!routers}: AST-DME, EXT-BST, greedy-DME and MMM-DME each produce a
+    - [routers]: AST-DME, EXT-BST, greedy-DME and MMM-DME each produce a
       structurally/semantically valid tree satisfying the skew contract
       they were routed under.  Wirelength orderings between routers are
       deliberately {e not} asserted.
     - {!clustered}: a genuinely clustered run yields a covering partition
       and a stitched tree that passes the full audit under the global
       grouped contract.
-    - {!delay_models}: Elmore and transient 50%-crossing delays agree
+    - [delay_models]: Elmore and transient 50%-crossing delays agree
       wherever an exact relation exists (every sink crosses, Elmore bounds
       each crossing from above, crossings never decrease downstream), and
       intra-group skews agree for realistic interconnect (thesis ch. III).
@@ -56,16 +56,12 @@ type finding = {
 
 val pp_finding : Format.formatter -> finding -> unit
 
-val routers : ?inject:bool -> Clocktree.Instance.t -> finding list
-
 (** Audit the clustered router's output: the spatial partition covers
     every sink exactly once with non-empty regions, and the stitched tree
     passes the full {!Audit.run} under the {e global} [Grouped] contract,
     at [min 4 n_sinks] clusters (at least 2, pre-clamp); [inject] snakes
-    one leaf before auditing, as in {!routers}. *)
-val clustered : ?inject:bool -> Clocktree.Instance.t -> finding list
-
-val delay_models : ?resolution:int -> Clocktree.Instance.t -> finding list
+    one leaf before auditing, as [routers] does. *)
+val clustered : ?inject:bool -> Clocktree.Instance.t -> finding list [@@reference]
 
 (** The AST-DME route every oracle runs: {!Astskew.Router.ast_default_config}
     at [jobs] (default: its own), clustered when [clustering] is given. *)
@@ -93,6 +89,7 @@ val observe :
   ?repair:Clocktree.Repair.stats ->
   Clocktree.Arena.t ->
   obs
+[@@reference]
 
 (** A routed result, all four parts present. *)
 val of_result : Astskew.Router.result -> obs
@@ -107,20 +104,20 @@ val diffs : obs -> obs -> string list
 
 type row
 
-val name : row -> string
+val name : row -> string [@@reference]
 
 val par : row
-val trace : row
+val trace : row [@@reference]
 val sched : row
 val cluster : row
 val cluster_depth : row
 val repair : row
 val repair_regional : row
 val evaluate : row
-val embed : row
+val embed : row [@@reference]
 
 (** Every row, in the order {!all} runs them. *)
-val invariants : row list
+val invariants : row list [@@reference]
 
 (** Run each row at its jobs list, sharing one case's serial plan and
     route between rows. *)

@@ -79,7 +79,10 @@ let simplify_config (inst : Instance.t) =
          ~source:inst.source ~n_groups:inst.n_groups inst.sinks);
   List.rev !candidates
 
-let run ?(max_checks = 2000) ~fails inst =
+(* Each candidate re-runs [fails]; past this many, shrinking stops. *)
+let max_checks = 2000
+
+let run ~fails inst =
   let checks = ref 0 in
   let try_candidate inst' =
     if !checks >= max_checks then false

@@ -14,7 +14,6 @@
     generator produces. *)
 
 val run :
-  ?max_checks:int ->
   fails:(Clocktree.Instance.t -> bool) ->
   Clocktree.Instance.t ->
   Clocktree.Instance.t
@@ -24,3 +23,4 @@ val run :
     [None] if the subset is empty. *)
 val with_sinks :
   Clocktree.Instance.t -> Clocktree.Sink.t list -> Clocktree.Instance.t option
+[@@reference]

@@ -53,7 +53,8 @@ val to_routed : t -> Tree.routed
 
 (** [downstream_rc ~into a] fills [into.(v)] with the RC downstream
     capacitance of node [v] — bit-identical to
-    {!Rc.Rctree.downstream_cap} on {!Tree.to_rctree}'s output
+    the downstream caps {!Rc.Rctree.elmore} sums on
+    {!Tree.to_rctree}'s output
     (right-child contribution accumulated before left).  [into] has
     length [n].  Returns the source-node value [down0]
     ([half source_len + into.(root)], the full tree load seen by the

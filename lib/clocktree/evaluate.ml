@@ -9,9 +9,8 @@ type report = {
   max_group_skew : float;
 }
 
-(* Acceptance slack shared with Repair.run_arena: a group skew within [slack]
-   of its bound counts as satisfied.  Exported so the two modules cannot
-   silently drift apart. *)
+(* Acceptance slack shared with Repair.run_arena and the auditor's bound
+   check: a group skew within it of its bound counts as satisfied. *)
 let default_slack = 1e-4
 
 (* The grouped fold of per-sink delays (indexed by sink id) into the
@@ -53,14 +52,6 @@ let report_of_arena ?jobs:(_ : int option) (inst : Instance.t) (a : Arena.t) =
   Arena.elmore ~down ~down0 ~into:node_delay a;
   Arena.delays_by_sink ~delay:node_delay ~into:delays a;
   of_delays inst a delays
-
-let within_bound (inst : Instance.t) report =
-  let ok = ref true in
-  Array.iteri
-    (fun g w ->
-      if w > Instance.bound_for inst g +. default_slack then ok := false)
-    report.group_skew;
-  !ok
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -22,9 +22,9 @@ type report = {
   max_group_skew : float;
 }
 
-(** The default acceptance slack of {!within_bound} (ps).
-    {!Repair.run_arena} uses the same constant, so repair's convergence test and the final
-    acceptance check cannot drift apart. *)
+(** The acceptance slack (ps): a group skew within it of its bound
+    counts as satisfied.  {!Repair.run_arena}'s convergence test and the
+    auditor's bound check both read it, so they cannot drift apart. *)
 val default_slack : float
 
 (** [of_delays inst a delays]: the report of arena [a] whose per-sink
@@ -43,10 +43,6 @@ val of_delays : Instance.t -> Arena.t -> float array -> report
     replay passes [~jobs], until that replay routes through
     [Router.route] (ROADMAP item 8, "The perfbench half of one
     benchmark harness"). *)
-val report_of_arena : ?jobs:int -> Instance.t -> Arena.t -> report
-
-(** Does the tree satisfy the instance's intra-group bound (within
-    {!default_slack} ps of numerical slack)? *)
-val within_bound : Instance.t -> report -> bool
+val report_of_arena : ?jobs:int -> Instance.t -> Arena.t -> report [@@reference]
 
 val pp_report : Format.formatter -> report -> unit

@@ -31,7 +31,7 @@ val to_string : Instance.t -> string
 val write_file : string -> Instance.t -> unit
 
 (** [Printf.sprintf "%.17g" x], the writer's number format. *)
-val float_to_string : float -> string
+val float_to_string : float -> string [@@reference]
 
 (** The parser's exact decimal reader on a whole token: [Some] its
     value, bit for bit [float_of_string]'s, when the reader decides it,
@@ -41,7 +41,7 @@ val float_to_string : float -> string
     [[eE][+-]?[0-9]+], with at most 18 significant digits and a normal
     double value, unless its 120-bit product cannot settle the rounding
     (DESIGN.md §40). *)
-val decimal : string -> float option
+val decimal : string -> float option [@@reference]
 
 (** The number of number tokens (every token after a record's keyword;
     whole-line [#] comments are skipped) that {!decimal} declines in a

@@ -253,9 +253,9 @@ let process_internal st w v ~count_conflicts =
      to the edge delay: at extreme RC corners delays reach ~1e9 ps,
      where an absolute 1e-9 ps floor sits far below one ulp and a
      repeated pass would chase its own recomputation noise, adjusting
-     edges forever.  64 ulps stays well under Evaluate.within_bound's
-     acceptance slack for any delay magnitude the acceptance check can
-     resolve.  An adjustment whose resulting length is bit-identical is
+     edges forever.  64 ulps stays well under the acceptance slack
+     Evaluate.default_slack for any delay magnitude the acceptance check
+     can resolve.  An adjustment whose resulting length is bit-identical is
      dropped as the no-op it is. *)
   let llen = ref llen0 and wl = ref wl0 in
   if not (delta_l <= Eps.fmax 1e-9 (64. *. epsilon_float *. Float.abs wl0))

@@ -40,7 +40,7 @@ let render (inst : Instance.t) (r : Tree.routed) =
     | Tree.Node n ->
       let edge len child =
         let cpos = Tree.pos child in
-        elbow n.pos cpos ~snaked:(len > Pt.dist n.pos cpos +. 1e-4)
+        elbow n.pos cpos ~snaked:(len > Pt.dist n.pos cpos +. Tree.edge_tol)
       in
       edge n.llen n.left;
       edge n.rlen n.right;
@@ -49,7 +49,7 @@ let render (inst : Instance.t) (r : Tree.routed) =
   in
   let root_pos = Tree.pos r.tree in
   elbow r.source root_pos
-    ~snaked:(r.source_len > Pt.dist r.source root_pos +. 1e-4);
+    ~snaked:(r.source_len > Pt.dist r.source root_pos +. Tree.edge_tol);
   wires r.tree;
   let rec nodes t =
     match t with

@@ -2,8 +2,6 @@
     nodes, rectilinear elbow wires (snaked edges dashed), and the source
     marked.  For inspecting routing quality visually. *)
 
-(** [render inst routed] is a complete standalone SVG document, 800
-    pixels wide. *)
-val render : Instance.t -> Tree.routed -> string
-
+(** [write_file path inst routed] writes a complete standalone SVG
+    document, 800 pixels wide. *)
 val write_file : string -> Instance.t -> Tree.routed -> unit

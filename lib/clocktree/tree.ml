@@ -7,11 +7,12 @@ type t =
 type routed = { tree : t; source : Pt.t; source_len : float }
 
 let pos = function Leaf s -> s.Sink.loc | Node n -> n.pos
+let edge_tol = 1e-4
 
 let node p left right ~llen ~rlen =
   let check name len child =
     let d = Pt.dist p (pos child) in
-    if len < d -. 1e-4 then
+    if len < d -. edge_tol then
       invalid_arg
         (Format.asprintf "Tree.node: %s length %g < distance %g" name len d)
   in
@@ -21,8 +22,6 @@ let node p left right ~llen ~rlen =
 
 let route source tree =
   { tree; source; source_len = Pt.dist source (pos tree) }
-
-let rec n_sinks = function Leaf _ -> 1 | Node n -> n_sinks n.left + n_sinks n.right
 
 let rec tree_wirelength = function
   | Leaf _ -> 0.

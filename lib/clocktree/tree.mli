@@ -19,14 +19,18 @@ type routed = {
 (** Position of a subtree root (sink location for leaves). *)
 val pos : t -> Geometry.Pt.t
 
+(** Edge-length tolerance (layout units): an edge shorter than the L1
+    distance it spans by more than this is malformed, and one longer by
+    more is snaked. *)
+val edge_tol : float
+
 (** [node pos left right ~llen ~rlen] builds an internal node, checking
-    that each edge length covers the L1 distance to the child. *)
+    that each edge length covers the L1 distance to the child, within
+    {!edge_tol}. *)
 val node : Geometry.Pt.t -> t -> t -> llen:float -> rlen:float -> t
 
 (** [route source tree] connects [tree] to [source] with a direct wire. *)
 val route : Geometry.Pt.t -> t -> routed
-
-val n_sinks : t -> int
 
 (** Total wirelength of the merge tree (without the source wire). *)
 val tree_wirelength : t -> float

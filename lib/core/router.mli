@@ -76,7 +76,8 @@ module Spec : sig
   (** Plan through {!Dme.Cluster.run_arena}: [clusters] spatial regions
       (default {!Dme.Cluster.auto_clusters}, clamped to the sink count),
       planned in parallel and stitched through [depth] levels of
-      bounded-fan-in merges (default {!Dme.Cluster.auto_depth}).
+      bounded-fan-in merges (default: the fewest levels of at most
+      64 children that reach the cluster count).
       Repair and evaluation are those of a flat route.  One cluster is
       bit-identical to the flat route, any fixed count and depth is
       bit-identical across jobs, and depth 1 is the historical

@@ -7,7 +7,7 @@
 
     The shape follows Held–Kämmerling's two-level rectilinear Steiner
     construction and the 3D-MMM "Cluster DME" decomposition, extended
-    recursively: no stitch plan sees more than {!fanout_cap} children,
+    recursively: no stitch plan sees more than 64 children,
     so a 10^6-sink instance gets ~1000 regions stitched through two
     levels instead of one 1000-ary merge.  The per-region work is
     embarrassingly parallel (each region plan owns a private arena and
@@ -56,52 +56,39 @@ type stats = {
 
 (** Default region count: {!Clocktree.Instance.auto_regions} of the
     sink count, about one region per thousand sinks — no upper cap;
-    past [fanout_cap] regions the stitch goes multi-level
-    ({!auto_depth}) rather than letting regions grow with the
-    instance. *)
+    past 64 regions the stitch goes multi-level rather than letting
+    regions grow with the instance. *)
 val auto_clusters : Clocktree.Instance.t -> int
 
-(** Maximum children any stitch plan sees (64). *)
-val fanout_cap : int
-
-(** Smallest stitch depth whose hierarchy reaches [k] regions under
-    {!fanout_cap}: 1 for [k <= 64], 2 up to 4096, and so on. *)
-val auto_depth : int -> int
-
-(** [split_ids ?pool ?run point_of ids ~budget ~fanout] is one level
+(** [split_ids ?pool point_of ids ~budget ~fanout] is one level
     of the budgeted halving: [ids] split by recursive
     {!Geometry.Split.bipartition} into [min fanout budget] groups (at
     least 1, at most [Array.length ids]), each with its share of the
     region [budget], in bipartition order.  Each group lists its ids in
     the (coordinate, id) order of the median split that emitted it.
     The halving runs level by level; with [pool], each level of two or
-    more parts is one batch on it (ledgered under ["engine.partition"]
-    by an enabled [run.sched] recorder),
-    and the groups, their ids' order and their budgets equal the serial
-    ones. *)
+    more parts is one batch on it, and the groups, their ids' order and
+    their budgets equal the serial ones.  {!partition} and the clustered
+    route run it; it is exported for the oracles that compare it with an
+    all-sorting reference and with its serial run. *)
 val split_ids :
   ?pool:Par.Pool.t ->
-  ?run:Obs.Run.t ->
   (int -> Geometry.Pt.t) ->
   int array ->
   budget:int ->
   fanout:int ->
   (int array * int) array
+[@@reference]
 
-(** [partition ?pool ?run inst ~clusters] splits the sink ids into
+(** [partition inst ~clusters] splits the sink ids into
     [min clusters (n_sinks)] non-empty regions (at least 1) by
     recursive median bipartition along the longer bounding-box axis
-    ({!Geometry.Split.bipartition}), level by level on [pool] as
-    {!split_ids} does.  Every sink id appears in exactly one region; the
-    result is a pure function of the instance — deterministic across
-    pools, jobs counts and runs, and identical to the leaf regions of
-    the multi-level hierarchy at any depth. *)
-val partition :
-  ?pool:Par.Pool.t ->
-  ?run:Obs.Run.t ->
-  Clocktree.Instance.t ->
-  clusters:int ->
-  int array array
+    ({!Geometry.Split.bipartition}), as {!split_ids} does.  Every sink
+    id appears in exactly one region; the result is a pure function of
+    the instance — deterministic across pools, jobs counts and runs, and
+    identical to the leaf regions of the multi-level hierarchy at any
+    depth. *)
+val partition : Clocktree.Instance.t -> clusters:int -> int array array
 
 (** [run_arena ?config ?run ?clusters ?depth inst] routes the instance
     in clustered mode straight into the flat post-order arena and
@@ -109,10 +96,11 @@ val partition :
     region plans, super stitches and the top-level stitch, with [gc]
     the caller-domain whole-run differential) and the per-cluster
     detail.  [clusters] defaults to {!auto_clusters}, clamped to
-    [1 .. n_sinks]; [depth] defaults to {!auto_depth} of the realized
-    cluster count and is clamped to [>= 1] (forcing it higher than
-    needed degenerates gracefully — a budget-1 group plans directly
-    regardless of remaining depth).
+    [1 .. n_sinks]; [depth] defaults to the smallest depth whose
+    hierarchy reaches the realized cluster count under the 64-child cap
+    (1 up to 64 regions, 2 up to 4096, and so on) and is clamped to
+    [>= 1] (forcing it higher than needed degenerates gracefully — a
+    budget-1 group plans directly regardless of remaining depth).
     [config.jobs] sizes the pool the whole route runs on, opened before
     the partition: the leaf regions' halving (the hierarchy above them
     follows from the region budgets alone), then every leaf region (one

@@ -43,3 +43,4 @@ val run_arena :
     only. *)
 val run_reference :
   Clocktree.Instance.t -> Subtree.t -> Clocktree.Tree.routed
+[@@reference]

@@ -55,6 +55,7 @@ val run_reference :
   Subtree.t ->
   Subtree.t ->
   result
+[@@reference]
 
 (** [committed_feasible inst ~dist a b] is [(run inst ... a b).feasible]
     bit for bit, computed without building

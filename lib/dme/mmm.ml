@@ -19,7 +19,7 @@ let bisect sinks =
   let mid = Array.length sorted / 2 in
   (Array.sub sorted 0 mid, Array.sub sorted mid (Array.length sorted - mid))
 
-let plan ?(config = Engine.default) ?(run = Obs.Run.null)
+let plan_on ?(config = Engine.default) ?(run = Obs.Run.null)
     (inst : Clocktree.Instance.t) =
   let trace = run.Obs.Run.trace in
   let tracing = Obs.Trace.enabled trace in
@@ -89,8 +89,10 @@ let plan ?(config = Engine.default) ?(run = Obs.Run.null)
         gc = Obs.Gcstat.zero;
       } )
 
+let plan ?config inst = plan_on ?config inst
+
 let run_arena ?config ?(run = Obs.Run.null) inst =
   let gc0 = Obs.Gcstat.sample () in
-  let root, stats = plan ?config ~run inst in
+  let root, stats = plan_on ?config ~run inst in
   let arena = Embed.run_arena ~run inst root in
   (arena, { stats with gc = Obs.Gcstat.diff (Obs.Gcstat.sample ()) gc0 })

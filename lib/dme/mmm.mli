@@ -10,16 +10,17 @@
     baseline and for studying how much the merge *order* contributes to
     AST-DME's wins. *)
 
-(** Plan the MMM topology; the root carries the plan store.  Accepts the same configuration as {!Engine} (ordering fields
-    are ignored); [stats.gc] is left zero.  With [run.trace] enabled,
-    merges the config into the manifest and wraps topology construction
-    in an ["mmm.build"] span. *)
-val plan :
-  ?config:Engine.config -> ?run:Obs.Run.t -> Clocktree.Instance.t ->
-  Subtree.t * Engine.stats
+(** Plan the MMM topology; the root carries the plan store.  Accepts the
+    same configuration as {!Engine} (ordering fields are ignored);
+    [stats.gc] is left zero.  The plan the embedding oracle hands to
+    {!Embed.run_reference}. *)
+val plan : ?config:Engine.config -> Clocktree.Instance.t -> Subtree.t * Engine.stats
+[@@reference]
 
-(** {!plan}, then {!Embed.run_arena}: the tree straight in the flat
-    post-order arena, with [stats.gc] sampled around both. *)
+(** Plan, then {!Embed.run_arena}: the tree straight in the flat
+    post-order arena, with [stats.gc] sampled around both.  With
+    [run.trace] enabled, the plan merges the config into the manifest
+    and wraps topology construction in an ["mmm.build"] span. *)
 val run_arena :
   ?config:Engine.config -> ?run:Obs.Run.t -> Clocktree.Instance.t ->
   Clocktree.Arena.t * Engine.stats

@@ -5,7 +5,6 @@ module Pt = Geometry.Pt
 
 type config = { multi_merge : bool; knn : int; delay_order_weight : float }
 
-let default = { multi_merge = true; knn = 16; delay_order_weight = 0. }
 
 (* Fraction of the active subtrees a multi-merge round consumes. *)
 let merge_fraction = 0.5

@@ -42,8 +42,6 @@ type config = {
           0 disables the delay-target enhancement *)
 }
 
-val default : config
-
 (** How selected merges are executed.  [compute ~id a b] builds the
     merge result; it may run on a worker domain during parallel rounds,
     so it must not mutate shared state (reading state that is frozen for
@@ -127,6 +125,7 @@ val select_pairs :
   used:Bytes.t ->
   limit:int ->
   int * (float * int * int) array
+[@@reference]
 
 (** [cheapest ids len ~dist ~price] is the index [i] in [0 .. len-1]
     of the (cost, lowest id) argmin over the distinct candidate ids
@@ -144,6 +143,7 @@ val cheapest :
   dist:(int -> float) ->
   price:(int -> float -> float) ->
   int * float
+[@@reference]
 
 (** [settle snap buf ~skip q ~knn ~rad ~rmax ~dist ~price props id] is
     one probe's widening search: it writes to [props]' slots [id] the
@@ -180,6 +180,7 @@ val settle :
   proposals ->
   int ->
   unit
+[@@reference]
 
 (** [run_ranked ?pool ?run ?on_round ?leaves inst config ~cost
     ~merger] reduces the sink set to one subtree, pricing candidate

@@ -17,15 +17,10 @@ let variants =
     ("full split slack", { d with split_slack = 1.; width_cap = 1. });
   ]
 
-let run ?spec ?(n_groups = 8) ?(bound = 10.) () =
-  let spec =
-    match spec with
-    | Some s -> s
-    | None -> Option.get (Workload.Circuits.find "r3")
-  in
+let run spec =
   let inst =
-    Workload.Circuits.instance spec ~n_groups
-      ~scheme:Workload.Partition.Intermingled ~bound ()
+    Workload.Circuits.instance spec ~n_groups:8
+      ~scheme:Workload.Partition.Intermingled ~bound:10. ()
   in
   let results =
     List.map

@@ -11,13 +11,8 @@ type row = {
   reduction_vs_default_pct : float;
 }
 
-(** Run all engine variants on one circuit (default r3, 8 intermingled
-    groups, 10 ps bound). *)
-val run :
-  ?spec:Workload.Circuits.spec ->
-  ?n_groups:int ->
-  ?bound:float ->
-  unit ->
-  row list
+(** Run all engine variants on one circuit (the paper's is r3), with 8
+    intermingled groups at a 10 ps bound. *)
+val run : Workload.Circuits.spec -> row list
 
 val print : row list -> unit

@@ -13,13 +13,13 @@ type fig1 = {
   bst_skew : float;
 }
 
-val fig1 : unit -> fig1
+val fig1 : unit -> fig1 [@@reference]
 
 (** Fig. 2: routing each group separately and stitching vs associative
     merging, on interleaved groups. *)
 type fig2 = { stitched_wirelength : float; associative_wirelength : float }
 
-val fig2 : unit -> fig2
+val fig2 : unit -> fig2 [@@reference]
 
 (** Fig. 3: merging two subtrees from different groups — the merging
     region is the shortest-distance region between their merging
@@ -41,7 +41,7 @@ type fig4 = {
   shared_group_width : float;  (** <= bound after the merge *)
 }
 
-val fig4 : unit -> fig4
+val fig4 : unit -> fig4 [@@reference]
 
 (** Fig. 5: Instance 2 — the closed-form solution of Eqs. (5.1)–(5.3):
     split of the c–f wire and the snaking length on the e wire, with the
@@ -54,7 +54,7 @@ type fig5 = {
   residual_52 : float;
 }
 
-val fig5 : unit -> fig5
+val fig5 : unit -> fig5 [@@reference]
 
 (** Print all figure reconstructions. *)
 val print_all : unit -> unit

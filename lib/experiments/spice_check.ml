@@ -23,15 +23,10 @@ let group_skews (inst : Instance.t) delays =
 
 let mean arr = Array.fold_left ( +. ) 0. arr /. float_of_int (Array.length arr)
 
-let run ?spec ?(n_groups = 8) ?(bound = 10.) () =
-  let spec =
-    match spec with
-    | Some s -> s
-    | None -> Option.get (Workload.Circuits.find "r1")
-  in
+let run spec =
   let inst =
-    Workload.Circuits.instance spec ~n_groups
-      ~scheme:Workload.Partition.Intermingled ~bound ()
+    Workload.Circuits.instance spec ~n_groups:8
+      ~scheme:Workload.Partition.Intermingled ~bound:10. ()
   in
   let ast = Astskew.Router.(route (Spec.default Ast_dme) inst) in
   let rct, sink_index =

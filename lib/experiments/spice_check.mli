@@ -16,13 +16,8 @@ type result = {
   skew_gap : float;  (** |transient - elmore| max group skew, ps *)
 }
 
-(** Route the given circuit with AST-DME and compare delay models.
-    Defaults: r1, 8 intermingled groups, 10 ps bound. *)
-val run :
-  ?spec:Workload.Circuits.spec ->
-  ?n_groups:int ->
-  ?bound:float ->
-  unit ->
-  result
+(** Route the given circuit (the paper's is r1) with AST-DME, 8
+    intermingled groups at a 10 ps bound, and compare delay models. *)
+val run : Workload.Circuits.spec -> result
 
 val print : result -> unit

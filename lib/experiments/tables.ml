@@ -9,10 +9,9 @@ type row = {
   cpu_s : float;
 }
 
-let default_groups = [ 4; 6; 8; 10 ]
+let groups = [ 4; 6; 8; 10 ]
 
-let run ?(circuits = Workload.Circuits.specs) ?(groups = default_groups)
-    ?(bound = 10.) ~scheme () =
+let run ?(circuits = Workload.Circuits.specs) ?(bound = 10.) ~scheme () =
   List.concat_map
     (fun (spec : Workload.Circuits.spec) ->
       let route n_groups algorithm =

@@ -15,10 +15,9 @@ type row = {
 
 (** [run ~scheme ()] produces the rows of one table: per circuit, the
     EXT-BST baseline (1 group at the instance bound) followed by AST-DME
-    at each group count.  Restrict [circuits]/[groups] for quick runs. *)
+    at 4, 6, 8 and 10 groups.  Restrict [circuits] for quick runs. *)
 val run :
   ?circuits:Workload.Circuits.spec list ->
-  ?groups:int list ->
   ?bound:float ->
   scheme:Workload.Partition.scheme ->
   unit ->

@@ -6,8 +6,5 @@ let is_empty i = i.lo > i.hi +. Eps.tol
 let width i = Float.max 0. (i.hi -. i.lo)
 let mid i = (i.lo +. i.hi) /. 2.
 let inter a b = { lo = Float.max a.lo b.lo; hi = Float.min a.hi b.hi }
-let hull a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
-
-let shift c i = { lo = i.lo +. c; hi = i.hi +. c }
 let clamp i v = Eps.clamp i.lo i.hi v
 let pp ppf i = Format.fprintf ppf "[%g, %g]" i.lo i.hi

@@ -12,10 +12,5 @@ val is_empty : t -> bool
 val width : t -> float
 val mid : t -> float
 val inter : t -> t -> t
-val hull : t -> t -> t
-
-(** Shift by a constant. *)
-val shift : float -> t -> t
-
 val clamp : t -> float -> float
 val pp : Format.formatter -> t -> unit

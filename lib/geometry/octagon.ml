@@ -210,34 +210,6 @@ let of_point (p : Pt.t) : t =
   let s = Pt.s p and d = Pt.d p in
   [| p.x; p.x; p.y; p.y; s; s; d; d |]
 
-let box (p : Pt.t) (q : Pt.t) =
-  of_bounds
-    ~xl:(Eps.fmin p.x q.x)
-    ~xh:(Eps.fmax p.x q.x)
-    ~yl:(Eps.fmin p.y q.y)
-    ~yh:(Eps.fmax p.y q.y)
-    ~sl:Float.neg_infinity ~sh:Float.infinity ~dl:Float.neg_infinity
-    ~dh:Float.infinity
-
-let of_segment (p : Pt.t) (q : Pt.t) =
-  let dx = Float.abs (p.x -. q.x) and dy = Float.abs (p.y -. q.y) in
-  let octilinear =
-    dx <= Eps.tol || dy <= Eps.tol
-    || Float.abs (dx -. dy) <= Eps.tol +. (1e-12 *. (dx +. dy))
-  in
-  if not octilinear then
-    invalid_arg
-      (Format.asprintf "Octagon.of_segment: %a-%a is not octilinear" Pt.pp p
-         Pt.pp q);
-  let sp = Pt.s p and sq = Pt.s q and dp = Pt.d p and dq = Pt.d q in
-  of_bounds
-    ~xl:(Eps.fmin p.x q.x)
-    ~xh:(Eps.fmax p.x q.x)
-    ~yl:(Eps.fmin p.y q.y)
-    ~yh:(Eps.fmax p.y q.y)
-    ~sl:(Eps.fmin sp sq) ~sh:(Eps.fmax sp sq) ~dl:(Eps.fmin dp dq)
-    ~dh:(Eps.fmax dp dq)
-
 let ball (p : Pt.t) r : t =
   let r = Eps.fmax 0. r in
   let s = Pt.s p and d = Pt.d p in
@@ -277,21 +249,12 @@ let hull a b : t =
        Eps.fmin (sl a 0) (sl b 0); Eps.fmax (sh a 0) (sh b 0);
        Eps.fmin (dl a 0) (dl b 0); Eps.fmax (dh a 0) (dh b 0) |]
 
-let hull_list os = List.fold_left hull empty os
-
 let inflate r o : t =
   let r = Eps.fmax 0. r in
   if is_empty o then empty
   else
     [| xl o 0 -. r; xh o 0 +. r; yl o 0 -. r; yh o 0 +. r;
        sl o 0 -. r; sh o 0 +. r; dl o 0 -. r; dh o 0 +. r |]
-
-let translate (v : Pt.t) o : t =
-  if is_empty o then empty
-  else
-    let s = Pt.s v and d = Pt.d v in
-    [| xl o 0 +. v.x; xh o 0 +. v.x; yl o 0 +. v.y; yh o 0 +. v.y;
-       sl o 0 +. s; sh o 0 +. s; dl o 0 +. d; dh o 0 +. d |]
 
 (* L1 distance between canonical octagons: the largest support gap over the
    8 constraint directions.  Each violated half-plane costs exactly its gap
@@ -312,21 +275,17 @@ let[@inline] dist a b =
   if is_empty a || is_empty b then invalid_arg "Octagon.dist: empty octagon";
   dist_at a 0 b 0
 
-let dist_pt o p = dist o (of_point p)
-
 (* The bounds of the slice at [x]: the y range the y, s and d bounds
    leave there. *)
 let[@inline] slice_lo yl sl dh x = Eps.fmax yl (Eps.fmax (sl -. x) (x -. dh))
 let[@inline] slice_hi yh sh dl x = Eps.fmin yh (Eps.fmin (sh -. x) (x -. dl))
 
-let pick_point o =
-  if is_empty o then invalid_arg "Octagon.pick_point: empty octagon";
+let center o =
+  if is_empty o then invalid_arg "Octagon.center: empty octagon";
   let x = (xl o 0 +. xh o 0) /. 2. in
   let ylo = slice_lo (yl o 0) (sl o 0) (dh o 0) x in
   let yhi = slice_hi (yh o 0) (sh o 0) (dl o 0) x in
   Pt.make x ((ylo +. yhi) /. 2.)
-
-let center = pick_point
 
 (* |dx| + |dy| = max (|ds|, |dd|) for s = x + y and d = x - y, so the
    farthest point lies at the larger reach of the s and d extents. *)
@@ -343,7 +302,7 @@ let radius o (c : Pt.t) =
    the max-violation distance: every violated constraint has unit dual
    norm, and the x/y clamps discharge the x/y violations while the
    slice bounds discharge the s/d ones.  Exactness is property-tested
-   against dist_pt. *)
+   against [dist] to the point's octagon. *)
 let[@inline] nearest xl xh yl yh sl sh dl dh (p : Pt.t) xy =
   let kept = inside xl xh yl yh sl sh dl dh p.x p.y in
   if kept then begin
@@ -381,7 +340,7 @@ let closest_pair a b =
      returned pair distance. *)
   let qa = inter a (inflate (r +. (50. *. Eps.tol)) b) in
   let qa = if is_empty qa then a else qa in
-  let pa = pick_point qa in
+  let pa = center qa in
   let pb = nearest_point b pa in
   (pa, pb)
 
@@ -534,9 +493,6 @@ let sdr_within a b ~ra ~rb =
       end
     end
 
-let is_point o =
-  (not (is_empty o)) && xh o 0 -. xl o 0 <= Eps.tol && yh o 0 -. yl o 0 <= Eps.tol
-
 let x_range o =
   if is_empty o then invalid_arg "Octagon.x_range: empty octagon";
   Interval.make (xl o 0) (xh o 0)
@@ -581,27 +537,6 @@ let vertices o =
      | vs -> vs)
   end
 
-let area o =
-  match vertices o with
-  | [] | [ _ ] | [ _; _ ] -> 0.
-  | vs ->
-    let arr = Array.of_list vs in
-    let n = Array.length arr in
-    let acc = ref 0. in
-    for i = 0 to n - 1 do
-      let p = arr.(i) and q = arr.((i + 1) mod n) in
-      acc := !acc +. ((p.Pt.x *. q.Pt.y) -. (q.Pt.x *. p.Pt.y))
-    done;
-    Float.abs !acc /. 2.
-
-let equal (a : t) (b : t) =
-  Array.length a = Array.length b
-  && (is_empty a
-     || Eps.equal (xl a 0) (xl b 0) && Eps.equal (xh a 0) (xh b 0)
-        && Eps.equal (yl a 0) (yl b 0) && Eps.equal (yh a 0) (yh b 0)
-        && Eps.equal (sl a 0) (sl b 0) && Eps.equal (sh a 0) (sh b 0)
-        && Eps.equal (dl a 0) (dl b 0) && Eps.equal (dh a 0) (dh b 0))
-
 let pp ppf o =
   if is_empty o then Format.fprintf ppf "<empty>"
   else
@@ -616,8 +551,6 @@ module Slab = struct
   let create slots =
     let slots = Int.max 1 slots in
     { data = Array.make (8 * slots) Float.nan; slots }
-
-  let slots t = t.slots
 
   let ensure t slot =
     if slot >= t.slots then begin
@@ -639,6 +572,5 @@ module Slab = struct
     load t.data (8 * slot)
 
   let dist t i j = dist_at t.data (8 * i) t.data (8 * j)
-  let diameter t i = diameter_at t.data (8 * i)
   let nearest t slot p xy = nearest_at t.data (8 * slot) p xy
 end

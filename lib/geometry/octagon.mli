@@ -38,7 +38,9 @@ val bounds : t -> bounds option
 
 (** Build from raw (possibly loose or inconsistent) bounds; the result is
     canonicalized and may be empty.  Use [Float.infinity] /
-    [Float.neg_infinity] for absent upper / lower bounds. *)
+    [Float.neg_infinity] for absent upper / lower bounds.  The closure's
+    entry for the oracle that compares it with a looped closure; routes
+    build octagons from points, hulls and intersections. *)
 val of_bounds :
   xl:float ->
   xh:float ->
@@ -49,16 +51,9 @@ val of_bounds :
   dl:float ->
   dh:float ->
   t
+[@@reference]
 
 val of_point : Pt.t -> t
-
-(** Axis-aligned bounding box of two points. *)
-val box : Pt.t -> Pt.t -> t
-
-(** Octilinear segment between two points.  The segment must be horizontal,
-    vertical or of slope ±1 (a Manhattan arc); otherwise
-    [Invalid_argument] is raised. *)
-val of_segment : Pt.t -> Pt.t -> t
 
 (** L1 ball (diamond) of radius [r] centred at a point; [r >= 0]. *)
 val ball : Pt.t -> float -> t
@@ -69,20 +64,13 @@ val inter : t -> t -> t
 (** Convex hull of the union. *)
 val hull : t -> t -> t
 
-val hull_list : t list -> t
-
 (** Minkowski sum with the L1 ball of radius [r] — the tilted rectangular
     region (TRR) of DME when applied to a Manhattan arc.  [r >= 0]. *)
 val inflate : float -> t -> t
 
-val translate : Pt.t -> t -> t
-
 (** Minimum L1 distance between two non-empty octagons (0 when they
     intersect).  Raises [Invalid_argument] on empty input. *)
 val dist : t -> t -> float
-
-(** Minimum L1 distance from a point. *)
-val dist_pt : t -> Pt.t -> float
 
 (** A point of the region nearest (in L1) to the given point.  On the
     empty octagon raises [Invalid_argument]. *)
@@ -98,16 +86,14 @@ val nearest_into : t -> Pt.t -> floatarray -> bool
     building the octagon. *)
 val point_nearest : Pt.t -> Pt.t -> floatarray -> bool
 
-(** A representative interior point (midpoint-based). *)
-val pick_point : t -> Pt.t
-
 (** [closest_pair a b] is a pair [(pa, pb)] with [pa] in [a], [pb] in [b]
     and [Pt.dist pa pb = dist a b]. *)
 val closest_pair : t -> t -> Pt.t * Pt.t
 
 (** Shortest-distance region between two octagons: the set of points lying
     on some L1-shortest path between them, i.e.
-    [{ p : dist_pt a p + dist_pt b p = dist a b }].  Computed as the hull
+    [{ p : dist a (of_point p) + dist b (of_point p) = dist a b }].
+    Computed as the hull
     of 17 exact slices [(a ⊕ t) ∩ (b ⊕ (D-t))] — the 8 critical [t] at
     which a support of the slice peaks, and 9 uniform ones from 0 to
     [D] — an inner approximation that is exact for generic inputs.  A
@@ -126,9 +112,6 @@ val within : ra:float -> t -> rb:float -> t -> t
     apart it allocates only its result. *)
 val sdr_within : t -> t -> ra:float -> rb:float -> t
 
-(** Is the region a single point (within tolerance)? *)
-val is_point : t -> bool
-
 val x_range : t -> Interval.t
 val y_range : t -> Interval.t
 
@@ -144,12 +127,10 @@ val center : t -> Pt.t
     [Invalid_argument] on the empty octagon. *)
 val radius : t -> Pt.t -> float
 
-(** Boundary vertices in counter-clockwise order (at most 8); for display
-    and area computations.  Empty list on the empty octagon. *)
+(** Boundary vertices in counter-clockwise order (at most 8), for
+    display.  Empty list on the empty octagon. *)
 val vertices : t -> Pt.t list
 
-val area : t -> float
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 (** The slab form, re-exported and documented as {!Octslab}: kept here so
@@ -159,11 +140,8 @@ module Slab : sig
   type t
 
   val create : int -> t
-  val slots : t -> int
-  val ensure : t -> int -> unit
   val set : t -> int -> octagon -> unit
   val get : t -> int -> octagon
   val dist : t -> int -> int -> float
-  val diameter : t -> int -> float
   val nearest : t -> int -> Pt.t -> floatarray -> bool
 end

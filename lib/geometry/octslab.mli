@@ -3,7 +3,7 @@
     A slab holds 8 float bounds per slot (the {!Octagon.bounds} fields,
     in declaration order) in one flat float array, slot [i] at offset
     [8 i]: the layout of an {!Octagon.t}, many to an array.  It backs the
-    DME merge-ranking arena: the hot kernels ({!dist}, {!diameter},
+    DME merge-ranking arena: the hot kernels ({!dist} and
     {!nearest}) read the bounds unboxed, allocate nothing but a returned
     float, and are the same kernels as their {!Octagon} counterparts —
     the slab is a storage change, never a semantic one.
@@ -16,13 +16,6 @@ type t
 (** [create slots] allocates a slab with capacity for [slots] octagons
     (at least 1).  Slots hold NaN bounds until {!set}. *)
 val create : int -> t
-
-(** Current slot capacity. *)
-val slots : t -> int
-
-(** Grow (amortized doubling) so [slot] is addressable.  Existing slots
-    are preserved. *)
-val ensure : t -> int -> unit
 
 (** [set t slot o] stores the bounds of non-empty [o] at [slot], growing
     the slab as needed.  Raises [Invalid_argument] on the empty
@@ -37,10 +30,6 @@ val get : t -> int -> Octagon.t
 (** [dist t i j] is [Octagon.dist (get t i) (get t j)]: the same
     kernel, without building the octagons. *)
 val dist : t -> int -> int -> float
-
-(** [diameter t i] is [Octagon.diameter (get t i)]: the same kernel,
-    without building the octagon. *)
-val diameter : t -> int -> float
 
 (** [nearest t slot p xy] is [Octagon.nearest_into (get t slot) p xy]:
     the same kernel, without building the octagon. *)

@@ -1,25 +1,14 @@
 (** Deterministic median bipartition of point sets, the geometric kernel
     of the top-down clustering partitioner (see [Dme.Cluster]).
 
-    All functions take the points by an [point_of : int -> Pt.t] lookup
+    It takes the points by a [point_of : int -> Pt.t] lookup
     over an id array rather than materialized point arrays, so callers
     can split index sets over a shared sink table without copying. *)
 
-type axis = X | Y
-
-(** Coordinate of a point along one axis. *)
-val coord : axis -> Pt.t -> float
-
-(** The axis of the larger bounding-box extent; ties go to [X], so a
-    square (or empty) extent splits vertically. *)
-val longer_axis : lo:Pt.t -> hi:Pt.t -> axis
-
-(** Bounding box of a set of points, as [(lo, hi)] corner points.
-    [(+inf, +inf), (-inf, -inf)] for an empty set. *)
-val extent : (int -> Pt.t) -> int array -> Pt.t * Pt.t
-
-(** [median ~sorted ~axis point_of ids] splits [ids] into two halves at
-    the median along [axis]: the lower half gets [ceil (n / 2)] ids, so
+(** [bipartition ~sorted point_of ids] splits [ids] into two halves at
+    the median along the longer axis of their bounding box (ties go to
+    x, so a square extent splits vertically) — one step of the top-down
+    MMM-style partition.  The lower half gets [ceil (n / 2)] ids, so
     both halves are non-empty whenever [n >= 2] (raises
     [Invalid_argument] for [n < 2]).  The split is a pure function of
     the id {e set}: entries order by [(coordinate, id)] ([Float.compare],
@@ -30,15 +19,5 @@ val extent : (int -> Pt.t) -> int array -> Pt.t * Pt.t
     others come in an unspecified order.  Each coordinate is read
     once into a float key array; comparisons read keys inline, with no
     [point_of] or C call per comparison. *)
-val median :
-  sorted:bool * bool ->
-  axis:axis ->
-  (int -> Pt.t) ->
-  int array ->
-  int array * int array
-
-(** [bipartition ~sorted point_of ids] is {!median} along the
-    {!longer_axis} of the set's {!extent} — one step of the top-down
-    MMM-style partition. *)
 val bipartition :
   sorted:bool * bool -> (int -> Pt.t) -> int array -> int array * int array

@@ -37,8 +37,6 @@ let create name =
     fl;
   }
 
-let name t = t.name
-
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
@@ -88,11 +86,6 @@ let observe t v =
     end;
     Mutex.unlock t.lock
   end
-
-let count t = locked t (fun () -> t.count)
-let sum t = locked t (fun () -> Float.Array.get t.fl 0)
-let underflow t = locked t (fun () -> t.underflow)
-let overflow t = locked t (fun () -> t.overflow)
 
 let bound i = Float.pow 10. (float_of_int i /. float_of_int per_decade)
 

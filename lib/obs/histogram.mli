@@ -24,23 +24,8 @@ type t
 (** [create name] makes an empty histogram. *)
 val create : string -> t
 
-val name : t -> string
-
 (** Record one observation (see the bucketing rules above). *)
 val observe : t -> float -> unit
-
-(** Observations recorded, NaNs excluded. *)
-val count : t -> int
-
-(** Sum of all counted observations. *)
-val sum : t -> float
-
-val underflow : t -> int
-val overflow : t -> int
-
-(** Touched buckets as [(lo, hi, count)], ascending by bound; [lo] is
-    inclusive, [hi] exclusive. *)
-val buckets : t -> (float * float * int) list
 
 (** [quantile t q] estimates the [q]-quantile ([q] clamped to [0, 1])
     from the bucket tallies: the upper bound of the first bucket whose

@@ -17,7 +17,7 @@ type ctx = {
   mutable phase_t0 : float;
   mutable totals : int array;  (** regions announced, per cluster depth *)
   mutable dones : int array;  (** regions completed, per cluster depth *)
-  mutable heap_watermark : int;  (** top_heap_words high-water, in words *)
+  mutable heap_watermark : int;  (** largest sampled top_heap_words, in words *)
 }
 
 type t = ctx option
@@ -38,8 +38,6 @@ let create ?(out = stderr) () : t =
       dones = [||];
       heap_watermark = 0;
     }
-
-let enabled = Option.is_some
 
 let locked c f =
   Mutex.lock c.lock;

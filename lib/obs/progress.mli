@@ -5,7 +5,9 @@
     announce region totals ({!add_regions}) and completions
     ({!region_done}) per hierarchy depth, and the reporter prints a
     throttled heartbeat line carrying the phase, cumulative wall clock,
-    a live heap watermark (from [Gc.quick_stat]'s [top_heap_words]),
+    the largest [Gc.quick_stat] [top_heap_words] among its samples
+    (under OCaml 5 each sample is the domains' heap statistics at that
+    moment, not a high-water mark; see {!Gcstat.top_heap_words}),
     per-depth region completion counts, and an ETA extrapolated from
     the completed-region ratio of the busiest level.
 
@@ -27,8 +29,6 @@ val null : t
     [stderr]) at most once a second (phase changes and {!finish} always
     print). *)
 val create : ?out:out_channel -> unit -> t
-
-val enabled : t -> bool
 
 (** Enter a named phase: resets the region counters and prints
     immediately. *)

@@ -29,7 +29,7 @@ type phase = {
   mutable labels : (string * label_stats) list;  (** insertion order *)
 }
 
-(* Pool sizes are capped at 64 (Par.Pool.max_jobs), so a fixed 65-cell
+(* Pool sizes are capped at 64 (Par.Pool.create's cap), so a fixed 65-cell
    occupancy table covers every level; cell [k] counts chunk starts
    observed while [k] domains (including the starter) were inside an
    instrumented chunk anywhere in the process. *)
@@ -54,8 +54,6 @@ let create () : t =
       gauge = Atomic.make 0;
       occ = Array.init occ_levels (fun _ -> Atomic.make 0);
     }
-
-let enabled = Option.is_some
 
 let locked c f =
   Mutex.lock c.lock;

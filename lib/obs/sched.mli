@@ -13,7 +13,7 @@
     domains from the measured serial fraction.
 
     Discipline is identical to {!Trace}: {!null} is free, every entry
-    point checks {!enabled} first, and a disabled recorder adds no
+    point checks that it is enabled first, and a disabled recorder adds no
     locking, no allocation and no clock reads to the hot path.  The
     recorder observes scheduling only — it never influences chunk
     assignment — so routed trees are bit-identical with the recorder on
@@ -26,7 +26,6 @@ type t
 val null : t
 
 val create : unit -> t
-val enabled : t -> bool
 
 (** {1 Recording — called by [Par.Pool]} *)
 

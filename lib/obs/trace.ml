@@ -64,7 +64,7 @@ let instant t ?(cat = "") ?(args = []) name =
 
 (* The clock is read even when disabled: [timed] is also how a caller
    gets one phase wall that the span, if any, reports too. *)
-let timed t ?(cat = "") ?(args = []) name f =
+let timed_span t ?(cat = "") ?(args = []) name f =
   (* Sequence and timestamp are taken before [f]: a parent span orders
      before everything emitted inside it. *)
   let seq = if t.enabled then Atomic.fetch_and_add t.seq 1 else 0 in
@@ -91,8 +91,10 @@ let timed t ?(cat = "") ?(args = []) name f =
     ignore (finish ());
     Printexc.raise_with_backtrace e bt
 
+let timed t ?cat name f = timed_span t ?cat name f
+
 let span t ?cat ?args name f =
-  if not t.enabled then f () else fst (timed t ?cat ?args name f)
+  if not t.enabled then f () else fst (timed_span t ?cat ?args name f)
 
 let merge_manifest t fields =
   if t.enabled then

@@ -65,35 +65,28 @@ val span :
 (** [timed t name f] is {!span} returning also the elapsed wall seconds,
     which it measures even on a disabled context.  The returned wall and
     the emitted span's duration are one measurement. *)
-val timed :
-  t -> ?cat:string -> ?args:(string * Json.t) list -> string -> (unit -> 'a) ->
-  'a * float
+val timed : t -> ?cat:string -> string -> (unit -> 'a) -> 'a * float
 
 (** Merge fields into the run manifest, replacing earlier values of the
     same key (first-set key order is kept). *)
 val merge_manifest : t -> (string * Json.t) list -> unit
-
-(** The manifest as one JSON object. *)
-val manifest : t -> Json.t
 
 (** Append one record to the JSONL journal (main-domain callers only:
     record order is append order). *)
 val journal : t -> Json.t -> unit
 
 (** The histogram registered under [name] in this context, created on
-    first use (creation-order is kept for {!histograms}).  On a disabled
+    first use (exports list histograms in creation order).  On a disabled
     context this returns a shared throwaway histogram, but hot paths
     should not rely on that — guard with {!enabled}. *)
 val histogram : t -> string -> Histogram.t
 
-(** All buffered events merged across domains, ascending by [seq]. *)
-val events : t -> event list
+(** All buffered events merged across domains, ascending by [seq]: what
+    {!to_chrome} exports, read typed by the trace oracles. *)
+val events : t -> event list [@@reference]
 
 (** Journal records in append order. *)
 val journal_records : t -> Json.t list
-
-(** Histograms in creation order. *)
-val histograms : t -> Histogram.t list
 
 (** Chrome trace-event JSON: an object with a ["traceEvents"] list
     (spans as ["ph" = "X"] complete events, instants as ["ph" = "i"],

@@ -23,10 +23,12 @@
 type t
 
 (** [create ~jobs ()] spawns [jobs - 1] worker domains.  [jobs] is
-    clamped to [1 .. max_jobs ()]: the OCaml runtime hard-aborts the
-    process once ~128 domains exist, so an oversized request (say
-    [--jobs 100000]) is clamped with a one-time warning on stderr rather
-    than crashing.  Creating a pool is not free: a spawn plus join of
+    clamped to [1 .. min (8 * Domain.recommended_domain_count ()) 64]:
+    comfortably below the runtime's domain limit while still allowing
+    oversubscription for latency-hiding experiments.  The OCaml runtime
+    hard-aborts the process once ~128 domains exist, so an oversized
+    request (say [--jobs 100000]) is clamped with a one-time warning on
+    stderr rather than crashing.  Creating a pool is not free: a spawn plus join of
     one worker domain costs 100–330 µs, a third or more of a whole
     ~20-sink route (370–540 µs serially), and each [map_chunked] batch
     adds a hand-off.  Pools are therefore opened only where the work
@@ -34,12 +36,6 @@ type t
     instance size — and reused across many [map_chunked]
     calls; call {!shutdown} when done to join the workers. *)
 val create : ?jobs:int -> unit -> t
-
-(** Largest pool size {!create} will grant:
-    [min (8 * Domain.recommended_domain_count ()) 64], comfortably below
-    the runtime's domain limit while still allowing oversubscription for
-    latency-hiding experiments. *)
-val max_jobs : unit -> int
 
 (** Number of domains (including the caller) a batch runs on. *)
 val jobs : t -> int
@@ -94,10 +90,6 @@ val with_pool : jobs:int -> (t option -> 'a) -> 'a
 
 (** [default_jobs ()] is the process-wide default parallelism: the value
     of the [ASTSKEW_JOBS] environment variable when it parses as a
-    positive integer, else 1 (fully serial).  Never exceeds
-    {!max_jobs}. *)
+    positive integer, else 1 (fully serial).  Never exceeds the cap of
+    {!create}. *)
 val default_jobs : unit -> int
-
-(** Parse a jobs value the way [default_jobs] does: positive integers
-    only. *)
-val jobs_of_string : string -> int option

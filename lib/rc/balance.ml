@@ -13,6 +13,7 @@ type plan = {
   feasible : bool;
 }
 
+(* Interval of [x = wa - wb] satisfying one constraint (may be empty). *)
 let cons_x_interval c =
   Interval.make (c.b.hi -. c.a.lo -. c.bound) (c.bound +. c.b.lo -. c.a.hi)
 

@@ -26,10 +26,6 @@ type plan = {
           and the plan only minimizes the worst violation *)
 }
 
-(** Interval of [x = wa - wb] satisfying one constraint:
-    [[b.hi - a.lo - bound, bound + b.lo - a.hi]] (may be empty). *)
-val cons_x_interval : cons -> Geometry.Interval.t
-
 (** [plan params ~dist ~cap_a ~cap_b ~cons ~pref] plans a merge.
     [cap_a]/[cap_b] are the total downstream capacitances (fF) of the two
     subtrees, [cons] the constraints of all shared groups, and [pref] the

@@ -35,6 +35,7 @@ let res t i = t.res.(i)
 let parent t i = t.parent.(i)
 let children t i = t.children.(i)
 
+(* Total capacitance hanging below each node, including its own. *)
 let downstream_cap t =
   let n = size t in
   let down = Array.copy t.cap in

@@ -26,9 +26,6 @@ val children : t -> int -> int array
     children — are enforced by {!build} and cannot be violated here.) *)
 val audit : t -> string list
 
-(** Total capacitance hanging below each node, including its own. *)
-val downstream_cap : t -> float array
-
 (** Exact Elmore delay (ps) from the step source to every node, driver
     resistance included. *)
 val elmore : t -> float array

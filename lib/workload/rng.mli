@@ -7,9 +7,6 @@ type t
 
 val create : int64 -> t
 
-(** Uniform in [0, 1). *)
-val float : t -> float
-
 (** Uniform in [lo, hi). *)
 val float_range : t -> float -> float -> float
 

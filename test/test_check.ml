@@ -390,6 +390,25 @@ let test_injected_violation_caught_and_shrunk () =
 
 (* --- auditor unit checks --------------------------------------------------- *)
 
+(* The bound check accepts a group skew within the shared slack of its
+   bound and rejects one past it. *)
+let test_audit_bound_slack () =
+  let pt = Geometry.Pt.make in
+  let inst =
+    Instance.make ~source:(pt 0. 0.) ~n_groups:1 ~bound:5.
+      [| Sink.make ~id:0 ~loc:(pt 0. 0.) ~cap:20. ~group:0 |]
+  in
+  let rep =
+    Evaluate.report_of_arena inst
+      (Arena.of_routed inst.params ~rd:inst.rd
+         (Tree.route (pt 0. 0.) (Tree.Leaf inst.sinks.(0))))
+  in
+  let at skew = Check.Audit.bound Grouped inst { rep with group_skew = [| skew |] } in
+  Alcotest.(check int) "bound + slack / 2 accepted" 0
+    (List.length (at (5. +. (0.5 *. Evaluate.default_slack))));
+  Alcotest.(check int) "bound + 2 slack rejected" 1
+    (List.length (at (5. +. (2. *. Evaluate.default_slack))))
+
 let test_audit_flags_broken_trees () =
   let pt = Geometry.Pt.make in
   let sink id x y group =
@@ -866,7 +885,8 @@ let () =
         ] );
       ( "audit",
         [ Alcotest.test_case "flags broken trees" `Quick
-            test_audit_flags_broken_trees ] );
+            test_audit_flags_broken_trees;
+          Alcotest.test_case "bound slack" `Quick test_audit_bound_slack ] );
       ( "shrink",
         [
           Alcotest.test_case "minimises to the core" `Quick

@@ -62,12 +62,33 @@ let test_split_ties () =
   Alcotest.(check (list int)) "lower ids" [ 0; 1; 2 ] (Array.to_list lo);
   Alcotest.(check (list int)) "upper ids" [ 3; 4; 5 ] (Array.to_list hi)
 
-(* The median against a reference that sorts by the (coordinate, id)
-   comparator itself — Float.compare, then Int.compare — on point sets
-   whose coordinates are stacked on a coarse lattice (many exact
-   duplicates, both signed zeros, NaN) mixed with arbitrary floats, and whose
-   ids arrive as a shuffled sparse set.  A half left unsorted must hold
-   the same ids as the reference half. *)
+(* The reference bipartition: the ids sorted by the (coordinate, id)
+   comparator itself — Float.compare, then Int.compare — along the
+   longer axis of their bounding box (x on a tie), cut at ceil (n / 2). *)
+let reference_halves point_of ids =
+  let x0 = ref Float.infinity and y0 = ref Float.infinity in
+  let x1 = ref Float.neg_infinity and y1 = ref Float.neg_infinity in
+  Array.iter
+    (fun id ->
+      let (p : Pt.t) = point_of id in
+      x0 := Float.min !x0 p.x;
+      y0 := Float.min !y0 p.y;
+      x1 := Float.max !x1 p.x;
+      y1 := Float.max !y1 p.y)
+    ids;
+  let key id = if !y1 -. !y0 > !x1 -. !x0 then (point_of id).Pt.y else (point_of id).Pt.x in
+  let order a b = match Float.compare (key a) (key b) with 0 -> Int.compare a b | c -> c in
+  let sorted = Array.copy ids in
+  Array.sort order sorted;
+  let n = Array.length ids in
+  let half = (n + 1) / 2 in
+  (order, Array.sub sorted 0 half, Array.sub sorted half (n - half))
+
+(* The median split against {!reference_halves} on point sets whose
+   coordinates are stacked on a coarse lattice (many exact duplicates,
+   both signed zeros, NaN) mixed with arbitrary floats, and whose ids
+   arrive as a shuffled sparse set.  A half left unsorted must hold the
+   same ids as the reference half. *)
 let median_prop =
   let open QCheck.Gen in
   let coord =
@@ -82,25 +103,17 @@ let median_prop =
     let* n = 2 -- 300 in
     let* pts = array_repeat n (pair coord coord) in
     let* ids = map Array.of_list (shuffle_l (List.init n (fun i -> 3 * i))) in
-    let* axis = oneofl Geometry.Split.[ X; Y ] in
     let* sorted = pair bool bool in
-    return (pts, ids, axis, sorted)
+    return (pts, ids, sorted)
   in
   QCheck.Test.make ~name:"median = (coordinate, id) reference sort" ~count:300
     (QCheck.make
-       ~print:(fun (pts, _, _, (l, h)) ->
+       ~print:(fun (pts, _, (l, h)) ->
          Printf.sprintf "n=%d sorted=(%b, %b)" (Array.length pts) l h)
        gen)
-    (fun (pts, ids, axis, sorted) ->
+    (fun (pts, ids, sorted) ->
       let point_of id = pt (fst pts.(id / 3)) (snd pts.(id / 3)) in
-      let key id = Geometry.Split.coord axis (point_of id) in
-      let order a b =
-        match Float.compare (key a) (key b) with 0 -> Int.compare a b | c -> c
-      in
-      let reference = Array.copy ids in
-      Array.sort order reference;
-      let n = Array.length ids in
-      let half = (n + 1) / 2 in
+      let order, ref_lo, ref_hi = reference_halves point_of ids in
       let settle keep h =
         if keep then h
         else begin
@@ -109,9 +122,8 @@ let median_prop =
           h
         end
       in
-      let lo, hi = Geometry.Split.median ~sorted ~axis point_of ids in
-      (settle (fst sorted) lo, settle (snd sorted) hi)
-      = (Array.sub reference 0 half, Array.sub reference half (n - half)))
+      let lo, hi = Geometry.Split.bipartition ~sorted point_of ids in
+      (settle (fst sorted) lo, settle (snd sorted) hi) = (ref_lo, ref_hi))
 
 (* [Cluster.split_ids], which sorts only the halves it emits and
    selects the rest, against the walk that sorts every half with the
@@ -141,25 +153,11 @@ let split_ids_prop =
        gen)
     (fun (pts, ids, budget, fanout) ->
       let point_of id = pt (fst pts.(id / 3)) (snd pts.(id / 3)) in
-      let reference ids =
-        let lo, hi = Geometry.Split.extent point_of ids in
-        let axis = Geometry.Split.longer_axis ~lo ~hi in
-        let key id = Geometry.Split.coord axis (point_of id) in
-        let sorted = Array.copy ids in
-        Array.sort
-          (fun a b ->
-            match Float.compare (key a) (key b) with
-            | 0 -> Int.compare a b
-            | c -> c)
-          sorted;
-        let half = (Array.length ids + 1) / 2 in
-        (Array.sub sorted 0 half, Array.sub sorted half (Array.length ids - half))
-      in
       let out = ref [] in
       let rec split ids k f =
         if f <= 1 then out := (ids, k) :: !out
         else begin
-          let lo, hi = reference ids in
+          let _, lo, hi = reference_halves point_of ids in
           let kl = (k + 1) / 2 and fl = (f + 1) / 2 in
           split lo kl fl;
           split hi (k - kl) (f - fl)
@@ -237,12 +235,14 @@ let test_auto_clusters () =
   Alcotest.(check int) "70000 sinks uncapped" 70
     (Dme.Cluster.auto_clusters (diagonal 70_000))
 
+(* The default stitch depth is the smallest whose hierarchy reaches the
+   region count under the 64-child fan-in cap. *)
 let test_auto_depth () =
-  Alcotest.(check int) "fanout cap" 64 Dme.Cluster.fanout_cap;
+  let inst = diagonal 4097 in
   List.iter
     (fun (k, d) ->
-      Alcotest.(check int) (Printf.sprintf "auto_depth %d" k) d
-        (Dme.Cluster.auto_depth k))
+      let _, _, detail = Dme.Cluster.run_arena ~clusters:k inst in
+      Alcotest.(check int) (Printf.sprintf "depth at %d regions" k) d detail.depth)
     [ (1, 1); (2, 1); (64, 1); (65, 2); (1000, 2); (4096, 2); (4097, 3) ]
 
 let partition_prop =

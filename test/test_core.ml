@@ -265,17 +265,17 @@ let test_trace_router_manifest () =
       let (_ : Astskew.Router.result) =
         route ~run:{ Obs.Run.null with trace } algorithm inst
       in
-      (match Obs.Trace.manifest trace with
-       | Obs.Json.Obj fields ->
-         Alcotest.(check bool) (name ^ " manifest names the router") true
-           (List.assoc_opt "router" fields = Some (Obs.Json.String name));
-         Alcotest.(check bool) (name ^ " manifest has engine_config") true
-           (name = "ext_bst" || List.mem_assoc "engine_config" fields)
-       | _ -> Alcotest.fail (name ^ ": manifest should be an object"));
       match
         Obs.Json.of_string (Obs.Json.to_string (Obs.Trace.to_chrome trace))
       with
       | Obs.Json.Obj fields ->
+        (match List.assoc_opt "otherData" fields with
+         | Some (Obs.Json.Obj manifest) ->
+           Alcotest.(check bool) (name ^ " manifest names the router") true
+             (List.assoc_opt "router" manifest = Some (Obs.Json.String name));
+           Alcotest.(check bool) (name ^ " manifest has engine_config") true
+             (name = "ext_bst" || List.mem_assoc "engine_config" manifest)
+         | _ -> Alcotest.fail (name ^ ": manifest should be an object"));
         (match List.assoc_opt "traceEvents" fields with
          | Some (Obs.Json.List (_ :: _)) -> ()
          | _ -> Alcotest.fail (name ^ ": traceEvents empty or missing"))

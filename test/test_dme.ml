@@ -16,6 +16,8 @@ let instance ?(bound = 0.) ?(n_groups = 1) sinks =
 let merge inst ?(id = 1000) a b =
   Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id a b
 
+let rec n_leaves = function Tree.Leaf _ -> 1 | Node n -> n_leaves n.left + n_leaves n.right
+
 let check_float ?(tol = 1e-6) msg expected actual =
   Alcotest.(check (float tol)) msg expected actual
 
@@ -44,10 +46,15 @@ let test_subtree_shared_groups () =
   Alcotest.(check (list int)) "shared" [ 1 ] (Dme.Subtree.shared_groups a b)
 
 (* The flat delay windows must reproduce, bit for bit, the map-based
-   bookkeeping they replaced: [Map.map (Interval.shift w)] on each side
-   and a [Map.union] taking the hull of shared groups, and the folds run
-   in ascending group order.  The [IntMap] reference lives here. *)
+   bookkeeping they replaced: [Map.map (shift w)] on each side and a
+   [Map.union] taking the hull of shared groups, and the folds run in
+   ascending group order.  The [IntMap] reference lives here. *)
 module IntMap = Map.Make (Int)
+
+let hull (a : Interval.t) (b : Interval.t) =
+  Interval.make (Float.min a.lo b.lo) (Float.max a.hi b.hi)
+
+let shift c (i : Interval.t) = Interval.make (i.lo +. c) (i.hi +. c)
 
 let windows_of_map m =
   let b = IntMap.bindings m in
@@ -108,16 +115,16 @@ let prop_windows_match_map =
     (QCheck.make ~print gen) (fun (a, b, wa, wb, bound) ->
       let expect =
         IntMap.union
-          (fun _ ia ib -> Some (Interval.hull ia ib))
-          (IntMap.map (Interval.shift wa) a)
-          (IntMap.map (Interval.shift wb) b)
+          (fun _ ia ib -> Some (hull ia ib))
+          (IntMap.map (shift wa) a)
+          (IntMap.map (shift wb) b)
       in
       let got =
         Dme.Subtree.union_shifted ~wa (windows_of_map a) ~wb (windows_of_map b)
       in
       let t = with_windows a in
       let hull =
-        IntMap.fold (fun _ iv acc -> Interval.hull acc iv) a
+        IntMap.fold (fun _ iv acc -> hull acc iv) a
           (Interval.make Float.infinity Float.neg_infinity)
       in
       let bound_of g = bound +. float_of_int g in
@@ -287,6 +294,8 @@ let mk_instance n ~n_groups ~bound =
 (* The ranking loop run serially, pricing each candidate with [cost]
    (default: its region distance) and committing each selected pair with
    [Merge.run]. *)
+let order_default = { Dme.Order.multi_merge = true; knn = 16; delay_order_weight = 0. }
+
 let rank ?(cost = fun ~dist _ _ -> dist) inst config =
   Dme.Order.run_ranked inst config ~cost
     ~merger:
@@ -294,11 +303,11 @@ let rank ?(cost = fun ~dist _ _ -> dist) inst config =
 
 let test_order_reduces_to_one () =
   let inst = mk_instance 33 ~n_groups:3 ~bound:10. in
-  let root, stats = rank inst Dme.Order.default in
+  let root, stats = rank inst order_default in
   Alcotest.(check int) "all sinks" 33 root.n_sinks;
   Alcotest.(check bool) "several rounds" true (stats.rounds >= 2);
   (* single-pair mode produces one merge per round *)
-  let config = { Dme.Order.default with multi_merge = false } in
+  let config = { order_default with multi_merge = false } in
   let root1, stats1 = rank inst config in
   Alcotest.(check int) "all sinks single" 33 root1.n_sinks;
   Alcotest.(check int) "n-1 rounds" 32 stats1.rounds
@@ -308,7 +317,7 @@ let test_order_reduces_to_one () =
    returning [] (or a knn misconfiguration) used to stall the order. *)
 let test_order_two_sink_endgame () =
   let inst = instance ~bound:10. ~n_groups:2 [ sink 0 0. 0. 0; sink 1 700. 300. 1 ] in
-  let root, stats = rank inst Dme.Order.default in
+  let root, stats = rank inst order_default in
   Alcotest.(check int) "both sinks merged" 2 root.n_sinks;
   Alcotest.(check int) "one round" 1 stats.Dme.Order.rounds
 
@@ -317,14 +326,14 @@ let test_order_three_sink_endgame () =
     instance ~bound:10. ~n_groups:3
       [ sink 0 0. 0. 0; sink 1 900. 0. 1; sink 2 0. 900. 2 ]
   in
-  let root, _ = rank inst Dme.Order.default in
+  let root, _ = rank inst order_default in
   Alcotest.(check int) "all three sinks merged" 3 root.n_sinks
 
 let test_order_knn_zero_clamped () =
   (* knn = 0 used to make every query return [] and loop forever; it is
      now clamped to 1. *)
   let inst = mk_instance 12 ~n_groups:2 ~bound:10. in
-  let root, _ = rank inst { Dme.Order.default with knn = 0 } in
+  let root, _ = rank inst { order_default with knn = 0 } in
   Alcotest.(check int) "all sinks merged" 12 root.n_sinks
 
 (* A NaN cost used to win the probe's argmin and be replaced by every
@@ -334,7 +343,7 @@ let test_order_nan_cost_raises () =
   let inst =
     instance ~bound:10. ~n_groups:2 [ sink 0 0. 0. 0; sink 1 700. 300. 1 ]
   in
-  match rank ~cost:(fun ~dist:_ _ _ -> Float.nan) inst Dme.Order.default with
+  match rank ~cost:(fun ~dist:_ _ _ -> Float.nan) inst order_default with
   | _ -> Alcotest.fail "a NaN cost was ranked"
   | exception Invalid_argument _ -> ()
 
@@ -507,8 +516,10 @@ let prop_settle_matches_full_probe =
           (match shape with
            | 0 -> Octagon.of_point p
            | 1 -> Octagon.ball p r
-           | 2 -> Octagon.of_segment p (Pt.make (p.x +. r) (p.y +. r))
-           | _ -> Octagon.inflate r (Octagon.box p (Pt.make (p.x +. r) p.y)))
+           | 2 -> Octagon.hull (Octagon.of_point p) (Octagon.of_point (Pt.make (p.x +. r) (p.y +. r)))
+           | _ ->
+             Octagon.inflate r
+               (Octagon.hull (Octagon.of_point p) (Octagon.of_point (Pt.make (p.x +. r) p.y))))
       in
       let* regions = array_size (return n) region in
       (* One region inflated far beyond the sink spacing, so [rmax]
@@ -602,7 +613,7 @@ let rec check_positions_consistent = function
 let test_embed_valid_tree () =
   let inst = mk_instance 25 ~n_groups:2 ~bound:10. in
   let routed = Arena.to_routed (fst (Dme.Engine.run_arena inst)) in
-  Alcotest.(check int) "sinks preserved" 25 (Tree.n_sinks routed.tree);
+  Alcotest.(check int) "sinks preserved" 25 (n_leaves routed.tree);
   check_positions_consistent routed.tree;
   Alcotest.(check bool) "source wire covers distance" true
     (routed.source_len +. 1e-4 >= Pt.dist routed.source (Tree.pos routed.tree))
@@ -721,7 +732,7 @@ let test_embed_deep_comb_stack_safety () =
   Alcotest.(check int) "node count" ((2 * n) - 1) a.Arena.n;
   Alcotest.(check int) "sink count" n a.Arena.n_sinks;
   let routed = Arena.to_routed a in
-  Alcotest.(check int) "sinks preserved" n (Tree.n_sinks routed.tree)
+  Alcotest.(check int) "sinks preserved" n (n_leaves routed.tree)
 
 (* --- Engine end-to-end --------------------------------------------------- *)
 
@@ -1037,7 +1048,7 @@ let prop_engine_respects_bound =
       let a, _ = Dme.Engine.run_arena inst in
       let rstats = Repair.run_arena inst a in
       let report = Evaluate.report_of_arena inst a in
-      rstats.unresolved_groups = 0 && Evaluate.within_bound inst report)
+      rstats.unresolved_groups = 0 && Check.Audit.bound Grouped inst report = [])
 
 (* Candidate pairs for the merge-cost properties, from Check.Gen cases
    of every regime: a case's sinks are shuffled into four chunks, each

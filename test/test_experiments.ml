@@ -8,10 +8,9 @@ let small =
 
 let test_tables_structure () =
   let rows =
-    Experiments.Tables.run ~circuits:[ small ] ~groups:[ 4; 6 ]
-      ~scheme:Workload.Partition.Intermingled ()
+    Experiments.Tables.run ~circuits:[ small ] ~scheme:Workload.Partition.Intermingled ()
   in
-  Alcotest.(check int) "1 baseline + 2 ast rows" 3 (List.length rows);
+  Alcotest.(check int) "1 baseline + 4 ast rows" 5 (List.length rows);
   (match rows with
    | base :: rest ->
      Alcotest.(check string) "baseline algo" "EXT-BST" base.algorithm;
@@ -28,11 +27,10 @@ let test_tables_structure () =
 
 let test_tables_intermingled_beats_baseline () =
   let rows =
-    Experiments.Tables.run ~circuits:[ small ] ~groups:[ 8 ]
-      ~scheme:Workload.Partition.Intermingled ()
+    Experiments.Tables.run ~circuits:[ small ] ~scheme:Workload.Partition.Intermingled ()
   in
-  match rows with
-  | [ _; ast ] ->
+  match List.filter (fun (r : Experiments.Tables.row) -> r.n_groups = 8) rows with
+  | [ ast ] ->
     (match ast.reduction_pct with
      | Some red ->
        Alcotest.(check bool)
@@ -75,7 +73,7 @@ let test_fig5 () =
 
 let test_spice_check () =
   let spec = Workload.Circuits.{ name = "sp"; n_sinks = 60; die = 25000. } in
-  let r = Experiments.Spice_check.run ~spec ~n_groups:4 () in
+  let r = Experiments.Spice_check.run spec in
   Alcotest.(check bool) "absolute delay error large" true (r.delay_error_pct > 10.);
   Alcotest.(check bool)
     (Printf.sprintf "skew gap small (%.3f ps)" r.skew_gap)
@@ -86,7 +84,7 @@ let test_spice_check () =
 
 let test_ablation_rows () =
   let spec = Workload.Circuits.{ name = "ab"; n_sinks = 80; die = 30000. } in
-  let rows = Experiments.Ablation.run ~spec ~n_groups:4 () in
+  let rows = Experiments.Ablation.run spec in
   Alcotest.(check int) "five variants" 5 (List.length rows);
   (match rows with
    | default :: _ ->
@@ -105,7 +103,7 @@ let test_single_merge_ablation_rounds () =
   (* The §V.F-1 ablation: single-merge mode needs ~n rounds, multi-merge
      logarithmically fewer. *)
   let spec = Workload.Circuits.{ name = "ab"; n_sinks = 80; die = 30000. } in
-  let rows = Experiments.Ablation.run ~spec ~n_groups:4 () in
+  let rows = Experiments.Ablation.run spec in
   let find name =
     List.find (fun (r : Experiments.Ablation.row) -> r.name = name) rows
   in

@@ -129,20 +129,37 @@ let test_json_read_file () =
       Alcotest.(check bool) "write/read roundtrip" true
         (Obs.Json.read_file path = v))
 
+(* A histogram's fields, read off its JSON export. *)
+let hist_field h k =
+  match Obs.Histogram.to_json h with Obs.Json.Obj f -> List.assoc k f | _ -> Obs.Json.Null
+
+let hist_float = function Obs.Json.Float f -> f | _ -> Float.nan
+let hist_int h k = match hist_field h k with Obs.Json.Int i -> i | _ -> -1
+
+let hist_buckets h =
+  match hist_field h "buckets" with
+  | Obs.Json.List bs ->
+    List.map
+      (function
+        | Obs.Json.Obj [ (_, lo); (_, hi); (_, Obs.Json.Int n) ] -> (hist_float lo, hist_float hi, n)
+        | _ -> (0., 0., -1))
+      bs
+  | _ -> []
+
 (* Bound [k] of the fixed 8-per-decade bucketing: 10^(k/8). *)
 let eighth k = Float.pow 10. (float_of_int k /. 8.)
 
 let test_histogram_buckets () =
   let h = Obs.Histogram.create "test.hist.buckets" in
-  Alcotest.(check string) "name" "test.hist.buckets" (Obs.Histogram.name h);
-  Alcotest.(check int) "starts empty" 0 (Obs.Histogram.count h);
+  Alcotest.(check bool) "name" true (hist_field h "name" = Obs.Json.String "test.hist.buckets");
+  Alcotest.(check int) "starts empty" 0 (hist_int h "count");
   List.iter (Obs.Histogram.observe h) [ 0.5; 5.; 50.; 55. ];
-  Alcotest.(check int) "four samples" 4 (Obs.Histogram.count h);
-  Alcotest.(check (float 1e-9)) "sum" 110.5 (Obs.Histogram.sum h);
+  Alcotest.(check int) "four samples" 4 (hist_int h "count");
+  Alcotest.(check (float 1e-9)) "sum" 110.5 (hist_float (hist_field h "sum"));
   (* 0.5 lies in [10^(-3/8), 10^(-2/8)) = [0.42, 0.56), 5 in
      [10^(5/8), 10^(6/8)) = [4.2, 5.6), and 50 and 55 share
      [10^(13/8), 10^(14/8)) = [42, 56). *)
-  (match Obs.Histogram.buckets h with
+  (match hist_buckets h with
    | [ (lo0, hi0, n0); (lo1, hi1, n1); (lo2, hi2, n2) ] ->
      Alcotest.(check (float 1e-9)) "bucket 0 lo" (eighth (-3)) lo0;
      Alcotest.(check (float 1e-9)) "bucket 0 hi" (eighth (-2)) hi0;
@@ -161,12 +178,12 @@ let test_histogram_buckets () =
   Obs.Histogram.observe h (-3.);
   Obs.Histogram.observe h Float.infinity;
   Obs.Histogram.observe h Float.nan;
-  Alcotest.(check int) "underflow" 2 (Obs.Histogram.underflow h);
-  Alcotest.(check int) "overflow" 1 (Obs.Histogram.overflow h);
+  Alcotest.(check int) "underflow" 2 (hist_int h "underflow");
+  Alcotest.(check int) "overflow" 1 (hist_int h "overflow");
   Alcotest.(check int) "count includes under/overflow, not NaN" 7
-    (Obs.Histogram.count h);
+    (hist_int h "count");
   Alcotest.(check int) "buckets unchanged by outliers" 3
-    (List.length (Obs.Histogram.buckets h))
+    (List.length (hist_buckets h))
 
 let test_histogram_json () =
   let h = Obs.Histogram.create "test.hist.json" in
@@ -199,7 +216,7 @@ let test_histogram_json () =
   (* A power of ten opens its bucket: 1 lies in [1, 10^(1/8)). *)
   let h1 = Obs.Histogram.create "test.hist.decade" in
   Obs.Histogram.observe h1 1.;
-  match Obs.Histogram.buckets h1 with
+  match hist_buckets h1 with
   | [ (lo, hi, 1) ] ->
     Alcotest.(check (float 0.)) "decade lo" 1. lo;
     Alcotest.(check (float 1e-9)) "decade hi" (eighth 1) hi
@@ -265,6 +282,15 @@ let test_histogram_quantile () =
    | Some v -> Alcotest.(check (float 1e-9)) "underflow p50 is min" 0. v
    | None -> Alcotest.fail "underflow p50")
 
+(* A field of the Chrome export: the manifest is ["otherData"]. *)
+let chrome_field t k =
+  match Obs.Trace.to_chrome t with
+  | Obs.Json.Obj fields -> List.assoc k fields
+  | _ -> Alcotest.fail "chrome export should be an object"
+
+let n_histograms t =
+  match chrome_field t "histograms" with Obs.Json.List l -> List.length l | _ -> -1
+
 let test_trace_null () =
   let t = Obs.Trace.null in
   Alcotest.(check bool) "disabled" false (Obs.Trace.enabled t);
@@ -280,9 +306,9 @@ let test_trace_null () =
   Alcotest.(check int) "no journal records" 0
     (List.length (Obs.Trace.journal_records t));
   Alcotest.(check bool) "manifest stays empty" true
-    (Obs.Trace.manifest t = Obs.Json.Obj []);
+    (chrome_field t "otherData" = Obs.Json.Obj []);
   Alcotest.(check int) "no histograms" 0
-    (List.length (Obs.Trace.histograms t))
+    (n_histograms t)
 
 let test_trace_span_order () =
   let t = Obs.Trace.create () in
@@ -325,7 +351,7 @@ let test_trace_manifest_journal () =
   Obs.Trace.merge_manifest t [ ("a", Obs.Json.Int 1); ("b", Obs.Json.Bool false) ];
   Obs.Trace.merge_manifest t [ ("a", Obs.Json.Int 2) ];
   Alcotest.(check bool) "later merge replaces, first-set order kept" true
-    (Obs.Trace.manifest t
+    (chrome_field t "otherData"
      = Obs.Json.Obj [ ("a", Obs.Json.Int 2); ("b", Obs.Json.Bool false) ]);
   Obs.Trace.journal t (Obs.Json.Obj [ ("round", Obs.Json.Int 0) ]);
   Obs.Trace.journal t (Obs.Json.Obj [ ("round", Obs.Json.Int 1) ]);
@@ -339,9 +365,9 @@ let test_trace_manifest_journal () =
   let h1 = Obs.Trace.histogram t "test.trace.hist" in
   let h2 = Obs.Trace.histogram t "test.trace.hist" in
   Obs.Histogram.observe h1 3.;
-  Alcotest.(check int) "same histogram cell" 1 (Obs.Histogram.count h2);
+  Alcotest.(check int) "same histogram cell" 1 (hist_int h2 "count");
   Alcotest.(check int) "one histogram registered" 1
-    (List.length (Obs.Trace.histograms t))
+    (n_histograms t)
 
 let test_trace_multi_domain () =
   let t = Obs.Trace.create () in
@@ -493,9 +519,6 @@ let read_lines path =
 let test_run_null () =
   let run = Obs.Run.null in
   Alcotest.(check bool) "trace disabled" false (Obs.Trace.enabled run.trace);
-  Alcotest.(check bool) "sched disabled" false (Obs.Sched.enabled run.sched);
-  Alcotest.(check bool) "progress disabled" false
-    (Obs.Progress.enabled run.progress);
   let path = Filename.temp_file "obs_run_null" ".err" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)

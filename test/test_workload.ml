@@ -5,13 +5,13 @@ open Workload
 let test_rng_determinism () =
   let a = Rng.create 123L and b = Rng.create 123L in
   for _ = 1 to 100 do
-    Alcotest.(check (float 0.)) "same stream" (Rng.float a) (Rng.float b)
+    Alcotest.(check (float 0.)) "same stream" (Rng.float_range a 0. 1.) (Rng.float_range b 0. 1.)
   done
 
 let test_rng_ranges () =
   let r = Rng.create 5L in
   for _ = 1 to 1000 do
-    let f = Rng.float r in
+    let f = Rng.float_range r 0. 1. in
     Alcotest.(check bool) "float in [0,1)" true (f >= 0. && f < 1.);
     let i = Rng.int r 7 in
     Alcotest.(check bool) "int in [0,7)" true (i >= 0 && i < 7)
