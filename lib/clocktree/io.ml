@@ -3,7 +3,7 @@
 (* Every float is written as [Printf.sprintf "%.17g"] writes it, without
    Printf: the exact decimal digits of [m·2^e] in integer arithmetic,
    rounded half to even, then glibc's fixed/exponent choice and
-   trailing-zero stripping (DESIGN §37).  Outside the fast range
+   trailing-zero stripping (DESIGN §5.5).  Outside the fast range
    (non-finite, subnormal, below about 1e-10 or from 1e17 up) the C
    conversion writes it. *)
 external format_float : string -> float -> string = "caml_format_float"
@@ -252,7 +252,7 @@ let[@inline] token_is text tok k kw =
 
 let token text tok k = String.sub text tok.(2 * k) (tok.((2 * k) + 1) - tok.(2 * k))
 
-(* --- The decimal reader (Eisel–Lemire, DESIGN §40) ---
+(* --- The decimal reader (Eisel–Lemire, DESIGN §5.5) ---
 
    A token of an optional [-], decimal digits, optionally a point and
    more digits (maybe none), and optionally [e] or [E], a sign and

@@ -22,7 +22,7 @@
     reads back bit for bit) without going through [Printf]; the parser
     scans the text by index and reads its numbers in place, with
     [float_of_string] only for tokens the exact reader declines.  Their
-    speed and exactness arguments are in DESIGN.md §37 and §40. *)
+    speed and exactness arguments are in DESIGN.md §5.5. *)
 
 val to_string : Instance.t -> string
 
@@ -40,7 +40,7 @@ val float_to_string : float -> string [@@reference]
     [-?[0-9]+(\.[0-9]+)?] or [-?[0-9]+\.], optionally followed by
     [[eE][+-]?[0-9]+], with at most 18 significant digits and a normal
     double value, unless its 120-bit product cannot settle the rounding
-    (DESIGN.md §40). *)
+    (DESIGN.md §5.5). *)
 val decimal : string -> float option [@@reference]
 
 (** The number of number tokens (every token after a record's keyword;

@@ -37,7 +37,7 @@ type result = {
   routed : Clocktree.Arena.t;
       (** the repaired tree, the flat post-order arena that was planned,
           repaired and evaluated; a boxed {!Clocktree.Tree.routed} is a
-          view its consumers build from it (DESIGN.md §31) *)
+          view its consumers build from it (DESIGN.md §2) *)
   evaluation : Clocktree.Evaluate.report;  (** w.r.t. the original instance *)
   engine : Dme.Engine.stats;
       (** clustered runs report the aggregate over region plans and the

@@ -49,7 +49,7 @@ type trial_stats = {
       (** always 0, kept for perfbench until ROADMAP item 8 ("The
           perfbench half of one benchmark harness").  It counted the
           trial {!Merge.run}s of a planned-wire ranking that was
-          deleted (DESIGN.md section 42); the result JSON still carries
+          deleted (DESIGN.md section 6.4); the result JSON still carries
           it, as 0 *)
   elided_trials : int;
       (** candidates the probes priced ({!Order.stats} [nn_priced]),
@@ -86,7 +86,7 @@ type stats = {
       (** always 0, kept for perfbench until ROADMAP item 8 ("The
           perfbench half of one benchmark harness").  It counted
           probes a cross-round proposal cache served until that cache
-          was retired (DESIGN.md section 10); no JSON output carries it *)
+          was retired (DESIGN.md section 6.4); no JSON output carries it *)
   trial : trial_stats;
   gc : Obs.Gcstat.t;
       (** GC work of the whole run (plan + embed): {!Obs.Gcstat.sample}

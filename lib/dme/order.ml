@@ -78,7 +78,7 @@ let cheapest ids len ~dist ~price =
   (i, Float.Array.get best 0)
 
 (* Rounding allowance of the settle test, relative to the magnitudes
-   the bound is computed from (DESIGN.md section 25): 2^13 ulps of them,
+   the bound is computed from (DESIGN.md section 6.3): 2^13 ulps of them,
    hundreds of times what the dozen roundings behind the bound can
    lose, and still far below any cost gap the bound is asked to prove. *)
 let settle_tol = 0x1p-40

@@ -19,7 +19,7 @@
     Every round probes every active subtree from scratch.  The
     snapshot's k-NN answer is ordered by (distance, id) and so depends
     only on the alive population, never on the cell the round sized
-    (DESIGN.md sections 22 and 28).
+    (DESIGN.md sections 3.3 and 6.3).
 
     A probe ({!settle}) asks the snapshot for [max 1 (knn / 4)]
     candidates first and doubles the query, up to [knn], only while an
@@ -28,7 +28,7 @@
     beyond the k-NN exclusion bound [kth] has region distance — and, by
     the [cost] contract of {!run_ranked}, cost — at least [kth] minus
     the two radii.  The partner, every priced candidate and hence the
-    tree are the full-[knn] probe's (DESIGN.md section 25).  A probe
+    tree are the full-[knn] probe's (DESIGN.md section 6.3).  A probe
     writes its proposal into id-indexed arrays and allocates no closure
     or result of its own. *)
 

@@ -35,7 +35,7 @@ type plan =
   | Stored of store  (** a finished plan, the root of its store *)
 
 (** One ranking run's merge plan, append-only and indexed by subtree id
-    (DESIGN.md section 36).  Ids below {!leaves} are the run's leaves,
+    (DESIGN.md section 6.1).  Ids below {!leaves} are the run's leaves,
     each standing for a sink ([sinks]) or, in a stitch, a finished
     sub-plan ([subs]); one of the two is empty.  Merge [m] has id
     [leaves + m] and slot [m] of the columns: child ids [kids.(2m)]
