@@ -16,10 +16,10 @@
    (default r3) and fails unless the probes ran between 1 and 1.25 grid
    k-NN queries each, visited at most 18 grid cells each (and at least
    one per query), priced at most 2 candidates each and allocated at
-   most 100 minor words each,
-   and that Octagon.sdr_within, the SDR kernel of Merge.run, allocates
-   at most 32 minor words a call, a
-   Grid_index.query at most 2.5 and a committed Merge.run at most 84; then
+   most 28 minor words each, and that Octslab.sdr_within, the SDR
+   kernel of Merge.run, and a committed Merge.run allocate nothing, a
+   Grid_index.query at most 2.5 minor words and an embedding at most
+   1.8 per node; then
    it gates the clustered router on a second circuit (default r5:
    clusters=1 must equal flat bit-for-bit and the auto-clustered tree
    must pass the global grouped audit).
@@ -257,25 +257,22 @@ let rec same_store (a : Dme.Subtree.store) (b : Dme.Subtree.store) =
    exactly with [Gc.minor_words] on this domain: minor words per
    [Grid_index.query] when every sink of the instance probes a snapshot
    of all sinks for its [knn] nearest others, as a leaf round does;
-   minor words per [Merge.run] replaying every merge of the instance's
-   plan; the words a merge must allocate — its result and the merged
-   subtree's own blocks — per merge; the number of merges; whether the
-   replayed plan is the engine's, store column for store column; and
-   minor words per arena node embedding the engine's plan. *)
+   minor words per [Merge.run] (with its [Subtree.reserve]) replaying
+   every merge of the engine's plan, in id order, into a fresh run over
+   the same sinks; the number of merges; whether the replayed plan is
+   the engine's, store column for store column; and minor words per
+   arena node embedding the engine's plan. *)
 let kernel_allocation (inst : Clocktree.Instance.t) =
   let config = Dme.Engine.default in
   let sinks = inst.sinks in
   let n = Array.length sinks in
   let snap = Geometry.Grid_index.snapshot () and buf = Geometry.Grid_index.knn_buffer () in
+  let xs = Float.Array.map_from_array (fun (s : Clocktree.Sink.t) -> s.loc.x) sinks in
+  let ys = Float.Array.map_from_array (fun (s : Clocktree.Sink.t) -> s.loc.y) sinks in
   Geometry.Grid_index.pack snap
     ~cell:(Clocktree.Instance.diameter inst /. Float.sqrt (float_of_int n))
-    (Array.init n Fun.id)
-    (Float.Array.map_from_array (fun (s : Clocktree.Sink.t) -> s.loc.x) sinks)
-    (Float.Array.map_from_array (fun (s : Clocktree.Sink.t) -> s.loc.y) sinks)
-    n;
-  let query i =
-    Geometry.Grid_index.query snap buf ~skip:i sinks.(i).Clocktree.Sink.loc config.knn
-  in
+    (Array.init n Fun.id) xs ys n;
+  let query i = Geometry.Grid_index.query snap buf ~skip:i xs ys i config.knn in
   (* The first query sizes the buffer. *)
   query 0;
   let w0 = Gc.minor_words () in
@@ -283,50 +280,23 @@ let kernel_allocation (inst : Clocktree.Instance.t) =
     query i
   done;
   let knn_words = (Gc.minor_words () -. w0) /. float_of_int n in
-  (* A plan node keeps only its children's plans, so the merged pairs
-     are captured while planning: the ranking loop with the engine's
-     cost and a merger that records each committed (left, right) pair.
-     The recorded plan must be the engine's; [Engine.default] ranks
-     without the delay bias. *)
-  let pairs = ref [] in
-  let cost = Dme.Engine.cost inst in
-  let merge ~id a b =
-    Dme.Merge.run inst ~split_slack:config.split_slack ~width_cap:config.width_cap
-      ~id a b
-  in
-  let root, _ =
-    Dme.Order.run_ranked inst
-      {
-        multi_merge = config.multi_merge;
-        knn = config.knn;
-        delay_order_weight = 0.;
-      }
-      ~cost
-      ~merger:
-        {
-          compute = (fun ~id a b -> (a, b, merge ~id a b));
-          install =
-            (fun (a, b, (r : Dme.Merge.result)) ->
-              pairs := (a, b) :: !pairs;
-              r.subtree);
-        }
-  in
+  (* [Engine.default] ranks without the delay bias. *)
   let engine_root, _ = Dme.Engine.plan ~config:{ config with jobs = 1 } inst in
-  let same_plan =
-    same_store (Dme.Subtree.store_of root) (Dme.Subtree.store_of engine_root)
-  in
-  let pairs = Array.of_list !pairs in
-  let merge (a, b) = merge ~id:(-1) a b in
+  let plan = Dme.Subtree.store_of engine_root in
+  let c = Dme.Subtree.cols (Sinks sinks) in
   let w0 = Gc.minor_words () in
-  Array.iter (fun p -> ignore (Sys.opaque_identity (merge p))) pairs;
-  let merges = float_of_int (Int.max 1 (Array.length pairs)) in
-  let merge_words = (Gc.minor_words () -. w0) /. merges in
-  let reachable x = float_of_int (Obj.reachable_words (Obj.repr x)) in
-  let own_words = Array.fold_left (fun acc p -> acc +. reachable (merge p)) 0. pairs in
+  for m = 0 to plan.merges - 1 do
+    let a = plan.kids.(2 * m) and b = plan.kids.((2 * m) + 1) in
+    let id = Dme.Subtree.reserve c a b in
+    Dme.Merge.run inst ~split_slack:config.split_slack ~width_cap:config.width_cap c ~id a
+      b
+  done;
+  let merge_words = (Gc.minor_words () -. w0) /. float_of_int (Int.max 1 plan.merges) in
+  let same_plan = same_store c.plan plan in
   let w0 = Gc.minor_words () in
   let arena = Dme.Embed.run_arena inst engine_root in
   let embed_words = (Gc.minor_words () -. w0) /. float_of_int arena.n in
-  (knn_words, merge_words, own_words /. merges, Array.length pairs, same_plan, embed_words)
+  (knn_words, merge_words, plan.merges, same_plan, embed_words)
 
 let smoke args =
   let name, clustered_name =
@@ -373,74 +343,77 @@ let smoke args =
     let queries_per_probe_budget = 1.25 in
     let cells_per_probe_budget = 18. in
     (* Allocation gates.  A ranking probe allocates a bounded number of
-       minor words: r3 reads 47.7 per probe (planning and embedding)
-       with the round's packed k-NN snapshot, per-chunk pricing closures,
-       proposals written into id-indexed arrays, sorting
-       in reused scratch, merges that build only their result and
-       record it in a preallocated plan store, and an embedding that
-       allocates only the merges' placed points (54.8 while the build
-       passed -opaque and every float crossing a call into another
-       module was boxed, 57.2 before the flat octagon layout, 77.3
-       while the plan was a tree of nodes whose embedding built each
-       sink's point region, 73.1 while it kept whole subtrees, 131
-       while a merge built its plan from octagon, interval and plan
-       values).  That is
-       the exact [Gc.minor_words] count; [Gc.quick_stat]'s lagging
-       count, which the older readings used, read 118 for the 131,
-       against 263 before them, 630 before the unboxed octagon kernels
-       and 7500 before the slab rewrite.  The gate is 75: opening the
-       pricing closures per probe instead of per chunk added about 43
-       words (131 to 174), which fails it.
-       [Octagon.sdr_within], the SDR kernel a committed [Merge.run]
-       calls, allocates its result (9 words, an 8-float array) and its
-       two boxed radii (4 words): 13 per call over r3's consecutive
-       leaf-region pairs at [ra = rb] = half their distance, so 32
-       catches a boxed slice or hull.  The reference [Octagon.sdr],
-       which only [Merge.run_reference] calls, reads 9.  A [Grid_index.query] allocates
-       only its boxed exclusion bound (2 words) when every sink of r3
-       probes the snapshot of all of them, so 2.5 catches a boxed
-       distance, argument or closure per query (the predicate-skip
-       kernel read 6).  A committed [Merge.run] replaying r3's 861 plan
-       merges, their pairs recorded while planning, reads 61.7 words,
-       against 54.9 words of the merged subtree (its edge-length rule
-       included) and result it must build; 84 is 1.36 times the
-       reading, while the merge built from octagon, interval and plan
-       values ([Merge.run_reference]) read 232 to 471 words per merge
-       kind over r1-r5's plans.  Embedding r3's plan store allocates
-       1.39 minor words per arena node, a placed point per merge child
-       that moves off its parent's point; 1.8 is 1.29 times that, and
-       the tree of plan nodes walked with a frame stack, which built a
-       point region per sink, read 40.
+       minor words: r3 reads 17.6 per probe (planning and embedding).
+       A round packs its k-NN snapshot, writes its proposals into
+       id-indexed arrays, sorts in reused scratch and writes its
+       selected pairs into a run-scoped selection; every merge reads
+       its children from the run's id-indexed columns and writes the
+       merged id there and in the preallocated plan store; and the
+       embedding allocates only the merges' placed points.  What is left
+       is mostly boxed floats: a candidate's region distance returned
+       by the probe's [dist] closure and its price by [price], and each
+       query's exclusion bound.  The readings before: 47.7 while each
+       merge built its subtree record, windows, region and result, 54.8
+       while the build passed -opaque and every float crossing a call
+       into another module was boxed, 57.2 before the flat octagon
+       layout, 77.3 while the plan was a tree of nodes whose embedding
+       built each sink's point region, 73.1 while it kept whole
+       subtrees, 131 while a merge built its plan from octagon, interval
+       and plan values.  That is the exact [Gc.minor_words] count;
+       [Gc.quick_stat]'s lagging count, which the older readings used,
+       read 118 for the 131, against 263 before them, 630 before the
+       unboxed octagon kernels and 7500 before the slab rewrite.  The
+       gate is 28, 1.57 times the reading (75 over 47.7 before): a
+       subtree record per merge, or opening the pricing closures per
+       probe instead of per range, fails it.
+       [Octslab.sdr_within], the SDR kernel a committed [Merge.run]
+       calls, writes its result into a slab slot and allocates nothing
+       over r3's consecutive sink pairs at [ra = rb] = half their
+       distance, so 0 catches a boxed radius, slice or hull ([Octagon]'s
+       value form read 13: its result and two boxed radii).  A
+       [Grid_index.query] allocates only its boxed exclusion bound (2
+       words) when every sink of r3 probes the snapshot of all of them,
+       so 2.5 catches a boxed distance, argument or closure per query
+       (the predicate-skip kernel read 6).  A committed [Merge.run]
+       replaying r3's 861 plan merges into a fresh run, with their
+       reservations, reads 0 words: the gate is 0, 1.36 times the
+       reading as before (84 over 61.7 while a merge built its subtree
+       and result, 54.9 words of them), while the merge built from
+       octagon, interval and plan values ([Merge.run_reference]) read
+       232 to 471 words per merge kind over r1-r5's plans.  Embedding
+       r3's plan store allocates 1.39 minor words per arena node, a
+       placed point per merge child that moves off its parent's point;
+       1.8 is 1.29 times that, and the tree of plan nodes walked with a
+       frame stack, which built a point region per sink, read 40.
        Allocation counts are deterministic per domain,
        so like the counts above these cannot flake on slow runners. *)
-    let words_per_probe_budget = 75. in
-    let sdr_words_budget = 32. in
+    let words_per_probe_budget = 28. in
+    let sdr_words_budget = 0. in
     let knn_words_budget = 2.5 in
-    let merge_words_budget = 84. in
+    let merge_words_budget = 0. in
     let embed_words_budget = 1.8 in
     let sdr_words =
-      let regions =
-        Array.map
-          (fun s -> (Dme.Subtree.leaf s).Dme.Subtree.region)
-          inst.Clocktree.Instance.sinks
-      in
-      let calls = Array.length regions - 1 in
+      (* Slot [n] receives each SDR of the consecutive sink pairs. *)
+      let sinks = inst.Clocktree.Instance.sinks in
+      let n = Array.length sinks in
+      let slab = Geometry.Octslab.create (n + 1) in
+      Array.iteri
+        (fun i (s : Clocktree.Sink.t) ->
+          Geometry.Octslab.set slab i (Geometry.Octagon.of_point s.loc))
+        sinks;
+      let calls = n - 1 in
       let half =
-        Array.init calls (fun i ->
-            Geometry.Octagon.dist regions.(i) regions.(i + 1) /. 2.)
+        Float.Array.init calls (fun i -> Geometry.Octslab.dist slab i (i + 1) /. 2.)
       in
       let w0 = Gc.minor_words () in
       for i = 0 to calls - 1 do
+        let h = Float.Array.get half i in
         ignore
-          (Sys.opaque_identity
-             (Geometry.Octagon.sdr_within regions.(i) regions.(i + 1)
-                ~ra:half.(i) ~rb:half.(i)))
+          (Sys.opaque_identity (Geometry.Octslab.sdr_within slab n i (i + 1) ~ra:h ~rb:h))
       done;
       (Gc.minor_words () -. w0) /. float_of_int (Int.max 1 calls)
     in
-    let knn_words, merge_words, merge_own_words, merges, same_plan, embed_words =
-      kernel_allocation inst
-    in
+    let knn_words, merge_words, merges, same_plan, embed_words = kernel_allocation inst in
     (* Pricing gate.  A probe prices a candidate only while its region
        distance can still beat the best cost (Order.cheapest), and every
        priced candidate counts one elided trial (Order.stats nn_priced).
@@ -460,10 +433,8 @@ let smoke args =
     Format.printf "alloc: minor words=%.3e (%.1f per probe), %.1f per SDR@."
       r.engine.gc.Obs.Gcstat.minor_words words_per_probe sdr_words;
     Format.printf "alloc: %.2f minor words per k-NN query@." knn_words;
-    Format.printf
-      "alloc: %.1f minor words per committed merge over %d merges (%.1f words \
-       of merged subtree and result, %.2fx)@."
-      merge_words merges merge_own_words (merge_words /. merge_own_words);
+    Format.printf "alloc: %.2f minor words per committed merge over %d merges@."
+      merge_words merges;
     Format.printf "alloc: %.2f minor words per embedded node@." embed_words;
     let fail msg =
       Format.printf "FAIL: %s@." msg;

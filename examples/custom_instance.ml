@@ -15,35 +15,36 @@ let () =
     [| sink 0 0. 0. 0; sink 1 4000. 0. 0; sink 2 1000. 3000. 1; sink 3 5000. 3000. 1 |]
   in
   let inst = Instance.make ~bound:5. ~source:(Pt.make 2500. 1500.) ~n_groups:2 sinks in
-  (* Merge by hand: first within groups, then across.  Each merge is
-     recorded in the plan store the embedding reads, under the next id
-     (merge ids follow the leaves' and exceed their children's). *)
-  let leaves = Array.map Dme.Subtree.leaf inst.sinks in
-  let store = Dme.Subtree.store leaves in
-  let merge (a : Dme.Subtree.t) (b : Dme.Subtree.t) =
-    let id = Dme.Subtree.leaves store + store.merges in
-    let r = Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id a b in
-    Dme.Subtree.record store r.subtree ~left:a.id ~right:b.id;
-    r
+  (* Merge by hand: first within groups, then across.  A run over the
+     sinks keeps every subtree's state in columns by id; each merge
+     opens the next id (merge ids follow the leaves' and exceed their
+     children's), and the run's plan is what the embedding reads. *)
+  let c = Dme.Subtree.cols (Sinks inst.sinks) in
+  let merge a b =
+    let id = Dme.Subtree.reserve c a b in
+    Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 c ~id a b;
+    id
   in
-  let g0 = merge leaves.(0) leaves.(1) in
-  let g1 = merge leaves.(2) leaves.(3) in
-  Format.printf "group-0 merge: %a@.  region %a@." Dme.Merge.pp_kind g0.kind
-    Octagon.pp g0.subtree.region;
-  Format.printf "group-1 merge: %a@.  region %a@." Dme.Merge.pp_kind g1.kind
-    Octagon.pp g1.subtree.region;
-  let top = merge g0.subtree g1.subtree in
+  let g0 = merge 0 1 in
+  let g1 = merge 2 3 in
+  let region id = (Dme.Subtree.view c id).region in
+  Format.printf "group-0 merge: %a@.  region %a@." Dme.Merge.pp_kind
+    (Dme.Merge.kind_at c g0) Octagon.pp (region g0);
+  Format.printf "group-1 merge: %a@.  region %a@." Dme.Merge.pp_kind
+    (Dme.Merge.kind_at c g1) Octagon.pp (region g1);
+  let top = merge g0 g1 in
   Format.printf "top merge: %a (no skew constraint between the groups)@."
-    Dme.Merge.pp_kind top.kind;
-  Format.printf "  merging region (SDR): %a@." Octagon.pp top.subtree.region;
+    Dme.Merge.pp_kind (Dme.Merge.kind_at c top);
+  let t = Dme.Subtree.view c top in
+  Format.printf "  merging region (SDR): %a@." Octagon.pp t.region;
   List.iter
     (fun g ->
-      let iv = Option.get (Dme.Subtree.window top.subtree g) in
+      let iv = Option.get (Dme.Subtree.window t g) in
       Format.printf "  group %d nominal delay window: %a (width %.3f ps)@." g
         Geometry.Interval.pp iv (Geometry.Interval.width iv))
-    (Dme.Subtree.groups top.subtree);
+    (Dme.Subtree.groups t);
   (* Embed, repair, evaluate. *)
-  let a = Dme.Embed.run_arena inst (Dme.Subtree.stored store top.subtree) in
+  let a = Dme.Embed.run_arena inst (Dme.Subtree.finish c) in
   let repair = Repair.run_arena inst a in
   let report = Evaluate.report_of_arena inst a in
   Format.printf "@.embedded: %a@." Evaluate.pp_report report;

@@ -25,7 +25,7 @@ type regime =
       (** benchmark-scale instances (200 to ~1500 sinks).  Too slow for
           the full oracle battery, so it is excluded from
           {!all_regimes}; {!Runner.run} samples it separately against
-          the parallel-identity oracle only. *)
+          the par, repair, repair_regional, evaluate and sched rows. *)
   | Banked
       (** clustered-router-scale instances (10^3 to ~4*10^3 sinks) in a
           few dense spatial banks with empty space between — the

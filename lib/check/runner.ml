@@ -30,8 +30,8 @@ let check ?inject (case : Gen.case) =
    evaluation rows alone: the full battery would take minutes per
    1500-sink instance, and scale stresses exactly the ranking and
    windowed-repair paths — which is what these audit.  The par row
-   checks pooled probing against the serial plan over many merge rounds
-   (and grid re-cells); at this size repair auto-derives multiple
+   checks pooled probing and pooled merges against the serial plan over
+   many merge rounds; at this size repair auto-derives multiple
    regions, so the regional fixpoints are checked against the serial
    from-scratch pass on every huge case; sched at jobs = 2 proves the
    flight recorder stays inert exactly where its ledgers are busiest. *)

@@ -6,6 +6,7 @@ type t = {
   params : Rc.Wire.params;
   source : Geometry.Pt.t;
   rd : float;
+  diameter : float;
 }
 
 (* Non-finite numbers are rejected up front: the spatial index cannot
@@ -56,14 +57,28 @@ let make ?(params = Rc.Wire.default) ?(rd = 100.) ?(bound = 0.) ?group_bounds
   let x0 = ref source.x and x1 = ref source.x in
   let y0 = ref source.y and y1 = ref source.y in
   let load = ref 0. in
+  (* The same loop folds the sinks' L1 diameter, [Octagon.diameter] of
+     their bounding box bit for bit: min/max folds over the rotated
+     coordinates from the first sink on, accumulator first, and the same
+     final subtraction.  It is read per plan, so it is folded here
+     once. *)
+  let p0 = sinks.(0).loc in
+  let sl = ref (Geometry.Pt.s p0) and dl = ref (Geometry.Pt.d p0) in
+  let sh = ref !sl and dh = ref !dl in
   for i = 0 to Array.length sinks - 1 do
     let p = sinks.(i).loc in
     if p.x < !x0 then x0 := p.x;
     if p.x > !x1 then x1 := p.x;
     if p.y < !y0 then y0 := p.y;
     if p.y > !y1 then y1 := p.y;
+    let s = Geometry.Pt.s p and d = Geometry.Pt.d p in
+    sl := Float.min !sl s;
+    sh := Float.max !sh s;
+    dl := Float.min !dl d;
+    dh := Float.max !dh d;
     load := !load +. sinks.(i).cap
   done;
+  let diameter = Float.max (!sh -. !sl) (!dh -. !dl) in
   let extent = !x1 -. !x0 +. (!y1 -. !y0) in
   finite "extent" extent;
   let wire = Rc.Elmore.wire_delay params ~len:extent ~load:!load in
@@ -74,7 +89,7 @@ let make ?(params = Rc.Wire.default) ?(rd = 100.) ?(bound = 0.) ?group_bounds
   let driver = Rc.Elmore.driver_delay ~rd ~load:(!load +. Rc.Wire.cap params extent) in
   if not (driver +. wire <= 1e15) then
     invalid_arg "Instance.make: delay across the extent above 1e15 ps";
-  { sinks; n_groups; bound; group_bounds; params; source; rd }
+  { sinks; n_groups; bound; group_bounds; params; source; rd; diameter }
 
 let[@inline] bound_for t g =
   match t.group_bounds with Some bs -> bs.(g) | None -> t.bound
@@ -99,22 +114,7 @@ let bbox t =
     (fun acc (s : Sink.t) -> Geometry.Octagon.hull acc (Geometry.Octagon.of_point s.loc))
     Geometry.Octagon.empty t.sinks
 
-(* [Octagon.diameter (bbox t)] without building a hull per sink: the
-   same min/max folds over the rotated coordinates, accumulator first,
-   and the same final subtraction. *)
-let diameter t =
-  let p0 = t.sinks.(0).loc in
-  let sl = ref (Geometry.Pt.s p0) and dl = ref (Geometry.Pt.d p0) in
-  let sh = ref !sl and dh = ref !dl in
-  for i = 1 to Array.length t.sinks - 1 do
-    let p = t.sinks.(i).loc in
-    let s = Geometry.Pt.s p and d = Geometry.Pt.d p in
-    sl := Float.min !sl s;
-    sh := Float.max !sh s;
-    dl := Float.min !dl d;
-    dh := Float.max !dh d
-  done;
-  Float.max (!sh -. !sl) (!dh -. !dl)
+let diameter t = t.diameter
 
 let pp ppf t =
   Format.fprintf ppf "%d sinks, %d groups, bound %gps, %a" (n_sinks t)

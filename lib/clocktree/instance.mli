@@ -10,6 +10,7 @@ type t = private {
   params : Rc.Wire.params;
   source : Geometry.Pt.t;  (** clock source location *)
   rd : float;  (** driver resistance at the source, ohm *)
+  diameter : float;  (** see {!diameter} *)
 }
 
 (** Validates that sink ids are dense (equal to their index), group ids
@@ -59,7 +60,7 @@ val group_sizes : t -> int array
 val bbox : t -> Geometry.Octagon.t
 
 (** L1 diameter of the sink locations: [Octagon.diameter (bbox t)], bit
-    for bit, in one allocation-free O(n) pass. *)
+    for bit, folded once by {!make}. *)
 val diameter : t -> float
 
 val pp : Format.formatter -> t -> unit

@@ -10,10 +10,15 @@
     shifts — the thesis' Instance 2 situation — a single edge cannot
     satisfy them all.
 
-    Stage 2 therefore lifts individual sinks: leaf edges are group-pure,
-    so snaking the leaf edge of every sink whose delay falls below
-    [group max - bound] always converges to a feasible tree.  It runs
-    only when stage 1 leaves a residual violation.
+    Stage 2 therefore lifts group-pure subtrees, whose edges delay one
+    group only.  A sink's deficit is its group's target, [group max -
+    bound], less its delay.  The top edge of every maximal group-pure
+    subtree is snaked by the smallest deficit under it, and every edge
+    below by what its own subtree's smallest deficit still exceeds the
+    snaking above it, so a subtree whose sinks all lag is lifted once,
+    at its top, and no sink is lifted past its target.  A lone sink —
+    a pure subtree of one, under a mixed node — is lifted at its leaf
+    edge.  It runs only when stage 1 leaves a residual violation.
 
     The cycle is {e incremental}: each balance pass memoizes every
     node's downstream cap and group-interval slab, and later passes

@@ -76,9 +76,12 @@ end
    with per-group bounds the tightest one applies, so the fused router
    still satisfies every original constraint. *)
 let fused ?bound (inst : Instance.t) =
-  let sinks =
-    Array.map (fun (s : Clocktree.Sink.t) -> { s with group = 0 }) inst.sinks
-  in
+  (* Filled from an old sink rather than mapped: an array of more than
+     256 fresh records would first empty the minor heap. *)
+  let sinks = Array.make (Instance.n_sinks inst) inst.sinks.(0) in
+  Array.iteri
+    (fun i (s : Clocktree.Sink.t) -> sinks.(i) <- { s with group = 0 })
+    inst.sinks;
   let default =
     List.init inst.n_groups (fun g -> Instance.bound_for inst g)
     |> List.fold_left Float.min Float.infinity

@@ -131,7 +131,10 @@ let partition inst ~clusters = partition_on inst ~clusters
    delay windows need no translation when its root joins the top-level
    merge. *)
 let sub_instance (inst : Instance.t) ids =
-  let sinks = Array.mapi (fun i gid -> { inst.sinks.(gid) with Sink.id = i }) ids in
+  (* Filled from an old sink rather than mapped: an array of more than
+     256 fresh records would first empty the minor heap. *)
+  let sinks = Array.make (Array.length ids) inst.sinks.(ids.(0)) in
+  Array.iteri (fun i gid -> sinks.(i) <- { inst.sinks.(gid) with Sink.id = i }) ids;
   Instance.make ~params:inst.params ~rd:inst.rd ~bound:inst.bound
     ?group_bounds:inst.group_bounds ~source:inst.source
     ~n_groups:inst.n_groups sinks
@@ -286,14 +289,11 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
           map "engine.regions"
             (fun i ->
               let ids = regions.(i) in
-              let leaves =
-                Array.mapi
-                  (fun j gid -> { (Subtree.leaf inst.Instance.sinks.(gid)) with id = j })
-                  ids
-              in
+              let leaves = Array.map (fun gid -> inst.Instance.sinks.(gid)) ids in
               let root, wall_s, stats =
                 timed (fun () ->
-                    Engine.plan ~config ~run ~leaves (sub_instance inst ids))
+                    Engine.plan ~config ~run ~leaves:(Sinks leaves)
+                      (sub_instance inst ids))
               in
               Option.iter
                 (fun dd -> Obs.Progress.region_done progress ~depth:dd)
@@ -306,15 +306,12 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
         in
         let stitch_plans = Array.make (Array.length stitches) None in
         let stitch_leaves kids =
-          Array.mapi
-            (fun i c ->
-              let root =
-                match c with
-                | Leaf_of r -> fst region_plans.(r)
-                | Super_of j -> fst (Option.get stitch_plans.(j))
-              in
-              { root with Subtree.id = i })
-            kids
+          Subtree.Subtrees
+            (Array.map
+               (function
+                 | Leaf_of r -> fst region_plans.(r)
+                 | Super_of j -> fst (Option.get stitch_plans.(j)))
+               kids)
         in
         let height = Array.fold_left (fun h s -> Int.max h s.s_height) 0 stitches in
         for h = 1 to height do

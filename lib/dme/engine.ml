@@ -59,29 +59,27 @@ let json_of_config (c : config) =
 let infeasible_penalty d =
   if d > 0. then 1e9 *. d else 1.
 
-(* The ranking cost of candidate pair [(a, b)] at region distance [dist]
-   (Octslab.dist, the same kernel as Octagon.dist) in [inst] of L1
-   diameter [diameter]: [dist] itself, plus the penalty when the merge
+(* The ranking cost of the candidate pair of ids [(a, b)] of the run [c]
+   at region distance [dist] (Octslab.dist, the same kernel as
+   Octagon.dist) in [inst]: [dist] itself, plus the penalty when the merge
    would be infeasible (mutually inconsistent shared-group offsets, the
    thesis' Instance 2), so such a pair merges only as a last resort.
    Merge.committed_feasible answers feasibility bit-identically to a
    trial Merge.run without building the merged subtree.  The penalty is
    positive, so the cost is never below [dist], as Order.run_ranked's
    contract requires. *)
-let pricing inst ~diameter =
-  let penalty = infeasible_penalty diameter in
+let cost inst c =
+  let penalty = infeasible_penalty (Clocktree.Instance.diameter inst) in
   fun ~dist a b ->
-    if Merge.committed_feasible inst ~dist a b then dist else dist +. penalty
-
-let cost inst = pricing inst ~diameter:(Clocktree.Instance.diameter inst)
+    if Merge.committed_feasible inst c ~dist a b then dist else dist +. penalty
 
 (* Bottom-up merge planning only: reduce [inst]'s sinks — or an explicit
-   [leaves] population, see {!Order.run_ranked} — to one subtree.  Does
-   not embed and does not own the pool, so the clustered router can run
-   one [plan] per region on worker domains (with [pool] absent: the pool
-   is not reentrant) and a top-level [plan] over the region roots on the
-   shared pool.  [stats.gc] is left zero: the caller samples the GC
-   around the span it reports. *)
+   [leaves] population — to one subtree.  Does not embed and does not
+   own the pool, so the clustered router can run one [plan] per region
+   on worker domains (with [pool] absent: the pool is not reentrant) and
+   a top-level [plan] over the region roots on the shared pool.
+   [stats.gc] is left zero: the caller samples the GC around the span it
+   reports. *)
 let plan_unsampled ~config ~run ?pool ?leaves inst =
   let trace = run.Obs.Run.trace in
   let tracing = Obs.Trace.enabled trace in
@@ -100,33 +98,35 @@ let plan_unsampled ~config ~run ?pool ?leaves inst =
   let shared_multi = ref 0 in
   let planned_snake = ref 0. in
   let infeasible = ref 0 in
-  (* The instance's L1 diameter scales the penalty and the delay bias.
-     [Instance.diameter] is an O(n) fold, and a stitch plan's instance
-     holds every sink, so it is computed once per plan. *)
+  (* The instance's L1 diameter scales the penalty, the delay bias and
+     the ranking's grid cells. *)
   let diameter = Clocktree.Instance.diameter inst in
-  (* Committed-merge execution, split so the ranking loop can run the
-     selected merges of a round on worker domains: [compute] is pure,
-     while [install] applies the stats and tracing on the main domain in
-     selection order. *)
-  let compute ~id a b =
-    Merge.run inst ~split_slack:config.split_slack ~width_cap:config.width_cap
-      ~id a b
+  let c =
+    Subtree.cols (match leaves with Some l -> l | None -> Subtree.Sinks inst.sinks)
   in
-  let install (result : Merge.result) =
-    let id = result.subtree.Subtree.id in
-    (match result.kind with
+  (* Committed-merge execution, split so the ranking loop can run the
+     selected merges of a round on worker domains: [compute] writes only
+     its own id's slots of [c], while [install] applies the stats and
+     tracing on the main domain in selection order. *)
+  let compute ~id a b =
+    Merge.run inst ~split_slack:config.split_slack ~width_cap:config.width_cap c ~id a b
+  in
+  let install id =
+    let kind = Merge.kind_at c id and feasible = Merge.feasible_at c id in
+    (match kind with
      | Merge.Same_group -> incr same_group
      | Merge.Cross_group -> incr cross_group
      | Merge.Shared_one -> incr shared_one
      | Merge.Shared_multi -> incr shared_multi);
-    planned_snake := !planned_snake +. result.snake;
-    if not result.feasible then incr infeasible;
+    planned_snake := !planned_snake +. Float.Array.get c.snakes id;
+    if not feasible then incr infeasible;
     if tracing then begin
-      cum_wire := !cum_wire +. result.planned_wire;
+      let planned_wire = Merge.planned_wire c id in
+      cum_wire := !cum_wire +. planned_wire;
       (match h_extent with
        | Some h ->
          Obs.Histogram.observe h
-           (Geometry.Octagon.diameter result.subtree.Subtree.region)
+           (Geometry.Octagon.diameter (Geometry.Octslab.get c.regions id))
        | None -> ());
       Obs.Trace.instant trace ~cat:"dme.engine"
         ~args:
@@ -134,17 +134,16 @@ let plan_unsampled ~config ~run ?pool ?leaves inst =
             ("id", Obs.Json.Int id);
             ( "kind",
               Obs.Json.String
-                (match result.kind with
+                (match kind with
                  | Merge.Same_group -> "same_group"
                  | Merge.Cross_group -> "cross_group"
                  | Merge.Shared_one -> "shared_one"
                  | Merge.Shared_multi -> "shared_multi") );
-            ("planned_wire", Obs.Json.Float result.planned_wire);
-            ("feasible", Obs.Json.Bool result.feasible);
+            ("planned_wire", Obs.Json.Float planned_wire);
+            ("feasible", Obs.Json.Bool feasible);
           ]
         "merge"
-    end;
-    result.subtree
+    end
   in
   (* [Order]'s §V.F-2 bias adds [weight × delay-hull (ps)] to candidate
      distances (layout units), so its weight is in layout units per ps.
@@ -199,10 +198,9 @@ let plan_unsampled ~config ~run ?pool ?leaves inst =
                ]))
     end
   in
-  let root, (ostats : Order.stats) =
+  let (ostats : Order.stats) =
     let body () =
-      Order.run_ranked ?pool ~run ?on_round ?leaves inst order_config
-        ~cost:(pricing inst ~diameter)
+      Order.run_ranked ?pool ~run ?on_round c order_config ~diameter ~cost:(cost inst c)
         ~merger:{ Order.compute; install }
     in
     if tracing then
@@ -211,7 +209,7 @@ let plan_unsampled ~config ~run ?pool ?leaves inst =
         "engine.plan" body
     else body ()
   in
-  ( root,
+  ( Subtree.finish c,
     {
       rounds = ostats.rounds;
       nn_reprobes = ostats.nn_probes;

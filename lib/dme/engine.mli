@@ -102,23 +102,23 @@ type stats = {
     manifests and stats dumps. *)
 val json_of_config : config -> Obs.Json.t
 
-(** [cost inst] is the function a probe prices candidate pairs of
-    [inst] with: [~dist a b] is the ranking cost of the pair [(a, b)]
-    whose regions are [dist] apart — [dist], plus a penalty when the
-    pair's merge would be infeasible.  The penalty scales with the
-    instance's diameter, an O(n) fold computed once, when [cost] is
-    applied to [inst]; apply it once and price many pairs.  Never below
+(** [cost inst c] is the function a probe prices candidate pairs of
+    the run [c] over [inst] with: [~dist a b] is the ranking cost of the
+    pair of ids [(a, b)] whose regions are [dist] apart — [dist], plus
+    a penalty, scaled by the instance's diameter, when the pair's merge
+    would be infeasible ({!Merge.committed_feasible}).  Never below
     [dist] and never NaN for finite [dist] — the cost contract of
     {!Order.run_ranked}.  Exposed for testing. *)
 val cost :
-  Clocktree.Instance.t ->
-  (dist:float -> Subtree.t -> Subtree.t -> float)
+  Clocktree.Instance.t -> Subtree.cols -> dist:float -> int -> int -> float
+[@@reference]
 
 (** Bottom-up merge planning only: reduce the instance's sinks — or an
-    explicit [leaves] population (see {!Order.run_ranked}: dense ids,
-    delay windows against [inst]'s groups) — to a single root subtree,
-    without embedding.  Unlike {!run_arena}, [plan] does not own a pool:
-    ranking parallelism comes from the caller's [pool] (absent = fully
+    explicit [leaves] population ({!type:Subtree.leaves}: ids in array
+    order, delay windows against [inst]'s groups) — to a single root
+    subtree, without embedding.  Unlike {!run_arena}, [plan] does not
+    own a pool: ranking parallelism comes from the caller's [pool]
+    (absent = fully
     serial; [config.jobs] is ignored).  This is the re-entrant core the
     clustered router calls once per region from worker domains
     ({!Par.Pool} is not reentrant, so region plans pass no pool) and
@@ -129,7 +129,7 @@ val plan :
   ?config:config ->
   ?run:Obs.Run.t ->
   ?pool:Par.Pool.t ->
-  ?leaves:Subtree.t array ->
+  ?leaves:Subtree.leaves ->
   Clocktree.Instance.t ->
   Subtree.t * stats
 

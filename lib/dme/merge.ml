@@ -194,13 +194,17 @@ let run_reference inst ~split_slack ~width_cap ~id a b =
 (* --- The merge kernel --------------------------------------------------- *)
 
 (* [run] computes the reference's result with the same float operations
-   on the same operands in the same order, but keeps every intermediate
-   in unboxed locals or in a per-domain scratch: no group list, no
-   constraint or interval records, no plan records, no closures and no
-   intermediate octagons.  It calls the inlined homes of the
-   reference's helpers ([Eps], [Instance.bound_for], [Rc.Elmore]);
+   on the same operands in the same order, but reads both children from
+   the run's columns and writes the merged id there and in the plan
+   store, keeping every intermediate in unboxed locals or in a
+   per-domain scratch: no group list, no constraint or interval
+   records, no plan records, no closures, no octagons and no result.
+   It calls the inlined homes of the reference's helpers ([Eps],
+   [Instance.bound_for], [Rc.Elmore], the [Octslab] kernels);
    [Eps.fmin] and [Eps.fmax] are [Float.min] and [Float.max] bit for
    bit. *)
+
+module Octslab = Geometry.Octslab
 
 (* Per-domain scratch of a merge: the strict-bound window [0, 1] and the
    full-bound window [2, 3] folded over the shared groups, then the
@@ -211,28 +215,31 @@ let scratch_key = Domain.DLS.new_key (fun () -> Float.Array.create 9)
 
 let[@inline] get w i = Float.Array.unsafe_get w i
 
-(* One ascending two-pointer walk over both window arrays — the order
-   [Subtree.shared_groups] feeds the reference's constraint list —
-   folding each shared group's [Rc.Balance.cons_x_interval] into the
+(* One ascending two-pointer walk over both children's windows — the
+   order [Subtree.shared_groups] feeds the reference's constraint list
+   — folding each shared group's [Rc.Balance.cons_x_interval] into the
    strict and the full window as [Rc.Balance.plan]'s [Interval.inter]
    fold does.  Writes the windows to [w.(0 .. 3)] and returns the
    number of shared groups. *)
-let[@inline] fold_windows inst (da : Subtree.windows)
-    (db : Subtree.windows) w =
-  let na = Array.length da.gid and nb = Array.length db.gid in
+let[@inline] fold_windows inst (c : Subtree.cols) a b w =
+  let gid = c.wgid and lo = c.wlo and hi = c.whi in
+  let oa = c.woff.(a) and ob = c.woff.(b) in
+  let na = c.wlen.(a) and nb = c.wlen.(b) in
   let slo = ref Float.neg_infinity and shi = ref Float.infinity in
   let flo = ref Float.neg_infinity and fhi = ref Float.infinity in
   let shared = ref 0 in
   let i = ref 0 and j = ref 0 in
   while !i < na && !j < nb do
-    let ga = Array.unsafe_get da.gid !i and gb = Array.unsafe_get db.gid !j in
+    let ga = Array.unsafe_get gid (oa + !i) and gb = Array.unsafe_get gid (ob + !j) in
     if ga < gb then incr i
     else if ga > gb then incr j
     else begin
       incr shared;
       let bound = Clocktree.Instance.bound_for inst ga in
-      let alo = Float.Array.unsafe_get da.lo !i and ahi = Float.Array.unsafe_get da.hi !i in
-      let blo = Float.Array.unsafe_get db.lo !j and bhi = Float.Array.unsafe_get db.hi !j in
+      let alo = Float.Array.unsafe_get lo (oa + !i) in
+      let ahi = Float.Array.unsafe_get hi (oa + !i) in
+      let blo = Float.Array.unsafe_get lo (ob + !j) in
+      let bhi = Float.Array.unsafe_get hi (ob + !j) in
       let wmax = Eps.fmax (Eps.fmax 0. (ahi -. alo)) (Eps.fmax 0. (bhi -. blo)) in
       let strict_bound = wmax +. (slack_usage *. (bound -. wmax)) in
       slo := Eps.fmax !slo (bhi -. alo -. strict_bound);
@@ -284,102 +291,138 @@ let[@inline] plan_into w (p : Rc.Wire.params) ~allow_snake ~dist ~cap_a ~cap_b
   Float.Array.unsafe_set w 8 (Eps.fmax 0. (ea +. eb -. dist));
   feasible
 
-(* [Interval.mid (Subtree.delay_hull t)]. *)
-let[@inline] hull_mid (d : Subtree.windows) =
+(* [Interval.mid (Subtree.delay_hull t)] of [id]'s windows. *)
+let[@inline] hull_mid (c : Subtree.cols) id =
   let lo = ref Float.infinity and hi = ref Float.neg_infinity in
-  for i = 0 to Array.length d.gid - 1 do
-    lo := Eps.fmin !lo (Float.Array.unsafe_get d.lo i);
-    hi := Eps.fmax !hi (Float.Array.unsafe_get d.hi i)
+  let o = c.woff.(id) in
+  for i = o to o + c.wlen.(id) - 1 do
+    lo := Eps.fmin !lo (Float.Array.unsafe_get c.wlo i);
+    hi := Eps.fmax !hi (Float.Array.unsafe_get c.whi i)
   done;
   (!lo +. !hi) /. 2.
 
-(* The reference's [merge_region]. *)
-let[@inline] committed_region (a : Octagon.t) ea (b : Octagon.t) eb =
-  let r = Octagon.within ~ra:ea a ~rb:eb b in
-  if not (Octagon.is_empty r) then r
-  else begin
+(* The reference's [merge_region] of [a] and [b], written to slot
+   [id]. *)
+let[@inline] committed_region r id a ea b eb =
+  if not (Octslab.within r id ~ra:ea a ~rb:eb b) then begin
     let extra = 4. *. Eps.tol in
-    let r = Octagon.within ~ra:(ea +. extra) a ~rb:(eb +. extra) b in
-    if not (Octagon.is_empty r) then r
-    else Octagon.of_point (fst (Octagon.closest_pair a b))
+    if not (Octslab.within r id ~ra:(ea +. extra) a ~rb:(eb +. extra) b) then
+      Octslab.closest_point r id a b
   end
+
+(* The outcome code of a merge in [cols.kinds]: its kind's index, twice,
+   plus one when it is feasible. *)
+let[@inline] code kind feasible =
+  let k =
+    match kind with
+    | Same_group -> 0
+    | Cross_group -> 1
+    | Shared_one -> 2
+    | Shared_multi -> 3
+  in
+  Char.unsafe_chr ((2 * k) + Bool.to_int feasible)
+
+let kind_at (c : Subtree.cols) id =
+  match Char.code (Bytes.get c.kinds id) lsr 1 with
+  | 0 -> Same_group
+  | 1 -> Cross_group
+  | 2 -> Shared_one
+  | _ -> Shared_multi
+
+let feasible_at (c : Subtree.cols) id = Char.code (Bytes.get c.kinds id) land 1 = 1
+
+let planned_wire (c : Subtree.cols) id =
+  let st = c.plan in
+  let m = id - Subtree.leaves st in
+  let f = st.lengths in
+  if Bytes.get st.rule m = 'c' then
+    Float.Array.get f (3 * m) +. Float.Array.get f ((3 * m) + 1)
+  else Float.Array.get f (3 * m)
+
+(* Writes merge [id]'s outcome, and its region to the store's slot. *)
+let[@inline] record (c : Subtree.cols) id kind feasible snake =
+  Bytes.unsafe_set c.kinds id (code kind feasible);
+  Float.Array.set c.snakes id snake;
+  Octslab.copy c.regions id c.plan.bounds (id - Subtree.leaves c.plan)
 
 (* The reference's [merge_committed], its windows already folded into
    [w]. *)
-let committed (inst : Clocktree.Instance.t) ~id kind (a : Subtree.t)
-    (b : Subtree.t) w =
+let committed (inst : Clocktree.Instance.t) (c : Subtree.cols) ~id kind a b w =
   let params = inst.params in
-  let dist = Octagon.dist a.region b.region in
-  let pref = hull_mid b.delay -. hull_mid a.delay in
+  let dist = Octslab.dist c.regions a b in
+  let cap_a = Float.Array.get c.caps a and cap_b = Float.Array.get c.caps b in
+  let pref = hull_mid c b -. hull_mid c a in
   let strict =
-    plan_into w params ~allow_snake:true ~dist ~cap_a:a.cap ~cap_b:b.cap
-      ~lo:(get w 0) ~hi:(get w 1) ~pref
+    plan_into w params ~allow_snake:true ~dist ~cap_a ~cap_b ~lo:(get w 0) ~hi:(get w 1)
+      ~pref
   in
   let feasible =
     if get w 8 > 0. || not strict then
-      plan_into w params ~allow_snake:true ~dist ~cap_a:a.cap ~cap_b:b.cap
-        ~lo:(get w 2) ~hi:(get w 3) ~pref
+      plan_into w params ~allow_snake:true ~dist ~cap_a ~cap_b ~lo:(get w 2)
+        ~hi:(get w 3) ~pref
     else strict
   in
   let ea = get w 4 and eb = get w 5 in
-  let region = committed_region a.region ea b.region eb in
-  let delay = Subtree.union_shifted ~wa:(get w 6) a.delay ~wb:(get w 7) b.delay in
-  let wire = ea +. eb in
-  let subtree =
-    Subtree.join ~id ~region ~cap:(a.cap +. b.cap +. (params.c *. wire)) ~delay a b
-      (Committed { ea; eb })
-  in
-  { subtree; kind; planned_wire = wire; snake = get w 8; feasible }
+  committed_region c.regions id a ea b eb;
+  Subtree.union_at ~wa:(get w 6) c a ~wb:(get w 7) b id;
+  Float.Array.set c.caps id (cap_a +. cap_b +. (params.c *. (ea +. eb)));
+  let st = c.plan and m = id - Subtree.leaves c.plan in
+  Bytes.set st.rule m 'c';
+  Float.Array.set st.lengths (3 * m) ea;
+  Float.Array.set st.lengths ((3 * m) + 1) eb;
+  record c id kind feasible (get w 8)
 
 (* [Subtree.min_slack_by] over [width_cap] of each group's bound, and
-   the reference's split budget from it. *)
-let[@inline] budget inst ~split_slack ~width_cap ~min_bound (d : Subtree.windows) =
+   the reference's split budget from it, for [id]'s windows. *)
+let[@inline] budget inst ~split_slack ~width_cap ~min_bound (c : Subtree.cols) id =
   let slack = ref Float.infinity in
-  for i = 0 to Array.length d.gid - 1 do
+  let o = c.woff.(id) in
+  for i = o to o + c.wlen.(id) - 1 do
     let width =
-      Eps.fmax 0. (Float.Array.unsafe_get d.hi i -. Float.Array.unsafe_get d.lo i)
+      Eps.fmax 0. (Float.Array.unsafe_get c.whi i -. Float.Array.unsafe_get c.wlo i)
     in
-    let bound = Clocktree.Instance.bound_for inst d.gid.(i) in
+    let bound = Clocktree.Instance.bound_for inst c.wgid.(i) in
     slack := Eps.fmin !slack ((width_cap *. bound) -. width)
   done;
   Eps.fmax 0. (Eps.fmin (split_slack *. min_bound) !slack)
 
 (* The reference's [merge_cross]; [w] is the scratch. *)
-let cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap ~id (a : Subtree.t)
-    (b : Subtree.t) w =
+let cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap (c : Subtree.cols) ~id a
+    b w =
   let params = inst.params in
-  let dist = Octagon.dist a.region b.region in
+  let dist = Octslab.dist c.regions a b in
+  let cap_a = Float.Array.get c.caps a and cap_b = Float.Array.get c.caps b in
   (* The reference folds [b]'s groups, then [a]'s. *)
   let min_bound = ref Float.infinity in
-  for i = 0 to Array.length b.delay.gid - 1 do
-    min_bound := Eps.fmin !min_bound (Clocktree.Instance.bound_for inst b.delay.gid.(i))
+  for i = c.woff.(b) to c.woff.(b) + c.wlen.(b) - 1 do
+    min_bound := Eps.fmin !min_bound (Clocktree.Instance.bound_for inst c.wgid.(i))
   done;
-  for i = 0 to Array.length a.delay.gid - 1 do
-    min_bound := Eps.fmin !min_bound (Clocktree.Instance.bound_for inst a.delay.gid.(i))
+  for i = c.woff.(a) to c.woff.(a) + c.wlen.(a) - 1 do
+    min_bound := Eps.fmin !min_bound (Clocktree.Instance.bound_for inst c.wgid.(i))
   done;
   let min_bound = !min_bound in
-  let pref = hull_mid b.delay -. hull_mid a.delay in
+  let pref = hull_mid c b -. hull_mid c a in
   let (_ : bool) =
-    plan_into w params ~allow_snake:false ~dist ~cap_a:a.cap ~cap_b:b.cap
-      ~lo:Float.neg_infinity ~hi:Float.infinity ~pref
+    plan_into w params ~allow_snake:false ~dist ~cap_a ~cap_b ~lo:Float.neg_infinity
+      ~hi:Float.infinity ~pref
   in
   let ea = get w 4 and wa = get w 6 and wb = get w 7 in
   let degenerate = dist <= Eps.tol in
   let l = ref 0. and h = ref 0. in
   if not degenerate then begin
-    let omega_a = budget inst ~split_slack ~width_cap ~min_bound a.delay in
-    let omega_b = budget inst ~split_slack ~width_cap ~min_bound b.delay in
+    let omega_a = budget inst ~split_slack ~width_cap ~min_bound c a in
+    let omega_b = budget inst ~split_slack ~width_cap ~min_bound c b in
     (* [stretch]: the wire lengths whose delay is w ± omega/2. *)
     let la =
       if wa -. (omega_a /. 2.) <= 0. then 0.
-      else Rc.Elmore.wire_for_delay params ~load:a.cap ~delay:(wa -. (omega_a /. 2.))
+      else Rc.Elmore.wire_for_delay params ~load:cap_a ~delay:(wa -. (omega_a /. 2.))
     in
-    let ha = Rc.Elmore.wire_for_delay params ~load:a.cap ~delay:(wa +. (omega_a /. 2.)) in
+    let ha = Rc.Elmore.wire_for_delay params ~load:cap_a ~delay:(wa +. (omega_a /. 2.)) in
     let lb =
       if wb -. (omega_b /. 2.) <= 0. then 0.
-      else Rc.Elmore.wire_for_delay params ~load:b.cap ~delay:(wb -. (omega_b /. 2.))
+      else Rc.Elmore.wire_for_delay params ~load:cap_b ~delay:(wb -. (omega_b /. 2.))
     in
-    let hb = Rc.Elmore.wire_for_delay params ~load:b.cap ~delay:(wb +. (omega_b /. 2.)) in
+    let hb = Rc.Elmore.wire_for_delay params ~load:cap_b ~delay:(wb +. (omega_b /. 2.)) in
     let lo = Eps.fmax 0. (Eps.fmax la (dist -. hb)) in
     let hi = Eps.fmin dist (Eps.fmin ha (dist -. lb)) in
     if lo > hi then begin
@@ -391,37 +434,31 @@ let cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap ~id (a : Subtree
       h := hi
     end
   end;
-  let region =
-    if degenerate then
-      let r = Octagon.inter a.region b.region in
-      if Octagon.is_empty r then
-        Octagon.of_point (fst (Octagon.closest_pair a.region b.region))
-      else r
-    else
-      let r = Octagon.sdr_within a.region b.region ~ra:!h ~rb:(dist -. !l) in
-      if Octagon.is_empty r then committed_region a.region ea b.region (get w 5)
-      else r
-  in
-  let subtree =
-    Subtree.join ~id ~region ~cap:(a.cap +. b.cap +. (params.c *. dist))
-      ~delay:(Subtree.union_shifted ~wa a.delay ~wb b.delay)
-      a b
-      (Split { total = dist; split_lo = !l; split_hi = !h })
-  in
-  { subtree; kind = Cross_group; planned_wire = dist; snake = 0.; feasible = true }
+  let r = c.regions in
+  if degenerate then begin
+    if not (Octslab.inter r id a b) then Octslab.closest_point r id a b
+  end
+  else if not (Octslab.sdr_within r id a b ~ra:!h ~rb:(dist -. !l)) then
+    committed_region r id a ea b (get w 5);
+  Subtree.union_at ~wa c a ~wb b id;
+  Float.Array.set c.caps id (cap_a +. cap_b +. (params.c *. dist));
+  let st = c.plan and m = id - Subtree.leaves c.plan in
+  Bytes.set st.rule m 's';
+  Float.Array.set st.lengths (3 * m) dist;
+  Float.Array.set st.lengths ((3 * m) + 1) !l;
+  Float.Array.set st.lengths ((3 * m) + 2) !h;
+  record c id Cross_group true 0.
 
-let run inst ~split_slack ~width_cap ~id (a : Subtree.t) (b : Subtree.t) =
+let run inst ~split_slack ~width_cap (c : Subtree.cols) ~id a b =
   let w = Domain.DLS.get scratch_key in
-  match fold_windows inst a.delay b.delay w with
-  | 0 -> cross inst ~split_slack ~width_cap ~id a b w
+  match fold_windows inst c a b w with
+  | 0 -> cross inst ~split_slack ~width_cap c ~id a b w
   | 1 ->
     let kind =
-      if Array.length a.delay.gid = 1 && Array.length b.delay.gid = 1 then
-        Same_group
-      else Shared_one
+      if c.wlen.(a) = 1 && c.wlen.(b) = 1 then Same_group else Shared_one
     in
-    committed inst ~id kind a b w
-  | _ -> committed inst ~id Shared_multi a b w
+    committed inst c ~id kind a b w
+  | _ -> committed inst c ~id Shared_multi a b w
 
 (* Would [run] report this pair feasible?  Answered without building the
    merged subtree, region or delay windows — the ranking loop asks this for
@@ -443,10 +480,9 @@ let run inst ~split_slack ~width_cap ~id (a : Subtree.t) (b : Subtree.t) =
      the preference point never matters.
    - Otherwise the result is the full-bound plan's [feasible]: the
      full-window fold. *)
-let committed_feasible (inst : Clocktree.Instance.t) ~dist (a : Subtree.t)
-    (b : Subtree.t) =
+let committed_feasible (inst : Clocktree.Instance.t) (c : Subtree.cols) ~dist a b =
   let w = Domain.DLS.get scratch_key in
-  if fold_windows inst a.delay b.delay w = 0 then
+  if fold_windows inst c a b w = 0 then
     true (* a cross merge: always feasible *)
   else if
     (* strict plan feasible... *)
@@ -454,8 +490,9 @@ let committed_feasible (inst : Clocktree.Instance.t) ~dist (a : Subtree.t)
     && begin
          (* ...and snake-free: wanted ∩ [x_min, x_max] non-empty. *)
          let params = inst.params in
-         let x_min = -.Rc.Elmore.wire_delay params ~len:dist ~load:b.cap in
-         let x_max = Rc.Elmore.wire_delay params ~len:dist ~load:a.cap in
+         let cap_a = Float.Array.get c.caps a and cap_b = Float.Array.get c.caps b in
+         let x_min = -.Rc.Elmore.wire_delay params ~len:dist ~load:cap_b in
+         let x_max = Rc.Elmore.wire_delay params ~len:dist ~load:cap_a in
          not (Eps.fmax (get w 0) x_min > Eps.fmin (get w 1) x_max +. Eps.tol)
        end
   then true

@@ -32,37 +32,35 @@ let plan_on ?(config = Engine.default) ?(run = Obs.Run.null)
   let shared_multi = ref 0 in
   let planned_snake = ref 0. in
   let infeasible = ref 0 in
-  let leaves = Array.map Subtree.leaf inst.sinks in
-  let store = Subtree.store leaves in
+  let c = Subtree.cols (Subtree.Sinks inst.sinks) in
   let depth = ref 0 in
   (* Both children are built before the merge takes the next id, so ids
      are recorded in order and exceed the children's. *)
-  let merge (a : Subtree.t) (b : Subtree.t) =
-    let id = Subtree.leaves store + store.merges in
-    let result =
-      Merge.run inst ~split_slack:config.split_slack
-        ~width_cap:config.width_cap ~id a b
-    in
-    (match result.kind with
+  let merge a b =
+    let id = Subtree.reserve c a b in
+    Merge.run inst ~split_slack:config.split_slack ~width_cap:config.width_cap c ~id a b;
+    (match Merge.kind_at c id with
      | Merge.Same_group -> incr same_group
      | Merge.Cross_group -> incr cross_group
      | Merge.Shared_one -> incr shared_one
      | Merge.Shared_multi -> incr shared_multi);
-    planned_snake := !planned_snake +. result.snake;
-    if not result.feasible then incr infeasible;
-    Subtree.record store result.subtree ~left:a.id ~right:b.id;
-    result.subtree
+    planned_snake := !planned_snake +. Float.Array.get c.snakes id;
+    if not (Merge.feasible_at c id) then incr infeasible;
+    id
   in
   let rec build (sinks : Clocktree.Sink.t array) level =
     depth := Int.max !depth level;
     match Array.length sinks with
     | 0 -> invalid_arg "Mmm.plan: empty sink set"
-    | 1 -> leaves.(sinks.(0).id)
+    | 1 -> sinks.(0).id
     | _ ->
       let left, right = bisect sinks in
-      merge (build left (level + 1)) (build right (level + 1))
+      (* The right half is built first, so its merges take the lower
+         ids. *)
+      let b = build right (level + 1) in
+      merge (build left (level + 1)) b
   in
-  let root =
+  let (_ : int) =
     if tracing then
       Obs.Trace.span trace ~cat:"dme.mmm"
         ~args:[ ("sinks", Obs.Json.Int (Clocktree.Instance.n_sinks inst)) ]
@@ -70,7 +68,7 @@ let plan_on ?(config = Engine.default) ?(run = Obs.Run.null)
         (fun () -> build inst.sinks 0)
     else build inst.sinks 0
   in
-  ( Subtree.stored store root,
+  ( Subtree.finish c,
     Engine.
       {
         rounds = !depth;

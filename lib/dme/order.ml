@@ -1,7 +1,5 @@
-module Octagon = Geometry.Octagon
 module Octslab = Geometry.Octslab
 module Grid_index = Geometry.Grid_index
-module Pt = Geometry.Pt
 
 type config = { multi_merge : bool; knn : int; delay_order_weight : float }
 
@@ -9,10 +7,7 @@ type config = { multi_merge : bool; knn : int; delay_order_weight : float }
 (* Fraction of the active subtrees a multi-merge round consumes. *)
 let merge_fraction = 0.5
 
-type 'merge merger = {
-  compute : id:int -> Subtree.t -> Subtree.t -> 'merge;
-  install : 'merge -> Subtree.t;
-}
+type merger = { compute : id:int -> int -> int -> unit; install : int -> unit }
 
 type stats = {
   rounds : int;
@@ -99,19 +94,21 @@ let settle_tol = 0x1p-40
    lives in [props.cost.(id)] and the priced count in
    [props.priced.(id)] from the start; the probe's grid work is the
    difference of the buffer's running totals across it. *)
-let settle snap (buf : Grid_index.knn) ~skip (q : Pt.t) ~knn ~rad ~rmax ~dist
-    ~price props id =
+let settle snap (buf : Grid_index.knn) ~skip xs ys i ~knn ~rad ~rmax ~dist ~price
+    props id =
   let knn = Int.max 1 knn in
   let cells0 = buf.cells_visited and entries0 = buf.entries in
   let reach = rad +. rmax in
-  let norm = Float.abs q.x +. Float.abs q.y +. reach in
+  let norm =
+    Float.abs (Float.Array.get xs i) +. Float.abs (Float.Array.get ys i) +. reach
+  in
   let cost = props.cost in
   Float.Array.set cost id Float.infinity;
   props.priced.(id) <- 0;
   let k = ref (Int.max 1 (knn / 4)) and from = ref 0 and queries = ref 0 in
   let bi = ref (-1) and settled = ref false in
   while not !settled do
-    Grid_index.query snap buf ~skip q !k;
+    Grid_index.query snap buf ~skip xs ys i !k;
     incr queries;
     bi := scan buf.kids ~from:!from buf.klen !bi cost props.priced id ~dist ~price;
     if
@@ -185,6 +182,13 @@ let sort_pairs sc n =
   done;
   !src
 
+type selection = {
+  left : int array;
+  right : int array;
+  costs : floatarray;
+  mutable len : int;
+}
+
 (* One round's selection.  Probes propose at most one partner each, so
    an unordered pair is proposed at most twice — once by each endpoint,
    possibly at different costs, since a cost need not be symmetric —
@@ -192,21 +196,20 @@ let sort_pairs sc n =
    [Float.compare] (the higher id's on a tie).  Ranked pairs sort by
    (cost, i, j), a total order on distinct pairs, and a greedy pass takes
    the first [limit] that touch no id taken before them.  Flat arrays and
-   one index sort: no list but the result's, no hashtable, nothing deep
-   enough to recurse. *)
-let select_pairs ~ids ~partner ~cost ~used ~limit =
-  let m = Array.length ids in
+   one index sort: no list, no hashtable, nothing deep enough to
+   recurse. *)
+let select_pairs ~ids ~count ~partner ~cost ~used ~limit sel =
   let sc = Domain.DLS.get pair_key in
-  if Array.length sc.pi < m then begin
-    sc.pi <- Array.make m 0;
-    sc.pj <- Array.make m 0;
-    sc.pc <- Float.Array.create m;
-    sc.order <- Array.make m 0;
-    sc.tmp <- Array.make m 0
+  if Array.length sc.pi < count then begin
+    sc.pi <- Array.make count 0;
+    sc.pj <- Array.make count 0;
+    sc.pc <- Float.Array.create count;
+    sc.order <- Array.make count 0;
+    sc.tmp <- Array.make count 0
   end;
   let pi = sc.pi and pj = sc.pj and pc = sc.pc in
   let ranked = ref 0 in
-  for k = 0 to m - 1 do
+  for k = 0 to count - 1 do
     let i = ids.(k) in
     let j = partner.(i) in
     if j >= 0 then begin
@@ -232,48 +235,32 @@ let select_pairs ~ids ~partner ~cost ~used ~limit =
     sc.order.(r) <- r
   done;
   let order = sort_pairs sc ranked in
-  let selected = ref [] and taken = ref 0 and k = ref 0 in
+  let taken = ref 0 and k = ref 0 in
   while !taken < limit && !k < ranked do
     let o = order.(!k) in
     let i = pi.(o) and j = pj.(o) in
     if Bytes.get used i = '\000' && Bytes.get used j = '\000' then begin
       Bytes.set used i '\001';
       Bytes.set used j '\001';
-      selected := (Float.Array.get pc o, i, j) :: !selected;
+      sel.left.(!taken) <- i;
+      sel.right.(!taken) <- j;
+      Float.Array.set sel.costs !taken (Float.Array.get pc o);
       incr taken
     end;
     incr k
   done;
-  (ranked, Array.of_list (List.rev !selected))
+  sel.len <- !taken;
+  ranked
 
 (* Each domain's k-NN answer buffer.  A probe fills it and reads it back
    before returning, and nothing a probe calls probes again, so one
    buffer per domain is never shared. *)
 let knn_key = Domain.DLS.new_key Grid_index.knn_buffer
 
-let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
-    (inst : Clocktree.Instance.t) config ~cost ~(merger : 'merge merger) =
+let run_ranked ?pool ?(run = Obs.Run.null) ?on_round (c : Subtree.cols) config
+    ~diameter ~cost ~merger =
   let { Obs.Run.trace; sched; _ } = run in
-  (* The initial population: the instance's sink leaves by default, or an
-     explicit subtree array (the clustered router's region roots).  The
-     arena is indexed by subtree id, so explicit leaves must carry dense
-     ids [0 .. n-1] — the same invariant sink leaves satisfy. *)
-  let leaves =
-    match leaves with
-    | None -> Array.map Subtree.leaf inst.Clocktree.Instance.sinks
-    | Some [||] -> invalid_arg "Order.run_ranked: leaves must be non-empty"
-    | Some ls ->
-      Array.iteri
-        (fun i (s : Subtree.t) ->
-          if s.id <> i then
-            invalid_arg "Order.run_ranked: leaf subtree ids must be dense")
-        ls;
-      ls
-  in
-  let n = Array.length leaves in
-  (* The plan: each committed merge is recorded at install, in selection
-     order, which is id order. *)
-  let store = Subtree.store leaves in
+  let n = Subtree.leaves c.plan in
   let tracing = Obs.Trace.enabled trace in
   (* Probe costs observed after each probe phase (main domain): the
      chosen best cost of every executed probe. *)
@@ -293,31 +280,29 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
      full scan, making ranking cost — and the grid work in [stats] —
      depend on coordinate scale.  [Eps.tol] absolutely and [Eps.tol * d] relatively
      keep the cell positive for degenerate (single-point) instances
-     without distorting real ones.  The diameter is an O(n) fold over the
-     instance's sinks, so it is read once per run, not per round. *)
-  let diameter = Clocktree.Instance.diameter inst in
+     without distorting real ones. *)
   let cell_floor = Float.max Geometry.Eps.tol (Geometry.Eps.tol *. diameter) in
   let cell_for m =
     Float.max cell_floor (diameter /. Float.sqrt (float_of_int (Int.max 1 m)))
   in
   (* Arena: every structure the ranking loop reads per candidate is a
-     flat array indexed by subtree id.  Ids are dense — [n] leaves plus
-     at most [n - 1] merges — so [2 n] slots cover the whole run and
-     nothing on the probe path chases a hashtable or boxes a float.
-     [slab] mirrors each alive subtree's region bounds (Octslab.dist is
-     Octagon.dist's kernel); [center] its center; [rad] the L1
-     radius of its region about that center; [hull_hi] the upper end of
-     its delay hull (the only part delay biasing reads).
+     flat array indexed by subtree id — the run's columns [c] and the
+     ranking's own below.  Ids are dense — [n] leaves plus [n - 1]
+     merges — so nothing on the probe path chases a hashtable or boxes
+     a float.  [c.regions] holds each subtree's region bounds
+     (Octslab.dist is Octagon.dist's kernel); [cx], [cy] its center;
+     [rad] the L1 radius of its region about that center; [hull_hi] the
+     upper end of its delay hull (the only part delay biasing reads).
      Slots of merged-away ids go stale rather than being cleared — the
      loop only ever indexes ids of currently alive subtrees. *)
   let cap_ids = Int.max 2 (2 * n) in
-  let node : Subtree.t option array = Array.make cap_ids None in
   (* Each round's proposals, by proposer id: partner ([-1] for none),
      cost (biased once the probe phase is over), the probe's k-NN
      queries, cells visited and entries scanned, and the candidates it
      priced.
      [used] marks the ids a round's selection takes; they are merged
-     away and never reissued, so it is never reset. *)
+     away and never reissued, so it is never reset, and the ids it
+     leaves unmarked are the alive ones. *)
   let props =
     {
       partner = Array.make cap_ids (-1);
@@ -329,33 +314,49 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
     }
   in
   let used = Bytes.make cap_ids '\000' in
-  let slab = Octslab.create cap_ids in
-  let center = Array.make cap_ids Pt.zero in
+  let slab = c.regions in
+  let cx = Float.Array.make cap_ids Float.nan in
+  let cy = Float.Array.make cap_ids Float.nan in
   let rad = Float.Array.make cap_ids Float.nan in
   let hull_hi = Float.Array.make cap_ids Float.nan in
-  let insert (s : Subtree.t) =
-    let c = Octagon.center s.region in
-    node.(s.id) <- Some s;
-    Octslab.set slab s.id s.region;
-    center.(s.id) <- c;
-    Float.Array.set rad s.id (Octagon.radius s.region c);
+  let insert id =
+    Octslab.center slab id cx cy;
+    Float.Array.set rad id (Octslab.radius slab id cx cy);
     if config.delay_order_weight <> 0. then
-      Float.Array.set hull_hi s.id (Subtree.delay_hull s).hi
+      Float.Array.set hull_hi id (Subtree.hull_hi c id)
   in
-  Array.iter insert leaves;
-  let next_id = ref n in
-  let fresh_id () =
-    let id = !next_id in
-    incr next_id;
-    id
-  in
-  let subtree id =
-    match node.(id) with Some t -> t | None -> assert false
+  for id = 0 to n - 1 do
+    insert id
+  done;
+  (* A round's selected pairs, at most half its subtrees. *)
+  let sel =
+    {
+      left = Array.make n 0;
+      right = Array.make n 0;
+      costs = Float.Array.make n Float.nan;
+      len = 0;
+    }
   in
   (* The round's k-NN snapshot and the positional center columns it is
      packed from; no round has more than [n] subtrees. *)
   let snap = Grid_index.snapshot () in
   let xs = Float.Array.create n and ys = Float.Array.create n in
+  (* A pooled phase cuts its work into [4 * jobs] chunks, as
+     [Par.Pool.map_chunked] would cut the items themselves; chunk [k] of
+     [count] items of [size] each covers [k * size] up to the end, and
+     trailing chunks may be empty. *)
+  let ways = match pool with Some p -> 4 * Par.Pool.jobs p | None -> 1 in
+  let chunk_ids = Array.init ways Fun.id in
+  let pooled label count f =
+    match pool with
+    | Some pool ->
+      let size = (count + ways - 1) / ways in
+      ignore
+        (Par.Pool.map_chunked pool ~sched ~label ~chunk:1
+           (fun k -> f (k * size) (Int.min count ((k + 1) * size) - 1))
+           chunk_ids)
+    | None -> f 0 (count - 1)
+  in
   (* Probe the round's subtrees [ids.(lo .. hi)]: each one's cheapest
      merge partner among its [knn] grid candidates (grid ranking is by
      representative point, so probe several candidates and refine with
@@ -365,7 +366,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
      [rmax] — the largest [rad] of the round's population — leaves an
      unseen candidate able to win, so the answer, and every [price]
      call, is the full-[knn] probe's.  Runs on worker domains during a
-     parallel round: the arena, [snap] and [slab] are only read, each
+     parallel round: the columns, [snap] and [slab] are only read, each
      probe writes only its own [props] slots, and the (cost, lowest-id)
      argmin makes the winner independent of candidate evaluation order.
      The range shares one pair of [dist]/[price] closures over the probed
@@ -378,7 +379,7 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
     let buf = Domain.DLS.get knn_key in
     let self = ref (-1) in
     let dist tid = Octslab.dist slab !self tid in
-    let price tid d = cost ~dist:d (subtree !self) (subtree tid) in
+    let price tid d = cost ~dist:d !self tid in
     for k = lo to hi do
       let sid = ids.(k) in
       self := sid;
@@ -387,8 +388,14 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
         Obs.Trace.instant trace ~cat:"dme.order"
           ~args:[ ("subtree", Obs.Json.Int sid) ]
           "probe";
-      settle snap buf ~skip:sid center.(sid) ~knn ~rad:(Float.Array.get rad sid)
-        ~rmax ~dist ~price props sid
+      settle snap buf ~skip:sid cx cy sid ~knn ~rad:(Float.Array.get rad sid) ~rmax
+        ~dist ~price props sid
+    done
+  in
+  (* Run the selected merges [lo .. hi], whose ids follow [first]. *)
+  let compute_range first lo hi =
+    for k = lo to hi do
+      merger.compute ~id:(first + k) sel.left.(k) sel.right.(k)
     done
   in
   (* Deep subtrees have small delay targets; merging shallow pairs first
@@ -400,13 +407,13 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
   let probed = ref 0 in
   let queried = ref 0 in
   let cells = ref 0 and entries = ref 0 and priced = ref 0 in
-  (* [ids] is the round's active population in ascending-id order: the
-     leaves' dense ids to start, then each round's survivors followed by
-     its merges, whose fresh ids exceed every earlier one. *)
-  let rec loop ids =
-    let count = Array.length ids in
-    if count = 1 then subtree ids.(0)
-    else begin
+  (* [ids.(0 .. count-1)] is the round's active population in
+     ascending-id order: the leaves' dense ids to start, then each
+     round's survivors followed by its merges, whose fresh ids exceed
+     every earlier one.  The next round's population is written to
+     [spare], and the two buffers swap. *)
+  let rec loop ids spare count =
+    if count > 1 then begin
       incr rounds;
       (* Wall time is read only when a round observer is installed, so
          the untraced run does not even touch the clock per round. *)
@@ -416,36 +423,21 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
          and probe every active subtree against that frozen snapshot — in
          parallel chunks when a pool is given; (2) sum the probes'
          counts on this domain, rank the proposals and select a disjoint
-         pair prefix, compute the selected merges — in parallel when a
-         pool is given; [merger.compute] must be pure — and install them
+         pair prefix, reserve the selected merges' ids and window space
+         in selection order, compute them — in parallel when a pool is
+         given: each writes only its own id's slots — and install them
          serially in selection order. *)
       let round_body () =
         let rmax = ref 0. in
         for k = 0 to count - 1 do
           let id = ids.(k) in
-          let c = center.(id) in
-          Float.Array.set xs k c.Pt.x;
-          Float.Array.set ys k c.Pt.y;
+          Float.Array.set xs k (Float.Array.get cx id);
+          Float.Array.set ys k (Float.Array.get cy id);
           rmax := Float.max !rmax (Float.Array.get rad id)
         done;
         let rmax = !rmax in
         Grid_index.pack snap ~cell:(cell_for count) ids xs ys count;
-        let run_probes () =
-          match pool with
-          | Some pool ->
-            (* Enough chunks to balance [4 * jobs] ways, as
-               [Par.Pool.map_chunked] would cut the probes themselves. *)
-            let ways = 4 * Par.Pool.jobs pool in
-            let size = (count + ways - 1) / ways in
-            let chunks = Array.init ((count + size - 1) / size) Fun.id in
-            ignore
-              (Par.Pool.map_chunked pool ~sched ~label:"engine.rank" ~chunk:1
-                 (fun c ->
-                   probe_range ids rmax (c * size)
-                     (Int.min count ((c + 1) * size) - 1))
-                 chunks)
-          | None -> probe_range ids rmax 0 (count - 1)
-        in
+        let run_probes () = pooled "engine.rank" count (probe_range ids rmax) in
         if tracing then
           Obs.Trace.span trace ~cat:"dme.order"
             ~args:[ ("probes", Obs.Json.Int count) ]
@@ -478,63 +470,56 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
               (int_of_float (merge_fraction *. float_of_int count /. 2.))
           else 1
         in
-        let ranked, picks =
-          select_pairs ~ids ~partner:props.partner ~cost:props.cost ~used ~limit
+        let ranked =
+          select_pairs ~ids ~count ~partner:props.partner ~cost:props.cost ~used ~limit
+            sel
         in
         (* Which pairs merge this round depends only on the proposals and
            the round-start population — never on any merge's result — so
            the (potentially parallel) merge computations can all run
            against the frozen round state, and installing them in
            selection order is bit-identical to a compute-one-install-one
-           loop.  Ids are drawn in selection order to keep the id
-           sequence independent of compute scheduling. *)
+           loop.  Ids and window space are reserved in selection order to
+           keep the id sequence independent of compute scheduling. *)
         let best_cost = ref Float.infinity in
         let commit_phase () =
-          let sels =
-            Array.map
-              (fun (c, i, j) ->
-                best_cost := Float.min !best_cost c;
-                (i, j, fresh_id ()))
-              picks
-          in
+          for k = 0 to sel.len - 1 do
+            best_cost := Float.min !best_cost (Float.Array.get sel.costs k)
+          done;
           (* Degenerate safeguard: grid candidates always yield at least one
              pair when two or more subtrees are active.  Should that ever
              fail, merge the two lowest-id survivors directly rather than
              spinning forever. *)
-          let sels =
-            if Array.length sels > 0 then sels
-            else [| (ids.(0), ids.(1), fresh_id ()) |]
-          in
-          let computed =
-            let compute (i, j, id) = merger.compute ~id (subtree i) (subtree j) in
-            match pool with
-            | Some pool when Array.length sels > 1 ->
-              Par.Pool.map_chunked pool ~sched ~label:"engine.commit" compute
-                sels
-            | _ -> Array.map compute sels
-          in
+          if sel.len = 0 then begin
+            sel.left.(0) <- ids.(0);
+            sel.right.(0) <- ids.(1);
+            Bytes.set used ids.(0) '\001';
+            Bytes.set used ids.(1) '\001';
+            sel.len <- 1
+          end;
+          let merged = sel.len in
+          let first = Subtree.reserve c sel.left.(0) sel.right.(0) in
+          for k = 1 to merged - 1 do
+            ignore (Subtree.reserve c sel.left.(k) sel.right.(k) : int)
+          done;
+          if merged > 1 then pooled "engine.commit" merged (compute_range first)
+          else compute_range first 0 0;
           (* The next round's population: this round's survivors, then the
              merges in selection order — ascending, as fresh ids are. *)
-          let merged = Array.length sels in
-          let next = Array.make (count - merged) 0 in
-          Array.iteri
-            (fun k (i, j, _) ->
-              let s = merger.install computed.(k) in
-              Subtree.record store s ~left:i ~right:j;
-              node.(i) <- None;
-              node.(j) <- None;
-              insert s;
-              next.(count - (2 * merged) + k) <- s.id)
-            sels;
           let at = ref 0 in
-          Array.iter
-            (fun id ->
-              if node.(id) <> None then begin
-                next.(!at) <- id;
-                incr at
-              end)
-            ids;
-          next
+          for k = 0 to count - 1 do
+            let id = ids.(k) in
+            if Bytes.get used id = '\000' then begin
+              spare.(!at) <- id;
+              incr at
+            end
+          done;
+          for k = 0 to merged - 1 do
+            merger.install (first + k);
+            insert (first + k);
+            spare.(!at + k) <- first + k
+          done;
+          !at + merged
         in
         let next =
           if tracing then
@@ -565,20 +550,19 @@ let run_ranked ?pool ?(run = Obs.Run.null) ?on_round ?leaves
              probes = count;
              queries = queries_run;
              priced = priced_run;
-             merges = count - Array.length next;
+             merges = count - next;
              best_cost;
              wall_s = Float.max 0. (Obs.Timer.now () -. t0);
            });
-      loop next
+      loop spare ids next
     end
   in
-  let root = loop (Array.init n Fun.id) in
-  ( Subtree.stored store root,
-    {
-      rounds = !rounds;
-      nn_probes = !probed;
-      nn_queries = !queried;
-      nn_cells = !cells;
-      nn_entries = !entries;
-      nn_priced = !priced;
-    } )
+  loop (Array.init n Fun.id) (Array.make n 0) n;
+  {
+    rounds = !rounds;
+    nn_probes = !probed;
+    nn_queries = !queried;
+    nn_cells = !cells;
+    nn_entries = !entries;
+    nn_priced = !priced;
+  }

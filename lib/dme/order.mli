@@ -12,9 +12,10 @@
     ({!select_pairs}).  Probing is read-only with respect to every
     shared structure and the partner choice tie-breaks on the lowest
     subtree id, so the selected merges — and hence the routed tree — are
-    bit-identical for any jobs count.  Each merge is recorded at install,
-    in selection (= id) order, in the run's plan store, which the
-    returned root carries ({!Subtree.store}).
+    bit-identical for any jobs count.  Each merge is reserved in the
+    run's columns and plan store in selection (= id) order before the
+    round's merges are computed ({!Subtree.reserve}), so a pooled merge
+    writes only its own slots.
 
     Every round probes every active subtree from scratch.  The
     snapshot's k-NN answer is ordered by (distance, id) and so depends
@@ -30,7 +31,8 @@
     the two radii.  The partner, every priced candidate and hence the
     tree are the full-[knn] probe's (DESIGN.md section 6.3).  A probe
     writes its proposal into id-indexed arrays and allocates no closure
-    or result of its own. *)
+    or result of its own, and a round allocates no array or record per
+    pair. *)
 
 type config = {
   multi_merge : bool;
@@ -42,17 +44,15 @@ type config = {
           0 disables the delay-target enhancement *)
 }
 
-(** How selected merges are executed.  [compute ~id a b] builds the
-    merge result; it may run on a worker domain during parallel rounds,
-    so it must not mutate shared state (reading state that is frozen for
-    the duration of the round's commit phase is fine).  [install] runs
-    on the calling domain, in selection order, and returns the merged
-    subtree the ranking loop inserts; side effects (statistics,
-    tracing) belong here. *)
-type 'merge merger = {
-  compute : id:int -> Subtree.t -> Subtree.t -> 'merge;
-  install : 'merge -> Subtree.t;
-}
+(** How selected merges are executed.  [compute ~id a b] merges the
+    run's subtrees [a] and [b] into [id], which {!Subtree.reserve} has
+    opened; it may run on a worker domain during parallel rounds, so it
+    must write nothing but [id]'s own slots (reading state that is
+    frozen for the duration of the round's commit phase is fine).
+    [install id] runs on the calling domain, in selection order, after
+    the round's merges are computed; side effects (statistics, tracing)
+    belong here. *)
+type merger = { compute : id:int -> int -> int -> unit; install : int -> unit }
 
 (** Ranking-loop statistics.  [nn_probes] counts nearest-neighbour
     probes (each prices up to [knn] candidates): the active count summed
@@ -106,25 +106,37 @@ type proposals = {
   priced : int array;
 }
 
-(** [select_pairs ~ids ~partner ~cost ~used ~limit] is one round's pair
-    selection: [(ranked, selected)].  The probed subtree ids are [ids];
-    [partner.(i)] is the partner [i] proposes ([-1] for none), itself one
-    of [ids], and [cost.(i)] the proposal's cost.  A pair proposed by both
-    endpoints is ranked once, at the smaller cost under [Float.compare]
-    (the higher id's on a tie), so [ranked] counts distinct proposed
-    pairs.  [selected] lists pairs [(cost, i, j)], [i < j], in (cost, i,
-    j) order: the greedy disjoint prefix of at most [limit] ranked pairs
-    that touch no id marked in [used].  Selected ids are marked in
-    [used], which covers every id.  Sorts in per-domain scratch, so it
-    allocates only its result, and never recurses; exposed for
-    testing. *)
+(** One round's selected pairs, in selection order: pair [k < len] is
+    [(left.(k), right.(k))], [left.(k) < right.(k)], ranked at
+    [costs.(k)]. *)
+type selection = {
+  left : int array;
+  right : int array;
+  costs : floatarray;
+  mutable len : int;
+}
+
+(** [select_pairs ~ids ~count ~partner ~cost ~used ~limit sel] is one
+    round's pair selection.  The probed subtree ids are [ids.(0 ..
+    count-1)]; [partner.(i)] is the partner [i] proposes ([-1] for
+    none), itself one of them, and [cost.(i)] the proposal's cost.  A
+    pair proposed by both endpoints is ranked once, at the smaller cost
+    under [Float.compare] (the higher id's on a tie); the result is the
+    number of distinct proposed pairs ranked.  [sel] receives, in
+    (cost, i, j) order, the greedy disjoint prefix of at most [limit]
+    ranked pairs that touch no id marked in [used]; its arrays must
+    have room for them.  Selected ids are marked in [used], which
+    covers every id.  Sorts in per-domain scratch, so it allocates
+    nothing, and never recurses; exposed for testing. *)
 val select_pairs :
   ids:int array ->
+  count:int ->
   partner:int array ->
   cost:floatarray ->
   used:Bytes.t ->
   limit:int ->
-  int * (float * int * int) array
+  selection ->
+  int
 [@@reference]
 
 (** [cheapest ids len ~dist ~price] is the index [i] in [0 .. len-1]
@@ -145,8 +157,9 @@ val cheapest :
   int * float
 [@@reference]
 
-(** [settle snap buf ~skip q ~knn ~rad ~rmax ~dist ~price props id] is
-    one probe's widening search: it writes to [props]' slots [id] the
+(** [settle snap buf ~skip xs ys i ~knn ~rad ~rmax ~dist ~price props
+    id] is one probe's widening search from the point [q] at [xs.(i)],
+    [ys.(i)]: it writes to [props]' slots [id] the
     partner and cost that {!cheapest} finds over the [knn] entries of
     [snap] nearest to [q] (ignoring the entry with id [skip], see
     {!Geometry.Grid_index.query}) — [-1] at
@@ -171,7 +184,9 @@ val settle :
   Geometry.Grid_index.snapshot ->
   Geometry.Grid_index.knn ->
   skip:int ->
-  Geometry.Pt.t ->
+  floatarray ->
+  floatarray ->
+  int ->
   knn:int ->
   rad:float ->
   rmax:float ->
@@ -182,20 +197,23 @@ val settle :
   unit
 [@@reference]
 
-(** [run_ranked ?pool ?run ?on_round ?leaves inst config ~cost
-    ~merger] reduces the sink set to one subtree, pricing candidate
-    pairs with [cost], running
-    [merger.compute] for every selected pair and [merger.install] on the
-    calling domain in selection order; [install] must return the
-    subtree built under the id [compute] was given.
+(** [run_ranked ?pool ?run ?on_round c config ~diameter ~cost ~merger]
+    reduces the run's leaves ([c], ids [0 .. n-1]) to one subtree,
+    pricing candidate pairs with [cost], reserving every selected merge
+    ({!Subtree.reserve}), running [merger.compute] for it and
+    [merger.install] on the calling domain in selection order.  The
+    merges take ids [n] upward; the root is [Subtree.finish c].
+    [diameter] is the L1 extent that sizes the rounds' grid cells (the
+    instance's).
 
-    [cost ~dist a b] ranks the pair [(a, b)] whose regions are [dist]
-    apart ([Octslab.dist], the kernel of [Octagon.dist]).  It may run on
-    a worker domain, so it must not mutate shared state.  Contract: it
-    is never below [dist] and never NaN.  A probe relies on it to price
-    only the candidates that can still win (see {!cheapest}) and to stop
-    widening its k-NN query once no unseen candidate can win (see
-    {!settle}); a NaN cost raises [Invalid_argument].
+    [cost ~dist a b] ranks the pair of ids [(a, b)] whose regions are
+    [dist] apart ([Octslab.dist], the kernel of [Octagon.dist]).  It may
+    run on a worker domain, so it must not mutate shared state.
+    Contract: it is never below [dist] and never NaN.  A probe relies on
+    it to price only the candidates that can still win (see
+    {!cheapest}) and to stop widening its k-NN query once no unseen
+    candidate can win (see {!settle}); a NaN cost raises
+    [Invalid_argument].
 
     With [pool], candidate probing
     and the selected merges' computations run on the pool's domains;
@@ -207,22 +225,14 @@ val settle :
     An enabled [run.sched] recorder ledgers the pooled probe and commit
     maps under ["engine.rank"] / ["engine.commit"].  [on_round] is
     invoked after each round's commits with that round's
-    {!round_info}.  [leaves] overrides the initial population:
-    instead of the instance's sink leaves, ranking starts from the given
-    subtrees (the clustered router's region roots).  Explicit leaves
-    must be non-empty and carry dense ids [0 .. n-1] — the arena is
-    id-indexed — and
-    their delay windows must be expressed against [inst]'s groups; merge
-    node ids are allocated from [n] upward.  Leaves are sinks or, for a
-    stitch, finished plans ([Stored]).  Returns the root, with [plan =
-    Stored] of the run's store, and the ranking statistics. *)
+    {!round_info}.  Returns the ranking statistics. *)
 val run_ranked :
   ?pool:Par.Pool.t ->
   ?run:Obs.Run.t ->
   ?on_round:(round_info -> unit) ->
-  ?leaves:Subtree.t array ->
-  Clocktree.Instance.t ->
+  Subtree.cols ->
   config ->
-  cost:(dist:float -> Subtree.t -> Subtree.t -> float) ->
-  merger:'merge merger ->
-  Subtree.t * stats
+  diameter:float ->
+  cost:(dist:float -> int -> int -> float) ->
+  merger:merger ->
+  stats

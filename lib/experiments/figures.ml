@@ -5,6 +5,13 @@ open Clocktree
 let pt = Pt.make
 let sink id x y ?(cap = 20.) group = Sink.make ~id ~loc:(pt x y) ~cap ~group
 
+(* Merge the run [c]'s subtrees [a] and [b] under the next id, with
+   the engine's default slack settings. *)
+let merge inst c a b =
+  let id = Dme.Subtree.reserve c a b in
+  Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 c ~id a b;
+  id
+
 type fig1 = {
   zst_wirelength : float;
   zst_skew : float;
@@ -25,18 +32,11 @@ let fig1 () =
     let inst =
       Instance.make ~bound ~source:(pt 10000. 1000.) ~n_groups:1 sinks
     in
-    (* Merge by hand, recording each merge in the plan the embedding
+    (* Merge by hand in a run over the sinks, whose plan the embedding
        reads. *)
-    let leaves = Array.map Dme.Subtree.leaf inst.sinks in
-    let store = Dme.Subtree.store leaves in
-    let merge (a : Dme.Subtree.t) (b : Dme.Subtree.t) =
-      let id = Dme.Subtree.leaves store + store.merges in
-      let t = (Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id a b).subtree in
-      Dme.Subtree.record store t ~left:a.id ~right:b.id;
-      t
-    in
-    let root = merge (merge leaves.(0) leaves.(1)) leaves.(2) in
-    let a = Dme.Embed.run_arena inst (Dme.Subtree.stored store root) in
+    let c = Dme.Subtree.cols (Sinks inst.sinks) in
+    ignore (merge inst c (merge inst c 0 1) 2 : int);
+    let a = Dme.Embed.run_arena inst (Dme.Subtree.finish c) in
     ignore (Repair.run_arena inst a);
     Evaluate.report_of_arena inst a
   in
@@ -96,20 +96,13 @@ let fig3 () =
     [| sink 0 0. 0. 0; sink 1 0. 2000. 0; sink 2 5000. 500. 1; sink 3 5000. 2500. 1 |]
   in
   let inst = Instance.make ~bound:10. ~source:(pt 0. 0.) ~n_groups:2 sinks in
-  let merge id a b =
-    (Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id a b)
-      .subtree
-  in
-  let leaf i = Dme.Subtree.leaf inst.sinks.(i) in
-  let ta = merge 10 (leaf 0) (leaf 1) in
-  let tb = merge 11 (leaf 2) (leaf 3) in
-  let distance = Octagon.dist ta.region tb.region in
-  let merged = merge 12 ta tb in
-  {
-    region = merged.region;
-    vertices = Octagon.vertices merged.region;
-    distance;
-  }
+  let c = Dme.Subtree.cols (Sinks inst.sinks) in
+  let merge = merge inst c in
+  let ta = merge 0 1 in
+  let tb = merge 2 3 in
+  let distance = Geometry.Octslab.dist c.regions ta tb in
+  let region = (Dme.Subtree.view c (merge ta tb)).region in
+  { region; vertices = Octagon.vertices region; distance }
 
 type fig4 = {
   kind : Dme.Merge.kind;
@@ -129,20 +122,17 @@ let fig4 () =
     |]
   in
   let inst = Instance.make ~bound:10. ~source:(pt 0. 0.) ~n_groups:3 sinks in
-  let merge id a b =
-    Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id a b
-  in
-  let leaf i = Dme.Subtree.leaf inst.sinks.(i) in
-  let tc = (merge 10 (leaf 0) (leaf 1)).subtree in
-  let tf = (merge 11 (leaf 2) (leaf 3)).subtree in
-  let r = merge 12 tc tf in
-  let width =
-    Geometry.Interval.width (Option.get (Dme.Subtree.window r.subtree 0))
-  in
+  let c = Dme.Subtree.cols (Sinks inst.sinks) in
+  let merge = merge inst c in
+  let tc = merge 0 1 in
+  let tf = merge 2 3 in
+  let r = merge tc tf in
+  let merged = Dme.Subtree.view c r in
   {
-    kind = r.kind;
-    merged_groups = Dme.Subtree.groups r.subtree;
-    shared_group_width = width;
+    kind = Dme.Merge.kind_at c r;
+    merged_groups = Dme.Subtree.groups merged;
+    shared_group_width =
+      Geometry.Interval.width (Option.get (Dme.Subtree.window merged 0));
   }
 
 type fig5 = {

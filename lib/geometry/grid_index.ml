@@ -165,13 +165,14 @@ let knn_reserve b cap =
    a kept entry's insertion point is usually at or near the end.  The
    offer is written out in the loop, with no local function (a closure
    per range). *)
-let scan_range s b cap (q : Pt.t) skip lo hi =
+let scan_range s b cap qxs qys qi skip lo hi =
   let sids = s.ids and xs = s.xs and ys = s.ys in
   let ids = b.kids and ds = b.kdist in
+  let qx = Float.Array.get qxs qi and qy = Float.Array.get qys qi in
   for i = lo to hi - 1 do
     let d =
-      Float.abs (q.x -. Float.Array.unsafe_get xs i)
-      +. Float.abs (q.y -. Float.Array.unsafe_get ys i)
+      Float.abs (qx -. Float.Array.unsafe_get xs i)
+      +. Float.abs (qy -. Float.Array.unsafe_get ys i)
     in
     let id = Array.unsafe_get sids i in
     let len = b.klen in
@@ -225,7 +226,7 @@ let[@inline] query_key cell g0 len v =
    ring as probed — ring 0 is one cell and ring [r >= 1] is [8 r].
    Written out with top-level helpers and no local closure, so a query
    allocates nothing beyond boxing [kth]. *)
-let query s b ~skip (q : Pt.t) k =
+let query s b ~skip qxs qys qi k =
   b.klen <- 0;
   b.kth <- Float.infinity;
   b.exhaustive <- true;
@@ -235,7 +236,8 @@ let query s b ~skip (q : Pt.t) k =
     let cap = Int.min k s.len in
     knn_reserve b cap;
     let w = s.w and h = s.h and start = s.start and cell = s.cell in
-    let cx = query_key cell s.gx0 w q.x and cy = query_key cell s.gy0 h q.y in
+    let cx = query_key cell s.gx0 w (Float.Array.get qxs qi)
+    and cy = query_key cell s.gy0 h (Float.Array.get qys qi) in
     let max_ring = Int.max (Int.max cx (w - 1 - cx)) (Int.max cy (h - 1 - cy)) in
     let entries = ref 0 and r = ref 0 in
     while
@@ -248,7 +250,7 @@ let query s b ~skip (q : Pt.t) k =
       if r' = 0 then begin
         if cx >= 0 && cx < w && cy >= 0 && cy < h then begin
           let c = (cy * w) + cx in
-          entries := !entries + scan_range s b cap q skip start.(c) start.(c + 1)
+          entries := !entries + scan_range s b cap qxs qys qi skip start.(c) start.(c + 1)
         end
       end
       else begin
@@ -260,12 +262,12 @@ let query s b ~skip (q : Pt.t) k =
           if top >= 0 then
             entries :=
               !entries
-              + scan_range s b cap q skip start.((top * w) + lo)
+              + scan_range s b cap qxs qys qi skip start.((top * w) + lo)
                   start.((top * w) + hi + 1);
           if bot < h then
             entries :=
               !entries
-              + scan_range s b cap q skip start.((bot * w) + lo)
+              + scan_range s b cap qxs qys qi skip start.((bot * w) + lo)
                   start.((bot * w) + hi + 1)
         end;
         let ylo = Int.max (cy - r' + 1) 0 and yhi = Int.min (cy + r' - 1) (h - 1) in
@@ -273,12 +275,14 @@ let query s b ~skip (q : Pt.t) k =
         if left >= 0 then
           for gy = ylo to yhi do
             let c = (gy * w) + left in
-            entries := !entries + scan_range s b cap q skip start.(c) start.(c + 1)
+            entries :=
+              !entries + scan_range s b cap qxs qys qi skip start.(c) start.(c + 1)
           done;
         if right < w then
           for gy = ylo to yhi do
             let c = (gy * w) + right in
-            entries := !entries + scan_range s b cap q skip start.(c) start.(c + 1)
+            entries :=
+              !entries + scan_range s b cap qxs qys qi skip start.(c) start.(c + 1)
           done
       end;
       incr r
@@ -361,8 +365,9 @@ let packed t =
 let k_nearest_probe t ?skip q k =
   let eligible id = match skip with None -> true | Some f -> not (f id) in
   let s = packed t and b = knn_buffer () in
+  let qx = Float.Array.make 1 q.Pt.x and qy = Float.Array.make 1 q.Pt.y in
   let rec widen want =
-    query s b ~skip:(-1) q want;
+    query s b ~skip:(-1) qx qy 0 want;
     let found = ref 0 in
     for i = 0 to b.klen - 1 do
       if eligible b.kids.(i) then incr found

@@ -67,15 +67,16 @@ type knn = private {
 
 val knn_buffer : unit -> knn
 
-(** [query s buf ~skip q k] overwrites [buf]'s answer with the [k]
-    entries of [s] that come first by (L1 distance to [q], id), ignoring
+(** [query s buf ~skip xs ys i k] overwrites [buf]'s answer with the
+    [k] entries of [s] that come first by (L1 distance to the query
+    point [q] = [(xs.(i), ys.(i))], id), ignoring
     the entry whose id is [skip] — the probing entry itself; pass [-1],
     which no entry carries, to skip nothing — (fewer when fewer are
     eligible), and adds the query's work to [buf]'s running totals: the
     scan counts [1 + 4 R (R - 1)] cells for the [R] rings it walks, and
     every entry those cells hold.  Scanning an entry allocates and calls
     nothing. *)
-val query : snapshot -> knn -> skip:int -> Pt.t -> int -> unit
+val query : snapshot -> knn -> skip:int -> floatarray -> floatarray -> int -> int -> unit
 
 (** {1 Builder}
 

@@ -226,16 +226,21 @@ let[@inline] contains_at a i x y =
 
 let contains o (p : Pt.t) = (not (is_empty o)) && contains_at o 0 p.x p.y
 
+(* The intersection of the octagons at offsets [ao] of [a] and [bo] of
+   [b], closed in [s]; [false] when it is empty. *)
+let[@inline] inter_into s a ao b bo =
+  fill s 0
+    (Eps.fmax (xl a ao) (xl b bo)) (Eps.fmin (xh a ao) (xh b bo))
+    (Eps.fmax (yl a ao) (yl b bo)) (Eps.fmin (yh a ao) (yh b bo))
+    (Eps.fmax (sl a ao) (sl b bo)) (Eps.fmin (sh a ao) (sh b bo))
+    (Eps.fmax (dl a ao) (dl b bo)) (Eps.fmin (dh a ao) (dh b bo));
+  close s
+
 let inter a b =
   if is_empty a || is_empty b then empty
   else begin
     let s = Domain.DLS.get scratch_key in
-    fill s 0
-      (Eps.fmax (xl a 0) (xl b 0)) (Eps.fmin (xh a 0) (xh b 0))
-      (Eps.fmax (yl a 0) (yl b 0)) (Eps.fmin (yh a 0) (yh b 0))
-      (Eps.fmax (sl a 0) (sl b 0)) (Eps.fmin (sh a 0) (sh b 0))
-      (Eps.fmax (dl a 0) (dl b 0)) (Eps.fmin (dh a 0) (dh b 0));
-    closed s
+    if inter_into s a 0 b 0 then load s 0 else empty
   end
 
 (* Supports of a convex hull are the pointwise maxima of supports, so the
@@ -280,21 +285,29 @@ let[@inline] dist a b =
 let[@inline] slice_lo yl sl dh x = Eps.fmax yl (Eps.fmax (sl -. x) (x -. dh))
 let[@inline] slice_hi yh sh dl x = Eps.fmin yh (Eps.fmin (sh -. x) (x -. dl))
 
+(* The center of the octagon at offset [i] of [a]: the midpoint [x] of
+   its x range, then the midpoint of its slice there. *)
+let[@inline] center_x a i = (xl a i +. xh a i) /. 2.
+
+let[@inline] center_y a i x =
+  (slice_lo (yl a i) (sl a i) (dh a i) x +. slice_hi (yh a i) (sh a i) (dl a i) x) /. 2.
+
 let center o =
   if is_empty o then invalid_arg "Octagon.center: empty octagon";
-  let x = (xl o 0 +. xh o 0) /. 2. in
-  let ylo = slice_lo (yl o 0) (sl o 0) (dh o 0) x in
-  let yhi = slice_hi (yh o 0) (sh o 0) (dl o 0) x in
-  Pt.make x ((ylo +. yhi) /. 2.)
+  let x = center_x o 0 in
+  Pt.make x (center_y o 0 x)
 
 (* |dx| + |dy| = max (|ds|, |dd|) for s = x + y and d = x - y, so the
    farthest point lies at the larger reach of the s and d extents. *)
+let[@inline] radius_at a i x y =
+  let cs = x +. y and cd = x -. y in
+  Eps.fmax
+    (Eps.fmax (sh a i -. cs) (cs -. sl a i))
+    (Eps.fmax (dh a i -. cd) (cd -. dl a i))
+
 let radius o (c : Pt.t) =
   if is_empty o then invalid_arg "Octagon.radius: empty octagon";
-  let cs = c.x +. c.y and cd = c.x -. c.y in
-  Eps.fmax
-    (Eps.fmax (sh o 0 -. cs) (cs -. sl o 0))
-    (Eps.fmax (dh o 0 -. cd) (cd -. dl o 0))
+  radius_at o 0 c.x c.y
 
 (* L1 projection by clamping x first, then y within the slice at that x,
    written to [xy]; [true] when that point is [p] itself, inside the
@@ -381,21 +394,21 @@ let[@inline] critical r ha hb = (hb -. ha +. r) /. 2.
    closure scratch.  Inlined, so [r] is not boxed; the running hull is
    kept in unboxed locals, which measured faster than folding it into
    [h] in a loop. *)
-let[@inline] sdr_slices s (h : float array) a b r =
+let[@inline] sdr_slices s (h : float array) a ao b bo r =
   let hxl = ref 0. and hxh = ref 0. and hyl = ref 0. and hyh = ref 0. in
   let hsl = ref 0. and hsh = ref 0. and hdl = ref 0. and hdh = ref 0. in
   let hulled = ref false in
   for k = 0 to 8 + sdr_uniform - 1 do
     let t =
       match k with
-      | 0 -> critical r (xh a 0) (xh b 0)
-      | 1 -> critical r (-.xl a 0) (-.xl b 0)
-      | 2 -> critical r (yh a 0) (yh b 0)
-      | 3 -> critical r (-.yl a 0) (-.yl b 0)
-      | 4 -> critical r (sh a 0) (sh b 0)
-      | 5 -> critical r (-.sl a 0) (-.sl b 0)
-      | 6 -> critical r (dh a 0) (dh b 0)
-      | 7 -> critical r (-.dl a 0) (-.dl b 0)
+      | 0 -> critical r (xh a ao) (xh b bo)
+      | 1 -> critical r (-.xl a ao) (-.xl b bo)
+      | 2 -> critical r (yh a ao) (yh b bo)
+      | 3 -> critical r (-.yl a ao) (-.yl b bo)
+      | 4 -> critical r (sh a ao) (sh b bo)
+      | 5 -> critical r (-.sl a ao) (-.sl b bo)
+      | 6 -> critical r (dh a ao) (dh b bo)
+      | 7 -> critical r (-.dl a ao) (-.dl b bo)
       | i -> r *. float_of_int (i - 8) /. float_of_int (sdr_uniform - 1)
     in
     let t = if t < 0. then 0. else if t > r then r else t in
@@ -407,14 +420,14 @@ let[@inline] sdr_slices s (h : float array) a b r =
     if !j = k then begin
       let ta = Eps.fmax 0. t and tb = Eps.fmax 0. (r -. t) in
       fill s 0
-        (Eps.fmax (xl a 0 -. ta) (xl b 0 -. tb))
-        (Eps.fmin (xh a 0 +. ta) (xh b 0 +. tb))
-        (Eps.fmax (yl a 0 -. ta) (yl b 0 -. tb))
-        (Eps.fmin (yh a 0 +. ta) (yh b 0 +. tb))
-        (Eps.fmax (sl a 0 -. ta) (sl b 0 -. tb))
-        (Eps.fmin (sh a 0 +. ta) (sh b 0 +. tb))
-        (Eps.fmax (dl a 0 -. ta) (dl b 0 -. tb))
-        (Eps.fmin (dh a 0 +. ta) (dh b 0 +. tb));
+        (Eps.fmax (xl a ao -. ta) (xl b bo -. tb))
+        (Eps.fmin (xh a ao +. ta) (xh b bo +. tb))
+        (Eps.fmax (yl a ao -. ta) (yl b bo -. tb))
+        (Eps.fmin (yh a ao +. ta) (yh b bo +. tb))
+        (Eps.fmax (sl a ao -. ta) (sl b bo -. tb))
+        (Eps.fmin (sh a ao +. ta) (sh b bo +. tb))
+        (Eps.fmax (dl a ao -. ta) (dl b bo -. tb))
+        (Eps.fmin (dh a ao +. ta) (dh b bo +. tb));
       if close s then begin
         if !hulled then begin
           hxl := Eps.fmin !hxl (xl s 0);
@@ -448,50 +461,35 @@ let sdr a b =
   if r <= Eps.tol then inter a b
   else
     let h = Domain.DLS.get sdr_key in
-    if sdr_slices (Domain.DLS.get scratch_key) h a b r then load h hull_at else empty
+    if sdr_slices (Domain.DLS.get scratch_key) h a 0 b 0 r then load h hull_at else empty
 
 (* [inter (inflate ra a) (inflate rb b)]'s raw bounds, with the same
    float operations. *)
-let[@inline] fill_within s ra a rb b =
+let[@inline] fill_within s ra a ao rb b bo =
   let ra = Eps.fmax 0. ra and rb = Eps.fmax 0. rb in
   fill s 0
-    (Eps.fmax (xl a 0 -. ra) (xl b 0 -. rb))
-    (Eps.fmin (xh a 0 +. ra) (xh b 0 +. rb))
-    (Eps.fmax (yl a 0 -. ra) (yl b 0 -. rb))
-    (Eps.fmin (yh a 0 +. ra) (yh b 0 +. rb))
-    (Eps.fmax (sl a 0 -. ra) (sl b 0 -. rb))
-    (Eps.fmin (sh a 0 +. ra) (sh b 0 +. rb))
-    (Eps.fmax (dl a 0 -. ra) (dl b 0 -. rb))
-    (Eps.fmin (dh a 0 +. ra) (dh b 0 +. rb))
+    (Eps.fmax (xl a ao -. ra) (xl b bo -. rb))
+    (Eps.fmin (xh a ao +. ra) (xh b bo +. rb))
+    (Eps.fmax (yl a ao -. ra) (yl b bo -. rb))
+    (Eps.fmin (yh a ao +. ra) (yh b bo +. rb))
+    (Eps.fmax (sl a ao -. ra) (sl b bo -. rb))
+    (Eps.fmin (sh a ao +. ra) (sh b bo +. rb))
+    (Eps.fmax (dl a ao -. ra) (dl b bo -. rb))
+    (Eps.fmin (dh a ao +. ra) (dh b bo +. rb))
 
-let within ~ra a ~rb b =
-  if is_empty a || is_empty b then empty
-  else begin
-    let s = Domain.DLS.get scratch_key in
-    fill_within s ra a rb b;
-    closed s
-  end
-
-let sdr_within a b ~ra ~rb =
-  let r = dist a b in
-  if r <= Eps.tol then inter (inter a b) (within ~ra a ~rb b)
-  else
-    let s = Domain.DLS.get scratch_key and h = Domain.DLS.get sdr_key in
-    if not (sdr_slices s h a b r) then empty
-    else begin
-      fill_within s ra a rb b;
-      if not (close s) then empty
-      else begin
-        (* [inter] of the hull and the closed inflations, in that
-           operand order. *)
-        fill s 0
-          (Eps.fmax (xl h hull_at) (xl s 0)) (Eps.fmin (xh h hull_at) (xh s 0))
-          (Eps.fmax (yl h hull_at) (yl s 0)) (Eps.fmin (yh h hull_at) (yh s 0))
-          (Eps.fmax (sl h hull_at) (sl s 0)) (Eps.fmin (sh h hull_at) (sh s 0))
-          (Eps.fmax (dl h hull_at) (dl s 0)) (Eps.fmin (dh h hull_at) (dh s 0));
-        closed s
-      end
+(* [sdr_within]'s bounds for octagons [r > Eps.tol] apart, closed in
+   [s]; [false] when the result is empty.  [h] is the SDR scratch. *)
+let[@inline] sdr_within_into s h a ao b bo r ra rb =
+  sdr_slices s h a ao b bo r
+  && begin
+    fill_within s ra a ao rb b bo;
+    close s
+    && begin
+      (* [inter] of the hull and the closed inflations, in that operand
+         order. *)
+      inter_into s h hull_at s 0
     end
+  end
 
 let x_range o =
   if is_empty o then invalid_arg "Octagon.x_range: empty octagon";
@@ -571,6 +569,56 @@ module Slab = struct
     if slot < 0 || slot >= t.slots then invalid_arg "Octslab.get: slot out of range";
     load t.data (8 * slot)
 
-  let dist t i j = dist_at t.data (8 * i) t.data (8 * j)
+  let[@inline] dist t i j = dist_at t.data (8 * i) t.data (8 * j)
   let nearest t slot p xy = nearest_at t.data (8 * slot) p xy
+
+  let[@inline] center t slot xs ys =
+    let d = t.data and o = 8 * slot in
+    let x = center_x d o in
+    Float.Array.set xs slot x;
+    Float.Array.set ys slot (center_y d o x)
+
+  let[@inline] radius t slot xs ys =
+    radius_at t.data (8 * slot) (Float.Array.get xs slot) (Float.Array.get ys slot)
+
+  (* Write the closed bounds in [s] to slot [dst] when [ok]. *)
+  let[@inline] keep t dst s ok =
+    if ok then begin
+      ensure t dst;
+      fill t.data (8 * dst) (xl s 0) (xh s 0) (yl s 0) (yh s 0) (sl s 0) (sh s 0) (dl s 0)
+        (dh s 0)
+    end;
+    ok
+
+  let[@inline] within t dst ~ra a ~rb b =
+    let s = Domain.DLS.get scratch_key and d = t.data in
+    fill_within s ra d (8 * a) rb d (8 * b);
+    keep t dst s (close s)
+
+  let[@inline] sdr_within t dst a b ~ra ~rb =
+    let d = t.data and ao = 8 * a and bo = 8 * b in
+    let r = dist_at d ao d bo in
+    if r <= Eps.tol then begin
+      let a = load d ao and b = load d bo in
+      let o = inter (inter a b) (inter (inflate ra a) (inflate rb b)) in
+      if not (is_empty o) then set t dst o;
+      not (is_empty o)
+    end
+    else begin
+      let s = Domain.DLS.get scratch_key and h = Domain.DLS.get sdr_key in
+      keep t dst s (sdr_within_into s h d ao d bo r ra rb)
+    end
+
+  let[@inline] inter t dst a b =
+    let s = Domain.DLS.get scratch_key and d = t.data in
+    keep t dst s (inter_into s d (8 * a) d (8 * b))
+
+  let closest_point t dst a b =
+    set t dst (of_point (fst (closest_pair (get t a) (get t b))))
+
+  let copy src i dst j =
+    ensure dst j;
+    let d = src.data and o = 8 * i in
+    fill dst.data (8 * j) (xl d o) (xh d o) (yl d o) (yh d o) (sl d o) (sh d o) (dl d o)
+      (dh d o)
 end

@@ -101,17 +101,6 @@ val closest_pair : t -> t -> Pt.t * Pt.t
     only its result. *)
 val sdr : t -> t -> t
 
-(** [within ~ra a ~rb b] is [inter (inflate ra a) (inflate rb b)], bit
-    for bit — the points within L1 distance [ra] of [a] and [rb] of [b]
-    — allocating only its result. *)
-val within : ra:float -> t -> rb:float -> t -> t
-
-(** [sdr_within a b ~ra ~rb] is [inter (sdr a b) (within ~ra a ~rb b)],
-    bit for bit: the shortest-distance region's points within [ra] of
-    [a] and [rb] of [b].  When [a] and [b] lie more than the tolerance
-    apart it allocates only its result. *)
-val sdr_within : t -> t -> ra:float -> rb:float -> t
-
 val x_range : t -> Interval.t
 val y_range : t -> Interval.t
 
@@ -119,13 +108,17 @@ val y_range : t -> Interval.t
 val diameter : t -> float
 
 (** Midpoint-based representative, cheap; equals the point for point
-    regions. *)
+    regions.  The value form of [Octslab.center], kept for the tests
+    that check it. *)
 val center : t -> Pt.t
+[@@reference]
 
 (** [radius o c] is the largest L1 distance from [c] to a point of [o]:
     the larger of the rotated extents' reaches from [c].  Raises
-    [Invalid_argument] on the empty octagon. *)
+    [Invalid_argument] on the empty octagon.  The value form of
+    [Octslab.radius], kept for the tests that check it. *)
 val radius : t -> Pt.t -> float
+[@@reference]
 
 (** Boundary vertices in counter-clockwise order (at most 8), for
     display.  Empty list on the empty octagon. *)
@@ -144,4 +137,11 @@ module Slab : sig
   val get : t -> int -> octagon
   val dist : t -> int -> int -> float
   val nearest : t -> int -> Pt.t -> floatarray -> bool
+  val center : t -> int -> floatarray -> floatarray -> unit
+  val radius : t -> int -> floatarray -> floatarray -> float
+  val inter : t -> int -> int -> int -> bool
+  val within : t -> int -> ra:float -> int -> rb:float -> int -> bool
+  val sdr_within : t -> int -> int -> int -> ra:float -> rb:float -> bool
+  val closest_point : t -> int -> int -> int -> unit
+  val copy : t -> int -> t -> int -> unit
 end

@@ -417,15 +417,10 @@ let test_stitched_plan_embed_identity () =
     (fun i j -> Float.compare inst.sinks.(i).loc.x inst.sinks.(j).loc.x)
     by_x;
   let plan leaves = fst (Dme.Engine.plan ~leaves inst) in
-  let region ids =
-    plan
-      (Array.mapi
-         (fun j gid -> { (Dme.Subtree.leaf inst.sinks.(gid)) with id = j })
-         ids)
-  in
+  let region ids = plan (Sinks (Array.map (fun gid -> inst.sinks.(gid)) ids)) in
   let a = region (Array.sub by_x 0 (n / 2)) in
   let b = region (Array.sub by_x (n / 2) (n - (n / 2))) in
-  let root = plan [| { a with id = 0 }; { b with id = 1 } |] in
+  let root = plan (Subtrees [| a; b |]) in
   (match (root.plan, a.plan, b.plan) with
    | Dme.Subtree.Stored st, Stored sa, Stored sb ->
      Alcotest.(check int) "stitch covers every sink" n root.n_sinks;

@@ -13,8 +13,29 @@ let sink id x y ?(cap = 20.) group = Sink.make ~id ~loc:(pt x y) ~cap ~group
 let instance ?(bound = 0.) ?(n_groups = 1) sinks =
   Instance.make ~bound ~source:(pt 0. 0.) ~n_groups (Array.of_list sinks)
 
+(* A run whose two leaves, ids 0 and 1, carry [a]'s and [b]'s state: a
+   merged subtree enters it as a sink leaf. *)
+let pair (inst : Instance.t) (a : Dme.Subtree.t) (b : Dme.Subtree.t) =
+  let as_leaf (t : Dme.Subtree.t) =
+    match t.plan with Sink _ -> t | _ -> { t with plan = Sink inst.sinks.(0) }
+  in
+  Dme.Subtree.cols (Subtrees [| as_leaf a; as_leaf b |])
+
+(* [Merge.run] of [a] and [b] in their [pair] run, read back as the
+   reference's result: the merged subtree as a view (under [id], where
+   the run calls it 2) and the merge's outcome. *)
 let merge inst ?(id = 1000) a b =
-  Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id a b
+  let c = pair inst a b in
+  let m = Dme.Subtree.reserve c 0 1 in
+  Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 c ~id:m 0 1;
+  Dme.Merge.
+    {
+      subtree = { (Dme.Subtree.view c m) with id };
+      kind = kind_at c m;
+      planned_wire = planned_wire c m;
+      snake = Float.Array.get c.snakes m;
+      feasible = feasible_at c m;
+    }
 
 let rec n_leaves = function Tree.Leaf _ -> 1 | Node n -> n_leaves n.left + n_leaves n.right
 
@@ -296,10 +317,19 @@ let mk_instance n ~n_groups ~bound =
    [Merge.run]. *)
 let order_default = { Dme.Order.multi_merge = true; knn = 16; delay_order_weight = 0. }
 
-let rank ?(cost = fun ~dist _ _ -> dist) inst config =
-  Dme.Order.run_ranked inst config ~cost
-    ~merger:
-      { compute = (fun ~id a b -> merge inst ~id a b); install = (fun r -> r.subtree) }
+let rank ?(cost = fun ~dist _ _ -> dist) (inst : Instance.t) config =
+  let c = Dme.Subtree.cols (Sinks inst.sinks) in
+  let stats =
+    Dme.Order.run_ranked c config ~diameter:(Instance.diameter inst) ~cost
+      ~merger:
+        {
+          compute =
+            (fun ~id a b ->
+              Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 c ~id a b);
+          install = ignore;
+        }
+  in
+  (Dme.Subtree.finish c, stats)
 
 let test_order_reduces_to_one () =
   let inst = mk_instance 33 ~n_groups:3 ~bound:10. in
@@ -348,12 +378,11 @@ let test_order_nan_cost_raises () =
   | exception Invalid_argument _ -> ()
 
 (* An empty population used to reach the ranking loop's degenerate
-   fallback and index [node.(-1)]. *)
+   fallback and index [node.(-1)]; the run's columns reject it. *)
 let test_engine_empty_leaves () =
   let inst = mk_instance 4 ~n_groups:1 ~bound:10. in
-  Alcotest.check_raises "named rejection"
-    (Invalid_argument "Order.run_ranked: leaves must be non-empty") (fun () ->
-      ignore (Dme.Engine.plan ~leaves:[||] inst))
+  Alcotest.check_raises "named rejection" (Invalid_argument "Subtree.cols: no leaves")
+    (fun () -> ignore (Dme.Engine.plan ~leaves:(Sinks [||]) inst))
 
 (* [Order.cheapest] prices only candidates whose distance can still win,
    yet returns the exhaustive (cost, lowest id) argmin.  Distances sit on
@@ -446,13 +475,12 @@ let l1_radius region (c : Pt.t) =
 let settle_vs_full ?(cell = 1.) regions extra ~knn =
   let n = Array.length regions in
   let centers = Array.map Octagon.center regions in
+  let xs = Float.Array.map_from_array (fun (c : Pt.t) -> c.x) centers in
+  let ys = Float.Array.map_from_array (fun (c : Pt.t) -> c.y) centers in
   let rads = Array.mapi (fun i r -> l1_radius r centers.(i)) regions in
   let rmax = Array.fold_left Float.max 0. rads in
   let snap = Grid_index.snapshot () in
-  Grid_index.pack snap ~cell (Array.init n Fun.id)
-    (Float.Array.map_from_array (fun (c : Pt.t) -> c.x) centers)
-    (Float.Array.map_from_array (fun (c : Pt.t) -> c.y) centers)
-    n;
+  Grid_index.pack snap ~cell (Array.init n Fun.id) xs ys n;
   let skip = 0 in
   let dist id = Octagon.dist regions.(0) regions.(id) in
   let probe f =
@@ -467,7 +495,7 @@ let settle_vs_full ?(cell = 1.) regions extra ~knn =
   let full =
     probe (fun price ->
         let buf = Grid_index.knn_buffer () in
-        Grid_index.query snap buf ~skip centers.(0) knn;
+        Grid_index.query snap buf ~skip xs ys 0 knn;
         let i, c = Dme.Order.cheapest buf.kids buf.klen ~dist ~price in
         ((if i < 0 then -1 else buf.kids.(i)), c))
   in
@@ -485,7 +513,7 @@ let settle_vs_full ?(cell = 1.) regions extra ~knn =
               priced = Array.make n (-1);
             }
         in
-        Dme.Order.settle snap (Grid_index.knn_buffer ()) ~skip centers.(0) ~knn
+        Dme.Order.settle snap (Grid_index.knn_buffer ()) ~skip xs ys 0 ~knn
           ~rad:rads.(0) ~rmax ~dist ~price props 0;
         slot := props.priced.(0);
         (props.partner.(0), Float.Array.get props.cost 0))
@@ -664,13 +692,8 @@ let test_embed_identity_banked () =
    sub-plan. *)
 let depth2_plan (inst : Instance.t) =
   let plan leaves = fst (Dme.Engine.plan ~leaves inst) in
-  let region ids =
-    plan
-      (Array.mapi (fun j gid -> { (Dme.Subtree.leaf inst.sinks.(gid)) with id = j }) ids)
-  in
-  let stitch roots =
-    plan (Array.mapi (fun i (r : Dme.Subtree.t) -> { r with id = i }) roots)
-  in
+  let region ids = plan (Sinks (Array.map (fun gid -> inst.sinks.(gid)) ids)) in
+  let stitch roots = plan (Subtrees roots) in
   let roots = Array.map region (Dme.Cluster.partition inst ~clusters:4) in
   let k = Array.length roots in
   let h = Int.max 1 (k / 2) in
@@ -720,15 +743,14 @@ let test_embed_deep_comb_stack_safety () =
   let n = 120_000 in
   let sinks = Array.init n (fun i -> sink i (float_of_int i) 0. 0) in
   let inst = Instance.make ~bound:1e9 ~source:(pt 0. 0.) ~n_groups:1 sinks in
-  let leaves = Array.map Dme.Subtree.leaf sinks in
-  let store = Dme.Subtree.store leaves in
-  let root = ref leaves.(0) in
+  let c = Dme.Subtree.cols (Sinks sinks) in
+  let root = ref 0 in
   for i = 1 to n - 1 do
-    let t = (merge inst ~id:(n + i - 1) !root leaves.(i)).subtree in
-    Dme.Subtree.record store t ~left:!root.id ~right:i;
-    root := t
+    let id = Dme.Subtree.reserve c !root i in
+    Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 c ~id !root i;
+    root := id
   done;
-  let a = Dme.Embed.run_arena inst (Dme.Subtree.stored store !root) in
+  let a = Dme.Embed.run_arena inst (Dme.Subtree.finish c) in
   Alcotest.(check int) "node count" ((2 * n) - 1) a.Arena.n;
   Alcotest.(check int) "sink count" n a.Arena.n_sinks;
   let routed = Arena.to_routed a in
@@ -940,8 +962,22 @@ let same_selection (r1, s1) (r2, s2) =
 
 let select ~ids ~partner ~cost ~limit =
   let used = Bytes.make (Array.length partner) '\000' in
-  let ranked, picks = Dme.Order.select_pairs ~ids ~partner ~cost ~used ~limit in
-  (ranked, Array.to_list picks)
+  let n = Array.length ids in
+  let sel =
+    Dme.Order.
+      {
+        left = Array.make n 0;
+        right = Array.make n 0;
+        costs = Float.Array.make n Float.nan;
+        len = 0;
+      }
+  in
+  let ranked =
+    Dme.Order.select_pairs ~ids ~count:n ~partner ~cost ~used ~limit sel
+  in
+  ( ranked,
+    List.init sel.len (fun k ->
+        (Float.Array.get sel.costs k, sel.left.(k), sel.right.(k))) )
 
 (* Proposal sets over a sparse ascending id set, like a late round's
    survivors.  Costs come from a small lattice with both zeros, so equal
@@ -1052,9 +1088,9 @@ let prop_engine_respects_bound =
 
 (* Candidate pairs for the merge-cost properties, from Check.Gen cases
    of every regime: a case's sinks are shuffled into four chunks, each
-   chunk is merged left to right into one subtree, and the chunk roots
-   plus up to six leaves are returned with the instance and the merge
-   function that built them. *)
+   chunk is merged left to right into one subtree in a run over them,
+   and the chunk roots plus up to six leaves are returned as views, with
+   the instance and its [merge]. *)
 let gen_case =
   let regimes = Check.Gen.all_regimes in
   QCheck.make
@@ -1081,23 +1117,22 @@ let case_subtrees (seed, index) =
     order.(i) <- order.(j);
     order.(j) <- t
   done;
-  let leaf i = Dme.Subtree.leaf inst.sinks.(order.(i)) in
-  let next_id = ref n in
-  let run a b =
-    Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id:!next_id a b
-  in
+  let c = Dme.Subtree.cols (Sinks (Array.map (fun i -> inst.sinks.(i)) order)) in
   let chunks = Int.min 4 n in
   let roots =
-    List.init chunks (fun c ->
-        let lo = c * n / chunks and hi = ((c + 1) * n / chunks) - 1 in
-        let acc = ref (leaf lo) in
+    List.init chunks (fun k ->
+        let lo = k * n / chunks and hi = ((k + 1) * n / chunks) - 1 in
+        let acc = ref lo in
         for i = lo + 1 to hi do
-          incr next_id;
-          acc := (run !acc (leaf i)).subtree
+          let id = Dme.Subtree.reserve c !acc i in
+          Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 c ~id !acc i;
+          acc := id
         done;
         !acc)
   in
-  (inst, run, roots @ List.init (Int.min n 6) leaf)
+  ( inst,
+    merge inst,
+    List.map (Dme.Subtree.view c) (roots @ List.init (Int.min n 6) Fun.id) )
 
 (* Feasible and infeasible merges the running property has compared;
    [both_branches] asserts after a property's run that it saw both, so
@@ -1123,7 +1158,7 @@ let both_branches prop =
         true
         (!feasible_merges > 0 && !infeasible_merges > 0) )
 
-(* [Merge.committed_feasible] is [(Merge.run ...).feasible] without
+(* [Merge.committed_feasible] is [Merge.run]'s feasibility without
    building the merge, on every pair of a case's subtrees. *)
 let prop_committed_feasible_matches_run =
   QCheck.Test.make ~name:"committed_feasible = Merge.run feasibility" ~count:60
@@ -1136,7 +1171,7 @@ let prop_committed_feasible_matches_run =
               a == b
               ||
               let dist = Octagon.dist a.region b.region in
-              Dme.Merge.committed_feasible inst ~dist a b
+              Dme.Merge.committed_feasible inst (pair inst a b) ~dist 0 1
               = tally_feasible (run a b).feasible)
             subtrees)
         subtrees)
@@ -1182,7 +1217,7 @@ let same_merge (r : Dme.Merge.result) (q : Dme.Merge.result) =
   | _ -> false
 
 let merge_matches_reference inst a b =
-  let r = Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 ~id:77 a b in
+  let r = merge inst ~id:77 a b in
   ignore (tally_feasible r.feasible : bool);
   same_merge r
     (Dme.Merge.run_reference inst ~split_slack:0.25 ~width_cap:0.7 ~id:77 a b)
@@ -1251,20 +1286,131 @@ let prop_engine_cost_at_least_dist =
   QCheck.Test.make ~name:"engine costs >= Octslab.dist" ~count:40 gen_case
     (fun case ->
       let inst, _, subtrees = case_subtrees case in
-      let cost = Dme.Engine.cost inst in
-      let slab = Geometry.Octslab.create 2 in
       List.for_all
         (fun (a : Dme.Subtree.t) ->
           List.for_all
             (fun (b : Dme.Subtree.t) ->
               a == b
               ||
-              (Geometry.Octslab.set slab 0 a.region;
-               Geometry.Octslab.set slab 1 b.region;
-               let dist = Geometry.Octslab.dist slab 0 1 in
-               cost ~dist a b >= dist))
+              let c = pair inst a b in
+              let dist = Geometry.Octslab.dist c.regions 0 1 in
+              Dme.Engine.cost inst c ~dist 0 1 >= dist)
             subtrees)
         subtrees)
+
+(* The column merge against the reference on random child pairs of
+   each of the four kinds over 1 to 10 groups.  Child states are drawn
+   directly: a region (a point or an L1 ball on a small lattice, so
+   overlapping and coincident pairs are common), a load, a sink count,
+   and windows over the group sets the kind dictates — each group is in
+   neither child, one or both, and the kind fixes how many are in both.
+   The two are the leaves of a run, merged there; the merged id read
+   back as a view, and its outcome, must equal [Merge.run_reference]'s
+   bit for bit. *)
+let prop_column_merge_matches_reference =
+  let kinds = Dme.Merge.[| Same_group; Cross_group; Shared_one; Shared_multi |] in
+  let window =
+    QCheck.Gen.(
+      let* lo = oneof [ oneofl [ 0.; 5.; 40.; 200. ]; float_range 0. 300. ]
+      and* w = oneof [ oneofl [ 0.; 1.; 10. ]; float_range 0. 20. ] in
+      return (lo, lo +. w))
+  in
+  let state =
+    QCheck.Gen.(
+      let* x = 0 -- 3 and* y = 0 -- 3 and* r = oneofl [ 0.; 0.; 30.; 120. ] in
+      let* cap = oneof [ oneofl [ 0.; 20.; 300. ]; float_range 0. 500. ] in
+      let* sinks = 1 -- 5 in
+      let centre = pt (float_of_int (x * 50)) (float_of_int (y * 50)) in
+      return (Octagon.ball centre r, cap, sinks))
+  in
+  let gen =
+    QCheck.Gen.(
+      let* k = 0 -- 3 in
+      let* n_groups = if k = 0 then 1 -- 10 else 2 -- 10 in
+      let* rot = 0 -- (n_groups - 1) in
+      (* Membership by group: 1 only in the left child, 2 only in the
+         right, 3 in both, 0 in neither. *)
+      let* free = list_repeat n_groups (oneofl [ 0; 1; 2; 3 ]) in
+      let* side = oneofl [ 1; 2 ] in
+      let member =
+        Array.init n_groups (fun g ->
+            let i = (g + n_groups - rot) mod n_groups in
+            let f = List.nth free g in
+            match (k, i) with
+            | 0, 0 -> 3
+            | 0, _ -> 0
+            | 1, 0 -> 1
+            | 1, 1 -> 2
+            | 1, _ -> f mod 3
+            | 2, 0 -> 3
+            | 2, 1 -> side
+            | 2, _ -> f mod 3
+            | _, (0 | 1) -> 3
+            | _ -> f)
+      in
+      let* wa = array_repeat n_groups window and* wb = array_repeat n_groups window in
+      let* sa = state and* sb = state in
+      let* bound = oneofl [ 0.; 1.; 10.; 30. ] and* per_group = bool in
+      let* group_bounds = array_repeat n_groups (oneofl [ 0.; 2.; 10.; 40. ]) in
+      return
+        ( k,
+          member,
+          (wa, sa),
+          (wb, sb),
+          bound,
+          if per_group then Some group_bounds else None ))
+  in
+  QCheck.Test.make ~name:"column merge view = run_reference, bit for bit" ~count:1000
+    (QCheck.make
+       ~print:(fun (k, member, _, _, bound, _) ->
+         Printf.sprintf "%s, %d groups, bound %g"
+           (Format.asprintf "%a" Dme.Merge.pp_kind kinds.(k))
+           (Array.length member) bound)
+       gen)
+    (fun (k, member, (wa, (ra, capa, na)), (wb, (rb, capb, nb)), bound, group_bounds) ->
+      let n_groups = Array.length member in
+      let inst =
+        Instance.make ~bound ?group_bounds ~source:(pt 0. 0.) ~n_groups
+          (Array.init n_groups (fun g ->
+               sink g (float_of_int (g * 10)) (float_of_int (g * 7)) g))
+      in
+      let child side ws reg cap n_sinks id : Dme.Subtree.t =
+        let gid =
+          List.filter (fun g -> member.(g) land side <> 0) (List.init n_groups Fun.id)
+          |> Array.of_list
+        in
+        {
+            id;
+            region = reg;
+            cap;
+            delay =
+              {
+                gid;
+                lo = Float.Array.map_from_array (fun g -> fst ws.(g)) gid;
+                hi = Float.Array.map_from_array (fun g -> snd ws.(g)) gid;
+              };
+            n_sinks;
+            plan = Sink inst.sinks.(0);
+        }
+      in
+      let a = child 1 wa ra capa na 0 and b = child 2 wb rb capb nb 1 in
+      let c = Dme.Subtree.cols (Subtrees [| a; b |]) in
+      let id = Dme.Subtree.reserve c 0 1 in
+      Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 c ~id 0 1;
+      let got =
+        Dme.Merge.
+          {
+            subtree = Dme.Subtree.view c id;
+            kind = kind_at c id;
+            planned_wire = planned_wire c id;
+            snake = Float.Array.get c.snakes id;
+            feasible = feasible_at c id;
+          }
+      in
+      ignore (tally_feasible got.feasible : bool);
+      got.kind = kinds.(k)
+      && same_merge got
+           (Dme.Merge.run_reference inst ~split_slack:0.25 ~width_cap:0.7 ~id a b))
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -1294,6 +1440,7 @@ let () =
               prop_committed_feasible_matches_run;
               prop_merge_matches_reference;
               prop_merge_matches_reference_shared_multi;
+              prop_column_merge_matches_reference;
             ] );
       ( "order",
         [

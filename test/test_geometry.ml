@@ -671,11 +671,13 @@ let prop_sdr_dedup_bit_exact =
         same_bits (Octagon.bounds (Octagon.sdr a b)) (Ref_octagon.sdr ba bb)
       | _ -> QCheck.assume_fail ())
 
-(* The merge kernels' fused region operations against the octagon
-   values they replace: [within] is inflate/inflate/inter and
-   [sdr_within] the SDR intersected with that, bit for bit, with
-   radii that are zero, negative (clamped to zero) or either side's
-   distance. *)
+(* The merge kernels' slab writes against the octagon values they
+   replace, bit for bit: [Octslab.within] is inflate/inflate/inter,
+   [Octslab.sdr_within] the SDR intersected with that, [Octslab.inter]
+   the intersection and [Octslab.closest_point] the first point of
+   [closest_pair], with radii that are zero, negative (clamped to zero)
+   or either side's distance; an empty result writes nothing.
+   [Octslab.center] and [Octslab.radius] are [center] and [radius]. *)
 let prop_within_bit_exact =
   let radius = QCheck.Gen.(oneof [ oneofl [ 0.; -0.; -1. ]; lattice >|= Float.abs ]) in
   QCheck.Test.make ~name:"within/sdr_within = inflate, inter and sdr, bit for bit"
@@ -685,20 +687,42 @@ let prop_within_bit_exact =
          Format.asprintf "%a / %a, ra=%g rb=%g" Octagon.pp a Octagon.pp b ra rb)
        QCheck.Gen.(pair (pair gen_kernel_oct gen_kernel_oct) (pair radius radius)))
     (fun ((a, b), (ra, rb)) ->
-      let inflated = Octagon.inter (Octagon.inflate ra a) (Octagon.inflate rb b) in
-      same_bits (Octagon.bounds (Octagon.within ~ra a ~rb b)) (Octagon.bounds inflated)
-      &&
       match (Octagon.is_empty a, Octagon.is_empty b) with
       | false, false ->
+        let slab = Geometry.Octslab.create 3 in
+        Geometry.Octslab.set slab 0 a;
+        Geometry.Octslab.set slab 1 b;
+        let got written =
+          if written then Octagon.bounds (Geometry.Octslab.get slab 2) else None
+        in
+        let inflated ra rb =
+          Octagon.inter (Octagon.inflate ra a) (Octagon.inflate rb b)
+        in
         let d = Octagon.dist a b in
-        List.for_all
-          (fun (ra, rb) ->
-            same_bits
-              (Octagon.bounds (Octagon.sdr_within a b ~ra ~rb))
-              (Octagon.bounds
-                 (Octagon.inter (Octagon.sdr a b)
-                    (Octagon.inter (Octagon.inflate ra a) (Octagon.inflate rb b)))))
-          [ (ra, rb); (d, 0.); (d /. 2., d /. 2.); (ra, d -. ra) ]
+        let xs = Float.Array.make 1 0. and ys = Float.Array.make 1 0. in
+        Geometry.Octslab.center slab 0 xs ys;
+        let c = Octagon.center a in
+        same_bits
+          (got (Geometry.Octslab.within slab 2 ~ra 0 ~rb 1))
+          (Octagon.bounds (inflated ra rb))
+        && same_bits
+             (got (Geometry.Octslab.inter slab 2 0 1))
+             (Octagon.bounds (Octagon.inter a b))
+        && List.for_all
+             (fun (ra, rb) ->
+               same_bits
+                 (got (Geometry.Octslab.sdr_within slab 2 0 1 ~ra ~rb))
+                 (Octagon.bounds (Octagon.inter (Octagon.sdr a b) (inflated ra rb))))
+             [ (ra, rb); (d, 0.); (d /. 2., d /. 2.); (ra, d -. ra) ]
+        && begin
+          Geometry.Octslab.closest_point slab 2 0 1;
+          same_bits (got true)
+            (Octagon.bounds (Octagon.of_point (fst (Octagon.closest_pair a b))))
+        end
+        && Int64.bits_of_float (Float.Array.get xs 0) = Int64.bits_of_float c.x
+        && Int64.bits_of_float (Float.Array.get ys 0) = Int64.bits_of_float c.y
+        && Int64.bits_of_float (Geometry.Octslab.radius slab 0 xs ys)
+           = Int64.bits_of_float (Octagon.radius a c)
       | _ -> true)
 
 let prop_diameter =
@@ -1182,12 +1206,13 @@ let prop_packed_knn_matches_brute_force =
       let xs = Float.Array.map_from_array (fun (p : Pt.t) -> p.x) pts in
       let ys = Float.Array.map_from_array (fun (p : Pt.t) -> p.y) pts in
       let buf = Grid_index.knn_buffer () in
+      let qx = Float.Array.make 1 q.Pt.x and qy = Float.Array.make 1 q.Pt.y in
       List.for_all
         (fun c ->
           Grid_index.pack shared_snapshot ~cell:c ids xs ys n;
           List.for_all
             (fun k ->
-              Grid_index.query shared_snapshot buf ~skip q k;
+              Grid_index.query shared_snapshot buf ~skip qx qy 0 k;
               let m = Int.min k (Array.length ranked) in
               buf.klen = m
               && List.for_all
@@ -1256,12 +1281,14 @@ let test_pack_preconditions () =
      against a non-empty one raises. *)
   let buf = Grid_index.knn_buffer () in
   Grid_index.pack s ~cell:1. [||] (Float.Array.create 0) (Float.Array.create 0) 0;
-  Grid_index.query s buf ~skip:(-1) (pt 0. 0.) 3;
+  Grid_index.query s buf ~skip:(-1) (Float.Array.make 1 0.) (Float.Array.make 1 0.) 0 3;
   Alcotest.(check (pair int bool)) "empty pack" (0, true) (buf.klen, buf.exhaustive);
   Grid_index.pack s ~cell:1. ids (Float.Array.make 2 0.) (Float.Array.make 2 0.) 2;
   Alcotest.check_raises "query at nan"
     (Invalid_argument "Grid_index: point coordinates must be finite")
-    (fun () -> Grid_index.query s buf ~skip:(-1) (pt Float.nan 0.) 1)
+    (fun () ->
+      Grid_index.query s buf ~skip:(-1) (Float.Array.make 1 Float.nan)
+        (Float.Array.make 1 0.) 0 1)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
