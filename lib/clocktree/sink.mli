@@ -9,3 +9,10 @@ type t = {
 }
 
 val make : id:int -> loc:Geometry.Pt.t -> cap:float -> group:int -> t
+
+(** A constant sink that no instance holds, to fill a fresh array of
+    sinks with before its records are written.  [Array.make] — and so
+    [Array.map] and [Array.init] — of more than 256 elements whose first
+    element is a block in the minor heap first empties the minor heap,
+    on every domain; a constant never is one. *)
+val placeholder : t

@@ -76,9 +76,9 @@ end
    with per-group bounds the tightest one applies, so the fused router
    still satisfies every original constraint. *)
 let fused ?bound (inst : Instance.t) =
-  (* Filled from an old sink rather than mapped: an array of more than
-     256 fresh records would first empty the minor heap. *)
-  let sinks = Array.make (Instance.n_sinks inst) inst.sinks.(0) in
+  (* Filled from [Sink.placeholder] rather than mapped, so young sinks
+     do not first empty the minor heap. *)
+  let sinks = Array.make (Instance.n_sinks inst) Clocktree.Sink.placeholder in
   Array.iteri
     (fun i (s : Clocktree.Sink.t) -> sinks.(i) <- { s with group = 0 })
     inst.sinks;

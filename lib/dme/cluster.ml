@@ -121,6 +121,14 @@ let partition_on ?pool ?run inst ~clusters =
 
 let partition inst ~clusters = partition_on inst ~clusters
 
+(* [f i s] of each global sink [s] of [ids], at [i]; the array is filled
+   from [Sink.placeholder], not mapped, so a region of young sinks does
+   not first empty the minor heap. *)
+let region_sinks (inst : Instance.t) ids f =
+  let sinks = Array.make (Array.length ids) Sink.placeholder in
+  Array.iteri (fun i gid -> sinks.(i) <- f i inst.sinks.(gid)) ids;
+  sinks
+
 (* A region's routing instance: its sinks re-indexed densely in the
    order [ids] lists them — as [split_ids] hands a region over, that is
    the (coordinate, id) order of the last median split above it, not
@@ -131,10 +139,7 @@ let partition inst ~clusters = partition_on inst ~clusters
    delay windows need no translation when its root joins the top-level
    merge. *)
 let sub_instance (inst : Instance.t) ids =
-  (* Filled from an old sink rather than mapped: an array of more than
-     256 fresh records would first empty the minor heap. *)
-  let sinks = Array.make (Array.length ids) inst.sinks.(ids.(0)) in
-  Array.iteri (fun i gid -> sinks.(i) <- { inst.sinks.(gid) with Sink.id = i }) ids;
+  let sinks = region_sinks inst ids (fun i s -> { s with Sink.id = i }) in
   Instance.make ~params:inst.params ~rd:inst.rd ~bound:inst.bound
     ?group_bounds:inst.group_bounds ~source:inst.source
     ~n_groups:inst.n_groups sinks
@@ -289,7 +294,7 @@ let run_arena ?(config = Engine.default) ?(run = Obs.Run.null) ?clusters
           map "engine.regions"
             (fun i ->
               let ids = regions.(i) in
-              let leaves = Array.map (fun gid -> inst.Instance.sinks.(gid)) ids in
+              let leaves = region_sinks inst ids (fun _ s -> s) in
               let root, wall_s, stats =
                 timed (fun () ->
                     Engine.plan ~config ~run ~leaves:(Sinks leaves)

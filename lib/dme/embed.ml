@@ -124,7 +124,7 @@ let run_arena ?pool ?(run = Obs.Run.null) (inst : Clocktree.Instance.t)
       sink = Array.make n (-1);
       group = Array.make n (-1);
       scap = Array.make n 0.;
-      pos = Array.make n inst.source;
+      pos = Array.make n Pt.zero;
       len = Array.make n 0.;
     }
   in
