@@ -343,7 +343,7 @@ let smoke args =
     let queries_per_probe_budget = 1.25 in
     let cells_per_probe_budget = 18. in
     (* Allocation gates.  A ranking probe allocates a bounded number of
-       minor words: r3 reads 17.6 per probe (planning and embedding).
+       minor words: r3 reads 17.1 per probe (planning and embedding).
        A round packs its k-NN snapshot, writes its proposals into
        id-indexed arrays, sorts in reused scratch and writes its
        selected pairs into a run-scoped selection; every merge reads
@@ -363,7 +363,8 @@ let smoke args =
        [Gc.quick_stat]'s lagging count, which the older readings used,
        read 118 for the 131, against 263 before them, 630 before the
        unboxed octagon kernels and 7500 before the slab rewrite.  The
-       gate is 28, 1.57 times the reading (75 over 47.7 before): a
+       gate is 28, 1.57 times the 17.6 it was set at (75 over 47.7
+       before): a
        subtree record per merge, or opening the pricing closures per
        probe instead of per range, fails it.
        [Octslab.sdr_within], the SDR kernel a committed [Merge.run]
@@ -416,7 +417,8 @@ let smoke args =
     let knn_words, merge_words, merges, same_plan, embed_words = kernel_allocation inst in
     (* Pricing gate.  A probe prices a candidate only while its region
        distance can still beat the best cost (Order.cheapest), and every
-       priced candidate counts one elided trial (Order.stats nn_priced).
+       priced candidate counts one elided trial (Engine.stats
+       trial.elided_trials).
        r3 prices about 1.1 candidates per probe; pricing all 16 k-NN
        candidates reads about 15.9, so 2 catches a lost prune.
        Deterministic like the counts above. *)

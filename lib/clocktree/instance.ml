@@ -7,6 +7,7 @@ type t = {
   source : Geometry.Pt.t;
   rd : float;
   diameter : float;
+  bounds : floatarray;
 }
 
 (* Non-finite numbers are rejected up front: the spatial index cannot
@@ -89,10 +90,17 @@ let make ?(params = Rc.Wire.default) ?(rd = 100.) ?(bound = 0.) ?group_bounds
   let driver = Rc.Elmore.driver_delay ~rd ~load:(!load +. Rc.Wire.cap params extent) in
   if not (driver +. wire <= 1e15) then
     invalid_arg "Instance.make: delay across the extent above 1e15 ps";
-  { sinks; n_groups; bound; group_bounds; params; source; rd; diameter }
+  (* Every group's bound in one flat column, so [bound_for] is one
+     unboxed read: a match joining a [group_bounds] read with the boxed
+     [bound] field would box its result in every inlined caller. *)
+  let bounds =
+    match group_bounds with
+    | Some bs -> Float.Array.map_from_array Fun.id bs
+    | None -> Float.Array.make n_groups bound
+  in
+  { sinks; n_groups; bound; group_bounds; params; source; rd; diameter; bounds }
 
-let[@inline] bound_for t g =
-  match t.group_bounds with Some bs -> bs.(g) | None -> t.bound
+let[@inline] bound_for t g = Float.Array.get t.bounds g
 
 let n_sinks t = Array.length t.sinks
 

@@ -11,6 +11,9 @@ type t = private {
   source : Geometry.Pt.t;  (** clock source location *)
   rd : float;  (** driver resistance at the source, ohm *)
   diameter : float;  (** see {!diameter} *)
+  bounds : floatarray;
+      (** every group's effective bound, [n_groups] of them: its entry
+          in [group_bounds], or [bound]; read through {!bound_for} *)
 }
 
 (** Validates that sink ids are dense (equal to their index), group ids
@@ -35,8 +38,9 @@ val make :
   Sink.t array ->
   t
 
-(** Effective skew bound of one group: its entry in [group_bounds], or
-    the default [bound]. *)
+(** Effective skew bound of group [g] in [[0, n_groups)]: its entry in
+    [group_bounds], or the default [bound].  A read of [bounds], so an
+    inlined caller gets it unboxed. *)
 val bound_for : t -> int -> float
 
 val n_sinks : t -> int

@@ -1,3 +1,6 @@
+module Octslab = Geometry.Octslab
+module Grid_index = Geometry.Grid_index
+
 type config = {
   multi_merge : bool;
   knn : int;
@@ -18,8 +21,6 @@ let default =
   }
 
 type trial_stats = { trial_merges : int; elided_trials : int }
-
-let no_trials = { trial_merges = 0; elided_trials = 0 }
 
 type stats = {
   rounds : int;
@@ -66,22 +67,69 @@ let infeasible_penalty d =
    thesis' Instance 2), so such a pair merges only as a last resort.
    Merge.committed_feasible answers feasibility bit-identically to a
    trial Merge.run without building the merged subtree.  The penalty is
-   positive, so the cost is never below [dist], as Order.run_ranked's
-   contract requires. *)
-let cost inst c =
-  let penalty = infeasible_penalty (Clocktree.Instance.diameter inst) in
-  fun ~dist a b ->
-    if Merge.committed_feasible inst c ~dist a b then dist else dist +. penalty
+   positive, so the cost is never below [dist], as Order.cheapest's
+   [price] contract requires. *)
+let cost inst c ~dist a b =
+  if Merge.committed_feasible inst c ~dist a b then dist
+  else dist +. infeasible_penalty (Clocktree.Instance.diameter inst)
+
+(* The merge counts, infeasible merges and planned snake of the run [c],
+   folded over its merges' [kinds] and [snakes] in id order: the order
+   they were installed in, so [planned_snake] adds up as they landed. *)
+let of_run (c : Subtree.cols) ~rounds =
+  let same_group = ref 0 and cross_group = ref 0 in
+  let shared_one = ref 0 and shared_multi = ref 0 in
+  let planned_snake = ref 0. and infeasible = ref 0 in
+  let first = Subtree.leaves c.plan in
+  for id = first to first + c.plan.merges - 1 do
+    (match Merge.kind_at c id with
+     | Same_group -> incr same_group
+     | Cross_group -> incr cross_group
+     | Shared_one -> incr shared_one
+     | Shared_multi -> incr shared_multi);
+    planned_snake := !planned_snake +. Float.Array.get c.snakes id;
+    if not (Merge.feasible_at c id) then incr infeasible
+  done;
+  {
+    rounds;
+    same_group = !same_group;
+    cross_group = !cross_group;
+    shared_one = !shared_one;
+    shared_multi = !shared_multi;
+    planned_snake = !planned_snake;
+    infeasible_merges = !infeasible;
+    nn_reprobes = 0;
+    nn_queries = 0;
+    nn_cells = 0;
+    nn_entries = 0;
+    nn_probes_saved = 0;
+    trial = { trial_merges = 0; elided_trials = 0 };
+    gc = Obs.Gcstat.zero;
+  }
+
+(* Fraction of the active subtrees a multi-merge round consumes. *)
+let merge_fraction = 0.5
+
+(* Each domain's k-NN answer buffer.  A probe fills it and reads it back
+   before returning, and nothing a probe calls probes again, so one
+   buffer per domain is never shared. *)
+let knn_key = Domain.DLS.new_key Grid_index.knn_buffer
+
+let kind_name = function
+  | Merge.Same_group -> "same_group"
+  | Merge.Cross_group -> "cross_group"
+  | Merge.Shared_one -> "shared_one"
+  | Merge.Shared_multi -> "shared_multi"
 
 (* Bottom-up merge planning only: reduce [inst]'s sinks — or an explicit
-   [leaves] population — to one subtree.  Does not embed and does not
-   own the pool, so the clustered router can run one [plan] per region
-   on worker domains (with [pool] absent: the pool is not reentrant) and
-   a top-level [plan] over the region roots on the shared pool.
-   [stats.gc] is left zero: the caller samples the GC around the span it
-   reports. *)
+   [leaves] population — to one subtree in nearest-neighbour rounds.
+   Does not embed and does not own the pool, so the clustered router can
+   run one [plan] per region on worker domains (with [pool] absent: the
+   pool is not reentrant) and a top-level [plan] over the region roots
+   on the shared pool.  [stats.gc] is left zero: the caller samples the
+   GC around the span it reports. *)
 let plan_unsampled ~config ~run ?pool ?leaves inst =
-  let trace = run.Obs.Run.trace in
+  let { Obs.Run.trace; sched; _ } = run in
   let tracing = Obs.Trace.enabled trace in
   if tracing then
     Obs.Trace.merge_manifest trace [ ("engine_config", json_of_config config) ];
@@ -92,61 +140,20 @@ let plan_unsampled ~config ~run ?pool ?leaves inst =
     if tracing then Some (Obs.Trace.histogram trace "engine.region_extent")
     else None
   in
-  let same_group = ref 0 in
-  let cross_group = ref 0 in
-  let shared_one = ref 0 in
-  let shared_multi = ref 0 in
-  let planned_snake = ref 0. in
-  let infeasible = ref 0 in
+  (* The best cost of every probe that found a partner, before the delay
+     bias. *)
+  let h_cost =
+    if tracing then Some (Obs.Trace.histogram trace "order.probe_cost") else None
+  in
   (* The instance's L1 diameter scales the penalty, the delay bias and
      the ranking's grid cells. *)
   let diameter = Clocktree.Instance.diameter inst in
   let c =
     Subtree.cols (match leaves with Some l -> l | None -> Subtree.Sinks inst.sinks)
   in
-  (* Committed-merge execution, split so the ranking loop can run the
-     selected merges of a round on worker domains: [compute] writes only
-     its own id's slots of [c], while [install] applies the stats and
-     tracing on the main domain in selection order. *)
-  let compute ~id a b =
-    Merge.run inst ~split_slack:config.split_slack ~width_cap:config.width_cap c ~id a b
-  in
-  let install id =
-    let kind = Merge.kind_at c id and feasible = Merge.feasible_at c id in
-    (match kind with
-     | Merge.Same_group -> incr same_group
-     | Merge.Cross_group -> incr cross_group
-     | Merge.Shared_one -> incr shared_one
-     | Merge.Shared_multi -> incr shared_multi);
-    planned_snake := !planned_snake +. Float.Array.get c.snakes id;
-    if not feasible then incr infeasible;
-    if tracing then begin
-      let planned_wire = Merge.planned_wire c id in
-      cum_wire := !cum_wire +. planned_wire;
-      (match h_extent with
-       | Some h ->
-         Obs.Histogram.observe h
-           (Geometry.Octagon.diameter (Geometry.Octslab.get c.regions id))
-       | None -> ());
-      Obs.Trace.instant trace ~cat:"dme.engine"
-        ~args:
-          [
-            ("id", Obs.Json.Int id);
-            ( "kind",
-              Obs.Json.String
-                (match kind with
-                 | Merge.Same_group -> "same_group"
-                 | Merge.Cross_group -> "cross_group"
-                 | Merge.Shared_one -> "shared_one"
-                 | Merge.Shared_multi -> "shared_multi") );
-            ("planned_wire", Obs.Json.Float planned_wire);
-            ("feasible", Obs.Json.Bool feasible);
-          ]
-        "merge"
-    end
-  in
-  (* [Order]'s §V.F-2 bias adds [weight × delay-hull (ps)] to candidate
-     distances (layout units), so its weight is in layout units per ps.
+  let n = Subtree.leaves c.plan in
+  (* The §V.F-2 bias adds [weight × delay-hull (ps)] to candidate
+     distances (layout units), so [weight] is in layout units per ps.
      Exposing that unit in the config would tie the merge order to the
      instance's absolute coordinate scale — the same layout expressed in
      different units would route differently.  The config knob is
@@ -155,8 +162,11 @@ let plan_unsampled ~config ~run ?pool ?leaves inst =
      the conversion factor [diameter / die_delay] comes from the
      instance itself.  Both factors rescale exactly under a
      power-of-two change of layout unit (coordinates ×k, unit RC ÷k),
-     keeping ranked costs bit-identically ordered across scales. *)
-  let delay_order_weight =
+     keeping ranked costs bit-identically ordered across scales.  Deep
+     subtrees have small delay targets; merging shallow pairs first
+     (Chaturvedi-Hu) keeps depths homogeneous and avoids late merges
+     that must snake to match a buried group's delay. *)
+  let weight =
     if config.delay_order_weight = 0. then 0.
     else begin
       let die_delay =
@@ -166,18 +176,287 @@ let plan_unsampled ~config ~run ?pool ?leaves inst =
       else 0.
     end
   in
-  let order_config =
-    Order.{ multi_merge = config.multi_merge; knn = config.knn; delay_order_weight }
-  in
   let jobs = match pool with Some p -> Par.Pool.jobs p | None -> 1 in
-  (* One journal record per merge round: the ranking loop's round report
-     joined with the engine's cumulative planned wire and GC delta. *)
-  let on_round =
-    if not tracing then None
-    else begin
-      let last_gc = ref (Obs.Gcstat.sample ()) in
-      Some
-        (fun (r : Order.round_info) ->
+  (* One journal record per merge round, with the round's GC delta. *)
+  let last_gc = ref (if tracing then Obs.Gcstat.sample () else Obs.Gcstat.zero) in
+  let body () =
+    (* A non-positive knn would make every k-NN query return [] and stall
+       the pairing loop below; clamp rather than crash. *)
+    let knn = Int.max 1 config.knn in
+    (* Grid cell for a round of [m] subtrees: the instance's L1 diameter
+       over [sqrt m].  On a square die the L1 diameter is twice the side,
+       so the cell holds about 4 entries of a uniform population.  The
+       floor is relative to the extent, so a sub-unit instance does not
+       collapse into one cell and degrade every k-NN query to a full
+       scan; [Eps.tol] absolutely and [Eps.tol * d] relatively keep the
+       cell positive for degenerate (single-point) instances without
+       distorting real ones. *)
+    let cell_floor = Float.max Geometry.Eps.tol (Geometry.Eps.tol *. diameter) in
+    let cell_for m =
+      Float.max cell_floor (diameter /. Float.sqrt (float_of_int (Int.max 1 m)))
+    in
+    (* Every structure a probe reads per candidate is a flat array indexed
+       by subtree id — the run's columns [c] and the ranking's own below
+       — so nothing on the probe path chases a hashtable or boxes a
+       float.  Ids are dense: [n] leaves plus [n - 1] merges.
+       [c.regions] holds each subtree's region bounds; [cx], [cy] its
+       center; [rad] the L1 radius of its region about that center;
+       [hull_hi] the upper end of its delay hull (the only part the
+       delay bias reads).  A merged-away id's slots go stale: the loop
+       only ever indexes alive ids.  [props] holds each round's
+       proposals by proposer id, the cost biased once the probe phase
+       is over.  [used] marks the ids a round's selection takes; they
+       are merged away and never reissued, so it is never reset, and
+       the ids it leaves unmarked are the alive ones. *)
+    let cap_ids = Int.max 2 (2 * n) in
+    let props =
+      Order.
+        {
+          partner = Array.make cap_ids (-1);
+          cost = Float.Array.make cap_ids Float.nan;
+          queries = Array.make cap_ids 0;
+          cells = Array.make cap_ids 0;
+          entries = Array.make cap_ids 0;
+          priced = Array.make cap_ids 0;
+        }
+    in
+    let used = Bytes.make cap_ids '\000' in
+    let slab = c.regions in
+    let cx = Float.Array.make cap_ids Float.nan in
+    let cy = Float.Array.make cap_ids Float.nan in
+    let rad = Float.Array.make cap_ids Float.nan in
+    let hull_hi = Float.Array.make cap_ids Float.nan in
+    let insert id =
+      Octslab.center slab id cx cy;
+      Float.Array.set rad id (Octslab.radius slab id cx cy);
+      if weight <> 0. then Float.Array.set hull_hi id (Subtree.hull_hi c id)
+    in
+    for id = 0 to n - 1 do
+      insert id
+    done;
+    (* A round's selected pairs, at most half its subtrees. *)
+    let sel =
+      Order.
+        {
+          left = Array.make n 0;
+          right = Array.make n 0;
+          costs = Float.Array.make n Float.nan;
+          len = 0;
+        }
+    in
+    (* The round's k-NN snapshot and the positional center columns it is
+       packed from; no round has more than [n] subtrees. *)
+    let snap = Grid_index.snapshot () in
+    let xs = Float.Array.create n and ys = Float.Array.create n in
+    (* A pooled phase cuts its work into [4 * jobs] chunks, as
+       [Par.Pool.map_chunked] would cut the items themselves; chunk [k] of
+       [count] items of [size] each covers [k * size] up to the end, and
+       trailing chunks may be empty. *)
+    let ways = 4 * jobs in
+    let chunk_ids = Array.init ways Fun.id in
+    let pooled label count f =
+      match pool with
+      | Some pool ->
+        let size = (count + ways - 1) / ways in
+        ignore
+          (Par.Pool.map_chunked pool ~sched ~label ~chunk:1
+             (fun k -> f (k * size) (Int.min count ((k + 1) * size) - 1))
+             chunk_ids)
+      | None -> f 0 (count - 1)
+    in
+    (* Probe the round's subtrees [ids.(lo .. hi)] (Order.settle):
+       each one's cheapest merge partner among its [knn] grid candidates
+       by [cost], written to [props].  [rmax], the largest [rad] of the
+       round's population, bounds how far an unseen candidate's region
+       can reach.  Runs on worker domains during a parallel round: the
+       columns, [snap] and [slab] are only read, each probe writes only
+       its own [props] slots, and the (cost, lowest-id) argmin makes the
+       winner independent of candidate evaluation order.  The range
+       shares one pair of [dist]/[price] closures over the probed id in
+       [self], so a probe allocates no closure. *)
+    let probe_range ids rmax lo hi =
+      let buf = Domain.DLS.get knn_key in
+      let self = ref (-1) in
+      let dist tid = Octslab.dist slab !self tid in
+      let price tid d = cost inst c ~dist:d !self tid in
+      for k = lo to hi do
+        let sid = ids.(k) in
+        self := sid;
+        (* The instant lands in the emitting domain's own trace buffer. *)
+        if tracing then
+          Obs.Trace.instant trace ~cat:"dme.order"
+            ~args:[ ("subtree", Obs.Json.Int sid) ]
+            "probe";
+        Order.settle snap buf ~skip:sid cx cy sid ~knn ~rad:(Float.Array.get rad sid)
+          ~rmax ~dist ~price props sid
+      done
+    in
+    (* Run the selected merges [lo .. hi], whose ids follow [first]; each
+       writes only its own id's slots of [c]. *)
+    let merge_range first lo hi =
+      for k = lo to hi do
+        Merge.run inst ~split_slack:config.split_slack ~width_cap:config.width_cap c
+          ~id:(first + k) sel.left.(k) sel.right.(k)
+      done
+    in
+    (* A committed merge's trace: its region extent and an instant, on
+       this domain in id order. *)
+    let trace_merge id =
+      let planned_wire = Merge.planned_wire c id in
+      cum_wire := !cum_wire +. planned_wire;
+      (match h_extent with
+       | Some h ->
+         Obs.Histogram.observe h
+           (Geometry.Octagon.diameter (Octslab.get c.regions id))
+       | None -> ());
+      Obs.Trace.instant trace ~cat:"dme.engine"
+        ~args:
+          [
+            ("id", Obs.Json.Int id);
+            ("kind", Obs.Json.String (kind_name (Merge.kind_at c id)));
+            ("planned_wire", Obs.Json.Float planned_wire);
+            ("feasible", Obs.Json.Bool (Merge.feasible_at c id));
+          ]
+        "merge"
+    in
+    let rounds = ref 0 and probed = ref 0 and queried = ref 0 in
+    let cells = ref 0 and entries = ref 0 and priced = ref 0 in
+    (* [ids.(0 .. count-1)] is the round's active population in
+       ascending-id order: the leaves' dense ids to start, then each
+       round's survivors followed by its merges, whose fresh ids exceed
+       every earlier one.  The next round's population is written to
+       [spare], and the two buffers swap. *)
+    let rec loop ids spare count =
+      if count > 1 then begin
+        incr rounds;
+        (* The untraced run does not even touch the clock per round. *)
+        let t0 = if tracing then Obs.Timer.now () else 0. in
+        (* The round's query and priced counts and its cheapest selected
+           cost ([infinity] when only the fallback merge ran), for its
+           journal record. *)
+        let round_queries = ref 0 and round_priced = ref 0 in
+        let best_cost = ref Float.infinity in
+        (* Rank in two strictly separated phases so the routed tree is
+           bit-identical for any jobs count: (1) pack the round's centers
+           and probe every active subtree against that frozen snapshot —
+           in parallel chunks when a pool is given; (2) sum the probes'
+           counts on this domain, rank the proposals and select a
+           disjoint pair prefix, reserve the selected merges' ids and
+           window space in selection order, run them — in parallel when a
+           pool is given: each writes only its own id's slots — and
+           install them serially in selection order. *)
+        let round_body () =
+          let rmax = ref 0. in
+          for k = 0 to count - 1 do
+            let id = ids.(k) in
+            Float.Array.set xs k (Float.Array.get cx id);
+            Float.Array.set ys k (Float.Array.get cy id);
+            rmax := Float.max !rmax (Float.Array.get rad id)
+          done;
+          let rmax = !rmax in
+          Grid_index.pack snap ~cell:(cell_for count) ids xs ys count;
+          let run_probes () = pooled "engine.rank" count (probe_range ids rmax) in
+          if tracing then
+            Obs.Trace.span trace ~cat:"dme.order"
+              ~args:[ ("probes", Obs.Json.Int count) ]
+              "probe_phase" run_probes
+          else run_probes ();
+          probed := !probed + count;
+          for k = 0 to count - 1 do
+            let id = ids.(k) in
+            round_queries := !round_queries + props.queries.(id);
+            cells := !cells + props.cells.(id);
+            entries := !entries + props.entries.(id);
+            round_priced := !round_priced + props.priced.(id);
+            let p = props.partner.(id) in
+            if p >= 0 then begin
+              let d = Float.Array.get props.cost id in
+              (match h_cost with Some h -> Obs.Histogram.observe h d | None -> ());
+              let depth_bias =
+                if weight = 0. then 0.
+                else
+                  weight
+                  *. ((Float.Array.get hull_hi id +. Float.Array.get hull_hi p) /. 2.)
+              in
+              Float.Array.set props.cost id (d +. depth_bias)
+            end
+          done;
+          let limit =
+            if config.multi_merge then
+              Int.max 1 (int_of_float (merge_fraction *. float_of_int count /. 2.))
+            else 1
+          in
+          let ranked =
+            Order.select_pairs ~ids ~count ~partner:props.partner ~cost:props.cost ~used
+              ~limit sel
+          in
+          (* Which pairs merge this round depends only on the proposals
+             and the round-start population — never on any merge's
+             result — so the (potentially parallel) merges can all run
+             against the frozen round state, and installing them in
+             selection order is bit-identical to a merge-one-install-one
+             loop.  Ids and window space are reserved in selection order
+             to keep the id sequence independent of scheduling. *)
+          let commit_phase () =
+            for k = 0 to sel.len - 1 do
+              best_cost := Float.min !best_cost (Float.Array.get sel.costs k)
+            done;
+            (* Degenerate safeguard: grid candidates always yield at least
+               one pair when two or more subtrees are active.  Should that
+               ever fail, merge the two lowest-id survivors directly
+               rather than spinning forever. *)
+            if sel.len = 0 then begin
+              sel.left.(0) <- ids.(0);
+              sel.right.(0) <- ids.(1);
+              Bytes.set used ids.(0) '\001';
+              Bytes.set used ids.(1) '\001';
+              sel.len <- 1
+            end;
+            let merged = sel.len in
+            let first = Subtree.reserve c sel.left.(0) sel.right.(0) in
+            for k = 1 to merged - 1 do
+              ignore (Subtree.reserve c sel.left.(k) sel.right.(k) : int)
+            done;
+            if merged > 1 then pooled "engine.commit" merged (merge_range first)
+            else merge_range first 0 0;
+            (* The next round's population: this round's survivors, then
+               the merges in selection order — ascending, as fresh ids
+               are. *)
+            let at = ref 0 in
+            for k = 0 to count - 1 do
+              let id = ids.(k) in
+              if Bytes.get used id = '\000' then begin
+                spare.(!at) <- id;
+                incr at
+              end
+            done;
+            for k = 0 to merged - 1 do
+              if tracing then trace_merge (first + k);
+              insert (first + k);
+              spare.(!at + k) <- first + k
+            done;
+            !at + merged
+          in
+          let next =
+            if tracing then
+              Obs.Trace.span trace ~cat:"dme.order"
+                ~args:[ ("candidates", Obs.Json.Int ranked) ]
+                "commit_phase" commit_phase
+            else commit_phase ()
+          in
+          queried := !queried + !round_queries;
+          priced := !priced + !round_priced;
+          next
+        in
+        let next =
+          if tracing then
+            Obs.Trace.span trace ~cat:"dme.order"
+              ~args:[ ("round", Obs.Json.Int !rounds); ("active", Obs.Json.Int count) ]
+              "round" round_body
+          else round_body ()
+        in
+        if tracing then begin
+          let wall_s = Float.max 0. (Obs.Timer.now () -. t0) in
           let gc_now = Obs.Gcstat.sample () in
           let d_gc = Obs.Gcstat.diff gc_now !last_gc in
           last_gc := gc_now;
@@ -185,47 +464,39 @@ let plan_unsampled ~config ~run ?pool ?leaves inst =
             (Obs.Json.Obj
                [
                  ("type", Obs.Json.String "round");
-                 ("round", Obs.Json.Int r.round);
-                 ("active", Obs.Json.Int r.active);
-                 ("probes", Obs.Json.Int r.probes);
-                 ("nn_queries", Obs.Json.Int r.queries);
-                 ("merges", Obs.Json.Int r.merges);
-                 ("trial_elided", Obs.Json.Int r.priced);
-                 ("merge_cost", Obs.Json.Float r.best_cost);
+                 ("round", Obs.Json.Int !rounds);
+                 ("active", Obs.Json.Int count);
+                 ("probes", Obs.Json.Int count);
+                 ("nn_queries", Obs.Json.Int !round_queries);
+                 ("merges", Obs.Json.Int (count - next));
+                 ("trial_elided", Obs.Json.Int !round_priced);
+                 ("merge_cost", Obs.Json.Float !best_cost);
                  ("cum_planned_wire", Obs.Json.Float !cum_wire);
-                 ("wall_s", Obs.Json.Float r.wall_s);
+                 ("wall_s", Obs.Json.Float wall_s);
                  ("gc", Obs.Gcstat.json d_gc);
-               ]))
-    end
-  in
-  let (ostats : Order.stats) =
-    let body () =
-      Order.run_ranked ?pool ~run ?on_round c order_config ~diameter ~cost:(cost inst c)
-        ~merger:{ Order.compute; install }
+               ])
+        end;
+        loop spare ids next
+      end
     in
+    loop (Array.init n Fun.id) (Array.make n 0) n;
+    {
+      (of_run c ~rounds:!rounds) with
+      nn_reprobes = !probed;
+      nn_queries = !queried;
+      nn_cells = !cells;
+      nn_entries = !entries;
+      trial = { trial_merges = 0; elided_trials = !priced };
+    }
+  in
+  let stats =
     if tracing then
       Obs.Trace.span trace ~cat:"dme.engine"
         ~args:[ ("jobs", Obs.Json.Int jobs) ]
         "engine.plan" body
     else body ()
   in
-  ( Subtree.finish c,
-    {
-      rounds = ostats.rounds;
-      nn_reprobes = ostats.nn_probes;
-      nn_queries = ostats.nn_queries;
-      nn_cells = ostats.nn_cells;
-      nn_entries = ostats.nn_entries;
-      nn_probes_saved = 0;
-      same_group = !same_group;
-      cross_group = !cross_group;
-      shared_one = !shared_one;
-      shared_multi = !shared_multi;
-      planned_snake = !planned_snake;
-      infeasible_merges = !infeasible;
-      trial = { trial_merges = 0; elided_trials = ostats.nn_priced };
-      gc = Obs.Gcstat.zero;
-    } )
+  (Subtree.finish c, stats)
 
 (* [stats.gc] covers the planning phase only, its minor words on every
    domain of the pool. *)

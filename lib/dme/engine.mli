@@ -3,10 +3,14 @@
     EXT-BST and greedy-DME — are this engine run on differently grouped
     instances; MMM-DME plans with {!Mmm.run_arena} instead.
 
-    A ranking probe prices a candidate pair one way ({!cost}): by its
+    {!plan} runs the merge rounds itself.  Each round packs the active
+    subtrees' centers into a k-NN snapshot, probes every one of them for
+    its cheapest partner ({!Order.settle}, priced by {!cost}: the pair's
     region distance, plus a penalty when {!Merge.committed_feasible}
-    says the merge is infeasible.  No probe runs a trial merge; a
-    committed merge runs {!Merge.run}. *)
+    says the merge is infeasible), biases each proposal by the pair's
+    delay hulls (§V.F enhancement 2), selects a disjoint prefix of the
+    ranked pairs ({!Order.select_pairs}, §V.F enhancement 1) and merges
+    it with {!Merge.run}.  No probe runs a trial merge. *)
 
 type config = {
   multi_merge : bool;  (** §V.F enhancement 1: batch merges per round *)
@@ -36,7 +40,7 @@ type config = {
           bit-identical for any value:
           probes run against frozen round-start state, their counts
           are summed in a fixed order on the main domain, and merges
-          commit serially (see {!Order}).  The default is the
+          install serially (see {!plan}).  The default is the
           [ASTSKEW_JOBS] environment variable, else 1
           ({!Par.Pool.default_jobs}) *)
 }
@@ -52,14 +56,11 @@ type trial_stats = {
           deleted (DESIGN.md section 6.4); the result JSON still carries
           it, as 0 *)
   elided_trials : int;
-      (** candidates the probes priced ({!Order.stats} [nn_priced]),
-          each answered without a trial merge: its feasibility comes
-          from {!Merge.committed_feasible}.  Candidates a probe skips
+      (** candidates the probes priced (their {!cost} calls), each
+          answered without a trial merge: its feasibility comes from
+          {!Merge.committed_feasible}.  Candidates a probe skips
           unpriced ({!Order.cheapest}) are not counted *)
 }
-
-(** All-zero [trial_stats], for engines that price no candidate (MMM). *)
-val no_trials : trial_stats
 
 type stats = {
   rounds : int;
@@ -107,11 +108,20 @@ val json_of_config : config -> Obs.Json.t
     pair of ids [(a, b)] whose regions are [dist] apart — [dist], plus
     a penalty, scaled by the instance's diameter, when the pair's merge
     would be infeasible ({!Merge.committed_feasible}).  Never below
-    [dist] and never NaN for finite [dist] — the cost contract of
-    {!Order.run_ranked}.  Exposed for testing. *)
+    [dist] and never NaN for finite [dist], as the [price] contract of
+    {!Order.cheapest} requires.  The probes' price; exposed for
+    testing. *)
 val cost :
   Clocktree.Instance.t -> Subtree.cols -> dist:float -> int -> int -> float
 [@@reference]
+
+(** [of_run c ~rounds] is the stats of the planning run [c] after
+    [rounds] rounds: its merge-kind counts, [infeasible_merges] and
+    [planned_snake], folded over its merges' [kinds] and [snakes]
+    columns in id order (the order the merges were installed in); every
+    ranking counter 0 and [gc] zero.  {!plan} and {!Mmm.plan} tally
+    their merges with it. *)
+val of_run : Subtree.cols -> rounds:int -> stats
 
 (** Bottom-up merge planning only: reduce the instance's sinks — or an
     explicit [leaves] population ({!type:Subtree.leaves}: ids in array

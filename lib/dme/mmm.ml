@@ -26,12 +26,6 @@ let plan_on ?(config = Engine.default) ?(run = Obs.Run.null)
   if tracing then
     Obs.Trace.merge_manifest trace
       [ ("engine_config", Engine.json_of_config config) ];
-  let same_group = ref 0 in
-  let cross_group = ref 0 in
-  let shared_one = ref 0 in
-  let shared_multi = ref 0 in
-  let planned_snake = ref 0. in
-  let infeasible = ref 0 in
   let c = Subtree.cols (Subtree.Sinks inst.sinks) in
   let depth = ref 0 in
   (* Both children are built before the merge takes the next id, so ids
@@ -39,13 +33,6 @@ let plan_on ?(config = Engine.default) ?(run = Obs.Run.null)
   let merge a b =
     let id = Subtree.reserve c a b in
     Merge.run inst ~split_slack:config.split_slack ~width_cap:config.width_cap c ~id a b;
-    (match Merge.kind_at c id with
-     | Merge.Same_group -> incr same_group
-     | Merge.Cross_group -> incr cross_group
-     | Merge.Shared_one -> incr shared_one
-     | Merge.Shared_multi -> incr shared_multi);
-    planned_snake := !planned_snake +. Float.Array.get c.snakes id;
-    if not (Merge.feasible_at c id) then incr infeasible;
     id
   in
   let rec build (sinks : Clocktree.Sink.t array) level =
@@ -68,24 +55,7 @@ let plan_on ?(config = Engine.default) ?(run = Obs.Run.null)
         (fun () -> build inst.sinks 0)
     else build inst.sinks 0
   in
-  ( Subtree.finish c,
-    Engine.
-      {
-        rounds = !depth;
-        same_group = !same_group;
-        cross_group = !cross_group;
-        shared_one = !shared_one;
-        shared_multi = !shared_multi;
-        planned_snake = !planned_snake;
-        infeasible_merges = !infeasible;
-        nn_reprobes = 0;
-        nn_queries = 0;
-        nn_cells = 0;
-        nn_entries = 0;
-        nn_probes_saved = 0;
-        trial = Engine.no_trials;
-        gc = Obs.Gcstat.zero;
-      } )
+  (Subtree.finish c, Engine.of_run c ~rounds:!depth)
 
 let plan ?config inst = plan_on ?config inst
 

@@ -1,33 +1,4 @@
-module Octslab = Geometry.Octslab
 module Grid_index = Geometry.Grid_index
-
-type config = { multi_merge : bool; knn : int; delay_order_weight : float }
-
-
-(* Fraction of the active subtrees a multi-merge round consumes. *)
-let merge_fraction = 0.5
-
-type merger = { compute : id:int -> int -> int -> unit; install : int -> unit }
-
-type stats = {
-  rounds : int;
-  nn_probes : int;
-  nn_queries : int;
-  nn_cells : int;
-  nn_entries : int;
-  nn_priced : int;
-}
-
-type round_info = {
-  round : int;
-  active : int;
-  probes : int;
-  queries : int;
-  priced : int;
-  merges : int;
-  best_cost : float;
-  wall_s : float;
-}
 
 type proposals = {
   partner : int array;
@@ -43,8 +14,8 @@ type proposals = {
    [best.(slot)] — over [ids.(0 .. from-1)], and pricing only those that
    can still win, each counted in [priced.(slot)].  Returns the new best
    index and leaves its cost in [best.(slot)], so the running argmin
-   never boxes.  Every cost is [>= dist] (the [cost] contract of
-   [run_ranked]), so a candidate whose region distance already exceeds
+   never boxes.  Every cost is [>= dist] (the [price] contract of
+   [cheapest]), so a candidate whose region distance already exceeds
    the best cost — or ties it with a higher id — cannot take the argmin
    whatever it costs, and its price is never asked for.  A NaN distance
    proves nothing, so that candidate is priced.  The winner is the
@@ -251,318 +222,3 @@ let select_pairs ~ids ~count ~partner ~cost ~used ~limit sel =
   done;
   sel.len <- !taken;
   ranked
-
-(* Each domain's k-NN answer buffer.  A probe fills it and reads it back
-   before returning, and nothing a probe calls probes again, so one
-   buffer per domain is never shared. *)
-let knn_key = Domain.DLS.new_key Grid_index.knn_buffer
-
-let run_ranked ?pool ?(run = Obs.Run.null) ?on_round (c : Subtree.cols) config
-    ~diameter ~cost ~merger =
-  let { Obs.Run.trace; sched; _ } = run in
-  let n = Subtree.leaves c.plan in
-  let tracing = Obs.Trace.enabled trace in
-  (* Probe costs observed after each probe phase (main domain): the
-     chosen best cost of every executed probe. *)
-  let h_cost =
-    if tracing then Some (Obs.Trace.histogram trace "order.probe_cost")
-    else None
-  in
-  (* A non-positive knn would make every k-NN query return [] and stall
-     the pairing loop below; clamp rather than crash. *)
-  let knn = Int.max 1 config.knn in
-  (* Grid cell for a round of [m] subtrees: the instance's L1 diameter
-     over [sqrt m].  On a square die the L1 diameter is twice the side,
-     so the cell holds about 4 entries of a uniform population.  The
-     floor must be relative to the extent, not the absolute 1.0 layout
-     unit it used to be: a unit-square (or any sub-unit) instance would
-     collapse into a single grid cell and degrade every k-NN query to a
-     full scan, making ranking cost — and the grid work in [stats] —
-     depend on coordinate scale.  [Eps.tol] absolutely and [Eps.tol * d] relatively
-     keep the cell positive for degenerate (single-point) instances
-     without distorting real ones. *)
-  let cell_floor = Float.max Geometry.Eps.tol (Geometry.Eps.tol *. diameter) in
-  let cell_for m =
-    Float.max cell_floor (diameter /. Float.sqrt (float_of_int (Int.max 1 m)))
-  in
-  (* Arena: every structure the ranking loop reads per candidate is a
-     flat array indexed by subtree id — the run's columns [c] and the
-     ranking's own below.  Ids are dense — [n] leaves plus [n - 1]
-     merges — so nothing on the probe path chases a hashtable or boxes
-     a float.  [c.regions] holds each subtree's region bounds
-     (Octslab.dist is Octagon.dist's kernel); [cx], [cy] its center;
-     [rad] the L1 radius of its region about that center; [hull_hi] the
-     upper end of its delay hull (the only part delay biasing reads).
-     Slots of merged-away ids go stale rather than being cleared — the
-     loop only ever indexes ids of currently alive subtrees. *)
-  let cap_ids = Int.max 2 (2 * n) in
-  (* Each round's proposals, by proposer id: partner ([-1] for none),
-     cost (biased once the probe phase is over), the probe's k-NN
-     queries, cells visited and entries scanned, and the candidates it
-     priced.
-     [used] marks the ids a round's selection takes; they are merged
-     away and never reissued, so it is never reset, and the ids it
-     leaves unmarked are the alive ones. *)
-  let props =
-    {
-      partner = Array.make cap_ids (-1);
-      cost = Float.Array.make cap_ids Float.nan;
-      queries = Array.make cap_ids 0;
-      cells = Array.make cap_ids 0;
-      entries = Array.make cap_ids 0;
-      priced = Array.make cap_ids 0;
-    }
-  in
-  let used = Bytes.make cap_ids '\000' in
-  let slab = c.regions in
-  let cx = Float.Array.make cap_ids Float.nan in
-  let cy = Float.Array.make cap_ids Float.nan in
-  let rad = Float.Array.make cap_ids Float.nan in
-  let hull_hi = Float.Array.make cap_ids Float.nan in
-  let insert id =
-    Octslab.center slab id cx cy;
-    Float.Array.set rad id (Octslab.radius slab id cx cy);
-    if config.delay_order_weight <> 0. then
-      Float.Array.set hull_hi id (Subtree.hull_hi c id)
-  in
-  for id = 0 to n - 1 do
-    insert id
-  done;
-  (* A round's selected pairs, at most half its subtrees. *)
-  let sel =
-    {
-      left = Array.make n 0;
-      right = Array.make n 0;
-      costs = Float.Array.make n Float.nan;
-      len = 0;
-    }
-  in
-  (* The round's k-NN snapshot and the positional center columns it is
-     packed from; no round has more than [n] subtrees. *)
-  let snap = Grid_index.snapshot () in
-  let xs = Float.Array.create n and ys = Float.Array.create n in
-  (* A pooled phase cuts its work into [4 * jobs] chunks, as
-     [Par.Pool.map_chunked] would cut the items themselves; chunk [k] of
-     [count] items of [size] each covers [k * size] up to the end, and
-     trailing chunks may be empty. *)
-  let ways = match pool with Some p -> 4 * Par.Pool.jobs p | None -> 1 in
-  let chunk_ids = Array.init ways Fun.id in
-  let pooled label count f =
-    match pool with
-    | Some pool ->
-      let size = (count + ways - 1) / ways in
-      ignore
-        (Par.Pool.map_chunked pool ~sched ~label ~chunk:1
-           (fun k -> f (k * size) (Int.min count ((k + 1) * size) - 1))
-           chunk_ids)
-    | None -> f 0 (count - 1)
-  in
-  (* Probe the round's subtrees [ids.(lo .. hi)]: each one's cheapest
-     merge partner among its [knn] grid candidates (grid ranking is by
-     representative point, so probe several candidates and refine with
-     the true merging cost), written to [props] — [-1] at [infinity]
-     when the k-NN scan found no candidate.  [settle] asks the snapshot
-     for a quarter of them first and widens only while the region bound
-     [rmax] — the largest [rad] of the round's population — leaves an
-     unseen candidate able to win, so the answer, and every [price]
-     call, is the full-[knn] probe's.  Runs on worker domains during a
-     parallel round: the columns, [snap] and [slab] are only read, each
-     probe writes only its own [props] slots, and the (cost, lowest-id)
-     argmin makes the winner independent of candidate evaluation order.
-     The range shares one pair of [dist]/[price] closures over the probed
-     id in [self]; the k-NN scan skips the probed id itself: a probe
-     allocates no closure and no result.  A k-NN answer
-     comes back empty only when no other entry is eligible at all (the
-     scan covers the whole window unless it has found [k] entries), so
-     an empty answer needs no fallback scan. *)
-  let probe_range ids rmax lo hi =
-    let buf = Domain.DLS.get knn_key in
-    let self = ref (-1) in
-    let dist tid = Octslab.dist slab !self tid in
-    let price tid d = cost ~dist:d !self tid in
-    for k = lo to hi do
-      let sid = ids.(k) in
-      self := sid;
-      (* The instant lands in the emitting domain's own trace buffer. *)
-      if tracing then
-        Obs.Trace.instant trace ~cat:"dme.order"
-          ~args:[ ("subtree", Obs.Json.Int sid) ]
-          "probe";
-      settle snap buf ~skip:sid cx cy sid ~knn ~rad:(Float.Array.get rad sid) ~rmax
-        ~dist ~price props sid
-    done
-  in
-  (* Run the selected merges [lo .. hi], whose ids follow [first]. *)
-  let compute_range first lo hi =
-    for k = lo to hi do
-      merger.compute ~id:(first + k) sel.left.(k) sel.right.(k)
-    done
-  in
-  (* Deep subtrees have small delay targets; merging shallow pairs first
-     (Chaturvedi-Hu) keeps depths homogeneous and avoids late merges that
-     must snake to match a buried group's delay.  [hull_hi] caches each
-     node's [Subtree.delay_hull] high end from insertion. *)
-  let weight = config.delay_order_weight in
-  let rounds = ref 0 in
-  let probed = ref 0 in
-  let queried = ref 0 in
-  let cells = ref 0 and entries = ref 0 and priced = ref 0 in
-  (* [ids.(0 .. count-1)] is the round's active population in
-     ascending-id order: the leaves' dense ids to start, then each
-     round's survivors followed by its merges, whose fresh ids exceed
-     every earlier one.  The next round's population is written to
-     [spare], and the two buffers swap. *)
-  let rec loop ids spare count =
-    if count > 1 then begin
-      incr rounds;
-      (* Wall time is read only when a round observer is installed, so
-         the untraced run does not even touch the clock per round. *)
-      let t0 = if on_round <> None then Obs.Timer.now () else 0. in
-      (* Rank in two strictly separated phases so the routed tree is
-         bit-identical for any jobs count: (1) pack the round's centers
-         and probe every active subtree against that frozen snapshot — in
-         parallel chunks when a pool is given; (2) sum the probes'
-         counts on this domain, rank the proposals and select a disjoint
-         pair prefix, reserve the selected merges' ids and window space
-         in selection order, compute them — in parallel when a pool is
-         given: each writes only its own id's slots — and install them
-         serially in selection order. *)
-      let round_body () =
-        let rmax = ref 0. in
-        for k = 0 to count - 1 do
-          let id = ids.(k) in
-          Float.Array.set xs k (Float.Array.get cx id);
-          Float.Array.set ys k (Float.Array.get cy id);
-          rmax := Float.max !rmax (Float.Array.get rad id)
-        done;
-        let rmax = !rmax in
-        Grid_index.pack snap ~cell:(cell_for count) ids xs ys count;
-        let run_probes () = pooled "engine.rank" count (probe_range ids rmax) in
-        if tracing then
-          Obs.Trace.span trace ~cat:"dme.order"
-            ~args:[ ("probes", Obs.Json.Int count) ]
-            "probe_phase" run_probes
-        else run_probes ();
-        probed := !probed + count;
-        let round_queries = ref 0 and round_priced = ref 0 in
-        for k = 0 to count - 1 do
-          let id = ids.(k) in
-          round_queries := !round_queries + props.queries.(id);
-          cells := !cells + props.cells.(id);
-          entries := !entries + props.entries.(id);
-          round_priced := !round_priced + props.priced.(id);
-          let p = props.partner.(id) in
-          if p >= 0 then begin
-            let d = Float.Array.get props.cost id in
-            (match h_cost with Some h -> Obs.Histogram.observe h d | None -> ());
-            let depth_bias =
-              if weight = 0. then 0.
-              else
-                weight
-                *. ((Float.Array.get hull_hi id +. Float.Array.get hull_hi p) /. 2.)
-            in
-            Float.Array.set props.cost id (d +. depth_bias)
-          end
-        done;
-        let limit =
-          if config.multi_merge then
-            Int.max 1
-              (int_of_float (merge_fraction *. float_of_int count /. 2.))
-          else 1
-        in
-        let ranked =
-          select_pairs ~ids ~count ~partner:props.partner ~cost:props.cost ~used ~limit
-            sel
-        in
-        (* Which pairs merge this round depends only on the proposals and
-           the round-start population — never on any merge's result — so
-           the (potentially parallel) merge computations can all run
-           against the frozen round state, and installing them in
-           selection order is bit-identical to a compute-one-install-one
-           loop.  Ids and window space are reserved in selection order to
-           keep the id sequence independent of compute scheduling. *)
-        let best_cost = ref Float.infinity in
-        let commit_phase () =
-          for k = 0 to sel.len - 1 do
-            best_cost := Float.min !best_cost (Float.Array.get sel.costs k)
-          done;
-          (* Degenerate safeguard: grid candidates always yield at least one
-             pair when two or more subtrees are active.  Should that ever
-             fail, merge the two lowest-id survivors directly rather than
-             spinning forever. *)
-          if sel.len = 0 then begin
-            sel.left.(0) <- ids.(0);
-            sel.right.(0) <- ids.(1);
-            Bytes.set used ids.(0) '\001';
-            Bytes.set used ids.(1) '\001';
-            sel.len <- 1
-          end;
-          let merged = sel.len in
-          let first = Subtree.reserve c sel.left.(0) sel.right.(0) in
-          for k = 1 to merged - 1 do
-            ignore (Subtree.reserve c sel.left.(k) sel.right.(k) : int)
-          done;
-          if merged > 1 then pooled "engine.commit" merged (compute_range first)
-          else compute_range first 0 0;
-          (* The next round's population: this round's survivors, then the
-             merges in selection order — ascending, as fresh ids are. *)
-          let at = ref 0 in
-          for k = 0 to count - 1 do
-            let id = ids.(k) in
-            if Bytes.get used id = '\000' then begin
-              spare.(!at) <- id;
-              incr at
-            end
-          done;
-          for k = 0 to merged - 1 do
-            merger.install (first + k);
-            insert (first + k);
-            spare.(!at + k) <- first + k
-          done;
-          !at + merged
-        in
-        let next =
-          if tracing then
-            Obs.Trace.span trace ~cat:"dme.order"
-              ~args:[ ("candidates", Obs.Json.Int ranked) ]
-              "commit_phase" commit_phase
-          else commit_phase ()
-        in
-        queried := !queried + !round_queries;
-        priced := !priced + !round_priced;
-        (next, !round_queries, !round_priced, !best_cost)
-      in
-      let next, queries_run, priced_run, best_cost =
-        if tracing then
-          Obs.Trace.span trace ~cat:"dme.order"
-            ~args:
-              [ ("round", Obs.Json.Int !rounds); ("active", Obs.Json.Int count) ]
-            "round" round_body
-        else round_body ()
-      in
-      (match on_round with
-       | None -> ()
-       | Some f ->
-         f
-           {
-             round = !rounds;
-             active = count;
-             probes = count;
-             queries = queries_run;
-             priced = priced_run;
-             merges = count - next;
-             best_cost;
-             wall_s = Float.max 0. (Obs.Timer.now () -. t0);
-           });
-      loop spare ids next
-    end
-  in
-  loop (Array.init n Fun.id) (Array.make n 0) n;
-  {
-    rounds = !rounds;
-    nn_probes = !probed;
-    nn_queries = !queried;
-    nn_cells = !cells;
-    nn_entries = !entries;
-    nn_priced = !priced;
-  }

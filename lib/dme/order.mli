@@ -1,97 +1,28 @@
-(** Merge ordering: nearest-neighbour selection with Edahiro-style
-    multi-merge rounds (§V.F enhancement 1) and optional delay-target
-    biasing (§V.F enhancement 2).
+(** The ranking kernels of {!Engine.plan}'s merge rounds: nearest-
+    neighbour selection with Edahiro-style multi-merge rounds (§V.F
+    enhancement 1).
 
-    Each round takes the active subtrees in ascending id order, packs
-    their centers into one read-only {!Geometry.Grid_index.snapshot}
-    with the cell sized for that population, computes every subtree's
-    cheapest merge partner among its [knn] grid candidates — in parallel
-    chunks when a {!Par.Pool} is supplied — then ranks the proposed
-    pairs by cost (the two proposals of an unordered pair count once, at
-    the cheaper one) and greedily merges a disjoint prefix
-    ({!select_pairs}).  Probing is read-only with respect to every
-    shared structure and the partner choice tie-breaks on the lowest
-    subtree id, so the selected merges — and hence the routed tree — are
-    bit-identical for any jobs count.  Each merge is reserved in the
-    run's columns and plan store in selection (= id) order before the
-    round's merges are computed ({!Subtree.reserve}), so a pooled merge
-    writes only its own slots.
+    Each round the engine probes every active subtree ({!settle}): the
+    probe's cheapest merge partner among its [knn] candidates in the
+    round's {!Geometry.Grid_index.snapshot}, written into id-indexed
+    {!proposals}.  {!select_pairs} then ranks the proposed pairs by
+    cost (the two proposals of an unordered pair count once, at the
+    cheaper one) and greedily takes a disjoint prefix into a
+    {!selection}.  A probe reads only frozen round state and its argmin
+    tie-breaks on the lowest subtree id, so the selected merges are
+    bit-identical for any jobs count.
 
-    Every round probes every active subtree from scratch.  The
-    snapshot's k-NN answer is ordered by (distance, id) and so depends
-    only on the alive population, never on the cell the round sized
-    (DESIGN.md sections 3.3 and 6.3).
-
-    A probe ({!settle}) asks the snapshot for [max 1 (knn / 4)]
-    candidates first and doubles the query, up to [knn], only while an
-    exact bound leaves an unseen candidate able to win: every subtree's
-    region lies within its L1 radius of its center, so a candidate
-    beyond the k-NN exclusion bound [kth] has region distance — and, by
-    the [cost] contract of {!run_ranked}, cost — at least [kth] minus
-    the two radii.  The partner, every priced candidate and hence the
-    tree are the full-[knn] probe's (DESIGN.md section 6.3).  A probe
-    writes its proposal into id-indexed arrays and allocates no closure
-    or result of its own, and a round allocates no array or record per
-    pair. *)
-
-type config = {
-  multi_merge : bool;
-      (** merge a batch of up to [active / 4] disjoint pairs per round
-          (half the active subtrees) instead of a single pair *)
-  knn : int;  (** grid candidates examined per nearest-neighbour query *)
-  delay_order_weight : float;
-      (** layout units per ps: sorts deeper (slower) subtrees earlier;
-          0 disables the delay-target enhancement *)
-}
-
-(** How selected merges are executed.  [compute ~id a b] merges the
-    run's subtrees [a] and [b] into [id], which {!Subtree.reserve} has
-    opened; it may run on a worker domain during parallel rounds, so it
-    must write nothing but [id]'s own slots (reading state that is
-    frozen for the duration of the round's commit phase is fine).
-    [install id] runs on the calling domain, in selection order, after
-    the round's merges are computed; side effects (statistics, tracing)
-    belong here. *)
-type merger = { compute : id:int -> int -> int -> unit; install : int -> unit }
-
-(** Ranking-loop statistics.  [nn_probes] counts nearest-neighbour
-    probes (each prices up to [knn] candidates): the active count summed
-    over rounds.  [nn_queries] counts the k-NN queries those probes ran
-    — one, plus one per widening — so it is never below [nn_probes].
-    [nn_cells] and [nn_entries] are those queries' grid work: cells
-    their ring scans walked and entries those cells held
-    ({!Geometry.Grid_index.query}), so [nn_cells] is never below
-    [nn_queries].  [nn_priced] counts the candidates the probes priced:
-    the [cost] calls, which {!cheapest}'s prune keeps well below [knn]
-    per probe.  All six are sums of per-probe counts, so they are
-    identical for any pool. *)
-type stats = {
-  rounds : int;
-  nn_probes : int;
-  nn_queries : int;
-  nn_cells : int;
-  nn_entries : int;
-  nn_priced : int;
-}
-
-(** One completed merge round, as reported to the [?on_round] observer
-    of {!run_ranked}: 1-based [round] index, [active] subtree count at
-    the round's start, probe count ([probes], equal to [active]), the
-    k-NN queries those probes ran ([queries]) and the candidates they
-    [priced], merges committed, the
-    cheapest committed pair's biased cost ([infinity] when only the
-    degenerate fallback merge ran) and the round's wall time in seconds
-    (clamped non-negative). *)
-type round_info = {
-  round : int;
-  active : int;
-  probes : int;
-  queries : int;
-  priced : int;
-  merges : int;
-  best_cost : float;
-  wall_s : float;
-}
+    A probe asks the snapshot for [max 1 (knn / 4)] candidates first
+    and doubles the query, up to [knn], only while an exact bound
+    leaves an unseen candidate able to win: every subtree's region lies
+    within its L1 radius of its center, so a candidate beyond the k-NN
+    exclusion bound [kth] has region distance — and, by the [price]
+    contract of {!cheapest}, cost — at least [kth] minus the two radii.
+    The partner, every priced candidate and hence the tree are the
+    full-[knn] probe's (DESIGN.md section 6.3).  A probe writes its
+    proposal into the id-indexed arrays and allocates no closure or
+    result of its own, and a selection allocates no array or record
+    per pair. *)
 
 (** One round's proposals, indexed by proposer id: the proposed
     [partner] ([-1] for none), its [cost], the k-NN [queries] the probe
@@ -127,7 +58,7 @@ type selection = {
     ranked pairs that touch no id marked in [used]; its arrays must
     have room for them.  Selected ids are marked in [used], which
     covers every id.  Sorts in per-domain scratch, so it allocates
-    nothing, and never recurses; exposed for testing. *)
+    nothing, and never recurses. *)
 val select_pairs :
   ids:int array ->
   count:int ->
@@ -137,7 +68,6 @@ val select_pairs :
   limit:int ->
   selection ->
   int
-[@@reference]
 
 (** [cheapest ids len ~dist ~price] is the index [i] in [0 .. len-1]
     of the (cost, lowest id) argmin over the distinct candidate ids
@@ -147,8 +77,8 @@ val select_pairs :
     [price] is called only for candidates that can still win: one whose
     distance exceeds the best cost so far, or equals it with a higher
     id, is skipped, which cannot change the answer.  Raises
-    [Invalid_argument] when a priced cost is NaN.  The ranking probe's
-    argmin; exposed for testing. *)
+    [Invalid_argument] when a priced cost is NaN.  The argmin {!settle}
+    runs over each widening of its answer; exposed for testing. *)
 val cheapest :
   int array ->
   int ->
@@ -178,8 +108,7 @@ val cheapest :
     candidate then costs more than the best.  A wider answer starts
     with the previous one, so pricing resumes where it stopped and no
     candidate is priced twice.  The running best lives in
-    [props.cost.(id)], so the search allocates nothing of its own.  The
-    ranking probe; exposed for testing. *)
+    [props.cost.(id)], so the search allocates nothing of its own. *)
 val settle :
   Geometry.Grid_index.snapshot ->
   Geometry.Grid_index.knn ->
@@ -195,44 +124,3 @@ val settle :
   proposals ->
   int ->
   unit
-[@@reference]
-
-(** [run_ranked ?pool ?run ?on_round c config ~diameter ~cost ~merger]
-    reduces the run's leaves ([c], ids [0 .. n-1]) to one subtree,
-    pricing candidate pairs with [cost], reserving every selected merge
-    ({!Subtree.reserve}), running [merger.compute] for it and
-    [merger.install] on the calling domain in selection order.  The
-    merges take ids [n] upward; the root is [Subtree.finish c].
-    [diameter] is the L1 extent that sizes the rounds' grid cells (the
-    instance's).
-
-    [cost ~dist a b] ranks the pair of ids [(a, b)] whose regions are
-    [dist] apart ([Octslab.dist], the kernel of [Octagon.dist]).  It may
-    run on a worker domain, so it must not mutate shared state.
-    Contract: it is never below [dist] and never NaN.  A probe relies on
-    it to price only the candidates that can still win (see
-    {!cheapest}) and to stop widening its k-NN query once no unseen
-    candidate can win (see {!settle}); a NaN cost raises
-    [Invalid_argument].
-
-    With [pool], candidate probing
-    and the selected merges' computations run on the pool's domains;
-    results are deterministic and identical to the serial run.  With
-    [run.trace] enabled, each round emits a span (with probe/commit
-    phase sub-spans and per-probe instants) and probe costs feed the
-    ["order.probe_cost"] histogram; a disabled trace skips every
-    emission, keeping the untraced run allocation-free on that path.
-    An enabled [run.sched] recorder ledgers the pooled probe and commit
-    maps under ["engine.rank"] / ["engine.commit"].  [on_round] is
-    invoked after each round's commits with that round's
-    {!round_info}.  Returns the ranking statistics. *)
-val run_ranked :
-  ?pool:Par.Pool.t ->
-  ?run:Obs.Run.t ->
-  ?on_round:(round_info -> unit) ->
-  Subtree.cols ->
-  config ->
-  diameter:float ->
-  cost:(dist:float -> int -> int -> float) ->
-  merger:merger ->
-  stats

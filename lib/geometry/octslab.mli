@@ -51,13 +51,17 @@ val radius : t -> int -> floatarray -> floatarray -> float
     [dst] is past its capacity. *)
 val inter : t -> int -> int -> int -> bool
 
-(** [within t dst ~ra a ~rb b] is {!inter} for [Octagon.within ~ra (get
-    t a) ~rb (get t b)]. *)
+(** [within t dst ~ra a ~rb b] is {!inter} for [Octagon.inter
+    (Octagon.inflate ra (get t a)) (Octagon.inflate rb (get t b))], a
+    negative radius taken as 0: the points within [ra] of [a] and
+    [rb] of [b]. *)
 val within : t -> int -> ra:float -> int -> rb:float -> int -> bool
 
-(** [sdr_within t dst a b ~ra ~rb] is {!inter} for [Octagon.sdr_within
-    (get t a) (get t b) ~ra ~rb]; it allocates nothing when the two lie
-    more than the tolerance apart. *)
+(** [sdr_within t dst a b ~ra ~rb] is {!inter} for [Octagon.inter
+    (Octagon.sdr (get t a) (get t b)) w], where [w] is the region
+    {!within} writes: the shortest-path points between [a] and [b]
+    within [ra] of [a] and [rb] of [b].  It allocates nothing when the
+    two lie more than the tolerance apart. *)
 val sdr_within : t -> int -> int -> int -> ra:float -> rb:float -> bool
 
 (** [closest_point t dst a b] writes the point of [get t a] that

@@ -248,11 +248,39 @@ let test_trace_identity () =
       Alcotest.(check int)
         (Printf.sprintf "journal elided trials sum (jobs=%d)" jobs)
         traced.engine.trial.elided_trials (sum "trial_elided");
+      let e = traced.engine in
+      let merges = e.same_group + e.cross_group + e.shared_one + e.shared_multi in
+      Alcotest.(check int)
+        (Printf.sprintf "journal merges sum (jobs=%d)" jobs)
+        merges (sum "merges");
+      (* One [merge] instant per merge, emitted in install order, whose
+         planned wires add up bit for bit to the last round's running
+         total. *)
+      let wires =
+        List.filter_map
+          (fun (ev : Obs.Trace.event) ->
+            match (ev.name, List.assoc_opt "planned_wire" ev.args) with
+            | "merge", Some (Obs.Json.Float w) -> Some w
+            | _ -> None)
+          (Obs.Trace.events trace)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "one merge instant per merge (jobs=%d)" jobs)
+        merges (List.length wires);
+      let cum_wire =
+        match List.assoc_opt "cum_planned_wire" (List.nth rounds (List.length rounds - 1)) with
+        | Some (Obs.Json.Float w) -> w
+        | _ -> Alcotest.fail "the last round record has no cum_planned_wire"
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "merge instants sum to cum_planned_wire (jobs=%d)" jobs)
+        (Printf.sprintf "%h" cum_wire)
+        (Printf.sprintf "%h" (List.fold_left ( +. ) 0. wires));
       Alcotest.(check bool)
         (Printf.sprintf "trace captured spans (jobs=%d)" jobs)
         true
         (Obs.Trace.events trace <> []))
-    [ 1; 2 ]
+    [ 1; 2; 4 ]
 
 (* Every algorithm's route stamps the run manifest and produces a
    Chrome export that re-parses with a non-empty traceEvents list. *)

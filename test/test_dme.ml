@@ -312,33 +312,17 @@ let mk_instance n ~n_groups ~bound =
   in
   instance ~bound ~n_groups sinks
 
-(* The ranking loop run serially, pricing each candidate with [cost]
-   (default: its region distance) and committing each selected pair with
-   [Merge.run]. *)
-let order_default = { Dme.Order.multi_merge = true; knn = 16; delay_order_weight = 0. }
-
-let rank ?(cost = fun ~dist _ _ -> dist) (inst : Instance.t) config =
-  let c = Dme.Subtree.cols (Sinks inst.sinks) in
-  let stats =
-    Dme.Order.run_ranked c config ~diameter:(Instance.diameter inst) ~cost
-      ~merger:
-        {
-          compute =
-            (fun ~id a b ->
-              Dme.Merge.run inst ~split_slack:0.25 ~width_cap:0.7 c ~id a b);
-          install = ignore;
-        }
-  in
-  (Dme.Subtree.finish c, stats)
+(* The engine's ranking loop, run serially. *)
+let serial = { Dme.Engine.default with jobs = 1 }
 
 let test_order_reduces_to_one () =
   let inst = mk_instance 33 ~n_groups:3 ~bound:10. in
-  let root, stats = rank inst order_default in
+  let root, stats = Dme.Engine.plan ~config:serial inst in
   Alcotest.(check int) "all sinks" 33 root.n_sinks;
   Alcotest.(check bool) "several rounds" true (stats.rounds >= 2);
   (* single-pair mode produces one merge per round *)
-  let config = { order_default with multi_merge = false } in
-  let root1, stats1 = rank inst config in
+  let config = { serial with multi_merge = false } in
+  let root1, stats1 = Dme.Engine.plan ~config inst in
   Alcotest.(check int) "all sinks single" 33 root1.n_sinks;
   Alcotest.(check int) "n-1 rounds" 32 stats1.rounds
 
@@ -347,33 +331,32 @@ let test_order_reduces_to_one () =
    returning [] (or a knn misconfiguration) used to stall the order. *)
 let test_order_two_sink_endgame () =
   let inst = instance ~bound:10. ~n_groups:2 [ sink 0 0. 0. 0; sink 1 700. 300. 1 ] in
-  let root, stats = rank inst order_default in
+  let root, stats = Dme.Engine.plan ~config:serial inst in
   Alcotest.(check int) "both sinks merged" 2 root.n_sinks;
-  Alcotest.(check int) "one round" 1 stats.Dme.Order.rounds
+  Alcotest.(check int) "one round" 1 stats.Dme.Engine.rounds
 
 let test_order_three_sink_endgame () =
   let inst =
     instance ~bound:10. ~n_groups:3
       [ sink 0 0. 0. 0; sink 1 900. 0. 1; sink 2 0. 900. 2 ]
   in
-  let root, _ = rank inst order_default in
+  let root, _ = Dme.Engine.plan ~config:serial inst in
   Alcotest.(check int) "all three sinks merged" 3 root.n_sinks
 
 let test_order_knn_zero_clamped () =
   (* knn = 0 used to make every query return [] and loop forever; it is
      now clamped to 1. *)
   let inst = mk_instance 12 ~n_groups:2 ~bound:10. in
-  let root, _ = rank inst { order_default with knn = 0 } in
+  let root, _ = Dme.Engine.plan ~config:{ serial with knn = 0 } inst in
   Alcotest.(check int) "all sinks merged" 12 root.n_sinks
 
 (* A NaN cost used to win the probe's argmin and be replaced by every
    later candidate, so the probe silently ended on its last one; it is
    an error now. *)
 let test_order_nan_cost_raises () =
-  let inst =
-    instance ~bound:10. ~n_groups:2 [ sink 0 0. 0. 0; sink 1 700. 300. 1 ]
-  in
-  match rank ~cost:(fun ~dist:_ _ _ -> Float.nan) inst order_default with
+  match
+    Dme.Order.cheapest [| 3; 5 |] 2 ~dist:(fun _ -> 1.) ~price:(fun _ _ -> Float.nan)
+  with
   | _ -> Alcotest.fail "a NaN cost was ranked"
   | exception Invalid_argument _ -> ()
 
@@ -856,16 +839,30 @@ let test_pooled_ranking_bit_identical () =
    [nn_queries] counts the probes' k-NN queries, widenings included: a
    lost settle bound reads 3 per probe, a settle that never widens 1.
    Ranking prices every candidate without a trial merge, so
-   [elided_trials] is the priced-candidate count. *)
+   [elided_trials] is the priced-candidate count.  So do the merge
+   tallies: the same-group, cross-group, shared-one and shared-multi
+   counts, [infeasible_merges] and the bits of [planned_snake], summed
+   in install order; one MMM-DME row pins the same tallies of the fixed
+   bisection topology. *)
+let check_tallies name (e : Dme.Engine.stats) (same, cross, one, multi, infeasible, snake)
+    =
+  Alcotest.(check (list int))
+    (name ^ " merge kinds")
+    [ same; cross; one; multi ]
+    [ e.same_group; e.cross_group; e.shared_one; e.shared_multi ];
+  Alcotest.(check int) (name ^ " infeasible_merges") infeasible e.infeasible_merges;
+  Alcotest.(check string) (name ^ " planned_snake") snake
+    (Printf.sprintf "%h" e.planned_snake)
+
+let golden_instance name =
+  let spec = Option.get (Workload.Circuits.find name) in
+  Workload.Circuits.instance spec ~n_groups:8 ~scheme:Workload.Partition.Intermingled
+    ~bound:10. ()
+
 let test_golden_wirelengths () =
   List.iter
-    (fun (name, expect, reprobes, queries, saved, rounds, elided) ->
-      let spec = Option.get (Workload.Circuits.find name) in
-      let inst =
-        Workload.Circuits.instance spec ~n_groups:8
-          ~scheme:Workload.Partition.Intermingled ~bound:10. ()
-      in
-      let r = Check.Oracle.ast ~jobs:1 inst in
+    (fun (name, expect, (reprobes, queries, saved, rounds, elided), tallies) ->
+      let r = Check.Oracle.ast ~jobs:1 (golden_instance name) in
       Alcotest.(check string) (name ^ " wirelength") expect
         (Printf.sprintf "%h" r.evaluation.wirelength);
       Alcotest.(check int) (name ^ " nn_reprobes") reprobes r.engine.nn_reprobes;
@@ -874,14 +871,23 @@ let test_golden_wirelengths () =
       Alcotest.(check int) (name ^ " rounds") rounds r.engine.rounds;
       Alcotest.(check int) (name ^ " trial_merges") 0 r.engine.trial.trial_merges;
       Alcotest.(check int) (name ^ " elided_trials") elided
-        r.engine.trial.elided_trials)
+        r.engine.trial.elided_trials;
+      check_tallies name r.engine tallies)
     [
-      ("r1", "0x1.cd929d3d14732p+19", 1083, 1146, 0, 19, 1230);
-      ("r2", "0x1.ea747375c23e7p+20", 2413, 2636, 0, 22, 2770);
-      ("r3", "0x1.3180cdaf06bf4p+21", 3473, 3799, 0, 23, 3941);
-      ("r4", "0x1.2fd864ed8f4dep+22", 7636, 8515, 0, 26, 8700);
-      ("r5", "0x1.c8a977fe4209ap+22", 12436, 13932, 0, 28, 14189);
-    ]
+      ( "r1", "0x1.cd929d3d14732p+19", (1083, 1146, 0, 19, 1230),
+        (12, 157, 52, 45, 0, "0x0p+0") );
+      ( "r2", "0x1.ea747375c23e7p+20", (2413, 2636, 0, 22, 2770),
+        (36, 346, 106, 109, 0, "0x0p+0") );
+      ( "r3", "0x1.3180cdaf06bf4p+21", (3473, 3799, 0, 23, 3941),
+        (40, 505, 167, 149, 0, "0x0p+0") );
+      ( "r4", "0x1.2fd864ed8f4dep+22", (7636, 8515, 0, 26, 8700),
+        (92, 1115, 366, 329, 0, "0x1.fee3cd1250b3cp+12") );
+      ( "r5", "0x1.c8a977fe4209ap+22", (12436, 13932, 0, 28, 14189),
+        (119, 1834, 585, 562, 0, "0x1p-41") );
+    ];
+  let _, mmm = Dme.Mmm.plan (golden_instance "r3") in
+  Alcotest.(check int) "MMM r3 rounds" 10 mmm.rounds;
+  check_tallies "MMM r3" mmm (43, 519, 142, 157, 0, "0x0p+0")
 
 (* Plan retention: what stays reachable from a planned root until it is
    embedded.  The root's plan store keeps, per merge, its children's
@@ -906,6 +912,32 @@ let test_plan_retention () =
   let per_sink = float_of_int words /. float_of_int (Instance.n_sinks inst) in
   if per_sink > 18. then
     Alcotest.failf "the r5 plan retains %.1f words per sink, over 18" per_sink
+
+(* Per-group bounds are read unboxed: a committed [Merge.run] replaying
+   the engine's plan of r3 with a different bound per group, with its
+   reservations, allocates nothing.  An [Instance.bound_for] that boxes
+   costs 2 words per group its window folds visit. *)
+let test_group_bounds_merge_allocation () =
+  let base = golden_instance "r3" in
+  let inst =
+    Instance.make ~params:base.params ~rd:base.rd ~bound:base.bound
+      ~group_bounds:(Array.init 8 (fun g -> 4. +. (2. *. float_of_int g)))
+      ~source:base.source ~n_groups:8 base.sinks
+  in
+  let config = serial in
+  let plan = Dme.Subtree.store_of (fst (Dme.Engine.plan ~config inst)) in
+  let c = Dme.Subtree.cols (Sinks inst.sinks) in
+  let w0 = Gc.minor_words () in
+  for m = 0 to plan.merges - 1 do
+    let a = plan.kids.(2 * m) and b = plan.kids.((2 * m) + 1) in
+    let id = Dme.Subtree.reserve c a b in
+    Dme.Merge.run inst ~split_slack:config.split_slack ~width_cap:config.width_cap c ~id a
+      b
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "merges replayed" (Instance.n_sinks inst - 1) plan.merges;
+  if words > 0. then
+    Alcotest.failf "%d merges allocated %.0f minor words" plan.merges words
 
 (* [Order.select_pairs] replaced a list pipeline: sort the proposals by
    (i, j, cost), keep the first of each (i, j) run, sort by (cost, i, j)
@@ -1279,7 +1311,7 @@ let prop_merge_matches_reference_shared_multi =
       in
       merge_matches_reference inst (make 0 sa) (make 1 sb))
 
-(* The cost contract of Order.run_ranked that the probe's prune rests
+(* The price contract of Order.cheapest that the probe's prune rests
    on: the engine's cost is never below the region distance the ranking
    loop hands it ([Octslab.dist]). *)
 let prop_engine_cost_at_least_dist =
@@ -1485,6 +1517,8 @@ let () =
           Alcotest.test_case "golden wirelengths r1-r5" `Slow test_golden_wirelengths;
           Alcotest.test_case "plan retains at most 18 words per sink" `Slow
             test_plan_retention;
+          Alcotest.test_case "per-group bounds: a merge allocates nothing" `Quick
+            test_group_bounds_merge_allocation;
         ]
         @ qsuite
             [

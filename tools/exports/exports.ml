@@ -4,7 +4,7 @@
    and the design document stays true to the code.
 
      exports.exe -lib FILES -oracle-lib FILES -use FILES -test FILES
-       -design FILE -names FILES -cite FILES
+       -design FILE -names FILES -docs FILES -cite FILES
 
    It reads the compiler's typed trees (.cmti, .cmt), where an
    identifier carries the uid of the declaration it names whatever
@@ -17,12 +17,13 @@
    optional argument needs a production caller that passes it (or an
    oracle caller, for a [@@reference] export).
 
-   Every section a [-design], [-names] or [-cite] text cites as
-   "DESIGN §N" (and the [-design] text's own bare "§N") must be a
+   Every section a [-design], [-names], [-docs] or [-cite] text cites
+   as "DESIGN §N" (and the [-design] text's own bare "§N") must be a
    numbered heading of the [-design] text, and every library path
-   written as code in a [-design] or [-names] text must name something
-   in the [-lib] or [-oracle-lib] modules.  Each failure is one line of
-   output, and any failure exits 1. *)
+   written as code in a [-design] or [-names] text, or in a [-docs]
+   interface's doc comments ([[...]] and [{!...}]), must name
+   something in the [-lib] or [-oracle-lib] modules.  Each failure is
+   one line of output, and any failure exits 1. *)
 
 open Types
 
@@ -207,6 +208,49 @@ let code_of text =
     (String.split_on_char '\n' text);
   List.rev !spans
 
+(* The code of an interface's doc comments, with the line it starts
+   on: each [[...]] span (brackets nest, and may wrap) and each
+   [{!...}] reference (a [{!type:] prefix is no path).  Comments nest,
+   so a doc comment ends where its own nesting closes. *)
+let doc_code_of text =
+  let n = String.length text in
+  let at i p = i + String.length p <= n && String.sub text i (String.length p) = p in
+  let spans = ref [] and line = ref 1 in
+  (* Records the span from [i] up to the [stop] that closes it, with
+     the line it starts on, and returns the index after the [stop]. *)
+  let span i stop =
+    let b = Buffer.create 32 and l = !line and depth = ref 0 and j = ref i in
+    while !j < n && not (text.[!j] = stop && !depth = 0) do
+      let c = text.[!j] in
+      if c = '\n' then incr line;
+      if stop = ']' && c = '[' then incr depth;
+      if stop = ']' && c = ']' then decr depth;
+      Buffer.add_char b (if c = '\n' then ' ' else c);
+      incr j
+    done;
+    spans := (l, Buffer.contents b) :: !spans;
+    !j + 1
+  in
+  let rec doc i depth =
+    if i >= n then i
+    else if at i "*)" then if depth = 0 then i + 2 else doc (i + 2) (depth - 1)
+    else if at i "(*" then doc (i + 2) (depth + 1)
+    else if text.[i] = '\n' then (incr line; doc (i + 1) depth)
+    else if text.[i] = '[' then doc (span (i + 1) ']') depth
+    else if at i "{!" then doc (span (i + 2) '}') depth
+    else doc (i + 1) depth
+  in
+  let rec go i =
+    if i < n then
+      if at i "(**" && not (at i "(**)") then go (doc (i + 3) 0)
+      else begin
+        if text.[i] = '\n' then incr line;
+        go (i + 1)
+      end
+  in
+  go 0;
+  List.rev !spans
+
 (* [N] or [N.M] at [i], with the index after it. *)
 let number s i =
   let n = String.length s in
@@ -273,8 +317,8 @@ let citations ~bare text =
   go 0 []
 
 (* Each citation must name a heading of the design document, and each
-   path in its code or README.md's whose head is a library unit must
-   name something in that unit. *)
+   path in its code, README.md's or a library interface's doc comments
+   whose head is a library unit must name something in that unit. *)
 let check_texts texts fail =
   let read f = In_channel.with_open_bin f In_channel.input_all in
   let pos f line = { Lexing.dummy_pos with pos_fname = f; pos_lnum = line } in
@@ -291,16 +335,16 @@ let check_texts texts fail =
         (fun (i, s) ->
           if not (List.mem s design) then fail (pos f (line_of i)) ("DESIGN " ^ sect ^ s ^ ": no such section"))
         (citations ~bare:(role = `Design) text);
-      if role <> `Cite then
-        List.iter
-          (fun (line, code) ->
-            List.iter
-              (fun p ->
-                match Hashtbl.find_all units (List.hd p) with
-                | [] -> ()
-                | sgs -> if not (resolves sgs (List.tl p)) then fail (pos f line) (String.concat "." p ^ ": names nothing in lib"))
-              (paths code))
-          (code_of text))
+      let code = match role with `Cite -> [] | `Docs -> doc_code_of text | `Design | `Names -> code_of text in
+      List.iter
+        (fun (line, code) ->
+          List.iter
+            (fun p ->
+              match Hashtbl.find_all units (List.hd p) with
+              | [] -> ()
+              | sgs -> if not (resolves sgs (List.tl p)) then fail (pos f line) (String.concat "." p ^ ": names nothing in lib"))
+            (paths code))
+        code)
     texts
 
 let () =
@@ -330,8 +374,9 @@ let () =
   Arg.parse
     [ ("-lib", set true [ Production ], ""); ("-oracle-lib", set true [ Production; Oracle ], "");
       ("-use", set false [ Production ], ""); ("-test", set false [ Oracle ], "");
-      ("-design", set_text `Design, ""); ("-names", set_text `Names, ""); ("-cite", set_text `Cite, "") ]
-    file "exports.exe [-lib|-oracle-lib|-use|-test|-design|-names|-cite] FILES...";
+      ("-design", set_text `Design, ""); ("-names", set_text `Names, ""); ("-docs", set_text `Docs, "");
+      ("-cite", set_text `Cite, "") ]
+    file "exports.exe [-lib|-oracle-lib|-use|-test|-design|-names|-docs|-cite] FILES...";
   (* A module without an interface exports its implementation's values. *)
   List.iter
     (fun (u, prefix, sg) -> if not (Hashtbl.mem interfaces u) then exports := collect u prefix sg !exports)
