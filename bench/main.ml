@@ -326,56 +326,57 @@ let smoke args =
       probes queries
       (float_of_int queries /. float_of_int (Int.max 1 probes))
       cells cells_per_probe;
-    (* Work gates.  A probe queries the grid for a quarter of its k-NN
-       candidates and widens only while the region bound leaves an
-       unseen candidate able to win (Order.settle), so queries run
-       between one and about 1.1 per probe on r3; a probe that always
-       widened to the full k would read 3, so 1.25 catches a lost bound.
-       Sizing each round's snapshot cell for its population keeps a
-       query near its neighbours, and the narrow first query scans fewer
-       of them: r3 visits about 12.1 cells per probe, the full-k probe
-       26.8 and a snapshot sized once for the leaves 28.2, so 18
-       catches either regression.  Every query walks at least its own
-       cell, so fewer cells than queries means the kernel's tally stopped
-       reaching [engine.nn_cells], which would pass the 18-cell budget by
-       reading 0.  Counts are deterministic, so this cannot flake on
-       slow runners. *)
+    (* Work gates.  A probe is one ring scan of the round's snapshot
+       (Engine.probe), and runs one k-NN query more only when the scan
+       cannot prove that its best candidate is among the knn nearest:
+       r3 reads 1.00 grid passes per probe (none falls back), and a
+       probe that always fell back would read 2, so 1.25 catches a lost
+       proof.  The scan stops once no unvisited candidate can win, so
+       r3 visits 9.0 cells per probe; the widening k-NN probe it
+       replaced visited 12.1, the full-k probe 26.8 and a snapshot sized
+       once for the leaves 28.2, so 18 catches either regression.  Every
+       pass walks at least its own cell, so fewer cells than passes
+       means the scan's tally stopped reaching [engine.nn_cells], which
+       would pass the 18-cell budget by reading 0.  Counts are
+       deterministic, so this cannot flake on slow runners. *)
     let queries_per_probe_budget = 1.25 in
     let cells_per_probe_budget = 18. in
     (* Allocation gates.  A ranking probe allocates a bounded number of
-       minor words: r3 reads 17.1 per probe (planning and embedding).
+       minor words: r3 reads 6.8 per probe (planning and embedding).
        A round packs its k-NN snapshot, writes its proposals into
        id-indexed arrays, sorts in reused scratch and writes its
        selected pairs into a run-scoped selection; every merge reads
        its children from the run's id-indexed columns and writes the
-       merged id there and in the preallocated plan store; and the
-       embedding allocates only the merges' placed points.  What is left
-       is mostly boxed floats: a candidate's region distance returned
-       by the probe's [dist] closure and its price by [price], and each
-       query's exclusion bound.  The readings before: 47.7 while each
-       merge built its subtree record, windows, region and result, 54.8
-       while the build passed -opaque and every float crossing a call
-       into another module was boxed, 57.2 before the flat octagon
-       layout, 77.3 while the plan was a tree of nodes whose embedding
-       built each sink's point region, 73.1 while it kept whole
-       subtrees, 131 while a merge built its plan from octagon, interval
-       and plan values.  That is the exact [Gc.minor_words] count;
+       merged id there and in the preallocated plan store; the probe's
+       scan keeps every float in a local and its visited entries in
+       per-domain scratch; and the embedding allocates only the merges'
+       placed points.  What is left is mostly the boxed distance each
+       price passes to Merge.committed_feasible.  The readings before:
+       17.1 while a probe priced through per-range [dist] and [price]
+       closures that boxed every distance and cost and each k-NN query
+       boxed its exclusion bound, 47.7 while each merge built its
+       subtree record, windows, region and result, 54.8 while the build
+       passed -opaque and every float crossing a call into another
+       module was boxed, 57.2 before the flat octagon layout, 77.3
+       while the plan was a tree of nodes whose embedding built each
+       sink's point region, 73.1 while it kept whole subtrees, 131
+       while a merge built its plan from octagon, interval and plan
+       values.  That is the exact [Gc.minor_words] count;
        [Gc.quick_stat]'s lagging count, which the older readings used,
        read 118 for the 131, against 263 before them, 630 before the
        unboxed octagon kernels and 7500 before the slab rewrite.  The
-       gate is 28, 1.57 times the 17.6 it was set at (75 over 47.7
-       before): a
-       subtree record per merge, or opening the pricing closures per
-       probe instead of per range, fails it.
+       gate is 11, 1.57 times the 6.8 reading (28 over 17.6 before): a
+       subtree record per merge, or a closure or boxed float per
+       scanned entry, fails it.
        [Octslab.sdr_within], the SDR kernel a committed [Merge.run]
        calls, writes its result into a slab slot and allocates nothing
        over r3's consecutive sink pairs at [ra = rb] = half their
        distance, so 0 catches a boxed radius, slice or hull ([Octagon]'s
        value form read 13: its result and two boxed radii).  A
-       [Grid_index.query] allocates only its boxed exclusion bound (2
-       words) when every sink of r3 probes the snapshot of all of them,
-       so 2.5 catches a boxed distance, argument or closure per query
-       (the predicate-skip kernel read 6).  A committed [Merge.run]
+       [Grid_index.query] allocates nothing when every sink of r3
+       probes the snapshot of all of them, so the gate is 0 (2 words
+       while the buffer boxed its exclusion bound, 6 for the
+       predicate-skip kernel).  A committed [Merge.run]
        replaying r3's 861 plan merges into a fresh run, with their
        reservations, reads 0 words: the gate is 0, 1.36 times the
        reading as before (84 over 61.7 while a merge built its subtree
@@ -388,9 +389,9 @@ let smoke args =
        frame stack, which built a point region per sink, read 40.
        Allocation counts are deterministic per domain,
        so like the counts above these cannot flake on slow runners. *)
-    let words_per_probe_budget = 28. in
+    let words_per_probe_budget = 11. in
     let sdr_words_budget = 0. in
-    let knn_words_budget = 2.5 in
+    let knn_words_budget = 0. in
     let merge_words_budget = 0. in
     let embed_words_budget = 1.8 in
     let sdr_words =
@@ -416,11 +417,13 @@ let smoke args =
     in
     let knn_words, merge_words, merges, same_plan, embed_words = kernel_allocation inst in
     (* Pricing gate.  A probe prices a candidate only while its region
-       distance can still beat the best cost (Order.cheapest), and every
-       priced candidate counts one elided trial (Engine.stats
-       trial.elided_trials).
-       r3 prices about 1.1 candidates per probe; pricing all 16 k-NN
-       candidates reads about 15.9, so 2 catches a lost prune.
+       distance can still beat the best cost, and defers it to the end
+       of its ring, where only the ring's (distance, id)-least candidate
+       is priced (Engine.probe); every priced candidate counts one
+       elided trial (Engine.stats trial.elided_trials).  r3 prices 1.35
+       candidates per probe (1.13 when the widening k-NN probe priced
+       them in distance order); pricing all 16 k-NN candidates
+       reads about 15.9, so 2 catches a lost prune.
        Deterministic like the counts above. *)
     let priced_per_probe_budget = 2. in
     let priced_per_probe =

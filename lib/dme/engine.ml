@@ -68,8 +68,9 @@ let infeasible_penalty d =
    Merge.committed_feasible answers feasibility bit-identically to a
    trial Merge.run without building the merged subtree.  The penalty is
    positive, so the cost is never below [dist], as Order.cheapest's
-   [price] contract requires. *)
-let cost inst c ~dist a b =
+   [price] contract requires.  Inlined into the probe, so neither [dist]
+   nor the cost it returns is boxed there. *)
+let[@inline] cost inst c ~dist a b =
   if Merge.committed_feasible inst c ~dist a b then dist
   else dist +. infeasible_penalty (Clocktree.Instance.diameter inst)
 
@@ -110,10 +111,248 @@ let of_run (c : Subtree.cols) ~rounds =
 (* Fraction of the active subtrees a multi-merge round consumes. *)
 let merge_fraction = 0.5
 
-(* Each domain's k-NN answer buffer.  A probe fills it and reads it back
-   before returning, and nothing a probe calls probes again, so one
-   buffer per domain is never shared. *)
+(* Each domain's k-NN answer buffer, for a probe's fallback query.  A
+   probe fills it and reads it back before returning, and nothing a
+   probe calls probes again, so one buffer per domain is never shared. *)
 let knn_key = Domain.DLS.new_key Grid_index.knn_buffer
+
+(* Each domain's record of the entries a probe's scan has recorded: the
+   center distance [vc.(k)] and id [vid.(k)] of the [k]-th, in visit
+   order.  Grown to the largest snapshot the domain has probed. *)
+type visited = { mutable vc : floatarray; mutable vid : int array }
+
+let visited_key =
+  Domain.DLS.new_key (fun () -> { vc = Float.Array.create 0; vid = [||] })
+
+(* Rounding allowance of the probe's bounds, relative to the magnitudes
+   they are computed from (DESIGN.md section 6.3): 2^13 ulps of them,
+   hundreds of times what the dozen roundings behind a bound can lose,
+   and still far below any cost gap a bound is asked to prove. *)
+let tol = 0x1p-40
+
+(* The capped answer computed directly: one k-NN query for the [knn]
+   entries nearest to [sid]'s center, then Order.cheapest over them,
+   with its price calls, query and grid work added to [sid]'s slots. *)
+let fallback inst (c : Subtree.cols) snap ~cx ~cy ~knn (props : Order.proposals) sid =
+  let buf = Domain.DLS.get knn_key in
+  let cells0 = buf.cells_visited and entries0 = buf.entries in
+  Grid_index.query snap buf ~skip:sid cx cy sid knn;
+  let slab = c.regions and priced = ref 0 in
+  let i, best =
+    Order.cheapest buf.kids buf.klen
+      ~dist:(fun t -> Octslab.dist slab sid t)
+      ~price:(fun t d ->
+        incr priced;
+        cost inst c ~dist:d sid t)
+  in
+  props.partner.(sid) <- (if i < 0 then -1 else buf.kids.(i));
+  Float.Array.set props.cost sid best;
+  props.queries.(sid) <- props.queries.(sid) + 1;
+  props.cells.(sid) <- props.cells.(sid) + (buf.cells_visited - cells0);
+  props.entries.(sid) <- props.entries.(sid) + (buf.entries - entries0);
+  props.priced.(sid) <- props.priced.(sid) + !priced
+
+(* One probe: [sid]'s cheapest partner among its [knn] nearest
+   candidates, by (cost, lowest id), found by one scan of the snapshot's
+   rings of cells around its center (DESIGN.md section 6.3).
+
+   The scan looks for the global argmin [G] — over every entry but
+   [sid] — and proves that fewer than [knn] entries rank before [G] by
+   (center distance, id), so that [G] is also the argmin over the [knn]
+   nearest.  An entry at center distance [cd] has region distance, and
+   so cost, at least [cd - rad sid - rad e]: its region lies within
+   [rad e] of its center.  The scan skips the region distance of an
+   entry that bound puts above the best, and stops at ring [r] once
+   [(r - 1) * cell - rad sid - rmax] does the same for every entry not
+   yet visited; the [tol] margins absorb rounding.  An entry it never
+   visits then lies farther than [G]'s center.  It records the center
+   distance and id of every visited entry within [best + rad sid +
+   rmax] of the center at its visit, which every entry ranking before
+   [G] is, since the best only falls: fewer than [knn] recorded entries
+   settle the rank at once, and more are counted.  It also stops once
+   [knn] recorded entries lie closer than any unvisited one can (the
+   [knn] nearest are then all visited): the best of the visited is then
+   the answer if it is among them.  When the count fails, the probe
+   runs the capped answer directly ([fallback]).
+
+   Pricing is deferred: a ring keeps its (distance, id)-least candidate
+   that can still win and prices it at the ring's end.  If that price
+   is its distance, no other candidate of the ring can beat it, since a
+   cost is never below its distance.  If not — an infeasible pair — the
+   probe rescans from ring 0 pricing every candidate that can still win
+   as it meets it.  A candidate at distance 0 is priced at once.  Once
+   the best costs exactly 0 and lies at center distance 0, the rest of a
+   cell whose ids pass the best's can neither win (costs are >= 0 and a
+   tie goes to the lower id) nor rank before it, so the scan leaves the
+   cell: the snapshot must be packed from ascending ids.
+
+   Every float is a local, the cost is inlined and the recorded entries
+   live in per-domain scratch, so a probe allocates nothing but the
+   boxed distance each price passes to Merge.committed_feasible. *)
+let probe inst (c : Subtree.cols) (s : Grid_index.snapshot) ~cx ~cy ~rad ~rmax ~knn
+    (props : Order.proposals) sid =
+  let knn = Int.max 1 knn in
+  let vis = Domain.DLS.get visited_key in
+  if Array.length vis.vid < s.len then begin
+    vis.vid <- Array.make s.len 0;
+    vis.vc <- Float.Array.create s.len
+  end;
+  let vc = vis.vc and vid = vis.vid in
+  let slab = c.regions in
+  let qx = Float.Array.get cx sid and qy = Float.Array.get cy sid in
+  let rs = Float.Array.get rad sid in
+  let reach = rs +. rmax in
+  let qnorm = Float.abs qx +. Float.abs qy in
+  let norm = qnorm +. reach in
+  (* An entry at center distance [cd] and radius [re] cannot win when
+     [cd * shrink - lead - re > lim]; with [rmax] for [re], it cannot
+     rank before the best either. *)
+  let shrink = 1. -. tol and lead = rs +. (tol *. norm) in
+  let cell = s.cell and w = s.w and h = s.h and start = s.start in
+  let sids = s.ids and xs = s.xs and ys = s.ys in
+  let kx = Grid_index.query_key ~cell s.gx0 w qx
+  and ky = Grid_index.query_key ~cell s.gy0 h qy in
+  let max_ring = Int.max (Int.max kx (w - 1 - kx)) (Int.max ky (h - 1 - ky)) in
+  (* The candidate to beat: [lid] (-1: none yet) at cost [lim] and
+     center distance [lc]; while [pending], only its distance is known
+     and [lim] is that. *)
+  let lim = ref Float.infinity and lid = ref (-1) and lc = ref Float.infinity in
+  let pending = ref false in
+  (* The zero-cost exit: a cell's entries past this id cannot win. *)
+  let zx = ref max_int in
+  let deferred = ref true and restart = ref false in
+  let r = ref 0 and nvis = ref 0 and cells = ref 0 and entries = ref 0 in
+  let priced = ref 0 in
+  let scanning = ref true in
+  while !scanning do
+    let r' = !r in
+    let inner = float_of_int (r' - 1) *. cell in
+    (* Stop when the window is exhausted, when no unvisited entry can
+       beat or rank before the best, or when the [knn] nearest are all
+       visited. *)
+    if
+      r' > max_ring
+      || (r' >= 1 && inner -. reach -. (tol *. (inner +. norm)) > !lim)
+      || r' >= 2
+         && !nvis >= knn
+         &&
+         let bound = (inner *. shrink) -. (tol *. qnorm) and close = ref 0 in
+         for k = 0 to !nvis - 1 do
+           if Float.Array.unsafe_get vc k < bound then incr close
+         done;
+         !close >= knn
+    then scanning := false
+    else begin
+      cells := !cells + if r' = 0 then 1 else 8 * r';
+      (* Ring [r']'s top and bottom rows, then its left and right
+         columns, clipped to the window; ring 0 is the center cell. *)
+      let seg = ref 0 in
+      while !seg < (if r' = 0 then 1 else 4) && not !restart do
+        let sg = !seg in
+        let row = sg < 2 in
+        let fixed =
+          if sg = 0 then ky - r' else if sg = 1 then ky + r' else if sg = 2 then kx - r'
+          else kx + r'
+        in
+        let lo = if row then Int.max (kx - r') 0 else Int.max (ky - r' + 1) 0 in
+        let hi = if row then Int.min (kx + r') (w - 1) else Int.min (ky + r' - 1) (h - 1) in
+        if fixed >= 0 && fixed < if row then h else w then begin
+          let t = ref lo in
+          while !t <= hi && not !restart do
+            let cl = if row then (fixed * w) + !t else (!t * w) + fixed in
+            let first = start.(cl) in
+            let i = ref first and stop = ref start.(cl + 1) in
+            while !i < !stop do
+              let tid = Array.unsafe_get sids !i in
+              if tid > !zx then stop := !i
+              else begin
+                if tid <> sid then begin
+                  let cd =
+                    Float.abs (qx -. Float.Array.unsafe_get xs !i)
+                    +. Float.abs (qy -. Float.Array.unsafe_get ys !i)
+                  in
+                  let near = (cd *. shrink) -. lead in
+                  if not (near -. rmax > !lim) then begin
+                    Float.Array.unsafe_set vc !nvis cd;
+                    Array.unsafe_set vid !nvis tid;
+                    incr nvis
+                  end;
+                  if not (near -. Float.Array.unsafe_get rad tid > !lim) then begin
+                    let d = Octslab.dist slab sid tid in
+                    if !lid < 0 || not (d > !lim || (d = !lim && tid > !lid)) then begin
+                      if !deferred && d > 0. then begin
+                        lim := d;
+                        lid := tid;
+                        lc := cd;
+                        pending := true
+                      end
+                      else begin
+                        let cost = cost inst c ~dist:d sid tid in
+                        incr priced;
+                        if Float.is_nan cost then invalid_arg "Engine: a merge cost is NaN";
+                        if !deferred && cost <> d then restart := true
+                        else if !lid < 0 || cost < !lim || (cost = !lim && tid < !lid)
+                        then begin
+                          lim := cost;
+                          lid := tid;
+                          lc := cd;
+                          pending := false;
+                          zx := if cost = 0. && cd = 0. then tid else max_int
+                        end
+                      end
+                    end
+                  end
+                end;
+                incr i;
+                if !restart then stop := !i
+              end
+            done;
+            entries := !entries + (!stop - first);
+            incr t
+          done
+        end;
+        incr seg
+      done;
+      if !pending && not !restart then begin
+        let d = !lim in
+        let cost = cost inst c ~dist:d sid !lid in
+        incr priced;
+        if Float.is_nan cost then invalid_arg "Engine: a merge cost is NaN";
+        if cost = d then pending := false else restart := true
+      end;
+      if !restart then begin
+        restart := false;
+        deferred := false;
+        lim := Float.infinity;
+        lid := -1;
+        lc := Float.infinity;
+        pending := false;
+        zx := max_int;
+        nvis := 0;
+        r := 0
+      end
+      else r := r' + 1
+    end
+  done;
+  props.queries.(sid) <- 1;
+  props.cells.(sid) <- !cells;
+  props.entries.(sid) <- !entries;
+  props.priced.(sid) <- !priced;
+  (* The recorded entries ranking before the best by (center distance,
+     id), up to [knn]: every entry that does is recorded. *)
+  let before = ref 0 and k = ref 0 in
+  let b = !lc and bid = !lid in
+  if !nvis >= knn then
+    while !k < !nvis && !before < knn do
+      let ck = Float.Array.unsafe_get vc !k in
+      if ck < b || (ck = b && Array.unsafe_get vid !k < bid) then incr before;
+      incr k
+    done;
+  if bid < 0 || !before < knn then begin
+    props.partner.(sid) <- bid;
+    Float.Array.set props.cost sid !lim
+  end
+  else fallback inst c s ~cx ~cy ~knn props sid
 
 let kind_name = function
   | Merge.Same_group -> "same_group"
@@ -264,31 +503,23 @@ let plan_unsampled ~config ~run ?pool ?leaves inst =
              chunk_ids)
       | None -> f 0 (count - 1)
     in
-    (* Probe the round's subtrees [ids.(lo .. hi)] (Order.settle):
-       each one's cheapest merge partner among its [knn] grid candidates
+    (* Probe the subtrees [ids.(lo .. hi)] ([probe]): each
+       one's cheapest merge partner among its [knn] nearest candidates
        by [cost], written to [props].  [rmax], the largest [rad] of the
        round's population, bounds how far an unseen candidate's region
        can reach.  Runs on worker domains during a parallel round: the
        columns, [snap] and [slab] are only read, each probe writes only
        its own [props] slots, and the (cost, lowest-id) argmin makes the
-       winner independent of candidate evaluation order.  The range
-       shares one pair of [dist]/[price] closures over the probed id in
-       [self], so a probe allocates no closure. *)
+       winner independent of candidate evaluation order. *)
     let probe_range ids rmax lo hi =
-      let buf = Domain.DLS.get knn_key in
-      let self = ref (-1) in
-      let dist tid = Octslab.dist slab !self tid in
-      let price tid d = cost inst c ~dist:d !self tid in
       for k = lo to hi do
         let sid = ids.(k) in
-        self := sid;
         (* The instant lands in the emitting domain's own trace buffer. *)
         if tracing then
           Obs.Trace.instant trace ~cat:"dme.order"
             ~args:[ ("subtree", Obs.Json.Int sid) ]
             "probe";
-        Order.settle snap buf ~skip:sid cx cy sid ~knn ~rad:(Float.Array.get rad sid)
-          ~rmax ~dist ~price props sid
+        probe inst c snap ~cx ~cy ~rad ~rmax ~knn props sid
       done
     in
     (* Run the selected merges [lo .. hi], whose ids follow [first]; each
@@ -355,7 +586,10 @@ let plan_unsampled ~config ~run ?pool ?leaves inst =
           done;
           let rmax = !rmax in
           Grid_index.pack snap ~cell:(cell_for count) ids xs ys count;
-          let run_probes () = pooled "engine.rank" count (probe_range ids rmax) in
+          (* Probing in the snapshot's cell order keeps consecutive
+             probes' rings in cache; each probe writes only its own
+             slots, so the order changes nothing else. *)
+          let run_probes () = pooled "engine.rank" count (probe_range snap.ids rmax) in
           if tracing then
             Obs.Trace.span trace ~cat:"dme.order"
               ~args:[ ("probes", Obs.Json.Int count) ]

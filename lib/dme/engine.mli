@@ -5,12 +5,13 @@
 
     {!plan} runs the merge rounds itself.  Each round packs the active
     subtrees' centers into a k-NN snapshot, probes every one of them for
-    its cheapest partner ({!Order.settle}, priced by {!cost}: the pair's
-    region distance, plus a penalty when {!Merge.committed_feasible}
-    says the merge is infeasible), biases each proposal by the pair's
-    delay hulls (§V.F enhancement 2), selects a disjoint prefix of the
-    ranked pairs ({!Order.select_pairs}, §V.F enhancement 1) and merges
-    it with {!Merge.run}.  No probe runs a trial merge. *)
+    its cheapest partner among its [knn] nearest ({!probe}: one ring
+    scan of the snapshot, priced by {!cost}: the pair's region
+    distance, plus a penalty when {!Merge.committed_feasible} says the
+    merge is infeasible), biases each proposal by the pair's delay
+    hulls (§V.F enhancement 2), selects a disjoint prefix of the ranked
+    pairs ({!Order.select_pairs}, §V.F enhancement 1) and merges it with
+    {!Merge.run}.  No probe runs a trial merge. *)
 
 type config = {
   multi_merge : bool;  (** §V.F enhancement 1: batch merges per round *)
@@ -59,7 +60,7 @@ type trial_stats = {
       (** candidates the probes priced (their {!cost} calls), each
           answered without a trial merge: its feasibility comes from
           {!Merge.committed_feasible}.  Candidates a probe skips
-          unpriced ({!Order.cheapest}) are not counted *)
+          unpriced ({!probe}) are not counted *)
 }
 
 type stats = {
@@ -76,12 +77,11 @@ type stats = {
       (** nearest-neighbour probes executed by the ranking loop: one
           per active subtree per round *)
   nn_queries : int;
-      (** grid k-NN queries those probes ran: one per probe plus one
-          per widening ({!Order.settle}), so never below
-          [nn_reprobes] *)
+      (** grid passes those probes ran: one ring scan per probe plus
+          one k-NN query per probe whose scan could not prove its
+          answer ({!probe}), so never below [nn_reprobes] *)
   nn_cells : int;
-      (** grid cells those queries' ring scans walked, never below
-          [nn_queries] ({!Geometry.Grid_index.query}) *)
+      (** grid cells those passes walked, never below [nn_queries] *)
   nn_entries : int;  (** grid entries those cells held *)
   nn_probes_saved : int;
       (** always 0, kept for perfbench until ROADMAP item 8 ("The
@@ -113,6 +113,33 @@ val json_of_config : config -> Obs.Json.t
     testing. *)
 val cost :
   Clocktree.Instance.t -> Subtree.cols -> dist:float -> int -> int -> float
+[@@reference]
+
+(** [probe inst c snap ~cx ~cy ~rad ~rmax ~knn props sid] is one ranking
+    probe of the subtree [sid] of the run [c]: it writes to [props]'
+    slots [sid] the (cost, lowest id) argmin, by {!cost}, over the [knn]
+    entries of [snap] nearest to [sid]'s center by (L1 distance, id),
+    [sid] excluded — exactly what {!Geometry.Grid_index.query} at [k =
+    knn] followed by {!Order.cheapest} returns, partner [-1] at
+    [infinity] when no entry is eligible — and its grid passes (1, or 2
+    when it fell back to that query), cells, entries and price calls.
+    [cx], [cy] and [rad] hold every subtree's center and the L1 radius
+    of its region ([c.regions]) about it, by id; [rmax] is at least the
+    radius of every entry of [snap], which must hold [sid] and have been
+    packed from ascending ids at those centers.  One ring scan, with
+    deferred pricing and no closure (DESIGN.md section 6.3). *)
+val probe :
+  Clocktree.Instance.t ->
+  Subtree.cols ->
+  Geometry.Grid_index.snapshot ->
+  cx:floatarray ->
+  cy:floatarray ->
+  rad:floatarray ->
+  rmax:float ->
+  knn:int ->
+  Order.proposals ->
+  int ->
+  unit
 [@@reference]
 
 (** [of_run c ~rounds] is the stats of the planning run [c] after

@@ -1,5 +1,3 @@
-module Grid_index = Geometry.Grid_index
-
 type proposals = {
   partner : int array;
   cost : floatarray;
@@ -9,93 +7,28 @@ type proposals = {
   priced : int array;
 }
 
-(* The (cost, lowest id) argmin over candidates [ids.(from .. len-1)],
-   resumed from the running best — index [bi] into [ids], cost
-   [best.(slot)] — over [ids.(0 .. from-1)], and pricing only those that
-   can still win, each counted in [priced.(slot)].  Returns the new best
-   index and leaves its cost in [best.(slot)], so the running argmin
-   never boxes.  Every cost is [>= dist] (the [price] contract of
-   [cheapest]), so a candidate whose region distance already exceeds
-   the best cost — or ties it with a higher id — cannot take the argmin
-   whatever it costs, and its price is never asked for.  A NaN distance
-   proves nothing, so that candidate is priced.  The winner is the
-   exhaustive argmin's, for any candidate order. *)
-let scan ids ~from len bi best priced slot ~dist ~price =
-  let bi = ref bi in
-  for i = from to len - 1 do
+(* The (cost, lowest id) argmin over the candidates [ids.(0 .. len-1)],
+   pricing only those that can still win.  Every cost is [>= dist] (the
+   [price] contract), so a candidate whose region distance already
+   exceeds the best cost — or ties it with a higher id — cannot take the
+   argmin whatever it costs, and its price is never asked for.  A NaN
+   distance proves nothing, so that candidate is priced.  The winner is
+   the exhaustive argmin's, for any candidate order. *)
+let cheapest ids len ~dist ~price =
+  let bi = ref (-1) and best = ref Float.infinity in
+  for i = 0 to len - 1 do
     let tid = ids.(i) in
     let d = dist tid in
-    let bd = Float.Array.get best slot in
-    if !bi < 0 || not (d > bd || (d = bd && tid > ids.(!bi))) then begin
+    if !bi < 0 || not (d > !best || (d = !best && tid > ids.(!bi))) then begin
       let c = price tid d in
-      priced.(slot) <- priced.(slot) + 1;
       if Float.is_nan c then invalid_arg "Order: a merge cost is NaN";
-      if !bi < 0 || c < bd || (c = bd && tid < ids.(!bi)) then begin
+      if !bi < 0 || c < !best || (c = !best && tid < ids.(!bi)) then begin
         bi := i;
-        Float.Array.set best slot c
+        best := c
       end
     end
   done;
-  !bi
-
-let cheapest ids len ~dist ~price =
-  let best = Float.Array.make 1 Float.infinity in
-  let i = scan ids ~from:0 len (-1) best [| 0 |] 0 ~dist ~price in
-  (i, Float.Array.get best 0)
-
-(* Rounding allowance of the settle test, relative to the magnitudes
-   the bound is computed from (DESIGN.md section 6.3): 2^13 ulps of them,
-   hundreds of times what the dozen roundings behind the bound can
-   lose, and still far below any cost gap the bound is asked to prove. *)
-let settle_tol = 0x1p-40
-
-(* A probe's widening loop: price the [k] nearest candidates, then
-   double [k] (up to [knn]) until the k-NN exclusion bound proves that
-   no candidate left out can win.  Every eligible entry outside a
-   non-exhaustive answer has its center at L1 distance >= [kth] from
-   [q]; its region lies within [rmax] of its center and the probed
-   subtree's within [rad] of [q], so its region distance, and hence its
-   cost, is at least [kth - rad - rmax].  When that exceeds the best
-   cost, strictly, an unseen candidate can neither beat the best nor tie
-   it with a lower id.  The answer is canonical in (distance, id), so a
-   wider query's first [k] entries are the previous answer: pricing
-   resumes at index [k] from the running best, and the sequence of
-   [price] calls is a prefix of the full-[knn] probe's — the rest of
-   which [scan] would skip, by the same bound.  The running best cost
-   lives in [props.cost.(id)] and the priced count in
-   [props.priced.(id)] from the start; the probe's grid work is the
-   difference of the buffer's running totals across it. *)
-let settle snap (buf : Grid_index.knn) ~skip xs ys i ~knn ~rad ~rmax ~dist ~price
-    props id =
-  let knn = Int.max 1 knn in
-  let cells0 = buf.cells_visited and entries0 = buf.entries in
-  let reach = rad +. rmax in
-  let norm =
-    Float.abs (Float.Array.get xs i) +. Float.abs (Float.Array.get ys i) +. reach
-  in
-  let cost = props.cost in
-  Float.Array.set cost id Float.infinity;
-  props.priced.(id) <- 0;
-  let k = ref (Int.max 1 (knn / 4)) and from = ref 0 and queries = ref 0 in
-  let bi = ref (-1) and settled = ref false in
-  while not !settled do
-    Grid_index.query snap buf ~skip xs ys i !k;
-    incr queries;
-    bi := scan buf.kids ~from:!from buf.klen !bi cost props.priced id ~dist ~price;
-    if
-      !k >= knn || buf.exhaustive
-      || buf.kth -. reach -. (settle_tol *. (buf.kth +. norm))
-         > Float.Array.get cost id
-    then settled := true
-    else begin
-      from := buf.klen;
-      k := Int.min knn (2 * !k)
-    end
-  done;
-  props.partner.(id) <- (if !bi < 0 then -1 else buf.kids.(!bi));
-  props.queries.(id) <- !queries;
-  props.cells.(id) <- buf.cells_visited - cells0;
-  props.entries.(id) <- buf.entries - entries0
+  (!bi, !best)
 
 (* [select_pairs]' scratch: ranked pairs [(pc, pi, pj)] and the index
    permutation [order] that [tmp] helps merge-sort.  One per domain,

@@ -2,10 +2,11 @@
    layout.  Cell keys are absolute, [floor (x / cell)]; the directory
    covers the window [gx0, gx0 + w) x [gy0, gy0 + h) of keys spanned by
    the entries, row-major, and cell [c] of it holds the entries at
-   positions [start.(c) .. start.(c + 1) - 1] of [ids]/[xs]/[ys].  A
-   run of cells along one row is therefore one contiguous range.  Every
-   array is storage reused by the next {!pack}; only the first [len]
-   entries and [w * h + 1] offsets are live. *)
+   positions [start.(c) .. start.(c + 1) - 1] of [ids]/[xs]/[ys], in
+   the order they were given to {!pack}.  A run of cells along one row
+   is therefore one contiguous range.  Every array is storage reused by
+   the next {!pack}; only the first [len] entries and [w * h + 1]
+   offsets are live. *)
 type snapshot = {
   mutable cell : float;
   mutable gx0 : int;
@@ -91,7 +92,8 @@ let pack s ~cell ids xs ys n =
   (* Counting sort by cell: count each cell's entries one slot to the
      right, prefix-sum into start offsets, then scatter in input order
      through a per-cell cursor that ends at the next cell's start; a
-     final shift restores the offsets. *)
+     final shift restores the offsets.  The scatter is stable: a cell's
+     entries keep their input order. *)
   let start = s.start and slot = s.slot in
   for i = 0 to n - 1 do
     let c =
@@ -130,7 +132,6 @@ type knn = {
   mutable kids : int array;
   mutable kdist : floatarray;
   mutable klen : int;
-  mutable kth : float;
   mutable exhaustive : bool;
   mutable cells_visited : int;
   mutable entries : int;
@@ -141,7 +142,6 @@ let knn_buffer () =
     kids = [||];
     kdist = Float.Array.create 0;
     klen = 0;
-    kth = Float.infinity;
     exhaustive = true;
     cells_visited = 0;
     entries = 0;
@@ -209,7 +209,7 @@ let scan_range s b cap qxs qys qi skip lo hi =
    entry's distance from below at least as well as the query's own
    (every entry lies on the window's side of both).  Inlined, so
    neither float argument is boxed. *)
-let[@inline] query_key cell g0 len v =
+let[@inline] query_key ~cell g0 len v =
   if not (Float.is_finite v) then
     invalid_arg "Grid_index: point coordinates must be finite";
   let f = Float.floor (v /. cell) -. float_of_int g0 in
@@ -224,11 +224,11 @@ let[@inline] query_key cell g0 len v =
    answer (the buffer ranks by (distance, id)), so it is left
    unspecified.  The visited-cell total counts every cell of every
    ring as probed — ring 0 is one cell and ring [r >= 1] is [8 r].
-   Written out with top-level helpers and no local closure, so a query
-   allocates nothing beyond boxing [kth]. *)
+   Written out with top-level helpers and no local closure, and every
+   float lives in a local or in the buffer's float array, so a query
+   allocates nothing. *)
 let query s b ~skip qxs qys qi k =
   b.klen <- 0;
-  b.kth <- Float.infinity;
   b.exhaustive <- true;
   if s.len > 0 && k > 0 then begin
     (* Bounded selection: the buffer's last candidate is the running
@@ -236,8 +236,8 @@ let query s b ~skip qxs qys qi k =
     let cap = Int.min k s.len in
     knn_reserve b cap;
     let w = s.w and h = s.h and start = s.start and cell = s.cell in
-    let cx = query_key cell s.gx0 w (Float.Array.get qxs qi)
-    and cy = query_key cell s.gy0 h (Float.Array.get qys qi) in
+    let cx = query_key ~cell s.gx0 w (Float.Array.get qxs qi)
+    and cy = query_key ~cell s.gy0 h (Float.Array.get qys qi) in
     let max_ring = Int.max (Int.max cx (w - 1 - cx)) (Int.max cy (h - 1 - cy)) in
     let entries = ref 0 and r = ref 0 in
     while
@@ -294,8 +294,8 @@ let query s b ~skip qxs qys qi k =
     (* Exclusion bound.  When the buffer filled ([klen = k]) every
        eligible entry left out of the result was either rejected or
        pushed out — only possible at distance >= the running k-th
-       distance, which never grows — or never offered because the ring
-       scan stopped, i.e. its ring satisfied (r - 1) * cell > kth.
+       distance [kth], which never grows — or never offered because the
+       ring scan stopped, i.e. its ring satisfied (r - 1) * cell > kth.
        Either way it lies at L1 distance >= the final k-th distance from
        [q].  A buffer that never filled kept every eligible offer, and
        the scan covers the whole window unless the buffer fills, so the
@@ -309,10 +309,7 @@ let query s b ~skip qxs qys qi k =
        function of the packed (id, point) set and the query alone, not
        of the cell size, the order entries were packed in or the ring
        visit order. *)
-    if b.klen = k then begin
-      b.exhaustive <- false;
-      b.kth <- Float.Array.get b.kdist (k - 1)
-    end
+    if b.klen = k then b.exhaustive <- false
   end
 
 (* The builder: entries by id, packed into a private snapshot on the

@@ -431,181 +431,241 @@ let prop_cheapest_matches_exhaustive =
       && (i < 0 && c = Float.infinity
          || i >= 0 && let _, _, bc = cands.(i) in c = bc))
 
-(* [Order.settle] against the full probe it shortcuts.  A population of
-   regions is packed at their centers into one snapshot, as a merge round
-   packs its population; the full probe is [cheapest] over
-   the [knn] nearest, the widened one [settle] with each region's L1
-   radius about its center and the population's largest, [rmax].  They
-   must agree on the partner, its cost and the exact sequence of priced
-   candidates (so the engine's priced counter agrees too), and [settle]'s
-   [priced] slot must count its own price calls. *)
+(* [Engine.probe] against its specification: one k-NN query for the
+   [knn] nearest candidates, then [Order.cheapest] over them.  A
+   population of leaf subtrees — regions of varied radius, delay windows
+   that make some pairs infeasible — is loaded into a run, packed at its
+   centers in ascending id order as a merge round packs it, and probed
+   from one subtree; the partner and the bits of its cost must agree. *)
 module Grid_index = Geometry.Grid_index
+module Octslab = Geometry.Octslab
 
-(* The L1 radius bound [Order] keeps per subtree: |dx| + |dy| is the
-   larger of |d(x+y)| and |d(x-y)|, bounded by the s/d extents. *)
-let l1_radius region (c : Pt.t) =
-  match Octagon.bounds region with
-  | None -> Float.nan
-  | Some b ->
-    let cs = c.x +. c.y and cd = c.x -. c.y in
-    Float.max
-      (Float.max (b.sh -. cs) (cs -. b.sl))
-      (Float.max (b.dh -. cd) (cd -. b.dl))
+(* Two kinds of leaf: windows [0, 0] on groups 0 and 1, or [0, 0] and
+   [50, 50].  Leaves of one kind merge feasibly, leaves of different
+   kinds cannot meet a 10 ps bound on both groups, so their cost carries
+   the infeasibility penalty. *)
+let probe_windows infeasible =
+  Dme.Subtree.
+    {
+      gid = [| 0; 1 |];
+      lo = Float.Array.of_list [ 0.; (if infeasible then 50. else 0.) ];
+      hi = Float.Array.of_list [ 0.; (if infeasible then 50. else 0.) ];
+    }
 
-(* Both probes of subtree 0 over [regions] (id = index), priced at
-   region distance plus [extra.(id)]; each returns (partner, cost,
-   priced ids in order). *)
-let settle_vs_full ?(cell = 1.) regions extra ~knn =
+(* The fused probe and the capped k-NN argmin of leaf [sid] over
+   [regions], leaf [i] of the second kind when [kinds.(i)]; each returns
+   (partner, cost bits), the fused one also its grid passes and the
+   entries it scanned. *)
+let fused_vs_capped ?(cell = 1.) regions kinds ~knn ~sid =
   let n = Array.length regions in
-  let centers = Array.map Octagon.center regions in
-  let xs = Float.Array.map_from_array (fun (c : Pt.t) -> c.x) centers in
-  let ys = Float.Array.map_from_array (fun (c : Pt.t) -> c.y) centers in
-  let rads = Array.mapi (fun i r -> l1_radius r centers.(i)) regions in
-  let rmax = Array.fold_left Float.max 0. rads in
+  let inst =
+    instance ~bound:10. ~n_groups:2 [ sink 0 (-10.) (-10.) 0; sink 1 10. 10. 1 ]
+  in
+  let leaves =
+    Array.mapi
+      (fun id o ->
+        Dme.Subtree.
+          {
+            id;
+            region = o;
+            cap = 20.;
+            delay = probe_windows kinds.(id);
+            n_sinks = 1;
+            plan = Sink inst.sinks.(0);
+          })
+      regions
+  in
+  let c = Dme.Subtree.cols (Subtrees leaves) in
+  let cx = Float.Array.make n 0. and cy = Float.Array.make n 0. in
+  let rad = Float.Array.make n 0. in
+  for id = 0 to n - 1 do
+    Octslab.center c.regions id cx cy;
+    Float.Array.set rad id (Octslab.radius c.regions id cx cy)
+  done;
+  let rmax = Float.Array.fold_left Float.max 0. rad in
   let snap = Grid_index.snapshot () in
-  Grid_index.pack snap ~cell (Array.init n Fun.id) xs ys n;
-  let skip = 0 in
-  let dist id = Octagon.dist regions.(0) regions.(id) in
-  let probe f =
-    let priced = ref [] in
-    let price id d =
-      priced := id :: !priced;
-      d +. extra.(id)
+  Grid_index.pack snap ~cell (Array.init n Fun.id) cx cy n;
+  let buf = Grid_index.knn_buffer () in
+  Grid_index.query snap buf ~skip:sid cx cy sid knn;
+  let i, cost =
+    Dme.Order.cheapest buf.kids buf.klen
+      ~dist:(fun t -> Octslab.dist c.regions sid t)
+      ~price:(fun t d -> Dme.Engine.cost inst c ~dist:d sid t)
+  in
+  let capped = ((if i < 0 then -1 else buf.kids.(i)), Int64.bits_of_float cost) in
+  let props =
+    Dme.Order.
+      {
+        partner = Array.make n (-2);
+        cost = Float.Array.make n Float.nan;
+        queries = Array.make n 0;
+        cells = Array.make n 0;
+        entries = Array.make n 0;
+        priced = Array.make n 0;
+      }
+  in
+  Dme.Engine.probe inst c snap ~cx ~cy ~rad ~rmax ~knn props sid;
+  let fused =
+    (props.partner.(sid), Int64.bits_of_float (Float.Array.get props.cost sid))
+  in
+  (capped, fused, props.queries.(sid), props.entries.(sid))
+
+(* Random populations: centers on a unit lattice (coincident and tied
+   often), on a decimal lattice (whose sums round) or loose; regions that
+   are points, L1 balls, segments or inflated segments; sometimes one
+   region inflated far beyond the spacing, which keeps the stop rule from
+   firing; leaves of the infeasible kind at a drawn rate; [knn] in
+   {1, 2, 4, 16}; cells from a fraction of the spacing to all of it. *)
+let probe_case_gen =
+  QCheck.Gen.(
+    let* n = 2 -- 40 in
+    let* knn = oneofl [ 1; 2; 4; 16 ] in
+    let* cell = oneofl [ 0.5; 1.; 2.5; 20. ] in
+    let point =
+      let* mode = 0 -- 2 in
+      match mode with
+      | 0 -> map2 (fun x y -> Pt.make (float_of_int x) (float_of_int y)) (0 -- 6) (0 -- 6)
+      | 1 ->
+        map2
+          (fun x y -> Pt.make (float_of_int x *. 0.1) (float_of_int y *. 0.1))
+          (0 -- 60) (0 -- 60)
+      | _ -> map2 Pt.make (float_range 0. 6.) (float_range 0. 6.)
     in
-    let partner, c = f price in
-    (partner, c, List.rev !priced)
-  in
-  let full =
-    probe (fun price ->
-        let buf = Grid_index.knn_buffer () in
-        Grid_index.query snap buf ~skip xs ys 0 knn;
-        let i, c = Dme.Order.cheapest buf.kids buf.klen ~dist ~price in
-        ((if i < 0 then -1 else buf.kids.(i)), c))
-  in
-  let slot = ref (-1) in
-  let widened =
-    probe (fun price ->
-        let props =
-          Dme.Order.
-            {
-              partner = Array.make n (-2);
-              cost = Float.Array.make n Float.nan;
-              queries = Array.make n 0;
-              cells = Array.make n 0;
-              entries = Array.make n 0;
-              priced = Array.make n (-1);
-            }
-        in
-        Dme.Order.settle snap (Grid_index.knn_buffer ()) ~skip xs ys 0 ~knn
-          ~rad:rads.(0) ~rmax ~dist ~price props 0;
-        slot := props.priced.(0);
-        (props.partner.(0), Float.Array.get props.cost 0))
-  in
-  let _, _, priced = widened in
-  if !slot <> List.length priced then
-    failwith "settle: the priced slot disagrees with the price calls";
-  (full, widened)
-
-let prop_settle_matches_full_probe =
-  let gen =
-    QCheck.Gen.(
-      let* n = 2 -- 40 in
-      let* knn = oneofl [ 1; 2; 3; 5; 8; 16 ] in
-      (* Half the centers on a unit lattice, so center and region
-         distance ties are common. *)
-      let point =
-        let* snap = bool in
-        if snap then
-          map2 (fun x y -> Pt.make (float_of_int x) (float_of_int y)) (0 -- 6) (0 -- 6)
-        else map2 Pt.make (float_range 0. 6.) (float_range 0. 6.)
-      in
-      let region =
-        let* p = point in
-        let* shape = 0 -- 3 in
-        let* r = map (fun k -> float_of_int k *. 0.25) (0 -- 2) in
-        return
-          (match shape with
-           | 0 -> Octagon.of_point p
-           | 1 -> Octagon.ball p r
-           | 2 -> Octagon.hull (Octagon.of_point p) (Octagon.of_point (Pt.make (p.x +. r) (p.y +. r)))
-           | _ ->
-             Octagon.inflate r
-               (Octagon.hull (Octagon.of_point p) (Octagon.of_point (Pt.make (p.x +. r) p.y))))
-      in
-      let* regions = array_size (return n) region in
-      (* One region inflated far beyond the sink spacing, so [rmax]
-         keeps most probes from settling early. *)
-      let* big = 1 -- (n - 1) in
-      let* grow = float_range 2. 5. in
-      let regions =
-        if n > 2 then
-          Array.mapi (fun i o -> if i = big then Octagon.inflate grow o else o) regions
-        else regions
-      in
-      let* extra =
-        array_size (return n)
-          (oneof
-             [
-               return 0.;
-               return 1e9;
-               map (fun k -> float_of_int k *. 0.25) (0 -- 4);
-               float_range 0. 2.;
-             ])
-      in
-      return (regions, extra, knn))
-  in
-  let print (regions, extra, knn) =
-    Printf.sprintf "knn=%d %s" knn
-      (String.concat "; "
-         (Array.to_list
-            (Array.mapi
-               (fun i o -> Format.asprintf "%d:%a+%g" i Octagon.pp o extra.(i))
-               regions)))
-  in
-  QCheck.Test.make ~name:"settle = full-knn probe" ~count:500
-    (QCheck.make ~print gen) (fun (regions, extra, knn) ->
-      let full, widened = settle_vs_full regions extra ~knn in
-      full = widened)
-
-(* The 5th-nearest candidate (id 8) ties the best of the first four
-   (id 9, penalised to cost 2) at region distance 2 with a lower id, and
-   the 4th-nearest lies at distance 2 too: the bound after four
-   candidates equals the best cost, so only a strict comparison widens
-   and finds id 8.  At unit scale the rounding margin already keeps the
-   probe widening; scaled into the subnormals every addition is exact
-   and the margin underflows to 0, which leaves the strict comparison
-   alone in charge. *)
-let test_settle_widens_on_tie () =
-  let check scale =
-    let pt x y = Pt.make (x *. scale) (y *. scale) in
-    let far = Octagon.of_point (pt 9. 9.) in
+    let region =
+      let* p = point in
+      let* shape = 0 -- 3 in
+      let* r = oneofl [ 0.; 0.1; 0.25; 0.3; 0.5 ] in
+      return
+        (match shape with
+         | 0 -> Octagon.of_point p
+         | 1 -> Octagon.ball p r
+         | 2 ->
+           Octagon.hull (Octagon.of_point p) (Octagon.of_point (Pt.make (p.x +. r) (p.y +. r)))
+         | _ ->
+           Octagon.inflate r
+             (Octagon.hull (Octagon.of_point p) (Octagon.of_point (Pt.make (p.x +. r) p.y))))
+    in
+    let* regions = array_size (return n) region in
+    let* big = 0 -- (2 * n) in
+    let* grow = float_range 2. 5. in
     let regions =
-      Array.init 16 (fun id ->
-          match id with
-          | 0 -> Octagon.of_point (pt 0. 0.)
-          | 9 -> Octagon.of_point (pt 1. 0.)
-          | 5 -> Octagon.of_point (pt 0. 2.)
-          | 6 -> Octagon.of_point (pt 2. 0.)
-          | 7 -> Octagon.of_point (pt 1. 1.)
-          | 8 -> Octagon.of_point (pt 0. (-2.))
-          | _ -> far)
+      Array.mapi (fun i o -> if i = big then Octagon.inflate grow o else o) regions
     in
-    let extra = Array.make 16 0. in
-    extra.(9) <- scale;
-    extra.(5) <- scale;
-    extra.(6) <- scale;
-    extra.(7) <- scale;
-    let (fp, fc, fpriced), widened =
-      settle_vs_full ~cell:(scale *. 2.) regions extra ~knn:16
-    in
-    Alcotest.(check int) "full probe picks the lower-id tie" 8 fp;
-    Alcotest.(check (float 0.)) "at cost 2" (2. *. scale) fc;
-    Alcotest.(check (triple int (float 0.) (list int)))
-      (Printf.sprintf "settle widens at scale %h" scale)
-      (fp, fc, fpriced) widened
+    let* rate = oneofl [ 0; 1; 3 ] in
+    let* kinds = array_size (return n) (map (fun k -> k < rate) (0 -- 3)) in
+    let* sid = 0 -- (n - 1) in
+    return (regions, kinds, knn, cell, sid))
+
+let probe_case_print (regions, kinds, knn, cell, sid) =
+  Printf.sprintf "knn=%d cell=%g sid=%d %s" knn cell sid
+    (String.concat "; "
+       (Array.to_list
+          (Array.mapi
+             (fun i o ->
+               Format.asprintf "%d:%a%s" i Octagon.pp o (if kinds.(i) then "!" else ""))
+             regions)))
+
+let prop_probe_matches_capped_knn =
+  QCheck.Test.make ~name:"fused probe = capped k-NN argmin, bit for bit" ~count:1500
+    (QCheck.make ~print:probe_case_print probe_case_gen)
+    (fun (regions, kinds, knn, cell, sid) ->
+      let capped, fused, _, _ = fused_vs_capped ~cell regions kinds ~knn ~sid in
+      capped = fused)
+
+(* The generator reaches every path of the probe: its fallback (the
+   scan's best lies outside the [knn] nearest), the zero-cost exit (a
+   scan that reads fewer entries than a cell of coincident leaves
+   holds) and infeasible winners. *)
+let test_probe_generator_reaches_every_path () =
+  let rand = Random.State.make [| 17 |] in
+  let fallbacks = ref 0 and penalized = ref 0 in
+  for _ = 1 to 1500 do
+    let regions, kinds, knn, cell, sid = probe_case_gen rand in
+    let (_, bits), _, queries, _ = fused_vs_capped ~cell regions kinds ~knn ~sid in
+    if queries = 2 then incr fallbacks;
+    if Int64.float_of_bits bits > 1e6 then incr penalized
+  done;
+  Alcotest.(check bool) "some probes fall back" true (!fallbacks > 0);
+  Alcotest.(check bool) "some winners are infeasible" true (!penalized > 0)
+
+(* Each exit of the scan, pinned.  A leaf [pt] of the feasible kind, or
+   of the other kind with [bad]. *)
+let test_probe_paths () =
+  let leaf x y = Octagon.of_point (Pt.make x y) in
+  let check name ?cell regions kinds ~knn ~sid ~partner ~queries =
+    let capped, fused, q, _ = fused_vs_capped ?cell regions kinds ~knn ~sid in
+    Alcotest.(check (pair int int64)) (name ^ ": the capped answer") capped fused;
+    Alcotest.(check int) (name ^ ": partner") partner (fst fused);
+    Alcotest.(check int) (name ^ ": grid passes") queries q
   in
-  check 1.;
-  check 0x1p-1074
+  (* The nearest leaf (1) is infeasible, the feasible one (2) lies
+     beyond it: at knn = 1 the scan's best ranks second, so the probe
+     falls back to the capped query, whose only candidate is 1. *)
+  check "best outside the knn nearest" ~cell:10.
+    [| leaf 0.5 0.5; leaf 1.5 0.5; leaf 2.5 0.5 |]
+    [| false; true; false |] ~knn:1 ~sid:0 ~partner:1 ~queries:2;
+  (* At knn = 2 it is among them: no fallback. *)
+  check "best among the knn nearest" ~cell:10.
+    [| leaf 0.5 0.5; leaf 1.5 0.5; leaf 2.5 0.5 |]
+    [| false; true; false |] ~knn:2 ~sid:0 ~partner:2 ~queries:1;
+  (* A large region (3) keeps the stop rule from firing; the two nearest
+     leaves are infeasible and the feasible 4 lies in ring 1.  Once two
+     visited entries lie closer than ring 2 can, the knn = 2 nearest are
+     all visited, 4 is not among them, and the probe falls back. *)
+  check "the knn nearest all visited" ~cell:1.
+    [|
+      leaf 0.5 0.5; leaf 0.9 0.6; leaf 0.5 1.1; Octagon.ball (Pt.make 30.5 30.5) 9.;
+      leaf 1.5 1.;
+    |]
+    [| false; true; true; false; false |]
+    ~knn:2 ~sid:0 ~partner:1 ~queries:2;
+  (* Leaves 1 and 2 tie at distance 2.6 from 0, but 1 lies in a cell
+     the scan reaches after 2's, and its computed center distance
+     exceeds the computed region distance by an ulp: without the skip
+     bound's margin the scan would skip it and keep 2. *)
+  let dec k = (float_of_int k *. 0.1) +. 1. in
+  check "an ulp inside the skip bound" ~cell:0.3
+    [| leaf (dec 28) (dec 22); leaf (dec 6) (dec 18); leaf (dec 10) (dec 14); leaf (dec 9) (dec 5) |]
+    [| false; false; false; false |]
+    ~knn:16 ~sid:0 ~partner:1 ~queries:1;
+  (* Coincident feasible leaves: the cheapest partner is the lowest
+     other id, found at cost 0 at center distance 0, after which the
+     cell's higher ids are not read. *)
+  let n = 50 in
+  let regions = Array.make n (leaf 3. 4.) and kinds = Array.make n false in
+  List.iter
+    (fun (sid, partner) ->
+      let capped, fused, q, entries = fused_vs_capped regions kinds ~knn:16 ~sid in
+      Alcotest.(check (pair int int64)) "coincident: the capped answer" capped fused;
+      Alcotest.(check int) "coincident: partner" partner (fst fused);
+      Alcotest.(check int) "coincident: one pass" 1 q;
+      Alcotest.(check bool)
+        (Printf.sprintf "coincident: %d entries read" entries)
+        true (entries <= sid + 2))
+    [ (0, 1); (1, 0); (7, 0) ]
+
+(* 1,000 sinks on one point (2 groups, 10 ps): n - 1 rounds of one merge
+   each, since every probe proposes the lowest id, but every probe stops
+   reading its cell once a partner costs 0 at center distance 0, so a
+   probe scans about one entry instead of half the cell.  The tree, its
+   wire and the audit are unchanged. *)
+let test_coincident_sinks () =
+  let n = 1000 in
+  let inst =
+    instance ~bound:10. ~n_groups:2 (List.init n (fun i -> sink i 500. 700. (i mod 2)))
+  in
+  let r = Check.Oracle.ast ~jobs:1 inst in
+  Alcotest.(check (list string)) "audit-clean" []
+    (List.map
+       (fun (v : Check.Audit.violation) -> v.invariant)
+       (Check.Audit.run Check.Audit.Grouped inst r.routed r.evaluation));
+  Alcotest.(check string) "wirelength" "0x1.2cp+10"
+    (Printf.sprintf "%h" r.evaluation.wirelength);
+  Alcotest.(check int) "rounds" (n - 1) r.engine.rounds;
+  let per_probe = float_of_int r.engine.nn_entries /. float_of_int r.engine.nn_reprobes in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f entries per probe" per_probe)
+    true (per_probe < 4.)
 
 (* --- Embed --------------------------------------------------------------- *)
 
@@ -836,10 +896,11 @@ let test_pooled_ranking_bit_identical () =
    one of these.  The ranking counters ride along with the wirelengths:
    every round probes every active subtree, so [nn_reprobes] is the
    active count summed over [rounds], and [nn_probes_saved] stays 0.
-   [nn_queries] counts the probes' k-NN queries, widenings included: a
-   lost settle bound reads 3 per probe, a settle that never widens 1.
-   Ranking prices every candidate without a trial merge, so
-   [elided_trials] is the priced-candidate count.  So do the merge
+   [nn_queries] counts the probes' grid passes: one ring scan each, plus
+   one k-NN query for each probe whose scan could not prove its answer
+   (none on these five).  Ranking prices every candidate without a
+   trial merge, so [elided_trials] is the priced-candidate count: the
+   scan prices each ring's least candidate at the ring's end.  So do the merge
    tallies: the same-group, cross-group, shared-one and shared-multi
    counts, [infeasible_merges] and the bits of [planned_snake], summed
    in install order; one MMM-DME row pins the same tallies of the fixed
@@ -874,15 +935,15 @@ let test_golden_wirelengths () =
         r.engine.trial.elided_trials;
       check_tallies name r.engine tallies)
     [
-      ( "r1", "0x1.cd929d3d14732p+19", (1083, 1146, 0, 19, 1230),
+      ( "r1", "0x1.cd929d3d14732p+19", (1083, 1083, 0, 19, 1411),
         (12, 157, 52, 45, 0, "0x0p+0") );
-      ( "r2", "0x1.ea747375c23e7p+20", (2413, 2636, 0, 22, 2770),
+      ( "r2", "0x1.ea747375c23e7p+20", (2413, 2413, 0, 22, 3282),
         (36, 346, 106, 109, 0, "0x0p+0") );
-      ( "r3", "0x1.3180cdaf06bf4p+21", (3473, 3799, 0, 23, 3941),
+      ( "r3", "0x1.3180cdaf06bf4p+21", (3473, 3473, 0, 23, 4693),
         (40, 505, 167, 149, 0, "0x0p+0") );
-      ( "r4", "0x1.2fd864ed8f4dep+22", (7636, 8515, 0, 26, 8700),
+      ( "r4", "0x1.2fd864ed8f4dep+22", (7636, 7636, 0, 26, 10327),
         (92, 1115, 366, 329, 0, "0x1.fee3cd1250b3cp+12") );
-      ( "r5", "0x1.c8a977fe4209ap+22", (12436, 13932, 0, 28, 14189),
+      ( "r5", "0x1.c8a977fe4209ap+22", (12436, 12436, 0, 28, 16934),
         (119, 1834, 585, 562, 0, "0x1p-41") );
     ];
   let _, mmm = Dme.Mmm.plan (golden_instance "r3") in
@@ -1487,13 +1548,15 @@ let () =
             test_select_pairs_large;
           Alcotest.test_case "empty leaves rejected" `Quick
             test_engine_empty_leaves;
-          Alcotest.test_case "settle widens on a tie at the bound" `Quick
-            test_settle_widens_on_tie;
+          Alcotest.test_case "probe paths" `Quick test_probe_paths;
+          Alcotest.test_case "probe generator reaches every path" `Quick
+            test_probe_generator_reaches_every_path;
+          Alcotest.test_case "1000 coincident sinks" `Quick test_coincident_sinks;
         ]
         @ qsuite
             [
               prop_cheapest_matches_exhaustive;
-              prop_settle_matches_full_probe;
+              prop_probe_matches_capped_knn;
               prop_select_pairs_matches_lists;
             ] );
       ( "embed",

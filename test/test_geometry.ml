@@ -1155,8 +1155,9 @@ let prop_grid_answer_independent_of_cell =
    left over from a larger pack must not leak into a smaller one) and
    queried for every k from 1 to n + 1 at two cell sizes, from a query
    inside or outside the points' box, skipping one packed id or none.
-   Ids, their order, distances, [kth] and [exhaustive] must be exactly
-   the brute-force k smallest by (L1 distance, id). *)
+   Ids, their order, distances, the exclusion bound (the k-th distance)
+   and [exhaustive] must be exactly the brute-force k smallest by (L1
+   distance, id). *)
 let shared_snapshot = Grid_index.snapshot ()
 
 (* Points of the k-NN properties: half on a unit lattice, some repeated
@@ -1221,10 +1222,11 @@ let prop_packed_knn_matches_brute_force =
                      buf.kids.(i) = id && Float.Array.get buf.kdist i = d)
                    (List.init m Fun.id)
               &&
-              if Array.length ranked < k then buf.exhaustive && buf.kth = Float.infinity
+              if Array.length ranked < k then buf.exhaustive
               else
                 (not buf.exhaustive)
-                && buf.kth = (let d, _, _ = ranked.(k - 1) in d))
+                && Float.Array.get buf.kdist (k - 1)
+                   = (let d, _, _ = ranked.(k - 1) in d))
             (List.init (n + 1) (fun k -> k + 1)))
         [ cell; 8. *. cell ])
 
