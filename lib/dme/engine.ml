@@ -184,7 +184,10 @@ let fallback inst (c : Subtree.cols) snap ~cx ~cy ~knn (props : Order.proposals)
    the best costs exactly 0 and lies at center distance 0, the rest of a
    cell whose ids pass the best's can neither win (costs are >= 0 and a
    tie goes to the lower id) nor rank before it, so the scan leaves the
-   cell: the snapshot must be packed from ascending ids.
+   cell: the snapshot must be packed from ascending ids.  The entries it
+   leaves go unrecorded but counted: a later best of cost 0 and a lower
+   id may lie at a positive center distance, which they can rank
+   before, so the rank check then counts them all as ranking before it.
 
    Every float is a local, the cost is inlined and the recorded entries
    live in per-domain scratch, so a probe allocates nothing but the
@@ -218,8 +221,9 @@ let probe inst (c : Subtree.cols) (s : Grid_index.snapshot) ~cx ~cy ~rad ~rmax ~
      and [lim] is that. *)
   let lim = ref Float.infinity and lid = ref (-1) and lc = ref Float.infinity in
   let pending = ref false in
-  (* The zero-cost exit: a cell's entries past this id cannot win. *)
-  let zx = ref max_int in
+  (* The zero-cost exit: a cell's entries past [zx] cannot win; [zskip]
+     counts the entries it left. *)
+  let zx = ref max_int and zskip = ref 0 in
   let deferred = ref true and restart = ref false in
   let r = ref 0 and nvis = ref 0 and cells = ref 0 and entries = ref 0 in
   let priced = ref 0 in
@@ -264,7 +268,10 @@ let probe inst (c : Subtree.cols) (s : Grid_index.snapshot) ~cx ~cy ~rad ~rmax ~
             let i = ref first and stop = ref start.(cl + 1) in
             while !i < !stop do
               let tid = Array.unsafe_get sids !i in
-              if tid > !zx then stop := !i
+              if tid > !zx then begin
+                zskip := !zskip + (!stop - !i);
+                stop := !i
+              end
               else begin
                 if tid <> sid then begin
                   let cd =
@@ -328,6 +335,7 @@ let probe inst (c : Subtree.cols) (s : Grid_index.snapshot) ~cx ~cy ~rad ~rmax ~
         lc := Float.infinity;
         pending := false;
         zx := max_int;
+        zskip := 0;
         nvis := 0;
         r := 0
       end
@@ -338,11 +346,13 @@ let probe inst (c : Subtree.cols) (s : Grid_index.snapshot) ~cx ~cy ~rad ~rmax ~
   props.cells.(sid) <- !cells;
   props.entries.(sid) <- !entries;
   props.priced.(sid) <- !priced;
-  (* The recorded entries ranking before the best by (center distance,
-     id), up to [knn]: every entry that does is recorded. *)
-  let before = ref 0 and k = ref 0 in
+  (* The entries ranking before the best by (center distance, id), up to
+     [knn]: every entry that does is recorded, or left by the zero-cost
+     exit.  Those it left have ids above the best's, so they rank after a
+     best at center distance 0; before any other, all count. *)
   let b = !lc and bid = !lid in
-  if !nvis >= knn then
+  let before = ref (if b > 0. then !zskip else 0) and k = ref 0 in
+  if !before + !nvis >= knn then
     while !k < !nvis && !before < knn do
       let ck = Float.Array.unsafe_get vc !k in
       if ck < b || (ck = b && Array.unsafe_get vid !k < bid) then incr before;

@@ -514,7 +514,9 @@ let fused_vs_capped ?(cell = 1.) regions kinds ~knn ~sid =
    often), on a decimal lattice (whose sums round) or loose; regions that
    are points, L1 balls, segments or inflated segments; sometimes one
    region inflated far beyond the spacing, which keeps the stop rule from
-   firing; leaves of the infeasible kind at a drawn rate; [knn] in
+   firing; sometimes a stack of point leaves on [sid]'s own lattice
+   point, whose zero-cost exit leaves entries that may rank before a
+   later best; leaves of the infeasible kind at a drawn rate; [knn] in
    {1, 2, 4, 16}; cells from a fraction of the spacing to all of it. *)
 let probe_case_gen =
   QCheck.Gen.(
@@ -551,9 +553,16 @@ let probe_case_gen =
     let regions =
       Array.mapi (fun i o -> if i = big then Octagon.inflate grow o else o) regions
     in
+    let* sid = 0 -- (n - 1) in
+    let* stack = list_size (oneofl [ 0; 0; 2; 4 ]) (0 -- (n - 1)) in
+    let* at = map2 (fun x y -> Pt.make (float_of_int x) (float_of_int y)) (0 -- 6) (0 -- 6) in
+    let regions =
+      Array.mapi
+        (fun i o -> if stack <> [] && (i = sid || List.mem i stack) then Octagon.of_point at else o)
+        regions
+    in
     let* rate = oneofl [ 0; 1; 3 ] in
     let* kinds = array_size (return n) (map (fun k -> k < rate) (0 -- 3)) in
-    let* sid = 0 -- (n - 1) in
     return (regions, kinds, knn, cell, sid))
 
 let probe_case_print (regions, kinds, knn, cell, sid) =
@@ -566,7 +575,7 @@ let probe_case_print (regions, kinds, knn, cell, sid) =
              regions)))
 
 let prop_probe_matches_capped_knn =
-  QCheck.Test.make ~name:"fused probe = capped k-NN argmin, bit for bit" ~count:1500
+  QCheck.Test.make ~name:"fused probe = capped k-NN argmin, bit for bit" ~count:4000
     (QCheck.make ~print:probe_case_print probe_case_gen)
     (fun (regions, kinds, knn, cell, sid) ->
       let capped, fused, _, _ = fused_vs_capped ~cell regions kinds ~knn ~sid in
@@ -642,7 +651,15 @@ let test_probe_paths () =
       Alcotest.(check bool)
         (Printf.sprintf "coincident: %d entries read" entries)
         true (entries <= sid + 2))
-    [ (0, 1); (1, 0); (7, 0) ]
+    [ (0, 1); (1, 0); (7, 0) ];
+  (* The zero-cost exit fires at 1 in ring 0 and leaves 2 unread; the
+     ball 0, centered in ring 1, also costs 0 from 3 and takes the best
+     by its lower id.  Entry 2 ranks before it, so at knn = 2 the rank
+     check must count 2 and fall back to the capped answer, 1. *)
+  check "a zero-cost best after the exit" ~cell:1.
+    [| Octagon.ball (Pt.make 1.5 0.5) 1.5; leaf 0.5 0.5; leaf 0.5 0.5; leaf 0.5 0.5 |]
+    [| false; false; false; false |]
+    ~knn:2 ~sid:3 ~partner:1 ~queries:2
 
 (* 1,000 sinks on one point (2 groups, 10 ps): n - 1 rounds of one merge
    each, since every probe proposes the lowest id, but every probe stops
