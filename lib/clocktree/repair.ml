@@ -138,6 +138,7 @@ type work = {
   glo : float array;  (** per group: min / max sink delay, lift target *)
   ghi : float array;
   target : float array;
+  step : float array;  (** per group: the lift's step, shared with the subs *)
   mutable fresh : bool;  (** [down] not yet computed on the work's nodes *)
 }
 
@@ -152,7 +153,7 @@ let gaps subs ~lo ~hi f =
   in
   if next <= hi then f next hi
 
-let make_work st ~lo ~hi ~top subs =
+let make_work st ~lo ~hi ~top ~step subs =
   let a = st.a in
   let seeds = ivec () and sinks = ivec () in
   let lone = ivec () and pure = ivec () in
@@ -184,6 +185,7 @@ let make_work st ~lo ~hi ~top subs =
     glo = Array.make g Float.infinity;
     ghi = Array.make g Float.neg_infinity;
     target = Array.make g Float.neg_infinity;
+    step;
     fresh = true;
   }
 
@@ -516,13 +518,15 @@ let deficits st target lo hi =
     else st.md.(v) <- Eps.fmin st.md.(l) st.md.(a.Arena.right.(v))
   done
 
-(* Snake child edge [c] by its lift amount when that exceeds half the
-   acceptance slack.  A mixed node's amount is always 0: the dense sweep
-   writes 0 there and the sparse one never writes it. *)
+(* Snake child edge [c] by its lift amount times its group's step when
+   the amount exceeds half the acceptance slack.  A mixed node's amount
+   is always 0: the dense sweep writes 0 there and the sparse one never
+   writes it. *)
 let lift_edge st w c =
   let amt = st.amount.(c) in
   amt > st.slack /. 2.
   &&
+  let amt = amt *. w.step.(st.pg.(c)) in
   let a = st.a in
   let len = a.Arena.len.(c) and cap = st.bcap.(c) in
   let d = Rc.Elmore.wire_delay a.Arena.params ~len ~load:cap in
@@ -618,8 +622,10 @@ let lift_heap st w =
    per-node writes of disjoint subtrees, so [w]'s own come first (they
    may reach into a sub); then the subs run through [par]; a sub root
    whose edge must be snaked or whose cap changed hands its parent to
-   [w]'s heap, which consumes the root's [changed] mark. *)
-let lift st w ~dense ~par =
+   [w]'s heap, which consumes the root's [changed] mark.  [inspect], when
+   given, runs once every amount is set and before any edge is snaked
+   (sparse, the subs' amounts and adjustments then run as two batches). *)
+let lift st w ~dense ~par ~inspect =
   let a = st.a in
   let lo = w.lo and hi = w.hi in
   w.log.len <- 0;
@@ -640,6 +646,7 @@ let lift st w ~dense ~par =
         st.carry.(r) <- cv +. ar
       end
     done;
+    Option.iter (fun f -> f ()) inspect;
     Bytes.fill st.changed lo (hi - lo + 1) '\000';
     for v = lo to hi do
       if a.Arena.left.(v) >= 0 then ignore (lift_node st w v : bool)
@@ -648,12 +655,22 @@ let lift st w ~dense ~par =
   else begin
     let target = w.target and half_slack = st.slack /. 2. in
     amounts st w ~target;
-    par
-      (fun s ->
-        s.log.len <- 0;
-        amounts st s ~target;
-        lift_heap st s)
-      w.subs;
+    (match inspect with
+     | None ->
+       par
+         (fun s ->
+           s.log.len <- 0;
+           amounts st s ~target;
+           lift_heap st s)
+         w.subs
+     | Some f ->
+       par (fun s -> amounts st s ~target) w.subs;
+       f ();
+       par
+         (fun s ->
+           s.log.len <- 0;
+           lift_heap st s)
+         w.subs);
     Array.iter
       (fun s ->
         if
@@ -664,6 +681,76 @@ let lift st w ~dense ~par =
     lift_heap st w
   end;
   Bytes.unsafe_set st.changed hi '\000'
+
+(* The lift's step (DESIGN §5.3).  A lift snakes each lagging pure
+   subtree by its deficit times its group's step.  The cap a snake adds
+   delays every sink below the snaked edge's ancestors too — the sink's
+   neighbours of every group, and, through the driver, the whole tree —
+   by far more than the snake's own delay, so a full-deficit lift
+   overshoots and pushes other groups out of their bounds.  How far it
+   lands is measured: the next evaluate gives each group's excess (its
+   spread over its bound) after the lift and the balance pass that
+   follows it.  A lift that only partly closed the excess was too short,
+   one that left it larger overshot; either way the secant rescales the
+   step by the excess before the lift over the distance it moved: the
+   excess removed, or, when the excess grew, the excess crossed.  The
+   step starts at 1, the uncoupled carry rule, and never exceeds it.
+   [spread] holds each group's sink-delay spread at the lift. *)
+let resize st w ~spread =
+  for g = 0 to Array.length w.step - 1 do
+    let before = spread.(g) -. st.bound.(g) in
+    let after = w.ghi.(g) -. w.glo.(g) -. st.bound.(g) in
+    if before > st.slack /. 2. && after >= 0. then begin
+      let moved = if after < before then before -. after else before +. after in
+      let step = w.step.(g) *. before /. moved in
+      w.step.(g) <- (if step < 1. then step else 1.)
+    end
+  done
+
+(* The lift's linear response, for the journal of traced runs: the cap
+   each snaked edge adds (its snake over the edge's delay slope
+   [k r (c len + cap)], times [c]) summed bottom-up into [cap], and the
+   delay rise it causes top-down into [rise] — a node's parent's, plus
+   its own edge's snake, plus [k r len] times the cap added below it;
+   the driver's [k rd] and the root edge's over the whole tree, 0 at a
+   region's root.  Returns the predicted per-group sink-delay lo / hi. *)
+let predict st w ~cap ~rise =
+  let a = st.a and lo = w.lo and hi = w.hi in
+  let p = a.Arena.params in
+  let kr = Rc.Wire.ps_per_ohm_ff *. p.Rc.Wire.r in
+  let half_slack = st.slack /. 2. in
+  let snake v =
+    let x = st.amount.(v) and g = st.pg.(v) in
+    if g >= 0 && x > half_slack then x *. w.step.(g) else 0.
+  in
+  let below v =
+    let l = a.Arena.left.(v) in
+    if l < 0 then 0. else cap.(l) +. cap.(a.Arena.right.(v))
+  in
+  for v = lo to hi - 1 do
+    let slope = kr *. ((p.Rc.Wire.c *. a.Arena.len.(v)) +. st.bcap.(v)) in
+    cap.(v) <- below v +. (if slope > 0. then p.Rc.Wire.c *. snake v /. slope else 0.)
+  done;
+  rise.(hi) <-
+    (if hi < a.Arena.n - 1 then 0.
+     else
+       Rc.Wire.ps_per_ohm_ff
+       *. (a.Arena.rd +. (p.Rc.Wire.r *. a.Arena.len.(hi)))
+       *. below hi);
+  for v = hi - 1 downto lo do
+    rise.(v) <-
+      rise.(a.Arena.parent.(v)) +. snake v +. (kr *. a.Arena.len.(v) *. below v)
+  done;
+  let g = Array.length st.bound in
+  let plo = Array.make g Float.infinity and phi = Array.make g Float.neg_infinity in
+  for v = lo to hi do
+    if a.Arena.left.(v) < 0 then begin
+      let k = a.Arena.group.(v) and d = st.delay.(v) +. rise.(v) in
+      plo.(k) <- Eps.fmin plo.(k) d;
+      phi.(k) <- Eps.fmax phi.(k) d
+    end
+  done;
+  (plo, phi)
 
 (* --- the fixpoint ------------------------------------------------------ *)
 
@@ -687,9 +774,11 @@ let tally () = { added = 0.; adjusted = 0; cycles = 0; lifts = 0 }
    runs the windows of [w]'s subs (["repair.cycle"] for balance and
    lift, ["repair.evaluate"] for the evaluation); [run] gets a heartbeat
    tick per cycle and, when tracing, the ["balance_pass"] /
-   ["lift_sweep"] / ["budget_exhausted"] instants and a ["repair_cycle"]
-   journal record per cycle.  It stops only right after an evaluate,
-   so the delays left in [st.delay] are the final tree's.
+   ["lift_sweep"] / ["budget_exhausted"] instants, a ["repair_cycle"]
+   journal record per cycle and a ["repair_lift"] record per lift.
+   After each lift's evaluate, [resize] rescales the groups' steps.  It
+   stops only right after an evaluate, so the delays left in [st.delay]
+   are the final tree's.
 
    Two callers.  A regional window of {!Arena.windows} runs it alone,
    serially on a worker domain, touching only the window's index range
@@ -713,6 +802,44 @@ let fixpoint st w ~dense ~accept ~max_cycles ~par ~(run : Obs.Run.t) tally =
     tally.added <- replay st w tally.added;
     tally.adjusted <- tally.adjusted + logged w
   in
+  (* Traced runs only: the last lift's cycle and per-group pre-lift and
+     predicted sink-delay lo / hi, journaled as a ["repair_lift"] record
+     with the realized ones once the next evaluate has measured them. *)
+  let cols =
+    if tracing then Some (Array.make st.a.Arena.n 0., Array.make st.a.Arena.n 0.)
+    else None
+  in
+  let pending = ref None in
+  let spread = Array.make (Array.length w.step) Float.neg_infinity in
+  let lift_record () =
+    Option.iter
+      (fun (iter, glo, ghi, plo, phi) ->
+        let moved ~from ~into g = Obs.Json.Float (into.(g) -. from.(g)) in
+        let groups = ref [] in
+        for g = Array.length glo - 1 downto 0 do
+          if glo.(g) <= ghi.(g) then
+            groups :=
+              Obs.Json.Obj
+                [
+                  ("group", Obs.Json.Int g);
+                  ("step", Obs.Json.Float w.step.(g));
+                  ("max_predicted", moved ~from:ghi ~into:phi g);
+                  ("max_realized", moved ~from:ghi ~into:w.ghi g);
+                  ("min_predicted", moved ~from:glo ~into:plo g);
+                  ("min_realized", moved ~from:glo ~into:w.glo g);
+                ]
+              :: !groups
+        done;
+        Obs.Trace.journal trace
+          (Obs.Json.Obj
+             [
+               ("type", Obs.Json.String "repair_lift");
+               ("cycle", Obs.Json.Int iter);
+               ("groups", Obs.Json.List !groups);
+             ]);
+        pending := None)
+      !pending
+  in
   let rec cycle iter =
     Obs.Progress.tick run.progress;
     if tracing then instant iter [] "balance_pass";
@@ -720,7 +847,9 @@ let fixpoint st w ~dense ~accept ~max_cycles ~par ~(run : Obs.Run.t) tally =
     record ();
     tally.cycles <- tally.cycles + 1;
     evaluate st w ~dense ~par:(par "repair.evaluate");
+    if iter > 0 then resize st w ~spread;
     let bad = violations st w ~slack:accept in
+    if tracing then lift_record ();
     if tracing then
       Obs.Trace.journal trace
         (Obs.Json.Obj
@@ -740,7 +869,19 @@ let fixpoint st w ~dense ~accept ~max_cycles ~par ~(run : Obs.Run.t) tally =
     else begin
       if tracing then
         instant iter [ ("added_wire", Obs.Json.Float tally.added) ] "lift_sweep";
-      lift st w ~dense ~par:(par "repair.cycle");
+      let inspect =
+        match cols with
+        | None -> None
+        | Some (cap, rise) ->
+          Some
+            (fun () ->
+              let plo, phi = predict st w ~cap ~rise in
+              pending := Some (iter, Array.copy w.glo, Array.copy w.ghi, plo, phi))
+      in
+      lift st w ~dense ~par:(par "repair.cycle") ~inspect;
+      for g = 0 to Array.length spread - 1 do
+        spread.(g) <- w.ghi.(g) -. w.glo.(g)
+      done;
       record ();
       tally.lifts <- tally.lifts + 1;
       cycle (iter + 1)
@@ -945,7 +1086,8 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
     let regions =
       map "repair.regions"
         (fun (lo, hi) ->
-          let w = make_work st ~lo ~hi ~top:hi [||] in
+          let step = Array.make inst.Instance.n_groups 1. in
+          let w = make_work st ~lo ~hi ~top:hi ~step [||] in
           let t = tally () in
           let bad =
             fixpoint st w ~dense ~accept:(2. *. st.slack) ~max_cycles
@@ -991,14 +1133,15 @@ let run_arena ?(config = default_config) ?(run = Obs.Run.null)
        the tree on the first pass when no regional phase ran — every
        node starts dirty).  Sparse, it runs each window first, then the
        spine above them; the dense reference walks the whole tree. *)
+    let step = Array.make inst.Instance.n_groups 1. in
     let subs =
       if dense then [||]
       else
         map "repair.setup"
-          (fun (lo, hi) -> make_work st ~lo ~hi ~top:(n - 1) [||])
+          (fun (lo, hi) -> make_work st ~lo ~hi ~top:(n - 1) ~step [||])
           windows
     in
-    let w = make_work st ~lo:0 ~hi:(n - 1) ~top:(n - 1) subs in
+    let w = make_work st ~lo:0 ~hi:(n - 1) ~top:(n - 1) ~step subs in
     let unresolved =
       fixpoint st w ~dense ~accept:st.slack ~max_cycles ~par ~run total
     in

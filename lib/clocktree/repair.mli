@@ -20,6 +20,14 @@
     a pure subtree of one, under a mixed node — is lifted at its leaf
     edge.  It runs only when stage 1 leaves a residual violation.
 
+    Each amount is scaled by its group's {e step}.  The cap a snake adds
+    delays all the sinks below the snaked edge's ancestors, mostly by
+    far more than the snake's own delay, so the full deficit overshoots.
+    The step starts at 1 and, after each lift, the next evaluation's
+    excess (spread over bound) rescales it by secant: by the excess
+    before the lift over the distance it moved, capped at 1 (DESIGN.md
+    §5.3).
+
     The cycle is {e incremental}: each balance pass memoizes every
     node's downstream cap and group-interval slab, and later passes
     revisit only the dirty frontier — nodes whose own edges were
@@ -140,7 +148,11 @@ type stats = {
     [run.trace] enabled the whole
     pass is wrapped in a ["repair"] span, each global cycle emits
     ["balance_pass"] / ["lift_sweep"] instants and a ["repair_cycle"]
-    journal record, the regional phase emits one ["regional_repair"]
+    journal record, each global lift a ["repair_lift"] record (per
+    group: the step, and the predicted and the realized movement of the
+    group's min and max sink delay — the prediction is the linear
+    Elmore response to the lift's snaking, the realization the next
+    evaluation's), the regional phase emits one ["regional_repair"]
     instant plus a ["repair_region"] journal record per region, and
     the global cycle exhausting its budget emits a ["budget_exhausted"]
     instant (a regional fixpoint never touches the trace: its record's

@@ -1155,6 +1155,37 @@ let test_select_pairs_large () =
     (same_selection got (reference_select ~ids ~partner ~cost ~limit:(n / 4)));
   Alcotest.(check int) "one ranked pair per reciprocated couple" (n / 2) (fst got)
 
+(* Plan and repair a random instance, [n] sinks over [n_groups] groups
+   on a 30000-unit die, at [bound] or, with [per_group], per-group bounds
+   drawn in [0, 30]; then audit the grouped bounds.  Returns the repair's
+   stats and whether it met every bound. *)
+let engine_repair_case (n, n_groups, bound, per_group, seed) =
+  let rng = Workload.Rng.create (Int64.of_int seed) in
+  let sinks =
+    List.init n (fun i ->
+        Sink.make ~id:i
+          ~loc:(pt (Workload.Rng.float_range rng 0. 30000.)
+                  (Workload.Rng.float_range rng 0. 30000.))
+          ~cap:(Workload.Rng.float_range rng 5. 100.)
+          ~group:(Workload.Rng.int rng n_groups))
+  in
+  let n_groups =
+    1 + List.fold_left (fun m (s : Sink.t) -> Int.max m s.group) 0 sinks
+  in
+  let group_bounds =
+    if per_group then
+      Some (Array.init n_groups (fun _ -> Workload.Rng.float_range rng 0. 30.))
+    else None
+  in
+  let inst =
+    Instance.make ~bound ?group_bounds ~source:(pt 0. 0.) ~n_groups
+      (Array.of_list sinks)
+  in
+  let a, _ = Dme.Engine.run_arena inst in
+  let rstats = Repair.run_arena inst a in
+  let report = Evaluate.report_of_arena inst a in
+  (rstats, rstats.unresolved_groups = 0 && Check.Audit.bound Grouped inst report = [])
+
 let prop_engine_respects_bound =
   let gen =
     QCheck.Gen.(
@@ -1169,32 +1200,31 @@ let prop_engine_respects_bound =
     (QCheck.make ~print:(fun (n, g, b, pg, s) ->
          Printf.sprintf "n=%d groups=%d bound=%g per_group=%b seed=%d" n g b pg s)
        gen)
-    (fun (n, n_groups, bound, per_group, seed) ->
-      let rng = Workload.Rng.create (Int64.of_int seed) in
-      let sinks =
-        List.init n (fun i ->
-            Sink.make ~id:i
-              ~loc:(pt (Workload.Rng.float_range rng 0. 30000.)
-                      (Workload.Rng.float_range rng 0. 30000.))
-              ~cap:(Workload.Rng.float_range rng 5. 100.)
-              ~group:(Workload.Rng.int rng n_groups))
-      in
-      let n_groups =
-        1 + List.fold_left (fun m (s : Sink.t) -> Int.max m s.group) 0 sinks
-      in
-      let group_bounds =
-        if per_group then
-          Some (Array.init n_groups (fun _ -> Workload.Rng.float_range rng 0. 30.))
-        else None
-      in
-      let inst =
-        Instance.make ~bound ?group_bounds ~source:(pt 0. 0.) ~n_groups
-          (Array.of_list sinks)
-      in
-      let a, _ = Dme.Engine.run_arena inst in
-      let rstats = Repair.run_arena inst a in
-      let report = Evaluate.report_of_arena inst a in
-      rstats.unresolved_groups = 0 && Check.Audit.bound Grouped inst report = [])
+    (fun case -> snd (engine_repair_case case))
+
+(* Two cases whose lift used to stall just above the acceptance slack,
+   exhausting its budget: the property's case drawn under
+   QCHECK_SEED=243523093, and case 1620 of fuzz seed 15 (both at a 0 ps
+   bound).  Each is audit-clean within 20 lifts under the default
+   budget. *)
+let test_repair_regressions () =
+  let stats, ok = engine_repair_case (24, 5, 0., false, 4928) in
+  Alcotest.(check bool) "n=24 groups=5 seed=4928: audit-clean" true ok;
+  Alcotest.(check bool)
+    (Printf.sprintf "n=24 groups=5 seed=4928: %d lifts <= 20" stats.lift_iterations)
+    true (stats.lift_iterations <= 20);
+  let c = Check.Gen.case ~seed:15L ~index:1620 () in
+  let r = Astskew.Router.(route (Spec.default Ast_dme) c.instance) in
+  Alcotest.(check (list string))
+    "fuzz seed 15 case 1620: audit-clean" []
+    (List.map
+       (fun (v : Check.Audit.violation) -> v.detail)
+       (Check.Audit.bound Grouped c.instance r.evaluation));
+  Alcotest.(check bool)
+    (Printf.sprintf "fuzz seed 15 case 1620: %d lifts <= 20"
+       r.repair.lift_iterations)
+    true
+    (r.repair.lift_iterations <= 20 && not r.repair.budget_exhausted)
 
 (* Candidate pairs for the merge-cost properties, from Check.Gen cases
    of every regime: a case's sinks are shuffled into four chunks, each
@@ -1599,6 +1629,8 @@ let () =
             test_plan_retention;
           Alcotest.test_case "per-group bounds: a merge allocates nothing" `Quick
             test_group_bounds_merge_allocation;
+          Alcotest.test_case "repair regressions: stalled lifts" `Quick
+            test_repair_regressions;
         ]
         @ qsuite
             [
