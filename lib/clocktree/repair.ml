@@ -622,10 +622,8 @@ let lift_heap st w =
    per-node writes of disjoint subtrees, so [w]'s own come first (they
    may reach into a sub); then the subs run through [par]; a sub root
    whose edge must be snaked or whose cap changed hands its parent to
-   [w]'s heap, which consumes the root's [changed] mark.  [inspect], when
-   given, runs once every amount is set and before any edge is snaked
-   (sparse, the subs' amounts and adjustments then run as two batches). *)
-let lift st w ~dense ~par ~inspect =
+   [w]'s heap, which consumes the root's [changed] mark. *)
+let lift st w ~dense ~par =
   let a = st.a in
   let lo = w.lo and hi = w.hi in
   w.log.len <- 0;
@@ -646,7 +644,6 @@ let lift st w ~dense ~par ~inspect =
         st.carry.(r) <- cv +. ar
       end
     done;
-    Option.iter (fun f -> f ()) inspect;
     Bytes.fill st.changed lo (hi - lo + 1) '\000';
     for v = lo to hi do
       if a.Arena.left.(v) >= 0 then ignore (lift_node st w v : bool)
@@ -655,22 +652,12 @@ let lift st w ~dense ~par ~inspect =
   else begin
     let target = w.target and half_slack = st.slack /. 2. in
     amounts st w ~target;
-    (match inspect with
-     | None ->
-       par
-         (fun s ->
-           s.log.len <- 0;
-           amounts st s ~target;
-           lift_heap st s)
-         w.subs
-     | Some f ->
-       par (fun s -> amounts st s ~target) w.subs;
-       f ();
-       par
-         (fun s ->
-           s.log.len <- 0;
-           lift_heap st s)
-         w.subs);
+    par
+      (fun s ->
+        s.log.len <- 0;
+        amounts st s ~target;
+        lift_heap st s)
+      w.subs;
     Array.iter
       (fun s ->
         if
@@ -707,39 +694,38 @@ let resize st w ~spread =
     end
   done
 
-(* The lift's linear response, for the journal of traced runs: the cap
-   each snaked edge adds (its snake over the edge's delay slope
-   [k r (c len + cap)], times [c]) summed bottom-up into [cap], and the
-   delay rise it causes top-down into [rise] — a node's parent's, plus
-   its own edge's snake, plus [k r len] times the cap added below it;
-   the driver's [k rd] and the root edge's over the whole tree, 0 at a
-   region's root.  Returns the predicted per-group sink-delay lo / hi. *)
+(* The lift's Elmore response, for the journal of traced runs.  On
+   entry [rise] holds the edge lengths before the lift; a lift changes
+   only lengths and caps, so the cap each snaked edge added is [c] times
+   its growth, summed bottom-up into [cap], and the delay rise top-down
+   into [rise]: a node's parent's, plus its own edge's snake (its
+   amount times its group's step), plus [k r len] times the cap added
+   below it, [len] the edge's old length; the driver's [k rd] and the
+   root edge's over the whole tree, 0 at a region's root.  Returns the
+   predicted per-group sink-delay lo / hi. *)
 let predict st w ~cap ~rise =
   let a = st.a and lo = w.lo and hi = w.hi in
   let p = a.Arena.params in
   let kr = Rc.Wire.ps_per_ohm_ff *. p.Rc.Wire.r in
-  let half_slack = st.slack /. 2. in
-  let snake v =
-    let x = st.amount.(v) and g = st.pg.(v) in
-    if g >= 0 && x > half_slack then x *. w.step.(g) else 0.
-  in
   let below v =
     let l = a.Arena.left.(v) in
     if l < 0 then 0. else cap.(l) +. cap.(a.Arena.right.(v))
   in
   for v = lo to hi - 1 do
-    let slope = kr *. ((p.Rc.Wire.c *. a.Arena.len.(v)) +. st.bcap.(v)) in
-    cap.(v) <- below v +. (if slope > 0. then p.Rc.Wire.c *. snake v /. slope else 0.)
+    cap.(v) <- below v +. (p.Rc.Wire.c *. (a.Arena.len.(v) -. rise.(v)))
   done;
   rise.(hi) <-
     (if hi < a.Arena.n - 1 then 0.
      else
        Rc.Wire.ps_per_ohm_ff
-       *. (a.Arena.rd +. (p.Rc.Wire.r *. a.Arena.len.(hi)))
+       *. (a.Arena.rd +. (p.Rc.Wire.r *. rise.(hi)))
        *. below hi);
   for v = hi - 1 downto lo do
-    rise.(v) <-
-      rise.(a.Arena.parent.(v)) +. snake v +. (kr *. a.Arena.len.(v) *. below v)
+    let len = rise.(v) in
+    let snake =
+      if a.Arena.len.(v) <> len then st.amount.(v) *. w.step.(st.pg.(v)) else 0.
+    in
+    rise.(v) <- rise.(a.Arena.parent.(v)) +. snake +. (kr *. len *. below v)
   done;
   let g = Array.length st.bound in
   let plo = Array.make g Float.infinity and phi = Array.make g Float.neg_infinity in
@@ -802,9 +788,11 @@ let fixpoint st w ~dense ~accept ~max_cycles ~par ~(run : Obs.Run.t) tally =
     tally.added <- replay st w tally.added;
     tally.adjusted <- tally.adjusted + logged w
   in
-  (* Traced runs only: the last lift's cycle and per-group pre-lift and
-     predicted sink-delay lo / hi, journaled as a ["repair_lift"] record
-     with the realized ones once the next evaluate has measured them. *)
+  (* Traced runs only: the last lift's cycle, per-group step, and
+     pre-lift and predicted sink-delay lo / hi, journaled as a
+     ["repair_lift"] record with the realized ones once the next evaluate
+     has measured them.  [cols] are [predict]'s columns; the second
+     holds the edge lengths across each lift. *)
   let cols =
     if tracing then Some (Array.make st.a.Arena.n 0., Array.make st.a.Arena.n 0.)
     else None
@@ -813,7 +801,7 @@ let fixpoint st w ~dense ~accept ~max_cycles ~par ~(run : Obs.Run.t) tally =
   let spread = Array.make (Array.length w.step) Float.neg_infinity in
   let lift_record () =
     Option.iter
-      (fun (iter, glo, ghi, plo, phi) ->
+      (fun (iter, step, glo, ghi, plo, phi) ->
         let moved ~from ~into g = Obs.Json.Float (into.(g) -. from.(g)) in
         let groups = ref [] in
         for g = Array.length glo - 1 downto 0 do
@@ -822,7 +810,7 @@ let fixpoint st w ~dense ~accept ~max_cycles ~par ~(run : Obs.Run.t) tally =
               Obs.Json.Obj
                 [
                   ("group", Obs.Json.Int g);
-                  ("step", Obs.Json.Float w.step.(g));
+                  ("step", Obs.Json.Float step.(g));
                   ("max_predicted", moved ~from:ghi ~into:phi g);
                   ("max_realized", moved ~from:ghi ~into:w.ghi g);
                   ("min_predicted", moved ~from:glo ~into:plo g);
@@ -869,16 +857,14 @@ let fixpoint st w ~dense ~accept ~max_cycles ~par ~(run : Obs.Run.t) tally =
     else begin
       if tracing then
         instant iter [ ("added_wire", Obs.Json.Float tally.added) ] "lift_sweep";
-      let inspect =
-        match cols with
-        | None -> None
-        | Some (cap, rise) ->
-          Some
-            (fun () ->
-              let plo, phi = predict st w ~cap ~rise in
-              pending := Some (iter, Array.copy w.glo, Array.copy w.ghi, plo, phi))
-      in
-      lift st w ~dense ~par:(par "repair.cycle") ~inspect;
+      Option.iter (fun (_, rise) -> Array.blit st.a.Arena.len 0 rise 0 st.a.Arena.n) cols;
+      lift st w ~dense ~par:(par "repair.cycle");
+      Option.iter
+        (fun (cap, rise) ->
+          let plo, phi = predict st w ~cap ~rise in
+          pending :=
+            Some (iter, Array.copy w.step, Array.copy w.glo, Array.copy w.ghi, plo, phi))
+        cols;
       for g = 0 to Array.length spread - 1 do
         spread.(g) <- w.ghi.(g) -. w.glo.(g)
       done;

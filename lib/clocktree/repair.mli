@@ -150,9 +150,10 @@ type stats = {
     ["balance_pass"] / ["lift_sweep"] instants and a ["repair_cycle"]
     journal record, each global lift a ["repair_lift"] record (per
     group: the step, and the predicted and the realized movement of the
-    group's min and max sink delay — the prediction is the linear
-    Elmore response to the lift's snaking, the realization the next
-    evaluation's), the regional phase emits one ["regional_repair"]
+    group's min and max sink delay — the prediction is the
+    Elmore response to the lift's snaking, computed after it from the
+    lengths it added, the realization the next evaluation's), the
+    regional phase emits one ["regional_repair"]
     instant plus a ["repair_region"] journal record per region, and
     the global cycle exhausting its budget emits a ["budget_exhausted"]
     instant (a regional fixpoint never touches the trace: its record's

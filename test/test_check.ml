@@ -761,25 +761,37 @@ let test_repair_convergence_10k () =
 
 (* A traced repair journals one ["repair_lift"] record per global lift:
    every group's step, in (0, 1], and the predicted and realized
-   movement of its min and max sink delay, all finite.  r1 at 0 ps has
-   no windows, so every lift is the global cycle's. *)
+   movement of its min and max sink delay, all finite; a lift only adds
+   wire, so the predicted movements are never negative.  Tracing leaves
+   the repair itself alone: the untraced run's stats and delays match
+   bit for bit.  r1 at 0 ps has no windows, so every lift is the global
+   cycle's. *)
 let test_repair_lift_records () =
   let inst =
     Workload.Circuits.instance
       (Option.get (Workload.Circuits.find "r1"))
       ~n_groups:8 ~scheme:Workload.Partition.Intermingled ~bound:0. ()
   in
-  let a, _ =
-    Dme.Engine.run_arena
-      ~config:{ Astskew.Router.ast_default_config with jobs = 1 }
-      inst
+  let repair run =
+    let a, _ =
+      Dme.Engine.run_arena
+        ~config:{ Astskew.Router.ast_default_config with jobs = 1 }
+        inst
+    in
+    Repair.run_arena ~config:{ Repair.default_config with jobs = 1 } ~run inst a
   in
   let trace = Obs.Trace.create () in
-  let s =
-    Repair.run_arena
-      ~config:{ Repair.default_config with jobs = 1 }
-      ~run:{ Obs.Run.null with trace } inst a
-  in
+  let s = repair { Obs.Run.null with trace } in
+  let u = repair Obs.Run.null in
+  Alcotest.(check bool) "traced stats = untraced" true
+    (s.added_wire = u.added_wire
+    && s.adjusted_edges = u.adjusted_edges
+    && s.lift_iterations = u.lift_iterations
+    && s.cycles = u.cycles);
+  Alcotest.(check bool) "traced delays = untraced, bit for bit" true
+    (Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       s.delays u.delays);
   let lifts =
     List.filter_map
       (function
@@ -810,7 +822,11 @@ let test_repair_lift_records () =
                 (fun k ->
                   Alcotest.(check bool) (k ^ " finite") true
                     (Float.is_finite (float g k)))
-                [ "max_predicted"; "max_realized"; "min_predicted"; "min_realized" ]
+                [ "max_predicted"; "max_realized"; "min_predicted"; "min_realized" ];
+              List.iter
+                (fun k ->
+                  Alcotest.(check bool) (k ^ " >= 0") true (float g k >= 0.))
+                [ "max_predicted"; "min_predicted" ]
             | _ -> Alcotest.fail "repair_lift group is not an object")
           groups
       | _ -> Alcotest.fail "repair_lift record without groups")
