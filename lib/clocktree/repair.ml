@@ -680,17 +680,24 @@ let lift st w ~dense ~par =
    follows it.  A lift that only partly closed the excess was too short,
    one that left it larger overshot; either way the secant rescales the
    step by the excess before the lift over the distance it moved: the
-   excess removed, or, when the excess grew, the excess crossed.  The
-   step starts at 1, the uncoupled carry rule, and never exceeds it.
-   [spread] holds each group's sink-delay spread at the lift. *)
-let resize st w ~spread =
+   excess removed, or, when the excess grew, the excess crossed.  But an
+   excess that grows again right after a growth grew whatever the step:
+   the other groups' lifts raised it, so the step is kept.  The step
+   starts at 1, the uncoupled carry rule, and never exceeds it.
+   [spread] holds each group's sink-delay spread at the lift, [grew]
+   whether its last rescale saw the excess grow. *)
+let resize st w ~spread ~grew =
   for g = 0 to Array.length w.step - 1 do
     let before = spread.(g) -. st.bound.(g) in
     let after = w.ghi.(g) -. w.glo.(g) -. st.bound.(g) in
     if before > st.slack /. 2. && after >= 0. then begin
-      let moved = if after < before then before -. after else before +. after in
-      let step = w.step.(g) *. before /. moved in
-      w.step.(g) <- (if step < 1. then step else 1.)
+      let grows = after >= before in
+      if not (grows && grew.(g)) then begin
+        let moved = if grows then before +. after else before -. after in
+        let step = w.step.(g) *. before /. moved in
+        w.step.(g) <- (if step < 1. then step else 1.)
+      end;
+      grew.(g) <- grows
     end
   done
 
@@ -799,6 +806,7 @@ let fixpoint st w ~dense ~accept ~max_cycles ~par ~(run : Obs.Run.t) tally =
   in
   let pending = ref None in
   let spread = Array.make (Array.length w.step) Float.neg_infinity in
+  let grew = Array.make (Array.length w.step) false in
   let lift_record () =
     Option.iter
       (fun (iter, step, glo, ghi, plo, phi) ->
@@ -835,7 +843,7 @@ let fixpoint st w ~dense ~accept ~max_cycles ~par ~(run : Obs.Run.t) tally =
     record ();
     tally.cycles <- tally.cycles + 1;
     evaluate st w ~dense ~par:(par "repair.evaluate");
-    if iter > 0 then resize st w ~spread;
+    if iter > 0 then resize st w ~spread ~grew;
     let bad = violations st w ~slack:accept in
     if tracing then lift_record ();
     if tracing then

@@ -575,8 +575,8 @@ let test_repair_idempotent_r1_r3 () =
 
 (* The flat 10^4-sink bench instance (8 intermingled groups, 2000·sqrt n
    die, default seed) at a [bound] ps group bound, planned once at
-   jobs 1.  Its global repair cycle runs over ten windows: 20 cycles at
-   10 ps, 44 at 0 ps. *)
+   jobs 1.  Its global repair cycle runs over ten windows: 21 cycles at
+   10 ps, 49 at 0 ps. *)
 let s10k_at bound =
   lazy
     (let spec =
@@ -597,9 +597,9 @@ let s10k_at bound =
 
 let s10k = s10k_at 10.
 
-(* The same sinks at 0 ps, whose global cycle runs 44 passes for the
+(* The same sinks at 0 ps, whose global cycle runs 49 passes for the
    sparse = dense test, and at 2 ps, whose regional fixpoints all converge
-   within 5 passes while its global cycle runs 32, for the allocation
+   within 5 passes while its global cycle runs 39, for the allocation
    test. *)
 let s10k_0ps = s10k_at 0.
 let s10k_2ps = s10k_at 2.
@@ -741,9 +741,13 @@ let test_repair_minor_words_10k () =
 
 (* The lift's convergence on the 10 ps instance, at jobs 1: the counts
    are deterministic, so a lift that lands worse shows as more lifts or
-   more wire without timing anything.  The step reads 23 lifts, 38
-   balance passes and 1.78e7 added wire here; snaking full deficits
-   (a step of 1) reads 46, 61 and 2.18e7, past every bound. *)
+   more wire without timing anything.  The step reads 24 lifts, 39
+   balance passes and 1.81e7 added wire here; snaking full deficits
+   (a step of 1) reads 46, 61 and 2.18e7, past every bound.  Tables I's
+   clustered r4 at 4 groups (1 infeasible merge) is where the other
+   groups' lifts keep raising one group's excess: full deficits add
+   542,542 wire there, and a step shrunk at every such growth 542,605;
+   the step must add no more than full deficits. *)
 let test_repair_convergence_10k () =
   let inst, planned = Lazy.force s10k in
   let config = { Repair.default_config with jobs = 1 } in
@@ -757,7 +761,17 @@ let test_repair_convergence_10k () =
     true (s.cycles <= 40);
   Alcotest.(check bool)
     (Printf.sprintf "added wire %.6g <= 1.9e7" s.added_wire)
-    true (s.added_wire <= 1.9e7)
+    true (s.added_wire <= 1.9e7);
+  let r4 =
+    Workload.Circuits.instance
+      (Option.get (Workload.Circuits.find "r4"))
+      ~n_groups:4 ~scheme:Workload.Partition.Clustered ~bound:10. ()
+  in
+  let r = Astskew.Router.ast_dme ~jobs:1 r4 in
+  Alcotest.(check int) "clustered r4: unresolved groups" 0 r.repair.unresolved_groups;
+  Alcotest.(check bool)
+    (Printf.sprintf "clustered r4: added wire %.17g <= 542542.32" r.repair.added_wire)
+    true (r.repair.added_wire <= 542542.32)
 
 (* A traced repair journals one ["repair_lift"] record per global lift:
    every group's step, in (0, 1], and the predicted and realized
