@@ -707,9 +707,10 @@ let resize st w ~spread ~grew =
    its growth, summed bottom-up into [cap], and the delay rise top-down
    into [rise]: a node's parent's, plus its own edge's snake (its
    amount times its group's step), plus [k r len] times the cap added
-   below it, [len] the edge's old length; the driver's [k rd] and the
-   root edge's over the whole tree, 0 at a region's root.  Returns the
-   predicted per-group sink-delay lo / hi. *)
+   below it, [len] the edge's old length; at the root, the driver's
+   [k rd] and the root edge's over the whole tree ([w] is the global
+   cycle's: regional fixpoints never trace).  Returns the predicted
+   per-group sink-delay lo / hi. *)
 let predict st w ~cap ~rise =
   let a = st.a and lo = w.lo and hi = w.hi in
   let p = a.Arena.params in
@@ -722,11 +723,7 @@ let predict st w ~cap ~rise =
     cap.(v) <- below v +. (p.Rc.Wire.c *. (a.Arena.len.(v) -. rise.(v)))
   done;
   rise.(hi) <-
-    (if hi < a.Arena.n - 1 then 0.
-     else
-       Rc.Wire.ps_per_ohm_ff
-       *. (a.Arena.rd +. (p.Rc.Wire.r *. rise.(hi)))
-       *. below hi);
+    Rc.Wire.ps_per_ohm_ff *. (a.Arena.rd +. (p.Rc.Wire.r *. rise.(hi))) *. below hi;
   for v = hi - 1 downto lo do
     let len = rise.(v) in
     let snake =

@@ -25,8 +25,8 @@
     far more than the snake's own delay, so the full deficit overshoots.
     The step starts at 1 and, after each lift, the next evaluation's
     excess (spread over bound) rescales it by secant: by the excess
-    before the lift over the distance it moved, capped at 1 (DESIGN.md
-    §5.3).
+    before the lift over the distance it moved, capped at 1; an excess
+    that grows right after a growth keeps the step (DESIGN.md §5.3).
 
     The cycle is {e incremental}: each balance pass memoizes every
     node's downstream cap and group-interval slab, and later passes
